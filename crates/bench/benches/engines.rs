@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use sycl_mlir_benchsuite::run_workload_on;
 use sycl_mlir_core::FlowKind;
-use sycl_mlir_sim::{Device, Engine, FuseLevel};
+use sycl_mlir_sim::{Device, Engine};
 
 fn workload(name: &str) -> (sycl_mlir_benchsuite::WorkloadSpec, i64) {
     let spec = sycl_mlir_benchsuite::all_workloads()
@@ -42,70 +42,16 @@ fn bench_engines(c: &mut Criterion) {
 }
 
 /// The fuse axis: the plan engine with the decoder's peephole fusion
-/// off, at the PR 3 pairs-only level, and with full chain fusion
-/// (sequential, so the delta is pure per-instruction dispatch).
+/// off and on (sequential, so the delta is pure per-instruction
+/// dispatch).
 fn bench_fuse(c: &mut Criterion) {
     let mut group = c.benchmark_group("fuse");
     group.sample_size(10);
     for name in ["GEMM", "jacobi"] {
         let (spec, size) = workload(name);
-        for fuse in [FuseLevel::Off, FuseLevel::Pairs, FuseLevel::Chains] {
-            let device = Device::with_engine(Engine::Plan)
-                .threads(1)
-                .fuse_level(fuse);
-            group.bench_function(format!("{name}/fuse-{}", fuse.name()), |b| {
-                b.iter(|| {
-                    let (r, _) = run_workload_on(&spec, size, FlowKind::SyclMlir, &device)
-                        .expect("workload runs");
-                    assert!(r.valid);
-                    r.cycles
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
-/// The batch axis: launch-level parallelism over dependency-free command
-/// groups, off vs on, at 4 workers (batching moves nothing without
-/// threads to overlap the launches on). Uses the workload with the most
-/// independent launches per level.
-fn bench_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch");
-    group.sample_size(10);
-    for name in ["GEMM", "jacobi"] {
-        let (spec, size) = workload(name);
-        for batch in [false, true] {
-            let device = Device::with_engine(Engine::Plan).threads(4).batch(batch);
-            let label = if batch { "on" } else { "off" };
-            group.bench_function(format!("{name}/batch-{label}"), |b| {
-                b.iter(|| {
-                    let (r, _) = run_workload_on(&spec, size, FlowKind::SyclMlir, &device)
-                        .expect("workload runs");
-                    assert!(r.valid);
-                    r.cycles
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
-/// The overlap axis: level-barrier batching vs the out-of-order launch
-/// scheduler, at 4 workers, on the stencil workload with the longest
-/// dependency chains (heat transfer: 50 dependent launches).
-fn bench_overlap(c: &mut Criterion) {
-    let mut group = c.benchmark_group("overlap");
-    group.sample_size(10);
-    for name in ["1D HeatTransfer (buffer)", "jacobi"] {
-        let (spec, size) = workload(name);
-        for overlap in [false, true] {
-            let device = Device::with_engine(Engine::Plan)
-                .threads(4)
-                .batch(true)
-                .overlap(overlap);
-            let label = if overlap { "on" } else { "off" };
-            group.bench_function(format!("{name}/overlap-{label}"), |b| {
+        for (fuse, label) in [(false, "off"), (true, "on")] {
+            let device = Device::with_engine(Engine::Plan).threads(1).fuse(fuse);
+            group.bench_function(format!("{name}/fuse-{label}"), |b| {
                 b.iter(|| {
                     let (r, _) = run_workload_on(&spec, size, FlowKind::SyclMlir, &device)
                         .expect("workload runs");
@@ -141,12 +87,5 @@ fn bench_threads(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_engines,
-    bench_fuse,
-    bench_batch,
-    bench_overlap,
-    bench_threads
-);
+criterion_group!(benches, bench_engines, bench_fuse, bench_threads);
 criterion_main!(benches);

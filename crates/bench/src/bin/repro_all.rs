@@ -47,32 +47,6 @@ fn main() {
     // on the device that ran the workloads.
     let device = sycl_mlir_bench::device_from_args();
 
-    // The tree-walk reference always runs sequentially, so record the
-    // worker count that actually applied, not the requested flag — a
-    // `--engine=tree --threads=4` run must not masquerade as a 4-thread
-    // measurement in the perf trajectory.
-    let effective_threads = match device.engine {
-        sycl_mlir_sim::Engine::Plan => device.threads,
-        sycl_mlir_sim::Engine::TreeWalk => 1,
-    };
-    // Fusion, batching, overlap and the closure-JIT tier are plan-engine
-    // features; report what applied (overlap requires batch).
-    let on_off = |b: bool| if b { "on" } else { "off" };
-    let (fuse, jit, batch, overlap) = match device.engine {
-        sycl_mlir_sim::Engine::Plan => (
-            device.fuse,
-            device.jit,
-            device.batch,
-            device.batch && device.overlap,
-        ),
-        sycl_mlir_sim::Engine::TreeWalk => (
-            sycl_mlir_sim::FuseLevel::Off,
-            sycl_mlir_sim::JitMode::Off,
-            false,
-            false,
-        ),
-    };
-
     if json {
         // Machine-readable sweep: same workloads and device as the table
         // mode, but each row is timed individually and printed as one
@@ -131,13 +105,15 @@ fn main() {
         println!("{{");
         println!("  \"schema\": 1,");
         println!("  \"quick\": {quick},");
-        println!("  \"engine\": \"{}\",", device.engine.name());
-        println!("  \"threads\": {effective_threads},");
-        println!("  \"fuse\": \"{}\",", fuse.name());
-        println!("  \"jit\": \"{}\",", jit.name());
-        println!("  \"batch\": \"{}\",", on_off(batch));
-        println!("  \"overlap\": \"{}\",", on_off(overlap));
-        println!("  \"verify\": \"{}\",", device.verify.name());
+        // The effective configuration, one key per knob of the table
+        // (counts as JSON numbers, everything else as strings).
+        for (knob, value) in device.settings() {
+            if value.parse::<u64>().is_ok() {
+                println!("  \"{knob}\": {value},");
+            } else {
+                println!("  \"{knob}\": \"{value}\",");
+            }
+        }
         // Schema-additive verifier accumulators (all zero when the
         // verifier is off or the tree-walk engine runs): how many plans
         // were verified, how much of the suite the static passes proved.
@@ -208,15 +184,10 @@ fn main() {
     // Machine-readable wall-time line for the perf trajectory in the
     // BENCH_*.json harness records. Covers the whole sweep (compilation of
     // every flow + simulation); simulation dominates and is what the
-    // engine/thread choice moves.
-    let fuse_name = fuse.name();
-    let jit_name = jit.name();
+    // engine/thread choice moves. The parenthesis is the device's
+    // effective configuration (its `Display`).
     println!(
-        "\nrepro_wall_time_seconds: {:.3} (engine: {}, threads: {effective_threads}, fuse: {fuse_name}, jit: {jit_name}, batch: {}, overlap: {}, verify: {}, quick: {quick})",
+        "\nrepro_wall_time_seconds: {:.3} ({device}, quick: {quick})",
         t0.elapsed().as_secs_f64(),
-        device.engine.name(),
-        on_off(batch),
-        on_off(overlap),
-        device.verify.name(),
     );
 }

@@ -1,20 +1,15 @@
 //! Host-task-interleaved DAG benchmark: a randomized wide fan-out launch
 //! graph whose rounds interleave host tasks with independent kernels.
 //!
-//! The shape is adversarial for the legacy segmented schedule (every
-//! host task a synchronization barrier): with `--host-nodes=off` each
-//! host task drains the whole graph, so the worker pool is starved
-//! between segments; with host nodes on (the default) the host tasks
-//! ride the hazard DAG as ordinary single-group nodes and every
-//! independent kernel overlaps them. An interleaved A/B of
-//! `--host-nodes=on` vs `--host-nodes=off` at `--threads=4` is the PR 9
-//! headline measurement (recorded in BENCH_pr9.json).
+//! The host tasks ride the hazard DAG as ordinary single-group nodes, so
+//! every independent kernel overlaps them — the shape on which running
+//! host tasks as graph nodes (instead of draining the graph around each
+//! one) was measured in BENCH_pr9.json.
 //!
 //! The printed table — per-buffer checksums, per-kernel cycle totals —
-//! is deterministic and bit-identical across host-node modes, ready-set
-//! policies (`--sched=fifo|critpath`), thread counts and engines; only
-//! the `repro_wall_time_seconds:` line varies. scripts/ci.sh diffs the
-//! tables across those axes.
+//! is deterministic and bit-identical across thread counts and engines;
+//! only the `repro_wall_time_seconds:` line varies. scripts/ci.sh diffs
+//! the tables across those axes.
 
 use sycl_mlir_bench::{device_from_args, quick_flag};
 use sycl_mlir_core::FlowKind;
@@ -51,23 +46,19 @@ impl XorShift {
 fn main() {
     sycl_mlir_bench::handle_help_flag(
         "repro_hostdag",
-        "host-task-interleaved DAG: host nodes vs segmented schedule A/B",
+        "host-task-interleaved DAG: host tasks as launch-graph nodes",
     );
     let quick = quick_flag();
     let device = device_from_args();
     // Problem size: element count per buffer, inner-loop trip count of
-    // the kernel, and interleaved rounds.
-    // Many rounds of modest kernels: the segmented schedule pays one
-    // full graph drain (worker spawn, shared-pool snapshot, ready-set
-    // build) per host task — 2R+1 scheduling rounds against one — which
-    // is exactly the overhead host nodes delete.
+    // the kernel, and interleaved rounds — many rounds of modest kernels,
+    // so scheduling overhead per command group is what shows.
     let (n, trips, rounds): (i64, i64, usize) = if quick { (256, 8, 40) } else { (512, 16, 300) };
 
     let ctx = full_context();
     let mut kb = KernelModuleBuilder::new(&ctx);
     let f32t = ctx.f32_type();
-    // `churn`: an iterated multiply-add per element — heavy enough that
-    // starving the worker pool between host-task segments is visible.
+    // `churn`: an iterated multiply-add per element.
     let sig = KernelSig::new("churn", 1, true).accessor(f32t, 1, AccessMode::ReadWrite);
     kb.add_kernel(&sig, |b, args, item| {
         let gid = sdev::global_id(b, item, 0);
@@ -99,9 +90,8 @@ fn main() {
         .collect();
 
     // Each round: one host task on a rotating buffer plus three kernels
-    // on *other* buffers — independent of the host task, so with host
-    // nodes on they overlap it, while the segmented schedule drains the
-    // pool around every host task.
+    // on *other* buffers — independent of the host task, so they overlap
+    // it.
     let mut rng = XorShift(0x9E3779B97F4A7C15);
     let mut q = Queue::new();
     for r in 0..rounds {
@@ -140,14 +130,8 @@ fn main() {
     };
 
     // Config goes to stderr: stdout must be bit-identical across the
-    // host-node/sched/thread axes so CI can diff it.
-    eprintln!(
-        "engine={} threads={} host_nodes={} sched={}",
-        device.engine.name(),
-        device.threads,
-        device.host_nodes,
-        device.sched.name()
-    );
+    // engine/thread axes so CI can diff it.
+    eprintln!("{device}");
     let start = std::time::Instant::now();
     let report = match run(&mut program, &mut rt, &q, &device) {
         Ok(r) => r,

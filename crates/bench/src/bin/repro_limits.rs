@@ -84,13 +84,7 @@ fn main() {
         }
     };
 
-    println!(
-        "engine={} threads={} fuse={:?} overlap={}",
-        device.engine.name(),
-        device.threads,
-        device.fuse,
-        device.overlap
-    );
+    println!("{device}");
     match run(&mut program, &mut rt, &q, &device) {
         Ok(_) => {
             eprintln!("error: the adversarial kernel completed — no limit tripped");

@@ -15,7 +15,7 @@
 
 use sycl_mlir_benchsuite::{geo_mean, run_workload_on, Category, RunResult, WorkloadSpec};
 use sycl_mlir_core::FlowKind;
-use sycl_mlir_sim::{Device, Engine, FuseLevel, JitMode, SchedPolicy, VerifyMode};
+use sycl_mlir_sim::Device;
 
 /// One row of a speedup table.
 #[derive(Debug, Clone)]
@@ -38,10 +38,8 @@ impl Row {
 }
 
 /// Run every workload of a category; scale factors below 1.0 shrink the
-/// (already scaled) problem sizes further for quick runs. The engine and
-/// worker count come from the `--engine=tree|plan` / `--threads=N` flags
-/// ([`engine_flag`], [`threads_flag`]) or, absent those, the device
-/// defaults.
+/// (already scaled) problem sizes further for quick runs. Runs on the
+/// device the flags and environment configure ([`device_from_args`]).
 pub fn run_category(category: Category, quick: bool) -> Vec<Row> {
     run_category_on(category, quick, &device_from_args())
 }
@@ -160,327 +158,37 @@ pub fn quick_flag() -> bool {
 /// everything else.
 pub const LIMIT_EXIT: i32 = 3;
 
-/// The shared flag/environment-variable table of every `repro_*` binary —
-/// the single authoritative list of simulator knobs (mirrored by the
-/// table in README.md and docs/ARCHITECTURE.md).
-pub const KNOB_TABLE: &str = "\
-flag            env variable           values        default  effect
---engine=...    SYCL_MLIR_SIM_ENGINE   tree | plan   plan     tree = tree-walk reference interpreter;
-                                                              plan = pre-decoded register-file bytecode
---threads=...   SYCL_MLIR_SIM_THREADS  N | auto | 0  1        worker threads for plan-engine launches
-                                                              (auto/0 = machine parallelism)
---fuse=...      SYCL_MLIR_SIM_FUSE     on | pairs    on       peephole-fuse decoded plans into
-                                       | off                  superinstructions (plan engine only);
-                                                              pairs = PR 3 two-instruction rewrites
-                                                              only, on = pairs + indexed-access and
-                                                              multiply-accumulate chains
---batch=...     SYCL_MLIR_SIM_BATCH    on | off      on       run dependency-free command groups of a
-                                                              queue concurrently (plan engine only)
---overlap=...   SYCL_MLIR_SIM_OVERLAP  on | off      on       out-of-order launch scheduling: a command
-                                                              group starts as soon as its own deps
-                                                              retire (off = PR 3 level barriers)
---host-nodes=.. SYCL_MLIR_SIM_HOST_NODES  on | off   on       run host tasks as first-class launch-graph
-                                                              nodes on the worker pool (off = legacy
-                                                              segmented schedule: every host task is a
-                                                              synchronization barrier)
---sched=...     SYCL_MLIR_SIM_SCHED    fifo          critpath  ready-set drain order of the out-of-order
-                                       | critpath             scheduler: longest critical path first, or
-                                                              FIFO publication order (A/B baseline);
-                                                              results are bit-identical either way
---jit=...       SYCL_MLIR_SIM_JIT      on | off      on       closure-JIT tier of the plan engine:
-                                       | always               compile hot decoded plans into
-                                                              direct-threaded closure chains
-                                                              (always = ignore the launch counter,
-                                                              off = stay on the bytecode loop)
---jit-threshold=N  SYCL_MLIR_SIM_JIT_THRESHOLD  launches  1   launch count at which --jit=on
-                                                              compiles a cached plan (1 = eagerly)
---verify=...    SYCL_MLIR_SIM_VERIFY   strict | lint lint     decode-time plan verification: prove
-                                       | off                  accessor bounds and barrier uniformity
-                                                              once per cached plan, then elide the
-                                                              proven runtime checks (results stay
-                                                              bit-identical). strict = reject plans
-                                                              with findings (structured error),
-                                                              lint = warn and run them fully checked,
-                                                              off = no verification, no elision
---profile=...   SYCL_MLIR_SIM_PROFILE  on | off      off      count executed plan instructions and dump
-                                                              per-opcode totals + fusion candidates
---max-ops=N     SYCL_MLIR_SIM_MAX_OPS  integer       off      weighted-operation budget per launch: a
-                                                              kernel exceeding it fails with a
-                                                              structured limit error (repro binaries
-                                                              exit 3) instead of spinning forever
---mem-cap=N     SYCL_MLIR_SIM_MEM_CAP  bytes         off      cap on kernel-driven allocation growth
-                                                              (allocas, materialized constants) per
-                                                              worker per launch
---deadline-ms=N SYCL_MLIR_SIM_DEADLINE_MS  ms        off      wall-clock deadline per launch graph,
-                                                              measured from submission
---quick         -                      -             off      shrink problem sizes for a fast sweep";
-
 /// Print usage for a `repro_*` binary and exit when `--help`/`-h` was
-/// passed. Flags win over environment variables; results are
-/// bit-identical across every engine/threads/fuse/batch combination —
-/// the knobs only move wall time.
+/// passed: the simulator's knob table ([`sycl_mlir_sim::knob_table`] —
+/// the one definition of every flag, README.md embeds the same text)
+/// plus the harness's own `--quick`/`--json`.
 pub fn handle_help_flag(binary: &str, purpose: &str) {
     if !std::env::args().any(|a| a == "--help" || a == "-h") {
         return;
     }
     println!("{binary} — {purpose}\n");
-    println!("usage: {binary} [--quick] [--engine=tree|plan] [--threads=N] [--fuse=on|pairs|off] [--jit=on|off|always] [--jit-threshold=N] [--batch=on|off] [--overlap=on|off] [--host-nodes=on|off] [--sched=fifo|critpath] [--verify=strict|lint|off] [--profile=on|off] [--max-ops=N] [--mem-cap=BYTES] [--deadline-ms=MS]\n");
-    println!("{KNOB_TABLE}");
+    println!("usage: {binary} [--quick] [--json] [--<knob>=<value>]...\n");
+    print!("{}", sycl_mlir_sim::knob_table());
+    println!("--quick\n    shrink problem sizes for a fast sweep");
+    println!("--json\n    machine-readable summary instead of tables (repro_all only)");
     println!(
-        "\nFlags win over environment variables. Outputs, statistics and cycle\ntables are bit-identical across every engine/threads/fuse/batch/overlap\ncombination (held by tests/differential.rs); those knobs only change\nwall time. The limit knobs (--max-ops, --mem-cap, --deadline-ms) are\nsafety nets: a kernel exceeding one fails with a structured error and\nexit status 3 instead of hanging the run."
+        "\nFlags win over environment variables; a malformed or unknown setting\nis an error (exit status 2) from either. Outputs, statistics and cycle\ntables are bit-identical across every engine/threads/fuse/jit/verify\ncombination (held by tests/differential.rs); those knobs only change\nwall time. The limit knobs (--max-ops, --mem-cap, --deadline-ms) are\nsafety nets: a kernel exceeding one fails with a structured error and\nexit status 3 instead of hanging the run."
     );
     std::process::exit(0);
 }
 
-/// Parse a shared `--<name>=on|off` flag. Unknown spellings abort rather
-/// than silently benchmarking the wrong configuration.
-fn on_off_flag(name: &str) -> Option<bool> {
-    let prefix = format!("--{name}=");
-    for arg in std::env::args() {
-        if let Some(value) = arg.strip_prefix(&prefix) {
-            match value {
-                "on" | "1" | "true" => return Some(true),
-                "off" | "0" | "false" => return Some(false),
-                other => {
-                    eprintln!("error: unknown --{name} value `{other}` (expected `on` or `off`)");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Parse the shared `--fuse=on|pairs|off` flag (plan-decoder peephole
-/// fusion level: `on` = pairs + chains, `pairs` = two-instruction
-/// rewrites only, `off` = none). Unknown spellings abort rather than
+/// The device the repro binaries run on: the knob-table defaults, then
+/// the `SYCL_MLIR_SIM_*` environment variables, then the
+/// `--<knob>=<value>` flags. A setting that does not parse — from either
+/// source — is printed and the process exits with status 2 rather than
 /// silently benchmarking the wrong configuration.
-pub fn fuse_flag() -> Option<FuseLevel> {
-    for arg in std::env::args() {
-        if let Some(value) = arg.strip_prefix("--fuse=") {
-            return Some(FuseLevel::parse(value).unwrap_or_else(|| {
-                eprintln!(
-                    "error: unknown --fuse value `{value}` (expected `on`, `pairs` or `off`)"
-                );
-                std::process::exit(2);
-            }));
-        }
-    }
-    None
-}
-
-/// Parse the shared `--jit=on|off|always` flag (closure-JIT tier of the
-/// plan engine: `on` compiles a cached plan once its launch count reaches
-/// the threshold, `always` ignores the counter, `off` stays on the
-/// bytecode loop). Unknown spellings abort rather than silently
-/// benchmarking the wrong tier.
-pub fn jit_flag() -> Option<JitMode> {
-    for arg in std::env::args() {
-        if let Some(value) = arg.strip_prefix("--jit=") {
-            return Some(JitMode::parse(value).unwrap_or_else(|| {
-                eprintln!(
-                    "error: unknown --jit value `{value}` (expected `on`, `off` or `always`)"
-                );
-                std::process::exit(2);
-            }));
-        }
-    }
-    None
-}
-
-/// Parse the shared `--jit-threshold=N` flag (launch count at which
-/// `--jit=on` compiles a cached plan; `1` compiles eagerly).
-pub fn jit_threshold_flag() -> Option<u64> {
-    u64_flag("jit-threshold")
-}
-
-/// Parse the shared `--batch=on|off` flag (launch-level parallelism over
-/// dependency-free command groups).
-pub fn batch_flag() -> Option<bool> {
-    on_off_flag("batch")
-}
-
-/// Parse the shared `--overlap=on|off` flag (out-of-order launch
-/// scheduling: overlap dependency levels, off = PR 3 level barriers).
-pub fn overlap_flag() -> Option<bool> {
-    on_off_flag("overlap")
-}
-
-/// Parse the shared `--host-nodes=on|off` flag (host tasks as first-class
-/// launch-graph nodes; off = legacy segmented schedule where every host
-/// task is a synchronization barrier).
-pub fn host_nodes_flag() -> Option<bool> {
-    on_off_flag("host-nodes")
-}
-
-/// Parse the shared `--sched=fifo|critpath` flag (ready-set drain order
-/// of the out-of-order scheduler). Unknown spellings abort rather than
-/// silently benchmarking the wrong policy.
-pub fn sched_flag() -> Option<SchedPolicy> {
-    for arg in std::env::args() {
-        if let Some(value) = arg.strip_prefix("--sched=") {
-            return Some(SchedPolicy::parse(value).unwrap_or_else(|| {
-                eprintln!("error: unknown --sched value `{value}` (expected `fifo` or `critpath`)");
-                std::process::exit(2);
-            }));
-        }
-    }
-    None
-}
-
-/// Parse the shared `--profile=on|off` flag (per-instruction execution
-/// counts; dumped after the sweep to rank fusion candidates).
-pub fn profile_flag() -> Option<bool> {
-    on_off_flag("profile")
-}
-
-/// Parse the shared `--verify=strict|lint|off` flag (decode-time plan
-/// verification and proven-check elision). Unknown spellings abort
-/// rather than silently benchmarking the wrong configuration.
-pub fn verify_flag() -> Option<VerifyMode> {
-    for arg in std::env::args() {
-        if let Some(value) = arg.strip_prefix("--verify=") {
-            return Some(VerifyMode::parse(value).unwrap_or_else(|| {
-                eprintln!(
-                    "error: unknown --verify value `{value}` (expected `strict`, `lint` or `off`)"
-                );
-                std::process::exit(2);
-            }));
-        }
-    }
-    None
-}
-
-/// Parse a shared `--<name>=N` non-negative integer flag. Unparsable
-/// values abort rather than silently benchmarking the wrong
-/// configuration.
-fn u64_flag(name: &str) -> Option<u64> {
-    let prefix = format!("--{name}=");
-    for arg in std::env::args() {
-        if let Some(value) = arg.strip_prefix(&prefix) {
-            match value.parse::<u64>() {
-                Ok(n) => return Some(n),
-                Err(_) => {
-                    eprintln!("error: --{name} value `{value}` is not a non-negative integer");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Parse the shared `--max-ops=N` flag (weighted-operation budget per
-/// launch; a kernel exceeding it fails with a structured limit error).
-pub fn max_ops_flag() -> Option<u64> {
-    u64_flag("max-ops")
-}
-
-/// Parse the shared `--mem-cap=N` flag (bytes of kernel-driven
-/// allocation growth allowed per worker per launch).
-pub fn mem_cap_flag() -> Option<u64> {
-    u64_flag("mem-cap")
-}
-
-/// Parse the shared `--deadline-ms=N` flag (wall-clock deadline per
-/// launch graph, measured from submission).
-pub fn deadline_ms_flag() -> Option<u64> {
-    u64_flag("deadline-ms")
-}
-
-/// Parse the shared `--engine=tree|plan` flag. Unknown spellings abort
-/// rather than silently benchmarking the wrong engine.
-pub fn engine_flag() -> Option<Engine> {
-    for arg in std::env::args() {
-        if let Some(value) = arg.strip_prefix("--engine=") {
-            match value {
-                "tree" | "treewalk" | "tree-walk" => return Some(Engine::TreeWalk),
-                "plan" => return Some(Engine::Plan),
-                other => {
-                    eprintln!("error: unknown engine `{other}` (expected `tree` or `plan`)");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Parse the shared `--threads=N` flag (`N` a worker count, or `auto`/`0`
-/// for the machine's available parallelism). Unparsable counts abort
-/// rather than silently benchmarking the wrong configuration.
-pub fn threads_flag() -> Option<usize> {
-    for arg in std::env::args() {
-        if let Some(value) = arg.strip_prefix("--threads=") {
-            match value {
-                "auto" | "0" => return Some(sycl_mlir_sim::auto_threads()),
-                _ => match value.parse::<usize>() {
-                    Ok(n) => return Some(n),
-                    Err(_) => {
-                        eprintln!(
-                            "error: unparsable thread count `{value}` (expected a count, `auto` or `0`)"
-                        );
-                        std::process::exit(2);
-                    }
-                },
-            }
-        }
-    }
-    None
-}
-
-/// The device the repro binaries run on: the `--engine` / `--threads` /
-/// `--fuse` / `--jit` / `--jit-threshold` / `--batch` / `--overlap` /
-/// `--host-nodes` / `--sched` / `--verify` / `--profile` / `--max-ops` /
-/// `--mem-cap` / `--deadline-ms` flags win,
-/// then the `SYCL_MLIR_SIM_*` environment variables, then the defaults
-/// (plan engine, sequential, fusion/batching/closure-JIT on, no limits).
-/// See [`KNOB_TABLE`] for the full list.
 pub fn device_from_args() -> Device {
-    let mut device = Device::new();
-    if let Some(engine) = engine_flag() {
-        device = device.engine(engine);
-    }
-    if let Some(threads) = threads_flag() {
-        device = device.threads(threads);
-    }
-    if let Some(fuse) = fuse_flag() {
-        device = device.fuse_level(fuse);
-    }
-    if let Some(jit) = jit_flag() {
-        device = device.jit(jit);
-    }
-    if let Some(n) = jit_threshold_flag() {
-        device = device.jit_threshold(n);
-    }
-    if let Some(batch) = batch_flag() {
-        device = device.batch(batch);
-    }
-    if let Some(overlap) = overlap_flag() {
-        device = device.overlap(overlap);
-    }
-    if let Some(host_nodes) = host_nodes_flag() {
-        device = device.host_nodes(host_nodes);
-    }
-    if let Some(sched) = sched_flag() {
-        device = device.sched(sched);
-    }
-    if let Some(profile) = profile_flag() {
-        device = device.profile(profile);
-    }
-    if let Some(verify) = verify_flag() {
-        device = device.verify(verify);
-    }
-    if let Some(ops) = max_ops_flag() {
-        device = device.max_ops(ops);
-    }
-    if let Some(bytes) = mem_cap_flag() {
-        device = device.mem_cap(bytes);
-    }
-    if let Some(ms) = deadline_ms_flag() {
-        device = device.deadline_ms(ms);
-    }
-    device
+    Device::try_from_env()
+        .and_then(|device| device.with_flags(std::env::args().skip(1)))
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
 }
 
 #[cfg(test)]

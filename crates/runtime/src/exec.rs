@@ -3,12 +3,12 @@
 
 use crate::buffer::SyclRuntime;
 use crate::queue::{CgArg, HostOp, Queue};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use sycl_mlir_core::{CompileOutcome, Flow, FlowKind};
 use sycl_mlir_ir::{Module, OpId};
 use sycl_mlir_sim::{
-    AccessorVal, BatchLaunch, Device, ExecStats, HostNode, HostView, LaunchDag, MemId, MemoryPool,
-    RtValue, SharedPool, SimError,
+    AccessorVal, BatchLaunch, Device, ExecStats, HostNode, HostView, MemId, MemoryPool, RtValue,
+    SimError,
 };
 
 /// A compiled SYCL application (joint module + flow that produced it).
@@ -86,37 +86,31 @@ impl RunReport {
 /// Execute every command group of `queue` on `device`, reading/writing the
 /// runtime's buffers.
 ///
-/// The queue exports its full hazard DAG ([`Queue::dep_graph`]) and the
-/// whole program is handed to the device's out-of-order scheduler
-/// ([`Device::launch_graph`]): a launch starts the moment its own
-/// dependencies retire. The device's knobs select weaker schedules from
-/// the same graph — `overlap` off strengthens it to level barriers (the
-/// PR 3 batch schedule), `batch` off to the submission-order chain — and
-/// every schedule produces bit-identical buffers, statistics and report
-/// tables; only wall time differs.
+/// The whole program is ONE launch graph: every command group — kernel
+/// or host task — is a node, ordered by the queue's hazard edges
+/// ([`Queue::dep_graph`]), and the graph is handed to
+/// [`Device::launch_graph`]. The plan engine runs it out of order (a
+/// launch starts the moment its own dependencies retire); the tree-walk
+/// engine is the serial reference and runs the nodes in submission order.
+/// Both produce bit-identical buffers, statistics and report tables; only
+/// wall time differs.
 ///
-/// Host tasks ([`crate::queue::HostOp`]) run as first-class graph nodes
+/// Host tasks ([`crate::queue::HostOp`]) are first-class graph nodes
 /// ([`HostNode`]): hazard-tracked, metered at a fixed weight, cancellable
-/// and fault-injectable like any kernel launch — so one graph spans the
-/// whole program and kernels with no hazard on a host task overlap it
-/// freely. [`Device::host_nodes`] off restores the legacy segmented
-/// schedule (every host task a synchronization barrier splitting the
-/// program into separately scheduled launch graphs) as an A/B baseline;
-/// both modes produce bit-identical buffers, reports and failure
-/// positions.
+/// and fault-injectable like any kernel launch — kernels with no hazard
+/// on a host task overlap it freely.
 ///
 /// # Errors
 ///
 /// Fails on unresolved kernels, interpreter errors, or divergent barriers.
 /// With several failing work-groups anywhere in the program, the error of
 /// the lexicographically smallest `(submission, work-group)` position is
-/// reported, identically under every schedule and thread count. Every
-/// error — limit trips, kernel failures and host-task failures alike — is
-/// stamped with the **submission index** of the offending command group
-/// (never a segment-local position), so the caller can name the offending
-/// command group whatever schedule was in effect; a wedged kernel program
-/// fails instead of hanging, and the device stays usable for the next
-/// run.
+/// reported, identically under both engines and every thread count. Every
+/// error — limit trips, kernel failures and host-task failures alike —
+/// carries the **submission index** of the offending command group
+/// (launch index and submission index coincide in the whole-program
+/// graph); a wedged kernel program fails instead of hanging, and the
+/// device stays usable for the next run.
 pub fn run(
     program: &mut Program,
     runtime: &mut SyclRuntime,
@@ -125,16 +119,14 @@ pub fn run(
 ) -> Result<RunReport, SimError> {
     let mut pool = MemoryPool::new();
     let (buf_mems, usm_mems) = runtime.upload_to_device(&mut pool);
-    let mut runs: Vec<Option<KernelRun>> = queue.groups.iter().map(|_| None).collect();
 
     // Resolve and (for AdaptiveCpp) JIT-specialize every kernel in
     // **submission order**, before any launch. Specialization reads only
     // the module and the seeding command group's geometry/buffer ids —
     // never execution results — so hoisting it is unobservable; doing it
     // in submission order guarantees the same command group seeds a
-    // kernel's one-shot specialization whatever schedule reorders
-    // execution across dependency levels (a kernel name can appear at
-    // several levels).
+    // kernel's one-shot specialization however the scheduler reorders
+    // execution (a kernel name can appear at several dependency levels).
     let mut kernels: Vec<Option<OpId>> = Vec::with_capacity(queue.groups.len());
     let mut jit_cycles_of: Vec<f64> = Vec::with_capacity(queue.groups.len());
     for cg in &queue.groups {
@@ -180,245 +172,99 @@ pub fn run(
         jit_cycles_of.push(jit_cycles);
     }
 
-    // With host nodes on (the default) the whole program is ONE launch
-    // graph: host tasks ride along as [`HostNode`] entries, ordered by
-    // the same hazard edges as kernels. With host nodes off, the legacy
-    // segmented schedule: host tasks are synchronization points, maximal
-    // runs of kernel submissions between them form segments scheduled as
-    // one launch graph each.
-    enum Step {
-        Host(usize),
-        Graph(Vec<usize>),
-    }
-    let deps = queue.dependencies();
-    let mut steps: Vec<Step> = Vec::new();
-    if device.host_nodes {
-        steps.push(Step::Graph((0..queue.groups.len()).collect()));
-    } else {
-        let mut segment: Vec<usize> = Vec::new();
-        for (cgi, cg) in queue.groups.iter().enumerate() {
-            if cg.host.is_some() {
-                if !segment.is_empty() {
-                    steps.push(Step::Graph(std::mem::take(&mut segment)));
-                }
-                steps.push(Step::Host(cgi));
-            } else {
-                segment.push(cgi);
-            }
-        }
-        if !segment.is_empty() {
-            steps.push(Step::Graph(segment));
-        }
-    }
-
-    for step in steps {
-        let batch = match step {
-            Step::Host(cgi) => {
-                // Segmented mode: run the same closure a host node would,
-                // on the calling thread, against a short-lived shared view
-                // — failures surface as structured errors stamped with
-                // the submission index, exactly like graph-mode hosts.
-                let cg = &queue.groups[cgi];
-                let node = host_node_of(cg.host.expect("host step"), &buf_mems);
-                {
-                    let shared = SharedPool::new(&mut pool);
-                    node.run(&HostView::new(&shared))
-                        .map_err(|e| stamp_submission(e, cgi, 0))?;
-                }
-                runs[cgi] = Some(KernelRun {
-                    kernel: cg.kernel.clone(),
-                    stats: ExecStats::default(),
-                    launch_cycles: 0.0,
-                    jit_cycles: 0.0,
-                });
-                continue;
-            }
-            Step::Graph(batch) => batch,
+    // One launch-graph node per command group. Kernel arguments are bound
+    // now, after every JIT specialization above (they may have refreshed
+    // the constant-argument attributes); host nodes carry none — their
+    // closures captured the buffer ids.
+    let dag = queue.dep_graph();
+    let mut launches: Vec<BatchLaunch> = Vec::with_capacity(queue.groups.len());
+    for (cg, kernel) in queue.groups.iter().zip(&kernels) {
+        let Some(kernel) = *kernel else {
+            let op = cg.host.expect("a command group is a kernel or a host task");
+            launches.push(BatchLaunch::host_node(host_node_of(op, &buf_mems)));
+            continue;
         };
-        let dag = schedule_dag(&batch, &deps, device);
-        let mut launches: Vec<BatchLaunch> = Vec::with_capacity(batch.len());
-        let jit: Vec<f64> = batch.iter().map(|&cgi| jit_cycles_of[cgi]).collect();
-        for &cgi in &batch {
-            let cg = &queue.groups[cgi];
-            launches.push(match cg.host {
-                Some(op) => BatchLaunch::host_node(host_node_of(op, &buf_mems)),
-                None => BatchLaunch::kernel(
-                    kernels[cgi].expect("kernel entry"),
-                    Vec::new(), // bound below
-                    cg.nd,
-                ),
-            });
-        }
-
-        // Bind arguments (constant-argument attributes may have been
-        // refreshed by the JIT specializations above). Host entries carry
-        // no arguments — their closures captured the buffer ids.
-        for (&cgi, launch) in batch.iter().zip(&mut launches) {
-            let cg = &queue.groups[cgi];
-            let Some(kernel) = launch.kernel else {
-                continue;
-            };
-            let const_args: Vec<i64> = program
-                .module
-                .attr(kernel, "sycl.const_args")
-                .and_then(|a| a.as_dense_i64())
-                .map(|v| v.to_vec())
-                .unwrap_or_default();
-            let mut args: Vec<RtValue> = Vec::with_capacity(cg.args.len());
-            for (i, a) in cg.args.iter().enumerate() {
-                let v = match a {
-                    CgArg::Acc { buffer, .. } => {
-                        let info = &runtime.buffers[buffer.0];
-                        RtValue::Accessor(AccessorVal {
-                            mem: buf_mems[buffer.0],
-                            range: info.range,
-                            offset: [0; 3],
-                            rank: info.rank,
-                            constant: const_args.contains(&(i as i64)),
-                        })
-                    }
-                    CgArg::ScalarI64(v) | CgArg::RuntimeI64(v) => RtValue::Int(*v),
-                    CgArg::ScalarI32(v) => RtValue::Int(*v as i64),
-                    CgArg::ScalarF64(v) | CgArg::RuntimeF64(v) => RtValue::F64(*v),
-                    CgArg::ScalarF32(v) => RtValue::F32(*v),
-                    CgArg::Usm { id, len } => RtValue::Accessor(AccessorVal {
-                        mem: usm_mems[id.0],
-                        range: [*len, 1, 1],
+        let const_args: Vec<i64> = program
+            .module
+            .attr(kernel, "sycl.const_args")
+            .and_then(|a| a.as_dense_i64())
+            .map(|v| v.to_vec())
+            .unwrap_or_default();
+        let args = cg
+            .args
+            .iter()
+            .enumerate()
+            .map(|(i, a)| match a {
+                CgArg::Acc { buffer, .. } => {
+                    let info = &runtime.buffers[buffer.0];
+                    RtValue::Accessor(AccessorVal {
+                        mem: buf_mems[buffer.0],
+                        range: info.range,
                         offset: [0; 3],
-                        rank: 1,
-                        constant: false,
-                    }),
-                };
-                args.push(v);
-            }
-            launch.args = args;
-        }
-
-        // Errors come back stamped with the launch's index *within this
-        // graph*; re-stamp **every** error kind with the submission index
-        // so the caller can name the offending command group whatever
-        // schedule (or host-task segmentation) was in effect. With host
-        // nodes on the mapping is the identity (one whole-program graph);
-        // with segmentation it is the fix for the old bug where only
-        // `LimitExceeded` was re-stamped and every other error reported a
-        // segment-local position.
-        let stats = device
-            .launch_graph(&program.module, &launches, &dag, &mut pool)
-            .map_err(|e| match e {
-                SimError::LimitExceeded {
-                    kind,
-                    launch,
-                    group,
-                } => SimError::LimitExceeded {
-                    kind,
-                    launch: batch[launch],
-                    group,
-                },
-                SimError::Message {
-                    message,
-                    at: Some((launch, group)),
-                } => SimError::Message {
-                    message,
-                    at: Some((batch[launch], group)),
-                },
-                other => other,
-            })?;
-
-        for ((&cgi, launch), (stats, jit_cycles)) in
-            batch.iter().zip(&launches).zip(stats.into_iter().zip(jit))
-        {
-            let cg = &queue.groups[cgi];
-            runs[cgi] = Some(match launch.kernel {
-                Some(kernel) => {
-                    // Launch overhead: DAE-marked arguments are not passed
-                    // (§VII-B).
-                    let dead = program
-                        .module
-                        .attr(kernel, sycl_mlir_sycl::KERNEL_DEAD_ARGS_ATTR)
-                        .and_then(|a| a.as_dense_i64())
-                        .map(|v| v.len())
-                        .unwrap_or(0);
-                    let passed = cg.args.len().saturating_sub(dead);
-                    let launch_cycles =
-                        device.cost.launch_base + device.cost.launch_per_arg * passed as f64;
-                    KernelRun {
-                        kernel: cg.kernel.clone(),
-                        stats,
-                        launch_cycles,
-                        jit_cycles,
-                    }
+                        rank: info.rank,
+                        constant: const_args.contains(&(i as i64)),
+                    })
                 }
-                // Host rows: zeroed stats and no launch overhead, in both
-                // scheduling modes.
-                None => KernelRun {
-                    kernel: cg.kernel.clone(),
-                    stats: ExecStats::default(),
-                    launch_cycles: 0.0,
-                    jit_cycles: 0.0,
-                },
-            });
-        }
+                CgArg::ScalarI64(v) | CgArg::RuntimeI64(v) => RtValue::Int(*v),
+                CgArg::ScalarI32(v) => RtValue::Int(*v as i64),
+                CgArg::ScalarF64(v) | CgArg::RuntimeF64(v) => RtValue::F64(*v),
+                CgArg::ScalarF32(v) => RtValue::F32(*v),
+                CgArg::Usm { id, len } => RtValue::Accessor(AccessorVal {
+                    mem: usm_mems[id.0],
+                    range: [*len, 1, 1],
+                    offset: [0; 3],
+                    rank: 1,
+                    constant: false,
+                }),
+            })
+            .collect();
+        launches.push(BatchLaunch::kernel(kernel, args, cg.nd));
     }
 
-    // Report rows in submission order regardless of the schedule, so
-    // downstream sums (f64 cycle totals) are bit-identical under every
-    // scheduler mode.
-    let report = RunReport {
-        kernel_runs: runs
-            .into_iter()
-            .map(|r| r.expect("every command group executed"))
-            .collect(),
-    };
+    // Errors come back stamped by the device with the launch's index in
+    // this graph — which IS the submission index.
+    let stats = device.launch_graph(&program.module, &launches, &dag, &mut pool)?;
+
+    // Report rows in submission order (the graph's node order), so
+    // downstream sums (f64 cycle totals) are bit-identical under both
+    // engines and every thread count.
+    let kernel_runs = queue
+        .groups
+        .iter()
+        .zip(&launches)
+        .zip(stats.into_iter().zip(jit_cycles_of))
+        .map(|((cg, launch), (stats, jit_cycles))| match launch.kernel {
+            Some(kernel) => {
+                // Launch overhead: DAE-marked arguments are not passed
+                // (§VII-B).
+                let dead = program
+                    .module
+                    .attr(kernel, sycl_mlir_sycl::KERNEL_DEAD_ARGS_ATTR)
+                    .and_then(|a| a.as_dense_i64())
+                    .map(|v| v.len())
+                    .unwrap_or(0);
+                let passed = cg.args.len().saturating_sub(dead);
+                let launch_cycles =
+                    device.cost.launch_base + device.cost.launch_per_arg * passed as f64;
+                KernelRun {
+                    kernel: cg.kernel.clone(),
+                    stats,
+                    launch_cycles,
+                    jit_cycles,
+                }
+            }
+            // Host rows: zeroed stats and no launch overhead.
+            None => KernelRun {
+                kernel: cg.kernel.clone(),
+                stats: ExecStats::default(),
+                launch_cycles: 0.0,
+                jit_cycles: 0.0,
+            },
+        })
+        .collect();
+    let report = RunReport { kernel_runs };
     runtime.download_from_device(&pool, &buf_mems, &usm_mems);
     Ok(report)
-}
-
-/// The launch graph a kernel segment runs under, per the device's
-/// scheduling knobs. All three shapes are (weakenings into) supergraphs
-/// of the segment's hazard edges over the **same** executor, which is
-/// what keeps results — and failure positions — bit-identical across
-/// modes:
-///
-/// * `batch` off — the submission-order chain (serial debug schedule);
-/// * `overlap` off — hazard edges strengthened to level barriers (the
-///   PR 3 batch schedule);
-/// * both on — the hazard DAG itself: full out-of-order overlap.
-fn schedule_dag(segment: &[usize], deps: &[(usize, usize)], device: &Device) -> LaunchDag {
-    if !device.batch {
-        return LaunchDag::chain(segment.len());
-    }
-    let pos: HashMap<usize, usize> = segment
-        .iter()
-        .enumerate()
-        .map(|(k, &cgi)| (cgi, k))
-        .collect();
-    let local: Vec<(usize, usize)> = deps
-        .iter()
-        .filter_map(|(i, j)| Some((*pos.get(i)?, *pos.get(j)?)))
-        .collect();
-    let dag = LaunchDag::from_edges(segment.len(), &local);
-    if device.overlap {
-        dag
-    } else {
-        dag.level_barriers()
-    }
-}
-
-/// Stamp an error with the submission position `(cgi, group)` — the
-/// segmented-mode twin of the graph scheduler's position stamping for
-/// host nodes.
-fn stamp_submission(e: SimError, cgi: usize, group: usize) -> SimError {
-    match e {
-        SimError::Message { message, .. } => SimError::Message {
-            message,
-            at: Some((cgi, group)),
-        },
-        SimError::LimitExceeded { kind, .. } => SimError::LimitExceeded {
-            kind,
-            launch: cgi,
-            group,
-        },
-    }
 }
 
 /// Build the [`HostNode`] closure of a host task over the device-resident
@@ -571,16 +417,18 @@ mod tests {
 
     /// A kernel name appearing at *different dependency levels* must be
     /// JIT-specialized by the same (submission-order-first) command group
-    /// whether batching reorders execution or not — otherwise batch=on
-    /// and batch=off would bake different geometries into the kernel and
-    /// the bit-identical contract of [`run`] would break. Exercises
+    /// whether the scheduler reorders execution (plan engine, 4 workers)
+    /// or not (the tree-walk serial reference) — otherwise the two
+    /// schedules would bake different geometries into the kernel and the
+    /// bit-identical contract of [`run`] would break. Exercises
     /// AdaptiveCpp (the only flow that JIT-specializes) with kernel `k`
     /// submitted at level 1 first (reads what `p` wrote) and at level 0
     /// second.
     #[test]
     fn batching_preserves_jit_specialization_order() {
+        use sycl_mlir_sim::Engine;
         let n = 32_i64;
-        let build_and_run = |batch: bool| {
+        let build_and_run = |engine: Engine| {
             let ctx = full_context();
             let mut kb = KernelModuleBuilder::new(&ctx);
             let sig_p = KernelSig::new("p", 1, true)
@@ -612,14 +460,14 @@ mod tests {
                 h.parallel_for_nd("p", &[n], &[16]);
             });
             // CG1: k reads a — level 1, but first submission of `k`, so it
-            // must seed the JIT specialization under batch=on too.
+            // must seed the JIT specialization under the scheduler too.
             q.submit(|h| {
                 h.accessor(a, AccessMode::Read)
                     .accessor(b_buf, AccessMode::Write);
                 h.parallel_for_nd("k", &[n], &[16]);
             });
-            // CG2: k again, over unrelated buffers — level 0, i.e. batch=on
-            // *executes* it before CG1.
+            // CG2: k again, over unrelated buffers — level 0, i.e. the
+            // scheduler may *execute* it before CG1.
             q.submit(|h| {
                 h.accessor(c_buf, AccessMode::Read)
                     .accessor(d_buf, AccessMode::Write);
@@ -629,7 +477,7 @@ mod tests {
             let module = kb.finish();
 
             let mut program = compile_program(FlowKind::AdaptiveCpp, module).unwrap();
-            let device = sycl_mlir_sim::Device::new().threads(4).batch(batch);
+            let device = Device::with_engine(engine).threads(4);
             let report = run(&mut program, &mut rt, &q, &device).unwrap();
             let per_kernel: Vec<(String, f64, sycl_mlir_sim::ExecStats)> = report
                 .kernel_runs
@@ -642,10 +490,10 @@ mod tests {
                 rt.read_f32(d_buf).to_vec(),
             )
         };
-        let (seq_runs, seq_b, seq_d) = build_and_run(false);
-        let (bat_runs, bat_b, bat_d) = build_and_run(true);
-        assert_eq!(seq_b, bat_b, "level-1 output differs under batching");
-        assert_eq!(seq_d, bat_d, "level-0 output differs under batching");
+        let (seq_runs, seq_b, seq_d) = build_and_run(Engine::TreeWalk);
+        let (bat_runs, bat_b, bat_d) = build_and_run(Engine::Plan);
+        assert_eq!(seq_b, bat_b, "level-1 output differs under the scheduler");
+        assert_eq!(seq_d, bat_d, "level-0 output differs under the scheduler");
         assert_eq!(seq_runs, bat_runs, "per-kernel reports differ");
         // The JIT cost lands on CG1 — `k`'s first *submission* — not CG2.
         assert!(seq_runs[1].1 > 0.0, "CG1 must carry k's JIT cost");

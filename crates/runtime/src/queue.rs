@@ -59,11 +59,7 @@ impl CgArg {
 /// [`sycl_mlir_sim::HostNode`]): one logical work-group on a pool worker,
 /// hazard-tracked, metered at a fixed weight, cancellable and
 /// fault-injectable like any kernel launch — so kernels with no hazard on
-/// the host task overlap it freely. `SYCL_MLIR_SIM_HOST_NODES=off`
-/// restores the legacy segmented schedule, where every host task is a
-/// synchronization point splitting the program into separately scheduled
-/// launch-graph segments; results, reports and failure positions are
-/// bit-identical either way.
+/// the host task overlap it freely.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum HostOp {
     /// Multiply every element of `buffer` by `factor`.
@@ -349,27 +345,11 @@ impl Queue {
     }
 
     /// The full hazard DAG over the recorded command groups: predecessor
-    /// counts plus successor lists, indices in submission order. This is
-    /// what the executor's out-of-order scheduler consumes
-    /// ([`sycl_mlir_sim::Device::launch_graph`]); [`Queue::batches`] is
-    /// derived from the same graph, so the two views can never disagree.
+    /// counts plus successor lists, indices in submission order — the
+    /// graph [`crate::exec::run`] hands to
+    /// [`sycl_mlir_sim::Device::launch_graph`].
     pub fn dep_graph(&self) -> LaunchDag {
         LaunchDag::from_edges(self.groups.len(), &self.dependencies())
-    }
-
-    /// Partition the topological order into **dependency levels**: batch
-    /// `k` holds every command group all of whose predecessors sit in
-    /// batches `< k`. Command groups within one batch are mutually
-    /// independent (no RAW/WAR/WAW hazard connects them), so the device
-    /// may execute a whole batch concurrently; batches must still run in
-    /// order. Within a batch, indices are in submission order.
-    ///
-    /// Since the out-of-order scheduler landed this leveled view is a
-    /// fallback/debug path (`--overlap=off`); it is re-derived from
-    /// [`Queue::dep_graph`] — the topological layering of the exported
-    /// DAG — rather than computed independently.
-    pub fn batches(&self) -> Vec<Vec<usize>> {
-        self.dep_graph().levels()
     }
 }
 
@@ -402,6 +382,10 @@ mod tests {
         assert!(deps.contains(&(1, 2)));
         assert!(!deps.contains(&(0, 2)));
         assert_eq!(q.schedule(), vec![0, 1, 2]);
+        // The exported DAG is exactly that edge list.
+        let dag = q.dep_graph();
+        assert_eq!(dag.preds, vec![0, 1, 1]);
+        assert_eq!(dag.succs, vec![vec![1], vec![2], vec![]]);
     }
 
     #[test]
@@ -410,36 +394,6 @@ mod tests {
         assert_eq!(pick_work_group(&[100, 1, 1], 1)[0], 4);
         assert_eq!(pick_work_group(&[64, 64, 1], 2), [16, 16, 1]);
         assert_eq!(pick_work_group(&[6, 6, 1], 2), [2, 2, 1]);
-    }
-
-    #[test]
-    fn batches_group_dependency_free_levels() {
-        let a = BufferId(0);
-        let b = BufferId(1);
-        let c = BufferId(2);
-        let mut q = Queue::new();
-        // CG0 writes a; CG1 reads a (level 1); CG2 writes c (independent,
-        // level 0); CG3 reads a and c (level 1).
-        q.submit(|h| {
-            h.accessor(a, AccessMode::Write);
-            h.parallel_for("k0", &[16]);
-        });
-        q.submit(|h| {
-            h.accessor(a, AccessMode::Read)
-                .accessor(b, AccessMode::Write);
-            h.parallel_for("k1", &[16]);
-        });
-        q.submit(|h| {
-            h.accessor(c, AccessMode::Write);
-            h.parallel_for("k2", &[16]);
-        });
-        q.submit(|h| {
-            h.accessor(a, AccessMode::Read)
-                .accessor(c, AccessMode::Read);
-            h.parallel_for("k3", &[16]);
-        });
-        assert_eq!(q.batches(), vec![vec![0, 2], vec![1, 3]]);
-        assert_eq!(Queue::new().batches(), Vec::<Vec<usize>>::new());
     }
 
     #[test]
@@ -464,70 +418,6 @@ mod tests {
         let deps = q.dependencies();
         assert!(deps.contains(&(0, 1)));
         assert!(!deps.contains(&(0, 2)));
-        assert_eq!(q.batches(), vec![vec![0, 2], vec![1]]);
-    }
-
-    /// `batches()` must equal the topological layering of the exported
-    /// DAG — computed here independently, straight from the edge list, so
-    /// the two views can never silently disagree.
-    #[test]
-    fn batches_equal_topological_layering_of_dep_graph() {
-        let a = BufferId(0);
-        let b = BufferId(1);
-        let c = BufferId(2);
-        let u = crate::buffer::UsmId(0);
-        let mut q = Queue::new();
-        // A small lattice: writes, reads, a shared USM pair and a host
-        // task, producing three levels with mixed membership.
-        q.submit(|h| {
-            h.accessor(a, AccessMode::Write);
-            h.parallel_for("k0", &[16]);
-        });
-        q.submit(|h| {
-            h.accessor(a, AccessMode::Read)
-                .accessor(b, AccessMode::Write);
-            h.parallel_for("k1", &[16]);
-        });
-        q.submit(|h| {
-            h.accessor(c, AccessMode::Write);
-            h.usm(u, 16);
-            h.parallel_for("k2", &[16]);
-        });
-        q.submit(|h| {
-            h.host_task(HostOp::Scale {
-                buffer: b,
-                factor: 2.0,
-            })
-        });
-        q.submit(|h| {
-            h.usm(u, 16);
-            h.parallel_for("k4", &[16]);
-        });
-
-        // Independent layering from the raw edges.
-        let n = q.groups.len();
-        let mut level = vec![0_usize; n];
-        for (i, j) in q.dependencies() {
-            level[j] = level[j].max(level[i] + 1);
-        }
-        let depth = level.iter().copied().max().unwrap_or(0) + 1;
-        let mut expect = vec![Vec::new(); depth];
-        for (cg, &l) in level.iter().enumerate() {
-            expect[l].push(cg);
-        }
-        assert_eq!(q.batches(), expect);
-
-        // And the exported DAG agrees structurally with the edge list.
-        let dag = q.dep_graph();
-        let edges = q.dependencies();
-        for (i, j) in &edges {
-            assert!(dag.succs[*i].contains(j), "edge ({i}, {j}) missing");
-        }
-        assert_eq!(
-            dag.preds.iter().sum::<usize>(),
-            edges.len(),
-            "predecessor counts must count every edge exactly once"
-        );
     }
 
     /// Host tasks participate in dependency tracking through the

@@ -8,8 +8,7 @@ use crate::limits::{CancelToken, ExecLimits, FaultPlan, FaultSite, OpMeter};
 use crate::memory::MemoryPool;
 use crate::plan::{decode_kernel, fuse_plan_with, profile_summary, FuseLevel, KernelPlan};
 use crate::pool::{
-    run_plan_graph_limited, run_plan_launch, HostNode, HostView, LaunchDag, PlanLaunch,
-    SchedPolicy, SharedPool,
+    run_plan_graph_limited, run_plan_launch, HostNode, HostView, LaunchDag, PlanLaunch, SharedPool,
 };
 use crate::value::{NdItemVal, RtValue};
 use crate::verify::{verify_plan, PlanFacts, VerifyMode};
@@ -36,50 +35,12 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// The engine named by the `SYCL_MLIR_SIM_ENGINE` environment variable
-    /// (`"tree"` or `"plan"`); [`Engine::Plan`] when unset. An unrecognized
-    /// value falls back to [`Engine::Plan`] with a warning on stderr, so a
-    /// typo cannot silently masquerade as a tree-walk baseline.
-    pub fn from_env() -> Engine {
-        match std::env::var("SYCL_MLIR_SIM_ENGINE").as_deref() {
-            Ok("tree") | Ok("treewalk") | Ok("tree-walk") => Engine::TreeWalk,
-            Ok("plan") | Err(_) => Engine::Plan,
-            Ok(other) => {
-                eprintln!(
-                    "warning: unknown SYCL_MLIR_SIM_ENGINE `{other}` (expected `tree` or `plan`); using the plan engine"
-                );
-                Engine::Plan
-            }
-        }
-    }
-
     /// The engine's display name (`"tree-walk"` or `"plan"`).
     pub fn name(self) -> &'static str {
         match self {
             Engine::TreeWalk => "tree-walk",
             Engine::Plan => "plan",
         }
-    }
-}
-
-/// The worker count named by the `SYCL_MLIR_SIM_THREADS` environment
-/// variable; `1` (sequential) when unset. `0` or `auto` selects the
-/// machine's available parallelism. An unparsable value falls back to `1`
-/// with a warning on stderr, so a typo cannot silently change results —
-/// though results are bit-identical for every worker count by design.
-pub fn threads_from_env() -> usize {
-    match std::env::var("SYCL_MLIR_SIM_THREADS").as_deref() {
-        Err(_) => 1,
-        Ok("auto") | Ok("0") => auto_threads(),
-        Ok(s) => match s.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!(
-                    "warning: unparsable SYCL_MLIR_SIM_THREADS `{s}` (expected a count, `auto` or `0`); running sequentially"
-                );
-                1
-            }
-        },
     }
 }
 
@@ -90,193 +51,16 @@ pub fn auto_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Parse an on/off knob environment variable shared by the fuse and batch
-/// switches: `on`/`1`/`true` enable, `off`/`0`/`false` disable, unset
-/// falls back to `default`, anything else warns on stderr and falls back
-/// to `default` — a typo cannot silently flip an execution knob.
-fn bool_knob_from_env(var: &str, default: bool) -> bool {
-    match std::env::var(var).as_deref() {
-        Err(_) => default,
-        Ok("on") | Ok("1") | Ok("true") => true,
-        Ok("off") | Ok("0") | Ok("false") => false,
-        Ok(other) => {
-            let state = if default { "on" } else { "off" };
-            eprintln!(
-                "warning: unknown {var} `{other}` (expected `on` or `off`); defaulting to {state}"
-            );
-            default
-        }
-    }
-}
-
-/// The fusion level named by the `SYCL_MLIR_SIM_FUSE` environment
-/// variable (`on`/`pairs`/`off`); `on` (pairs + chains) when unset.
-/// Gates the plan decoder's peephole fusion pass
-/// ([`crate::plan::fuse_plan_with`]); `pairs` keeps the two-instruction
-/// rewrites but disables three-instruction chains — the A/B axis the
-/// `engines` bench measures.
-pub fn fuse_from_env() -> FuseLevel {
-    match std::env::var("SYCL_MLIR_SIM_FUSE") {
-        Err(_) => FuseLevel::Chains,
-        Ok(s) => FuseLevel::parse(&s).unwrap_or_else(|| {
-            eprintln!(
-                "warning: unknown SYCL_MLIR_SIM_FUSE `{s}` (expected `on`, `pairs` or `off`); defaulting to on"
-            );
-            FuseLevel::Chains
-        }),
-    }
-}
-
-/// The batching setting named by the `SYCL_MLIR_SIM_BATCH` environment
-/// variable (`on`/`off`); `on` when unset. Gates launch-level parallelism
-/// over dependency-free command groups ([`Device::launch_batch`]).
-pub fn batch_from_env() -> bool {
-    bool_knob_from_env("SYCL_MLIR_SIM_BATCH", true)
-}
-
-/// The overlap setting named by the `SYCL_MLIR_SIM_OVERLAP` environment
-/// variable (`on`/`off`); `on` when unset. With overlap on (and batching
-/// on), the runtime hands the device whole hazard graphs and a launch
-/// starts the moment its own dependencies retire ([`Device::launch_graph`]
-/// over [`run_plan_graph`](crate::pool::run_plan_graph)); with overlap off, dependency levels still run
-/// behind a barrier (the PR 3 batch schedule, kept as a debug path).
-pub fn overlap_from_env() -> bool {
-    bool_knob_from_env("SYCL_MLIR_SIM_OVERLAP", true)
-}
-
-/// The host-node setting named by the `SYCL_MLIR_SIM_HOST_NODES`
-/// environment variable (`on`/`off`); `on` when unset. With host nodes
-/// on, host tasks run as first-class [`HostNode`] launches inside the
-/// hazard graph (one graph spans the whole program); with host nodes
-/// off, the runtime falls back to segmenting programs around host tasks
-/// and running each segment as its own graph — the pre-host-node
-/// schedule, kept as an A/B baseline.
-pub fn host_nodes_from_env() -> bool {
-    bool_knob_from_env("SYCL_MLIR_SIM_HOST_NODES", true)
-}
-
-/// The ready-set policy named by the `SYCL_MLIR_SIM_SCHED` environment
-/// variable (`fifo`/`critpath`); [`SchedPolicy::CritPath`] when unset.
-/// Selects how the graph scheduler orders launches whose dependencies
-/// have all retired — results are bit-identical either way (the policy
-/// only affects wall time), so `fifo` exists as the A/B baseline. An
-/// unknown value warns on stderr and falls back to `critpath`.
-pub fn sched_from_env() -> SchedPolicy {
-    match std::env::var("SYCL_MLIR_SIM_SCHED") {
-        Err(_) => SchedPolicy::CritPath,
-        Ok(s) => SchedPolicy::parse(&s).unwrap_or_else(|| {
-            eprintln!(
-                "warning: unknown SYCL_MLIR_SIM_SCHED `{s}` (expected `fifo` or `critpath`); defaulting to critpath"
-            );
-            SchedPolicy::CritPath
-        }),
-    }
-}
-
-/// The static-verification mode named by the `SYCL_MLIR_SIM_VERIFY`
-/// environment variable (`strict`/`lint`/`off`); [`VerifyMode::Lint`]
-/// when unset. Selects what happens to the decode-time plan verifier's
-/// findings ([`crate::verify`]): `strict` rejects malformed plans (and
-/// undecodable kernels) with a structured error, `lint` reports them on
-/// stderr and runs anyway, `off` skips the verifier entirely — results
-/// of runnable kernels are bit-identical across all three. An unknown
-/// value warns on stderr and falls back to `lint`.
-pub fn verify_from_env() -> VerifyMode {
-    match std::env::var("SYCL_MLIR_SIM_VERIFY") {
-        Err(_) => VerifyMode::Lint,
-        Ok(s) => VerifyMode::parse(&s).unwrap_or_else(|| {
-            eprintln!(
-                "warning: unknown SYCL_MLIR_SIM_VERIFY `{s}` (expected `strict`, `lint` or `off`); defaulting to lint"
-            );
-            VerifyMode::Lint
-        }),
-    }
-}
-
-/// The profiling setting named by the `SYCL_MLIR_SIM_PROFILE` environment
-/// variable (`on`/`off`); `off` when unset. When on, plan-engine launches
-/// count every executed instruction; [`Device::profile_report`] renders
-/// the totals and the hottest dataflow-adjacent pairs (the ranked
-/// candidates for the next [`crate::plan::fuse_plan`] superinstruction).
-pub fn profile_from_env() -> bool {
-    bool_knob_from_env("SYCL_MLIR_SIM_PROFILE", false)
-}
-
-/// When the closure-JIT tier ([`crate::jit`]) may take over a plan-engine
-/// kernel.
+/// Whether the closure-JIT tier ([`crate::jit`]) takes over plan-engine
+/// kernels.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum JitMode {
     /// Never compile; every launch runs the plan interpreter.
     Off,
-    /// Tier up once a cached plan has been launched
-    /// [`Device::jit_threshold`] times (the default).
+    /// Compile every decoded plan, once, when it is cached (the default):
+    /// compilation is a few hundred allocations, orders of magnitude
+    /// below one launch's execution.
     On,
-    /// Compile on the first launch, skipping the warm-up count — the
-    /// deterministic setting the differential suites pin.
-    Always,
-}
-
-impl JitMode {
-    /// Parse a mode spelling (`on`/`1`/`true`, `off`/`0`/`false`,
-    /// `always`); `None` for anything else.
-    pub fn parse(s: &str) -> Option<JitMode> {
-        match s {
-            "on" | "1" | "true" => Some(JitMode::On),
-            "off" | "0" | "false" => Some(JitMode::Off),
-            "always" => Some(JitMode::Always),
-            _ => None,
-        }
-    }
-
-    /// The mode's display name (`"on"`, `"off"` or `"always"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            JitMode::Off => "off",
-            JitMode::On => "on",
-            JitMode::Always => "always",
-        }
-    }
-}
-
-/// The closure-JIT mode named by the `SYCL_MLIR_SIM_JIT` environment
-/// variable (`on`/`off`/`always`); `on` when unset. Selects whether hot
-/// plans tier up into compiled closure chains ([`crate::jit`]); the tiers
-/// are bit-identical, so this only trades compile time against dispatch
-/// speed. An unknown value warns on stderr and falls back to `on`.
-pub fn jit_from_env() -> JitMode {
-    match std::env::var("SYCL_MLIR_SIM_JIT") {
-        Err(_) => JitMode::On,
-        Ok(s) => JitMode::parse(&s).unwrap_or_else(|| {
-            eprintln!(
-                "warning: unknown SYCL_MLIR_SIM_JIT `{s}` (expected `on`, `off` or `always`); defaulting to on"
-            );
-            JitMode::On
-        }),
-    }
-}
-
-/// The closure-JIT tier-up threshold named by the
-/// `SYCL_MLIR_SIM_JIT_THRESHOLD` environment variable; `1` when unset.
-/// Under [`JitMode::On`] a cached plan compiles once its launch count
-/// (including the current launch) reaches this value. The default of `1`
-/// compiles eagerly — compilation is a few hundred allocations, orders of
-/// magnitude below one launch's execution, so warm-up gating only pays
-/// off for pathological fleets of one-shot kernels; raise the threshold
-/// to keep those on the interpreter. An unparsable value warns on stderr
-/// and falls back to `1`.
-pub fn jit_threshold_from_env() -> u64 {
-    match std::env::var("SYCL_MLIR_SIM_JIT_THRESHOLD").as_deref() {
-        Err(_) => 1,
-        Ok(s) => match s.parse::<u64>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!(
-                    "warning: unparsable SYCL_MLIR_SIM_JIT_THRESHOLD `{s}` (expected a launch count); defaulting to 1"
-                );
-                1
-            }
-        },
-    }
 }
 
 /// Launch geometry.
@@ -351,11 +135,8 @@ impl NdRangeSpec {
 struct CachedPlan {
     epoch: u64,
     plan: Option<Arc<KernelPlan>>,
-    /// Launches served from this entry (including the decoding one) —
-    /// the closure tier's warm-up counter.
-    launches: Cell<u64>,
-    /// The closure-JIT compilation, once the entry tiered up
-    /// ([`Device::jit_threshold`]); invalidated with the plan.
+    /// The closure-JIT compilation ([`JitMode::On`]); invalidated with
+    /// the plan.
     jit: Option<Arc<crate::jit::JitKernel>>,
     /// Static-analysis facts from the decode-time verifier (site
     /// in-bounds proofs, barrier uniformity); `None` under `--verify=off`
@@ -399,34 +180,16 @@ pub struct Device {
     /// How far to peephole-fuse decoded plans
     /// ([`crate::plan::fuse_plan_with`]); plan engine only.
     pub fuse: FuseLevel,
-    /// Allow [`Device::launch_batch`] to run dependency-free launches
-    /// concurrently (the runtime consults this before batching).
-    pub batch: bool,
-    /// Allow [`Device::launch_graph`] to overlap dependency levels: a
-    /// launch starts as soon as its own predecessors retire (the runtime
-    /// consults this when choosing a schedule; requires `batch`).
-    pub overlap: bool,
     /// Count executed plan instructions ([`Device::profile_report`]).
     pub profile: bool,
-    /// When the closure-JIT tier may take over a cached plan
+    /// Whether the closure-JIT tier takes over cached plans
     /// ([`JitMode`]; plan engine only, bit-identical either way).
     pub jit: JitMode,
-    /// Launch count (per cached plan, current launch included) at which
-    /// [`JitMode::On`] tiers up into the closure chain.
-    pub jit_threshold: u64,
-    /// Run host tasks as first-class graph nodes ([`HostNode`]); the
-    /// runtime consults this when building schedules. Off falls back to
-    /// segmenting programs around host tasks (the A/B baseline).
-    pub host_nodes: bool,
-    /// Ready-set ordering policy of the graph scheduler ([`SchedPolicy`]);
-    /// affects wall time only, never results.
-    pub sched: SchedPolicy,
     /// Per-launch execution limits ([`ExecLimits`]): weighted-operation
     /// budget, memory cap, wall-clock deadline, cancellation token and
-    /// injected fault. All off by default (modulo the `SYCL_MLIR_SIM_*`
-    /// environment knobs), in which case the executors skip metering
-    /// entirely. Independent of the plan cache — changing limits never
-    /// re-decodes a kernel.
+    /// injected fault. All off by default, in which case the executors
+    /// skip metering entirely. Independent of the plan cache — changing
+    /// limits never re-decodes a kernel.
     pub limits: ExecLimits,
     /// What the decode-time plan verifier does with its findings
     /// ([`VerifyMode`]): `strict` rejects, `lint` (the default) reports
@@ -473,21 +236,25 @@ pub struct VerifyCounters {
 }
 
 impl Default for Device {
+    /// [`Device::new`].
     fn default() -> Device {
+        Device::new()
+    }
+}
+
+impl Device {
+    /// The struct [`Device::table_defaults`] fills in: every knob field
+    /// here is a placeholder the table's default overwrites.
+    pub(crate) fn blank() -> Device {
         Device {
             cost: CostModel::default(),
-            engine: Engine::from_env(),
-            threads: threads_from_env(),
-            fuse: fuse_from_env(),
-            batch: batch_from_env(),
-            overlap: overlap_from_env(),
-            profile: profile_from_env(),
-            jit: jit_from_env(),
-            jit_threshold: jit_threshold_from_env(),
-            host_nodes: host_nodes_from_env(),
-            sched: sched_from_env(),
-            limits: ExecLimits::from_env(),
-            verify: verify_from_env(),
+            engine: Engine::Plan,
+            threads: 0,
+            fuse: FuseLevel::Off,
+            profile: false,
+            jit: JitMode::Off,
+            limits: ExecLimits::none(),
+            verify: VerifyMode::Off,
             plan_cache: RefCell::new(HashMap::new()),
             cache_hits: Cell::new(0),
             cache_misses: Cell::new(0),
@@ -498,12 +265,18 @@ impl Default for Device {
             profile_pairs: RefCell::new(BTreeMap::new()),
         }
     }
-}
 
-impl Device {
-    /// A device with every knob at its environment-variable default.
+    /// A device configured by the `SYCL_MLIR_SIM_*` environment
+    /// variables on top of the knob-table defaults
+    /// ([`Device::try_from_env`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ConfigError`](crate::ConfigError) text when a
+    /// variable is malformed or names no knob — a typo must not silently
+    /// run a different configuration.
     pub fn new() -> Device {
-        Device::default()
+        Device::try_from_env().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// A default device with an explicit cost model.
@@ -542,33 +315,14 @@ impl Device {
         self
     }
 
-    /// Builder-style fusion override: `true` enables the full chain
-    /// level, `false` disables fusion entirely. See [`Device::fuse_level`]
-    /// for the pairs-only middle setting.
+    /// Builder-style fusion override ([`FuseLevel::Chains`] or
+    /// [`FuseLevel::Off`]).
     pub fn fuse(mut self, fuse: bool) -> Device {
         self.fuse = if fuse {
             FuseLevel::Chains
         } else {
             FuseLevel::Off
         };
-        self
-    }
-
-    /// Builder-style fusion-level override ([`FuseLevel`]).
-    pub fn fuse_level(mut self, level: FuseLevel) -> Device {
-        self.fuse = level;
-        self
-    }
-
-    /// Builder-style batching override.
-    pub fn batch(mut self, batch: bool) -> Device {
-        self.batch = batch;
-        self
-    }
-
-    /// Builder-style overlap override (out-of-order launch scheduling).
-    pub fn overlap(mut self, overlap: bool) -> Device {
-        self.overlap = overlap;
         self
     }
 
@@ -581,27 +335,6 @@ impl Device {
     /// Builder-style closure-JIT mode override ([`JitMode`]).
     pub fn jit(mut self, jit: JitMode) -> Device {
         self.jit = jit;
-        self
-    }
-
-    /// Builder-style closure-JIT tier-up threshold override (launch count
-    /// per cached plan, current launch included).
-    pub fn jit_threshold(mut self, threshold: u64) -> Device {
-        self.jit_threshold = threshold;
-        self
-    }
-
-    /// Builder-style host-node override: `false` makes the runtime
-    /// segment programs around host tasks (the A/B baseline) instead of
-    /// running them as graph nodes.
-    pub fn host_nodes(mut self, host_nodes: bool) -> Device {
-        self.host_nodes = host_nodes;
-        self
-    }
-
-    /// Builder-style ready-set policy override ([`SchedPolicy`]).
-    pub fn sched(mut self, sched: SchedPolicy) -> Device {
-        self.sched = sched;
         self
     }
 
@@ -682,19 +415,8 @@ impl Device {
         (self.jit_compiles.get(), self.jit_launches.get())
     }
 
-    /// Whether a plan with `launches` recorded launches runs on the
-    /// closure tier under this device's mode and threshold.
-    fn wants_jit(&self, launches: u64) -> bool {
-        match self.jit {
-            JitMode::Off => false,
-            JitMode::On => launches >= self.jit_threshold,
-            JitMode::Always => true,
-        }
-    }
-
     /// The decoded plan for `kernel` — plus its closure-JIT compilation
-    /// when the entry has tiered up ([`Device::jit`] /
-    /// [`Device::jit_threshold`]) and the decode-time verifier's facts
+    /// under [`JitMode::On`] and the decode-time verifier's facts
     /// ([`PlanFacts`]) — reused from the cache when the module's
     /// mutation epoch still matches. `Ok(None)` if the kernel is not
     /// plan-decodable (the caller falls back to the tree walk); `Err`
@@ -704,13 +426,12 @@ impl Device {
     /// Every outcome is cached — an iterative workload with an
     /// undecodable or rejected kernel pays the decode/verify attempt
     /// once per epoch, not once per launch, and every relaunch reports
-    /// the identical error. The launch counter (and with it the tier-up
-    /// decision) is per cache entry, so a module mutation restarts the
-    /// warm-up exactly like it re-decodes.
+    /// the identical error.
     fn cached_plan(&self, m: &Module, kernel: OpId) -> Result<Option<PlanEntry>, SimError> {
         let key = (m.module_id(), kernel, self.fuse);
         let epoch = m.mutation_epoch();
-        let mut hit: Option<(PlanEntry, bool)> = None;
+        let want_jit = self.jit == JitMode::On;
+        let mut hit: Option<PlanEntry> = None;
         if let Some(cached) = self.plan_cache.borrow().get(&key) {
             if cached.epoch == epoch {
                 self.cache_hits.set(self.cache_hits.get() + 1);
@@ -720,26 +441,21 @@ impl Device {
                 match &cached.plan {
                     None => return Ok(None),
                     Some(plan) => {
-                        let count = cached.launches.get() + 1;
-                        cached.launches.set(count);
-                        let want = self.wants_jit(count);
                         hit = Some((
-                            (
-                                plan.clone(),
-                                cached.jit.clone().filter(|_| want),
-                                cached.facts.clone(),
-                            ),
-                            want,
+                            plan.clone(),
+                            cached.jit.clone().filter(|_| want_jit),
+                            cached.facts.clone(),
                         ));
                     }
                 }
             }
         }
-        if let Some(((plan, jit, facts), want)) = hit {
+        if let Some((plan, jit, facts)) = hit {
             let jit = match jit {
                 Some(jit) => Some(jit),
-                None if want => {
-                    // Tier up: compile once, cache next to the plan.
+                // Cached while the device's `jit` field was off: compile
+                // now, cache next to the plan.
+                None if want_jit => {
                     let compiled = Arc::new(crate::jit::compile(&plan));
                     self.jit_compiles.set(self.jit_compiles.get() + 1);
                     if let Some(cached) = self.plan_cache.borrow_mut().get_mut(&key) {
@@ -784,7 +500,7 @@ impl Device {
             }
         };
         let jit = match &plan {
-            Some(p) if self.wants_jit(1) => {
+            Some(p) if want_jit => {
                 self.jit_compiles.set(self.jit_compiles.get() + 1);
                 Some(Arc::new(crate::jit::compile(p)))
             }
@@ -802,7 +518,6 @@ impl Device {
             CachedPlan {
                 epoch,
                 plan: plan.clone(),
-                launches: Cell::new(1),
                 jit: jit.clone(),
                 facts: facts.clone(),
                 rejected: rejected.clone(),
@@ -924,7 +639,6 @@ impl Device {
                         self.threads,
                         false,
                         &self.limits,
-                        self.sched,
                     )?;
                     Ok(out.stats.pop().expect("one launch in, one stats out"))
                 }
@@ -1053,7 +767,6 @@ impl Device {
                     self.threads,
                     self.profile,
                     &self.limits,
-                    self.sched,
                 )?;
                 if let Some(profile) = &out.profile {
                     let mut ops = self.profile_ops.borrow_mut();

@@ -144,7 +144,7 @@ impl SimError {
     /// Plain kernel errors (out-of-bounds access, divergent barrier,
     /// type mismatch, ...) keep the pre-limits contract: successors
     /// still execute, so the first-failure position stays identical
-    /// under the out-of-order, level-barrier and serial schedules.
+    /// under the out-of-order and the serial schedule.
     pub(crate) fn cascades(&self) -> bool {
         match self {
             SimError::LimitExceeded { .. } => true,

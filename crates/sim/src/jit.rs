@@ -25,12 +25,11 @@
 //! differential, fuzz and stress suites hold all three tiers
 //! bit-identical over the whole benchsuite.
 //!
-//! **Tier selection** lives in [`crate::device`]: the plan cache counts
-//! launches per cached plan and compiles the closure chain once a kernel
-//! crosses [`Device::jit_threshold`](crate::device::Device::jit_threshold)
-//! launches (`--jit=on|off|always`, `SYCL_MLIR_SIM_JIT`). The compiled
-//! [`JitKernel`] is cached next to its plan and invalidated by the same
-//! module mutation epoch.
+//! **Tier selection** lives in [`crate::device`]: under `--jit=on`
+//! (`SYCL_MLIR_SIM_JIT`, the default) the plan cache compiles the closure
+//! chain when it caches a plan; `off` stays on the bytecode loop. The
+//! compiled [`JitKernel`] is cached next to its plan and invalidated by
+//! the same module mutation epoch.
 
 use crate::device::{cooperative_rounds, cooperative_rounds_uniform, items_of_group, NdRangeSpec};
 use crate::interp::{SimError, Stop};

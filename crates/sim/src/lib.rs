@@ -36,17 +36,15 @@
 //!   dimension operands pre-parsed, call targets pre-resolved, and
 //!   `scf.for`/`scf.if` lowered to explicit jump/loop instructions. A
 //!   post-decode **peephole fusion pass** ([`fuse_plan_with`], on by
-//!   default, `SYCL_MLIR_SIM_FUSE=off|pairs` to disable or limit) then
+//!   default, `SYCL_MLIR_SIM_FUSE=off` to disable) then
 //!   rewrites hot instruction windows — pairs (load-accumulate,
 //!   `muli`+`addi` linear addressing, compare-branch, accumulate-store)
 //!   and bounded three-instruction **chains** (indexed accessor
 //!   loads/stores `vec.ctor`+`acc.subscript`+`Load`/`Store`, fused
 //!   multiply-accumulate `Load`+`mulf`+`addf`) — into superinstructions
 //!   with identical semantics and statistics ([`FuseLevel`]).
-//! * **Closure JIT** ([`jit`]) — the hot tier of the plan engine. A
-//!   cached plan whose launch count reaches the tier-up threshold
-//!   (`SYCL_MLIR_SIM_JIT=on|off|always`,
-//!   `SYCL_MLIR_SIM_JIT_THRESHOLD`, default eager) compiles into a
+//! * **Closure JIT** ([`jit`]) — the hot tier of the plan engine. Every
+//!   cached plan (`SYCL_MLIR_SIM_JIT=on|off`, default on) compiles into a
 //!   direct-threaded chain of Rust closures — one boxed call per
 //!   instruction with operands, constants and call targets captured at
 //!   compile time; no codegen, no `unsafe`. The compiled kernel lives
@@ -82,18 +80,15 @@
 //! order**: each launch carries a remaining-dependency counter, the worker
 //! that retires a launch's last work-group publishes newly-ready
 //! successors to a shared ready set, and work-groups are claimed in
-//! per-worker chunks — no level barrier, so one slow launch no longer
-//! stalls independent successors (`SYCL_MLIR_SIM_OVERLAP=off` restores
-//! the PR 3 level-barrier schedule, `SYCL_MLIR_SIM_BATCH=off` full
-//! serialization). The ready set drains by precomputed **critical-path
-//! length** (ties broken by submission index; `SYCL_MLIR_SIM_SCHED=fifo`
-//! restores the FIFO baseline — results are bit-identical either way),
-//! and **host tasks** run as first-class graph nodes ([`HostNode`], one
-//! logical work-group, hazard-tracked and metered like any launch;
-//! `SYCL_MLIR_SIM_HOST_NODES=off` restores the segmented schedule that
-//! drains the graph around each host task). Per-worker scratch arenas are
-//! recycled across
-//! work-groups and launches to cut private-alloca churn. A `--profile`
+//! per-worker chunks — no level barrier, so one slow launch never stalls
+//! independent successors. The ready set drains by precomputed
+//! **critical-path length** (ties broken by submission index), and **host
+//! tasks** run as first-class graph nodes ([`HostNode`], one logical
+//! work-group, hazard-tracked and metered like any launch). This is the
+//! one schedule of the plan engine; the tree-walk engine is the serial
+//! reference, running launches in submission order. Per-worker scratch
+//! arenas are recycled across work-groups and launches to cut
+//! private-alloca churn. A `--profile`
 //! mode (`SYCL_MLIR_SIM_PROFILE=on`) counts every executed instruction
 //! and ranks dataflow-adjacent pairs as fusion candidates
 //! ([`Device::profile_report`]).
@@ -112,9 +107,18 @@
 //! sycl-mlir-bench --bench engines` measures the speedup
 //! (order-of-magnitude on loop-heavy kernels, ~6.5x on the full
 //! `repro_all --quick` sweep).
+//!
+//! ## Configuration
+//!
+//! Every knob of a [`Device`] — engine, threads, fuse, jit, verify,
+//! profile and the three execution limits — is one row of the table in
+//! [`config`]: environment variables, `--name=value` flags, help text and
+//! the `Display` of the effective configuration all derive from it, and a
+//! setting that does not parse is a [`ConfigError`].
 
 #![deny(missing_docs)]
 
+pub mod config;
 pub mod cost;
 pub mod device;
 pub mod interp;
@@ -126,12 +130,11 @@ pub mod pool;
 pub mod value;
 pub mod verify;
 
+pub use config::{knob_table, ConfigError};
 pub use cost::{CostModel, ExecStats};
 pub use device::{
-    auto_threads, batch_from_env, fuse_from_env, host_nodes_from_env, jit_from_env,
-    jit_threshold_from_env, launch_kernel, launch_plan, overlap_from_env, profile_from_env,
-    sched_from_env, threads_from_env, verify_from_env, BatchLaunch, Device, Engine, JitMode,
-    NdRangeSpec, SimError, VerifyCounters,
+    auto_threads, launch_kernel, launch_plan, BatchLaunch, Device, Engine, JitMode, NdRangeSpec,
+    SimError, VerifyCounters,
 };
 pub use interp::LimitKind;
 pub use jit::{compile as jit_compile, JitKernel};
@@ -143,7 +146,7 @@ pub use plan::{
 pub use pool::{
     run_plan_batch, run_plan_graph, run_plan_graph_limited, run_plan_graph_report, run_plan_launch,
     run_plan_launch_limited, GraphOutcome, GraphReport, HostNode, HostView, LaunchDag,
-    LaunchStatus, PlanExecCtx, PlanLaunch, PlanPool, SchedPolicy, SharedPool, HOST_NODE_WEIGHT,
+    LaunchStatus, PlanExecCtx, PlanLaunch, PlanPool, SharedPool, HOST_NODE_WEIGHT,
 };
 pub use value::{AccessorVal, MemRefVal, NdItemVal, RtValue, Space};
 pub use verify::{verify_plan, PlanFacts, SiteProof, VerifyError, VerifyMode};

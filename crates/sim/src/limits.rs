@@ -30,9 +30,8 @@ use std::time::{Duration, Instant};
 ///
 /// The default ([`ExecLimits::none`]) enforces nothing. Construct one via
 /// the [`Device`](crate::Device) builder knobs (`max_ops`, `mem_cap`,
-/// `deadline_ms`, `cancel_token`, `fault`) or [`ExecLimits::from_env`]
-/// (`SYCL_MLIR_SIM_MAX_OPS`, `SYCL_MLIR_SIM_MEM_CAP`,
-/// `SYCL_MLIR_SIM_DEADLINE_MS`, `SYCL_MLIR_SIM_FAULT`).
+/// `deadline_ms`, `cancel_token`, `fault`); the first three are also
+/// rows of the knob table (`--max-ops`, `--mem-cap`, `--deadline-ms`).
 #[derive(Clone, Debug, Default)]
 pub struct ExecLimits {
     /// Weighted-operation budget per launch. Superinstructions charge the
@@ -67,19 +66,6 @@ impl ExecLimits {
             && self.fault.is_none()
     }
 
-    /// Limits from the `SYCL_MLIR_SIM_MAX_OPS` / `SYCL_MLIR_SIM_MEM_CAP` /
-    /// `SYCL_MLIR_SIM_DEADLINE_MS` / `SYCL_MLIR_SIM_FAULT` environment
-    /// variables. Invalid values warn on stderr and are ignored.
-    pub fn from_env() -> ExecLimits {
-        ExecLimits {
-            max_ops: u64_knob_from_env("SYCL_MLIR_SIM_MAX_OPS"),
-            mem_cap: u64_knob_from_env("SYCL_MLIR_SIM_MEM_CAP"),
-            deadline_ms: u64_knob_from_env("SYCL_MLIR_SIM_DEADLINE_MS"),
-            cancel: None,
-            fault: fault_from_env("SYCL_MLIR_SIM_FAULT"),
-        }
-    }
-
     /// The absolute deadline for a graph submitted now.
     pub(crate) fn deadline_instant(&self) -> Option<Instant> {
         self.deadline_ms
@@ -91,35 +77,6 @@ impl ExecLimits {
         match &self.fault {
             Some(f) if f.launch == launch => Some(f.site),
             _ => None,
-        }
-    }
-}
-
-/// Parse a non-negative integer knob from the environment, warning on
-/// stderr (and enforcing nothing) when the value is malformed — the same
-/// fail-open policy as the other `SYCL_MLIR_SIM_*` knobs.
-fn u64_knob_from_env(var: &str) -> Option<u64> {
-    let raw = std::env::var(var).ok()?;
-    match raw.parse::<u64>() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!("warning: {var}={raw} is not a non-negative integer; ignoring it");
-            None
-        }
-    }
-}
-
-/// Parse a [`FaultPlan`] from the environment (same fail-open policy).
-fn fault_from_env(var: &str) -> Option<FaultPlan> {
-    let raw = std::env::var(var).ok()?;
-    match FaultPlan::parse(&raw) {
-        Some(f) => Some(f),
-        None => {
-            eprintln!(
-                "warning: {var}={raw} is not `<launch>:decode`, `<launch>:claim:<n>` or \
-                 `<launch>:instr:<n>`; ignoring it"
-            );
-            None
         }
     }
 }
@@ -190,7 +147,7 @@ impl FaultPlan {
     }
 
     /// The deterministic error this fault produces — identical text under
-    /// every engine, fuse level, thread count and overlap mode.
+    /// every engine, fuse level and thread count.
     pub fn error(&self) -> SimError {
         SimError::msg(match self.site {
             FaultSite::Decode => format!("injected fault: decode of launch {}", self.launch),

@@ -185,7 +185,7 @@ impl MemoryPool {
 
     /// Bounds check with the same panic message as the parallel path's
     /// `SharedPool`, so an out-of-bounds kernel fails with identical text
-    /// under every engine and scheduler mode.
+    /// under both engines.
     #[inline]
     fn check(&self, id: MemId, index: i64) {
         let len = self.buffers[id.0 as usize].len();
@@ -210,7 +210,7 @@ impl MemoryPool {
 
     /// Bounds check as a structured error, with text identical to
     /// [`MemoryPool::check`]'s panic — so an out-of-bounds kernel fails
-    /// with the same message under every engine and scheduler mode.
+    /// with the same message under both engines.
     #[inline]
     fn check_kernel(&self, id: MemId, index: i64) -> Result<(), SimError> {
         let len = self.buffers[id.0 as usize].len();

@@ -2138,35 +2138,10 @@ fn for_each_target(instr: &mut Instr, mut f: impl FnMut(&mut u32)) {
 pub enum FuseLevel {
     /// No rewriting: execute the decoder's output as-is.
     Off,
-    /// Adjacent two-instruction pairs only (the PR 3 rule set plus the
-    /// accumulate-store pair).
-    Pairs,
-    /// Pairs plus bounded three-instruction chains (indexed accessor
-    /// loads/stores, fused multiply-accumulate) — the default.
+    /// Every rewrite: adjacent pairs, bounded three-instruction chains
+    /// (indexed accessor loads/stores, fused multiply-accumulate), the
+    /// un-CSE'd quads and the write-through twins — the default.
     Chains,
-}
-
-impl FuseLevel {
-    /// Canonical knob spelling (`"on"` / `"pairs"` / `"off"`), shared by
-    /// the `--fuse` flag, the environment variable and every report line.
-    pub fn name(self) -> &'static str {
-        match self {
-            FuseLevel::Off => "off",
-            FuseLevel::Pairs => "pairs",
-            FuseLevel::Chains => "on",
-        }
-    }
-
-    /// Parse a knob spelling; `None` for unknown values (callers decide
-    /// whether to warn-and-default or abort).
-    pub fn parse(s: &str) -> Option<FuseLevel> {
-        match s {
-            "on" | "1" | "true" | "chains" => Some(FuseLevel::Chains),
-            "pairs" => Some(FuseLevel::Pairs),
-            "off" | "0" | "false" => Some(FuseLevel::Off),
-            _ => None,
-        }
-    }
 }
 
 /// The reified fusion pass over one function: the dataflow facts a legal
@@ -2207,12 +2182,10 @@ struct ChainMatcher {
     reads: Vec<u32>,
     /// Positions control flow can enter other than by fall-through.
     is_target: Vec<bool>,
-    /// Whether three-instruction chains are enabled ([`FuseLevel`]).
-    chains: bool,
 }
 
 impl ChainMatcher {
-    fn new(f: &FuncPlan, level: FuseLevel) -> ChainMatcher {
+    fn new(f: &FuncPlan) -> ChainMatcher {
         let mut reads = vec![0_u32; f.reg_count as usize];
         for instr in &f.code {
             for_each_read(instr, |r| reads[r as usize] += 1);
@@ -2221,11 +2194,7 @@ impl ChainMatcher {
         for instr in &f.code {
             instr.jump_targets(|t| is_target[t as usize] = true);
         }
-        ChainMatcher {
-            reads,
-            is_target,
-            chains: level == FuseLevel::Chains,
-        }
+        ChainMatcher { reads, is_target }
     }
 
     /// Whether `r` is a pure intermediate whose write the rewrite may
@@ -2246,33 +2215,27 @@ impl ChainMatcher {
     /// overlapping patterns (e.g. `Load`+`mulf` inside
     /// `Load`+`mulf`+`addf`) resolve deterministically to the longer
     /// fusion, and at equal length the elided form is tried before the
-    /// write-through form. The quad and write-through patterns are
-    /// [`FuseLevel::Chains`]-only: `Pairs` stays the frozen PR 3 rule
-    /// set.
+    /// write-through form.
     fn fuse_at(&self, code: &[Instr], i: usize) -> Option<(Instr, usize)> {
-        if self.chains {
-            if self.window_open(i, 4, code.len()) {
-                if let Some(s) = self.try_quad(&code[i], &code[i + 1], &code[i + 2], &code[i + 3]) {
-                    return Some((s, 4));
-                }
+        if self.window_open(i, 4, code.len()) {
+            if let Some(s) = self.try_quad(&code[i], &code[i + 1], &code[i + 2], &code[i + 3]) {
+                return Some((s, 4));
             }
-            if self.window_open(i, 3, code.len()) {
-                if let Some(s) = self.try_chain(&code[i], &code[i + 1], &code[i + 2]) {
-                    return Some((s, 3));
-                }
-                if let Some(s) = self.try_chain_wt(&code[i], &code[i + 1], &code[i + 2]) {
-                    return Some((s, 3));
-                }
+        }
+        if self.window_open(i, 3, code.len()) {
+            if let Some(s) = self.try_chain(&code[i], &code[i + 1], &code[i + 2]) {
+                return Some((s, 3));
+            }
+            if let Some(s) = self.try_chain_wt(&code[i], &code[i + 1], &code[i + 2]) {
+                return Some((s, 3));
             }
         }
         if self.window_open(i, 2, code.len()) {
             if let Some(s) = self.try_pair(&code[i], &code[i + 1]) {
                 return Some((s, 2));
             }
-            if self.chains {
-                if let Some(s) = self.try_pair_wt(&code[i], &code[i + 1]) {
-                    return Some((s, 2));
-                }
+            if let Some(s) = self.try_pair_wt(&code[i], &code[i + 1]) {
+                return Some((s, 2));
             }
         }
         None
@@ -2678,12 +2641,9 @@ struct FuseCounts {
 }
 
 /// Fuse one function's code in place; returns the per-class tally.
-fn fuse_func(f: &mut FuncPlan, level: FuseLevel) -> FuseCounts {
+fn fuse_func(f: &mut FuncPlan) -> FuseCounts {
     let mut counts = FuseCounts::default();
-    if level == FuseLevel::Off {
-        return counts;
-    }
-    let matcher = ChainMatcher::new(f, level);
+    let matcher = ChainMatcher::new(f);
     let n = f.code.len();
     let mut new_code: Vec<Instr> = Vec::with_capacity(n);
     // Old pc -> new pc (every member of a fused window maps to the
@@ -2720,18 +2680,19 @@ fn fuse_func(f: &mut FuncPlan, level: FuseLevel) -> FuseCounts {
 }
 
 /// Peephole-fuse hot instruction windows of a decoded plan into
-/// superinstructions, in place, up to the given [`FuseLevel`].
+/// superinstructions, in place ([`FuseLevel::Off`] leaves the plan as
+/// decoded).
 ///
 /// Pair patterns (see `ChainMatcher::try_pair` for the exact safety
 /// conditions): **load-accumulate** (`Load` feeding an `addf`/`mulf`),
 /// **linear addressing** (`muli` feeding an `addi`), **compare-branch**
 /// (`cmpi` feeding a conditional branch) and **accumulate-store** (a
 /// float binary op feeding a `Store`). Chain patterns
-/// (`ChainMatcher::try_chain`, [`FuseLevel::Chains`] only): the
+/// (`ChainMatcher::try_chain`): the
 /// **indexed accessor load/store** (`vec.ctor` + `acc.subscript` +
 /// `Load`/`Store` — the accessor addressing chain the `--profile` mode
 /// ranks first by ~2x) and the **fused multiply-accumulate** (`Load` +
-/// `mulf` + `addf`). On top of these, `Chains` enables the
+/// `mulf` + `addf`). On top of these come the
 /// **write-through** rewrites (`ChainMatcher::try_quad`,
 /// `try_chain_wt`, `try_pair_wt`): the un-CSE'd four-instruction
 /// accessor chain (`vec.ctor` + `acc.subscript` + `Const` +
@@ -2747,9 +2708,12 @@ fn fuse_func(f: &mut FuncPlan, level: FuseLevel) -> FuseCounts {
 /// [`KernelPlan::fused_pairs`] / [`KernelPlan::fused_chains`] /
 /// [`KernelPlan::fused_quads`] / [`KernelPlan::fused_wt`]).
 pub fn fuse_plan_with(plan: &mut KernelPlan, level: FuseLevel) -> u32 {
+    if level == FuseLevel::Off {
+        return 0;
+    }
     let mut total = FuseCounts::default();
     for f in &mut plan.funcs {
-        let c = fuse_func(f, level);
+        let c = fuse_func(f);
         total.pairs += c.pairs;
         total.chains += c.chains;
         total.quads += c.quads;
@@ -4222,13 +4186,16 @@ mod tests {
             )));
         }
 
-        /// `a[2*i+1] = a[i] * b[i]`: the `muli`+`addi` linear-addressing
+        /// `out[2*i+1] = a[i] * b[i]`: the `muli`+`addi` linear-addressing
         /// chain fuses, and so does the `mulf` consuming the second load.
+        /// The store goes to a dedicated output accessor through an
+        /// injective index, so no two work-items touch the same element
+        /// and the threads=4 leg compares a race-free kernel.
         #[test]
         fn muli_addi_chain_fuses_and_executes_identically() {
             let c = ctx();
             let mut m = Module::new(&c);
-            let func = build_kernel(&mut m, 2, |b, accs, item| {
+            let func = build_kernel(&mut m, 3, |b, accs, item| {
                 let gid = sdev::global_id(b, item, 0);
                 let va = sdev::load_via_id(b, accs[0], &[gid]);
                 let vb = sdev::load_via_id(b, accs[1], &[gid]);
@@ -4237,13 +4204,14 @@ mod tests {
                 let one = constant_index(b, 1);
                 let scaled = arith::muli(b, gid, two);
                 let idx = arith::addi(b, scaled, one);
-                // Keep the write in bounds: (2i+1) % 64.
-                let n = constant_index(b, 64);
+                // (2i+1) % 65 over 64 items: the odd then the even indices
+                // below 64, each exactly once.
+                let n = constant_index(b, 65);
                 let wrapped = arith::remsi(b, idx, n);
-                sdev::store_via_id(b, prod, accs[0], &[wrapped]);
+                sdev::store_via_id(b, prod, accs[2], &[wrapped]);
             });
             // Three accessor quads plus the muli+addi pair.
-            assert_fused_identical(&m, func, 2, 1, 3);
+            assert_fused_identical(&m, func, 3, 1, 3);
             let mut fused = decode_kernel(&m, func).unwrap();
             fuse_plan(&mut fused);
             assert!(has_instr(&fused, |i| matches!(i, Instr::MulAddInt { .. })));
@@ -4357,25 +4325,27 @@ mod tests {
         }
 
         /// Near miss: a `muli` whose product is read twice must keep its
-        /// register.
+        /// register. `out[(9i+1) % 64] = a[i]`: an odd multiplier makes
+        /// the store index a permutation of the 64 items, and the output
+        /// accessor is never read — race-free at any worker count.
         #[test]
         fn multiply_used_product_does_not_fuse() {
             let c = ctx();
             let mut m = Module::new(&c);
-            let func = build_kernel(&mut m, 1, |b, accs, item| {
+            let func = build_kernel(&mut m, 2, |b, accs, item| {
                 let gid = sdev::global_id(b, item, 0);
-                let two = constant_index(b, 2);
+                let three = constant_index(b, 3);
                 let one = constant_index(b, 1);
                 let n = constant_index(b, 64);
-                let p = arith::muli(b, gid, two);
+                let p = arith::muli(b, gid, three);
                 let i1 = arith::addi(b, p, one); // p read here…
                 let i2 = arith::addi(b, p, p); // …and twice more here
                 let s = arith::addi(b, i1, i2);
                 let wrapped = arith::remsi(b, s, n);
                 let v = sdev::load_via_id(b, accs[0], &[gid]);
-                sdev::store_via_id(b, v, accs[0], &[wrapped]);
+                sdev::store_via_id(b, v, accs[1], &[wrapped]);
             });
-            assert_fused_identical(&m, func, 1, 0, 2);
+            assert_fused_identical(&m, func, 2, 0, 2);
         }
     }
 
@@ -5026,10 +4996,11 @@ mod tests {
                     rank: 1,
                     site: 0,
                 },
+                // Each item stores to its own element (r2 = gid).
                 Instr::Store {
                     val: 8,
                     mem: 1,
-                    idx: [7, 0, 0],
+                    idx: [2, 0, 0],
                     rank: 1,
                     site: 1,
                 },

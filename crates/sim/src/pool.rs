@@ -33,11 +33,11 @@
 //!   retires a launch's last work-group decrements its successors'
 //!   counters and publishes newly-ready launches to a shared ready set —
 //!   no level barrier anywhere. The ready set drains longest critical
-//!   path first by default ([`SchedPolicy::CritPath`]; `Fifo` is the A/B
-//!   baseline) — ordering only moves wall time, never results. Host
-//!   tasks join the same graph as [`HostNode`]s: single-group launches
-//!   whose closure runs on a pool worker under the same hazard,
-//!   metering and cancellation rules as kernels. Work-groups are claimed
+//!   path first (ties broken by the smaller submission index) — ordering
+//!   only moves wall time, never results. Host tasks join the same graph
+//!   as [`HostNode`]s: single-group launches whose closure runs on a pool
+//!   worker under the same hazard, metering and cancellation rules as
+//!   kernels. Work-groups are claimed
 //!   in per-worker **chunks** (adaptive to the launch's group count) so
 //!   cursor contention stays low even for many tiny groups. Workers
 //!   accumulate
@@ -751,9 +751,7 @@ impl LaunchDag {
 
     /// Partition into **dependency levels** by longest path from a root:
     /// level `k` holds every launch all of whose predecessors sit in
-    /// levels `< k`. Within a level, indices ascend. This is the leveled
-    /// (batch-barrier) view of the graph — [`LaunchDag::level_barriers`]
-    /// turns it back into edges.
+    /// levels `< k`. Within a level, indices ascend.
     ///
     /// # Panics
     ///
@@ -771,28 +769,6 @@ impl LaunchDag {
             l.sort_unstable();
         }
         levels
-    }
-
-    /// The level-barrier strengthening of this graph: every launch of
-    /// level `k` depends on **every** launch of level `k - 1`. Running the
-    /// strengthened graph through [`run_plan_graph`] reproduces the PR 3
-    /// batch-by-batch schedule (drain a whole level, then start the next)
-    /// inside the out-of-order executor — the `--overlap=off` debug path.
-    pub fn level_barriers(&self) -> LaunchDag {
-        let levels = self.levels();
-        let mut dag = LaunchDag::independent(self.len());
-        for w in levels.windows(2) {
-            for &i in &w[0] {
-                for &j in &w[1] {
-                    dag.succs[i].push(j);
-                    dag.preds[j] += 1;
-                }
-            }
-        }
-        for s in &mut dag.succs {
-            s.sort_unstable();
-        }
-        dag
     }
 
     /// Structural validation against a launch count: lengths match, edge
@@ -890,9 +866,7 @@ impl<'a, 'p> HostView<'a, 'p> {
 /// [`HostView`] that the worker pool runs as a single logical work-group.
 /// Host nodes are hazard-tracked, metered (a flat [`HostNode::weight`]
 /// against the op budget), cancellable and fault-injectable exactly like
-/// kernel launches — replacing the old runtime behaviour of treating
-/// every host task as a synchronization barrier that split the program
-/// into separately scheduled segments.
+/// kernel launches, so one graph spans a whole program.
 #[derive(Clone)]
 pub struct HostNode {
     run: HostFn,
@@ -934,96 +908,20 @@ impl std::fmt::Debug for HostNode {
 // The out-of-order launch scheduler
 // ----------------------------------------------------------------------
 
-/// Ready-set ordering policy of the out-of-order scheduler: which of the
-/// currently eligible launches workers drain first. Ordering only moves
-/// wall time — results, statistics and failure positions are
-/// bit-identical under either policy (and any thread count), because
-/// hazard edges alone order conflicting accesses and all per-launch
-/// accounting is schedule-independent.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedPolicy {
-    /// First-in-first-out publication order (the PR 5 behaviour, kept as
-    /// the A/B baseline).
-    Fifo,
-    /// Longest critical path through the DAG first (precomputed as the
-    /// work-group-weighted longest path to a sink; ties broken by the
-    /// smaller submission index), so the launches gating the most
-    /// downstream work start earliest.
-    #[default]
-    CritPath,
-}
-
-impl SchedPolicy {
-    /// Parse a policy spelling (`fifo`, `critpath`/`crit-path`/`cp`);
-    /// `None` for anything else.
-    pub fn parse(s: &str) -> Option<SchedPolicy> {
-        match s {
-            "fifo" => Some(SchedPolicy::Fifo),
-            "critpath" | "crit-path" | "cp" => Some(SchedPolicy::CritPath),
-            _ => None,
-        }
-    }
-
-    /// The policy's display name (`"fifo"` or `"critpath"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedPolicy::Fifo => "fifo",
-            SchedPolicy::CritPath => "critpath",
-        }
-    }
-}
-
-/// The scheduler's ready set under a [`SchedPolicy`]: launches with all
-/// dependencies retired and (possibly) unclaimed work-groups. Exhausted
-/// entries are dropped lazily by `acquire` via the peek/pop pair, so
-/// both shapes expose the same front-of-queue protocol.
-enum ReadySet {
-    /// Publication order.
-    Fifo(VecDeque<usize>),
-    /// Max-heap by `(critical path, smaller index wins ties)`.
-    CritPath(BinaryHeap<(u64, Reverse<usize>)>),
-}
-
-impl ReadySet {
-    fn new(policy: SchedPolicy) -> ReadySet {
-        match policy {
-            SchedPolicy::Fifo => ReadySet::Fifo(VecDeque::new()),
-            SchedPolicy::CritPath => ReadySet::CritPath(BinaryHeap::new()),
-        }
-    }
-
-    /// Publish launch `li` with critical-path length `cp`.
-    fn push(&mut self, li: usize, cp: u64) {
-        match self {
-            ReadySet::Fifo(q) => q.push_back(li),
-            ReadySet::CritPath(h) => h.push((cp, Reverse(li))),
-        }
-    }
-
-    /// The launch the policy would hand out next, without removing it.
-    fn peek(&self) -> Option<usize> {
-        match self {
-            ReadySet::Fifo(q) => q.front().copied(),
-            ReadySet::CritPath(h) => h.peek().map(|&(_, Reverse(li))| li),
-        }
-    }
-
-    /// Drop the front entry (after `peek` found it exhausted).
-    fn pop(&mut self) {
-        match self {
-            ReadySet::Fifo(q) => {
-                q.pop_front();
-            }
-            ReadySet::CritPath(h) => {
-                h.pop();
-            }
-        }
-    }
-}
+/// The scheduler's ready set: launches with all dependencies retired and
+/// (possibly) unclaimed work-groups, as a max-heap by `(critical path,
+/// smaller submission index wins ties)` — the launches gating the most
+/// downstream work start earliest. Ordering only moves wall time:
+/// results, statistics and failure positions are bit-identical under any
+/// drain order (and any thread count), because hazard edges alone order
+/// conflicting accesses and all per-launch accounting is
+/// schedule-independent. Exhausted entries are dropped lazily by
+/// `acquire`.
+type ReadySet = BinaryHeap<(u64, Reverse<usize>)>;
 
 /// Per-launch critical-path lengths through `dag`: the longest
 /// work-group-weighted path from each node to a sink, the priority key
-/// of [`SchedPolicy::CritPath`]. Empty launches (and single-group host
+/// of the ready set. Empty launches (and single-group host
 /// nodes) weigh 1 so a chain of them still orders ahead of isolated
 /// leaves. Processes nodes in decreasing Kahn level, so every
 /// successor's length is final before its predecessors read it.
@@ -1112,7 +1010,7 @@ struct GraphUnit<'a> {
     /// a statically-uniform barrier can never trip the divergence check).
     uniform: bool,
     /// Critical-path length through the DAG from this launch (the
-    /// [`SchedPolicy::CritPath`] priority key).
+    /// ready set's priority key).
     cp: u64,
     groups: [i64; 3],
     total: usize,
@@ -1233,9 +1131,6 @@ struct GraphState<'a, 'p> {
     /// Execution limits of this run (`None` = unlimited; the common case
     /// pays one branch per launch acquisition and per claimed chunk).
     limits: Option<GraphLimits>,
-    /// Launches with retired dependencies and (possibly) unclaimed
-    /// work-groups, ordered by the run's [`SchedPolicy`]. Exhausted
-    /// entries are dropped lazily by `acquire`.
     ready: Mutex<ReadySet>,
     /// Wakes workers parked in `acquire` (new ready launches, poisoning,
     /// or the last retire).
@@ -1388,7 +1283,7 @@ impl GraphState<'_, '_> {
         let left = self.launches_left.fetch_sub(retired, Ordering::AcqRel) - retired;
         let publish = !newly_ready.is_empty();
         for s in newly_ready {
-            q.push(s, self.units[s].cp);
+            q.push((self.units[s].cp, Reverse(s)));
         }
         drop(q);
         if left == 0 || publish {
@@ -1409,7 +1304,7 @@ impl GraphState<'_, '_> {
             if self.launches_left.load(Ordering::Acquire) == 0 {
                 return None;
             }
-            while let Some(li) = q.peek() {
+            while let Some(&(_, Reverse(li))) = q.peek() {
                 if self.units[li].next.load(Ordering::Relaxed) >= self.units[li].total {
                     q.pop();
                 } else {
@@ -1676,16 +1571,7 @@ pub fn run_plan_launch_limited(
 ) -> Result<ExecStats, SimError> {
     let launches = [PlanLaunch::kernel(plan, args, nd)];
     let dag = LaunchDag::independent(1);
-    let mut out = run_plan_graph_limited(
-        &launches,
-        &dag,
-        pool_mem,
-        cost,
-        threads,
-        false,
-        limits,
-        SchedPolicy::default(),
-    )?;
+    let mut out = run_plan_graph_limited(&launches, &dag, pool_mem, cost, threads, false, limits)?;
     Ok(out.stats.pop().expect("one launch in, one stats out"))
 }
 
@@ -1773,8 +1659,8 @@ impl GraphReport {
 ///   the worker that retires a launch's last work-group decrements its
 ///   successors' counters and publishes any that hit zero to a shared
 ///   ready set. Workers claim work-groups in chunks (adaptive to the
-///   launch's group count), so a single slow launch no longer stalls
-///   ready successors the way the PR 3 level batcher did.
+///   launch's group count), so a single slow launch never stalls ready
+///   successors.
 /// * **Determinism.** Statistics are accumulated per worker *per launch*
 ///   and merged per launch after the join (integer totals, commutative),
 ///   so every launch's [`ExecStats`] — and the cycle model charged from
@@ -1812,18 +1698,16 @@ pub fn run_plan_graph(
         threads,
         profile,
         &ExecLimits::none(),
-        SchedPolicy::default(),
     )
 }
 
 /// [`run_plan_graph`] under execution limits (`run_plan_graph` itself is
 /// the unlimited special case): op budgets, the memory cap, the deadline
 /// and the cancel token of `limits` are enforced, and fault injection is
-/// honoured, under ready-set policy `sched`. Like `run_plan_graph`, the
+/// honoured. Like `run_plan_graph`, the
 /// first failure is returned as `Err`; use [`run_plan_graph_report`] to
 /// additionally observe which launches completed, failed or were
 /// cancelled.
-#[allow(clippy::too_many_arguments)]
 pub fn run_plan_graph_limited(
     launches: &[PlanLaunch<'_>],
     dag: &LaunchDag,
@@ -1832,11 +1716,8 @@ pub fn run_plan_graph_limited(
     threads: usize,
     profile: bool,
     limits: &ExecLimits,
-    sched: SchedPolicy,
 ) -> Result<GraphOutcome, SimError> {
-    let report = run_plan_graph_report(
-        launches, dag, pool_mem, cost, threads, profile, limits, sched,
-    )?;
+    let report = run_plan_graph_report(launches, dag, pool_mem, cost, threads, profile, limits)?;
     if let Some((_, _, error)) = report.first_failure() {
         return Err(error.clone());
     }
@@ -1853,7 +1734,6 @@ pub fn run_plan_graph_limited(
 /// successor of a failing launch is cancelled with its root cause. `Err`
 /// is reserved for malformed input (bad geometry, bad graphs); kernel
 /// failures and limit trips live in [`GraphReport::statuses`].
-#[allow(clippy::too_many_arguments)]
 pub fn run_plan_graph_report(
     launches: &[PlanLaunch<'_>],
     dag: &LaunchDag,
@@ -1862,7 +1742,6 @@ pub fn run_plan_graph_report(
     threads: usize,
     profile: bool,
     limits: &ExecLimits,
-    sched: SchedPolicy,
 ) -> Result<GraphReport, SimError> {
     dag.validate(launches.len())?;
     if launches.len() >= u32::MAX as usize {
@@ -1894,7 +1773,7 @@ pub fn run_plan_graph_report(
         geometry.push((groups, total));
     }
     let workers = graph_workers(threads, total_groups);
-    // Critical-path lengths drive the CritPath ready ordering; computed
+    // Critical-path lengths drive the ready-set ordering; computed
     // once up front (the graph validated acyclic above).
     let cp = critical_paths(dag, &geometry);
     let mut units = Vec::with_capacity(launches.len());
@@ -1944,10 +1823,10 @@ pub fn run_plan_graph_report(
     // Empty launches never enter the ready set — no work-group of theirs
     // could ever retire them; root empties are retired eagerly below and
     // dependent empties cascade through `retire`.
-    let mut initially_ready = ReadySet::new(sched);
-    for i in (0..units.len()).filter(|&i| dag.preds[i] == 0 && units[i].total > 0) {
-        initially_ready.push(i, units[i].cp);
-    }
+    let initially_ready: ReadySet = (0..units.len())
+        .filter(|&i| dag.preds[i] == 0 && units[i].total > 0)
+        .map(|i| (units[i].cp, Reverse(i)))
+        .collect();
 
     let state = GraphState {
         launches_left: AtomicUsize::new(units.len()),
@@ -2385,20 +2264,6 @@ mod tests {
         assert_eq!(chain.levels(), vec![vec![0], vec![1], vec![2]]);
         assert_eq!(LaunchDag::independent(3).levels(), vec![vec![0, 1, 2]]);
         assert_eq!(LaunchDag::independent(0).levels(), Vec::<Vec<usize>>::new());
-    }
-
-    #[test]
-    fn level_barriers_strengthen_to_the_batch_schedule() {
-        // 0 -> 1; 2 independent (level 0); 3 depends on 2 (level 1).
-        let dag = LaunchDag::from_edges(4, &[(0, 1), (2, 3)]);
-        assert_eq!(dag.levels(), vec![vec![0, 2], vec![1, 3]]);
-        let strict = dag.level_barriers();
-        // Every level-1 launch now depends on every level-0 launch.
-        assert_eq!(strict.preds, vec![0, 2, 0, 2]);
-        assert_eq!(strict.succs[0], vec![1, 3]);
-        assert_eq!(strict.succs[2], vec![1, 3]);
-        // Same leveling either way.
-        assert_eq!(strict.levels(), dag.levels());
     }
 
     #[test]

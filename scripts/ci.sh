@@ -20,6 +20,7 @@
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+ci_start=$(date +%s)
 
 fast=0
 for arg in "$@"; do
@@ -31,6 +32,17 @@ done
 
 step() { printf '\n== %s ==\n' "$1"; }
 
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+# The last thing the gate prints: how long it took and how many tests
+# `cargo test` passed — the two numbers a PR that adds or removes
+# configurations is expected to report before/after.
+summary() {
+  passed=$(awk '/^test result:/ { n += $4 } END { print n + 0 }' "$tmp/test.log")
+  echo "ci.sh wall time: $(( $(date +%s) - ci_start )) s; cargo test: $passed passed"
+}
+
 step "cargo fmt --check"
 cargo fmt --check
 
@@ -41,11 +53,12 @@ step "cargo build --release"
 cargo build --release
 
 # Runs the whole workspace, including the scheduler's hardening suites:
-# tests/scheduler_stress.rs (~200 randomized hazard DAGs across every
-# scheduler mode × thread count, plus error-ordering pins) and
+# tests/scheduler_stress.rs (~200 randomized hazard DAGs across tree |
+# plan × threads 1 | 4 × jit on | off, plus error-ordering pins) and
 # tests/plan_fuzz.rs (random legal bytecode, fused vs unfused).
+# --no-fail-fast: one red crate must not hide the targets after it.
 step "cargo test (incl. scheduler stress + plan fuzz suites)"
-cargo test -q
+cargo test -q --no-fail-fast 2>&1 | tee "$tmp/test.log"
 
 step "cargo doc --no-deps (deny warnings)"
 # Catches broken intra-doc links; crates/sim and crates/runtime also deny
@@ -54,50 +67,44 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
 if [[ "$fast" == 1 ]]; then
   echo "(--fast: skipping bench/limits/JIT smoke, artifacts and the perf gate)"
+  summary
   exit 0
 fi
 
 # ----------------------------------------------------------------------
-# Bench smoke: the full evaluation sweep in quick mode — sequential, on 4
-# worker threads, with plan fusion disabled / limited to pairs, and with
-# the out-of-order scheduler disabled (PR 3 level barriers). Asserts the
-# determinism contract (bit-identical tables across threads, every fuse
-# level AND overlap on/off) and prints the wall-time trajectory so a perf
+# Bench smoke: the full evaluation sweep in quick mode under both
+# schedules — the default (sequentially and on 4 worker threads) and the
+# serial reference (--engine=tree) — and with plan fusion disabled.
+# Asserts the determinism contract (bit-identical tables across threads,
+# engines and fuse on/off) and prints the wall-time trajectory so a perf
 # regression is visible in the CI log.
 # ----------------------------------------------------------------------
-step "bench smoke: repro_all --quick (threads=1 vs threads=4 vs fuse=off/pairs vs overlap=off)"
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+step "bench smoke: repro_all --quick (threads=1 vs threads=4 vs fuse=off vs engine=tree)"
 
-./target/release/repro_all --quick --threads=1 | tee "$tmp/t1.out"
-./target/release/repro_all --quick --threads=4 | tee "$tmp/t4.out"
-./target/release/repro_all --quick --threads=1 --fuse=off --batch=off | tee "$tmp/nofuse.out"
-./target/release/repro_all --quick --threads=4 --fuse=pairs | tee "$tmp/pairs.out"
-./target/release/repro_all --quick --threads=4 --overlap=off | tee "$tmp/nooverlap.out"
+# Run a sweep, keep its output as $tmp/<name>.out, and diff its tables
+# (every line but the wall-time trailer — the only legitimate difference
+# between runs) against an earlier run's.
+tables() { grep -v '^repro_wall_time_seconds:' "$tmp/$1.out"; }
+sweep() { # <name> <flags...>
+  local name=$1
+  shift
+  ./target/release/repro_all --quick "$@" | tee "$tmp/$name.out"
+}
+same_tables() { # <reference> <name> <what differs>
+  if ! diff -u <(tables "$1") <(tables "$2"); then
+    echo "FAIL: repro_all tables differ $3" >&2
+    exit 1
+  fi
+}
 
-# The wall-time line is the only legitimate difference between runs.
-grep -v '^repro_wall_time_seconds:' "$tmp/t1.out" > "$tmp/t1.tables"
-grep -v '^repro_wall_time_seconds:' "$tmp/t4.out" > "$tmp/t4.tables"
-grep -v '^repro_wall_time_seconds:' "$tmp/nofuse.out" > "$tmp/nofuse.tables"
-grep -v '^repro_wall_time_seconds:' "$tmp/pairs.out" > "$tmp/pairs.tables"
-grep -v '^repro_wall_time_seconds:' "$tmp/nooverlap.out" > "$tmp/nooverlap.tables"
-if ! diff -u "$tmp/t1.tables" "$tmp/t4.tables"; then
-  echo "FAIL: repro_all tables differ between --threads=1 and --threads=4" >&2
-  exit 1
-fi
-if ! diff -u "$tmp/t1.tables" "$tmp/nofuse.tables"; then
-  echo "FAIL: repro_all tables differ between fused and unfused execution" >&2
-  exit 1
-fi
-if ! diff -u "$tmp/t1.tables" "$tmp/pairs.tables"; then
-  echo "FAIL: repro_all tables differ between chain fusion and pairs-only fusion" >&2
-  exit 1
-fi
-if ! diff -u "$tmp/t4.tables" "$tmp/nooverlap.tables"; then
-  echo "FAIL: repro_all tables differ between overlap=on and overlap=off" >&2
-  exit 1
-fi
-echo "tables bit-identical across thread counts, fuse levels and overlap modes"
+sweep t1 --threads=1
+sweep t4 --threads=4
+sweep nofuse --threads=1 --fuse=off
+sweep tree --engine=tree
+same_tables t1 t4 "between --threads=1 and --threads=4"
+same_tables t1 nofuse "between fused and unfused execution"
+same_tables t1 tree "between the plan engine and the tree-walk serial reference"
+echo "tables bit-identical across thread counts, engines and fuse on/off"
 
 # Every workload family must actually be in the sweep — a registry
 # regression that dropped a category would keep all the diffs above
@@ -117,23 +124,12 @@ echo "all five workload families present in the sweep"
 
 # ----------------------------------------------------------------------
 # JIT determinism smoke: the closure-JIT tier (on by default, so the runs
-# above already exercise it) must be bit-identical to the bytecode loop.
-# Pin both extremes against the threads=4 baseline: --jit=always (every
-# plan compiles, no warm-up) and --jit=off (pure bytecode interpreter).
+# above already exercise it) must be bit-identical to the bytecode loop
+# (--jit=off).
 # ----------------------------------------------------------------------
-step "JIT determinism smoke: --jit=always vs --jit=off vs baseline"
-./target/release/repro_all --quick --threads=4 --jit=always | tee "$tmp/jit-always.out"
-./target/release/repro_all --quick --threads=4 --jit=off | tee "$tmp/jit-off.out"
-grep -v '^repro_wall_time_seconds:' "$tmp/jit-always.out" > "$tmp/jit-always.tables"
-grep -v '^repro_wall_time_seconds:' "$tmp/jit-off.out" > "$tmp/jit-off.tables"
-if ! diff -u "$tmp/t4.tables" "$tmp/jit-always.tables"; then
-  echo "FAIL: repro_all tables differ under --jit=always" >&2
-  exit 1
-fi
-if ! diff -u "$tmp/t4.tables" "$tmp/jit-off.tables"; then
-  echo "FAIL: repro_all tables differ under --jit=off" >&2
-  exit 1
-fi
+step "JIT determinism smoke: --jit=off vs baseline"
+sweep jit-off --threads=4 --jit=off
+same_tables t4 jit-off "under --jit=off"
 echo "tables bit-identical across closure-JIT modes"
 
 # ----------------------------------------------------------------------
@@ -145,45 +141,20 @@ echo "tables bit-identical across closure-JIT modes"
 # lint-mode baselines.
 # ----------------------------------------------------------------------
 step "verifier smoke: --verify=strict vs --verify=off vs baseline"
-./target/release/repro_all --quick --threads=1 --verify=strict | tee "$tmp/vstrict.out"
-./target/release/repro_all --quick --threads=4 --verify=off | tee "$tmp/voff.out"
-grep -v '^repro_wall_time_seconds:' "$tmp/vstrict.out" > "$tmp/vstrict.tables"
-grep -v '^repro_wall_time_seconds:' "$tmp/voff.out" > "$tmp/voff.tables"
-if ! diff -u "$tmp/t1.tables" "$tmp/vstrict.tables"; then
-  echo "FAIL: repro_all tables differ under --verify=strict" >&2
-  exit 1
-fi
-if ! diff -u "$tmp/t4.tables" "$tmp/voff.tables"; then
-  echo "FAIL: repro_all tables differ under --verify=off" >&2
-  exit 1
-fi
+sweep vstrict --threads=1 --verify=strict
+sweep voff --threads=4 --verify=off
+same_tables t1 vstrict "under --verify=strict"
+same_tables t4 voff "under --verify=off"
 echo "tables bit-identical across verifier modes (strict accepts the whole suite)"
 
 # ----------------------------------------------------------------------
-# Scheduler-policy smoke: the critical-path ready set (default) and the
-# FIFO baseline, and host tasks as graph nodes (default) vs the legacy
-# segmented schedule, must all reproduce the threads=4 tables
-# bit-identically — ordering and segmentation only move wall time.
-# repro_hostdag is the host-task-heavy shape where the schedules differ
-# most (its A/B is the PR 9 headline in BENCH_pr9.json).
+# Host-task graph smoke: repro_hostdag is the host-task-heavy shape (one
+# host node per three kernels); its tables must be bit-identical across
+# thread counts and between the two schedules.
 # ----------------------------------------------------------------------
-step "scheduler smoke: --sched=fifo + --host-nodes=off vs baseline"
-./target/release/repro_all --quick --threads=4 --sched=fifo | tee "$tmp/fifo.out"
-./target/release/repro_all --quick --threads=4 --host-nodes=off | tee "$tmp/segmented.out"
-grep -v '^repro_wall_time_seconds:' "$tmp/fifo.out" > "$tmp/fifo.tables"
-grep -v '^repro_wall_time_seconds:' "$tmp/segmented.out" > "$tmp/segmented.tables"
-if ! diff -u "$tmp/t4.tables" "$tmp/fifo.tables"; then
-  echo "FAIL: repro_all tables differ under --sched=fifo" >&2
-  exit 1
-fi
-if ! diff -u "$tmp/t4.tables" "$tmp/segmented.tables"; then
-  echo "FAIL: repro_all tables differ under --host-nodes=off" >&2
-  exit 1
-fi
-for cfg in "--threads=4" "--threads=4 --host-nodes=off" "--threads=4 --sched=fifo" \
-           "--threads=1 --host-nodes=off --sched=fifo"; do
-  # shellcheck disable=SC2086
-  ./target/release/repro_hostdag --quick $cfg 2>/dev/null \
+step "host-task graph smoke: repro_hostdag --quick (threads 1/4, engine=tree)"
+for cfg in "--threads=4" "--threads=1" "--engine=tree"; do
+  ./target/release/repro_hostdag --quick "$cfg" 2>/dev/null \
     | grep -v '^repro_wall_time_seconds:' > "$tmp/hostdag-cur.tables"
   if [ ! -f "$tmp/hostdag-ref.tables" ]; then
     cp "$tmp/hostdag-cur.tables" "$tmp/hostdag-ref.tables"
@@ -192,18 +163,29 @@ for cfg in "--threads=4" "--threads=4 --host-nodes=off" "--threads=4 --sched=fif
     exit 1
   fi
 done
-echo "tables bit-identical across ready-set policies and host-node modes"
+echo "host-task graph tables bit-identical across thread counts and engines"
 
-# The PR 9 stress pins, by name: host-task failure positions survive
-# segmentation, a type-mismatched host AddInto stays a structured error,
-# and injected faults on host nodes cascade — plus the host-node/FIFO
-# sweep configs inside the randomized differential.
-step "scheduler stress pins: host-task positions, host faults, sched axes"
-cargo test -q --test scheduler_stress -- \
-  divergent_kernel_after_host_task_reports_submission_position \
-  host_addinto_type_mismatch_is_a_structured_error \
-  injected_fault_on_host_node_cascades_to_successors \
-  host_node_in_graph_runs_in_hazard_order
+# ----------------------------------------------------------------------
+# Configuration smoke: a bad setting is an error (exit status 2), from
+# the environment and from a flag alike — never a warning and a silently
+# different configuration. The retired A/B settings are the cases.
+# ----------------------------------------------------------------------
+step "configuration smoke: bad settings exit 2"
+expect_exit_2() { # <description> <command...>
+  local what=$1 status=0
+  shift
+  "$@" >/dev/null 2>"$tmp/config.err" || status=$?
+  if [[ "$status" != 2 ]] || ! grep -q '^error: invalid simulator setting' "$tmp/config.err"; then
+    echo "FAIL: $what: expected exit 2 with a ConfigError, got $status" >&2
+    cat "$tmp/config.err" >&2
+    exit 1
+  fi
+}
+expect_exit_2 "--fuse=pairs" ./target/release/repro_all --quick --fuse=pairs
+expect_exit_2 "--batch=off" ./target/release/repro_all --quick --batch=off
+expect_exit_2 "SYCL_MLIR_SIM_SCHED=fifo" env SYCL_MLIR_SIM_SCHED=fifo ./target/release/repro_hostdag --quick
+expect_exit_2 "SYCL_MLIR_SIM_THREADS=many" env SYCL_MLIR_SIM_THREADS=many ./target/release/repro_all --quick
+echo "bad settings are rejected from flags and environment alike"
 
 # ----------------------------------------------------------------------
 # Limits smoke: an adversarial kernel spinning an (effectively)
@@ -214,20 +196,16 @@ cargo test -q --test scheduler_stress -- \
 # then reproduce the baseline tables bit-identically: the metering path
 # may cost a little wall time but can never perturb simulated results.
 # ----------------------------------------------------------------------
-step "limits smoke: repro_limits under both engines + closure tier + generous-limits identity"
+step "limits smoke: repro_limits under both engines and both plan tiers + generous-limits identity"
+# Both plan tiers meter through the same OpMeter: limits must trip with
+# the identical error and the device must survive on the closure tier
+# (the default) and on the bytecode loop.
 timeout 120 ./target/release/repro_limits --engine=plan --threads=4 --max-ops=2000000
+timeout 120 ./target/release/repro_limits --engine=plan --threads=4 --jit=off --max-ops=2000000
 timeout 120 ./target/release/repro_limits --engine=tree --max-ops=2000000
-# The closure tier meters through the same OpMeter: limits must trip with
-# the identical error and the device must survive with JIT forced on.
-timeout 120 ./target/release/repro_limits --engine=plan --threads=4 --jit=always --max-ops=2000000
 
-./target/release/repro_all --quick --threads=4 --max-ops=1000000000000 \
-  --deadline-ms=600000 | tee "$tmp/limits.out"
-grep -v '^repro_wall_time_seconds:' "$tmp/limits.out" > "$tmp/limits.tables"
-if ! diff -u "$tmp/t4.tables" "$tmp/limits.tables"; then
-  echo "FAIL: repro_all tables differ with generous limits enabled" >&2
-  exit 1
-fi
+sweep limits --threads=4 --max-ops=1000000000000 --deadline-ms=600000
+same_tables t4 limits "with generous limits enabled"
 echo "limits smoke passed: both engines trip, device survives, tables unchanged"
 
 # ----------------------------------------------------------------------
@@ -367,16 +345,11 @@ fi
 
 echo
 echo "wall-time regression check (PR 5 baseline: ~0.84 s threads=4; PR 7 jit=on: ~0.80 s):"
-grep '^repro_wall_time_seconds:' "$tmp/t1.out"        | sed 's/^/  threads=1            /'
-grep '^repro_wall_time_seconds:' "$tmp/t4.out"        | sed 's/^/  threads=4            /'
-grep '^repro_wall_time_seconds:' "$tmp/nofuse.out"    | sed 's/^/  fuse=off,batch=off   /'
-grep '^repro_wall_time_seconds:' "$tmp/pairs.out"     | sed 's/^/  threads=4,fuse=pairs /'
-grep '^repro_wall_time_seconds:' "$tmp/nooverlap.out" | sed 's/^/  threads=4,overlap=off/'
-grep '^repro_wall_time_seconds:' "$tmp/limits.out"    | sed 's/^/  threads=4,limits=on  /'
-grep '^repro_wall_time_seconds:' "$tmp/jit-always.out" | sed 's/^/  threads=4,jit=always /'
-grep '^repro_wall_time_seconds:' "$tmp/jit-off.out"   | sed 's/^/  threads=4,jit=off    /'
-grep '^repro_wall_time_seconds:' "$tmp/vstrict.out"   | sed 's/^/  threads=1,verify=strict /'
-grep '^repro_wall_time_seconds:' "$tmp/voff.out"      | sed 's/^/  threads=4,verify=off /'
+# Each trailer carries the effective configuration of its run.
+for run in t1 t4 nofuse tree limits jit-off vstrict voff; do
+  grep '^repro_wall_time_seconds:' "$tmp/$run.out" | sed 's/^/  /'
+done
 
 echo
 echo "CI gate passed."
+summary

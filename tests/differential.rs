@@ -187,20 +187,14 @@ mod engine_differential {
     /// Every workload, under every compilation flow, must produce
     /// identical outputs, statistics and cycles with *all* executor
     /// upgrades engaged at once — plan engine, peephole fusion, 4 worker
-    /// threads and launch batching — as under the tree-walk reference
-    /// with every knob off. This is the "everything on" column of the
-    /// differential sweep: any fusion pattern or batch schedule that
-    /// changes semantics anywhere in the suite fails here.
+    /// threads and the out-of-order launch scheduler — as under the
+    /// tree-walk serial reference. This is the "everything on" column of
+    /// the differential sweep: any fusion pattern or launch reordering
+    /// that changes semantics anywhere in the suite fails here.
     #[test]
     fn fused_batched_parallel_matches_tree_walk_on_all_workloads() {
-        let ref_dev = Device::with_engine(Engine::TreeWalk)
-            .threads(1)
-            .fuse(false)
-            .batch(false);
-        let opt_dev = Device::with_engine(Engine::Plan)
-            .threads(4)
-            .fuse(true)
-            .batch(true);
+        let ref_dev = Device::with_engine(Engine::TreeWalk).threads(1).fuse(false);
+        let opt_dev = Device::with_engine(Engine::Plan).threads(4).fuse(true);
         for w in all_workloads() {
             let size = quick_size(&w);
             for kind in FlowKind::all() {
@@ -239,7 +233,7 @@ mod engine_differential {
     /// The closure-JIT tier is the third execution-engine column of the
     /// differential sweep: every workload, under every compilation flow,
     /// must produce identical outputs, statistics, cycles and *error
-    /// texts* with every plan compiled to closures (`--jit=always`) as
+    /// texts* with every plan compiled to closures (`--jit=on`) as
     /// with the bytecode loop (`--jit=off`) and as under the tree-walk
     /// reference — sequentially and on 4 worker threads.
     #[test]
@@ -252,7 +246,7 @@ mod engine_differential {
                 .jit(JitMode::Off);
             let jit_dev = Device::with_engine(Engine::Plan)
                 .threads(threads)
-                .jit(JitMode::Always);
+                .jit(JitMode::On);
             for w in all_workloads() {
                 let size = quick_size(&w);
                 for kind in FlowKind::all() {
@@ -311,19 +305,13 @@ mod engine_differential {
         }
     }
 
-    /// Fusion alone (sequential, unbatched) must also hold bit-identical
-    /// against the unfused plan engine — isolates the fusion pass from
-    /// the scheduling upgrades.
+    /// Fusion alone (sequential) must also hold bit-identical against the
+    /// unfused plan engine — isolates the fusion pass from the worker
+    /// pool.
     #[test]
     fn fusion_matches_unfused_plan_on_all_workloads() {
-        let unfused = Device::with_engine(Engine::Plan)
-            .threads(1)
-            .fuse(false)
-            .batch(false);
-        let fused = Device::with_engine(Engine::Plan)
-            .threads(1)
-            .fuse(true)
-            .batch(false);
+        let unfused = Device::with_engine(Engine::Plan).threads(1).fuse(false);
+        let fused = Device::with_engine(Engine::Plan).threads(1).fuse(true);
         for w in all_workloads() {
             let size = quick_size(&w);
             for kind in FlowKind::all() {
@@ -601,14 +589,14 @@ mod verify_differential {
                 "strict/jit/1",
                 Device::with_engine(Engine::Plan)
                     .threads(1)
-                    .jit(JitMode::Always)
+                    .jit(JitMode::On)
                     .verify(VerifyMode::Strict),
             ),
             (
                 "strict/jit/4",
                 Device::with_engine(Engine::Plan)
                     .threads(4)
-                    .jit(JitMode::Always)
+                    .jit(JitMode::On)
                     .verify(VerifyMode::Strict),
             ),
             (

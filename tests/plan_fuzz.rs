@@ -941,17 +941,17 @@ fn random_bytecode_exercises_fusion_broadly() {
     );
 }
 
-/// The new patterns are chains-gated. Sweep every fuse level over the
-/// fixed seed population, through both the bytecode loop and the
-/// closure-JIT tier, and count what fired: the un-CSE'd 4-instruction
-/// window and the write-through chains must each fire broadly at
-/// `FuseLevel::Chains` and never below it, while execution at every
-/// level and tier stays bit-identical to the unfused baseline.
+/// Sweep both fuse levels over the fixed seed population, through both
+/// the bytecode loop and the closure-JIT tier, and count what fired: the
+/// un-CSE'd 4-instruction window and the write-through chains must each
+/// fire broadly at `FuseLevel::Chains` and never at `Off`, while
+/// execution at every level and tier stays bit-identical to the unfused
+/// baseline.
 #[test]
 fn fuse_level_sweep_pins_quad_and_write_through_gating() {
     use sycl_mlir_repro::sim::{fuse_plan_with, FuseLevel};
 
-    for level in [FuseLevel::Off, FuseLevel::Pairs, FuseLevel::Chains] {
+    for level in [FuseLevel::Off, FuseLevel::Chains] {
         let (mut quads, mut wt) = (0_u32, 0_u32);
         for seed in 0..128_u64 {
             let seed = seed * 7919 + 13;
@@ -1330,7 +1330,7 @@ fn execute_limited(
 }
 
 /// The op budget is **fuse-invariant**: a superinstruction settles the
-/// full weight of its members, so for *every* budget value the three
+/// full weight of its members, so for *every* budget value the two
 /// fuse levels must agree — all complete with identical statistics, or
 /// all trip `LimitExceeded { kind: Ops }` at the same work-group. Swept
 /// exhaustively from a starving budget of 1 past the kernel's total op
@@ -1341,7 +1341,7 @@ fn op_budget_trips_are_fuse_invariant() {
 
     // The guard never fires: a clean kernel with fusable chains.
     let plan = mid_chain_failing_plan(1 << 40);
-    let levels = [FuseLevel::Off, FuseLevel::Pairs, FuseLevel::Chains];
+    let levels = [FuseLevel::Off, FuseLevel::Chains];
     let plans: Vec<KernelPlan> = levels
         .iter()
         .map(|&lv| {
@@ -1351,8 +1351,8 @@ fn op_budget_trips_are_fuse_invariant() {
         })
         .collect();
     assert!(
-        plans[2].fused_chains >= 1 && plans[1].fused_pairs >= 1,
-        "the template must actually fuse at both levels"
+        plans[1].fused_chains >= 1,
+        "the template must actually fuse"
     );
 
     let (mut trips, mut completions) = (0_u32, 0_u32);
@@ -1362,7 +1362,7 @@ fn op_budget_trips_are_fuse_invariant() {
             ..ExecLimits::none()
         };
         let mut results = plans.iter().map(|p| execute_limited(p, &limits));
-        let reference = results.next().expect("three fuse levels");
+        let reference = results.next().expect("two fuse levels");
         match &reference {
             Ok(stats) => {
                 completions += 1;
@@ -1564,7 +1564,6 @@ fn execute_jit_limited(
         1,
         false,
         limits,
-        sycl_mlir_repro::sim::SchedPolicy::default(),
     )?;
     Ok(out.stats.pop().expect("one launch in, one stats out"))
 }
@@ -1580,7 +1579,7 @@ fn op_budget_trips_are_tier_invariant() {
     use sycl_mlir_repro::sim::{fuse_plan_with, ExecLimits, FuseLevel, LimitKind};
 
     let plan = mid_chain_failing_plan(1 << 40);
-    let levels = [FuseLevel::Off, FuseLevel::Pairs, FuseLevel::Chains];
+    let levels = [FuseLevel::Off, FuseLevel::Chains];
     let plans: Vec<KernelPlan> = levels
         .iter()
         .map(|&lv| {

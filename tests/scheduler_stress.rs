@@ -4,9 +4,9 @@
 //! buffers under every access-mode mix, aliased USM allocations, host
 //! tasks, indirect-index gathers through a shared index buffer,
 //! barrier-ladder work-group reductions, 1–64 submissions — and executes
-//! each one under every scheduler mode (serial chain, level barriers,
-//! full out-of-order overlap) at 1 and 4 worker threads, plus the
-//! tree-walk reference. Outputs (every buffer
+//! each one under both schedules: the plan engine's out-of-order
+//! scheduler (1 and 4 worker threads, closure JIT on and off) and the
+//! tree-walk serial reference. Outputs (every buffer
 //! and USM allocation, compared bit-for-bit), per-kernel statistics,
 //! launch/JIT cycles and the report's cycle totals must be identical
 //! everywhere; when the generator injects a failing kernel, all
@@ -29,7 +29,7 @@ use sycl_mlir_repro::runtime::{
 use sycl_mlir_repro::sim::{
     decode_kernel, run_plan_graph_report, AccessorVal, CostModel, DataVec, Device, Engine,
     ExecLimits, ExecStats, FaultPlan, FaultSite, HostNode, HostView, JitMode, KernelPlan,
-    LaunchDag, LaunchStatus, MemoryPool, NdRangeSpec, PlanLaunch, RtValue, SchedPolicy,
+    LaunchDag, LaunchStatus, MemoryPool, NdRangeSpec, PlanLaunch, RtValue,
 };
 use sycl_mlir_repro::sycl::device as sdev;
 use sycl_mlir_repro::sycl::types::AccessMode;
@@ -511,50 +511,18 @@ fn observe(spec: &GraphSpec, program: &mut Program, q: &Queue, device: &Device) 
     Ok((rows, cycles, bufs, usms))
 }
 
-/// The scheduler-mode × thread-count sweep every graph runs under.
+/// The sweep every graph (and every error pin) runs under: the
+/// tree-walk serial reference, then the plan engine × threads 1 | 4 ×
+/// closure JIT on | off. Every knob the sweep varies is pinned, so the
+/// differential means the same under any environment.
 fn configs() -> Vec<(&'static str, Device)> {
-    let plan = |threads, batch, overlap| {
-        Device::with_engine(Engine::Plan)
-            .threads(threads)
-            .batch(batch)
-            .overlap(overlap)
-    };
+    let plan = |threads, jit| Device::with_engine(Engine::Plan).threads(threads).jit(jit);
     vec![
-        (
-            "tree-serial",
-            Device::with_engine(Engine::TreeWalk)
-                .threads(1)
-                .batch(false)
-                .overlap(false),
-        ),
-        ("serial-t1", plan(1, false, false)),
-        ("serial-t4", plan(4, false, false)),
-        ("level-t1", plan(1, true, false)),
-        ("level-t4", plan(4, true, false)),
-        ("overlap-t1", plan(1, true, true)),
-        ("overlap-t4", plan(4, true, true)),
-        // The closure-JIT axis: both extremes of the third execution
-        // tier must observe every graph identically to the bytecode
-        // loop (the unpinned configs above follow the environment, so
-        // these two keep the differential meaningful either way).
-        ("jit-always-t1", plan(1, true, true).jit(JitMode::Always)),
-        ("jit-always-t4", plan(4, true, true).jit(JitMode::Always)),
-        ("jit-off-t4", plan(4, true, true).jit(JitMode::Off)),
-        // The host-node axis: host tasks as first-class graph nodes (the
-        // default above) vs the legacy segmented schedule that drains the
-        // graph around every host task — bit-identical buffers, reports
-        // and failure positions either way.
-        ("segmented-t1", plan(1, true, true).host_nodes(false)),
-        ("segmented-t4", plan(4, true, true).host_nodes(false)),
-        // The ready-set policy axis: FIFO publication order vs the
-        // critical-path default — ordering moves wall time only.
-        ("fifo-t4", plan(4, true, true).sched(SchedPolicy::Fifo)),
-        (
-            "segmented-fifo-t4",
-            plan(4, true, false)
-                .host_nodes(false)
-                .sched(SchedPolicy::Fifo),
-        ),
+        ("tree-serial", Device::with_engine(Engine::TreeWalk)),
+        ("plan-t1", plan(1, JitMode::On)),
+        ("plan-t4", plan(4, JitMode::On)),
+        ("plan-t1-jit-off", plan(1, JitMode::Off)),
+        ("plan-t4-jit-off", plan(4, JitMode::Off)),
     ]
 }
 
@@ -588,8 +556,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     /// ~200 random hazard DAGs: identical outputs, statistics, report
-    /// tables — or identical errors — under every scheduler mode and
-    /// thread count.
+    /// tables — or identical errors — under both schedules, every thread
+    /// count and both plan tiers.
     #[test]
     fn random_graphs_bit_identical_across_schedulers(seed in 0u64..u64::MAX) {
         check_graph(seed);
@@ -728,7 +696,7 @@ fn run_error_graph(kernels: &[&str], fault: Option<FaultPlan>) -> Vec<(String, S
     out
 }
 
-/// All scheduler modes and thread counts must report launch 1's group 2 —
+/// Both schedules and all thread counts must report launch 1's group 2 —
 /// the lexicographically first divergent barrier — even though launch 3
 /// diverges everywhere (including its group 0).
 #[test]
@@ -745,7 +713,7 @@ fn divergent_barrier_position_is_mode_independent() {
 }
 
 /// An out-of-bounds access in launch 1 must win over a divergent barrier
-/// in launch 2, in every mode — and surface as the same *structured
+/// in launch 2, under both schedules — and surface as the same *structured
 /// error* text: kernel-reachable out-of-bounds is a `SimError`, not a
 /// panic, under every engine.
 #[test]
@@ -762,7 +730,7 @@ fn oob_error_position_is_mode_independent() {
 }
 
 /// The mirror ordering: a divergent barrier in launch 1 must win over an
-/// out-of-bounds panic in launch 3, in every mode.
+/// out-of-bounds panic in launch 3, under both schedules.
 #[test]
 fn earlier_divergence_beats_later_oob_panic() {
     let results = run_error_graph(&["scale_io", "bad_late", "scale_io", "oob"], None);
@@ -780,9 +748,9 @@ fn earlier_divergence_beats_later_oob_panic() {
 /// faulting index is data (loaded out of the index buffer), not a
 /// static subscript — must surface as the identical structured error at
 /// the identical `(launch, group)` position under every engine
-/// (tree walk, plan bytecode, closure JIT), scheduler mode and thread
-/// count. The index data comes from a seeded rng over a range that
-/// overruns the buffer, exactly how a fuzzer would feed it.
+/// (tree walk, plan bytecode, closure JIT) and thread count. The index
+/// data comes from a seeded rng over a range that overruns the buffer,
+/// exactly how a fuzzer would feed it.
 #[test]
 fn fuzzed_gather_oob_position_is_engine_independent() {
     // Fuzzed indices in 0..48 over a length-32 buffer: some overrun.
@@ -930,7 +898,6 @@ fn fault_shape_run(
         threads,
         false,
         limits,
-        SchedPolicy::default(),
     )
     .expect("well-formed graph");
     let bits = |mem| {
@@ -1025,7 +992,7 @@ fn injected_fault_cancels_successors_and_spares_independents() {
 }
 
 /// An injected fault must surface as the same pinned error text under
-/// every scheduler mode, thread count and engine — even when a later
+/// both schedules and every thread count — even when a later
 /// independent launch also fails (the lexicographic bound holds for
 /// faults too).
 #[test]
@@ -1053,45 +1020,6 @@ fn injected_fault_position_is_mode_independent() {
 // Host tasks in the failure-position contract
 // ----------------------------------------------------------------------
 
-/// The scheduler-mode sweep for the host-task pins below: the tree-walk
-/// reference plus the plan engine under batch on/off × threads 1/4 ×
-/// host-nodes on/off (the segmented legacy schedule and the one-graph
-/// default must be indistinguishable through every observable).
-fn host_configs() -> Vec<(String, Device)> {
-    let mut cfgs = vec![
-        (
-            "tree-serial".to_string(),
-            Device::with_engine(Engine::TreeWalk)
-                .threads(1)
-                .batch(false)
-                .overlap(false),
-        ),
-        (
-            "tree-serial-segmented".to_string(),
-            Device::with_engine(Engine::TreeWalk)
-                .threads(1)
-                .batch(false)
-                .overlap(false)
-                .host_nodes(false),
-        ),
-    ];
-    for host_nodes in [true, false] {
-        for batch in [false, true] {
-            for threads in [1_usize, 4] {
-                cfgs.push((
-                    format!("plan-hn{host_nodes}-batch{batch}-t{threads}"),
-                    Device::with_engine(Engine::Plan)
-                        .threads(threads)
-                        .batch(batch)
-                        .overlap(true)
-                        .host_nodes(host_nodes),
-                ));
-            }
-        }
-    }
-    cfgs
-}
-
 /// Build the two-kernel module (`scale_io`, `bad_late`) the host-task
 /// pins below run, for the given runtime + queue.
 fn host_pin_module(rt: &SyclRuntime, q: &Queue) -> sycl_mlir_repro::ir::Module {
@@ -1113,24 +1041,20 @@ fn host_pin_module(rt: &SyclRuntime, q: &Queue) -> sycl_mlir_repro::ir::Module {
     kb.finish()
 }
 
-/// **The PR 9 re-stamping regression pin.** A divergent kernel submitted
-/// *after* a host task must report its **submission-order** `(launch,
-/// work-group)` position — under batch on/off, threads 1/4, host nodes
-/// on/off and both engines. Under the segmented legacy schedule the
-/// divergent kernel is launch 0 *of its segment*; the old code re-stamped
-/// only `LimitExceeded` errors with the submission index, so every other
-/// error kind (this divergent barrier included) leaked the segment-local
-/// position. All modes must agree on `(launch 2, work-group 2)`.
+/// A divergent kernel submitted *after* a host task must report its
+/// **submission-order** `(launch, work-group)` position — the host task
+/// is a node of the same graph, so it counts as launch 1 and the
+/// divergent kernel is launch 2 — under both engines, threads 1/4 and
+/// both plan tiers: all must agree on `(launch 2, work-group 2)`.
 #[test]
 fn divergent_kernel_after_host_task_reports_submission_position() {
     let mut results = Vec::new();
-    for (name, device) in host_configs() {
+    for (name, device) in configs() {
         let mut rt = SyclRuntime::new();
         let buf = rt.buffer_f32(vec![1.0; LEN as usize], &[LEN]);
         let mut q = Queue::new();
-        // Submission 0: a clean kernel. 1: a host task (the segmentation
-        // point under host-nodes off). 2: the divergent kernel — segment-
-        // locally launch 0. 3: a clean kernel pruned by the failure.
+        // Submission 0: a clean kernel. 1: a host task. 2: the divergent
+        // kernel. 3: a clean kernel pruned by the failure.
         q.submit(|h| {
             h.accessor(buf, AccessMode::ReadWrite);
             h.parallel_for_nd("scale_io", &[LEN], &[8]);
@@ -1164,12 +1088,12 @@ fn divergent_kernel_after_host_task_reports_submission_position() {
 
 /// A type-mismatched host `AddInto` surfaces as a **structured
 /// [`SimError`]** with pinned text and the submission position — not as
-/// the raw panic that used to escape `run_host_op` — in both host-node
-/// modes and at every thread count; and the device stays usable for the
-/// next run.
+/// the raw panic that used to escape `run_host_op` — under both engines
+/// and at every thread count; and the device stays usable for the next
+/// run.
 #[test]
 fn host_addinto_type_mismatch_is_a_structured_error() {
-    for (name, device) in host_configs() {
+    for (name, device) in configs() {
         let mut rt = SyclRuntime::new();
         let dst = rt.buffer_f32(vec![1.0; LEN as usize], &[LEN]);
         let src = rt.buffer_i32(vec![3; LEN as usize], &[LEN]);
@@ -1218,9 +1142,8 @@ fn host_addinto_type_mismatch_is_a_structured_error() {
 
 /// An injected fault targeting a **host node** fails it at its single
 /// logical work-group with the pinned fault text and cascades the
-/// cancellation to every dependent launch — at every fault site, thread
-/// count and ready-set policy (graph-level; host-nodes mode is what puts
-/// the host task in the graph at all).
+/// cancellation to every dependent launch — at every fault site and
+/// thread count.
 #[test]
 fn injected_fault_on_host_node_cascades_to_successors() {
     let plan = decoded_scale_plan();
@@ -1252,94 +1175,12 @@ fn injected_fault_on_host_node_cascades_to_successors() {
     ];
     let dag = LaunchDag::from_edges(3, &[(0, 1), (1, 2)]);
     for threads in [1_usize, 4] {
-        for sched in [SchedPolicy::Fifo, SchedPolicy::CritPath] {
-            for site in [FaultSite::Decode, FaultSite::Claim(0), FaultSite::Instr(7)] {
-                let fault = FaultPlan { launch: 1, site };
-                let limits = ExecLimits {
-                    fault: Some(fault),
-                    ..ExecLimits::none()
-                };
-                let report = run_plan_graph_report(
-                    &launches,
-                    &dag,
-                    &mut pool,
-                    &CostModel::default(),
-                    threads,
-                    false,
-                    &limits,
-                    sched,
-                )
-                .expect("well-formed graph");
-                assert_eq!(
-                    report.statuses[0],
-                    LaunchStatus::Completed,
-                    "threads={threads} {sched:?} {site:?}"
-                );
-                match &report.statuses[1] {
-                    LaunchStatus::Failed { group, error } => {
-                        assert_eq!(*group, 0, "a host node has exactly one group");
-                        assert_eq!(
-                            error.message(),
-                            format!("{} (launch 1, work-group 0)", fault.error().message()),
-                            "threads={threads} {sched:?} {site:?}: wrong cause text"
-                        );
-                    }
-                    other => {
-                        panic!("threads={threads} {sched:?} {site:?}: host reported {other:?}")
-                    }
-                }
-                assert_eq!(
-                    report.statuses[2],
-                    LaunchStatus::Cancelled { cause: 1 },
-                    "threads={threads} {sched:?} {site:?}: successor not cancelled"
-                );
-                // The faulted host closure never ran and the cancelled
-                // kernel never wrote: buffer A holds exactly launch 0's
-                // output each round (the iterations stack one scale each).
-                assert_eq!(report.stats[1], ExecStats::default());
-                let (fl, fg, _) = report.first_failure().expect("a failure is recorded");
-                assert_eq!((fl, fg), (1, 0), "threads={threads} {sched:?} {site:?}");
-            }
-        }
-    }
-}
-
-/// A clean host node in a graph runs its closure exactly once between
-/// its predecessor and successor (hazard order), reports zeroed
-/// statistics, and the result is bit-identical at both thread counts and
-/// under both ready-set policies.
-#[test]
-fn host_node_in_graph_runs_in_hazard_order() {
-    let plan = decoded_scale_plan();
-    let nd = NdRangeSpec::d1(LEN, 8);
-    let mut want: Option<Vec<u32>> = None;
-    for threads in [1_usize, 4] {
-        for sched in [SchedPolicy::Fifo, SchedPolicy::CritPath] {
-            let mut pool = MemoryPool::new();
-            let ma = pool.alloc(DataVec::F32((0..LEN).map(|i| i as f32).collect()));
-            let args_a = [RtValue::Accessor(AccessorVal {
-                mem: ma,
-                range: [LEN, 1, 1],
-                offset: [0, 0, 0],
-                rank: 1,
-                constant: false,
-            })];
-            let host = HostNode::new(move |view: &HostView<'_, '_>| {
-                let n = view.len(ma) as i64;
-                for i in 0..n {
-                    let RtValue::F32(x) = view.load(ma, i) else {
-                        panic!("f32 buffer")
-                    };
-                    view.store(ma, i, RtValue::F32(x + 100.0));
-                }
-                Ok(())
-            });
-            let launches = [
-                PlanLaunch::kernel(&plan, &args_a, nd),
-                PlanLaunch::host(&host),
-                PlanLaunch::kernel(&plan, &args_a, nd),
-            ];
-            let dag = LaunchDag::from_edges(3, &[(0, 1), (1, 2)]);
+        for site in [FaultSite::Decode, FaultSite::Claim(0), FaultSite::Instr(7)] {
+            let fault = FaultPlan { launch: 1, site };
+            let limits = ExecLimits {
+                fault: Some(fault),
+                ..ExecLimits::none()
+            };
             let report = run_plan_graph_report(
                 &launches,
                 &dag,
@@ -1347,35 +1188,108 @@ fn host_node_in_graph_runs_in_hazard_order() {
                 &CostModel::default(),
                 threads,
                 false,
-                &ExecLimits::none(),
-                sched,
+                &limits,
             )
             .expect("well-formed graph");
-            assert!(report
-                .statuses
-                .iter()
-                .all(|s| *s == LaunchStatus::Completed));
-            // Host rows report zeroed statistics in every mode.
-            assert_eq!(report.stats[1], ExecStats::default());
-            assert_eq!(report.stats[1].work_groups, 0);
-            let DataVec::F32(f) = pool.data(ma) else {
-                panic!("f32 buffer")
-            };
-            // Element 0: ((0 * 0.5 + 3) + 100) * 0.5 + 3 = 54.5 — the
-            // closure ran exactly once, strictly between the kernels.
-            assert_eq!(f[0], 54.5, "threads={threads} {sched:?}");
-            let bits: Vec<u32> = f.iter().map(|x| x.to_bits()).collect();
-            match &want {
-                None => want = Some(bits),
-                Some(w) => assert_eq!(&bits, w, "threads={threads} {sched:?}"),
+            assert_eq!(
+                report.statuses[0],
+                LaunchStatus::Completed,
+                "threads={threads} {site:?}"
+            );
+            match &report.statuses[1] {
+                LaunchStatus::Failed { group, error } => {
+                    assert_eq!(*group, 0, "a host node has exactly one group");
+                    assert_eq!(
+                        error.message(),
+                        format!("{} (launch 1, work-group 0)", fault.error().message()),
+                        "threads={threads} {site:?}: wrong cause text"
+                    );
+                }
+                other => panic!("threads={threads} {site:?}: host reported {other:?}"),
             }
+            assert_eq!(
+                report.statuses[2],
+                LaunchStatus::Cancelled { cause: 1 },
+                "threads={threads} {site:?}: successor not cancelled"
+            );
+            // The faulted host closure never ran and the cancelled
+            // kernel never wrote: buffer A holds exactly launch 0's
+            // output each round (the iterations stack one scale each).
+            assert_eq!(report.stats[1], ExecStats::default());
+            let (fl, fg, _) = report.first_failure().expect("a failure is recorded");
+            assert_eq!((fl, fg), (1, 0), "threads={threads} {site:?}");
+        }
+    }
+}
+
+/// A clean host node in a graph runs its closure exactly once between
+/// its predecessor and successor (hazard order), reports zeroed
+/// statistics, and the result is bit-identical at both thread counts.
+#[test]
+fn host_node_in_graph_runs_in_hazard_order() {
+    let plan = decoded_scale_plan();
+    let nd = NdRangeSpec::d1(LEN, 8);
+    let mut want: Option<Vec<u32>> = None;
+    for threads in [1_usize, 4] {
+        let mut pool = MemoryPool::new();
+        let ma = pool.alloc(DataVec::F32((0..LEN).map(|i| i as f32).collect()));
+        let args_a = [RtValue::Accessor(AccessorVal {
+            mem: ma,
+            range: [LEN, 1, 1],
+            offset: [0, 0, 0],
+            rank: 1,
+            constant: false,
+        })];
+        let host = HostNode::new(move |view: &HostView<'_, '_>| {
+            let n = view.len(ma) as i64;
+            for i in 0..n {
+                let RtValue::F32(x) = view.load(ma, i) else {
+                    panic!("f32 buffer")
+                };
+                view.store(ma, i, RtValue::F32(x + 100.0));
+            }
+            Ok(())
+        });
+        let launches = [
+            PlanLaunch::kernel(&plan, &args_a, nd),
+            PlanLaunch::host(&host),
+            PlanLaunch::kernel(&plan, &args_a, nd),
+        ];
+        let dag = LaunchDag::from_edges(3, &[(0, 1), (1, 2)]);
+        let report = run_plan_graph_report(
+            &launches,
+            &dag,
+            &mut pool,
+            &CostModel::default(),
+            threads,
+            false,
+            &ExecLimits::none(),
+        )
+        .expect("well-formed graph");
+        assert!(report
+            .statuses
+            .iter()
+            .all(|s| *s == LaunchStatus::Completed));
+        // Host rows report zeroed statistics.
+        assert_eq!(report.stats[1], ExecStats::default());
+        assert_eq!(report.stats[1].work_groups, 0);
+        let DataVec::F32(f) = pool.data(ma) else {
+            panic!("f32 buffer")
+        };
+        // Element 0: ((0 * 0.5 + 3) + 100) * 0.5 + 3 = 54.5 — the
+        // closure ran exactly once, strictly between the kernels.
+        assert_eq!(f[0], 54.5, "threads={threads}");
+        let bits: Vec<u32> = f.iter().map(|x| x.to_bits()).collect();
+        match &want {
+            None => want = Some(bits),
+            Some(w) => assert_eq!(&bits, w, "threads={threads}"),
         }
     }
 }
 
 /// A plain kernel error earlier in the queue beats a later injected
-/// fault, in every mode: faults obey the same lexicographic first-failure
-/// contract as organic failures.
+/// fault, under both schedules: faults obey the same lexicographic
+/// first-failure contract as organic failures.
 #[test]
 fn earlier_kernel_error_beats_later_injected_fault() {
     let fault = FaultPlan {
