@@ -10,7 +10,7 @@
 //! have — is a [`ConfigError`], never a warning and a fallback: a typo
 //! must not silently benchmark the wrong configuration.
 
-use crate::device::{auto_threads, Device, Engine, JitMode};
+use crate::device::{auto_threads, Device, Engine};
 use crate::plan::FuseLevel;
 use crate::verify::VerifyMode;
 use std::fmt;
@@ -30,8 +30,8 @@ struct Knob {
     set: fn(&mut Device, &str) -> bool,
     /// The setting in effect, canonically spelled. Plan-engine-only
     /// knobs report what applies under the tree walk (sequential,
-    /// unfused, no closure tier), so a `--engine=tree --threads=4` run
-    /// never masquerades as a 4-thread measurement.
+    /// unfused), so a `--engine=tree --threads=4` run never masquerades
+    /// as a 4-thread measurement.
     get: fn(&Device) -> String,
 }
 
@@ -68,7 +68,7 @@ fn plan_engine(d: &Device) -> bool {
     d.engine == Engine::Plan
 }
 
-const KNOBS: [Knob; 9] = [
+const KNOBS: [Knob; 8] = [
     Knob {
         name: "engine",
         values: "tree | plan",
@@ -122,19 +122,6 @@ const KNOBS: [Knob; 9] = [
             })
         },
         get: |d| show_on_off(plan_engine(d) && d.fuse == FuseLevel::Chains),
-    },
-    Knob {
-        name: "jit",
-        values: "on | off",
-        default: "on",
-        effect: "closure-JIT tier of the plan engine: compile each decoded plan into a\n\
-                 direct-threaded closure chain (off = stay on the bytecode loop)",
-        set: |d, v| {
-            put(on_off(v), |on| {
-                d.jit = if on { JitMode::On } else { JitMode::Off }
-            })
-        },
-        get: |d| show_on_off(plan_engine(d) && d.jit == JitMode::On),
     },
     Knob {
         name: "verify",
@@ -414,11 +401,6 @@ mod tests {
                 "pairs",
             ),
             case(
-                "jit",
-                &[("on", "on"), ("true", "on"), ("off", "off"), ("0", "off")],
-                "always",
-            ),
-            case(
                 "verify",
                 &[("strict", "strict"), ("lint", "lint"), ("off", "off")],
                 "paranoid",
@@ -461,8 +443,8 @@ mod tests {
     }
 
     /// The retired A/B settings are errors, not silently ignored: each
-    /// removed variable and flag, `fuse=pairs`, `jit=always`, and any
-    /// other unknown name in the namespace.
+    /// removed variable and flag, `fuse=pairs`, and any other unknown
+    /// name in the namespace.
     #[test]
     fn removed_and_unknown_names_are_errors() {
         for removed in [
@@ -471,6 +453,7 @@ mod tests {
             "HOST_NODES",
             "SCHED",
             "JIT_THRESHOLD",
+            "JIT",
             "FAULT",
             "TYPO",
         ] {
@@ -483,7 +466,14 @@ mod tests {
                 "unknown names list the known ones: {err}"
             );
         }
-        for removed in ["batch", "overlap", "host-nodes", "sched", "jit-threshold"] {
+        for removed in [
+            "batch",
+            "overlap",
+            "host-nodes",
+            "sched",
+            "jit-threshold",
+            "jit",
+        ] {
             let err = Device::table_defaults()
                 .with_flags([format!("--{removed}=off")])
                 .unwrap_err();
@@ -502,22 +492,25 @@ mod tests {
     }
 
     /// Flags win over the environment, and the `Display` reports what is
-    /// in effect: the tree walk runs sequentially, unfused, uncompiled.
+    /// in effect: the tree walk runs sequentially and unfused.
     #[test]
     fn display_is_the_effective_configuration() {
-        let d = Device::from_vars([("SYCL_MLIR_SIM_THREADS", "4"), ("SYCL_MLIR_SIM_JIT", "off")])
-            .unwrap()
-            .with_flags(["--jit=on", "--max-ops=7"])
-            .unwrap();
+        let d = Device::from_vars([
+            ("SYCL_MLIR_SIM_THREADS", "4"),
+            ("SYCL_MLIR_SIM_FUSE", "off"),
+        ])
+        .unwrap()
+        .with_flags(["--fuse=on", "--max-ops=7"])
+        .unwrap();
         assert_eq!(
             d.to_string(),
-            "engine: plan, threads: 4, fuse: on, jit: on, verify: lint, profile: off, \
+            "engine: plan, threads: 4, fuse: on, verify: lint, profile: off, \
              max-ops: 7, mem-cap: off, deadline-ms: off"
         );
         let tree = d.with_flags(["--engine=tree"]).unwrap();
         assert_eq!(
             tree.to_string(),
-            "engine: tree-walk, threads: 1, fuse: off, jit: off, verify: lint, profile: off, \
+            "engine: tree-walk, threads: 1, fuse: off, verify: lint, profile: off, \
              max-ops: 7, mem-cap: off, deadline-ms: off"
         );
     }

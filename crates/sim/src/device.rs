@@ -51,18 +51,6 @@ pub fn auto_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Whether the closure-JIT tier ([`crate::jit`]) takes over plan-engine
-/// kernels.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum JitMode {
-    /// Never compile; every launch runs the plan interpreter.
-    Off,
-    /// Compile every decoded plan, once, when it is cached (the default):
-    /// compilation is a few hundred allocations, orders of magnitude
-    /// below one launch's execution.
-    On,
-}
-
 /// Launch geometry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NdRangeSpec {
@@ -135,9 +123,6 @@ impl NdRangeSpec {
 struct CachedPlan {
     epoch: u64,
     plan: Option<Arc<KernelPlan>>,
-    /// The closure-JIT compilation ([`JitMode::On`]); invalidated with
-    /// the plan.
-    jit: Option<Arc<crate::jit::JitKernel>>,
     /// Static-analysis facts from the decode-time verifier (site
     /// in-bounds proofs, barrier uniformity); `None` under `--verify=off`
     /// or when verification found errors in lint mode.
@@ -149,11 +134,7 @@ struct CachedPlan {
 }
 
 /// One decoded-and-verified cache entry as handed to the launch paths.
-type PlanEntry = (
-    Arc<KernelPlan>,
-    Option<Arc<crate::jit::JitKernel>>,
-    Option<Arc<PlanFacts>>,
-);
+type PlanEntry = (Arc<KernelPlan>, Option<Arc<PlanFacts>>);
 
 /// Soft bound on cached plans per device; prevents unbounded growth when
 /// one device outlives many modules (the differential sweeps).
@@ -182,9 +163,6 @@ pub struct Device {
     pub fuse: FuseLevel,
     /// Count executed plan instructions ([`Device::profile_report`]).
     pub profile: bool,
-    /// Whether the closure-JIT tier takes over cached plans
-    /// ([`JitMode`]; plan engine only, bit-identical either way).
-    pub jit: JitMode,
     /// Per-launch execution limits ([`ExecLimits`]): weighted-operation
     /// budget, memory cap, wall-clock deadline, cancellation token and
     /// injected fault. All off by default, in which case the executors
@@ -200,8 +178,6 @@ pub struct Device {
     plan_cache: RefCell<HashMap<(u64, OpId, FuseLevel), CachedPlan>>,
     cache_hits: Cell<u64>,
     cache_misses: Cell<u64>,
-    jit_compiles: Cell<u64>,
-    jit_launches: Cell<u64>,
     verify_stats: RefCell<VerifyCounters>,
     profile_ops: RefCell<BTreeMap<&'static str, u64>>,
     profile_pairs: RefCell<BTreeMap<(&'static str, &'static str), u64>>,
@@ -252,14 +228,11 @@ impl Device {
             threads: 0,
             fuse: FuseLevel::Off,
             profile: false,
-            jit: JitMode::Off,
             limits: ExecLimits::none(),
             verify: VerifyMode::Off,
             plan_cache: RefCell::new(HashMap::new()),
             cache_hits: Cell::new(0),
             cache_misses: Cell::new(0),
-            jit_compiles: Cell::new(0),
-            jit_launches: Cell::new(0),
             verify_stats: RefCell::new(VerifyCounters::default()),
             profile_ops: RefCell::new(BTreeMap::new()),
             profile_pairs: RefCell::new(BTreeMap::new()),
@@ -329,12 +302,6 @@ impl Device {
     /// Builder-style profiling override (per-instruction counts).
     pub fn profile(mut self, profile: bool) -> Device {
         self.profile = profile;
-        self
-    }
-
-    /// Builder-style closure-JIT mode override ([`JitMode`]).
-    pub fn jit(mut self, jit: JitMode) -> Device {
-        self.jit = jit;
         self
     }
 
@@ -408,16 +375,8 @@ impl Device {
         (self.cache_hits.get(), self.cache_misses.get())
     }
 
-    /// `(compiles, launches)` of the closure-JIT tier so far: how often a
-    /// plan was compiled into a closure chain, and how many launches ran
-    /// on the compiled tier (as opposed to the plan interpreter).
-    pub fn jit_counters(&self) -> (u64, u64) {
-        (self.jit_compiles.get(), self.jit_launches.get())
-    }
-
-    /// The decoded plan for `kernel` — plus its closure-JIT compilation
-    /// under [`JitMode::On`] and the decode-time verifier's facts
-    /// ([`PlanFacts`]) — reused from the cache when the module's
+    /// The decoded plan for `kernel` — plus the decode-time verifier's
+    /// facts ([`PlanFacts`]) — reused from the cache when the module's
     /// mutation epoch still matches. `Ok(None)` if the kernel is not
     /// plan-decodable (the caller falls back to the tree walk); `Err`
     /// when [`VerifyMode::Strict`] rejects the kernel (verification
@@ -430,45 +389,17 @@ impl Device {
     fn cached_plan(&self, m: &Module, kernel: OpId) -> Result<Option<PlanEntry>, SimError> {
         let key = (m.module_id(), kernel, self.fuse);
         let epoch = m.mutation_epoch();
-        let want_jit = self.jit == JitMode::On;
-        let mut hit: Option<PlanEntry> = None;
         if let Some(cached) = self.plan_cache.borrow().get(&key) {
             if cached.epoch == epoch {
                 self.cache_hits.set(self.cache_hits.get() + 1);
                 if let Some(e) = &cached.rejected {
                     return Err(e.clone());
                 }
-                match &cached.plan {
-                    None => return Ok(None),
-                    Some(plan) => {
-                        hit = Some((
-                            plan.clone(),
-                            cached.jit.clone().filter(|_| want_jit),
-                            cached.facts.clone(),
-                        ));
-                    }
-                }
+                return Ok(cached
+                    .plan
+                    .as_ref()
+                    .map(|plan| (plan.clone(), cached.facts.clone())));
             }
-        }
-        if let Some((plan, jit, facts)) = hit {
-            let jit = match jit {
-                Some(jit) => Some(jit),
-                // Cached while the device's `jit` field was off: compile
-                // now, cache next to the plan.
-                None if want_jit => {
-                    let compiled = Arc::new(crate::jit::compile(&plan));
-                    self.jit_compiles.set(self.jit_compiles.get() + 1);
-                    if let Some(cached) = self.plan_cache.borrow_mut().get_mut(&key) {
-                        cached.jit = Some(compiled.clone());
-                    }
-                    Some(compiled)
-                }
-                None => None,
-            };
-            if jit.is_some() {
-                self.jit_launches.set(self.jit_launches.get() + 1);
-            }
-            return Ok(Some((plan, jit, facts)));
         }
         // Miss: decode, verify (pre-fusion — fusion preserves site ids,
         // so in-bounds proofs transfer to the fused plan unchanged),
@@ -499,16 +430,6 @@ impl Device {
                 None
             }
         };
-        let jit = match &plan {
-            Some(p) if want_jit => {
-                self.jit_compiles.set(self.jit_compiles.get() + 1);
-                Some(Arc::new(crate::jit::compile(p)))
-            }
-            _ => None,
-        };
-        if jit.is_some() {
-            self.jit_launches.set(self.jit_launches.get() + 1);
-        }
         let mut cache = self.plan_cache.borrow_mut();
         if cache.len() >= PLAN_CACHE_CAP {
             cache.clear();
@@ -518,7 +439,6 @@ impl Device {
             CachedPlan {
                 epoch,
                 plan: plan.clone(),
-                jit: jit.clone(),
                 facts: facts.clone(),
                 rejected: rejected.clone(),
             },
@@ -526,7 +446,7 @@ impl Device {
         drop(cache);
         match rejected {
             Some(e) => Err(e),
-            None => Ok(plan.map(|p| (p, jit, facts))),
+            None => Ok(plan.map(|p| (p, facts))),
         }
     }
 
@@ -619,15 +539,13 @@ impl Device {
                 0,
             ),
             Engine::Plan => match self.cached_plan(m, kernel) {
-                Ok(Some((plan, jit, facts))) => {
+                Ok(Some((plan, facts))) => {
                     // A graph of one launch — run_plan_launch_limited's own
-                    // shape — so the closure tier flows through the same
-                    // scheduler seam as graph launches.
+                    // shape, carrying the verifier's facts.
                     let launches = [PlanLaunch {
                         plan: Some(&plan),
                         args,
                         nd,
-                        jit: jit.as_deref(),
                         host: None,
                         facts: facts.as_deref(),
                     }];
@@ -714,7 +632,7 @@ impl Device {
         pool: &mut MemoryPool,
     ) -> Result<Vec<ExecStats>, SimError> {
         if self.engine == Engine::Plan {
-            // One slot per batch entry: `Some((plan, jit, facts))` for a
+            // One slot per batch entry: `Some((plan, facts))` for a
             // decoded kernel, `None` for a host node. Any *undecodable
             // kernel* clears `all_decodable` and the graph falls back to
             // sequential execution below; a strict-mode rejection fails
@@ -739,11 +657,10 @@ impl Device {
                     .iter()
                     .zip(batch)
                     .map(|(entry, b)| match entry {
-                        Some((plan, jit, facts)) => PlanLaunch {
+                        Some((plan, facts)) => PlanLaunch {
                             plan: Some(plan),
                             args: &b.args,
                             nd: b.nd,
-                            jit: jit.as_deref(),
                             host: None,
                             facts: facts.as_deref(),
                         },
@@ -753,7 +670,6 @@ impl Device {
                             plan: None,
                             args: &b.args,
                             nd: b.nd,
-                            jit: None,
                             host: b.host.as_ref(),
                             facts: None,
                         },
@@ -772,7 +688,7 @@ impl Device {
                     let mut ops = self.profile_ops.borrow_mut();
                     let mut pairs = self.profile_pairs.borrow_mut();
                     for (entry, counts) in plans.iter().zip(profile) {
-                        if let Some((plan, _, _)) = entry {
+                        if let Some((plan, _)) = entry {
                             profile_summary(plan, counts, &mut ops, &mut pairs);
                         }
                     }
@@ -840,15 +756,6 @@ impl Device {
                 out.push_str(&format!("{count:>16}  {a} -> {b}\n"));
             }
         }
-        out.push_str("\n== execution tiers ==\n");
-        out.push_str(&format!(
-            "{:>16}  closure-jit compiles\n",
-            self.jit_compiles.get()
-        ));
-        out.push_str(&format!(
-            "{:>16}  closure-jit launches\n",
-            self.jit_launches.get()
-        ));
         let vs = self.verify_counters();
         if vs.plans > 0 || vs.rejected > 0 {
             out.push_str("\n== static analysis ==\n");

@@ -18,10 +18,10 @@
 //! Simulated time is deterministic, so the harness needs no warm-up/repeat
 //! protocol; EXPERIMENTS.md documents this deviation from §VIII.
 //!
-//! ## Execution engines and tiers
+//! ## Execution engines
 //!
 //! The simulator ships two interchangeable engines behind
-//! [`device::Engine`], and the fast engine itself is tiered:
+//! [`device::Engine`]:
 //!
 //! * **Tree walk** ([`interp`]) — the reference implementation. A resumable
 //!   interpreter directly over the structured IR: an explicit frame stack
@@ -43,15 +43,10 @@
 //!   loads/stores `vec.ctor`+`acc.subscript`+`Load`/`Store`, fused
 //!   multiply-accumulate `Load`+`mulf`+`addf`) — into superinstructions
 //!   with identical semantics and statistics ([`FuseLevel`]).
-//! * **Closure JIT** ([`jit`]) — the hot tier of the plan engine. Every
-//!   cached plan (`SYCL_MLIR_SIM_JIT=on|off`, default on) compiles into a
-//!   direct-threaded chain of Rust closures — one boxed call per
-//!   instruction with operands, constants and call targets captured at
-//!   compile time; no codegen, no `unsafe`. The compiled kernel lives
-//!   next to its plan in the cross-launch cache and is invalidated by
-//!   the same mutation epoch. Bit-identical to both other engines —
-//!   outputs, statistics, cycles and error texts — and metered through
-//!   the same [`limits`] machinery from per-pc weight tables.
+//!
+//! The bytecode loop (`PlanWorkItem::run`) is the plan engine's only
+//! executor: executed instruction semantics are written once, there
+//! (ARCHITECTURE.md, "One plan executor", records why).
 //!
 //! **Register allocation** is per function: every SSA value (block argument
 //! or op result) receives a dense slot at decode time, and each call frame
@@ -64,7 +59,9 @@
 //! reference across all work-items, all work-groups and — with
 //! [`Device::threads`] `> 1` — all worker threads of a launch. All mutable
 //! state lives outside the plan: each work-item owns its register file,
-//! frame stack and per-site visit counters; each worker owns its
+//! frame stack and per-site visit counters (slots a worker re-binds from
+//! work-group to work-group and launch to launch, so the steady state
+//! allocates nothing per work-item); each worker owns its
 //! statistics, its dense-constant materializations and its per-work-group
 //! state (`sycl.local.alloca` results, the coalescing tracker). Work-items
 //! of a group are co-operatively scheduled between barrier points exactly
@@ -110,7 +107,7 @@
 //!
 //! ## Configuration
 //!
-//! Every knob of a [`Device`] — engine, threads, fuse, jit, verify,
+//! Every knob of a [`Device`] — engine, threads, fuse, verify,
 //! profile and the three execution limits — is one row of the table in
 //! [`config`]: environment variables, `--name=value` flags, help text and
 //! the `Display` of the effective configuration all derive from it, and a
@@ -122,7 +119,6 @@ pub mod config;
 pub mod cost;
 pub mod device;
 pub mod interp;
-pub mod jit;
 pub mod limits;
 pub mod memory;
 pub mod plan;
@@ -133,11 +129,10 @@ pub mod verify;
 pub use config::{knob_table, ConfigError};
 pub use cost::{CostModel, ExecStats};
 pub use device::{
-    auto_threads, launch_kernel, launch_plan, BatchLaunch, Device, Engine, JitMode, NdRangeSpec,
-    SimError, VerifyCounters,
+    auto_threads, launch_kernel, launch_plan, BatchLaunch, Device, Engine, NdRangeSpec, SimError,
+    VerifyCounters,
 };
 pub use interp::LimitKind;
-pub use jit::{compile as jit_compile, JitKernel};
 pub use limits::{CancelToken, ExecLimits, FaultPlan, FaultSite};
 pub use memory::{DataVec, MemId, MemoryPool};
 pub use plan::{

@@ -190,15 +190,12 @@ fn reserve(budget: &AtomicU64, want: u64) -> u64 {
 /// subtraction against a prepaid block. Everything else happens in the
 /// cold [`boundary`](OpMeter::boundary) refill.
 ///
-/// All three execution tiers drive the same meter. The plan engine
-/// charges `Instr::op_weight` per executed instruction; the closure-JIT
-/// tier charges the identical weights from per-pc tables flattened at
-/// compile time (`crates/sim/src/jit.rs` stores one `u64` per
-/// instruction next to its compiled closure) — so a budget trips at the
-/// same weighted-op count, hence the same work-group, no matter which
-/// tier ran. Superinstruction weights cover their fused members, which
-/// is what makes trips fuse- *and* tier-invariant
-/// (`tests/plan_fuzz.rs::op_budget_trips_are_tier_invariant`).
+/// Both engines drive the same meter: the tree walk charges 1 per
+/// executed op, the plan engine `Instr::op_weight` per executed
+/// instruction. A superinstruction's weight is the sum of its fused
+/// members', so a budget trips at the same weighted-op count, hence the
+/// same work-group, at every fusion level
+/// (`tests/plan_fuzz.rs::op_budget_trips_are_fuse_invariant`).
 pub(crate) struct OpMeter {
     /// Prepaid weighted ops still executable before the next boundary.
     granted: u64,
@@ -390,10 +387,9 @@ mod tests {
     }
 
     /// The trip point depends only on the cumulative *weight*, not on
-    /// how the charges are grouped — the closure-JIT tier charges
-    /// pre-flattened per-pc weights (superinstructions carry the summed
-    /// weight of their members), and both tiers must trip at the same
-    /// weighted count.
+    /// how the charges are grouped — a superinstruction charges the
+    /// summed weight of its members at once, and fused and unfused plans
+    /// must trip at the same weighted count.
     #[test]
     fn meter_trip_point_is_weight_grouping_invariant() {
         let limits = ExecLimits {

@@ -44,7 +44,7 @@ use sycl_mlir_ir::{Attribute, Module, OpId, OpName, Type, TypeKind, ValueId};
 /// Dense register slot within one function frame.
 pub type Reg = u32;
 
-pub(crate) fn err(msg: impl Into<String>) -> SimError {
+fn err(msg: impl Into<String>) -> SimError {
     SimError::msg(msg)
 }
 
@@ -155,7 +155,7 @@ impl CmpPred {
     }
 
     #[inline]
-    pub(crate) fn eval_int(self, l: i64, r: i64) -> bool {
+    fn eval_int(self, l: i64, r: i64) -> bool {
         match self {
             CmpPred::Eq => l == r,
             CmpPred::Ne => l != r,
@@ -167,7 +167,7 @@ impl CmpPred {
     }
 
     #[inline]
-    pub(crate) fn eval_float(self, l: f64, r: f64) -> bool {
+    fn eval_float(self, l: f64, r: f64) -> bool {
         match self {
             CmpPred::Eq => l == r,
             CmpPred::Ne => l != r,
@@ -932,7 +932,7 @@ impl Instr {
     /// (`--max-ops`). Superinstructions charge the number of instructions
     /// they replaced, so a budget trips at the same point — with the same
     /// [`crate::LimitKind`] — under every fusion level.
-    pub(crate) fn op_weight(&self) -> u64 {
+    fn op_weight(&self) -> u64 {
         match self {
             Instr::LoadBinFloat { .. }
             | Instr::MulAddInt { .. }
@@ -2791,21 +2791,21 @@ pub struct PlanCtx {
     /// Materialized dense constants, shared across the worker's groups
     /// (mirrors the tree-walk `const_pool`; under parallel execution each
     /// worker materializes its own arena copy).
-    pub(crate) dense_cache: Vec<Option<MemRefVal>>,
+    dense_cache: Vec<Option<MemRefVal>>,
     /// Work-group-shared `sycl.local.alloca` results, reset per group.
-    pub(crate) local_allocs: Vec<Option<MemRefVal>>,
+    local_allocs: Vec<Option<MemRefVal>>,
     /// Per-instruction execution counters (`--profile` runs only; `None`
     /// keeps the executor's hot loop on a single predictable branch).
-    pub(crate) profile: Option<ProfileBuf>,
+    profile: Option<ProfileBuf>,
     /// Execution-limit meter (limited runs only; `None` — the default —
     /// monomorphizes all metering out of the executor).
-    pub(crate) limits: Option<Box<crate::limits::OpMeter>>,
+    limits: Option<Box<crate::limits::OpMeter>>,
     /// Per-site proven-in-bounds bitset from the decode-time verifier,
     /// instantiated against the current launch (empty = no fast paths;
     /// see [`crate::verify::PlanFacts::instantiate`]). Proven sites take
     /// the unchecked pool path; unproven sites keep the checked path and
     /// its exact error text.
-    pub(crate) proven: std::sync::Arc<[u64]>,
+    proven: std::sync::Arc<[u64]>,
     /// Every barrier in the plan is statically uniform (skip per-group
     /// divergence bookkeeping; bit-identical — a statically-uniform
     /// barrier cannot trip the divergence check).
@@ -2815,10 +2815,10 @@ pub struct PlanCtx {
 /// Flat execution counters over every function of one plan: `counts[i]`
 /// is how often the instruction at flat index `i` (functions concatenated
 /// in [`KernelPlan::funcs`] order) executed.
-pub(crate) struct ProfileBuf {
+struct ProfileBuf {
     /// Start offset of each function's code in `counts`.
-    pub(crate) starts: Box<[u32]>,
-    pub(crate) counts: Box<[u64]>,
+    starts: Box<[u32]>,
+    counts: Box<[u64]>,
 }
 
 impl ProfileBuf {
@@ -2859,7 +2859,7 @@ impl PlanCtx {
 
     /// Whether memory site `site` was proven in-bounds for this launch.
     #[inline(always)]
-    pub(crate) fn site_proven(&self, site: u32) -> bool {
+    fn site_proven(&self, site: u32) -> bool {
         let w = self.proven.get((site >> 6) as usize).copied().unwrap_or(0);
         (w >> (site & 63)) & 1 != 0
     }
@@ -2920,29 +2920,56 @@ pub struct PlanWorkItem {
     steps: u64,
 }
 
-pub(crate) const MAX_STEPS: u64 = 500_000_000;
+const MAX_STEPS: u64 = 500_000_000;
 
 impl PlanWorkItem {
-    /// Prepare execution of the plan's kernel with `args` bound to all
-    /// parameters except the trailing item-like one, which gets `item`.
-    pub fn new(
+    /// A placeholder slot, bound to a real work-item by
+    /// [`PlanWorkItem::reset`]. A worker keeps its slots across
+    /// work-groups and launches, so the steady state allocates nothing
+    /// per work-item.
+    pub fn empty() -> PlanWorkItem {
+        PlanWorkItem {
+            regs: Vec::new(),
+            frames: Vec::new(),
+            visits: Vec::new(),
+            item: NdItemVal {
+                global_id: [0; 3],
+                local_id: [0; 3],
+                group_id: [0; 3],
+                global_range: [1; 3],
+                local_range: [1; 3],
+                rank: 1,
+            },
+            finished: false,
+            steps: 0,
+        }
+    }
+
+    /// Rebind this slot to a fresh work-item of the plan's kernel: `args`
+    /// go to all parameters except the trailing item-like one, which gets
+    /// `item`. Every register, frame and visit counter is reset, so
+    /// nothing of the slot's previous work-item (finished, suspended at a
+    /// barrier or failed mid-callee) survives.
+    pub fn reset(
+        &mut self,
         plan: &KernelPlan,
         args: &[RtValue],
         item: NdItemVal,
-    ) -> Result<PlanWorkItem, SimError> {
+    ) -> Result<(), SimError> {
         let kernel = &plan.funcs[0];
-        let mut s = PlanWorkItem {
-            regs: vec![RtValue::Unit; kernel.reg_count as usize],
-            frames: vec![PlanFrame {
-                func: 0,
-                pc: 0,
-                base: 0,
-            }],
-            visits: vec![0; plan.mem_sites as usize],
-            item,
-            finished: false,
-            steps: 0,
-        };
+        self.regs.clear();
+        self.regs.resize(kernel.reg_count as usize, RtValue::Unit);
+        self.frames.clear();
+        self.frames.push(PlanFrame {
+            func: 0,
+            pc: 0,
+            base: 0,
+        });
+        self.visits.clear();
+        self.visits.resize(plan.mem_sites as usize, 0);
+        self.item = item;
+        self.finished = false;
+        self.steps = 0;
         let params = &kernel.params;
         let value_params = if kernel.has_item_param {
             &params[..params.len() - 1]
@@ -2957,12 +2984,12 @@ impl PlanWorkItem {
             )));
         }
         for (&p, &a) in value_params.iter().zip(args) {
-            s.regs[p as usize] = a;
+            self.regs[p as usize] = a;
         }
         if kernel.has_item_param {
-            s.regs[*params.last().unwrap() as usize] = RtValue::Item(item);
+            self.regs[*params.last().unwrap() as usize] = RtValue::Item(item);
         }
-        Ok(s)
+        Ok(())
     }
 
     /// Run until the next barrier or completion.
@@ -3997,7 +4024,7 @@ impl PlanWorkItem {
     }
 }
 
-pub(crate) fn materialize_dense(
+fn materialize_dense(
     plan: &KernelPlan,
     ctx: &mut PlanExecCtx<'_, '_>,
     pctx: &mut PlanCtx,

@@ -57,7 +57,6 @@
 use crate::cost::{CostModel, ExecStats};
 use crate::device::{cooperative_rounds, cooperative_rounds_uniform, items_of_group, NdRangeSpec};
 use crate::interp::{LimitKind, SimError, WorkGroupCtx};
-use crate::jit::{run_group_jit, JitScratch};
 use crate::limits::{ExecLimits, FaultSite, OpMeter};
 use crate::memory::{dtype_of, dtype_of_data, zeroed_data, DataVec, MemId, MemoryPool};
 use crate::plan::{KernelPlan, PlanCtx, PlanWorkItem};
@@ -950,10 +949,6 @@ pub struct PlanLaunch<'a> {
     pub args: &'a [RtValue],
     /// Launch geometry (a single 1×1 group for host nodes).
     pub nd: NdRangeSpec,
-    /// Closure-JIT compilation of `plan`, when this launch runs on the
-    /// closure tier (`None` executes the plan interpreter; both tiers are
-    /// bit-identical, so this only selects the dispatch mechanism).
-    pub jit: Option<&'a crate::jit::JitKernel>,
     /// The host closure, when this node is a host task.
     pub host: Option<&'a HostNode>,
     /// Static-analysis facts of `plan` from the decode-time verifier
@@ -964,14 +959,12 @@ pub struct PlanLaunch<'a> {
 }
 
 impl<'a> PlanLaunch<'a> {
-    /// A kernel launch of `plan` over `nd` (plan-interpreter tier; set
-    /// [`PlanLaunch::jit`] to select the closure tier).
+    /// A kernel launch of `plan` over `nd`.
     pub fn kernel(plan: &'a KernelPlan, args: &'a [RtValue], nd: NdRangeSpec) -> PlanLaunch<'a> {
         PlanLaunch {
             plan: Some(plan),
             args,
             nd,
-            jit: None,
             host: None,
             facts: None,
         }
@@ -983,7 +976,6 @@ impl<'a> PlanLaunch<'a> {
             plan: None,
             args: &[],
             nd: NdRangeSpec::d1(1, 1),
-            jit: None,
             host: Some(node),
             facts: None,
         }
@@ -997,8 +989,6 @@ struct GraphUnit<'a> {
     plan: Option<&'a KernelPlan>,
     args: &'a [RtValue],
     nd: NdRangeSpec,
-    /// Closure-tier compilation of `plan`, when the launch tiers up.
-    jit: Option<&'a crate::jit::JitKernel>,
     /// The host closure, when this node is a host task.
     host: Option<&'a HostNode>,
     /// Per-site proven-in-bounds bitset, instantiated from the launch's
@@ -1356,7 +1346,11 @@ fn group_of(groups: [i64; 3], idx: usize) -> [i64; 3] {
 }
 
 /// Execute every work-item of one work-group to completion, honouring
-/// barriers co-operatively.
+/// barriers co-operatively. `slots` are the worker's reusable work-item
+/// slots (registers, frames, visit counters survive across work-groups
+/// and launches, so the steady state allocates nothing per item): grown
+/// on demand and re-bound to this group's items, whatever state the
+/// previous group left them in.
 fn run_group(
     plan: &KernelPlan,
     args: &[RtValue],
@@ -1364,15 +1358,21 @@ fn run_group(
     group: [i64; 3],
     ctx: &mut PlanExecCtx<'_, '_>,
     pctx: &mut PlanCtx,
+    slots: &mut Vec<PlanWorkItem>,
 ) -> Result<(), SimError> {
-    let mut items: Vec<PlanWorkItem> = items_of_group(nd, group)
-        .into_iter()
-        .map(|item| PlanWorkItem::new(plan, args, item))
-        .collect::<Result<_, _>>()?;
+    let positions = items_of_group(nd, group);
+    let n = positions.len();
+    if slots.len() < n {
+        slots.resize_with(n, PlanWorkItem::empty);
+    }
+    let items = &mut slots[..n];
+    for (slot, item) in items.iter_mut().zip(positions) {
+        slot.reset(plan, args, item)?;
+    }
     if pctx.uniform {
-        cooperative_rounds_uniform(&mut items, |wi| wi.run(plan, ctx, pctx))
+        cooperative_rounds_uniform(items, |wi| wi.run(plan, ctx, pctx))
     } else {
-        cooperative_rounds(&mut items, group, |wi| wi.run(plan, ctx, pctx))
+        cooperative_rounds(items, group, |wi| wi.run(plan, ctx, pctx))
     }
 }
 
@@ -1401,7 +1401,8 @@ fn run_host_node(node: &HostNode, st: &GraphState<'_, '_>, li: usize) -> Result<
 /// `fetch_add` — one atomic RMW amortized over many groups, which is what
 /// cuts cursor contention on launches with many small groups). The
 /// worker's memory interface — and with it the recyclable scratch arena —
-/// is reused across every launch it touches; the statistics accumulator
+/// and its work-item slots (see `run_group`) are reused across every
+/// launch it touches; the statistics accumulator
 /// and the per-launch plan state are swapped per launch (counters must
 /// merge per launch).
 ///
@@ -1428,7 +1429,7 @@ fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
     let n = st.units.len();
     let mut stats = vec![ExecStats::default(); n];
     let mut pctxs: Vec<Option<PlanCtx>> = (0..n).map(|_| None).collect();
-    let mut jit_scratch = JitScratch::default();
+    let mut slots: Vec<PlanWorkItem> = Vec::new();
     let mut cur: Option<usize> = None;
     while let Some(li) = st.acquire() {
         if cur != Some(li) {
@@ -1492,18 +1493,8 @@ fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
                         let plan = unit.plan.expect("kernel launch carries a plan");
                         let p = pctx.as_deref_mut().expect("kernel launch has a plan ctx");
                         let group = group_of(unit.groups, idx);
-                        let r = catch_unwind(AssertUnwindSafe(|| match unit.jit {
-                            Some(jit) => run_group_jit(
-                                jit,
-                                plan,
-                                unit.args,
-                                unit.nd,
-                                group,
-                                &mut ctx,
-                                p,
-                                &mut jit_scratch,
-                            ),
-                            None => run_group(plan, unit.args, unit.nd, group, &mut ctx, p),
+                        let r = catch_unwind(AssertUnwindSafe(|| {
+                            run_group(plan, unit.args, unit.nd, group, &mut ctx, p, &mut slots)
                         }));
                         ctx.next_work_group();
                         p.next_work_group();
@@ -1792,7 +1783,6 @@ pub fn run_plan_graph_report(
             plan: l.plan,
             args: l.args,
             nd: l.nd,
-            jit: l.jit,
             host: l.host,
             proven,
             uniform,
@@ -2127,6 +2117,17 @@ mod tests {
         }
     }
 
+    /// A rank-1 global-memory view of the first `n` elements of `mem`.
+    fn global_view(mem: MemId, n: i64) -> RtValue {
+        RtValue::MemRef(crate::value::MemRefVal {
+            mem,
+            offset: 0,
+            shape: [n, 1, 1],
+            rank: 1,
+            space: crate::value::Space::Global,
+        })
+    }
+
     /// A minimal bytecode plan: `f32buf[gid] = f32buf[gid] + k`.
     fn add_k_plan(k: f32) -> KernelPlan {
         use crate::plan::{DimSrc, FloatBin, FuncPlan, Instr, ItemQ};
@@ -2191,19 +2192,10 @@ mod tests {
         let plan_a = add_k_plan(1.0);
         let plan_c = add_k_plan(10.0);
         let n = 16_i64;
-        let arg = |mem| {
-            RtValue::MemRef(crate::value::MemRefVal {
-                mem,
-                offset: 0,
-                shape: [n, 1, 1],
-                rank: 1,
-                space: crate::value::Space::Global,
-            })
-        };
         for threads in [1_usize, 4] {
             let mut pool = MemoryPool::new();
             let mf = pool.alloc(DataVec::F32(vec![0.0; n as usize]));
-            let args = [arg(mf)];
+            let args = [global_view(mf, n)];
             let launches = [
                 PlanLaunch::kernel(&plan_a, &args, NdRangeSpec::d1(n, 4)),
                 // The empty middle launch: zero global range.
@@ -2234,7 +2226,7 @@ mod tests {
         // An all-empty graph (including chained empties) terminates.
         let mut pool = MemoryPool::new();
         let mf = pool.alloc(DataVec::F32(vec![0.0; n as usize]));
-        let args = [arg(mf)];
+        let args = [global_view(mf, n)];
         let empties = [
             PlanLaunch::kernel(&plan_a, &args, NdRangeSpec::d1(0, 4)),
             PlanLaunch::kernel(&plan_a, &args, NdRangeSpec::d1(0, 4)),
@@ -2250,6 +2242,196 @@ mod tests {
         .expect("all-empty graph completes");
         assert_eq!(out.stats.len(), 2);
         assert!(out.stats.iter().all(|s| s.work_groups == 0));
+    }
+
+    /// `buf[gid] = callee(buf, gid); 100 / div[gid]`, where the callee
+    /// loads `buf[gid]`, waits at a barrier and returns the value plus
+    /// one: 8 kernel + 5 callee registers, 3 memory sites. A zero divisor
+    /// fails its work-item after the barrier, while later siblings are
+    /// still suspended inside the callee.
+    fn callee_barrier_div_plan() -> KernelPlan {
+        use crate::plan::{DimSrc, FloatBin, FuncPlan, Instr, IntBin, ItemQ};
+        let kernel = vec![
+            Instr::ItemQuery {
+                dst: 2,
+                q: ItemQ::GlobalId,
+                dim: DimSrc::Const(0),
+            },
+            Instr::Load {
+                dst: 3,
+                mem: 1,
+                idx: [2, 0, 0],
+                rank: 1,
+                site: 0,
+            },
+            Instr::Call {
+                func: 1,
+                args: vec![0, 2].into_boxed_slice(),
+                results: vec![4].into_boxed_slice(),
+            },
+            Instr::Const {
+                dst: 5,
+                val: RtValue::Int(100),
+            },
+            Instr::BinInt {
+                op: IntBin::DivS,
+                dst: 6,
+                l: 5,
+                r: 3,
+            },
+            Instr::Store {
+                val: 4,
+                mem: 0,
+                idx: [2, 0, 0],
+                rank: 1,
+                site: 1,
+            },
+            Instr::Return {
+                vals: Vec::new().into_boxed_slice(),
+            },
+        ];
+        let callee = vec![
+            Instr::Load {
+                dst: 2,
+                mem: 0,
+                idx: [1, 0, 0],
+                rank: 1,
+                site: 2,
+            },
+            Instr::Barrier,
+            Instr::Const {
+                dst: 3,
+                val: RtValue::F32(1.0),
+            },
+            Instr::BinFloat {
+                op: FloatBin::Add,
+                dst: 4,
+                l: 2,
+                r: 3,
+                f32_out: true,
+            },
+            Instr::Return {
+                vals: vec![4].into_boxed_slice(),
+            },
+        ];
+        KernelPlan {
+            funcs: vec![
+                FuncPlan {
+                    code: kernel,
+                    reg_count: 8,
+                    params: vec![0, 1],
+                    has_item_param: false,
+                },
+                FuncPlan {
+                    code: callee,
+                    reg_count: 5,
+                    params: vec![0, 1],
+                    has_item_param: false,
+                },
+            ],
+            dense_consts: Vec::new(),
+            mem_sites: 3,
+            local_sites: 0,
+            fused_pairs: 0,
+            fused_chains: 0,
+            fused_quads: 0,
+            fused_wt: 0,
+        }
+    }
+
+    /// A worker's work-item slots carry nothing from one work-group to
+    /// the next, whatever state the previous group left them in. Launch A
+    /// fails in its middle group with one item finished, one failed
+    /// mid-kernel and two suspended at a barrier inside a callee (two
+    /// frames, a grown register file, uneven visit counters). The
+    /// independent launches B (fewer registers and sites, smaller group)
+    /// and C (a larger group than either, so it re-binds the suspended
+    /// slots and grows new ones) then run on those slots — at `threads=1`
+    /// in exactly that order, by critical-path priority — and must match
+    /// the same launches run alone: buffers, statistics (coalesced
+    /// transactions read the visit counters) and cycles. A's failure
+    /// keeps its `(launch, group)` position and text.
+    #[test]
+    fn work_item_slots_are_isolated_across_a_failed_group() {
+        let plan_a = callee_barrier_div_plan();
+        let plan_b = add_k_plan(2.0);
+        let plan_c = add_k_plan(3.0);
+        let init = |n: i64| DataVec::F32((0..n).map(|i| i as f32 * 0.5).collect());
+        let (nd_a, nd_b, nd_c) = (
+            NdRangeSpec::d1(12, 4),
+            NdRangeSpec::d1(4, 2),
+            NdRangeSpec::d1(8, 8),
+        );
+        let cost = CostModel::default();
+        // One launch alone, on fresh slots and a fresh pool.
+        let alone = |plan: &KernelPlan, nd: NdRangeSpec| {
+            let mut pool = MemoryPool::new();
+            let mem = pool.alloc(init(nd.global[0]));
+            let args = [global_view(mem, nd.global[0])];
+            let launches = [PlanLaunch::kernel(plan, &args, nd)];
+            let dag = LaunchDag::independent(1);
+            let mut out = run_plan_graph(&launches, &dag, &mut pool, &cost, 1, false)
+                .expect("a clean launch completes");
+            (out.stats.pop().unwrap(), pool.data(mem).clone())
+        };
+        let (want_b, want_b_buf) = alone(&plan_b, nd_b);
+        let (want_c, want_c_buf) = alone(&plan_c, nd_c);
+        assert!(want_b.global_transactions > 0 && want_c.device_cycles > 0.0);
+
+        for threads in [1_usize, 4] {
+            let mut pool = MemoryPool::new();
+            let ma = pool.alloc(init(12));
+            // Work-item 5 — the second item of the middle group — divides
+            // by zero.
+            let md = pool.alloc(DataVec::I64((0..12).map(|i| (i != 5) as i64).collect()));
+            let mb = pool.alloc(init(4));
+            let mc = pool.alloc(init(8));
+            let args_a = [global_view(ma, 12), global_view(md, 12)];
+            let args_b = [global_view(mb, 4)];
+            let args_c = [global_view(mc, 8)];
+            let launches = [
+                PlanLaunch::kernel(&plan_a, &args_a, nd_a),
+                PlanLaunch::kernel(&plan_b, &args_b, nd_b),
+                PlanLaunch::kernel(&plan_c, &args_c, nd_c),
+            ];
+            let report = run_plan_graph_report(
+                &launches,
+                &LaunchDag::independent(3),
+                &mut pool,
+                &cost,
+                threads,
+                false,
+                &ExecLimits::none(),
+            )
+            .expect("well-formed graph");
+            let LaunchStatus::Failed { group, error } = &report.statuses[0] else {
+                panic!(
+                    "threads={threads}: launch A must fail: {:?}",
+                    report.statuses[0]
+                );
+            };
+            assert_eq!(*group, 1, "threads={threads}");
+            assert_eq!(
+                error.message(),
+                "division by zero (launch 0, work-group 1)",
+                "threads={threads}"
+            );
+            assert_eq!(
+                report.statuses[1..],
+                [LaunchStatus::Completed, LaunchStatus::Completed],
+                "threads={threads}"
+            );
+            assert_eq!(report.stats[1], want_b, "threads={threads}");
+            assert_eq!(report.stats[2], want_c, "threads={threads}");
+            assert_eq!(pool.data(mb), &want_b_buf, "threads={threads}");
+            assert_eq!(pool.data(mc), &want_c_buf, "threads={threads}");
+            // A's first group completed; in the failing group only the
+            // item ahead of the division by zero stored.
+            let DataVec::F32(a) = pool.data(ma) else {
+                panic!()
+            };
+            assert_eq!(a[..6], [1.0, 1.5, 2.0, 2.5, 3.0, 2.5], "threads={threads}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 # under crates/shims/, so no step touches a registry.
 #
 #   ./scripts/ci.sh         # full gate: fmt, clippy, build, test, doc,
-#                           # bench/limits/JIT determinism smoke, profile
+#                           # bench/limits determinism smoke, profile
 #                           # artifact, perf-regression gate
 #   ./scripts/ci.sh --fast  # format/lint/build/test/doc only — skips the
 #                           # bench smoke, artifacts and the perf gate
@@ -54,7 +54,7 @@ cargo build --release
 
 # Runs the whole workspace, including the scheduler's hardening suites:
 # tests/scheduler_stress.rs (~200 randomized hazard DAGs across tree |
-# plan × threads 1 | 4 × jit on | off, plus error-ordering pins) and
+# plan × threads 1 | 4, plus error-ordering pins) and
 # tests/plan_fuzz.rs (random legal bytecode, fused vs unfused).
 # --no-fail-fast: one red crate must not hide the targets after it.
 step "cargo test (incl. scheduler stress + plan fuzz suites)"
@@ -66,7 +66,7 @@ step "cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
 if [[ "$fast" == 1 ]]; then
-  echo "(--fast: skipping bench/limits/JIT smoke, artifacts and the perf gate)"
+  echo "(--fast: skipping bench/limits smoke, artifacts and the perf gate)"
   summary
   exit 0
 fi
@@ -123,16 +123,6 @@ done
 echo "all five workload families present in the sweep"
 
 # ----------------------------------------------------------------------
-# JIT determinism smoke: the closure-JIT tier (on by default, so the runs
-# above already exercise it) must be bit-identical to the bytecode loop
-# (--jit=off).
-# ----------------------------------------------------------------------
-step "JIT determinism smoke: --jit=off vs baseline"
-sweep jit-off --threads=4 --jit=off
-same_tables t4 jit-off "under --jit=off"
-echo "tables bit-identical across closure-JIT modes"
-
-# ----------------------------------------------------------------------
 # Verifier smoke: the decode-time plan verifier (on by default in lint
 # mode, so the runs above already exercise it) must never perturb
 # simulated results. Pin both extremes: --verify=strict (rejections
@@ -183,6 +173,7 @@ expect_exit_2() { # <description> <command...>
 }
 expect_exit_2 "--fuse=pairs" ./target/release/repro_all --quick --fuse=pairs
 expect_exit_2 "--batch=off" ./target/release/repro_all --quick --batch=off
+expect_exit_2 "--jit=off" ./target/release/repro_all --quick --jit=off
 expect_exit_2 "SYCL_MLIR_SIM_SCHED=fifo" env SYCL_MLIR_SIM_SCHED=fifo ./target/release/repro_hostdag --quick
 expect_exit_2 "SYCL_MLIR_SIM_THREADS=many" env SYCL_MLIR_SIM_THREADS=many ./target/release/repro_all --quick
 echo "bad settings are rejected from flags and environment alike"
@@ -196,12 +187,8 @@ echo "bad settings are rejected from flags and environment alike"
 # then reproduce the baseline tables bit-identically: the metering path
 # may cost a little wall time but can never perturb simulated results.
 # ----------------------------------------------------------------------
-step "limits smoke: repro_limits under both engines and both plan tiers + generous-limits identity"
-# Both plan tiers meter through the same OpMeter: limits must trip with
-# the identical error and the device must survive on the closure tier
-# (the default) and on the bytecode loop.
+step "limits smoke: repro_limits under both engines + generous-limits identity"
 timeout 120 ./target/release/repro_limits --engine=plan --threads=4 --max-ops=2000000
-timeout 120 ./target/release/repro_limits --engine=plan --threads=4 --jit=off --max-ops=2000000
 timeout 120 ./target/release/repro_limits --engine=tree --max-ops=2000000
 
 sweep limits --threads=4 --max-ops=1000000000000 --deadline-ms=600000
@@ -344,9 +331,9 @@ else
 fi
 
 echo
-echo "wall-time regression check (PR 5 baseline: ~0.84 s threads=4; PR 7 jit=on: ~0.80 s):"
+echo "wall-time regression check (PR 5 baseline: ~0.84 s threads=4; PR 7: ~0.80 s):"
 # Each trailer carries the effective configuration of its run.
-for run in t1 t4 nofuse tree limits jit-off vstrict voff; do
+for run in t1 t4 nofuse tree limits vstrict voff; do
   grep '^repro_wall_time_seconds:' "$tmp/$run.out" | sed 's/^/  /'
 done
 

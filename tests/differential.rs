@@ -230,81 +230,6 @@ mod engine_differential {
         }
     }
 
-    /// The closure-JIT tier is the third execution-engine column of the
-    /// differential sweep: every workload, under every compilation flow,
-    /// must produce identical outputs, statistics, cycles and *error
-    /// texts* with every plan compiled to closures (`--jit=on`) as
-    /// with the bytecode loop (`--jit=off`) and as under the tree-walk
-    /// reference — sequentially and on 4 worker threads.
-    #[test]
-    fn closure_jit_matches_plan_and_tree_walk_on_all_workloads() {
-        use sycl_mlir_repro::sim::JitMode;
-        for threads in [1, 4] {
-            let tree_dev = Device::with_engine(Engine::TreeWalk);
-            let plan_dev = Device::with_engine(Engine::Plan)
-                .threads(threads)
-                .jit(JitMode::Off);
-            let jit_dev = Device::with_engine(Engine::Plan)
-                .threads(threads)
-                .jit(JitMode::On);
-            for w in all_workloads() {
-                let size = quick_size(&w);
-                for kind in FlowKind::all() {
-                    let label = format!(
-                        "{} [{}] at size {size}, threads {threads}",
-                        w.name,
-                        kind.name()
-                    );
-                    let tree = run_workload_on(&w, size, kind, &tree_dev);
-                    let plan = run_workload_on(&w, size, kind, &plan_dev);
-                    let jit = run_workload_on(&w, size, kind, &jit_dev);
-                    match (plan, jit) {
-                        (Ok((pres, prt)), Ok((jres, jrt))) => {
-                            assert_eq!(pres.valid, jres.valid, "validation differs: {label}");
-                            assert_eq!(pres.stats, jres.stats, "stats differ: {label}");
-                            assert!(
-                                cycles_eq(pres.cycles, jres.cycles),
-                                "cycles differ: {label}: {} vs {}",
-                                pres.cycles,
-                                jres.cycles
-                            );
-                            for (i, (pb, jb)) in prt.buffers.iter().zip(&jrt.buffers).enumerate() {
-                                assert_eq!(pb.data, jb.data, "buffer {i} contents differ: {label}");
-                            }
-                            assert_eq!(prt.usm, jrt.usm, "usm contents differ: {label}");
-                            // The tree walk is the behavioural anchor of
-                            // all three tiers.
-                            let (tres, trt) = tree.expect("tree walk succeeds when plan does");
-                            assert_eq!(tres.stats, jres.stats, "jit vs tree stats differ: {label}");
-                            assert!(
-                                cycles_eq(tres.cycles, jres.cycles),
-                                "jit vs tree cycles differ: {label}"
-                            );
-                            assert_eq!(trt.usm, jrt.usm, "jit vs tree usm differs: {label}");
-                        }
-                        (Err(pe), Err(je)) => {
-                            // Error *texts* must match byte-for-byte at
-                            // threads=1 (with several failing groups at
-                            // threads=4, which group's error is observed
-                            // first is scheduling-dependent).
-                            if threads == 1 {
-                                assert_eq!(pe, je, "tiers fail differently: {label}");
-                                if let Err(te) = tree {
-                                    assert_eq!(te, je, "jit vs tree errors differ: {label}");
-                                }
-                            }
-                        }
-                        (p, j) => panic!(
-                            "one tier failed, the other did not: {label}: plan={p:?} jit={j:?}",
-                            p = p.is_ok(),
-                            j = j.is_ok()
-                        ),
-                    }
-                }
-            }
-        }
-    }
-
     /// Fusion alone (sequential) must also hold bit-identical against the
     /// unfused plan engine — isolates the fusion pass from the worker
     /// pool.
@@ -541,7 +466,7 @@ mod verify_differential {
     use sycl_mlir_repro::runtime::exec::run;
     use sycl_mlir_repro::runtime::hostgen::generate_host_ir;
     use sycl_mlir_repro::runtime::{compile_program, Queue, SyclRuntime};
-    use sycl_mlir_repro::sim::{Device, Engine, JitMode, SimError, VerifyMode};
+    use sycl_mlir_repro::sim::{Device, Engine, SimError, VerifyMode};
     use sycl_mlir_repro::sycl::device as sdev;
     use sycl_mlir_repro::sycl::types::AccessMode;
 
@@ -552,8 +477,8 @@ mod verify_differential {
     }
 
     /// Every workload × flow must produce bit-identical results across
-    /// `--verify` modes, engines tiers and worker counts. The reference is
-    /// the plan interpreter with verification **off** (every runtime check
+    /// `--verify` modes, fusion levels and worker counts. The reference is
+    /// the plan engine with verification **off** (every runtime check
     /// in place); each comparison config has verification on and therefore
     /// runs with proven-site bounds checks elided and statically-uniform
     /// barriers on the divergence-free group driver.
@@ -561,49 +486,30 @@ mod verify_differential {
     fn verify_modes_are_bit_identical_on_all_workloads() {
         let reference = Device::with_engine(Engine::Plan)
             .threads(1)
-            .jit(JitMode::Off)
             .verify(VerifyMode::Off);
         let configs = [
             (
-                "strict/interp/1",
+                "strict/1",
                 Device::with_engine(Engine::Plan)
                     .threads(1)
-                    .jit(JitMode::Off)
                     .verify(VerifyMode::Strict),
             ),
             (
-                "lint/interp/1",
+                "lint/1",
                 Device::with_engine(Engine::Plan)
                     .threads(1)
-                    .jit(JitMode::Off)
                     .verify(VerifyMode::Lint),
             ),
             (
-                "strict/interp/4",
+                "strict/4",
                 Device::with_engine(Engine::Plan)
                     .threads(4)
-                    .jit(JitMode::Off)
-                    .verify(VerifyMode::Strict),
-            ),
-            (
-                "strict/jit/1",
-                Device::with_engine(Engine::Plan)
-                    .threads(1)
-                    .jit(JitMode::On)
-                    .verify(VerifyMode::Strict),
-            ),
-            (
-                "strict/jit/4",
-                Device::with_engine(Engine::Plan)
-                    .threads(4)
-                    .jit(JitMode::On)
                     .verify(VerifyMode::Strict),
             ),
             (
                 "strict/unfused/1",
                 Device::with_engine(Engine::Plan)
                     .threads(1)
-                    .jit(JitMode::Off)
                     .fuse(false)
                     .verify(VerifyMode::Strict),
             ),

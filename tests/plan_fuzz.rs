@@ -941,11 +941,10 @@ fn random_bytecode_exercises_fusion_broadly() {
     );
 }
 
-/// Sweep both fuse levels over the fixed seed population, through both
-/// the bytecode loop and the closure-JIT tier, and count what fired: the
-/// un-CSE'd 4-instruction window and the write-through chains must each
-/// fire broadly at `FuseLevel::Chains` and never at `Off`, while
-/// execution at every level and tier stays bit-identical to the unfused
+/// Sweep both fuse levels over the fixed seed population and count what
+/// fired: the un-CSE'd 4-instruction window and the write-through chains
+/// must each fire broadly at `FuseLevel::Chains` and never at `Off`,
+/// while execution at every level stays bit-identical to the unfused
 /// baseline.
 #[test]
 fn fuse_level_sweep_pins_quad_and_write_through_gating() {
@@ -962,38 +961,30 @@ fn fuse_level_sweep_pins_quad_and_write_through_gating() {
             wt += fused.fused_wt;
 
             let (base, base_f, base_i, base_a) = execute(&plan);
-            for (label, (run, f, i, a)) in
-                [("bytecode", execute(&fused)), ("jit", execute_jit(&fused))]
-            {
-                match (&base, &run) {
-                    (Ok(b), Ok(o)) => {
-                        assert_eq!(b, o, "stats diverge (seed {seed}, {level:?}, {label})")
-                    }
-                    (Err(b), Err(o)) => assert_eq!(
-                        b.message(),
-                        o.message(),
-                        "errors diverge (seed {seed}, {level:?}, {label})"
-                    ),
-                    _ => panic!(
-                        "one execution failed, the other did not \
-                         (seed {seed}, {level:?}, {label}): unfused={base:?} fused={run:?}"
-                    ),
-                }
-                assert_eq!(
-                    base_f.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    f.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    "f32 buffer diverges (seed {seed}, {level:?}, {label})"
-                );
-                assert_eq!(
-                    base_i, i,
-                    "i64 buffer diverges (seed {seed}, {level:?}, {label})"
-                );
-                assert_eq!(
-                    base_a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    "accessor buffer diverges (seed {seed}, {level:?}, {label})"
-                );
+            let (run, f, i, a) = execute(&fused);
+            match (&base, &run) {
+                (Ok(b), Ok(o)) => assert_eq!(b, o, "stats diverge (seed {seed}, {level:?})"),
+                (Err(b), Err(o)) => assert_eq!(
+                    b.message(),
+                    o.message(),
+                    "errors diverge (seed {seed}, {level:?})"
+                ),
+                _ => panic!(
+                    "one execution failed, the other did not \
+                     (seed {seed}, {level:?}): unfused={base:?} fused={run:?}"
+                ),
             }
+            assert_eq!(
+                base_f.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                f.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "f32 buffer diverges (seed {seed}, {level:?})"
+            );
+            assert_eq!(base_i, i, "i64 buffer diverges (seed {seed}, {level:?})");
+            assert_eq!(
+                base_a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "accessor buffer diverges (seed {seed}, {level:?})"
+            );
         }
         if level == FuseLevel::Chains {
             assert!(
@@ -1398,239 +1389,6 @@ fn op_budget_trips_are_fuse_invariant() {
 }
 
 // ----------------------------------------------------------------------
-// The closure-JIT tier: every seed through compiled closures
-// ----------------------------------------------------------------------
-
-/// [`execute`] through the closure-JIT tier: the identical launch, pool
-/// image and nd-range, but with the plan compiled to a closure chain and
-/// attached to the graph launch (a graph of one is exactly what
-/// `run_plan_launch` runs internally).
-fn execute_jit(plan: &KernelPlan) -> (Result<ExecStats, SimError>, Vec<f32>, Vec<i64>, Vec<f32>) {
-    use sycl_mlir_repro::sim::{jit_compile, run_plan_graph, LaunchDag, PlanLaunch};
-    let mut pool = MemoryPool::new();
-    let mf = pool.alloc(DataVec::F32(
-        (0..BUF_LEN).map(|i| i as f32 * 0.25).collect(),
-    ));
-    let mi = pool.alloc(DataVec::I64((0..BUF_LEN).map(|i| i as i64 - 4).collect()));
-    let ma = pool.alloc(DataVec::F32(
-        (0..BUF_LEN).map(|i| i as f32 * 0.5 - 2.0).collect(),
-    ));
-    let args = [
-        RtValue::MemRef(MemRefVal {
-            mem: mf,
-            offset: 0,
-            shape: [BUF_LEN as i64, 1, 1],
-            rank: 1,
-            space: Space::Global,
-        }),
-        RtValue::MemRef(MemRefVal {
-            mem: mi,
-            offset: 0,
-            shape: [BUF_LEN as i64, 1, 1],
-            rank: 1,
-            space: Space::Global,
-        }),
-        RtValue::Accessor(AccessorVal {
-            mem: ma,
-            range: [BUF_LEN as i64, 1, 1],
-            offset: [0, 0, 0],
-            rank: 1,
-            constant: false,
-        }),
-    ];
-    let compiled = jit_compile(plan);
-    let launches = [PlanLaunch {
-        plan: Some(plan),
-        args: &args,
-        nd: NdRangeSpec::d1(8, 4),
-        jit: Some(&compiled),
-        host: None,
-        facts: None,
-    }];
-    let result = run_plan_graph(
-        &launches,
-        &LaunchDag::independent(1),
-        &mut pool,
-        &CostModel::default(),
-        1,
-        false,
-    )
-    .map(|mut out| out.stats.pop().expect("one launch in, one stats out"));
-    let DataVec::F32(f) = pool.data(mf) else {
-        panic!()
-    };
-    let DataVec::I64(i) = pool.data(mi) else {
-        panic!()
-    };
-    let DataVec::F32(a) = pool.data(ma) else {
-        panic!()
-    };
-    (result, f.clone(), i.clone(), a.clone())
-}
-
-/// One seed's closure-tier round trip: the compiled chain must agree
-/// with the bytecode loop on statistics, error texts and every buffer
-/// bit — for the raw plan and for its fused form.
-fn check_seed_jit(seed: u64) {
-    let plan = Gen::new(seed).finish();
-    let mut fused = plan.clone();
-    fuse_plan(&mut fused);
-    for (p, label) in [(&plan, "unfused"), (&fused, "fused")] {
-        let (base, base_f, base_i, base_a) = execute(p);
-        let (jit, jit_f, jit_i, jit_a) = execute_jit(p);
-        match (&base, &jit) {
-            (Ok(b), Ok(j)) => assert_eq!(b, j, "stats diverge (seed {seed}, {label})"),
-            (Err(b), Err(j)) => assert_eq!(
-                b.message(),
-                j.message(),
-                "errors diverge (seed {seed}, {label})"
-            ),
-            _ => panic!(
-                "one tier failed, the other did not (seed {seed}, {label}): \
-                 bytecode={base:?} jit={jit:?}"
-            ),
-        }
-        assert_eq!(
-            base_f.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            jit_f.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            "f32 buffer diverges (seed {seed}, {label})"
-        );
-        assert_eq!(base_i, jit_i, "i64 buffer diverges (seed {seed}, {label})");
-        assert_eq!(
-            base_a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            jit_a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            "accessor buffer diverges (seed {seed}, {label})"
-        );
-    }
-}
-
-/// Every fixed fuzz seed through the closure tier — the same seed
-/// population as `random_bytecode_exercises_fusion_broadly`, so the
-/// closure compiler sees every superinstruction the fuzzer can build.
-#[test]
-fn closure_jit_matches_bytecode_on_all_fuzz_seeds() {
-    for seed in 0..128_u64 {
-        check_seed_jit(seed * 7919 + 13);
-    }
-}
-
-/// [`execute_limited`] through the closure-JIT tier (same launch shape).
-fn execute_jit_limited(
-    plan: &KernelPlan,
-    limits: &sycl_mlir_repro::sim::ExecLimits,
-) -> Result<ExecStats, SimError> {
-    use sycl_mlir_repro::sim::{jit_compile, run_plan_graph_limited, LaunchDag, PlanLaunch};
-    let mut pool = MemoryPool::new();
-    let mf = pool.alloc(DataVec::F32(vec![-1.0; BUF_LEN]));
-    let mi = pool.alloc(DataVec::I64(vec![7; BUF_LEN]));
-    let ma = pool.alloc(DataVec::F32(vec![0.0; BUF_LEN]));
-    let args = [
-        RtValue::MemRef(MemRefVal {
-            mem: mf,
-            offset: 0,
-            shape: [BUF_LEN as i64, 1, 1],
-            rank: 1,
-            space: Space::Global,
-        }),
-        RtValue::MemRef(MemRefVal {
-            mem: mi,
-            offset: 0,
-            shape: [BUF_LEN as i64, 1, 1],
-            rank: 1,
-            space: Space::Global,
-        }),
-        RtValue::Accessor(AccessorVal {
-            mem: ma,
-            range: [BUF_LEN as i64, 1, 1],
-            offset: [0, 0, 0],
-            rank: 1,
-            constant: false,
-        }),
-    ];
-    let compiled = jit_compile(plan);
-    let launches = [PlanLaunch {
-        plan: Some(plan),
-        args: &args,
-        nd: NdRangeSpec::d1(32, 4),
-        jit: Some(&compiled),
-        host: None,
-        facts: None,
-    }];
-    let mut out = run_plan_graph_limited(
-        &launches,
-        &LaunchDag::independent(1),
-        &mut pool,
-        &CostModel::default(),
-        1,
-        false,
-        limits,
-    )?;
-    Ok(out.stats.pop().expect("one launch in, one stats out"))
-}
-
-/// The op budget is **tier-invariant** on top of fuse-invariant: at
-/// every fuse level and every budget value, the closure tier and the
-/// bytecode loop either both complete with identical statistics or both
-/// trip `LimitExceeded { kind: Ops }` with the same message (hence the
-/// same work-group position) — the closure tier charges the same
-/// per-instruction weights from its flattened tables.
-#[test]
-fn op_budget_trips_are_tier_invariant() {
-    use sycl_mlir_repro::sim::{fuse_plan_with, ExecLimits, FuseLevel, LimitKind};
-
-    let plan = mid_chain_failing_plan(1 << 40);
-    let levels = [FuseLevel::Off, FuseLevel::Chains];
-    let plans: Vec<KernelPlan> = levels
-        .iter()
-        .map(|&lv| {
-            let mut p = plan.clone();
-            fuse_plan_with(&mut p, lv);
-            p
-        })
-        .collect();
-
-    let (mut trips, mut completions) = (0_u32, 0_u32);
-    for budget in 1..=512_u64 {
-        let limits = ExecLimits {
-            max_ops: Some(budget),
-            ..ExecLimits::none()
-        };
-        for (p, lv) in plans.iter().zip(&levels) {
-            let bytecode = execute_limited(p, &limits);
-            let jit = execute_jit_limited(p, &limits);
-            match (&bytecode, &jit) {
-                (Ok(b), Ok(j)) => {
-                    completions += 1;
-                    assert_eq!(
-                        b, j,
-                        "budget {budget}, fuse {lv:?}: stats diverge across tiers"
-                    );
-                }
-                (Err(b), Err(j)) => {
-                    trips += 1;
-                    assert_eq!(
-                        b.limit_kind(),
-                        Some(LimitKind::Ops),
-                        "budget {budget}, fuse {lv:?}: expected an op-budget trip, got: {b}"
-                    );
-                    assert_eq!(
-                        b.message(),
-                        j.message(),
-                        "budget {budget}, fuse {lv:?}: trip position diverges across tiers"
-                    );
-                }
-                _ => panic!(
-                    "budget {budget}, fuse {lv:?}: one tier tripped, the other did not: \
-                     bytecode={bytecode:?} jit={jit:?}"
-                ),
-            }
-        }
-    }
-    assert!(trips > 0, "no budget in the sweep tripped");
-    assert!(completions > 0, "no budget in the sweep completed");
-}
-
-// ----------------------------------------------------------------------
 // PR 10: the decode-time verifier over the fuzz population, plus
 // deliberate bait — plans the verifier must reject (or must refuse to
 // prove) with deterministic, structured findings.
@@ -1680,7 +1438,6 @@ fn execute_with_facts(
         plan: Some(plan),
         args: &args,
         nd: NdRangeSpec::d1(8, 4),
-        jit: None,
         host: None,
         facts,
     }];

@@ -5,9 +5,9 @@
 //! tasks, indirect-index gathers through a shared index buffer,
 //! barrier-ladder work-group reductions, 1–64 submissions — and executes
 //! each one under both schedules: the plan engine's out-of-order
-//! scheduler (1 and 4 worker threads, closure JIT on and off) and the
-//! tree-walk serial reference. Outputs (every buffer
-//! and USM allocation, compared bit-for-bit), per-kernel statistics,
+//! scheduler (1 and 4 worker threads) and the tree-walk serial
+//! reference. Outputs (every buffer and USM allocation, compared
+//! bit-for-bit), per-kernel statistics,
 //! launch/JIT cycles and the report's cycle totals must be identical
 //! everywhere; when the generator injects a failing kernel, all
 //! configurations must report the *same* error — the lexicographically
@@ -28,8 +28,8 @@ use sycl_mlir_repro::runtime::{
 };
 use sycl_mlir_repro::sim::{
     decode_kernel, run_plan_graph_report, AccessorVal, CostModel, DataVec, Device, Engine,
-    ExecLimits, ExecStats, FaultPlan, FaultSite, HostNode, HostView, JitMode, KernelPlan,
-    LaunchDag, LaunchStatus, MemoryPool, NdRangeSpec, PlanLaunch, RtValue,
+    ExecLimits, ExecStats, FaultPlan, FaultSite, HostNode, HostView, KernelPlan, LaunchDag,
+    LaunchStatus, MemoryPool, NdRangeSpec, PlanLaunch, RtValue,
 };
 use sycl_mlir_repro::sycl::device as sdev;
 use sycl_mlir_repro::sycl::types::AccessMode;
@@ -512,17 +512,14 @@ fn observe(spec: &GraphSpec, program: &mut Program, q: &Queue, device: &Device) 
 }
 
 /// The sweep every graph (and every error pin) runs under: the
-/// tree-walk serial reference, then the plan engine × threads 1 | 4 ×
-/// closure JIT on | off. Every knob the sweep varies is pinned, so the
-/// differential means the same under any environment.
+/// tree-walk serial reference, then the plan engine on 1 and 4 worker
+/// threads. Every knob the sweep varies is pinned, so the differential
+/// means the same under any environment.
 fn configs() -> Vec<(&'static str, Device)> {
-    let plan = |threads, jit| Device::with_engine(Engine::Plan).threads(threads).jit(jit);
     vec![
         ("tree-serial", Device::with_engine(Engine::TreeWalk)),
-        ("plan-t1", plan(1, JitMode::On)),
-        ("plan-t4", plan(4, JitMode::On)),
-        ("plan-t1-jit-off", plan(1, JitMode::Off)),
-        ("plan-t4-jit-off", plan(4, JitMode::Off)),
+        ("plan-t1", Device::with_engine(Engine::Plan).threads(1)),
+        ("plan-t4", Device::with_engine(Engine::Plan).threads(4)),
     ]
 }
 
@@ -748,7 +745,7 @@ fn earlier_divergence_beats_later_oob_panic() {
 /// faulting index is data (loaded out of the index buffer), not a
 /// static subscript — must surface as the identical structured error at
 /// the identical `(launch, group)` position under every engine
-/// (tree walk, plan bytecode, closure JIT) and thread count. The index
+/// (tree walk, plan bytecode) and thread count. The index
 /// data comes from a seeded rng over a range that overruns the buffer,
 /// exactly how a fuzzer would feed it.
 #[test]
