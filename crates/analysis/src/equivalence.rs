@@ -32,8 +32,7 @@ fn values_equivalent_rec(m: &Module, a: ValueId, b: ValueId, depth: usize) -> bo
     if ia != ib || m.op_name(oa) != m.op_name(ob) {
         return false;
     }
-    let info = m.op_info(oa);
-    if !(info.has_trait(traits::PURE) || info.has_trait(traits::CONSTANT_LIKE)) {
+    if !m.op_has_trait(oa, traits::PURE | traits::CONSTANT_LIKE) {
         return false;
     }
     if m.op_attrs(oa) != m.op_attrs(ob) {

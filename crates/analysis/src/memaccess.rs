@@ -343,7 +343,7 @@ fn dim_source(m: &Module, v: ValueId) -> Option<DimKind> {
     match m.value_def(v) {
         ValueDef::BlockArg { block, index: 0 } => {
             let owner = m.region_parent_op(m.block_region(block));
-            if m.op_info(owner).has_trait(sycl_mlir_ir::traits::LOOP_LIKE) {
+            if m.op_has_trait(owner, sycl_mlir_ir::traits::LOOP_LIKE) {
                 return Some(DimKind::LoopIv(owner));
             }
             None

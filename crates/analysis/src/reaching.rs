@@ -110,8 +110,8 @@ impl ReachingDefinitions {
     }
 
     fn exec_op(&mut self, m: &Module, op: OpId, state: &mut ReachState) {
-        let info = m.op_info(op);
-        if info.has_trait(traits::BRANCH_LIKE) && m.op_regions(op).len() == 2 {
+        let op_traits = m.op_traits(op);
+        if op_traits & traits::BRANCH_LIKE != 0 && m.op_regions(op).len() == 2 {
             let mut then_state = state.clone();
             self.exec_block(m, m.op_region_block(op, 0), &mut then_state);
             let mut else_state = state.clone();
@@ -120,7 +120,7 @@ impl ReachingDefinitions {
             state.join(&else_state);
             return;
         }
-        if info.has_trait(traits::LOOP_LIKE) && m.op_regions(op).len() == 1 {
+        if op_traits & traits::LOOP_LIKE != 0 && m.op_regions(op).len() == 1 {
             // Fixpoint over the loop body; the loop may execute zero times,
             // so the result joins the entry state.
             let entry = state.clone();

@@ -32,7 +32,7 @@ pub fn enclosing_loops(m: &Module, op: OpId, scope: OpId) -> Vec<OpId> {
         if c == scope {
             break;
         }
-        if m.op_info(c).has_trait(traits::LOOP_LIKE) {
+        if m.op_has_trait(c, traits::LOOP_LIKE) {
             out.push(c);
         }
         cur = m.op_parent_op(c);
@@ -54,7 +54,7 @@ pub fn enclosing_branch_conditions(m: &Module, op: OpId, scope: OpId) -> Vec<Val
         if c == scope {
             break;
         }
-        if m.op_info(c).has_trait(traits::BRANCH_LIKE) {
+        if m.op_has_trait(c, traits::BRANCH_LIKE) {
             out.push(m.op_operand(c, 0));
         }
         cur = m.op_parent_op(c);
@@ -84,12 +84,12 @@ pub fn perfectly_nested(m: &Module, outer: OpId, inner: OpId) -> bool {
     let block = m.op_region_block(outer, 0);
     let mut next_loop = None;
     for &op in m.block_ops(block) {
-        if m.op_info(op).has_trait(traits::LOOP_LIKE) {
+        if m.op_has_trait(op, traits::LOOP_LIKE) {
             if next_loop.is_some() {
                 return false; // two sibling loops
             }
             next_loop = Some(op);
-        } else if m.op_info(op).has_trait(traits::TERMINATOR) {
+        } else if m.op_has_trait(op, traits::TERMINATOR) {
             continue;
         } else if !sycl_mlir_ir::dialect::is_memory_effect_free(m, op) {
             return false;

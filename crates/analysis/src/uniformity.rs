@@ -153,22 +153,22 @@ impl UniformityAnalysis {
     }
 
     fn transfer(&mut self, m: &Module, func: OpId, rd: &ReachingDefinitions, op: OpId) -> bool {
-        let info = m.op_info(op);
+        let op_traits = m.op_traits(op);
         let mut changed = false;
 
-        if info.has_trait(traits::NON_UNIFORM_SOURCE) {
+        if op_traits & traits::NON_UNIFORM_SOURCE != 0 {
             for &r in m.op_results(op) {
                 changed |= self.set(r, Uniformity::NonUniform);
             }
             return changed;
         }
-        if info.has_trait(traits::CONSTANT_LIKE) {
+        if op_traits & traits::CONSTANT_LIKE != 0 {
             for &r in m.op_results(op) {
                 changed |= self.set(r, Uniformity::Uniform);
             }
             return changed;
         }
-        if info.has_trait(traits::LOOP_LIKE) && m.op_regions(op).len() == 1 {
+        if op_traits & traits::LOOP_LIKE != 0 && m.op_regions(op).len() == 1 {
             let block = m.op_region_block(op, 0);
             let bounds = m.op_operands(op)[..3]
                 .iter()
@@ -189,7 +189,7 @@ impl UniformityAnalysis {
             }
             return changed;
         }
-        if info.has_trait(traits::BRANCH_LIKE) && m.op_regions(op).len() == 2 {
+        if op_traits & traits::BRANCH_LIKE != 0 && m.op_regions(op).len() == 2 {
             let cond = self.get(m.op_operand(op, 0));
             for i in 0..m.op_results(op).len() {
                 let mut u = cond;

@@ -192,7 +192,7 @@ fn verify_cmp(m: &Module, op: OpId) -> Result<(), String> {
 /// constant-like op.
 pub fn const_of(m: &Module, v: ValueId) -> Option<Attribute> {
     let op = m.def_op(v)?;
-    if !m.op_info(op).has_trait(traits::CONSTANT_LIKE) {
+    if !m.op_has_trait(op, traits::CONSTANT_LIKE) {
         return None;
     }
     m.attr(op, "value").cloned()

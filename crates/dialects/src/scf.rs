@@ -160,7 +160,7 @@ pub mod loop_info {
 
     /// `true` for any op with the `LOOP_LIKE` trait.
     pub fn is_loop(m: &Module, op: OpId) -> bool {
-        m.op_info(op).has_trait(traits::LOOP_LIKE)
+        m.op_has_trait(op, traits::LOOP_LIKE)
     }
 }
 

@@ -245,12 +245,19 @@ impl Context {
 
     /// Registered metadata for an op name.
     pub fn op_info(&self, name: OpName) -> OpInfo {
-        self.inner.op_infos.borrow()[name.0 as usize].clone()
+        self.with_op_info(name, OpInfo::clone)
+    }
+
+    /// Read an op's registered metadata in place, without cloning it — the
+    /// accessor behind trait tests, name tests and the verifier's per-op
+    /// hook lookup. `f` must not register operations.
+    pub(crate) fn with_op_info<R>(&self, name: OpName, f: impl FnOnce(&OpInfo) -> R) -> R {
+        f(&self.inner.op_infos.borrow()[name.0 as usize])
     }
 
     /// Full textual name for an op.
     pub fn op_name_str(&self, name: OpName) -> Arc<str> {
-        self.inner.op_infos.borrow()[name.0 as usize].name.clone()
+        self.with_op_info(name, |info| info.name.clone())
     }
 
     /// Register a dialect (idempotent).

@@ -188,14 +188,16 @@ pub trait Dialect {
 /// This is the project-wide entry point mirroring MLIR's
 /// `getEffects`/`isMemoryEffectFree` queries used throughout §V–§VI.
 pub fn memory_effects(m: &Module, op: OpId) -> Option<Vec<Effect>> {
-    let info = m.op_info(op);
-    if info.has_trait(traits::PURE) || info.has_trait(traits::CONSTANT_LIKE) {
+    let (op_traits, effects) = m
+        .ctx()
+        .with_op_info(m.op_name(op), |info| (info.traits, info.effects));
+    if op_traits & (traits::PURE | traits::CONSTANT_LIKE) != 0 {
         return Some(Vec::new());
     }
-    if let Some(f) = info.effects {
+    if let Some(f) = effects {
         return Some(f(m, op));
     }
-    if info.has_trait(traits::RECURSIVE_EFFECTS) {
+    if op_traits & traits::RECURSIVE_EFFECTS != 0 {
         let mut all = Vec::new();
         for &region in m.op_regions(op) {
             for block in m.region_blocks(region) {
@@ -208,7 +210,7 @@ pub fn memory_effects(m: &Module, op: OpId) -> Option<Vec<Effect>> {
         return Some(all);
     }
     // Terminators that just forward values are effect-free.
-    if info.has_trait(traits::TERMINATOR) {
+    if op_traits & traits::TERMINATOR != 0 {
         return Some(Vec::new());
     }
     None

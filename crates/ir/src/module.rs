@@ -359,9 +359,21 @@ impl Module {
         self.ops[op.0 as usize].name
     }
 
-    /// Registered metadata for this op.
+    /// Registered metadata for this op (a clone: two `Arc<str>` plus the
+    /// hooks). Callers that only test traits use [`Module::op_has_trait`].
     pub fn op_info(&self, op: OpId) -> OpInfo {
         self.ctx.op_info(self.ops[op.0 as usize].name)
+    }
+
+    /// The op's registered [`crate::dialect::traits`] bit set.
+    pub fn op_traits(&self, op: OpId) -> u32 {
+        self.ctx
+            .with_op_info(self.ops[op.0 as usize].name, |info| info.traits)
+    }
+
+    /// `true` if the op carries any of the trait bits in `t`.
+    pub fn op_has_trait(&self, op: OpId, t: u32) -> bool {
+        self.op_traits(op) & t != 0
     }
 
     /// Full textual name, e.g. `"arith.addi"`.
@@ -371,7 +383,8 @@ impl Module {
 
     /// `true` if the op's full name equals `name`.
     pub fn op_is(&self, op: OpId, name: &str) -> bool {
-        &*self.op_name_str(op) == name
+        self.ctx
+            .with_op_info(self.ops[op.0 as usize].name, |info| &*info.name == name)
     }
 
     pub fn op_operands(&self, op: OpId) -> &[ValueId] {

@@ -1,8 +1,9 @@
 //! Pass manager infrastructure.
 //!
-//! Mirrors MLIR's pass pipeline: passes run in order over a module, with
-//! optional verification between passes and optional IR dumping (used by the
-//! Fig. 1 reproduction to show the compilation flow stage by stage).
+//! Mirrors MLIR's pass pipeline: passes run in order over a module, the
+//! verifier runs between passes, and the IR can be dumped after each pass
+//! (used by the Fig. 1 reproduction to show the compilation flow stage by
+//! stage).
 
 use crate::module::Module;
 use crate::printer::print_module;
@@ -22,15 +23,34 @@ pub trait Pass {
     fn run(&mut self, module: &mut Module) -> Result<bool, String>;
 }
 
+/// A borrowed pass is a pass: a pipeline can run passes its caller keeps,
+/// to read their statistics afterwards.
+impl<P: Pass + ?Sized> Pass for &mut P {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn run(&mut self, module: &mut Module) -> Result<bool, String> {
+        (**self).run(module)
+    }
+}
+
 /// Execution record for one pipeline run.
 #[derive(Debug, Clone, Default)]
 pub struct PassStats {
     /// `(pass name, wall time, changed)` per executed pass.
     pub per_pass: Vec<(String, Duration, bool)>,
+    /// Wall time spent in the verifier between passes.
+    pub verify_time: Duration,
+    /// Passes after which the verifier ran.
+    pub verifies_run: u32,
+    /// Passes that left the module exactly as it was last verified, so the
+    /// verifier did not run again.
+    pub verifies_skipped: u32,
 }
 
 impl PassStats {
-    /// Total pipeline wall time.
+    /// Total wall time of the passes (without the verifier between them).
     pub fn total_time(&self) -> Duration {
         self.per_pass.iter().map(|(_, d, _)| *d).sum()
     }
@@ -41,7 +61,13 @@ impl PassStats {
     }
 }
 
-/// Ordered pipeline of passes.
+/// Ordered pipeline of passes, owned or borrowed for `'p`.
+///
+/// The module is verified after every pass that touched it. "Touched" is
+/// read off [`Module::mutation_epoch`], never the pass's own `changed`
+/// report: the verifier's verdict is a function of the module's content and
+/// the op registry (whose entries never change once registered), so a
+/// module at the epoch it was last verified at needs no second look.
 ///
 /// ```
 /// use sycl_mlir_ir::{Context, Module, Pass, PassManager};
@@ -59,10 +85,8 @@ impl PassStats {
 /// let stats = pm.run(&mut m).unwrap();
 /// assert_eq!(stats.per_pass.len(), 1);
 /// ```
-pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
-    /// Verify the module after every pass (on by default).
-    pub verify_each: bool,
+pub struct PassManager<'p> {
+    passes: Vec<Box<dyn Pass + 'p>>,
     /// Capture the IR after each pass into [`PassManager::dumps`].
     pub dump_after_each: bool,
     /// `(pass name, IR text)` captured when [`PassManager::dump_after_each`]
@@ -70,24 +94,24 @@ pub struct PassManager {
     pub dumps: Vec<(String, String)>,
 }
 
-impl Default for PassManager {
-    fn default() -> PassManager {
+impl Default for PassManager<'_> {
+    fn default() -> Self {
         PassManager::new()
     }
 }
 
-impl PassManager {
-    pub fn new() -> PassManager {
+impl<'p> PassManager<'p> {
+    pub fn new() -> Self {
         PassManager {
             passes: Vec::new(),
-            verify_each: true,
             dump_after_each: false,
             dumps: Vec::new(),
         }
     }
 
-    /// Append a pass to the pipeline.
-    pub fn add_pass(&mut self, pass: impl Pass + 'static) -> &mut PassManager {
+    /// Append a pass to the pipeline: a pass value, or `&mut pass` to keep
+    /// the pass (and what it recorded) after the run.
+    pub fn add_pass(&mut self, pass: impl Pass + 'p) -> &mut Self {
         self.passes.push(Box::new(pass));
         self
     }
@@ -101,10 +125,13 @@ impl PassManager {
     ///
     /// # Errors
     ///
-    /// Returns the failing pass's message, or a verifier report if
-    /// [`PassManager::verify_each`] is set and a pass broke the IR.
+    /// Returns the failing pass's message, or the verifier's report if a
+    /// pass broke the IR.
     pub fn run(&mut self, module: &mut Module) -> Result<PassStats, String> {
         let mut stats = PassStats::default();
+        // `(module id, epoch)` of the last module state that verified; the
+        // id covers a pass that swaps in a different module.
+        let mut verified_at = None;
         for pass in &mut self.passes {
             let start = Instant::now();
             let changed = pass
@@ -113,9 +140,16 @@ impl PassManager {
             stats
                 .per_pass
                 .push((pass.name().to_string(), start.elapsed(), changed));
-            if self.verify_each {
-                verify(module)
-                    .map_err(|e| format!("IR invalid after pass `{}`:\n{e}", pass.name()))?;
+            let state = Some((module.module_id(), module.mutation_epoch()));
+            if verified_at == state {
+                stats.verifies_skipped += 1;
+            } else {
+                let start = Instant::now();
+                let verdict = verify(module);
+                stats.verify_time += start.elapsed();
+                stats.verifies_run += 1;
+                verdict.map_err(|e| format!("IR invalid after pass `{}`:\n{e}", pass.name()))?;
+                verified_at = state;
             }
             if self.dump_after_each {
                 self.dumps
@@ -194,5 +228,111 @@ mod tests {
         pm.run(&mut m).unwrap();
         assert_eq!(pm.dumps.len(), 1);
         assert!(pm.dumps[0].1.contains("t.mark"));
+    }
+    thread_local! {
+        /// Calls of `t.probe`'s verify hook: one per verifier run over a
+        /// module holding one such op.
+        static VERIFIES_SEEN: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A module holding one `t.probe`, whose verify hook counts.
+    fn probed_module() -> Module {
+        let ctx = Context::new();
+        ctx.register_op(OpInfo::new("t.mark"));
+        ctx.register_op(OpInfo::new("t.ret").with_traits(crate::traits::TERMINATOR));
+        ctx.register_op(OpInfo::new("t.probe").with_verify(|_, _| {
+            VERIFIES_SEEN.with(|n| n.set(n.get() + 1));
+            Ok(())
+        }));
+        let mut m = Module::new(&ctx);
+        let block = m.top_block();
+        Builder::at_end(&mut m, block).build("t.probe", &[], &[], vec![]);
+        VERIFIES_SEEN.with(|n| n.set(0));
+        m
+    }
+
+    /// Runs `edit` on the module and reports "no change" whatever it did.
+    struct Quiet {
+        name: &'static str,
+        runs: u32,
+        edit: fn(&mut Module),
+    }
+
+    impl Quiet {
+        fn new(name: &'static str, edit: fn(&mut Module)) -> Quiet {
+            Quiet {
+                name,
+                runs: 0,
+                edit,
+            }
+        }
+    }
+
+    impl Pass for Quiet {
+        fn name(&self) -> &'static str {
+            self.name
+        }
+
+        fn run(&mut self, m: &mut Module) -> Result<bool, String> {
+            self.runs += 1;
+            (self.edit)(m);
+            Ok(false)
+        }
+    }
+
+    fn add_mark(m: &mut Module) {
+        let block = m.top_block();
+        Builder::at_end(m, block).build("t.mark", &[], &[], vec![]);
+    }
+
+    /// A terminator followed by another op: invalid.
+    fn break_ir(m: &mut Module) {
+        let block = m.top_block();
+        Builder::at_end(m, block).build("t.ret", &[], &[], vec![]);
+        add_mark(m);
+    }
+
+    #[test]
+    fn verifier_runs_when_the_epoch_moved_whatever_the_pass_reports() {
+        let mut m = probed_module();
+        let mut pm = PassManager::new();
+        pm.add_pass(Quiet::new("untouched-1", |_| {})) // first pass: always verified
+            .add_pass(Quiet::new("untouched-2", |_| {})) // same module: skipped
+            .add_pass(Quiet::new("silent-edit", add_mark)) // Ok(false), but edited: verified
+            .add_pass(Quiet::new("untouched-3", |_| {})); // skipped
+        let stats = pm.run(&mut m).unwrap();
+        assert!(!stats.any_changed());
+        assert_eq!((stats.verifies_run, stats.verifies_skipped), (2, 2));
+        assert_eq!(VERIFIES_SEEN.with(|n| n.get()), 2);
+    }
+
+    #[test]
+    fn breakage_after_a_skipped_verify_names_the_breaking_pass() {
+        let mut m = probed_module();
+        let mut pm = PassManager::new();
+        pm.add_pass(Quiet::new("untouched-1", |_| {}))
+            .add_pass(Quiet::new("untouched-2", |_| {}))
+            .add_pass(Quiet::new("breaker", break_ir))
+            .add_pass(Quiet::new("never-runs", |_| {}));
+        let err = pm.run(&mut m).unwrap_err();
+        assert_eq!(
+            err,
+            "IR invalid after pass `breaker`:\n\
+             verifier: `t.ret` inside `builtin.module`: terminator is not the last operation of its block"
+        );
+        assert_eq!(VERIFIES_SEEN.with(|n| n.get()), 2);
+    }
+
+    #[test]
+    fn borrowed_passes_keep_their_state_for_the_caller() {
+        let mut m = probed_module();
+        let mut kept = Quiet::new("kept", add_mark);
+        let mut pm = PassManager::new();
+        pm.add_pass(&mut kept).add_pass(AddOp);
+        assert_eq!(pm.pass_names(), ["kept", "add-op"]);
+        let stats = pm.run(&mut m).unwrap();
+        drop(pm);
+        assert_eq!(kept.runs, 1);
+        assert_eq!(stats.per_pass[0].0, "kept");
     }
 }

@@ -52,9 +52,7 @@ pub fn apply_patterns_greedily(
             if m.op_is_erased(op) {
                 continue;
             }
-            let info = m.op_info(op);
-            let pure = info.has_trait(traits::PURE) || info.has_trait(traits::CONSTANT_LIKE);
-            if pure
+            if m.op_has_trait(op, traits::PURE | traits::CONSTANT_LIKE)
                 && !m.op_results(op).is_empty()
                 && m.op_results(op).iter().all(|&r| !m.value_has_uses(r))
                 && m.op_regions(op).is_empty()
@@ -73,12 +71,9 @@ pub fn apply_patterns_greedily(
                 changed = true;
                 continue;
             }
-            let name = m.op_name_str(op);
             for p in patterns {
-                if let Some(root_name) = p.root_name() {
-                    if root_name != &*name {
-                        continue;
-                    }
+                if p.root_name().is_some_and(|root| !m.op_is(op, root)) {
+                    continue;
                 }
                 if p.match_and_rewrite(m, op) {
                     changed = true;
@@ -98,8 +93,7 @@ pub fn apply_patterns_greedily(
 /// Attempt to fold a single op using its registered folder; constants are
 /// materialized through the context's constant materializer.
 pub fn try_fold(m: &mut Module, op: OpId) -> bool {
-    let info = m.op_info(op);
-    let Some(fold) = info.fold else {
+    let Some(fold) = m.ctx().with_op_info(m.op_name(op), |info| info.fold) else {
         return false;
     };
     let Some(outs) = fold(m, op) else {

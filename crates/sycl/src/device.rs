@@ -429,7 +429,7 @@ mod tests {
         let effects = sycl_mlir_ir::dialect::memory_effects(&m, barrier).unwrap();
         assert_eq!(effects.len(), 2);
         assert!(!sycl_mlir_ir::dialect::is_memory_effect_free(&m, barrier));
-        assert!(m.op_info(barrier).has_trait(traits::BARRIER));
+        assert!(m.op_has_trait(barrier, traits::BARRIER));
     }
 
     #[test]

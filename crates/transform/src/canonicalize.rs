@@ -2,6 +2,7 @@
 //! driver) and common-subexpression elimination.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 use sycl_mlir_ir::dialect::traits;
 use sycl_mlir_ir::{apply_patterns_greedily, Attribute, Module, OpId, Pass, ValueId};
 
@@ -22,7 +23,7 @@ impl Pass for CanonicalizePass {
 
 /// Structural key for CSE: op name + operands + attributes + result types
 /// (two `arith.constant 1`s of type `i32` and `index` must not merge).
-#[derive(PartialEq, Eq, Hash, Clone)]
+#[derive(PartialEq, Eq, Hash)]
 struct CseKey {
     name: u32,
     operands: Vec<ValueId>,
@@ -43,6 +44,17 @@ fn cse_key(m: &Module, op: OpId) -> CseKey {
     }
 }
 
+/// The expressions available at the op being visited, scoped by dominance:
+/// a block sees what the blocks around it bound, and what it binds itself
+/// is dropped again when it ends.
+#[derive(Default)]
+struct CseScope {
+    available: HashMap<Rc<CseKey>, Vec<ValueId>>,
+    /// Every key in `available`, in insertion order; a block truncates it
+    /// back to its entry length on exit.
+    bound: Vec<Rc<CseKey>>,
+}
+
 /// Common-subexpression elimination over pure, region-free operations,
 /// scoped by dominance (outer definitions are visible in nested regions).
 #[derive(Default)]
@@ -56,44 +68,43 @@ impl Pass for CsePass {
     fn run(&mut self, m: &mut Module) -> Result<bool, String> {
         let top = m.top();
         let mut changed = false;
-        let mut scope = HashMap::new();
-        cse_region_op(m, top, &mut scope, &mut changed);
+        cse_region_op(m, top, &mut CseScope::default(), &mut changed);
         Ok(changed)
     }
 }
 
-fn cse_region_op(
-    m: &mut Module,
-    op: OpId,
-    scope: &mut HashMap<CseKey, Vec<ValueId>>,
-    changed: &mut bool,
-) {
+fn cse_region_op(m: &mut Module, op: OpId, scope: &mut CseScope, changed: &mut bool) {
     let regions = m.op_regions(op).to_vec();
     for region in regions {
         let blocks = m.region_blocks(region).to_vec();
         for block in blocks {
-            // Nested scopes see outer bindings but cannot leak theirs out.
-            let snapshot = scope.clone();
+            let entry = scope.bound.len();
             let ops = m.block_ops(block).to_vec();
             for inner in ops {
                 if m.op_is_erased(inner) {
                     continue;
                 }
-                let info = m.op_info(inner);
-                let pure = info.has_trait(traits::PURE) || info.has_trait(traits::CONSTANT_LIKE);
+                let pure = m.op_has_trait(inner, traits::PURE | traits::CONSTANT_LIKE);
                 if pure && m.op_regions(inner).is_empty() && !m.op_results(inner).is_empty() {
                     let key = cse_key(m, inner);
-                    if let Some(existing) = scope.get(&key) {
+                    if let Some(existing) = scope.available.get(&key) {
                         let replacements = existing.clone();
                         m.replace_op(inner, &replacements);
                         *changed = true;
                         continue;
                     }
-                    scope.insert(key, m.op_results(inner).to_vec());
+                    let key = Rc::new(key);
+                    scope
+                        .available
+                        .insert(key.clone(), m.op_results(inner).to_vec());
+                    scope.bound.push(key);
                 }
                 cse_region_op(m, inner, scope, changed);
             }
-            *scope = snapshot;
+            // Nested scopes see outer bindings but cannot leak theirs out.
+            for key in scope.bound.drain(entry..) {
+                scope.available.remove(&key);
+            }
         }
     }
 }

@@ -452,7 +452,7 @@ pub struct DeadArgumentEliminationPass {
 
 impl Pass for DeadArgumentEliminationPass {
     fn name(&self) -> &'static str {
-        "sycl-dead-argument-elimination"
+        "sycl-dae"
     }
 
     fn run(&mut self, m: &mut Module) -> Result<bool, String> {

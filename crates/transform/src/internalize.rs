@@ -122,10 +122,10 @@ impl LoopInternalizationPass {
             let mut innermost = true;
             let mut has_barrier = false;
             m.walk(l, &mut |op| {
-                if op != l && m.op_info(op).has_trait(traits::LOOP_LIKE) {
+                if op != l && m.op_has_trait(op, traits::LOOP_LIKE) {
                     innermost = false;
                 }
-                if m.op_info(op).has_trait(traits::BARRIER) {
+                if m.op_has_trait(op, traits::BARRIER) {
                     has_barrier = true;
                 }
                 WalkControl::Advance

@@ -56,7 +56,7 @@ impl Pass for LicmPass {
     fn run(&mut self, m: &mut Module) -> Result<bool, String> {
         let mut loops = Vec::new();
         m.walk(m.top(), &mut |op| {
-            if m.op_info(op).has_trait(traits::LOOP_LIKE) {
+            if m.op_has_trait(op, traits::LOOP_LIKE) {
                 loops.push(op);
             }
             WalkControl::Advance
@@ -128,7 +128,7 @@ fn licm_on_loop(m: &mut Module, loop_op: OpId, versioning: bool, stats: &mut Lic
         }
         // Effects of nested loops/ifs were already collected recursively by
         // `memory_effects`; don't descend into them again.
-        if m.op_info(op).has_trait(traits::RECURSIVE_EFFECTS) {
+        if m.op_has_trait(op, traits::RECURSIVE_EFFECTS) {
             return WalkControl::Skip;
         }
         WalkControl::Advance
@@ -147,8 +147,7 @@ fn licm_on_loop(m: &mut Module, loop_op: OpId, versioning: bool, stats: &mut Lic
     };
 
     for &op in &body_ops {
-        let info = m.op_info(op);
-        if info.has_trait(traits::TERMINATOR) || info.has_trait(traits::BARRIER) {
+        if m.op_has_trait(op, traits::TERMINATOR | traits::BARRIER) {
             continue;
         }
         if !m.op_regions(op).is_empty() {

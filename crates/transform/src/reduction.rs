@@ -32,7 +32,7 @@ impl Pass for DetectReductionPass {
         loop {
             let mut loops = Vec::new();
             m.walk(m.top(), &mut |op| {
-                if m.op_info(op).has_trait(traits::LOOP_LIKE) {
+                if m.op_has_trait(op, traits::LOOP_LIKE) {
                     loops.push(op);
                 }
                 WalkControl::Advance
@@ -111,7 +111,7 @@ fn find_candidate(m: &Module, loop_op: OpId) -> Option<Candidate> {
             }
             None => unknown = true,
         }
-        if m.op_info(op).has_trait(traits::RECURSIVE_EFFECTS) {
+        if m.op_has_trait(op, traits::RECURSIVE_EFFECTS) {
             return WalkControl::Skip;
         }
         WalkControl::Advance

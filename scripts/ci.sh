@@ -4,10 +4,12 @@
 # under crates/shims/, so no step touches a registry.
 #
 #   ./scripts/ci.sh         # full gate: fmt, clippy, build, test, doc,
-#                           # bench/limits determinism smoke, profile
-#                           # artifact, perf-regression gate
+#                           # benchmark package tests, bench/limits
+#                           # determinism smoke, profile artifact,
+#                           # perf-regression gate
 #   ./scripts/ci.sh --fast  # format/lint/build/test/doc only — skips the
-#                           # bench smoke, artifacts and the perf gate
+#                           # benchmark package, bench smoke, artifacts
+#                           # and the perf gate
 #
 # Perf gate escape hatch: CI_SKIP_PERF_GATE=1 skips only the wall-time
 # comparison against scripts/bench-baseline.json (for machines whose
@@ -66,10 +68,20 @@ step "cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
 if [[ "$fast" == 1 ]]; then
-  echo "(--fast: skipping bench/limits smoke, artifacts and the perf gate)"
+  echo "(--fast: skipping the benchmark package, bench/limits smoke, artifacts and the perf gate)"
   summary
   exit 0
 fi
+
+# ----------------------------------------------------------------------
+# Benchmark package: benchmark/ is a Cargo package of its own that the
+# workspace build never sees, compiled against a frozen slice of the
+# crates' API (`pass_stats.per_pass` and its stage names among it). Build
+# it and run its tests, so that an API edit next to that slice cannot
+# leave the repo benchmark uncompilable unnoticed.
+# ----------------------------------------------------------------------
+step "benchmark package: cargo test --manifest-path benchmark/Cargo.toml"
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 # ----------------------------------------------------------------------
 # Bench smoke: the full evaluation sweep in quick mode under both
