@@ -110,7 +110,7 @@ const KNOBS: [Knob; 8] = [
         values: "on | off",
         default: "on",
         effect: "peephole-fuse decoded plans into superinstructions: pairs, indexed-access\n\
-                 and multiply-accumulate chains, un-CSE'd quads, write-through twins\n\
+                 and multiply-accumulate chains, the un-CSE'd accessor read\n\
                  (plan engine only)",
         set: |d, v| {
             put(on_off(v), |on| {

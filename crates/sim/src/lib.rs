@@ -38,15 +38,18 @@
 //!   post-decode **peephole fusion pass** ([`fuse_plan_with`], on by
 //!   default, `SYCL_MLIR_SIM_FUSE=off` to disable) then
 //!   rewrites hot instruction windows — pairs (load-accumulate,
-//!   `muli`+`addi` linear addressing, compare-branch, accumulate-store)
-//!   and bounded three-instruction **chains** (indexed accessor
-//!   loads/stores `vec.ctor`+`acc.subscript`+`Load`/`Store`, fused
-//!   multiply-accumulate `Load`+`mulf`+`addf`) — into superinstructions
-//!   with identical semantics and statistics ([`FuseLevel`]).
+//!   compare-branch, accumulate-store), bounded three-instruction
+//!   **chains** (the indexed accessor load
+//!   `vec.ctor`+`acc.subscript`+`Load`, fused multiply-accumulate
+//!   `Load`+`mulf`+`addf`) and the un-CSE'd four-instruction accessor
+//!   read — into superinstructions with identical semantics and
+//!   statistics ([`FuseLevel`]).
 //!
 //! The bytecode loop (`PlanWorkItem::run`) is the plan engine's only
 //! executor: executed instruction semantics are written once, there
-//! (ARCHITECTURE.md, "One plan executor", records why).
+//! (ARCHITECTURE.md, "One plan executor", records why) — a
+//! superinstruction's arm is composed of the same steps as its members'
+//! arms, never a restatement of them.
 //!
 //! **Register allocation** is per function: every SSA value (block argument
 //! or op result) receives a dense slot at decode time, and each call frame

@@ -2176,10 +2176,6 @@ mod tests {
             dense_consts: Vec::new(),
             mem_sites: 2,
             local_sites: 0,
-            fused_pairs: 0,
-            fused_chains: 0,
-            fused_quads: 0,
-            fused_wt: 0,
         }
     }
 
@@ -2332,10 +2328,6 @@ mod tests {
             dense_consts: Vec::new(),
             mem_sites: 3,
             local_sites: 0,
-            fused_pairs: 0,
-            fused_chains: 0,
-            fused_quads: 0,
-            fused_wt: 0,
         }
     }
 

@@ -1,7 +1,10 @@
 //! Decode-time static verification of kernel plans.
 //!
-//! Runs once per `(module, kernel)` decode, before fusion, and caches its
-//! result next to the plan. Three layers:
+//! Runs once per `(module, kernel)` decode, **before fusion**, and caches
+//! its result next to the plan: the verifier knows primitives only and
+//! rejects a plan that contains a superinstruction. Fusion keeps every
+//! memory-site id, so the proofs transfer to the fused plan by site.
+//! Three layers:
 //!
 //! 1. **Structural verifier** — register def-before-use, per-slot type
 //!    consistency, jump targets on instruction boundaries, call arity,
@@ -231,8 +234,7 @@ fn sym(tag: u32, payload: u32) -> Expr {
 // Shared instruction walkers
 // ----------------------------------------------------------------------
 
-/// Call `f` on every register an instruction *writes* (the write-through
-/// fusion variants write their kept intermediates in addition to `dst`).
+/// Call `f` on every register an instruction *writes*.
 fn for_each_write(instr: &Instr, mut f: impl FnMut(Reg)) {
     match instr {
         Instr::Const { dst, .. }
@@ -262,76 +264,19 @@ fn for_each_write(instr: &Instr, mut f: impl FnMut(Reg)) {
         | Instr::ItemSelf { dst }
         | Instr::AccSubscript { dst, .. }
         | Instr::AccRange { dst, .. }
-        | Instr::AccBase { dst, .. }
-        | Instr::LoadBinFloat { dst, .. }
-        | Instr::MulAddInt { dst, .. }
-        | Instr::AccLoadIndexed { dst, .. }
-        | Instr::LoadMulAddF { dst, .. } => f(*dst),
+        | Instr::AccBase { dst, .. } => f(*dst),
         Instr::ForEnter { iv, .. } | Instr::ForNext { iv, .. } => f(*iv),
         Instr::Call { results, .. } => results.iter().for_each(|&r| f(r)),
-        Instr::AccLoadQuad {
-            dst, id, view, cst, ..
-        } => {
-            f(*dst);
-            f(*id);
-            f(*view);
-            f(*cst);
-        }
-        Instr::AccStoreQuad { id, view, cst, .. } => {
-            f(*id);
-            f(*view);
-            f(*cst);
-        }
-        Instr::AccLoadIdxWt { dst, id, view, .. } => {
-            f(*dst);
-            f(*id);
-            f(*view);
-        }
-        Instr::AccStoreIdxWt { id, view, .. } => {
-            f(*id);
-            f(*view);
-        }
-        Instr::StoreBinFloatWt { t, .. } => f(*t),
-        Instr::Store { .. }
-        | Instr::AccStoreIndexed { .. }
-        | Instr::StoreBinFloat { .. }
-        | Instr::Barrier
-        | Instr::Jump { .. }
-        | Instr::BranchIfFalse { .. }
-        | Instr::CmpIBranch { .. }
-        | Instr::Return { .. } => {}
+        // Stores, barriers and control flow write nothing.
+        _ => {}
     }
 }
 
 /// The memory-access site id an instruction carries, if any.
 fn mem_site_of(instr: &Instr) -> Option<u32> {
     match instr {
-        Instr::Load { site, .. }
-        | Instr::Store { site, .. }
-        | Instr::LoadBinFloat { site, .. }
-        | Instr::AccLoadIndexed { site, .. }
-        | Instr::AccStoreIndexed { site, .. }
-        | Instr::LoadMulAddF { site, .. }
-        | Instr::StoreBinFloat { site, .. }
-        | Instr::AccLoadQuad { site, .. }
-        | Instr::AccStoreQuad { site, .. }
-        | Instr::AccLoadIdxWt { site, .. }
-        | Instr::AccStoreIdxWt { site, .. }
-        | Instr::StoreBinFloatWt { site, .. } => Some(*site),
+        Instr::Load { site, .. } | Instr::Store { site, .. } => Some(*site),
         _ => None,
-    }
-}
-
-/// Call `f` on every pc target an instruction carries (read-only twin of
-/// the fusion pass's remapper).
-fn for_each_target_ref(instr: &Instr, mut f: impl FnMut(u32)) {
-    match instr {
-        Instr::Jump { target }
-        | Instr::BranchIfFalse { target, .. }
-        | Instr::CmpIBranch { target, .. } => f(*target),
-        Instr::ForEnter { exit, .. } => f(*exit),
-        Instr::ForNext { body, .. } => f(*body),
-        _ => {}
     }
 }
 
@@ -342,23 +287,19 @@ fn falls_through(instr: &Instr) -> bool {
 
 /// Control-flow successors of the instruction at `pc`.
 fn succs(pc: usize, instr: &Instr) -> Vec<usize> {
-    match instr {
-        Instr::Jump { target } => vec![*target as usize],
-        Instr::Return { .. } => vec![],
-        Instr::BranchIfFalse { target, .. } | Instr::CmpIBranch { target, .. } => {
-            vec![pc + 1, *target as usize]
-        }
-        Instr::ForEnter { exit, .. } => vec![pc + 1, *exit as usize],
-        Instr::ForNext { body, .. } => vec![pc + 1, *body as usize],
-        _ => vec![pc + 1],
-    }
+    let fall = falls_through(instr).then_some(pc + 1);
+    fall.into_iter()
+        .chain(instr.target().map(|t| t as usize))
+        .collect()
 }
 
 // ----------------------------------------------------------------------
 // Entry point
 // ----------------------------------------------------------------------
 
-/// Verify a decoded (pre-fusion) plan. `Ok` carries the proven facts;
+/// Verify a decoded plan — the decoder's output, before
+/// [`crate::plan::fuse_plan`]; a superinstruction is a structural
+/// finding. `Ok` carries the proven facts;
 /// `Err` carries every violation found, sorted by `(func, pc)` — strict
 /// mode rejects the plan, lint mode reports and runs it unverified.
 pub fn verify_plan(plan: &KernelPlan) -> Result<PlanFacts, Vec<VerifyError>> {
@@ -404,27 +345,8 @@ pub fn verify_plan(plan: &KernelPlan) -> Result<PlanFacts, Vec<VerifyError>> {
 fn rank_fields(instr: &Instr) -> Vec<u32> {
     match instr {
         Instr::Alloca { rank, .. } | Instr::LocalAlloca { rank, .. } => vec![*rank],
-        Instr::Load { rank, .. }
-        | Instr::Store { rank, .. }
-        | Instr::LoadBinFloat { rank, .. }
-        | Instr::LoadMulAddF { rank, .. }
-        | Instr::StoreBinFloat { rank, .. }
-        | Instr::StoreBinFloatWt { rank, .. }
-        | Instr::VecCtor { rank, .. } => vec![*rank as u32],
-        Instr::AccLoadIndexed {
-            rank, comps_rank, ..
-        }
-        | Instr::AccStoreIndexed {
-            rank, comps_rank, ..
-        }
-        | Instr::AccLoadIdxWt {
-            rank, comps_rank, ..
-        }
-        | Instr::AccStoreIdxWt {
-            rank, comps_rank, ..
-        } => vec![*rank as u32, *comps_rank as u32],
-        Instr::AccLoadQuad { comps_rank, .. } | Instr::AccStoreQuad { comps_rank, .. } => {
-            vec![*comps_rank as u32]
+        Instr::Load { rank, .. } | Instr::Store { rank, .. } | Instr::VecCtor { rank, .. } => {
+            vec![*rank as u32]
         }
         _ => vec![],
     }
@@ -486,6 +408,16 @@ fn fatal_pass(plan: &KernelPlan, errs: &mut Vec<VerifyError>) {
             }
         }
         for (pc, instr) in code.iter().enumerate() {
+            if instr.op_weight() > 1 {
+                let m = instr.mnemonic();
+                err(
+                    errs,
+                    fi,
+                    pc,
+                    format!("superinstruction `{m}`: plans are verified before fusion"),
+                );
+                continue;
+            }
             let mut structurally_ok = true;
             for r in rank_fields(instr) {
                 if r > 3 {
@@ -498,11 +430,9 @@ fn fatal_pass(plan: &KernelPlan, errs: &mut Vec<VerifyError>) {
                     err(errs, fi, pc, format!("constant dimension {d} out of range"));
                 }
             }
-            for_each_target_ref(instr, |t| {
-                if t as usize >= code.len() {
-                    err(errs, fi, pc, format!("pc target {t} out of bounds"));
-                }
-            });
+            if let Some(t) = instr.target().filter(|&t| t as usize >= code.len()) {
+                err(errs, fi, pc, format!("pc target {t} out of bounds"));
+            }
             if pc + 1 == code.len() && falls_through(instr) {
                 err(
                     errs,
@@ -717,56 +647,18 @@ fn def_classes(instr: &Instr, out: &mut Vec<(Reg, Option<Class>)>) {
         | Instr::GlobalLinearId { dst }
         | Instr::LocalLinearId { dst }
         | Instr::AccRange { dst, .. }
-        | Instr::AccBase { dst, .. }
-        | Instr::MulAddInt { dst, .. } => out.push((*dst, Some(Class::Int))),
+        | Instr::AccBase { dst, .. } => out.push((*dst, Some(Class::Int))),
         Instr::BinFloat { dst, .. }
         | Instr::NegF { dst, .. }
         | Instr::SiToFp { dst, .. }
         | Instr::TruncF { dst, .. }
         | Instr::ExtF { dst, .. }
-        | Instr::Math { dst, .. }
-        | Instr::LoadBinFloat { dst, .. }
-        | Instr::LoadMulAddF { dst, .. } => out.push((*dst, Some(Class::Float))),
+        | Instr::Math { dst, .. } => out.push((*dst, Some(Class::Float))),
         Instr::VecCtor { dst, .. } => out.push((*dst, Some(Class::Vec))),
         Instr::NdRangeCtor { dst, .. } => out.push((*dst, Some(Class::Nd))),
         Instr::ItemSelf { dst } => out.push((*dst, Some(Class::Item))),
         Instr::ForEnter { iv, .. } | Instr::ForNext { iv, .. } => out.push((*iv, Some(Class::Int))),
         Instr::Call { results, .. } => results.iter().for_each(|&r| out.push((r, None))),
-        Instr::AccLoadIndexed { dst, .. } => out.push((*dst, None)),
-        Instr::AccLoadQuad {
-            dst,
-            id,
-            view,
-            cst,
-            cst_val,
-            ..
-        } => {
-            out.push((*dst, None));
-            out.push((*id, Some(Class::Vec)));
-            out.push((*view, Some(Class::Mem)));
-            out.push((*cst, class_of_val(cst_val)));
-        }
-        Instr::AccStoreQuad {
-            id,
-            view,
-            cst,
-            cst_val,
-            ..
-        } => {
-            out.push((*id, Some(Class::Vec)));
-            out.push((*view, Some(Class::Mem)));
-            out.push((*cst, class_of_val(cst_val)));
-        }
-        Instr::AccLoadIdxWt { dst, id, view, .. } => {
-            out.push((*dst, None));
-            out.push((*id, Some(Class::Vec)));
-            out.push((*view, Some(Class::Mem)));
-        }
-        Instr::AccStoreIdxWt { id, view, .. } => {
-            out.push((*id, Some(Class::Vec)));
-            out.push((*view, Some(Class::Mem)));
-        }
-        Instr::StoreBinFloatWt { t, .. } => out.push((*t, Some(Class::Float))),
         _ => {}
     }
 }
@@ -784,7 +676,7 @@ fn use_classes(instr: &Instr, out: &mut Vec<(Reg, Class)>) {
             .for_each(|&r| out.push((r, Class::Int)));
     };
     match instr {
-        Instr::BinInt { l, r, .. } | Instr::CmpI { l, r, .. } | Instr::CmpIBranch { l, r, .. } => {
+        Instr::BinInt { l, r, .. } | Instr::CmpI { l, r, .. } => {
             out.push((*l, Class::Int));
             out.push((*r, Class::Int));
         }
@@ -847,117 +739,6 @@ fn use_classes(instr: &Instr, out: &mut Vec<(Reg, Class)>) {
             out.push((*iv, Class::Int));
             out.push((*step, Class::Int));
             out.push((*ub, Class::Int));
-        }
-        Instr::LoadBinFloat {
-            other,
-            mem,
-            idx,
-            rank,
-            ..
-        } => {
-            out.push((*other, Class::Float));
-            out.push((*mem, Class::Mem));
-            idxs(idx, *rank, out);
-        }
-        Instr::MulAddInt { a, b, c, .. } => {
-            out.push((*a, Class::Int));
-            out.push((*b, Class::Int));
-            out.push((*c, Class::Int));
-        }
-        Instr::AccLoadIndexed {
-            acc,
-            comps,
-            comps_rank,
-            idx,
-            rank,
-            ..
-        }
-        | Instr::AccLoadIdxWt {
-            acc,
-            comps,
-            comps_rank,
-            idx,
-            rank,
-            ..
-        } => {
-            out.push((*acc, Class::Acc));
-            comps[..*comps_rank as usize]
-                .iter()
-                .for_each(|&r| out.push((r, Class::Int)));
-            idxs(idx, *rank, out);
-        }
-        Instr::AccStoreIndexed {
-            acc,
-            comps,
-            comps_rank,
-            idx,
-            rank,
-            ..
-        }
-        | Instr::AccStoreIdxWt {
-            acc,
-            comps,
-            comps_rank,
-            idx,
-            rank,
-            ..
-        } => {
-            out.push((*acc, Class::Acc));
-            comps[..*comps_rank as usize]
-                .iter()
-                .for_each(|&r| out.push((r, Class::Int)));
-            idxs(idx, *rank, out);
-        }
-        Instr::AccLoadQuad {
-            acc,
-            comps,
-            comps_rank,
-            ..
-        }
-        | Instr::AccStoreQuad {
-            acc,
-            comps,
-            comps_rank,
-            ..
-        } => {
-            out.push((*acc, Class::Acc));
-            comps[..*comps_rank as usize]
-                .iter()
-                .for_each(|&r| out.push((r, Class::Int)));
-        }
-        Instr::LoadMulAddF {
-            mem,
-            idx,
-            rank,
-            b,
-            c,
-            ..
-        } => {
-            out.push((*mem, Class::Mem));
-            idxs(idx, *rank, out);
-            out.push((*b, Class::Float));
-            out.push((*c, Class::Float));
-        }
-        Instr::StoreBinFloat {
-            l,
-            r,
-            mem,
-            idx,
-            rank,
-            ..
-        }
-        | Instr::StoreBinFloatWt {
-            l,
-            r,
-            mem,
-            idx,
-            rank,
-            ..
-        } => {
-            out.push((*l, Class::Float));
-            out.push((*r, Class::Float));
-            out.push((*mem, Class::Mem));
-            idxs(idx, *rank, out);
         }
         _ => {}
     }
@@ -1062,11 +843,6 @@ fn uniform_decodable_regs(func: &FuncPlan) -> Vec<bool> {
                 | Instr::LocalLinearId { .. }
                 | Instr::ItemSelf { .. }
                 | Instr::Load { .. }
-                | Instr::LoadBinFloat { .. }
-                | Instr::LoadMulAddF { .. }
-                | Instr::AccLoadIndexed { .. }
-                | Instr::AccLoadQuad { .. }
-                | Instr::AccLoadIdxWt { .. }
                 | Instr::Call { .. }
                 | Instr::Alloca { .. }
                 | Instr::LocalAlloca { .. }
@@ -1354,7 +1130,7 @@ fn interval_pass(plan: &KernelPlan) -> Vec<Option<SiteProof>> {
         match instr {
             Instr::ForNext { .. } => {}
             Instr::ForEnter { exit, .. } => backward = *exit as usize <= pc,
-            _ => for_each_target_ref(instr, |t| backward |= t as usize <= pc),
+            _ => backward = instr.target().is_some_and(|t| t as usize <= pc),
         }
         if backward {
             return proofs;
@@ -1405,16 +1181,6 @@ fn interval_pass(plan: &KernelPlan) -> Vec<Option<SiteProof>> {
             Instr::Select { dst, t, f, .. } => {
                 e[*dst as usize] = match (int_of(&e[*t as usize]), int_of(&e[*f as usize])) {
                     (Some(ti), Some(fi)) => Interval::hull(&ti, &fi).map_or(AVal::Top, AVal::Int),
-                    _ => AVal::Top,
-                };
-            }
-            Instr::MulAddInt { dst, a, b, c } => {
-                let prod = match (int_of(&e[*a as usize]), int_of(&e[*b as usize])) {
-                    (Some(ai), Some(bi)) => Interval::mul(&ai, &bi),
-                    _ => None,
-                };
-                e[*dst as usize] = match (prod, int_of(&e[*c as usize])) {
-                    (Some(p), Some(ci)) => Interval::add(&p, &ci).map_or(AVal::Top, AVal::Int),
                     _ => AVal::Top,
                 };
             }
@@ -1599,7 +1365,7 @@ fn interval_pass(plan: &KernelPlan) -> Vec<Option<SiteProof>> {
                 cur = None;
                 continue;
             }
-            Instr::BranchIfFalse { target, .. } | Instr::CmpIBranch { target, .. } => {
+            Instr::BranchIfFalse { target, .. } => {
                 join_pending(&mut pending[*target as usize], e.clone());
             }
             Instr::Return { .. } => {
@@ -1619,11 +1385,8 @@ fn interval_pass(plan: &KernelPlan) -> Vec<Option<SiteProof>> {
                 }
             }
             other => {
-                // Floats, casts, calls and fused superinstructions:
-                // smash every written register to Top (fused memory
-                // variants keep their sites unproven — the device
-                // verifies pre-fusion, so nothing is lost on the
-                // production path).
+                // Floats, casts and calls: smash every written register
+                // to Top.
                 let mut regs = Vec::new();
                 for_each_write(other, |r| regs.push(r));
                 for r in regs {
@@ -1659,10 +1422,6 @@ mod tests {
             dense_consts: vec![],
             mem_sites: sites,
             local_sites: 0,
-            fused_pairs: 0,
-            fused_chains: 0,
-            fused_quads: 0,
-            fused_wt: 0,
         }
     }
 
@@ -1760,10 +1519,6 @@ mod tests {
             dense_consts: vec![],
             mem_sites: 0,
             local_sites: 0,
-            fused_pairs: 0,
-            fused_chains: 0,
-            fused_quads: 0,
-            fused_wt: 0,
         };
         let errs = verify_plan(&p).unwrap_err();
         assert!(

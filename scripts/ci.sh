@@ -37,10 +37,12 @@ step() { printf '\n== %s ==\n' "$1"; }
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# The last thing the gate prints: how long it took and how many tests
-# `cargo test` passed — the two numbers a PR that adds or removes
-# configurations is expected to report before/after.
+# The last thing the gate prints: the simulator's line count (ROADMAP aim
+# 2: "lines removed is a reported metric"), how long the gate took and how
+# many tests `cargo test` passed — the numbers a PR that adds or removes
+# code or configurations is expected to report before/after.
 summary() {
+  wc -l crates/sim/src/*.rs
   passed=$(awk '/^test result:/ { n += $4 } END { print n + 0 }' "$tmp/test.log")
   echo "ci.sh wall time: $(( $(date +%s) - ci_start )) s; cargo test: $passed passed"
 }
@@ -272,6 +274,13 @@ if ! [ -s "$artifacts/opcode-mix.txt" ]; then
   echo "FAIL: --profile=on produced no instruction profile section" >&2
   exit 1
 fi
+# A silently disabled matcher keeps every table diff green (fusion only
+# changes wall time): the sweep must have executed superinstructions.
+fused_re='^ +[0-9]+  (acc\.load\.(idx|quad)|load\.(addf|mulf|binf|fma)|(addf|mulf|binf)\.store|cmpi\.br)$'
+if ! grep -Eq "$fused_re" "$artifacts/opcode-mix.txt"; then
+  echo "FAIL: the opcode mix lists no fused mnemonic — did fusion run?" >&2
+  exit 1
+fi
 head -n 14 "$artifacts/opcode-mix.txt"
 echo "  ... (full opcode mix in $artifacts/opcode-mix.txt)"
 
@@ -343,7 +352,7 @@ else
 fi
 
 echo
-echo "wall-time regression check (PR 5 baseline: ~0.84 s threads=4; PR 7: ~0.80 s):"
+echo "wall-time regression check (scripts/bench-baseline.json, threads=4: ${baseline} s):"
 # Each trailer carries the effective configuration of its run.
 for run in t1 t4 nofuse tree limits vstrict voff; do
   grep '^repro_wall_time_seconds:' "$tmp/$run.out" | sed 's/^/  /'

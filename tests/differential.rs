@@ -81,6 +81,7 @@ proptest! {
 // ----------------------------------------------------------------------
 
 mod engine_differential {
+    use std::collections::BTreeMap;
     use sycl_mlir_bench::quick_size;
     use sycl_mlir_repro::benchsuite::{all_workloads, run_workload_on};
     use sycl_mlir_repro::core::FlowKind;
@@ -271,28 +272,18 @@ mod engine_differential {
         }
     }
 
-    /// The benchsuite's kernels must actually exercise the fusion pass —
-    /// otherwise the superinstructions are dead code and the measured
-    /// speedup is noise. Pairs and three-instruction chains are asserted
-    /// separately, and the indexed-access superinstructions (the
-    /// `--profile` mode's top-ranked candidate, the accessor addressing
-    /// chain) must appear specifically.
-    #[test]
-    fn fusion_fires_on_benchsuite_kernels() {
+    /// Superinstruction mnemonic -> a count.
+    type PerWindow<T> = BTreeMap<&'static str, T>;
+
+    /// Per flow, how often each superinstruction occurs in the fused
+    /// plans of the kernels the benchsuite compiles, plus every such
+    /// mnemonic's `Instr::op_weight`.
+    fn benchsuite_windows() -> (Vec<(FlowKind, PerWindow<u32>)>, PerWindow<u64>) {
         use sycl_mlir_repro::sim::fuse_plan;
-        use sycl_mlir_repro::sim::plan::Instr;
-        #[derive(Default)]
-        struct Counts {
-            pairs: u32,
-            chains: u32,
-            quads: u32,
-            wt: u32,
-            indexed_access: u32,
-            fma: u32,
-        }
+        let mut weights = BTreeMap::new();
         let mut per_flow = Vec::new();
         for kind in [FlowKind::Dpcpp, FlowKind::AdaptiveCpp, FlowKind::SyclMlir] {
-            let mut c = Counts::default();
+            let mut c = PerWindow::new();
             for w in all_workloads() {
                 if kind == FlowKind::AdaptiveCpp && w.acpp_fails {
                     continue;
@@ -308,73 +299,109 @@ mod engine_differential {
                     if sycl_mlir_repro::sycl::device::is_kernel(m, f) {
                         if let Ok(mut plan) = decode_kernel(m, f) {
                             fuse_plan(&mut plan);
-                            c.pairs += plan.fused_pairs;
-                            c.chains += plan.fused_chains;
-                            c.quads += plan.fused_quads;
-                            c.wt += plan.fused_wt;
-                            for func in &plan.funcs {
-                                for instr in &func.code {
-                                    match instr {
-                                        Instr::AccLoadIndexed { .. }
-                                        | Instr::AccStoreIndexed { .. } => c.indexed_access += 1,
-                                        Instr::LoadMulAddF { .. } => c.fma += 1,
-                                        _ => {}
-                                    }
-                                }
+                            for i in plan.superinstructions() {
+                                *c.entry(i.mnemonic()).or_insert(0) += 1;
+                                weights.insert(i.mnemonic(), i.op_weight());
                             }
                         }
                     }
                 }
             }
-            println!(
-                "benchsuite fusion [{}]: {} pairs, {} chains, {} quads, {} write-through \
-                 ({} indexed-access, {} load-fma)",
-                kind.name(),
-                c.pairs,
-                c.chains,
-                c.quads,
-                c.wt,
-                c.indexed_access,
-                c.fma
-            );
+            println!("benchsuite fusion [{}]: {c:?}", kind.name());
             per_flow.push((kind, c));
         }
+        (per_flow, weights)
+    }
+
+    /// Every window of the pattern table must occur in the kernels the
+    /// benchsuite compiles, and the flow-specific shapes where they are
+    /// expected: the un-CSE'd quad in the DPC++ flow, the
+    /// multiply-accumulate chain in the SYCL-MLIR flow. That a window
+    /// which occurs is also *executed* is
+    /// `every_window_in_a_compiled_kernel_executes`'s job.
+    #[test]
+    fn fusion_fires_on_benchsuite_kernels() {
+        let (per_flow, _) = benchsuite_windows();
+        let count =
+            |c: &PerWindow<u32>, ws: &[&str]| -> u32 { ws.iter().filter_map(|w| c.get(w)).sum() };
         for (kind, c) in &per_flow {
-            assert!(
-                c.pairs > 20,
-                "[{}] expected the pair patterns to fire broadly, got {}",
-                kind.name(),
-                c.pairs
-            );
-            assert!(
-                c.chains > 20,
-                "[{}] expected chain fusion to fire broadly, got {}",
-                kind.name(),
-                c.chains
-            );
-            assert!(
-                c.indexed_access > 10,
-                "[{}] expected indexed accessor loads/stores, got {}",
-                kind.name(),
-                c.indexed_access
-            );
+            for (window, floor) in [
+                (&["acc.load.idx"][..], 10),
+                (&["load.addf", "load.mulf"][..], 5),
+                (&["addf.store", "mulf.store", "binf.store"][..], 5),
+                (&["cmpi.br"][..], 5),
+            ] {
+                let n = count(c, window);
+                assert!(
+                    n > floor,
+                    "[{}] expected {window:?} to occur broadly (> {floor}), got {n}",
+                    kind.name()
+                );
+            }
         }
         // The un-CSE'd DPC++-flow shape (`vec.ctor + subscript + const 0
-        // + load/store`) must fuse through the 4-instruction window —
-        // this was the silent coverage gap.
-        let dpcpp = &per_flow[0].1;
+        // + load`) must fuse through the 4-instruction window.
+        let quads = count(&per_flow[0].1, &["acc.load.quad"]);
         assert!(
-            dpcpp.quads > 0,
-            "expected the un-CSE'd DPC++-flow quad chain to fire, got {}",
-            dpcpp.quads
+            quads > 0,
+            "expected the un-CSE'd DPC++-flow quad chain to occur, got {quads}"
         );
-        // Multiply-read subscript views (GEMM's `c[i,j]` read+write) must
-        // take the write-through chains instead of blocking.
-        let total_wt: u32 = per_flow.iter().map(|(_, c)| c.wt).sum();
+        // The multiply-accumulate chain only becomes adjacent in the
+        // SYCL-MLIR flow.
+        let fma = count(&per_flow[2].1, &["load.fma"]);
         assert!(
-            total_wt > 0,
-            "expected write-through chains to fire somewhere in the suite"
+            fma > 0,
+            "expected load.fma in the SYCL-MLIR flow, got {fma}"
         );
+    }
+
+    /// Traffic, not baits: a superinstruction that occurs in some compiled
+    /// kernel but never *executes* over the whole quick suite is a window
+    /// nobody runs. Runs the suite on a profiled device and
+    /// prints, per window, its executions and the share of dispatches it
+    /// saves: `(length - 1) x executions / total dispatches`.
+    #[test]
+    fn every_window_in_a_compiled_kernel_executes() {
+        let (per_flow, weights) = benchsuite_windows();
+        let device = Device::with_engine(Engine::Plan).profile(true);
+        for w in all_workloads() {
+            for kind in FlowKind::all() {
+                if kind == FlowKind::AdaptiveCpp && w.acpp_fails {
+                    continue;
+                }
+                run_workload_on(&w, quick_size(&w), kind, &device)
+                    .unwrap_or_else(|e| panic!("{} [{}]: {e}", w.name, kind.name()));
+            }
+        }
+        // The opcode mix as `--profile=on` prints it: `<count>  <opcode>`
+        // rows between the section header and the first blank line.
+        let report = device.profile_report().expect("profiled launches ran");
+        let executions: BTreeMap<&str, u64> = report
+            .lines()
+            .skip(2)
+            .take_while(|l| !l.is_empty())
+            .map(|l| {
+                let mut cols = l.split_whitespace();
+                let n = cols.next().expect("count column").parse().expect("count");
+                (cols.next().expect("opcode column"), n)
+            })
+            .collect();
+        let total: u64 = executions.values().sum();
+        println!("{total} dispatches over the quick suite");
+        println!(
+            "{:<18}{:>8}{:>14}{:>10}",
+            "window", "sites", "executions", "saved"
+        );
+        for (&window, &weight) in &weights {
+            let sites: u32 = per_flow.iter().filter_map(|(_, c)| c.get(window)).sum();
+            let n = executions.get(window).copied().unwrap_or(0);
+            let saved = 100.0 * ((weight - 1) * n) as f64 / total as f64;
+            println!("{window:<18}{sites:>8}{n:>14}{saved:>9.2}%");
+            assert!(
+                n > 0,
+                "{window} occurs at {sites} sites of the compiled kernels but never executed"
+            );
+        }
     }
 
     /// Re-running a workload on the same device must serve the repeat

@@ -9,13 +9,16 @@
 //! The generator builds structurally valid bytecode directly (typed
 //! register pools, masked in-bounds indices, forward-only branches,
 //! constant loop bounds), deliberately including the raw material of every
-//! fusion pattern — `Load`+`addf`/`mulf`, `muli`+`addi`, `cmpi`+branch,
-//! the `vec.ctor`+`acc.subscript`+`Load`/`Store` accessor chains, the
-//! un-CSE'd 4-instruction window (the `Const 0` re-materialized between
-//! the subscript and the access), indirect-index chains whose subscript
-//! is *loaded* out of a buffer, accumulate-into-view shapes that force
-//! the write-through variants, the `Load`+`mulf`+`addf`
-//! multiply-accumulate chain, accumulate+`Store` — *and* runtime
+//! fusion pattern — `Load`+`addf`/`mulf`, `cmpi`+branch, the
+//! `vec.ctor`+`acc.subscript`+`Load` accessor chain, the un-CSE'd
+//! 4-instruction window (the `Const 0` re-materialized between the
+//! subscript and the access), indirect-index chains whose subscript is
+//! *loaded* out of a buffer, the `Load`+`mulf`+`addf` multiply-accumulate
+//! chain, accumulate+`Store` — the shapes of the windows that were
+//! retired because they did not pay (`muli`+`addi`, the store-side
+//! accessor chains, the multiply-read views and accumulators the
+//! write-through twins took), which must now run unfused and
+//! bit-identically — *and* runtime
 //! failures (division by zero) whose position fused and unfused
 //! execution must agree on. Deterministic pin tests additionally hold a
 //! superinstruction that fails **mid-chain** to the unfused error and to
@@ -193,7 +196,8 @@ impl Gen {
                 self.ints.push(dst);
             }
             5 => {
-                // The muli + addi linear-addressing chain (MulAddInt bait).
+                // The muli + addi linear-addressing chain (no window:
+                // must run as decoded).
                 let (a, b, c) = (self.pick_int(), self.pick_int(), self.pick_int());
                 let t = self.fresh();
                 self.code.push(Instr::BinInt {
@@ -294,7 +298,8 @@ impl Gen {
     }
 
     /// Emit the accessor addressing chain — `vec.ctor`, `acc.subscript`,
-    /// then `Load`/`Store` (AccLoadIndexed / AccStoreIndexed bait). The
+    /// then `Load`/`Store` (AccLoadIndexed bait; the store side has no
+    /// window). The
     /// masked index and the inner zero index are materialized *before*
     /// the chain so the three members stay adjacent.
     fn acc_chain(&mut self) {
@@ -357,7 +362,8 @@ impl Gen {
 
     /// Emit the un-CSE'd DPC++ accessor chain — `vec.ctor`,
     /// `acc.subscript`, then a *freshly materialized* `Const 0` and the
-    /// `Load`/`Store` (AccLoadQuad / AccStoreQuad bait): unoptimized
+    /// `Load`/`Store` (AccLoadQuad bait; the store side has no window):
+    /// unoptimized
     /// DPC++ re-materializes the inner zero index between the subscript
     /// and the access instead of hoisting it, so the 4-instruction
     /// window must capture the interposed constant.
@@ -483,10 +489,9 @@ impl Gen {
     }
 
     /// Accumulate-into-view bait: subscript once, then both read *and*
-    /// write through the view. The multiply-read view blocks the elided
-    /// chain, so the write-through variants (AccLoadIdxWt /
-    /// AccStoreIdxWt, and StoreBinFloatWt when the accumulator is also
-    /// re-read) must pick it up.
+    /// write through the view. The multiply-read view blocks the eliding
+    /// chain and there is no write-through twin, so the addressing (and
+    /// an accumulator that is also re-read) runs as decoded.
     fn view_accum(&mut self) {
         let idx = self.masked_index();
         let zero = self.fresh();
@@ -799,10 +804,6 @@ impl Gen {
             dense_consts: Vec::new(),
             mem_sites: self.sites,
             local_sites: 0,
-            fused_pairs: 0,
-            fused_chains: 0,
-            fused_quads: 0,
-            fused_wt: 0,
         }
     }
 }
@@ -862,9 +863,14 @@ fn execute(plan: &KernelPlan) -> (Result<ExecStats, SimError>, Vec<f32>, Vec<i64
     (result, f.clone(), i.clone(), a.clone())
 }
 
+/// Mnemonics of the windows fusion formed in `plan`, in code order.
+fn windows(plan: &KernelPlan) -> Vec<&'static str> {
+    plan.superinstructions().map(Instr::mnemonic).collect()
+}
+
 /// One seed's round trip: generate, fuse a clone, execute both, compare
-/// everything. Returns `(pairs, chains, quads, write_through)` fused.
-fn check_seed(seed: u64) -> (u32, u32, u32, u32) {
+/// everything. Returns the mnemonics of the windows that fused.
+fn check_seed(seed: u64) -> Vec<&'static str> {
     let plan = Gen::new(seed).finish();
     let mut fused = plan.clone();
     fuse_plan(&mut fused);
@@ -890,12 +896,7 @@ fn check_seed(seed: u64) -> (u32, u32, u32, u32) {
         opt_a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
         "accessor buffer diverges (seed {seed})"
     );
-    (
-        fused.fused_pairs,
-        fused.fused_chains,
-        fused.fused_quads,
-        fused.fused_wt,
-    )
+    windows(&fused)
 }
 
 proptest! {
@@ -910,55 +911,55 @@ proptest! {
 }
 
 /// The generator must actually feed the fusion pass — otherwise the
-/// property above passes vacuously on unfusable programs. The pair
-/// patterns, the three-instruction chains, the un-CSE'd 4-instruction
-/// window and the write-through variants must all fire broadly.
+/// property above passes vacuously on unfusable programs. Every window
+/// of the pattern table must fire broadly.
 #[test]
 fn random_bytecode_exercises_fusion_broadly() {
-    let (mut pairs, mut chains, mut quads, mut wt) = (0_u32, 0_u32, 0_u32, 0_u32);
+    let mut fired = std::collections::BTreeMap::new();
     for seed in 0..128_u64 {
-        let (p, c, q, w) = check_seed(seed * 7919 + 13);
-        pairs += p;
-        chains += c;
-        quads += q;
-        wt += w;
+        for w in check_seed(seed * 7919 + 13) {
+            *fired.entry(w).or_insert(0_u32) += 1;
+        }
     }
-    assert!(
-        pairs > 100,
-        "expected the random programs to trigger pair fusion broadly, got {pairs}"
-    );
-    assert!(
-        chains > 50,
-        "expected the random programs to trigger chain fusion broadly, got {chains}"
-    );
-    assert!(
-        quads > 25,
-        "expected the un-CSE'd 4-instruction window to fire broadly, got {quads}"
-    );
-    assert!(
-        wt > 25,
-        "expected the write-through chains to fire broadly, got {wt}"
-    );
+    println!("windows fused over the seed population: {fired:?}");
+    for (window, floor) in [
+        (&["load.addf", "load.mulf"][..], 50),
+        (&["addf.store", "mulf.store", "binf.store"][..], 50),
+        (&["cmpi.br"][..], 50),
+        (&["acc.load.idx"][..], 25),
+        (&["load.fma"][..], 25),
+        (&["acc.load.quad"][..], 25),
+    ] {
+        let n: u32 = window.iter().filter_map(|w| fired.get(w)).sum();
+        assert!(
+            n > floor,
+            "expected {window:?} to fire broadly (> {floor}), got {n}"
+        );
+    }
 }
 
 /// Sweep both fuse levels over the fixed seed population and count what
-/// fired: the un-CSE'd 4-instruction window and the write-through chains
-/// must each fire broadly at `FuseLevel::Chains` and never at `Off`,
-/// while execution at every level stays bit-identical to the unfused
-/// baseline.
+/// fired: the un-CSE'd 4-instruction window — the one write-through
+/// window — must fire broadly at `FuseLevel::Chains`, nothing at all may
+/// fuse at `Off`, and execution at every level stays bit-identical to
+/// the unfused baseline.
 #[test]
 fn fuse_level_sweep_pins_quad_and_write_through_gating() {
     use sycl_mlir_repro::sim::{fuse_plan_with, FuseLevel};
 
     for level in [FuseLevel::Off, FuseLevel::Chains] {
-        let (mut quads, mut wt) = (0_u32, 0_u32);
+        let mut quads = 0_usize;
         for seed in 0..128_u64 {
             let seed = seed * 7919 + 13;
             let plan = Gen::new(seed).finish();
             let mut fused = plan.clone();
             fuse_plan_with(&mut fused, level);
-            quads += fused.fused_quads;
-            wt += fused.fused_wt;
+            let formed = windows(&fused);
+            quads += formed.iter().filter(|w| **w == "acc.load.quad").count();
+            assert!(
+                level == FuseLevel::Chains || formed.is_empty(),
+                "{level:?} must leave the plan as decoded (seed {seed}): {formed:?}"
+            );
 
             let (base, base_f, base_i, base_a) = execute(&plan);
             let (run, f, i, a) = execute(&fused);
@@ -991,13 +992,6 @@ fn fuse_level_sweep_pins_quad_and_write_through_gating() {
                 quads > 25,
                 "{level:?}: expected the 4-instruction window to fire broadly, got {quads}"
             );
-            assert!(
-                wt > 25,
-                "{level:?}: expected the write-through chains to fire broadly, got {wt}"
-            );
-        } else {
-            assert_eq!(quads, 0, "{level:?} must not form 4-instruction windows");
-            assert_eq!(wt, 0, "{level:?} must not form write-through chains");
         }
     }
 }
@@ -1119,10 +1113,6 @@ fn mid_chain_failing_plan(fail_from: i64) -> KernelPlan {
         dense_consts: Vec::new(),
         mem_sites: 3,
         local_sites: 0,
-        fused_pairs: 0,
-        fused_chains: 0,
-        fused_quads: 0,
-        fused_wt: 0,
     }
 }
 
@@ -1158,10 +1148,6 @@ fn div_zero_plan() -> KernelPlan {
         dense_consts: Vec::new(),
         mem_sites: 0,
         local_sites: 0,
-        fused_pairs: 0,
-        fused_chains: 0,
-        fused_quads: 0,
-        fused_wt: 0,
     }
 }
 
@@ -1181,9 +1167,8 @@ fn mid_chain_error_matches_unfused_and_bound_prunes_correctly() {
     // The failing chain fused (Load+mulf+addf), and so did the guard
     // (cmpi+branch) and the marker/store shapes.
     assert!(
-        fused_a.fused_chains >= 1,
-        "the failing Load+mulf+addf chain must fuse (got {} chains)",
-        fused_a.fused_chains
+        windows(&fused_a).contains(&"load.fma"),
+        "the failing Load+mulf+addf chain must fuse"
     );
     let unfused_b = div_zero_plan();
     let mut fused_b = unfused_b.clone();
@@ -1342,7 +1327,7 @@ fn op_budget_trips_are_fuse_invariant() {
         })
         .collect();
     assert!(
-        plans[1].fused_chains >= 1,
+        windows(&plans[1]).contains(&"load.fma"),
         "the template must actually fuse"
     );
 
@@ -1531,6 +1516,52 @@ fn verifier_accepts_fuzz_population_and_elision_is_bit_identical() {
     );
 }
 
+/// `verify_plan` takes decoder output: handed a fused plan it must say
+/// so — one finding per superinstruction, at that superinstruction's pc,
+/// the same on every call — rather than analyse code it has no transfer
+/// functions for. Held for every seed of the population that fuses
+/// anything (all of them do; the count is asserted so the loop cannot go
+/// vacuous).
+#[test]
+fn verifier_rejects_fused_plans_at_the_fused_pcs() {
+    use sycl_mlir_repro::sim::verify_plan;
+    let mut checked = 0;
+    for seed in 0..128_u64 {
+        let seed = seed * 7919 + 13;
+        let mut fused = Gen::new(seed).finish();
+        if fuse_plan(&mut fused) == 0 {
+            continue;
+        }
+        checked += 1;
+        let errs = verify_plan(&fused).expect_err("a fused plan must not verify");
+        let fused_pcs: Vec<u32> = fused.funcs[0]
+            .code
+            .iter()
+            .enumerate()
+            .filter(|(_, i)| i.op_weight() > 1)
+            .map(|(pc, _)| pc as u32)
+            .collect();
+        assert_eq!(
+            errs.iter().map(|e| (e.func, e.pc)).collect::<Vec<_>>(),
+            fused_pcs.iter().map(|&pc| (0, pc)).collect::<Vec<_>>(),
+            "one finding per superinstruction, at its pc (seed {seed})"
+        );
+        for (e, &pc) in errs.iter().zip(&fused_pcs) {
+            let m = fused.funcs[0].code[pc as usize].mnemonic();
+            assert!(
+                e.message.contains(m) && e.message.contains("before fusion"),
+                "finding must name the superinstruction (seed {seed}): {e}"
+            );
+        }
+        assert_eq!(
+            verify_plan(&fused).expect_err("deterministic"),
+            errs,
+            "the rejection must be deterministic (seed {seed})"
+        );
+    }
+    assert!(checked > 100, "only {checked} seeds fused anything");
+}
+
 /// A minimal legal single-function plan around `body`, with the fuzz
 /// parameter convention (f32 memref r0, i64 memref r1, accessor r2).
 fn bait_plan(body: Vec<Instr>, reg_count: u32, mem_sites: u32) -> KernelPlan {
@@ -1544,10 +1575,6 @@ fn bait_plan(body: Vec<Instr>, reg_count: u32, mem_sites: u32) -> KernelPlan {
         dense_consts: Vec::new(),
         mem_sites,
         local_sites: 0,
-        fused_pairs: 0,
-        fused_chains: 0,
-        fused_quads: 0,
-        fused_wt: 0,
     }
 }
 
