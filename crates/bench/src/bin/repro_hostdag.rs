@@ -163,6 +163,14 @@ fn main() {
         "kernel runs: {} (host rows: {host_rows})",
         report.kernel_runs.len()
     );
+    // The sparse hazard-table edge set: linear in the command groups. A
+    // regression back to one edge per direct hazard shows here (and in
+    // the CI diff) as a count an order of magnitude larger.
+    println!(
+        "hazard edges: {} over {} command groups",
+        q.dependencies().len(),
+        q.groups.len()
+    );
     println!("total measured cycles: {:.1}", report.measured_cycles());
     println!("repro_wall_time_seconds: {wall:.3}");
 }

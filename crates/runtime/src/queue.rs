@@ -4,8 +4,17 @@
 //! dependency tracking between kernels and necessary data movements"
 //! (§II-A): command groups are ordered by RAW/WAR/WAW hazards over the
 //! buffers their accessors request.
+//!
+//! The hazards are found the way a production SYCL runtime finds them:
+//! one pass over the queue in submission order against a **per-resource
+//! hazard table** — for every buffer and USM allocation, the last writer
+//! and the readers since that write ([`Queue::dependencies`]). The edge
+//! set it emits is sparse (at most two edges per accessor requirement)
+//! but has the reachability of the full set of direct hazards, which is
+//! all the launch scheduler depends on.
 
-use crate::buffer::BufferId;
+use crate::buffer::{BufferId, UsmId};
+use std::collections::HashMap;
 use sycl_mlir_sim::{LaunchDag, NdRangeSpec};
 use sycl_mlir_sycl::types::AccessMode;
 
@@ -36,7 +45,7 @@ pub enum CgArg {
     /// A USM device pointer (manually managed, opaque to host analysis).
     Usm {
         /// The USM allocation.
-        id: crate::buffer::UsmId,
+        id: UsmId,
         /// Element count of the allocation.
         len: i64,
     },
@@ -120,38 +129,6 @@ pub struct CommandGroup {
     pub host: Option<HostOp>,
 }
 
-impl CommandGroup {
-    /// Buffers this command group reads / writes.
-    pub fn reads_writes(&self) -> (Vec<BufferId>, Vec<BufferId>) {
-        let mut reads = Vec::new();
-        let mut writes = Vec::new();
-        for a in &self.args {
-            if let Some((b, mode)) = a.accessor() {
-                if mode.can_read() {
-                    reads.push(b);
-                }
-                if mode.can_write() {
-                    writes.push(b);
-                }
-            }
-        }
-        (reads, writes)
-    }
-
-    /// USM allocations this command group touches. USM pointers carry no
-    /// access mode (they are opaque to the runtime, §II-A), so dependency
-    /// tracking must assume read+write on each.
-    pub fn usm_ids(&self) -> Vec<crate::buffer::UsmId> {
-        self.args
-            .iter()
-            .filter_map(|a| match a {
-                CgArg::Usm { id, .. } => Some(*id),
-                _ => None,
-            })
-            .collect()
-    }
-}
-
 /// The command-group construction API handed to [`Queue::submit`] closures,
 /// mirroring the SYCL handler.
 #[derive(Default)]
@@ -205,7 +182,7 @@ impl Handler {
 
     /// Pass a USM device pointer (the kernel sees a plain global array; no
     /// buffer-identity or constness information reaches the compiler).
-    pub fn usm(&mut self, id: crate::buffer::UsmId, len: i64) -> &mut Handler {
+    pub fn usm(&mut self, id: UsmId, len: i64) -> &mut Handler {
         self.args.push(CgArg::Usm { id, len });
         self
     }
@@ -286,6 +263,26 @@ fn pick_work_group(global: &[i64; 3], rank: u32) -> [i64; 3] {
     local
 }
 
+/// What dependency tracking keys its hazard table by. Buffers and USM
+/// allocations are numbered independently, so each kind is a key space
+/// of its own.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Resource {
+    Buffer(BufferId),
+    Usm(UsmId),
+}
+
+/// One row of the hazard table: what the groups walked so far left
+/// behind on a resource.
+#[derive(Default)]
+struct Hazard {
+    /// The last group that wrote the resource.
+    last_writer: Option<usize>,
+    /// The groups that only read it since (each already ordered after
+    /// `last_writer`).
+    readers: Vec<usize>,
+}
+
 /// An in-order-submission queue with automatic dependency tracking.
 #[derive(Default, Debug)]
 pub struct Queue {
@@ -315,39 +312,71 @@ impl Queue {
     /// Dependency edges `(before, after)` implied by buffer hazards
     /// (RAW, WAR, WAW) — what the SYCL scheduler enforces (§II-A) — plus
     /// conservative read+write hazards on shared USM allocations (USM
-    /// pointers carry no access mode the runtime could refine).
+    /// pointers carry no access mode the runtime could refine). Sorted by
+    /// `(after, before)`, no duplicates, `before < after`.
+    ///
+    /// One pass in submission order over the hazard table. A group's
+    /// requirements are first merged per resource (it may name one buffer
+    /// twice). Per resource, a write waits for the readers since the last
+    /// write — each of which already waits for that write — and otherwise,
+    /// like a read, for the last writer alone. The group then becomes the
+    /// last writer (forgetting the readers) or joins the readers.
+    ///
+    /// Every edge is a direct hazard, and every direct hazard that gets no
+    /// edge of its own is covered by a path: the edges have the same
+    /// transitive closure as the all-pairs hazard relation (held to it by
+    /// `tests/hazard_graph_diff.rs`). A reader is forgotten by the one
+    /// write that takes its edge, so there are at most two edges per
+    /// accessor requirement and one per USM argument — linear in the
+    /// program, not quadratic in the queue.
     pub fn dependencies(&self) -> Vec<(usize, usize)> {
-        // Per-group requirement sets are immutable; compute them once
-        // instead of once per pair.
-        let rw: Vec<_> = self.groups.iter().map(|g| g.reads_writes()).collect();
-        let usm: Vec<_> = self.groups.iter().map(|g| g.usm_ids()).collect();
+        let mut table: HashMap<Resource, Hazard> = HashMap::new();
         let mut edges = Vec::new();
-        for j in 0..self.groups.len() {
-            let (rj, wj) = &rw[j];
-            for i in 0..j {
-                let (ri, wi) = &rw[i];
-                let raw = wi.iter().any(|b| rj.contains(b));
-                let war = ri.iter().any(|b| wj.contains(b));
-                let waw = wi.iter().any(|b| wj.contains(b));
-                let shared_usm = usm[i].iter().any(|u| usm[j].contains(u));
-                if raw || war || waw || shared_usm {
-                    edges.push((i, j));
+        // Scratch reused across groups: merged requirements `(resource,
+        // writes)` — every requirement reads or writes, so "does not
+        // write" is "only reads" — and the predecessors they imply.
+        // Requirement lists are a handful long: the merge is a linear probe.
+        let mut reqs: Vec<(Resource, bool)> = Vec::new();
+        let mut before: Vec<usize> = Vec::new();
+        for (j, group) in self.groups.iter().enumerate() {
+            reqs.clear();
+            for arg in &group.args {
+                let (resource, writes) = match *arg {
+                    CgArg::Acc { buffer, mode } => (Resource::Buffer(buffer), mode.can_write()),
+                    CgArg::Usm { id, .. } => (Resource::Usm(id), true),
+                    _ => continue,
+                };
+                match reqs.iter_mut().find(|r| r.0 == resource) {
+                    Some(r) => r.1 |= writes,
+                    None => reqs.push((resource, writes)),
                 }
             }
+            before.clear();
+            for &(resource, writes) in &reqs {
+                let hazard = table.entry(resource).or_default();
+                if writes && !hazard.readers.is_empty() {
+                    before.append(&mut hazard.readers);
+                } else {
+                    before.extend(hazard.last_writer);
+                }
+                if writes {
+                    hazard.last_writer = Some(j);
+                } else {
+                    hazard.readers.push(j);
+                }
+            }
+            // Two resources can name the same predecessor.
+            before.sort_unstable();
+            before.dedup();
+            edges.extend(before.iter().map(|&i| (i, j)));
         }
         edges
     }
 
-    /// A valid execution order (submission order is always valid for an
-    /// in-order dependency DAG, but this verifies acyclicity structurally).
-    pub fn schedule(&self) -> Vec<usize> {
-        (0..self.groups.len()).collect()
-    }
-
-    /// The full hazard DAG over the recorded command groups: predecessor
-    /// counts plus successor lists, indices in submission order — the
-    /// graph [`crate::exec::run`] hands to
-    /// [`sycl_mlir_sim::Device::launch_graph`].
+    /// The hazard DAG over the recorded command groups — the sparse edge
+    /// set of [`Queue::dependencies`] as predecessor counts plus successor
+    /// lists, indices in submission order: the graph [`crate::exec::run`]
+    /// hands to [`sycl_mlir_sim::Device::launch_graph`].
     pub fn dep_graph(&self) -> LaunchDag {
         LaunchDag::from_edges(self.groups.len(), &self.dependencies())
     }
@@ -381,7 +410,6 @@ mod tests {
         assert!(deps.contains(&(0, 1)));
         assert!(deps.contains(&(1, 2)));
         assert!(!deps.contains(&(0, 2)));
-        assert_eq!(q.schedule(), vec![0, 1, 2]);
         // The exported DAG is exactly that edge list.
         let dag = q.dep_graph();
         assert_eq!(dag.preds, vec![0, 1, 1]);
@@ -398,8 +426,8 @@ mod tests {
 
     #[test]
     fn usm_arguments_are_conservative_hazards() {
-        let u = crate::buffer::UsmId(0);
-        let v = crate::buffer::UsmId(1);
+        let u = UsmId(0);
+        let v = UsmId(1);
         let mut q = Queue::new();
         // CG0 and CG1 share USM allocation `u` (no access mode exists to
         // refine the hazard); CG2 touches only `v`.

@@ -2440,6 +2440,64 @@ mod tests {
         assert_eq!(LaunchDag::independent(0).levels(), Vec::<Vec<usize>>::new());
     }
 
+    /// What the scheduler derives from the edges — the ready set's
+    /// critical-path keys and the Kahn levels — is a function of
+    /// reachability: a dense edge set, the sparse one it is the closure
+    /// of, and anything in between give the same answers. (It is why the
+    /// runtime's hazard table may emit far fewer edges than there are
+    /// direct hazards.)
+    #[test]
+    fn critical_paths_and_levels_depend_on_reachability_only() {
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let mut below = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for _ in 0..50 {
+            let n = 2 + below(40);
+            // Random forward edges and their transitive closure
+            // (`ancestors[j][i]`: a path leads from `i` to `j`).
+            let mut sparse = Vec::new();
+            let mut ancestors: Vec<Vec<bool>> = Vec::with_capacity(n);
+            for j in 0..n {
+                let mut row = vec![false; n];
+                for _ in 0..below(3).min(j) {
+                    let i = below(j);
+                    if !row[i] {
+                        sparse.push((i, j));
+                    }
+                    row[i] = true;
+                    for (r, a) in row.iter_mut().zip(&ancestors[i]) {
+                        *r |= a;
+                    }
+                }
+                ancestors.push(row);
+            }
+            let dense: Vec<_> = (0..n)
+                .flat_map(|j| (0..j).map(move |i| (i, j)))
+                .filter(|&(i, j)| ancestors[j][i])
+                .collect();
+            // In between: the sparse edges plus every third implied one.
+            let mut between = sparse.clone();
+            between.extend(dense.iter().filter(|e| !sparse.contains(e)).step_by(3));
+            assert!(sparse.len() <= between.len() && between.len() <= dense.len());
+
+            // Weights include empty launches (which weigh 1).
+            let geometry: Vec<_> = (0..n).map(|_| ([1, 1, 1], below(6))).collect();
+            let want = LaunchDag::from_edges(n, &dense);
+            for edges in [&sparse, &between] {
+                let got = LaunchDag::from_edges(n, edges);
+                assert_eq!(got.levels(), want.levels());
+                assert_eq!(
+                    critical_paths(&got, &geometry),
+                    critical_paths(&want, &geometry)
+                );
+            }
+        }
+    }
+
     #[test]
     fn malformed_graphs_are_rejected() {
         // Wrong length.

@@ -58,7 +58,9 @@ cargo build --release
 
 # Runs the whole workspace, including the scheduler's hardening suites:
 # tests/scheduler_stress.rs (~200 randomized hazard DAGs across tree |
-# plan × threads 1 | 4, plus error-ordering pins) and
+# plan × threads 1 | 4, plus error-ordering pins),
+# tests/hazard_graph_diff.rs (the queue's hazard-table edges against the
+# all-pairs reference: subset, same closure, linear count) and
 # tests/plan_fuzz.rs (random legal bytecode, fused vs unfused).
 # --no-fail-fast: one red crate must not hide the targets after it.
 step "cargo test (incl. scheduler stress + plan fuzz suites)"
@@ -154,7 +156,9 @@ echo "tables bit-identical across verifier modes (strict accepts the whole suite
 # ----------------------------------------------------------------------
 # Host-task graph smoke: repro_hostdag is the host-task-heavy shape (one
 # host node per three kernels); its tables must be bit-identical across
-# thread counts and between the two schedules.
+# thread counts and between the two schedules. The `hazard edges:` line
+# is part of the table and is echoed below: a queue that went back to one
+# edge per direct hazard reads ~20 edges per command group, not ~1.
 # ----------------------------------------------------------------------
 step "host-task graph smoke: repro_hostdag --quick (threads 1/4, engine=tree)"
 for cfg in "--threads=4" "--threads=1" "--engine=tree"; do
@@ -167,6 +171,10 @@ for cfg in "--threads=4" "--threads=1" "--engine=tree"; do
     exit 1
   fi
 done
+if ! grep '^hazard edges: ' "$tmp/hostdag-ref.tables"; then
+  echo "FAIL: repro_hostdag prints no 'hazard edges:' line" >&2
+  exit 1
+fi
 echo "host-task graph tables bit-identical across thread counts and engines"
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,17 @@
 //! The deterministic tests at the bottom pin the error contract exactly:
 //! divergent barriers and out-of-bounds accesses (panics) injected at
 //! known positions in multi-launch graphs.
+//!
+//! The queue's hazard table emits a sparse edge set with the reachability
+//! of the all-pairs hazard relation it replaced (`tests/hazard_graph_diff.rs`
+//! holds the two to one transitive closure). The fault-injection shapes
+//! and a slice of the random population also run at the scheduler level
+//! under **both** DAGs: statuses, cancellation causes, failure positions
+//! and statistics must not tell them apart.
 
+mod common;
+
+use common::{reference_dependencies, Arg, GraphSpec, Sub, LEN, WG_SUM_LOCAL};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -24,309 +34,16 @@ use sycl_mlir_repro::core::FlowKind;
 use sycl_mlir_repro::dialects::arith;
 use sycl_mlir_repro::frontend::{full_context, KernelModuleBuilder, KernelSig};
 use sycl_mlir_repro::runtime::{
-    compile_program, hostgen::generate_host_ir, HostOp, Program, Queue, SyclRuntime,
+    compile_program, hostgen::generate_host_ir, BufferId, CgArg, HostOp, Program, Queue,
+    SyclRuntime, UsmId,
 };
 use sycl_mlir_repro::sim::{
     decode_kernel, run_plan_graph_report, AccessorVal, CostModel, DataVec, Device, Engine,
     ExecLimits, ExecStats, FaultPlan, FaultSite, HostNode, HostView, KernelPlan, LaunchDag,
-    LaunchStatus, MemoryPool, NdRangeSpec, PlanLaunch, RtValue,
+    LaunchStatus, MemId, MemoryPool, NdRangeSpec, PlanLaunch, RtValue,
 };
 use sycl_mlir_repro::sycl::device as sdev;
 use sycl_mlir_repro::sycl::types::AccessMode;
-
-const LEN: i64 = 32;
-
-/// One kernel argument of a generated submission: a buffer accessor or a
-/// USM allocation (aliasing is the point — several submissions naming the
-/// same id exercise the hazard edges).
-#[derive(Clone, Copy, Debug)]
-enum Arg {
-    Buf(usize),
-    Usm(usize),
-}
-
-/// One generated command group.
-#[derive(Clone, Debug)]
-enum Sub {
-    /// `combine(src read, dst read+write)`.
-    Combine {
-        src: Arg,
-        dst: Arg,
-        global: i64,
-        local: i64,
-    },
-    /// `scale_io(a read+write)`.
-    ScaleIo { a: Arg, global: i64, local: i64 },
-    /// `gather(idx read, src read, dst read+write)` — the sparse-family
-    /// indirect-index shape: the subscript into `src` is *loaded* from
-    /// the shared index buffer.
-    Gather {
-        src: Arg,
-        dst: Arg,
-        global: i64,
-        local: i64,
-    },
-    /// `wg_sum(a read+write)` — the reduction-family shape: a
-    /// work-group-local tile plus a barrier ladder; each group replaces
-    /// its slice of `a` with the group sum.
-    WgSum { a: Arg, global: i64 },
-    /// A kernel with work-groups >= 2 stuck at a divergent barrier.
-    BadLate { global: i64, local: i64 },
-    /// A host task over buffers.
-    Host(HostOp),
-}
-
-/// The fixed work-group size of `wg_sum` (its barrier ladder is unrolled
-/// at build time, so the launch must match).
-const WG_SUM_LOCAL: i64 = 8;
-
-/// A fully determined random graph: initial data plus the submission list.
-struct GraphSpec {
-    bufs: Vec<Vec<f32>>,
-    usms: Vec<Vec<f32>>,
-    /// The shared index buffer `gather` reads through (in-bounds values;
-    /// allocated after the f32 buffers so their ids stay stable).
-    idx: Vec<i32>,
-    subs: Vec<Sub>,
-}
-
-impl GraphSpec {
-    fn generate(seed: u64) -> GraphSpec {
-        let mut rng = TestRng::new(seed);
-        let n_buf = 2 + rng.below(3);
-        let n_usm = 1 + rng.below(2);
-        let bufs = (0..n_buf)
-            .map(|b| {
-                (0..LEN)
-                    .map(|i| (i as f32) * 0.25 + b as f32)
-                    .collect::<Vec<f32>>()
-            })
-            .collect();
-        let usms = (0..n_usm)
-            .map(|u| {
-                (0..LEN)
-                    .map(|i| (i as f32) * 0.5 - u as f32)
-                    .collect::<Vec<f32>>()
-            })
-            .collect();
-        let idx = (0..LEN).map(|_| rng.below(LEN as usize) as i32).collect();
-        let n_sub = 1 + rng.below(64);
-        // ~1 in 8 graphs carries one divergent kernel at a random spot.
-        let bad_at = if rng.below(8) == 0 {
-            Some(rng.below(n_sub))
-        } else {
-            None
-        };
-        let mut subs = Vec::with_capacity(n_sub);
-        for s in 0..n_sub {
-            if bad_at == Some(s) {
-                let local = [4, 8][rng.below(2)];
-                subs.push(Sub::BadLate { global: LEN, local });
-                continue;
-            }
-            let arg = |rng: &mut TestRng| -> Arg {
-                if rng.below(4) == 0 {
-                    Arg::Usm(rng.below(n_usm))
-                } else {
-                    Arg::Buf(rng.below(n_buf))
-                }
-            };
-            let local = [4, 8][rng.below(2)];
-            let global = [8, 16, 32][rng.below(3)].max(local);
-            match rng.below(14) {
-                0 | 1 => {
-                    // Host task (buffers only).
-                    let op = match rng.below(3) {
-                        0 => HostOp::Scale {
-                            buffer: sycl_mlir_repro::runtime::BufferId(rng.below(n_buf)),
-                            factor: [0.5, 2.0, 1.5][rng.below(3)],
-                        },
-                        1 => HostOp::Shift {
-                            buffer: sycl_mlir_repro::runtime::BufferId(rng.below(n_buf)),
-                            delta: [1.0, -2.0][rng.below(2)],
-                        },
-                        _ => HostOp::AddInto {
-                            dst: sycl_mlir_repro::runtime::BufferId(rng.below(n_buf)),
-                            src: sycl_mlir_repro::runtime::BufferId(rng.below(n_buf)),
-                        },
-                    };
-                    subs.push(Sub::Host(op));
-                }
-                2..=5 => subs.push(Sub::Combine {
-                    src: arg(&mut rng),
-                    dst: arg(&mut rng),
-                    global,
-                    local,
-                }),
-                6 | 7 => {
-                    let src = arg(&mut rng);
-                    let mut dst = arg(&mut rng);
-                    // `gather` reads `src` at data-dependent positions
-                    // while writing `dst[gid]`: if both name the same
-                    // resource, the result depends on work-item order
-                    // *within* the launch. Keep them distinct — aliasing
-                    // across launches (the hazard DAG's job) is still
-                    // generated freely.
-                    match (src, dst) {
-                        (Arg::Buf(a), Arg::Buf(b)) if a == b => dst = Arg::Buf((a + 1) % n_buf),
-                        (Arg::Usm(a), Arg::Usm(b)) if a == b => dst = Arg::Buf(0),
-                        _ => {}
-                    }
-                    subs.push(Sub::Gather {
-                        src,
-                        dst,
-                        global,
-                        local,
-                    });
-                }
-                8 => subs.push(Sub::WgSum {
-                    a: arg(&mut rng),
-                    global: global.max(WG_SUM_LOCAL),
-                }),
-                _ => subs.push(Sub::ScaleIo {
-                    a: arg(&mut rng),
-                    global,
-                    local,
-                }),
-            }
-        }
-        GraphSpec {
-            bufs,
-            usms,
-            idx,
-            subs,
-        }
-    }
-
-    /// A fresh runtime with the spec's initial data (ids are allocation
-    /// order, so every call produces the same id assignment).
-    fn runtime(&self) -> SyclRuntime {
-        let mut rt = SyclRuntime::new();
-        for data in &self.bufs {
-            rt.buffer_f32(data.clone(), &[LEN]);
-        }
-        // The index buffer comes after every f32 buffer so their ids
-        // (allocation order) stay stable across the generator history.
-        rt.buffer_i32(self.idx.clone(), &[LEN]);
-        for data in &self.usms {
-            rt.usm_alloc_f32(data.clone());
-        }
-        rt
-    }
-
-    /// The shared index buffer's id (allocated right after the f32
-    /// buffers).
-    fn idx_buf(&self) -> sycl_mlir_repro::runtime::BufferId {
-        sycl_mlir_repro::runtime::BufferId(self.bufs.len())
-    }
-
-    /// Record the submissions on a queue.
-    fn queue(&self) -> Queue {
-        let mut q = Queue::new();
-        for sub in &self.subs {
-            match *sub {
-                Sub::Combine {
-                    src,
-                    dst,
-                    global,
-                    local,
-                } => {
-                    q.submit(|h| {
-                        match src {
-                            Arg::Buf(b) => {
-                                h.accessor(sycl_mlir_repro::runtime::BufferId(b), AccessMode::Read);
-                            }
-                            Arg::Usm(u) => {
-                                h.usm(sycl_mlir_repro::runtime::UsmId(u), LEN);
-                            }
-                        }
-                        match dst {
-                            Arg::Buf(b) => {
-                                h.accessor(
-                                    sycl_mlir_repro::runtime::BufferId(b),
-                                    AccessMode::ReadWrite,
-                                );
-                            }
-                            Arg::Usm(u) => {
-                                h.usm(sycl_mlir_repro::runtime::UsmId(u), LEN);
-                            }
-                        }
-                        h.parallel_for_nd("combine", &[global], &[local]);
-                    });
-                }
-                Sub::ScaleIo { a, global, local } => {
-                    q.submit(|h| {
-                        match a {
-                            Arg::Buf(b) => {
-                                h.accessor(
-                                    sycl_mlir_repro::runtime::BufferId(b),
-                                    AccessMode::ReadWrite,
-                                );
-                            }
-                            Arg::Usm(u) => {
-                                h.usm(sycl_mlir_repro::runtime::UsmId(u), LEN);
-                            }
-                        }
-                        h.parallel_for_nd("scale_io", &[global], &[local]);
-                    });
-                }
-                Sub::Gather {
-                    src,
-                    dst,
-                    global,
-                    local,
-                } => {
-                    q.submit(|h| {
-                        h.accessor(self.idx_buf(), AccessMode::Read);
-                        match src {
-                            Arg::Buf(b) => {
-                                h.accessor(sycl_mlir_repro::runtime::BufferId(b), AccessMode::Read);
-                            }
-                            Arg::Usm(u) => {
-                                h.usm(sycl_mlir_repro::runtime::UsmId(u), LEN);
-                            }
-                        }
-                        match dst {
-                            Arg::Buf(b) => {
-                                h.accessor(
-                                    sycl_mlir_repro::runtime::BufferId(b),
-                                    AccessMode::ReadWrite,
-                                );
-                            }
-                            Arg::Usm(u) => {
-                                h.usm(sycl_mlir_repro::runtime::UsmId(u), LEN);
-                            }
-                        }
-                        h.parallel_for_nd("gather", &[global], &[local]);
-                    });
-                }
-                Sub::WgSum { a, global } => {
-                    q.submit(|h| {
-                        match a {
-                            Arg::Buf(b) => {
-                                h.accessor(
-                                    sycl_mlir_repro::runtime::BufferId(b),
-                                    AccessMode::ReadWrite,
-                                );
-                            }
-                            Arg::Usm(u) => {
-                                h.usm(sycl_mlir_repro::runtime::UsmId(u), LEN);
-                            }
-                        }
-                        h.parallel_for_nd("wg_sum", &[global], &[WG_SUM_LOCAL]);
-                    });
-                }
-                Sub::BadLate { global, local } => {
-                    q.submit(|h| h.parallel_for_nd("bad_late", &[global], &[local]));
-                }
-                Sub::Host(op) => {
-                    q.submit(|h| h.host_task(op));
-                }
-            }
-        }
-        q
-    }
-}
 
 /// Build the kernel module every generated graph uses (three templates).
 fn build_module(rt: &SyclRuntime, q: &Queue) -> sycl_mlir_repro::ir::Module {
@@ -494,7 +211,7 @@ fn observe(spec: &GraphSpec, program: &mut Program, q: &Queue, device: &Device) 
     let cycles = report.measured_cycles().to_bits();
     let bufs = (0..spec.bufs.len())
         .map(|b| {
-            rt.read_f32(sycl_mlir_repro::runtime::BufferId(b))
+            rt.read_f32(BufferId(b))
                 .iter()
                 .map(|x| x.to_bits())
                 .collect()
@@ -502,7 +219,7 @@ fn observe(spec: &GraphSpec, program: &mut Program, q: &Queue, device: &Device) 
         .collect();
     let usms = (0..spec.usms.len())
         .map(|u| {
-            rt.usm_read_f32(sycl_mlir_repro::runtime::UsmId(u))
+            rt.usm_read_f32(UsmId(u))
                 .iter()
                 .map(|x| x.to_bits())
                 .collect()
@@ -832,64 +549,80 @@ fn fuzzed_gather_oob_position_is_engine_independent() {
 // Fault injection
 // ----------------------------------------------------------------------
 
-/// Decode the `scale_io` template into a standalone kernel plan for the
-/// direct graph-report tests below.
-fn decoded_scale_plan() -> KernelPlan {
-    let ctx = full_context();
-    let mut kb = KernelModuleBuilder::new(&ctx);
-    let f32t = ctx.f32_type();
-    let sig = KernelSig::new("scale_io", 1, true).accessor(f32t, 1, AccessMode::ReadWrite);
-    kb.add_kernel(&sig, |b, args, item| {
-        let gid = sdev::global_id(b, item, 0);
-        let v = sdev::load_via_id(b, args[0], &[gid]);
-        let f32t = b.ctx().f32_type();
-        let c0 = arith::constant_float(b, 0.5, f32t.clone());
-        let c1 = arith::constant_float(b, 3.0, f32t);
-        let t = arith::mulf(b, v, c0);
-        let s = arith::addf(b, t, c1);
-        sdev::store_via_id(b, s, args[0], &[gid]);
-    });
-    let m = kb.finish();
+/// The generated graphs' kernel templates, each decoded into a
+/// standalone plan (the templates do not depend on the graph).
+fn decoded_templates() -> Vec<(&'static str, KernelPlan)> {
+    let m = build_module(&SyclRuntime::new(), &Queue::new());
     let dev = m
         .lookup_symbol(m.top(), sycl_mlir_repro::sycl::DEVICE_MODULE_SYM)
         .expect("device module");
-    let op = m.lookup_symbol(dev, "scale_io").expect("kernel symbol");
-    decode_kernel(&m, op).expect("scale_io decodes")
+    ["combine", "scale_io", "gather", "wg_sum", "bad_late"]
+        .into_iter()
+        .map(|name| {
+            let op = m.lookup_symbol(dev, name).expect("kernel symbol");
+            (name, decode_kernel(&m, op).expect("template decodes"))
+        })
+        .collect()
+}
+
+/// The `scale_io` template's plan, for the direct graph-report tests
+/// below.
+fn decoded_scale_plan() -> KernelPlan {
+    let (_, plan) = decoded_templates()
+        .into_iter()
+        .find(|(name, _)| *name == "scale_io")
+        .expect("scale_io is a template");
+    plan
+}
+
+/// A whole-buffer 1-d accessor over `mem` (every buffer here is `LEN`
+/// long).
+fn accessor_over(mem: MemId) -> RtValue {
+    RtValue::Accessor(AccessorVal {
+        mem,
+        range: [LEN, 1, 1],
+        offset: [0, 0, 0],
+        rank: 1,
+        constant: false,
+    })
+}
+
+/// The all-pairs reference DAG and the hazard-table DAG of one queue, in
+/// that order. The deterministic shapes below run under both: the dense
+/// edge set and the sparse one must be the same schedule.
+fn reference_and_table_dags(q: &Queue) -> [(&'static str, LaunchDag); 2] {
+    let reference = LaunchDag::from_edges(q.groups.len(), &reference_dependencies(q));
+    [
+        ("all-pairs reference", reference),
+        ("hazard table", q.dep_graph()),
+    ]
 }
 
 /// One graph-report run of the fault-injection shape: a `0 -> 1 -> 2`
-/// chain over buffer A plus an independent launch 3 over buffer B.
-/// Returns the report and the final bits of both buffers.
+/// chain over buffer A plus an independent launch 3 over buffer B, under
+/// the given DAG over that shape. Returns the report and the final bits
+/// of both buffers.
 fn fault_shape_run(
     plan: &KernelPlan,
+    dag: &LaunchDag,
     threads: usize,
     limits: &ExecLimits,
 ) -> (sycl_mlir_repro::sim::GraphReport, Vec<u32>, Vec<u32>) {
     let nd = NdRangeSpec::d1(LEN, 8);
-    let acc = |mem| {
-        RtValue::Accessor(AccessorVal {
-            mem,
-            range: [LEN, 1, 1],
-            offset: [0, 0, 0],
-            rank: 1,
-            constant: false,
-        })
-    };
     let mut pool = MemoryPool::new();
     let ma = pool.alloc(DataVec::F32((0..LEN).map(|i| i as f32).collect()));
     let mb = pool.alloc(DataVec::F32((0..LEN).map(|i| 0.125 * i as f32).collect()));
-    let args_a = [acc(ma)];
-    let args_b = [acc(mb)];
+    let args_a = [accessor_over(ma)];
+    let args_b = [accessor_over(mb)];
     let launches = [
         PlanLaunch::kernel(plan, &args_a, nd),
         PlanLaunch::kernel(plan, &args_a, nd),
         PlanLaunch::kernel(plan, &args_a, nd),
         PlanLaunch::kernel(plan, &args_b, nd),
     ];
-    let dag = LaunchDag::from_edges(4, &[(0, 1), (1, 2)]);
     let report = run_plan_graph_report(
         &launches,
-        &dag,
+        dag,
         &mut pool,
         &CostModel::default(),
         threads,
@@ -910,81 +643,104 @@ fn fault_shape_run(
 /// Injected faults — decode, claim-site, instruction-count — fail their
 /// launch with the pinned error at a deterministic work-group, cancel
 /// every transitive successor with the root cause, and leave independent
-/// launches bit-identical to a clean run, at every thread count.
+/// launches bit-identical to a clean run, at every thread count — under
+/// the all-pairs DAG (which cancels launch 2 over its direct `0 -> 2`
+/// edge) and under the hazard table's (which reaches it only through the
+/// cancelled launch 1) alike.
 #[test]
 fn injected_fault_cancels_successors_and_spares_independents() {
     let plan = decoded_scale_plan();
+    let (a, b) = (BufferId(0), BufferId(1));
+    let mut q = Queue::new();
+    for buf in [a, a, a, b] {
+        q.submit(|h| {
+            h.accessor(buf, AccessMode::ReadWrite);
+            h.parallel_for_nd("scale_io", &[LEN], &[8]);
+        });
+    }
+    let dags = reference_and_table_dags(&q);
+    assert_eq!(dags[0].1.succs[0], vec![1, 2]);
+    assert_eq!(dags[1].1.succs[0], vec![1]);
     for threads in [1_usize, 4] {
-        let (clean, clean_a, clean_b) = fault_shape_run(&plan, threads, &ExecLimits::none());
-        assert!(
-            clean.statuses.iter().all(|s| *s == LaunchStatus::Completed),
-            "clean run must complete everywhere (threads={threads})"
-        );
-        for site in [FaultSite::Decode, FaultSite::Claim(2), FaultSite::Instr(7)] {
-            let fault = FaultPlan { launch: 0, site };
-            let limits = ExecLimits {
-                fault: Some(fault),
-                ..ExecLimits::none()
-            };
-            let (report, faulted_a, faulted_b) = fault_shape_run(&plan, threads, &limits);
-            let want_group = match site {
-                FaultSite::Claim(g) => g as usize,
-                _ => 0,
-            };
-            match &report.statuses[0] {
-                LaunchStatus::Failed { group, error } => {
-                    // The recorded error is the raw fault text stamped
-                    // with its `(launch, group)` position.
-                    assert_eq!(
-                        error.message(),
-                        format!(
-                            "{} (launch 0, work-group {want_group})",
-                            fault.error().message()
-                        ),
-                        "threads={threads} {site:?}: wrong error"
-                    );
-                    assert_eq!(
-                        *group, want_group,
-                        "threads={threads} {site:?}: wrong failing group"
-                    );
+        // Every report of the sweep, per DAG: they must be the same list.
+        let mut seen = Vec::new();
+        for (dag_name, dag) in &dags {
+            let mut reports = Vec::new();
+            let (clean, clean_a, clean_b) =
+                fault_shape_run(&plan, dag, threads, &ExecLimits::none());
+            assert!(
+                clean.statuses.iter().all(|s| *s == LaunchStatus::Completed),
+                "clean run must complete everywhere (threads={threads}, {dag_name})"
+            );
+            for site in [FaultSite::Decode, FaultSite::Claim(2), FaultSite::Instr(7)] {
+                let ctx = format!("threads={threads} {site:?} ({dag_name})");
+                let fault = FaultPlan { launch: 0, site };
+                let limits = ExecLimits {
+                    fault: Some(fault),
+                    ..ExecLimits::none()
+                };
+                let (report, faulted_a, faulted_b) = fault_shape_run(&plan, dag, threads, &limits);
+                let want_group = match site {
+                    FaultSite::Claim(g) => g as usize,
+                    _ => 0,
+                };
+                match &report.statuses[0] {
+                    LaunchStatus::Failed { group, error } => {
+                        // The recorded error is the raw fault text stamped
+                        // with its `(launch, group)` position.
+                        assert_eq!(
+                            error.message(),
+                            format!(
+                                "{} (launch 0, work-group {want_group})",
+                                fault.error().message()
+                            ),
+                            "{ctx}: wrong error"
+                        );
+                        assert_eq!(*group, want_group, "{ctx}: wrong failing group");
+                    }
+                    other => panic!("{ctx}: launch 0 reported {other:?}"),
                 }
-                other => panic!("threads={threads} {site:?}: launch 0 reported {other:?}"),
-            }
-            // Transitive successors are cancelled with the root cause and
-            // report zeroed statistics.
-            for li in [1, 2] {
+                // Transitive successors are cancelled with the root cause
+                // and report zeroed statistics.
+                for li in [1, 2] {
+                    assert_eq!(
+                        report.statuses[li],
+                        LaunchStatus::Cancelled { cause: 0 },
+                        "{ctx}: launch {li} not cancelled"
+                    );
+                    assert_eq!(report.stats[li].work_groups, 0);
+                    assert_eq!(report.stats[li].work_items, 0);
+                }
+                // The independent launch completes bit-identically to the
+                // clean run: same statistics, same final buffer bits.
+                assert_eq!(report.statuses[3], LaunchStatus::Completed);
                 assert_eq!(
-                    report.statuses[li],
-                    LaunchStatus::Cancelled { cause: 0 },
-                    "threads={threads} {site:?}: launch {li} not cancelled"
+                    report.stats[3], clean.stats[3],
+                    "{ctx}: independent launch stats diverge"
                 );
-                assert_eq!(report.stats[li].work_groups, 0);
-                assert_eq!(report.stats[li].work_items, 0);
+                assert_eq!(faulted_b, clean_b, "{ctx}: independent buffer diverges");
+                // Buffer A saw at most the faulted launch's partial groups
+                // — never launch 1's or 2's writes. The decode fault runs
+                // no group at all, so A must be untouched; all clean-run
+                // values differ from the initial ones, so equality would
+                // be a leak.
+                if site == FaultSite::Decode {
+                    let initial: Vec<u32> = (0..LEN).map(|i| (i as f32).to_bits()).collect();
+                    assert_eq!(faulted_a, initial, "decode fault must run no group");
+                    assert_ne!(clean_a, initial);
+                }
+                // The lexicographic first-failure bound.
+                let (fl, fg, _) = report.first_failure().expect("a failure is recorded");
+                assert_eq!((fl, fg), (0, want_group), "{ctx}");
+                reports.push((report.statuses, report.stats));
             }
-            // The independent launch completes bit-identically to the
-            // clean run: same statistics, same final buffer bits.
-            assert_eq!(report.statuses[3], LaunchStatus::Completed);
-            assert_eq!(
-                report.stats[3], clean.stats[3],
-                "threads={threads} {site:?}: independent launch stats diverge"
-            );
-            assert_eq!(
-                faulted_b, clean_b,
-                "threads={threads} {site:?}: independent buffer diverges"
-            );
-            // Buffer A saw at most the faulted launch's partial groups —
-            // never launch 1's or 2's writes. The decode fault runs no
-            // group at all, so A must be untouched; all clean-run values
-            // differ from the initial ones, so equality would be a leak.
-            if site == FaultSite::Decode {
-                let initial: Vec<u32> = (0..LEN).map(|i| (i as f32).to_bits()).collect();
-                assert_eq!(faulted_a, initial, "decode fault must run no group");
-                assert_ne!(clean_a, initial);
-            }
-            // The lexicographic first-failure bound.
-            let (fl, fg, _) = report.first_failure().expect("a failure is recorded");
-            assert_eq!((fl, fg), (0, want_group), "threads={threads} {site:?}");
+            reports.push((clean.statuses, clean.stats));
+            seen.push(reports);
         }
+        assert_eq!(
+            seen[0], seen[1],
+            "threads={threads}: the two edge sets schedule differently"
+        );
     }
 }
 
@@ -1140,20 +896,14 @@ fn host_addinto_type_mismatch_is_a_structured_error() {
 /// An injected fault targeting a **host node** fails it at its single
 /// logical work-group with the pinned fault text and cascades the
 /// cancellation to every dependent launch — at every fault site and
-/// thread count.
+/// thread count, under the all-pairs DAG and the hazard table's alike.
 #[test]
 fn injected_fault_on_host_node_cascades_to_successors() {
     let plan = decoded_scale_plan();
     let nd = NdRangeSpec::d1(LEN, 8);
     let mut pool = MemoryPool::new();
     let ma = pool.alloc(DataVec::F32((0..LEN).map(|i| i as f32).collect()));
-    let args_a = [RtValue::Accessor(AccessorVal {
-        mem: ma,
-        range: [LEN, 1, 1],
-        offset: [0, 0, 0],
-        rank: 1,
-        constant: false,
-    })];
+    let args_a = [accessor_over(ma)];
     let host = HostNode::new(move |view: &HostView<'_, '_>| {
         let n = view.len(ma) as i64;
         for i in 0..n {
@@ -1170,7 +920,26 @@ fn injected_fault_on_host_node_cascades_to_successors() {
         PlanLaunch::host(&host),
         PlanLaunch::kernel(&plan, &args_a, nd),
     ];
-    let dag = LaunchDag::from_edges(3, &[(0, 1), (1, 2)]);
+    // The same shape as a queue, for its two edge sets: the all-pairs
+    // DAG adds the direct `0 -> 2` hazard.
+    let mut q = Queue::new();
+    q.submit(|h| {
+        h.accessor(BufferId(0), AccessMode::ReadWrite);
+        h.parallel_for_nd("scale_io", &[LEN], &[8]);
+    });
+    q.submit(|h| {
+        h.host_task(HostOp::Shift {
+            buffer: BufferId(0),
+            delta: 100.0,
+        })
+    });
+    q.submit(|h| {
+        h.accessor(BufferId(0), AccessMode::ReadWrite);
+        h.parallel_for_nd("scale_io", &[LEN], &[8]);
+    });
+    let dags = reference_and_table_dags(&q);
+    assert_eq!(dags[0].1.preds, vec![0, 1, 2]);
+    assert_eq!(dags[1].1, LaunchDag::chain(3));
     for threads in [1_usize, 4] {
         for site in [FaultSite::Decode, FaultSite::Claim(0), FaultSite::Instr(7)] {
             let fault = FaultPlan { launch: 1, site };
@@ -1178,45 +947,206 @@ fn injected_fault_on_host_node_cascades_to_successors() {
                 fault: Some(fault),
                 ..ExecLimits::none()
             };
-            let report = run_plan_graph_report(
-                &launches,
-                &dag,
-                &mut pool,
-                &CostModel::default(),
-                threads,
-                false,
-                &limits,
-            )
-            .expect("well-formed graph");
-            assert_eq!(
-                report.statuses[0],
-                LaunchStatus::Completed,
-                "threads={threads} {site:?}"
-            );
-            match &report.statuses[1] {
-                LaunchStatus::Failed { group, error } => {
-                    assert_eq!(*group, 0, "a host node has exactly one group");
-                    assert_eq!(
-                        error.message(),
-                        format!("{} (launch 1, work-group 0)", fault.error().message()),
-                        "threads={threads} {site:?}: wrong cause text"
-                    );
+            let mut seen = Vec::new();
+            for (dag_name, dag) in &dags {
+                let ctx = format!("threads={threads} {site:?} ({dag_name})");
+                let report = run_plan_graph_report(
+                    &launches,
+                    dag,
+                    &mut pool,
+                    &CostModel::default(),
+                    threads,
+                    false,
+                    &limits,
+                )
+                .expect("well-formed graph");
+                assert_eq!(report.statuses[0], LaunchStatus::Completed, "{ctx}");
+                match &report.statuses[1] {
+                    LaunchStatus::Failed { group, error } => {
+                        assert_eq!(*group, 0, "a host node has exactly one group");
+                        assert_eq!(
+                            error.message(),
+                            format!("{} (launch 1, work-group 0)", fault.error().message()),
+                            "{ctx}: wrong cause text"
+                        );
+                    }
+                    other => panic!("{ctx}: host reported {other:?}"),
                 }
-                other => panic!("threads={threads} {site:?}: host reported {other:?}"),
+                assert_eq!(
+                    report.statuses[2],
+                    LaunchStatus::Cancelled { cause: 1 },
+                    "{ctx}: successor not cancelled"
+                );
+                // The faulted host closure never ran and the cancelled
+                // kernel never wrote: buffer A holds exactly launch 0's
+                // output each round (the iterations stack one scale each).
+                assert_eq!(report.stats[1], ExecStats::default());
+                let (fl, fg, _) = report.first_failure().expect("a failure is recorded");
+                assert_eq!((fl, fg), (1, 0), "{ctx}");
+                seen.push((report.statuses, report.stats));
             }
             assert_eq!(
-                report.statuses[2],
-                LaunchStatus::Cancelled { cause: 1 },
-                "threads={threads} {site:?}: successor not cancelled"
+                seen[0], seen[1],
+                "threads={threads} {site:?}: the two edge sets schedule differently"
             );
-            // The faulted host closure never ran and the cancelled
-            // kernel never wrote: buffer A holds exactly launch 0's
-            // output each round (the iterations stack one scale each).
-            assert_eq!(report.stats[1], ExecStats::default());
-            let (fl, fg, _) = report.first_failure().expect("a failure is recorded");
-            assert_eq!((fl, fg), (1, 0), "threads={threads} {site:?}");
         }
     }
+}
+
+/// One graph-report run of a generated graph under a caller-chosen DAG —
+/// what `exec::run` does with `Queue::dep_graph`, with the edge set left
+/// open. Returns the per-launch statuses and statistics plus the final
+/// bits of every f32 buffer and USM allocation.
+fn spec_graph_run(
+    spec: &GraphSpec,
+    q: &Queue,
+    plans: &[(&'static str, KernelPlan)],
+    dag: &LaunchDag,
+    threads: usize,
+    limits: &ExecLimits,
+) -> (Vec<LaunchStatus>, Vec<ExecStats>, Vec<Vec<u32>>) {
+    let mut pool = MemoryPool::new();
+    let mut bufs: Vec<MemId> = spec
+        .bufs
+        .iter()
+        .map(|d| pool.alloc(DataVec::F32(d.clone())))
+        .collect();
+    bufs.push(pool.alloc(DataVec::I32(spec.idx.clone())));
+    let usms: Vec<MemId> = spec
+        .usms
+        .iter()
+        .map(|d| pool.alloc(DataVec::F32(d.clone())))
+        .collect();
+
+    // Host tasks over f32 buffers, as closures over the device memory.
+    let f32_at = |view: &HostView<'_, '_>, mem, i| match view.load(mem, i) {
+        RtValue::F32(x) => x,
+        other => panic!("f32 buffer loaded {other:?}"),
+    };
+    let hosts: Vec<Option<HostNode>> = q
+        .groups
+        .iter()
+        .map(|cg| {
+            type Update = fn(f32, f32, f32) -> f32;
+            let (dst, src, k, f): (MemId, MemId, f64, Update) = match cg.host? {
+                HostOp::Scale { buffer, factor } => {
+                    (bufs[buffer.0], bufs[buffer.0], factor, |x, _, k| x * k)
+                }
+                HostOp::Shift { buffer, delta } => {
+                    (bufs[buffer.0], bufs[buffer.0], delta, |x, _, k| x + k)
+                }
+                HostOp::AddInto { dst, src } => (bufs[dst.0], bufs[src.0], 0.0, |x, y, _| x + y),
+            };
+            let k = k as f32;
+            Some(HostNode::new(move |view: &HostView<'_, '_>| {
+                for i in 0..view.len(dst) as i64 {
+                    let x = f(f32_at(view, dst, i), f32_at(view, src, i), k);
+                    view.store(dst, i, RtValue::F32(x));
+                }
+                Ok(())
+            }))
+        })
+        .collect();
+    let args: Vec<Vec<RtValue>> = q
+        .groups
+        .iter()
+        .map(|cg| {
+            cg.args
+                .iter()
+                .map(|a| match a {
+                    CgArg::Acc { buffer, .. } => accessor_over(bufs[buffer.0]),
+                    CgArg::Usm { id, .. } => accessor_over(usms[id.0]),
+                    other => panic!("the generator binds no {other:?}"),
+                })
+                .collect()
+        })
+        .collect();
+    let launches: Vec<PlanLaunch<'_>> = q
+        .groups
+        .iter()
+        .zip(&hosts)
+        .zip(&args)
+        .map(|((cg, host), args)| match host {
+            Some(node) => PlanLaunch::host(node),
+            None => {
+                let (_, plan) = plans
+                    .iter()
+                    .find(|(name, _)| *name == cg.kernel)
+                    .expect("a generated kernel name");
+                PlanLaunch::kernel(plan, args, cg.nd)
+            }
+        })
+        .collect();
+    let report = run_plan_graph_report(
+        &launches,
+        dag,
+        &mut pool,
+        &CostModel::default(),
+        threads,
+        false,
+        limits,
+    )
+    .expect("well-formed graph");
+    let memory = bufs[..spec.bufs.len()]
+        .iter()
+        .chain(&usms)
+        .map(|&mem| match pool.data(mem) {
+            DataVec::F32(f) => f.iter().map(|x| x.to_bits()).collect(),
+            _ => panic!("f32 buffer"),
+        })
+        .collect();
+    (report.statuses, report.stats, memory)
+}
+
+/// The scheduler cannot tell the hazard table's sparse edge set from the
+/// all-pairs one: over the generated population — clean, with its own
+/// divergent kernels, and with a fault injected at a random launch — the
+/// per-launch statuses (every `Failed { group }` and every
+/// `Cancelled { cause }`) and statistics are equal at every thread
+/// count, and so is final memory whenever every launch completed (a
+/// failing launch's partial writes are schedule-dependent under either).
+#[test]
+fn random_graphs_schedule_identically_under_both_edge_sets() {
+    let plans = decoded_templates();
+    let (mut sparser, mut cancelled) = (0, 0);
+    for case in 0..48_u64 {
+        let seed = case * 65_537 + 7;
+        let spec = GraphSpec::generate(seed);
+        let q = spec.queue();
+        let dags = reference_and_table_dags(&q);
+        if dags[0].1 != dags[1].1 {
+            sparser += 1;
+        }
+        let mut rng = TestRng::new(seed ^ 0xFA17);
+        let fault = FaultPlan {
+            launch: rng.below(q.groups.len()),
+            site: [FaultSite::Decode, FaultSite::Claim(0), FaultSite::Instr(7)][rng.below(3)],
+        };
+        for fault in [None, Some(fault)] {
+            let limits = ExecLimits {
+                fault,
+                ..ExecLimits::none()
+            };
+            for threads in [1_usize, 4] {
+                let [want, got] = [&dags[0].1, &dags[1].1]
+                    .map(|dag| spec_graph_run(&spec, &q, &plans, dag, threads, &limits));
+                let ctx = format!("seed {seed}, threads={threads}, fault {fault:?}");
+                assert_eq!(want.0, got.0, "{ctx}: statuses diverge");
+                assert_eq!(want.1, got.1, "{ctx}: statistics diverge");
+                if got.0.iter().all(|s| *s == LaunchStatus::Completed) {
+                    assert_eq!(want.2, got.2, "{ctx}: memory diverges");
+                }
+                cancelled += got
+                    .0
+                    .iter()
+                    .filter(|s| matches!(s, LaunchStatus::Cancelled { .. }))
+                    .count();
+            }
+        }
+    }
+    // The population must actually tell the edge sets apart and cascade.
+    assert!(sparser > 40, "only {sparser} graphs had a sparser edge set");
+    assert!(cancelled > 200, "only {cancelled} cancellations observed");
 }
 
 /// A clean host node in a graph runs its closure exactly once between
@@ -1230,13 +1160,7 @@ fn host_node_in_graph_runs_in_hazard_order() {
     for threads in [1_usize, 4] {
         let mut pool = MemoryPool::new();
         let ma = pool.alloc(DataVec::F32((0..LEN).map(|i| i as f32).collect()));
-        let args_a = [RtValue::Accessor(AccessorVal {
-            mem: ma,
-            range: [LEN, 1, 1],
-            offset: [0, 0, 0],
-            rank: 1,
-            constant: false,
-        })];
+        let args_a = [accessor_over(ma)];
         let host = HostNode::new(move |view: &HostView<'_, '_>| {
             let n = view.len(ma) as i64;
             for i in 0..n {
