@@ -4,7 +4,7 @@
 //! The host tasks ride the hazard DAG as ordinary single-group nodes, so
 //! every independent kernel overlaps them — the shape on which running
 //! host tasks as graph nodes (instead of draining the graph around each
-//! one) was measured in BENCH_pr9.json.
+//! one) was measured in docs/history/BENCH_pr9.json.
 //!
 //! The printed table — per-buffer checksums, per-kernel cycle totals —
 //! is deterministic and bit-identical across thread counts and engines;

@@ -231,7 +231,8 @@ mod tests {
         let mut pool = MemoryPool::new();
         let (bufs, _) = rt.upload_to_device(&mut pool);
         assert_eq!(rt.bytes_to_device, 64);
-        pool.store(bufs[b.0], 3, sycl_mlir_sim::RtValue::F64(9.0));
+        pool.store(bufs[b.0], 3, sycl_mlir_sim::RtValue::F64(9.0))
+            .unwrap();
         rt.download_from_device(&pool, &bufs, &[]);
         assert_eq!(rt.read_f64(b)[3], 9.0);
         assert_eq!(rt.bytes_to_host, 64);

@@ -281,34 +281,34 @@ fn host_node_of(op: HostOp, buf_mems: &[MemId]) -> HostNode {
             match view.dtype_name(mem) {
                 "f32" => {
                     for i in 0..n {
-                        let RtValue::F32(x) = view.load(mem, i) else {
+                        let RtValue::F32(x) = view.load(mem, i)? else {
                             unreachable!("f32 buffer loads f32")
                         };
-                        view.store(mem, i, RtValue::F32(f(x as f64) as f32));
+                        view.store(mem, i, RtValue::F32(f(x as f64) as f32))?;
                     }
                 }
                 "f64" => {
                     for i in 0..n {
-                        let RtValue::F64(x) = view.load(mem, i) else {
+                        let RtValue::F64(x) = view.load(mem, i)? else {
                             unreachable!("f64 buffer loads f64")
                         };
-                        view.store(mem, i, RtValue::F64(f(x)));
+                        view.store(mem, i, RtValue::F64(f(x)))?;
                     }
                 }
                 "i32" => {
                     for i in 0..n {
-                        let RtValue::Int(x) = view.load(mem, i) else {
+                        let RtValue::Int(x) = view.load(mem, i)? else {
                             unreachable!("i32 buffer loads int")
                         };
-                        view.store(mem, i, RtValue::Int(f(x as f64) as i32 as i64));
+                        view.store(mem, i, RtValue::Int(f(x as f64) as i32 as i64))?;
                     }
                 }
                 _ => {
                     for i in 0..n {
-                        let RtValue::Int(x) = view.load(mem, i) else {
+                        let RtValue::Int(x) = view.load(mem, i)? else {
                             unreachable!("i64 buffer loads int")
                         };
-                        view.store(mem, i, RtValue::Int(f(x as f64) as i64));
+                        view.store(mem, i, RtValue::Int(f(x as f64) as i64))?;
                     }
                 }
             }
@@ -332,17 +332,17 @@ fn host_node_of(op: HostOp, buf_mems: &[MemId]) -> HostNode {
                 // The legacy zip clamps to the shorter buffer.
                 let n = view.len(dst).min(view.len(src)) as i64;
                 for i in 0..n {
-                    match (view.load(dst, i), view.load(src, i)) {
+                    match (view.load(dst, i)?, view.load(src, i)?) {
                         (RtValue::F32(d), RtValue::F32(s)) => {
-                            view.store(dst, i, RtValue::F32(d + s))
+                            view.store(dst, i, RtValue::F32(d + s))?
                         }
                         (RtValue::F64(d), RtValue::F64(s)) => {
-                            view.store(dst, i, RtValue::F64(d + s))
+                            view.store(dst, i, RtValue::F64(d + s))?
                         }
                         // i32 sums stay in range in i64 and the store
                         // truncates — exactly i32 wrapping addition.
                         (RtValue::Int(d), RtValue::Int(s)) => {
-                            view.store(dst, i, RtValue::Int(d.wrapping_add(s)))
+                            view.store(dst, i, RtValue::Int(d.wrapping_add(s)))?
                         }
                         _ => unreachable!("element types checked equal above"),
                     }

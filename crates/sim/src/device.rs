@@ -7,9 +7,7 @@ use crate::interp::{enclosing_module, ExecCtx, Stop, WorkItemState};
 use crate::limits::{CancelToken, ExecLimits, FaultPlan, FaultSite, OpMeter};
 use crate::memory::MemoryPool;
 use crate::plan::{decode_kernel, fuse_plan_with, profile_summary, FuseLevel, KernelPlan};
-use crate::pool::{
-    run_plan_graph_limited, run_plan_launch, HostNode, HostView, LaunchDag, PlanLaunch, SharedPool,
-};
+use crate::pool::{run_plan_graph_report, HostNode, HostView, LaunchDag, PlanLaunch, SharedPool};
 use crate::value::{NdItemVal, RtValue};
 use crate::verify::{verify_plan, PlanFacts, VerifyMode};
 use std::cell::{Cell, RefCell};
@@ -526,8 +524,16 @@ impl Device {
         nd: NdRangeSpec,
         pool: &mut MemoryPool,
     ) -> Result<ExecStats, SimError> {
-        match self.engine {
-            Engine::TreeWalk => launch_kernel_with(
+        let entry = match self.engine {
+            Engine::TreeWalk => None,
+            // A strict-mode rejection is stamped with this submission's
+            // (launch, group) position like any launch failure.
+            Engine::Plan => self.cached_plan(m, kernel).map_err(|e| e.at(0, 0))?,
+        };
+        let Some((plan, facts)) = entry else {
+            // The reference engine, also the fallback for kernels the
+            // decoder does not handle.
+            return launch_kernel_with(
                 m,
                 kernel,
                 args,
@@ -537,67 +543,27 @@ impl Device {
                 &self.limits,
                 self.limits.deadline_instant(),
                 0,
-            ),
-            Engine::Plan => match self.cached_plan(m, kernel) {
-                Ok(Some((plan, facts))) => {
-                    // A graph of one launch — run_plan_launch_limited's own
-                    // shape, carrying the verifier's facts.
-                    let launches = [PlanLaunch {
-                        plan: Some(&plan),
-                        args,
-                        nd,
-                        host: None,
-                        facts: facts.as_deref(),
-                    }];
-                    let mut out = run_plan_graph_limited(
-                        &launches,
-                        &LaunchDag::independent(1),
-                        pool,
-                        &self.cost,
-                        self.threads,
-                        false,
-                        &self.limits,
-                    )?;
-                    Ok(out.stats.pop().expect("one launch in, one stats out"))
-                }
-                // Reference fallback for non-decodable kernels.
-                Ok(None) => launch_kernel_with(
-                    m,
-                    kernel,
-                    args,
-                    nd,
-                    pool,
-                    &self.cost,
-                    &self.limits,
-                    self.limits.deadline_instant(),
-                    0,
-                ),
-                // Strict-mode rejection, stamped with this submission's
-                // (launch, group) position like any launch failure.
-                Err(e) => Err(e.at(0, 0)),
-            },
-        }
-    }
-
-    /// Execute a batch of **mutually independent** kernel launches,
-    /// returning one [`ExecStats`] per launch, in batch order — the
-    /// edge-free special case of [`Device::launch_graph`]: one worker
-    /// pool drains work-groups from all launches through per-launch
-    /// chunked claim cursors, so a launch too small to saturate the
-    /// workers no longer serializes the queue.
-    ///
-    /// # Errors
-    ///
-    /// Fails like [`Device::launch`]; with several failing work-groups
-    /// the error of the lexicographically smallest `(launch, group)` is
-    /// reported.
-    pub fn launch_batch(
-        &self,
-        m: &Module,
-        batch: &[BatchLaunch],
-        pool: &mut MemoryPool,
-    ) -> Result<Vec<ExecStats>, SimError> {
-        self.launch_graph(m, batch, &LaunchDag::independent(batch.len()), pool)
+            );
+        };
+        // A graph of one launch, carrying the verifier's facts.
+        let launches = [PlanLaunch {
+            plan: Some(&plan),
+            args,
+            nd,
+            host: None,
+            facts: facts.as_deref(),
+        }];
+        let mut out = run_plan_graph_report(
+            &launches,
+            &LaunchDag::independent(1),
+            pool,
+            &self.cost,
+            self.threads,
+            false,
+            &self.limits,
+        )?
+        .into_result()?;
+        Ok(out.stats.pop().expect("one launch in, one stats out"))
     }
 
     /// Execute a whole **launch graph** — kernel launches plus the hazard
@@ -606,7 +572,7 @@ impl Device {
     ///
     /// Under [`Engine::Plan`], when every kernel of the graph is
     /// plan-decodable, the graph is handed to
-    /// [`run_plan_graph`](crate::pool::run_plan_graph): launches
+    /// [`run_plan_graph_report`]: launches
     /// start the moment their own predecessors retire, with work-groups
     /// claimed in per-worker chunks — no level barrier anywhere.
     /// Otherwise (tree-walk engine, or any kernel the decoder rejects)
@@ -675,7 +641,7 @@ impl Device {
                         },
                     })
                     .collect();
-                let out = run_plan_graph_limited(
+                let out = run_plan_graph_report(
                     &launches,
                     dag,
                     pool,
@@ -683,7 +649,8 @@ impl Device {
                     self.threads,
                     self.profile,
                     &self.limits,
-                )?;
+                )?
+                .into_result()?;
                 if let Some(profile) = &out.profile {
                     let mut ops = self.profile_ops.borrow_mut();
                     let mut pairs = self.profile_pairs.borrow_mut();
@@ -868,9 +835,9 @@ fn barrier_uniformity(m: &Module, kernel: OpId) -> (u32, u32) {
     (total, uniform)
 }
 
-/// One entry of a [`Device::launch_batch`] / [`Device::launch_graph`]
-/// call: either a kernel with its bound arguments and geometry, or a
-/// host-task node ([`HostNode`]) occupying one logical work-group.
+/// One entry of a [`Device::launch_graph`] call: either a kernel with its
+/// bound arguments and geometry, or a host-task node ([`HostNode`])
+/// occupying one logical work-group.
 /// Exactly one of [`BatchLaunch::kernel`] / [`BatchLaunch::host`] is
 /// `Some`; use the constructors.
 #[derive(Clone, Debug)]
@@ -907,30 +874,8 @@ impl BatchLaunch {
     }
 }
 
-/// Free-function form of [`Device::launch`] (tree-walk, unlimited).
-pub fn launch_kernel(
-    m: &Module,
-    kernel: OpId,
-    args: &[RtValue],
-    nd: NdRangeSpec,
-    pool: &mut MemoryPool,
-    cost: &CostModel,
-) -> Result<ExecStats, SimError> {
-    launch_kernel_with(
-        m,
-        kernel,
-        args,
-        nd,
-        pool,
-        cost,
-        &ExecLimits::none(),
-        None,
-        0,
-    )
-}
-
-/// [`launch_kernel`] under execution limits: the tree-walk twin of the
-/// plan scheduler's metering. `launch` is the launch's index within its
+/// One tree-walk launch under execution limits: the serial twin of the
+/// plan scheduler's launch path. `launch` is the launch's index within its
 /// graph (0 for single launches) — injected faults target it and limit
 /// errors are stamped with it; `deadline` is the enclosing graph's
 /// absolute deadline, shared by every launch of a serial batch.
@@ -957,6 +902,8 @@ fn launch_kernel_with(
         .error()
         .at(launch, 0));
     }
+    pool.check_args(args)
+        .map_err(|fault| SimError::from(fault).at(launch, 0))?;
     let claim_fault = match limits.fault_at(launch) {
         Some(FaultSite::Claim(n)) => n,
         _ => u64::MAX,
@@ -1040,21 +987,6 @@ fn run_host_serial(
     let shared = SharedPool::new(pool);
     node.run(&HostView::new(&shared))?;
     Ok(ExecStats::default())
-}
-
-/// Execute a pre-decoded [`KernelPlan`] over `nd` — the [`Engine::Plan`]
-/// launch path, sequential form. The plan is shared immutably by all
-/// work-items; each work-item owns only its register file and frame
-/// stack. See [`run_plan_launch`] for the multi-threaded form this
-/// delegates to.
-pub fn launch_plan(
-    plan: &KernelPlan,
-    args: &[RtValue],
-    nd: NdRangeSpec,
-    pool: &mut MemoryPool,
-    cost: &CostModel,
-) -> Result<ExecStats, SimError> {
-    run_plan_launch(plan, args, nd, pool, cost, 1)
 }
 
 pub(crate) fn items_of_group(nd: NdRangeSpec, group: [i64; 3]) -> Vec<NdItemVal> {
@@ -1535,7 +1467,9 @@ mod tests {
                 BatchLaunch::kernel(offset, vec![accessor(mb, n)], nd),
             ];
             let stats = if batched {
-                device.launch_batch(&m, &batch, &mut pool).unwrap()
+                device
+                    .launch_graph(&m, &batch, &LaunchDag::independent(batch.len()), &mut pool)
+                    .unwrap()
             } else {
                 batch
                     .iter()

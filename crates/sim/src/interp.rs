@@ -832,7 +832,7 @@ impl WorkItemState {
                     .collect::<Result<_, _>>()?;
                 let addr = mr.linearize(&idx);
                 self.mem_event(ctx, op, &mr, addr, false)?;
-                let v = ctx.pool.try_load(mr.mem, addr)?;
+                let v = ctx.pool.load(mr.mem, addr)?;
                 self.bind(m.op_result(op, 0), v);
                 Ok(())
             }
@@ -851,7 +851,7 @@ impl WorkItemState {
                     .collect::<Result<_, _>>()?;
                 let addr = mr.linearize(&idx);
                 self.mem_event(ctx, op, &mr, addr, true)?;
-                ctx.pool.try_store(mr.mem, addr, v)?;
+                ctx.pool.store(mr.mem, addr, v)?;
                 Ok(())
             }
             "memref.cast" => {
@@ -1042,10 +1042,7 @@ impl WorkItemState {
             .ok_or_else(|| err("alloca of non-memref"))?;
         let len: i64 = shape_v.iter().product();
         if let Some(meter) = ctx.limits.as_deref_mut() {
-            let bytes = match crate::memory::dtype_of(&elem) {
-                crate::memory::Dtype::F32 | crate::memory::Dtype::I32 => 4,
-                _ => 8,
-            } * len.max(0) as u64;
+            let bytes = crate::memory::Dtype::of(&elem).bytes() as u64 * len.max(0) as u64;
             meter.charge_mem(bytes)?;
         }
         let mem = ctx.pool.alloc_zeroed(&elem, len.max(0) as usize);

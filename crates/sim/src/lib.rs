@@ -74,8 +74,9 @@
 //!
 //! **Launch-level parallelism:** on top of the work-group axis, the
 //! scheduler accepts whole **launch graphs** — kernel launches plus the
-//! hazard DAG ordering them ([`run_plan_graph`] / [`Device::launch_graph`];
-//! [`run_plan_batch`] is the edge-free special case). The runtime's queue
+//! hazard DAG ordering them ([`Device::launch_graph`], over
+//! [`run_plan_graph_report`]; a batch of independent launches is the
+//! edge-free graph). The runtime's queue
 //! exports its full dependency DAG and the executor runs it **out of
 //! order**: each launch carries a remaining-dependency counter, the worker
 //! that retires a launch's last work-group publishes newly-ready
@@ -103,10 +104,10 @@
 //! the plan engine never has to be complete to be correct. The
 //! differential suite (`tests/differential.rs`) holds the two engines to
 //! bit-identical outputs, statistics and cycle counts over the entire
-//! benchsuite (sequentially and at `threads=4`); `cargo bench -p
-//! sycl-mlir-bench --bench engines` measures the speedup
-//! (order-of-magnitude on loop-heavy kernels, ~6.5x on the full
-//! `repro_all --quick` sweep).
+//! benchsuite (sequentially and at `threads=4`); the repo benchmark
+//! (`benchmark/run.sh`) times the plan engine, and `repro_all --quick
+//! --engine=tree` next to the default run shows the gap
+//! (order-of-magnitude on loop-heavy kernels, ~6.5x on the full sweep).
 //!
 //! ## Configuration
 //!
@@ -132,19 +133,17 @@ pub mod verify;
 pub use config::{knob_table, ConfigError};
 pub use cost::{CostModel, ExecStats};
 pub use device::{
-    auto_threads, launch_kernel, launch_plan, BatchLaunch, Device, Engine, NdRangeSpec, SimError,
-    VerifyCounters,
+    auto_threads, BatchLaunch, Device, Engine, NdRangeSpec, SimError, VerifyCounters,
 };
 pub use interp::LimitKind;
 pub use limits::{CancelToken, ExecLimits, FaultPlan, FaultSite};
-pub use memory::{DataVec, MemId, MemoryPool};
+pub use memory::{DataVec, Dtype, MemFault, MemId, MemoryPool};
 pub use plan::{
     decode_kernel, fuse_plan, fuse_plan_with, profile_summary, DecodeError, FuseLevel, KernelPlan,
 };
 pub use pool::{
-    run_plan_batch, run_plan_graph, run_plan_graph_limited, run_plan_graph_report, run_plan_launch,
-    run_plan_launch_limited, GraphOutcome, GraphReport, HostNode, HostView, LaunchDag,
-    LaunchStatus, PlanExecCtx, PlanLaunch, PlanPool, SharedPool, HOST_NODE_WEIGHT,
+    run_plan_graph_report, GraphReport, HostNode, HostView, LaunchDag, LaunchStatus, PlanExecCtx,
+    PlanLaunch, PlanPool, SharedPool, HOST_NODE_WEIGHT,
 };
 pub use value::{AccessorVal, MemRefVal, NdItemVal, RtValue, Space};
 pub use verify::{verify_plan, PlanFacts, SiteProof, VerifyError, VerifyMode};

@@ -7,6 +7,143 @@ use crate::value::RtValue;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct MemId(pub u32);
 
+/// Storage class of a device buffer's elements — the one place element
+/// size and the `"f32"`… names come from, and the single authoritative
+/// mapping from MLIR element types ([`Dtype::of`]), so both engines always
+/// allocate the same [`DataVec`] variant for a given element type.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Dtype {
+    /// 32-bit floats.
+    F32,
+    /// 64-bit floats.
+    F64,
+    /// 32-bit integers (and narrower).
+    I32,
+    /// 64-bit integers (plus `index` and wider).
+    I64,
+}
+
+impl Dtype {
+    /// The storage class of the MLIR type `elem` (f32/f64/i32/i64/index/i1).
+    pub fn of(elem: &sycl_mlir_ir::Type) -> Dtype {
+        match elem.kind() {
+            sycl_mlir_ir::TypeKind::F32 => Dtype::F32,
+            sycl_mlir_ir::TypeKind::F64 => Dtype::F64,
+            sycl_mlir_ir::TypeKind::Int(w) if *w <= 32 => Dtype::I32,
+            _ => Dtype::I64,
+        }
+    }
+
+    /// Element size in bytes (drives transaction coalescing).
+    #[inline]
+    pub fn bytes(self) -> usize {
+        match self {
+            Dtype::F32 | Dtype::I32 => 4,
+            Dtype::F64 | Dtype::I64 => 8,
+        }
+    }
+
+    /// `"f32"`, `"f64"`, `"i32"` or `"i64"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Dtype::F32 => "f32",
+            Dtype::F64 => "f64",
+            Dtype::I32 => "i32",
+            Dtype::I64 => "i64",
+        }
+    }
+
+    /// Zero-filled storage for `len` elements of this class.
+    pub(crate) fn zeroed(self, len: usize) -> DataVec {
+        match self {
+            Dtype::F32 => DataVec::F32(vec![0.0; len]),
+            Dtype::F64 => DataVec::F64(vec![0.0; len]),
+            Dtype::I32 => DataVec::I32(vec![0; len]),
+            Dtype::I64 => DataVec::I64(vec![0; len]),
+        }
+    }
+}
+
+/// A faulting device-memory access, reported as a value by every access
+/// path of both engines. `buffer` is `None` for a kernel-private (alloca)
+/// buffer, which has no pool-wide id.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum MemFault {
+    /// `index` lies outside the buffer's `len` elements.
+    OutOfBounds {
+        /// The buffer accessed.
+        buffer: Option<MemId>,
+        /// The linearized element index of the access.
+        index: i64,
+        /// The buffer's element count.
+        len: usize,
+    },
+    /// A store of a value no coercion maps onto the buffer's elements.
+    TypeMismatch {
+        /// The buffer stored to.
+        buffer: Option<MemId>,
+        /// The buffer's storage class.
+        dtype: Dtype,
+        /// [`RtValue::kind`] of the value stored.
+        value: &'static str,
+    },
+    /// An access (or a launch argument) naming a buffer the pool does not
+    /// hold.
+    UnknownBuffer {
+        /// The id that resolves to nothing.
+        id: MemId,
+    },
+}
+
+impl std::fmt::Display for MemFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let named = |buffer: &Option<MemId>| match buffer {
+            Some(id) => format!("buffer {}", id.0),
+            None => "a kernel-private buffer".to_string(),
+        };
+        match self {
+            MemFault::OutOfBounds { buffer, index, len } => write!(
+                f,
+                "device memory access out of bounds: index {index} of {} (len {len})",
+                named(buffer)
+            ),
+            MemFault::TypeMismatch {
+                buffer,
+                dtype,
+                value,
+            } => write!(
+                f,
+                "type-mismatched store of {value} into {} ({})",
+                named(buffer),
+                dtype.name()
+            ),
+            MemFault::UnknownBuffer { id } => write!(f, "unknown device buffer {}", id.0),
+        }
+    }
+}
+
+impl From<MemFault> for SimError {
+    // Faults are rare: keep the formatting out of the executors' loops.
+    #[cold]
+    fn from(fault: MemFault) -> SimError {
+        SimError::msg(fault.to_string())
+    }
+}
+
+/// The bounds check of every device-memory access: `index` as an element
+/// position of a buffer of `len` elements.
+#[inline]
+pub(crate) fn check_index(
+    buffer: Option<MemId>,
+    index: i64,
+    len: usize,
+) -> Result<usize, MemFault> {
+    if index < 0 || index as usize >= len {
+        return Err(MemFault::OutOfBounds { buffer, index, len });
+    }
+    Ok(index as usize)
+}
+
 /// Typed storage of one allocation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DataVec {
@@ -36,15 +173,25 @@ impl DataVec {
         self.len() == 0
     }
 
-    /// Element size in bytes (drives transaction coalescing).
-    pub fn elem_bytes(&self) -> usize {
+    /// The storage class of the elements.
+    #[inline]
+    pub fn dtype(&self) -> Dtype {
         match self {
-            DataVec::F32(_) | DataVec::I32(_) => 4,
-            DataVec::F64(_) | DataVec::I64(_) => 8,
+            DataVec::F32(_) => Dtype::F32,
+            DataVec::F64(_) => Dtype::F64,
+            DataVec::I32(_) => Dtype::I32,
+            DataVec::I64(_) => Dtype::I64,
         }
     }
 
-    /// The element at `i` as a runtime value.
+    /// Element size in bytes (drives transaction coalescing).
+    #[inline]
+    pub fn elem_bytes(&self) -> usize {
+        self.dtype().bytes()
+    }
+
+    /// The element at position `i < len` as a runtime value.
+    #[inline]
     pub fn get(&self, i: usize) -> RtValue {
         match self {
             DataVec::F32(v) => RtValue::F32(v[i]),
@@ -54,24 +201,11 @@ impl DataVec {
         }
     }
 
-    /// Store `value` at `i`, coercing between float widths; panics on an
-    /// int/float mismatch.
-    pub fn set(&mut self, i: usize, value: RtValue) {
-        match (self, value) {
-            (DataVec::F32(v), RtValue::F32(x)) => v[i] = x,
-            (DataVec::F32(v), RtValue::F64(x)) => v[i] = x as f32,
-            (DataVec::F64(v), RtValue::F64(x)) => v[i] = x,
-            (DataVec::F64(v), RtValue::F32(x)) => v[i] = x as f64,
-            (DataVec::I32(v), RtValue::Int(x)) => v[i] = x as i32,
-            (DataVec::I64(v), RtValue::Int(x)) => v[i] = x,
-            (slot, v) => panic!("type-mismatched store of {v:?} into {slot:?}"),
-        }
-    }
-
-    /// Like [`DataVec::set`], but an int/float mismatch is a structured
-    /// [`SimError`] (same text as the panic) instead of a panic — the
-    /// form kernel-reachable stores use.
-    pub(crate) fn try_set(&mut self, i: usize, value: RtValue) -> Result<(), SimError> {
+    /// Write `value` at position `i < len`, coercing between float widths
+    /// and truncating integers; an int/float mismatch is a
+    /// [`MemFault::TypeMismatch`] naming `buffer` (`None` = kernel-private).
+    #[inline]
+    pub fn set(&mut self, buffer: Option<MemId>, i: usize, value: RtValue) -> Result<(), MemFault> {
         match (&mut *self, value) {
             (DataVec::F32(v), RtValue::F32(x)) => v[i] = x,
             (DataVec::F32(v), RtValue::F64(x)) => v[i] = x as f32,
@@ -80,54 +214,14 @@ impl DataVec {
             (DataVec::I32(v), RtValue::Int(x)) => v[i] = x as i32,
             (DataVec::I64(v), RtValue::Int(x)) => v[i] = x,
             (slot, v) => {
-                return Err(SimError::msg(format!(
-                    "type-mismatched store of {v:?} into {slot:?}"
-                )))
+                return Err(MemFault::TypeMismatch {
+                    buffer,
+                    dtype: slot.dtype(),
+                    value: v.kind(),
+                })
             }
         }
         Ok(())
-    }
-}
-
-/// Storage class an MLIR element type maps to — the single authoritative
-/// mapping shared by [`MemoryPool::alloc_zeroed`] and the plan engine's
-/// scratch arenas, so both engines always allocate the same [`DataVec`]
-/// variant for a given element type.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Dtype {
-    F32,
-    F64,
-    I32,
-    I64,
-}
-
-/// The storage class of the MLIR type `elem` (f32/f64/i32/i64/index/i1).
-pub(crate) fn dtype_of(elem: &sycl_mlir_ir::Type) -> Dtype {
-    match elem.kind() {
-        sycl_mlir_ir::TypeKind::F32 => Dtype::F32,
-        sycl_mlir_ir::TypeKind::F64 => Dtype::F64,
-        sycl_mlir_ir::TypeKind::Int(w) if *w <= 32 => Dtype::I32,
-        _ => Dtype::I64,
-    }
-}
-
-/// The storage class of an existing buffer.
-pub(crate) fn dtype_of_data(data: &DataVec) -> Dtype {
-    match data {
-        DataVec::F32(_) => Dtype::F32,
-        DataVec::F64(_) => Dtype::F64,
-        DataVec::I32(_) => Dtype::I32,
-        DataVec::I64(_) => Dtype::I64,
-    }
-}
-
-/// Zero-filled storage for `len` elements of storage class `dt`.
-pub(crate) fn zeroed_data(dt: Dtype, len: usize) -> DataVec {
-    match dt {
-        Dtype::F32 => DataVec::F32(vec![0.0; len]),
-        Dtype::F64 => DataVec::F64(vec![0.0; len]),
-        Dtype::I32 => DataVec::I32(vec![0; len]),
-        Dtype::I64 => DataVec::I64(vec![0; len]),
     }
 }
 
@@ -152,19 +246,13 @@ impl MemoryPool {
 
     /// Allocate a zero-filled buffer of `len` elements shaped like `proto`.
     pub fn alloc_zeroed_like(&mut self, proto: &DataVec, len: usize) -> MemId {
-        let data = match proto {
-            DataVec::F32(_) => DataVec::F32(vec![0.0; len]),
-            DataVec::F64(_) => DataVec::F64(vec![0.0; len]),
-            DataVec::I32(_) => DataVec::I32(vec![0; len]),
-            DataVec::I64(_) => DataVec::I64(vec![0; len]),
-        };
-        self.alloc(data)
+        self.alloc(proto.dtype().zeroed(len))
     }
 
     /// Allocate zero-filled storage for `len` elements of the MLIR type
     /// `elem` (f32/f64/i32/i64/index/i1).
     pub fn alloc_zeroed(&mut self, elem: &sycl_mlir_ir::Type, len: usize) -> MemId {
-        self.alloc(zeroed_data(dtype_of(elem), len))
+        self.alloc(Dtype::of(elem).zeroed(len))
     }
 
     /// Mutable access to every buffer, in [`MemId`] order. Used by the
@@ -183,60 +271,36 @@ impl MemoryPool {
         &mut self.buffers[id.0 as usize]
     }
 
-    /// Bounds check with the same panic message as the parallel path's
-    /// `SharedPool`, so an out-of-bounds kernel fails with identical text
-    /// under both engines.
-    #[inline]
-    fn check(&self, id: MemId, index: i64) {
-        let len = self.buffers[id.0 as usize].len();
-        assert!(
-            (index as usize) < len,
-            "device memory access out of bounds: index {index} of buffer {} (len {len})",
-            id.0,
-        );
-    }
-
     /// Load the element at `index` of allocation `id`.
-    pub fn load(&self, id: MemId, index: i64) -> RtValue {
-        self.check(id, index);
-        self.buffers[id.0 as usize].get(index as usize)
+    pub fn load(&self, id: MemId, index: i64) -> Result<RtValue, MemFault> {
+        let buf = self.buffers.get(id.0 as usize);
+        let buf = buf.ok_or(MemFault::UnknownBuffer { id })?;
+        Ok(buf.get(check_index(Some(id), index, buf.len())?))
     }
 
     /// Store `value` at `index` of allocation `id`.
-    pub fn store(&mut self, id: MemId, index: i64, value: RtValue) {
-        self.check(id, index);
-        self.buffers[id.0 as usize].set(index as usize, value);
+    pub fn store(&mut self, id: MemId, index: i64, value: RtValue) -> Result<(), MemFault> {
+        let buf = self.buffers.get_mut(id.0 as usize);
+        let buf = buf.ok_or(MemFault::UnknownBuffer { id })?;
+        buf.set(Some(id), check_index(Some(id), index, buf.len())?, value)
     }
 
-    /// Bounds check as a structured error, with text identical to
-    /// [`MemoryPool::check`]'s panic — so an out-of-bounds kernel fails
-    /// with the same message under both engines.
-    #[inline]
-    fn check_kernel(&self, id: MemId, index: i64) -> Result<(), SimError> {
-        let len = self.buffers[id.0 as usize].len();
-        if index < 0 || index as usize >= len {
-            return Err(SimError::msg(format!(
-                "device memory access out of bounds: index {index} of buffer {} (len {len})",
-                id.0,
-            )));
+    /// Check that every accessor and memref among the launch arguments
+    /// `args` names a buffer of this pool — the one place outside ids
+    /// enter a launch, so accesses inside it resolve their buffer
+    /// unconditionally.
+    pub(crate) fn check_args(&self, args: &[RtValue]) -> Result<(), MemFault> {
+        for arg in args {
+            let id = match arg {
+                RtValue::Accessor(a) => a.mem,
+                RtValue::MemRef(m) => m.mem,
+                _ => continue,
+            };
+            if id.0 as usize >= self.buffers.len() {
+                return Err(MemFault::UnknownBuffer { id });
+            }
         }
         Ok(())
-    }
-
-    /// Like [`MemoryPool::load`], but out-of-bounds is a structured
-    /// [`SimError`] — the form kernel-reachable accesses use, so hostile
-    /// input cannot panic the host.
-    pub fn try_load(&self, id: MemId, index: i64) -> Result<RtValue, SimError> {
-        self.check_kernel(id, index)?;
-        Ok(self.buffers[id.0 as usize].get(index as usize))
-    }
-
-    /// Like [`MemoryPool::store`], but out-of-bounds and type-mismatch
-    /// are structured [`SimError`]s — the form kernel-reachable accesses
-    /// use.
-    pub fn try_store(&mut self, id: MemId, index: i64, value: RtValue) -> Result<(), SimError> {
-        self.check_kernel(id, index)?;
-        self.buffers[id.0 as usize].try_set(index as usize, value)
     }
 
     /// Number of allocations made so far.
@@ -253,6 +317,7 @@ impl MemoryPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::SharedPool;
 
     #[test]
     fn roundtrip_all_dtypes() {
@@ -261,23 +326,111 @@ mod tests {
         let d = pool.alloc(DataVec::F64(vec![0.0; 4]));
         let i = pool.alloc(DataVec::I32(vec![0; 4]));
         let l = pool.alloc(DataVec::I64(vec![0; 4]));
-        pool.store(f, 1, RtValue::F32(1.5));
-        pool.store(d, 2, RtValue::F64(2.5));
-        pool.store(i, 3, RtValue::Int(-7));
-        pool.store(l, 0, RtValue::Int(1 << 40));
-        assert_eq!(pool.load(f, 1), RtValue::F32(1.5));
-        assert_eq!(pool.load(d, 2), RtValue::F64(2.5));
-        assert_eq!(pool.load(i, 3), RtValue::Int(-7));
-        assert_eq!(pool.load(l, 0), RtValue::Int(1 << 40));
+        pool.store(f, 1, RtValue::F32(1.5)).unwrap();
+        pool.store(d, 2, RtValue::F64(2.5)).unwrap();
+        pool.store(i, 3, RtValue::Int(-7)).unwrap();
+        pool.store(l, 0, RtValue::Int(1 << 40)).unwrap();
+        assert_eq!(pool.load(f, 1), Ok(RtValue::F32(1.5)));
+        assert_eq!(pool.load(d, 2), Ok(RtValue::F64(2.5)));
+        assert_eq!(pool.load(i, 3), Ok(RtValue::Int(-7)));
+        assert_eq!(pool.load(l, 0), Ok(RtValue::Int(1 << 40)));
         assert_eq!(pool.data(f).elem_bytes(), 4);
         assert_eq!(pool.data(l).elem_bytes(), 8);
     }
 
     #[test]
-    #[should_panic(expected = "type-mismatched")]
-    fn mismatched_store_panics() {
+    fn mismatched_store_is_a_fault() {
         let mut pool = MemoryPool::new();
         let f = pool.alloc(DataVec::F32(vec![0.0; 1]));
-        pool.store(f, 0, RtValue::Int(1));
+        let (buffer, dtype, value) = (Some(f), Dtype::F32, "int");
+        let mismatch = MemFault::TypeMismatch {
+            buffer,
+            dtype,
+            value,
+        };
+        assert_eq!(pool.store(f, 0, RtValue::Int(1)), Err(mismatch));
+        assert_eq!(pool.load(f, 0), Ok(RtValue::F32(0.0)), "nothing stored");
+        let id = MemId(7);
+        assert_eq!(pool.load(id, 0), Err(MemFault::UnknownBuffer { id }));
+    }
+
+    /// The `Vec`-backed pool and the pointer-backed launch view report
+    /// every access alike: equal values in range, equal faults — and
+    /// fault text — at `len`, `-1` and `i64::MAX`, for every storage class.
+    #[test]
+    fn vec_and_pointer_storage_fault_alike() {
+        let protos = [
+            (
+                DataVec::F32(vec![1.5; 3]),
+                RtValue::F32(2.5),
+                RtValue::Int(1),
+            ),
+            (
+                DataVec::F64(vec![1.5; 3]),
+                RtValue::F32(2.5),
+                RtValue::Int(1),
+            ),
+            (DataVec::I32(vec![7; 3]), RtValue::Int(9), RtValue::F32(1.0)),
+            (DataVec::I64(vec![7; 3]), RtValue::Int(9), RtValue::F64(1.0)),
+        ];
+        let id = MemId(1);
+        for (proto, good, bad) in protos {
+            let fresh = || {
+                let mut pool = MemoryPool::new();
+                pool.alloc(DataVec::I32(Vec::new()));
+                assert_eq!(pool.alloc(proto.clone()), id);
+                pool
+            };
+            for index in [1, 3, -1, i64::MAX] {
+                let (mut vec_backed, mut viewed) = (fresh(), fresh());
+                let shared = SharedPool::new(&mut viewed);
+                let loaded = vec_backed.load(id, index);
+                let stored = vec_backed.store(id, index, good);
+                let refused = vec_backed.store(id, index, bad);
+                assert_eq!(shared.load(id, index), loaded, "{proto:?}[{index}]");
+                assert_eq!(shared.store(id, index, good), stored, "{proto:?}[{index}]");
+                assert_eq!(shared.store(id, index, bad), refused, "{proto:?}[{index}]");
+                assert_eq!(shared.load(id, index), vec_backed.load(id, index));
+                let (fault, text) = if index == 1 {
+                    assert_eq!((loaded, stored), (Ok(proto.get(1)), Ok(())));
+                    assert_ne!(vec_backed.load(id, index), loaded, "the store landed");
+                    let (dtype, value) = (proto.dtype(), bad.kind());
+                    let buffer = Some(id);
+                    (
+                        MemFault::TypeMismatch {
+                            buffer,
+                            dtype,
+                            value,
+                        },
+                        format!(
+                            "type-mismatched store of {value} into buffer 1 ({})",
+                            dtype.name()
+                        ),
+                    )
+                } else {
+                    let buffer = Some(id);
+                    let oob = MemFault::OutOfBounds {
+                        buffer,
+                        index,
+                        len: 3,
+                    };
+                    assert_eq!((loaded, stored), (Err(oob), Err(oob)));
+                    (
+                        oob, // bounds are checked before the type
+                        format!(
+                            "device memory access out of bounds: index {index} of buffer 1 (len 3)"
+                        ),
+                    )
+                };
+                assert_eq!(refused, Err(fault));
+                assert_eq!(fault.to_string(), text);
+            }
+        }
+        // Kernel-private storage has no id to name.
+        let (buffer, index, len) = (None, 2, 2);
+        assert_eq!(
+            MemFault::OutOfBounds { buffer, index, len }.to_string(),
+            "device memory access out of bounds: index 2 of a kernel-private buffer (len 2)"
+        );
     }
 }

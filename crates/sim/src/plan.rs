@@ -2375,9 +2375,10 @@ impl PlanCtx {
     }
 
     /// Attach the launch-instantiated static facts: the proven-site
-    /// bitset selecting unchecked pool paths and the all-barriers-uniform
-    /// flag (see [`crate::verify::PlanFacts`]).
-    pub fn set_facts(&mut self, proven: std::sync::Arc<[u64]>, uniform: bool) {
+    /// bitset (sites whose bounds check `PlanPool::check` skips — so it
+    /// must come from [`crate::verify::PlanFacts::instantiate`] for this
+    /// launch) and the all-barriers-uniform flag.
+    pub(crate) fn set_facts(&mut self, proven: std::sync::Arc<[u64]>, uniform: bool) {
         self.proven = proven;
         self.uniform = uniform;
     }
@@ -2566,27 +2567,28 @@ impl PlanWorkItem {
                 reg!($r).as_f64().ok_or_else(|| err($what))?
             };
         }
-        // Per-site elision of the pool's bounds check: sites the
-        // decode-time verifier proved in-bounds for this launch take the
-        // unchecked path; every other site keeps the checked path and
-        // with it the exact out-of-bounds panic text and position.
+        // One access path: the bounds check is the fallible half (elided
+        // per site, for shared buffers, where the decode-time verifier's
+        // proof was instantiated for this launch; every other site keeps
+        // the exact out-of-bounds fault and position), the element access
+        // behind it cannot go out of bounds.
         macro_rules! pool_load {
-            ($site:expr, $mem:expr, $addr:expr) => {
-                if pctx.site_proven($site) {
-                    ctx.pool.load_proven($mem, $addr)
-                } else {
-                    ctx.pool.load($mem, $addr)
-                }
-            };
+            ($site:expr, $mem:expr, $addr:expr) => {{
+                ctx.pool.check(pctx.site_proven($site), $mem, $addr)?;
+                // SAFETY: `check` passed for this pool, id and index; the
+                // proven bits are the ones the scheduler (the one caller
+                // of `PlanCtx::set_facts`) got from
+                // `PlanFacts::instantiate` for this launch.
+                unsafe { ctx.pool.read($mem, $addr) }
+            }};
         }
         macro_rules! pool_store {
-            ($site:expr, $mem:expr, $addr:expr, $v:expr) => {
-                if pctx.site_proven($site) {
-                    ctx.pool.store_proven($mem, $addr, $v)
-                } else {
-                    ctx.pool.store($mem, $addr, $v)
-                }
-            };
+            ($site:expr, $mem:expr, $addr:expr, $v:expr) => {{
+                ctx.pool.check(pctx.site_proven($site), $mem, $addr)?;
+                // SAFETY: as in `pool_load!`.
+                let stored = unsafe { ctx.pool.write($mem, $addr, $v) };
+                stored?
+            }};
         }
         // Steps: the body of every primitive that some superinstruction
         // contains, written once and expanded by the primitive's own arm
@@ -3268,7 +3270,7 @@ mod tests {
 
     mod fusion {
         use super::super::*;
-        use crate::cost::{CostModel, ExecStats};
+        use crate::cost::ExecStats;
         use crate::memory::{DataVec, MemId, MemoryPool};
         use crate::value::AccessorVal;
         use crate::NdRangeSpec;
@@ -3335,8 +3337,7 @@ mod tests {
                 let mem = pool.alloc(DataVec::F32(data));
                 args.push(accessor(mem, n));
             }
-            let cost = CostModel::default();
-            let stats = crate::pool::run_plan_launch(plan, &args, nd, &mut pool, &cost, threads)
+            let stats = crate::pool::run_one_launch(plan, &args, nd, &mut pool, threads)
                 .expect("plan launch runs");
             let bufs = (0..pool.len())
                 .map(|i| pool.data(MemId(i as u32)).clone())
@@ -3547,7 +3548,7 @@ mod tests {
     /// `tests/differential.rs`).
     mod chains {
         use super::super::*;
-        use crate::cost::{CostModel, ExecStats};
+        use crate::cost::ExecStats;
         use crate::memory::{DataVec, MemId, MemoryPool};
         use crate::value::AccessorVal;
         use crate::NdRangeSpec;
@@ -3592,15 +3593,9 @@ mod tests {
                     space: Space::Global,
                 }),
             ];
-            let stats = crate::pool::run_plan_launch(
-                plan,
-                &args,
-                NdRangeSpec::d1(N, 4),
-                &mut pool,
-                &CostModel::default(),
-                threads,
-            )
-            .expect("plan runs");
+            let nd = NdRangeSpec::d1(N, 4);
+            let stats = crate::pool::run_one_launch(plan, &args, nd, &mut pool, threads)
+                .expect("plan runs");
             let DataVec::F32(a) = pool.data(MemId(0)) else {
                 panic!()
             };

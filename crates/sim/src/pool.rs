@@ -12,7 +12,8 @@
 //!
 //! * [`SharedPool`] — a launch-scoped view of the pre-existing device
 //!   buffers (accessor-backed global memory). Element loads/stores go
-//!   through raw typed pointers with bounds checks, so concurrent access
+//!   through raw typed pointers with bounds checks (a failing one is a
+//!   [`MemFault`] value, never a panic), so concurrent access
 //!   from many worker threads needs no locking. Distinct work-groups of a
 //!   well-formed kernel touch disjoint elements; a kernel that races with
 //!   itself is broken on real hardware too.
@@ -25,10 +26,10 @@
 //!   instead of growing the heap. Workers never mutate shared allocation
 //!   tables, so there is no allocation lock; the top two bits of a
 //!   [`MemId`] route accesses to the right side.
-//! * [`run_plan_graph`] — the **out-of-order scheduler**, over a whole
-//!   launch graph: kernel launches plus the hazard DAG ordering them
-//!   ([`LaunchDag`]; [`run_plan_batch`] is the edge-free special case and
-//!   a single launch, [`run_plan_launch`], the graph of one). Each launch
+//! * [`run_plan_graph_report`] — the **out-of-order scheduler**, over a
+//!   whole launch graph: kernel launches plus the hazard DAG ordering them
+//!   ([`LaunchDag`]; a batch of independent launches is the edge-free
+//!   graph, a single launch the graph of one). Each launch
 //!   carries an atomic remaining-dependency counter; the worker that
 //!   retires a launch's last work-group decrements its successors'
 //!   counters and publishes newly-ready launches to a shared ready set —
@@ -47,18 +48,21 @@
 //!   the merged statistics — and the cycle model charged from them — are
 //!   bit-identical for any worker count, schedule and interleaving.
 //!
-//! Determinism of errors: every failing work-group (simulator error or
-//! panic) is recorded with its `(launch, group)` position and the
-//! lexicographically smallest one is reported — exactly the failure
-//! submission-order serial execution hits first, under every thread count
-//! and schedule (see [`run_plan_graph`] for why the minimum is always
-//! executed).
+//! Determinism of errors: every failing work-group is recorded with its
+//! `(launch, group)` position and the lexicographically smallest one is
+//! reported — exactly the failure submission-order serial execution hits
+//! first, under every thread count and schedule (groups below a launch's
+//! eventual minimum are never skipped, so the minimum is always
+//! executed). Everything a kernel or a host closure can get wrong arrives
+//! as a [`SimError`] value; `catch_unwind` around a work-group is only
+//! the backstop that carries a simulator bug's panic back to the
+//! launching thread, where it is re-thrown.
 
 use crate::cost::{CostModel, ExecStats};
 use crate::device::{cooperative_rounds, cooperative_rounds_uniform, items_of_group, NdRangeSpec};
 use crate::interp::{LimitKind, SimError, WorkGroupCtx};
 use crate::limits::{ExecLimits, FaultSite, OpMeter};
-use crate::memory::{dtype_of, dtype_of_data, zeroed_data, DataVec, MemId, MemoryPool};
+use crate::memory::{check_index, DataVec, Dtype, MemFault, MemId, MemoryPool};
 use crate::plan::{KernelPlan, PlanCtx, PlanWorkItem};
 use crate::value::RtValue;
 use std::cmp::Reverse;
@@ -81,19 +85,12 @@ const CONST_BIT: u32 = 1 << 30;
 // SharedPool: lock-free views of the pre-launch buffers
 // ----------------------------------------------------------------------
 
-/// Typed base pointer of one shared buffer.
-#[derive(Clone, Copy, Debug)]
-enum BufPtr {
-    F32(*mut f32),
-    F64(*mut f64),
-    I32(*mut i32),
-    I64(*mut i64),
-}
-
-/// One shared buffer: its element pointer and length.
+/// One shared buffer: its base pointer, storage class and length.
 #[derive(Clone, Copy, Debug)]
 struct SharedBuf {
-    ptr: BufPtr,
+    /// First element; the pointee type is `dtype`'s.
+    ptr: *mut u8,
+    dtype: Dtype,
     len: usize,
 }
 
@@ -102,8 +99,9 @@ struct SharedBuf {
 ///
 /// Construction borrows the pool mutably for the whole launch, so no other
 /// code can observe or resize the buffers while workers hold raw pointers
-/// into them. Element accesses are bounds-checked and panic like the
-/// sequential `Vec` indexing they replace, and go through per-element
+/// into them. Element accesses are bounds-checked and report faults as
+/// [`MemFault`] values like the `Vec`-backed pool they replace, and go
+/// through per-element
 /// **relaxed atomics** (free on mainstream targets — they compile to the
 /// plain loads/stores they replace): a simulated kernel that races with
 /// itself across work-groups reads torn-by-element but well-defined
@@ -128,26 +126,26 @@ unsafe impl Sync for SharedPool<'_> {}
 /// `p.add(i)` must be in bounds of a live, properly aligned allocation
 /// with no concurrent non-atomic access.
 #[inline]
-unsafe fn load32(p: *mut i32, i: usize) -> u32 {
-    unsafe { std::sync::atomic::AtomicU32::from_ptr(p.add(i).cast()).load(Ordering::Relaxed) }
+unsafe fn load32(p: *mut u32, i: usize) -> u32 {
+    unsafe { std::sync::atomic::AtomicU32::from_ptr(p.add(i)).load(Ordering::Relaxed) }
 }
 
 /// See [`load32`].
 #[inline]
-unsafe fn load64(p: *mut i64, i: usize) -> u64 {
-    unsafe { std::sync::atomic::AtomicU64::from_ptr(p.add(i).cast()).load(Ordering::Relaxed) }
+unsafe fn load64(p: *mut u64, i: usize) -> u64 {
+    unsafe { std::sync::atomic::AtomicU64::from_ptr(p.add(i)).load(Ordering::Relaxed) }
 }
 
 /// See [`load32`].
 #[inline]
-unsafe fn store32(p: *mut i32, i: usize, v: u32) {
-    unsafe { std::sync::atomic::AtomicU32::from_ptr(p.add(i).cast()).store(v, Ordering::Relaxed) }
+unsafe fn store32(p: *mut u32, i: usize, v: u32) {
+    unsafe { std::sync::atomic::AtomicU32::from_ptr(p.add(i)).store(v, Ordering::Relaxed) }
 }
 
 /// See [`load32`].
 #[inline]
-unsafe fn store64(p: *mut i64, i: usize, v: u64) {
-    unsafe { std::sync::atomic::AtomicU64::from_ptr(p.add(i).cast()).store(v, Ordering::Relaxed) }
+unsafe fn store64(p: *mut u64, i: usize, v: u64) {
+    unsafe { std::sync::atomic::AtomicU64::from_ptr(p.add(i)).store(v, Ordering::Relaxed) }
 }
 
 impl<'p> SharedPool<'p> {
@@ -156,15 +154,15 @@ impl<'p> SharedPool<'p> {
         let bufs = pool
             .buffers_mut()
             .iter_mut()
-            .map(|data| {
-                let len = data.len();
-                let ptr = match data {
-                    DataVec::F32(v) => BufPtr::F32(v.as_mut_ptr()),
-                    DataVec::F64(v) => BufPtr::F64(v.as_mut_ptr()),
-                    DataVec::I32(v) => BufPtr::I32(v.as_mut_ptr()),
-                    DataVec::I64(v) => BufPtr::I64(v.as_mut_ptr()),
-                };
-                SharedBuf { ptr, len }
+            .map(|data| SharedBuf {
+                len: data.len(),
+                dtype: data.dtype(),
+                ptr: match data {
+                    DataVec::F32(v) => v.as_mut_ptr().cast(),
+                    DataVec::F64(v) => v.as_mut_ptr().cast(),
+                    DataVec::I32(v) => v.as_mut_ptr().cast(),
+                    DataVec::I64(v) => v.as_mut_ptr().cast(),
+                },
             })
             .collect();
         SharedPool {
@@ -173,140 +171,92 @@ impl<'p> SharedPool<'p> {
         }
     }
 
+    /// Buffer `id` and `index` as an in-bounds element position of it.
     #[inline]
-    fn buf(&self, id: MemId, index: i64) -> (SharedBuf, usize) {
-        let b = self.bufs[id.0 as usize];
-        let i = index as usize;
-        assert!(
-            i < b.len,
-            "device memory access out of bounds: index {index} of buffer {} (len {})",
-            id.0,
-            b.len
-        );
-        (b, i)
+    fn check(&self, id: MemId, index: i64) -> Result<(SharedBuf, usize), MemFault> {
+        let b = *self
+            .bufs
+            .get(id.0 as usize)
+            .ok_or(MemFault::UnknownBuffer { id })?;
+        Ok((b, check_index(Some(id), index, b.len)?))
     }
 
-    /// Load one element (same typing rules as [`DataVec::get`]).
-    #[inline]
-    pub fn load(&self, id: MemId, index: i64) -> RtValue {
-        let (b, i) = self.buf(id, index);
-        // SAFETY: `i` is in bounds, the storage outlives `self`, and all
-        // concurrent access goes through these atomic helpers.
-        unsafe {
-            match b.ptr {
-                BufPtr::F32(p) => RtValue::F32(f32::from_bits(load32(p.cast(), i))),
-                BufPtr::F64(p) => RtValue::F64(f64::from_bits(load64(p.cast(), i))),
-                BufPtr::I32(p) => RtValue::Int(load32(p, i) as i32 as i64),
-                BufPtr::I64(p) => RtValue::Int(load64(p, i) as i64),
-            }
-        }
-    }
-
-    /// Store one element (same coercions and mismatch panic as
-    /// [`DataVec::set`]).
-    #[inline]
-    pub fn store(&self, id: MemId, index: i64, value: RtValue) {
-        let (b, i) = self.buf(id, index);
-        // SAFETY: `i` is in bounds, the storage outlives `self`, and all
-        // concurrent access goes through these atomic helpers.
-        unsafe {
-            match (b.ptr, value) {
-                (BufPtr::F32(p), RtValue::F32(x)) => store32(p.cast(), i, x.to_bits()),
-                (BufPtr::F32(p), RtValue::F64(x)) => store32(p.cast(), i, (x as f32).to_bits()),
-                (BufPtr::F64(p), RtValue::F64(x)) => store64(p.cast(), i, x.to_bits()),
-                (BufPtr::F64(p), RtValue::F32(x)) => store64(p.cast(), i, (x as f64).to_bits()),
-                (BufPtr::I32(p), RtValue::Int(x)) => store32(p, i, x as i32 as u32),
-                (BufPtr::I64(p), RtValue::Int(x)) => store64(p, i, x as u64),
-                (slot, v) => panic!("type-mismatched store of {v:?} into {slot:?}"),
-            }
-        }
-    }
-
-    /// [`Self::load`] minus the bounds check, for sites the decode-time
-    /// verifier proved in-bounds.
+    /// Read element `i` of `b` (same typing rules as [`DataVec::get`]).
     ///
-    /// The in-bounds contract is established by
-    /// [`crate::verify::PlanFacts::instantiate`], which only sets a
-    /// site's proven bit after evaluating the site's symbolic address
-    /// bounds against this launch's actual geometry, arguments and
-    /// buffer lengths; debug builds re-assert it.
+    /// # Safety
+    ///
+    /// `b` is an entry of a live view's `bufs` and `i < b.len`.
     #[inline]
-    pub fn load_unchecked(&self, id: MemId, index: i64) -> RtValue {
-        let b = self.bufs[id.0 as usize];
-        let i = index as usize;
-        debug_assert!(
-            i < b.len,
-            "proven-safe load out of bounds: index {index} of buffer {} (len {})",
-            id.0,
-            b.len
-        );
-        // SAFETY: `i < b.len` is guaranteed by the instantiated site
-        // proof (re-checked above in debug builds), the storage outlives
-        // `self`, and all concurrent access goes through these atomic
-        // helpers.
+    unsafe fn read(b: SharedBuf, i: usize) -> RtValue {
+        // SAFETY: `i` is in bounds (the caller's contract), `b.ptr` points
+        // to `b.len` elements of `b.dtype`'s type that outlive the view,
+        // and all concurrent access goes through these atomic helpers.
         unsafe {
-            match b.ptr {
-                BufPtr::F32(p) => RtValue::F32(f32::from_bits(load32(p.cast(), i))),
-                BufPtr::F64(p) => RtValue::F64(f64::from_bits(load64(p.cast(), i))),
-                BufPtr::I32(p) => RtValue::Int(load32(p, i) as i32 as i64),
-                BufPtr::I64(p) => RtValue::Int(load64(p, i) as i64),
+            match b.dtype {
+                Dtype::F32 => RtValue::F32(f32::from_bits(load32(b.ptr.cast(), i))),
+                Dtype::F64 => RtValue::F64(f64::from_bits(load64(b.ptr.cast(), i))),
+                Dtype::I32 => RtValue::Int(load32(b.ptr.cast(), i) as i32 as i64),
+                Dtype::I64 => RtValue::Int(load64(b.ptr.cast(), i) as i64),
             }
         }
     }
 
-    /// [`Self::store`] minus the bounds check (same proven-site contract
-    /// as [`Self::load_unchecked`]); the type-mismatch panic is kept
-    /// verbatim — the verifier does not prove element types.
+    /// Write `value` to element `i` of `b`, buffer `id` (same coercions
+    /// and mismatch fault as [`DataVec::set`]).
+    ///
+    /// # Safety
+    ///
+    /// `b` is entry `id` of a live view's `bufs` and `i < b.len`.
     #[inline]
-    pub fn store_unchecked(&self, id: MemId, index: i64, value: RtValue) {
-        let b = self.bufs[id.0 as usize];
-        let i = index as usize;
-        debug_assert!(
-            i < b.len,
-            "proven-safe store out of bounds: index {index} of buffer {} (len {})",
-            id.0,
-            b.len
-        );
-        // SAFETY: as in `load_unchecked`.
+    unsafe fn write(b: SharedBuf, id: MemId, i: usize, value: RtValue) -> Result<(), MemFault> {
+        // SAFETY: as in `read`.
         unsafe {
-            match (b.ptr, value) {
-                (BufPtr::F32(p), RtValue::F32(x)) => store32(p.cast(), i, x.to_bits()),
-                (BufPtr::F32(p), RtValue::F64(x)) => store32(p.cast(), i, (x as f32).to_bits()),
-                (BufPtr::F64(p), RtValue::F64(x)) => store64(p.cast(), i, x.to_bits()),
-                (BufPtr::F64(p), RtValue::F32(x)) => store64(p.cast(), i, (x as f64).to_bits()),
-                (BufPtr::I32(p), RtValue::Int(x)) => store32(p, i, x as i32 as u32),
-                (BufPtr::I64(p), RtValue::Int(x)) => store64(p, i, x as u64),
-                (slot, v) => panic!("type-mismatched store of {v:?} into {slot:?}"),
+            match (b.dtype, value) {
+                (Dtype::F32, RtValue::F32(x)) => store32(b.ptr.cast(), i, x.to_bits()),
+                (Dtype::F32, RtValue::F64(x)) => store32(b.ptr.cast(), i, (x as f32).to_bits()),
+                (Dtype::F64, RtValue::F64(x)) => store64(b.ptr.cast(), i, x.to_bits()),
+                (Dtype::F64, RtValue::F32(x)) => store64(b.ptr.cast(), i, (x as f64).to_bits()),
+                (Dtype::I32, RtValue::Int(x)) => store32(b.ptr.cast(), i, x as i32 as u32),
+                (Dtype::I64, RtValue::Int(x)) => store64(b.ptr.cast(), i, x as u64),
+                (dtype, v) => {
+                    return Err(MemFault::TypeMismatch {
+                        buffer: Some(id),
+                        dtype,
+                        value: v.kind(),
+                    })
+                }
             }
         }
+        Ok(())
     }
 
-    /// Element size in bytes (drives transaction coalescing).
+    /// Load one element.
     #[inline]
-    pub fn elem_bytes(&self, id: MemId) -> usize {
-        match self.bufs[id.0 as usize].ptr {
-            BufPtr::F32(_) | BufPtr::I32(_) => 4,
-            BufPtr::F64(_) | BufPtr::I64(_) => 8,
-        }
+    pub fn load(&self, id: MemId, index: i64) -> Result<RtValue, MemFault> {
+        let (b, i) = self.check(id, index)?;
+        // SAFETY: `check` resolved `b` from this view and `i < b.len`.
+        Ok(unsafe { Self::read(b, i) })
+    }
+
+    /// Store one element.
+    #[inline]
+    pub fn store(&self, id: MemId, index: i64, value: RtValue) -> Result<(), MemFault> {
+        let (b, i) = self.check(id, index)?;
+        // SAFETY: `check` resolved `b` from this view and `i < b.len`.
+        unsafe { Self::write(b, id, i, value) }
+    }
+
+    /// Storage class of buffer `id` — what host-task closures key their
+    /// typed loops (and their mismatch diagnostics) on.
+    #[inline]
+    pub fn dtype(&self, id: MemId) -> Dtype {
+        self.bufs[id.0 as usize].dtype
     }
 
     /// Number of elements of buffer `id`.
     #[inline]
     pub fn len(&self, id: MemId) -> usize {
         self.bufs[id.0 as usize].len
-    }
-
-    /// Element type name of buffer `id` (`"f32"`, `"f64"`, `"i32"` or
-    /// `"i64"`) — what host-task closures key their typed loops (and
-    /// their mismatch diagnostics) on.
-    #[inline]
-    pub fn dtype_name(&self, id: MemId) -> &'static str {
-        match self.bufs[id.0 as usize].ptr {
-            BufPtr::F32(_) => "f32",
-            BufPtr::F64(_) => "f64",
-            BufPtr::I32(_) => "i32",
-            BufPtr::I64(_) => "i64",
-        }
     }
 }
 
@@ -340,26 +290,23 @@ impl ScratchArena {
     /// memory cap meters — steady-state recycling is free, only growth
     /// (or a reshaping replacement) counts.
     fn growth_of(&self, elem: &sycl_mlir_ir::Type, len: usize) -> u64 {
+        let dt = Dtype::of(elem);
         if let Some(buf) = self.bufs.get(self.cursor) {
-            if buf.len() == len && dtype_of_data(buf) == dtype_of(elem) {
+            if buf.len() == len && buf.dtype() == dt {
                 return 0;
             }
         }
-        let eb = match dtype_of(elem) {
-            crate::memory::Dtype::F32 | crate::memory::Dtype::I32 => 4_u64,
-            crate::memory::Dtype::F64 | crate::memory::Dtype::I64 => 8_u64,
-        };
-        (len as u64).saturating_mul(eb)
+        (len as u64).saturating_mul(dt.bytes() as u64)
     }
 
     /// Arena-local index of zero-filled storage for `len` elements of
     /// `elem`, recycling the buffer at the cursor when it matches.
     fn alloc_zeroed(&mut self, elem: &sycl_mlir_ir::Type, len: usize) -> u32 {
-        let dt = dtype_of(elem);
+        let dt = Dtype::of(elem);
         let idx = self.cursor;
         self.cursor += 1;
         if let Some(buf) = self.bufs.get_mut(idx) {
-            if buf.len() == len && dtype_of_data(buf) == dt {
+            if buf.len() == len && buf.dtype() == dt {
                 match buf {
                     DataVec::F32(v) => v.fill(0.0),
                     DataVec::F64(v) => v.fill(0.0),
@@ -367,10 +314,10 @@ impl ScratchArena {
                     DataVec::I64(v) => v.fill(0),
                 }
             } else {
-                *buf = zeroed_data(dt, len);
+                *buf = dt.zeroed(len);
             }
         } else {
-            self.bufs.push(zeroed_data(dt, len));
+            self.bufs.push(dt.zeroed(len));
         }
         idx as u32
     }
@@ -378,16 +325,6 @@ impl ScratchArena {
     /// Rewind the cursor; buffers are kept for recycling.
     fn reset(&mut self) {
         self.cursor = 0;
-    }
-
-    #[inline]
-    fn buf(&self, idx: u32) -> &DataVec {
-        &self.bufs[idx as usize]
-    }
-
-    #[inline]
-    fn buf_mut(&mut self, idx: u32) -> &mut DataVec {
-        &mut self.bufs[idx as usize]
     }
 }
 
@@ -408,18 +345,6 @@ pub struct PlanPool<'a, 'p> {
     /// only new or reshaped storage is charged, so a well-behaved kernel
     /// running many work-groups never trips the cap.
     mem_left: u64,
-}
-
-/// Bounds check for kernel-private (alloca) buffers, panicking with the
-/// same prefix as the shared-buffer check so the failure classifier in
-/// the scheduler converts it into a structured error.
-#[inline]
-fn check_scratch(buf: &DataVec, index: i64) {
-    let len = buf.len();
-    assert!(
-        index >= 0 && (index as usize) < len,
-        "device memory access out of bounds: index {index} of a kernel-private buffer (len {len})",
-    );
 }
 
 impl<'a, 'p> PlanPool<'a, 'p> {
@@ -472,75 +397,122 @@ impl<'a, 'p> PlanPool<'a, 'p> {
         Ok(MemId(self.scratch.alloc_zeroed(elem, len) | ARENA_BIT))
     }
 
+    /// The worker-private storage behind an arena `id` and the name its
+    /// faults give it (dense constants: their index in the worker's
+    /// constant pool; allocas: none). `None` for a launch-shared buffer.
+    #[inline]
+    fn arena(&self, id: MemId) -> Option<(&DataVec, Option<MemId>)> {
+        let idx = id.0 & !(ARENA_BIT | CONST_BIT);
+        if id.0 & ARENA_BIT == 0 {
+            None
+        } else if id.0 & CONST_BIT != 0 {
+            Some((self.consts.data(MemId(idx)), Some(MemId(idx))))
+        } else {
+            Some((&self.scratch.bufs[idx as usize], None))
+        }
+    }
+
+    /// [`Self::arena`], mutably.
+    #[inline]
+    fn arena_mut(&mut self, id: MemId) -> Option<(&mut DataVec, Option<MemId>)> {
+        let idx = id.0 & !(ARENA_BIT | CONST_BIT);
+        if id.0 & ARENA_BIT == 0 {
+            None
+        } else if id.0 & CONST_BIT != 0 {
+            Some((self.consts.data_mut(MemId(idx)), Some(MemId(idx))))
+        } else {
+            Some((&mut self.scratch.bufs[idx as usize], None))
+        }
+    }
+
+    /// The bounds check of an access to element `index` of `id`: the
+    /// fallible half of the executor's access path, [`Self::read`] or
+    /// [`Self::write`] being the other.
+    ///
+    /// `proven` says [`crate::verify::PlanFacts::instantiate`] evaluated
+    /// the access site's symbolic address bounds against this launch's
+    /// geometry, arguments and buffer lengths and found them in range:
+    /// the comparison is then skipped for shared buffers (debug builds
+    /// keep it). Arena ids are never accessor-backed, so no proof covers
+    /// them and they are always checked.
+    #[inline]
+    pub(crate) fn check(&self, proven: bool, id: MemId, index: i64) -> Result<(), MemFault> {
+        match self.arena(id) {
+            Some((buf, name)) => check_index(name, index, buf.len()).map(drop),
+            None if proven => {
+                debug_assert!(
+                    self.shared.check(id, index).is_ok(),
+                    "proven-safe access out of bounds: index {index} of buffer {}",
+                    id.0
+                );
+                Ok(())
+            }
+            None => self.shared.check(id, index).map(drop),
+        }
+    }
+
+    /// Read element `index` of `id`.
+    ///
+    /// # Safety
+    ///
+    /// [`Self::check`] returned `Ok` for `(id, index)` on this pool, with
+    /// `proven` set only under the contract documented there.
+    #[inline]
+    pub(crate) unsafe fn read(&self, id: MemId, index: i64) -> RtValue {
+        match self.arena(id) {
+            Some((buf, _)) => buf.get(index as usize),
+            // SAFETY: the buffer is this view's, and `index` is within its
+            // length: compared by `check`, or bounded by the instantiated
+            // site proof (the caller's contract).
+            None => unsafe { SharedPool::read(self.shared.bufs[id.0 as usize], index as usize) },
+        }
+    }
+
+    /// Write `value` to element `index` of `id`; a value no coercion maps
+    /// onto the buffer's elements is a [`MemFault::TypeMismatch`] (the
+    /// verifier does not prove element types).
+    ///
+    /// # Safety
+    ///
+    /// As for [`Self::read`].
+    #[inline]
+    pub(crate) unsafe fn write(
+        &mut self,
+        id: MemId,
+        index: i64,
+        value: RtValue,
+    ) -> Result<(), MemFault> {
+        match self.arena_mut(id) {
+            Some((buf, name)) => buf.set(name, index as usize, value),
+            // SAFETY: as in `read`.
+            None => unsafe {
+                SharedPool::write(self.shared.bufs[id.0 as usize], id, index as usize, value)
+            },
+        }
+    }
+
     /// Load one element (shared buffers or either arena).
     #[inline]
-    pub fn load(&self, id: MemId, index: i64) -> RtValue {
-        if id.0 & ARENA_BIT != 0 {
-            let idx = id.0 & !(ARENA_BIT | CONST_BIT);
-            if id.0 & CONST_BIT != 0 {
-                self.consts.load(MemId(idx), index)
-            } else {
-                let buf = self.scratch.buf(idx);
-                check_scratch(buf, index);
-                buf.get(index as usize)
-            }
-        } else {
-            self.shared.load(id, index)
-        }
+    pub fn load(&self, id: MemId, index: i64) -> Result<RtValue, MemFault> {
+        self.check(false, id, index)?;
+        // SAFETY: the unproven `check` compared `index` against the length.
+        Ok(unsafe { self.read(id, index) })
     }
 
     /// Store one element (shared buffers or either arena).
     #[inline]
-    pub fn store(&mut self, id: MemId, index: i64, value: RtValue) {
-        if id.0 & ARENA_BIT != 0 {
-            let idx = id.0 & !(ARENA_BIT | CONST_BIT);
-            if id.0 & CONST_BIT != 0 {
-                self.consts.store(MemId(idx), index, value);
-            } else {
-                let buf = self.scratch.buf_mut(idx);
-                check_scratch(buf, index);
-                buf.set(index as usize, value);
-            }
-        } else {
-            self.shared.store(id, index, value);
-        }
-    }
-
-    /// [`Self::load`] for a site whose in-bounds proof was instantiated
-    /// for this launch. Shared buffers skip the bounds check; arena and
-    /// constant-cache ids (never accessor-backed, so a proof cannot
-    /// cover them) fall back to the fully checked path.
-    #[inline]
-    pub fn load_proven(&self, id: MemId, index: i64) -> RtValue {
-        if id.0 & ARENA_BIT != 0 {
-            self.load(id, index)
-        } else {
-            self.shared.load_unchecked(id, index)
-        }
-    }
-
-    /// [`Self::store`] for a proven-safe site (see [`Self::load_proven`]).
-    #[inline]
-    pub fn store_proven(&mut self, id: MemId, index: i64, value: RtValue) {
-        if id.0 & ARENA_BIT != 0 {
-            self.store(id, index, value);
-        } else {
-            self.shared.store_unchecked(id, index, value);
-        }
+    pub fn store(&mut self, id: MemId, index: i64, value: RtValue) -> Result<(), MemFault> {
+        self.check(false, id, index)?;
+        // SAFETY: the unproven `check` compared `index` against the length.
+        unsafe { self.write(id, index, value) }
     }
 
     /// Element size in bytes (drives transaction coalescing).
     #[inline]
     pub fn elem_bytes(&self, id: MemId) -> usize {
-        if id.0 & ARENA_BIT != 0 {
-            let idx = id.0 & !(ARENA_BIT | CONST_BIT);
-            if id.0 & CONST_BIT != 0 {
-                self.consts.data(MemId(idx)).elem_bytes()
-            } else {
-                self.scratch.buf(idx).elem_bytes()
-            }
-        } else {
-            self.shared.elem_bytes(id)
+        match self.arena(id) {
+            Some((buf, _)) => buf.elem_bytes(),
+            None => self.shared.dtype(id).bytes(),
         }
     }
 
@@ -643,8 +615,9 @@ fn ensure_workers(n: usize) {
 }
 
 /// Body of a pool worker: sleep until a job arrives, run it, repeat. The
-/// trampoline never unwinds (panics are caught and transported by the
-/// launch state), so a worker survives any number of launches.
+/// trampoline never unwinds (panics are caught and carried to the
+/// launching thread by the launch state), so a worker survives any number
+/// of launches.
 fn worker_main() {
     let p = pool();
     loop {
@@ -820,7 +793,8 @@ pub const HOST_NODE_WEIGHT: u64 = 64;
 
 /// A host-side view of the device memory the scheduler shares with its
 /// workers: bounds-checked, typed element access to every buffer, with
-/// the same coercions and mismatch panics as kernel stores. Host-task
+/// the same coercions and [`MemFault`]s as kernel accesses (`?` turns one
+/// into the closure's [`SimError`]). Host-task
 /// closures ([`HostNode`]) receive one of these instead of raw buffer
 /// references, so host work obeys the same hazard ordering — and the
 /// same happens-before edges — as kernel launches.
@@ -839,25 +813,20 @@ impl<'a, 'p> HostView<'a, 'p> {
         self.shared.len(id)
     }
 
-    /// Load one element ([`SharedPool::load`] typing rules).
-    pub fn load(&self, id: MemId, index: i64) -> RtValue {
+    /// Load one element ([`SharedPool::load`]).
+    pub fn load(&self, id: MemId, index: i64) -> Result<RtValue, MemFault> {
         self.shared.load(id, index)
     }
 
-    /// Store one element ([`SharedPool::store`] coercions and panics).
-    pub fn store(&self, id: MemId, index: i64, value: RtValue) {
+    /// Store one element ([`SharedPool::store`]).
+    pub fn store(&self, id: MemId, index: i64, value: RtValue) -> Result<(), MemFault> {
         self.shared.store(id, index, value)
-    }
-
-    /// Element size in bytes of buffer `id`.
-    pub fn elem_bytes(&self, id: MemId) -> usize {
-        self.shared.elem_bytes(id)
     }
 
     /// Element type name of buffer `id` (`"f32"`, `"f64"`, `"i32"` or
     /// `"i64"`).
     pub fn dtype_name(&self, id: MemId) -> &'static str {
-        self.shared.dtype_name(id)
+        self.shared.dtype(id).name()
     }
 }
 
@@ -937,8 +906,8 @@ fn critical_paths(dag: &LaunchDag, geometry: &[([i64; 3], usize)]) -> Vec<u64> {
     cp
 }
 
-/// One launch of a graph handed to [`run_plan_graph`] (or of a batch
-/// handed to [`run_plan_batch`]): either a decoded kernel plan with its
+/// One launch of a graph handed to [`run_plan_graph_report`]: either a
+/// decoded kernel plan with its
 /// bound arguments and geometry, or a [`HostNode`] (a host task running
 /// as a single logical work-group). Exactly one of
 /// [`PlanLaunch::plan`] / [`PlanLaunch::host`] is `Some`.
@@ -1033,36 +1002,13 @@ struct GraphUnit<'a> {
     claim_fault: u64,
 }
 
-/// A failure observed while running one work-group: either a simulator
-/// error (divergent barrier, out-of-bounds device access, tripped
-/// execution limit) or a transported panic (an internal invariant
-/// violation — kernel-reachable panics are classified into errors by
-/// [`failure_of_panic`]).
+/// A failure observed while running one work-group: a simulator error
+/// (divergent barrier, device-memory fault, tripped execution limit), or
+/// a caught panic — an internal invariant violation, kept only to be
+/// re-thrown on the launching thread after the join.
 enum Failure {
     Error(SimError),
     Panic(Box<dyn std::any::Any + Send>),
-}
-
-/// Classify a transported panic: payloads produced by kernel-reachable
-/// checks (out-of-bounds device access, type-mismatched store) become
-/// structured errors with the panic's own text, so hostile kernel input
-/// surfaces as `Err(SimError)` instead of unwinding through the host.
-/// Anything else is an internal invariant violation and stays a panic,
-/// re-thrown after the join.
-fn failure_of_panic(payload: Box<dyn std::any::Any + Send>) -> Failure {
-    let text = payload
-        .downcast_ref::<String>()
-        .map(|s| s.as_str())
-        .or_else(|| payload.downcast_ref::<&'static str>().copied());
-    if let Some(t) = text {
-        if t.starts_with("device memory access out of bounds")
-            || t.starts_with("type-mismatched store")
-            || t.starts_with("host AddInto over mismatched element types")
-        {
-            return Failure::Error(SimError::msg(t));
-        }
-    }
-    Failure::Panic(payload)
 }
 
 /// One worker's outcome: per-launch accumulated counters plus, when
@@ -1110,7 +1056,7 @@ impl GraphLimits {
 }
 
 /// Everything a graph run shares with its pool jobs. Lives on the
-/// launching thread's stack for the duration of [`run_plan_graph`]; the
+/// launching thread's stack for the duration of [`run_plan_graph_report`]; the
 /// completion latch guarantees no job outlives it.
 struct GraphState<'a, 'p> {
     units: Vec<GraphUnit<'a>>,
@@ -1406,7 +1352,7 @@ fn run_host_node(node: &HostNode, st: &GraphState<'_, '_>, li: usize) -> Result<
 /// and the per-launch plan state are swapped per launch (counters must
 /// merge per launch).
 ///
-/// A failing work-group (simulator error or transported panic) is
+/// A failing work-group is
 /// recorded with its `(launch, group)` position and execution continues;
 /// groups at or beyond the launch's best-known failure are skipped, but
 /// **other** launches are untouched — independent launches run to
@@ -1504,7 +1450,7 @@ fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
                 match outcome {
                     Ok(Ok(())) => {}
                     Ok(Err(e)) => st.record_failure(li, idx, Failure::Error(e)),
-                    Err(payload) => st.record_failure(li, idx, failure_of_panic(payload)),
+                    Err(payload) => st.record_failure(li, idx, Failure::Panic(payload)),
                 }
             }
             // Release: every store this worker made for these groups
@@ -1524,70 +1470,6 @@ fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
         .map(|p| p.as_mut().and_then(|p| p.take_profile()))
         .collect();
     WorkerResult { stats, profiles }
-}
-
-/// Execute a pre-decoded [`KernelPlan`] over `nd` on `threads` workers
-/// (`<= 1` runs the same code on the calling thread; `> 1` enlists
-/// `threads - 1` persistent pool workers alongside the calling thread).
-/// Statistics are merged deterministically: results are bit-identical for
-/// every worker count.
-pub fn run_plan_launch(
-    plan: &KernelPlan,
-    args: &[RtValue],
-    nd: NdRangeSpec,
-    pool_mem: &mut MemoryPool,
-    cost: &CostModel,
-    threads: usize,
-) -> Result<ExecStats, SimError> {
-    let mut stats = run_plan_batch(
-        &[PlanLaunch::kernel(plan, args, nd)],
-        pool_mem,
-        cost,
-        threads,
-    )?;
-    Ok(stats.pop().expect("one launch in, one stats out"))
-}
-
-/// [`run_plan_launch`] under execution limits: the launch is metered
-/// against `limits` and a tripped limit is reported as
-/// [`SimError::LimitExceeded`] instead of running forever.
-pub fn run_plan_launch_limited(
-    plan: &KernelPlan,
-    args: &[RtValue],
-    nd: NdRangeSpec,
-    pool_mem: &mut MemoryPool,
-    cost: &CostModel,
-    threads: usize,
-    limits: &ExecLimits,
-) -> Result<ExecStats, SimError> {
-    let launches = [PlanLaunch::kernel(plan, args, nd)];
-    let dag = LaunchDag::independent(1);
-    let mut out = run_plan_graph_limited(&launches, &dag, pool_mem, cost, threads, false, limits)?;
-    Ok(out.stats.pop().expect("one launch in, one stats out"))
-}
-
-/// Execute a batch of **mutually independent** plan launches concurrently
-/// on `threads` workers: [`run_plan_graph`] over the edge-free graph.
-pub fn run_plan_batch(
-    launches: &[PlanLaunch<'_>],
-    pool_mem: &mut MemoryPool,
-    cost: &CostModel,
-    threads: usize,
-) -> Result<Vec<ExecStats>, SimError> {
-    let dag = LaunchDag::independent(launches.len());
-    run_plan_graph(launches, &dag, pool_mem, cost, threads, false).map(|o| o.stats)
-}
-
-/// What [`run_plan_graph`] returns: per-launch statistics plus, when
-/// profiling was requested, per-launch flat instruction execution counts
-/// (index into the launch's plan functions concatenated in order; see
-/// [`crate::plan::profile_summary`]).
-#[derive(Debug)]
-pub struct GraphOutcome {
-    /// One merged [`ExecStats`] per launch, cycles charged.
-    pub stats: Vec<ExecStats>,
-    /// Per-launch execution counts (`Some` iff profiling was requested).
-    pub profile: Option<Vec<Box<[u64]>>>,
 }
 
 /// Terminal state of one launch in a [`GraphReport`].
@@ -1639,12 +1521,22 @@ impl GraphReport {
                 _ => None,
             })
     }
+
+    /// The first-failure contract of [`crate::Device::launch_graph`]: the
+    /// report of a run in which every launch completed, else
+    /// [`Self::first_failure`]'s error.
+    pub fn into_result(self) -> Result<GraphReport, SimError> {
+        match self.first_failure() {
+            Some((_, _, error)) => Err(error.clone()),
+            None => Ok(self),
+        }
+    }
 }
 
-/// Execute a whole **launch graph** on `threads` workers, out of order:
-/// a launch becomes eligible the moment its last predecessor retires —
-/// no level barrier — and all eligible launches share one worker pool
-/// through per-launch chunked claim cursors.
+/// Execute a whole **launch graph** on `threads` workers, out of order,
+/// under `limits`: a launch becomes eligible the moment its last
+/// predecessor retires — no level barrier — and all eligible launches
+/// share one worker pool through per-launch chunked claim cursors.
 ///
 /// * **Scheduling.** Every launch carries a remaining-dependency counter;
 ///   the worker that retires a launch's last work-group decrements its
@@ -1659,72 +1551,23 @@ impl GraphReport {
 ///   every worker count, graph shape and interleaving. Hazard edges order
 ///   all conflicting buffer accesses (retire/claim counters carry the
 ///   necessary happens-before), so buffer contents are bit-identical too.
-/// * **Errors.** Failing work-groups (simulator errors *and* panics, e.g.
-///   out-of-bounds device accesses) are collected with their positions;
-///   the failure at the lexicographically smallest `(launch, group)` is
-///   reported — exactly the one submission-order serial execution hits
-///   first, under every thread count and graph shape. Groups beyond the
-///   best-known failure are skipped, so a failing run still terminates
-///   early.
+/// * **Failures** are reported **per launch** instead of stopping at the
+///   first error: independent launches complete (bit-identically to a
+///   clean run), a failing launch reports the error of its smallest
+///   failing work-group — the one submission-order serial execution hits
+///   first, under every thread count and graph shape; groups beyond the
+///   best-known failure are skipped — and every transitive successor of
+///   a launch that tripped a limit is cancelled with its root cause.
+///   [`GraphReport::into_result`] folds the statuses into the
+///   first-failure `Result`.
 ///
 /// # Errors
 ///
-/// Malformed geometry, malformed/cyclic graphs, and the minimal failing
-/// work-group's error as above (internal panics are re-thrown as panics;
-/// kernel-reachable ones — out-of-bounds device accesses, type-mismatched
-/// stores — surface as structured errors).
-pub fn run_plan_graph(
-    launches: &[PlanLaunch<'_>],
-    dag: &LaunchDag,
-    pool_mem: &mut MemoryPool,
-    cost: &CostModel,
-    threads: usize,
-    profile: bool,
-) -> Result<GraphOutcome, SimError> {
-    run_plan_graph_limited(
-        launches,
-        dag,
-        pool_mem,
-        cost,
-        threads,
-        profile,
-        &ExecLimits::none(),
-    )
-}
-
-/// [`run_plan_graph`] under execution limits (`run_plan_graph` itself is
-/// the unlimited special case): op budgets, the memory cap, the deadline
-/// and the cancel token of `limits` are enforced, and fault injection is
-/// honoured. Like `run_plan_graph`, the
-/// first failure is returned as `Err`; use [`run_plan_graph_report`] to
-/// additionally observe which launches completed, failed or were
-/// cancelled.
-pub fn run_plan_graph_limited(
-    launches: &[PlanLaunch<'_>],
-    dag: &LaunchDag,
-    pool_mem: &mut MemoryPool,
-    cost: &CostModel,
-    threads: usize,
-    profile: bool,
-    limits: &ExecLimits,
-) -> Result<GraphOutcome, SimError> {
-    let report = run_plan_graph_report(launches, dag, pool_mem, cost, threads, profile, limits)?;
-    if let Some((_, _, error)) = report.first_failure() {
-        return Err(error.clone());
-    }
-    Ok(GraphOutcome {
-        stats: report.stats,
-        profile: report.profile,
-    })
-}
-
-/// Execute a launch graph under `limits` and report **per-launch**
-/// terminal statuses instead of stopping at the first error: independent
-/// launches complete (bit-identically to a clean run), the failing
-/// launch reports its smallest failing work-group, and every transitive
-/// successor of a failing launch is cancelled with its root cause. `Err`
-/// is reserved for malformed input (bad geometry, bad graphs); kernel
-/// failures and limit trips live in [`GraphReport::statuses`].
+/// `Err` is reserved for malformed input (bad geometry, malformed or
+/// cyclic graphs); kernel failures — device-memory faults among them,
+/// which arrive as [`MemFault`] values — and limit trips live in
+/// [`GraphReport::statuses`]. A panic on a worker is a bug in the
+/// simulator (or in a host closure) and is re-thrown as a panic.
 pub fn run_plan_graph_report(
     launches: &[PlanLaunch<'_>],
     dag: &LaunchDag,
@@ -1768,16 +1611,21 @@ pub fn run_plan_graph_report(
     // once up front (the graph validated acyclic above).
     let cp = critical_paths(dag, &geometry);
     let mut units = Vec::with_capacity(launches.len());
+    let mut bad_args = Vec::new();
     for (li, (l, &(groups, total))) in launches.iter().zip(&geometry).enumerate() {
+        // Arguments are outside input: a launch naming a buffer the pool
+        // does not hold fails as a whole, before any of its groups run.
+        let args_fault = pool_mem.check_args(l.args).err();
+        bad_args.extend(args_fault.map(|fault| (li, fault)));
         // Bind the launch's static facts to its concrete geometry,
         // arguments and buffer lengths once, before any worker starts;
         // the resulting bitset is shared read-only by every worker.
         let (proven, uniform) = match l.facts {
-            Some(f) => (
+            Some(f) if args_fault.is_none() => (
                 f.instantiate(l.args, &l.nd, pool_mem),
                 f.all_barriers_uniform(),
             ),
-            None => (Arc::from(Vec::new().into_boxed_slice()), false),
+            _ => (Arc::from(Vec::new().into_boxed_slice()), false),
         };
         units.push(GraphUnit {
             plan: l.plan,
@@ -1841,11 +1689,16 @@ pub fn run_plan_graph_report(
     // An armed decode fault fails its launch before any of its groups
     // run: record it up front so every group is skipped, the launch
     // retires through normal claim accounting, and its successors are
-    // cancelled by the ordinary cascade.
+    // cancelled by the ordinary cascade. Unknown-buffer arguments fail
+    // their launch the same way (after the decode fault, the order the
+    // serial reference checks them in), without the cascade.
     if let Some(f) = &limits.fault {
         if matches!(f.site, FaultSite::Decode) && f.launch < state.units.len() {
             state.record_failure(f.launch, 0, Failure::Error(f.error()));
         }
+    }
+    for (li, fault) in bad_args {
+        state.record_failure(li, 0, Failure::Error(fault.into()));
     }
 
     // Retire dependency-free empty launches before any worker starts: a
@@ -1888,9 +1741,8 @@ pub fn run_plan_graph_report(
         resume_unwind(payload);
     }
 
-    // Re-throw internal panics (scheduler/invariant bugs) at the smallest
-    // recorded position; kernel-reachable panics were classified into
-    // structured errors at the catch site and flow into statuses below.
+    // Re-throw panics (scheduler/invariant bugs, panicking host closures)
+    // at the smallest recorded position; nothing a kernel can do panics.
     let failures = state.failures.into_inner().unwrap();
     let panic_min = failures
         .iter()
@@ -1983,6 +1835,37 @@ pub fn run_plan_graph_report(
     })
 }
 
+/// Unit-test shorthand: an unlimited, unprofiled graph run, its first
+/// failure as `Err`.
+#[cfg(test)]
+pub(crate) fn run_graph(
+    launches: &[PlanLaunch<'_>],
+    dag: &LaunchDag,
+    pool_mem: &mut MemoryPool,
+    threads: usize,
+) -> Result<GraphReport, SimError> {
+    let (cost, limits) = (CostModel::default(), ExecLimits::none());
+    run_plan_graph_report(launches, dag, pool_mem, &cost, threads, false, &limits)?.into_result()
+}
+
+/// [`run_graph`] of one kernel launch.
+#[cfg(test)]
+pub(crate) fn run_one_launch(
+    plan: &KernelPlan,
+    args: &[RtValue],
+    nd: NdRangeSpec,
+    pool_mem: &mut MemoryPool,
+    threads: usize,
+) -> Result<ExecStats, SimError> {
+    let (launches, dag) = (
+        [PlanLaunch::kernel(plan, args, nd)],
+        LaunchDag::independent(1),
+    );
+    Ok(run_graph(&launches, &dag, pool_mem, threads)?
+        .stats
+        .remove(0))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2010,23 +1893,23 @@ mod tests {
         {
             let shared = SharedPool::new(&mut pool);
             let mut pp = PlanPool::new(&shared);
-            pp.store(f, 1, RtValue::F32(1.5));
-            pp.store(l, 0, RtValue::Int(-3));
-            assert_eq!(pp.load(f, 1), RtValue::F32(1.5));
-            assert_eq!(pp.load(l, 0), RtValue::Int(-3));
+            pp.store(f, 1, RtValue::F32(1.5)).unwrap();
+            pp.store(l, 0, RtValue::Int(-3)).unwrap();
+            assert_eq!(pp.load(f, 1), Ok(RtValue::F32(1.5)));
+            assert_eq!(pp.load(l, 0), Ok(RtValue::Int(-3)));
             assert_eq!(pp.elem_bytes(f), 4);
             assert_eq!(pp.elem_bytes(l), 8);
 
             // Arena allocations are tagged and never alias shared ids.
             let a = pp.alloc(DataVec::I32(vec![7; 3])).unwrap();
             assert_ne!(a.0 & ARENA_BIT, 0);
-            pp.store(a, 2, RtValue::Int(9));
-            assert_eq!(pp.load(a, 2), RtValue::Int(9));
-            assert_eq!(pp.load(a, 0), RtValue::Int(7));
+            pp.store(a, 2, RtValue::Int(9)).unwrap();
+            assert_eq!(pp.load(a, 2), Ok(RtValue::Int(9)));
+            assert_eq!(pp.load(a, 0), Ok(RtValue::Int(7)));
         }
         // Writes through the shared view landed in the original pool.
-        assert_eq!(pool.load(f, 1), RtValue::F32(1.5));
-        assert_eq!(pool.load(l, 0), RtValue::Int(-3));
+        assert_eq!(pool.load(f, 1), Ok(RtValue::F32(1.5)));
+        assert_eq!(pool.load(l, 0), Ok(RtValue::Int(-3)));
     }
 
     #[test]
@@ -2046,15 +1929,15 @@ mod tests {
         let a = pp.alloc_zeroed(&f32t, 3).unwrap();
         assert_ne!(a.0 & ARENA_BIT, 0);
         assert_eq!(a.0 & CONST_BIT, 0);
-        pp.store(a, 1, RtValue::F32(7.0));
-        assert_eq!(pp.load(a, 1), RtValue::F32(7.0));
+        pp.store(a, 1, RtValue::F32(7.0)).unwrap();
+        assert_eq!(pp.load(a, 1), Ok(RtValue::F32(7.0)));
 
         pp.next_work_group();
         let a2 = pp.alloc_zeroed(&f32t, 3).unwrap();
         assert_eq!(a2, a, "matching allocation is recycled");
         assert_eq!(
             pp.load(a2, 1),
-            RtValue::F32(0.0),
+            Ok(RtValue::F32(0.0)),
             "recycled storage re-zeroed"
         );
 
@@ -2062,20 +1945,47 @@ mod tests {
         pp.next_work_group();
         let b = pp.alloc_zeroed(&ctx.i64_type(), 5).unwrap();
         assert_eq!(b, a, "same slot, new storage");
-        assert_eq!(pp.load(b, 4), RtValue::Int(0));
+        assert_eq!(pp.load(b, 4), Ok(RtValue::Int(0)));
         assert_eq!(pp.elem_bytes(b), 8);
 
         // The constant survived all resets.
-        assert_eq!(pp.load(k, 0), RtValue::F32(4.5));
+        assert_eq!(pp.load(k, 0), Ok(RtValue::F32(4.5)));
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
     fn shared_pool_bounds_checked() {
+        let ctx = sycl_mlir_ir::Context::new();
         let mut pool = MemoryPool::new();
         let f = pool.alloc(DataVec::F32(vec![0.0; 2]));
         let shared = SharedPool::new(&mut pool);
-        shared.load(f, 5);
+        let oob = |buffer, index| {
+            Err(MemFault::OutOfBounds {
+                buffer,
+                index,
+                len: 2,
+            })
+        };
+        assert_eq!(shared.load(f, 5), oob(Some(f), 5));
+        assert_eq!(
+            shared.store(f, -1, RtValue::F32(1.0)),
+            oob(Some(f), -1).map(drop)
+        );
+        let id = MemId(3);
+        assert_eq!(shared.load(id, 0), Err(MemFault::UnknownBuffer { id }));
+        // A worker's arenas are checked alike; an alloca has no id to name.
+        let mut pp = PlanPool::new(&shared);
+        let a = pp.alloc_zeroed(&ctx.f32_type(), 2).unwrap();
+        assert_eq!(pp.load(a, 2), oob(None, 2));
+        let (buffer, dtype, value) = (None, Dtype::F32, "int");
+        let mismatch = MemFault::TypeMismatch {
+            buffer,
+            dtype,
+            value,
+        };
+        assert_eq!(pp.store(a, 0, RtValue::Int(1)), Err(mismatch));
+        // A proven site skips the check for shared buffers only.
+        assert_eq!(pp.check(true, a, 2), oob(None, 2).map(drop));
+        assert_eq!(pp.check(true, f, 1), Ok(()));
     }
 
     /// The claim chunk is sized from the **clamped** worker count
@@ -2096,7 +2006,7 @@ mod tests {
         assert_eq!(claim_chunk(1 << 20, 1), 64);
 
         // The regression shape: a tiny graph under a huge thread hint.
-        // The clamped count (what run_plan_graph now feeds claim_chunk)
+        // The clamped count (what run_plan_graph_report feeds claim_chunk)
         // keeps every launch at fine-grained chunk 1 — and can never
         // exceed the chunk the raw hint would produce.
         let (threads, per_launch, graph_total) = (64_usize, 8_usize, 16_usize);
@@ -2199,15 +2109,8 @@ mod tests {
                 PlanLaunch::kernel(&plan_c, &args, NdRangeSpec::d1(n, 4)),
             ];
             let dag = LaunchDag::chain(3);
-            let out = run_plan_graph(
-                &launches,
-                &dag,
-                &mut pool,
-                &CostModel::default(),
-                threads,
-                false,
-            )
-            .expect("chain through an empty launch completes");
+            let out = run_graph(&launches, &dag, &mut pool, threads)
+                .expect("chain through an empty launch completes");
             assert_eq!(out.stats.len(), 3);
             assert_eq!(out.stats[1].work_groups, 0, "empty launch ran no groups");
             assert_eq!(out.stats[1].work_items, 0);
@@ -2227,15 +2130,8 @@ mod tests {
             PlanLaunch::kernel(&plan_a, &args, NdRangeSpec::d1(0, 4)),
             PlanLaunch::kernel(&plan_a, &args, NdRangeSpec::d1(0, 4)),
         ];
-        let out = run_plan_graph(
-            &empties,
-            &LaunchDag::chain(2),
-            &mut pool,
-            &CostModel::default(),
-            4,
-            false,
-        )
-        .expect("all-empty graph completes");
+        let out = run_graph(&empties, &LaunchDag::chain(2), &mut pool, 4)
+            .expect("all-empty graph completes");
         assert_eq!(out.stats.len(), 2);
         assert!(out.stats.iter().all(|s| s.work_groups == 0));
     }
@@ -2360,11 +2256,9 @@ mod tests {
             let mut pool = MemoryPool::new();
             let mem = pool.alloc(init(nd.global[0]));
             let args = [global_view(mem, nd.global[0])];
-            let launches = [PlanLaunch::kernel(plan, &args, nd)];
-            let dag = LaunchDag::independent(1);
-            let mut out = run_plan_graph(&launches, &dag, &mut pool, &cost, 1, false)
-                .expect("a clean launch completes");
-            (out.stats.pop().unwrap(), pool.data(mem).clone())
+            let stats =
+                run_one_launch(plan, &args, nd, &mut pool, 1).expect("a clean launch completes");
+            (stats, pool.data(mem).clone())
         };
         let (want_b, want_b_buf) = alone(&plan_b, nd_b);
         let (want_c, want_c_buf) = alone(&plan_c, nd_c);

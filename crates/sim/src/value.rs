@@ -152,6 +152,22 @@ pub enum RtValue {
 }
 
 impl RtValue {
+    /// The variant's name, for diagnostics.
+    pub fn kind(self) -> &'static str {
+        match self {
+            RtValue::Int(_) => "int",
+            RtValue::F32(_) => "f32",
+            RtValue::F64(_) => "f64",
+            RtValue::Vec(_) => "vec",
+            RtValue::NdRange(..) => "nd_range",
+            RtValue::MemRef(_) => "memref",
+            RtValue::Accessor(_) => "accessor",
+            RtValue::Item(_) => "item",
+            RtValue::Ptr(_) => "ptr",
+            RtValue::Unit => "unit",
+        }
+    }
+
     /// The integer payload, if this is an `Int`.
     pub fn as_int(self) -> Option<i64> {
         match self {

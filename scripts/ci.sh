@@ -56,6 +56,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 step "cargo build --release"
 cargo build --release
 
+# Device-memory faults are `MemFault` values (ARCHITECTURE.md, "Faults are
+# values"): no panic carries one, so nothing may classify panics by text.
+step "no panic-transported memory faults under crates/"
+if grep -rnE 'failure_of_panic|starts_with\("device memory|panic!\("type-mismatched' crates/; then
+  echo "FAIL: a memory fault is being reported by panic (or a panic classified by its text) again" >&2
+  exit 1
+fi
+
 # Runs the whole workspace, including the scheduler's hardening suites:
 # tests/scheduler_stress.rs (~200 randomized hazard DAGs across tree |
 # plan × threads 1 | 4, plus error-ordering pins),

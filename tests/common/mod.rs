@@ -1,14 +1,33 @@
 //! Shared by `tests/hazard_graph_diff.rs` and `tests/scheduler_stress.rs`:
 //! the all-pairs hazard builder `Queue::dependencies` replaced, kept as
 //! the reference both suites hold the hazard table to, and the seeded
-//! random command-group generator both draw their queues from.
+//! random command-group generator both draw their queues from. For
+//! `tests/plan_fuzz.rs`: the single-launch form of the scheduler's one
+//! entry point.
 
 // Each including test crate uses its own subset.
 #![allow(dead_code)]
 
 use proptest::test_runner::TestRng;
 use sycl_mlir_repro::runtime::{BufferId, CgArg, CommandGroup, HostOp, Queue, SyclRuntime, UsmId};
+use sycl_mlir_repro::sim::{
+    run_plan_graph_report, CostModel, ExecLimits, ExecStats, LaunchDag, MemoryPool, PlanLaunch,
+    SimError,
+};
 use sycl_mlir_repro::sycl::types::AccessMode;
+
+/// Run `launch` alone on `threads` workers under `limits`: its statistics
+/// when it completed, else its failure.
+pub fn run_launch(
+    launch: PlanLaunch<'_>,
+    pool: &mut MemoryPool,
+    threads: usize,
+    limits: &ExecLimits,
+) -> Result<ExecStats, SimError> {
+    let (dag, cost) = (LaunchDag::independent(1), CostModel::default());
+    let report = run_plan_graph_report(&[launch], &dag, pool, &cost, threads, false, limits)?;
+    Ok(report.into_result()?.stats.remove(0))
+}
 
 // ----------------------------------------------------------------------
 // The reference: every direct hazard, by comparing every pair of groups

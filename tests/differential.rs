@@ -790,3 +790,79 @@ mod verify_differential {
         );
     }
 }
+
+/// Device-memory faults are values with one rendering: whatever engine or
+/// worker count hits them, the `SimError` and its `(launch, work-group)`
+/// stamp are the same.
+mod fault_differential {
+    use sycl_mlir_repro::core::FlowKind;
+    use sycl_mlir_repro::dialects::{arith, scf};
+    use sycl_mlir_repro::frontend::{full_context, KernelModuleBuilder, KernelSig};
+    use sycl_mlir_repro::runtime::exec::run;
+    use sycl_mlir_repro::runtime::hostgen::generate_host_ir;
+    use sycl_mlir_repro::runtime::{compile_program, Queue, SyclRuntime};
+    use sycl_mlir_repro::sim::{Device, Engine, SimError};
+    use sycl_mlir_repro::sycl::device as sdev;
+    use sycl_mlir_repro::sycl::types::AccessMode;
+
+    /// Two launches of `fill`, which stores `1.5f32` to `acc[gid]` from
+    /// work-group 2 on: first over an `f32` buffer (clean), then over an
+    /// `i32` buffer the kernel's accessor type does not match.
+    fn run_f32_stores_into_i32_buffer(device: &Device) -> Result<(), SimError> {
+        let ctx = full_context();
+        let mut kb = KernelModuleBuilder::new(&ctx);
+        let sig = KernelSig::new("fill", 1, true).accessor(ctx.f32_type(), 1, AccessMode::Write);
+        kb.add_kernel(&sig, |b, args, item| {
+            let gid = sdev::global_id(b, item, 0);
+            let group = sdev::group_id(b, item, 0);
+            let two = arith::constant_index(b, 2);
+            let late = arith::cmpi(b, "sge", group, two);
+            let acc = args[0];
+            scf::build_if(
+                b,
+                late,
+                &[],
+                |inner| {
+                    let f32t = inner.ctx().f32_type();
+                    let v = arith::constant_float(inner, 1.5, f32t);
+                    sdev::store_via_id(inner, v, acc, &[gid]);
+                    vec![]
+                },
+                |_| vec![],
+            );
+        });
+
+        let mut rt = SyclRuntime::new();
+        let floats = rt.buffer_f32(vec![0.0; 32], &[32]);
+        let ints = rt.buffer_i32(vec![0; 32], &[32]);
+        let mut q = Queue::new();
+        for buf in [floats, ints] {
+            q.submit(|h| {
+                h.accessor(buf, AccessMode::Write);
+                h.parallel_for_nd("fill", &[32], &[8]);
+            });
+        }
+        generate_host_ir(kb.module(), &rt, &q);
+        let module = kb.finish();
+        let mut program = compile_program(FlowKind::SyclMlir, module).expect("compiles");
+        run(&mut program, &mut rt, &q, device).map(drop)
+    }
+
+    #[test]
+    fn type_mismatched_store_is_engine_and_thread_independent() {
+        let tree = run_f32_stores_into_i32_buffer(&Device::with_engine(Engine::TreeWalk))
+            .expect_err("an f32 store into an i32 buffer fails");
+        // One line, no heap address, no buffer contents: the value kind,
+        // the buffer and its element type.
+        assert_eq!(
+            tree.message(),
+            "type-mismatched store of f32 into buffer 1 (i32) (launch 1, work-group 2)"
+        );
+        for threads in [1, 4] {
+            let plan =
+                run_f32_stores_into_i32_buffer(&Device::with_engine(Engine::Plan).threads(threads))
+                    .expect_err("an f32 store into an i32 buffer fails");
+            assert_eq!(plan, tree, "threads={threads}");
+        }
+    }
+}

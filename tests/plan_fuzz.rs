@@ -25,12 +25,15 @@
 //! the out-of-order scheduler's lexicographic `(launch, group)` failure
 //! bound.
 
+mod common;
+
+use common::run_launch;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use sycl_mlir_repro::sim::plan::{CmpPred, FloatBin, FuncPlan, Instr, IntBin, ItemQ};
 use sycl_mlir_repro::sim::{
-    fuse_plan, run_plan_launch, AccessorVal, CostModel, DataVec, ExecStats, KernelPlan, MemRefVal,
-    MemoryPool, NdRangeSpec, RtValue, SimError, Space,
+    fuse_plan, AccessorVal, CostModel, DataVec, ExecLimits, ExecStats, KernelPlan, MemRefVal,
+    MemoryPool, NdRangeSpec, PlanLaunch, RtValue, SimError, Space,
 };
 
 const BUF_LEN: usize = 16;
@@ -767,7 +770,7 @@ impl Gen {
         }
 
         // Materialize live registers: without these stores the register
-        // file would be unobservable through `run_plan_launch`.
+        // file would be unobservable through a launch.
         for _ in 0..3 {
             let idx = self.masked_index();
             let val = self.pick_float();
@@ -843,14 +846,8 @@ fn execute(plan: &KernelPlan) -> (Result<ExecStats, SimError>, Vec<f32>, Vec<i64
             constant: false,
         }),
     ];
-    let result = run_plan_launch(
-        plan,
-        &args,
-        NdRangeSpec::d1(8, 4),
-        &mut pool,
-        &CostModel::default(),
-        1,
-    );
+    let launch = PlanLaunch::kernel(plan, &args, NdRangeSpec::d1(8, 4));
+    let result = run_launch(launch, &mut pool, 1, &ExecLimits::none());
     let DataVec::F32(f) = pool.data(mf) else {
         panic!()
     };
@@ -1159,7 +1156,7 @@ fn div_zero_plan() -> KernelPlan {
 /// win under every thread count, fused and unfused.
 #[test]
 fn mid_chain_error_matches_unfused_and_bound_prunes_correctly() {
-    use sycl_mlir_repro::sim::{run_plan_graph, LaunchDag, PlanLaunch};
+    use sycl_mlir_repro::sim::{run_plan_graph_report, LaunchDag};
 
     let unfused_a = mid_chain_failing_plan(3);
     let mut fused_a = unfused_a.clone();
@@ -1208,14 +1205,16 @@ fn mid_chain_error_matches_unfused_and_bound_prunes_correctly() {
             PlanLaunch::kernel(a, &args, nd),
             PlanLaunch::kernel(b, &args, nd),
         ];
-        let err = run_plan_graph(
+        let err = run_plan_graph_report(
             &launches,
             &LaunchDag::independent(2),
             &mut pool,
             &CostModel::default(),
             threads,
             false,
+            &ExecLimits::none(),
         )
+        .and_then(|report| report.into_result())
         .expect_err("both launches fail");
         let DataVec::F32(f) = pool.data(mf) else {
             panic!()
@@ -1262,11 +1261,7 @@ fn mid_chain_error_matches_unfused_and_bound_prunes_correctly() {
 // ----------------------------------------------------------------------
 
 /// Execute `plan` alone (threads = 1, serial claim order) under `limits`.
-fn execute_limited(
-    plan: &KernelPlan,
-    limits: &sycl_mlir_repro::sim::ExecLimits,
-) -> Result<ExecStats, SimError> {
-    use sycl_mlir_repro::sim::run_plan_launch_limited;
+fn execute_limited(plan: &KernelPlan, limits: &ExecLimits) -> Result<ExecStats, SimError> {
     let mut pool = MemoryPool::new();
     let mf = pool.alloc(DataVec::F32(vec![-1.0; BUF_LEN]));
     let mi = pool.alloc(DataVec::I64(vec![7; BUF_LEN]));
@@ -1294,15 +1289,8 @@ fn execute_limited(
             constant: false,
         }),
     ];
-    run_plan_launch_limited(
-        plan,
-        &args,
-        NdRangeSpec::d1(32, 4),
-        &mut pool,
-        &CostModel::default(),
-        1,
-        limits,
-    )
+    let launch = PlanLaunch::kernel(plan, &args, NdRangeSpec::d1(32, 4));
+    run_launch(launch, &mut pool, 1, limits)
 }
 
 /// The op budget is **fuse-invariant**: a superinstruction settles the
@@ -1387,7 +1375,6 @@ fn execute_with_facts(
     plan: &KernelPlan,
     facts: Option<&sycl_mlir_repro::sim::PlanFacts>,
 ) -> (Result<ExecStats, SimError>, Vec<f32>, Vec<i64>, Vec<f32>) {
-    use sycl_mlir_repro::sim::{run_plan_graph, LaunchDag, PlanLaunch};
     let mut pool = MemoryPool::new();
     let mf = pool.alloc(DataVec::F32(
         (0..BUF_LEN).map(|i| i as f32 * 0.25).collect(),
@@ -1419,22 +1406,14 @@ fn execute_with_facts(
             constant: false,
         }),
     ];
-    let launches = [PlanLaunch {
+    let launch = PlanLaunch {
         plan: Some(plan),
         args: &args,
         nd: NdRangeSpec::d1(8, 4),
         host: None,
         facts,
-    }];
-    let result = run_plan_graph(
-        &launches,
-        &LaunchDag::independent(1),
-        &mut pool,
-        &CostModel::default(),
-        1,
-        false,
-    )
-    .map(|mut out| out.stats.pop().expect("one launch in, one stats out"));
+    };
+    let result = run_launch(launch, &mut pool, 1, &ExecLimits::none());
     let DataVec::F32(f) = pool.data(mf) else {
         panic!()
     };

@@ -38,8 +38,8 @@ use sycl_mlir_repro::runtime::{
     SyclRuntime, UsmId,
 };
 use sycl_mlir_repro::sim::{
-    decode_kernel, run_plan_graph_report, AccessorVal, CostModel, DataVec, Device, Engine,
-    ExecLimits, ExecStats, FaultPlan, FaultSite, HostNode, HostView, KernelPlan, LaunchDag,
+    decode_kernel, run_plan_graph_report, AccessorVal, BatchLaunch, CostModel, DataVec, Device,
+    Engine, ExecLimits, ExecStats, FaultPlan, FaultSite, HostNode, HostView, KernelPlan, LaunchDag,
     LaunchStatus, MemId, MemoryPool, NdRangeSpec, PlanLaunch, RtValue,
 };
 use sycl_mlir_repro::sycl::device as sdev;
@@ -907,10 +907,10 @@ fn injected_fault_on_host_node_cascades_to_successors() {
     let host = HostNode::new(move |view: &HostView<'_, '_>| {
         let n = view.len(ma) as i64;
         for i in 0..n {
-            let RtValue::F32(x) = view.load(ma, i) else {
+            let RtValue::F32(x) = view.load(ma, i)? else {
                 panic!("f32 buffer")
             };
-            view.store(ma, i, RtValue::F32(x + 100.0));
+            view.store(ma, i, RtValue::F32(x + 100.0))?;
         }
         Ok(())
     });
@@ -1020,7 +1020,7 @@ fn spec_graph_run(
 
     // Host tasks over f32 buffers, as closures over the device memory.
     let f32_at = |view: &HostView<'_, '_>, mem, i| match view.load(mem, i) {
-        RtValue::F32(x) => x,
+        Ok(RtValue::F32(x)) => x,
         other => panic!("f32 buffer loaded {other:?}"),
     };
     let hosts: Vec<Option<HostNode>> = q
@@ -1041,7 +1041,7 @@ fn spec_graph_run(
             Some(HostNode::new(move |view: &HostView<'_, '_>| {
                 for i in 0..view.len(dst) as i64 {
                     let x = f(f32_at(view, dst, i), f32_at(view, src, i), k);
-                    view.store(dst, i, RtValue::F32(x));
+                    view.store(dst, i, RtValue::F32(x))?;
                 }
                 Ok(())
             }))
@@ -1164,10 +1164,10 @@ fn host_node_in_graph_runs_in_hazard_order() {
         let host = HostNode::new(move |view: &HostView<'_, '_>| {
             let n = view.len(ma) as i64;
             for i in 0..n {
-                let RtValue::F32(x) = view.load(ma, i) else {
+                let RtValue::F32(x) = view.load(ma, i)? else {
                     panic!("f32 buffer")
                 };
-                view.store(ma, i, RtValue::F32(x + 100.0));
+                view.store(ma, i, RtValue::F32(x + 100.0))?;
             }
             Ok(())
         });
@@ -1205,6 +1205,145 @@ fn host_node_in_graph_runs_in_hazard_order() {
             None => want = Some(bits),
             Some(w) => assert_eq!(&bits, w, "threads={threads}"),
         }
+    }
+}
+
+/// A host closure that reads past its buffer gets the fault as a value
+/// from `HostView` and fails its node with the kernels' out-of-bounds
+/// text, at every thread count and under the serial reference; like any
+/// plain kernel error it does not cascade, so the dependent launch still
+/// runs. A closure that panics is a bug, not a fault: the scheduler's
+/// `catch_unwind` only carries the payload to the launching thread, which
+/// re-throws it unclassified.
+#[test]
+fn host_view_fault_fails_the_node_and_a_host_panic_is_rethrown() {
+    let plan = decoded_scale_plan();
+    let nd = NdRangeSpec::d1(LEN, 8);
+    let graph = |host: &HostNode, threads: usize| {
+        let mut pool = MemoryPool::new();
+        let ma = pool.alloc(DataVec::F32(vec![2.0; LEN as usize]));
+        assert_eq!(ma, MemId(0), "the closures below name buffer 0");
+        let args_a = [accessor_over(ma)];
+        let launches = [
+            PlanLaunch::host(host),
+            PlanLaunch::kernel(&plan, &args_a, nd),
+        ];
+        let report = run_plan_graph_report(
+            &launches,
+            &LaunchDag::chain(2),
+            &mut pool,
+            &CostModel::default(),
+            threads,
+            false,
+            &ExecLimits::none(),
+        )
+        .expect("well-formed graph");
+        (report, pool.data(ma).clone())
+    };
+
+    let overrun = HostNode::new(|view: &HostView<'_, '_>| {
+        view.load(MemId(0), view.len(MemId(0)) as i64)?;
+        Ok(())
+    });
+    let text = format!(
+        "device memory access out of bounds: index {LEN} of buffer 0 (len {LEN}) \
+         (launch 0, work-group 0)"
+    );
+    for threads in [1_usize, 4] {
+        let (report, a) = graph(&overrun, threads);
+        let LaunchStatus::Failed { group: 0, error } = &report.statuses[0] else {
+            panic!("threads={threads}: {:?}", report.statuses[0]);
+        };
+        assert_eq!(error.message(), text, "threads={threads}");
+        assert!(!error.message().contains("injected fault"));
+        assert_eq!(report.statuses[1], LaunchStatus::Completed);
+        // 2 * 0.5 + 3: the successor ran.
+        assert_eq!(
+            a,
+            DataVec::F32(vec![4.0; LEN as usize]),
+            "threads={threads}"
+        );
+    }
+    // The serial reference runs the closure on the calling thread.
+    let ctx = full_context();
+    let m = sycl_mlir_repro::ir::Module::new(&ctx);
+    let mut pool = MemoryPool::new();
+    pool.alloc(DataVec::F32(vec![2.0; LEN as usize]));
+    let err = Device::with_engine(Engine::TreeWalk)
+        .launch_graph(
+            &m,
+            &[BatchLaunch::host_node(overrun)],
+            &LaunchDag::independent(1),
+            &mut pool,
+        )
+        .unwrap_err();
+    assert_eq!(err.message(), text);
+
+    let boom = HostNode::new(|_: &HostView<'_, '_>| panic!("boom"));
+    for threads in [1_usize, 4] {
+        let payload = catch_unwind(AssertUnwindSafe(|| graph(&boom, threads)))
+            .expect_err("a panicking closure panics the launcher");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"boom"),
+            "threads={threads}"
+        );
+    }
+}
+
+/// A launch argument naming a buffer the pool does not hold is outside
+/// input: the launch fails with a `MemFault` at `(launch, 0)` — the same
+/// error under both engines — instead of panicking the host, and takes
+/// no other launch of its graph down.
+#[test]
+fn unknown_buffer_argument_fails_its_launch_only() {
+    let m = build_module(&SyclRuntime::new(), &Queue::new());
+    let dev = m
+        .lookup_symbol(m.top(), sycl_mlir_repro::sycl::DEVICE_MODULE_SYM)
+        .expect("device module");
+    let scale_io = m.lookup_symbol(dev, "scale_io").expect("kernel symbol");
+    let nd = NdRangeSpec::d1(LEN, 8);
+    for (name, device) in configs() {
+        // Past the pool, and an id with the worker-arena tag bit set.
+        for stranger in [MemId(9), MemId(1 << 31)] {
+            let mut pool = MemoryPool::new();
+            pool.alloc(DataVec::F32(vec![0.0; LEN as usize]));
+            let err = device
+                .launch(&m, scale_io, &[accessor_over(stranger)], nd, &mut pool)
+                .expect_err("the argument names no buffer");
+            let want = format!(
+                "unknown device buffer {} (launch 0, work-group 0)",
+                stranger.0
+            );
+            assert_eq!(err.message(), want, "`{name}`");
+        }
+        let mut pool = MemoryPool::new();
+        let ma = pool.alloc(DataVec::F32(vec![2.0; LEN as usize]));
+        let mb = pool.alloc(DataVec::F32(vec![4.0; LEN as usize]));
+        let batch = [ma, MemId(9), mb]
+            .map(|mem| BatchLaunch::kernel(scale_io, vec![accessor_over(mem)], nd));
+        let err = device
+            .launch_graph(&m, &batch, &LaunchDag::independent(3), &mut pool)
+            .expect_err("launch 1 names no buffer");
+        assert_eq!(
+            err.message(),
+            "unknown device buffer 9 (launch 1, work-group 0)",
+            "`{name}`"
+        );
+        // x * 0.5 + 3. The serial reference stops at the first failing
+        // launch; the graph scheduler still completes the independent one
+        // after it.
+        let after = if name == "tree-serial" { 4.0 } else { 5.0 };
+        assert_eq!(
+            pool.data(ma),
+            &DataVec::F32(vec![4.0; LEN as usize]),
+            "`{name}`"
+        );
+        assert_eq!(
+            pool.data(mb),
+            &DataVec::F32(vec![after; LEN as usize]),
+            "`{name}`"
+        );
     }
 }
 
