@@ -143,12 +143,36 @@ impl KernelModuleBuilder {
     }
 }
 
-/// Standard context with every dialect of this project registered.
+thread_local! {
+    /// This thread's registered context; see [`full_context`].
+    static FULL_CONTEXT: Context = {
+        let ctx = Context::new();
+        sycl_mlir_dialects::register_all(&ctx);
+        sycl_mlir_sycl::register(&ctx);
+        ctx
+    };
+}
+
+/// The standard context, with every dialect of this project registered: a
+/// handle to the calling thread's one such context, built and registered on
+/// the thread's first call.
+///
+/// Every module a thread builds from it shares its interned types, op names
+/// and attribute keys — types of two such modules compare by pointer, and a
+/// program pays for dialect registration once per thread, not once per
+/// build. Nothing about a module depends on what was interned before it was
+/// built (`tests/ir_golden.rs` holds that). Contexts and modules are
+/// `!Send`, so the sharing never crosses a thread; a test that wants a
+/// context nobody else has touched builds one with [`Context::new`].
+///
+/// ```
+/// use sycl_mlir_frontend::full_context;
+/// let (a, b) = (full_context(), full_context());
+/// assert_eq!(a.f32_type(), b.f32_type());
+/// assert!(a.lookup_op("sycl.host.schedule_kernel").is_some());
+/// ```
 pub fn full_context() -> Context {
-    let ctx = Context::new();
-    sycl_mlir_dialects::register_all(&ctx);
-    sycl_mlir_sycl::register(&ctx);
-    ctx
+    FULL_CONTEXT.with(Context::clone)
 }
 
 #[cfg(test)]

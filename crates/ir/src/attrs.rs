@@ -8,6 +8,7 @@
 use crate::affine::AffineMap;
 use crate::types::Type;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Interned attribute key; index into the context's key table.
 ///
@@ -46,7 +47,66 @@ pub enum Attribute {
     AffineMap(AffineMap),
 }
 
+/// What identifies a float constant: its bit pattern, every NaN taken as
+/// one.
+fn float_identity(v: f64) -> u64 {
+    if v.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        v.to_bits()
+    }
+}
+
 impl Attribute {
+    /// `true` if both attributes denote the same constant: the same variant
+    /// with the same payload, floats by bit pattern with all NaNs alike. It
+    /// is the equivalence of the printed form, hence what CSE may merge:
+    /// `0.0` and `-0.0` differ, `Int(1)` and `Bool(true)` differ, a NaN is
+    /// itself. (`==` is the numeric comparison: it equates the two zeros
+    /// and no NaN with anything.)
+    pub fn same_constant(&self, other: &Attribute) -> bool {
+        let same_float = |a: &f64, b: &f64| float_identity(*a) == float_identity(*b);
+        match (self, other) {
+            (Attribute::Float(a), Attribute::Float(b)) => same_float(a, b),
+            (Attribute::DenseF64(a), Attribute::DenseF64(b)) => {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same_float(x, y))
+            }
+            (Attribute::Array(a), Attribute::Array(b)) => {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.same_constant(y))
+            }
+            _ => self == other,
+        }
+    }
+
+    /// Feed `state` a hash under which [`Attribute::same_constant`]
+    /// attributes collide.
+    pub fn hash_constant<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Attribute::Unit => {}
+            Attribute::Bool(b) => b.hash(state),
+            Attribute::Int(v) => v.hash(state),
+            Attribute::Float(v) => float_identity(*v).hash(state),
+            Attribute::Str(s) => s.hash(state),
+            Attribute::Type(t) => t.hash(state),
+            Attribute::Array(items) => {
+                items.len().hash(state);
+                for item in items {
+                    item.hash_constant(state);
+                }
+            }
+            Attribute::DenseI64(v) => v.hash(state),
+            Attribute::DenseF64(v) => {
+                v.len().hash(state);
+                for x in v {
+                    float_identity(*x).hash(state);
+                }
+            }
+            Attribute::SymbolRef(path) => path.hash(state),
+            Attribute::AffineMap(map) => map.hash(state),
+        }
+    }
+
     /// Convenience constructor for a single-level symbol reference.
     pub fn symbol(name: impl Into<String>) -> Attribute {
         Attribute::SymbolRef(vec![name.into()])
@@ -206,6 +266,56 @@ mod tests {
             Attribute::DenseI64(vec![1, 2]).to_string(),
             "densei64<1, 2>"
         );
+    }
+
+    /// `same_constant` against the printed form it stands in for, and
+    /// `hash_constant` against `same_constant`.
+    #[test]
+    fn same_constant_is_equality_of_the_printed_form() {
+        let ctx = crate::Context::new();
+        let nan_payload = f64::from_bits(f64::NAN.to_bits() | 1);
+        assert!(nan_payload.is_nan());
+        let attrs = [
+            Attribute::Unit,
+            Attribute::Bool(true),
+            Attribute::Int(1),
+            Attribute::Int(0),
+            Attribute::Float(1.0),
+            Attribute::Float(0.0),
+            Attribute::Float(-0.0),
+            Attribute::Float(f64::NAN),
+            Attribute::Float(nan_payload),
+            Attribute::Float(-f64::NAN),
+            Attribute::Float(f64::INFINITY),
+            Attribute::Str("1".into()),
+            Attribute::Type(ctx.i32_type()),
+            Attribute::Type(ctx.index_type()),
+            Attribute::Array(vec![Attribute::Float(0.0)]),
+            Attribute::Array(vec![Attribute::Float(-0.0)]),
+            Attribute::Array(vec![Attribute::Float(f64::NAN)]),
+            Attribute::DenseI64(vec![1]),
+            Attribute::DenseF64(vec![1.0]),
+            Attribute::DenseF64(vec![1.0, 2.0]),
+            Attribute::DenseF64(vec![1.0, 2.5]),
+            Attribute::DenseF64(vec![f64::NAN]),
+            Attribute::DenseF64(vec![nan_payload]),
+            Attribute::symbol("k"),
+            Attribute::AffineMap(AffineMap::new(1, vec![crate::AffineExpr::Dim(0)])),
+        ];
+        let hash = |a: &Attribute| {
+            let mut h = crate::FxHasher::default();
+            a.hash_constant(&mut h);
+            h.finish()
+        };
+        for a in &attrs {
+            for b in &attrs {
+                let same = a.same_constant(b);
+                assert_eq!(same, a.to_string() == b.to_string(), "{a} vs {b}");
+                if same {
+                    assert_eq!(hash(a), hash(b), "{a} vs {b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 
 use crate::attrs::{AttrKey, Attribute};
 use crate::dialect::{Dialect, OpInfo, OpName};
+use crate::fxhash::FxHashMap;
 use crate::module::{BlockId, Module, ValueId};
 use crate::types::{DialectType, DialectTypeImpl, Type, TypeKind};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Parses the `<body>` of a dialect type like `!sycl.id<2>`; receives the
@@ -20,15 +20,19 @@ pub type ConstantMaterializerFn =
     fn(&mut Module, block: BlockId, index: usize, attr: &Attribute, ty: &Type) -> Option<ValueId>;
 
 struct ContextInner {
-    types: RefCell<HashMap<TypeKind, Type>>,
+    types: RefCell<FxHashMap<TypeKind, Type>>,
     op_infos: RefCell<Vec<OpInfo>>,
-    op_names: RefCell<HashMap<String, OpName>>,
-    attr_keys: RefCell<HashMap<String, AttrKey>>,
+    op_names: RefCell<FxHashMap<String, OpName>>,
+    attr_keys: RefCell<FxHashMap<String, AttrKey>>,
     attr_key_names: RefCell<Vec<Arc<str>>>,
     dialects: RefCell<Vec<&'static str>>,
-    type_parsers: RefCell<HashMap<String, TypeParserFn>>,
+    type_parsers: RefCell<FxHashMap<String, TypeParserFn>>,
     materializer: RefCell<Option<ConstantMaterializerFn>>,
 }
+
+/// The names behind [`CommonKeys`], in the order [`Context::new`] interns
+/// them.
+const COMMON_KEY_NAMES: [&str; 4] = ["value", "predicate", "callee", "sym_name"];
 
 /// Pre-interned keys for the attributes every hot path touches. Obtained
 /// from [`Context::common_keys`]; stable for the lifetime of the context.
@@ -74,27 +78,29 @@ impl Default for Context {
 impl Context {
     /// Create a context with the `builtin` dialect pre-registered.
     pub fn new() -> Context {
-        // The registries inside are still `RefCell` (IR construction and
-        // transformation are single-threaded by design), so this `Arc`
-        // buys no sharing yet — it is the groundwork for lock-based
-        // registries and keeps the spine uniform with the `Send + Sync`
+        // The registries inside are `RefCell` (IR construction and
+        // transformation are single-threaded by design), so the `Arc`
+        // shares the context among the modules of one thread — every
+        // module built from `sycl_mlir_frontend::full_context()` holds a
+        // clone of that thread's one registered context — and never across
+        // threads. It keeps the spine uniform with the `Send + Sync`
         // handles (interned types, name strings) derived from it.
         #[allow(clippy::arc_with_non_send_sync)]
         let ctx = Context {
             inner: Arc::new(ContextInner {
-                types: RefCell::new(HashMap::new()),
-                op_infos: RefCell::new(Vec::new()),
-                op_names: RefCell::new(HashMap::new()),
-                attr_keys: RefCell::new(HashMap::new()),
-                attr_key_names: RefCell::new(Vec::new()),
-                dialects: RefCell::new(Vec::new()),
-                type_parsers: RefCell::new(HashMap::new()),
+                types: RefCell::default(),
+                op_infos: RefCell::default(),
+                op_names: RefCell::default(),
+                attr_keys: RefCell::default(),
+                attr_key_names: RefCell::default(),
+                dialects: RefCell::default(),
+                type_parsers: RefCell::default(),
                 materializer: RefCell::new(None),
             }),
         };
-        // Pre-intern the hot attribute keys so `common_keys` ids are stable
-        // regardless of which dialects get registered later.
-        for key in ["value", "predicate", "callee", "sym_name"] {
+        // The hot attribute keys are interned first, so `common_keys` ids
+        // are the same in every context.
+        for key in COMMON_KEY_NAMES {
             ctx.attr_key(key);
         }
         crate::module::register_builtin(&ctx);
@@ -127,13 +133,22 @@ impl Context {
         self.inner.attr_key_names.borrow()[key.0 as usize].clone()
     }
 
-    /// Pre-interned ids of the most frequently accessed attribute keys.
+    /// Read the key-name table in place, indexed by [`AttrKey`]: lets a
+    /// lookup by name compare against the few keys an op carries instead of
+    /// hashing the name. `f` must not intern keys.
+    pub(crate) fn with_attr_key_names<R>(&self, f: impl FnOnce(&[Arc<str>]) -> R) -> R {
+        f(&self.inner.attr_key_names.borrow())
+    }
+
+    /// Pre-interned ids of the most frequently accessed attribute keys:
+    /// constants, because every context interns these four before anything
+    /// else.
     pub fn common_keys(&self) -> CommonKeys {
         CommonKeys {
-            value: self.attr_key("value"),
-            predicate: self.attr_key("predicate"),
-            callee: self.attr_key("callee"),
-            sym_name: self.attr_key("sym_name"),
+            value: AttrKey(0),
+            predicate: AttrKey(1),
+            callee: AttrKey(2),
+            sym_name: AttrKey(3),
         }
     }
 
@@ -310,6 +325,17 @@ mod tests {
         assert_eq!(a, b);
         assert!(ctx.op_info(a).has_trait(traits::PURE));
         assert_eq!(&*ctx.op_name_str(a), "test.op");
+    }
+
+    #[test]
+    fn common_keys_are_the_first_interned() {
+        let ctx = Context::new();
+        let keys = ctx.common_keys();
+        let ids = [keys.value, keys.predicate, keys.callee, keys.sym_name];
+        for (id, name) in ids.into_iter().zip(COMMON_KEY_NAMES) {
+            assert_eq!(ctx.lookup_attr_key(name), Some(id));
+            assert_eq!(&*ctx.attr_key_str(id), name);
+        }
     }
 
     #[test]

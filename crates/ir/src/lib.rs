@@ -36,6 +36,7 @@ pub mod attrs;
 pub mod builder;
 pub mod context;
 pub mod dialect;
+pub mod fxhash;
 pub mod module;
 pub mod parser;
 pub mod pass;
@@ -49,6 +50,7 @@ pub use attrs::{AttrKey, Attribute};
 pub use builder::Builder;
 pub use context::{CommonKeys, Context};
 pub use dialect::{traits, Dialect, Effect, EffectKind, FoldOut, OpInfo, OpName};
+pub use fxhash::{FxHashMap, FxHasher};
 pub use module::{BlockId, Module, OpId, RegionId, Use, ValueDef, ValueId, WalkControl};
 pub use parser::{parse_module, ParseError};
 pub use pass::{Pass, PassManager, PassStats};

@@ -414,9 +414,17 @@ impl Module {
         &self.ops[op.0 as usize].attrs
     }
 
+    /// Attribute lookup by name: compares `key` against the names of the
+    /// few keys the op carries, so it hashes nothing and an op without
+    /// attributes never reaches the context.
     pub fn attr<'a>(&'a self, op: OpId, key: &str) -> Option<&'a Attribute> {
-        let key = self.ctx.lookup_attr_key(key)?;
-        self.attr_by_id(op, key)
+        let attrs = &self.ops[op.0 as usize].attrs;
+        if attrs.is_empty() {
+            return None;
+        }
+        self.ctx
+            .with_attr_key_names(|names| attrs.iter().find(|(k, _)| &*names[k.0 as usize] == key))
+            .map(|(_, v)| v)
     }
 
     /// Attribute lookup by pre-interned key — integer compares only; the
@@ -545,9 +553,9 @@ impl Module {
         }
     }
 
-    /// Current uses of a value (cloned snapshot).
-    pub fn value_uses(&self, v: ValueId) -> Vec<Use> {
-        self.values[v.0 as usize].uses.clone()
+    /// Current uses of a value, in no particular order.
+    pub fn value_uses(&self, v: ValueId) -> &[Use] {
+        &self.values[v.0 as usize].uses
     }
 
     pub fn value_has_uses(&self, v: ValueId) -> bool {
@@ -831,7 +839,8 @@ impl Module {
 
     /// Symbol name of an op (its `sym_name` attribute).
     pub fn symbol_name(&self, op: OpId) -> Option<&str> {
-        self.attr(op, "sym_name").and_then(|a| a.as_str())
+        self.attr_by_id(op, self.ctx.common_keys().sym_name)
+            .and_then(|a| a.as_str())
     }
 
     /// Find a directly nested op with the given `sym_name` in `scope`'s
@@ -861,10 +870,13 @@ impl Module {
     /// All `func.func` ops directly inside `scope` (a module op).
     pub fn funcs_in(&self, scope: OpId) -> Vec<OpId> {
         let mut out = Vec::new();
+        let Some(func) = self.ctx.lookup_op("func.func") else {
+            return out;
+        };
         if let Some(&region) = self.op_regions(scope).first() {
             for &block in self.region_blocks(region) {
                 for &op in self.block_ops(block) {
-                    if self.op_is(op, "func.func") {
+                    if self.op_name(op) == func {
                         out.push(op);
                     }
                 }

@@ -6,7 +6,7 @@
 //! "gradual lowering through pattern rewriting" process described in §II-B
 //! of the paper.
 
-use crate::dialect::{traits, FoldOut};
+use crate::dialect::{traits, FoldOut, OpName};
 use crate::module::{Module, OpId, WalkControl};
 
 /// A rewrite rule rooted at a single operation.
@@ -36,6 +36,12 @@ pub fn apply_patterns_greedily(
     root: OpId,
     patterns: &[Box<dyn RewritePattern>],
 ) -> bool {
+    // Each pattern's root, resolved once: `Some(None)` is a root name no op
+    // can carry, because nobody registered it.
+    let roots: Vec<Option<Option<OpName>>> = patterns
+        .iter()
+        .map(|p| p.root_name().map(|name| m.ctx().lookup_op(name)))
+        .collect();
     let mut changed_any = false;
     for _round in 0..MAX_ROUNDS {
         let mut changed = false;
@@ -71,8 +77,8 @@ pub fn apply_patterns_greedily(
                 changed = true;
                 continue;
             }
-            for p in patterns {
-                if p.root_name().is_some_and(|root| !m.op_is(op, root)) {
+            for (p, root) in patterns.iter().zip(&roots) {
+                if root.is_some_and(|root| root != Some(m.op_name(op))) {
                     continue;
                 }
                 if p.match_and_rewrite(m, op) {

@@ -1,10 +1,9 @@
 //! Generic clean-up passes: canonicalization (folding + DCE via the greedy
 //! driver) and common-subexpression elimination.
 
-use std::collections::HashMap;
-use std::rc::Rc;
+use std::hash::{Hash, Hasher};
 use sycl_mlir_ir::dialect::traits;
-use sycl_mlir_ir::{apply_patterns_greedily, Attribute, Module, OpId, Pass, ValueId};
+use sycl_mlir_ir::{apply_patterns_greedily, Attribute, FxHashMap, FxHasher, Module, OpId, Pass};
 
 /// Folding + dead-code elimination to a fixed point.
 #[derive(Default)]
@@ -21,38 +20,94 @@ impl Pass for CanonicalizePass {
     }
 }
 
-/// Structural key for CSE: op name + operands + attributes + result types
-/// (two `arith.constant 1`s of type `i32` and `index` must not merge).
-#[derive(PartialEq, Eq, Hash)]
-struct CseKey {
-    name: u32,
-    operands: Vec<ValueId>,
-    attrs: Vec<(u32, String)>,
-    result_types: Vec<sycl_mlir_ir::Type>,
+/// Hash of what makes a pure op an expression: op name, operands,
+/// attributes and result types (two `arith.constant 1`s of type `i32` and
+/// `index` must not merge). [`same_expression`] ops hash alike.
+fn expression_hash(m: &Module, op: OpId) -> u64 {
+    let mut h = FxHasher::default();
+    m.op_name(op).hash(&mut h);
+    m.op_operands(op).hash(&mut h);
+    for (key, value) in m.op_attrs(op) {
+        key.hash(&mut h);
+        value.hash_constant(&mut h);
+    }
+    for &r in m.op_results(op) {
+        m.value_type(r).hash(&mut h);
+    }
+    h.finish()
 }
 
-fn cse_key(m: &Module, op: OpId) -> CseKey {
-    CseKey {
-        name: m.op_name(op).0,
-        operands: m.op_operands(op).to_vec(),
-        attrs: m
-            .op_attrs(op)
+/// `true` if `a` and `b` compute the same values: same name, operands and
+/// result types (interned, so compared by identity) and the same attributes
+/// in the same order, constants compared as [`Attribute::same_constant`]
+/// does — `0.0` is not `-0.0`, `1 : i32` is not `1 : index`.
+fn same_expression(m: &Module, a: OpId, b: OpId) -> bool {
+    let (attrs_a, attrs_b) = (m.op_attrs(a), m.op_attrs(b));
+    let (results_a, results_b) = (m.op_results(a), m.op_results(b));
+    m.op_name(a) == m.op_name(b)
+        && m.op_operands(a) == m.op_operands(b)
+        && attrs_a.len() == attrs_b.len()
+        && attrs_a
             .iter()
-            .map(|(k, v)| (k.0, format!("{v}")))
-            .collect(),
-        result_types: m.op_results(op).iter().map(|&r| m.value_type(r)).collect(),
-    }
+            .zip(attrs_b)
+            .all(|((ka, va), (kb, vb))| ka == kb && va.same_constant(vb))
+        && results_a.len() == results_b.len()
+        && results_a
+            .iter()
+            .zip(results_b)
+            .all(|(&ra, &rb)| m.value_type(ra) == m.value_type(rb))
+}
+
+/// An available expression: the op computing it, still in the module.
+struct Bound {
+    hash: u64,
+    op: OpId,
+    /// The entry of `CseScope::bound` this one took the `heads` slot of.
+    shadowed: Option<u32>,
 }
 
 /// The expressions available at the op being visited, scoped by dominance:
 /// a block sees what the blocks around it bound, and what it binds itself
-/// is dropped again when it ends.
+/// is dropped again when it ends. A hash table chained through `bound`, so
+/// binding or probing an expression allocates nothing.
 #[derive(Default)]
 struct CseScope {
-    available: HashMap<Rc<CseKey>, Vec<ValueId>>,
-    /// Every key in `available`, in insertion order; a block truncates it
-    /// back to its entry length on exit.
-    bound: Vec<Rc<CseKey>>,
+    /// Expression hash → the innermost entry of `bound` with that hash.
+    heads: FxHashMap<u64, u32>,
+    /// Every available expression, in binding order.
+    bound: Vec<Bound>,
+}
+
+impl CseScope {
+    /// The available op computing the same expression as `op`, whose hash
+    /// is `hash`.
+    fn lookup(&self, m: &Module, hash: u64, op: OpId) -> Option<OpId> {
+        let mut at = self.heads.get(&hash).copied();
+        while let Some(i) = at {
+            let bound = &self.bound[i as usize];
+            if same_expression(m, bound.op, op) {
+                return Some(bound.op);
+            }
+            at = bound.shadowed;
+        }
+        None
+    }
+
+    fn bind(&mut self, hash: u64, op: OpId) {
+        let shadowed = self.heads.insert(hash, self.bound.len() as u32);
+        self.bound.push(Bound { hash, op, shadowed });
+    }
+
+    /// Drop every expression bound since `bound` was `len` long.
+    fn truncate(&mut self, len: usize) {
+        while self.bound.len() > len {
+            let last = self.bound.pop().expect("longer than `len`");
+            match last.shadowed {
+                Some(i) => self.heads.insert(last.hash, i),
+                None => self.heads.remove(&last.hash),
+            };
+        }
+    }
 }
 
 /// Common-subexpression elimination over pure, region-free operations,
@@ -86,25 +141,19 @@ fn cse_region_op(m: &mut Module, op: OpId, scope: &mut CseScope, changed: &mut b
                 }
                 let pure = m.op_has_trait(inner, traits::PURE | traits::CONSTANT_LIKE);
                 if pure && m.op_regions(inner).is_empty() && !m.op_results(inner).is_empty() {
-                    let key = cse_key(m, inner);
-                    if let Some(existing) = scope.available.get(&key) {
-                        let replacements = existing.clone();
+                    let hash = expression_hash(m, inner);
+                    if let Some(existing) = scope.lookup(m, hash, inner) {
+                        let replacements = m.op_results(existing).to_vec();
                         m.replace_op(inner, &replacements);
                         *changed = true;
                         continue;
                     }
-                    let key = Rc::new(key);
-                    scope
-                        .available
-                        .insert(key.clone(), m.op_results(inner).to_vec());
-                    scope.bound.push(key);
+                    scope.bind(hash, inner);
                 }
                 cse_region_op(m, inner, scope, changed);
             }
             // Nested scopes see outer bindings but cannot leak theirs out.
-            for key in scope.bound.drain(entry..) {
-                scope.available.remove(&key);
-            }
+            scope.truncate(entry);
         }
     }
 }
@@ -134,7 +183,7 @@ mod tests {
     use sycl_mlir_dialects::arith::{addi, constant_index};
     use sycl_mlir_dialects::func::{build_func, build_return};
     use sycl_mlir_dialects::scf::build_for;
-    use sycl_mlir_ir::{Builder, Context, Module, PassManager};
+    use sycl_mlir_ir::{Builder, Context, Module, OpInfo, PassManager, Type};
 
     fn ctx() -> Context {
         let c = Context::new();
@@ -171,6 +220,55 @@ mod tests {
             .filter(|&o| !m.op_is_erased(o) && m.op_is(o, "arith.addi"))
             .count();
         assert_eq!(adds, 1);
+    }
+
+    /// The expressions CSE may and may not merge are those the printed
+    /// attribute and the result type tell apart.
+    #[test]
+    fn cse_tells_constants_apart_as_their_printed_form_does() {
+        let c = Context::new();
+        c.register_op(OpInfo::new("t.const").with_traits(traits::CONSTANT_LIKE));
+        c.register_op(OpInfo::new("t.use"));
+        // How many of two `t.const` ops, one per `(value, type)`, are left.
+        let constants_left = |first: (Attribute, &Type), second: (Attribute, &Type)| {
+            let mut m = Module::new(&c);
+            let block = m.top_block();
+            let mut b = Builder::at_end(&mut m, block);
+            let values = [first, second].map(|(value, ty)| {
+                b.build_value("t.const", &[], ty.clone(), vec![("value".into(), value)])
+            });
+            b.build("t.use", &values, &[], vec![]);
+            CsePass.run(&mut m).unwrap();
+            let ops = m.block_ops(block);
+            ops.iter().filter(|&&o| m.op_is(o, "t.const")).count()
+        };
+        let (f64t, i32t, index, i1) = (c.f64_type(), c.i32_type(), c.index_type(), c.i1_type());
+        let float = Attribute::Float;
+        let nan_payload = f64::from_bits(f64::NAN.to_bits() | 1);
+        let dense = |last: f64| Attribute::DenseF64(vec![1.0, 2.0, last]);
+        // Merged.
+        assert_eq!(constants_left((float(0.0), &f64t), (float(0.0), &f64t)), 1);
+        assert_eq!(
+            constants_left((float(f64::NAN), &f64t), (float(nan_payload), &f64t)),
+            1
+        );
+        assert_eq!(constants_left((dense(3.0), &f64t), (dense(3.0), &f64t)), 1);
+        assert_eq!(
+            constants_left((dense(f64::NAN), &f64t), (dense(nan_payload), &f64t)),
+            1
+        );
+        // Kept apart.
+        assert_eq!(constants_left((float(0.0), &f64t), (float(-0.0), &f64t)), 2);
+        assert_eq!(
+            constants_left((Attribute::Int(1), &i32t), (Attribute::Int(1), &index)),
+            2
+        );
+        assert_eq!(
+            constants_left((Attribute::Int(1), &i1), (Attribute::Bool(true), &i1)),
+            2
+        );
+        assert_eq!(constants_left((dense(3.0), &f64t), (dense(3.5), &f64t)), 2);
+        assert_eq!(constants_left((dense(0.0), &f64t), (dense(-0.0), &f64t)), 2);
     }
 
     #[test]

@@ -80,10 +80,13 @@ impl Pass for HostDeviceConstantPropagationPass {
     fn run(&mut self, m: &mut Module) -> Result<bool, String> {
         // Gather launches per kernel.
         let mut launches: HashMap<OpId, Vec<LaunchInfo>> = HashMap::new();
+        let Some(schedule_kernel) = m.ctx().lookup_op("sycl.host.schedule_kernel") else {
+            return Ok(false);
+        };
         for func in m.funcs_in(m.top()) {
             let mut schedules = Vec::new();
             m.walk(func, &mut |op| {
-                if m.op_is(op, "sycl.host.schedule_kernel") {
+                if m.op_name(op) == schedule_kernel {
                     schedules.push(op);
                 }
                 WalkControl::Advance
@@ -106,22 +109,16 @@ impl Pass for HostDeviceConstantPropagationPass {
 }
 
 /// Find the unique `sycl.host.constructor` in `func` whose destination is
-/// `v`.
+/// `v`: among the users of `v`, not by walking `func`.
 fn ctor_of(m: &Module, func: OpId, v: ValueId) -> Option<OpId> {
-    let mut found = None;
-    let mut count = 0;
-    m.walk(func, &mut |op| {
-        if m.op_is(op, "sycl.host.constructor") && m.op_operands(op).first() == Some(&v) {
-            found = Some(op);
-            count += 1;
-        }
-        WalkControl::Advance
-    });
-    if count == 1 {
-        found
-    } else {
-        None
-    }
+    let constructor = m.ctx().lookup_op("sycl.host.constructor")?;
+    let mut found = m
+        .value_uses(v)
+        .iter()
+        .filter(|u| u.index == 0 && m.op_name(u.op) == constructor && m.is_ancestor(func, u.op))
+        .map(|u| u.op);
+    let first = found.next()?;
+    found.next().is_none().then_some(first)
 }
 
 /// Constant extents of a raised range constructor.
@@ -203,24 +200,16 @@ fn analyze_arg(m: &Module, func: OpId, arg: ValueId) -> ArgFact {
 /// (which would invalidate treating the init data as constant).
 fn buffer_written_elsewhere(m: &Module, func: OpId, buffer_ctor: OpId) -> bool {
     let buffer_ptr = m.op_operands(buffer_ctor)[0];
-    let mut written = false;
-    m.walk(func, &mut |op| {
-        if op != buffer_ctor
-            && m.op_is(op, "sycl.host.constructor")
-            && m.op_operands(op).len() >= 2
-            && m.op_operands(op)[1] == buffer_ptr
-        {
-            if let Some(ty) = m.attr(op, "type").and_then(|a| a.as_type()) {
-                if let Some(acc) = accessor_info(ty) {
-                    if acc.mode.can_write() {
-                        written = true;
-                    }
-                }
-            }
-        }
-        WalkControl::Advance
-    });
-    written
+    m.value_uses(buffer_ptr).iter().any(|u| {
+        u.index == 1
+            && u.op != buffer_ctor
+            && m.op_is(u.op, "sycl.host.constructor")
+            && m.is_ancestor(func, u.op)
+            && m.attr(u.op, "type")
+                .and_then(|a| a.as_type())
+                .and_then(accessor_info)
+                .is_some_and(|acc| acc.mode.can_write())
+    })
 }
 
 impl HostDeviceConstantPropagationPass {

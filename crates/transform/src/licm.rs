@@ -274,7 +274,7 @@ fn licm_on_loop(m: &mut Module, loop_op: OpId, versioning: bool, stats: &mut Lic
     let external_uses: Vec<(usize, sycl_mlir_ir::Use)> = loop_results
         .iter()
         .enumerate()
-        .flat_map(|(i, &r)| m.value_uses(r).into_iter().map(move |u| (i, u)))
+        .flat_map(|(i, &r)| m.value_uses(r).iter().map(move |&u| (i, u)))
         .collect();
 
     // Build the guard condition before the loop.

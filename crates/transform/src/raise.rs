@@ -46,10 +46,13 @@ impl Pass for RaiseHostPass {
     fn run(&mut self, m: &mut Module) -> Result<bool, String> {
         // Host functions: everything directly under the top module (the
         // device module is nested and untouched).
+        let Some(llvm_call) = m.ctx().lookup_op("llvm.call") else {
+            return Ok(false);
+        };
         let mut calls = Vec::new();
         for func in m.funcs_in(m.top()) {
             m.walk(func, &mut |op| {
-                if m.op_is(op, "llvm.call") {
+                if m.op_name(op) == llvm_call {
                     calls.push(op);
                 }
                 WalkControl::Advance

@@ -43,6 +43,10 @@ trap 'rm -rf "$tmp"' EXIT
 # code or configurations is expected to report before/after.
 summary() {
   wc -l crates/sim/src/*.rs
+  # Heap allocations of one build + compile pass over the suite
+  # (tests/alloc_budget.rs; `cargo test -q` above ran it with its output
+  # captured).
+  cargo test -q --test alloc_budget -- --nocapture 2>/dev/null | grep '^alloc_budget:'
   passed=$(awk '/^test result:/ { n += $4 } END { print n + 0 }' "$tmp/test.log")
   echo "ci.sh wall time: $(( $(date +%s) - ci_start )) s; cargo test: $passed passed"
 }
@@ -61,6 +65,26 @@ cargo build --release
 step "no panic-transported memory faults under crates/"
 if grep -rnE 'failure_of_panic|starts_with\("device memory|panic!\("type-mismatched' crates/; then
   echo "FAIL: a memory fault is being reported by panic (or a panic classified by its text) again" >&2
+  exit 1
+fi
+
+# Names are resolved once (ARCHITECTURE.md): CSE compares expressions in the
+# module, it formats nothing; and the one registered context of a thread is
+# `full_context()`'s — library code that registers the dialects into a
+# context of its own brings back a registration per build.
+step "no formatted CSE key, no second registered context under crates/"
+# Library code only: every file keeps its tests in one trailing module.
+non_test() { sed '/^#\[cfg(test)\]/,$d' "$1"; }
+if non_test crates/transform/src/canonicalize.rs | grep -n 'format!('; then
+  echo "FAIL: canonicalize.rs formats text again; CSE keys are structural" >&2
+  exit 1
+fi
+registrations=$(find crates -path '*/src/*' -name '*.rs' | sort | while read -r f; do
+  non_test "$f" | grep -vE '^\s*//|fn register_all\(' | grep -H --label="$f" 'register_all(' || true
+done)
+if [[ "$registrations" != "crates/frontend/src/lib.rs:"* || $(wc -l <<<"$registrations") != 1 ]]; then
+  echo "FAIL: register_all is called outside full_context() and test code:" >&2
+  echo "$registrations" >&2
   exit 1
 fi
 

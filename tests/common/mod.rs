@@ -3,12 +3,16 @@
 //! the reference both suites hold the hazard table to, and the seeded
 //! random command-group generator both draw their queues from. For
 //! `tests/plan_fuzz.rs`: the single-launch form of the scheduler's one
-//! entry point.
+//! entry point. For `tests/cse_diff.rs`: the string-keyed CSE the
+//! structural expression table replaced.
 
 // Each including test crate uses its own subset.
 #![allow(dead_code)]
 
 use proptest::test_runner::TestRng;
+use std::collections::HashMap;
+use std::rc::Rc;
+use sycl_mlir_repro::ir::{traits, Module, OpId, Type, ValueId};
 use sycl_mlir_repro::runtime::{BufferId, CgArg, CommandGroup, HostOp, Queue, SyclRuntime, UsmId};
 use sycl_mlir_repro::sim::{
     run_plan_graph_report, CostModel, ExecLimits, ExecStats, LaunchDag, MemoryPool, PlanLaunch,
@@ -85,6 +89,90 @@ pub fn reference_dependencies(queue: &Queue) -> Vec<(usize, usize)> {
         }
     }
     edges
+}
+
+// ----------------------------------------------------------------------
+// The reference: CSE keyed by the printed form of every attribute
+// ----------------------------------------------------------------------
+
+/// Structural key for CSE: op name + operands + attributes + result types
+/// (two `arith.constant 1`s of type `i32` and `index` must not merge).
+#[derive(PartialEq, Eq, Hash)]
+struct CseKey {
+    name: u32,
+    operands: Vec<ValueId>,
+    attrs: Vec<(u32, String)>,
+    result_types: Vec<Type>,
+}
+
+fn cse_key(m: &Module, op: OpId) -> CseKey {
+    CseKey {
+        name: m.op_name(op).0,
+        operands: m.op_operands(op).to_vec(),
+        attrs: m
+            .op_attrs(op)
+            .iter()
+            .map(|(k, v)| (k.0, format!("{v}")))
+            .collect(),
+        result_types: m.op_results(op).iter().map(|&r| m.value_type(r)).collect(),
+    }
+}
+
+/// The expressions available at the op being visited, scoped by dominance:
+/// a block sees what the blocks around it bound, and what it binds itself
+/// is dropped again when it ends.
+#[derive(Default)]
+struct CseScope {
+    available: HashMap<Rc<CseKey>, Vec<ValueId>>,
+    /// Every key in `available`, in insertion order; a block truncates it
+    /// back to its entry length on exit.
+    bound: Vec<Rc<CseKey>>,
+}
+
+/// `CsePass::run` as it was while its key held every attribute formatted
+/// into a `String`: the definition of which ops are the same expression
+/// that the structural key must reproduce. Returns whether anything merged.
+pub fn reference_cse(m: &mut Module) -> bool {
+    let top = m.top();
+    let mut changed = false;
+    cse_region_op(m, top, &mut CseScope::default(), &mut changed);
+    changed
+}
+
+fn cse_region_op(m: &mut Module, op: OpId, scope: &mut CseScope, changed: &mut bool) {
+    let regions = m.op_regions(op).to_vec();
+    for region in regions {
+        let blocks = m.region_blocks(region).to_vec();
+        for block in blocks {
+            let entry = scope.bound.len();
+            let ops = m.block_ops(block).to_vec();
+            for inner in ops {
+                if m.op_is_erased(inner) {
+                    continue;
+                }
+                let pure = m.op_has_trait(inner, traits::PURE | traits::CONSTANT_LIKE);
+                if pure && m.op_regions(inner).is_empty() && !m.op_results(inner).is_empty() {
+                    let key = cse_key(m, inner);
+                    if let Some(existing) = scope.available.get(&key) {
+                        let replacements = existing.clone();
+                        m.replace_op(inner, &replacements);
+                        *changed = true;
+                        continue;
+                    }
+                    let key = Rc::new(key);
+                    scope
+                        .available
+                        .insert(key.clone(), m.op_results(inner).to_vec());
+                    scope.bound.push(key);
+                }
+                cse_region_op(m, inner, scope, changed);
+            }
+            // Nested scopes see outer bindings but cannot leak theirs out.
+            for key in scope.bound.drain(entry..) {
+                scope.available.remove(&key);
+            }
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
