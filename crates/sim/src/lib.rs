@@ -53,7 +53,7 @@
 //!
 //! **Register allocation** is per function: every SSA value (block argument
 //! or op result) receives a dense slot at decode time, and each call frame
-//! owns a contiguous window of one flat `Vec<RtValue>` register file —
+//! owns a contiguous window of one flat file of 16-byte [`plan::Slot`]s —
 //! loop back-edges and operand reads are array indexing, no hashing and no
 //! allocation.
 //!

@@ -14,8 +14,8 @@
 //! * every operation becomes an [`Instr`] — a plain Rust enum with an
 //!   integer opcode, no strings anywhere on the execution path;
 //! * every SSA value gets a dense **register slot**, assigned per function
-//!   at decode time; work-items execute against a flat `Vec<RtValue>`
-//!   register file instead of a `ValueId`-keyed environment;
+//!   at decode time; work-items execute against a flat file of 16-byte
+//!   [`Slot`]s instead of a `ValueId`-keyed environment;
 //! * constants are pre-materialized ([`Instr::Const`]), `cmpi`/`cmpf`
 //!   predicates and dimension operands are pre-parsed, and `func.call`
 //!   targets are pre-resolved to plan-internal function indices;
@@ -43,6 +43,87 @@ use sycl_mlir_ir::{Attribute, Module, OpId, OpName, Type, TypeKind, ValueId};
 
 /// Dense register slot within one function frame.
 pub type Reg = u32;
+
+/// One register of the plan engine: a 16-byte tagged slot. Scalars live
+/// inline; an aggregate's payload lives where the work-item keeps it —
+/// vectors, views and nd-ranges in banks at the register's absolute
+/// index, an accessor in the launch's arguments, the item in the
+/// work-item — so a slot means something only in the register file it
+/// was written to, and code outside this crate can build the scalar
+/// variants only (what an [`Instr::Const`] may hold). The tag stays
+/// although the verifier proves every register's class: rejected plans
+/// still run, and every type error keeps its text and position.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Slot {
+    /// Integers of any width, `index`, and `i1`.
+    Int(i64),
+    /// A 32-bit float.
+    F32(f32),
+    /// A 64-bit float.
+    F64(f64),
+    /// Opaque host pointer.
+    Ptr(u64),
+    /// Not written yet, or the value of an op with no results.
+    Unit,
+    /// `!sycl.id<n>` / `!sycl.range<n>`; payload in the vector bank.
+    #[non_exhaustive]
+    Vec,
+    /// A memref view; payload in the memref bank.
+    #[non_exhaustive]
+    MemRef,
+    /// `!sycl.nd_range<n>`; payload in the nd-range bank.
+    #[non_exhaustive]
+    NdRange,
+    /// The accessor at this index of the launch's arguments.
+    #[non_exhaustive]
+    Accessor(u32),
+    /// The work-item's own item.
+    #[non_exhaustive]
+    Item,
+}
+
+/// Two machine words; the 136 bytes of an [`RtValue`] move by `memmove`.
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
+const _: () = assert!(std::mem::size_of::<Instr>() <= 64);
+
+impl Slot {
+    #[inline(always)]
+    fn as_int(self) -> Option<i64> {
+        match self {
+            Slot::Int(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    #[inline(always)]
+    fn as_f64(self) -> Option<f64> {
+        match self {
+            Slot::F32(v) => Some(v as f64),
+            Slot::F64(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// An integer or a float (all that device memory holds) as a slot.
+    #[inline(always)]
+    fn scalar(v: RtValue) -> Slot {
+        match v {
+            RtValue::Int(x) => Slot::Int(x),
+            RtValue::F32(x) => Slot::F32(x),
+            RtValue::F64(x) => Slot::F64(x),
+            other => unreachable!("{} is no scalar", other.kind()),
+        }
+    }
+}
+
+/// Store `v` at `bank[abs]`, growing the bank to reach it.
+#[inline(always)]
+fn put<T: Copy>(bank: &mut Vec<T>, abs: usize, v: T) {
+    if bank.len() <= abs {
+        bank.resize(abs + 1, v);
+    }
+    bank[abs] = v;
+}
 
 fn err(msg: impl Into<String>) -> SimError {
     SimError::msg(msg)
@@ -238,8 +319,8 @@ pub enum Instr {
     Const {
         /// Destination register.
         dst: Reg,
-        /// The constant value.
-        val: RtValue,
+        /// The constant value (the decoder emits `Int`/`F32`/`F64`).
+        val: Slot,
     },
     /// Dense-data constant memref, materialized once per launch into the
     /// pool and cached in the worker state ([`PlanCtx`]) under `idx`.
@@ -690,7 +771,7 @@ pub enum Instr {
         cst: Reg,
         /// The index constant's value (checked int at run time, exactly
         /// as the elided `Load` would).
-        cst_val: RtValue,
+        cst_val: Slot,
         /// Memory-access site id (keys the coalescing tracker).
         site: u32,
     },
@@ -1355,19 +1436,19 @@ impl<'a> Decoder<'a> {
                 match (attr, ty.kind()) {
                     (Attribute::Int(x), _) => fd.code.push(Instr::Const {
                         dst,
-                        val: RtValue::Int(*x),
+                        val: Slot::Int(*x),
                     }),
                     (Attribute::Bool(b), _) => fd.code.push(Instr::Const {
                         dst,
-                        val: RtValue::Int(*b as i64),
+                        val: Slot::Int(*b as i64),
                     }),
                     (Attribute::Float(f), TypeKind::F32) => fd.code.push(Instr::Const {
                         dst,
-                        val: RtValue::F32(*f as f32),
+                        val: Slot::F32(*f as f32),
                     }),
                     (Attribute::Float(f), _) => fd.code.push(Instr::Const {
                         dst,
-                        val: RtValue::F64(*f),
+                        val: Slot::F64(*f),
                     }),
                     (Attribute::DenseF64(_) | Attribute::DenseI64(_), TypeKind::MemRef { .. }) => {
                         let idx = self.dense_const_id(op, attr, &ty)?;
@@ -1595,7 +1676,7 @@ impl<'a> Decoder<'a> {
                 let dst = self.result_reg(fd, op);
                 fd.code.push(Instr::Const {
                     dst,
-                    val: RtValue::Int(0),
+                    val: Slot::Int(0),
                 });
             }
             OpKind::Barrier => fd.code.push(Instr::Barrier),
@@ -2434,13 +2515,22 @@ struct PlanFrame {
 /// One work-item's resumable execution state over a [`KernelPlan`].
 pub struct PlanWorkItem {
     /// All frames' registers, contiguous; frames address `regs[base..]`.
-    regs: Vec<RtValue>,
+    regs: Vec<Slot>,
+    /// Payloads of the registers tagged [`Slot::Vec`], [`Slot::MemRef`]
+    /// and [`Slot::NdRange`], at the register's absolute index. A bank
+    /// grows to the highest register written and is never cleared: an
+    /// entry is reachable only through a tag, written after the entry.
+    vecs: Vec<VecVal>,
+    memrefs: Vec<MemRefVal>,
+    nd_ranges: Vec<(VecVal, VecVal)>,
     frames: Vec<PlanFrame>,
     /// Per-site visit counters feeding the coalescing tracker (same
     /// instance numbering as the tree-walk interpreter's per-op visits).
     visits: Vec<u32>,
     /// The work-item’s position bundle.
     pub item: NdItemVal,
+    /// The sub-group of `item`: one third of the coalescing tracker's key.
+    subgroup: u32,
     /// Whether the work-item ran to completion.
     pub finished: bool,
     steps: u64,
@@ -2456,6 +2546,9 @@ impl PlanWorkItem {
     pub fn empty() -> PlanWorkItem {
         PlanWorkItem {
             regs: Vec::new(),
+            vecs: Vec::new(),
+            memrefs: Vec::new(),
+            nd_ranges: Vec::new(),
             frames: Vec::new(),
             visits: Vec::new(),
             item: NdItemVal {
@@ -2466,6 +2559,7 @@ impl PlanWorkItem {
                 local_range: [1; 3],
                 rank: 1,
             },
+            subgroup: 0,
             finished: false,
             steps: 0,
         }
@@ -2475,16 +2569,23 @@ impl PlanWorkItem {
     /// go to all parameters except the trailing item-like one, which gets
     /// `item`. Every register, frame and visit counter is reset, so
     /// nothing of the slot's previous work-item (finished, suspended at a
-    /// barrier or failed mid-callee) survives.
+    /// barrier or failed mid-callee) survives. `subgroup_size` is the
+    /// cost model's.
     pub fn reset(
         &mut self,
         plan: &KernelPlan,
         args: &[RtValue],
         item: NdItemVal,
+        subgroup_size: usize,
     ) -> Result<(), SimError> {
         let kernel = &plan.funcs[0];
         self.regs.clear();
-        self.regs.resize(kernel.reg_count as usize, RtValue::Unit);
+        self.regs.resize(kernel.reg_count as usize, Slot::Unit);
+        // One allocation per bank, made next to the registers': banks
+        // grown register by register leave the heap in pieces.
+        let spare = |len| (kernel.reg_count as usize).saturating_sub(len);
+        self.vecs.reserve(spare(self.vecs.len()));
+        self.memrefs.reserve(spare(self.memrefs.len()));
         self.frames.clear();
         self.frames.push(PlanFrame {
             func: 0,
@@ -2494,6 +2595,7 @@ impl PlanWorkItem {
         self.visits.clear();
         self.visits.resize(plan.mem_sites as usize, 0);
         self.item = item;
+        self.subgroup = (item.local_linear_id() / subgroup_size as i64) as u32;
         self.finished = false;
         self.steps = 0;
         let params = &kernel.params;
@@ -2509,19 +2611,78 @@ impl PlanWorkItem {
                 args.len()
             )));
         }
-        for (&p, &a) in value_params.iter().zip(args) {
-            self.regs[p as usize] = a;
+        for (i, (&p, a)) in value_params.iter().zip(args).enumerate() {
+            let p = p as usize;
+            self.regs[p] = match *a {
+                RtValue::Vec(v) => {
+                    put(&mut self.vecs, p, v);
+                    Slot::Vec
+                }
+                RtValue::MemRef(v) => {
+                    put(&mut self.memrefs, p, v);
+                    Slot::MemRef
+                }
+                RtValue::NdRange(g, l) => {
+                    put(&mut self.nd_ranges, p, (g, l));
+                    Slot::NdRange
+                }
+                RtValue::Accessor(_) => Slot::Accessor(i as u32),
+                // A kernel sees one item, its own.
+                RtValue::Item(_) => Slot::Item,
+                RtValue::Ptr(v) => Slot::Ptr(v),
+                RtValue::Unit => Slot::Unit,
+                scalar => Slot::scalar(scalar),
+            };
         }
         if kernel.has_item_param {
-            self.regs[*params.last().unwrap() as usize] = RtValue::Item(item);
+            self.regs[*params.last().unwrap() as usize] = Slot::Item;
         }
         Ok(())
     }
 
-    /// Run until the next barrier or completion.
+    /// Whole-register move, absolute indices: the destination gets its own
+    /// copy of an out-of-line payload, so overwriting the source later
+    /// does not reach it.
+    #[inline(always)]
+    fn mov(&mut self, dst: usize, src: usize) {
+        fn copy<T: Copy>(bank: &mut Vec<T>, dst: usize, src: usize) {
+            let v = bank[src];
+            put(bank, dst, v);
+        }
+        let s = self.regs[src];
+        match s {
+            Slot::Vec => copy(&mut self.vecs, dst, src),
+            Slot::MemRef => copy(&mut self.memrefs, dst, src),
+            Slot::NdRange => copy(&mut self.nd_ranges, dst, src),
+            _ => {}
+        }
+        self.regs[dst] = s;
+    }
+
+    /// Register `abs` as the public value type (what a store hands to
+    /// device memory, which faults on anything but a scalar by its kind).
+    #[inline(always)]
+    fn value(&self, abs: usize, args: &[RtValue]) -> RtValue {
+        match self.regs[abs] {
+            Slot::Int(v) => RtValue::Int(v),
+            Slot::F32(v) => RtValue::F32(v),
+            Slot::F64(v) => RtValue::F64(v),
+            Slot::Ptr(v) => RtValue::Ptr(v),
+            Slot::Unit => RtValue::Unit,
+            Slot::Vec => RtValue::Vec(self.vecs[abs]),
+            Slot::MemRef => RtValue::MemRef(self.memrefs[abs]),
+            Slot::NdRange => RtValue::NdRange(self.nd_ranges[abs].0, self.nd_ranges[abs].1),
+            Slot::Accessor(i) => args[i as usize],
+            Slot::Item => RtValue::Item(self.item),
+        }
+    }
+
+    /// Run until the next barrier or completion. `args` are the launch's
+    /// arguments, the ones [`Self::reset`] bound.
     pub fn run(
         &mut self,
         plan: &KernelPlan,
+        args: &[RtValue],
         ctx: &mut PlanExecCtx<'_, '_>,
         pctx: &mut PlanCtx,
     ) -> Result<Stop, SimError> {
@@ -2529,16 +2690,17 @@ impl PlanWorkItem {
         // limit-metering switches so the default run (neither) carries no
         // per-instruction branch.
         match (pctx.profile.is_some(), pctx.limits.is_some()) {
-            (false, false) => self.run_impl::<false, false>(plan, ctx, pctx),
-            (false, true) => self.run_impl::<false, true>(plan, ctx, pctx),
-            (true, false) => self.run_impl::<true, false>(plan, ctx, pctx),
-            (true, true) => self.run_impl::<true, true>(plan, ctx, pctx),
+            (false, false) => self.run_impl::<false, false>(plan, args, ctx, pctx),
+            (false, true) => self.run_impl::<false, true>(plan, args, ctx, pctx),
+            (true, false) => self.run_impl::<true, false>(plan, args, ctx, pctx),
+            (true, true) => self.run_impl::<true, true>(plan, args, ctx, pctx),
         }
     }
 
     fn run_impl<const PROFILE: bool, const LIMITED: bool>(
         &mut self,
         plan: &KernelPlan,
+        args: &[RtValue],
         ctx: &mut PlanExecCtx<'_, '_>,
         pctx: &mut PlanCtx,
     ) -> Result<Stop, SimError> {
@@ -2567,6 +2729,32 @@ impl PlanWorkItem {
                 reg!($r).as_f64().ok_or_else(|| err($what))?
             };
         }
+        // An aggregate operand or result: the tag in the slot, the payload
+        // in the tag's bank (for an accessor, in the launch's arguments).
+        macro_rules! payload {
+            ($tag:ident in $bank:ident, $r:expr, $what:expr) => {
+                match reg!($r) {
+                    Slot::$tag => self.$bank[base + $r as usize],
+                    _ => return Err(err($what)),
+                }
+            };
+        }
+        macro_rules! put {
+            ($tag:ident in $bank:ident, $r:expr, $v:expr) => {{
+                let v = $v;
+                put(&mut self.$bank, base + $r as usize, v);
+                reg!($r) = Slot::$tag;
+            }};
+        }
+        macro_rules! accessor_of {
+            ($r:expr, $what:expr) => {
+                match reg!($r) {
+                    Slot::Accessor(i) => args[i as usize].as_accessor(),
+                    _ => None,
+                }
+                .ok_or_else(|| err($what))?
+            };
+        }
         // One access path: the bounds check is the fallible half (elided
         // per site, for shared buffers, where the decode-time verifier's
         // proof was instantiated for this launch; every other site keeps
@@ -2579,7 +2767,7 @@ impl PlanWorkItem {
                 // proven bits are the ones the scheduler (the one caller
                 // of `PlanCtx::set_facts`) got from
                 // `PlanFacts::instantiate` for this launch.
-                unsafe { ctx.pool.read($mem, $addr) }
+                Slot::scalar(unsafe { ctx.pool.read($mem, $addr) })
             }};
         }
         macro_rules! pool_store {
@@ -2614,9 +2802,7 @@ impl PlanWorkItem {
         macro_rules! subscript_by {
             ($acc:expr, $id:expr) => {{
                 ctx.stats.arith_ops += 1;
-                let a = reg!($acc)
-                    .as_accessor()
-                    .ok_or_else(|| err("subscript of non-accessor"))?;
+                let a = accessor_of!($acc, "subscript of non-accessor");
                 let id: VecVal = $id;
                 MemRefVal {
                     mem: a.mem,
@@ -2633,7 +2819,7 @@ impl PlanWorkItem {
         }
         macro_rules! subscript {
             ($acc:expr, $id:expr) => {
-                subscript_by!($acc, reg!($id).as_vec().ok_or_else(|| err("subscript id"))?)
+                subscript_by!($acc, payload!(Vec in vecs, $id, "subscript id"))
             };
         }
         // The address of `$mr[$idx[..$rank]]`, with the access recorded.
@@ -2658,9 +2844,7 @@ impl PlanWorkItem {
         macro_rules! load {
             ($mem:expr, $idx:expr, $rank:expr, $site:expr) => {
                 load_at!(
-                    reg!($mem)
-                        .as_memref()
-                        .ok_or_else(|| err("load from non-memref"))?,
+                    payload!(MemRef in memrefs, $mem, "load from non-memref"),
                     $idx,
                     $rank,
                     $site
@@ -2670,15 +2854,14 @@ impl PlanWorkItem {
         macro_rules! store {
             ($v:expr, $mem:expr, $idx:expr, $rank:expr, $site:expr) => {{
                 let v: RtValue = $v;
-                let mr = reg!($mem)
-                    .as_memref()
-                    .ok_or_else(|| err("store to non-memref"))?;
+                let mr = payload!(MemRef in memrefs, $mem, "store to non-memref");
                 let addr = access!(mr, $idx, $rank, $site);
                 pool_store!($site, mr.mem, addr, v);
             }};
         }
+        // `$val`: `Slot` for a result register, `RtValue` for a store.
         macro_rules! bin_float {
-            ($op:expr, $l:expr, $r:expr, $f32_out:expr) => {{
+            ($val:ident, $op:expr, $l:expr, $r:expr, $f32_out:expr) => {{
                 ctx.stats.arith_ops += 1;
                 let l = $l.as_f64().ok_or_else(|| err("float op on non-float"))?;
                 let r = $r.as_f64().ok_or_else(|| err("float op on non-float"))?;
@@ -2691,9 +2874,9 @@ impl PlanWorkItem {
                     FloatBin::Max => l.max(r),
                 };
                 if $f32_out {
-                    RtValue::F32(out as f32)
+                    $val::F32(out as f32)
                 } else {
-                    RtValue::F64(out)
+                    $val::F64(out)
                 }
             }};
         }
@@ -2733,10 +2916,9 @@ impl PlanWorkItem {
             match instr {
                 Instr::Const { dst, val } => reg!(*dst) = *val,
                 Instr::ConstDense { dst, idx } => {
-                    let mr = materialize_dense(plan, ctx, pctx, *idx)?;
-                    reg!(*dst) = RtValue::MemRef(mr);
+                    put!(MemRef in memrefs, *dst, materialize_dense(plan, ctx, pctx, *idx)?);
                 }
-                Instr::Copy { dst, src } => reg!(*dst) = reg!(*src),
+                Instr::Copy { dst, src } => self.mov(base + *dst as usize, base + *src as usize),
                 Instr::BinInt { op, dst, l, r } => {
                     ctx.stats.arith_ops += 1;
                     let l = int!(*l, "int op on non-int");
@@ -2763,7 +2945,7 @@ impl PlanWorkItem {
                         IntBin::MinS => l.min(r),
                         IntBin::MaxS => l.max(r),
                     };
-                    reg!(*dst) = RtValue::Int(out);
+                    reg!(*dst) = Slot::Int(out);
                 }
                 Instr::BinFloat {
                     op,
@@ -2771,50 +2953,50 @@ impl PlanWorkItem {
                     l,
                     r,
                     f32_out,
-                } => reg!(*dst) = bin_float!(*op, reg!(*l), reg!(*r), *f32_out),
+                } => reg!(*dst) = bin_float!(Slot, *op, reg!(*l), reg!(*r), *f32_out),
                 Instr::NegF { dst, x } => {
                     ctx.stats.arith_ops += 1;
                     reg!(*dst) = match reg!(*x) {
-                        RtValue::F32(v) => RtValue::F32(-v),
-                        RtValue::F64(v) => RtValue::F64(-v),
+                        Slot::F32(v) => Slot::F32(-v),
+                        Slot::F64(v) => Slot::F64(-v),
                         _ => return Err(err("negf on non-float")),
                     };
                 }
                 Instr::CmpI { pred, dst, l, r } => {
-                    reg!(*dst) = RtValue::Int(cmp_int!(*pred, *l, *r) as i64);
+                    reg!(*dst) = Slot::Int(cmp_int!(*pred, *l, *r) as i64);
                 }
                 Instr::CmpF { pred, dst, l, r } => {
                     ctx.stats.arith_ops += 1;
                     let l = flt!(*l, "cmpf on non-float");
                     let r = flt!(*r, "cmpf on non-float");
-                    reg!(*dst) = RtValue::Int(pred.eval_float(l, r) as i64);
+                    reg!(*dst) = Slot::Int(pred.eval_float(l, r) as i64);
                 }
                 Instr::Select { dst, c, t, f } => {
                     ctx.stats.arith_ops += 1;
-                    let c = reg!(*c).as_bool().ok_or_else(|| err("select cond"))?;
-                    reg!(*dst) = if c { reg!(*t) } else { reg!(*f) };
+                    let src = if int!(*c, "select cond") != 0 { *t } else { *f };
+                    self.mov(base + *dst as usize, base + src as usize);
                 }
                 Instr::SiToFp { dst, x, f32_out } => {
                     ctx.stats.arith_ops += 1;
                     let v = int!(*x, "sitofp");
                     reg!(*dst) = if *f32_out {
-                        RtValue::F32(v as f32)
+                        Slot::F32(v as f32)
                     } else {
-                        RtValue::F64(v as f64)
+                        Slot::F64(v as f64)
                     };
                 }
                 Instr::FpToSi { dst, x } => {
                     ctx.stats.arith_ops += 1;
                     let v = flt!(*x, "fptosi");
-                    reg!(*dst) = RtValue::Int(v as i64);
+                    reg!(*dst) = Slot::Int(v as i64);
                 }
                 Instr::TruncF { dst, x } => {
                     let v = flt!(*x, "truncf");
-                    reg!(*dst) = RtValue::F32(v as f32);
+                    reg!(*dst) = Slot::F32(v as f32);
                 }
                 Instr::ExtF { dst, x } => {
                     let v = flt!(*x, "extf");
-                    reg!(*dst) = RtValue::F64(v);
+                    reg!(*dst) = Slot::F64(v);
                 }
                 Instr::Math {
                     op,
@@ -2840,9 +3022,9 @@ impl PlanWorkItem {
                         }
                     };
                     reg!(*dst) = if *f32_out {
-                        RtValue::F32(out as f32)
+                        Slot::F32(out as f32)
                     } else {
-                        RtValue::F64(out)
+                        Slot::F64(out)
                     };
                 }
                 Instr::Alloca {
@@ -2853,13 +3035,14 @@ impl PlanWorkItem {
                     len,
                 } => {
                     let mem = ctx.pool.alloc_zeroed(elem, *len)?;
-                    reg!(*dst) = RtValue::MemRef(MemRefVal {
+                    let mr = MemRefVal {
                         mem,
                         offset: 0,
                         shape: *shape,
                         rank: *rank,
                         space: Space::Private,
-                    });
+                    };
+                    put!(MemRef in memrefs, *dst, mr);
                 }
                 Instr::LocalAlloca {
                     dst,
@@ -2884,7 +3067,7 @@ impl PlanWorkItem {
                             mr
                         }
                     };
-                    reg!(*dst) = RtValue::MemRef(mr);
+                    put!(MemRef in memrefs, *dst, mr);
                 }
                 Instr::Load {
                     dst,
@@ -2899,26 +3082,29 @@ impl PlanWorkItem {
                     idx,
                     rank,
                     site,
-                } => store!(reg!(*val), *mem, idx, *rank, *site),
+                } => {
+                    let v = self.value(base + *val as usize, args);
+                    store!(v, *mem, idx, *rank, *site)
+                }
                 Instr::VecCtor { dst, comps, rank } => {
-                    reg!(*dst) = RtValue::Vec(vec_ctor!(comps, *rank));
+                    put!(Vec in vecs, *dst, vec_ctor!(comps, *rank))
                 }
                 Instr::NdRangeCtor { dst, g, l } => {
-                    let g = reg!(*g).as_vec().ok_or_else(|| err("nd_range global"))?;
-                    let l = reg!(*l).as_vec().ok_or_else(|| err("nd_range local"))?;
-                    reg!(*dst) = RtValue::NdRange(g, l);
+                    let g = payload!(Vec in vecs, *g, "nd_range global");
+                    let l = payload!(Vec in vecs, *l, "nd_range local");
+                    put!(NdRange in nd_ranges, *dst, (g, l));
                 }
                 Instr::VecGet { dst, v, dim } => {
                     ctx.stats.arith_ops += 1;
-                    let v = reg!(*v).as_vec().ok_or_else(|| err("id.get"))?;
+                    let v = payload!(Vec in vecs, *v, "id.get");
                     let d = self.dim(base, *dim)?;
-                    reg!(*dst) = RtValue::Int(v.data[d]);
+                    reg!(*dst) = Slot::Int(v.data[d]);
                 }
                 Instr::RangeSize { dst, v } => {
                     ctx.stats.arith_ops += 1;
-                    let v = reg!(*v).as_vec().ok_or_else(|| err("range.size"))?;
+                    let v = payload!(Vec in vecs, *v, "range.size");
                     let size: i64 = v.data[..v.rank as usize].iter().product();
-                    reg!(*dst) = RtValue::Int(size);
+                    reg!(*dst) = Slot::Int(size);
                 }
                 Instr::ItemQuery { dst, q, dim } => {
                     ctx.stats.arith_ops += 1;
@@ -2931,33 +3117,31 @@ impl PlanWorkItem {
                         ItemQ::LocalRange => self.item.local_range[d],
                         ItemQ::GroupRange => self.item.group_range(d),
                     };
-                    reg!(*dst) = RtValue::Int(v);
+                    reg!(*dst) = Slot::Int(v);
                 }
                 Instr::GlobalLinearId { dst } => {
                     ctx.stats.arith_ops += 1;
-                    reg!(*dst) = RtValue::Int(self.item.global_linear_id());
+                    reg!(*dst) = Slot::Int(self.item.global_linear_id());
                 }
                 Instr::LocalLinearId { dst } => {
                     ctx.stats.arith_ops += 1;
-                    reg!(*dst) = RtValue::Int(self.item.local_linear_id());
+                    reg!(*dst) = Slot::Int(self.item.local_linear_id());
                 }
-                Instr::ItemSelf { dst } => reg!(*dst) = RtValue::Item(self.item),
+                Instr::ItemSelf { dst } => reg!(*dst) = Slot::Item,
                 Instr::AccSubscript { dst, acc, id } => {
-                    reg!(*dst) = RtValue::MemRef(subscript!(*acc, *id));
+                    put!(MemRef in memrefs, *dst, subscript!(*acc, *id))
                 }
                 Instr::AccRange { dst, acc, dim } => {
                     ctx.stats.arith_ops += 1;
-                    let acc = reg!(*acc).as_accessor().ok_or_else(|| err("get_range"))?;
+                    let acc = accessor_of!(*acc, "get_range");
                     let d = self.dim(base, *dim)?;
-                    reg!(*dst) = RtValue::Int(acc.range[d]);
+                    reg!(*dst) = Slot::Int(acc.range[d]);
                 }
                 Instr::AccBase { dst, acc } => {
                     ctx.stats.arith_ops += 1;
-                    let acc = reg!(*acc)
-                        .as_accessor()
-                        .ok_or_else(|| err("accessor.base"))?;
+                    let acc = accessor_of!(*acc, "accessor.base");
                     let b = ((acc.mem.0 as i64) << 32) | acc.linearize(&[0, 0, 0]);
-                    reg!(*dst) = RtValue::Int(b);
+                    reg!(*dst) = Slot::Int(b);
                 }
                 Instr::Barrier => {
                     ctx.stats.barriers += 1;
@@ -2965,12 +3149,9 @@ impl PlanWorkItem {
                     return Ok(Stop::Barrier);
                 }
                 Instr::Jump { target } => pc = *target as usize,
-                Instr::BranchIfFalse { cond, target } => branch_unless!(
-                    reg!(*cond)
-                        .as_bool()
-                        .ok_or_else(|| err("non-boolean if condition"))?,
-                    *target
-                ),
+                Instr::BranchIfFalse { cond, target } => {
+                    branch_unless!(int!(*cond, "non-boolean if condition") != 0, *target)
+                }
                 Instr::ForEnter {
                     lb,
                     ub,
@@ -2985,7 +3166,7 @@ impl PlanWorkItem {
                     if step <= 0 {
                         return Err(err("non-positive loop step"));
                     }
-                    reg!(*iv) = RtValue::Int(lb);
+                    reg!(*iv) = Slot::Int(lb);
                     if lb >= ub {
                         pc = *exit as usize;
                     }
@@ -2996,22 +3177,21 @@ impl PlanWorkItem {
                     let ub = int!(*ub, "bad ub");
                     let next = cur + step;
                     if next < ub {
-                        reg!(*iv) = RtValue::Int(next);
+                        reg!(*iv) = Slot::Int(next);
                         pc = *body as usize;
                     }
                 }
                 Instr::Call {
                     func: callee,
-                    args,
+                    args: call_args,
                     results: _,
                 } => {
                     let callee_plan = &plan.funcs[*callee as usize];
                     let new_base = self.regs.len();
                     self.regs
-                        .resize(new_base + callee_plan.reg_count as usize, RtValue::Unit);
-                    for (i, &a) in args.iter().enumerate() {
-                        self.regs[new_base + callee_plan.params[i] as usize] =
-                            self.regs[base + a as usize];
+                        .resize(new_base + callee_plan.reg_count as usize, Slot::Unit);
+                    for (&p, &a) in callee_plan.params.iter().zip(call_args.iter()) {
+                        self.mov(new_base + p as usize, base + a as usize);
                     }
                     // Flush the caller frame (pc already past the call).
                     self.frames[frame].pc = pc as u32;
@@ -3045,7 +3225,7 @@ impl PlanWorkItem {
                     let t = load!(*mem, idx, *rank, *site);
                     let o = reg!(*other);
                     let (l, r) = if *loaded_is_lhs { (t, o) } else { (o, t) };
-                    reg!(*dst) = bin_float!(*op, l, r, *f32_out);
+                    reg!(*dst) = bin_float!(Slot, *op, l, r, *f32_out);
                 }
                 Instr::LoadMulAddF {
                     dst,
@@ -3063,10 +3243,10 @@ impl PlanWorkItem {
                     let t = load!(*mem, idx, *rank, *site);
                     let b = reg!(*b);
                     let (l, r) = if *loaded_is_lhs { (t, b) } else { (b, t) };
-                    let u = bin_float!(FloatBin::Mul, l, r, *mul_f32);
+                    let u = bin_float!(Slot, FloatBin::Mul, l, r, *mul_f32);
                     let c = reg!(*c);
                     let (l, r) = if *prod_is_lhs { (u, c) } else { (c, u) };
-                    reg!(*dst) = bin_float!(FloatBin::Add, l, r, *f32_out);
+                    reg!(*dst) = bin_float!(Slot, FloatBin::Add, l, r, *f32_out);
                 }
                 Instr::StoreBinFloat {
                     op,
@@ -3078,7 +3258,7 @@ impl PlanWorkItem {
                     rank,
                     site,
                 } => {
-                    let v = bin_float!(*op, reg!(*l), reg!(*r), *f32_out);
+                    let v = bin_float!(RtValue, *op, reg!(*l), reg!(*r), *f32_out);
                     store!(v, *mem, idx, *rank, *site);
                 }
                 Instr::CmpIBranch { pred, l, r, target } => {
@@ -3109,8 +3289,8 @@ impl PlanWorkItem {
                     cst_val,
                     site,
                 } => {
-                    reg!(*id) = RtValue::Vec(vec_ctor!(comps, *comps_rank));
-                    reg!(*view) = RtValue::MemRef(subscript!(*acc, *id));
+                    put!(Vec in vecs, *id, vec_ctor!(comps, *comps_rank));
+                    put!(MemRef in memrefs, *view, subscript!(*acc, *id));
                     reg!(*cst) = *cst_val;
                     reg!(*dst) = load!(*view, [*cst, 0, 0], 1_u8, *site);
                 }
@@ -3119,17 +3299,7 @@ impl PlanWorkItem {
                         self.finished = true;
                         return Ok(Stop::Finished);
                     }
-                    // Read return values before truncating the frame.
-                    let mut ret = [RtValue::Unit; 4];
-                    let mut ret_overflow = Vec::new();
-                    if vals.len() <= 4 {
-                        for (i, &v) in vals.iter().enumerate() {
-                            ret[i] = self.regs[base + v as usize];
-                        }
-                    } else {
-                        ret_overflow = vals.iter().map(|&v| self.regs[base + v as usize]).collect();
-                    }
-                    self.regs.truncate(base);
+                    let callee_base = base;
                     self.frames.pop();
                     frame -= 1;
                     let caller = &self.frames[frame];
@@ -3141,15 +3311,15 @@ impl PlanWorkItem {
                     let Instr::Call { results, .. } = &code[pc - 1] else {
                         return Err(err("return without a pending call"));
                     };
-                    if vals.len() <= 4 {
-                        for (i, &r) in results.iter().enumerate() {
-                            self.regs[base + r as usize] = ret[i];
-                        }
-                    } else {
-                        for (&r, v) in results.iter().zip(ret_overflow) {
-                            self.regs[base + r as usize] = v;
+                    // The callee's frame, registers and payloads, is
+                    // dropped only after its values are copied out.
+                    for (i, &r) in results.iter().enumerate() {
+                        match vals.get(i) {
+                            Some(&v) => self.mov(base + r as usize, callee_base + v as usize),
+                            None => self.regs[base + r as usize] = Slot::Unit,
                         }
                     }
+                    self.regs.truncate(callee_base);
                 }
             }
         }
@@ -3192,11 +3362,10 @@ impl PlanWorkItem {
                     *slot += 1;
                     *slot
                 };
-                let subgroup = (self.item.local_linear_id() / ctx.cost.subgroup_size as i64) as u32;
                 let bytes = ctx.pool.elem_bytes(mr.mem) as i64;
                 let segment = ((mr.mem.0 as u64) << 40)
                     | ((addr * bytes) / ctx.cost.transaction_bytes as i64) as u64;
-                if ctx.wg.record((site, instance, subgroup), segment) {
+                if ctx.wg.record((site, instance, self.subgroup), segment) {
                     ctx.stats.global_transactions += 1;
                 }
             }
@@ -3266,6 +3435,76 @@ mod tests {
             CmpPred::of_attr(Some(&Attribute::Str("ult".into()))),
             CmpPred::Sge
         ));
+    }
+
+    /// What `scripts/ci.sh` echoes next to the line count: the two sizes
+    /// the instruction loop's memory traffic is made of.
+    #[test]
+    fn plan_sizes() {
+        println!(
+            "plan_sizes: Slot {} B, Instr {} B",
+            std::mem::size_of::<Slot>(),
+            std::mem::size_of::<Instr>()
+        );
+    }
+
+    /// A worker's work-item slot outlives launches: re-bound to a kernel
+    /// with fewer registers it must show nothing of the aggregates the
+    /// previous kernel left in its banks, neither in the registers it
+    /// binds nor in those a later call frame adds.
+    #[test]
+    fn reset_for_a_smaller_kernel_sees_no_stale_aggregate() {
+        use crate::memory::MemId;
+        let kernel = |reg_count, params| KernelPlan {
+            funcs: vec![FuncPlan {
+                code: vec![Instr::Return { vals: Box::new([]) }],
+                reg_count,
+                params,
+                has_item_param: false,
+            }],
+            dense_consts: Vec::new(),
+            mem_sites: 0,
+            local_sites: 0,
+        };
+        let item = PlanWorkItem::empty().item;
+        let id = VecVal {
+            data: [7, 8, 9],
+            rank: 3,
+        };
+        let view = MemRefVal {
+            mem: MemId(3),
+            offset: 5,
+            shape: [4, 1, 1],
+            rank: 1,
+            space: Space::Global,
+        };
+        let big = [
+            RtValue::Vec(id),
+            RtValue::MemRef(view),
+            RtValue::NdRange(id, id),
+        ];
+        let mut wi = PlanWorkItem::empty();
+        wi.reset(&kernel(6, vec![1, 3, 5]), &big, item, 16).unwrap();
+        let held: Vec<RtValue> = (0..6).map(|r| wi.value(r, &big)).collect();
+        assert_eq!(
+            held,
+            [
+                RtValue::Unit,
+                big[0],
+                RtValue::Unit,
+                big[1],
+                RtValue::Unit,
+                big[2]
+            ]
+        );
+
+        let small = [RtValue::Int(4)];
+        wi.reset(&kernel(2, vec![1]), &small, item, 16).unwrap();
+        wi.regs.resize(6, Slot::Unit); // what a `Call` does for the callee's frame
+        let held: Vec<RtValue> = (0..6).map(|r| wi.value(r, &small)).collect();
+        let mut expect = [RtValue::Unit; 6];
+        expect[1] = small[0];
+        assert_eq!(held, expect);
     }
 
     mod fusion {
@@ -3636,11 +3875,11 @@ mod tests {
                 },
                 Instr::Const {
                     dst: 3,
-                    val: RtValue::Int(0),
+                    val: Slot::Int(0),
                 },
                 Instr::Const {
                     dst: 4,
-                    val: RtValue::F32(1.0),
+                    val: Slot::F32(1.0),
                 },
                 // Load chain: id, view, load.
                 Instr::VecCtor {
@@ -3712,11 +3951,11 @@ mod tests {
                 },
                 Instr::Const {
                     dst: 3,
-                    val: RtValue::F32(2.0),
+                    val: Slot::F32(2.0),
                 },
                 Instr::Const {
                     dst: 4,
-                    val: RtValue::F32(3.0),
+                    val: Slot::F32(3.0),
                 },
                 Instr::Load {
                     dst: 5,
@@ -3771,7 +4010,7 @@ mod tests {
                 },
                 Instr::Const {
                     dst: 3,
-                    val: RtValue::F32(2.0),
+                    val: Slot::F32(2.0),
                 },
                 Instr::Load {
                     dst: 5,
@@ -3826,11 +4065,11 @@ mod tests {
                 },
                 Instr::Const {
                     dst: 3,
-                    val: RtValue::Int(0),
+                    val: Slot::Int(0),
                 },
                 Instr::Const {
                     dst: 4,
-                    val: RtValue::F32(1.0),
+                    val: Slot::F32(1.0),
                 },
                 Instr::VecCtor {
                     dst: 5,
@@ -3900,7 +4139,7 @@ mod tests {
                     },
                     Instr::Const {
                         dst: 3,
-                        val: RtValue::Int(0),
+                        val: Slot::Int(0),
                     },
                     Instr::VecCtor {
                         dst: 6,
@@ -3978,7 +4217,7 @@ mod tests {
                 },
                 Instr::Const {
                     dst: 4,
-                    val: RtValue::F32(1.0),
+                    val: Slot::F32(1.0),
                 },
                 // Load chain, un-CSE'd: id, view, const, load.
                 Instr::VecCtor {
@@ -3993,7 +4232,7 @@ mod tests {
                 },
                 Instr::Const {
                     dst: 7,
-                    val: RtValue::Int(0),
+                    val: Slot::Int(0),
                 },
                 Instr::Load {
                     dst: 8,
@@ -4044,7 +4283,7 @@ mod tests {
                 },
                 Instr::Const {
                     dst: 4,
-                    val: RtValue::F32(2.5),
+                    val: Slot::F32(2.5),
                 },
                 Instr::VecCtor {
                     dst: 5,
@@ -4058,7 +4297,7 @@ mod tests {
                 },
                 Instr::Const {
                     dst: 7,
-                    val: RtValue::Int(0),
+                    val: Slot::Int(0),
                 },
                 Instr::Store {
                     val: 4,
@@ -4088,7 +4327,7 @@ mod tests {
                 },
                 Instr::Const {
                     dst: 3,
-                    val: RtValue::Int(0),
+                    val: Slot::Int(0),
                 },
                 Instr::VecCtor {
                     dst: 5,
@@ -4103,7 +4342,7 @@ mod tests {
                 // Unrelated constant: the load indexes with r3, not r7.
                 Instr::Const {
                     dst: 7,
-                    val: RtValue::Int(1),
+                    val: Slot::Int(1),
                 },
                 Instr::Load {
                     dst: 8,
@@ -4141,11 +4380,11 @@ mod tests {
                 },
                 Instr::Const {
                     dst: 3,
-                    val: RtValue::Int(0),
+                    val: Slot::Int(0),
                 },
                 Instr::Const {
                     dst: 4,
-                    val: RtValue::F32(1.5),
+                    val: Slot::F32(1.5),
                 },
                 // First store chain: adjacent, id multiply-read.
                 Instr::VecCtor {
@@ -4208,11 +4447,11 @@ mod tests {
                 },
                 Instr::Const {
                     dst: 3,
-                    val: RtValue::Int(0),
+                    val: Slot::Int(0),
                 },
                 Instr::Const {
                     dst: 4,
-                    val: RtValue::F32(0.25),
+                    val: Slot::F32(0.25),
                 },
                 Instr::Load {
                     dst: 5,

@@ -1313,12 +1313,12 @@ fn run_group(
     }
     let items = &mut slots[..n];
     for (slot, item) in items.iter_mut().zip(positions) {
-        slot.reset(plan, args, item)?;
+        slot.reset(plan, args, item, ctx.cost.subgroup_size)?;
     }
     if pctx.uniform {
-        cooperative_rounds_uniform(items, |wi| wi.run(plan, ctx, pctx))
+        cooperative_rounds_uniform(items, |wi| wi.run(plan, args, ctx, pctx))
     } else {
-        cooperative_rounds(items, group, |wi| wi.run(plan, ctx, pctx))
+        cooperative_rounds(items, group, |wi| wi.run(plan, args, ctx, pctx))
     }
 }
 
@@ -2040,7 +2040,7 @@ mod tests {
 
     /// A minimal bytecode plan: `f32buf[gid] = f32buf[gid] + k`.
     fn add_k_plan(k: f32) -> KernelPlan {
-        use crate::plan::{DimSrc, FloatBin, FuncPlan, Instr, ItemQ};
+        use crate::plan::{DimSrc, FloatBin, FuncPlan, Instr, ItemQ, Slot};
         let code = vec![
             Instr::ItemQuery {
                 dst: 1,
@@ -2049,7 +2049,7 @@ mod tests {
             },
             Instr::Const {
                 dst: 2,
-                val: RtValue::F32(k),
+                val: Slot::F32(k),
             },
             Instr::Load {
                 dst: 3,
@@ -2142,7 +2142,7 @@ mod tests {
     /// fails its work-item after the barrier, while later siblings are
     /// still suspended inside the callee.
     fn callee_barrier_div_plan() -> KernelPlan {
-        use crate::plan::{DimSrc, FloatBin, FuncPlan, Instr, IntBin, ItemQ};
+        use crate::plan::{DimSrc, FloatBin, FuncPlan, Instr, IntBin, ItemQ, Slot};
         let kernel = vec![
             Instr::ItemQuery {
                 dst: 2,
@@ -2163,7 +2163,7 @@ mod tests {
             },
             Instr::Const {
                 dst: 5,
-                val: RtValue::Int(100),
+                val: Slot::Int(100),
             },
             Instr::BinInt {
                 op: IntBin::DivS,
@@ -2193,7 +2193,7 @@ mod tests {
             Instr::Barrier,
             Instr::Const {
                 dst: 3,
-                val: RtValue::F32(1.0),
+                val: Slot::F32(1.0),
             },
             Instr::BinFloat {
                 op: FloatBin::Add,

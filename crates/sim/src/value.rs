@@ -209,14 +209,6 @@ impl RtValue {
         }
     }
 
-    /// The item payload, if this is an `Item`.
-    pub fn as_item(self) -> Option<NdItemVal> {
-        match self {
-            RtValue::Item(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// The vector payload, if this is a `Vec`.
     pub fn as_vec(self) -> Option<VecVal> {
         match self {

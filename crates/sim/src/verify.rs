@@ -41,7 +41,7 @@ use sycl_mlir_analysis::interval::{BinOp, Expr, Interval};
 
 use crate::device::NdRangeSpec;
 use crate::memory::MemoryPool;
-use crate::plan::{for_each_read, DimSrc, FuncPlan, Instr, IntBin, ItemQ, KernelPlan, Reg};
+use crate::plan::{for_each_read, DimSrc, FuncPlan, Instr, IntBin, ItemQ, KernelPlan, Reg, Slot};
 use crate::value::RtValue;
 
 // ----------------------------------------------------------------------
@@ -602,16 +602,12 @@ impl Class {
     }
 }
 
-fn class_of_val(v: &RtValue) -> Option<Class> {
+/// The class of a constant, which holds a scalar.
+fn class_of_val(v: &Slot) -> Option<Class> {
     match v {
-        RtValue::Int(_) => Some(Class::Int),
-        RtValue::F32(_) | RtValue::F64(_) => Some(Class::Float),
-        RtValue::Vec(_) => Some(Class::Vec),
-        RtValue::NdRange(..) => Some(Class::Nd),
-        RtValue::MemRef(_) => Some(Class::Mem),
-        RtValue::Accessor(_) => Some(Class::Acc),
-        RtValue::Item(_) => Some(Class::Item),
-        RtValue::Ptr(_) | RtValue::Unit => None,
+        Slot::Int(_) => Some(Class::Int),
+        Slot::F32(_) | Slot::F64(_) => Some(Class::Float),
+        _ => None,
     }
 }
 
@@ -1159,14 +1155,7 @@ fn interval_pass(plan: &KernelPlan) -> Vec<Option<SiteProof>> {
         match instr {
             Instr::Const { dst, val } => {
                 e[*dst as usize] = match val {
-                    RtValue::Int(v) => AVal::Int(Interval::konst(*v)),
-                    RtValue::Vec(v) => {
-                        let mut comps: [Option<Interval>; 3] = [None, None, None];
-                        for (c, x) in comps.iter_mut().zip(&v.data[..v.rank as usize]) {
-                            *c = Some(Interval::konst(*x));
-                        }
-                        AVal::Vec(comps, v.rank as u8)
-                    }
+                    Slot::Int(v) => AVal::Int(Interval::konst(*v)),
                     _ => AVal::Top,
                 };
             }
@@ -1470,7 +1459,7 @@ mod tests {
             vec![
                 Instr::Const {
                     dst: 0,
-                    val: RtValue::F64(1.0),
+                    val: Slot::F64(1.0),
                 },
                 Instr::BranchIfFalse { cond: 0, target: 2 },
                 ret(),
@@ -1501,7 +1490,7 @@ mod tests {
             code: vec![
                 Instr::Const {
                     dst: 0,
-                    val: RtValue::Int(1),
+                    val: Slot::Int(1),
                 },
                 Instr::Call {
                     func: 1,
@@ -1536,11 +1525,11 @@ mod tests {
                 vec![
                     Instr::Const {
                         dst: 0,
-                        val: RtValue::Int(0),
+                        val: Slot::Int(0),
                     },
                     Instr::Const {
                         dst: 1,
-                        val: RtValue::Int(1),
+                        val: Slot::Int(1),
                     },
                     Instr::ItemQuery {
                         dst: 2,
@@ -1601,7 +1590,7 @@ mod tests {
                 },
                 Instr::Const {
                     dst: 5,
-                    val: RtValue::Int(0),
+                    val: Slot::Int(0),
                 },
                 Instr::Load {
                     dst: 6,
@@ -1643,11 +1632,11 @@ mod tests {
                 vec![
                     Instr::Const {
                         dst: 3,
-                        val: RtValue::Int(0),
+                        val: Slot::Int(0),
                     },
                     Instr::Const {
                         dst: 4,
-                        val: RtValue::Int(step),
+                        val: Slot::Int(step),
                     },
                     Instr::ForEnter {
                         lb: 3,
@@ -1668,7 +1657,7 @@ mod tests {
                     },
                     Instr::Const {
                         dst: 8,
-                        val: RtValue::Int(0),
+                        val: Slot::Int(0),
                     },
                     Instr::Load {
                         dst: 9,
@@ -1729,7 +1718,7 @@ mod tests {
                     },
                     Instr::Const {
                         dst: 3,
-                        val: RtValue::Int(k),
+                        val: Slot::Int(k),
                     },
                     Instr::BinInt {
                         op,
@@ -1749,7 +1738,7 @@ mod tests {
                     },
                     Instr::Const {
                         dst: 7,
-                        val: RtValue::Int(0),
+                        val: Slot::Int(0),
                     },
                     Instr::Store {
                         val: 7,

@@ -38,15 +38,19 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # The last thing the gate prints: the simulator's line count (ROADMAP aim
-# 2: "lines removed is a reported metric"), how long the gate took and how
-# many tests `cargo test` passed — the numbers a PR that adds or removes
-# code or configurations is expected to report before/after.
+# 2: "lines removed is a reported metric"), the allocation and plan-size
+# gauges, how long the gate took and how many tests `cargo test` passed —
+# the numbers a PR that adds or removes code or configurations is expected
+# to report before/after.
 summary() {
   wc -l crates/sim/src/*.rs
   # Heap allocations of one build + compile pass over the suite
   # (tests/alloc_budget.rs; `cargo test -q` above ran it with its output
   # captured).
   cargo test -q --test alloc_budget -- --nocapture 2>/dev/null | grep '^alloc_budget:'
+  # Register and instruction width of the plan engine (plan.rs asserts
+  # their bounds at compile time).
+  cargo test -q -p sycl-mlir-sim --lib plan_sizes -- --nocapture 2>/dev/null | grep -o 'plan_sizes:.*'
   passed=$(awk '/^test result:/ { n += $4 } END { print n + 0 }' "$tmp/test.log")
   echo "ci.sh wall time: $(( $(date +%s) - ci_start )) s; cargo test: $passed passed"
 }
@@ -85,6 +89,16 @@ done)
 if [[ "$registrations" != "crates/frontend/src/lib.rs:"* || $(wc -l <<<"$registrations") != 1 ]]; then
   echo "FAIL: register_all is called outside full_context() and test code:" >&2
   echo "$registrations" >&2
+  exit 1
+fi
+
+# Registers are 16 bytes (ARCHITECTURE.md): the plan engine keeps a
+# work-item's registers as `Slot`s. `RtValue` is the public value type —
+# arguments, device memory, the tree walk — and 136 bytes wide; a register
+# file of them makes every register move a `memmove` call again.
+step "no RtValue register file in the plan engine"
+if non_test crates/sim/src/plan.rs | grep -n 'Vec<RtValue>'; then
+  echo "FAIL: plan.rs holds a Vec<RtValue> again; plan registers are Slots" >&2
   exit 1
 fi
 

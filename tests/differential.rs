@@ -866,3 +866,332 @@ mod fault_differential {
         }
     }
 }
+
+/// Aggregates that *move*. The benchsuite's kernels build an id or a view
+/// and consume it on the spot; here ids, memref views and accessors are
+/// carried around loops, selected, passed to and returned from callees —
+/// the whole-register moves in which the plan engine, whose registers
+/// keep an aggregate's payload out of line, has to give the destination a
+/// copy of its own. Hand-built IR launched directly (no pass pipeline to
+/// fold the shapes away), held bit-identical — outputs, statistics,
+/// cycles, fault text and position — to the tree-walk reference.
+mod aggregate_moves {
+    use sycl_mlir_repro::dialects::func::{build_call, build_func, build_return};
+    use sycl_mlir_repro::dialects::{arith, memref, scf};
+    use sycl_mlir_repro::frontend::full_context;
+    use sycl_mlir_repro::ir::{Builder, Module, OpId, Type, ValueId};
+    use sycl_mlir_repro::sim::{
+        decode_kernel, AccessorVal, DataVec, Device, Engine, ExecStats, MemoryPool, NdRangeSpec,
+        RtValue, SimError,
+    };
+    use sycl_mlir_repro::sycl::device as sdev;
+    use sycl_mlir_repro::sycl::types::{accessor_type, id_type, nd_item_type, AccessMode, Target};
+
+    /// Elements per buffer; 16 work-items in groups of 4 each own
+    /// elements `gid` and `gid + 16` of both buffers.
+    const N: i64 = 32;
+
+    fn f32_accessor(m: &Module) -> Type {
+        let c = m.ctx();
+        accessor_type(c, c.f32_type(), 1, AccessMode::ReadWrite, Target::Global)
+    }
+
+    fn f32_view(m: &Module) -> Type {
+        m.ctx().memref_type(m.ctx().f32_type(), &[-1])
+    }
+
+    fn id_get(b: &mut Builder<'_>, id: ValueId) -> ValueId {
+        let i32t = b.ctx().i32_type();
+        let zero = arith::constant_int(b, 0, i32t);
+        let index = b.ctx().index_type();
+        b.build_value("sycl.id.get", &[id, zero], index, vec![])
+    }
+
+    fn index_to_f32(b: &mut Builder<'_>, v: ValueId) -> ValueId {
+        let (i64t, f32t) = (b.ctx().i64_type(), b.ctx().f32_type());
+        let wide = arith::index_cast(b, v, i64t);
+        arith::sitofp(b, wide, f32t)
+    }
+
+    /// A helper function `name(inputs) -> results` next to the kernel.
+    fn helper(
+        m: &mut Module,
+        name: &str,
+        inputs: &[Type],
+        results: &[Type],
+        body: impl FnOnce(&mut Builder<'_>, &[ValueId]) -> Vec<ValueId>,
+    ) {
+        let top = m.top();
+        let (_, entry) = build_func(m, top, name, inputs, results);
+        let args = m.block_args(entry).to_vec();
+        let mut b = Builder::at_end(m, entry);
+        let rets = body(&mut b, &args);
+        build_return(&mut b, &rets);
+    }
+
+    /// The kernel `k(a: accessor, b: accessor, nd_item<1>)`.
+    fn kernel(
+        m: &mut Module,
+        body: impl FnOnce(&mut Builder<'_>, ValueId, ValueId, ValueId),
+    ) -> OpId {
+        let acc = f32_accessor(m);
+        let item = nd_item_type(m.ctx(), 1);
+        let top = m.top();
+        let (func, entry) = build_func(m, top, "k", &[acc.clone(), acc, item], &[]);
+        sdev::mark_kernel(m, func);
+        let args = m.block_args(entry).to_vec();
+        let mut b = Builder::at_end(m, entry);
+        body(&mut b, args[0], args[1], args[2]);
+        build_return(&mut b, &[]);
+        func
+    }
+
+    type Outcome = Result<(ExecStats, Vec<f32>, Vec<f32>), SimError>;
+
+    /// Launch `k` over `a = [0, 1, ..]`, `b = [100, 101, ..]`.
+    fn launch(m: &Module, k: OpId, device: &Device) -> Outcome {
+        let mut pool = MemoryPool::new();
+        let mut args = Vec::new();
+        for base in [0.0_f32, 100.0] {
+            let mem = pool.alloc(DataVec::F32((0..N).map(|i| base + i as f32).collect()));
+            args.push(RtValue::Accessor(AccessorVal {
+                mem,
+                range: [N, 1, 1],
+                offset: [0, 0, 0],
+                rank: 1,
+                constant: false,
+            }));
+        }
+        let stats = device.launch(m, k, &args, NdRangeSpec::d1(16, 4), &mut pool)?;
+        let image = |arg: &RtValue| {
+            let RtValue::Accessor(a) = arg else {
+                unreachable!()
+            };
+            let DataVec::F32(v) = pool.data(a.mem) else {
+                unreachable!()
+            };
+            v.clone()
+        };
+        Ok((stats, image(&args[0]), image(&args[1])))
+    }
+
+    /// The tree walk's outcome, after holding the plan engine to it —
+    /// one worker and four, fused and as decoded.
+    fn launch_on_both_engines(m: &Module, k: OpId) -> Outcome {
+        decode_kernel(m, k).expect("the plan engine runs this kernel itself");
+        let tree = launch(m, k, &Device::with_engine(Engine::TreeWalk));
+        for threads in [1, 4] {
+            for fuse in [true, false] {
+                let device = Device::with_engine(Engine::Plan)
+                    .threads(threads)
+                    .fuse(fuse);
+                let plan = launch(m, k, &device);
+                assert_eq!(plan, tree, "threads={threads} fuse={fuse}");
+            }
+        }
+        tree
+    }
+
+    /// An `scf.for` carries two ids and two views. Every iteration moves
+    /// one carried id into the other's place, replaces it by an id built
+    /// in the body, and swaps the views: each parallel copy overwrites a
+    /// register another copy of the same round still reads.
+    #[test]
+    fn loop_carried_ids_and_views_survive_overwritten_sources() {
+        let ctx = full_context();
+        let mut m = Module::new(&ctx);
+        let k = kernel(&mut m, |b, acc_a, acc_b, item| {
+            let gid = sdev::global_id(b, item, 0);
+            let sixteen = arith::constant_index(b, 16);
+            let hi = arith::addi(b, gid, sixteen);
+            let id_lo = sdev::make_id(b, &[gid]);
+            let id_hi = sdev::make_id(b, &[hi]);
+            let view_a = sdev::subscript(b, acc_a, id_lo);
+            let view_b = sdev::subscript(b, acc_b, id_hi);
+            let zero = arith::constant_index(b, 0);
+            let one = arith::constant_index(b, 1);
+            let three = arith::constant_index(b, 3);
+            let inits = [id_lo, id_hi, view_a, view_b];
+            let l = scf::build_for(b, zero, three, one, &inits, |inner, _, carried| {
+                let q = id_get(inner, carried[1]);
+                let one = arith::constant_index(inner, 1);
+                let n = arith::constant_index(inner, N);
+                let next = arith::addi(inner, q, one);
+                let wrapped = arith::remsi(inner, next, n);
+                let fresh = sdev::make_id(inner, &[wrapped]);
+                vec![carried[1], fresh, carried[3], carried[2]]
+            });
+            let res = b.module().op_results(l).to_vec();
+            let (p, q) = (id_get(b, res[0]), id_get(b, res[1]));
+            let from_s = memref::load(b, res[2], &[zero]);
+            let from_t = memref::load(b, res[3], &[zero]);
+            let (pf, qf) = (index_to_f32(b, p), index_to_f32(b, q));
+            let to_s = arith::addf(b, from_t, pf);
+            let to_t = arith::addf(b, from_s, qf);
+            memref::store(b, to_s, res[2], &[zero]);
+            memref::store(b, to_t, res[3], &[zero]);
+        });
+        let (_, a, b) = launch_on_both_engines(&m, k).expect("runs");
+        // Three rounds: (p, q) = ((g+18) % 32, (g+19) % 32), the views
+        // swapped an odd number of times — s is b[g+16], t is a[g].
+        for g in 0..16_usize {
+            let (p, q) = (((g + 18) % 32) as f32, ((g + 19) % 32) as f32);
+            assert_eq!(b[g + 16], g as f32 + p, "b[{}]", g + 16);
+            assert_eq!(a[g], 100.0 + (g + 16) as f32 + q, "a[{g}]");
+            assert_eq!((a[g + 16], b[g]), ((g + 16) as f32, 100.0 + g as f32));
+        }
+    }
+
+    /// `arith.select` between two views, and between two ids.
+    #[test]
+    fn select_between_views_and_between_ids() {
+        let ctx = full_context();
+        let mut m = Module::new(&ctx);
+        let k = kernel(&mut m, |b, acc_a, acc_b, item| {
+            let gid = sdev::global_id(b, item, 0);
+            let zero = arith::constant_index(b, 0);
+            let two = arith::constant_index(b, 2);
+            let sixteen = arith::constant_index(b, 16);
+            let rem = arith::remsi(b, gid, two);
+            let even = arith::cmpi(b, "eq", rem, zero);
+            let hi = arith::addi(b, gid, sixteen);
+            let id_lo = sdev::make_id(b, &[gid]);
+            let id_hi = sdev::make_id(b, &[hi]);
+            let view_a = sdev::subscript(b, acc_a, id_lo);
+            let view_b = sdev::subscript(b, acc_b, id_lo);
+            let view = arith::select(b, even, view_a, view_b);
+            let id = arith::select(b, even, id_hi, id_lo);
+            let f32t = b.ctx().f32_type();
+            let seven = arith::constant_float(b, 7.0, f32t.clone());
+            memref::store(b, seven, view, &[zero]);
+            let through_id = sdev::subscript(b, acc_b, id);
+            let nine = arith::constant_float(b, 9.0, f32t);
+            memref::store(b, nine, through_id, &[zero]);
+        });
+        let (_, a, b) = launch_on_both_engines(&m, k).expect("runs");
+        for g in 0..16_usize {
+            if g % 2 == 0 {
+                assert_eq!((a[g], b[g], b[g + 16]), (7.0, 100.0 + g as f32, 9.0));
+            } else {
+                assert_eq!((a[g], b[g], b[g + 16]), (g as f32, 9.0, 116.0 + g as f32));
+            }
+        }
+    }
+
+    /// A callee receives an accessor and subscripts it, and returns the
+    /// view and the id it built in its own frame. The second call reuses
+    /// that frame's registers; the first call's results must not notice.
+    #[test]
+    fn callee_built_view_and_id_outlive_its_frame() {
+        let ctx = full_context();
+        let mut m = Module::new(&ctx);
+        let (acc, index) = (f32_accessor(&m), ctx.index_type());
+        let results = [f32_view(&m), id_type(&ctx, 1)];
+        helper(&mut m, "view_at", &[acc, index], &results, |b, args| {
+            let id = sdev::make_id(b, &[args[1]]);
+            let view = sdev::subscript(b, args[0], id);
+            vec![view, id]
+        });
+        let k = kernel(&mut m, |b, acc_a, acc_b, item| {
+            let gid = sdev::global_id(b, item, 0);
+            let sixteen = arith::constant_index(b, 16);
+            let hi = arith::addi(b, gid, sixteen);
+            let first = build_call(b, "view_at", &[acc_a, hi], &results);
+            let second = build_call(b, "view_at", &[acc_b, gid], &results);
+            let (dst, dst_id) = (
+                b.module().op_result(first, 0),
+                b.module().op_result(first, 1),
+            );
+            let src = b.module().op_result(second, 0);
+            let zero = arith::constant_index(b, 0);
+            let loaded = memref::load(b, src, &[zero]);
+            let at = id_get(b, dst_id);
+            let at = index_to_f32(b, at);
+            let sum = arith::addf(b, loaded, at);
+            memref::store(b, sum, dst, &[zero]);
+        });
+        let (_, a, b) = launch_on_both_engines(&m, k).expect("runs");
+        for g in 0..16_usize {
+            assert_eq!(a[g + 16], 100.0 + g as f32 + (g + 16) as f32);
+            assert_eq!((a[g], b[g]), (g as f32, 100.0 + g as f32));
+        }
+    }
+
+    /// Six return values, an id and a view among the scalars.
+    #[test]
+    fn more_than_four_return_values_with_aggregates() {
+        let ctx = full_context();
+        let mut m = Module::new(&ctx);
+        let (acc, index, f32t) = (f32_accessor(&m), ctx.index_type(), ctx.f32_type());
+        let results = [
+            index.clone(),
+            f32t.clone(),
+            id_type(&ctx, 1),
+            f32_view(&m),
+            index.clone(),
+            f32t.clone(),
+        ];
+        helper(&mut m, "six", &[acc, index], &results, |b, args| {
+            let one = arith::constant_index(b, 1);
+            let two = arith::constant_index(b, 2);
+            let succ = arith::addi(b, args[1], one);
+            let twice = arith::muli(b, args[1], two);
+            let f32t = b.ctx().f32_type();
+            let x = arith::constant_float(b, 2.5, f32t.clone());
+            let y = arith::constant_float(b, 4.0, f32t);
+            let id = sdev::make_id(b, &[args[1]]);
+            let view = sdev::subscript(b, args[0], id);
+            vec![succ, x, id, view, twice, y]
+        });
+        let k = kernel(&mut m, |b, acc_a, _, item| {
+            let gid = sdev::global_id(b, item, 0);
+            let call = build_call(b, "six", &[acc_a, gid], &results);
+            let r = b.module().op_results(call).to_vec();
+            let at = id_get(b, r[2]);
+            let ints = arith::addi(b, r[0], r[4]);
+            let ints = arith::addi(b, ints, at);
+            let ints = index_to_f32(b, ints);
+            let floats = arith::addf(b, r[1], r[5]);
+            let sum = arith::addf(b, ints, floats);
+            let zero = arith::constant_index(b, 0);
+            memref::store(b, sum, r[3], &[zero]);
+        });
+        let (_, a, _) = launch_on_both_engines(&m, k).expect("runs");
+        for (g, out) in a.iter().take(16).enumerate() {
+            assert_eq!(*out, (g + 1 + 2 * g + g) as f32 + 6.5);
+        }
+    }
+
+    /// Storing an aggregate is the type-mismatch fault, named by the
+    /// value's kind, at the first work-group.
+    #[test]
+    fn type_mismatched_store_of_an_aggregate() {
+        // Picks the stored value out of `[id, view, accessor, item]`.
+        type Pick = fn(&mut Builder<'_>, [ValueId; 4]) -> ValueId;
+        let cases: [(&str, Pick); 4] = [
+            ("vec", |_, v| v[0]),
+            ("memref", |_, v| v[1]),
+            ("accessor", |_, v| v[2]),
+            ("item", |b, v| sdev::get_group(b, v[3])),
+        ];
+        for (kind, pick) in cases {
+            let ctx = full_context();
+            let mut m = Module::new(&ctx);
+            let k = kernel(&mut m, |b, acc_a, _, item| {
+                let gid = sdev::global_id(b, item, 0);
+                let id = sdev::make_id(b, &[gid]);
+                let view = sdev::subscript(b, acc_a, id);
+                let value = pick(b, [id, view, acc_a, item]);
+                let zero = arith::constant_index(b, 0);
+                memref::store(b, value, view, &[zero]);
+            });
+            let fault = launch_on_both_engines(&m, k).expect_err("the store faults");
+            assert_eq!(
+                fault.message(),
+                format!(
+                    "type-mismatched store of {kind} into buffer 0 (f32) (launch 0, work-group 0)"
+                )
+            );
+        }
+    }
+}

@@ -30,7 +30,7 @@ mod common;
 use common::run_launch;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use sycl_mlir_repro::sim::plan::{CmpPred, FloatBin, FuncPlan, Instr, IntBin, ItemQ};
+use sycl_mlir_repro::sim::plan::{CmpPred, FloatBin, FuncPlan, Instr, IntBin, ItemQ, Slot};
 use sycl_mlir_repro::sim::{
     fuse_plan, AccessorVal, CostModel, DataVec, ExecLimits, ExecStats, KernelPlan, MemRefVal,
     MemoryPool, NdRangeSpec, PlanLaunch, RtValue, SimError, Space,
@@ -41,7 +41,11 @@ const BUF_LEN: usize = 16;
 /// Builds one random legal function plan over three parameters: an `f32`
 /// memref in register 0, an `i64` memref in register 1 and an `f32`
 /// accessor in register 2 (the raw material of the indexed-access
-/// chains).
+/// chains). Whole-register moves (`Copy`, `Select`) spread the memref and
+/// the accessor over further registers, and accesses go through any of
+/// them; the `direct` twin of a seed emits the same moves but accesses
+/// registers 0 and 2 only, so the two plans agree in everything exactly
+/// when a moved aggregate is the aggregate.
 struct Gen {
     rng: TestRng,
     code: Vec<Instr>,
@@ -49,6 +53,12 @@ struct Gen {
     ints: Vec<u32>,
     /// Initialized float-valued registers.
     floats: Vec<u32>,
+    /// Registers holding the `f32` memref / the accessor: the parameter
+    /// and its moved copies (all defined at top level, never skipped).
+    mems: Vec<u32>,
+    accs: Vec<u32>,
+    /// Access through the parameter registers only.
+    direct: bool,
     next_reg: u32,
     sites: u32,
 }
@@ -60,9 +70,64 @@ impl Gen {
             code: Vec::new(),
             ints: Vec::new(),
             floats: Vec::new(),
+            mems: vec![0],
+            accs: vec![2],
+            direct: false,
             // 0 = f32 memref param, 1 = i64 memref param, 2 = accessor.
             next_reg: 3,
             sites: 0,
+        }
+    }
+
+    /// The twin of `Gen::new(seed)` that accesses the parameters only.
+    fn direct(seed: u64) -> Gen {
+        Gen {
+            direct: true,
+            ..Gen::new(seed)
+        }
+    }
+
+    /// A register holding the `f32` memref (the draw is made either way,
+    /// so a seed's twins stay in step).
+    fn f32_mem(&mut self) -> u32 {
+        let i = self.rng.below(self.mems.len());
+        if self.direct {
+            0
+        } else {
+            self.mems[i]
+        }
+    }
+
+    /// A register holding the accessor.
+    fn acc(&mut self) -> u32 {
+        let i = self.rng.below(self.accs.len());
+        if self.direct {
+            2
+        } else {
+            self.accs[i]
+        }
+    }
+
+    /// Move the memref or the accessor into a fresh register: a `Copy`
+    /// of one holder, or a `Select` between two.
+    fn move_aggregate(&mut self) {
+        let over_accs = self.rng.below(2) == 0;
+        let holders = if over_accs { &self.accs } else { &self.mems };
+        let (t, f) = (
+            holders[self.rng.below(holders.len())],
+            holders[self.rng.below(holders.len())],
+        );
+        let dst = self.fresh();
+        if self.rng.below(2) == 0 {
+            self.code.push(Instr::Copy { dst, src: t });
+        } else {
+            let c = self.pick_int();
+            self.code.push(Instr::Select { dst, c, t, f });
+        }
+        if over_accs {
+            self.accs.push(dst);
+        } else {
+            self.mems.push(dst);
         }
     }
 
@@ -93,7 +158,7 @@ impl Gen {
         let mask = self.fresh();
         self.code.push(Instr::Const {
             dst: mask,
-            val: RtValue::Int(BUF_LEN as i64 - 1),
+            val: Slot::Int(BUF_LEN as i64 - 1),
         });
         let dst = self.fresh();
         self.code.push(Instr::BinInt {
@@ -156,7 +221,7 @@ impl Gen {
                 let val = self.rng.in_range(-3, 6) as i64;
                 self.code.push(Instr::Const {
                     dst,
-                    val: RtValue::Int(val),
+                    val: Slot::Int(val),
                 });
                 self.ints.push(dst);
             }
@@ -164,9 +229,9 @@ impl Gen {
                 let dst = self.fresh();
                 let v = self.rng.in_range(-4, 5) as f64 * 0.5;
                 let val = if self.rng.below(2) == 0 {
-                    RtValue::F32(v as f32)
+                    Slot::F32(v as f32)
                 } else {
-                    RtValue::F64(v)
+                    Slot::F64(v)
                 };
                 self.code.push(Instr::Const { dst, val });
                 self.floats.push(dst);
@@ -228,9 +293,10 @@ impl Gen {
                 let idx = self.masked_index();
                 let loaded = self.fresh();
                 let site = self.site();
+                let mem = self.f32_mem();
                 self.code.push(Instr::Load {
                     dst: loaded,
-                    mem: 0,
+                    mem,
                     idx: [idx, 0, 0],
                     rank: 1,
                     site,
@@ -278,9 +344,10 @@ impl Gen {
                 let idx = self.masked_index();
                 let val = self.pick_float();
                 let site = self.site();
+                let mem = self.f32_mem();
                 self.code.push(Instr::Store {
                     val,
-                    mem: 0,
+                    mem,
                     idx: [idx, 0, 0],
                     rank: 1,
                     site,
@@ -310,7 +377,7 @@ impl Gen {
         let zero = self.fresh();
         self.code.push(Instr::Const {
             dst: zero,
-            val: RtValue::Int(0),
+            val: Slot::Int(0),
         });
         let id = self.fresh();
         self.code.push(Instr::VecCtor {
@@ -319,11 +386,8 @@ impl Gen {
             rank: 1,
         });
         let view = self.fresh();
-        self.code.push(Instr::AccSubscript {
-            dst: view,
-            acc: 2,
-            id,
-        });
+        let acc = self.acc();
+        self.code.push(Instr::AccSubscript { dst: view, acc, id });
         if self.rng.below(2) == 0 {
             let dst = self.fresh();
             let site = self.site();
@@ -379,7 +443,7 @@ impl Gen {
             let r = self.fresh();
             self.code.push(Instr::Const {
                 dst: r,
-                val: RtValue::Int(0),
+                val: Slot::Int(0),
             });
             Some(r)
         } else {
@@ -392,15 +456,12 @@ impl Gen {
             rank: 1,
         });
         let view = self.fresh();
-        self.code.push(Instr::AccSubscript {
-            dst: view,
-            acc: 2,
-            id,
-        });
+        let acc = self.acc();
+        self.code.push(Instr::AccSubscript { dst: view, acc, id });
         let zero = self.fresh();
         self.code.push(Instr::Const {
             dst: zero,
-            val: RtValue::Int(0),
+            val: Slot::Int(0),
         });
         let access_idx = early_zero.unwrap_or(zero);
         if self.rng.below(2) == 0 {
@@ -457,15 +518,12 @@ impl Gen {
             rank: 1,
         });
         let view = self.fresh();
-        self.code.push(Instr::AccSubscript {
-            dst: view,
-            acc: 2,
-            id,
-        });
+        let acc = self.acc();
+        self.code.push(Instr::AccSubscript { dst: view, acc, id });
         let zero = self.fresh();
         self.code.push(Instr::Const {
             dst: zero,
-            val: RtValue::Int(0),
+            val: Slot::Int(0),
         });
         if self.rng.below(2) == 0 {
             let dst = self.fresh();
@@ -500,7 +558,7 @@ impl Gen {
         let zero = self.fresh();
         self.code.push(Instr::Const {
             dst: zero,
-            val: RtValue::Int(0),
+            val: Slot::Int(0),
         });
         let id = self.fresh();
         self.code.push(Instr::VecCtor {
@@ -509,11 +567,8 @@ impl Gen {
             rank: 1,
         });
         let view = self.fresh();
-        self.code.push(Instr::AccSubscript {
-            dst: view,
-            acc: 2,
-            id,
-        });
+        let acc = self.acc();
+        self.code.push(Instr::AccSubscript { dst: view, acc, id });
         if self.rng.below(2) == 0 {
             // Read-modify-write: the load chain writes the view through,
             // the accumulate+store pair follows.
@@ -584,9 +639,10 @@ impl Gen {
         let idx = self.masked_index();
         let loaded = self.fresh();
         let site = self.site();
+        let mem = self.f32_mem();
         self.code.push(Instr::Load {
             dst: loaded,
-            mem: 0,
+            mem,
             idx: [idx, 0, 0],
             rank: 1,
             site,
@@ -645,9 +701,10 @@ impl Gen {
             f32_out: self.rng.below(2) == 0,
         });
         let site = self.site();
+        let mem = self.f32_mem();
         self.code.push(Instr::Store {
             val: t,
-            mem: 0,
+            mem,
             idx: [idx, 0, 0],
             rank: 1,
             site,
@@ -697,15 +754,15 @@ impl Gen {
         let (lb, ub, step) = (self.fresh(), self.fresh(), self.fresh());
         self.code.push(Instr::Const {
             dst: lb,
-            val: RtValue::Int(0),
+            val: Slot::Int(0),
         });
         self.code.push(Instr::Const {
             dst: ub,
-            val: RtValue::Int(self.rng.in_range(1, 4) as i64),
+            val: Slot::Int(self.rng.in_range(1, 4) as i64),
         });
         self.code.push(Instr::Const {
             dst: step,
-            val: RtValue::Int(1),
+            val: Slot::Int(1),
         });
         let iv = self.fresh();
         let enter_at = self.code.len();
@@ -739,7 +796,7 @@ impl Gen {
             0,
             Instr::Const {
                 dst: seed_int,
-                val: RtValue::Int(3),
+                val: Slot::Int(3),
             },
         );
         let seed_float = self.fresh();
@@ -747,7 +804,7 @@ impl Gen {
             1,
             Instr::Const {
                 dst: seed_float,
-                val: RtValue::F32(1.5),
+                val: Slot::F32(1.5),
             },
         );
         self.ints.push(seed_int);
@@ -765,6 +822,7 @@ impl Gen {
                 6 => self.quad_chain(),
                 7 => self.gather_chain(),
                 8 => self.view_accum(),
+                9 => self.move_aggregate(),
                 _ => self.simple(),
             }
         }
@@ -775,9 +833,10 @@ impl Gen {
             let idx = self.masked_index();
             let val = self.pick_float();
             let site = self.site();
+            let mem = self.f32_mem();
             self.code.push(Instr::Store {
                 val,
-                mem: 0,
+                mem,
                 idx: [idx, 0, 0],
                 rank: 1,
                 site,
@@ -892,6 +951,19 @@ fn check_seed(seed: u64) -> Vec<&'static str> {
         base_a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
         opt_a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
         "accessor buffer diverges (seed {seed})"
+    );
+    // Accessing a moved memref or accessor is accessing the parameter.
+    let (direct, direct_f, direct_i, direct_a) = execute(&Gen::direct(seed).finish());
+    assert_eq!(
+        base.as_ref().map_err(SimError::message),
+        direct.as_ref().map_err(SimError::message),
+        "moved aggregates change the outcome (seed {seed})"
+    );
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        (bits(&base_f), base_i, bits(&base_a)),
+        (bits(&direct_f), direct_i, bits(&direct_a)),
+        "moved aggregates change a buffer (seed {seed})"
     );
     windows(&fused)
 }
@@ -1020,20 +1092,20 @@ fn mid_chain_failing_plan(fail_from: i64) -> KernelPlan {
         },
         Instr::Const {
             dst: 5,
-            val: RtValue::Int(0),
+            val: Slot::Int(0),
         },
         Instr::Const {
             dst: 6,
-            val: RtValue::F32(1.5),
+            val: Slot::F32(1.5),
         },
         Instr::Const {
             dst: 7,
-            val: RtValue::Int(fail_from),
+            val: Slot::Int(fail_from),
         },
         // Marker: f32buf[gid & 15] = gid as f32.
         Instr::Const {
             dst: 8,
-            val: RtValue::Int(BUF_LEN as i64 - 1),
+            val: Slot::Int(BUF_LEN as i64 - 1),
         },
         Instr::BinInt {
             op: IntBin::And,
@@ -1119,11 +1191,11 @@ fn div_zero_plan() -> KernelPlan {
     let code = vec![
         Instr::Const {
             dst: 3,
-            val: RtValue::Int(1),
+            val: Slot::Int(1),
         },
         Instr::Const {
             dst: 4,
-            val: RtValue::Int(0),
+            val: Slot::Int(0),
         },
         Instr::BinInt {
             op: IntBin::DivS,
@@ -1568,11 +1640,11 @@ fn oob_bait_is_never_elided_and_fails_identically() {
         vec![
             Instr::Const {
                 dst: 3,
-                val: RtValue::Int(999),
+                val: Slot::Int(999),
             },
             Instr::Const {
                 dst: 4,
-                val: RtValue::F32(1.0),
+                val: Slot::F32(1.0),
             },
             Instr::Store {
                 val: 4,
@@ -1615,7 +1687,7 @@ fn type_confusion_bait_is_rejected() {
         vec![
             Instr::Const {
                 dst: 3,
-                val: RtValue::Int(7),
+                val: Slot::Int(7),
             },
             Instr::BinFloat {
                 op: FloatBin::Add,
@@ -1660,7 +1732,7 @@ fn corrupted_jump_bait_is_rejected() {
             Instr::Jump { target: 2 },
             Instr::Const {
                 dst: 3,
-                val: RtValue::F32(2.0),
+                val: Slot::F32(2.0),
             },
             Instr::BinFloat {
                 op: FloatBin::Mul,
