@@ -1,6 +1,6 @@
 //! Compilation flows (Fig. 1 of the paper).
 
-use sycl_mlir_ir::{Attribute, Module, OpId, PassManager, PassStats};
+use sycl_mlir_ir::{Attribute, Module, OpId, Pass, PassManager, PassStats};
 use sycl_mlir_transform::{
     CanonicalizePass, CsePass, DeadArgumentEliminationPass, DetectReductionPass,
     HostDeviceConstantPropagationPass, LicmPass, LoopInternalizationPass, RaiseHostPass,
@@ -51,6 +51,55 @@ pub struct Flow {
     pub dump_stages: bool,
 }
 
+/// One stage of a compile-time pipeline: the name the pass gives itself
+/// (what `pass_stats.per_pass` reports), what the pipeline description
+/// adds to it, and the pass.
+type StageDef = (&'static str, &'static str, fn() -> Box<dyn Pass>);
+
+fn stage<P: Pass + Default + 'static>() -> Box<dyn Pass> {
+    Box::<P>::default()
+}
+
+/// DPC++ and AdaptiveCpp compile the device code with no SYCL semantics:
+/// LICM hoists only what is free of memory effects, like any LLVM
+/// pipeline.
+const GENERIC_STAGES: &[StageDef] = &[
+    ("canonicalize", "", stage::<CanonicalizePass>),
+    ("cse", "", stage::<CsePass>),
+    ("licm", " (conservative)", || Box::new(LicmPass::new(false))),
+];
+
+const SYCL_MLIR_STAGES: &[StageDef] = &[
+    ("raise-host", "", stage::<RaiseHostPass>),
+    (
+        "host-device-constprop",
+        "",
+        stage::<HostDeviceConstantPropagationPass>,
+    ),
+    ("canonicalize", "", stage::<CanonicalizePass>),
+    ("cse", "", stage::<CsePass>),
+    ("licm", " (with versioning)", || {
+        Box::new(LicmPass::new(true))
+    }),
+    ("detect-reduction", "", stage::<DetectReductionPass>),
+    ("loop-internalization", "", stage::<LoopInternalizationPass>),
+    ("canonicalize", "", stage::<CanonicalizePass>),
+    ("cse", "", stage::<CsePass>),
+    ("sycl-dae", "", stage::<DeadArgumentEliminationPass>),
+];
+
+impl FlowKind {
+    /// The flow's compile-time pipeline, in order: what [`Flow::compile`]
+    /// runs, [`Flow::pipeline_description`] prints and
+    /// [`Flow::pipeline_with`] rebuilds.
+    fn stages(self) -> &'static [StageDef] {
+        match self {
+            FlowKind::Dpcpp | FlowKind::AdaptiveCpp => GENERIC_STAGES,
+            FlowKind::SyclMlir => SYCL_MLIR_STAGES,
+        }
+    }
+}
+
 impl Flow {
     pub fn new(kind: FlowKind) -> Flow {
         Flow {
@@ -59,30 +108,43 @@ impl Flow {
         }
     }
 
-    /// Names of the passes this flow runs at compile time.
-    pub fn pipeline_description(&self) -> Vec<&'static str> {
-        match self.kind {
-            FlowKind::Dpcpp => vec!["canonicalize", "cse", "licm (conservative)"],
-            FlowKind::AdaptiveCpp => {
-                vec![
-                    "canonicalize",
-                    "cse",
-                    "(JIT at launch: nd-range constants, detect-reduction)",
-                ]
-            }
-            FlowKind::SyclMlir => vec![
-                "raise-host",
-                "host-device-constprop",
-                "canonicalize",
-                "cse",
-                "licm (with versioning)",
-                "detect-reduction",
-                "loop-internalization",
-                "canonicalize",
-                "cse",
-                "sycl-dae",
-            ],
+    /// The passes this flow runs at compile time, as text.
+    pub fn pipeline_description(&self) -> Vec<String> {
+        let stages = self.kind.stages().iter();
+        let mut lines: Vec<String> = stages
+            .map(|(name, more, _)| format!("{name}{more}"))
+            .collect();
+        if self.kind == FlowKind::AdaptiveCpp {
+            lines.push("(JIT at launch: nd-range constants, detect-reduction)".into());
         }
+        lines
+    }
+
+    /// The flow's compile-time pipeline, each stage's pass chosen by `pick`.
+    fn pipeline(&self, mut pick: impl FnMut(&StageDef) -> Box<dyn Pass>) -> PassManager<'static> {
+        let mut pm = PassManager::new();
+        pm.dump_after_each = self.dump_stages;
+        for stage in self.kind.stages() {
+            pm.add_boxed_pass(pick(stage));
+        }
+        pm
+    }
+
+    /// The flow's compile-time pipeline with every stage named `stage`
+    /// replaced by a pass from `substitute` — a reference implementation
+    /// to compare against, or a no-op to ablate the stage.
+    pub fn pipeline_with<P: Pass + 'static>(
+        &self,
+        stage: &str,
+        substitute: impl Fn() -> P,
+    ) -> PassManager<'static> {
+        self.pipeline(|(name, _, make)| {
+            if *name == stage {
+                Box::new(substitute())
+            } else {
+                make()
+            }
+        })
     }
 
     /// Run the compile-time pipeline on the joint module.
@@ -91,100 +153,17 @@ impl Flow {
     ///
     /// Propagates pass failures and verifier reports.
     pub fn compile(&self, module: &mut Module) -> Result<CompileOutcome, String> {
-        let mut outcome = CompileOutcome::default();
-        match self.kind {
-            FlowKind::Dpcpp => {
-                let mut pm = PassManager::new();
-                pm.add_pass(CanonicalizePass);
-                pm.add_pass(CsePass);
-                // No SYCL semantics: only memory-effect-free hoisting.
-                pm.add_pass(LicmPass::new(false));
-                self.run_pipeline(pm, module, &mut outcome)?;
-            }
-            FlowKind::AdaptiveCpp => {
-                let mut pm = PassManager::new();
-                pm.add_pass(CanonicalizePass);
-                pm.add_pass(CsePass);
-                // Generic LICM (no SYCL semantics), like any LLVM pipeline.
-                pm.add_pass(LicmPass::new(false));
-                self.run_pipeline(pm, module, &mut outcome)?;
-                outcome
-                    .notes
-                    .push("device IR embedded for JIT specialization at launch".into());
-            }
-            FlowKind::SyclMlir => {
-                let mut raise = RaiseHostPass::default();
-                let mut constprop = HostDeviceConstantPropagationPass::default();
-                let mut licm = LicmPass::new(true);
-                let mut reduction = DetectReductionPass::default();
-                let mut internalize = LoopInternalizationPass::default();
-                let mut dae = DeadArgumentEliminationPass::default();
-
-                // The passes with statistics are lent to the pipeline and
-                // read back for the notes below.
-                let mut pm = PassManager::new();
-                pm.add_pass(&mut raise);
-                pm.add_pass(&mut constprop);
-                pm.add_pass(CanonicalizePass);
-                pm.add_pass(CsePass);
-                pm.add_pass(&mut licm);
-                pm.add_pass(&mut reduction);
-                pm.add_pass(&mut internalize);
-                pm.add_pass(CanonicalizePass);
-                pm.add_pass(CsePass);
-                pm.add_pass(&mut dae);
-                self.run_pipeline(pm, module, &mut outcome)?;
-
-                outcome.notes.push(format!(
-                    "raised {} constructors, {} kernel schedules ({} unmatched runtime calls)",
-                    raise.stats.constructors_raised,
-                    raise.stats.kernels_raised,
-                    raise.stats.unmatched_sycl_calls
-                ));
-                outcome.notes.push(format!(
-                    "propagated {} nd-ranges, {} scalars, {} const arrays; folded {} getters",
-                    constprop.stats.nd_ranges_propagated,
-                    constprop.stats.scalars_propagated,
-                    constprop.stats.const_array_args,
-                    constprop.stats.getters_folded
-                ));
-                outcome.notes.push(format!(
-                    "licm: {} pure, {} loads hoisted, {} loops guarded, {} runtime-versioned",
-                    licm.stats.pure_hoisted,
-                    licm.stats.loads_hoisted,
-                    licm.stats.guarded_loops,
-                    licm.stats.versioned_loops
-                ));
-                outcome
-                    .notes
-                    .push(format!("reductions rewritten: {}", reduction.rewritten));
-                outcome.notes.push(format!(
-                    "internalized {} loops ({} refs prefetched, {} skipped divergent, {} stores skipped)",
-                    internalize.stats.internalized_loops,
-                    internalize.stats.prefetched_refs,
-                    internalize.stats.skipped_divergent,
-                    internalize.stats.skipped_stores
-                ));
-                outcome
-                    .notes
-                    .push(format!("dead kernel arguments: {}", dae.dead_args_found));
-            }
+        let mut pm = self.pipeline(|(_, _, make)| make());
+        let pass_stats = pm.run(module)?;
+        let mut notes = pm.notes();
+        if self.kind == FlowKind::AdaptiveCpp {
+            notes.push("device IR embedded for JIT specialization at launch".into());
         }
-        Ok(outcome)
-    }
-
-    /// Run `pm` over the module and move its statistics and stage dumps into
-    /// `outcome`. Consumes the pipeline, which ends its borrows of the passes.
-    fn run_pipeline(
-        &self,
-        mut pm: PassManager<'_>,
-        module: &mut Module,
-        outcome: &mut CompileOutcome,
-    ) -> Result<(), String> {
-        pm.dump_after_each = self.dump_stages;
-        outcome.pass_stats = pm.run(module)?;
-        outcome.dumps = pm.dumps;
-        Ok(())
+        Ok(CompileOutcome {
+            pass_stats,
+            notes,
+            dumps: pm.dumps,
+        })
     }
 
     /// AdaptiveCpp's launch-time JIT specialization (§IX): the runtime
@@ -311,15 +290,21 @@ mod tests {
         }
     }
 
-    /// The stage names `pass_stats.per_pass` reports are what the passes
-    /// call themselves; the repo benchmark reads them by these names.
+    /// The stage names `pass_stats.per_pass` reports are the ones the
+    /// flow's stage list carries — the passes' own — and for SYCL-MLIR the
+    /// ones the repo benchmark reads them by.
     #[test]
     fn sycl_mlir_stage_names() {
-        let mut m = Module::new(&ctx());
-        let out = Flow::new(FlowKind::SyclMlir).compile(&mut m).unwrap();
-        let stages: Vec<&str> = out.pass_stats.per_pass.iter().map(|s| &*s.0).collect();
+        for kind in FlowKind::all() {
+            let mut m = Module::new(&ctx());
+            let out = Flow::new(kind).compile(&mut m).unwrap();
+            let ran: Vec<&str> = out.pass_stats.per_pass.iter().map(|s| &*s.0).collect();
+            let listed: Vec<&str> = kind.stages().iter().map(|s| s.0).collect();
+            assert_eq!(ran, listed, "{}", kind.name());
+        }
+        let names: Vec<&str> = SYCL_MLIR_STAGES.iter().map(|s| s.0).collect();
         assert_eq!(
-            stages,
+            names,
             [
                 "raise-host",
                 "host-device-constprop",

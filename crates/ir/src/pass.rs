@@ -21,6 +21,12 @@ pub trait Pass {
     ///
     /// Returns a message describing an unrecoverable pass failure.
     fn run(&mut self, module: &mut Module) -> Result<bool, String>;
+
+    /// What the pass did over its runs so far, in one line — for passes
+    /// that keep statistics.
+    fn note(&self) -> Option<String> {
+        None
+    }
 }
 
 /// A borrowed pass is a pass: a pipeline can run passes its caller keeps,
@@ -32,6 +38,10 @@ impl<P: Pass + ?Sized> Pass for &mut P {
 
     fn run(&mut self, module: &mut Module) -> Result<bool, String> {
         (**self).run(module)
+    }
+
+    fn note(&self) -> Option<String> {
+        (**self).note()
     }
 }
 
@@ -114,6 +124,18 @@ impl<'p> PassManager<'p> {
     pub fn add_pass(&mut self, pass: impl Pass + 'p) -> &mut Self {
         self.passes.push(Box::new(pass));
         self
+    }
+
+    /// Append an already boxed pass (a pipeline assembled from a table of
+    /// constructors), without boxing it again.
+    pub fn add_boxed_pass(&mut self, pass: Box<dyn Pass + 'p>) -> &mut Self {
+        self.passes.push(pass);
+        self
+    }
+
+    /// The [`Pass::note`] of every pass that has one, in pipeline order.
+    pub fn notes(&self) -> Vec<String> {
+        self.passes.iter().filter_map(|p| p.note()).collect()
     }
 
     /// Names of the registered passes, in order.

@@ -27,8 +27,8 @@ pub enum Engine {
     TreeWalk,
     /// The pre-decoded [`KernelPlan`] register-file executor (decodes once
     /// per launch, then shares the immutable plan across all work-items).
-    /// Falls back to [`Engine::TreeWalk`] for kernels the decoder does not
-    /// understand.
+    /// A kernel the decoder does not understand fails its launch with a
+    /// `plan decode error`; there is no fallback to the tree walk.
     Plan,
 }
 
@@ -112,27 +112,20 @@ impl NdRangeSpec {
     }
 }
 
-/// One cached kernel decode: the outcome (a plan, or `None` for a kernel
-/// the decoder cannot handle — relaunches then skip straight to the
-/// tree-walk fallback instead of re-attempting the decode) plus the
-/// module mutation epoch it was decoded at (stale once the module
-/// changes).
+/// One decoded-and-verified cache entry as handed to the launch paths:
+/// the fused plan plus the decode-time verifier's facts (site in-bounds
+/// proofs, barrier uniformity; `None` under `--verify=off` or when lint
+/// mode reported findings).
+type PlanEntry = (Arc<KernelPlan>, Option<Arc<PlanFacts>>);
+
+/// One cached kernel decode: the outcome — an entry, or the decode error
+/// or strict-mode rejection every relaunch repeats — plus the module
+/// mutation epoch it was decoded at (stale once the module changes).
 #[derive(Clone, Debug)]
 struct CachedPlan {
     epoch: u64,
-    plan: Option<Arc<KernelPlan>>,
-    /// Static-analysis facts from the decode-time verifier (site
-    /// in-bounds proofs, barrier uniformity); `None` under `--verify=off`
-    /// or when verification found errors in lint mode.
-    facts: Option<Arc<PlanFacts>>,
-    /// Strict-mode rejection (verification failure or undecodable
-    /// kernel), cached so an iterative workload pays the rejection once
-    /// per epoch — every launch gets the identical structured error.
-    rejected: Option<SimError>,
+    outcome: Result<PlanEntry, SimError>,
 }
-
-/// One decoded-and-verified cache entry as handed to the launch paths.
-type PlanEntry = (Arc<KernelPlan>, Option<Arc<PlanFacts>>);
 
 /// Soft bound on cached plans per device; prevents unbounded growth when
 /// one device outlives many modules (the differential sweeps).
@@ -197,13 +190,13 @@ pub struct VerifyCounters {
     /// `sycl.group.barrier` ops seen across verified plans' source IR.
     pub barriers_total: u64,
     /// Barriers the IR uniformity analysis proved to sit in uniform
-    /// control flow (divergence bookkeeping skipped when *all* of a
-    /// plan's barriers are uniform).
+    /// control flow (a reported fact; the group driver checks every
+    /// barrier round for divergence regardless).
     pub barriers_uniform: u64,
     /// Total wall time spent in the verifier, in nanoseconds.
     pub verify_ns: u64,
-    /// Plans rejected under strict mode (verification failure or
-    /// undecodable kernel).
+    /// Plans rejected: verification failures under strict mode, and
+    /// undecodable kernels under every mode.
     pub rejected: u64,
     /// Individual findings reported (but not enforced) under lint mode.
     pub lint_findings: u64,
@@ -367,7 +360,7 @@ impl Device {
 
     /// `(hits, misses)` of the cross-launch plan cache so far. A hit means
     /// a launch reused a previously cached decode outcome (including a
-    /// cached "not decodable"); a miss means the decoder ran (first
+    /// cached decode error or rejection); a miss means the decoder ran (first
     /// launch, or the module mutated in between).
     pub fn plan_cache_counters(&self) -> (u64, u64) {
         (self.cache_hits.get(), self.cache_misses.get())
@@ -375,77 +368,51 @@ impl Device {
 
     /// The decoded plan for `kernel` — plus the decode-time verifier's
     /// facts ([`PlanFacts`]) — reused from the cache when the module's
-    /// mutation epoch still matches. `Ok(None)` if the kernel is not
-    /// plan-decodable (the caller falls back to the tree walk); `Err`
-    /// when [`VerifyMode::Strict`] rejects the kernel (verification
-    /// failure, or an undecodable kernel — strict surfaces the decode
-    /// failure as a structured error instead of the silent fallback).
-    /// Every outcome is cached — an iterative workload with an
-    /// undecodable or rejected kernel pays the decode/verify attempt
-    /// once per epoch, not once per launch, and every relaunch reports
-    /// the identical error.
-    fn cached_plan(&self, m: &Module, kernel: OpId) -> Result<Option<PlanEntry>, SimError> {
+    /// mutation epoch still matches. `Err` when the kernel is not
+    /// plan-decodable (a `plan decode error`, under every verify mode) or
+    /// when [`VerifyMode::Strict`] rejects it. Every outcome is cached —
+    /// an iterative workload with an undecodable or rejected kernel pays
+    /// the decode/verify attempt once per epoch, not once per launch, and
+    /// every relaunch reports the identical error.
+    fn cached_plan(&self, m: &Module, kernel: OpId) -> Result<PlanEntry, SimError> {
         let key = (m.module_id(), kernel, self.fuse);
         let epoch = m.mutation_epoch();
         if let Some(cached) = self.plan_cache.borrow().get(&key) {
             if cached.epoch == epoch {
                 self.cache_hits.set(self.cache_hits.get() + 1);
-                if let Some(e) = &cached.rejected {
-                    return Err(e.clone());
-                }
-                return Ok(cached
-                    .plan
-                    .as_ref()
-                    .map(|plan| (plan.clone(), cached.facts.clone())));
+                return cached.outcome.clone();
             }
         }
         // Miss: decode, verify (pre-fusion — fusion preserves site ids,
         // so in-bounds proofs transfer to the fused plan unchanged),
         // then fuse.
         self.cache_misses.set(self.cache_misses.get() + 1);
-        let mut rejected: Option<SimError> = None;
-        let mut facts: Option<Arc<PlanFacts>> = None;
-        let plan = match decode_kernel(m, kernel) {
-            Ok(mut p) => {
-                if self.verify != VerifyMode::Off {
-                    match self.verify_decoded(m, kernel, &p) {
-                        Ok(f) => facts = f.map(Arc::new),
-                        Err(e) => rejected = Some(e),
-                    }
-                }
-                if rejected.is_none() {
-                    fuse_plan_with(&mut p, self.fuse);
-                    Some(Arc::new(p))
-                } else {
-                    None
-                }
+        let outcome = match decode_kernel(m, kernel) {
+            Ok(mut plan) => {
+                let facts = match self.verify {
+                    VerifyMode::Off => Ok(None),
+                    _ => self.verify_decoded(m, kernel, &plan),
+                };
+                facts.map(|facts| {
+                    fuse_plan_with(&mut plan, self.fuse);
+                    (Arc::new(plan), facts.map(Arc::new))
+                })
             }
-            Err(de) => {
-                if self.verify == VerifyMode::Strict {
-                    self.verify_stats.borrow_mut().rejected += 1;
-                    rejected = Some(SimError::from(de));
-                }
-                None
+            Err(undecodable) => {
+                self.verify_stats.borrow_mut().rejected += 1;
+                Err(SimError::from(undecodable))
             }
         };
         let mut cache = self.plan_cache.borrow_mut();
         if cache.len() >= PLAN_CACHE_CAP {
             cache.clear();
         }
-        cache.insert(
-            key,
-            CachedPlan {
-                epoch,
-                plan: plan.clone(),
-                facts: facts.clone(),
-                rejected: rejected.clone(),
-            },
-        );
-        drop(cache);
-        match rejected {
-            Some(e) => Err(e),
-            None => Ok(plan.map(|p| (p, facts))),
-        }
+        let cached = CachedPlan {
+            epoch,
+            outcome: outcome.clone(),
+        };
+        cache.insert(key, cached);
+        outcome
     }
 
     /// Run the decode-time static verifier over a freshly decoded
@@ -499,20 +466,21 @@ impl Device {
         }
     }
 
-    /// Execute `kernel` over `nd`, mutating `pool`. Returns the dynamic
+    /// Execute `kernel` over `nd`, mutating `pool`: a
+    /// [`Device::launch_graph`] of one launch. Returns the dynamic
     /// execution statistics with [`ExecStats::device_cycles`] charged.
     ///
     /// Under [`Engine::Plan`] the kernel is decoded at most once per
     /// mutation epoch into a [`KernelPlan`] shared by every work-item (and
-    /// reused across launches); kernels the decoder cannot handle fall
-    /// back to the tree-walk interpreter. With [`Device::threads`] `> 1`,
+    /// reused across launches). With [`Device::threads`] `> 1`,
     /// work-groups of a plan-engine launch run in parallel.
     ///
     /// # Errors
     ///
-    /// Fails on malformed launches, interpreter errors, or **divergent
-    /// barriers** (some work-items of a group reach a barrier while others
-    /// finish — the deadlock §V-C's uniformity analysis exists to prevent).
+    /// Fails on malformed launches, kernels the plan decoder does not
+    /// understand, interpreter errors, or **divergent barriers** (some
+    /// work-items of a group reach a barrier while others finish — the
+    /// deadlock §V-C's uniformity analysis exists to prevent).
     /// With [`Device::limits`] set, a tripped limit fails the launch with
     /// a structured [`SimError::LimitExceeded`] — the device (and its plan
     /// cache) stays usable for subsequent launches.
@@ -524,58 +492,22 @@ impl Device {
         nd: NdRangeSpec,
         pool: &mut MemoryPool,
     ) -> Result<ExecStats, SimError> {
-        let entry = match self.engine {
-            Engine::TreeWalk => None,
-            // A strict-mode rejection is stamped with this submission's
-            // (launch, group) position like any launch failure.
-            Engine::Plan => self.cached_plan(m, kernel).map_err(|e| e.at(0, 0))?,
-        };
-        let Some((plan, facts)) = entry else {
-            // The reference engine, also the fallback for kernels the
-            // decoder does not handle.
-            return launch_kernel_with(
-                m,
-                kernel,
-                args,
-                nd,
-                pool,
-                &self.cost,
-                &self.limits,
-                self.limits.deadline_instant(),
-                0,
-            );
-        };
-        // A graph of one launch, carrying the verifier's facts.
-        let launches = [PlanLaunch {
-            plan: Some(&plan),
-            args,
-            nd,
-            host: None,
-            facts: facts.as_deref(),
-        }];
-        let mut out = run_plan_graph_report(
-            &launches,
-            &LaunchDag::independent(1),
-            pool,
-            &self.cost,
-            self.threads,
-            false,
-            &self.limits,
-        )?
-        .into_result()?;
-        Ok(out.stats.pop().expect("one launch in, one stats out"))
+        let batch = [BatchLaunch::kernel(kernel, args.to_vec(), nd)];
+        let mut stats = self.launch_graph(m, &batch, &LaunchDag::independent(1), pool)?;
+        Ok(stats.pop().expect("one launch in, one stats out"))
     }
 
     /// Execute a whole **launch graph** — kernel launches plus the hazard
     /// DAG ordering them — returning one [`ExecStats`] per launch, in
     /// slice order.
     ///
-    /// Under [`Engine::Plan`], when every kernel of the graph is
-    /// plan-decodable, the graph is handed to
+    /// Under [`Engine::Plan`] the graph is handed to
     /// [`run_plan_graph_report`]: launches
     /// start the moment their own predecessors retire, with work-groups
-    /// claimed in per-worker chunks — no level barrier anywhere.
-    /// Otherwise (tree-walk engine, or any kernel the decoder rejects)
+    /// claimed in per-worker chunks — no level barrier anywhere. A kernel
+    /// the decoder rejects fails the graph with its `plan decode error`,
+    /// stamped with the launch's index, before anything runs.
+    /// Under [`Engine::TreeWalk`]
     /// the launches run one at a time in slice order, which the caller
     /// must arrange to be a valid topological order of `dag` (the
     /// runtime's submission order always is). Either way each launch's
@@ -599,73 +531,63 @@ impl Device {
     ) -> Result<Vec<ExecStats>, SimError> {
         if self.engine == Engine::Plan {
             // One slot per batch entry: `Some((plan, facts))` for a
-            // decoded kernel, `None` for a host node. Any *undecodable
-            // kernel* clears `all_decodable` and the graph falls back to
-            // sequential execution below; a strict-mode rejection fails
-            // the whole graph, stamped with the offending launch index.
-            let mut plans: Vec<Option<PlanEntry>> = Vec::with_capacity(batch.len());
-            let mut all_decodable = true;
-            for (li, b) in batch.iter().enumerate() {
-                match b.kernel {
-                    Some(k) => match self.cached_plan(m, k) {
-                        Ok(Some(entry)) => plans.push(Some(entry)),
-                        Ok(None) => {
-                            all_decodable = false;
-                            break;
-                        }
-                        Err(e) => return Err(e.at(li, 0)),
+            // kernel, `None` for a host node. An undecodable kernel or a
+            // strict-mode rejection fails the whole graph, stamped with
+            // the offending launch index.
+            let plans: Vec<Option<PlanEntry>> = batch
+                .iter()
+                .enumerate()
+                .map(|(li, b)| {
+                    let entry = b.kernel.map(|k| self.cached_plan(m, k));
+                    entry.transpose().map_err(|e| e.at(li, 0))
+                })
+                .collect::<Result<_, _>>()?;
+            let launches: Vec<PlanLaunch<'_>> = plans
+                .iter()
+                .zip(batch)
+                .map(|(entry, b)| match entry {
+                    Some((plan, facts)) => PlanLaunch {
+                        plan: Some(plan),
+                        args: &b.args,
+                        nd: b.nd,
+                        host: None,
+                        facts: facts.as_deref(),
                     },
-                    None => plans.push(None),
-                }
-            }
-            if all_decodable {
-                let launches: Vec<PlanLaunch<'_>> = plans
-                    .iter()
-                    .zip(batch)
-                    .map(|(entry, b)| match entry {
-                        Some((plan, facts)) => PlanLaunch {
-                            plan: Some(plan),
-                            args: &b.args,
-                            nd: b.nd,
-                            host: None,
-                            facts: facts.as_deref(),
-                        },
-                        // A malformed entry (neither kernel nor host) is
-                        // rejected by the graph validator.
-                        None => PlanLaunch {
-                            plan: None,
-                            args: &b.args,
-                            nd: b.nd,
-                            host: b.host.as_ref(),
-                            facts: None,
-                        },
-                    })
-                    .collect();
-                let out = run_plan_graph_report(
-                    &launches,
-                    dag,
-                    pool,
-                    &self.cost,
-                    self.threads,
-                    self.profile,
-                    &self.limits,
-                )?
-                .into_result()?;
-                if let Some(profile) = &out.profile {
-                    let mut ops = self.profile_ops.borrow_mut();
-                    let mut pairs = self.profile_pairs.borrow_mut();
-                    for (entry, counts) in plans.iter().zip(profile) {
-                        if let Some((plan, _)) = entry {
-                            profile_summary(plan, counts, &mut ops, &mut pairs);
-                        }
+                    // A malformed entry (neither kernel nor host) is
+                    // rejected by the graph validator.
+                    None => PlanLaunch {
+                        plan: None,
+                        args: &b.args,
+                        nd: b.nd,
+                        host: b.host.as_ref(),
+                        facts: None,
+                    },
+                })
+                .collect();
+            let out = run_plan_graph_report(
+                &launches,
+                dag,
+                pool,
+                &self.cost,
+                self.threads,
+                self.profile,
+                &self.limits,
+            )?
+            .into_result()?;
+            if let Some(profile) = &out.profile {
+                let mut ops = self.profile_ops.borrow_mut();
+                let mut pairs = self.profile_pairs.borrow_mut();
+                for (entry, counts) in plans.iter().zip(profile) {
+                    if let Some((plan, _)) = entry {
+                        profile_summary(plan, counts, &mut ops, &mut pairs);
                     }
                 }
-                return Ok(out.stats);
             }
+            return Ok(out.stats);
         }
-        // Tree-walk engine, or some kernel is not plan-decodable: run the
-        // launches sequentially in slice order (identical results, no
-        // launch overlap). Limits and injected faults still apply, with
+        // The tree-walk engine runs the launches sequentially in slice
+        // order (identical results, no launch overlap). Limits and
+        // injected faults still apply, with
         // the whole batch sharing one deadline and the fault targeting
         // the same launch index as under the graph scheduler.
         let deadline = self.limits.deadline_instant();
@@ -750,8 +672,8 @@ impl Device {
 /// Count the `sycl.group.barrier` ops of `kernel` and its transitive
 /// callees in the source IR, and how many of them the uniformity
 /// analysis ([`UniformityAnalysis`]) places in provably uniform control
-/// flow — the decode-time pass that lets a launch skip per-group
-/// divergence bookkeeping when *every* barrier is uniform. Per-function
+/// flow (reported in [`VerifyCounters`]; nothing at run time depends on
+/// it). Per-function
 /// analysis runs only for functions that actually contain barriers;
 /// anything unresolvable stays counted but unproven (conservative).
 fn barrier_uniformity(m: &Module, kernel: OpId) -> (u32, u32) {
@@ -941,9 +863,8 @@ fn launch_kernel_with(
     Ok(stats)
 }
 
-/// The sequential-fallback twin of the graph scheduler's host-node
-/// execution (tree-walk engine, or a graph containing an undecodable
-/// kernel): honour the decode and claim fault sites, charge the node's
+/// The tree-walk engine's twin of the graph scheduler's host-node
+/// execution: honour the decode and claim fault sites, charge the node's
 /// fixed weight through a per-execution [`OpMeter`], then run the
 /// closure against a [`HostView`] of the pool. Errors are returned
 /// unstamped; the caller stamps the `(launch, group)` position.
@@ -1016,51 +937,30 @@ pub(crate) fn items_of_group(nd: NdRangeSpec, group: [i64; 3]) -> Vec<NdItemVal>
 
 /// Drive a work-group's items in co-operative rounds: every live work-item
 /// runs to its next barrier or to completion; mixing the two within a
-/// group is the divergent-barrier deadlock. Shared by both engines (and
-/// every plan worker thread) so the scheduling policy (and its error
-/// message) cannot drift between them.
+/// group is the divergent-barrier deadlock. The one round loop, shared by
+/// both engines (and every plan worker thread), whatever the verifier
+/// proved about the kernel's barriers — so the scheduling policy (and its
+/// error message) cannot drift, and a wrong "statically uniform" is this
+/// error rather than a silent mis-execution.
 pub(crate) fn cooperative_rounds<W>(
     items: &mut [W],
     group: [i64; 3],
     mut run: impl FnMut(&mut W) -> Result<Stop, SimError>,
 ) -> Result<(), SimError> {
     loop {
+        // Every item stops once per round: at a barrier, or for good.
         let mut barriers = 0_usize;
-        let mut finished = 0_usize;
         for wi in items.iter_mut() {
-            match run(wi)? {
-                Stop::Barrier => barriers += 1,
-                Stop::Finished => finished += 1,
-            }
+            barriers += usize::from(run(wi)? == Stop::Barrier);
         }
         if barriers == 0 {
             return Ok(());
         }
-        if finished > 0 {
+        if barriers < items.len() {
+            let finished = items.len() - barriers;
             return Err(SimError::msg(format!(
                 "divergent barrier: {barriers} work-items wait at a barrier while {finished} finished (work-group {group:?})"
             )));
-        }
-    }
-}
-
-/// [`cooperative_rounds`] minus the divergence bookkeeping, for plans
-/// whose every barrier the decode-time verifier proved statically
-/// uniform: no per-round finished/waiting census, just "resume until no
-/// work-item stops at a barrier". Bit-identical to the full version —
-/// a statically-uniform barrier can never trip the divergence check, and
-/// work-items still resume in the same order.
-pub(crate) fn cooperative_rounds_uniform<W>(
-    items: &mut [W],
-    mut run: impl FnMut(&mut W) -> Result<Stop, SimError>,
-) -> Result<(), SimError> {
-    loop {
-        let mut at_barrier = false;
-        for wi in items.iter_mut() {
-            at_barrier |= matches!(run(wi)?, Stop::Barrier);
-        }
-        if !at_barrier {
-            return Ok(());
         }
     }
 }

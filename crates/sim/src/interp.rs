@@ -8,6 +8,7 @@
 //! deadlock of §V-C.
 
 use crate::cost::{CostModel, ExecStats};
+use crate::limits::FaultPlan;
 use crate::memory::MemoryPool;
 use crate::value::{MemRefVal, NdItemVal, RtValue, Space, VecVal};
 use std::collections::{HashMap, HashSet};
@@ -80,6 +81,15 @@ pub enum SimError {
         /// Linear index of the tripping work-group within the launch.
         group: usize,
     },
+    /// A [`FaultPlan`] fired ([`FaultPlan::error`]): a synthetic failure
+    /// that, like a limit trip, cancels the launch's DAG successors.
+    Injected {
+        /// The fault that fired.
+        fault: FaultPlan,
+        /// The `(launch, work-group)` position, as in
+        /// [`SimError::Message`].
+        at: Option<(usize, usize)>,
+    },
 }
 
 impl SimError {
@@ -116,17 +126,22 @@ impl SimError {
                 message,
                 at: Some((launch, group)),
             },
+            SimError::Injected { fault, .. } => SimError::Injected {
+                fault,
+                at: Some((launch, group)),
+            },
         }
     }
 
     /// The error text without the `simulation error: ` prefix.
     pub fn message(&self) -> String {
+        let stamped = |message: String, at: &Option<(usize, usize)>| match at {
+            None => message,
+            Some((launch, group)) => format!("{message} (launch {launch}, work-group {group})"),
+        };
         match self {
-            SimError::Message { message, at: None } => message.clone(),
-            SimError::Message {
-                message,
-                at: Some((launch, group)),
-            } => format!("{message} (launch {launch}, work-group {group})"),
+            SimError::Message { message, at } => stamped(message.clone(), at),
+            SimError::Injected { fault, at } => stamped(fault.to_string(), at),
             SimError::LimitExceeded {
                 kind,
                 launch,
@@ -147,8 +162,8 @@ impl SimError {
     /// under the out-of-order and the serial schedule.
     pub(crate) fn cascades(&self) -> bool {
         match self {
-            SimError::LimitExceeded { .. } => true,
-            SimError::Message { message, .. } => message.starts_with("injected fault"),
+            SimError::LimitExceeded { .. } | SimError::Injected { .. } => true,
+            SimError::Message { .. } => false,
         }
     }
 
@@ -156,7 +171,7 @@ impl SimError {
     pub fn limit_kind(&self) -> Option<LimitKind> {
         match self {
             SimError::LimitExceeded { kind, .. } => Some(*kind),
-            SimError::Message { .. } => None,
+            SimError::Message { .. } | SimError::Injected { .. } => None,
         }
     }
 }

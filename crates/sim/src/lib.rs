@@ -100,8 +100,10 @@
 //! evaluation's repeat protocol) skips the decode; any IR mutation — e.g.
 //! AdaptiveCpp JIT re-specialization — transparently re-decodes.
 //!
-//! Kernels the decoder does not understand fall back to the tree walk, so
-//! the plan engine never has to be complete to be correct. The
+//! A kernel the decoder does not understand fails its launch with a
+//! position-stamped `plan decode error` under every `--verify` mode: the
+//! decoder and the tree walk cover the same ops, and a silent fallback
+//! would serialise the whole launch graph. The
 //! differential suite (`tests/differential.rs`) holds the two engines to
 //! bit-identical outputs, statistics and cycle counts over the entire
 //! benchsuite (sequentially and at `threads=4`); the repo benchmark

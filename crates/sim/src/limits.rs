@@ -149,15 +149,22 @@ impl FaultPlan {
     /// The deterministic error this fault produces — identical text under
     /// every engine, fuse level and thread count.
     pub fn error(&self) -> SimError {
-        SimError::msg(match self.site {
-            FaultSite::Decode => format!("injected fault: decode of launch {}", self.launch),
-            FaultSite::Claim(n) => {
-                format!("injected fault: claim {n} of launch {}", self.launch)
-            }
-            FaultSite::Instr(n) => {
-                format!("injected fault: instruction {n} of launch {}", self.launch)
-            }
-        })
+        SimError::Injected {
+            fault: *self,
+            at: None,
+        }
+    }
+}
+
+/// The fault as its error reads.
+impl std::fmt::Display for FaultPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let launch = self.launch;
+        match self.site {
+            FaultSite::Decode => write!(f, "injected fault: decode of launch {launch}"),
+            FaultSite::Claim(n) => write!(f, "injected fault: claim {n} of launch {launch}"),
+            FaultSite::Instr(n) => write!(f, "injected fault: instruction {n} of launch {launch}"),
+        }
     }
 }
 
@@ -267,10 +274,11 @@ impl OpMeter {
             self.fault_left -= self.last_grant - self.granted;
             self.last_grant = self.granted;
             if self.fault_left < w {
-                return Err(SimError::msg(format!(
-                    "injected fault: instruction {} of launch {}",
-                    self.fault_n, self.launch
-                )));
+                return Err(FaultPlan {
+                    launch: self.launch,
+                    site: FaultSite::Instr(self.fault_n),
+                }
+                .error());
             }
         }
         if let Some(c) = &self.cancel {

@@ -59,7 +59,7 @@
 //! launching thread, where it is re-thrown.
 
 use crate::cost::{CostModel, ExecStats};
-use crate::device::{cooperative_rounds, cooperative_rounds_uniform, items_of_group, NdRangeSpec};
+use crate::device::{cooperative_rounds, items_of_group, NdRangeSpec};
 use crate::interp::{LimitKind, SimError, WorkGroupCtx};
 use crate::limits::{ExecLimits, FaultSite, OpMeter};
 use crate::memory::{check_index, DataVec, Dtype, MemFault, MemId, MemoryPool};
@@ -964,10 +964,6 @@ struct GraphUnit<'a> {
     /// [`crate::verify::PlanFacts`] against its concrete geometry and
     /// arguments (empty = every site takes the checked path).
     proven: Arc<[u64]>,
-    /// Every barrier in the plan is statically uniform: workers may skip
-    /// the per-group divergence bookkeeping (results are bit-identical —
-    /// a statically-uniform barrier can never trip the divergence check).
-    uniform: bool,
     /// Critical-path length through the DAG from this launch (the
     /// ready set's priority key).
     cp: u64,
@@ -1315,11 +1311,7 @@ fn run_group(
     for (slot, item) in items.iter_mut().zip(positions) {
         slot.reset(plan, args, item, ctx.cost.subgroup_size)?;
     }
-    if pctx.uniform {
-        cooperative_rounds_uniform(items, |wi| wi.run(plan, args, ctx, pctx))
-    } else {
-        cooperative_rounds(items, group, |wi| wi.run(plan, args, ctx, pctx))
-    }
+    cooperative_rounds(items, group, |wi| wi.run(plan, args, ctx, pctx))
 }
 
 /// Execute the single logical work-group of a host node: charge the
@@ -1392,7 +1384,7 @@ fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
                 } else {
                     PlanCtx::new(plan)
                 };
-                p.set_facts(unit.proven.clone(), unit.uniform);
+                p.set_proven(unit.proven.clone());
                 if let Some(gl) = &st.limits {
                     if gl.needs_meter(li) {
                         p.set_meter(OpMeter::new(
@@ -1620,12 +1612,9 @@ pub fn run_plan_graph_report(
         // Bind the launch's static facts to its concrete geometry,
         // arguments and buffer lengths once, before any worker starts;
         // the resulting bitset is shared read-only by every worker.
-        let (proven, uniform) = match l.facts {
-            Some(f) if args_fault.is_none() => (
-                f.instantiate(l.args, &l.nd, pool_mem),
-                f.all_barriers_uniform(),
-            ),
-            _ => (Arc::from(Vec::new().into_boxed_slice()), false),
+        let proven = match l.facts {
+            Some(f) if args_fault.is_none() => f.instantiate(l.args, &l.nd, pool_mem),
+            _ => Arc::from(Vec::new().into_boxed_slice()),
         };
         units.push(GraphUnit {
             plan: l.plan,
@@ -1633,7 +1622,6 @@ pub fn run_plan_graph_report(
             nd: l.nd,
             host: l.host,
             proven,
-            uniform,
             cp: cp[li],
             groups,
             total,

@@ -24,8 +24,10 @@
 //!    executors use to skip per-access bounds checks.
 //! 3. **Barrier uniformity** — an IR-level pass (driven from the device,
 //!    which still holds the module) fills [`PlanFacts::barriers_uniform`]
-//!    from [`sycl_mlir_analysis::uniformity`]; statically-uniform
-//!    barriers let the group scheduler skip divergence bookkeeping.
+//!    from [`sycl_mlir_analysis::uniformity`]. It is a reported fact
+//!    only: the group driver checks every barrier round for divergence,
+//!    so a wrong "uniform" here is a `divergent barrier` error, never a
+//!    silent mis-execution.
 //!
 //! The contract of every fact is **may-elide, never may-change**: an
 //! unproven site keeps the exact runtime check (and error text and
@@ -41,7 +43,7 @@ use sycl_mlir_analysis::interval::{BinOp, Expr, Interval};
 
 use crate::device::NdRangeSpec;
 use crate::memory::MemoryPool;
-use crate::plan::{for_each_read, DimSrc, FuncPlan, Instr, IntBin, ItemQ, KernelPlan, Reg, Slot};
+use crate::plan::{Class, DimSrc, FuncPlan, Instr, IntBin, ItemQ, KernelPlan, Reg, Role, Slot};
 use crate::value::RtValue;
 
 // ----------------------------------------------------------------------
@@ -51,9 +53,7 @@ use crate::value::RtValue;
 /// What to do with the verifier's result: reject, report, or skip.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum VerifyMode {
-    /// Run the verifier and reject violating plans pre-launch (also
-    /// rejects kernels the plan decoder cannot handle, instead of
-    /// silently falling back to the tree walk).
+    /// Run the verifier and reject violating plans pre-launch.
     Strict,
     /// Run the verifier, report violations on stderr, then execute
     /// exactly as `Off` would (the default).
@@ -143,13 +143,6 @@ pub struct PlanFacts {
 }
 
 impl PlanFacts {
-    /// Whether every barrier in the kernel is statically uniform (true
-    /// for barrier-free kernels), letting the group scheduler skip
-    /// per-round divergence bookkeeping.
-    pub fn all_barriers_uniform(&self) -> bool {
-        self.barriers_uniform == self.barriers_total
-    }
-
     /// Resolve the symbolic proofs against one launch's actual geometry,
     /// arguments and memory pool, producing the proven-safe bitset
     /// (bit = site id). Returns an empty slice when nothing could be
@@ -233,44 +226,6 @@ fn sym(tag: u32, payload: u32) -> Expr {
 // ----------------------------------------------------------------------
 // Shared instruction walkers
 // ----------------------------------------------------------------------
-
-/// Call `f` on every register an instruction *writes*.
-fn for_each_write(instr: &Instr, mut f: impl FnMut(Reg)) {
-    match instr {
-        Instr::Const { dst, .. }
-        | Instr::ConstDense { dst, .. }
-        | Instr::Copy { dst, .. }
-        | Instr::BinInt { dst, .. }
-        | Instr::BinFloat { dst, .. }
-        | Instr::NegF { dst, .. }
-        | Instr::CmpI { dst, .. }
-        | Instr::CmpF { dst, .. }
-        | Instr::Select { dst, .. }
-        | Instr::SiToFp { dst, .. }
-        | Instr::FpToSi { dst, .. }
-        | Instr::TruncF { dst, .. }
-        | Instr::ExtF { dst, .. }
-        | Instr::Math { dst, .. }
-        | Instr::Alloca { dst, .. }
-        | Instr::LocalAlloca { dst, .. }
-        | Instr::Load { dst, .. }
-        | Instr::VecCtor { dst, .. }
-        | Instr::NdRangeCtor { dst, .. }
-        | Instr::VecGet { dst, .. }
-        | Instr::RangeSize { dst, .. }
-        | Instr::ItemQuery { dst, .. }
-        | Instr::GlobalLinearId { dst }
-        | Instr::LocalLinearId { dst }
-        | Instr::ItemSelf { dst }
-        | Instr::AccSubscript { dst, .. }
-        | Instr::AccRange { dst, .. }
-        | Instr::AccBase { dst, .. } => f(*dst),
-        Instr::ForEnter { iv, .. } | Instr::ForNext { iv, .. } => f(*iv),
-        Instr::Call { results, .. } => results.iter().for_each(|&r| f(r)),
-        // Stores, barriers and control flow write nothing.
-        _ => {}
-    }
-}
 
 /// The memory-access site id an instruction carries, if any.
 fn mem_site_of(instr: &Instr) -> Option<u32> {
@@ -501,13 +456,11 @@ fn fatal_pass(plan: &KernelPlan, errs: &mut Vec<VerifyError>) {
                 _ => {}
             }
             if structurally_ok {
-                let mut check_reg = |r: Reg| {
+                instr.operands(|_, r, _| {
                     if r >= func.reg_count {
                         err(errs, fi, pc, format!("register r{r} out of range"));
                     }
-                };
-                for_each_read(instr, &mut check_reg);
-                for_each_write(instr, &mut check_reg);
+                });
             }
         }
     }
@@ -534,7 +487,7 @@ fn def_before_use_pass(fi: u32, func: &FuncPlan, errs: &mut Vec<VerifyError>) {
     let mut work = vec![0_usize];
     while let Some(pc) = work.pop() {
         let mut out = ins[pc].clone().expect("worklist entries are reached");
-        for_each_write(&code[pc], |r| set(&mut out, r));
+        code[pc].writes(|r| set(&mut out, r));
         for s in succs(pc, &code[pc]) {
             match &mut ins[s] {
                 Some(cur) => {
@@ -559,7 +512,7 @@ fn def_before_use_pass(fi: u32, func: &FuncPlan, errs: &mut Vec<VerifyError>) {
     }
     for (pc, instr) in code.iter().enumerate() {
         if let Some(inset) = &ins[pc] {
-            for_each_read(instr, |r| {
+            instr.reads(|r| {
                 if !get(inset, r) {
                     errs.push(VerifyError {
                         func: fi,
@@ -576,41 +529,6 @@ fn def_before_use_pass(fi: u32, func: &FuncPlan, errs: &mut Vec<VerifyError>) {
 // Pass C: per-slot type consistency (flow-insensitive)
 // ----------------------------------------------------------------------
 
-/// Coarse value class of a register slot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Class {
-    Int,
-    Float,
-    Vec,
-    Nd,
-    Mem,
-    Acc,
-    Item,
-}
-
-impl Class {
-    fn name(self) -> &'static str {
-        match self {
-            Class::Int => "an integer",
-            Class::Float => "a float",
-            Class::Vec => "an id/range vector",
-            Class::Nd => "an nd-range",
-            Class::Mem => "a memref",
-            Class::Acc => "an accessor",
-            Class::Item => "an item",
-        }
-    }
-}
-
-/// The class of a constant, which holds a scalar.
-fn class_of_val(v: &Slot) -> Option<Class> {
-    match v {
-        Slot::Int(_) => Some(Class::Int),
-        Slot::F32(_) | Slot::F64(_) => Some(Class::Float),
-        _ => None,
-    }
-}
-
 /// What the slot is known to hold: nothing yet, exactly one concrete
 /// class, or several/unknowable (suppresses checking — zero false
 /// positives by construction).
@@ -619,125 +537,6 @@ enum DefCls {
     Unset,
     One(Class),
     Many,
-}
-
-/// `(register, class)` pairs an instruction *defines*; `None` class means
-/// unknowable (Copy, Select, loaded values, call results).
-fn def_classes(instr: &Instr, out: &mut Vec<(Reg, Option<Class>)>) {
-    match instr {
-        Instr::Const { dst, val } => out.push((*dst, class_of_val(val))),
-        Instr::ConstDense { dst, .. }
-        | Instr::Alloca { dst, .. }
-        | Instr::LocalAlloca { dst, .. }
-        | Instr::AccSubscript { dst, .. } => out.push((*dst, Some(Class::Mem))),
-        Instr::Copy { dst, .. } | Instr::Select { dst, .. } | Instr::Load { dst, .. } => {
-            out.push((*dst, None))
-        }
-        Instr::BinInt { dst, .. }
-        | Instr::CmpI { dst, .. }
-        | Instr::CmpF { dst, .. }
-        | Instr::FpToSi { dst, .. }
-        | Instr::VecGet { dst, .. }
-        | Instr::RangeSize { dst, .. }
-        | Instr::ItemQuery { dst, .. }
-        | Instr::GlobalLinearId { dst }
-        | Instr::LocalLinearId { dst }
-        | Instr::AccRange { dst, .. }
-        | Instr::AccBase { dst, .. } => out.push((*dst, Some(Class::Int))),
-        Instr::BinFloat { dst, .. }
-        | Instr::NegF { dst, .. }
-        | Instr::SiToFp { dst, .. }
-        | Instr::TruncF { dst, .. }
-        | Instr::ExtF { dst, .. }
-        | Instr::Math { dst, .. } => out.push((*dst, Some(Class::Float))),
-        Instr::VecCtor { dst, .. } => out.push((*dst, Some(Class::Vec))),
-        Instr::NdRangeCtor { dst, .. } => out.push((*dst, Some(Class::Nd))),
-        Instr::ItemSelf { dst } => out.push((*dst, Some(Class::Item))),
-        Instr::ForEnter { iv, .. } | Instr::ForNext { iv, .. } => out.push((*iv, Some(Class::Int))),
-        Instr::Call { results, .. } => results.iter().for_each(|&r| out.push((r, None))),
-        _ => {}
-    }
-}
-
-/// `(register, class)` pairs an instruction *demands* of its operands.
-fn use_classes(instr: &Instr, out: &mut Vec<(Reg, Class)>) {
-    let dim = |d: &DimSrc, out: &mut Vec<(Reg, Class)>| {
-        if let DimSrc::Reg(r) = d {
-            out.push((*r, Class::Int));
-        }
-    };
-    let idxs = |idx: &[Reg; 3], rank: u8, out: &mut Vec<(Reg, Class)>| {
-        idx[..rank as usize]
-            .iter()
-            .for_each(|&r| out.push((r, Class::Int)));
-    };
-    match instr {
-        Instr::BinInt { l, r, .. } | Instr::CmpI { l, r, .. } => {
-            out.push((*l, Class::Int));
-            out.push((*r, Class::Int));
-        }
-        Instr::BinFloat { l, r, .. } | Instr::CmpF { l, r, .. } => {
-            out.push((*l, Class::Float));
-            out.push((*r, Class::Float));
-        }
-        Instr::NegF { x, .. }
-        | Instr::FpToSi { x, .. }
-        | Instr::TruncF { x, .. }
-        | Instr::ExtF { x, .. } => out.push((*x, Class::Float)),
-        Instr::SiToFp { x, .. } => out.push((*x, Class::Int)),
-        Instr::Math { op, x, y, .. } => {
-            out.push((*x, Class::Float));
-            if matches!(op, crate::plan::MathOp::Powf) {
-                out.push((*y, Class::Float));
-            }
-        }
-        Instr::Select { c, .. } | Instr::BranchIfFalse { cond: c, .. } => {
-            out.push((*c, Class::Int))
-        }
-        Instr::Load { mem, idx, rank, .. } => {
-            out.push((*mem, Class::Mem));
-            idxs(idx, *rank, out);
-        }
-        Instr::Store { mem, idx, rank, .. } => {
-            out.push((*mem, Class::Mem));
-            idxs(idx, *rank, out);
-        }
-        Instr::VecCtor { comps, rank, .. } => {
-            comps[..*rank as usize]
-                .iter()
-                .for_each(|&r| out.push((r, Class::Int)));
-        }
-        Instr::NdRangeCtor { g, l, .. } => {
-            out.push((*g, Class::Vec));
-            out.push((*l, Class::Vec));
-        }
-        Instr::VecGet { v, dim: d, .. } => {
-            out.push((*v, Class::Vec));
-            dim(d, out);
-        }
-        Instr::RangeSize { v, .. } => out.push((*v, Class::Vec)),
-        Instr::ItemQuery { dim: d, .. } => dim(d, out),
-        Instr::AccSubscript { acc, id, .. } => {
-            out.push((*acc, Class::Acc));
-            out.push((*id, Class::Vec));
-        }
-        Instr::AccRange { acc, dim: d, .. } => {
-            out.push((*acc, Class::Acc));
-            dim(d, out);
-        }
-        Instr::AccBase { acc, .. } => out.push((*acc, Class::Acc)),
-        Instr::ForEnter { lb, ub, step, .. } => {
-            out.push((*lb, Class::Int));
-            out.push((*ub, Class::Int));
-            out.push((*step, Class::Int));
-        }
-        Instr::ForNext { iv, step, ub, .. } => {
-            out.push((*iv, Class::Int));
-            out.push((*step, Class::Int));
-            out.push((*ub, Class::Int));
-        }
-        _ => {}
-    }
 }
 
 fn type_class_pass(fi: u32, func: &FuncPlan, errs: &mut Vec<VerifyError>) {
@@ -753,38 +552,35 @@ fn type_class_pass(fi: u32, func: &FuncPlan, errs: &mut Vec<VerifyError>) {
             DefCls::One(Class::Item)
         };
     }
-    let mut scratch = Vec::new();
     for instr in &func.code {
-        scratch.clear();
-        def_classes(instr, &mut scratch);
-        for &(r, c) in &scratch {
-            let slot = &mut defs[r as usize];
-            *slot = match (*slot, c) {
-                (DefCls::Unset, Some(c)) => DefCls::One(c),
-                (DefCls::One(prev), Some(c)) if prev == c => DefCls::One(c),
-                _ => DefCls::Many,
-            };
-        }
-    }
-    let mut uses = Vec::new();
-    for (pc, instr) in func.code.iter().enumerate() {
-        uses.clear();
-        use_classes(instr, &mut uses);
-        for &(r, need) in &uses {
-            if let DefCls::One(have) = defs[r as usize] {
-                if have != need {
-                    errs.push(VerifyError {
-                        func: fi,
-                        pc: pc as u32,
-                        message: format!(
-                            "register r{r} holds {} but is used as {}",
-                            have.name(),
-                            need.name()
-                        ),
-                    });
-                }
+        instr.operands(|role, r, c| {
+            if role == Role::Write {
+                let slot = &mut defs[r as usize];
+                *slot = match (*slot, c) {
+                    (DefCls::Unset, Some(c)) => DefCls::One(c),
+                    (DefCls::One(prev), Some(c)) if prev == c => DefCls::One(c),
+                    _ => DefCls::Many,
+                };
             }
-        }
+        });
+    }
+    for (pc, instr) in func.code.iter().enumerate() {
+        instr.operands(|role, r, need| {
+            let (Role::Read, Some(need), DefCls::One(have)) = (role, need, defs[r as usize]) else {
+                return;
+            };
+            if have != need {
+                errs.push(VerifyError {
+                    func: fi,
+                    pc: pc as u32,
+                    message: format!(
+                        "register r{r} holds {} but is used as {}",
+                        have.name(),
+                        need.name()
+                    ),
+                });
+            }
+        });
     }
 }
 
@@ -845,13 +641,10 @@ fn uniform_decodable_regs(func: &FuncPlan) -> Vec<bool> {
                 | Instr::ConstDense { .. } => true,
                 _ => false,
             };
-            let undec = source_undecodable || {
-                let mut any = false;
-                for_each_read(instr, |r| any |= !dec[r as usize]);
-                any
-            };
+            let mut undec = source_undecodable;
+            instr.reads(|r| undec |= !dec[r as usize]);
             if undec {
-                for_each_write(instr, |r| {
+                instr.writes(|r| {
                     if dec[r as usize] {
                         dec[r as usize] = false;
                         changed = true;
@@ -1303,7 +1096,7 @@ fn interval_pass(plan: &KernelPlan) -> Vec<Option<SiteProof>> {
                 let stepc = int_of(&e[*step as usize]).and_then(|i| i.as_const());
                 let mut body_writes = vec![false; n];
                 for b in &code[pc + 1..exit] {
-                    for_each_write(b, |r| body_writes[r as usize] = true);
+                    b.writes(|r| body_writes[r as usize] = true);
                 }
                 let bounds_stable = !body_writes[*ub as usize] && !body_writes[*step as usize];
                 // Exit environment: anything the body writes is unknown,
@@ -1361,27 +1154,9 @@ fn interval_pass(plan: &KernelPlan) -> Vec<Option<SiteProof>> {
                 cur = None;
                 continue;
             }
-            Instr::Barrier
-            | Instr::NdRangeCtor { .. }
-            | Instr::AccBase { .. }
-            | Instr::Alloca { .. }
-            | Instr::LocalAlloca { .. }
-            | Instr::ConstDense { .. } => {
-                let mut regs = Vec::new();
-                for_each_write(instr, |r| regs.push(r));
-                for r in regs {
-                    e[r as usize] = AVal::Top;
-                }
-            }
-            other => {
-                // Floats, casts and calls: smash every written register
-                // to Top.
-                let mut regs = Vec::new();
-                for_each_write(other, |r| regs.push(r));
-                for r in regs {
-                    e[r as usize] = AVal::Top;
-                }
-            }
+            // No transfer function — barriers, nd-ranges, allocations,
+            // floats, casts, calls: every written register is unknown.
+            _ => instr.writes(|r| e[r as usize] = AVal::Top),
         }
         cur = Some(e);
     }

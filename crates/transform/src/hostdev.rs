@@ -77,6 +77,16 @@ impl Pass for HostDeviceConstantPropagationPass {
         "host-device-constprop"
     }
 
+    fn note(&self) -> Option<String> {
+        Some(format!(
+            "propagated {} nd-ranges, {} scalars, {} const arrays; folded {} getters",
+            self.stats.nd_ranges_propagated,
+            self.stats.scalars_propagated,
+            self.stats.const_array_args,
+            self.stats.getters_folded
+        ))
+    }
+
     fn run(&mut self, m: &mut Module) -> Result<bool, String> {
         // Gather launches per kernel.
         let mut launches: HashMap<OpId, Vec<LaunchInfo>> = HashMap::new();
@@ -442,6 +452,10 @@ pub struct DeadArgumentEliminationPass {
 impl Pass for DeadArgumentEliminationPass {
     fn name(&self) -> &'static str {
         "sycl-dae"
+    }
+
+    fn note(&self) -> Option<String> {
+        Some(format!("dead kernel arguments: {}", self.dead_args_found))
     }
 
     fn run(&mut self, m: &mut Module) -> Result<bool, String> {

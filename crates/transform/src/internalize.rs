@@ -49,6 +49,16 @@ impl Pass for LoopInternalizationPass {
         "loop-internalization"
     }
 
+    fn note(&self) -> Option<String> {
+        Some(format!(
+            "internalized {} loops ({} refs prefetched, {} skipped divergent, {} stores skipped)",
+            self.stats.internalized_loops,
+            self.stats.prefetched_refs,
+            self.stats.skipped_divergent,
+            self.stats.skipped_stores
+        ))
+    }
+
     fn run(&mut self, m: &mut Module) -> Result<bool, String> {
         let mut kernels = Vec::new();
         m.walk(m.top(), &mut |op| {

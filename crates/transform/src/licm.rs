@@ -53,6 +53,20 @@ impl Pass for LicmPass {
         "licm"
     }
 
+    /// The conservative pass only moves pure ops; it has nothing to add
+    /// to its `changed` flag.
+    fn note(&self) -> Option<String> {
+        self.enable_versioning.then(|| {
+            format!(
+                "licm: {} pure, {} loads hoisted, {} loops guarded, {} runtime-versioned",
+                self.stats.pure_hoisted,
+                self.stats.loads_hoisted,
+                self.stats.guarded_loops,
+                self.stats.versioned_loops
+            )
+        })
+    }
+
     fn run(&mut self, m: &mut Module) -> Result<bool, String> {
         let mut loops = Vec::new();
         m.walk(m.top(), &mut |op| {

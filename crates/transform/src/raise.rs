@@ -43,6 +43,15 @@ impl Pass for RaiseHostPass {
         "raise-host"
     }
 
+    fn note(&self) -> Option<String> {
+        Some(format!(
+            "raised {} constructors, {} kernel schedules ({} unmatched runtime calls)",
+            self.stats.constructors_raised,
+            self.stats.kernels_raised,
+            self.stats.unmatched_sycl_calls
+        ))
+    }
+
     fn run(&mut self, m: &mut Module) -> Result<bool, String> {
         // Host functions: everything directly under the top module (the
         // device module is nested and untouched).

@@ -25,6 +25,10 @@ impl Pass for DetectReductionPass {
         "detect-reduction"
     }
 
+    fn note(&self) -> Option<String> {
+        Some(format!("reductions rewritten: {}", self.rewritten))
+    }
+
     fn run(&mut self, m: &mut Module) -> Result<bool, String> {
         let mut changed = false;
         // Repeat until no loop offers another opportunity (several array

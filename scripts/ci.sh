@@ -42,14 +42,19 @@ trap 'rm -rf "$tmp"' EXIT
 # gauges, how long the gate took and how many tests `cargo test` passed —
 # the numbers a PR that adds or removes code or configurations is expected
 # to report before/after.
+miri_leg=skipped
+tsan_leg=skipped
 summary() {
-  wc -l crates/sim/src/*.rs
+  find crates/sim/src -name '*.rs' | sort | xargs wc -l
+  # The nightly-only legs skip when their toolchain is missing (and under
+  # --fast): say which of them this run actually held.
+  echo "miri: $miri_leg; tsan: $tsan_leg"
   # Heap allocations of one build + compile pass over the suite
   # (tests/alloc_budget.rs; `cargo test -q` above ran it with its output
   # captured).
   cargo test -q --test alloc_budget -- --nocapture 2>/dev/null | grep '^alloc_budget:'
-  # Register and instruction width of the plan engine (plan.rs asserts
-  # their bounds at compile time).
+  # Register and instruction width of the plan engine (plan/slot.rs and
+  # plan/instr.rs assert their bounds at compile time).
   cargo test -q -p sycl-mlir-sim --lib plan_sizes -- --nocapture 2>/dev/null | grep -o 'plan_sizes:.*'
   passed=$(awk '/^test result:/ { n += $4 } END { print n + 0 }' "$tmp/test.log")
   echo "ci.sh wall time: $(( $(date +%s) - ci_start )) s; cargo test: $passed passed"
@@ -65,10 +70,20 @@ step "cargo build --release"
 cargo build --release
 
 # Device-memory faults are `MemFault` values (ARCHITECTURE.md, "Faults are
-# values"): no panic carries one, so nothing may classify panics by text.
-step "no panic-transported memory faults under crates/"
-if grep -rnE 'failure_of_panic|starts_with\("device memory|panic!\("type-mismatched' crates/; then
-  echo "FAIL: a memory fault is being reported by panic (or a panic classified by its text) again" >&2
+# values"): no panic carries one, so nothing may classify panics by text —
+# nor errors: an injected fault is `SimError::Injected`, told by variant.
+step "no panic-transported memory faults, no error classified by its text under crates/"
+if grep -rnE 'failure_of_panic|starts_with\("device memory|panic!\("type-mismatched|starts_with\("injected fault' crates/; then
+  echo "FAIL: a memory fault is being reported by panic, or a failure classified by its text, again" >&2
+  exit 1
+fi
+
+# One operand table (ARCHITECTURE.md): which registers an instruction
+# reads and writes, and of which class, is `Instr::operands` and nothing
+# else. The five walkers it replaced must not come back beside it.
+step "no second operand walker under crates/sim/src"
+if grep -rnE 'fn (for_each_read|for_each_write|def_classes|use_classes|dst_reg)\b' crates/sim/src; then
+  echo "FAIL: a hand-written operand walker is back; derive it from Instr::operands" >&2
   exit 1
 fi
 
@@ -77,8 +92,9 @@ fi
 # `full_context()`'s — library code that registers the dialects into a
 # context of its own brings back a registration per build.
 step "no formatted CSE key, no second registered context under crates/"
-# Library code only: every file keeps its tests in one trailing module.
-non_test() { sed '/^#\[cfg(test)\]/,$d' "$1"; }
+# Library code only: every file keeps its tests in one trailing module
+# (plan/tests.rs is that module for plan/, in a file of its own).
+non_test() { [[ "$1" == */tests.rs ]] || sed '/^#\[cfg(test)\]/,$d' "$1"; }
 if non_test crates/transform/src/canonicalize.rs | grep -n 'format!('; then
   echo "FAIL: canonicalize.rs formats text again; CSE keys are structural" >&2
   exit 1
@@ -97,8 +113,8 @@ fi
 # arguments, device memory, the tree walk — and 136 bytes wide; a register
 # file of them makes every register move a `memmove` call again.
 step "no RtValue register file in the plan engine"
-if non_test crates/sim/src/plan.rs | grep -n 'Vec<RtValue>'; then
-  echo "FAIL: plan.rs holds a Vec<RtValue> again; plan registers are Slots" >&2
+if for f in crates/sim/src/plan/*.rs; do non_test "$f"; done | grep -n 'Vec<RtValue>'; then
+  echo "FAIL: plan/ holds a Vec<RtValue> again; plan registers are Slots" >&2
   exit 1
 fi
 
@@ -279,6 +295,7 @@ elif cargo +nightly miri --version >/dev/null 2>&1; then
   # timestamps. The timeout is the hang backstop, same as repro_limits.
   MIRIFLAGS="-Zmiri-disable-isolation" \
     timeout 900 cargo +nightly miri test -q -p sycl-mlir-sim pool::
+  miri_leg=passed
   echo "miri smoke passed"
 else
   echo "(cargo +nightly miri not available on this runner: skipping)"
@@ -303,6 +320,7 @@ elif [[ -f "$tsan_src" ]]; then
     timeout 900 cargo +nightly build -q -Zbuild-std \
     --target x86_64-unknown-linux-gnu --target-dir target/tsan \
     --test scheduler_stress
+  tsan_leg=passed
   echo "tsan build passed"
 else
   echo "(nightly rust-src not available on this runner: skipping)"

@@ -13,13 +13,9 @@ mod common;
 use sycl_mlir_bench::quick_size;
 use sycl_mlir_repro::benchsuite::all_workloads;
 use sycl_mlir_repro::core::{Flow, FlowKind};
-use sycl_mlir_repro::ir::{Module, Pass, PassManager, PassStats};
-use sycl_mlir_repro::transform::{
-    CanonicalizePass, CsePass, DeadArgumentEliminationPass, DetectReductionPass,
-    HostDeviceConstantPropagationPass, LicmPass, LoopInternalizationPass, RaiseHostPass,
-};
+use sycl_mlir_repro::ir::{Module, Pass, PassStats};
+use sycl_mlir_repro::transform::CsePass;
 
-#[derive(Default)]
 struct ReferenceCse;
 
 impl Pass for ReferenceCse {
@@ -32,33 +28,6 @@ impl Pass for ReferenceCse {
     }
 }
 
-/// The compile-time pipeline of `Flow::compile` for `kind`, with `Cse` in
-/// the place of `CsePass`.
-fn pipeline<Cse: Pass + Default + 'static>(kind: FlowKind) -> PassManager<'static> {
-    let mut pm = PassManager::new();
-    match kind {
-        FlowKind::Dpcpp | FlowKind::AdaptiveCpp => {
-            pm.add_pass(CanonicalizePass);
-            pm.add_pass(Cse::default());
-            pm.add_pass(LicmPass::new(false));
-        }
-        FlowKind::SyclMlir => {
-            pm.add_pass(RaiseHostPass::default());
-            pm.add_pass(HostDeviceConstantPropagationPass::default());
-            pm.add_pass(CanonicalizePass);
-            pm.add_pass(Cse::default());
-            pm.add_pass(LicmPass::new(true));
-            pm.add_pass(DetectReductionPass::default());
-            pm.add_pass(LoopInternalizationPass::default());
-            pm.add_pass(CanonicalizePass);
-            pm.add_pass(Cse::default());
-            pm.add_pass(DeadArgumentEliminationPass::default());
-        }
-    }
-    pm.dump_after_each = true;
-    pm
-}
-
 #[test]
 fn every_pipeline_stage_of_every_program_and_flow_agrees() {
     let mut merged = 0;
@@ -67,12 +36,15 @@ fn every_pipeline_stage_of_every_program_and_flow_agrees() {
             let label = format!("{} [{}]", w.name, kind.name());
             let mut with_new = (w.build)(quick_size(&w)).module;
             let mut with_reference = (w.build)(quick_size(&w)).module;
-            // Guards the copy of the pipelines above against `flow.rs`.
-            let mut by_flow = (w.build)(quick_size(&w)).module;
-            let outcome = Flow::new(kind).compile(&mut by_flow).expect("compiles");
 
-            let mut new = pipeline::<CsePass>(kind);
-            let mut reference = pipeline::<ReferenceCse>(kind);
+            // The flow's own pipeline, dumping after every pass, once as
+            // it is and once with the reference in `CsePass`'s place.
+            let flow = Flow {
+                kind,
+                dump_stages: true,
+            };
+            let mut new = flow.pipeline_with("cse", || CsePass);
+            let mut reference = flow.pipeline_with("cse", || ReferenceCse);
             let new_stats = new.run(&mut with_new).expect("compiles");
             let reference_stats = reference.run(&mut with_reference).expect("compiles");
 
@@ -81,7 +53,6 @@ fn every_pipeline_stage_of_every_program_and_flow_agrees() {
                 per_pass.map(|(name, _, c)| (name.clone(), *c)).collect()
             };
             let new_stages = stages(&new_stats);
-            assert_eq!(new_stages, stages(&outcome.pass_stats), "{label}");
             assert_eq!(new_stages, stages(&reference_stats), "{label}");
             for (n, r) in new.dumps.iter().zip(&reference.dumps) {
                 assert!(n == r, "{label}: IR differs after `{}`", n.0);

@@ -1,7 +1,6 @@
 //! The uniformity analysis (§V-C, Listing 2) against *real compiled
 //! kernels* — the benchsuite's reduction-family barrier ladders must come
-//! out statically uniform (that is what licenses the divergence-free
-//! group driver), while an `scf.if`-guarded barrier under a work-item-id
+//! out statically uniform (the 46/46 the verifier reports), while an `scf.if`-guarded barrier under a work-item-id
 //! condition must be flagged divergent.
 
 use sycl_mlir_repro::analysis::uniformity::UniformityAnalysis;
