@@ -5,6 +5,9 @@
 //! access ≫ ALU op). Absolute numbers are irrelevant for the reproduction —
 //! the paper's figures are *speedups*, driven by the ratios.
 
+use crate::memory::MemId;
+use crate::value::{MemRefVal, Space};
+
 /// Tunable cost constants.
 #[derive(Clone, Debug)]
 pub struct CostModel {
@@ -110,6 +113,155 @@ impl ExecStats {
     }
 }
 
+/// The memory half of the cost model, the one `mem_event` of both engines:
+/// counts an access by address space and, for global memory, decides
+/// whether it opens a new transaction. A sub-group's items that reach one
+/// access site for the `n`-th time ("instance" `n`; each item counts its
+/// own visits) coalesce: the first of them to touch a `transaction_bytes`
+/// segment pays for it, the others ride along.
+///
+/// First touch is decided by a log per (sub-group, site), indexed by
+/// instance. An item records each (site, instance) once and a sub-group
+/// has `subgroup_size` items, so an entry is a count and at most that
+/// many segments, scanned linearly — exact, no hashing, no overflow set.
+pub struct Coalescer {
+    /// `log2(transaction_bytes)` when that is a power of two.
+    shift: Option<u32>,
+    transaction_bytes: i64,
+    /// Words per log entry: the count, then up to `subgroup_size` segments.
+    stride: usize,
+    /// `logs[subgroup][site]`, one entry per instance; storage survives
+    /// [`Self::reset`].
+    logs: Vec<Vec<Vec<u64>>>,
+    /// The `(subgroup, site)` logs written since the last reset.
+    touched: Vec<(u32, u32)>,
+    /// The set the log replaced, kept beside it in debug builds: every
+    /// `record` of every `cargo test` run must agree with it.
+    #[cfg(debug_assertions)]
+    reference: std::collections::HashSet<(u32, u32, u32, u64)>,
+}
+
+thread_local! {
+    /// The cleared logs of the thread's last tracker, for its next one: a
+    /// tracker lives for one graph run, and growing ~50 small buffers anew
+    /// per run cost `exec_irregular` 4% of its time and 1 MB of heap.
+    static SPARE_LOGS: std::cell::Cell<Vec<Vec<Vec<u64>>>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+impl Drop for Coalescer {
+    fn drop(&mut self) {
+        self.reset();
+        let logs = std::mem::take(&mut self.logs);
+        let words = |log: &Vec<u64>| 3 + log.capacity();
+        // Up to 256 KB: a deep loop's logs (GEMM's are 1 MB) are not held.
+        if logs.iter().flatten().map(words).sum::<usize>() <= 32 << 10 {
+            let _ = SPARE_LOGS.try_with(|spare| spare.set(logs));
+        }
+    }
+}
+
+impl Coalescer {
+    /// An empty tracker for `cost`'s transaction width and sub-group size.
+    pub fn new(cost: &CostModel) -> Coalescer {
+        let bytes = cost.transaction_bytes;
+        Coalescer {
+            shift: bytes.is_power_of_two().then(|| bytes.trailing_zeros()),
+            transaction_bytes: bytes as i64,
+            stride: 1 + cost.subgroup_size,
+            logs: SPARE_LOGS.take(),
+            touched: Vec::new(),
+            #[cfg(debug_assertions)]
+            reference: Default::default(),
+        }
+    }
+
+    /// Count one access to element `addr` of the buffer behind `mr`,
+    /// whose elements are `elem_bytes` wide. `at` is the access site (an
+    /// `OpId` index or a plan site id, by engine) and the accessing item's
+    /// sub-group; `visits` is that item's visit counter for the site.
+    #[inline]
+    pub(crate) fn mem_event(
+        &mut self,
+        stats: &mut ExecStats,
+        at: (u32, u32),
+        visits: &mut u32,
+        mr: &MemRefVal,
+        addr: i64,
+        elem_bytes: usize,
+    ) {
+        match mr.space {
+            Space::Private => stats.private_accesses += 1,
+            Space::Constant => stats.constant_accesses += 1,
+            Space::Local => stats.local_accesses += 1,
+            Space::Global => {
+                stats.global_accesses += 1;
+                *visits += 1;
+                let segment = self.segment(mr.mem, addr, elem_bytes);
+                if self.record(at.0, *visits, at.1, segment) {
+                    stats.global_transactions += 1;
+                }
+            }
+        }
+    }
+
+    /// The transaction segment of element `addr`: a shift when the width
+    /// is a power of two and the byte address non-negative, the same
+    /// (truncating) division otherwise.
+    #[inline]
+    fn segment(&self, mem: MemId, addr: i64, elem_bytes: usize) -> u64 {
+        let byte = addr.wrapping_mul(elem_bytes as i64);
+        let within = match self.shift {
+            Some(shift) if byte >= 0 => byte >> shift,
+            _ => byte / self.transaction_bytes,
+        };
+        ((mem.0 as u64) << 40) | within as u64
+    }
+
+    /// Whether `segment` is new to `subgroup` at `instance >= 1` of `site`.
+    #[inline]
+    fn record(&mut self, site: u32, instance: u32, subgroup: u32, segment: u64) -> bool {
+        let (sg, st) = (subgroup as usize, site as usize);
+        if self.logs.len() <= sg {
+            self.logs.resize_with(sg + 1, Vec::new);
+        }
+        let by_site = &mut self.logs[sg];
+        if by_site.len() <= st {
+            by_site.resize_with(st + 1, Vec::new);
+        }
+        let log = &mut by_site[st];
+        if log.is_empty() {
+            self.touched.push((subgroup, site));
+        }
+        let at = (instance as usize - 1) * self.stride;
+        if log.len() < at + self.stride {
+            log.resize(at + self.stride, 0);
+        }
+        let entry = &mut log[at..at + self.stride];
+        let held = entry[0] as usize;
+        let new = !entry[1..=held].contains(&segment);
+        if new {
+            entry[held + 1] = segment;
+            entry[0] += 1;
+        }
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            new,
+            self.reference.insert((site, instance, subgroup, segment)),
+            "coalescing log disagrees with the reference set at site {site}, instance {instance}, sub-group {subgroup}, segment {segment:#x}"
+        );
+        new
+    }
+
+    /// Forget the work-group's accesses, keeping the logs' storage.
+    pub(crate) fn reset(&mut self) {
+        for (subgroup, site) in self.touched.drain(..) {
+            self.logs[subgroup as usize][site as usize].clear();
+        }
+        #[cfg(debug_assertions)]
+        self.reference.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,5 +294,62 @@ mod tests {
         let cost = CostModel::default();
         assert!(cost.global_transaction > 8.0 * cost.local_access);
         assert!(cost.local_access >= cost.arith);
+    }
+
+    /// Every `record` answers as the set the log replaced does — over items
+    /// that visit sites a varying number of times, sub-groups that share
+    /// sites and segments, and a reset between work-groups that must forget
+    /// everything (an odd group replays the accesses of the one before).
+    #[test]
+    fn log_agrees_with_the_reference_set_on_every_record() {
+        fn next(rng: &mut u64, below: u64) -> u64 {
+            *rng ^= *rng << 13;
+            *rng ^= *rng >> 7;
+            *rng ^= *rng << 17;
+            *rng % below
+        }
+        let cost = CostModel {
+            subgroup_size: 4,
+            ..CostModel::default()
+        };
+        let mut log = Coalescer::new(&cost);
+        let (mut records, mut new) = (0, 0);
+        for group in 0..6_u64 {
+            let mut reference = std::collections::HashSet::new();
+            let rng = &mut (0x9E37_79B9_7F4A_7C15 + group / 2);
+            for item in 0..12_u32 {
+                let subgroup = item / cost.subgroup_size as u32;
+                for site in [0_u32, 3, 1] {
+                    for instance in 1..=1 + next(rng, 5) as u32 {
+                        // Few segments, so ride-alongs are common.
+                        let segment = next(rng, 6) | ((site as u64 % 2) << 40);
+                        let expect = reference.insert((site, instance, subgroup, segment));
+                        let got = log.record(site, instance, subgroup, segment);
+                        assert_eq!(got, expect, "group {group}, item {item}, site {site}");
+                        records += 1;
+                        new += expect as u32;
+                    }
+                }
+            }
+            log.reset();
+        }
+        assert!(new > 100 && records - new > 100, "{new} new of {records}");
+    }
+
+    /// The segment of an address is `(addr * bytes) / width` whatever the
+    /// width and the sign: shifted where that is the same thing.
+    #[test]
+    fn segment_is_the_truncating_division() {
+        for (width, bytes) in [(64_usize, 4_usize), (64, 8), (48, 4), (1, 8), (128, 4)] {
+            let cost = CostModel {
+                transaction_bytes: width,
+                ..CostModel::default()
+            };
+            let log = Coalescer::new(&cost);
+            for addr in [0_i64, 1, 15, 16, 17, 1 << 33, -1, -16, -17] {
+                let expect = (7 << 40) | ((addr * bytes as i64) / width as i64) as u64;
+                assert_eq!(log.segment(MemId(7), addr, bytes), expect);
+            }
+        }
     }
 }

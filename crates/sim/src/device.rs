@@ -910,29 +910,24 @@ fn run_host_serial(
     Ok(ExecStats::default())
 }
 
-pub(crate) fn items_of_group(nd: NdRangeSpec, group: [i64; 3]) -> Vec<NdItemVal> {
-    let mut items = Vec::with_capacity((nd.local[0] * nd.local[1] * nd.local[2]) as usize);
-    for l0 in 0..nd.local[0] {
-        for l1 in 0..nd.local[1] {
-            for l2 in 0..nd.local[2] {
-                let local_id = [l0, l1, l2];
-                let global_id = [
-                    group[0] * nd.local[0] + l0,
-                    group[1] * nd.local[1] + l1,
-                    group[2] * nd.local[2] + l2,
-                ];
-                items.push(NdItemVal {
-                    global_id,
-                    local_id,
-                    group_id: group,
-                    global_range: nd.global,
-                    local_range: nd.local,
-                    rank: nd.rank,
-                });
-            }
+/// The positions of work-group `group`'s items, in local-linear order.
+pub(crate) fn items_of_group(
+    nd: NdRangeSpec,
+    group: [i64; 3],
+) -> impl ExactSizeIterator<Item = NdItemVal> {
+    let [n0, n1, n2] = nd.local;
+    (0..(n0 * n1 * n2) as usize).map(move |linear| {
+        let linear = linear as i64;
+        let local_id = [linear / (n1 * n2), linear / n2 % n1, linear % n2];
+        NdItemVal {
+            global_id: [0, 1, 2].map(|d| group[d] * nd.local[d] + local_id[d]),
+            local_id,
+            group_id: group,
+            global_range: nd.global,
+            local_range: nd.local,
+            rank: nd.rank,
         }
-    }
-    items
+    })
 }
 
 /// Drive a work-group's items in co-operative rounds: every live work-item
@@ -974,7 +969,6 @@ fn run_work_group(
     ctx: &mut ExecCtx<'_>,
 ) -> Result<(), SimError> {
     let mut items: Vec<WorkItemState> = items_of_group(nd, group)
-        .into_iter()
         .map(|item| WorkItemState::new(m, kernel, args, item))
         .collect::<Result<_, _>>()?;
     cooperative_rounds(&mut items, group, |wi| wi.run(ctx))
@@ -1661,5 +1655,59 @@ mod tests {
         // every lane its own segment = 16 transactions.
         assert_eq!(row_stats.global_transactions, 1);
         assert_eq!(col_stats.global_transactions, 16);
+    }
+
+    /// Coalescing pairs accesses by *instance* — each item's own visit
+    /// count at the site — not by when they happen. One sub-group, two
+    /// barrier rounds; in round `r` an even item loads `a[32r + lid]` and
+    /// an odd item that and `a[32r + 16 + lid]`: an even item's second
+    /// visit to the site comes a barrier round after the odd items'.
+    #[test]
+    fn coalescing_pairs_divergent_items_by_instance_across_a_barrier() {
+        let c = ctx();
+        let mut m = Module::new(&c);
+        let acc = accessor_type(&c, c.f32_type(), 1, AccessMode::Read, Target::Global);
+        let nd1 = nd_item_type(&c, 1);
+        let top = m.top();
+        let (func, entry) = build_func(&mut m, top, "k", &[acc, nd1], &[]);
+        sdev::mark_kernel(&mut m, func);
+        let a = m.block_arg(entry, 0);
+        let item = m.block_arg(entry, 1);
+        {
+            use sycl_mlir_dialects::scf::build_for;
+            let mut b = Builder::at_end(&mut m, entry);
+            let lid = sdev::local_id(&mut b, item, 0);
+            let group = sdev::get_group(&mut b, item);
+            let [zero, one, two, sixteen] = [0, 1, 2, 16].map(|v| constant_index(&mut b, v));
+            let odd = arith::remsi(&mut b, lid, two);
+            let trips = arith::addi(&mut b, odd, one);
+            build_for(&mut b, zero, two, one, &[], |round, r, _| {
+                build_for(round, zero, trips, one, &[], |body, k, _| {
+                    let row = arith::muli(body, r, two);
+                    let row = arith::addi(body, row, k);
+                    let base = arith::muli(body, row, sixteen);
+                    let idx = arith::addi(body, base, lid);
+                    sdev::load_via_id(body, a, &[idx]);
+                    vec![]
+                });
+                sdev::group_barrier(round, group);
+                vec![]
+            });
+            build_return(&mut b, &[]);
+        }
+        let stats = [Engine::Plan, Engine::TreeWalk].map(|engine| {
+            let mut pool = MemoryPool::new();
+            let args = [accessor(pool.alloc(DataVec::F32(vec![0.0; 64])), 64)];
+            let nd = NdRangeSpec::d1(16, 16);
+            let device = Device::with_engine(engine);
+            device.launch(&m, func, &args, nd, &mut pool).unwrap()
+        });
+        assert_eq!(stats[0], stats[1], "plan engine vs tree walk");
+        assert_eq!(stats[0].global_accesses, 8 * 2 + 8 * 4);
+        // Instance 1: all sixteen at `a[lid]`, one segment. Instance 2:
+        // the odd items' `a[16 + lid]` (round 0) and the even items'
+        // `a[32 + lid]` (round 1), two. Instances 3, 4: the odd items'
+        // round 1, one each — `a[32 + lid]` again, at another instance.
+        assert_eq!(stats[0].global_transactions, 1 + 2 + 1 + 1);
     }
 }

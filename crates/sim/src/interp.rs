@@ -7,11 +7,11 @@
 //! work-group between barrier points and detects the divergent-barrier
 //! deadlock of §V-C.
 
-use crate::cost::{CostModel, ExecStats};
+use crate::cost::{Coalescer, CostModel, ExecStats};
 use crate::limits::FaultPlan;
-use crate::memory::MemoryPool;
+use crate::memory::{MemFault, MemoryPool};
 use crate::value::{MemRefVal, NdItemVal, RtValue, Space, VecVal};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use sycl_mlir_ir::{CommonKeys, Module, OpId, TypeKind, ValueId};
 
 /// Why a work-item stopped running.
@@ -81,6 +81,14 @@ pub enum SimError {
         /// Linear index of the tripping work-group within the launch.
         group: usize,
     },
+    /// A faulting device-memory access (out of bounds, type-mismatched
+    /// store, unknown buffer), as the access path reported it.
+    Fault {
+        /// What went wrong, and on which buffer.
+        fault: MemFault,
+        /// The position, as in [`SimError::Message`].
+        at: Option<(usize, usize)>,
+    },
     /// A [`FaultPlan`] fired ([`FaultPlan::error`]): a synthetic failure
     /// that, like a limit trip, cancels the launch's DAG successors.
     Injected {
@@ -115,22 +123,18 @@ impl SimError {
     /// error kind carries the position (not just limit trips — PR 9
     /// bugfix: message errors used to drop it, so host-task segmentation
     /// reported segment-local launch indices).
-    pub(crate) fn at(self, launch: usize, group: usize) -> SimError {
-        match self {
-            SimError::LimitExceeded { kind, .. } => SimError::LimitExceeded {
-                kind,
-                launch,
-                group,
-            },
-            SimError::Message { message, .. } => SimError::Message {
-                message,
-                at: Some((launch, group)),
-            },
-            SimError::Injected { fault, .. } => SimError::Injected {
-                fault,
-                at: Some((launch, group)),
-            },
+    pub(crate) fn at(mut self, launch: usize, group: usize) -> SimError {
+        match &mut self {
+            SimError::LimitExceeded {
+                launch: l,
+                group: g,
+                ..
+            } => (*l, *g) = (launch, group),
+            SimError::Message { at, .. }
+            | SimError::Fault { at, .. }
+            | SimError::Injected { at, .. } => *at = Some((launch, group)),
         }
+        self
     }
 
     /// The error text without the `simulation error: ` prefix.
@@ -141,6 +145,7 @@ impl SimError {
         };
         match self {
             SimError::Message { message, at } => stamped(message.clone(), at),
+            SimError::Fault { fault, at } => stamped(fault.to_string(), at),
             SimError::Injected { fault, at } => stamped(fault.to_string(), at),
             SimError::LimitExceeded {
                 kind,
@@ -163,7 +168,7 @@ impl SimError {
     pub(crate) fn cascades(&self) -> bool {
         match self {
             SimError::LimitExceeded { .. } | SimError::Injected { .. } => true,
-            SimError::Message { .. } => false,
+            SimError::Message { .. } | SimError::Fault { .. } => false,
         }
     }
 
@@ -171,7 +176,7 @@ impl SimError {
     pub fn limit_kind(&self) -> Option<LimitKind> {
         match self {
             SimError::LimitExceeded { kind, .. } => Some(*kind),
-            SimError::Message { .. } | SimError::Injected { .. } => None,
+            SimError::Message { .. } | SimError::Fault { .. } | SimError::Injected { .. } => None,
         }
     }
 }
@@ -188,72 +193,6 @@ fn err(msg: impl Into<String>) -> SimError {
     SimError::msg(msg)
 }
 
-/// A cheap multiply-mix hasher for the coalescing tracker's integer keys.
-/// The tracker sits on the hottest path of the simulator (one insert per
-/// global memory access of every work-item); SipHash's per-lookup cost is
-/// measurable there, and HashDoS resistance buys nothing against keys the
-/// simulator itself generates.
-#[derive(Default)]
-pub(crate) struct IntMixHasher(u64);
-
-impl std::hash::Hasher for IntMixHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, x: u32) {
-        self.0 = (self.0 ^ x as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        // Finalizing xor-shift: the multiply mixes low bits upward, this
-        // folds the well-mixed high bits back down for table indexing.
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
-type IntMixBuild = std::hash::BuildHasherDefault<IntMixHasher>;
-
-/// Work-group-shared execution state.
-#[derive(Default)]
-pub struct WorkGroupCtx {
-    /// `sycl.local.alloca` results shared by the group.
-    local_allocs: HashMap<OpId, MemRefVal>,
-    /// Coalescing tracker: the set of (site, instance, subgroup, segment)
-    /// tuples touched by this work-group. The site is an `OpId` index
-    /// under the tree-walk engine and a plan site id under the plan
-    /// engine; a launch only ever uses one keying.
-    segments: HashSet<(u32, u32, u32, u64), IntMixBuild>,
-}
-
-impl WorkGroupCtx {
-    /// Record a global access; returns `true` if it opens a new
-    /// transaction (a 64-byte segment not yet touched by this sub-group at
-    /// this op instance).
-    #[inline]
-    pub(crate) fn record(&mut self, key: (u32, u32, u32), segment: u64) -> bool {
-        self.segments.insert((key.0, key.1, key.2, segment))
-    }
-
-    /// Reset for the next work-group, retaining table capacity (this runs
-    /// once per group; reallocating and regrowing the set each time costs
-    /// more than the clear).
-    pub(crate) fn reset(&mut self) {
-        self.local_allocs.clear();
-        self.segments.clear();
-    }
-}
-
 /// Per-launch shared state (across work-groups).
 pub struct ExecCtx<'a> {
     /// The module being interpreted.
@@ -264,8 +203,10 @@ pub struct ExecCtx<'a> {
     pub cost: &'a CostModel,
     /// Accumulated dynamic statistics.
     pub stats: ExecStats,
-    /// Work-group-shared state (local allocas, coalescing tracker).
-    pub wg: WorkGroupCtx,
+    /// The work-group's coalescing tracker.
+    pub coalescer: Coalescer,
+    /// `sycl.local.alloca` results shared by the work-group.
+    local_allocs: HashMap<OpId, MemRefVal>,
     /// Pre-interned attribute keys (`value`, `predicate`, …), resolved once
     /// per launch instead of per dynamic op.
     keys: CommonKeys,
@@ -285,7 +226,8 @@ impl<'a> ExecCtx<'a> {
             pool,
             cost,
             stats: ExecStats::default(),
-            wg: WorkGroupCtx::default(),
+            coalescer: Coalescer::new(cost),
+            local_allocs: HashMap::new(),
             keys: m.ctx().common_keys(),
             const_pool: HashMap::new(),
             limits: None,
@@ -294,7 +236,8 @@ impl<'a> ExecCtx<'a> {
 
     /// Reset work-group-shared state (call between work-groups).
     pub fn next_work_group(&mut self) {
-        self.wg.reset();
+        self.coalescer.reset();
+        self.local_allocs.clear();
         if let Some(meter) = self.limits.as_deref_mut() {
             meter.begin_group();
         }
@@ -815,7 +758,7 @@ impl WorkItemState {
                 Ok(())
             }
             "sycl.local.alloca" => {
-                let mr = if let Some(existing) = ctx.wg.local_allocs.get(&op) {
+                let mr = if let Some(existing) = ctx.local_allocs.get(&op) {
                     *existing
                 } else {
                     let ty = m.value_type(m.op_result(op, 0));
@@ -827,7 +770,7 @@ impl WorkItemState {
                         rank,
                         space: Space::Local,
                     };
-                    ctx.wg.local_allocs.insert(op, mr);
+                    ctx.local_allocs.insert(op, mr);
                     mr
                 };
                 self.bind(m.op_result(op, 0), RtValue::MemRef(mr));
@@ -846,7 +789,7 @@ impl WorkItemState {
                     })
                     .collect::<Result<_, _>>()?;
                 let addr = mr.linearize(&idx);
-                self.mem_event(ctx, op, &mr, addr, false)?;
+                self.mem_event(ctx, op, &mr, addr);
                 let v = ctx.pool.load(mr.mem, addr)?;
                 self.bind(m.op_result(op, 0), v);
                 Ok(())
@@ -865,7 +808,7 @@ impl WorkItemState {
                     })
                     .collect::<Result<_, _>>()?;
                 let addr = mr.linearize(&idx);
-                self.mem_event(ctx, op, &mr, addr, true)?;
+                self.mem_event(ctx, op, &mr, addr);
                 ctx.pool.store(mr.mem, addr, v)?;
                 Ok(())
             }
@@ -1112,36 +1055,17 @@ impl WorkItemState {
         Ok(mr)
     }
 
-    /// Record the cost of a memory access.
-    fn mem_event(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        op: OpId,
-        mr: &MemRefVal,
-        addr: i64,
-        _is_store: bool,
-    ) -> Result<(), SimError> {
-        match mr.space {
-            Space::Private => ctx.stats.private_accesses += 1,
-            Space::Constant => ctx.stats.constant_accesses += 1,
-            Space::Local => ctx.stats.local_accesses += 1,
-            Space::Global => {
-                ctx.stats.global_accesses += 1;
-                let instance = {
-                    let slot = &mut self.visits[op.0 as usize];
-                    *slot += 1;
-                    *slot
-                };
-                let subgroup = (self.item.local_linear_id() / ctx.cost.subgroup_size as i64) as u32;
-                let bytes = ctx.pool.data(mr.mem).elem_bytes() as i64;
-                let segment = ((mr.mem.0 as u64) << 40)
-                    | ((addr * bytes) / ctx.cost.transaction_bytes as i64) as u64;
-                if ctx.wg.record((op.0, instance, subgroup), segment) {
-                    ctx.stats.global_transactions += 1;
-                }
-            }
-        }
-        Ok(())
+    /// Record the cost of a memory access, keyed by `op`.
+    fn mem_event(&mut self, ctx: &mut ExecCtx<'_>, op: OpId, mr: &MemRefVal, addr: i64) {
+        let subgroup = (self.item.local_linear_id() / ctx.cost.subgroup_size as i64) as u32;
+        ctx.coalescer.mem_event(
+            &mut ctx.stats,
+            (op.0, subgroup),
+            &mut self.visits[op.0 as usize],
+            mr,
+            addr,
+            ctx.pool.data(mr.mem).elem_bytes(),
+        );
     }
 }
 

@@ -37,9 +37,8 @@
 //!   `scf.for`/`scf.if` lowered to explicit jump/loop instructions. A
 //!   post-decode **peephole fusion pass** ([`fuse_plan_with`], on by
 //!   default, `SYCL_MLIR_SIM_FUSE=off` to disable) then
-//!   rewrites hot instruction windows — pairs (load-accumulate,
-//!   compare-branch, accumulate-store), bounded three-instruction
-//!   **chains** (the indexed accessor load
+//!   rewrites hot instruction windows — the load-accumulate pair,
+//!   bounded three-instruction **chains** (the indexed accessor load
 //!   `vec.ctor`+`acc.subscript`+`Load`, fused multiply-accumulate
 //!   `Load`+`mulf`+`addf`) and the un-CSE'd four-instruction accessor
 //!   read — into superinstructions with identical semantics and
@@ -133,13 +132,13 @@ pub mod value;
 pub mod verify;
 
 pub use config::{knob_table, ConfigError};
-pub use cost::{CostModel, ExecStats};
+pub use cost::{Coalescer, CostModel, ExecStats};
 pub use device::{
     auto_threads, BatchLaunch, Device, Engine, NdRangeSpec, SimError, VerifyCounters,
 };
 pub use interp::LimitKind;
 pub use limits::{CancelToken, ExecLimits, FaultPlan, FaultSite};
-pub use memory::{DataVec, Dtype, MemFault, MemId, MemoryPool};
+pub use memory::{Buf, DataVec, Dtype, Elem, MemFault, MemId, MemoryPool};
 pub use plan::{
     decode_kernel, fuse_plan, fuse_plan_with, profile_summary, DecodeError, FuseLevel, KernelPlan,
 };

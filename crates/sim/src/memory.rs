@@ -1,7 +1,10 @@
-//! Device memory: typed buffers addressed by [`MemId`].
+//! Device memory: typed buffers addressed by [`MemId`], and [`Buf`], the
+//! one place an element is bounds-checked, read or written by pointer.
 
 use crate::interp::SimError;
 use crate::value::RtValue;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Handle to one allocation in a [`MemoryPool`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -123,10 +126,10 @@ impl std::fmt::Display for MemFault {
 }
 
 impl From<MemFault> for SimError {
-    // Faults are rare: keep the formatting out of the executors' loops.
+    // Faults are rare: keep them out of the executors' loops.
     #[cold]
     fn from(fault: MemFault) -> SimError {
-        SimError::msg(fault.to_string())
+        SimError::Fault { fault, at: None }
     }
 }
 
@@ -244,11 +247,6 @@ impl MemoryPool {
         id
     }
 
-    /// Allocate a zero-filled buffer of `len` elements shaped like `proto`.
-    pub fn alloc_zeroed_like(&mut self, proto: &DataVec, len: usize) -> MemId {
-        self.alloc(proto.dtype().zeroed(len))
-    }
-
     /// Allocate zero-filled storage for `len` elements of the MLIR type
     /// `elem` (f32/f64/i32/i64/index/i1).
     pub fn alloc_zeroed(&mut self, elem: &sycl_mlir_ir::Type, len: usize) -> MemId {
@@ -314,10 +312,211 @@ impl MemoryPool {
     }
 }
 
+/// What one element of device memory reads as: 16 bytes, so a load reaches
+/// a plan register without passing through the 136-byte [`RtValue`].
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum Elem {
+    /// An element of an `f32` buffer.
+    F32(f32),
+    /// An element of an `f64` buffer.
+    F64(f64),
+    /// An element of an `i32` (sign-extended) or `i64` buffer.
+    Int(i64),
+}
+
+impl From<Elem> for RtValue {
+    fn from(e: Elem) -> RtValue {
+        match e {
+            Elem::F32(x) => RtValue::F32(x),
+            Elem::F64(x) => RtValue::F64(x),
+            Elem::Int(x) => RtValue::Int(x),
+        }
+    }
+}
+
+/// One device buffer as an access sees it: base pointer, length, storage
+/// class and the name its faults carry. The pools of [`crate::pool`] only
+/// *resolve* a [`MemId`] to one of these, once per access; the bounds
+/// check, the typed read and the typed write by pointer are here and
+/// nowhere else. (The `Vec`-backed [`MemoryPool::load`] / `store` share
+/// no code with it: they are the tree walk's independent reference.)
+///
+/// `'a` is the borrow of the storage the pointer was taken from, so no
+/// safe `DataVec` API is reachable while a `Buf` exists. Elements are
+/// accessed as **relaxed atomics** (free on mainstream targets): a
+/// simulated kernel that races with itself across work-groups reads
+/// torn-by-element but well-defined values, like on the GPU, instead of
+/// being undefined behaviour in the host process.
+#[derive(Clone, Copy, Debug)]
+pub struct Buf<'a> {
+    /// First element; the pointee type is `dtype`'s.
+    ptr: *mut u8,
+    len: usize,
+    dtype: Dtype,
+    /// A launch-shared buffer — the only kind a site proof speaks about.
+    shared: bool,
+    name: Option<MemId>,
+    _storage: PhantomData<&'a mut DataVec>,
+}
+
+impl<'a> Buf<'a> {
+    /// The access view of `data`, named `name` in faults (`None` = a
+    /// kernel-private buffer); `shared` unless it is a worker's arena.
+    pub(crate) fn of(data: &'a mut DataVec, name: Option<MemId>, shared: bool) -> Buf<'a> {
+        Buf {
+            len: data.len(),
+            dtype: data.dtype(),
+            ptr: match data {
+                DataVec::F32(v) => v.as_mut_ptr().cast(),
+                DataVec::F64(v) => v.as_mut_ptr().cast(),
+                DataVec::I32(v) => v.as_mut_ptr().cast(),
+                DataVec::I64(v) => v.as_mut_ptr().cast(),
+            },
+            shared,
+            name,
+            _storage: PhantomData,
+        }
+    }
+
+    /// Number of elements.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The storage class of the elements.
+    #[inline]
+    pub fn dtype(&self) -> Dtype {
+        self.dtype
+    }
+
+    /// Load the element at `index` (typed like [`DataVec::get`]).
+    #[inline]
+    pub fn load(self, index: i64) -> Result<Elem, MemFault> {
+        // SAFETY: not `proven` — the index is compared.
+        unsafe { self.load_at(false, index) }
+    }
+
+    /// Store `value` at `index` (like [`DataVec::set`]; bounds before type).
+    #[inline]
+    pub fn store(self, index: i64, value: RtValue) -> Result<(), MemFault> {
+        // SAFETY: not `proven` — the index is compared.
+        unsafe { self.store_at(false, index, value) }
+    }
+
+    /// [`Self::load`] at an access site whose bounds check may be elided.
+    ///
+    /// # Safety
+    ///
+    /// The one statement of the proven-site argument: `proven` may be
+    /// `true` only if [`crate::verify::PlanFacts::instantiate`] evaluated
+    /// the access site's symbolic address bounds against this launch's
+    /// geometry, arguments and buffer lengths and found them in range —
+    /// then, for a launch-shared buffer, `index` is within `len` without
+    /// comparing (debug builds compare anyway). Arena buffers are never
+    /// accessor-backed, so no proof covers them and they are always
+    /// compared.
+    #[inline]
+    pub(crate) unsafe fn load_at(self, proven: bool, index: i64) -> Result<Elem, MemFault> {
+        let i = self.position(proven, index)?;
+        // SAFETY: `i < self.len`: compared by `position`, or bounded by
+        // the instantiated site proof (the caller's contract); `ptr`
+        // points to `len` elements of `dtype`'s type that outlive `'a`,
+        // and every access while a `Buf` exists is one of these atomics.
+        Ok(unsafe {
+            match self.dtype {
+                Dtype::F32 => Elem::F32(f32::from_bits(load32(self.ptr.cast(), i))),
+                Dtype::F64 => Elem::F64(f64::from_bits(load64(self.ptr.cast(), i))),
+                Dtype::I32 => Elem::Int(load32(self.ptr.cast(), i) as i32 as i64),
+                Dtype::I64 => Elem::Int(load64(self.ptr.cast(), i) as i64),
+            }
+        })
+    }
+
+    /// [`Self::store`] at an access site whose bounds check may be
+    /// elided (the type check never is: the verifier does not prove
+    /// element types).
+    ///
+    /// # Safety
+    ///
+    /// As for [`Self::load_at`].
+    #[inline]
+    pub(crate) unsafe fn store_at(
+        self,
+        proven: bool,
+        index: i64,
+        value: RtValue,
+    ) -> Result<(), MemFault> {
+        let (i, p) = (self.position(proven, index)?, self.ptr);
+        // SAFETY: as in `load_at`.
+        unsafe {
+            match (self.dtype, value) {
+                (Dtype::F32, RtValue::F32(x)) => store32(p.cast(), i, x.to_bits()),
+                (Dtype::F32, RtValue::F64(x)) => store32(p.cast(), i, (x as f32).to_bits()),
+                (Dtype::F64, RtValue::F64(x)) => store64(p.cast(), i, x.to_bits()),
+                (Dtype::F64, RtValue::F32(x)) => store64(p.cast(), i, (x as f64).to_bits()),
+                (Dtype::I32, RtValue::Int(x)) => store32(p.cast(), i, x as i32 as u32),
+                (Dtype::I64, RtValue::Int(x)) => store64(p.cast(), i, x as u64),
+                (dtype, v) => {
+                    return Err(MemFault::TypeMismatch {
+                        buffer: self.name,
+                        dtype,
+                        value: v.kind(),
+                    })
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// `index` as an element position: the bounds check of every access,
+    /// skipped only for a launch-shared buffer at a `proven` site.
+    #[inline]
+    fn position(&self, proven: bool, index: i64) -> Result<usize, MemFault> {
+        if proven && self.shared {
+            debug_assert!(
+                check_index(self.name, index, self.len).is_ok(),
+                "proven-safe access out of bounds: index {index} of {self:?}"
+            );
+            return Ok(index as usize);
+        }
+        check_index(self.name, index, self.len)
+    }
+}
+
+/// Relaxed atomic element load through a raw pointer.
+///
+/// # Safety
+///
+/// `p.add(i)` must be in bounds of a live, properly aligned allocation
+/// with no concurrent non-atomic access.
+#[inline]
+unsafe fn load32(p: *mut u32, i: usize) -> u32 {
+    unsafe { AtomicU32::from_ptr(p.add(i)).load(Ordering::Relaxed) }
+}
+
+/// See [`load32`].
+#[inline]
+unsafe fn load64(p: *mut u64, i: usize) -> u64 {
+    unsafe { AtomicU64::from_ptr(p.add(i)).load(Ordering::Relaxed) }
+}
+
+/// See [`load32`].
+#[inline]
+unsafe fn store32(p: *mut u32, i: usize, v: u32) {
+    unsafe { AtomicU32::from_ptr(p.add(i)).store(v, Ordering::Relaxed) }
+}
+
+/// See [`load32`].
+#[inline]
+unsafe fn store64(p: *mut u64, i: usize, v: u64) {
+    unsafe { AtomicU64::from_ptr(p.add(i)).store(v, Ordering::Relaxed) }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::SharedPool;
+    use crate::pool::{PlanPool, SharedPool};
 
     #[test]
     fn roundtrip_all_dtypes() {
@@ -354,27 +553,28 @@ mod tests {
         assert_eq!(pool.load(id, 0), Err(MemFault::UnknownBuffer { id }));
     }
 
-    /// The `Vec`-backed pool and the pointer-backed launch view report
+    /// The `Vec`-backed pool and the three kinds of `Buf` — a launch-shared
+    /// buffer, a worker's dense constant and its scratch alloca — report
     /// every access alike: equal values in range, equal faults — and
-    /// fault text — at `len`, `-1` and `i64::MAX`, for every storage class.
+    /// fault text — at `len`, `-1` and `i64::MAX`, for every storage
+    /// class. Only the name differs: an alloca has none.
     #[test]
     fn vec_and_pointer_storage_fault_alike() {
+        let ctx = sycl_mlir_ir::Context::new();
+        let (float, int) = (RtValue::F32(2.5), RtValue::Int(9));
         let protos = [
+            (DataVec::F32(vec![1.5; 3]), ctx.f32_type(), float, int),
+            (DataVec::F64(vec![1.5; 3]), ctx.f64_type(), float, int),
+            (DataVec::I32(vec![7; 3]), ctx.i32_type(), int, float),
             (
-                DataVec::F32(vec![1.5; 3]),
-                RtValue::F32(2.5),
-                RtValue::Int(1),
+                DataVec::I64(vec![7; 3]),
+                ctx.i64_type(),
+                int,
+                RtValue::F64(1.0),
             ),
-            (
-                DataVec::F64(vec![1.5; 3]),
-                RtValue::F32(2.5),
-                RtValue::Int(1),
-            ),
-            (DataVec::I32(vec![7; 3]), RtValue::Int(9), RtValue::F32(1.0)),
-            (DataVec::I64(vec![7; 3]), RtValue::Int(9), RtValue::F64(1.0)),
         ];
         let id = MemId(1);
-        for (proto, good, bad) in protos {
+        for (proto, elem, good, bad) in protos {
             let fresh = || {
                 let mut pool = MemoryPool::new();
                 pool.alloc(DataVec::I32(Vec::new()));
@@ -383,17 +583,53 @@ mod tests {
             };
             for index in [1, 3, -1, i64::MAX] {
                 let (mut vec_backed, mut viewed) = (fresh(), fresh());
-                let shared = SharedPool::new(&mut viewed);
                 let loaded = vec_backed.load(id, index);
                 let stored = vec_backed.store(id, index, good);
                 let refused = vec_backed.store(id, index, bad);
-                assert_eq!(shared.load(id, index), loaded, "{proto:?}[{index}]");
-                assert_eq!(shared.store(id, index, good), stored, "{proto:?}[{index}]");
-                assert_eq!(shared.store(id, index, bad), refused, "{proto:?}[{index}]");
-                assert_eq!(shared.load(id, index), vec_backed.load(id, index));
+                let after = vec_backed.load(id, index);
+
+                // The same four accesses through each kind of `Buf`, the
+                // arenas filled like `proto` first.
+                let shared = SharedPool::new(&mut viewed);
+                let mut worker = PlanPool::new(&shared);
+                worker.alloc(DataVec::I32(Vec::new())).unwrap();
+                let constant = worker.alloc(proto.clone()).unwrap();
+                let alloca = worker.alloc_zeroed(&elem, proto.len()).unwrap();
+                for i in 0..proto.len() {
+                    let buf = worker.resolve(alloca).unwrap();
+                    buf.store(i as i64, proto.get(i)).unwrap();
+                }
+                for (mem, name) in [(id, Some(id)), (constant, Some(id)), (alloca, None)] {
+                    // What the kind's faults call the buffer, and their text.
+                    let renamed = |fault: MemFault| match fault {
+                        MemFault::OutOfBounds { index, len, .. } => MemFault::OutOfBounds {
+                            buffer: name,
+                            index,
+                            len,
+                        },
+                        MemFault::TypeMismatch { dtype, value, .. } => MemFault::TypeMismatch {
+                            buffer: name,
+                            dtype,
+                            value,
+                        },
+                        unknown => unknown,
+                    };
+                    let what = format!("{mem:?} {proto:?}[{index}]");
+                    let buf = worker.resolve(mem).unwrap();
+                    let load = || buf.load(index).map(RtValue::from);
+                    assert_eq!(load(), loaded.map_err(renamed), "{what}");
+                    assert_eq!(buf.store(index, good), stored.map_err(renamed), "{what}");
+                    assert_eq!(buf.store(index, bad), refused.map_err(renamed), "{what}");
+                    assert_eq!(load(), after.map_err(renamed), "{what}");
+                    let text = refused.unwrap_err().to_string();
+                    let private = text.replace("buffer 1", "a kernel-private buffer");
+                    let text = if name.is_some() { text } else { private };
+                    assert_eq!(renamed(refused.unwrap_err()).to_string(), text, "{what}");
+                }
+
                 let (fault, text) = if index == 1 {
                     assert_eq!((loaded, stored), (Ok(proto.get(1)), Ok(())));
-                    assert_ne!(vec_backed.load(id, index), loaded, "the store landed");
+                    assert_ne!(after, loaded, "the store landed");
                     let (dtype, value) = (proto.dtype(), bad.kind());
                     let buffer = Some(id);
                     (

@@ -73,8 +73,8 @@ impl PlanCtx {
     }
 
     /// Attach the launch-instantiated proven-site bitset: the sites
-    /// whose bounds check `PlanPool::check` skips — so it must come from
-    /// [`crate::verify::PlanFacts::instantiate`] for this launch.
+    /// whose bounds check [`crate::memory::Buf`] skips — so it must come
+    /// from [`crate::verify::PlanFacts::instantiate`] for this launch.
     pub(crate) fn set_proven(&mut self, proven: std::sync::Arc<[u64]>) {
         self.proven = proven;
     }
@@ -139,12 +139,12 @@ pub struct PlanWorkItem {
     memrefs: Vec<MemRefVal>,
     nd_ranges: Vec<(VecVal, VecVal)>,
     frames: Vec<PlanFrame>,
-    /// Per-site visit counters feeding the coalescing tracker (same
+    /// Per-site visit counters feeding the coalescing log (same
     /// instance numbering as the tree-walk interpreter's per-op visits).
     visits: Vec<u32>,
     /// The work-item’s position bundle.
     pub item: NdItemVal,
-    /// The sub-group of `item`: one third of the coalescing tracker's key.
+    /// The sub-group of `item`: which coalescing log its accesses go to.
     subgroup: u32,
     /// Whether the work-item ran to completion.
     pub finished: bool,
@@ -246,7 +246,9 @@ impl PlanWorkItem {
                 RtValue::Item(_) => Slot::Item,
                 RtValue::Ptr(v) => Slot::Ptr(v),
                 RtValue::Unit => Slot::Unit,
-                scalar => Slot::scalar(scalar),
+                RtValue::Int(v) => Slot::Int(v),
+                RtValue::F32(v) => Slot::F32(v),
+                RtValue::F64(v) => Slot::F64(v),
             };
         }
         if kernel.has_item_param {
@@ -370,29 +372,6 @@ impl PlanWorkItem {
                 .ok_or_else(|| err($what))?
             };
         }
-        // One access path: the bounds check is the fallible half (elided
-        // per site, for shared buffers, where the decode-time verifier's
-        // proof was instantiated for this launch; every other site keeps
-        // the exact out-of-bounds fault and position), the element access
-        // behind it cannot go out of bounds.
-        macro_rules! pool_load {
-            ($site:expr, $mem:expr, $addr:expr) => {{
-                ctx.pool.check(pctx.site_proven($site), $mem, $addr)?;
-                // SAFETY: `check` passed for this pool, id and index; the
-                // proven bits are the ones the scheduler (the one caller
-                // of `PlanCtx::set_proven`) got from
-                // `PlanFacts::instantiate` for this launch.
-                Slot::scalar(unsafe { ctx.pool.read($mem, $addr) })
-            }};
-        }
-        macro_rules! pool_store {
-            ($site:expr, $mem:expr, $addr:expr, $v:expr) => {{
-                ctx.pool.check(pctx.site_proven($site), $mem, $addr)?;
-                // SAFETY: as in `pool_load!`.
-                let stored = unsafe { ctx.pool.write($mem, $addr, $v) };
-                stored?
-            }};
-        }
         // Steps: the body of every primitive that some superinstruction
         // contains, written once and expanded by the primitive's own arm
         // and by each window it is a member of. A step takes its operands
@@ -437,7 +416,12 @@ impl PlanWorkItem {
                 subscript_by!($acc, payload!(Vec in vecs, $id, "subscript id"))
             };
         }
-        // The address of `$mr[$idx[..$rank]]`, with the access recorded.
+        // One access step: the buffer of `$mr`, resolved once, and the
+        // address of `$mr[$idx[..$rank]]` in it, with the access counted
+        // (the tree walk's instance numbering, keyed by plan site). The
+        // bounds check is the `Buf`'s: elided per site where the verifier's
+        // proof was instantiated for this launch; every other site keeps
+        // the exact out-of-bounds fault and position.
         macro_rules! access {
             ($mr:expr, $idx:expr, $rank:expr, $site:expr) => {{
                 let mut indices = [0_i64; 3];
@@ -445,15 +429,26 @@ impl PlanWorkItem {
                     indices[d] = int!($idx[d], "non-int index");
                 }
                 let addr = $mr.linearize(&indices[..$rank as usize]);
-                self.mem_event(ctx, $site, &$mr, addr)?;
-                addr
+                let buf = ctx.pool.resolve($mr.mem)?;
+                ctx.coalescer.mem_event(
+                    &mut ctx.stats,
+                    ($site, self.subgroup),
+                    &mut self.visits[$site as usize],
+                    &$mr,
+                    addr,
+                    buf.dtype().bytes(),
+                );
+                (buf, addr)
             }};
         }
         macro_rules! load_at {
             ($mr:expr, $idx:expr, $rank:expr, $site:expr) => {{
                 let mr: MemRefVal = $mr;
-                let addr = access!(mr, $idx, $rank, $site);
-                pool_load!($site, mr.mem, addr)
+                let (buf, addr) = access!(mr, $idx, $rank, $site);
+                // SAFETY: the proven bits are the ones the scheduler (the
+                // one caller of `PlanCtx::set_proven`) got from
+                // `PlanFacts::instantiate` for this launch.
+                Slot::from(unsafe { buf.load_at(pctx.site_proven($site), addr) }?)
             }};
         }
         macro_rules! load {
@@ -466,17 +461,8 @@ impl PlanWorkItem {
                 )
             };
         }
-        macro_rules! store {
-            ($v:expr, $mem:expr, $idx:expr, $rank:expr, $site:expr) => {{
-                let v: RtValue = $v;
-                let mr = payload!(MemRef in memrefs, $mem, "store to non-memref");
-                let addr = access!(mr, $idx, $rank, $site);
-                pool_store!($site, mr.mem, addr, v);
-            }};
-        }
-        // `$val`: `Slot` for a result register, `RtValue` for a store.
         macro_rules! bin_float {
-            ($val:ident, $op:expr, $l:expr, $r:expr, $f32_out:expr) => {{
+            ($op:expr, $l:expr, $r:expr, $f32_out:expr) => {{
                 ctx.stats.arith_ops += 1;
                 let l = $l.as_f64().ok_or_else(|| err("float op on non-float"))?;
                 let r = $r.as_f64().ok_or_else(|| err("float op on non-float"))?;
@@ -489,26 +475,9 @@ impl PlanWorkItem {
                     FloatBin::Max => l.max(r),
                 };
                 if $f32_out {
-                    $val::F32(out as f32)
+                    Slot::F32(out as f32)
                 } else {
-                    $val::F64(out)
-                }
-            }};
-        }
-        macro_rules! cmp_int {
-            ($pred:expr, $l:expr, $r:expr) => {{
-                ctx.stats.arith_ops += 1;
-                let l = int!($l, "cmpi on non-int");
-                let r = int!($r, "cmpi on non-int");
-                $pred.eval_int(l, r)
-            }};
-        }
-        macro_rules! branch_unless {
-            ($c:expr, $target:expr) => {{
-                ctx.stats.arith_ops += 1;
-                let c: bool = $c;
-                if !c {
-                    pc = $target as usize;
+                    Slot::F64(out)
                 }
             }};
         }
@@ -568,7 +537,7 @@ impl PlanWorkItem {
                     l,
                     r,
                     f32_out,
-                } => reg!(*dst) = bin_float!(Slot, *op, reg!(*l), reg!(*r), *f32_out),
+                } => reg!(*dst) = bin_float!(*op, reg!(*l), reg!(*r), *f32_out),
                 Instr::NegF { dst, x } => {
                     ctx.stats.arith_ops += 1;
                     reg!(*dst) = match reg!(*x) {
@@ -578,7 +547,10 @@ impl PlanWorkItem {
                     };
                 }
                 Instr::CmpI { pred, dst, l, r } => {
-                    reg!(*dst) = Slot::Int(cmp_int!(*pred, *l, *r) as i64);
+                    ctx.stats.arith_ops += 1;
+                    let l = int!(*l, "cmpi on non-int");
+                    let r = int!(*r, "cmpi on non-int");
+                    reg!(*dst) = Slot::Int(pred.eval_int(l, r) as i64);
                 }
                 Instr::CmpF { pred, dst, l, r } => {
                     ctx.stats.arith_ops += 1;
@@ -699,7 +671,10 @@ impl PlanWorkItem {
                     site,
                 } => {
                     let v = self.value(base + *val as usize, args);
-                    store!(v, *mem, idx, *rank, *site)
+                    let mr = payload!(MemRef in memrefs, *mem, "store to non-memref");
+                    let (buf, addr) = access!(mr, idx, *rank, *site);
+                    // SAFETY: as in `load_at!`.
+                    unsafe { buf.store_at(pctx.site_proven(*site), addr, v) }?;
                 }
                 Instr::VecCtor { dst, comps, rank } => {
                     put!(Vec in vecs, *dst, vec_ctor!(comps, *rank))
@@ -765,7 +740,10 @@ impl PlanWorkItem {
                 }
                 Instr::Jump { target } => pc = *target as usize,
                 Instr::BranchIfFalse { cond, target } => {
-                    branch_unless!(int!(*cond, "non-boolean if condition") != 0, *target)
+                    ctx.stats.arith_ops += 1;
+                    if int!(*cond, "non-boolean if condition") == 0 {
+                        pc = *target as usize;
+                    }
                 }
                 Instr::ForEnter {
                     lb,
@@ -840,7 +818,7 @@ impl PlanWorkItem {
                     let t = load!(*mem, idx, *rank, *site);
                     let o = reg!(*other);
                     let (l, r) = if *loaded_is_lhs { (t, o) } else { (o, t) };
-                    reg!(*dst) = bin_float!(Slot, *op, l, r, *f32_out);
+                    reg!(*dst) = bin_float!(*op, l, r, *f32_out);
                 }
                 Instr::LoadMulAddF {
                     dst,
@@ -858,27 +836,10 @@ impl PlanWorkItem {
                     let t = load!(*mem, idx, *rank, *site);
                     let b = reg!(*b);
                     let (l, r) = if *loaded_is_lhs { (t, b) } else { (b, t) };
-                    let u = bin_float!(Slot, FloatBin::Mul, l, r, *mul_f32);
+                    let u = bin_float!(FloatBin::Mul, l, r, *mul_f32);
                     let c = reg!(*c);
                     let (l, r) = if *prod_is_lhs { (u, c) } else { (c, u) };
-                    reg!(*dst) = bin_float!(Slot, FloatBin::Add, l, r, *f32_out);
-                }
-                Instr::StoreBinFloat {
-                    op,
-                    l,
-                    r,
-                    f32_out,
-                    mem,
-                    idx,
-                    rank,
-                    site,
-                } => {
-                    let v = bin_float!(RtValue, *op, reg!(*l), reg!(*r), *f32_out);
-                    store!(v, *mem, idx, *rank, *site);
-                }
-                Instr::CmpIBranch { pred, l, r, target } => {
-                    let c = cmp_int!(*pred, *l, *r);
-                    branch_unless!(c, *target);
+                    reg!(*dst) = bin_float!(FloatBin::Add, l, r, *f32_out);
                 }
                 Instr::AccLoadIndexed {
                     dst,
@@ -954,38 +915,6 @@ impl PlanWorkItem {
                 Ok(d as usize)
             }
         }
-    }
-
-    /// Record the cost of a memory access (same coalescing model and
-    /// instance numbering as the tree-walk interpreter, keyed by plan site
-    /// instead of `OpId`).
-    fn mem_event(
-        &mut self,
-        ctx: &mut PlanExecCtx<'_, '_>,
-        site: u32,
-        mr: &MemRefVal,
-        addr: i64,
-    ) -> Result<(), SimError> {
-        match mr.space {
-            Space::Private => ctx.stats.private_accesses += 1,
-            Space::Constant => ctx.stats.constant_accesses += 1,
-            Space::Local => ctx.stats.local_accesses += 1,
-            Space::Global => {
-                ctx.stats.global_accesses += 1;
-                let instance = {
-                    let slot = &mut self.visits[site as usize];
-                    *slot += 1;
-                    *slot
-                };
-                let bytes = ctx.pool.elem_bytes(mr.mem) as i64;
-                let segment = ((mr.mem.0 as u64) << 40)
-                    | ((addr * bytes) / ctx.cost.transaction_bytes as i64) as u64;
-                if ctx.wg.record((site, instance, self.subgroup), segment) {
-                    ctx.stats.global_transactions += 1;
-                }
-            }
-        }
-        Ok(())
     }
 }
 

@@ -263,43 +263,6 @@ impl ChainMatcher {
                     site: *site,
                 })
             }
-            // t = cmpi l, r; branch-if-false t.
-            (Instr::CmpI { pred, dst: t, l, r }, Instr::BranchIfFalse { cond, target })
-                if self.elidable(*t) && cond == t =>
-            {
-                Some(Instr::CmpIBranch {
-                    pred: *pred,
-                    l: *l,
-                    r: *r,
-                    target: *target,
-                })
-            }
-            // t = l ⊕ r; store t, mem[idx]: accumulate-then-store.
-            (
-                Instr::BinFloat {
-                    op,
-                    dst: t,
-                    l,
-                    r,
-                    f32_out,
-                },
-                Instr::Store {
-                    val,
-                    mem,
-                    idx,
-                    rank,
-                    site,
-                },
-            ) if val == t && self.elidable(*t) => Some(Instr::StoreBinFloat {
-                op: *op,
-                l: *l,
-                r: *r,
-                f32_out: *f32_out,
-                mem: *mem,
-                idx: *idx,
-                rank: *rank,
-                site: *site,
-            }),
             _ => None,
         }
     }
@@ -344,8 +307,8 @@ fn fuse_func(f: &mut FuncPlan) -> u32 {
 /// superinstructions, in place ([`FuseLevel::Off`] leaves the plan as
 /// decoded), and return the number of windows fused.
 ///
-/// The pattern table is `ChainMatcher`'s: pairs (**load-accumulate**,
-/// **compare-branch**, **accumulate-store**), three-instruction chains
+/// The pattern table is `ChainMatcher`'s: the **load-accumulate** pair,
+/// three-instruction chains
 /// (the **indexed accessor load** `vec.ctor` + `acc.subscript` + `Load`
 /// and the **fused multiply-accumulate** `Load` + `mulf` + `addf`) and
 /// the un-CSE'd four-instruction accessor read of the DPC++ flow. A

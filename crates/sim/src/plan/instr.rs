@@ -506,18 +506,6 @@ pub enum Instr {
         /// Memory-access site id (keys the coalescing tracker).
         site: u32,
     },
-    /// Fused `cmpi` + `BranchIfFalse` ([`fuse_plan`]): jumps to `target`
-    /// when the predicate over `l`, `r` is false.
-    CmpIBranch {
-        /// Pre-parsed comparison predicate.
-        pred: CmpPred,
-        /// Left operand register.
-        l: Reg,
-        /// Right operand register.
-        r: Reg,
-        /// Jump target pc.
-        target: u32,
-    },
     /// Fused `VecCtor` + `AccSubscript` + `Load` chain ([`fuse_plan`]):
     /// the accessor addressing chain `a[id...]` of every accessor read —
     /// the `--profile` mode's top-ranked fusion candidate. Builds the id
@@ -568,27 +556,6 @@ pub enum Instr {
         prod_is_lhs: bool,
         /// Whether the result narrows to `f32`.
         f32_out: bool,
-    },
-    /// Fused float binary op + `Store` ([`fuse_plan`]): the
-    /// accumulate-then-store tail of map-style kernels, `mem[idx...] =
-    /// l ⊕ r` without materializing the result register.
-    StoreBinFloat {
-        /// Operation selector.
-        op: FloatBin,
-        /// Left operand register.
-        l: Reg,
-        /// Right operand register.
-        r: Reg,
-        /// Whether the stored value narrows to `f32`.
-        f32_out: bool,
-        /// Memref operand register.
-        mem: Reg,
-        /// Index operand registers (first `rank` entries are valid).
-        idx: [Reg; 3],
-        /// Number of valid indices.
-        rank: u8,
-        /// Memory-access site id (keys the coalescing tracker).
-        site: u32,
     },
     /// Fused `VecCtor` + `AccSubscript` + `Const` + `Load` quad
     /// ([`fuse_plan`]): the **un-CSE'd** accessor addressing chain the
@@ -703,14 +670,8 @@ impl Instr {
                 FloatBin::Mul => "load.mulf",
                 _ => "load.binf",
             },
-            Instr::CmpIBranch { .. } => "cmpi.br",
             Instr::AccLoadIndexed { .. } => "acc.load.idx",
             Instr::LoadMulAddF { .. } => "load.fma",
-            Instr::StoreBinFloat { op, .. } => match op {
-                FloatBin::Add => "addf.store",
-                FloatBin::Mul => "mulf.store",
-                _ => "binf.store",
-            },
             Instr::AccLoadQuad { .. } => "acc.load.quad",
         }
     }
@@ -723,9 +684,7 @@ impl Instr {
     /// with the same [`crate::LimitKind`] — fused or not.
     pub fn op_weight(&self) -> u64 {
         match self {
-            Instr::LoadBinFloat { .. } | Instr::CmpIBranch { .. } | Instr::StoreBinFloat { .. } => {
-                2
-            }
+            Instr::LoadBinFloat { .. } => 2,
             Instr::AccLoadIndexed { .. } | Instr::LoadMulAddF { .. } => 3,
             Instr::AccLoadQuad { .. } => 4,
             _ => 1,
@@ -736,9 +695,7 @@ impl Instr {
     /// fall-through: every control instruction carries exactly one.
     pub fn target(&self) -> Option<u32> {
         match self {
-            Instr::Jump { target }
-            | Instr::BranchIfFalse { target, .. }
-            | Instr::CmpIBranch { target, .. } => Some(*target),
+            Instr::Jump { target } | Instr::BranchIfFalse { target, .. } => Some(*target),
             Instr::ForEnter { exit, .. } => Some(*exit),
             Instr::ForNext { body, .. } => Some(*body),
             _ => None,
@@ -748,9 +705,7 @@ impl Instr {
     /// [`Instr::target`], in place (the fusion pass's pc remap).
     pub(super) fn target_mut(&mut self) -> Option<&mut u32> {
         match self {
-            Instr::Jump { target }
-            | Instr::BranchIfFalse { target, .. }
-            | Instr::CmpIBranch { target, .. } => Some(target),
+            Instr::Jump { target } | Instr::BranchIfFalse { target, .. } => Some(target),
             Instr::ForEnter { exit, .. } => Some(exit),
             Instr::ForNext { body, .. } => Some(body),
             _ => None,
@@ -900,21 +855,18 @@ impl Instr {
             Instr::Call { args, results, .. } =>
                 { args.iter().for_each(|&r| f(Read, r, None)); results.iter().for_each(|&r| f(Write, r, None)) }
             Instr::Return { vals } => vals.iter().for_each(|&r| f(Read, r, None)),
-            // The six windows: what the members read from outside the
+            // The four windows: what the members read from outside the
             // window, what the window leaves written.
             Instr::LoadBinFloat { dst, other, mem, idx, rank, .. } => {
                 f(Read, *mem, Some(Mem)); ints(f, idx, *rank);
                 f(Read, *other, Some(Float)); f(Write, *dst, Some(Float))
             }
-            Instr::CmpIBranch { l, r, .. } => { f(Read, *l, Some(Int)); f(Read, *r, Some(Int)) }
             Instr::AccLoadIndexed { dst, acc, comps, comps_rank, idx, rank, .. } =>
                 { ints(f, comps, *comps_rank); f(Read, *acc, Some(Acc)); ints(f, idx, *rank); f(Write, *dst, None) }
             Instr::LoadMulAddF { dst, mem, idx, rank, b, c, .. } => {
                 f(Read, *mem, Some(Mem)); ints(f, idx, *rank);
                 f(Read, *b, Some(Float)); f(Read, *c, Some(Float)); f(Write, *dst, Some(Float))
             }
-            Instr::StoreBinFloat { l, r, mem, idx, rank, .. } =>
-                { f(Read, *l, Some(Float)); f(Read, *r, Some(Float)); f(Read, *mem, Some(Mem)); ints(f, idx, *rank) }
             Instr::AccLoadQuad { dst, acc, comps, comps_rank, id, view, cst, cst_val, .. } => {
                 ints(f, comps, *comps_rank); f(Read, *acc, Some(Acc));
                 f(Write, *id, Some(Vec)); f(Write, *view, Some(Mem));
@@ -998,13 +950,10 @@ mod tests {
             Instr::Return { vals: Box::new([r(), r()]) },
             Instr::LoadBinFloat { op, dst: r(), other: r(), loaded_is_lhs: true, f32_out: true,
                 mem: r(), idx: [r(), r(), r()], rank, site },
-            Instr::CmpIBranch { pred, l: r(), r: r(), target },
             Instr::AccLoadIndexed { dst: r(), acc: r(), comps: [r(), r(), r()], comps_rank: 3,
                 idx: [r(), r(), r()], rank, site },
             Instr::LoadMulAddF { dst: r(), mem: r(), idx: [r(), r(), r()], rank, site, b: r(),
                 loaded_is_lhs: false, mul_f32: true, c: r(), prod_is_lhs: true, f32_out: true },
-            Instr::StoreBinFloat { op, l: r(), r: r(), f32_out: true,
-                mem: r(), idx: [r(), r(), r()], rank, site },
             Instr::AccLoadQuad { dst: r(), acc: r(), comps: [r(), r(), r()], comps_rank: 3,
                 id: r(), view: r(), cst: r(), cst_val: Slot::Int(0), site },
         ]
@@ -1012,7 +961,7 @@ mod tests {
 
     /// A variant added to [`Instr`] stops this from compiling: give it a
     /// sample above, an arm here, and count it.
-    const VARIANTS: usize = 42;
+    const VARIANTS: usize = 40;
     fn counted(i: &Instr) {
         use Instr::*;
         match i {
@@ -1024,8 +973,8 @@ mod tests {
             GlobalLinearId { .. } | LocalLinearId { .. } | ItemSelf { .. } => {}
             AccSubscript { .. } | AccRange { .. } | AccBase { .. } | Barrier | Jump { .. } => {}
             BranchIfFalse { .. } | ForEnter { .. } | ForNext { .. } | Call { .. } => {}
-            Return { .. } | LoadBinFloat { .. } | CmpIBranch { .. } | AccLoadIndexed { .. } => {}
-            LoadMulAddF { .. } | StoreBinFloat { .. } | AccLoadQuad { .. } => {}
+            Return { .. } | LoadBinFloat { .. } | AccLoadIndexed { .. } => {}
+            LoadMulAddF { .. } | AccLoadQuad { .. } => {}
         }
     }
 

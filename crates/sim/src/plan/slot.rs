@@ -3,6 +3,8 @@
 
 #[cfg(doc)]
 use super::Instr;
+use crate::memory::Elem;
+#[cfg(doc)]
 use crate::value::RtValue;
 
 /// Dense register slot within one function frame.
@@ -66,15 +68,16 @@ impl Slot {
             _ => None,
         }
     }
+}
 
-    /// An integer or a float (all that device memory holds) as a slot.
+/// A loaded element lands in a register as it is.
+impl From<Elem> for Slot {
     #[inline(always)]
-    pub(super) fn scalar(v: RtValue) -> Slot {
-        match v {
-            RtValue::Int(x) => Slot::Int(x),
-            RtValue::F32(x) => Slot::F32(x),
-            RtValue::F64(x) => Slot::F64(x),
-            other => unreachable!("{} is no scalar", other.kind()),
+    fn from(e: Elem) -> Slot {
+        match e {
+            Elem::F32(x) => Slot::F32(x),
+            Elem::F64(x) => Slot::F64(x),
+            Elem::Int(x) => Slot::Int(x),
         }
     }
 }

@@ -178,37 +178,6 @@ mod fusion {
         assert_fused_identical(&m, func, 3, &["acc.load.quad", "acc.load.quad"]);
     }
 
-    /// `if (i % 2 == 0) a[i] += b[i]`: the `cmpi` feeding the `scf.if`
-    /// fuses with the conditional branch.
-    #[test]
-    fn compare_branch_fuses_and_executes_identically() {
-        let c = ctx();
-        let mut m = Module::new(&c);
-        let func = build_kernel(&mut m, 2, |b, accs, item| {
-            let gid = sdev::global_id(b, item, 0);
-            let two = constant_index(b, 2);
-            let zero = constant_index(b, 0);
-            let rem = arith::remsi(b, gid, two);
-            let is_even = arith::cmpi(b, "eq", rem, zero);
-            let (a0, a1) = (accs[0], accs[1]);
-            sycl_mlir_dialects::scf::build_if(
-                b,
-                is_even,
-                &[],
-                |inner| {
-                    let va = sdev::load_via_id(inner, a0, &[gid]);
-                    let vb = sdev::load_via_id(inner, a1, &[gid]);
-                    let sum = arith::addf(inner, va, vb);
-                    sdev::store_via_id(inner, sum, a0, &[gid]);
-                    vec![]
-                },
-                |_| vec![],
-            );
-        });
-        // cmpi+branch, plus the two accessor reads in the then-arm.
-        assert_fused_identical(&m, func, 2, &["cmpi.br", "acc.load.quad", "acc.load.quad"]);
-    }
-
     /// Near miss: `v + v` — the loaded value appears as *both* `addf`
     /// operands, so the load-accumulate pair must not fire. The
     /// addressing quad still does (it keeps the loaded register's
@@ -426,8 +395,7 @@ mod chains {
                 rank: 1,
                 site: 0,
             },
-            // v + 1.0 (followed by a VecCtor, so the accumulate-store
-            // pair cannot fire).
+            // v + 1.0
             Instr::BinFloat {
                 op: FloatBin::Add,
                 dst: 8,
@@ -465,9 +433,8 @@ mod chains {
 
     /// `b[gid] = b[gid] * 2 + 3` as the post-CSE multiply-accumulate
     /// shape: `Load`+`mulf`+`addf` fuses to one `LoadMulAddF` (the
-    /// triple wins over the `Load`+`mulf` pair sharing its head), and
-    /// the trailing `addf`… store pair is consumed by the chain, so
-    /// the store stays unfused.
+    /// triple wins over the `Load`+`mulf` pair sharing its head); the
+    /// store runs as decoded.
     #[test]
     fn load_mul_add_chain_beats_the_pair_deterministically() {
         let code = vec![
@@ -636,7 +603,6 @@ mod chains {
             },
         ];
         let plan = plan_of(code, 9, 2);
-        // The pair consumes the addf, so the store stays alone.
         assert_chain_identical(&plan, &["load.addf"]);
     }
 
@@ -678,7 +644,7 @@ mod chains {
                     dst: 4,
                     l: 2,
                     r: 3,
-                }, // pc 3 (fuses with the branch)
+                }, // pc 3
                 Instr::BranchIfFalse { cond: 4, target }, // pc 4
                 Instr::BinInt {
                     op: IntBin::Add,
@@ -719,13 +685,12 @@ mod chains {
 
         // Branching to the head: the chain fuses (the whole window
         // maps to the superinstruction's pc — this exercises target
-        // remapping across a multi-instruction window), and so does
-        // the cmpi+branch pair.
-        assert_chain_identical(&build(true), &["cmpi.br", "acc.load.idx"]);
+        // remapping across a multi-instruction window).
+        assert_chain_identical(&build(true), &["acc.load.idx"]);
 
         // Branching to the subscript (a non-head member): the chain
-        // may not fire — only the cmpi+branch pair does.
-        assert_chain_identical(&build(false), &["cmpi.br"]);
+        // may not fire.
+        assert_chain_identical(&build(false), &[]);
     }
 
     /// The un-CSE'd DPC++-flow load shape: `vec.ctor` +
@@ -961,9 +926,8 @@ mod chains {
     }
 
     /// A float op whose result feeds an adjacent store *and* a later
-    /// reader: the second read blocks the eliding accumulate-store
-    /// pair, so the shape runs as decoded (`subf` keeps the load out
-    /// of the `LoadBinFloat` path).
+    /// reader: no window is headed by a float op, so the shape runs as
+    /// decoded (`subf` keeps the load out of the `LoadBinFloat` path).
     #[test]
     fn multiply_read_accumulator_takes_the_write_through_pair() {
         let code = vec![

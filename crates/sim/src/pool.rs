@@ -11,12 +11,13 @@
 //! Three pieces make that safe and **deterministic**:
 //!
 //! * [`SharedPool`] — a launch-scoped view of the pre-existing device
-//!   buffers (accessor-backed global memory). Element loads/stores go
-//!   through raw typed pointers with bounds checks (a failing one is a
-//!   [`MemFault`] value, never a panic), so concurrent access
-//!   from many worker threads needs no locking. Distinct work-groups of a
-//!   well-formed kernel touch disjoint elements; a kernel that races with
-//!   itself is broken on real hardware too.
+//!   buffers (accessor-backed global memory): it resolves a [`MemId`] to
+//!   a [`Buf`], whose element loads/stores go through raw typed pointers
+//!   with bounds checks (a failing one is a [`MemFault`] value, never a
+//!   panic), so concurrent access from many worker threads needs no
+//!   locking. Distinct work-groups of a well-formed kernel touch disjoint
+//!   elements; a kernel that races with itself is broken on real hardware
+//!   too.
 //! * [`PlanPool`] — the memory interface handed to the plan executor: the
 //!   shared view plus two **worker-private arenas** for allocations made
 //!   during execution — a persistent pool for dense-constant
@@ -58,16 +59,15 @@
 //! the backstop that carries a simulator bug's panic back to the
 //! launching thread, where it is re-thrown.
 
-use crate::cost::{CostModel, ExecStats};
+use crate::cost::{Coalescer, CostModel, ExecStats};
 use crate::device::{cooperative_rounds, items_of_group, NdRangeSpec};
-use crate::interp::{LimitKind, SimError, WorkGroupCtx};
+use crate::interp::{LimitKind, SimError};
 use crate::limits::{ExecLimits, FaultSite, OpMeter};
-use crate::memory::{check_index, DataVec, Dtype, MemFault, MemId, MemoryPool};
+use crate::memory::{Buf, DataVec, Dtype, MemFault, MemId, MemoryPool};
 use crate::plan::{KernelPlan, PlanCtx, PlanWorkItem};
 use crate::value::RtValue;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -85,68 +85,24 @@ const CONST_BIT: u32 = 1 << 30;
 // SharedPool: lock-free views of the pre-launch buffers
 // ----------------------------------------------------------------------
 
-/// One shared buffer: its base pointer, storage class and length.
-#[derive(Clone, Copy, Debug)]
-struct SharedBuf {
-    /// First element; the pointee type is `dtype`'s.
-    ptr: *mut u8,
-    dtype: Dtype,
-    len: usize,
-}
-
 /// A launch-scoped, concurrently accessible view of every buffer that
-/// existed in the [`MemoryPool`] when the launch started.
+/// existed in the [`MemoryPool`] when the launch started: one [`Buf`] per
+/// buffer, which is where element accesses are checked and made.
 ///
 /// Construction borrows the pool mutably for the whole launch, so no other
 /// code can observe or resize the buffers while workers hold raw pointers
-/// into them. Element accesses are bounds-checked and report faults as
-/// [`MemFault`] values like the `Vec`-backed pool they replace, and go
-/// through per-element
-/// **relaxed atomics** (free on mainstream targets — they compile to the
-/// plain loads/stores they replace): a simulated kernel that races with
-/// itself across work-groups reads torn-by-element but well-defined
-/// values, like on the GPU, instead of being undefined behaviour in the
-/// host process.
+/// into them.
 pub struct SharedPool<'p> {
-    bufs: Vec<SharedBuf>,
-    _pool: PhantomData<&'p mut MemoryPool>,
+    bufs: Vec<Buf<'p>>,
 }
 
-// SAFETY: the raw pointers reference buffers exclusively borrowed for the
-// lifetime `'p`; the view never grows or shrinks them, and every element
-// access is atomic (no mixed atomic/non-atomic access while the view is
-// alive, since the borrow keeps all safe `MemoryPool` APIs unreachable).
+// SAFETY: the `Buf`s' raw pointers reference buffers exclusively borrowed
+// for the lifetime `'p`; the view never grows or shrinks them, and every
+// element access through a `Buf` is atomic (no mixed atomic/non-atomic
+// access while the view is alive, since the borrow keeps all safe
+// `MemoryPool` APIs unreachable).
 unsafe impl Send for SharedPool<'_> {}
 unsafe impl Sync for SharedPool<'_> {}
-
-/// Relaxed atomic element load through a raw pointer.
-///
-/// # Safety
-///
-/// `p.add(i)` must be in bounds of a live, properly aligned allocation
-/// with no concurrent non-atomic access.
-#[inline]
-unsafe fn load32(p: *mut u32, i: usize) -> u32 {
-    unsafe { std::sync::atomic::AtomicU32::from_ptr(p.add(i)).load(Ordering::Relaxed) }
-}
-
-/// See [`load32`].
-#[inline]
-unsafe fn load64(p: *mut u64, i: usize) -> u64 {
-    unsafe { std::sync::atomic::AtomicU64::from_ptr(p.add(i)).load(Ordering::Relaxed) }
-}
-
-/// See [`load32`].
-#[inline]
-unsafe fn store32(p: *mut u32, i: usize, v: u32) {
-    unsafe { std::sync::atomic::AtomicU32::from_ptr(p.add(i)).store(v, Ordering::Relaxed) }
-}
-
-/// See [`load32`].
-#[inline]
-unsafe fn store64(p: *mut u64, i: usize, v: u64) {
-    unsafe { std::sync::atomic::AtomicU64::from_ptr(p.add(i)).store(v, Ordering::Relaxed) }
-}
 
 impl<'p> SharedPool<'p> {
     /// Snapshot every buffer of `pool` into a shareable view.
@@ -154,109 +110,17 @@ impl<'p> SharedPool<'p> {
         let bufs = pool
             .buffers_mut()
             .iter_mut()
-            .map(|data| SharedBuf {
-                len: data.len(),
-                dtype: data.dtype(),
-                ptr: match data {
-                    DataVec::F32(v) => v.as_mut_ptr().cast(),
-                    DataVec::F64(v) => v.as_mut_ptr().cast(),
-                    DataVec::I32(v) => v.as_mut_ptr().cast(),
-                    DataVec::I64(v) => v.as_mut_ptr().cast(),
-                },
-            })
+            .enumerate()
+            .map(|(i, data)| Buf::of(data, Some(MemId(i as u32)), true))
             .collect();
-        SharedPool {
-            bufs,
-            _pool: PhantomData,
-        }
+        SharedPool { bufs }
     }
 
-    /// Buffer `id` and `index` as an in-bounds element position of it.
+    /// Buffer `id`, for one access.
     #[inline]
-    fn check(&self, id: MemId, index: i64) -> Result<(SharedBuf, usize), MemFault> {
-        let b = *self
-            .bufs
-            .get(id.0 as usize)
-            .ok_or(MemFault::UnknownBuffer { id })?;
-        Ok((b, check_index(Some(id), index, b.len)?))
-    }
-
-    /// Read element `i` of `b` (same typing rules as [`DataVec::get`]).
-    ///
-    /// # Safety
-    ///
-    /// `b` is an entry of a live view's `bufs` and `i < b.len`.
-    #[inline]
-    unsafe fn read(b: SharedBuf, i: usize) -> RtValue {
-        // SAFETY: `i` is in bounds (the caller's contract), `b.ptr` points
-        // to `b.len` elements of `b.dtype`'s type that outlive the view,
-        // and all concurrent access goes through these atomic helpers.
-        unsafe {
-            match b.dtype {
-                Dtype::F32 => RtValue::F32(f32::from_bits(load32(b.ptr.cast(), i))),
-                Dtype::F64 => RtValue::F64(f64::from_bits(load64(b.ptr.cast(), i))),
-                Dtype::I32 => RtValue::Int(load32(b.ptr.cast(), i) as i32 as i64),
-                Dtype::I64 => RtValue::Int(load64(b.ptr.cast(), i) as i64),
-            }
-        }
-    }
-
-    /// Write `value` to element `i` of `b`, buffer `id` (same coercions
-    /// and mismatch fault as [`DataVec::set`]).
-    ///
-    /// # Safety
-    ///
-    /// `b` is entry `id` of a live view's `bufs` and `i < b.len`.
-    #[inline]
-    unsafe fn write(b: SharedBuf, id: MemId, i: usize, value: RtValue) -> Result<(), MemFault> {
-        // SAFETY: as in `read`.
-        unsafe {
-            match (b.dtype, value) {
-                (Dtype::F32, RtValue::F32(x)) => store32(b.ptr.cast(), i, x.to_bits()),
-                (Dtype::F32, RtValue::F64(x)) => store32(b.ptr.cast(), i, (x as f32).to_bits()),
-                (Dtype::F64, RtValue::F64(x)) => store64(b.ptr.cast(), i, x.to_bits()),
-                (Dtype::F64, RtValue::F32(x)) => store64(b.ptr.cast(), i, (x as f64).to_bits()),
-                (Dtype::I32, RtValue::Int(x)) => store32(b.ptr.cast(), i, x as i32 as u32),
-                (Dtype::I64, RtValue::Int(x)) => store64(b.ptr.cast(), i, x as u64),
-                (dtype, v) => {
-                    return Err(MemFault::TypeMismatch {
-                        buffer: Some(id),
-                        dtype,
-                        value: v.kind(),
-                    })
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Load one element.
-    #[inline]
-    pub fn load(&self, id: MemId, index: i64) -> Result<RtValue, MemFault> {
-        let (b, i) = self.check(id, index)?;
-        // SAFETY: `check` resolved `b` from this view and `i < b.len`.
-        Ok(unsafe { Self::read(b, i) })
-    }
-
-    /// Store one element.
-    #[inline]
-    pub fn store(&self, id: MemId, index: i64, value: RtValue) -> Result<(), MemFault> {
-        let (b, i) = self.check(id, index)?;
-        // SAFETY: `check` resolved `b` from this view and `i < b.len`.
-        unsafe { Self::write(b, id, i, value) }
-    }
-
-    /// Storage class of buffer `id` — what host-task closures key their
-    /// typed loops (and their mismatch diagnostics) on.
-    #[inline]
-    pub fn dtype(&self, id: MemId) -> Dtype {
-        self.bufs[id.0 as usize].dtype
-    }
-
-    /// Number of elements of buffer `id`.
-    #[inline]
-    pub fn len(&self, id: MemId) -> usize {
-        self.bufs[id.0 as usize].len
+    pub fn resolve(&self, id: MemId) -> Result<Buf<'p>, MemFault> {
+        let buf = self.bufs.get(id.0 as usize).copied();
+        buf.ok_or(MemFault::UnknownBuffer { id })
     }
 }
 
@@ -397,134 +261,27 @@ impl<'a, 'p> PlanPool<'a, 'p> {
         Ok(MemId(self.scratch.alloc_zeroed(elem, len) | ARENA_BIT))
     }
 
-    /// The worker-private storage behind an arena `id` and the name its
+    /// Buffer `id`, for one access: a launch-shared buffer, or — by the
+    /// id's tag bits — worker-private arena storage under the name its
     /// faults give it (dense constants: their index in the worker's
-    /// constant pool; allocas: none). `None` for a launch-shared buffer.
+    /// constant pool; allocas: none).
     #[inline]
-    fn arena(&self, id: MemId) -> Option<(&DataVec, Option<MemId>)> {
+    pub fn resolve(&mut self, id: MemId) -> Result<Buf<'_>, MemFault> {
         let idx = id.0 & !(ARENA_BIT | CONST_BIT);
         if id.0 & ARENA_BIT == 0 {
-            None
+            self.shared.resolve(id)
         } else if id.0 & CONST_BIT != 0 {
-            Some((self.consts.data(MemId(idx)), Some(MemId(idx))))
+            let name = Some(MemId(idx));
+            Ok(Buf::of(self.consts.data_mut(MemId(idx)), name, false))
         } else {
-            Some((&self.scratch.bufs[idx as usize], None))
+            Ok(Buf::of(&mut self.scratch.bufs[idx as usize], None, false))
         }
-    }
-
-    /// [`Self::arena`], mutably.
-    #[inline]
-    fn arena_mut(&mut self, id: MemId) -> Option<(&mut DataVec, Option<MemId>)> {
-        let idx = id.0 & !(ARENA_BIT | CONST_BIT);
-        if id.0 & ARENA_BIT == 0 {
-            None
-        } else if id.0 & CONST_BIT != 0 {
-            Some((self.consts.data_mut(MemId(idx)), Some(MemId(idx))))
-        } else {
-            Some((&mut self.scratch.bufs[idx as usize], None))
-        }
-    }
-
-    /// The bounds check of an access to element `index` of `id`: the
-    /// fallible half of the executor's access path, [`Self::read`] or
-    /// [`Self::write`] being the other.
-    ///
-    /// `proven` says [`crate::verify::PlanFacts::instantiate`] evaluated
-    /// the access site's symbolic address bounds against this launch's
-    /// geometry, arguments and buffer lengths and found them in range:
-    /// the comparison is then skipped for shared buffers (debug builds
-    /// keep it). Arena ids are never accessor-backed, so no proof covers
-    /// them and they are always checked.
-    #[inline]
-    pub(crate) fn check(&self, proven: bool, id: MemId, index: i64) -> Result<(), MemFault> {
-        match self.arena(id) {
-            Some((buf, name)) => check_index(name, index, buf.len()).map(drop),
-            None if proven => {
-                debug_assert!(
-                    self.shared.check(id, index).is_ok(),
-                    "proven-safe access out of bounds: index {index} of buffer {}",
-                    id.0
-                );
-                Ok(())
-            }
-            None => self.shared.check(id, index).map(drop),
-        }
-    }
-
-    /// Read element `index` of `id`.
-    ///
-    /// # Safety
-    ///
-    /// [`Self::check`] returned `Ok` for `(id, index)` on this pool, with
-    /// `proven` set only under the contract documented there.
-    #[inline]
-    pub(crate) unsafe fn read(&self, id: MemId, index: i64) -> RtValue {
-        match self.arena(id) {
-            Some((buf, _)) => buf.get(index as usize),
-            // SAFETY: the buffer is this view's, and `index` is within its
-            // length: compared by `check`, or bounded by the instantiated
-            // site proof (the caller's contract).
-            None => unsafe { SharedPool::read(self.shared.bufs[id.0 as usize], index as usize) },
-        }
-    }
-
-    /// Write `value` to element `index` of `id`; a value no coercion maps
-    /// onto the buffer's elements is a [`MemFault::TypeMismatch`] (the
-    /// verifier does not prove element types).
-    ///
-    /// # Safety
-    ///
-    /// As for [`Self::read`].
-    #[inline]
-    pub(crate) unsafe fn write(
-        &mut self,
-        id: MemId,
-        index: i64,
-        value: RtValue,
-    ) -> Result<(), MemFault> {
-        match self.arena_mut(id) {
-            Some((buf, name)) => buf.set(name, index as usize, value),
-            // SAFETY: as in `read`.
-            None => unsafe {
-                SharedPool::write(self.shared.bufs[id.0 as usize], id, index as usize, value)
-            },
-        }
-    }
-
-    /// Load one element (shared buffers or either arena).
-    #[inline]
-    pub fn load(&self, id: MemId, index: i64) -> Result<RtValue, MemFault> {
-        self.check(false, id, index)?;
-        // SAFETY: the unproven `check` compared `index` against the length.
-        Ok(unsafe { self.read(id, index) })
-    }
-
-    /// Store one element (shared buffers or either arena).
-    #[inline]
-    pub fn store(&mut self, id: MemId, index: i64, value: RtValue) -> Result<(), MemFault> {
-        self.check(false, id, index)?;
-        // SAFETY: the unproven `check` compared `index` against the length.
-        unsafe { self.write(id, index, value) }
-    }
-
-    /// Element size in bytes (drives transaction coalescing).
-    #[inline]
-    pub fn elem_bytes(&self, id: MemId) -> usize {
-        match self.arena(id) {
-            Some((buf, _)) => buf.elem_bytes(),
-            None => self.shared.dtype(id).bytes(),
-        }
-    }
-
-    /// Recycle the scratch arena (call between work-groups).
-    pub(crate) fn next_work_group(&mut self) {
-        self.scratch.reset();
     }
 }
 
 /// Per-worker execution context of the plan engine: the memory interface,
 /// the cost model, locally accumulated statistics and the per-work-group
-/// coalescing tracker. The plan engine needs no IR access at run time, so
+/// coalescing log. The plan engine needs no IR access at run time, so
 /// (unlike the tree-walk [`crate::interp::ExecCtx`]) this context carries
 /// no `&Module` — which is what lets it cross thread boundaries.
 pub struct PlanExecCtx<'a, 'p> {
@@ -534,8 +291,8 @@ pub struct PlanExecCtx<'a, 'p> {
     pub cost: &'a CostModel,
     /// Statistics accumulated by this worker (merged after the join).
     pub stats: ExecStats,
-    /// Per-work-group state (coalescing tracker).
-    pub wg: WorkGroupCtx,
+    /// The current work-group's coalescing tracker.
+    pub coalescer: Coalescer,
 }
 
 impl<'a, 'p> PlanExecCtx<'a, 'p> {
@@ -545,15 +302,15 @@ impl<'a, 'p> PlanExecCtx<'a, 'p> {
             pool: PlanPool::new(shared),
             cost,
             stats: ExecStats::default(),
-            wg: WorkGroupCtx::default(),
+            coalescer: Coalescer::new(cost),
         }
     }
 
     /// Reset work-group-shared state and recycle the scratch arena (call
     /// between work-groups).
     pub fn next_work_group(&mut self) {
-        self.wg.reset();
-        self.pool.next_work_group();
+        self.coalescer.reset();
+        self.pool.scratch.reset();
     }
 }
 
@@ -810,23 +567,23 @@ impl<'a, 'p> HostView<'a, 'p> {
 
     /// Number of elements of buffer `id`.
     pub fn len(&self, id: MemId) -> usize {
-        self.shared.len(id)
+        self.shared.bufs[id.0 as usize].len()
     }
 
-    /// Load one element ([`SharedPool::load`]).
+    /// Load one element ([`Buf::load`]).
     pub fn load(&self, id: MemId, index: i64) -> Result<RtValue, MemFault> {
-        self.shared.load(id, index)
+        Ok(self.shared.resolve(id)?.load(index)?.into())
     }
 
-    /// Store one element ([`SharedPool::store`]).
+    /// Store one element ([`Buf::store`]).
     pub fn store(&self, id: MemId, index: i64, value: RtValue) -> Result<(), MemFault> {
-        self.shared.store(id, index, value)
+        self.shared.resolve(id)?.store(index, value)
     }
 
     /// Element type name of buffer `id` (`"f32"`, `"f64"`, `"i32"` or
     /// `"i64"`).
     pub fn dtype_name(&self, id: MemId) -> &'static str {
-        self.shared.dtype(id).name()
+        self.shared.bufs[id.0 as usize].dtype().name()
     }
 }
 
@@ -1646,13 +1403,13 @@ pub fn run_plan_graph_report(
         });
     }
     let shared = SharedPool::new(pool_mem);
-    // Empty launches never enter the ready set — no work-group of theirs
-    // could ever retire them; root empties are retired eagerly below and
-    // dependent empties cascade through `retire`.
-    let initially_ready: ReadySet = (0..units.len())
-        .filter(|&i| dag.preds[i] == 0 && units[i].total > 0)
-        .map(|i| (units[i].cp, Reverse(i)))
-        .collect();
+    // Empty launches never enter the ready set (no work-group could retire
+    // them): roots retire eagerly below, the rest cascade through `retire`.
+    // Room for every launch up front: storage a pool worker grew would land
+    // in that worker's allocator cache and pin this thread's heap for good.
+    let mut initially_ready = ReadySet::with_capacity(units.len());
+    let roots = (0..units.len()).filter(|&i| dag.preds[i] == 0 && units[i].total > 0);
+    initially_ready.extend(roots.map(|i| (units[i].cp, Reverse(i))));
 
     let state = GraphState {
         launches_left: AtomicUsize::new(units.len()),
@@ -1858,6 +1615,15 @@ pub(crate) fn run_one_launch(
 mod tests {
     use super::*;
 
+    /// One access through a worker's pool: resolve, then the `Buf`.
+    fn load(pp: &mut PlanPool<'_, '_>, id: MemId, index: i64) -> Result<RtValue, MemFault> {
+        Ok(pp.resolve(id)?.load(index)?.into())
+    }
+
+    fn store(pp: &mut PlanPool<'_, '_>, id: MemId, i: i64, v: RtValue) -> Result<(), MemFault> {
+        pp.resolve(id)?.store(i, v)
+    }
+
     #[test]
     fn group_linearization_matches_sequential_order() {
         let groups = [2_i64, 3, 4];
@@ -1881,19 +1647,19 @@ mod tests {
         {
             let shared = SharedPool::new(&mut pool);
             let mut pp = PlanPool::new(&shared);
-            pp.store(f, 1, RtValue::F32(1.5)).unwrap();
-            pp.store(l, 0, RtValue::Int(-3)).unwrap();
-            assert_eq!(pp.load(f, 1), Ok(RtValue::F32(1.5)));
-            assert_eq!(pp.load(l, 0), Ok(RtValue::Int(-3)));
-            assert_eq!(pp.elem_bytes(f), 4);
-            assert_eq!(pp.elem_bytes(l), 8);
+            store(&mut pp, f, 1, RtValue::F32(1.5)).unwrap();
+            store(&mut pp, l, 0, RtValue::Int(-3)).unwrap();
+            assert_eq!(load(&mut pp, f, 1), Ok(RtValue::F32(1.5)));
+            assert_eq!(load(&mut pp, l, 0), Ok(RtValue::Int(-3)));
+            assert_eq!(pp.resolve(f).unwrap().dtype().bytes(), 4);
+            assert_eq!(pp.resolve(l).unwrap().dtype().bytes(), 8);
 
             // Arena allocations are tagged and never alias shared ids.
             let a = pp.alloc(DataVec::I32(vec![7; 3])).unwrap();
             assert_ne!(a.0 & ARENA_BIT, 0);
-            pp.store(a, 2, RtValue::Int(9)).unwrap();
-            assert_eq!(pp.load(a, 2), Ok(RtValue::Int(9)));
-            assert_eq!(pp.load(a, 0), Ok(RtValue::Int(7)));
+            store(&mut pp, a, 2, RtValue::Int(9)).unwrap();
+            assert_eq!(load(&mut pp, a, 2), Ok(RtValue::Int(9)));
+            assert_eq!(load(&mut pp, a, 0), Ok(RtValue::Int(7)));
         }
         // Writes through the shared view landed in the original pool.
         assert_eq!(pool.load(f, 1), Ok(RtValue::F32(1.5)));
@@ -1917,27 +1683,27 @@ mod tests {
         let a = pp.alloc_zeroed(&f32t, 3).unwrap();
         assert_ne!(a.0 & ARENA_BIT, 0);
         assert_eq!(a.0 & CONST_BIT, 0);
-        pp.store(a, 1, RtValue::F32(7.0)).unwrap();
-        assert_eq!(pp.load(a, 1), Ok(RtValue::F32(7.0)));
+        store(&mut pp, a, 1, RtValue::F32(7.0)).unwrap();
+        assert_eq!(load(&mut pp, a, 1), Ok(RtValue::F32(7.0)));
 
-        pp.next_work_group();
+        pp.scratch.reset();
         let a2 = pp.alloc_zeroed(&f32t, 3).unwrap();
         assert_eq!(a2, a, "matching allocation is recycled");
         assert_eq!(
-            pp.load(a2, 1),
+            load(&mut pp, a2, 1),
             Ok(RtValue::F32(0.0)),
             "recycled storage re-zeroed"
         );
 
         // A shape/type mismatch at the cursor replaces the buffer.
-        pp.next_work_group();
+        pp.scratch.reset();
         let b = pp.alloc_zeroed(&ctx.i64_type(), 5).unwrap();
         assert_eq!(b, a, "same slot, new storage");
-        assert_eq!(pp.load(b, 4), Ok(RtValue::Int(0)));
-        assert_eq!(pp.elem_bytes(b), 8);
+        assert_eq!(load(&mut pp, b, 4), Ok(RtValue::Int(0)));
+        assert_eq!(pp.resolve(b).unwrap().dtype().bytes(), 8);
 
         // The constant survived all resets.
-        assert_eq!(pp.load(k, 0), Ok(RtValue::F32(4.5)));
+        assert_eq!(load(&mut pp, k, 0), Ok(RtValue::F32(4.5)));
     }
 
     #[test]
@@ -1953,27 +1719,36 @@ mod tests {
                 len: 2,
             })
         };
-        assert_eq!(shared.load(f, 5), oob(Some(f), 5));
+        let view = HostView::new(&shared);
+        assert_eq!(view.load(f, 5), oob(Some(f), 5));
         assert_eq!(
-            shared.store(f, -1, RtValue::F32(1.0)),
+            view.store(f, -1, RtValue::F32(1.0)),
             oob(Some(f), -1).map(drop)
         );
         let id = MemId(3);
-        assert_eq!(shared.load(id, 0), Err(MemFault::UnknownBuffer { id }));
+        assert_eq!(view.load(id, 0), Err(MemFault::UnknownBuffer { id }));
         // A worker's arenas are checked alike; an alloca has no id to name.
         let mut pp = PlanPool::new(&shared);
         let a = pp.alloc_zeroed(&ctx.f32_type(), 2).unwrap();
-        assert_eq!(pp.load(a, 2), oob(None, 2));
+        assert_eq!(load(&mut pp, a, 2), oob(None, 2));
         let (buffer, dtype, value) = (None, Dtype::F32, "int");
         let mismatch = MemFault::TypeMismatch {
             buffer,
             dtype,
             value,
         };
-        assert_eq!(pp.store(a, 0, RtValue::Int(1)), Err(mismatch));
+        assert_eq!(store(&mut pp, a, 0, RtValue::Int(1)), Err(mismatch));
         // A proven site skips the check for shared buffers only.
-        assert_eq!(pp.check(true, a, 2), oob(None, 2).map(drop));
-        assert_eq!(pp.check(true, f, 1), Ok(()));
+        // SAFETY: index 1 of the two-element `f` is in range, as a site
+        // proof would have it; the arena buffer is compared regardless.
+        unsafe {
+            let at = |pp: &mut PlanPool<'_, '_>, id, i| {
+                let buf = pp.resolve(id).unwrap();
+                buf.load_at(true, i).map(RtValue::from)
+            };
+            assert_eq!(at(&mut pp, a, 2), oob(None, 2));
+            assert_eq!(at(&mut pp, f, 1), Ok(RtValue::F32(0.0)));
+        }
     }
 
     /// The claim chunk is sized from the **clamped** worker count

@@ -333,9 +333,6 @@ mod engine_differential {
                 &[
                     ("acc.load.idx", 68),
                     ("acc.load.quad", 31),
-                    ("addf.store", 1),
-                    ("binf.store", 7),
-                    ("cmpi.br", 16),
                     ("load.addf", 26),
                     ("load.mulf", 7),
                 ],
@@ -345,9 +342,6 @@ mod engine_differential {
                 &[
                     ("acc.load.idx", 61),
                     ("acc.load.quad", 31),
-                    ("addf.store", 1),
-                    ("binf.store", 7),
-                    ("cmpi.br", 16),
                     ("load.addf", 26),
                     ("load.mulf", 7),
                 ],
@@ -357,9 +351,6 @@ mod engine_differential {
                 &[
                     ("acc.load.idx", 68),
                     ("acc.load.quad", 31),
-                    ("addf.store", 1),
-                    ("binf.store", 7),
-                    ("cmpi.br", 16),
                     ("load.addf", 12),
                     ("load.fma", 4),
                     ("load.mulf", 7),

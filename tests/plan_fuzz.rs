@@ -687,7 +687,7 @@ impl Gen {
     }
 
     /// Emit the accumulate-then-store pair: float binary op + `Store`
-    /// (StoreBinFloat bait).
+    /// (no window; the op may still close a load-headed one).
     fn store_accum(&mut self) {
         let idx = self.masked_index();
         let (l, r) = (self.pick_float(), self.pick_float());
@@ -715,8 +715,8 @@ impl Gen {
         }
     }
 
-    /// Emit an `if`-shaped block: `cmpi` + `BranchIfFalse` (CmpIBranch
-    /// bait) around a short straight-line body. Registers defined inside
+    /// Emit an `if`-shaped block: `cmpi` + `BranchIfFalse` around a
+    /// short straight-line body. Registers defined inside
     /// are scoped out afterwards (the branch may skip them).
     fn if_block(&mut self) {
         let pred = self.cmp_pred();
@@ -993,8 +993,6 @@ fn random_bytecode_exercises_fusion_broadly() {
     println!("windows fused over the seed population: {fired:?}");
     for (window, floor) in [
         (&["load.addf", "load.mulf"][..], 50),
-        (&["addf.store", "mulf.store", "binf.store"][..], 50),
-        (&["cmpi.br"][..], 50),
         (&["acc.load.idx"][..], 25),
         (&["load.fma"][..], 25),
         (&["acc.load.quad"][..], 25),
@@ -1125,8 +1123,7 @@ fn mid_chain_failing_plan(fail_from: i64) -> KernelPlan {
             rank: 1,
             site: 0,
         },
-        // if group_id >= fail_from, run the failing chain (the
-        // cmpi+branch itself fuses to CmpIBranch).
+        // if group_id >= fail_from, run the failing chain.
         Instr::CmpI {
             pred: CmpPred::Slt,
             dst: 11,
@@ -1233,8 +1230,7 @@ fn mid_chain_error_matches_unfused_and_bound_prunes_correctly() {
     let unfused_a = mid_chain_failing_plan(3);
     let mut fused_a = unfused_a.clone();
     fuse_plan(&mut fused_a);
-    // The failing chain fused (Load+mulf+addf), and so did the guard
-    // (cmpi+branch) and the marker/store shapes.
+    // The failing chain fused (Load+mulf+addf).
     assert!(
         windows(&fused_a).contains(&"load.fma"),
         "the failing Load+mulf+addf chain must fuse"
