@@ -81,7 +81,7 @@ pub fn run_row(w: &WorkloadSpec, quick: bool, device: &Device) -> Row {
                 // --deadline-ms) means the workload was wedged and the
                 // safety net caught it: exit with the distinct limit
                 // status instead of reporting a missing bar.
-                if e.contains("execution limit exceeded") {
+                if e.sim_error().is_some_and(|e| e.limit_kind().is_some()) {
                     eprintln!("error: {} [{}]: {e}", w.name, kind.name());
                     std::process::exit(LIMIT_EXIT);
                 }

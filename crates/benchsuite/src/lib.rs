@@ -26,7 +26,7 @@ pub mod stencil;
 use sycl_mlir_core::FlowKind;
 use sycl_mlir_ir::Module;
 use sycl_mlir_runtime::{Queue, SyclRuntime};
-use sycl_mlir_sim::{Device, ExecStats};
+use sycl_mlir_sim::{Device, ExecStats, SimError};
 
 pub use sycl_mlir_sim::Engine;
 
@@ -94,6 +94,49 @@ pub struct RunResult {
     pub compile_notes: Vec<String>,
 }
 
+/// Why a workload produced no [`RunResult`]: its pipeline failed to
+/// compile the program, or the simulator failed the run. Displays as
+/// `name [flow]: cause`; the simulator's error stays a value, so callers
+/// tell a tripped execution limit from other failures by
+/// [`SimError::limit_kind`], not by its text.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WorkloadError {
+    /// `name [flow]` of the run that failed.
+    pub run: String,
+    pub cause: WorkloadFailure,
+}
+
+/// What went wrong in a [`WorkloadError`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum WorkloadFailure {
+    /// The flow's pipeline rejected the program (pass error, verifier
+    /// report), as text.
+    Compile(String),
+    /// The simulator failed the run.
+    Sim(SimError),
+}
+
+impl WorkloadError {
+    /// The simulator's error, when the run (not the compilation) failed.
+    pub fn sim_error(&self) -> Option<&SimError> {
+        match &self.cause {
+            WorkloadFailure::Sim(e) => Some(e),
+            WorkloadFailure::Compile(_) => None,
+        }
+    }
+}
+
+impl std::fmt::Display for WorkloadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.cause {
+            WorkloadFailure::Compile(e) => write!(f, "{}: {e}", self.run),
+            WorkloadFailure::Sim(e) => write!(f, "{}: {e}", self.run),
+        }
+    }
+}
+
+impl std::error::Error for WorkloadError {}
+
 /// Compile and execute a workload under `kind` at `size`, validating the
 /// results. Runs on the default [`Device`] (the plan engine, unless
 /// overridden via `SYCL_MLIR_SIM_ENGINE`).
@@ -103,7 +146,11 @@ pub struct RunResult {
 /// Returns compilation or simulation errors; a *validation* failure is
 /// reported through [`RunResult::valid`] (that is data, not an error — the
 /// paper plots it as a missing bar).
-pub fn run_workload(spec: &WorkloadSpec, size: i64, kind: FlowKind) -> Result<RunResult, String> {
+pub fn run_workload(
+    spec: &WorkloadSpec,
+    size: i64,
+    kind: FlowKind,
+) -> Result<RunResult, WorkloadError> {
     run_workload_on(spec, size, kind, &Device::new()).map(|(result, _)| result)
 }
 
@@ -116,7 +163,7 @@ pub fn run_workload_on(
     size: i64,
     kind: FlowKind,
     device: &Device,
-) -> Result<(RunResult, SyclRuntime), String> {
+) -> Result<(RunResult, SyclRuntime), WorkloadError> {
     if kind == FlowKind::AdaptiveCpp && spec.acpp_fails {
         // Mirrors §VIII: "The validation of results failed for a number of
         // benchmarks with AdaptiveCpp".
@@ -131,11 +178,15 @@ pub fn run_workload_on(
             SyclRuntime::new(),
         ));
     }
+    let failed = |cause| WorkloadError {
+        run: format!("{} [{}]", spec.name, kind.name()),
+        cause,
+    };
     let mut app = (spec.build)(size);
     let mut program = sycl_mlir_runtime::compile_program(kind, app.module)
-        .map_err(|e| format!("{} [{}]: {e}", spec.name, kind.name()))?;
+        .map_err(|e| failed(WorkloadFailure::Compile(e)))?;
     let report = sycl_mlir_runtime::exec::run(&mut program, &mut app.runtime, &app.queue, device)
-        .map_err(|e| format!("{} [{}]: {e}", spec.name, kind.name()))?;
+        .map_err(|e| failed(WorkloadFailure::Sim(e)))?;
     let valid = (app.validate)(&app.runtime).is_ok();
     let result = RunResult {
         cycles: report.measured_cycles(),

@@ -7,8 +7,8 @@ use std::collections::HashSet;
 use sycl_mlir_core::{CompileOutcome, Flow, FlowKind};
 use sycl_mlir_ir::{Module, OpId};
 use sycl_mlir_sim::{
-    AccessorVal, BatchLaunch, Device, ExecStats, HostNode, HostView, MemId, MemoryPool, RtValue,
-    SimError,
+    AccessorVal, BatchLaunch, Device, Dtype, ExecStats, HostNode, HostView, MemId, MemoryPool,
+    RtValue, SimError,
 };
 
 /// A compiled SYCL application (joint module + flow that produced it).
@@ -233,8 +233,9 @@ pub fn run(
         .iter()
         .zip(&launches)
         .zip(stats.into_iter().zip(jit_cycles_of))
-        .map(|((cg, launch), (stats, jit_cycles))| match launch.kernel {
-            Some(kernel) => {
+        .map(|((cg, launch), (stats, jit_cycles))| match launch {
+            BatchLaunch::Kernel { kernel, .. } => {
+                let kernel = *kernel;
                 // Launch overhead: DAE-marked arguments are not passed
                 // (§VII-B).
                 let dead = program
@@ -254,7 +255,7 @@ pub fn run(
                 }
             }
             // Host rows: zeroed stats and no launch overhead.
-            None => KernelRun {
+            BatchLaunch::Host(_) => KernelRun {
                 kernel: cg.kernel.clone(),
                 stats: ExecStats::default(),
                 launch_cycles: 0.0,
@@ -273,13 +274,13 @@ pub fn run(
 /// before the truncating store), so the result is deterministic and
 /// independent of the schedule position granted by the hazard DAG. A
 /// type-mismatched `AddInto` reports a structured [`SimError`] with
-/// pinned text instead of panicking a pool worker.
+/// pinned text instead of panicking a worker.
 fn host_node_of(op: HostOp, buf_mems: &[MemId]) -> HostNode {
     let apply = |mem: MemId, f: Box<dyn Fn(f64) -> f64 + Send + Sync>| {
         HostNode::new(move |view: &HostView<'_, '_>| {
-            let n = view.len(mem) as i64;
-            match view.dtype_name(mem) {
-                "f32" => {
+            let n = view.len(mem)? as i64;
+            match view.dtype(mem)? {
+                Dtype::F32 => {
                     for i in 0..n {
                         let RtValue::F32(x) = view.load(mem, i)? else {
                             unreachable!("f32 buffer loads f32")
@@ -287,7 +288,7 @@ fn host_node_of(op: HostOp, buf_mems: &[MemId]) -> HostNode {
                         view.store(mem, i, RtValue::F32(f(x as f64) as f32))?;
                     }
                 }
-                "f64" => {
+                Dtype::F64 => {
                     for i in 0..n {
                         let RtValue::F64(x) = view.load(mem, i)? else {
                             unreachable!("f64 buffer loads f64")
@@ -295,7 +296,7 @@ fn host_node_of(op: HostOp, buf_mems: &[MemId]) -> HostNode {
                         view.store(mem, i, RtValue::F64(f(x)))?;
                     }
                 }
-                "i32" => {
+                Dtype::I32 => {
                     for i in 0..n {
                         let RtValue::Int(x) = view.load(mem, i)? else {
                             unreachable!("i32 buffer loads int")
@@ -303,7 +304,7 @@ fn host_node_of(op: HostOp, buf_mems: &[MemId]) -> HostNode {
                         view.store(mem, i, RtValue::Int(f(x as f64) as i32 as i64))?;
                     }
                 }
-                _ => {
+                Dtype::I64 => {
                     for i in 0..n {
                         let RtValue::Int(x) = view.load(mem, i)? else {
                             unreachable!("i64 buffer loads int")
@@ -323,14 +324,16 @@ fn host_node_of(op: HostOp, buf_mems: &[MemId]) -> HostNode {
         HostOp::AddInto { dst, src } => {
             let (dst, src) = (buf_mems[dst.0], buf_mems[src.0]);
             HostNode::new(move |view: &HostView<'_, '_>| {
-                let (dd, sd) = (view.dtype_name(dst), view.dtype_name(src));
+                let (dd, sd) = (view.dtype(dst)?, view.dtype(src)?);
                 if dd != sd {
                     return Err(SimError::msg(format!(
-                        "host AddInto over mismatched element types {sd} -> {dd}"
+                        "host AddInto over mismatched element types {} -> {}",
+                        sd.name(),
+                        dd.name()
                     )));
                 }
                 // The legacy zip clamps to the shorter buffer.
-                let n = view.len(dst).min(view.len(src)) as i64;
+                let n = view.len(dst)?.min(view.len(src)?) as i64;
                 for i in 0..n {
                     match (view.load(dst, i)?, view.load(src, i)?) {
                         (RtValue::F32(d), RtValue::F32(s)) => {

@@ -65,7 +65,7 @@ impl CgArg {
 /// SYCL `handler::host_task`): it reads/writes buffers on the host and is
 /// ordered through the same hazard DAG as kernel launches. The executor
 /// runs it as a **first-class launch-graph node** (a
-/// [`sycl_mlir_sim::HostNode`]): one logical work-group on a pool worker,
+/// [`sycl_mlir_sim::HostNode`]): one logical work-group on a scheduler worker,
 /// hazard-tracked, metered at a fixed weight, cancellable and
 /// fault-injectable like any kernel launch — so kernels with no hazard on
 /// the host task overlap it freely.

@@ -12,7 +12,6 @@ use crate::value::{NdItemVal, RtValue};
 use crate::verify::{verify_plan, PlanFacts, VerifyMode};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Instant;
 use sycl_mlir_ir::{Module, OpId};
@@ -138,7 +137,7 @@ const PLAN_CACHE_CAP: usize = 256;
 /// module's mutation epoch: re-launching an unmutated kernel skips the
 /// decode entirely, while any IR mutation in between (e.g. AdaptiveCpp
 /// JIT re-specialization) transparently re-decodes. With `threads > 1`,
-/// work-groups of a launch run on a pool of OS threads (plan engine only;
+/// work-groups of a launch run on several OS threads (plan engine only;
 /// the tree-walk reference stays sequential) — results and statistics are
 /// bit-identical for every worker count.
 #[derive(Clone, Debug)]
@@ -530,38 +529,38 @@ impl Device {
         pool: &mut MemoryPool,
     ) -> Result<Vec<ExecStats>, SimError> {
         if self.engine == Engine::Plan {
-            // One slot per batch entry: `Some((plan, facts))` for a
-            // kernel, `None` for a host node. An undecodable kernel or a
-            // strict-mode rejection fails the whole graph, stamped with
-            // the offending launch index.
+            // Decode first — the launches below borrow the plans this
+            // holds: `Some((plan, facts))` per kernel entry, `None` per
+            // host node. An undecodable kernel or a strict-mode rejection
+            // fails the whole graph, stamped with the offending launch
+            // index.
             let plans: Vec<Option<PlanEntry>> = batch
                 .iter()
                 .enumerate()
-                .map(|(li, b)| {
-                    let entry = b.kernel.map(|k| self.cached_plan(m, k));
-                    entry.transpose().map_err(|e| e.at(li, 0))
+                .map(|(li, b)| match b {
+                    BatchLaunch::Kernel { kernel, .. } => {
+                        let entry = self.cached_plan(m, *kernel);
+                        entry.map(Some).map_err(|e| e.at(li, 0))
+                    }
+                    BatchLaunch::Host(_) => Ok(None),
                 })
                 .collect::<Result<_, _>>()?;
             let launches: Vec<PlanLaunch<'_>> = plans
                 .iter()
                 .zip(batch)
-                .map(|(entry, b)| match entry {
-                    Some((plan, facts)) => PlanLaunch {
-                        plan: Some(plan),
-                        args: &b.args,
-                        nd: b.nd,
-                        host: None,
-                        facts: facts.as_deref(),
-                    },
-                    // A malformed entry (neither kernel nor host) is
-                    // rejected by the graph validator.
-                    None => PlanLaunch {
-                        plan: None,
-                        args: &b.args,
-                        nd: b.nd,
-                        host: b.host.as_ref(),
-                        facts: None,
-                    },
+                .map(|(entry, b)| match (b, entry) {
+                    (BatchLaunch::Kernel { args, nd, .. }, Some((plan, facts))) => {
+                        PlanLaunch::Kernel {
+                            plan,
+                            args,
+                            nd: *nd,
+                            facts: facts.as_deref(),
+                        }
+                    }
+                    (BatchLaunch::Host(node), _) => PlanLaunch::Host(node),
+                    (BatchLaunch::Kernel { .. }, None) => {
+                        unreachable!("every kernel entry was decoded above")
+                    }
                 })
                 .collect();
             let out = run_plan_graph_report(
@@ -594,24 +593,21 @@ impl Device {
         batch
             .iter()
             .enumerate()
-            .map(|(li, b)| match (b.kernel, &b.host) {
-                (Some(kernel), None) => launch_kernel_with(
+            .map(|(li, b)| match b {
+                BatchLaunch::Kernel { kernel, args, nd } => launch_kernel_with(
                     m,
-                    kernel,
-                    &b.args,
-                    b.nd,
+                    *kernel,
+                    args,
+                    *nd,
                     pool,
                     &self.cost,
                     &self.limits,
                     deadline,
                     li,
                 ),
-                (None, Some(node)) => {
+                BatchLaunch::Host(node) => {
                     run_host_serial(node, pool, &self.limits, deadline, li).map_err(|e| e.at(li, 0))
                 }
-                _ => Err(SimError::msg(
-                    "a batch launch must carry exactly one of a kernel or a host node",
-                )),
             })
             .collect()
     }
@@ -757,42 +753,33 @@ fn barrier_uniformity(m: &Module, kernel: OpId) -> (u32, u32) {
     (total, uniform)
 }
 
-/// One entry of a [`Device::launch_graph`] call: either a kernel with its
-/// bound arguments and geometry, or a host-task node ([`HostNode`])
-/// occupying one logical work-group.
-/// Exactly one of [`BatchLaunch::kernel`] / [`BatchLaunch::host`] is
-/// `Some`; use the constructors.
+/// One entry of a [`Device::launch_graph`] call: a kernel with its bound
+/// arguments and geometry, or a host-task node ([`HostNode`]) occupying
+/// one logical work-group.
 #[derive(Clone, Debug)]
-pub struct BatchLaunch {
-    /// The kernel function to launch (`None` for host nodes).
-    pub kernel: Option<OpId>,
-    /// Kernel arguments, excluding the trailing item parameter.
-    pub args: Vec<RtValue>,
-    /// Launch geometry (a single 1×1 group for host nodes).
-    pub nd: NdRangeSpec,
-    /// The host closure, when this entry is a host task.
-    pub host: Option<HostNode>,
+pub enum BatchLaunch {
+    /// A kernel launch.
+    Kernel {
+        /// The kernel function to launch.
+        kernel: OpId,
+        /// Kernel arguments, excluding the trailing item parameter.
+        args: Vec<RtValue>,
+        /// Launch geometry.
+        nd: NdRangeSpec,
+    },
+    /// A host task.
+    Host(HostNode),
 }
 
 impl BatchLaunch {
     /// A kernel launch entry.
     pub fn kernel(kernel: OpId, args: Vec<RtValue>, nd: NdRangeSpec) -> BatchLaunch {
-        BatchLaunch {
-            kernel: Some(kernel),
-            args,
-            nd,
-            host: None,
-        }
+        BatchLaunch::Kernel { kernel, args, nd }
     }
 
     /// A host-task entry: one logical 1×1 work-group running `node`.
     pub fn host_node(node: HostNode) -> BatchLaunch {
-        BatchLaunch {
-            kernel: None,
-            args: Vec::new(),
-            nd: NdRangeSpec::d1(1, 1),
-            host: Some(node),
-        }
+        BatchLaunch::Host(node)
     }
 }
 
@@ -833,7 +820,7 @@ fn launch_kernel_with(
     let groups = nd.groups();
     let mut ctx = ExecCtx::new(m, pool, cost);
     if !limits.is_none() {
-        let budget = limits.max_ops.map(|b| Arc::new(AtomicU64::new(b)));
+        let budget = limits.launch_budget();
         ctx.limits = Some(Box::new(OpMeter::new(limits, budget, deadline, launch)));
     }
 
@@ -864,8 +851,8 @@ fn launch_kernel_with(
 }
 
 /// The tree-walk engine's twin of the graph scheduler's host-node
-/// execution: honour the decode and claim fault sites, charge the node's
-/// fixed weight through a per-execution [`OpMeter`], then run the
+/// execution: honour the decode and claim fault sites, admit the node
+/// through the limits ([`OpMeter::charge_host_node`]), then run the
 /// closure against a [`HostView`] of the pool. Errors are returned
 /// unstamped; the caller stamps the `(launch, group)` position.
 fn run_host_serial(
@@ -875,35 +862,13 @@ fn run_host_serial(
     deadline: Option<Instant>,
     launch: usize,
 ) -> Result<ExecStats, SimError> {
-    match limits.fault_at(launch) {
-        Some(FaultSite::Decode) => {
-            return Err(FaultPlan {
-                launch,
-                site: FaultSite::Decode,
-            }
-            .error());
-        }
-        // A host node spans one logical work-group, so only claim 0 can
-        // fire (matching the graph scheduler's claim accounting).
-        Some(FaultSite::Claim(0)) => {
-            return Err(FaultPlan {
-                launch,
-                site: FaultSite::Claim(0),
-            }
-            .error());
-        }
-        _ => {}
+    // A host node spans one logical work-group, so only claim 0 can fire
+    // (matching the graph scheduler's claim accounting).
+    if let Some(site @ (FaultSite::Decode | FaultSite::Claim(0))) = limits.fault_at(launch) {
+        return Err(FaultPlan { launch, site }.error());
     }
-    let metered = limits.max_ops.is_some()
-        || limits.deadline_ms.is_some()
-        || limits.cancel.is_some()
-        || matches!(limits.fault_at(launch), Some(FaultSite::Instr(_)));
-    if metered {
-        let budget = limits.max_ops.map(|b| Arc::new(AtomicU64::new(b)));
-        let mut meter = OpMeter::new(limits, budget, deadline, launch);
-        let outcome = meter.charge(node.weight);
-        meter.settle();
-        outcome?;
+    if let Some(meter) = OpMeter::for_launch(limits, limits.launch_budget(), deadline, launch) {
+        meter.charge_host_node(node.weight)?;
     }
     let shared = SharedPool::new(pool);
     node.run(&HostView::new(&shared))?;
@@ -1368,15 +1333,10 @@ mod tests {
                 batch
                     .iter()
                     .map(|b| {
-                        device
-                            .launch(
-                                &m,
-                                b.kernel.expect("kernel entry"),
-                                &b.args,
-                                b.nd,
-                                &mut pool,
-                            )
-                            .unwrap()
+                        let BatchLaunch::Kernel { kernel, args, nd } = b else {
+                            panic!("kernel entry")
+                        };
+                        device.launch(&m, *kernel, args, *nd, &mut pool).unwrap()
                     })
                     .collect()
             };

@@ -86,7 +86,11 @@
 //! tasks** run as first-class graph nodes ([`HostNode`], one logical
 //! work-group, hazard-tracked and metered like any launch). This is the
 //! one schedule of the plan engine; the tree-walk engine is the serial
-//! reference, running launches in submission order. Per-worker scratch
+//! reference, running launches in submission order. A run's workers are
+//! scoped threads — the calling thread plus up to `threads − 1` spawned
+//! for the run and joined before it returns: a program is one graph run,
+//! so no pool of threads is kept between runs (ARCHITECTURE.md, "Pool
+//! and arena design"). Per-worker scratch
 //! arenas are recycled across work-groups and launches to cut
 //! private-alloca churn. A `--profile`
 //! mode (`SYCL_MLIR_SIM_PROFILE=on`) counts every executed instruction

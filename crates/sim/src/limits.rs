@@ -79,6 +79,11 @@ impl ExecLimits {
             _ => None,
         }
     }
+
+    /// A launch's operation budget, full (`None` without `max_ops`).
+    pub(crate) fn launch_budget(&self) -> Option<Arc<AtomicU64>> {
+        self.max_ops.map(|ops| Arc::new(AtomicU64::new(ops)))
+    }
 }
 
 /// A shared cancellation flag. Clone it, hand one side to another thread,
@@ -168,6 +173,21 @@ impl std::fmt::Display for FaultPlan {
     }
 }
 
+/// The limit that has tripped by now, if either has: the cancel token, the
+/// wall-clock deadline. Polled by the meter at op-block boundaries and by
+/// the scheduler at claim-chunk boundaries.
+pub(crate) fn tripped(
+    cancel: Option<&CancelToken>,
+    deadline: Option<Instant>,
+) -> Option<LimitKind> {
+    if cancel.is_some_and(CancelToken::is_cancelled) {
+        return Some(LimitKind::Cancelled);
+    }
+    deadline
+        .is_some_and(|d| Instant::now() >= d)
+        .then_some(LimitKind::Deadline)
+}
+
 /// Ops reserved from the shared budget per refill. Large enough that the
 /// per-instruction cost is one subtraction, small enough that deadlines
 /// and cancellation are polled every fraction of a millisecond.
@@ -252,6 +272,34 @@ impl OpMeter {
         }
     }
 
+    /// The meter `launch` executes under, or `None` when nothing a meter
+    /// polls is on for it: no op budget, no deadline, no cancel token and
+    /// no `instr` fault. (Claim-site faults are the scheduler's, the plan
+    /// engine's memory cap its workers' pools'.)
+    pub(crate) fn for_launch(
+        limits: &ExecLimits,
+        budget: Option<Arc<AtomicU64>>,
+        deadline: Option<Instant>,
+        launch: usize,
+    ) -> Option<OpMeter> {
+        let metered = limits.max_ops.is_some()
+            || limits.deadline_ms.is_some()
+            || limits.cancel.is_some()
+            || matches!(limits.fault_at(launch), Some(FaultSite::Instr(_)));
+        metered.then(|| OpMeter::new(limits, budget, deadline, launch))
+    }
+
+    /// Admit a host node through its launch's meter: a closure is opaque
+    /// to the instruction meter, so it pays a flat `weight` (op budget,
+    /// deadline/cancellation poll and the `instr` fault site all
+    /// honoured) before it runs, and the unspent remainder of the metered
+    /// block settles back so budgets stay exact.
+    pub(crate) fn charge_host_node(mut self, weight: u64) -> Result<(), SimError> {
+        let metered = self.charge(weight);
+        self.settle();
+        metered
+    }
+
     /// Pay for one instruction of weight `w`. `Err` when a limit (or the
     /// armed fault) trips at the refill boundary.
     #[inline]
@@ -281,15 +329,8 @@ impl OpMeter {
                 .error());
             }
         }
-        if let Some(c) = &self.cancel {
-            if c.is_cancelled() {
-                return Err(SimError::limit(LimitKind::Cancelled));
-            }
-        }
-        if let Some(d) = self.deadline {
-            if Instant::now() >= d {
-                return Err(SimError::limit(LimitKind::Deadline));
-            }
+        if let Some(kind) = tripped(self.cancel.as_ref(), self.deadline) {
+            return Err(SimError::limit(kind));
         }
         let mut take = OP_BLOCK.max(w) - self.granted;
         if self.fault_left != u64::MAX {

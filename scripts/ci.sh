@@ -38,7 +38,8 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # The last thing the gate prints: the simulator's line count (ROADMAP aim
-# 2: "lines removed is a reported metric"), the allocation and plan-size
+# 2: "lines removed is a reported metric"; every file under crates/sim/src,
+# `plan/` and `pool/` included), the allocation and plan-size
 # gauges, how long the gate took and how many tests `cargo test` passed —
 # the numbers a PR that adds or removes code or configurations is expected
 # to report before/after.
@@ -47,8 +48,8 @@ tsan_leg=skipped
 summary() {
   find crates/sim/src -name '*.rs' | sort | xargs wc -l
   # `unsafe {` blocks of the simulator, next to its size: the pointer core
-  # (memory.rs `Buf`, the worker pool's lifetime-erased jobs) is small
-  # enough to count.
+  # (memory.rs `Buf` and the executor's proven-site accesses through it)
+  # is small enough to count — 11 since the worker pool went.
   echo "unsafe blocks under crates/sim/src: $(grep -rhoE 'unsafe \{' crates/sim/src | wc -l)"
   # The nightly-only legs skip when their toolchain is missing (and under
   # --fast): say which of them this run actually held.
@@ -75,10 +76,13 @@ cargo build --release
 
 # Device-memory faults are `MemFault` values (ARCHITECTURE.md, "Faults are
 # values"): no panic carries one, so nothing may classify panics by text —
-# nor errors: an injected fault is `SimError::Injected` and a memory fault
-# `SimError::Fault`, told by variant, never flattened into a message.
+# nor errors: an injected fault is `SimError::Injected`, a memory fault
+# `SimError::Fault` and a limit trip `SimError::LimitExceeded`, told by
+# variant (`limit_kind()`), never flattened into a message — the limit
+# text is written in interp.rs and matched nowhere.
 step "no panic-transported memory faults, no error classified by its text under crates/"
-if grep -rnE 'failure_of_panic|(starts_with|contains)\("(device memory|type-mismatched|unknown device buffer)|panic!\("type-mismatched|starts_with\("injected fault|msg\(fault\.to_string\(\)\)' crates/; then
+if grep -rnE 'failure_of_panic|(starts_with|contains)\("(device memory|type-mismatched|unknown device buffer)|panic!\("type-mismatched|starts_with\("injected fault|msg\(fault\.to_string\(\)\)' crates/ ||
+  grep -rnF 'contains("execution limit exceeded")' crates/ | grep -v '^crates/sim/src/interp.rs:'; then
   echo "FAIL: a memory fault is being reported by panic, or a failure classified by its text, again" >&2
   exit 1
 fi
@@ -135,6 +139,17 @@ if grep -rnE '\b(load32|load64|store32|store64)\(' crates/sim/src | grep -v '^cr
 fi
 if grep -rnE 'fn elem_bytes\(&self, id|macro_rules! pool_(load|store)|IntMixHasher' crates/sim/src; then
   echo "FAIL: a per-id element-size lookup, a pool access macro or the tracker's hasher is back" >&2
+  exit 1
+fi
+
+# One graph run per program (ARCHITECTURE.md, "Pool and arena design"): a
+# run's extra workers are scoped threads that borrow its state and are
+# joined before it returns. The process-wide pool they replaced — parked
+# threads, lifetime-erased job pointers, a completion latch — must not
+# come back beside them.
+step "no persistent worker pool under crates/sim/src"
+if grep -rnE 'RawJob|static POOL|fn launch_job|ensure_workers|worker_main' crates/sim/src; then
+  echo "FAIL: the persistent worker pool is back; a graph run's workers are scoped threads" >&2
   exit 1
 fi
 

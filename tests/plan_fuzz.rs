@@ -1474,11 +1474,10 @@ fn execute_with_facts(
             constant: false,
         }),
     ];
-    let launch = PlanLaunch {
-        plan: Some(plan),
+    let launch = PlanLaunch::Kernel {
+        plan,
         args: &args,
         nd: NdRangeSpec::d1(8, 4),
-        host: None,
         facts,
     };
     let result = run_launch(launch, &mut pool, 1, &ExecLimits::none());

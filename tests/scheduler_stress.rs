@@ -40,7 +40,7 @@ use sycl_mlir_repro::runtime::{
 use sycl_mlir_repro::sim::{
     decode_kernel, run_plan_graph_report, AccessorVal, BatchLaunch, CostModel, DataVec, Device,
     Engine, ExecLimits, ExecStats, FaultPlan, FaultSite, HostNode, HostView, KernelPlan, LaunchDag,
-    LaunchStatus, MemId, MemoryPool, NdRangeSpec, PlanLaunch, RtValue,
+    LaunchStatus, MemFault, MemId, MemoryPool, NdRangeSpec, PlanLaunch, RtValue,
 };
 use sycl_mlir_repro::sycl::device as sdev;
 use sycl_mlir_repro::sycl::types::AccessMode;
@@ -905,7 +905,7 @@ fn injected_fault_on_host_node_cascades_to_successors() {
     let ma = pool.alloc(DataVec::F32((0..LEN).map(|i| i as f32).collect()));
     let args_a = [accessor_over(ma)];
     let host = HostNode::new(move |view: &HostView<'_, '_>| {
-        let n = view.len(ma) as i64;
+        let n = view.len(ma)? as i64;
         for i in 0..n {
             let RtValue::F32(x) = view.load(ma, i)? else {
                 panic!("f32 buffer")
@@ -1039,7 +1039,7 @@ fn spec_graph_run(
             };
             let k = k as f32;
             Some(HostNode::new(move |view: &HostView<'_, '_>| {
-                for i in 0..view.len(dst) as i64 {
+                for i in 0..view.len(dst)? as i64 {
                     let x = f(f32_at(view, dst, i), f32_at(view, src, i), k);
                     view.store(dst, i, RtValue::F32(x))?;
                 }
@@ -1162,7 +1162,7 @@ fn host_node_in_graph_runs_in_hazard_order() {
         let ma = pool.alloc(DataVec::F32((0..LEN).map(|i| i as f32).collect()));
         let args_a = [accessor_over(ma)];
         let host = HostNode::new(move |view: &HostView<'_, '_>| {
-            let n = view.len(ma) as i64;
+            let n = view.len(ma)? as i64;
             for i in 0..n {
                 let RtValue::F32(x) = view.load(ma, i)? else {
                     panic!("f32 buffer")
@@ -1242,7 +1242,7 @@ fn host_view_fault_fails_the_node_and_a_host_panic_is_rethrown() {
     };
 
     let overrun = HostNode::new(|view: &HostView<'_, '_>| {
-        view.load(MemId(0), view.len(MemId(0)) as i64)?;
+        view.load(MemId(0), view.len(MemId(0))? as i64)?;
         Ok(())
     });
     let text = format!(
@@ -1342,6 +1342,84 @@ fn unknown_buffer_argument_fails_its_launch_only() {
         assert_eq!(
             pool.data(mb),
             &DataVec::F32(vec![after; LEN as usize]),
+            "`{name}`"
+        );
+    }
+}
+
+/// A buffer id a host closure names is outside input exactly like a
+/// launch argument: whichever `HostView` method meets the stranger —
+/// `len`, `dtype`, `load` or `store` — returns the fault, the node fails
+/// with it at `(launch, 0)` under both engines, and like any plain error
+/// it cancels nothing: the kernel that depends on the node still runs.
+#[test]
+fn unknown_buffer_in_a_host_closure_fails_its_node_only() {
+    let m = build_module(&SyclRuntime::new(), &Queue::new());
+    let dev = m
+        .lookup_symbol(m.top(), sycl_mlir_repro::sycl::DEVICE_MODULE_SYM)
+        .expect("device module");
+    let scale_io = m.lookup_symbol(dev, "scale_io").expect("kernel symbol");
+    let nd = NdRangeSpec::d1(LEN, 8);
+    const STRANGER: MemId = MemId(9);
+    type Probe = fn(&HostView<'_, '_>) -> Result<(), MemFault>;
+    let probes: [(&str, Probe); 4] = [
+        ("len", |v| v.len(STRANGER).map(drop)),
+        ("dtype", |v| v.dtype(STRANGER).map(drop)),
+        ("load", |v| v.load(STRANGER, 0).map(drop)),
+        ("store", |v| v.store(STRANGER, 0, RtValue::F32(1.0))),
+    ];
+    for (method, probe) in probes {
+        let host = HostNode::new(move |v| Ok(probe(v)?));
+        for (name, device) in configs() {
+            let mut pool = MemoryPool::new();
+            let ma = pool.alloc(DataVec::F32(vec![2.0; LEN as usize]));
+            let kernel = || BatchLaunch::kernel(scale_io, vec![accessor_over(ma)], nd);
+            let batch = [kernel(), BatchLaunch::host_node(host.clone()), kernel()];
+            let err = device
+                .launch_graph(&m, &batch, &LaunchDag::chain(3), &mut pool)
+                .expect_err("the closure names no buffer");
+            assert_eq!(
+                err.message(),
+                "unknown device buffer 9 (launch 1, work-group 0)",
+                "`{method}` under `{name}`"
+            );
+            // x * 0.5 + 3, once before the node; the serial reference
+            // stops there, the graph scheduler runs the dependent kernel.
+            let after = if name == "tree-serial" { 4.0 } else { 5.0 };
+            assert_eq!(
+                pool.data(ma),
+                &DataVec::F32(vec![after; LEN as usize]),
+                "`{method}` under `{name}`"
+            );
+        }
+    }
+}
+
+/// Two up-front failures of one launch sit at the same position,
+/// `(launch, 0)`: the launch reports the one recorded first — the armed
+/// decode fault, which the serial reference also meets before it looks
+/// at the arguments — at every thread count.
+#[test]
+fn decode_fault_beats_an_unknown_buffer_argument_of_the_same_launch() {
+    let m = build_module(&SyclRuntime::new(), &Queue::new());
+    let dev = m
+        .lookup_symbol(m.top(), sycl_mlir_repro::sycl::DEVICE_MODULE_SYM)
+        .expect("device module");
+    let scale_io = m.lookup_symbol(dev, "scale_io").expect("kernel symbol");
+    let fault = FaultPlan {
+        launch: 0,
+        site: FaultSite::Decode,
+    };
+    for (name, device) in configs() {
+        let mut pool = MemoryPool::new();
+        pool.alloc(DataVec::F32(vec![0.0; LEN as usize]));
+        let args = [accessor_over(MemId(9))];
+        let err = (device.fault(fault))
+            .launch(&m, scale_io, &args, NdRangeSpec::d1(LEN, 8), &mut pool)
+            .expect_err("both failures are armed");
+        assert_eq!(
+            err.message(),
+            "injected fault: decode of launch 0 (launch 0, work-group 0)",
             "`{name}`"
         );
     }
