@@ -113,7 +113,8 @@ impl ExecStats {
     }
 }
 
-/// The memory half of the cost model, the one `mem_event` of both engines:
+/// The memory half of the cost model, the one access counter of both engines
+/// (`SiteLog::event`):
 /// counts an access by address space and, for global memory, decides
 /// whether it opens a new transaction. A sub-group's items that reach one
 /// access site for the `n`-th time ("instance" `n`; each item counts its
@@ -175,15 +176,58 @@ impl Coalescer {
         }
     }
 
-    /// Count one access to element `addr` of the buffer behind `mr`,
-    /// whose elements are `elem_bytes` wide. `at` is the access site (an
-    /// `OpId` index or a plan site id, by engine) and the accessing item's
-    /// sub-group; `visits` is that item's visit counter for the site.
+    /// The log of `(site, subgroup)`, for the accesses one dispatch makes
+    /// to it: `site` is the access site (an `OpId` index or a plan site
+    /// id, by engine), `subgroup` the accessing items' sub-group.
     #[inline]
-    pub(crate) fn mem_event(
+    pub(crate) fn site(&mut self, site: u32, subgroup: u32) -> SiteLog<'_> {
+        let (sg, st) = (subgroup as usize, site as usize);
+        if self.logs.len() <= sg {
+            self.logs.resize_with(sg + 1, Vec::new);
+        }
+        if self.logs[sg].len() <= st {
+            self.logs[sg].resize_with(st + 1, Vec::new);
+        }
+        SiteLog {
+            of: self,
+            key: (subgroup, site),
+            entry: (0, 0),
+            last: 0,
+        }
+    }
+
+    /// Forget the work-group's accesses, keeping the logs' storage.
+    pub(crate) fn reset(&mut self) {
+        for (subgroup, site) in self.touched.drain(..) {
+            self.logs[subgroup as usize][site as usize].clear();
+        }
+        #[cfg(debug_assertions)]
+        self.reference.clear();
+    }
+}
+
+/// One `(sub-group, site)` log of a [`Coalescer`], held for the accesses
+/// of one dispatch: the lanes of a sub-group that reach the site at the
+/// same instance share the entry, which is found once.
+pub(crate) struct SiteLog<'a> {
+    of: &'a mut Coalescer,
+    /// `(subgroup, site)`, as `touched` names the log.
+    key: (u32, u32),
+    /// The instance whose entry was found last, and where it starts.
+    entry: (u32, usize),
+    /// The segment recorded last, at that instance: the next lane's, more
+    /// often than not.
+    last: u64,
+}
+
+impl SiteLog<'_> {
+    /// Count one item's access to element `addr` of the buffer behind
+    /// `mr`, whose elements are `elem_bytes` wide; `visits` is that item's
+    /// visit counter for the site.
+    #[inline(always)]
+    pub(crate) fn event(
         &mut self,
         stats: &mut ExecStats,
-        at: (u32, u32),
         visits: &mut u32,
         mr: &MemRefVal,
         addr: i64,
@@ -197,7 +241,7 @@ impl Coalescer {
                 stats.global_accesses += 1;
                 *visits += 1;
                 let segment = self.segment(mr.mem, addr, elem_bytes);
-                if self.record(at.0, *visits, at.1, segment) {
+                if self.record(*visits, segment) {
                     stats.global_transactions += 1;
                 }
             }
@@ -207,36 +251,36 @@ impl Coalescer {
     /// The transaction segment of element `addr`: a shift when the width
     /// is a power of two and the byte address non-negative, the same
     /// (truncating) division otherwise.
-    #[inline]
+    #[inline(always)]
     fn segment(&self, mem: MemId, addr: i64, elem_bytes: usize) -> u64 {
         let byte = addr.wrapping_mul(elem_bytes as i64);
-        let within = match self.shift {
+        let within = match self.of.shift {
             Some(shift) if byte >= 0 => byte >> shift,
-            _ => byte / self.transaction_bytes,
+            _ => byte / self.of.transaction_bytes,
         };
         ((mem.0 as u64) << 40) | within as u64
     }
 
-    /// Whether `segment` is new to `subgroup` at `instance >= 1` of `site`.
-    #[inline]
-    fn record(&mut self, site: u32, instance: u32, subgroup: u32, segment: u64) -> bool {
-        let (sg, st) = (subgroup as usize, site as usize);
-        if self.logs.len() <= sg {
-            self.logs.resize_with(sg + 1, Vec::new);
+    /// Whether `segment` is new to the sub-group at `instance >= 1`.
+    #[inline(always)]
+    fn record(&mut self, instance: u32, segment: u64) -> bool {
+        let (stride, (subgroup, site)) = (self.of.stride, self.key);
+        if self.entry.0 == instance && segment == self.last {
+            return false;
         }
-        let by_site = &mut self.logs[sg];
-        if by_site.len() <= st {
-            by_site.resize_with(st + 1, Vec::new);
+        let log = &mut self.of.logs[subgroup as usize][site as usize];
+        if self.entry.0 != instance {
+            if log.is_empty() {
+                self.of.touched.push(self.key);
+            }
+            let at = (instance as usize - 1) * stride;
+            if log.len() < at + stride {
+                log.resize(at + stride, 0);
+            }
+            self.entry = (instance, at);
         }
-        let log = &mut by_site[st];
-        if log.is_empty() {
-            self.touched.push((subgroup, site));
-        }
-        let at = (instance as usize - 1) * self.stride;
-        if log.len() < at + self.stride {
-            log.resize(at + self.stride, 0);
-        }
-        let entry = &mut log[at..at + self.stride];
+        self.last = segment;
+        let entry = &mut log[self.entry.1..self.entry.1 + stride];
         let held = entry[0] as usize;
         let new = !entry[1..=held].contains(&segment);
         if new {
@@ -246,19 +290,10 @@ impl Coalescer {
         #[cfg(debug_assertions)]
         assert_eq!(
             new,
-            self.reference.insert((site, instance, subgroup, segment)),
+            self.of.reference.insert((site, instance, subgroup, segment)),
             "coalescing log disagrees with the reference set at site {site}, instance {instance}, sub-group {subgroup}, segment {segment:#x}"
         );
         new
-    }
-
-    /// Forget the work-group's accesses, keeping the logs' storage.
-    pub(crate) fn reset(&mut self) {
-        for (subgroup, site) in self.touched.drain(..) {
-            self.logs[subgroup as usize][site as usize].clear();
-        }
-        #[cfg(debug_assertions)]
-        self.reference.clear();
     }
 }
 
@@ -324,7 +359,7 @@ mod tests {
                         // Few segments, so ride-alongs are common.
                         let segment = next(rng, 6) | ((site as u64 % 2) << 40);
                         let expect = reference.insert((site, instance, subgroup, segment));
-                        let got = log.record(site, instance, subgroup, segment);
+                        let got = log.site(site, subgroup).record(instance, segment);
                         assert_eq!(got, expect, "group {group}, item {item}, site {site}");
                         records += 1;
                         new += expect as u32;
@@ -345,10 +380,10 @@ mod tests {
                 transaction_bytes: width,
                 ..CostModel::default()
             };
-            let log = Coalescer::new(&cost);
+            let mut log = Coalescer::new(&cost);
             for addr in [0_i64, 1, 15, 16, 17, 1 << 33, -1, -16, -17] {
                 let expect = (7 << 40) | ((addr * bytes as i64) / width as i64) as u64;
-                assert_eq!(log.segment(MemId(7), addr, bytes), expect);
+                assert_eq!(log.site(0, 0).segment(MemId(7), addr, bytes), expect);
             }
         }
     }

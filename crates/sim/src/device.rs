@@ -169,8 +169,17 @@ pub struct Device {
     cache_hits: Cell<u64>,
     cache_misses: Cell<u64>,
     verify_stats: RefCell<VerifyCounters>,
-    profile_ops: RefCell<BTreeMap<&'static str, u64>>,
-    profile_pairs: RefCell<BTreeMap<(&'static str, &'static str), u64>>,
+    profile_sums: RefCell<ProfileSums>,
+}
+
+/// What `--profile` runs have counted so far ([`Device::profile_report`]).
+#[derive(Clone, Debug, Default)]
+struct ProfileSums {
+    ops: BTreeMap<&'static str, u64>,
+    pairs: BTreeMap<(&'static str, &'static str), u64>,
+    /// Per kernel name: lane-instructions executed, and the dispatches
+    /// that executed them.
+    kernels: BTreeMap<String, (u64, u64)>,
 }
 
 /// Aggregated decode-time verifier statistics of one device
@@ -224,8 +233,7 @@ impl Device {
             cache_hits: Cell::new(0),
             cache_misses: Cell::new(0),
             verify_stats: RefCell::new(VerifyCounters::default()),
-            profile_ops: RefCell::new(BTreeMap::new()),
-            profile_pairs: RefCell::new(BTreeMap::new()),
+            profile_sums: RefCell::default(),
         }
     }
 
@@ -574,11 +582,15 @@ impl Device {
             )?
             .into_result()?;
             if let Some(profile) = &out.profile {
-                let mut ops = self.profile_ops.borrow_mut();
-                let mut pairs = self.profile_pairs.borrow_mut();
-                for (entry, counts) in plans.iter().zip(profile) {
-                    if let Some((plan, _)) = entry {
-                        profile_summary(plan, counts, &mut ops, &mut pairs);
+                let sums = &mut *self.profile_sums.borrow_mut();
+                for ((entry, counts), b) in plans.iter().zip(profile).zip(batch) {
+                    if let (Some((plan, _)), BatchLaunch::Kernel { kernel, .. }) = (entry, b) {
+                        profile_summary(plan, counts, &mut sums.ops, &mut sums.pairs);
+                        let (lanes, dispatches) = counts.split_at(plan.instr_count());
+                        let name = m.symbol_name(*kernel).unwrap_or("?").to_string();
+                        let row = sums.kernels.entry(name).or_default();
+                        row.0 += lanes.iter().sum::<u64>();
+                        row.1 += dispatches[0];
                     }
                 }
             }
@@ -618,7 +630,11 @@ impl Device {
     /// the next [`crate::plan::fuse_plan`] superinstruction. `None` until a profiled
     /// plan-engine launch ran on this device.
     pub fn profile_report(&self) -> Option<String> {
-        let ops = self.profile_ops.borrow();
+        let ProfileSums {
+            ops,
+            pairs,
+            kernels,
+        } = &*self.profile_sums.borrow();
         if ops.is_empty() {
             return None;
         }
@@ -630,7 +646,6 @@ impl Device {
         for (name, count) in rows {
             out.push_str(&format!("{count:>16}  {name}\n"));
         }
-        let pairs = self.profile_pairs.borrow();
         if !pairs.is_empty() {
             out.push_str("\n== hottest dataflow-adjacent pairs (fusion candidates) ==\n");
             out.push_str(&format!("{:>16}  pair\n", "executions"));
@@ -640,6 +655,18 @@ impl Device {
             for ((a, b), count) in rows.into_iter().take(16) {
                 out.push_str(&format!("{count:>16}  {a} -> {b}\n"));
             }
+        }
+        // The lockstep gauge: how many dispatches executed the
+        // lane-instructions above, and so how well lanes stayed together.
+        out.push_str("\n== lockstep dispatch ==\n");
+        out.push_str("  lane-instructions        dispatches  lanes/dispatch  kernel\n");
+        let sweep = kernels.values().fold((0, 0), |s, k| (s.0 + k.0, s.1 + k.1));
+        let rows = kernels.iter().map(|(name, counts)| (name.as_str(), counts));
+        for (name, &(lanes, dispatches)) in std::iter::once(("(sweep)", &sweep)).chain(rows) {
+            let mean = lanes as f64 / dispatches.max(1) as f64;
+            out.push_str(&format!(
+                "{lanes:>19}{dispatches:>18}{mean:>16.2}  {name}\n"
+            ));
         }
         let vs = self.verify_counters();
         if vs.plans > 0 || vs.rejected > 0 {
@@ -895,29 +922,27 @@ pub(crate) fn items_of_group(
     })
 }
 
-/// Drive a work-group's items in co-operative rounds: every live work-item
-/// runs to its next barrier or to completion; mixing the two within a
-/// group is the divergent-barrier deadlock. The one round loop, shared by
+/// Drive a work-group's `items` work-items in co-operative rounds: `round`
+/// runs every live one to its next barrier or to completion and says how
+/// many wait at a barrier; mixing the two within a group is the
+/// divergent-barrier deadlock. The one round loop, shared by
 /// both engines (and every plan worker thread), whatever the verifier
 /// proved about the kernel's barriers — so the scheduling policy (and its
 /// error message) cannot drift, and a wrong "statically uniform" is this
 /// error rather than a silent mis-execution.
-pub(crate) fn cooperative_rounds<W>(
-    items: &mut [W],
+pub(crate) fn cooperative_rounds(
+    items: usize,
     group: [i64; 3],
-    mut run: impl FnMut(&mut W) -> Result<Stop, SimError>,
+    mut round: impl FnMut() -> Result<usize, SimError>,
 ) -> Result<(), SimError> {
     loop {
         // Every item stops once per round: at a barrier, or for good.
-        let mut barriers = 0_usize;
-        for wi in items.iter_mut() {
-            barriers += usize::from(run(wi)? == Stop::Barrier);
-        }
+        let barriers = round()?;
         if barriers == 0 {
             return Ok(());
         }
-        if barriers < items.len() {
-            let finished = items.len() - barriers;
+        if barriers < items {
+            let finished = items - barriers;
             return Err(SimError::msg(format!(
                 "divergent barrier: {barriers} work-items wait at a barrier while {finished} finished (work-group {group:?})"
             )));
@@ -936,7 +961,13 @@ fn run_work_group(
     let mut items: Vec<WorkItemState> = items_of_group(nd, group)
         .map(|item| WorkItemState::new(m, kernel, args, item))
         .collect::<Result<_, _>>()?;
-    cooperative_rounds(&mut items, group, |wi| wi.run(ctx))
+    cooperative_rounds(items.len(), group, || {
+        let mut barriers = 0;
+        for wi in items.iter_mut() {
+            barriers += usize::from(wi.run(ctx)? == Stop::Barrier);
+        }
+        Ok(barriers)
+    })
 }
 
 #[cfg(test)]

@@ -414,8 +414,8 @@ impl WorkItemState {
                             self.assign_results(ctx.m, if_op, &vals);
                         }
                         Some((1, loop_op, iv, ub, step)) => {
-                            let next = iv + step;
-                            if next < ub {
+                            // Past `i64::MAX` is past `ub`: overflow ends the loop.
+                            if let Some(next) = iv.checked_add(step).filter(|&n| n < ub) {
                                 if let Some(Frame::Loop { iv, .. }) = self.frames.last_mut() {
                                     *iv = next;
                                 }
@@ -1058,9 +1058,8 @@ impl WorkItemState {
     /// Record the cost of a memory access, keyed by `op`.
     fn mem_event(&mut self, ctx: &mut ExecCtx<'_>, op: OpId, mr: &MemRefVal, addr: i64) {
         let subgroup = (self.item.local_linear_id() / ctx.cost.subgroup_size as i64) as u32;
-        ctx.coalescer.mem_event(
+        ctx.coalescer.site(op.0, subgroup).event(
             &mut ctx.stats,
-            (op.0, subgroup),
             &mut self.visits[op.0 as usize],
             mr,
             addr,

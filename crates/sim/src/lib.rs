@@ -44,17 +44,20 @@
 //!   read — into superinstructions with identical semantics and
 //!   statistics ([`FuseLevel`]).
 //!
-//! The bytecode loop (`PlanWorkItem::run`) is the plan engine's only
-//! executor: executed instruction semantics are written once, there
+//! The bytecode loop (`plan::run_impl`, driven by
+//! [`plan::PlanWorkGroup::round`]) is the plan engine's only executor, and
+//! it runs a sub-group's work-items in **lockstep**: an instruction is
+//! dispatched once for all the lanes that share a frame stack and a `pc`.
+//! Executed instruction semantics are written once, there
 //! (ARCHITECTURE.md, "One plan executor", records why) — a
 //! superinstruction's arm is composed of the same steps as its members'
 //! arms, never a restatement of them.
 //!
 //! **Register allocation** is per function: every SSA value (block argument
 //! or op result) receives a dense slot at decode time, and each call frame
-//! owns a contiguous window of one flat file of 16-byte [`plan::Slot`]s —
-//! loop back-edges and operand reads are array indexing, no hashing and no
-//! allocation.
+//! owns a contiguous window of its sub-group's flat file of 16-byte
+//! [`plan::Slot`]s, one entry per register and lane — loop back-edges and
+//! operand reads are array indexing, no hashing and no allocation.
 //!
 //! **Threading model of a shared plan:** the decoded [`KernelPlan`] is
 //! immutable, `Send + Sync` (compile-time asserted) and shared by

@@ -7,13 +7,14 @@
 //! kernel programs it does not trust without letting them spin forever,
 //! exhaust the arena or wedge the scheduler.
 //!
-//! All limits are **off by default**, and the plan executor monomorphizes
-//! the metering away when [`ExecLimits::is_none`] holds, so the unlimited
-//! hot path pays nothing. When limits are on, the operation budget is
+//! All limits are **off by default**, and a launch no limit applies to
+//! has no meter (`OpMeter::for_launch`): the plan executor tests for one
+//! once per dispatch — per sub-group, not per work-item — so the
+//! unlimited hot path pays next to nothing. When limits are on, the operation budget is
 //! drawn from a per-launch shared counter in amortized blocks
 //! (`OpMeter`): a worker reserves up to `OP_BLOCK` weighted operations
 //! at a time and settles the unspent remainder back when it leaves the
-//! launch, so the per-instruction cost is one subtraction. Deadlines and
+//! launch, so the per-dispatch cost is one subtraction. Deadlines and
 //! cancellation are only polled at block and work-group boundaries.
 //!
 //! A tripped limit surfaces as

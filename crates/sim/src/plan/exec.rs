@@ -1,15 +1,41 @@
-//! The executor: per-worker [`PlanCtx`], per-work-item [`PlanWorkItem`]
-//! and the one bytecode loop, `run_impl`.
+//! The executor: per-worker [`PlanCtx`], a work-group's lane groups
+//! ([`PlanWorkGroup`]) and the one bytecode loop, `run_impl`, which
+//! dispatches an instruction once per lane group and runs it for every
+//! lane of the group.
 
 use super::instr::{DimSrc, FloatBin, Instr, IntBin, ItemQ, MathOp};
 use super::slot::{put, Slot};
 use super::KernelPlan;
 use crate::interp::{SimError, Stop};
+use crate::memory::MemFault;
 use crate::pool::PlanExecCtx;
 use crate::value::{MemRefVal, NdItemVal, RtValue, Space, VecVal};
+use std::cell::Cell;
 
 fn err(msg: impl Into<String>) -> SimError {
     SimError::msg(msg)
+}
+
+thread_local! {
+    /// Whether graph runs launched from this thread run under audit
+    /// ([`audit_on_this_thread`]).
+    static AUDIT: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Test-only, not a knob: graph runs launched from the calling thread
+/// from now on run **under audit** (`on`) or normally. Under audit a
+/// site the interval prover marked in-bounds still runs its bounds
+/// check — a failing one is the audit's own, distinct error — and the
+/// sub-groups of a work-group, and the two halves of every split, run in
+/// the opposite order. Every result must equal the normal run's.
+#[doc(hidden)]
+pub fn audit_on_this_thread(on: bool) {
+    AUDIT.set(on);
+}
+
+/// Whether the calling thread's graph runs are audit runs.
+pub(crate) fn audit_requested() -> bool {
+    AUDIT.get()
 }
 
 /// Per-worker mutable state of the plan engine, layered on the worker's
@@ -22,11 +48,10 @@ pub struct PlanCtx {
     dense_cache: Vec<Option<MemRefVal>>,
     /// Work-group-shared `sycl.local.alloca` results, reset per group.
     local_allocs: Vec<Option<MemRefVal>>,
-    /// Per-instruction execution counters (`--profile` runs only; `None`
-    /// keeps the executor's hot loop on a single predictable branch).
-    profile: Option<ProfileBuf>,
-    /// Execution-limit meter (limited runs only; `None` — the default —
-    /// monomorphizes all metering out of the executor).
+    /// Execution counters, as [`Self::take_profile`] lays them out
+    /// (`--profile` runs only).
+    profile: Option<Box<[u64]>>,
+    /// Execution-limit meter (limited runs only).
     limits: Option<Box<crate::limits::OpMeter>>,
     /// Per-site proven-in-bounds bitset from the decode-time verifier,
     /// instantiated against the current launch (empty = no fast paths;
@@ -34,30 +59,8 @@ pub struct PlanCtx {
     /// the unchecked pool path; unproven sites keep the checked path and
     /// its exact error text.
     proven: std::sync::Arc<[u64]>,
-}
-
-/// Flat execution counters over every function of one plan: `counts[i]`
-/// is how often the instruction at flat index `i` (functions concatenated
-/// in [`KernelPlan::funcs`] order) executed.
-struct ProfileBuf {
-    /// Start offset of each function's code in `counts`.
-    starts: Box<[u32]>,
-    counts: Box<[u64]>,
-}
-
-impl ProfileBuf {
-    fn new(plan: &KernelPlan) -> ProfileBuf {
-        let mut starts = Vec::with_capacity(plan.funcs.len());
-        let mut off = 0_u32;
-        for f in &plan.funcs {
-            starts.push(off);
-            off += f.code.len() as u32;
-        }
-        ProfileBuf {
-            starts: starts.into_boxed_slice(),
-            counts: vec![0; off as usize].into_boxed_slice(),
-        }
-    }
+    /// Run under audit (see [`audit_on_this_thread`]).
+    pub(crate) audit: bool,
 }
 
 impl PlanCtx {
@@ -69,6 +72,7 @@ impl PlanCtx {
             profile: None,
             limits: None,
             proven: std::sync::Arc::from(Vec::new().into_boxed_slice()),
+            audit: false,
         }
     }
 
@@ -86,6 +90,18 @@ impl PlanCtx {
         (w >> (site & 63)) & 1 != 0
     }
 
+    /// `fault` at `site` as the launch reports it: under audit, a fault
+    /// where the prover saw none is the audit's finding, not the kernel's.
+    #[cold]
+    fn fault_at(&self, site: u32, fault: MemFault) -> SimError {
+        if self.audit && self.site_proven(site) {
+            return err(format!(
+                "proof audit: site {site} is proven in bounds, but: {fault}"
+            ));
+        }
+        fault.into()
+    }
+
     /// Attach an execution-limit meter: subsequent runs through this
     /// context charge every instruction's weight against it.
     pub(crate) fn set_meter(&mut self, meter: crate::limits::OpMeter) {
@@ -96,17 +112,19 @@ impl PlanCtx {
     /// instruction (drained with [`PlanCtx::take_profile`]).
     pub fn profiled(plan: &KernelPlan) -> PlanCtx {
         PlanCtx {
-            profile: Some(ProfileBuf::new(plan)),
+            profile: Some(vec![0; plan.instr_count() + 1].into()),
             ..PlanCtx::new(plan)
         }
     }
 
-    /// The flat per-instruction execution counts accumulated so far, if
-    /// this context was built with [`PlanCtx::profiled`]. Counts are plain
-    /// sums, so per-worker buffers merge by element-wise addition in any
-    /// order.
+    /// The execution counts accumulated so far, if this context was built
+    /// with [`PlanCtx::profiled`]: how many lanes executed the instruction
+    /// at flat index `i` (functions concatenated in [`KernelPlan::funcs`]
+    /// order), then — one slot past [`KernelPlan::instr_count`] — how many
+    /// dispatches did it. Counts are plain sums, so per-worker buffers
+    /// merge by element-wise addition in any order.
     pub fn take_profile(&mut self) -> Option<Box<[u64]>> {
-        self.profile.take().map(|p| p.counts)
+        self.profile.take()
     }
 
     /// Reset work-group-shared state (call between work-groups). Also the
@@ -120,99 +138,138 @@ impl PlanCtx {
     }
 }
 
+#[derive(Clone, Copy, PartialEq)]
 struct PlanFrame {
     func: u32,
     pc: u32,
-    /// Base of this frame's registers in the flat register file.
+    /// Base of this frame's registers in the sub-group's register file.
     base: u32,
 }
 
-/// One work-item's resumable execution state over a [`KernelPlan`].
-pub struct PlanWorkItem {
-    /// All frames' registers, contiguous; frames address `regs[base..]`.
+/// One sub-group's storage: every register, visit counter and item
+/// position once per lane. Register `r` of the frame at `base` is, for
+/// lane `l` of a file `width` lanes wide, entry `(base + r) * width + l`.
+#[derive(Default)]
+struct LaneFile {
+    /// Lanes per register: the cost model's sub-group size, clipped by
+    /// the work-group.
+    width: usize,
     regs: Vec<Slot>,
     /// Payloads of the registers tagged [`Slot::Vec`], [`Slot::MemRef`]
-    /// and [`Slot::NdRange`], at the register's absolute index. A bank
-    /// grows to the highest register written and is never cleared: an
-    /// entry is reachable only through a tag, written after the entry.
+    /// and [`Slot::NdRange`], at the register's entry. A bank grows to
+    /// the highest entry written and is never cleared: a payload is
+    /// reachable only through a tag, written after it.
     vecs: Vec<VecVal>,
     memrefs: Vec<MemRefVal>,
     nd_ranges: Vec<(VecVal, VecVal)>,
-    frames: Vec<PlanFrame>,
-    /// Per-site visit counters feeding the coalescing log (same
-    /// instance numbering as the tree-walk interpreter's per-op visits).
+    /// Per-site visit counters feeding the coalescing log (same instance
+    /// numbering as the tree-walk interpreter's per-op visits), entry
+    /// `site * width + l`.
     visits: Vec<u32>,
-    /// The work-item’s position bundle.
-    pub item: NdItemVal,
-    /// The sub-group of `item`: which coalescing log its accesses go to.
-    subgroup: u32,
-    /// Whether the work-item ran to completion.
-    pub finished: bool,
+    /// The lanes' position bundles.
+    items: Vec<NdItemVal>,
+}
+
+/// One register of a [`LaneFile`] across its lanes: the cells, and where
+/// they start in the file (and the payloads in the banks).
+#[derive(Clone, Copy)]
+struct Row<'a> {
+    cells: &'a [Cell<Slot>],
+    at: usize,
+}
+
+/// A lane group: the work-items of one sub-group that share a frame stack
+/// and a `pc`, and so execute each instruction in one dispatch.
+#[derive(Default)]
+struct LaneGroup {
+    /// The sub-group the lanes belong to — which [`LaneFile`] and which
+    /// coalescing logs are theirs.
+    sub: u32,
+    /// The lanes, ascending.
+    lanes: Vec<u32>,
+    frames: Vec<PlanFrame>,
+    /// Dispatches so far (the runaway-loop guard).
     steps: u64,
+    /// Stopped at a barrier (not finished, not emptied by a fault).
+    at_barrier: bool,
+}
+
+/// The `(sub-group, lane)` that failed first in item order among those
+/// that failed this round, and its error.
+type Fault = Option<((u32, u32), SimError)>;
+
+/// Record `error` of the lane `at` if no earlier item failed.
+#[cold]
+fn note_fault(first: &mut Fault, at: (u32, u32), error: SimError) {
+    if first.as_ref().is_none_or(|f| at < f.0) {
+        *first = Some((at, error));
+    }
 }
 
 const MAX_STEPS: u64 = 500_000_000;
 
-impl PlanWorkItem {
-    /// A placeholder slot, bound to a real work-item by
-    /// [`PlanWorkItem::reset`]. A worker keeps its slots across
-    /// work-groups and launches, so the steady state allocates nothing
-    /// per work-item.
-    pub fn empty() -> PlanWorkItem {
-        PlanWorkItem {
-            regs: Vec::new(),
-            vecs: Vec::new(),
-            memrefs: Vec::new(),
-            nd_ranges: Vec::new(),
-            frames: Vec::new(),
-            visits: Vec::new(),
-            item: NdItemVal {
-                global_id: [0; 3],
-                local_id: [0; 3],
-                group_id: [0; 3],
-                global_range: [1; 3],
-                local_range: [1; 3],
-                rank: 1,
-            },
-            subgroup: 0,
-            finished: false,
-            steps: 0,
-        }
-    }
+/// One work-group's resumable execution state over a [`KernelPlan`]: a
+/// register file per sub-group and the lane groups over them. A worker
+/// keeps one across work-groups and launches and re-binds it
+/// ([`Self::reset`]), so the steady state allocates nothing per
+/// work-group, split, merge or round.
+#[derive(Default)]
+pub struct PlanWorkGroup {
+    files: Vec<LaneFile>,
+    pool: GroupPool,
+}
 
-    /// Rebind this slot to a fresh work-item of the plan's kernel: `args`
-    /// go to all parameters except the trailing item-like one, which gets
-    /// `item`. Every register, frame and visit counter is reset, so
-    /// nothing of the slot's previous work-item (finished, suspended at a
-    /// barrier or failed mid-callee) survives. `subgroup_size` is the
-    /// cost model's.
+/// A work-group's lane groups, and the first fault of the round.
+#[derive(Default)]
+struct GroupPool {
+    /// The first `live` are this work-group's; the rest are spares whose
+    /// vectors keep their storage.
+    groups: Vec<LaneGroup>,
+    live: usize,
+    fault: Fault,
+}
+
+/// An empty vector of a work-group's state with 2 KB of room. These are
+/// short — a group's lanes and frames, a file's visit counters — and the
+/// allocator would keep their storage, once freed at the end of a graph
+/// run, in its per-thread cache: uncoalesced chunks in the middle of the
+/// heap the launching thread builds its next module in (`launch_dag`'s
+/// `peak_rss_mb` read 25 MB instead of 20 on five runs of eight). Above
+/// the cache's size limit freed storage rejoins the heap around it.
+fn roomy<T>() -> Vec<T> {
+    Vec::with_capacity(2048 / std::mem::size_of::<T>())
+}
+
+/// The first spare group of `groups`, `live` of which are in use, its lane
+/// list emptied.
+fn spare(groups: &mut Vec<LaneGroup>, live: usize) -> &mut LaneGroup {
+    if live == groups.len() {
+        groups.push(LaneGroup {
+            lanes: roomy(),
+            frames: roomy(),
+            ..LaneGroup::default()
+        });
+    }
+    groups[live].lanes.clear();
+    &mut groups[live]
+}
+
+impl PlanWorkGroup {
+    /// Rebind to a fresh work-group of the plan's kernel, its work-items
+    /// `items` in local-linear order: `args` go to all parameters except
+    /// the trailing item-like one, which gets each lane's item, once per
+    /// sub-group. Every register, frame and visit counter is reset, so
+    /// nothing of the previous work-group (finished, suspended at a
+    /// barrier or failed mid-callee) survives. `subgroup_size` is the cost
+    /// model's.
     pub fn reset(
         &mut self,
         plan: &KernelPlan,
         args: &[RtValue],
-        item: NdItemVal,
+        mut items: impl ExactSizeIterator<Item = NdItemVal>,
         subgroup_size: usize,
     ) -> Result<(), SimError> {
         let kernel = &plan.funcs[0];
-        self.regs.clear();
-        self.regs.resize(kernel.reg_count as usize, Slot::Unit);
-        // One allocation per bank, made next to the registers': banks
-        // grown register by register leave the heap in pieces.
-        let spare = |len| (kernel.reg_count as usize).saturating_sub(len);
-        self.vecs.reserve(spare(self.vecs.len()));
-        self.memrefs.reserve(spare(self.memrefs.len()));
-        self.frames.clear();
-        self.frames.push(PlanFrame {
-            func: 0,
-            pc: 0,
-            base: 0,
-        });
-        self.visits.clear();
-        self.visits.resize(plan.mem_sites as usize, 0);
-        self.item = item;
-        self.subgroup = (item.local_linear_id() / subgroup_size as i64) as u32;
-        self.finished = false;
-        self.steps = 0;
         let params = &kernel.params;
         let value_params = if kernel.has_item_param {
             &params[..params.len() - 1]
@@ -226,401 +283,595 @@ impl PlanWorkItem {
                 args.len()
             )));
         }
-        for (i, (&p, a)) in value_params.iter().zip(args).enumerate() {
-            let p = p as usize;
-            self.regs[p] = match *a {
-                RtValue::Vec(v) => {
-                    put(&mut self.vecs, p, v);
-                    Slot::Vec
-                }
-                RtValue::MemRef(v) => {
-                    put(&mut self.memrefs, p, v);
-                    Slot::MemRef
-                }
-                RtValue::NdRange(g, l) => {
-                    put(&mut self.nd_ranges, p, (g, l));
-                    Slot::NdRange
-                }
-                RtValue::Accessor(_) => Slot::Accessor(i as u32),
-                // A kernel sees one item, its own.
-                RtValue::Item(_) => Slot::Item,
-                RtValue::Ptr(v) => Slot::Ptr(v),
-                RtValue::Unit => Slot::Unit,
-                RtValue::Int(v) => Slot::Int(v),
-                RtValue::F32(v) => Slot::F32(v),
-                RtValue::F64(v) => Slot::F64(v),
-            };
+        let width = subgroup_size.min(items.len());
+        let subs = items.len().div_ceil(width);
+        if self.files.capacity() == 0 {
+            (self.files, self.pool.groups) = (roomy(), roomy());
         }
-        if kernel.has_item_param {
-            self.regs[*params.last().unwrap() as usize] = Slot::Item;
+        if self.files.len() < subs {
+            self.files.resize_with(subs, || LaneFile {
+                visits: roomy(),
+                ..LaneFile::default()
+            });
+        }
+        (self.pool.live, self.pool.fault) = (0, None);
+        let entries = kernel.reg_count as usize * width;
+        for sub in 0..subs {
+            let file = &mut self.files[sub];
+            file.width = width;
+            file.items.clear();
+            file.items.extend(items.by_ref().take(width));
+            file.regs.clear();
+            file.regs.resize(entries, Slot::Unit);
+            // One allocation per bank, made next to the registers': banks
+            // grown entry by entry leave the heap in pieces.
+            file.vecs.reserve(entries.saturating_sub(file.vecs.len()));
+            file.memrefs
+                .reserve(entries.saturating_sub(file.memrefs.len()));
+            file.visits.clear();
+            file.visits.resize(plan.mem_sites as usize * width, 0);
+            for (i, (&p, a)) in value_params.iter().zip(args).enumerate() {
+                for at in p as usize * width..(p as usize + 1) * width {
+                    file.regs[at] = match *a {
+                        RtValue::Vec(v) => {
+                            put(&mut file.vecs, at, v);
+                            Slot::Vec
+                        }
+                        RtValue::MemRef(v) => {
+                            put(&mut file.memrefs, at, v);
+                            Slot::MemRef
+                        }
+                        RtValue::NdRange(g, l) => {
+                            put(&mut file.nd_ranges, at, (g, l));
+                            Slot::NdRange
+                        }
+                        RtValue::Accessor(_) => Slot::Accessor(i as u32),
+                        // A kernel sees one item, its own.
+                        RtValue::Item(_) => Slot::Item,
+                        RtValue::Ptr(v) => Slot::Ptr(v),
+                        RtValue::Unit => Slot::Unit,
+                        RtValue::Int(v) => Slot::Int(v),
+                        RtValue::F32(v) => Slot::F32(v),
+                        RtValue::F64(v) => Slot::F64(v),
+                    };
+                }
+            }
+            if kernel.has_item_param {
+                let row = *params.last().expect("an item parameter") as usize * width;
+                file.regs[row..row + width].fill(Slot::Item);
+            }
+            let lanes = file.items.len() as u32;
+            let g = spare(&mut self.pool.groups, self.pool.live);
+            g.lanes.extend(0..lanes);
+            g.frames.clear();
+            g.frames.push(PlanFrame {
+                func: 0,
+                pc: 0,
+                base: 0,
+            });
+            (g.sub, g.steps) = (sub as u32, 0);
+            self.pool.live += 1;
         }
         Ok(())
     }
 
-    /// Whole-register move, absolute indices: the destination gets its own
-    /// copy of an out-of-line payload, so overwriting the source later
-    /// does not reach it.
-    #[inline(always)]
-    fn mov(&mut self, dst: usize, src: usize) {
-        fn copy<T: Copy>(bank: &mut Vec<T>, dst: usize, src: usize) {
-            let v = bank[src];
-            put(bank, dst, v);
-        }
-        let s = self.regs[src];
-        match s {
-            Slot::Vec => copy(&mut self.vecs, dst, src),
-            Slot::MemRef => copy(&mut self.memrefs, dst, src),
-            Slot::NdRange => copy(&mut self.nd_ranges, dst, src),
-            _ => {}
-        }
-        self.regs[dst] = s;
-    }
-
-    /// Register `abs` as the public value type (what a store hands to
-    /// device memory, which faults on anything but a scalar by its kind).
-    #[inline(always)]
-    fn value(&self, abs: usize, args: &[RtValue]) -> RtValue {
-        match self.regs[abs] {
-            Slot::Int(v) => RtValue::Int(v),
-            Slot::F32(v) => RtValue::F32(v),
-            Slot::F64(v) => RtValue::F64(v),
-            Slot::Ptr(v) => RtValue::Ptr(v),
-            Slot::Unit => RtValue::Unit,
-            Slot::Vec => RtValue::Vec(self.vecs[abs]),
-            Slot::MemRef => RtValue::MemRef(self.memrefs[abs]),
-            Slot::NdRange => RtValue::NdRange(self.nd_ranges[abs].0, self.nd_ranges[abs].1),
-            Slot::Accessor(i) => args[i as usize],
-            Slot::Item => RtValue::Item(self.item),
-        }
-    }
-
-    /// Run until the next barrier or completion. `args` are the launch's
-    /// arguments, the ones [`Self::reset`] bound.
-    pub fn run(
+    /// One co-operative round: run every lane group until its next
+    /// barrier or completion — the groups it splits off too — then merge
+    /// the groups that wait at one barrier with equal frame stacks.
+    /// Returns how many work-items wait at a barrier. `args` are the
+    /// launch's arguments, the ones [`Self::reset`] bound.
+    ///
+    /// A lane that faults leaves its group and takes the lanes after it
+    /// in item order — the rest of its sub-group and every later one —
+    /// with it; the lanes before it run on, and the round fails with the
+    /// error of the first lane in item order that faulted: the one serial
+    /// item order reports.
+    pub fn round(
         &mut self,
         plan: &KernelPlan,
         args: &[RtValue],
         ctx: &mut PlanExecCtx<'_, '_>,
         pctx: &mut PlanCtx,
-    ) -> Result<Stop, SimError> {
-        // Monomorphize the interpreter loop over the profiling and
-        // limit-metering switches so the default run (neither) carries no
-        // per-instruction branch.
-        match (pctx.profile.is_some(), pctx.limits.is_some()) {
-            (false, false) => self.run_impl::<false, false>(plan, args, ctx, pctx),
-            (false, true) => self.run_impl::<false, true>(plan, args, ctx, pctx),
-            (true, false) => self.run_impl::<true, false>(plan, args, ctx, pctx),
-            (true, true) => self.run_impl::<true, true>(plan, args, ctx, pctx),
+    ) -> Result<usize, SimError> {
+        let first = self.pool.live;
+        for gi in 0..first {
+            let gi = if pctx.audit { first - 1 - gi } else { gi };
+            self.run(gi, plan, args, ctx, pctx);
         }
-    }
-
-    fn run_impl<const PROFILE: bool, const LIMITED: bool>(
-        &mut self,
-        plan: &KernelPlan,
-        args: &[RtValue],
-        ctx: &mut PlanExecCtx<'_, '_>,
-        pctx: &mut PlanCtx,
-    ) -> Result<Stop, SimError> {
-        if self.finished {
-            return Ok(Stop::Finished);
+        let mut gi = first;
+        while gi < self.pool.live {
+            self.run(gi, plan, args, ctx, pctx);
+            gi += 1;
         }
-        // Local copies of the hot frame fields; flushed on calls/returns.
-        let mut frame = self.frames.len() - 1;
-        let mut func = self.frames[frame].func as usize;
-        let mut code: &[Instr] = &plan.funcs[func].code;
-        let mut base = self.frames[frame].base as usize;
-        let mut pc = self.frames[frame].pc as usize;
-
-        macro_rules! reg {
-            ($r:expr) => {
-                self.regs[base + $r as usize]
-            };
+        if let Some((_, error)) = self.pool.fault.take() {
+            return Err(error);
         }
-        macro_rules! int {
-            ($r:expr, $what:expr) => {
-                reg!($r).as_int().ok_or_else(|| err($what))?
-            };
+        // Keep the groups that wait at a barrier; merge those of one
+        // sub-group that wait at the same one the same way.
+        let (mut barriers, mut gi) = (0, 0);
+        while gi < self.pool.live {
+            if self.pool.groups[gi].at_barrier {
+                barriers += self.pool.groups[gi].lanes.len();
+                gi += 1;
+            } else {
+                self.pool.live -= 1;
+                self.pool.groups.swap(gi, self.pool.live);
+            }
         }
-        macro_rules! flt {
-            ($r:expr, $what:expr) => {
-                reg!($r).as_f64().ok_or_else(|| err($what))?
-            };
-        }
-        // An aggregate operand or result: the tag in the slot, the payload
-        // in the tag's bank (for an accessor, in the launch's arguments).
-        macro_rules! payload {
-            ($tag:ident in $bank:ident, $r:expr, $what:expr) => {
-                match reg!($r) {
-                    Slot::$tag => self.$bank[base + $r as usize],
-                    _ => return Err(err($what)),
-                }
-            };
-        }
-        macro_rules! put {
-            ($tag:ident in $bank:ident, $r:expr, $v:expr) => {{
-                let v = $v;
-                put(&mut self.$bank, base + $r as usize, v);
-                reg!($r) = Slot::$tag;
-            }};
-        }
-        macro_rules! accessor_of {
-            ($r:expr, $what:expr) => {
-                match reg!($r) {
-                    Slot::Accessor(i) => args[i as usize].as_accessor(),
-                    _ => None,
-                }
-                .ok_or_else(|| err($what))?
-            };
-        }
-        // Steps: the body of every primitive that some superinstruction
-        // contains, written once and expanded by the primitive's own arm
-        // and by each window it is a member of. A step takes its operands
-        // as values (or as the register to read them from, where the
-        // read can fail) and yields its result as a value; which register
-        // the result lands in, if any, is the arm's business. Statistics
-        // and errors come in the order the step is expanded, so a window
-        // that names its members in order replays them exactly.
-        macro_rules! vec_ctor {
-            ($comps:expr, $rank:expr) => {{
-                ctx.stats.arith_ops += 1;
-                let mut data = [0_i64; 3];
-                for d in 0..$rank as usize {
-                    data[d] = int!($comps[d], "id component");
-                }
-                VecVal {
-                    data,
-                    rank: $rank as u32,
-                }
-            }};
-        }
-        macro_rules! subscript_by {
-            ($acc:expr, $id:expr) => {{
-                ctx.stats.arith_ops += 1;
-                let a = accessor_of!($acc, "subscript of non-accessor");
-                let id: VecVal = $id;
-                MemRefVal {
-                    mem: a.mem,
-                    offset: a.linearize(&id.data[..id.rank as usize]),
-                    shape: [-1, 1, 1],
-                    rank: 1,
-                    space: if a.constant {
-                        Space::Constant
-                    } else {
-                        Space::Global
-                    },
-                }
-            }};
-        }
-        macro_rules! subscript {
-            ($acc:expr, $id:expr) => {
-                subscript_by!($acc, payload!(Vec in vecs, $id, "subscript id"))
-            };
-        }
-        // One access step: the buffer of `$mr`, resolved once, and the
-        // address of `$mr[$idx[..$rank]]` in it, with the access counted
-        // (the tree walk's instance numbering, keyed by plan site). The
-        // bounds check is the `Buf`'s: elided per site where the verifier's
-        // proof was instantiated for this launch; every other site keeps
-        // the exact out-of-bounds fault and position.
-        macro_rules! access {
-            ($mr:expr, $idx:expr, $rank:expr, $site:expr) => {{
-                let mut indices = [0_i64; 3];
-                for d in 0..$rank as usize {
-                    indices[d] = int!($idx[d], "non-int index");
-                }
-                let addr = $mr.linearize(&indices[..$rank as usize]);
-                let buf = ctx.pool.resolve($mr.mem)?;
-                ctx.coalescer.mem_event(
-                    &mut ctx.stats,
-                    ($site, self.subgroup),
-                    &mut self.visits[$site as usize],
-                    &$mr,
-                    addr,
-                    buf.dtype().bytes(),
-                );
-                (buf, addr)
-            }};
-        }
-        macro_rules! load_at {
-            ($mr:expr, $idx:expr, $rank:expr, $site:expr) => {{
-                let mr: MemRefVal = $mr;
-                let (buf, addr) = access!(mr, $idx, $rank, $site);
-                // SAFETY: the proven bits are the ones the scheduler (the
-                // one caller of `PlanCtx::set_proven`) got from
-                // `PlanFacts::instantiate` for this launch.
-                Slot::from(unsafe { buf.load_at(pctx.site_proven($site), addr) }?)
-            }};
-        }
-        macro_rules! load {
-            ($mem:expr, $idx:expr, $rank:expr, $site:expr) => {
-                load_at!(
-                    payload!(MemRef in memrefs, $mem, "load from non-memref"),
-                    $idx,
-                    $rank,
-                    $site
-                )
-            };
-        }
-        macro_rules! bin_float {
-            ($op:expr, $l:expr, $r:expr, $f32_out:expr) => {{
-                ctx.stats.arith_ops += 1;
-                let l = $l.as_f64().ok_or_else(|| err("float op on non-float"))?;
-                let r = $r.as_f64().ok_or_else(|| err("float op on non-float"))?;
-                let out = match $op {
-                    FloatBin::Add => l + r,
-                    FloatBin::Sub => l - r,
-                    FloatBin::Mul => l * r,
-                    FloatBin::Div => l / r,
-                    FloatBin::Min => l.min(r),
-                    FloatBin::Max => l.max(r),
-                };
-                if $f32_out {
-                    Slot::F32(out as f32)
+        for gi in 0..self.pool.live {
+            let mut other = gi + 1;
+            while other < self.pool.live {
+                let (head, rest) = self.pool.groups.split_at_mut(other);
+                let (into, g) = (&mut head[gi], &mut rest[0]);
+                if (g.sub, &g.frames) == (into.sub, &into.frames) {
+                    into.lanes.extend_from_slice(&g.lanes);
+                    into.lanes.sort_unstable();
+                    into.steps = into.steps.max(g.steps);
+                    self.pool.live -= 1;
+                    self.pool.groups.swap(other, self.pool.live);
                 } else {
-                    Slot::F64(out)
+                    other += 1;
                 }
-            }};
+            }
         }
+        Ok(barriers)
+    }
 
-        loop {
-            self.steps += 1;
-            if self.steps > MAX_STEPS {
-                return Err(err("work-item exceeded the step budget (runaway loop?)"));
+    /// Run group `gi` until it stops, less the lanes a fault recorded
+    /// this round has taken with it.
+    fn run(
+        &mut self,
+        gi: usize,
+        plan: &KernelPlan,
+        args: &[RtValue],
+        ctx: &mut PlanExecCtx<'_, '_>,
+        pctx: &mut PlanCtx,
+    ) {
+        let mut g = std::mem::take(&mut self.pool.groups[gi]);
+        if let Some((first, _)) = &self.pool.fault {
+            g.lanes.retain(|&l| (g.sub, l) < *first);
+        }
+        let (file, pool) = (&mut self.files[g.sub as usize], &mut self.pool);
+        let stop = run_impl(&mut g, file, pool, plan, args, ctx, pctx);
+        g.at_barrier = stop == Stop::Barrier;
+        self.pool.groups[gi] = g;
+    }
+}
+
+/// Run the lanes of `g` — a group of `file`'s sub-group, taken out of
+/// `pool` — until their next barrier or completion, or until none is left.
+///
+/// An arm reads what it needs of its instruction, and turns registers into
+/// rows of the file, before its lane loop: the loop's stores could alias
+/// either as far as the compiler knows, and would have it read both again
+/// per lane.
+fn run_impl(
+    g: &mut LaneGroup,
+    file: &mut LaneFile,
+    pool: &mut GroupPool,
+    plan: &KernelPlan,
+    args: &[RtValue],
+    ctx: &mut PlanExecCtx<'_, '_>,
+    pctx: &mut PlanCtx,
+) -> Stop {
+    let (sub, lanes, frames, steps) = (g.sub, &mut g.lanes, &mut g.frames, &mut g.steps);
+    let (groups, live, fault) = (&mut pool.groups, &mut pool.live, &mut pool.fault);
+    let (vecs, memrefs, nd_ranges) = (&mut file.vecs, &mut file.memrefs, &mut file.nd_ranges);
+    let (w, items, visits) = (file.width, &file.items[..], &mut file.visits[..]);
+    let reg_file = &mut file.regs;
+    // The registers, as cells — an arm holds the rows of its operands side
+    // by side, whichever of them are one register; taken again where a
+    // call grows the file.
+    let mut cells = Cell::from_mut(&mut reg_file[..]).as_slice_of_cells();
+    // Local copies of the hot frame fields; flushed on calls/returns.
+    let mut frame = frames.len() - 1;
+    let mut func = frames[frame].func as usize;
+    let mut code: &[Instr] = &plan.funcs[func].code;
+    let mut base = frames[frame].base as usize;
+    let mut pc = frames[frame].pc as usize;
+    // The lane a step body runs for.
+    let mut lane: usize;
+
+    // Run `$body` — a step body, which may fail — once per lane, in lane
+    // order. A lane that fails leaves the group with the lanes after it;
+    // the lanes before it have completed the instruction.
+    macro_rules! each_lane {
+        ($body:block) => {{
+            let mut left = usize::MAX;
+            for (pos, &l) in lanes.iter().enumerate() {
+                lane = l as usize;
+                #[allow(clippy::redundant_closure_call)]
+                let done = (|| -> Result<(), SimError> {
+                    $body;
+                    Ok(())
+                })();
+                if let Err(e) = done {
+                    note_fault(fault, (sub, l), e);
+                    left = pos;
+                    break;
+                }
             }
-            let instr = &code[pc];
-            if PROFILE {
-                let pb = pctx.profile.as_mut().expect("profiled PlanCtx");
-                pb.counts[(pb.starts[func] + pc as u32) as usize] += 1;
+            if left != usize::MAX {
+                lanes.truncate(left);
             }
-            if LIMITED {
-                let meter = pctx.limits.as_deref_mut().expect("limited PlanCtx");
-                meter.charge(instr.op_weight())?;
+        }};
+    }
+    // The arm of an instruction that gives its `$dst` the value of `$value`
+    // — a step body over the rows `$src`, the fields `$field` of the
+    // instruction read beforehand — and counts `$ops` arithmetic ops.
+    macro_rules! alu {
+        ($($ops:literal;)? $dst:ident($($src:ident),* $(; $($field:ident),+)?) => $value:expr) => {{
+            $(ctx.stats.arith_ops += $ops * lanes.len() as u64;)?
+            $($(let $field = *$field;)+)?
+            let $dst = rows!($dst);
+            $(let $src = rows!($src);)*
+            each_lane!({
+                let value = $value;
+                reg!($dst).set(value)
+            })
+        }};
+    }
+    // The whole group fails with `$e`.
+    macro_rules! fail {
+        ($e:expr) => {{
+            note_fault(fault, (sub, lanes[0]), $e);
+            lanes.clear();
+            return Stop::Finished;
+        }};
+    }
+    // The rows of the current frame's registers `$r`: a row's entry for
+    // the lane at hand is the lane's register.
+    macro_rules! rows {
+        ($($r:expr),+) => {
+            ($({
+                let at = (base + *$r as usize) * w;
+                Row { cells: &cells[at..at + w], at }
+            }),+)
+        };
+    }
+    macro_rules! reg {
+        ($row:expr) => {
+            $row.cells[lane]
+        };
+    }
+    macro_rules! int {
+        ($row:expr, $what:expr) => {
+            reg!($row).get().as_int().ok_or_else(|| err($what))?
+        };
+    }
+    // The first `$n` of the rows `$rows` as integers, in order, then 0s:
+    // constant subscripts, so the three stay in registers.
+    macro_rules! ints {
+        ($rows:expr, $n:expr, $what:expr) => {{
+            let n = $n as usize;
+            assert!(n <= 3, "at most 3 dimensions");
+            [
+                if n > 0 { int!($rows[0], $what) } else { 0 },
+                if n > 1 { int!($rows[1], $what) } else { 0 },
+                if n > 2 { int!($rows[2], $what) } else { 0 },
+            ]
+        }};
+    }
+    macro_rules! flt {
+        ($row:expr, $what:expr) => {
+            reg!($row).get().as_f64().ok_or_else(|| err($what))?
+        };
+    }
+    // An aggregate operand or result: the tag in the slot, the payload
+    // in the tag's bank (for an accessor, in the launch's arguments).
+    macro_rules! payload {
+        ($tag:ident in $bank:ident, $row:expr, $what:expr) => {
+            match reg!($row).get() {
+                Slot::$tag => $bank[$row.at + lane],
+                _ => return Err(err($what)),
             }
-            pc += 1;
-            match instr {
-                Instr::Const { dst, val } => reg!(*dst) = *val,
-                Instr::ConstDense { dst, idx } => {
-                    put!(MemRef in memrefs, *dst, materialize_dense(plan, ctx, pctx, *idx)?);
+        };
+    }
+    macro_rules! put {
+        ($tag:ident in $bank:ident, $row:expr, $v:expr) => {{
+            let v = $v;
+            put($bank, $row.at + lane, v);
+            reg!($row).set(Slot::$tag);
+        }};
+    }
+    macro_rules! accessor_of {
+        ($row:expr, $what:expr) => {
+            match reg!($row).get() {
+                Slot::Accessor(i) => args[i as usize].as_accessor(),
+                _ => None,
+            }
+            .ok_or_else(|| err($what))?
+        };
+    }
+    macro_rules! dim {
+        ($dim:expr) => {
+            match $dim {
+                DimSrc::Const(d) => d as usize,
+                DimSrc::Reg(r) => {
+                    let d = int!(rows!(&r), "non-constant dimension operand");
+                    if !(0..3).contains(&d) {
+                        return Err(err(format!("dimension {d} out of range")));
+                    }
+                    d as usize
                 }
-                Instr::Copy { dst, src } => self.mov(base + *dst as usize, base + *src as usize),
-                Instr::BinInt { op, dst, l, r } => {
-                    ctx.stats.arith_ops += 1;
-                    let l = int!(*l, "int op on non-int");
-                    let r = int!(*r, "int op on non-int");
-                    let out = match op {
-                        IntBin::Add => l.wrapping_add(r),
-                        IntBin::Sub => l.wrapping_sub(r),
-                        IntBin::Mul => l.wrapping_mul(r),
-                        IntBin::DivS => {
-                            if r == 0 {
-                                return Err(err("division by zero"));
-                            }
-                            l.wrapping_div(r)
-                        }
-                        IntBin::RemS => {
-                            if r == 0 {
-                                return Err(err("remainder by zero"));
-                            }
-                            l.wrapping_rem(r)
-                        }
-                        IntBin::And => l & r,
-                        IntBin::Or => l | r,
-                        IntBin::Xor => l ^ r,
-                        IntBin::MinS => l.min(r),
-                        IntBin::MaxS => l.max(r),
-                    };
-                    reg!(*dst) = Slot::Int(out);
+            }
+        };
+    }
+    // Whole-register move between entries: the destination gets its own
+    // copy of an out-of-line payload, so overwriting the source later does
+    // not reach it.
+    macro_rules! mov {
+        ($dst:expr, $src:expr) => {{
+            let (dst, src) = ($dst, $src);
+            let s = cells[src].get();
+            match s {
+                Slot::Vec => put(vecs, dst, vecs[src]),
+                Slot::MemRef => put(memrefs, dst, memrefs[src]),
+                Slot::NdRange => put(nd_ranges, dst, nd_ranges[src]),
+                _ => {}
+            }
+            cells[dst].set(s);
+        }};
+    }
+    // Steps: the body of every primitive that some superinstruction
+    // contains, written once and expanded by the primitive's own arm and
+    // by each window it is a member of. A step runs for one lane: it takes
+    // its operands as values (or as the row to read them from, where the
+    // read can fail) and yields its result as a value; which register the
+    // result lands in, if any, is the arm's business. Errors come in the
+    // order the step is expanded, so a window that names its members in
+    // order replays them exactly; the `arith_ops` they count are the arm's,
+    // once for all lanes.
+    macro_rules! vec_ctor {
+        ($comps:expr, $rank:expr) => {{
+            VecVal {
+                data: ints!($comps, $rank, "id component"),
+                rank: $rank as u32,
+            }
+        }};
+    }
+    macro_rules! subscript_by {
+        ($acc:expr, $id:expr) => {{
+            let a = accessor_of!($acc, "subscript of non-accessor");
+            let id: VecVal = $id;
+            MemRefVal {
+                mem: a.mem,
+                offset: a.linearize(&id.data[..id.rank as usize]),
+                shape: [-1, 1, 1],
+                rank: 1,
+                space: if a.constant {
+                    Space::Constant
+                } else {
+                    Space::Global
+                },
+            }
+        }};
+    }
+    macro_rules! subscript {
+        ($acc:expr, $id:expr) => {
+            subscript_by!($acc, payload!(Vec in vecs, $id, "subscript id"))
+        };
+    }
+    // What a dispatch finds once for all lanes of access site `$site`: its
+    // coalescing log (the lanes that share an instance share its entry),
+    // whether its bounds check is elided, and the site.
+    macro_rules! site {
+        ($at:ident, $site:expr) => {
+            let site = $site;
+            let elide = pctx.site_proven(site) && !pctx.audit;
+            let mut $at = (ctx.coalescer.site(site, sub), elide, site);
+        };
+    }
+    // One access step: the buffer of `$mr` and the address of
+    // `$mr[$idx[..$rank]]` in it, with the access counted (the tree
+    // walk's instance numbering, keyed by plan site). The bounds check is
+    // the `Buf`'s: elided per site where the verifier's proof was
+    // instantiated for this launch; every other site keeps the exact
+    // out-of-bounds fault and position.
+    macro_rules! access {
+        ($mr:expr, $idx:expr, $rank:expr, $at:ident) => {{
+            let indices = ints!($idx, $rank, "non-int index");
+            let addr = $mr.linearize(&indices[..$rank as usize]);
+            let buf = ctx.pool.resolve($mr.mem)?;
+            let bytes = buf.dtype().bytes();
+            let visits = &mut visits[$at.2 as usize * w + lane];
+            $at.0.event(&mut ctx.stats, visits, &$mr, addr, bytes);
+            (buf, addr)
+        }};
+    }
+    macro_rules! load_at {
+        ($mr:expr, $idx:expr, $rank:expr, $at:ident) => {{
+            let mr: MemRefVal = $mr;
+            let (buf, addr) = access!(mr, $idx, $rank, $at);
+            // SAFETY: the proven bits are the ones the scheduler (the one
+            // caller of `PlanCtx::set_proven`) got from
+            // `PlanFacts::instantiate` for this launch.
+            let loaded = unsafe { buf.load_at($at.1, addr) };
+            Slot::from(loaded.map_err(|f| pctx.fault_at($at.2, f))?)
+        }};
+    }
+    macro_rules! load {
+        ($mem:expr, $idx:expr, $rank:expr, $at:ident) => {
+            load_at!(
+                payload!(MemRef in memrefs, $mem, "load from non-memref"),
+                $idx,
+                $rank,
+                $at
+            )
+        };
+    }
+    macro_rules! bin_float {
+        ($op:expr, $l:expr, $r:expr, $f32_out:expr) => {{
+            let l = $l.as_f64().ok_or_else(|| err("float op on non-float"))?;
+            let r = $r.as_f64().ok_or_else(|| err("float op on non-float"))?;
+            let out = match $op {
+                FloatBin::Add => l + r,
+                FloatBin::Sub => l - r,
+                FloatBin::Mul => l * r,
+                FloatBin::Div => l / r,
+                FloatBin::Min => l.min(r),
+                FloatBin::Max => l.max(r),
+            };
+            if $f32_out {
+                Slot::F32(out as f32)
+            } else {
+                Slot::F64(out)
+            }
+        }};
+    }
+    // The lanes for which `$jumps` holds go on at `$target`, the others at
+    // the next instruction. Lanes that disagree split the group in two
+    // over the same register file: this one keeps the lanes that fall
+    // through (under audit, the ones that jump), the other runs later in
+    // the round.
+    macro_rules! branch {
+        ($target:expr, $jumps:block) => {{
+            let target = $target;
+            let other = spare(groups, *live);
+            each_lane!({
+                if $jumps {
+                    other.lanes.push(lane as u32);
                 }
-                Instr::BinFloat {
-                    op,
-                    dst,
-                    l,
-                    r,
-                    f32_out,
-                } => reg!(*dst) = bin_float!(*op, reg!(*l), reg!(*r), *f32_out),
-                Instr::NegF { dst, x } => {
-                    ctx.stats.arith_ops += 1;
-                    reg!(*dst) = match reg!(*x) {
-                        Slot::F32(v) => Slot::F32(-v),
-                        Slot::F64(v) => Slot::F64(-v),
-                        _ => return Err(err("negf on non-float")),
-                    };
+            });
+            if other.lanes.len() == lanes.len() {
+                pc = target as usize;
+            } else if !other.lanes.is_empty() {
+                let mut jump = other.lanes.iter().peekable();
+                lanes.retain(|l| jump.next_if_eq(&l).is_none());
+                (other.sub, other.steps) = (sub, *steps);
+                other.frames.clone_from(frames);
+                other.frames[frame].pc = target;
+                if pctx.audit {
+                    std::mem::swap(lanes, &mut other.lanes);
+                    other.frames[frame].pc = pc as u32;
+                    pc = target as usize;
                 }
-                Instr::CmpI { pred, dst, l, r } => {
-                    ctx.stats.arith_ops += 1;
-                    let l = int!(*l, "cmpi on non-int");
-                    let r = int!(*r, "cmpi on non-int");
-                    reg!(*dst) = Slot::Int(pred.eval_int(l, r) as i64);
-                }
-                Instr::CmpF { pred, dst, l, r } => {
-                    ctx.stats.arith_ops += 1;
-                    let l = flt!(*l, "cmpf on non-float");
-                    let r = flt!(*r, "cmpf on non-float");
-                    reg!(*dst) = Slot::Int(pred.eval_float(l, r) as i64);
-                }
-                Instr::Select { dst, c, t, f } => {
-                    ctx.stats.arith_ops += 1;
-                    let src = if int!(*c, "select cond") != 0 { *t } else { *f };
-                    self.mov(base + *dst as usize, base + src as usize);
-                }
-                Instr::SiToFp { dst, x, f32_out } => {
-                    ctx.stats.arith_ops += 1;
-                    let v = int!(*x, "sitofp");
-                    reg!(*dst) = if *f32_out {
-                        Slot::F32(v as f32)
-                    } else {
-                        Slot::F64(v as f64)
-                    };
-                }
-                Instr::FpToSi { dst, x } => {
-                    ctx.stats.arith_ops += 1;
-                    let v = flt!(*x, "fptosi");
-                    reg!(*dst) = Slot::Int(v as i64);
-                }
-                Instr::TruncF { dst, x } => {
-                    let v = flt!(*x, "truncf");
-                    reg!(*dst) = Slot::F32(v as f32);
-                }
-                Instr::ExtF { dst, x } => {
-                    let v = flt!(*x, "extf");
-                    reg!(*dst) = Slot::F64(v);
-                }
-                Instr::Math {
-                    op,
-                    dst,
-                    x,
-                    y,
-                    f32_out,
-                } => {
-                    ctx.stats.arith_ops += 4; // transcendental ops are pricier
-                    let xv = flt!(*x, "math on non-float");
-                    let out = match op {
-                        MathOp::Sqrt => xv.sqrt(),
-                        MathOp::Exp => xv.exp(),
-                        MathOp::Log => xv.ln(),
-                        MathOp::Absf => xv.abs(),
-                        MathOp::Sin => xv.sin(),
-                        MathOp::Cos => xv.cos(),
-                        MathOp::Floor => xv.floor(),
-                        MathOp::Rsqrt => 1.0 / xv.sqrt(),
-                        MathOp::Powf => {
-                            let yv = flt!(*y, "powf");
-                            xv.powf(yv)
-                        }
-                    };
-                    reg!(*dst) = if *f32_out {
-                        Slot::F32(out as f32)
-                    } else {
-                        Slot::F64(out)
-                    };
-                }
-                Instr::Alloca {
-                    dst,
-                    elem,
-                    shape,
-                    rank,
-                    len,
-                } => {
+                *live += 1;
+            }
+        }};
+    }
+
+    loop {
+        let n = lanes.len() as u64;
+        if n == 0 {
+            return Stop::Finished;
+        }
+        *steps += 1;
+        if *steps > MAX_STEPS {
+            fail!(err("work-item exceeded the step budget (runaway loop?)"));
+        }
+        let instr = &code[pc];
+        // Profiling and metering are a test per dispatch, not per lane.
+        if let Some(counts) = &mut pctx.profile {
+            let before: usize = plan.funcs[..func].iter().map(|f| f.code.len()).sum();
+            counts[before + pc] += n;
+            *counts.last_mut().expect("the dispatch count") += 1;
+        }
+        if let Some(meter) = pctx.limits.as_deref_mut() {
+            if let Err(e) = meter.charge(instr.op_weight() * n) {
+                fail!(e);
+            }
+        }
+        pc += 1;
+        match instr {
+            Instr::Const { dst, val } => alu!(dst(; val) => val),
+            Instr::ConstDense { dst, idx } => {
+                let dst = rows!(dst);
+                each_lane!({
+                    put!(MemRef in memrefs, dst, materialize_dense(plan, ctx, pctx, *idx)?)
+                });
+            }
+            Instr::Copy { dst, src } => {
+                let (dst, src) = rows!(dst, src);
+                each_lane!({ mov!(dst.at + lane, src.at + lane) });
+            }
+            Instr::BinInt { op, dst, l, r } => alu!(1; dst(l, r; op) => {
+                let l = int!(l, "int op on non-int");
+                let r = int!(r, "int op on non-int");
+                Slot::Int(match op {
+                    IntBin::Add => l.wrapping_add(r),
+                    IntBin::Sub => l.wrapping_sub(r),
+                    IntBin::Mul => l.wrapping_mul(r),
+                    IntBin::DivS if r == 0 => return Err(err("division by zero")),
+                    IntBin::DivS => l.wrapping_div(r),
+                    IntBin::RemS if r == 0 => return Err(err("remainder by zero")),
+                    IntBin::RemS => l.wrapping_rem(r),
+                    IntBin::And => l & r,
+                    IntBin::Or => l | r,
+                    IntBin::Xor => l ^ r,
+                    IntBin::MinS => l.min(r),
+                    IntBin::MaxS => l.max(r),
+                })
+            }),
+            Instr::BinFloat {
+                op,
+                dst,
+                l,
+                r,
+                f32_out,
+            } => alu!(1; dst(l, r; op, f32_out) => {
+                bin_float!(op, reg!(l).get(), reg!(r).get(), f32_out)
+            }),
+            Instr::NegF { dst, x } => alu!(1; dst(x) => match reg!(x).get() {
+                Slot::F32(v) => Slot::F32(-v),
+                Slot::F64(v) => Slot::F64(-v),
+                _ => return Err(err("negf on non-float")),
+            }),
+            Instr::CmpI { pred, dst, l, r } => alu!(1; dst(l, r; pred) => {
+                let l = int!(l, "cmpi on non-int");
+                let r = int!(r, "cmpi on non-int");
+                Slot::Int(pred.eval_int(l, r) as i64)
+            }),
+            Instr::CmpF { pred, dst, l, r } => alu!(1; dst(l, r; pred) => {
+                let l = flt!(l, "cmpf on non-float");
+                let r = flt!(r, "cmpf on non-float");
+                Slot::Int(pred.eval_float(l, r) as i64)
+            }),
+            Instr::Select { dst, c, t, f } => {
+                ctx.stats.arith_ops += n;
+                let (dst, c, t, f) = rows!(dst, c, t, f);
+                each_lane!({
+                    let src = if int!(c, "select cond") != 0 { t } else { f };
+                    mov!(dst.at + lane, src.at + lane);
+                });
+            }
+            Instr::SiToFp { dst, x, f32_out } => alu!(1; dst(x; f32_out) => {
+                let v = int!(x, "sitofp");
+                if f32_out { Slot::F32(v as f32) } else { Slot::F64(v as f64) }
+            }),
+            Instr::FpToSi { dst, x } => alu!(1; dst(x) => Slot::Int(flt!(x, "fptosi") as i64)),
+            Instr::TruncF { dst, x } => alu!(dst(x) => Slot::F32(flt!(x, "truncf") as f32)),
+            Instr::ExtF { dst, x } => alu!(dst(x) => Slot::F64(flt!(x, "extf"))),
+            Instr::Math {
+                op,
+                dst,
+                x,
+                y,
+                f32_out,
+            } => alu!(4; dst(x, y; op, f32_out) => { // transcendental ops are pricier
+                let xv = flt!(x, "math on non-float");
+                let out = match op {
+                    MathOp::Sqrt => xv.sqrt(),
+                    MathOp::Exp => xv.exp(),
+                    MathOp::Log => xv.ln(),
+                    MathOp::Absf => xv.abs(),
+                    MathOp::Sin => xv.sin(),
+                    MathOp::Cos => xv.cos(),
+                    MathOp::Floor => xv.floor(),
+                    MathOp::Rsqrt => 1.0 / xv.sqrt(),
+                    MathOp::Powf => xv.powf(flt!(y, "powf")),
+                };
+                if f32_out { Slot::F32(out as f32) } else { Slot::F64(out) }
+            }),
+            Instr::Alloca {
+                dst,
+                elem,
+                shape,
+                rank,
+                len,
+            } => {
+                let dst = rows!(dst);
+                each_lane!({
                     let mem = ctx.pool.alloc_zeroed(elem, *len)?;
                     let mr = MemRefVal {
                         mem,
@@ -629,16 +880,19 @@ impl PlanWorkItem {
                         rank: *rank,
                         space: Space::Private,
                     };
-                    put!(MemRef in memrefs, *dst, mr);
-                }
-                Instr::LocalAlloca {
-                    dst,
-                    site,
-                    elem,
-                    shape,
-                    rank,
-                    len,
-                } => {
+                    put!(MemRef in memrefs, dst, mr);
+                });
+            }
+            Instr::LocalAlloca {
+                dst,
+                site,
+                elem,
+                shape,
+                rank,
+                len,
+            } => {
+                let dst = rows!(dst);
+                each_lane!({
                     let mr = match pctx.local_allocs[*site as usize] {
                         Some(existing) => existing,
                         None => {
@@ -654,265 +908,315 @@ impl PlanWorkItem {
                             mr
                         }
                     };
-                    put!(MemRef in memrefs, *dst, mr);
-                }
-                Instr::Load {
-                    dst,
-                    mem,
-                    idx,
-                    rank,
-                    site,
-                } => reg!(*dst) = load!(*mem, idx, *rank, *site),
-                Instr::Store {
-                    val,
-                    mem,
-                    idx,
-                    rank,
-                    site,
-                } => {
-                    let v = self.value(base + *val as usize, args);
-                    let mr = payload!(MemRef in memrefs, *mem, "store to non-memref");
-                    let (buf, addr) = access!(mr, idx, *rank, *site);
-                    // SAFETY: as in `load_at!`.
-                    unsafe { buf.store_at(pctx.site_proven(*site), addr, v) }?;
-                }
-                Instr::VecCtor { dst, comps, rank } => {
-                    put!(Vec in vecs, *dst, vec_ctor!(comps, *rank))
-                }
-                Instr::NdRangeCtor { dst, g, l } => {
-                    let g = payload!(Vec in vecs, *g, "nd_range global");
-                    let l = payload!(Vec in vecs, *l, "nd_range local");
-                    put!(NdRange in nd_ranges, *dst, (g, l));
-                }
-                Instr::VecGet { dst, v, dim } => {
-                    ctx.stats.arith_ops += 1;
-                    let v = payload!(Vec in vecs, *v, "id.get");
-                    let d = self.dim(base, *dim)?;
-                    reg!(*dst) = Slot::Int(v.data[d]);
-                }
-                Instr::RangeSize { dst, v } => {
-                    ctx.stats.arith_ops += 1;
-                    let v = payload!(Vec in vecs, *v, "range.size");
-                    let size: i64 = v.data[..v.rank as usize].iter().product();
-                    reg!(*dst) = Slot::Int(size);
-                }
-                Instr::ItemQuery { dst, q, dim } => {
-                    ctx.stats.arith_ops += 1;
-                    let d = self.dim(base, *dim)?;
-                    let v = match q {
-                        ItemQ::GlobalId => self.item.global_id[d],
-                        ItemQ::LocalId => self.item.local_id[d],
-                        ItemQ::GroupId => self.item.group_id[d],
-                        ItemQ::GlobalRange => self.item.global_range[d],
-                        ItemQ::LocalRange => self.item.local_range[d],
-                        ItemQ::GroupRange => self.item.group_range(d),
+                    put!(MemRef in memrefs, dst, mr);
+                });
+            }
+            Instr::Load {
+                dst,
+                mem,
+                idx,
+                rank,
+                site,
+            } => {
+                site!(at, *site);
+                let (rank, idx, (dst, mem)) = (*rank, idx.map(|r| rows!(&r)), rows!(dst, mem));
+                each_lane!({ reg!(dst).set(load!(mem, idx, rank, at)) });
+            }
+            Instr::Store {
+                val,
+                mem,
+                idx,
+                rank,
+                site,
+            } => {
+                site!(at, *site);
+                let (rank, idx, (val, mem)) = (*rank, idx.map(|r| rows!(&r)), rows!(val, mem));
+                each_lane!({
+                    // What device memory is handed, which faults on anything
+                    // but a scalar by its kind.
+                    let v = match reg!(val).get() {
+                        Slot::Int(v) => RtValue::Int(v),
+                        Slot::F32(v) => RtValue::F32(v),
+                        Slot::F64(v) => RtValue::F64(v),
+                        Slot::Ptr(v) => RtValue::Ptr(v),
+                        Slot::Unit => RtValue::Unit,
+                        Slot::Vec => RtValue::Vec(vecs[val.at + lane]),
+                        Slot::MemRef => RtValue::MemRef(memrefs[val.at + lane]),
+                        Slot::NdRange => {
+                            let (g, l) = nd_ranges[val.at + lane];
+                            RtValue::NdRange(g, l)
+                        }
+                        Slot::Accessor(i) => args[i as usize],
+                        Slot::Item => RtValue::Item(items[lane]),
                     };
-                    reg!(*dst) = Slot::Int(v);
-                }
-                Instr::GlobalLinearId { dst } => {
-                    ctx.stats.arith_ops += 1;
-                    reg!(*dst) = Slot::Int(self.item.global_linear_id());
-                }
-                Instr::LocalLinearId { dst } => {
-                    ctx.stats.arith_ops += 1;
-                    reg!(*dst) = Slot::Int(self.item.local_linear_id());
-                }
-                Instr::ItemSelf { dst } => reg!(*dst) = Slot::Item,
-                Instr::AccSubscript { dst, acc, id } => {
-                    put!(MemRef in memrefs, *dst, subscript!(*acc, *id))
-                }
-                Instr::AccRange { dst, acc, dim } => {
-                    ctx.stats.arith_ops += 1;
-                    let acc = accessor_of!(*acc, "get_range");
-                    let d = self.dim(base, *dim)?;
-                    reg!(*dst) = Slot::Int(acc.range[d]);
-                }
-                Instr::AccBase { dst, acc } => {
-                    ctx.stats.arith_ops += 1;
-                    let acc = accessor_of!(*acc, "accessor.base");
-                    let b = ((acc.mem.0 as i64) << 32) | acc.linearize(&[0, 0, 0]);
-                    reg!(*dst) = Slot::Int(b);
-                }
-                Instr::Barrier => {
-                    ctx.stats.barriers += 1;
-                    self.frames[frame].pc = pc as u32;
-                    return Ok(Stop::Barrier);
-                }
-                Instr::Jump { target } => pc = *target as usize,
-                Instr::BranchIfFalse { cond, target } => {
-                    ctx.stats.arith_ops += 1;
-                    if int!(*cond, "non-boolean if condition") == 0 {
-                        pc = *target as usize;
-                    }
-                }
-                Instr::ForEnter {
-                    lb,
-                    ub,
-                    step,
-                    iv,
-                    exit,
-                } => {
-                    ctx.stats.arith_ops += 1;
-                    let lb = int!(*lb, "bad lb");
-                    let ub = int!(*ub, "bad ub");
-                    let step = int!(*step, "bad step");
+                    let mr = payload!(MemRef in memrefs, mem, "store to non-memref");
+                    let (buf, addr) = access!(mr, idx, rank, at);
+                    // SAFETY: as in `load_at!`.
+                    unsafe { buf.store_at(at.1, addr, v) }.map_err(|f| pctx.fault_at(at.2, f))?;
+                });
+            }
+            Instr::VecCtor { dst, comps, rank } => {
+                ctx.stats.arith_ops += n;
+                let (rank, comps, dst) = (*rank, comps.map(|r| rows!(&r)), rows!(dst));
+                each_lane!({ put!(Vec in vecs, dst, vec_ctor!(comps, rank)) });
+            }
+            Instr::NdRangeCtor { dst, g, l } => {
+                let (dst, g, l) = rows!(dst, g, l);
+                each_lane!({
+                    let g = payload!(Vec in vecs, g, "nd_range global");
+                    let l = payload!(Vec in vecs, l, "nd_range local");
+                    put!(NdRange in nd_ranges, dst, (g, l));
+                });
+            }
+            Instr::VecGet { dst, v, dim } => alu!(1; dst(v; dim) => {
+                let v = payload!(Vec in vecs, v, "id.get");
+                Slot::Int(v.data[dim!(dim)])
+            }),
+            Instr::RangeSize { dst, v } => alu!(1; dst(v) => {
+                let v = payload!(Vec in vecs, v, "range.size");
+                Slot::Int(v.data[..v.rank as usize].iter().product())
+            }),
+            Instr::ItemQuery { dst, q, dim } => alu!(1; dst(; q, dim) => {
+                let (d, item) = (dim!(dim), &items[lane]);
+                Slot::Int(match q {
+                    ItemQ::GlobalId => item.global_id[d],
+                    ItemQ::LocalId => item.local_id[d],
+                    ItemQ::GroupId => item.group_id[d],
+                    ItemQ::GlobalRange => item.global_range[d],
+                    ItemQ::LocalRange => item.local_range[d],
+                    ItemQ::GroupRange => item.group_range(d),
+                })
+            }),
+            Instr::GlobalLinearId { dst } => {
+                alu!(1; dst() => Slot::Int(items[lane].global_linear_id()))
+            }
+            Instr::LocalLinearId { dst } => {
+                alu!(1; dst() => Slot::Int(items[lane].local_linear_id()))
+            }
+            Instr::ItemSelf { dst } => alu!(dst() => Slot::Item),
+            Instr::AccSubscript { dst, acc, id } => {
+                ctx.stats.arith_ops += n;
+                let (dst, acc, id) = rows!(dst, acc, id);
+                each_lane!({ put!(MemRef in memrefs, dst, subscript!(acc, id)) });
+            }
+            Instr::AccRange { dst, acc, dim } => alu!(1; dst(acc; dim) => {
+                let acc = accessor_of!(acc, "get_range");
+                Slot::Int(acc.range[dim!(dim)])
+            }),
+            Instr::AccBase { dst, acc } => alu!(1; dst(acc) => {
+                let acc = accessor_of!(acc, "accessor.base");
+                Slot::Int(((acc.mem.0 as i64) << 32) | acc.linearize(&[0, 0, 0]))
+            }),
+            Instr::Barrier => {
+                ctx.stats.barriers += n;
+                frames[frame].pc = pc as u32;
+                return Stop::Barrier;
+            }
+            Instr::Jump { target } => pc = *target as usize,
+            Instr::BranchIfFalse { cond, target } => {
+                ctx.stats.arith_ops += n;
+                let cond = rows!(cond);
+                branch!(*target, { int!(cond, "non-boolean if condition") == 0 });
+            }
+            Instr::ForEnter {
+                lb,
+                ub,
+                step,
+                iv,
+                exit,
+            } => {
+                ctx.stats.arith_ops += n;
+                let (lb, ub, step, iv) = rows!(lb, ub, step, iv);
+                branch!(*exit, {
+                    let lb = int!(lb, "bad lb");
+                    let ub = int!(ub, "bad ub");
+                    let step = int!(step, "bad step");
                     if step <= 0 {
                         return Err(err("non-positive loop step"));
                     }
-                    reg!(*iv) = Slot::Int(lb);
-                    if lb >= ub {
-                        pc = *exit as usize;
+                    reg!(iv).set(Slot::Int(lb));
+                    lb >= ub
+                });
+            }
+            Instr::ForNext { iv, step, ub, body } => {
+                let (iv, step, ub) = rows!(iv, step, ub);
+                branch!(*body, {
+                    let cur = int!(iv, "bad iv");
+                    let step = int!(step, "bad step");
+                    let ub = int!(ub, "bad ub");
+                    // Past `i64::MAX` is past `ub`: overflow ends the loop.
+                    let next = cur.checked_add(step).filter(|&next| next < ub);
+                    if let Some(next) = next {
+                        reg!(iv).set(Slot::Int(next));
                     }
+                    next.is_some()
+                });
+            }
+            Instr::Call {
+                func: callee,
+                args: call_args,
+                results: _,
+            } => {
+                let callee_plan = &plan.funcs[*callee as usize];
+                let new_base = base + plan.funcs[func].reg_count as usize;
+                // The file only grows: another group of the sub-group may
+                // be suspended in a deeper frame.
+                let top = (new_base + callee_plan.reg_count as usize) * w;
+                if reg_file.len() < top {
+                    reg_file.resize(top, Slot::Unit);
                 }
-                Instr::ForNext { iv, step, ub, body } => {
-                    let cur = int!(*iv, "bad iv");
-                    let step = int!(*step, "bad step");
-                    let ub = int!(*ub, "bad ub");
-                    let next = cur + step;
-                    if next < ub {
-                        reg!(*iv) = Slot::Int(next);
-                        pc = *body as usize;
+                cells = Cell::from_mut(&mut reg_file[..]).as_slice_of_cells();
+                for &l in lanes.iter() {
+                    let l = l as usize;
+                    for r in new_base..new_base + callee_plan.reg_count as usize {
+                        cells[r * w + l].set(Slot::Unit);
                     }
-                }
-                Instr::Call {
-                    func: callee,
-                    args: call_args,
-                    results: _,
-                } => {
-                    let callee_plan = &plan.funcs[*callee as usize];
-                    let new_base = self.regs.len();
-                    self.regs
-                        .resize(new_base + callee_plan.reg_count as usize, Slot::Unit);
                     for (&p, &a) in callee_plan.params.iter().zip(call_args.iter()) {
-                        self.mov(new_base + p as usize, base + a as usize);
+                        mov!((new_base + p as usize) * w + l, (base + a as usize) * w + l);
                     }
-                    // Flush the caller frame (pc already past the call).
-                    self.frames[frame].pc = pc as u32;
-                    self.frames.push(PlanFrame {
-                        func: *callee,
-                        pc: 0,
-                        base: new_base as u32,
-                    });
-                    frame += 1;
-                    func = *callee as usize;
-                    code = &plan.funcs[func].code;
-                    base = new_base;
-                    pc = 0;
                 }
-                // Superinstructions: each arm names its members' steps in
-                // window order. Eliding arms pass a member's result straight
-                // to the next step; the write-through arm puts it in its
-                // register and the next step reads it back, so even a
-                // degenerate aliasing of those registers replays exactly.
-                Instr::LoadBinFloat {
-                    op,
-                    dst,
-                    other,
-                    loaded_is_lhs,
-                    f32_out,
-                    mem,
-                    idx,
-                    rank,
-                    site,
-                } => {
-                    let t = load!(*mem, idx, *rank, *site);
-                    let o = reg!(*other);
-                    let (l, r) = if *loaded_is_lhs { (t, o) } else { (o, t) };
-                    reg!(*dst) = bin_float!(*op, l, r, *f32_out);
+                // Flush the caller frame (pc already past the call).
+                frames[frame].pc = pc as u32;
+                frames.push(PlanFrame {
+                    func: *callee,
+                    pc: 0,
+                    base: new_base as u32,
+                });
+                frame += 1;
+                func = *callee as usize;
+                code = &plan.funcs[func].code;
+                base = new_base;
+                pc = 0;
+            }
+            // Superinstructions: each arm names its members' steps in
+            // window order, lane by lane. Eliding arms pass a member's
+            // result straight to the next step; the write-through arm puts
+            // it in its register and the next step reads it back, so even
+            // a degenerate aliasing of those registers replays exactly.
+            Instr::LoadBinFloat {
+                op,
+                dst,
+                other,
+                loaded_is_lhs,
+                f32_out,
+                mem,
+                idx,
+                rank,
+                site,
+            } => {
+                ctx.stats.arith_ops += n;
+                site!(at, *site);
+                let (op, lhs, f32_out, rank) = (*op, *loaded_is_lhs, *f32_out, *rank);
+                let (idx, (dst, other, mem)) = (idx.map(|r| rows!(&r)), rows!(dst, other, mem));
+                each_lane!({
+                    let t = load!(mem, idx, rank, at);
+                    let o = reg!(other).get();
+                    let (l, r) = if lhs { (t, o) } else { (o, t) };
+                    reg!(dst).set(bin_float!(op, l, r, f32_out));
+                });
+            }
+            Instr::LoadMulAddF {
+                dst,
+                mem,
+                idx,
+                rank,
+                site,
+                b,
+                loaded_is_lhs,
+                mul_f32,
+                c,
+                prod_is_lhs,
+                f32_out,
+            } => {
+                ctx.stats.arith_ops += 2 * n;
+                site!(at, *site);
+                let (lhs, mul_f32, prod_lhs, f32_out) =
+                    (*loaded_is_lhs, *mul_f32, *prod_is_lhs, *f32_out);
+                let (rank, idx, (dst, mem, b, c)) =
+                    (*rank, idx.map(|r| rows!(&r)), rows!(dst, mem, b, c));
+                each_lane!({
+                    let t = load!(mem, idx, rank, at);
+                    let b = reg!(b).get();
+                    let (l, r) = if lhs { (t, b) } else { (b, t) };
+                    let u = bin_float!(FloatBin::Mul, l, r, mul_f32);
+                    let c = reg!(c).get();
+                    let (l, r) = if prod_lhs { (u, c) } else { (c, u) };
+                    reg!(dst).set(bin_float!(FloatBin::Add, l, r, f32_out));
+                });
+            }
+            Instr::AccLoadIndexed {
+                dst,
+                acc,
+                comps,
+                comps_rank,
+                idx,
+                rank,
+                site,
+            } => {
+                ctx.stats.arith_ops += 2 * n;
+                site!(at, *site);
+                let (comps_rank, comps, rank, idx) = (
+                    *comps_rank,
+                    comps.map(|r| rows!(&r)),
+                    *rank,
+                    idx.map(|r| rows!(&r)),
+                );
+                let (dst, acc) = rows!(dst, acc);
+                each_lane!({
+                    let id = vec_ctor!(comps, comps_rank);
+                    let view = subscript_by!(acc, id);
+                    reg!(dst).set(load_at!(view, idx, rank, at));
+                });
+            }
+            Instr::AccLoadQuad {
+                dst,
+                acc,
+                comps,
+                comps_rank,
+                id,
+                view,
+                cst,
+                cst_val,
+                site,
+            } => {
+                ctx.stats.arith_ops += 2 * n;
+                site!(at, *site);
+                let (comps_rank, comps, cst_val) =
+                    (*comps_rank, comps.map(|r| rows!(&r)), *cst_val);
+                let (dst, acc, id, view, cst) = rows!(dst, acc, id, view, cst);
+                each_lane!({
+                    put!(Vec in vecs, id, vec_ctor!(comps, comps_rank));
+                    put!(MemRef in memrefs, view, subscript!(acc, id));
+                    reg!(cst).set(cst_val);
+                    reg!(dst).set(load!(view, [cst; 3], 1_u8, at));
+                });
+            }
+            Instr::Return { vals } => {
+                if frame == 0 {
+                    return Stop::Finished;
                 }
-                Instr::LoadMulAddF {
-                    dst,
-                    mem,
-                    idx,
-                    rank,
-                    site,
-                    b,
-                    loaded_is_lhs,
-                    mul_f32,
-                    c,
-                    prod_is_lhs,
-                    f32_out,
-                } => {
-                    let t = load!(*mem, idx, *rank, *site);
-                    let b = reg!(*b);
-                    let (l, r) = if *loaded_is_lhs { (t, b) } else { (b, t) };
-                    let u = bin_float!(FloatBin::Mul, l, r, *mul_f32);
-                    let c = reg!(*c);
-                    let (l, r) = if *prod_is_lhs { (u, c) } else { (c, u) };
-                    reg!(*dst) = bin_float!(FloatBin::Add, l, r, *f32_out);
-                }
-                Instr::AccLoadIndexed {
-                    dst,
-                    acc,
-                    comps,
-                    comps_rank,
-                    idx,
-                    rank,
-                    site,
-                } => {
-                    let id = vec_ctor!(comps, *comps_rank);
-                    let view = subscript_by!(*acc, id);
-                    reg!(*dst) = load_at!(view, idx, *rank, *site);
-                }
-                Instr::AccLoadQuad {
-                    dst,
-                    acc,
-                    comps,
-                    comps_rank,
-                    id,
-                    view,
-                    cst,
-                    cst_val,
-                    site,
-                } => {
-                    put!(Vec in vecs, *id, vec_ctor!(comps, *comps_rank));
-                    put!(MemRef in memrefs, *view, subscript!(*acc, *id));
-                    reg!(*cst) = *cst_val;
-                    reg!(*dst) = load!(*view, [*cst, 0, 0], 1_u8, *site);
-                }
-                Instr::Return { vals } => {
-                    if frame == 0 {
-                        self.finished = true;
-                        return Ok(Stop::Finished);
-                    }
-                    let callee_base = base;
-                    self.frames.pop();
-                    frame -= 1;
-                    let caller = &self.frames[frame];
-                    func = caller.func as usize;
-                    code = &plan.funcs[func].code;
-                    base = caller.base as usize;
-                    pc = caller.pc as usize;
-                    // The instruction before `pc` is the call.
-                    let Instr::Call { results, .. } = &code[pc - 1] else {
-                        return Err(err("return without a pending call"));
-                    };
-                    // The callee's frame, registers and payloads, is
-                    // dropped only after its values are copied out.
+                let callee_base = base;
+                frames.pop();
+                frame -= 1;
+                let caller = &frames[frame];
+                func = caller.func as usize;
+                code = &plan.funcs[func].code;
+                base = caller.base as usize;
+                pc = caller.pc as usize;
+                // The instruction before `pc` is the call.
+                let Instr::Call { results, .. } = &code[pc - 1] else {
+                    fail!(err("return without a pending call"));
+                };
+                for &l in lanes.iter() {
+                    let l = l as usize;
                     for (i, &r) in results.iter().enumerate() {
+                        let to = (base + r as usize) * w + l;
                         match vals.get(i) {
-                            Some(&v) => self.mov(base + r as usize, callee_base + v as usize),
-                            None => self.regs[base + r as usize] = Slot::Unit,
+                            Some(&v) => mov!(to, (callee_base + v as usize) * w + l),
+                            None => cells[to].set(Slot::Unit),
                         }
                     }
-                    self.regs.truncate(callee_base);
                 }
-            }
-        }
-    }
-
-    #[inline]
-    fn dim(&self, base: usize, dim: DimSrc) -> Result<usize, SimError> {
-        match dim {
-            DimSrc::Const(d) => Ok(d as usize),
-            DimSrc::Reg(r) => {
-                let d = self.regs[base + r as usize]
-                    .as_int()
-                    .ok_or_else(|| err("non-constant dimension operand"))?;
-                if !(0..3).contains(&d) {
-                    return Err(err(format!("dimension {d} out of range")));
-                }
-                Ok(d as usize)
             }
         }
     }
@@ -944,14 +1248,14 @@ fn materialize_dense(
 mod tests {
     use super::super::FuncPlan;
     use super::*;
+    use crate::memory::MemId;
 
-    /// A worker's work-item slot outlives launches: re-bound to a kernel
+    /// A worker's work-group state outlives launches: re-bound to a kernel
     /// with fewer registers it must show nothing of the aggregates the
     /// previous kernel left in its banks, neither in the registers it
-    /// binds nor in those a later call frame adds.
+    /// binds nor in those a later call frame adds — in any lane.
     #[test]
     fn reset_for_a_smaller_kernel_sees_no_stale_aggregate() {
-        use crate::memory::MemId;
         let kernel = |reg_count, params| KernelPlan {
             funcs: vec![FuncPlan {
                 code: vec![Instr::Return { vals: Box::new([]) }],
@@ -963,7 +1267,7 @@ mod tests {
             mem_sites: 0,
             local_sites: 0,
         };
-        let item = PlanWorkItem::empty().item;
+        let items = || crate::device::items_of_group(crate::NdRangeSpec::d1(3, 3), [0; 3]);
         let id = VecVal {
             data: [7, 8, 9],
             rank: 3,
@@ -980,27 +1284,32 @@ mod tests {
             RtValue::MemRef(view),
             RtValue::NdRange(id, id),
         ];
-        let mut wi = PlanWorkItem::empty();
-        wi.reset(&kernel(6, vec![1, 3, 5]), &big, item, 16).unwrap();
-        let held: Vec<RtValue> = (0..6).map(|r| wi.value(r, &big)).collect();
+        let mut wg = PlanWorkGroup::default();
+        wg.reset(&kernel(6, vec![1, 3, 5]), &big, items(), 16)
+            .unwrap();
+        let row = |s| [s; 3];
+        let expect = [
+            row(Slot::Unit),
+            row(Slot::Vec),
+            row(Slot::Unit),
+            row(Slot::MemRef),
+            row(Slot::Unit),
+            row(Slot::NdRange),
+        ];
+        let f = &wg.files[0];
+        assert_eq!(f.regs, expect.concat());
         assert_eq!(
-            held,
-            [
-                RtValue::Unit,
-                big[0],
-                RtValue::Unit,
-                big[1],
-                RtValue::Unit,
-                big[2]
-            ]
+            (&f.vecs[3..6], &f.memrefs[9..12]),
+            (&[id; 3][..], &[view; 3][..])
         );
+        assert_eq!(f.nd_ranges[15..18], [(id, id); 3]);
 
-        let small = [RtValue::Int(4)];
-        wi.reset(&kernel(2, vec![1]), &small, item, 16).unwrap();
-        wi.regs.resize(6, Slot::Unit); // what a `Call` does for the callee's frame
-        let held: Vec<RtValue> = (0..6).map(|r| wi.value(r, &small)).collect();
-        let mut expect = [RtValue::Unit; 6];
-        expect[1] = small[0];
-        assert_eq!(held, expect);
+        wg.reset(&kernel(2, vec![1]), &[RtValue::Int(4)], items(), 16)
+            .unwrap();
+        // What a `Call` does for the callee's frame.
+        wg.files[0].regs.resize(6 * 3, Slot::Unit);
+        let mut expect = [row(Slot::Unit); 6];
+        expect[1] = row(Slot::Int(4));
+        assert_eq!(wg.files[0].regs, expect.concat());
     }
 }

@@ -48,7 +48,8 @@ mod slot;
 mod tests;
 
 pub use decode::{decode_kernel, DecodeError};
-pub use exec::{PlanCtx, PlanWorkItem};
+pub(crate) use exec::audit_requested;
+pub use exec::{audit_on_this_thread, PlanCtx, PlanWorkGroup};
 pub use fuse::{fuse_plan, fuse_plan_with, profile_summary, FuseLevel};
 pub use instr::{Class, CmpPred, DimSrc, FloatBin, Instr, IntBin, ItemQ, MathOp, Role};
 pub use slot::{Reg, Slot};

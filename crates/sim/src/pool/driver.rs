@@ -13,7 +13,7 @@ use crate::device::{cooperative_rounds, items_of_group, NdRangeSpec};
 use crate::interp::SimError;
 use crate::limits::{tripped, ExecLimits, FaultPlan, FaultSite, OpMeter};
 use crate::memory::MemoryPool;
-use crate::plan::{KernelPlan, PlanCtx, PlanWorkItem};
+use crate::plan::{KernelPlan, PlanCtx, PlanWorkGroup};
 use crate::value::RtValue;
 use crate::verify::PlanFacts;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -94,6 +94,9 @@ struct GraphState<'a, 'p> {
     /// The wall-clock deadline, resolved **once** at graph entry so every
     /// launch of the graph races the same instant.
     deadline: Option<Instant>,
+    /// The launching thread asked for an audit run (test-only; see
+    /// [`crate::plan::audit_on_this_thread`]).
+    audit: bool,
 }
 
 impl GraphState<'_, '_> {
@@ -172,11 +175,11 @@ pub(super) fn group_of(groups: [i64; 3], idx: usize) -> [i64; 3] {
 }
 
 /// Execute every work-item of one work-group to completion, honouring
-/// barriers co-operatively. `slots` are the worker's reusable work-item
-/// slots (registers, frames, visit counters survive across work-groups
-/// and launches, so the steady state allocates nothing per item): grown
-/// on demand and re-bound to this group's items, whatever state the
-/// previous group left them in.
+/// barriers co-operatively: rounds over the lane groups of `wg`, the
+/// worker's reusable work-group state (register files, lane lists and
+/// frame stacks survive across work-groups and launches, so the steady
+/// state allocates nothing per work-group), re-bound to this group's
+/// items whatever state the previous group left it in.
 fn run_group(
     plan: &KernelPlan,
     args: &[RtValue],
@@ -184,18 +187,12 @@ fn run_group(
     group: [i64; 3],
     ctx: &mut PlanExecCtx<'_, '_>,
     pctx: &mut PlanCtx,
-    slots: &mut Vec<PlanWorkItem>,
+    wg: &mut PlanWorkGroup,
 ) -> Result<(), SimError> {
-    let positions = items_of_group(nd, group);
-    let n = positions.len();
-    if slots.len() < n {
-        slots.resize_with(n, PlanWorkItem::empty);
-    }
-    let items = &mut slots[..n];
-    for (slot, item) in items.iter_mut().zip(positions) {
-        slot.reset(plan, args, item, ctx.cost.subgroup_size)?;
-    }
-    cooperative_rounds(items, group, |wi| wi.run(plan, args, ctx, pctx))
+    let items = items_of_group(nd, group);
+    let n = items.len();
+    wg.reset(plan, args, items, ctx.cost.subgroup_size)?;
+    cooperative_rounds(n, group, || wg.round(plan, args, ctx, pctx))
 }
 
 /// Execute the single logical work-group of a host node: admit it
@@ -215,7 +212,7 @@ fn run_host_node(node: &HostNode, st: &GraphState<'_, '_>, li: usize) -> Result<
 /// (`GraphState::run_chunks`) — so it meets each launch at most once, and
 /// what it counted there is one row of its result. The
 /// worker's memory interface — and with it the recyclable scratch arena —
-/// and its work-item slots (see `run_group`) are reused across every
+/// and its work-group state (see `run_group`) are reused across every
 /// launch it touches.
 ///
 /// With limits active, the wall-clock deadline and the cancel token are
@@ -228,7 +225,7 @@ fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
         ctx.pool.set_mem_cap(cap);
     }
     let mut rows = WorkerResult::new();
-    let mut slots: Vec<PlanWorkItem> = Vec::new();
+    let mut wg = PlanWorkGroup::default();
     while let Some(li) = st.sched.acquire() {
         let unit = &st.units[li];
         match *unit.launch {
@@ -238,6 +235,7 @@ fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
                 } else {
                     PlanCtx::new(plan)
                 };
+                pctx.audit = st.audit;
                 if let Some(proven) = &unit.proven {
                     pctx.set_proven(proven.clone());
                 }
@@ -247,7 +245,7 @@ fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
                 st.run_chunks(li, |gi| {
                     let group = group_of(unit.groups, gi);
                     let r = catch_unwind(AssertUnwindSafe(|| {
-                        run_group(plan, args, nd, group, &mut ctx, &mut pctx, &mut slots)
+                        run_group(plan, args, nd, group, &mut ctx, &mut pctx, &mut wg)
                     }));
                     ctx.next_work_group();
                     pctx.next_work_group();
@@ -274,7 +272,8 @@ pub struct GraphReport {
     pub stats: Vec<ExecStats>,
     /// Per-launch terminal state.
     pub statuses: Vec<LaunchStatus>,
-    /// Per-launch execution counts (`Some` iff profiling was requested).
+    /// Per-launch execution counts (`Some` iff profiling was requested),
+    /// as [`PlanCtx::take_profile`] lays them out.
     pub profile: Option<Vec<Box<[u64]>>>,
 }
 
@@ -419,6 +418,7 @@ pub fn run_plan_graph_report(
         profile,
         limits,
         deadline: limits.deadline_instant(),
+        audit: crate::plan::audit_requested(),
     };
 
     // The calling thread is always worker 0; the others live for this
@@ -451,7 +451,7 @@ pub fn run_plan_graph_report(
     // profiling, empty otherwise.
     let mut profiles: Vec<Box<[u64]>> = (launches.iter())
         .map(|l| match l {
-            PlanLaunch::Kernel { plan, .. } if profile => vec![0; plan.instr_count()].into(),
+            PlanLaunch::Kernel { plan, .. } if profile => vec![0; plan.instr_count() + 1].into(),
             _ => Box::default(),
         })
         .collect();

@@ -33,15 +33,21 @@ pub struct MemRefVal {
 
 impl MemRefVal {
     /// Row-major linearized element index for `indices`.
+    #[inline]
     pub fn linearize(&self, indices: &[i64]) -> i64 {
+        assert!(indices.len() <= 3, "a memref view has at most 3 extents");
         let mut addr = 0;
-        for (d, &i) in indices.iter().enumerate() {
-            let extent = self.shape[d];
-            if extent >= 0 {
-                addr = addr * extent + i;
-            } else {
-                // dynamic rank-1 view
-                addr += i;
+        // Constant subscripts, so that a caller's `[i64; 3]` needs no
+        // memory: this runs once per simulated access.
+        for d in 0..3 {
+            if d < indices.len() {
+                let extent = self.shape[d];
+                if extent >= 0 {
+                    addr = addr * extent + indices[d];
+                } else {
+                    // dynamic rank-1 view
+                    addr += indices[d];
+                }
             }
         }
         self.offset + addr
@@ -66,10 +72,17 @@ pub struct AccessorVal {
 
 impl AccessorVal {
     /// Element offset of an id within this accessor.
+    #[inline]
+    #[allow(clippy::needless_range_loop)]
     pub fn linearize(&self, id: &[i64]) -> i64 {
+        let n = id.len().min(self.rank as usize);
+        assert!(n <= 3, "an accessor has at most 3 dimensions");
         let mut addr = 0;
-        for (d, &i) in id.iter().enumerate().take(self.rank as usize) {
-            addr = addr * self.range[d] + (i + self.offset[d]);
+        // Constant subscripts, as in [`MemRefVal::linearize`].
+        for d in 0..3 {
+            if d < n {
+                addr = addr * self.range[d] + (id[d] + self.offset[d]);
+            }
         }
         addr
     }

@@ -58,11 +58,20 @@ summary() {
   # (tests/alloc_budget.rs; `cargo test -q` above ran it with its output
   # captured).
   cargo test -q --test alloc_budget -- --nocapture 2>/dev/null | grep '^alloc_budget:'
+  # The lockstep gauge (held exactly by the step below): what the quick
+  # sweep executes, and in how many dispatches.
+  echo "quick sweep: $(lockstep_gauge) (lane-instructions, dispatches, lanes/dispatch)"
   # Register and instruction width of the plan engine (plan/slot.rs and
   # plan/instr.rs assert their bounds at compile time).
   cargo test -q -p sycl-mlir-sim --lib plan_sizes -- --nocapture 2>/dev/null | grep -o 'plan_sizes:.*'
   passed=$(awk '/^test result:/ { n += $4 } END { print n + 0 }' "$tmp/test.log")
   echo "ci.sh wall time: $(( $(date +%s) - ci_start )) s; cargo test: $passed passed"
+}
+
+# The `(sweep)` row of `--profile=on`'s lockstep section, for the quick
+# sweep: deterministic work counters — every thread count reads the same.
+lockstep_gauge() {
+  ./target/release/repro_all --quick --profile=on 2>/dev/null | awk '$4 == "(sweep)" { print $1, $2, $3 }'
 }
 
 step "cargo fmt --check"
@@ -153,15 +162,42 @@ if grep -rnE 'RawJob|static POOL|fn launch_job|ensure_workers|worker_main' crate
   exit 1
 fi
 
+# One executor (ARCHITECTURE.md, "One plan executor"): the plan engine runs
+# a sub-group's work-items in lockstep, a lane group of one being the
+# scalar case. A per-item executor — its slot type, a second instruction
+# loop — must not come back beside it.
+step "no per-item plan executor under crates/sim/src"
+if grep -rn 'PlanWorkItem' crates/sim/src ||
+  [[ $(grep -rhE '^\s*(pub(\(crate\))? )?fn run_impl\b' crates/sim/src | wc -l) != 1 ]]; then
+  echo "FAIL: a per-item executor (PlanWorkItem, a second run_impl) is back beside the lockstep one" >&2
+  exit 1
+fi
+
 # Runs the whole workspace, including the scheduler's hardening suites:
 # tests/scheduler_stress.rs (~200 randomized hazard DAGs across tree |
 # plan × threads 1 | 4, plus error-ordering pins),
 # tests/hazard_graph_diff.rs (the queue's hazard-table edges against the
 # all-pairs reference: subset, same closure, linear count) and
-# tests/plan_fuzz.rs (random legal bytecode, fused vs unfused).
+# tests/plan_fuzz.rs (random legal bytecode, fused vs unfused, lockstep
+# vs item order, the order-and-proof audit) — and the lockstep suites:
+# tests/lockstep_divergence.rs (lanes that branch apart, loop unevenly,
+# re-merge at barriers or fail, against the tree walk) and the audit sweep
+# of tests/differential.rs.
 # --no-fail-fast: one red crate must not hide the targets after it.
 step "cargo test (incl. scheduler stress + plan fuzz suites)"
 cargo test -q --no-fail-fast 2>&1 | tee "$tmp/test.log"
+
+# The lockstep gauge: the quick sweep's lane-instructions must not move
+# with how they are dispatched (they are the per-opcode totals of the
+# profile), and the dispatch count says whether lanes stayed together —
+# both are exact, so a change to either is a change to explain.
+step "lockstep gauge: quick-sweep lane-instructions and dispatches, exactly"
+gauge=$(lockstep_gauge)
+if [[ "$gauge" != "35014680 2430526 14.41" ]]; then
+  echo "FAIL: the quick sweep's lockstep gauge reads '$gauge', expected '35014680 2430526 14.41'" >&2
+  exit 1
+fi
+echo "quick sweep: $gauge (lane-instructions, dispatches, lanes/dispatch)"
 
 step "cargo doc --no-deps (deny warnings)"
 # Catches broken intra-doc links; crates/sim and crates/runtime also deny

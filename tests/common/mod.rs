@@ -20,16 +20,17 @@ use sycl_mlir_repro::sim::{
 };
 use sycl_mlir_repro::sycl::types::AccessMode;
 
-/// Run `launch` alone on `threads` workers under `limits`: its statistics
-/// when it completed, else its failure.
+/// Run `launch` alone on `threads` workers under `limits` and `cost`: its
+/// statistics when it completed, else its failure.
 pub fn run_launch(
     launch: PlanLaunch<'_>,
     pool: &mut MemoryPool,
     threads: usize,
     limits: &ExecLimits,
+    cost: &CostModel,
 ) -> Result<ExecStats, SimError> {
-    let (dag, cost) = (LaunchDag::independent(1), CostModel::default());
-    let report = run_plan_graph_report(&[launch], &dag, pool, &cost, threads, false, limits)?;
+    let dag = LaunchDag::independent(1);
+    let report = run_plan_graph_report(&[launch], &dag, pool, cost, threads, false, limits)?;
     Ok(report.into_result()?.stats.remove(0))
 }
 

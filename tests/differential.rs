@@ -185,6 +185,52 @@ mod engine_differential {
         }
     }
 
+    /// The order-and-proof audit, over the whole suite: with a work-group's
+    /// sub-groups, and the two halves of every split, run in the opposite
+    /// order, and with the bounds check kept at every site the interval
+    /// prover marked in-bounds (a failing one is an error of its own),
+    /// every workload under every flow must produce what the normal run
+    /// does — outputs, statistics, cycles, or the same failure. A kernel
+    /// that depended on item order between barriers, or a wrong proof,
+    /// fails here.
+    #[test]
+    fn audit_run_matches_the_normal_run_on_all_workloads() {
+        use sycl_mlir_repro::sim::plan::audit_on_this_thread;
+        let dev = Device::with_engine(Engine::Plan);
+        for w in all_workloads() {
+            let size = quick_size(&w);
+            for kind in FlowKind::all() {
+                let label = format!("{} [{}] at size {size}", w.name, kind.name());
+                let normal = run_workload_on(&w, size, kind, &dev);
+                audit_on_this_thread(true);
+                let audited = run_workload_on(&w, size, kind, &dev);
+                audit_on_this_thread(false);
+                match (normal, audited) {
+                    (Ok((nres, nrt)), Ok((ares, art))) => {
+                        assert_eq!(nres.valid, ares.valid, "validation differs: {label}");
+                        assert_eq!(nres.stats, ares.stats, "stats differ: {label}");
+                        assert!(
+                            cycles_eq(nres.cycles, ares.cycles),
+                            "cycles differ: {label}: {} vs {}",
+                            nres.cycles,
+                            ares.cycles
+                        );
+                        for (i, (nb, ab)) in nrt.buffers.iter().zip(&art.buffers).enumerate() {
+                            assert_eq!(nb.data, ab.data, "buffer {i} contents differ: {label}");
+                        }
+                        assert_eq!(nrt.usm, art.usm, "usm contents differ: {label}");
+                    }
+                    (Err(ne), Err(ae)) => assert_eq!(ne, ae, "failures differ: {label}"),
+                    (n, a) => panic!(
+                        "one run failed, the other did not: {label}: normal={n:?} audit={a:?}",
+                        n = n.is_ok(),
+                        a = a.is_ok()
+                    ),
+                }
+            }
+        }
+    }
+
     /// Every workload, under every compilation flow, must produce
     /// identical outputs, statistics and cycles with *all* executor
     /// upgrades engaged at once — plan engine, peephole fusion, 4 worker

@@ -59,6 +59,12 @@ struct Gen {
     accs: Vec<u32>,
     /// Access through the parameter registers only.
     direct: bool,
+    /// No two work-items touch one element unless both only read it: a
+    /// store, and an access whose kind is drawn after its index, goes to
+    /// the item's own slot (`8 + global id`), every other load to the
+    /// lower half, which nothing writes. Such a plan means the same in
+    /// every execution order.
+    race_free: bool,
     next_reg: u32,
     sites: u32,
 }
@@ -73,6 +79,7 @@ impl Gen {
             mems: vec![0],
             accs: vec![2],
             direct: false,
+            race_free: false,
             // 0 = f32 memref param, 1 = i64 memref param, 2 = accessor.
             next_reg: 3,
             sites: 0,
@@ -83,6 +90,14 @@ impl Gen {
     fn direct(seed: u64) -> Gen {
         Gen {
             direct: true,
+            ..Gen::new(seed)
+        }
+    }
+
+    /// The order-independent population (see the `race_free` field).
+    fn race_free(seed: u64) -> Gen {
+        Gen {
+            race_free: true,
             ..Gen::new(seed)
         }
     }
@@ -153,12 +168,18 @@ impl Gen {
         s
     }
 
-    /// An integer register holding `src & 15` — in-bounds by masking.
+    /// An integer register holding `src & 15` — in-bounds by masking —
+    /// or, in the race-free population, `src & 7`: the read-only half.
     fn mask_reg(&mut self, src: u32) -> u32 {
         let mask = self.fresh();
+        let bits = if self.race_free {
+            7
+        } else {
+            BUF_LEN as i64 - 1
+        };
         self.code.push(Instr::Const {
             dst: mask,
-            val: Slot::Int(BUF_LEN as i64 - 1),
+            val: Slot::Int(bits),
         });
         let dst = self.fresh();
         self.code.push(Instr::BinInt {
@@ -174,6 +195,31 @@ impl Gen {
     fn masked_index(&mut self) -> u32 {
         let src = self.pick_int();
         self.mask_reg(src)
+    }
+
+    /// The index of an access that may be a store: any in-bounds one, or,
+    /// in the race-free population, the item's own slot `8 + global id`.
+    fn store_index(&mut self) -> u32 {
+        if !self.race_free {
+            return self.masked_index();
+        }
+        let (gid, half, dst) = (self.fresh(), self.fresh(), self.fresh());
+        self.code.push(Instr::ItemQuery {
+            dst: gid,
+            q: ItemQ::GlobalId,
+            dim: sycl_mlir_repro::sim::plan::DimSrc::Const(0),
+        });
+        self.code.push(Instr::Const {
+            dst: half,
+            val: Slot::Int(BUF_LEN as i64 / 2),
+        });
+        self.code.push(Instr::BinInt {
+            op: IntBin::Add,
+            dst,
+            l: gid,
+            r: half,
+        });
+        dst
     }
 
     fn int_bin_op(&mut self) -> IntBin {
@@ -341,7 +387,7 @@ impl Gen {
             }
             8 => {
                 // Store a float to the f32 buffer.
-                let idx = self.masked_index();
+                let idx = self.store_index();
                 let val = self.pick_float();
                 let site = self.site();
                 let mem = self.f32_mem();
@@ -373,7 +419,7 @@ impl Gen {
     /// masked index and the inner zero index are materialized *before*
     /// the chain so the three members stay adjacent.
     fn acc_chain(&mut self) {
-        let idx = self.masked_index();
+        let idx = self.store_index();
         let zero = self.fresh();
         self.code.push(Instr::Const {
             dst: zero,
@@ -435,7 +481,7 @@ impl Gen {
     /// and the access instead of hoisting it, so the 4-instruction
     /// window must capture the interposed constant.
     fn quad_chain(&mut self) {
-        let idx = self.masked_index();
+        let idx = self.store_index();
         // Near-miss material: an earlier zero the access can index with
         // instead of the chain's own constant, breaking the
         // `idx == cst` guard while keeping the access in bounds.
@@ -525,7 +571,9 @@ impl Gen {
             dst: zero,
             val: Slot::Int(0),
         });
-        if self.rng.below(2) == 0 {
+        // The gathered index is any slot of the lower half: in the
+        // race-free population, one to read only.
+        if self.rng.below(2) == 0 || self.race_free {
             let dst = self.fresh();
             let site = self.site();
             self.code.push(Instr::Load {
@@ -554,7 +602,7 @@ impl Gen {
     /// chain and there is no write-through twin, so the addressing (and
     /// an accumulator that is also re-read) runs as decoded.
     fn view_accum(&mut self) {
-        let idx = self.masked_index();
+        let idx = self.store_index();
         let zero = self.fresh();
         self.code.push(Instr::Const {
             dst: zero,
@@ -689,7 +737,7 @@ impl Gen {
     /// Emit the accumulate-then-store pair: float binary op + `Store`
     /// (no window; the op may still close a load-headed one).
     fn store_accum(&mut self) {
-        let idx = self.masked_index();
+        let idx = self.store_index();
         let (l, r) = (self.pick_float(), self.pick_float());
         let t = self.fresh();
         let op = self.float_bin_op();
@@ -830,7 +878,7 @@ impl Gen {
         // Materialize live registers: without these stores the register
         // file would be unobservable through a launch.
         for _ in 0..3 {
-            let idx = self.masked_index();
+            let idx = self.store_index();
             let val = self.pick_float();
             let site = self.site();
             let mem = self.f32_mem();
@@ -842,7 +890,7 @@ impl Gen {
                 site,
             });
         }
-        let iidx = self.masked_index();
+        let iidx = self.store_index();
         let ival = self.pick_int();
         let isite = self.site();
         self.code.push(Instr::Store {
@@ -870,10 +918,18 @@ impl Gen {
     }
 }
 
-/// Run `plan` against fresh buffers; returns the outcome plus all three
-/// final buffer images (f32 memref, i64 memref, accessor-backed f32).
-#[allow(clippy::type_complexity)]
-fn execute(plan: &KernelPlan) -> (Result<ExecStats, SimError>, Vec<f32>, Vec<i64>, Vec<f32>) {
+/// An outcome plus all three final buffer images (f32 memref, i64 memref,
+/// accessor-backed f32).
+type Executed = (Result<ExecStats, SimError>, Vec<f32>, Vec<i64>, Vec<f32>);
+
+/// Run `plan` against fresh buffers under `cost`, with the verifier's
+/// `facts` attached if any (proven sites then take the unchecked-index
+/// fast path).
+fn execute_with(
+    plan: &KernelPlan,
+    facts: Option<&sycl_mlir_repro::sim::PlanFacts>,
+    cost: &CostModel,
+) -> Executed {
     let mut pool = MemoryPool::new();
     let mf = pool.alloc(DataVec::F32(
         (0..BUF_LEN).map(|i| i as f32 * 0.25).collect(),
@@ -905,8 +961,13 @@ fn execute(plan: &KernelPlan) -> (Result<ExecStats, SimError>, Vec<f32>, Vec<i64
             constant: false,
         }),
     ];
-    let launch = PlanLaunch::kernel(plan, &args, NdRangeSpec::d1(8, 4));
-    let result = run_launch(launch, &mut pool, 1, &ExecLimits::none());
+    let launch = PlanLaunch::Kernel {
+        plan,
+        args: &args,
+        nd: NdRangeSpec::d1(8, 4),
+        facts,
+    };
+    let result = run_launch(launch, &mut pool, 1, &ExecLimits::none(), cost);
     let DataVec::F32(f) = pool.data(mf) else {
         panic!()
     };
@@ -917,6 +978,11 @@ fn execute(plan: &KernelPlan) -> (Result<ExecStats, SimError>, Vec<f32>, Vec<i64
         panic!()
     };
     (result, f.clone(), i.clone(), a.clone())
+}
+
+/// [`execute_with`] no facts, under the default cost model.
+fn execute(plan: &KernelPlan) -> Executed {
+    execute_with(plan, None, &CostModel::default())
 }
 
 /// Mnemonics of the windows fusion formed in `plan`, in code order.
@@ -1305,14 +1371,17 @@ fn mid_chain_error_matches_unfused_and_bound_prunes_correctly() {
         );
         if threads == 1 {
             // Serial claim order makes the post-failure buffer state
-            // deterministic: groups 0..=2 stored their markers, group 3's
-            // first work-item (gid 12) stored its marker before failing,
-            // and everything past the bound — including all of launch 1 —
-            // was pruned. (At threads > 1 groups beyond the bound may
-            // race ahead before it tightens, so only the reported error
-            // is pinned there.)
+            // deterministic: groups 0..=2 stored their markers, and so did
+            // all four lanes of group 3 — its one sub-group runs in
+            // lockstep, so every lane had passed the marker store when
+            // the first of them (gid 12) failed in the chain; what a failed
+            // work-group leaves behind is defined per sub-group, not per
+            // item — and everything past the bound, including all of
+            // launch 1, was pruned. (At threads > 1 groups beyond the bound
+            // may race ahead before it tightens, so only the reported
+            // error is pinned there.)
             let mut expect = vec![-1.0_f32; BUF_LEN];
-            for (gid, slot) in expect.iter_mut().enumerate().take(13) {
+            for (gid, slot) in expect.iter_mut().enumerate() {
                 *slot = gid as f32;
             }
             assert_eq!(unfused_buf, expect, "unfused post-failure buffer");
@@ -1322,6 +1391,91 @@ fn mid_chain_error_matches_unfused_and_bound_prunes_correctly() {
             let _ = (&fused_buf, &unfused_buf);
         }
     }
+}
+
+// ----------------------------------------------------------------------
+// The lane axis: lockstep execution against item order, and the audit
+// ----------------------------------------------------------------------
+
+/// Memory, error text and every counter but `global_transactions` (which
+/// the sub-group size defines) of one execution.
+fn order_free_view(run: &Executed) -> (Result<ExecStats, String>, Vec<u32>, &[i64], Vec<u32>) {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let outcome = match &run.0 {
+        Ok(stats) => Ok(ExecStats {
+            global_transactions: 0,
+            device_cycles: 0.0,
+            ..stats.clone()
+        }),
+        Err(e) => Err(e.message()),
+    };
+    (outcome, bits(&run.1), &run.2, bits(&run.3))
+}
+
+/// Random **race-free** bytecode means the same in every execution
+/// order, so the lockstep executor must agree with serial item order on
+/// it — and a sub-group size of 1 *is* serial item order: one lane per
+/// dispatch, sub-groups in item order. Every race-free plan, as decoded
+/// and fused, runs at sub-group sizes 1 and 16, and at 16 under the audit
+/// (sub-groups and split halves in the opposite order, proven sites
+/// checked, with the verifier's facts attached): the error text always,
+/// and the memory and every counter but `global_transactions` of a run
+/// that completed, must be equal. (What a *failed* work-group leaves in
+/// memory is defined per sub-group, not per item, so it is not compared.)
+#[test]
+fn lockstep_matches_item_order_on_race_free_bytecode() {
+    use sycl_mlir_repro::sim::plan::audit_on_this_thread;
+    use sycl_mlir_repro::sim::verify_plan;
+    let cost = |subgroup_size| CostModel {
+        subgroup_size,
+        ..CostModel::default()
+    };
+    let (mut completed, mut failed) = (0, 0);
+    for seed in 0..128_u64 {
+        let seed = seed * 7919 + 13;
+        let plan = Gen::race_free(seed).finish();
+        let facts = verify_plan(&plan)
+            .unwrap_or_else(|errs| panic!("race-free seed {seed} must verify clean: {errs:?}"));
+        let mut fused = plan.clone();
+        fuse_plan(&mut fused);
+        for p in [&plan, &fused] {
+            let serial = execute_with(p, None, &cost(1));
+            let lockstep = execute_with(p, None, &cost(16));
+            audit_on_this_thread(true);
+            let audited = execute_with(p, Some(&facts), &cost(16));
+            audit_on_this_thread(false);
+            match &serial.0 {
+                Ok(_) => {
+                    completed += 1;
+                    assert_eq!(
+                        order_free_view(&serial),
+                        order_free_view(&lockstep),
+                        "lockstep diverges from item order (seed {seed})"
+                    );
+                    // Same sub-group size: the transactions and cycles too.
+                    assert_eq!(
+                        (&lockstep.0, order_free_view(&lockstep)),
+                        (&audited.0, order_free_view(&audited)),
+                        "the audit run diverges (seed {seed})"
+                    );
+                }
+                Err(_) => {
+                    failed += 1;
+                    for (other, what) in [(&lockstep, "lockstep"), (&audited, "the audit run")] {
+                        assert_eq!(
+                            order_free_view(&serial).0,
+                            order_free_view(other).0,
+                            "{what} fails differently from item order (seed {seed})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        completed > 100 && failed >= 10,
+        "the population must cover both outcomes: {completed} completed, {failed} failed"
+    );
 }
 
 // ----------------------------------------------------------------------
@@ -1358,7 +1512,7 @@ fn execute_limited(plan: &KernelPlan, limits: &ExecLimits) -> Result<ExecStats, 
         }),
     ];
     let launch = PlanLaunch::kernel(plan, &args, NdRangeSpec::d1(32, 4));
-    run_launch(launch, &mut pool, 1, limits)
+    run_launch(launch, &mut pool, 1, limits, &CostModel::default())
 }
 
 /// The op budget is **fuse-invariant**: a superinstruction settles the
@@ -1435,62 +1589,13 @@ fn op_budget_trips_are_fuse_invariant() {
 // prove) with deterministic, structured findings.
 // ----------------------------------------------------------------------
 
-/// [`execute`] through the graph scheduler with verifier `facts`
-/// attached: proven sites take the unchecked-index fast path. Must stay
-/// bit-identical to the fully-checked run for every legal plan.
-#[allow(clippy::type_complexity)]
+/// [`execute`] with verifier `facts` attached. Must stay bit-identical to
+/// the fully-checked run for every legal plan.
 fn execute_with_facts(
     plan: &KernelPlan,
     facts: Option<&sycl_mlir_repro::sim::PlanFacts>,
-) -> (Result<ExecStats, SimError>, Vec<f32>, Vec<i64>, Vec<f32>) {
-    let mut pool = MemoryPool::new();
-    let mf = pool.alloc(DataVec::F32(
-        (0..BUF_LEN).map(|i| i as f32 * 0.25).collect(),
-    ));
-    let mi = pool.alloc(DataVec::I64((0..BUF_LEN).map(|i| i as i64 - 4).collect()));
-    let ma = pool.alloc(DataVec::F32(
-        (0..BUF_LEN).map(|i| i as f32 * 0.5 - 2.0).collect(),
-    ));
-    let args = [
-        RtValue::MemRef(MemRefVal {
-            mem: mf,
-            offset: 0,
-            shape: [BUF_LEN as i64, 1, 1],
-            rank: 1,
-            space: Space::Global,
-        }),
-        RtValue::MemRef(MemRefVal {
-            mem: mi,
-            offset: 0,
-            shape: [BUF_LEN as i64, 1, 1],
-            rank: 1,
-            space: Space::Global,
-        }),
-        RtValue::Accessor(AccessorVal {
-            mem: ma,
-            range: [BUF_LEN as i64, 1, 1],
-            offset: [0, 0, 0],
-            rank: 1,
-            constant: false,
-        }),
-    ];
-    let launch = PlanLaunch::Kernel {
-        plan,
-        args: &args,
-        nd: NdRangeSpec::d1(8, 4),
-        facts,
-    };
-    let result = run_launch(launch, &mut pool, 1, &ExecLimits::none());
-    let DataVec::F32(f) = pool.data(mf) else {
-        panic!()
-    };
-    let DataVec::I64(i) = pool.data(mi) else {
-        panic!()
-    };
-    let DataVec::F32(a) = pool.data(ma) else {
-        panic!()
-    };
-    (result, f.clone(), i.clone(), a.clone())
+) -> Executed {
+    execute_with(plan, facts, &CostModel::default())
 }
 
 /// Every fuzz seed is **lint-clean** (the generator emits structurally
