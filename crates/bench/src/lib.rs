@@ -172,7 +172,7 @@ pub fn handle_help_flag(binary: &str, purpose: &str) {
     println!("--quick\n    shrink problem sizes for a fast sweep");
     println!("--json\n    machine-readable summary instead of tables (repro_all only)");
     println!(
-        "\nFlags win over environment variables; a malformed or unknown setting\nis an error (exit status 2) from either. Outputs, statistics and cycle\ntables are bit-identical across every engine/threads/fuse/verify\ncombination (held by tests/differential.rs); those knobs only change\nwall time. The limit knobs (--max-ops, --mem-cap, --deadline-ms) are\nsafety nets: a kernel exceeding one fails with a structured error and\nexit status 3 instead of hanging the run."
+        "\nFlags win over environment variables; a malformed or unknown setting\nis an error (exit status 2) from either. Outputs, statistics and cycle\ntables are bit-identical across every engine and thread count (held\nby tests/differential.rs); those knobs only change wall time. The\nlimit knobs (--max-ops, --mem-cap, --deadline-ms) are safety nets: a\nkernel exceeding one fails with a structured error and exit status 3\ninstead of hanging the run."
     );
     std::process::exit(0);
 }

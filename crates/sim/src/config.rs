@@ -11,8 +11,6 @@
 //! must not silently benchmark the wrong configuration.
 
 use crate::device::{auto_threads, Device, Engine};
-use crate::plan::FuseLevel;
-use crate::verify::VerifyMode;
 use std::fmt;
 
 /// One row of the knob table.
@@ -28,10 +26,10 @@ struct Knob {
     effect: &'static str,
     /// Parse `value` and apply it; `false` when it is not one of `values`.
     set: fn(&mut Device, &str) -> bool,
-    /// The setting in effect, canonically spelled. Plan-engine-only
-    /// knobs report what applies under the tree walk (sequential,
-    /// unfused), so a `--engine=tree --threads=4` run never masquerades
-    /// as a 4-thread measurement.
+    /// The setting in effect, canonically spelled. A plan-engine-only
+    /// knob reports what applies under the tree walk (sequential), so a
+    /// `--engine=tree --threads=4` run never masquerades as a 4-thread
+    /// measurement.
     get: fn(&Device) -> String,
 }
 
@@ -68,7 +66,7 @@ fn plan_engine(d: &Device) -> bool {
     d.engine == Engine::Plan
 }
 
-const KNOBS: [Knob; 8] = [
+const KNOBS: [Knob; 6] = [
     Knob {
         name: "engine",
         values: "tree | plan",
@@ -104,35 +102,6 @@ const KNOBS: [Knob; 8] = [
             )
         },
         get: |d| if plan_engine(d) { d.threads } else { 1 }.to_string(),
-    },
-    Knob {
-        name: "fuse",
-        values: "on | off",
-        default: "on",
-        effect: "peephole-fuse decoded plans into superinstructions: pairs, indexed-access\n\
-                 and multiply-accumulate chains, the un-CSE'd accessor read\n\
-                 (plan engine only)",
-        set: |d, v| {
-            put(on_off(v), |on| {
-                d.fuse = if on {
-                    FuseLevel::Chains
-                } else {
-                    FuseLevel::Off
-                }
-            })
-        },
-        get: |d| show_on_off(plan_engine(d) && d.fuse == FuseLevel::Chains),
-    },
-    Knob {
-        name: "verify",
-        values: "strict | lint | off",
-        default: "lint",
-        effect: "decode-time plan verification: prove accessor bounds and barrier uniformity\n\
-                 once per cached plan, then elide the proven runtime checks (results stay\n\
-                 bit-identical). strict = reject plans with findings (structured error),\n\
-                 lint = report and run them fully checked, off = no verification, no elision",
-        set: |d, v| put(VerifyMode::parse(v), |m| d.verify = m),
-        get: |d| d.verify.name().to_string(),
     },
     Knob {
         name: "profile",
@@ -196,7 +165,7 @@ const ENV_PREFIX: &str = "SYCL_MLIR_SIM_";
 /// `SYCL_MLIR_SIM_*` variable / `--name=value` flag naming no knob.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConfigError {
-    /// The setting as the user wrote it (`SYCL_MLIR_SIM_FUSE=pairs`,
+    /// The setting as the user wrote it (`SYCL_MLIR_SIM_THREADS=many`,
     /// `--sched=fifo`).
     pub setting: String,
     /// What is accepted in its place: the knob's values, or the known
@@ -389,7 +358,7 @@ mod tests {
             ),
             case("threads", &threads, "many"),
             case(
-                "fuse",
+                "profile",
                 &[
                     ("on", "on"),
                     ("1", "on"),
@@ -398,14 +367,8 @@ mod tests {
                     ("0", "off"),
                     ("false", "off"),
                 ],
-                "pairs",
+                "yes",
             ),
-            case(
-                "verify",
-                &[("strict", "strict"), ("lint", "lint"), ("off", "off")],
-                "paranoid",
-            ),
-            case("profile", &[("on", "on"), ("off", "off")], "yes"),
             case("max-ops", &[("2000000", "2000000"), ("off", "off")], "-1"),
             case("mem-cap", &[("4096", "4096"), ("off", "off")], "4k"),
             case("deadline-ms", &[("250", "250"), ("off", "off")], "soon"),
@@ -443,8 +406,8 @@ mod tests {
     }
 
     /// The retired A/B settings are errors, not silently ignored: each
-    /// removed variable and flag, `fuse=pairs`, and any other unknown
-    /// name in the namespace.
+    /// removed variable and flag, and any other unknown name in the
+    /// namespace.
     #[test]
     fn removed_and_unknown_names_are_errors() {
         for removed in [
@@ -454,6 +417,8 @@ mod tests {
             "SCHED",
             "JIT_THRESHOLD",
             "JIT",
+            "FUSE",
+            "VERIFY",
             "FAULT",
             "TYPO",
         ] {
@@ -473,6 +438,8 @@ mod tests {
             "sched",
             "jit-threshold",
             "jit",
+            "fuse",
+            "verify",
         ] {
             let err = Device::table_defaults()
                 .with_flags([format!("--{removed}=off")])
@@ -480,10 +447,12 @@ mod tests {
             assert_eq!(err.setting, format!("--{removed}=off"));
             assert!(err.accepted.contains("--engine"), "{err}");
         }
-        let err = Device::from_vars([("SYCL_MLIR_SIM_FUSE", "pairs")]).unwrap_err();
+        let err = Device::from_vars([("SYCL_MLIR_SIM_VERIFY", "strict")]).unwrap_err();
         assert_eq!(
             err.to_string(),
-            "invalid simulator setting `SYCL_MLIR_SIM_FUSE=pairs` (expected on | off)"
+            "invalid simulator setting `SYCL_MLIR_SIM_VERIFY=strict` (expected one of \
+             SYCL_MLIR_SIM_ENGINE, SYCL_MLIR_SIM_THREADS, SYCL_MLIR_SIM_PROFILE, \
+             SYCL_MLIR_SIM_MAX_OPS, SYCL_MLIR_SIM_MEM_CAP, SYCL_MLIR_SIM_DEADLINE_MS)"
         );
         // Other programs' variables and the binaries' own flags pass.
         let d = Device::from_vars([("PATH", "/bin"), ("SYCL_MLIR_OTHER", "x")]).unwrap();
@@ -492,26 +461,25 @@ mod tests {
     }
 
     /// Flags win over the environment, and the `Display` reports what is
-    /// in effect: the tree walk runs sequentially and unfused.
+    /// in effect: the tree walk runs sequentially.
     #[test]
     fn display_is_the_effective_configuration() {
         let d = Device::from_vars([
             ("SYCL_MLIR_SIM_THREADS", "4"),
-            ("SYCL_MLIR_SIM_FUSE", "off"),
+            ("SYCL_MLIR_SIM_PROFILE", "on"),
         ])
         .unwrap()
-        .with_flags(["--fuse=on", "--max-ops=7"])
+        .with_flags(["--profile=off", "--max-ops=7"])
         .unwrap();
         assert_eq!(
             d.to_string(),
-            "engine: plan, threads: 4, fuse: on, verify: lint, profile: off, \
-             max-ops: 7, mem-cap: off, deadline-ms: off"
+            "engine: plan, threads: 4, profile: off, max-ops: 7, mem-cap: off, deadline-ms: off"
         );
         let tree = d.with_flags(["--engine=tree"]).unwrap();
         assert_eq!(
             tree.to_string(),
-            "engine: tree-walk, threads: 1, fuse: off, verify: lint, profile: off, \
-             max-ops: 7, mem-cap: off, deadline-ms: off"
+            "engine: tree-walk, threads: 1, profile: off, max-ops: 7, mem-cap: off, \
+             deadline-ms: off"
         );
     }
 

@@ -6,12 +6,12 @@ use crate::cost::{CostModel, ExecStats};
 use crate::interp::{enclosing_module, ExecCtx, Stop, WorkItemState};
 use crate::limits::{CancelToken, ExecLimits, FaultPlan, FaultSite, OpMeter};
 use crate::memory::MemoryPool;
-use crate::plan::{decode_kernel, fuse_plan_with, profile_summary, FuseLevel, KernelPlan};
+use crate::plan::{decode_kernel, fuse_plan, profile_summary, KernelPlan};
 use crate::pool::{run_plan_graph_report, HostNode, HostView, LaunchDag, PlanLaunch, SharedPool};
 use crate::value::{NdItemVal, RtValue};
-use crate::verify::{verify_plan, PlanFacts, VerifyMode};
+use crate::verify::{verify_plan, PlanFacts};
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 use sycl_mlir_ir::{Module, OpId};
@@ -113,13 +113,13 @@ impl NdRangeSpec {
 
 /// One decoded-and-verified cache entry as handed to the launch paths:
 /// the fused plan plus the decode-time verifier's facts (site in-bounds
-/// proofs, barrier uniformity; `None` under `--verify=off` or when lint
-/// mode reported findings).
-type PlanEntry = (Arc<KernelPlan>, Option<Arc<PlanFacts>>);
+/// proofs, barrier uniformity; [`PlanFacts::NONE`] when the verifier
+/// reported findings).
+type PlanEntry = (Arc<KernelPlan>, Arc<PlanFacts>);
 
 /// One cached kernel decode: the outcome — an entry, or the decode error
-/// or strict-mode rejection every relaunch repeats — plus the module
-/// mutation epoch it was decoded at (stale once the module changes).
+/// every relaunch repeats — plus the module mutation epoch it was decoded
+/// at (stale once the module changes).
 #[derive(Clone, Debug)]
 struct CachedPlan {
     epoch: u64,
@@ -148,9 +148,6 @@ pub struct Device {
     pub engine: Engine,
     /// Worker threads for plan-engine launches (1 = sequential).
     pub threads: usize,
-    /// How far to peephole-fuse decoded plans
-    /// ([`crate::plan::fuse_plan_with`]); plan engine only.
-    pub fuse: FuseLevel,
     /// Count executed plan instructions ([`Device::profile_report`]).
     pub profile: bool,
     /// Per-launch execution limits ([`ExecLimits`]): weighted-operation
@@ -159,16 +156,13 @@ pub struct Device {
     /// skip metering entirely. Independent of the plan cache — changing
     /// limits never re-decodes a kernel.
     pub limits: ExecLimits,
-    /// What the decode-time plan verifier does with its findings
-    /// ([`VerifyMode`]): `strict` rejects, `lint` (the default) reports
-    /// and runs, `off` skips verification. Part of nothing bit-visible:
-    /// runnable kernels produce identical outputs, statistics and error
-    /// positions under all three modes.
-    pub verify: VerifyMode,
-    plan_cache: RefCell<HashMap<(u64, OpId, FuseLevel), CachedPlan>>,
+    plan_cache: RefCell<HashMap<(u64, OpId), CachedPlan>>,
     cache_hits: Cell<u64>,
     cache_misses: Cell<u64>,
     verify_stats: RefCell<VerifyCounters>,
+    /// The first finding of every plan the verifier flagged, as
+    /// `kernel: finding` ([`Device::profile_report`] lists them).
+    findings: RefCell<BTreeSet<String>>,
     profile_sums: RefCell<ProfileSums>,
 }
 
@@ -203,10 +197,10 @@ pub struct VerifyCounters {
     pub barriers_uniform: u64,
     /// Total wall time spent in the verifier, in nanoseconds.
     pub verify_ns: u64,
-    /// Plans rejected: verification failures under strict mode, and
-    /// undecodable kernels under every mode.
+    /// Kernels the plan decoder refused.
     pub rejected: u64,
-    /// Individual findings reported (but not enforced) under lint mode.
+    /// Individual verifier findings; a plan with findings runs with every
+    /// runtime check in place.
     pub lint_findings: u64,
 }
 
@@ -225,14 +219,13 @@ impl Device {
             cost: CostModel::default(),
             engine: Engine::Plan,
             threads: 0,
-            fuse: FuseLevel::Off,
             profile: false,
             limits: ExecLimits::none(),
-            verify: VerifyMode::Off,
             plan_cache: RefCell::new(HashMap::new()),
             cache_hits: Cell::new(0),
             cache_misses: Cell::new(0),
             verify_stats: RefCell::new(VerifyCounters::default()),
+            findings: RefCell::default(),
             profile_sums: RefCell::default(),
         }
     }
@@ -286,17 +279,6 @@ impl Device {
         self
     }
 
-    /// Builder-style fusion override ([`FuseLevel::Chains`] or
-    /// [`FuseLevel::Off`]).
-    pub fn fuse(mut self, fuse: bool) -> Device {
-        self.fuse = if fuse {
-            FuseLevel::Chains
-        } else {
-            FuseLevel::Off
-        };
-        self
-    }
-
     /// Builder-style profiling override (per-instruction counts).
     pub fn profile(mut self, profile: bool) -> Device {
         self.profile = profile;
@@ -306,8 +288,8 @@ impl Device {
     /// Builder-style weighted-operation budget: a launch fails with
     /// [`LimitKind::Ops`](crate::LimitKind::Ops) once it has executed
     /// this many weighted operations. Superinstructions charge the
-    /// weight of the instructions they replace, so the budget does not
-    /// drift with the fusion level.
+    /// weight of the instructions they replace, so the budget counts
+    /// the same whether a window was fused or not.
     pub fn max_ops(mut self, ops: u64) -> Device {
         self.limits.max_ops = Some(ops);
         self
@@ -353,12 +335,6 @@ impl Device {
         self
     }
 
-    /// Builder-style static-verification mode override ([`VerifyMode`]).
-    pub fn verify(mut self, verify: VerifyMode) -> Device {
-        self.verify = verify;
-        self
-    }
-
     /// Aggregated decode-time verifier statistics so far
     /// ([`VerifyCounters`]).
     pub fn verify_counters(&self) -> VerifyCounters {
@@ -376,13 +352,12 @@ impl Device {
     /// The decoded plan for `kernel` — plus the decode-time verifier's
     /// facts ([`PlanFacts`]) — reused from the cache when the module's
     /// mutation epoch still matches. `Err` when the kernel is not
-    /// plan-decodable (a `plan decode error`, under every verify mode) or
-    /// when [`VerifyMode::Strict`] rejects it. Every outcome is cached —
-    /// an iterative workload with an undecodable or rejected kernel pays
-    /// the decode/verify attempt once per epoch, not once per launch, and
-    /// every relaunch reports the identical error.
+    /// plan-decodable (a `plan decode error`). Every outcome is cached —
+    /// an iterative workload with an undecodable kernel pays the decode
+    /// attempt once per epoch, not once per launch, and every relaunch
+    /// reports the identical error.
     fn cached_plan(&self, m: &Module, kernel: OpId) -> Result<PlanEntry, SimError> {
-        let key = (m.module_id(), kernel, self.fuse);
+        let key = (m.module_id(), kernel);
         let epoch = m.mutation_epoch();
         if let Some(cached) = self.plan_cache.borrow().get(&key) {
             if cached.epoch == epoch {
@@ -396,14 +371,9 @@ impl Device {
         self.cache_misses.set(self.cache_misses.get() + 1);
         let outcome = match decode_kernel(m, kernel) {
             Ok(mut plan) => {
-                let facts = match self.verify {
-                    VerifyMode::Off => Ok(None),
-                    _ => self.verify_decoded(m, kernel, &plan),
-                };
-                facts.map(|facts| {
-                    fuse_plan_with(&mut plan, self.fuse);
-                    (Arc::new(plan), facts.map(Arc::new))
-                })
+                let facts = self.verify_decoded(m, kernel, &plan);
+                fuse_plan(&mut plan);
+                Ok((Arc::new(plan), Arc::new(facts)))
             }
             Err(undecodable) => {
                 self.verify_stats.borrow_mut().rejected += 1;
@@ -426,15 +396,10 @@ impl Device {
     /// (pre-fusion) plan: the structural, type-consistency and
     /// barrier-placement passes plus the interval abstract interpreter
     /// ([`verify_plan`]), then the IR-level barrier-uniformity pass.
-    /// `Ok(Some(facts))` on a clean plan, `Ok(None)` when lint mode
-    /// reported findings (the plan runs anyway, fully checked), `Err`
-    /// with a structured message when strict mode rejects.
-    fn verify_decoded(
-        &self,
-        m: &Module,
-        kernel: OpId,
-        plan: &KernelPlan,
-    ) -> Result<Option<PlanFacts>, SimError> {
+    /// A plan with findings gets [`PlanFacts::NONE`] — so it runs with
+    /// every check in place — and its first finding is kept for the
+    /// profile report.
+    fn verify_decoded(&self, m: &Module, kernel: OpId, plan: &KernelPlan) -> PlanFacts {
         let start = Instant::now();
         match verify_plan(plan) {
             Ok(mut facts) => {
@@ -449,26 +414,20 @@ impl Device {
                 vs.barriers_total += total as u64;
                 vs.barriers_uniform += uniform as u64;
                 vs.verify_ns += facts.verify_ns;
-                Ok(Some(facts))
+                facts
             }
             Err(errs) => {
                 let mut vs = self.verify_stats.borrow_mut();
                 vs.plans += 1;
                 vs.verify_ns += start.elapsed().as_nanos() as u64;
-                if self.verify == VerifyMode::Strict {
-                    vs.rejected += 1;
-                    let mut msg = format!("plan verification failed: {}", errs[0]);
-                    if errs.len() > 1 {
-                        msg.push_str(&format!(" (+{} more)", errs.len() - 1));
-                    }
-                    Err(SimError::msg(msg))
-                } else {
-                    vs.lint_findings += errs.len() as u64;
-                    for e in errs.iter().take(8) {
-                        eprintln!("warning: plan verification (lint): {e}");
-                    }
-                    Ok(None)
+                vs.lint_findings += errs.len() as u64;
+                let name = m.symbol_name(kernel).unwrap_or("?");
+                let mut first = format!("{name}: {}", errs[0]);
+                if errs.len() > 1 {
+                    first.push_str(&format!(" (+{} more)", errs.len() - 1));
                 }
+                self.findings.borrow_mut().insert(first);
+                PlanFacts::NONE
             }
         }
     }
@@ -539,9 +498,8 @@ impl Device {
         if self.engine == Engine::Plan {
             // Decode first — the launches below borrow the plans this
             // holds: `Some((plan, facts))` per kernel entry, `None` per
-            // host node. An undecodable kernel or a strict-mode rejection
-            // fails the whole graph, stamped with the offending launch
-            // index.
+            // host node. An undecodable kernel fails the whole graph,
+            // stamped with the offending launch index.
             let plans: Vec<Option<PlanEntry>> = batch
                 .iter()
                 .enumerate()
@@ -562,7 +520,7 @@ impl Device {
                             plan,
                             args,
                             nd: *nd,
-                            facts: facts.as_deref(),
+                            facts,
                         }
                     }
                     (BatchLaunch::Host(node), _) => PlanLaunch::Host(node),
@@ -682,10 +640,13 @@ impl Device {
             ));
             out.push_str(&format!("{:>16}  verify time (us)\n", vs.verify_ns / 1_000));
             if vs.rejected > 0 {
-                out.push_str(&format!("{:>16}  plans rejected (strict)\n", vs.rejected));
+                out.push_str(&format!("{:>16}  plans undecodable\n", vs.rejected));
             }
             if vs.lint_findings > 0 {
                 out.push_str(&format!("{:>16}  lint findings\n", vs.lint_findings));
+                for first in self.findings.borrow().iter() {
+                    out.push_str(&format!("{:>18}{first}\n", ""));
+                }
             }
         }
         Some(out)

@@ -34,15 +34,18 @@
 //!   instructions with operands pre-resolved to dense per-function register
 //!   slots, constants pre-materialized, `cmpi`/`cmpf` predicates and
 //!   dimension operands pre-parsed, call targets pre-resolved, and
-//!   `scf.for`/`scf.if` lowered to explicit jump/loop instructions. A
-//!   post-decode **peephole fusion pass** ([`fuse_plan_with`], on by
-//!   default, `SYCL_MLIR_SIM_FUSE=off` to disable) then
-//!   rewrites hot instruction windows — the load-accumulate pair,
-//!   bounded three-instruction **chains** (the indexed accessor load
+//!   `scf.for`/`scf.if` lowered to explicit jump/loop instructions. The
+//!   **decode-time verifier** ([`verify_plan`]) then proves what it can
+//!   about the plan once — accessor sites in bounds, barriers in uniform
+//!   control flow — and a plan with findings runs with every check in
+//!   place. Last, the **peephole fusion pass** ([`fuse_plan`]) rewrites
+//!   hot instruction windows — the load-accumulate pair, bounded
+//!   three-instruction **chains** (the indexed accessor load
 //!   `vec.ctor`+`acc.subscript`+`Load`, fused multiply-accumulate
 //!   `Load`+`mulf`+`addf`) and the un-CSE'd four-instruction accessor
 //!   read — into superinstructions with identical semantics and
-//!   statistics ([`FuseLevel`]).
+//!   statistics. Verification and fusion are what the plan engine does,
+//!   not settings.
 //!
 //! The bytecode loop (`plan::run_impl`, driven by
 //! [`plan::PlanWorkGroup::round`]) is the plan engine's only executor, and
@@ -107,7 +110,7 @@
 //! AdaptiveCpp JIT re-specialization — transparently re-decodes.
 //!
 //! A kernel the decoder does not understand fails its launch with a
-//! position-stamped `plan decode error` under every `--verify` mode: the
+//! position-stamped `plan decode error`: the
 //! decoder and the tree walk cover the same ops, and a silent fallback
 //! would serialise the whole launch graph. The
 //! differential suite (`tests/differential.rs`) holds the two engines to
@@ -119,8 +122,8 @@
 //!
 //! ## Configuration
 //!
-//! Every knob of a [`Device`] — engine, threads, fuse, verify,
-//! profile and the three execution limits — is one row of the table in
+//! Every knob of a [`Device`] — engine, threads, profile and the three
+//! execution limits — is one row of the table in
 //! [`config`]: environment variables, `--name=value` flags, help text and
 //! the `Display` of the effective configuration all derive from it, and a
 //! setting that does not parse is a [`ConfigError`].
@@ -146,12 +149,10 @@ pub use device::{
 pub use interp::LimitKind;
 pub use limits::{CancelToken, ExecLimits, FaultPlan, FaultSite};
 pub use memory::{Buf, DataVec, Dtype, Elem, MemFault, MemId, MemoryPool};
-pub use plan::{
-    decode_kernel, fuse_plan, fuse_plan_with, profile_summary, DecodeError, FuseLevel, KernelPlan,
-};
+pub use plan::{decode_kernel, fuse_plan, profile_summary, DecodeError, KernelPlan};
 pub use pool::{
     run_plan_graph_report, GraphReport, HostNode, HostView, LaunchDag, LaunchStatus, PlanExecCtx,
     PlanLaunch, PlanPool, SharedPool, HOST_NODE_WEIGHT,
 };
 pub use value::{AccessorVal, MemRefVal, NdItemVal, RtValue, Space};
-pub use verify::{verify_plan, PlanFacts, SiteProof, VerifyError, VerifyMode};
+pub use verify::{verify_plan, PlanFacts, SiteProof, VerifyError};

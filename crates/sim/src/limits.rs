@@ -36,8 +36,8 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Debug, Default)]
 pub struct ExecLimits {
     /// Weighted-operation budget per launch. Superinstructions charge the
-    /// weight of the instructions they replace, so the budget does not
-    /// drift with the fusion level.
+    /// weight of the instructions they replace, so the budget counts the
+    /// same whether a window was fused or not.
     pub max_ops: Option<u64>,
     /// Cap, in bytes, on kernel-driven allocation growth (private/local
     /// allocas, materialized dense constants) per worker per launch.
@@ -153,7 +153,7 @@ impl FaultPlan {
     }
 
     /// The deterministic error this fault produces — identical text under
-    /// every engine, fuse level and thread count.
+    /// both engines and every thread count.
     pub fn error(&self) -> SimError {
         SimError::Injected {
             fault: *self,
@@ -222,7 +222,7 @@ fn reserve(budget: &AtomicU64, want: u64) -> u64 {
 /// executed op, the plan engine `Instr::op_weight` per executed
 /// instruction. A superinstruction's weight is the sum of its fused
 /// members', so a budget trips at the same weighted-op count, hence the
-/// same work-group, at every fusion level
+/// same work-group, fused or not
 /// (`tests/plan_fuzz.rs::op_budget_trips_are_fuse_invariant`).
 pub(crate) struct OpMeter {
     /// Prepaid weighted ops still executable before the next boundary.

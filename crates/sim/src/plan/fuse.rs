@@ -7,17 +7,6 @@ use super::slot::Reg;
 use super::PlanCtx;
 use super::{FuncPlan, KernelPlan};
 
-/// How aggressively the peephole pass ([`fuse_plan_with`]) rewrites a
-/// decoded plan. Part of the device's plan-cache key: plans fused at
-/// different levels are distinct cache entries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum FuseLevel {
-    /// No rewriting: execute the decoder's output as-is.
-    Off,
-    /// Every window of the pattern table — the default.
-    Chains,
-}
-
 /// The reified fusion pass over one function: the dataflow facts a legal
 /// rewrite depends on — function-wide register read counts and the
 /// jump-target set — plus the pattern table matching bounded windows of
@@ -304,8 +293,8 @@ fn fuse_func(f: &mut FuncPlan) -> u32 {
 }
 
 /// Peephole-fuse hot instruction windows of a decoded plan into
-/// superinstructions, in place ([`FuseLevel::Off`] leaves the plan as
-/// decoded), and return the number of windows fused.
+/// superinstructions, in place, and return the number of windows fused.
+/// The device fuses every plan it caches.
 ///
 /// The pattern table is `ChainMatcher`'s: the **load-accumulate** pair,
 /// three-instruction chains
@@ -316,17 +305,10 @@ fn fuse_func(f: &mut FuncPlan) -> u32 {
 /// members' own arms, in window order, so it bumps the same statistics
 /// and raises the same errors, in the same order, as the window it
 /// replaces: fused execution is bit-identical to unfused execution — the
-/// differential suite holds both against the tree-walk reference.
-pub fn fuse_plan_with(plan: &mut KernelPlan, level: FuseLevel) -> u32 {
-    match level {
-        FuseLevel::Off => 0,
-        FuseLevel::Chains => plan.funcs.iter_mut().map(fuse_func).sum(),
-    }
-}
-
-/// [`fuse_plan_with`] at the default [`FuseLevel::Chains`].
+/// differential suite holds the fused plan against the tree-walk
+/// reference, and `tests/plan_fuzz.rs` against the unfused plan.
 pub fn fuse_plan(plan: &mut KernelPlan) -> u32 {
-    fuse_plan_with(plan, FuseLevel::Chains)
+    plan.funcs.iter_mut().map(fuse_func).sum()
 }
 
 /// Fold flat per-instruction execution counts (a profiled [`PlanCtx`]

@@ -50,7 +50,7 @@ mod tests;
 pub use decode::{decode_kernel, DecodeError};
 pub(crate) use exec::audit_requested;
 pub use exec::{audit_on_this_thread, PlanCtx, PlanWorkGroup};
-pub use fuse::{fuse_plan, fuse_plan_with, profile_summary, FuseLevel};
+pub use fuse::{fuse_plan, profile_summary};
 pub use instr::{Class, CmpPred, DimSrc, FloatBin, Instr, IntBin, ItemQ, MathOp, Role};
 pub use slot::{Reg, Slot};
 

@@ -34,23 +34,25 @@ pub enum PlanLaunch<'a> {
         /// Launch geometry.
         nd: NdRangeSpec,
         /// Static-analysis facts of `plan` from the decode-time verifier
-        /// (`None` skips check elision; execution is bit-identical either
-        /// way). Instantiated against this launch's concrete geometry and
-        /// arguments before workers start.
-        facts: Option<&'a PlanFacts>,
+        /// (the default proves nothing, so every site keeps its check;
+        /// execution is bit-identical either way). Instantiated against
+        /// this launch's concrete geometry and arguments before workers
+        /// start.
+        facts: &'a PlanFacts,
     },
     /// A host-task node.
     Host(&'a HostNode),
 }
 
 impl<'a> PlanLaunch<'a> {
-    /// A kernel launch of `plan` over `nd`.
+    /// A kernel launch of `plan` over `nd`, with nothing proven about it.
     pub fn kernel(plan: &'a KernelPlan, args: &'a [RtValue], nd: NdRangeSpec) -> PlanLaunch<'a> {
+        static NOTHING_PROVEN: PlanFacts = PlanFacts::NONE;
         PlanLaunch::Kernel {
             plan,
             args,
             nd,
-            facts: None,
+            facts: &NOTHING_PROVEN,
         }
     }
 
@@ -67,9 +69,9 @@ struct GraphUnit<'a> {
     launch: &'a PlanLaunch<'a>,
     groups: [i64; 3],
     /// Per-site proven-in-bounds bitset, instantiated from the launch's
-    /// [`PlanFacts`] against its concrete geometry and arguments (`None` =
+    /// [`PlanFacts`] against its concrete geometry and arguments (empty =
     /// every site takes the checked path).
-    proven: Option<Arc<[u64]>>,
+    proven: Arc<[u64]>,
     /// This launch's remaining operation budget (shared by all workers;
     /// metered in prepaid blocks), when `--max-ops` is set.
     budget: Option<Arc<AtomicU64>>,
@@ -236,9 +238,7 @@ fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
                     PlanCtx::new(plan)
                 };
                 pctx.audit = st.audit;
-                if let Some(proven) = &unit.proven {
-                    pctx.set_proven(proven.clone());
-                }
+                pctx.set_proven(unit.proven.clone());
                 if let Some(meter) = st.meter(li) {
                     pctx.set_meter(meter);
                 }
@@ -390,16 +390,16 @@ pub fn run_plan_graph_report(
                 // geometry, arguments and buffer lengths once, before any
                 // worker starts; the resulting bitset is shared read-only
                 // by every worker.
-                Ok(()) => facts.map(|f| f.instantiate(args, &nd, pool_mem)),
+                Ok(()) => facts.instantiate(args, &nd, pool_mem),
                 // Arguments are outside input: a launch naming a buffer
                 // the pool does not hold fails as a whole, before any of
                 // its groups run.
                 Err(fault) => {
                     upfront.push((li, fault.into()));
-                    None
+                    Arc::default()
                 }
             },
-            PlanLaunch::Host(_) => None,
+            PlanLaunch::Host(_) => Arc::default(),
         };
         units.push(GraphUnit {
             launch,

@@ -33,7 +33,9 @@
 //! unproven site keeps the exact runtime check (and error text and
 //! `(launch, group)` position) it always had, and a proven site must be
 //! one the check could never fire on — so outputs, statistics and errors
-//! are bit-identical with verification on or off.
+//! are bit-identical whether a check was elided or not (a test-only audit
+//! run keeps every proven check, `plan::audit_on_this_thread`). A plan
+//! with findings is not rejected: it runs with every check in place.
 
 use std::fmt;
 use std::sync::Arc;
@@ -45,45 +47,6 @@ use crate::device::NdRangeSpec;
 use crate::memory::MemoryPool;
 use crate::plan::{Class, DimSrc, FuncPlan, Instr, IntBin, ItemQ, KernelPlan, Reg, Role, Slot};
 use crate::value::RtValue;
-
-// ----------------------------------------------------------------------
-// Knob
-// ----------------------------------------------------------------------
-
-/// What to do with the verifier's result: reject, report, or skip.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum VerifyMode {
-    /// Run the verifier and reject violating plans pre-launch.
-    Strict,
-    /// Run the verifier, report violations on stderr, then execute
-    /// exactly as `Off` would (the default).
-    Lint,
-    /// Do not run the verifier; legacy runtime-checked execution.
-    Off,
-}
-
-impl VerifyMode {
-    /// Canonical knob spelling, shared by `--verify`, the environment
-    /// variable and every report line.
-    pub fn name(self) -> &'static str {
-        match self {
-            VerifyMode::Strict => "strict",
-            VerifyMode::Lint => "lint",
-            VerifyMode::Off => "off",
-        }
-    }
-
-    /// Parse a knob spelling; `None` for unknown values (callers decide
-    /// whether to warn-and-default or abort).
-    pub fn parse(s: &str) -> Option<VerifyMode> {
-        match s {
-            "strict" => Some(VerifyMode::Strict),
-            "lint" | "on" | "1" | "true" => Some(VerifyMode::Lint),
-            "off" | "0" | "false" => Some(VerifyMode::Off),
-            _ => None,
-        }
-    }
-}
 
 // ----------------------------------------------------------------------
 // Errors and facts
@@ -125,7 +88,7 @@ pub struct SiteProof {
 
 /// Everything the verifier proved about one decoded plan. Cached in the
 /// device's plan cache and shared (via `Arc`) with every launch.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct PlanFacts {
     /// Per-site in-bounds proofs, indexed by memory-site id
     /// (`len == mem_sites`); `None` means unproven — keep the check.
@@ -143,11 +106,22 @@ pub struct PlanFacts {
 }
 
 impl PlanFacts {
+    /// Nothing proven: every site keeps its runtime check. The facts of a
+    /// plan the verifier reported findings on.
+    pub const NONE: PlanFacts = PlanFacts {
+        proofs: Vec::new(),
+        sites_total: 0,
+        sites_proven: 0,
+        barriers_total: 0,
+        barriers_uniform: 0,
+        verify_ns: 0,
+    };
+
     /// Resolve the symbolic proofs against one launch's actual geometry,
     /// arguments and memory pool, producing the proven-safe bitset
     /// (bit = site id). Returns an empty slice when nothing could be
-    /// proven for this launch — the executors treat that as "check
-    /// everything", exactly the legacy path.
+    /// proven for this launch — the one spelling of "check everything",
+    /// which is also what [`PlanFacts::NONE`] instantiates to.
     pub fn instantiate(&self, args: &[RtValue], nd: &NdRangeSpec, pool: &MemoryPool) -> Arc<[u64]> {
         if self.sites_proven == 0 {
             return Arc::from(Vec::new());
@@ -255,8 +229,8 @@ fn succs(pc: usize, instr: &Instr) -> Vec<usize> {
 /// Verify a decoded plan — the decoder's output, before
 /// [`crate::plan::fuse_plan`]; a superinstruction is a structural
 /// finding. `Ok` carries the proven facts;
-/// `Err` carries every violation found, sorted by `(func, pc)` — strict
-/// mode rejects the plan, lint mode reports and runs it unverified.
+/// `Err` carries every violation found, sorted by `(func, pc)` — the
+/// device counts them and runs the plan with every check in place.
 pub fn verify_plan(plan: &KernelPlan) -> Result<PlanFacts, Vec<VerifyError>> {
     let t0 = Instant::now();
     let mut errs = Vec::new();

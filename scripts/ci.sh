@@ -173,6 +173,16 @@ if grep -rn 'PlanWorkItem' crates/sim/src ||
   exit 1
 fi
 
+# Verification and fusion are what the plan engine does, not settings
+# (ARCHITECTURE.md, "Static verification and check elision" and "The
+# three-engine story"): every decoded plan is verified once and fused. A
+# mode, a level or a second fusion entry point must not come back.
+step "no verify mode, no fuse level"
+if grep -rnE 'VerifyMode|FuseLevel|fuse_plan_with' crates src tests examples; then
+  echo "FAIL: a verify mode or fuse level is back; verification and fusion always run" >&2
+  exit 1
+fi
+
 # Runs the whole workspace, including the scheduler's hardening suites:
 # tests/scheduler_stress.rs (~200 randomized hazard DAGs across tree |
 # plan × threads 1 | 4, plus error-ordering pins),
@@ -199,6 +209,20 @@ if [[ "$gauge" != "35014680 2430526 14.41" ]]; then
 fi
 echo "quick sweep: $gauge (lane-instructions, dispatches, lanes/dispatch)"
 
+# The verifier's counts over the quick sweep, exactly: every kernel the
+# paper's figures run is fully provable — no finding, nothing refused —
+# and what the interval pass proves does not drift. Every plan is
+# verified (a plan with findings runs with every check in place), so
+# these counts, not a second sweep, are what says the suite stayed clean.
+step "verify stats: the quick sweep's plans, proofs and findings, exactly"
+vstats=$(./target/release/repro_all --quick --json | sed -n 's/.*"verify_stats": {\(.*\), "verify_us": [0-9]*}.*/\1/p')
+expected='"plans": 174, "sites_proven": 642, "sites_total": 792, "barriers_uniform": 46, "barriers_total": 46, "rejected": 0, "lint_findings": 0'
+if [[ "$vstats" != "$expected" ]]; then
+  echo "FAIL: the quick sweep's verify_stats read '$vstats', expected '$expected'" >&2
+  exit 1
+fi
+echo "verify_stats: $vstats"
+
 step "cargo doc --no-deps (deny warnings)"
 # Catches broken intra-doc links; crates/sim and crates/runtime also deny
 # missing_docs at compile time.
@@ -223,12 +247,11 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 # ----------------------------------------------------------------------
 # Bench smoke: the full evaluation sweep in quick mode under both
 # schedules — the default (sequentially and on 4 worker threads) and the
-# serial reference (--engine=tree) — and with plan fusion disabled.
-# Asserts the determinism contract (bit-identical tables across threads,
-# engines and fuse on/off) and prints the wall-time trajectory so a perf
-# regression is visible in the CI log.
+# serial reference (--engine=tree). Asserts the determinism contract
+# (bit-identical tables across threads and engines) and prints the
+# wall-time trajectory so a perf regression is visible in the CI log.
 # ----------------------------------------------------------------------
-step "bench smoke: repro_all --quick (threads=1 vs threads=4 vs fuse=off vs engine=tree)"
+step "bench smoke: repro_all --quick (threads=1 vs threads=4 vs engine=tree)"
 
 # Run a sweep, keep its output as $tmp/<name>.out, and diff its tables
 # (every line but the wall-time trailer — the only legitimate difference
@@ -248,12 +271,10 @@ same_tables() { # <reference> <name> <what differs>
 
 sweep t1 --threads=1
 sweep t4 --threads=4
-sweep nofuse --threads=1 --fuse=off
 sweep tree --engine=tree
 same_tables t1 t4 "between --threads=1 and --threads=4"
-same_tables t1 nofuse "between fused and unfused execution"
 same_tables t1 tree "between the plan engine and the tree-walk serial reference"
-echo "tables bit-identical across thread counts, engines and fuse on/off"
+echo "tables bit-identical across thread counts and engines"
 
 # Every workload family must actually be in the sweep — a registry
 # regression that dropped a category would keep all the diffs above
@@ -270,21 +291,6 @@ for family in \
   fi
 done
 echo "all five workload families present in the sweep"
-
-# ----------------------------------------------------------------------
-# Verifier smoke: the decode-time plan verifier (on by default in lint
-# mode, so the runs above already exercise it) must never perturb
-# simulated results. Pin both extremes: --verify=strict (rejections
-# become launch errors — the paper-figure suite must be fully provable)
-# and --verify=off (no facts, every runtime check re-armed) against the
-# lint-mode baselines.
-# ----------------------------------------------------------------------
-step "verifier smoke: --verify=strict vs --verify=off vs baseline"
-sweep vstrict --threads=1 --verify=strict
-sweep voff --threads=4 --verify=off
-same_tables t1 vstrict "under --verify=strict"
-same_tables t4 voff "under --verify=off"
-echo "tables bit-identical across verifier modes (strict accepts the whole suite)"
 
 # ----------------------------------------------------------------------
 # Host-task graph smoke: repro_hostdag is the host-task-heavy shape (one
@@ -326,7 +332,10 @@ expect_exit_2() { # <description> <command...>
     exit 1
   fi
 }
-expect_exit_2 "--fuse=pairs" ./target/release/repro_all --quick --fuse=pairs
+expect_exit_2 "--fuse=off" ./target/release/repro_all --quick --fuse=off
+expect_exit_2 "--verify=strict" ./target/release/repro_all --quick --verify=strict
+expect_exit_2 "SYCL_MLIR_SIM_FUSE=off" env SYCL_MLIR_SIM_FUSE=off ./target/release/repro_all --quick
+expect_exit_2 "SYCL_MLIR_SIM_VERIFY=off" env SYCL_MLIR_SIM_VERIFY=off ./target/release/repro_all --quick
 expect_exit_2 "--batch=off" ./target/release/repro_all --quick --batch=off
 expect_exit_2 "--jit=off" ./target/release/repro_all --quick --jit=off
 expect_exit_2 "SYCL_MLIR_SIM_SCHED=fifo" env SYCL_MLIR_SIM_SCHED=fifo ./target/release/repro_hostdag --quick
@@ -497,7 +506,7 @@ fi
 echo
 echo "wall-time regression check (scripts/bench-baseline.json, threads=4: ${baseline} s):"
 # Each trailer carries the effective configuration of its run.
-for run in t1 t4 nofuse tree limits vstrict voff; do
+for run in t1 t4 tree limits; do
   grep '^repro_wall_time_seconds:' "$tmp/$run.out" | sed 's/^/  /'
 done
 

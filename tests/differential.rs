@@ -240,8 +240,8 @@ mod engine_differential {
     /// that changes semantics anywhere in the suite fails here.
     #[test]
     fn fused_batched_parallel_matches_tree_walk_on_all_workloads() {
-        let ref_dev = Device::with_engine(Engine::TreeWalk).threads(1).fuse(false);
-        let opt_dev = Device::with_engine(Engine::Plan).threads(4).fuse(true);
+        let ref_dev = Device::with_engine(Engine::TreeWalk).threads(1);
+        let opt_dev = Device::with_engine(Engine::Plan).threads(4);
         for w in all_workloads() {
             let size = quick_size(&w);
             for kind in FlowKind::all() {
@@ -271,47 +271,6 @@ mod engine_differential {
                         "one configuration failed, the other did not: {label}: ref={r:?} opt={o:?}",
                         r = r.is_ok(),
                         o = o.is_ok()
-                    ),
-                }
-            }
-        }
-    }
-
-    /// Fusion alone (sequential) must also hold bit-identical against the
-    /// unfused plan engine — isolates the fusion pass from the worker
-    /// pool.
-    #[test]
-    fn fusion_matches_unfused_plan_on_all_workloads() {
-        let unfused = Device::with_engine(Engine::Plan).threads(1).fuse(false);
-        let fused = Device::with_engine(Engine::Plan).threads(1).fuse(true);
-        for w in all_workloads() {
-            let size = quick_size(&w);
-            for kind in FlowKind::all() {
-                let label = format!("{} [{}] at size {size}", w.name, kind.name());
-                let u = run_workload_on(&w, size, kind, &unfused);
-                let f = run_workload_on(&w, size, kind, &fused);
-                match (u, f) {
-                    (Ok((ures, urt)), Ok((fres, frt))) => {
-                        assert_eq!(ures.valid, fres.valid, "validation differs: {label}");
-                        assert_eq!(ures.stats, fres.stats, "stats differ: {label}");
-                        assert!(
-                            cycles_eq(ures.cycles, fres.cycles),
-                            "cycles differ: {label}: {} vs {}",
-                            ures.cycles,
-                            fres.cycles
-                        );
-                        for (i, (ub, fb)) in urt.buffers.iter().zip(&frt.buffers).enumerate() {
-                            assert_eq!(ub.data, fb.data, "buffer {i} contents differ: {label}");
-                        }
-                        assert_eq!(urt.usm, frt.usm, "usm contents differ: {label}");
-                    }
-                    (Err(ue), Err(fe)) => {
-                        assert_eq!(ue, fe, "configurations fail differently: {label}")
-                    }
-                    (u, f) => panic!(
-                        "one configuration failed, the other did not: {label}: unfused={u:?} fused={f:?}",
-                        u = u.is_ok(),
-                        f = f.is_ok()
                     ),
                 }
             }
@@ -532,11 +491,10 @@ mod engine_differential {
     }
 }
 
-/// PR 10: the decode-time plan verifier and the check elision it licenses
-/// must be **bit-invisible**. `--verify=strict|lint|off` may change which
-/// plans are rejected up front, but for every plan that runs, outputs,
-/// statistics, cycle counts and error texts must be identical whether the
-/// runtime bounds checks were elided (proven sites) or not.
+/// The decode-time plan verifier: what it proves over the suite, what it
+/// does with a plan it cannot prove (runs it with every check in place and
+/// reports the finding as data), and how an undecodable kernel fails. That
+/// elision is bit-invisible is `audit_run_matches_the_normal_run_on_all_workloads`.
 mod verify_differential {
     use sycl_mlir_bench::quick_size;
     use sycl_mlir_repro::benchsuite::{all_workloads, run_workload_on};
@@ -546,110 +504,20 @@ mod verify_differential {
     use sycl_mlir_repro::runtime::exec::run;
     use sycl_mlir_repro::runtime::hostgen::generate_host_ir;
     use sycl_mlir_repro::runtime::{compile_program, Queue, SyclRuntime};
-    use sycl_mlir_repro::sim::{Device, Engine, SimError, VerifyMode};
+    use sycl_mlir_repro::sim::{Device, Engine, SimError};
     use sycl_mlir_repro::sycl::device as sdev;
     use sycl_mlir_repro::sycl::types::AccessMode;
-
-    /// Simulated cycles are deterministic; NaN marks flows the paper
-    /// reports as failing validation.
-    fn cycles_eq(a: f64, b: f64) -> bool {
-        (a.is_nan() && b.is_nan()) || a == b
-    }
-
-    /// Every workload × flow must produce bit-identical results across
-    /// `--verify` modes, fusion levels and worker counts. The reference is
-    /// the plan engine with verification **off** (every runtime check
-    /// in place); each comparison config has verification on and therefore
-    /// runs with proven-site bounds checks elided.
-    #[test]
-    fn verify_modes_are_bit_identical_on_all_workloads() {
-        let reference = Device::with_engine(Engine::Plan)
-            .threads(1)
-            .verify(VerifyMode::Off);
-        let configs = [
-            (
-                "strict/1",
-                Device::with_engine(Engine::Plan)
-                    .threads(1)
-                    .verify(VerifyMode::Strict),
-            ),
-            (
-                "lint/1",
-                Device::with_engine(Engine::Plan)
-                    .threads(1)
-                    .verify(VerifyMode::Lint),
-            ),
-            (
-                "strict/4",
-                Device::with_engine(Engine::Plan)
-                    .threads(4)
-                    .verify(VerifyMode::Strict),
-            ),
-            (
-                "strict/unfused/1",
-                Device::with_engine(Engine::Plan)
-                    .threads(1)
-                    .fuse(false)
-                    .verify(VerifyMode::Strict),
-            ),
-        ];
-        for w in all_workloads() {
-            let size = quick_size(&w);
-            for kind in FlowKind::all() {
-                let r = run_workload_on(&w, size, kind, &reference);
-                for (cname, dev) in &configs {
-                    let label = format!(
-                        "{} [{}] at size {size}, config {cname}",
-                        w.name,
-                        kind.name()
-                    );
-                    let c = run_workload_on(&w, size, kind, dev);
-                    match (&r, &c) {
-                        (Ok((rres, rrt)), Ok((cres, crt))) => {
-                            assert_eq!(rres.valid, cres.valid, "validation differs: {label}");
-                            assert_eq!(rres.stats, cres.stats, "stats differ: {label}");
-                            assert!(
-                                cycles_eq(rres.cycles, cres.cycles),
-                                "cycles differ: {label}: {} vs {}",
-                                rres.cycles,
-                                cres.cycles
-                            );
-                            for (i, (rb, cb)) in rrt.buffers.iter().zip(&crt.buffers).enumerate() {
-                                assert_eq!(rb.data, cb.data, "buffer {i} contents differ: {label}");
-                            }
-                            assert_eq!(rrt.usm, crt.usm, "usm contents differ: {label}");
-                        }
-                        (Err(re), Err(ce)) => {
-                            // At threads=1 the error text must match
-                            // byte-for-byte — elision may not change which
-                            // site fails first nor how the failure reads.
-                            // At threads=4 which failing group is observed
-                            // first is scheduling-dependent.
-                            if !cname.ends_with("/4") {
-                                assert_eq!(re, ce, "errors differ: {label}");
-                            }
-                        }
-                        (r, c) => panic!(
-                            "verification changed the outcome: {label}: off={r:?} on={c:?}",
-                            r = r.is_ok(),
-                            c = c.is_ok()
-                        ),
-                    }
-                }
-            }
-        }
-    }
 
     /// What the verifier proves over the quick sweep — the in-figure
     /// workloads under all three flows, as `repro_all --quick` runs them
     /// and `verify_stats` reports them — exactly: every kernel verifies
-    /// clean even in strict mode, the interval pass proves the majority
+    /// clean (no finding anywhere), the interval pass proves the majority
     /// of accessor sites in-bounds (otherwise the elision fast path is
     /// dead code), every barrier ladder comes out statically uniform. A
     /// read, write or class dropped from `Instr::operands` moves these.
     #[test]
     fn verifier_proves_majority_of_accessor_sites_on_benchsuite() {
-        let dev = Device::with_engine(Engine::Plan).verify(VerifyMode::Strict);
+        let dev = Device::with_engine(Engine::Plan);
         for w in all_workloads().into_iter().filter(|w| w.in_figure) {
             for kind in FlowKind::all() {
                 run_workload_on(&w, quick_size(&w), kind, &dev)
@@ -718,51 +586,43 @@ mod verify_differential {
         Ok(rt.read_i32(out).to_vec())
     }
 
-    /// Strict mode rejects the unprovable-barrier kernel with a
-    /// deterministic, structured error — and the device stays fully
-    /// usable afterwards. Lint mode runs it (unverified) bit-identically
-    /// to verification off.
+    /// The unprovable-barrier kernel runs — with every check in place,
+    /// since nothing about it is proven — and its finding is data: counted
+    /// in `lint_findings`, named in the profile report, never written to
+    /// stderr. The stderr half runs this test again in a child process
+    /// (`UNPROVABLE_BARRIER_CHILD` set) and reads what it wrote there.
     #[test]
-    fn strict_rejects_unprovable_barrier_and_device_survives() {
-        let strict = Device::with_engine(Engine::Plan).verify(VerifyMode::Strict);
-        let e1 = run_data_dependent_barrier_loop(&strict)
-            .expect_err("strict must reject the data-dependent barrier loop");
-        let msg = e1.message();
+    fn unprovable_barrier_runs_checked_and_reports_its_finding() {
+        const CHILD: &str = "UNPROVABLE_BARRIER_CHILD";
+        if std::env::var_os(CHILD).is_none() {
+            let name =
+                "verify_differential::unprovable_barrier_runs_checked_and_reports_its_finding";
+            let child = std::process::Command::new(std::env::current_exe().unwrap())
+                .args([name, "--exact", "--nocapture", "--test-threads=1"])
+                .env(CHILD, "1")
+                .output()
+                .expect("re-run this test in a child process");
+            let stdout = String::from_utf8_lossy(&child.stdout);
+            assert!(child.status.success(), "child failed:\n{stdout}");
+            assert!(
+                stdout.contains("1 passed"),
+                "the child ran no test:\n{stdout}"
+            );
+            assert_eq!(
+                String::from_utf8_lossy(&child.stderr),
+                "",
+                "stderr must stay empty"
+            );
+        }
+        let device = Device::with_engine(Engine::Plan).profile(true);
+        let out = run_data_dependent_barrier_loop(&device).expect("the kernel runs");
+        assert_eq!(out, vec![3; 8], "kernel output wrong");
+        assert_eq!(device.verify_counters().lint_findings, 1);
+        let report = device.profile_report().expect("a profiled launch ran");
         assert!(
-            msg.contains("plan verification failed"),
-            "expected a structured verification error, got: {msg}"
+            report.contains("barrier inside a loop with a data-dependent trip count"),
+            "the report must name the finding:\n{report}"
         );
-        assert!(
-            msg.contains("barrier inside a loop with a data-dependent trip count"),
-            "expected the barrier-loop finding, got: {msg}"
-        );
-        assert!(
-            msg.contains("(launch 0, work-group 0)"),
-            "rejection must carry the launch position, got: {msg}"
-        );
-        // Deterministic: an identical second attempt (fresh module, same
-        // kernel) produces byte-for-byte the same error.
-        let e2 = run_data_dependent_barrier_loop(&strict).expect_err("still rejected");
-        assert_eq!(e1, e2, "strict rejection must be deterministic");
-
-        // The rejection must not poison the device: a clean workload on
-        // the *same* device still runs and validates.
-        let w = all_workloads()
-            .into_iter()
-            .find(|w| w.name == "GEMM")
-            .expect("GEMM registered");
-        let (res, _) = run_workload_on(&w, quick_size(&w), FlowKind::SyclMlir, &strict)
-            .expect("device must stay usable after a strict rejection");
-        assert!(res.valid, "post-rejection run must still validate");
-
-        // Lint reports but runs the kernel unverified — bit-identical to
-        // verification off.
-        let lint = Device::with_engine(Engine::Plan).verify(VerifyMode::Lint);
-        let off = Device::with_engine(Engine::Plan).verify(VerifyMode::Off);
-        let l = run_data_dependent_barrier_loop(&lint).expect("lint runs the kernel");
-        let o = run_data_dependent_barrier_loop(&off).expect("off runs the kernel");
-        assert_eq!(l, o, "lint-flagged kernel must run bit-identically to off");
-        assert_eq!(l, vec![3; 8], "kernel output wrong");
     }
 
     /// Build and run a kernel containing an op no engine understands: the
@@ -798,44 +658,36 @@ mod verify_differential {
 
     /// The `DecodeError` path: an undecodable kernel is a structured
     /// `plan decode error` carrying the submission position — not a
-    /// panic, not a tree-walk fallback — the same one under every verify
-    /// mode, deterministically, and the device survives.
+    /// panic, not a tree-walk fallback — deterministically, and the device
+    /// survives.
     #[test]
-    fn every_verify_mode_surfaces_decode_failures_with_position() {
-        let mut errors = Vec::new();
-        for mode in [VerifyMode::Strict, VerifyMode::Lint, VerifyMode::Off] {
-            let device = Device::with_engine(Engine::Plan).verify(mode);
-            let e1 = run_undecodable_kernel(&device).expect_err("the launch must fail");
-            let msg = e1.message();
-            assert!(
-                msg.contains("plan decode error"),
-                "expected a structured decode error, got: {msg}"
-            );
-            assert!(
-                msg.contains("op `llvm.alloca` is not plan-decodable"),
-                "expected the offending op to be named, got: {msg}"
-            );
-            assert!(
-                msg.contains("(launch 0, work-group 0)"),
-                "decode failure must carry the launch position, got: {msg}"
-            );
-            let e2 = run_undecodable_kernel(&device).expect_err("still fails");
-            assert_eq!(e1, e2, "the decode error must be deterministic");
-
-            // Device stays usable.
-            let w = all_workloads()
-                .into_iter()
-                .find(|w| w.name == "GEMM")
-                .expect("GEMM registered");
-            let (res, _) = run_workload_on(&w, quick_size(&w), FlowKind::SyclMlir, &device)
-                .expect("device must stay usable after a decode failure");
-            assert!(res.valid, "post-failure run must still validate");
-            errors.push(e1);
-        }
+    fn decode_failures_surface_with_position() {
+        let device = Device::with_engine(Engine::Plan);
+        let e1 = run_undecodable_kernel(&device).expect_err("the launch must fail");
+        let msg = e1.message();
         assert!(
-            errors.windows(2).all(|e| e[0] == e[1]),
-            "the decode error must not depend on the verify mode: {errors:?}"
+            msg.contains("plan decode error"),
+            "expected a structured decode error, got: {msg}"
         );
+        assert!(
+            msg.contains("op `llvm.alloca` is not plan-decodable"),
+            "expected the offending op to be named, got: {msg}"
+        );
+        assert!(
+            msg.contains("(launch 0, work-group 0)"),
+            "decode failure must carry the launch position, got: {msg}"
+        );
+        let e2 = run_undecodable_kernel(&device).expect_err("still fails");
+        assert_eq!(e1, e2, "the decode error must be deterministic");
+
+        // Device stays usable.
+        let w = all_workloads()
+            .into_iter()
+            .find(|w| w.name == "GEMM")
+            .expect("GEMM registered");
+        let (res, _) = run_workload_on(&w, quick_size(&w), FlowKind::SyclMlir, &device)
+            .expect("device must stay usable after a decode failure");
+        assert!(res.valid, "post-failure run must still validate");
 
         // The serial reference has no decoder; it reaches the op and
         // refuses it at run time.
@@ -1035,18 +887,13 @@ mod aggregate_moves {
     }
 
     /// The tree walk's outcome, after holding the plan engine to it —
-    /// one worker and four, fused and as decoded.
+    /// one worker and four.
     fn launch_on_both_engines(m: &Module, k: OpId) -> Outcome {
         decode_kernel(m, k).expect("the plan engine runs this kernel itself");
         let tree = launch(m, k, &Device::with_engine(Engine::TreeWalk));
         for threads in [1, 4] {
-            for fuse in [true, false] {
-                let device = Device::with_engine(Engine::Plan)
-                    .threads(threads)
-                    .fuse(fuse);
-                let plan = launch(m, k, &device);
-                assert_eq!(plan, tree, "threads={threads} fuse={fuse}");
-            }
+            let plan = launch(m, k, &Device::with_engine(Engine::Plan).threads(threads));
+            assert_eq!(plan, tree, "threads={threads}");
         }
         tree
     }

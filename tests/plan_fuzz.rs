@@ -33,7 +33,7 @@ use proptest::test_runner::TestRng;
 use sycl_mlir_repro::sim::plan::{CmpPred, FloatBin, FuncPlan, Instr, IntBin, ItemQ, Slot};
 use sycl_mlir_repro::sim::{
     fuse_plan, AccessorVal, CostModel, DataVec, ExecLimits, ExecStats, KernelPlan, MemRefVal,
-    MemoryPool, NdRangeSpec, PlanLaunch, RtValue, SimError, Space,
+    MemoryPool, NdRangeSpec, PlanFacts, PlanLaunch, RtValue, SimError, Space,
 };
 
 const BUF_LEN: usize = 16;
@@ -923,13 +923,9 @@ impl Gen {
 type Executed = (Result<ExecStats, SimError>, Vec<f32>, Vec<i64>, Vec<f32>);
 
 /// Run `plan` against fresh buffers under `cost`, with the verifier's
-/// `facts` attached if any (proven sites then take the unchecked-index
-/// fast path).
-fn execute_with(
-    plan: &KernelPlan,
-    facts: Option<&sycl_mlir_repro::sim::PlanFacts>,
-    cost: &CostModel,
-) -> Executed {
+/// `facts` attached (proven sites then take the unchecked-index fast
+/// path).
+fn execute_with(plan: &KernelPlan, facts: &PlanFacts, cost: &CostModel) -> Executed {
     let mut pool = MemoryPool::new();
     let mf = pool.alloc(DataVec::F32(
         (0..BUF_LEN).map(|i| i as f32 * 0.25).collect(),
@@ -980,9 +976,9 @@ fn execute_with(
     (result, f.clone(), i.clone(), a.clone())
 }
 
-/// [`execute_with`] no facts, under the default cost model.
+/// [`execute_with`] nothing proven, under the default cost model.
 fn execute(plan: &KernelPlan) -> Executed {
-    execute_with(plan, None, &CostModel::default())
+    execute_with(plan, &PlanFacts::NONE, &CostModel::default())
 }
 
 /// Mnemonics of the windows fusion formed in `plan`, in code order.
@@ -1071,59 +1067,59 @@ fn random_bytecode_exercises_fusion_broadly() {
     }
 }
 
-/// Sweep both fuse levels over the fixed seed population and count what
-/// fired: the un-CSE'd 4-instruction window — the one write-through
-/// window — must fire broadly at `FuseLevel::Chains`, nothing at all may
-/// fuse at `Off`, and execution at every level stays bit-identical to
-/// the unfused baseline.
+/// Both sides of the fusion pass over the fixed seed population, counting
+/// what fired: the un-CSE'd 4-instruction window — the one write-through
+/// window — must fire broadly in the fused plan, the generated plan must
+/// hold no superinstruction at all (the pass is their only source), and
+/// execution on either side stays bit-identical to the unfused baseline.
 #[test]
 fn fuse_level_sweep_pins_quad_and_write_through_gating() {
-    use sycl_mlir_repro::sim::{fuse_plan_with, FuseLevel};
-
-    for level in [FuseLevel::Off, FuseLevel::Chains] {
+    for fuse in [false, true] {
         let mut quads = 0_usize;
         for seed in 0..128_u64 {
             let seed = seed * 7919 + 13;
             let plan = Gen::new(seed).finish();
             let mut fused = plan.clone();
-            fuse_plan_with(&mut fused, level);
+            if fuse {
+                fuse_plan(&mut fused);
+            }
             let formed = windows(&fused);
             quads += formed.iter().filter(|w| **w == "acc.load.quad").count();
             assert!(
-                level == FuseLevel::Chains || formed.is_empty(),
-                "{level:?} must leave the plan as decoded (seed {seed}): {formed:?}"
+                fuse || formed.is_empty(),
+                "the generated plan holds superinstructions (seed {seed}): {formed:?}"
             );
 
             let (base, base_f, base_i, base_a) = execute(&plan);
             let (run, f, i, a) = execute(&fused);
             match (&base, &run) {
-                (Ok(b), Ok(o)) => assert_eq!(b, o, "stats diverge (seed {seed}, {level:?})"),
+                (Ok(b), Ok(o)) => assert_eq!(b, o, "stats diverge (seed {seed}, fuse={fuse})"),
                 (Err(b), Err(o)) => assert_eq!(
                     b.message(),
                     o.message(),
-                    "errors diverge (seed {seed}, {level:?})"
+                    "errors diverge (seed {seed}, fuse={fuse})"
                 ),
                 _ => panic!(
                     "one execution failed, the other did not \
-                     (seed {seed}, {level:?}): unfused={base:?} fused={run:?}"
+                     (seed {seed}, fuse={fuse}): unfused={base:?} fused={run:?}"
                 ),
             }
             assert_eq!(
                 base_f.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 f.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "f32 buffer diverges (seed {seed}, {level:?})"
+                "f32 buffer diverges (seed {seed}, fuse={fuse})"
             );
-            assert_eq!(base_i, i, "i64 buffer diverges (seed {seed}, {level:?})");
+            assert_eq!(base_i, i, "i64 buffer diverges (seed {seed}, fuse={fuse})");
             assert_eq!(
                 base_a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "accessor buffer diverges (seed {seed}, {level:?})"
+                "accessor buffer diverges (seed {seed}, fuse={fuse})"
             );
         }
-        if level == FuseLevel::Chains {
+        if fuse {
             assert!(
                 quads > 25,
-                "{level:?}: expected the 4-instruction window to fire broadly, got {quads}"
+                "expected the 4-instruction window to fire broadly, got {quads}"
             );
         }
     }
@@ -1439,10 +1435,10 @@ fn lockstep_matches_item_order_on_race_free_bytecode() {
         let mut fused = plan.clone();
         fuse_plan(&mut fused);
         for p in [&plan, &fused] {
-            let serial = execute_with(p, None, &cost(1));
-            let lockstep = execute_with(p, None, &cost(16));
+            let serial = execute_with(p, &PlanFacts::NONE, &cost(1));
+            let lockstep = execute_with(p, &PlanFacts::NONE, &cost(16));
             audit_on_this_thread(true);
-            let audited = execute_with(p, Some(&facts), &cost(16));
+            let audited = execute_with(p, &facts, &cost(16));
             audit_on_this_thread(false);
             match &serial.0 {
                 Ok(_) => {
@@ -1516,28 +1512,21 @@ fn execute_limited(plan: &KernelPlan, limits: &ExecLimits) -> Result<ExecStats, 
 }
 
 /// The op budget is **fuse-invariant**: a superinstruction settles the
-/// full weight of its members, so for *every* budget value the two
-/// fuse levels must agree — all complete with identical statistics, or
-/// all trip `LimitExceeded { kind: Ops }` at the same work-group. Swept
-/// exhaustively from a starving budget of 1 past the kernel's total op
-/// count.
+/// full weight of its members, so for *every* budget value the unfused
+/// and the fused plan must agree — both complete with identical
+/// statistics, or both trip `LimitExceeded { kind: Ops }` at the same
+/// work-group. Swept exhaustively from a starving budget of 1 past the
+/// kernel's total op count.
 #[test]
 fn op_budget_trips_are_fuse_invariant() {
-    use sycl_mlir_repro::sim::{fuse_plan_with, ExecLimits, FuseLevel, LimitKind};
+    use sycl_mlir_repro::sim::{ExecLimits, LimitKind};
 
     // The guard never fires: a clean kernel with fusable chains.
     let plan = mid_chain_failing_plan(1 << 40);
-    let levels = [FuseLevel::Off, FuseLevel::Chains];
-    let plans: Vec<KernelPlan> = levels
-        .iter()
-        .map(|&lv| {
-            let mut p = plan.clone();
-            fuse_plan_with(&mut p, lv);
-            p
-        })
-        .collect();
+    let mut fused = plan.clone();
+    fuse_plan(&mut fused);
     assert!(
-        windows(&plans[1]).contains(&"load.fma"),
+        windows(&fused).contains(&"load.fma"),
         "the template must actually fuse"
     );
 
@@ -1547,18 +1536,15 @@ fn op_budget_trips_are_fuse_invariant() {
             max_ops: Some(budget),
             ..ExecLimits::none()
         };
-        let mut results = plans.iter().map(|p| execute_limited(p, &limits));
-        let reference = results.next().expect("two fuse levels");
-        match &reference {
+        let fused_run = execute_limited(&fused, &limits);
+        match execute_limited(&plan, &limits) {
             Ok(stats) => {
                 completions += 1;
-                for (r, lv) in results.zip(&levels[1..]) {
-                    assert_eq!(
-                        r.as_ref().expect("fused run must also complete"),
-                        stats,
-                        "budget {budget}, fuse {lv:?}: stats diverge"
-                    );
-                }
+                assert_eq!(
+                    fused_run.expect("fused run must also complete"),
+                    stats,
+                    "budget {budget}: stats diverge"
+                );
             }
             Err(e) => {
                 trips += 1;
@@ -1567,14 +1553,12 @@ fn op_budget_trips_are_fuse_invariant() {
                     Some(LimitKind::Ops),
                     "budget {budget}: expected an op-budget trip, got: {e}"
                 );
-                for (r, lv) in results.zip(&levels[1..]) {
-                    let f = r.expect_err("fused run must also trip");
-                    assert_eq!(
-                        f.message(),
-                        e.message(),
-                        "budget {budget}, fuse {lv:?}: trip position diverges"
-                    );
-                }
+                let f = fused_run.expect_err("fused run must also trip");
+                assert_eq!(
+                    f.message(),
+                    e.message(),
+                    "budget {budget}: trip position diverges"
+                );
             }
         }
     }
@@ -1589,16 +1573,7 @@ fn op_budget_trips_are_fuse_invariant() {
 // prove) with deterministic, structured findings.
 // ----------------------------------------------------------------------
 
-/// [`execute`] with verifier `facts` attached. Must stay bit-identical to
-/// the fully-checked run for every legal plan.
-fn execute_with_facts(
-    plan: &KernelPlan,
-    facts: Option<&sycl_mlir_repro::sim::PlanFacts>,
-) -> Executed {
-    execute_with(plan, facts, &CostModel::default())
-}
-
-/// Every fuzz seed is **lint-clean** (the generator emits structurally
+/// Every fuzz seed **verifies clean** (the generator emits structurally
 /// legal bytecode), the verifier is deterministic on it, and running
 /// the fused plan with the proven-site facts attached is bit-identical
 /// to the fully-checked run — across the whole 128-seed population.
@@ -1632,8 +1607,8 @@ fn verifier_accepts_fuzz_population_and_elision_is_bit_identical() {
         let mut fused = plan.clone();
         fuse_plan(&mut fused);
         for p in [&plan, &fused] {
-            let (base, bf, bi, ba) = execute_with_facts(p, None);
-            let (fast, ff, fi, fa) = execute_with_facts(p, Some(&facts));
+            let (base, bf, bi, ba) = execute(p);
+            let (fast, ff, fi, fa) = execute_with(p, &facts, &CostModel::default());
             match (&base, &fast) {
                 (Ok(b), Ok(f)) => assert_eq!(b, f, "stats diverge under elision (seed {seed})"),
                 (Err(b), Err(f)) => assert_eq!(
@@ -1763,8 +1738,8 @@ fn oob_bait_is_never_elided_and_fails_identically() {
     let mut facts = verify_plan(&plan).expect("structurally legal");
     facts.barriers_total = 1;
     facts.barriers_uniform = 0;
-    let (base, ..) = execute_with_facts(&plan, None);
-    let (fast, ..) = execute_with_facts(&plan, Some(&facts));
+    let (base, ..) = execute(&plan);
+    let (fast, ..) = execute_with(&plan, &facts, &CostModel::default());
     let be = base.expect_err("store at 999 is out of bounds");
     let fe = fast.expect_err("store at 999 is out of bounds");
     assert_eq!(be, fe, "facts must not change the OOB failure");
@@ -1778,8 +1753,7 @@ fn oob_bait_is_never_elided_and_fails_identically() {
 
 /// Bait 2 — type-confused register reuse: an integer register fed to a
 /// float ALU op. The type-class pass must reject it with the offending
-/// pc, identically on every run (what strict rejects is exactly what
-/// lint reports).
+/// pc, identically on every run.
 #[test]
 fn type_confusion_bait_is_rejected() {
     use sycl_mlir_repro::sim::verify_plan;
@@ -1807,7 +1781,7 @@ fn type_confusion_bait_is_rejected() {
     assert_eq!(
         verify_plan(&plan).expect_err("deterministic"),
         errs,
-        "strict must reject exactly what lint reports"
+        "the findings must be deterministic"
     );
     assert!(
         errs.iter().any(|e| {
@@ -1876,14 +1850,14 @@ fn corrupted_jump_bait_is_rejected() {
     assert_eq!(
         verify_plan(&out_of_range).expect_err("deterministic"),
         errs,
-        "strict must reject exactly what lint reports"
+        "the findings must be deterministic"
     );
 }
 
 /// Randomly corrupting one jump target of every fuzz seed's plan either
 /// leaves it verifiable or produces a deterministic, structured
 /// rejection — `verify_plan` must never panic on corrupted bytecode and
-/// must report the same findings every time (the strict/lint contract).
+/// must report the same findings every time.
 #[test]
 fn corrupted_fuzz_plans_reject_deterministically() {
     use sycl_mlir_repro::sim::verify_plan;
