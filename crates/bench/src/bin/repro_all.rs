@@ -7,9 +7,9 @@
 //!
 //! `--json` switches the output to a machine-readable summary (one JSON
 //! object on stdout: per-workload cycles/validity/wall-milliseconds plus
-//! the sweep configuration and total wall time) — the format
-//! `scripts/ci.sh`'s perf-regression gate diffs against the checked-in
-//! `scripts/bench-baseline.json`.
+//! the sweep configuration and total wall time). Less its wall-time
+//! fields, it is what `scripts/ci.sh`'s fidelity gate holds to the
+//! checked-in `scripts/bench-baseline.json`.
 
 use sycl_mlir_bench::{print_table, quick_flag, run_category_on, run_row};
 use sycl_mlir_benchsuite::{geo_mean, Category};

@@ -162,13 +162,6 @@ impl Attribute {
         }
     }
 
-    pub fn as_dense_f64(&self) -> Option<&[f64]> {
-        match self {
-            Attribute::DenseF64(v) => Some(v),
-            _ => None,
-        }
-    }
-
     pub fn as_symbol_ref(&self) -> Option<&[String]> {
         match self {
             Attribute::SymbolRef(path) => Some(path),

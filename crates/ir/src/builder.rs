@@ -74,12 +74,6 @@ impl<'m> Builder<'m> {
         self.index
     }
 
-    /// Move the cursor to the end of another block.
-    pub fn set_insertion_end(&mut self, block: BlockId) {
-        self.index = self.module.block_ops(block).len();
-        self.block = block;
-    }
-
     /// Create an op by registered [`OpName`] and insert it at the cursor.
     pub fn build_named(
         &mut self,

@@ -166,14 +166,6 @@ impl Context {
         self.intern_type(TypeKind::Int(1))
     }
 
-    pub fn i8_type(&self) -> Type {
-        self.intern_type(TypeKind::Int(8))
-    }
-
-    pub fn i16_type(&self) -> Type {
-        self.intern_type(TypeKind::Int(16))
-    }
-
     pub fn i32_type(&self) -> Type {
         self.intern_type(TypeKind::Int(32))
     }

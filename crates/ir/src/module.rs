@@ -292,21 +292,6 @@ impl Module {
         block
     }
 
-    /// Append an extra argument to an existing block.
-    pub fn add_block_arg(&mut self, block: BlockId, ty: Type) -> ValueId {
-        self.bump_epoch();
-        let index = self.blocks[block.0 as usize].args.len() as u32;
-        let v = ValueId(self.values.len() as u32);
-        self.values.push(ValueData {
-            ty,
-            def: ValueDef::BlockArg { block, index },
-            uses: Vec::new(),
-            erased: false,
-        });
-        self.blocks[block.0 as usize].args.push(v);
-        v
-    }
-
     /// Attach a detached op at the end of a block.
     pub fn append_op(&mut self, block: BlockId, op: OpId) {
         self.bump_epoch();
@@ -481,11 +466,6 @@ impl Module {
 
     pub fn region_blocks(&self, region: RegionId) -> &[BlockId] {
         &self.regions[region.0 as usize].blocks
-    }
-
-    /// The single block of a region.
-    pub fn region_block(&self, region: RegionId) -> BlockId {
-        self.regions[region.0 as usize].blocks[0]
     }
 
     pub fn region_parent_op(&self, region: RegionId) -> OpId {

@@ -60,11 +60,6 @@ pub struct PassStats {
 }
 
 impl PassStats {
-    /// Total wall time of the passes (without the verifier between them).
-    pub fn total_time(&self) -> Duration {
-        self.per_pass.iter().map(|(_, d, _)| *d).sum()
-    }
-
     /// Whether any pass reported a change.
     pub fn any_changed(&self) -> bool {
         self.per_pass.iter().any(|(_, _, c)| *c)

@@ -103,14 +103,6 @@ impl Type {
             _ => None,
         }
     }
-
-    /// Returns the dialect type wrapper, if this is a dialect type.
-    pub fn as_dialect(&self) -> Option<&DialectType> {
-        match &*self.0 {
-            TypeKind::Dialect(d) => Some(d),
-            _ => None,
-        }
-    }
 }
 
 impl PartialEq for Type {

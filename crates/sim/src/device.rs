@@ -6,9 +6,9 @@ use crate::cost::{CostModel, ExecStats};
 use crate::interp::{enclosing_module, ExecCtx, Stop, WorkItemState};
 use crate::limits::{CancelToken, ExecLimits, FaultPlan, FaultSite, OpMeter};
 use crate::memory::MemoryPool;
-use crate::plan::{decode_kernel, fuse_plan, profile_summary, KernelPlan};
+use crate::plan::{decode_kernel, fuse_plan, profile_summary, ItemQ, KernelPlan};
 use crate::pool::{run_plan_graph_report, HostNode, HostView, LaunchDag, PlanLaunch, SharedPool};
-use crate::value::{NdItemVal, RtValue};
+use crate::value::RtValue;
 use crate::verify::{verify_plan, PlanFacts};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -49,7 +49,7 @@ pub fn auto_threads() -> usize {
 }
 
 /// Launch geometry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NdRangeSpec {
     /// Global extent, padded with 1s to rank 3.
     pub global: [i64; 3],
@@ -83,6 +83,11 @@ impl NdRangeSpec {
         self.global[..self.rank as usize].iter().product()
     }
 
+    /// Work-items per work-group.
+    pub fn group_size(&self) -> usize {
+        self.local.iter().product::<i64>() as usize
+    }
+
     /// Work-group counts per dimension.
     pub fn groups(&self) -> [i64; 3] {
         [
@@ -90,6 +95,40 @@ impl NdRangeSpec {
             self.global[1] / self.local[1].max(1),
             self.global[2] / self.local[2].max(1),
         ]
+    }
+
+    /// Coordinates of the work-group at linear index `linear`, row-major
+    /// over [`Self::groups`]: the order both engines run a launch's
+    /// work-groups in, and the index the scheduler claims them by.
+    pub fn group_at(&self, linear: usize) -> [i64; 3] {
+        let groups = self.groups();
+        [0, 1, 2].map(|d| coordinate(linear as i64, groups, d))
+    }
+
+    /// The answer to the item query `q` along dimension `d` (`< 3`) for
+    /// the work-item at local linear id `linear` of work-group `group`. A
+    /// work-item's position is computed from the launch geometry, never
+    /// stored: both engines answer every item query through this function.
+    #[inline]
+    pub fn item_query(&self, group: [i64; 3], linear: i64, q: ItemQ, d: usize) -> i64 {
+        match q {
+            ItemQ::GlobalId => group[d] * self.local[d] + coordinate(linear, self.local, d),
+            ItemQ::LocalId => coordinate(linear, self.local, d),
+            ItemQ::GroupId => group[d],
+            ItemQ::GlobalRange => self.global[d],
+            ItemQ::LocalRange => self.local[d],
+            ItemQ::GroupRange => self.global[d] / self.local[d],
+        }
+    }
+
+    /// The global linear id — row-major over the meaningful dimensions —
+    /// of the work-item at local linear id `linear` of work-group `group`.
+    /// (Its local linear id is `linear` itself: the extents are padded
+    /// with 1s.)
+    pub fn global_linear_id(&self, group: [i64; 3], linear: i64) -> i64 {
+        (0..self.rank as usize).fold(0, |id, d| {
+            id * self.global[d] + self.item_query(group, linear, ItemQ::GlobalId, d)
+        })
     }
 
     /// A zero global extent is legal (SYCL allows empty ranges): the
@@ -108,6 +147,19 @@ impl NdRangeSpec {
             }
         }
         Ok(())
+    }
+}
+
+/// Coordinate `d` of `linear` in a row-major box of extents `n`
+/// (dimension 0 slowest).
+#[inline]
+fn coordinate(linear: i64, n: [i64; 3], d: usize) -> i64 {
+    match d {
+        // A rank-1 box: no division.
+        0 if n[1] * n[2] == 1 => linear,
+        0 => linear / (n[1] * n[2]),
+        1 => linear / n[2] % n[1],
+        _ => linear % n[2],
     }
 }
 
@@ -255,14 +307,6 @@ impl Device {
     pub fn with_engine(engine: Engine) -> Device {
         Device {
             engine,
-            ..Device::default()
-        }
-    }
-
-    /// A default device with an explicit worker count.
-    pub fn with_threads(threads: usize) -> Device {
-        Device {
-            threads,
             ..Device::default()
         }
     }
@@ -806,33 +850,23 @@ fn launch_kernel_with(
         _ => u64::MAX,
     };
     let groups = nd.groups();
-    let mut ctx = ExecCtx::new(m, pool, cost);
+    let mut ctx = ExecCtx::new(m, pool, cost, nd);
     if !limits.is_none() {
         let budget = limits.launch_budget();
         ctx.limits = Some(Box::new(OpMeter::new(limits, budget, deadline, launch)));
     }
 
-    let mut gi = 0_u64;
-    for g0 in 0..groups[0] {
-        for g1 in 0..groups[1] {
-            for g2 in 0..groups[2] {
-                if gi == claim_fault {
-                    return Err(FaultPlan {
-                        launch,
-                        site: FaultSite::Claim(gi),
-                    }
-                    .error()
-                    .at(launch, gi as usize));
-                }
-                run_work_group(m, kernel, args, nd, [g0, g1, g2], &mut ctx)
-                    .map_err(|e| e.at(launch, gi as usize))?;
-                ctx.next_work_group();
-                gi += 1;
-            }
+    let total = (groups[0] * groups[1] * groups[2]) as usize;
+    for gi in 0..total {
+        if gi as u64 == claim_fault {
+            let site = FaultSite::Claim(gi as u64);
+            return Err(FaultPlan { launch, site }.error().at(launch, gi));
         }
+        run_work_group(m, kernel, args, nd.group_at(gi), &mut ctx).map_err(|e| e.at(launch, gi))?;
+        ctx.next_work_group();
     }
     let mut stats = ctx.stats;
-    stats.work_groups = (groups[0] * groups[1] * groups[2]) as u64;
+    stats.work_groups = total as u64;
     stats.work_items = nd.work_items() as u64;
     stats.charge(cost);
     Ok(stats)
@@ -863,26 +897,6 @@ fn run_host_serial(
     Ok(ExecStats::default())
 }
 
-/// The positions of work-group `group`'s items, in local-linear order.
-pub(crate) fn items_of_group(
-    nd: NdRangeSpec,
-    group: [i64; 3],
-) -> impl ExactSizeIterator<Item = NdItemVal> {
-    let [n0, n1, n2] = nd.local;
-    (0..(n0 * n1 * n2) as usize).map(move |linear| {
-        let linear = linear as i64;
-        let local_id = [linear / (n1 * n2), linear / n2 % n1, linear % n2];
-        NdItemVal {
-            global_id: [0, 1, 2].map(|d| group[d] * nd.local[d] + local_id[d]),
-            local_id,
-            group_id: group,
-            global_range: nd.global,
-            local_range: nd.local,
-            rank: nd.rank,
-        }
-    })
-}
-
 /// Drive a work-group's `items` work-items in co-operative rounds: `round`
 /// runs every live one to its next barrier or to completion and says how
 /// many wait at a barrier; mixing the two within a group is the
@@ -903,10 +917,12 @@ pub(crate) fn cooperative_rounds(
             return Ok(());
         }
         if barriers < items {
-            let finished = items - barriers;
-            return Err(SimError::msg(format!(
-                "divergent barrier: {barriers} work-items wait at a barrier while {finished} finished (work-group {group:?})"
-            )));
+            return Err(SimError::DivergentBarrier {
+                waiting: barriers,
+                finished: items - barriers,
+                group,
+                at: None,
+            });
         }
     }
 }
@@ -915,12 +931,12 @@ fn run_work_group(
     m: &Module,
     kernel: OpId,
     args: &[RtValue],
-    nd: NdRangeSpec,
     group: [i64; 3],
     ctx: &mut ExecCtx<'_>,
 ) -> Result<(), SimError> {
-    let mut items: Vec<WorkItemState> = items_of_group(nd, group)
-        .map(|item| WorkItemState::new(m, kernel, args, item))
+    ctx.group = group;
+    let mut items: Vec<WorkItemState> = (0..ctx.nd.group_size() as i64)
+        .map(|linear| WorkItemState::new(m, kernel, args, linear))
         .collect::<Result<_, _>>()?;
     cooperative_rounds(items.len(), group, || {
         let mut barriers = 0;
@@ -957,6 +973,21 @@ mod tests {
             rank: 1,
             constant: false,
         })
+    }
+
+    /// The work-item at local linear id 3 of work-group `[1, 2]` of an
+    /// 8×8 launch in 2×2 groups sits at local `[1, 1]`, global `[3, 5]`;
+    /// the group is the launch's seventh.
+    #[test]
+    fn item_queries_follow_the_geometry() {
+        let nd = NdRangeSpec::d2(8, 8, 2, 2);
+        let (group, linear) = ([1, 2, 0], 3);
+        let ask = |q, d| nd.item_query(group, linear, q, d);
+        assert_eq!([0, 1].map(|d| ask(ItemQ::LocalId, d)), [1, 1]);
+        assert_eq!([0, 1].map(|d| ask(ItemQ::GlobalId, d)), [3, 5]);
+        assert_eq!(ask(ItemQ::GroupRange, 0), 4);
+        assert_eq!(nd.global_linear_id(group, linear), 29);
+        assert_eq!(nd.group_at(6), group);
     }
 
     /// a[i] = a[i] + b[i] over a 1-d range.
@@ -1090,6 +1121,13 @@ mod tests {
     /// exactly what §V-C's uniformity analysis guards against.
     #[test]
     fn divergent_barrier_detected() {
+        leader_alone_at_a_barrier(Device::new(), NdRangeSpec::d1(16, 16));
+    }
+
+    /// Launch, on `device` over `nd` (work-groups of 16), a kernel whose
+    /// work-item 0 alone reaches a barrier: work-group 0's divergent
+    /// barrier must be the error.
+    fn leader_alone_at_a_barrier(device: Device, nd: NdRangeSpec) {
         let c = ctx();
         let mut m = Module::new(&c);
         let nd1 = nd_item_type(&c, 1);
@@ -1115,12 +1153,16 @@ mod tests {
             );
             build_return(&mut b, &[]);
         }
-        let mut pool = MemoryPool::new();
-        let device = Device::new();
         let errv = device
-            .launch(&m, func, &[], NdRangeSpec::d1(16, 16), &mut pool)
+            .launch(&m, func, &[], nd, &mut MemoryPool::new())
             .unwrap_err();
-        assert!(errv.message().contains("divergent barrier"), "{errv}");
+        let expect = SimError::DivergentBarrier {
+            waiting: 1,
+            finished: 15,
+            group: [0; 3],
+            at: Some((0, 0)),
+        };
+        assert_eq!(errv, expect);
     }
 
     /// A second launch of an unmutated kernel must reuse the decoded plan;
@@ -1239,37 +1281,8 @@ mod tests {
     /// engine (the failing group's error is reported).
     #[test]
     fn parallel_launch_reports_divergent_barrier() {
-        let c = ctx();
-        let mut m = Module::new(&c);
-        let nd1 = nd_item_type(&c, 1);
-        let top = m.top();
-        let (func, entry) = build_func(&mut m, top, "bad", &[nd1], &[]);
-        sdev::mark_kernel(&mut m, func);
-        let item = m.block_arg(entry, 0);
-        {
-            let mut b = Builder::at_end(&mut m, entry);
-            let lid = sdev::local_id(&mut b, item, 0);
-            let zero = constant_index(&mut b, 0);
-            let cond = arith::cmpi(&mut b, "eq", lid, zero);
-            let g = sdev::get_group(&mut b, item);
-            sycl_mlir_dialects::scf::build_if(
-                &mut b,
-                cond,
-                &[],
-                |inner| {
-                    sdev::group_barrier(inner, g);
-                    vec![]
-                },
-                |_| vec![],
-            );
-            build_return(&mut b, &[]);
-        }
-        let mut pool = MemoryPool::new();
         let device = Device::with_engine(Engine::Plan).threads(4);
-        let errv = device
-            .launch(&m, func, &[], NdRangeSpec::d1(64, 16), &mut pool)
-            .unwrap_err();
-        assert!(errv.message().contains("divergent barrier"), "{errv}");
+        leader_alone_at_a_barrier(device, NdRangeSpec::d1(64, 16));
     }
 
     /// A batch of independent launches must produce the same per-launch

@@ -8,9 +8,11 @@
 //! deadlock of §V-C.
 
 use crate::cost::{Coalescer, CostModel, ExecStats};
+use crate::device::NdRangeSpec;
 use crate::limits::FaultPlan;
 use crate::memory::{MemFault, MemoryPool};
-use crate::value::{MemRefVal, NdItemVal, RtValue, Space, VecVal};
+use crate::plan::ItemQ;
+use crate::value::{MemRefVal, RtValue, Space, VecVal};
 use std::collections::HashMap;
 use sycl_mlir_ir::{CommonKeys, Module, OpId, TypeKind, ValueId};
 
@@ -89,6 +91,19 @@ pub enum SimError {
         /// The position, as in [`SimError::Message`].
         at: Option<(usize, usize)>,
     },
+    /// Some work-items of a work-group wait at a barrier while the others
+    /// have finished: the deadlock §V-C's uniformity analysis exists to
+    /// prevent. Like a [`SimError::Message`], it does not cascade.
+    DivergentBarrier {
+        /// Work-items waiting at a barrier.
+        waiting: usize,
+        /// Work-items that ran to completion.
+        finished: usize,
+        /// The work-group, by its coordinates.
+        group: [i64; 3],
+        /// The position, as in [`SimError::Message`].
+        at: Option<(usize, usize)>,
+    },
     /// A [`FaultPlan`] fired ([`FaultPlan::error`]): a synthetic failure
     /// that, like a limit trip, cancels the launch's DAG successors.
     Injected {
@@ -132,6 +147,7 @@ impl SimError {
             } => (*l, *g) = (launch, group),
             SimError::Message { at, .. }
             | SimError::Fault { at, .. }
+            | SimError::DivergentBarrier { at, .. }
             | SimError::Injected { at, .. } => *at = Some((launch, group)),
         }
         self
@@ -146,6 +162,17 @@ impl SimError {
         match self {
             SimError::Message { message, at } => stamped(message.clone(), at),
             SimError::Fault { fault, at } => stamped(fault.to_string(), at),
+            SimError::DivergentBarrier {
+                waiting,
+                finished,
+                group,
+                at,
+            } => stamped(
+                format!(
+                    "divergent barrier: {waiting} work-items wait at a barrier while {finished} finished (work-group {group:?})"
+                ),
+                at,
+            ),
             SimError::Injected { fault, at } => stamped(fault.to_string(), at),
             SimError::LimitExceeded {
                 kind,
@@ -168,7 +195,9 @@ impl SimError {
     pub(crate) fn cascades(&self) -> bool {
         match self {
             SimError::LimitExceeded { .. } | SimError::Injected { .. } => true,
-            SimError::Message { .. } | SimError::Fault { .. } => false,
+            SimError::Message { .. }
+            | SimError::Fault { .. }
+            | SimError::DivergentBarrier { .. } => false,
         }
     }
 
@@ -176,7 +205,10 @@ impl SimError {
     pub fn limit_kind(&self) -> Option<LimitKind> {
         match self {
             SimError::LimitExceeded { kind, .. } => Some(*kind),
-            SimError::Message { .. } | SimError::Fault { .. } | SimError::Injected { .. } => None,
+            SimError::Message { .. }
+            | SimError::Fault { .. }
+            | SimError::DivergentBarrier { .. }
+            | SimError::Injected { .. } => None,
         }
     }
 }
@@ -205,6 +237,11 @@ pub struct ExecCtx<'a> {
     pub stats: ExecStats,
     /// The work-group's coalescing tracker.
     pub coalescer: Coalescer,
+    /// The launch geometry: with [`Self::group`] and a work-item's local
+    /// linear id, everything its item queries answer.
+    pub nd: NdRangeSpec,
+    /// The work-group running.
+    pub group: [i64; 3],
     /// `sycl.local.alloca` results shared by the work-group.
     local_allocs: HashMap<OpId, MemRefVal>,
     /// Pre-interned attribute keys (`value`, `predicate`, …), resolved once
@@ -219,14 +256,22 @@ pub struct ExecCtx<'a> {
 }
 
 impl<'a> ExecCtx<'a> {
-    /// A fresh per-launch context over `pool` with zeroed statistics.
-    pub fn new(m: &'a Module, pool: &'a mut MemoryPool, cost: &'a CostModel) -> ExecCtx<'a> {
+    /// A fresh context for a launch over `nd` and `pool`, with zeroed
+    /// statistics, at work-group 0.
+    pub fn new(
+        m: &'a Module,
+        pool: &'a mut MemoryPool,
+        cost: &'a CostModel,
+        nd: NdRangeSpec,
+    ) -> ExecCtx<'a> {
         ExecCtx {
             m,
             pool,
             cost,
             stats: ExecStats::default(),
             coalescer: Coalescer::new(cost),
+            nd,
+            group: [0; 3],
             local_allocs: HashMap::new(),
             keys: m.ctx().common_keys(),
             const_pool: HashMap::new(),
@@ -269,8 +314,9 @@ pub struct WorkItemState {
     bound: Vec<bool>,
     frames: Vec<Frame>,
     visits: Vec<u32>,
-    /// The work-item's position bundle.
-    pub item: NdItemVal,
+    /// The work-item's local linear id: its position in the work-group
+    /// the [`ExecCtx`] runs.
+    pub linear: i64,
     /// Whether the work-item ran to completion.
     pub finished: bool,
     steps: u64,
@@ -279,13 +325,14 @@ pub struct WorkItemState {
 const MAX_STEPS: u64 = 500_000_000;
 
 impl WorkItemState {
-    /// Prepare execution of `kernel` with `args` bound to all parameters
-    /// except the trailing item-like one, which gets `item`.
+    /// Prepare execution of `kernel`, as the work-item at local linear id
+    /// `linear`, with `args` bound to all parameters except the trailing
+    /// item-like one, which gets the item.
     pub fn new(
         m: &Module,
         kernel: OpId,
         args: &[RtValue],
-        item: NdItemVal,
+        linear: i64,
     ) -> Result<WorkItemState, SimError> {
         let entry = m.op_region_block(kernel, 0);
         let params = m.block_args(entry).to_vec();
@@ -297,7 +344,7 @@ impl WorkItemState {
                 idx: 0,
             }],
             visits: vec![0; m.op_capacity()],
-            item,
+            linear,
             finished: false,
             steps: 0,
         };
@@ -321,7 +368,7 @@ impl WorkItemState {
             s.bind(p, a);
         }
         if has_item {
-            s.bind(*params.last().unwrap(), RtValue::Item(item));
+            s.bind(*params.last().unwrap(), RtValue::Item);
         }
         Ok(s)
     }
@@ -863,60 +910,32 @@ impl WorkItemState {
                 Ok(())
             }
             "sycl.item.get_id" | "sycl.nd_item.get_global_id" => {
-                ctx.stats.arith_ops += 1;
-                let d = self.dim_operand(m, op)?;
-                let v = self.item.global_id[d];
-                self.bind(m.op_result(op, 0), RtValue::Int(v));
-                Ok(())
+                self.bind_item_query(ctx, op, ItemQ::GlobalId)
             }
-            "sycl.nd_item.get_local_id" => {
-                ctx.stats.arith_ops += 1;
-                let d = self.dim_operand(m, op)?;
-                self.bind(m.op_result(op, 0), RtValue::Int(self.item.local_id[d]));
-                Ok(())
-            }
+            "sycl.nd_item.get_local_id" => self.bind_item_query(ctx, op, ItemQ::LocalId),
             "sycl.nd_item.get_group_id" | "sycl.group.get_id" => {
-                ctx.stats.arith_ops += 1;
-                let d = self.dim_operand(m, op)?;
-                self.bind(m.op_result(op, 0), RtValue::Int(self.item.group_id[d]));
-                Ok(())
+                self.bind_item_query(ctx, op, ItemQ::GroupId)
             }
             "sycl.item.get_range" | "sycl.nd_item.get_global_range" => {
-                ctx.stats.arith_ops += 1;
-                let d = self.dim_operand(m, op)?;
-                self.bind(m.op_result(op, 0), RtValue::Int(self.item.global_range[d]));
-                Ok(())
+                self.bind_item_query(ctx, op, ItemQ::GlobalRange)
             }
             "sycl.nd_item.get_local_range" | "sycl.group.get_local_range" => {
-                ctx.stats.arith_ops += 1;
-                let d = self.dim_operand(m, op)?;
-                self.bind(m.op_result(op, 0), RtValue::Int(self.item.local_range[d]));
-                Ok(())
+                self.bind_item_query(ctx, op, ItemQ::LocalRange)
             }
-            "sycl.nd_item.get_group_range" => {
-                ctx.stats.arith_ops += 1;
-                let d = self.dim_operand(m, op)?;
-                self.bind(m.op_result(op, 0), RtValue::Int(self.item.group_range(d)));
-                Ok(())
-            }
+            "sycl.nd_item.get_group_range" => self.bind_item_query(ctx, op, ItemQ::GroupRange),
             "sycl.item.get_linear_id" | "sycl.nd_item.get_global_linear_id" => {
                 ctx.stats.arith_ops += 1;
-                self.bind(
-                    m.op_result(op, 0),
-                    RtValue::Int(self.item.global_linear_id()),
-                );
+                let id = ctx.nd.global_linear_id(ctx.group, self.linear);
+                self.bind(m.op_result(op, 0), RtValue::Int(id));
                 Ok(())
             }
             "sycl.nd_item.get_local_linear_id" => {
                 ctx.stats.arith_ops += 1;
-                self.bind(
-                    m.op_result(op, 0),
-                    RtValue::Int(self.item.local_linear_id()),
-                );
+                self.bind(m.op_result(op, 0), RtValue::Int(self.linear));
                 Ok(())
             }
             "sycl.nd_item.get_group" => {
-                self.bind(m.op_result(op, 0), RtValue::Item(self.item));
+                self.bind(m.op_result(op, 0), RtValue::Item);
                 Ok(())
             }
             "sycl.accessor.subscript" => {
@@ -973,6 +992,20 @@ impl WorkItemState {
             }
             other => Err(err(format!("op `{other}` is not executable on the device"))),
         }
+    }
+
+    /// Bind `op`'s result to the answer to `q` along its dimension operand.
+    fn bind_item_query(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        op: OpId,
+        q: ItemQ,
+    ) -> Result<(), SimError> {
+        ctx.stats.arith_ops += 1;
+        let d = self.dim_operand(ctx.m, op)?;
+        let v = ctx.nd.item_query(ctx.group, self.linear, q, d);
+        self.bind(ctx.m.op_result(op, 0), RtValue::Int(v));
+        Ok(())
     }
 
     fn dim_operand(&self, m: &Module, op: OpId) -> Result<usize, SimError> {
@@ -1057,7 +1090,7 @@ impl WorkItemState {
 
     /// Record the cost of a memory access, keyed by `op`.
     fn mem_event(&mut self, ctx: &mut ExecCtx<'_>, op: OpId, mr: &MemRefVal, addr: i64) {
-        let subgroup = (self.item.local_linear_id() / ctx.cost.subgroup_size as i64) as u32;
+        let subgroup = (self.linear / ctx.cost.subgroup_size as i64) as u32;
         ctx.coalescer.site(op.0, subgroup).event(
             &mut ctx.stats,
             &mut self.visits[op.0 as usize],

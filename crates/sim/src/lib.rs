@@ -69,9 +69,12 @@
 //! state lives outside the plan: each work-item owns its register file,
 //! frame stack and per-site visit counters (slots a worker re-binds from
 //! work-group to work-group and launch to launch, so the steady state
-//! allocates nothing per work-item); each worker owns its
-//! statistics, its dense-constant materializations and its per-work-group
-//! state (`sycl.local.alloca` results, the coalescing tracker). Work-items
+//! allocates nothing per work-item). Its position is not state: both
+//! engines answer its item queries from the launch's [`NdRangeSpec`], its
+//! work-group and its local linear id ([`NdRangeSpec::item_query`]). Each
+//! worker owns its statistics, its dense-constant materializations and its
+//! per-work-group state (`sycl.local.alloca` results, the coalescing
+//! tracker). Work-items
 //! of a group are co-operatively scheduled between barrier points exactly
 //! as under the tree-walk engine; the *work-group* axis is what the
 //! [`pool`] scheduler parallelizes, with statistics merged so that results
@@ -154,5 +157,5 @@ pub use pool::{
     run_plan_graph_report, GraphReport, HostNode, HostView, LaunchDag, LaunchStatus, PlanExecCtx,
     PlanLaunch, PlanPool, SharedPool, HOST_NODE_WEIGHT,
 };
-pub use value::{AccessorVal, MemRefVal, NdItemVal, RtValue, Space};
+pub use value::{AccessorVal, MemRefVal, RtValue, Space};
 pub use verify::{verify_plan, PlanFacts, SiteProof, VerifyError};

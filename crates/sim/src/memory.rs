@@ -313,7 +313,7 @@ impl MemoryPool {
 }
 
 /// What one element of device memory reads as: 16 bytes, so a load reaches
-/// a plan register without passing through the 136-byte [`RtValue`].
+/// a plan register without passing through the 72-byte [`RtValue`].
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum Elem {
     /// An element of an `f32` buffer.

@@ -3,13 +3,14 @@
 //! dispatches an instruction once per lane group and runs it for every
 //! lane of the group.
 
-use super::instr::{DimSrc, FloatBin, Instr, IntBin, ItemQ, MathOp};
+use super::instr::{DimSrc, FloatBin, Instr, IntBin, MathOp};
 use super::slot::{put, Slot};
 use super::KernelPlan;
+use crate::device::NdRangeSpec;
 use crate::interp::{SimError, Stop};
 use crate::memory::MemFault;
 use crate::pool::PlanExecCtx;
-use crate::value::{MemRefVal, NdItemVal, RtValue, Space, VecVal};
+use crate::value::{MemRefVal, RtValue, Space, VecVal};
 use std::cell::Cell;
 
 fn err(msg: impl Into<String>) -> SimError {
@@ -146,9 +147,9 @@ struct PlanFrame {
     base: u32,
 }
 
-/// One sub-group's storage: every register, visit counter and item
-/// position once per lane. Register `r` of the frame at `base` is, for
-/// lane `l` of a file `width` lanes wide, entry `(base + r) * width + l`.
+/// One sub-group's storage: every register and visit counter once per
+/// lane, and where its lanes are. Register `r` of the frame at `base` is,
+/// for lane `l` of a file `width` lanes wide, entry `(base + r) * width + l`.
 #[derive(Default)]
 struct LaneFile {
     /// Lanes per register: the cost model's sub-group size, clipped by
@@ -166,8 +167,10 @@ struct LaneFile {
     /// numbering as the tree-walk interpreter's per-op visits), entry
     /// `site * width + l`.
     visits: Vec<u32>,
-    /// The lanes' position bundles.
-    items: Vec<NdItemVal>,
+    /// The launch geometry and the work-group: with a lane's local linear
+    /// id, `sub * width + lane`, what its item queries answer.
+    nd: NdRangeSpec,
+    group: [i64; 3],
 }
 
 /// One register of a [`LaneFile`] across its lanes: the cells, and where
@@ -255,18 +258,18 @@ fn spare(groups: &mut Vec<LaneGroup>, live: usize) -> &mut LaneGroup {
 }
 
 impl PlanWorkGroup {
-    /// Rebind to a fresh work-group of the plan's kernel, its work-items
-    /// `items` in local-linear order: `args` go to all parameters except
-    /// the trailing item-like one, which gets each lane's item, once per
-    /// sub-group. Every register, frame and visit counter is reset, so
-    /// nothing of the previous work-group (finished, suspended at a
-    /// barrier or failed mid-callee) survives. `subgroup_size` is the cost
-    /// model's.
+    /// Rebind to work-group `group` of a launch of the plan's kernel over
+    /// `nd`: `args` go to all parameters except the trailing item-like one,
+    /// which gets each lane's item, once per sub-group. Every register,
+    /// frame and visit counter is reset, so nothing of the previous
+    /// work-group (finished, suspended at a barrier or failed mid-callee)
+    /// survives. `subgroup_size` is the cost model's.
     pub fn reset(
         &mut self,
         plan: &KernelPlan,
         args: &[RtValue],
-        mut items: impl ExactSizeIterator<Item = NdItemVal>,
+        nd: NdRangeSpec,
+        group: [i64; 3],
         subgroup_size: usize,
     ) -> Result<(), SimError> {
         let kernel = &plan.funcs[0];
@@ -283,8 +286,9 @@ impl PlanWorkGroup {
                 args.len()
             )));
         }
-        let width = subgroup_size.min(items.len());
-        let subs = items.len().div_ceil(width);
+        let items = nd.group_size();
+        let width = subgroup_size.min(items);
+        let subs = items.div_ceil(width);
         if self.files.capacity() == 0 {
             (self.files, self.pool.groups) = (roomy(), roomy());
         }
@@ -298,9 +302,7 @@ impl PlanWorkGroup {
         let entries = kernel.reg_count as usize * width;
         for sub in 0..subs {
             let file = &mut self.files[sub];
-            file.width = width;
-            file.items.clear();
-            file.items.extend(items.by_ref().take(width));
+            (file.width, file.nd, file.group) = (width, nd, group);
             file.regs.clear();
             file.regs.resize(entries, Slot::Unit);
             // One allocation per bank, made next to the registers': banks
@@ -327,7 +329,7 @@ impl PlanWorkGroup {
                         }
                         RtValue::Accessor(_) => Slot::Accessor(i as u32),
                         // A kernel sees one item, its own.
-                        RtValue::Item(_) => Slot::Item,
+                        RtValue::Item => Slot::Item,
                         RtValue::Ptr(v) => Slot::Ptr(v),
                         RtValue::Unit => Slot::Unit,
                         RtValue::Int(v) => Slot::Int(v),
@@ -340,9 +342,8 @@ impl PlanWorkGroup {
                 let row = *params.last().expect("an item parameter") as usize * width;
                 file.regs[row..row + width].fill(Slot::Item);
             }
-            let lanes = file.items.len() as u32;
             let g = spare(&mut self.pool.groups, self.pool.live);
-            g.lanes.extend(0..lanes);
+            g.lanes.extend(0..width.min(items - sub * width) as u32);
             g.frames.clear();
             g.frames.push(PlanFrame {
                 func: 0,
@@ -457,7 +458,9 @@ fn run_impl(
     let (sub, lanes, frames, steps) = (g.sub, &mut g.lanes, &mut g.frames, &mut g.steps);
     let (groups, live, fault) = (&mut pool.groups, &mut pool.live, &mut pool.fault);
     let (vecs, memrefs, nd_ranges) = (&mut file.vecs, &mut file.memrefs, &mut file.nd_ranges);
-    let (w, items, visits) = (file.width, &file.items[..], &mut file.visits[..]);
+    let (w, visits) = (file.width, &mut file.visits[..]);
+    // The local linear id of the sub-group's lane 0.
+    let (nd, group, first) = (file.nd, file.group, (sub as usize * w) as i64);
     let reg_file = &mut file.regs;
     // The registers, as cells — an arm holds the rows of its operands side
     // by side, whichever of them are one register; taken again where a
@@ -947,7 +950,7 @@ fn run_impl(
                             RtValue::NdRange(g, l)
                         }
                         Slot::Accessor(i) => args[i as usize],
-                        Slot::Item => RtValue::Item(items[lane]),
+                        Slot::Item => RtValue::Item,
                     };
                     let mr = payload!(MemRef in memrefs, mem, "store to non-memref");
                     let (buf, addr) = access!(mr, idx, rank, at);
@@ -977,22 +980,13 @@ fn run_impl(
                 Slot::Int(v.data[..v.rank as usize].iter().product())
             }),
             Instr::ItemQuery { dst, q, dim } => alu!(1; dst(; q, dim) => {
-                let (d, item) = (dim!(dim), &items[lane]);
-                Slot::Int(match q {
-                    ItemQ::GlobalId => item.global_id[d],
-                    ItemQ::LocalId => item.local_id[d],
-                    ItemQ::GroupId => item.group_id[d],
-                    ItemQ::GlobalRange => item.global_range[d],
-                    ItemQ::LocalRange => item.local_range[d],
-                    ItemQ::GroupRange => item.group_range(d),
-                })
+                let d = dim!(dim);
+                Slot::Int(nd.item_query(group, first + lane as i64, q, d))
             }),
             Instr::GlobalLinearId { dst } => {
-                alu!(1; dst() => Slot::Int(items[lane].global_linear_id()))
+                alu!(1; dst() => Slot::Int(nd.global_linear_id(group, first + lane as i64)))
             }
-            Instr::LocalLinearId { dst } => {
-                alu!(1; dst() => Slot::Int(items[lane].local_linear_id()))
-            }
+            Instr::LocalLinearId { dst } => alu!(1; dst() => Slot::Int(first + lane as i64)),
             Instr::ItemSelf { dst } => alu!(dst() => Slot::Item),
             Instr::AccSubscript { dst, acc, id } => {
                 ctx.stats.arith_ops += n;
@@ -1267,7 +1261,7 @@ mod tests {
             mem_sites: 0,
             local_sites: 0,
         };
-        let items = || crate::device::items_of_group(crate::NdRangeSpec::d1(3, 3), [0; 3]);
+        let nd = NdRangeSpec::d1(3, 3);
         let id = VecVal {
             data: [7, 8, 9],
             rank: 3,
@@ -1285,7 +1279,7 @@ mod tests {
             RtValue::NdRange(id, id),
         ];
         let mut wg = PlanWorkGroup::default();
-        wg.reset(&kernel(6, vec![1, 3, 5]), &big, items(), 16)
+        wg.reset(&kernel(6, vec![1, 3, 5]), &big, nd, [0; 3], 16)
             .unwrap();
         let row = |s| [s; 3];
         let expect = [
@@ -1304,7 +1298,7 @@ mod tests {
         );
         assert_eq!(f.nd_ranges[15..18], [(id, id); 3]);
 
-        wg.reset(&kernel(2, vec![1]), &[RtValue::Int(4)], items(), 16)
+        wg.reset(&kernel(2, vec![1]), &[RtValue::Int(4)], nd, [0; 3], 16)
             .unwrap();
         // What a `Call` does for the callee's frame.
         wg.files[0].regs.resize(6 * 3, Slot::Unit);

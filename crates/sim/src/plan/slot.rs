@@ -13,8 +13,8 @@ pub type Reg = u32;
 /// One register of the plan engine: a 16-byte tagged slot. Scalars live
 /// inline; an aggregate's payload lives where the work-item keeps it —
 /// vectors, views and nd-ranges in banks at the register's absolute
-/// index, an accessor in the launch's arguments, the item in the
-/// work-item — so a slot means something only in the register file it
+/// index, an accessor in the launch's arguments; an item has none — so a
+/// slot means something only in the register file it
 /// was written to, and code outside this crate can build the scalar
 /// variants only (what an [`Instr::Const`] may hold). The tag stays
 /// although the verifier proves every register's class: rejected plans
@@ -43,13 +43,17 @@ pub enum Slot {
     /// The accessor at this index of the launch's arguments.
     #[non_exhaustive]
     Accessor(u32),
-    /// The work-item's own item.
+    /// The work-item's own item: its position is the lane's, computed
+    /// from the launch geometry.
     #[non_exhaustive]
     Item,
 }
 
-/// Two machine words; the 136 bytes of an [`RtValue`] move by `memmove`.
+/// Two machine words; the 72 bytes of an [`RtValue`] move by `memmove`.
 const _: () = assert!(std::mem::size_of::<Slot>() == 16);
+/// An item is a handle without a payload, so the widest [`RtValue`] is an
+/// accessor or an nd-range.
+const _: () = assert!(std::mem::size_of::<crate::value::RtValue>() == 72);
 
 impl Slot {
     #[inline(always)]

@@ -9,7 +9,7 @@ use super::dag::LaunchDag;
 use super::host::{HostNode, HostView};
 use super::protocol::{graph_workers, Failure, LaunchStatus, Scheduler};
 use crate::cost::{CostModel, ExecStats};
-use crate::device::{cooperative_rounds, items_of_group, NdRangeSpec};
+use crate::device::{cooperative_rounds, NdRangeSpec};
 use crate::interp::SimError;
 use crate::limits::{tripped, ExecLimits, FaultPlan, FaultSite, OpMeter};
 use crate::memory::MemoryPool;
@@ -67,7 +67,6 @@ impl<'a> PlanLaunch<'a> {
 /// started.
 struct GraphUnit<'a> {
     launch: &'a PlanLaunch<'a>,
-    groups: [i64; 3],
     /// Per-site proven-in-bounds bitset, instantiated from the launch's
     /// [`PlanFacts`] against its concrete geometry and arguments (empty =
     /// every site takes the checked path).
@@ -166,22 +165,12 @@ impl GraphState<'_, '_> {
     }
 }
 
-/// Group coordinates of linear index `idx` (row-major over `groups`, the
-/// same order the sequential engine iterates).
-#[inline]
-pub(super) fn group_of(groups: [i64; 3], idx: usize) -> [i64; 3] {
-    let idx = idx as i64;
-    let g2 = idx % groups[2];
-    let rest = idx / groups[2];
-    [rest / groups[1], rest % groups[1], g2]
-}
-
 /// Execute every work-item of one work-group to completion, honouring
 /// barriers co-operatively: rounds over the lane groups of `wg`, the
 /// worker's reusable work-group state (register files, lane lists and
 /// frame stacks survive across work-groups and launches, so the steady
-/// state allocates nothing per work-group), re-bound to this group's
-/// items whatever state the previous group left it in.
+/// state allocates nothing per work-group), re-bound to this group
+/// whatever state the previous group left it in.
 fn run_group(
     plan: &KernelPlan,
     args: &[RtValue],
@@ -191,10 +180,8 @@ fn run_group(
     pctx: &mut PlanCtx,
     wg: &mut PlanWorkGroup,
 ) -> Result<(), SimError> {
-    let items = items_of_group(nd, group);
-    let n = items.len();
-    wg.reset(plan, args, items, ctx.cost.subgroup_size)?;
-    cooperative_rounds(n, group, || wg.round(plan, args, ctx, pctx))
+    wg.reset(plan, args, nd, group, ctx.cost.subgroup_size)?;
+    cooperative_rounds(nd.group_size(), group, || wg.round(plan, args, ctx, pctx))
 }
 
 /// Execute the single logical work-group of a host node: admit it
@@ -243,7 +230,7 @@ fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
                     pctx.set_meter(meter);
                 }
                 st.run_chunks(li, |gi| {
-                    let group = group_of(unit.groups, gi);
+                    let group = nd.group_at(gi);
                     let r = catch_unwind(AssertUnwindSafe(|| {
                         run_group(plan, args, nd, group, &mut ctx, &mut pctx, &mut wg)
                     }));
@@ -403,7 +390,6 @@ pub fn run_plan_graph_report(
         };
         units.push(GraphUnit {
             launch,
-            groups,
             proven,
             budget: limits.launch_budget(),
         });

@@ -3,7 +3,6 @@
 
 use super::arena::{ARENA_BIT, CONST_BIT};
 use super::dag::critical_paths;
-use super::driver::group_of;
 use super::protocol::{claim_chunk, graph_workers};
 use super::*;
 use crate::cost::CostModel;
@@ -33,7 +32,12 @@ fn group_linearization_matches_sequential_order() {
             }
         }
     }
-    let got: Vec<[i64; 3]> = (0..expect.len()).map(|i| group_of(groups, i)).collect();
+    let nd = NdRangeSpec {
+        global: groups.map(|g| 5 * g),
+        local: [5; 3],
+        rank: 3,
+    };
+    let got: Vec<[i64; 3]> = (0..expect.len()).map(|i| nd.group_at(i)).collect();
     assert_eq!(got, expect);
 }
 

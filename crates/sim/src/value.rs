@@ -88,48 +88,6 @@ impl AccessorVal {
     }
 }
 
-/// The position bundle handed to a kernel as its `item`/`nd_item` argument.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct NdItemVal {
-    /// Global position, per dimension.
-    pub global_id: [i64; 3],
-    /// Position inside the work-group, per dimension.
-    pub local_id: [i64; 3],
-    /// Work-group position, per dimension.
-    pub group_id: [i64; 3],
-    /// Global extent, per dimension.
-    pub global_range: [i64; 3],
-    /// Work-group extent, per dimension.
-    pub local_range: [i64; 3],
-    /// Number of meaningful dimensions.
-    pub rank: u32,
-}
-
-impl NdItemVal {
-    /// Number of work-groups along dimension `d`.
-    pub fn group_range(&self, d: usize) -> i64 {
-        self.global_range[d] / self.local_range[d]
-    }
-
-    /// Linear id of the work-item inside its work-group.
-    pub fn local_linear_id(&self) -> i64 {
-        let mut id = 0;
-        for d in 0..self.rank as usize {
-            id = id * self.local_range[d] + self.local_id[d];
-        }
-        id
-    }
-
-    /// Linear global id.
-    pub fn global_linear_id(&self) -> i64 {
-        let mut id = 0;
-        for d in 0..self.rank as usize {
-            id = id * self.global_range[d] + self.global_id[d];
-        }
-        id
-    }
-}
-
 /// A small fixed-size vector value (`!sycl.id<n>` / `!sycl.range<n>`).
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct VecVal {
@@ -156,8 +114,10 @@ pub enum RtValue {
     MemRef(MemRefVal),
     /// A runtime accessor.
     Accessor(AccessorVal),
-    /// `!sycl.item<n>` / `!sycl.nd_item<n>` / `!sycl.group<n>`.
-    Item(NdItemVal),
+    /// `!sycl.item<n>` / `!sycl.nd_item<n>` / `!sycl.group<n>`: an opaque
+    /// handle. A kernel sees one item, its own, and its queries are
+    /// answered from the launch geometry ([`crate::NdRangeSpec::item_query`]).
+    Item,
     /// Opaque host pointer (host code is not executed by this simulator).
     Ptr(u64),
     /// The value of ops with no results.
@@ -175,7 +135,7 @@ impl RtValue {
             RtValue::NdRange(..) => "nd_range",
             RtValue::MemRef(_) => "memref",
             RtValue::Accessor(_) => "accessor",
-            RtValue::Item(_) => "item",
+            RtValue::Item => "item",
             RtValue::Ptr(_) => "ptr",
             RtValue::Unit => "unit",
         }
@@ -267,20 +227,5 @@ mod tests {
         };
         assert_eq!(a.linearize(&[0, 0]), 8 + 2);
         assert_eq!(a.linearize(&[3, 4]), (3 + 1) * 8 + 6);
-    }
-
-    #[test]
-    fn nd_item_linear_ids() {
-        let item = NdItemVal {
-            global_id: [3, 5, 0],
-            local_id: [1, 1, 0],
-            group_id: [1, 2, 0],
-            global_range: [8, 8, 1],
-            local_range: [2, 2, 1],
-            rank: 2,
-        };
-        assert_eq!(item.local_linear_id(), 3);
-        assert_eq!(item.global_linear_id(), 29);
-        assert_eq!(item.group_range(0), 4);
     }
 }

@@ -40,7 +40,7 @@ use sycl_mlir_repro::runtime::{
 use sycl_mlir_repro::sim::{
     decode_kernel, run_plan_graph_report, AccessorVal, BatchLaunch, CostModel, DataVec, Device,
     Engine, ExecLimits, ExecStats, FaultPlan, FaultSite, HostNode, HostView, KernelPlan, LaunchDag,
-    LaunchStatus, MemFault, MemId, MemoryPool, NdRangeSpec, PlanLaunch, RtValue,
+    LaunchStatus, MemFault, MemId, MemoryPool, NdRangeSpec, PlanLaunch, RtValue, SimError,
 };
 use sycl_mlir_repro::sycl::device as sdev;
 use sycl_mlir_repro::sycl::types::AccessMode;
@@ -339,7 +339,10 @@ fn generator_population_covers_the_interesting_shapes() {
 /// over one shared buffer, and return each configuration's failure text.
 /// A `fault` plan, when given, is injected into every configuration's
 /// device.
-fn run_error_graph(kernels: &[&str], fault: Option<FaultPlan>) -> Vec<(String, String)> {
+fn run_error_graph(
+    kernels: &[&str],
+    fault: Option<FaultPlan>,
+) -> Vec<(String, Result<SimError, String>)> {
     let build = || {
         let ctx = full_context();
         let mut kb = KernelModuleBuilder::new(&ctx);
@@ -395,15 +398,12 @@ fn run_error_graph(kernels: &[&str], fault: Option<FaultPlan>) -> Vec<(String, S
             sycl_mlir_repro::runtime::exec::run(&mut program, &mut rt, &q, &device)
         })) {
             Ok(Ok(_)) => panic!("`{name}`: expected the graph to fail"),
-            Ok(Err(e)) => format!("error: {e}"),
-            Err(payload) => {
-                let text = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "<opaque panic>".into());
-                format!("panic: {text}")
-            }
+            Ok(Err(e)) => Ok(e),
+            Err(payload) => Err(payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_else(|| "<opaque panic>".into())),
         };
         out.push((name.to_string(), failure));
     }
@@ -418,8 +418,14 @@ fn divergent_barrier_position_is_mode_independent() {
     let results = run_error_graph(&["scale_io", "bad_late", "scale_io", "bad_late"], None);
     let (ref_name, want) = &results[0];
     assert!(
-        want.contains("divergent barrier") && want.contains("[2, 0, 0]"),
-        "`{ref_name}` reported: {want}"
+        matches!(
+            want,
+            Ok(SimError::DivergentBarrier {
+                group: [2, 0, 0],
+                ..
+            })
+        ),
+        "`{ref_name}` reported: {want:?}"
     );
     for (name, got) in &results[1..] {
         assert_eq!(got, want, "`{name}` diverges from `{ref_name}`");
@@ -435,8 +441,9 @@ fn oob_error_position_is_mode_independent() {
     let results = run_error_graph(&["scale_io", "oob", "bad_late"], None);
     let (ref_name, want) = &results[0];
     assert!(
-        want.starts_with("error:") && want.contains("out of bounds"),
-        "`{ref_name}` reported: {want}"
+        want.as_ref()
+            .is_ok_and(|e| e.message().contains("out of bounds")),
+        "`{ref_name}` reported: {want:?}"
     );
     for (name, got) in &results[1..] {
         assert_eq!(got, want, "`{name}` diverges from `{ref_name}`");
@@ -450,8 +457,14 @@ fn earlier_divergence_beats_later_oob_panic() {
     let results = run_error_graph(&["scale_io", "bad_late", "scale_io", "oob"], None);
     let (ref_name, want) = &results[0];
     assert!(
-        want.contains("divergent barrier") && want.contains("[2, 0, 0]"),
-        "`{ref_name}` reported: {want}"
+        matches!(
+            want,
+            Ok(SimError::DivergentBarrier {
+                group: [2, 0, 0],
+                ..
+            })
+        ),
+        "`{ref_name}` reported: {want:?}"
     );
     for (name, got) in &results[1..] {
         assert_eq!(got, want, "`{name}` diverges from `{ref_name}`");
@@ -757,11 +770,11 @@ fn injected_fault_position_is_mode_independent() {
     let results = run_error_graph(&["scale_io", "scale_io", "bad_late"], Some(fault));
     let (ref_name, want) = &results[0];
     assert_eq!(
-        want,
-        &format!(
-            "error: simulation error: {} (launch 1, work-group 1)",
+        want.as_ref().map(SimError::to_string),
+        Ok(format!(
+            "simulation error: {} (launch 1, work-group 1)",
             fault.error().message()
-        ),
+        )),
         "`{ref_name}` must report the pinned fault text"
     );
     for (name, got) in &results[1..] {
@@ -827,11 +840,17 @@ fn divergent_kernel_after_host_task_reports_submission_position() {
         let mut program = compile_program(FlowKind::SyclMlir, module).expect("compiles");
         let err = sycl_mlir_repro::runtime::exec::run(&mut program, &mut rt, &q, &device)
             .expect_err("the divergent kernel must fail the run");
-        results.push((name, err.to_string()));
+        results.push((name, err));
     }
     let (ref_name, want) = &results[0];
     assert!(
-        want.contains("divergent barrier") && want.contains("(launch 2, work-group 2)"),
+        matches!(
+            want,
+            SimError::DivergentBarrier {
+                at: Some((2, 2)),
+                ..
+            }
+        ),
         "`{ref_name}` must report the submission-order position, got: {want}"
     );
     for (name, got) in &results[1..] {
@@ -1437,8 +1456,9 @@ fn earlier_kernel_error_beats_later_injected_fault() {
     let results = run_error_graph(&["scale_io", "oob", "scale_io"], Some(fault));
     let (ref_name, want) = &results[0];
     assert!(
-        want.starts_with("error:") && want.contains("out of bounds"),
-        "`{ref_name}` reported: {want}"
+        want.as_ref()
+            .is_ok_and(|e| e.message().contains("out of bounds")),
+        "`{ref_name}` reported: {want:?}"
     );
     for (name, got) in &results[1..] {
         assert_eq!(got, want, "`{name}` diverges from `{ref_name}`");
