@@ -39,20 +39,17 @@
 //!   about the plan once — accessor sites in bounds, barriers in uniform
 //!   control flow — and a plan with findings runs with every check in
 //!   place. Last, the **peephole fusion pass** ([`fuse_plan`]) rewrites
-//!   hot instruction windows — the load-accumulate pair, bounded
-//!   three-instruction **chains** (the indexed accessor load
-//!   `vec.ctor`+`acc.subscript`+`Load`, fused multiply-accumulate
-//!   `Load`+`mulf`+`addf`) and the un-CSE'd four-instruction accessor
-//!   read — into superinstructions with identical semantics and
-//!   statistics. Verification and fusion are what the plan engine does,
-//!   not settings.
+//!   every legal **indexed accessor load** `vec.ctor`+`acc.subscript`+`Load`
+//!   — the accessor read the paper's device optimizations act on — into
+//!   one superinstruction with identical semantics and statistics.
+//!   Verification and fusion are what the plan engine does, not settings.
 //!
 //! The bytecode loop (`plan::run_impl`, driven by
 //! [`plan::PlanWorkGroup::round`]) is the plan engine's only executor, and
 //! it runs a sub-group's work-items in **lockstep**: an instruction is
 //! dispatched once for all the lanes that share a frame stack and a `pc`.
 //! Executed instruction semantics are written once, there
-//! (ARCHITECTURE.md, "One plan executor", records why) — a
+//! (ARCHITECTURE.md, "One plan executor", records why) — the
 //! superinstruction's arm is composed of the same steps as its members'
 //! arms, never a restatement of them.
 //!

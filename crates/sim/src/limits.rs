@@ -135,23 +135,6 @@ pub enum FaultSite {
 }
 
 impl FaultPlan {
-    /// Parse `"<launch>:decode"`, `"<launch>:claim:<n>"` or
-    /// `"<launch>:instr:<n>"`.
-    pub fn parse(s: &str) -> Option<FaultPlan> {
-        let mut parts = s.split(':');
-        let launch = parts.next()?.parse::<usize>().ok()?;
-        let site = match (parts.next()?, parts.next()) {
-            ("decode", None) => FaultSite::Decode,
-            ("claim", Some(n)) => FaultSite::Claim(n.parse().ok()?),
-            ("instr", Some(n)) => FaultSite::Instr(n.parse().ok()?),
-            _ => return None,
-        };
-        if parts.next().is_some() {
-            return None;
-        }
-        Some(FaultPlan { launch, site })
-    }
-
     /// The deterministic error this fault produces — identical text under
     /// both engines and every thread count.
     pub fn error(&self) -> SimError {
@@ -381,42 +364,6 @@ impl OpMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fault_plan_parses_all_sites() {
-        assert_eq!(
-            FaultPlan::parse("2:decode"),
-            Some(FaultPlan {
-                launch: 2,
-                site: FaultSite::Decode
-            })
-        );
-        assert_eq!(
-            FaultPlan::parse("0:claim:7"),
-            Some(FaultPlan {
-                launch: 0,
-                site: FaultSite::Claim(7)
-            })
-        );
-        assert_eq!(
-            FaultPlan::parse("1:instr:123"),
-            Some(FaultPlan {
-                launch: 1,
-                site: FaultSite::Instr(123)
-            })
-        );
-        for bad in [
-            "",
-            "decode",
-            "1:",
-            "1:claim",
-            "x:decode",
-            "1:instr:x",
-            "1:decode:2",
-        ] {
-            assert_eq!(FaultPlan::parse(bad), None, "{bad:?} should not parse");
-        }
-    }
 
     #[test]
     fn meter_trips_ops_exactly_under_sequential_settling() {

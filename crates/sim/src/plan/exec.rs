@@ -616,15 +616,15 @@ fn run_impl(
             cells[dst].set(s);
         }};
     }
-    // Steps: the body of every primitive that some superinstruction
-    // contains, written once and expanded by the primitive's own arm and
-    // by each window it is a member of. A step runs for one lane: it takes
-    // its operands as values (or as the row to read them from, where the
-    // read can fail) and yields its result as a value; which register the
-    // result lands in, if any, is the arm's business. Errors come in the
-    // order the step is expanded, so a window that names its members in
-    // order replays them exactly; the `arith_ops` they count are the arm's,
-    // once for all lanes.
+    // Steps: the body of every primitive the superinstruction contains,
+    // written once and expanded by the primitive's own arm and by the
+    // window's. A step runs for one lane: it takes its operands as values
+    // (or as the row to read them from, where the read can fail) and
+    // yields its result as a value; which register the result lands in, if
+    // any, is the arm's business. Errors come in the order the steps are
+    // expanded, so the window, naming its members in order, replays them
+    // exactly; the `arith_ops` they count are the arm's, once for all
+    // lanes.
     macro_rules! vec_ctor {
         ($comps:expr, $rank:expr) => {{
             VecVal {
@@ -649,11 +649,6 @@ fn run_impl(
                 },
             }
         }};
-    }
-    macro_rules! subscript {
-        ($acc:expr, $id:expr) => {
-            subscript_by!($acc, payload!(Vec in vecs, $id, "subscript id"))
-        };
     }
     // What a dispatch finds once for all lanes of access site `$site`: its
     // coalescing log (the lanes that share an instance share its entry),
@@ -691,35 +686,6 @@ fn run_impl(
             // `PlanFacts::instantiate` for this launch.
             let loaded = unsafe { buf.load_at($at.1, addr) };
             Slot::from(loaded.map_err(|f| pctx.fault_at($at.2, f))?)
-        }};
-    }
-    macro_rules! load {
-        ($mem:expr, $idx:expr, $rank:expr, $at:ident) => {
-            load_at!(
-                payload!(MemRef in memrefs, $mem, "load from non-memref"),
-                $idx,
-                $rank,
-                $at
-            )
-        };
-    }
-    macro_rules! bin_float {
-        ($op:expr, $l:expr, $r:expr, $f32_out:expr) => {{
-            let l = $l.as_f64().ok_or_else(|| err("float op on non-float"))?;
-            let r = $r.as_f64().ok_or_else(|| err("float op on non-float"))?;
-            let out = match $op {
-                FloatBin::Add => l + r,
-                FloatBin::Sub => l - r,
-                FloatBin::Mul => l * r,
-                FloatBin::Div => l / r,
-                FloatBin::Min => l.min(r),
-                FloatBin::Max => l.max(r),
-            };
-            if $f32_out {
-                Slot::F32(out as f32)
-            } else {
-                Slot::F64(out)
-            }
         }};
     }
     // The lanes for which `$jumps` holds go on at `$target`, the others at
@@ -813,7 +779,17 @@ fn run_impl(
                 r,
                 f32_out,
             } => alu!(1; dst(l, r; op, f32_out) => {
-                bin_float!(op, reg!(l).get(), reg!(r).get(), f32_out)
+                let l = flt!(l, "float op on non-float");
+                let r = flt!(r, "float op on non-float");
+                let out = match op {
+                    FloatBin::Add => l + r,
+                    FloatBin::Sub => l - r,
+                    FloatBin::Mul => l * r,
+                    FloatBin::Div => l / r,
+                    FloatBin::Min => l.min(r),
+                    FloatBin::Max => l.max(r),
+                };
+                if f32_out { Slot::F32(out as f32) } else { Slot::F64(out) }
             }),
             Instr::NegF { dst, x } => alu!(1; dst(x) => match reg!(x).get() {
                 Slot::F32(v) => Slot::F32(-v),
@@ -923,7 +899,10 @@ fn run_impl(
             } => {
                 site!(at, *site);
                 let (rank, idx, (dst, mem)) = (*rank, idx.map(|r| rows!(&r)), rows!(dst, mem));
-                each_lane!({ reg!(dst).set(load!(mem, idx, rank, at)) });
+                each_lane!({
+                    let mr = payload!(MemRef in memrefs, mem, "load from non-memref");
+                    reg!(dst).set(load_at!(mr, idx, rank, at));
+                });
             }
             Instr::Store {
                 val,
@@ -991,7 +970,10 @@ fn run_impl(
             Instr::AccSubscript { dst, acc, id } => {
                 ctx.stats.arith_ops += n;
                 let (dst, acc, id) = rows!(dst, acc, id);
-                each_lane!({ put!(MemRef in memrefs, dst, subscript!(acc, id)) });
+                each_lane!({
+                    let view = subscript_by!(acc, payload!(Vec in vecs, id, "subscript id"));
+                    put!(MemRef in memrefs, dst, view);
+                });
             }
             Instr::AccRange { dst, acc, dim } => alu!(1; dst(acc; dim) => {
                 let acc = accessor_of!(acc, "get_range");
@@ -1082,62 +1064,9 @@ fn run_impl(
                 base = new_base;
                 pc = 0;
             }
-            // Superinstructions: each arm names its members' steps in
-            // window order, lane by lane. Eliding arms pass a member's
-            // result straight to the next step; the write-through arm puts
-            // it in its register and the next step reads it back, so even
-            // a degenerate aliasing of those registers replays exactly.
-            Instr::LoadBinFloat {
-                op,
-                dst,
-                other,
-                loaded_is_lhs,
-                f32_out,
-                mem,
-                idx,
-                rank,
-                site,
-            } => {
-                ctx.stats.arith_ops += n;
-                site!(at, *site);
-                let (op, lhs, f32_out, rank) = (*op, *loaded_is_lhs, *f32_out, *rank);
-                let (idx, (dst, other, mem)) = (idx.map(|r| rows!(&r)), rows!(dst, other, mem));
-                each_lane!({
-                    let t = load!(mem, idx, rank, at);
-                    let o = reg!(other).get();
-                    let (l, r) = if lhs { (t, o) } else { (o, t) };
-                    reg!(dst).set(bin_float!(op, l, r, f32_out));
-                });
-            }
-            Instr::LoadMulAddF {
-                dst,
-                mem,
-                idx,
-                rank,
-                site,
-                b,
-                loaded_is_lhs,
-                mul_f32,
-                c,
-                prod_is_lhs,
-                f32_out,
-            } => {
-                ctx.stats.arith_ops += 2 * n;
-                site!(at, *site);
-                let (lhs, mul_f32, prod_lhs, f32_out) =
-                    (*loaded_is_lhs, *mul_f32, *prod_is_lhs, *f32_out);
-                let (rank, idx, (dst, mem, b, c)) =
-                    (*rank, idx.map(|r| rows!(&r)), rows!(dst, mem, b, c));
-                each_lane!({
-                    let t = load!(mem, idx, rank, at);
-                    let b = reg!(b).get();
-                    let (l, r) = if lhs { (t, b) } else { (b, t) };
-                    let u = bin_float!(FloatBin::Mul, l, r, mul_f32);
-                    let c = reg!(c).get();
-                    let (l, r) = if prod_lhs { (u, c) } else { (c, u) };
-                    reg!(dst).set(bin_float!(FloatBin::Add, l, r, f32_out));
-                });
-            }
+            // The superinstruction: its members' steps in window order,
+            // lane by lane, each member's result passed straight to the
+            // next step.
             Instr::AccLoadIndexed {
                 dst,
                 acc,
@@ -1160,29 +1089,6 @@ fn run_impl(
                     let id = vec_ctor!(comps, comps_rank);
                     let view = subscript_by!(acc, id);
                     reg!(dst).set(load_at!(view, idx, rank, at));
-                });
-            }
-            Instr::AccLoadQuad {
-                dst,
-                acc,
-                comps,
-                comps_rank,
-                id,
-                view,
-                cst,
-                cst_val,
-                site,
-            } => {
-                ctx.stats.arith_ops += 2 * n;
-                site!(at, *site);
-                let (comps_rank, comps, cst_val) =
-                    (*comps_rank, comps.map(|r| rows!(&r)), *cst_val);
-                let (dst, acc, id, view, cst) = rows!(dst, acc, id, view, cst);
-                each_lane!({
-                    put!(Vec in vecs, id, vec_ctor!(comps, comps_rank));
-                    put!(MemRef in memrefs, view, subscript!(acc, id));
-                    reg!(cst).set(cst_val);
-                    reg!(dst).set(load!(view, [cst; 3], 1_u8, at));
                 });
             }
             Instr::Return { vals } => {

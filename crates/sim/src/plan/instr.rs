@@ -481,37 +481,13 @@ pub enum Instr {
         /// Returned value registers.
         vals: Box<[Reg]>,
     },
-    /// Fused `Load` + float accumulate ([`fuse_plan`]): loads one element
-    /// and immediately combines it with `other` — the load-accumulate
-    /// pattern of reduction and stencil inner loops. `loaded_is_lhs`
-    /// preserves the original operand order (relevant for error messages
-    /// and non-commutative extensions).
-    LoadBinFloat {
-        /// Operation selector.
-        op: FloatBin,
-        /// Destination register.
-        dst: Reg,
-        /// The non-loaded operand register.
-        other: Reg,
-        /// Whether the loaded value was the left operand.
-        loaded_is_lhs: bool,
-        /// Whether the result narrows to `f32`.
-        f32_out: bool,
-        /// Memref operand register.
-        mem: Reg,
-        /// Index operand registers (first `rank` entries are valid).
-        idx: [Reg; 3],
-        /// Number of valid indices.
-        rank: u8,
-        /// Memory-access site id (keys the coalescing tracker).
-        site: u32,
-    },
     /// Fused `VecCtor` + `AccSubscript` + `Load` chain ([`fuse_plan`]):
     /// the accessor addressing chain `a[id...]` of every accessor read —
     /// the `--profile` mode's top-ranked fusion candidate. Builds the id
     /// vector, subscripts the accessor and loads through the resulting
     /// view in one dispatch, bumping exactly the statistics and raising
-    /// exactly the errors of the three instructions it replaces.
+    /// exactly the errors of the three instructions it replaces: the one
+    /// superinstruction.
     AccLoadIndexed {
         /// Destination register.
         dst: Reg,
@@ -526,64 +502,6 @@ pub enum Instr {
         idx: [Reg; 3],
         /// Number of valid indices.
         rank: u8,
-        /// Memory-access site id (keys the coalescing tracker).
-        site: u32,
-    },
-    /// Fused `Load` + `mulf` + `addf` chain ([`fuse_plan`]): the
-    /// multiply-accumulate inner loop of GEMM-shaped kernels,
-    /// `dst = (loaded ⊙ b) ⊕ c` with the original operand orders
-    /// preserved on both the multiply and the add.
-    LoadMulAddF {
-        /// Destination register.
-        dst: Reg,
-        /// Memref operand register.
-        mem: Reg,
-        /// Index operand registers (first `rank` entries are valid).
-        idx: [Reg; 3],
-        /// Number of valid indices.
-        rank: u8,
-        /// Memory-access site id (keys the coalescing tracker).
-        site: u32,
-        /// The non-loaded multiply operand register.
-        b: Reg,
-        /// Whether the loaded value was the multiply's left operand.
-        loaded_is_lhs: bool,
-        /// Whether the elided product narrowed to `f32` before the add.
-        mul_f32: bool,
-        /// The non-product add operand register.
-        c: Reg,
-        /// Whether the product was the add's left operand.
-        prod_is_lhs: bool,
-        /// Whether the result narrows to `f32`.
-        f32_out: bool,
-    },
-    /// Fused `VecCtor` + `AccSubscript` + `Const` + `Load` quad
-    /// ([`fuse_plan`]): the **un-CSE'd** accessor addressing chain the
-    /// DPC++ flow emits — the builder's zero constant of `load_via_id`
-    /// still interposed between the subscript and the load. A
-    /// **write-through** superinstruction: the id vector, the subscript
-    /// view and the constant keep their register writes (later
-    /// un-deduplicated chains re-read them), so the rewrite needs no
-    /// read-count legality — replaying all four arms in order is
-    /// bit-identical by construction.
-    AccLoadQuad {
-        /// Destination register.
-        dst: Reg,
-        /// Accessor operand register.
-        acc: Reg,
-        /// Id component registers (first `comps_rank` entries are valid).
-        comps: [Reg; 3],
-        /// Number of valid id components.
-        comps_rank: u8,
-        /// Write-through register of the id vector.
-        id: Reg,
-        /// Write-through register of the subscript view.
-        view: Reg,
-        /// Write-through register of the index constant.
-        cst: Reg,
-        /// The index constant's value (checked int at run time, exactly
-        /// as the elided `Load` would).
-        cst_val: Slot,
         /// Memory-access site id (keys the coalescing tracker).
         site: u32,
     },
@@ -665,14 +583,7 @@ impl Instr {
             Instr::ForNext { .. } => "for.next",
             Instr::Call { .. } => "call",
             Instr::Return { .. } => "return",
-            Instr::LoadBinFloat { op, .. } => match op {
-                FloatBin::Add => "load.addf",
-                FloatBin::Mul => "load.mulf",
-                _ => "load.binf",
-            },
             Instr::AccLoadIndexed { .. } => "acc.load.idx",
-            Instr::LoadMulAddF { .. } => "load.fma",
-            Instr::AccLoadQuad { .. } => "acc.load.quad",
         }
     }
 
@@ -684,9 +595,7 @@ impl Instr {
     /// with the same [`crate::LimitKind`] — fused or not.
     pub fn op_weight(&self) -> u64 {
         match self {
-            Instr::LoadBinFloat { .. } => 2,
-            Instr::AccLoadIndexed { .. } | Instr::LoadMulAddF { .. } => 3,
-            Instr::AccLoadQuad { .. } => 4,
+            Instr::AccLoadIndexed { .. } => 3,
             _ => 1,
         }
     }
@@ -775,10 +684,9 @@ impl Instr {
     /// called once per operand with its role, its register and the class
     /// the instruction demands of it (a read) or gives it (a write) —
     /// `None` where any class passes through: moved, stored, passed,
-    /// returned and loaded values. Reads come before writes. A
+    /// returned and loaded values. Reads come before writes. The
     /// superinstruction reports what its window reads from outside and
-    /// every register it leaves written (the write-through quad: all
-    /// four).
+    /// the one register it leaves written.
     ///
     /// Read counts, write sets, def-before-use, register-range and
     /// type-class checks all derive from this table; an operand missing
@@ -855,23 +763,10 @@ impl Instr {
             Instr::Call { args, results, .. } =>
                 { args.iter().for_each(|&r| f(Read, r, None)); results.iter().for_each(|&r| f(Write, r, None)) }
             Instr::Return { vals } => vals.iter().for_each(|&r| f(Read, r, None)),
-            // The four windows: what the members read from outside the
-            // window, what the window leaves written.
-            Instr::LoadBinFloat { dst, other, mem, idx, rank, .. } => {
-                f(Read, *mem, Some(Mem)); ints(f, idx, *rank);
-                f(Read, *other, Some(Float)); f(Write, *dst, Some(Float))
-            }
+            // The window: what its members read from outside it, what it
+            // leaves written.
             Instr::AccLoadIndexed { dst, acc, comps, comps_rank, idx, rank, .. } =>
                 { ints(f, comps, *comps_rank); f(Read, *acc, Some(Acc)); ints(f, idx, *rank); f(Write, *dst, None) }
-            Instr::LoadMulAddF { dst, mem, idx, rank, b, c, .. } => {
-                f(Read, *mem, Some(Mem)); ints(f, idx, *rank);
-                f(Read, *b, Some(Float)); f(Read, *c, Some(Float)); f(Write, *dst, Some(Float))
-            }
-            Instr::AccLoadQuad { dst, acc, comps, comps_rank, id, view, cst, cst_val, .. } => {
-                ints(f, comps, *comps_rank); f(Read, *acc, Some(Acc));
-                f(Write, *id, Some(Vec)); f(Write, *view, Some(Mem));
-                f(Write, *cst, Class::of_const(cst_val)); f(Write, *dst, None)
-            }
         }
     }
 
@@ -948,20 +843,14 @@ mod tests {
             Instr::ForNext { iv: r(), step: r(), ub: r(), body: target },
             Instr::Call { func: 1, args: Box::new([r(), r()]), results: Box::new([r(), r()]) },
             Instr::Return { vals: Box::new([r(), r()]) },
-            Instr::LoadBinFloat { op, dst: r(), other: r(), loaded_is_lhs: true, f32_out: true,
-                mem: r(), idx: [r(), r(), r()], rank, site },
             Instr::AccLoadIndexed { dst: r(), acc: r(), comps: [r(), r(), r()], comps_rank: 3,
                 idx: [r(), r(), r()], rank, site },
-            Instr::LoadMulAddF { dst: r(), mem: r(), idx: [r(), r(), r()], rank, site, b: r(),
-                loaded_is_lhs: false, mul_f32: true, c: r(), prod_is_lhs: true, f32_out: true },
-            Instr::AccLoadQuad { dst: r(), acc: r(), comps: [r(), r(), r()], comps_rank: 3,
-                id: r(), view: r(), cst: r(), cst_val: Slot::Int(0), site },
         ]
     }
 
     /// A variant added to [`Instr`] stops this from compiling: give it a
     /// sample above, an arm here, and count it.
-    const VARIANTS: usize = 40;
+    const VARIANTS: usize = 37;
     fn counted(i: &Instr) {
         use Instr::*;
         match i {
@@ -973,8 +862,7 @@ mod tests {
             GlobalLinearId { .. } | LocalLinearId { .. } | ItemSelf { .. } => {}
             AccSubscript { .. } | AccRange { .. } | AccBase { .. } | Barrier | Jump { .. } => {}
             BranchIfFalse { .. } | ForEnter { .. } | ForNext { .. } | Call { .. } => {}
-            Return { .. } | LoadBinFloat { .. } | AccLoadIndexed { .. } => {}
-            LoadMulAddF { .. } | AccLoadQuad { .. } => {}
+            Return { .. } | AccLoadIndexed { .. } => {}
         }
     }
 

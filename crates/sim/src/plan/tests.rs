@@ -41,6 +41,7 @@ mod fusion {
     use crate::memory::{DataVec, MemId, MemoryPool};
     use crate::value::{AccessorVal, RtValue};
     use crate::NdRangeSpec;
+    use sycl_mlir_dialects::affine;
     use sycl_mlir_dialects::arith::{self, constant_index};
     use sycl_mlir_dialects::func::{build_func, build_return};
     use sycl_mlir_ir::{Builder, Context, Module, OpId};
@@ -88,6 +89,22 @@ mod fusion {
         func
     }
 
+    /// `acc[gid]` in the post-CSE shape the compiled flows read with: the
+    /// zero index `zero` is materialized once up front, so `vec.ctor`,
+    /// `acc.subscript` and the load are adjacent — the indexed accessor
+    /// load. (`sdev::load_via_id` interposes a fresh zero constant between
+    /// the subscript and the load, which no window spans.)
+    fn read(
+        b: &mut Builder<'_>,
+        acc: sycl_mlir_ir::ValueId,
+        gid: sycl_mlir_ir::ValueId,
+        zero: sycl_mlir_ir::ValueId,
+    ) -> sycl_mlir_ir::ValueId {
+        let id = sdev::make_id(b, &[gid]);
+        let view = sdev::subscript(b, acc, id);
+        affine::load(b, view, &[zero])
+    }
+
     /// Execute `plan` on fresh data and return (stats, all buffers).
     fn run_plan(
         plan: &KernelPlan,
@@ -112,9 +129,8 @@ mod fusion {
     }
 
     /// Decode twice, fuse one copy, assert exactly which windows
-    /// formed (the builder's un-CSE'd accessor *reads* fuse as
-    /// `acc.load.quad`; the un-CSE'd writes have no window), and hold
-    /// fused execution bit-identical to unfused at 1 and 4 workers.
+    /// formed, and hold fused execution bit-identical to unfused at 1 and
+    /// 4 workers.
     fn assert_fused_identical(m: &Module, func: OpId, n_accs: usize, expect: &[&str]) {
         let n = 64_i64;
         let nd = NdRangeSpec::d1(n, 16);
@@ -131,23 +147,23 @@ mod fusion {
         }
     }
 
-    /// `a[i] += b[i]`: both un-CSE'd accessor reads (`vec.ctor` +
-    /// `acc.subscript` + `Const` + `Load`) fuse as quads — including
-    /// the load whose result feeds the `addf`, which the quad consumes
-    /// before the load-accumulate pair can see it. The un-CSE'd write
-    /// has no window and runs as decoded.
+    /// `a[i] += b[i]`: both accessor reads fuse as `acc.load.idx`; the
+    /// `addf` that accumulates them and the builder's un-CSE'd write
+    /// (`vec.ctor` + `acc.subscript` + `Const` + `Store`) have no window
+    /// and run as decoded.
     #[test]
     fn load_accumulate_fuses_and_executes_identically() {
         let c = ctx();
         let mut m = Module::new(&c);
         let func = build_kernel(&mut m, 2, |b, accs, item| {
             let gid = sdev::global_id(b, item, 0);
-            let va = sdev::load_via_id(b, accs[0], &[gid]);
-            let vb = sdev::load_via_id(b, accs[1], &[gid]);
+            let zero = constant_index(b, 0);
+            let va = read(b, accs[0], gid, zero);
+            let vb = read(b, accs[1], gid, zero);
             let sum = arith::addf(b, va, vb);
             sdev::store_via_id(b, sum, accs[0], &[gid]);
         });
-        assert_fused_identical(&m, func, 2, &["acc.load.quad", "acc.load.quad"]);
+        assert_fused_identical(&m, func, 2, &["acc.load.idx", "acc.load.idx"]);
     }
 
     /// `out[2*i+1] = a[i] * b[i]`: the `muli`+`addi` linear-addressing
@@ -162,8 +178,9 @@ mod fusion {
         let mut m = Module::new(&c);
         let func = build_kernel(&mut m, 3, |b, accs, item| {
             let gid = sdev::global_id(b, item, 0);
-            let va = sdev::load_via_id(b, accs[0], &[gid]);
-            let vb = sdev::load_via_id(b, accs[1], &[gid]);
+            let zero = constant_index(b, 0);
+            let va = read(b, accs[0], gid, zero);
+            let vb = read(b, accs[1], gid, zero);
             let prod = arith::mulf(b, va, vb);
             let two = constant_index(b, 2);
             let one = constant_index(b, 1);
@@ -175,85 +192,87 @@ mod fusion {
             let wrapped = arith::remsi(b, idx, n);
             sdev::store_via_id(b, prod, accs[2], &[wrapped]);
         });
-        assert_fused_identical(&m, func, 3, &["acc.load.quad", "acc.load.quad"]);
+        assert_fused_identical(&m, func, 3, &["acc.load.idx", "acc.load.idx"]);
     }
 
-    /// Near miss: `v + v` — the loaded value appears as *both* `addf`
-    /// operands, so the load-accumulate pair must not fire. The
-    /// addressing quad still does (it keeps the loaded register's
-    /// write, so the double read is unaffected).
+    /// `v + v`: the self-accumulate does not fuse (no window holds a float
+    /// op). The loaded value it reads twice is the indexed load's result,
+    /// not one of its elided intermediates, so the read still fuses.
     #[test]
     fn self_accumulate_does_not_fuse() {
         let c = ctx();
         let mut m = Module::new(&c);
         let func = build_kernel(&mut m, 1, |b, accs, item| {
             let gid = sdev::global_id(b, item, 0);
-            let v = sdev::load_via_id(b, accs[0], &[gid]);
+            let zero = constant_index(b, 0);
+            let v = read(b, accs[0], gid, zero);
             let doubled = arith::addf(b, v, v);
             sdev::store_via_id(b, doubled, accs[0], &[gid]);
         });
-        assert_fused_identical(&m, func, 1, &["acc.load.quad"]);
+        assert_fused_identical(&m, func, 1, &["acc.load.idx"]);
     }
 
-    /// Near miss: the loaded value is consumed twice (once by the
-    /// `addf`, once by a later `mulf`) — eliding its register would
-    /// starve the second reader. Must not fuse.
+    /// A loaded value consumed twice (once by the `addf`, once by a
+    /// later `mulf`) does not fuse with either consumer: both reads fuse,
+    /// and the kept result register feeds both.
     #[test]
     fn multiply_used_load_does_not_fuse() {
         let c = ctx();
         let mut m = Module::new(&c);
         let func = build_kernel(&mut m, 2, |b, accs, item| {
             let gid = sdev::global_id(b, item, 0);
-            let va = sdev::load_via_id(b, accs[0], &[gid]);
-            let vb = sdev::load_via_id(b, accs[1], &[gid]);
+            let zero = constant_index(b, 0);
+            let va = read(b, accs[0], gid, zero);
+            let vb = read(b, accs[1], gid, zero);
             let sum = arith::addf(b, vb, va); // vb read here…
             let scaled = arith::mulf(b, sum, vb); // …and here
             sdev::store_via_id(b, scaled, accs[0], &[gid]);
         });
-        assert_fused_identical(&m, func, 2, &["acc.load.quad", "acc.load.quad"]);
+        assert_fused_identical(&m, func, 2, &["acc.load.idx", "acc.load.idx"]);
     }
 
-    /// Near miss: `subf` is not in the fusable set (only the
-    /// commutative `addf`/`mulf` accumulations are) — the adjacent
-    /// load + subf pair must stay unfused.
+    /// A `subf` of two reads does not fuse: the reads do, the float op
+    /// after them runs as decoded.
     #[test]
     fn subf_after_load_does_not_fuse() {
         let c = ctx();
         let mut m = Module::new(&c);
         let func = build_kernel(&mut m, 2, |b, accs, item| {
             let gid = sdev::global_id(b, item, 0);
-            let va = sdev::load_via_id(b, accs[0], &[gid]);
-            let vb = sdev::load_via_id(b, accs[1], &[gid]);
+            let zero = constant_index(b, 0);
+            let va = read(b, accs[0], gid, zero);
+            let vb = read(b, accs[1], gid, zero);
             let diff = arith::subf(b, va, vb);
             sdev::store_via_id(b, diff, accs[0], &[gid]);
         });
-        assert_fused_identical(&m, func, 2, &["acc.load.quad", "acc.load.quad"]);
+        assert_fused_identical(&m, func, 2, &["acc.load.idx", "acc.load.idx"]);
     }
 
-    /// Near miss: the accumulated value of an `addf` feeding a store
-    /// via the accessor chain is *not* adjacent to the store in
-    /// unoptimized IR (the id construction sits between), so nothing
-    /// may fuse around it — results must still match.
+    /// The accumulated value of an `addf` feeding a store via the
+    /// accessor chain is *not* adjacent to the store (the id
+    /// construction sits between), so nothing fuses around it — only the
+    /// two reads — and results must still match.
     #[test]
     fn non_adjacent_accumulate_store_stays_correct() {
         let c = ctx();
         let mut m = Module::new(&c);
         let func = build_kernel(&mut m, 2, |b, accs, item| {
             let gid = sdev::global_id(b, item, 0);
-            let va = sdev::load_via_id(b, accs[0], &[gid]);
-            let vb = sdev::load_via_id(b, accs[1], &[gid]);
+            let zero = constant_index(b, 0);
+            let va = read(b, accs[0], gid, zero);
+            let vb = read(b, accs[1], gid, zero);
             let sum = arith::addf(b, va, vb);
             sdev::store_via_id(b, sum, accs[1], &[gid]);
         });
-        // Both reads fuse as quads; the addf and the store chain
-        // behind it stay as decoded.
-        assert_fused_identical(&m, func, 2, &["acc.load.quad", "acc.load.quad"]);
+        assert_fused_identical(&m, func, 2, &["acc.load.idx", "acc.load.idx"]);
     }
 
     /// Near miss: a `muli` whose product is read twice must keep its
-    /// register. `out[(9i+1) % 64] = a[i]`: an odd multiplier makes
-    /// the store index a permutation of the 64 items, and the output
-    /// accessor is never read — race-free at any worker count.
+    /// register, and the builder's un-CSE'd read (`sdev::load_via_id`:
+    /// a fresh `Const` between the subscript and the load) is no window.
+    /// `out[(9i+1) % 64] = a[i]`: an odd multiplier makes the store index
+    /// a permutation of the 64 items, and the output accessor is never
+    /// read — race-free at any worker count.
     #[test]
     fn multiply_used_product_does_not_fuse() {
         let c = ctx();
@@ -271,7 +290,7 @@ mod fusion {
             let v = sdev::load_via_id(b, accs[0], &[gid]);
             sdev::store_via_id(b, v, accs[1], &[wrapped]);
         });
-        assert_fused_identical(&m, func, 2, &["acc.load.quad"]);
+        assert_fused_identical(&m, func, 2, &[]);
     }
 }
 
@@ -431,124 +450,10 @@ mod chains {
         assert_eq!(fused.funcs[0].code.len(), 9);
     }
 
-    /// `b[gid] = b[gid] * 2 + 3` as the post-CSE multiply-accumulate
-    /// shape: `Load`+`mulf`+`addf` fuses to one `LoadMulAddF` (the
-    /// triple wins over the `Load`+`mulf` pair sharing its head); the
-    /// store runs as decoded.
-    #[test]
-    fn load_mul_add_chain_beats_the_pair_deterministically() {
-        let code = vec![
-            Instr::ItemQuery {
-                dst: 2,
-                q: ItemQ::GlobalId,
-                dim: DimSrc::Const(0),
-            },
-            Instr::Const {
-                dst: 3,
-                val: Slot::F32(2.0),
-            },
-            Instr::Const {
-                dst: 4,
-                val: Slot::F32(3.0),
-            },
-            Instr::Load {
-                dst: 5,
-                mem: 1,
-                idx: [2, 0, 0],
-                rank: 1,
-                site: 0,
-            },
-            // Narrow the product to f32 but keep the sum f64-typed:
-            // exercises the elided intermediate's exact narrowing.
-            Instr::BinFloat {
-                op: FloatBin::Mul,
-                dst: 6,
-                l: 5,
-                r: 3,
-                f32_out: true,
-            },
-            Instr::BinFloat {
-                op: FloatBin::Add,
-                dst: 7,
-                l: 4,
-                r: 6,
-                f32_out: true,
-            },
-            Instr::Store {
-                val: 7,
-                mem: 1,
-                idx: [2, 0, 0],
-                rank: 1,
-                site: 1,
-            },
-            Instr::Return {
-                vals: Vec::new().into_boxed_slice(),
-            },
-        ];
-        let plan = plan_of(code, 8, 2);
-        // The pair loses to the chain sharing its head.
-        assert_chain_identical(&plan, &["load.fma"]);
-    }
-
-    /// When the `addf` does not consume the product, the chain cannot
-    /// fire — the `Load`+`mulf` *pair* must fuse instead (same head,
-    /// shorter window): competing overlapping patterns resolve
-    /// deterministically by decode shape, never by chance.
-    #[test]
-    fn pair_fires_when_the_triple_cannot() {
-        let code = vec![
-            Instr::ItemQuery {
-                dst: 2,
-                q: ItemQ::GlobalId,
-                dim: DimSrc::Const(0),
-            },
-            Instr::Const {
-                dst: 3,
-                val: Slot::F32(2.0),
-            },
-            Instr::Load {
-                dst: 5,
-                mem: 1,
-                idx: [2, 0, 0],
-                rank: 1,
-                site: 0,
-            },
-            Instr::BinFloat {
-                op: FloatBin::Mul,
-                dst: 6,
-                l: 5,
-                r: 3,
-                f32_out: true,
-            },
-            // The addf reads the *constant* twice, not the product —
-            // the product flows to the store instead.
-            Instr::BinFloat {
-                op: FloatBin::Add,
-                dst: 7,
-                l: 3,
-                r: 3,
-                f32_out: true,
-            },
-            Instr::Store {
-                val: 6,
-                mem: 1,
-                idx: [2, 0, 0],
-                rank: 1,
-                site: 1,
-            },
-            Instr::Return {
-                vals: Vec::new().into_boxed_slice(),
-            },
-        ];
-        let plan = plan_of(code, 8, 2);
-        assert_chain_identical(&plan, &["load.mulf"]);
-    }
-
-    /// An `acc.subscript` result read by *both* a load and a later
-    /// store (the post-CSE `c[i] = c[i] + x` shape — GEMM's shared
-    /// view) blocks the eliding chain, so the addressing runs as
-    /// decoded; the `Load` then heads the load-accumulate pair
-    /// instead.
+    /// Near miss: an `acc.subscript` result read by *both* a load and a
+    /// later store (the post-CSE `c[i] = c[i] + x` shape — GEMM's shared
+    /// view) is no elidable intermediate, so the indexed load may not
+    /// fire: the addressing, the load and the accumulate run as decoded.
     #[test]
     fn multiply_read_subscript_view_takes_the_write_through_chain() {
         let code = vec![
@@ -603,7 +508,7 @@ mod chains {
             },
         ];
         let plan = plan_of(code, 9, 2);
-        assert_chain_identical(&plan, &["load.addf"]);
+        assert_chain_identical(&plan, &[]);
     }
 
     /// A chain whose *head* is a jump target may fuse (the whole
@@ -693,78 +598,9 @@ mod chains {
         assert_chain_identical(&build(false), &[]);
     }
 
-    /// The un-CSE'd DPC++-flow load shape: `vec.ctor` +
-    /// `acc.subscript` + `Const 0` + `Load`, with the id vector and
-    /// the constant *re-read by a later store chain* (exactly the
-    /// compiled `a[i] = a[i] + 1` layout). The quad fuses
-    /// write-through, so the later readers observe the kept register
-    /// writes — bit-identically.
-    #[test]
-    fn un_csed_load_quad_fuses_and_writes_through() {
-        let code = vec![
-            Instr::ItemQuery {
-                dst: 2,
-                q: ItemQ::GlobalId,
-                dim: DimSrc::Const(0),
-            },
-            Instr::Const {
-                dst: 4,
-                val: Slot::F32(1.0),
-            },
-            // Load chain, un-CSE'd: id, view, const, load.
-            Instr::VecCtor {
-                dst: 5,
-                comps: [2, 0, 0],
-                rank: 1,
-            },
-            Instr::AccSubscript {
-                dst: 6,
-                acc: 0,
-                id: 5,
-            },
-            Instr::Const {
-                dst: 7,
-                val: Slot::Int(0),
-            },
-            Instr::Load {
-                dst: 8,
-                mem: 6,
-                idx: [7, 0, 0],
-                rank: 1,
-                site: 0,
-            },
-            Instr::BinFloat {
-                op: FloatBin::Add,
-                dst: 9,
-                l: 8,
-                r: 4,
-                f32_out: true,
-            },
-            // Store chain, partially CSE'd: re-reads id 5 and const 7
-            // — the quad's write-through registers.
-            Instr::AccSubscript {
-                dst: 10,
-                acc: 0,
-                id: 5,
-            },
-            Instr::Store {
-                val: 9,
-                mem: 10,
-                idx: [7, 0, 0],
-                rank: 1,
-                site: 1,
-            },
-            Instr::Return {
-                vals: Vec::new().into_boxed_slice(),
-            },
-        ];
-        let plan = plan_of(code, 11, 2);
-        assert_chain_identical(&plan, &["acc.load.quad"]);
-    }
-
-    /// The un-CSE'd store quad: `vec.ctor` + `acc.subscript` +
-    /// `Const 0` + `Store`. Write-through is a load-only notion, so
-    /// nothing fuses here and the shape runs as decoded.
+    /// The un-CSE'd DPC++-flow store shape: `vec.ctor`, `acc.subscript`,
+    /// `Const 0`, `Store`. No window is store-headed, so the shape runs
+    /// as decoded.
     #[test]
     fn un_csed_store_quad_fuses() {
         let code = vec![
@@ -806,9 +642,9 @@ mod chains {
         assert_chain_identical(&plan, &[]);
     }
 
-    /// Quad near miss: the interposed constant must *feed the load's
-    /// index* — a constant defining an unrelated register between the
-    /// subscript and the load blocks the quad (and everything else).
+    /// Near miss: a constant between the subscript and the load (here an
+    /// unrelated one: the load indexes with r3, not r7) breaks the
+    /// adjacency of the indexed load, so nothing fuses.
     #[test]
     fn unrelated_const_blocks_the_quad() {
         let code = vec![
@@ -860,8 +696,9 @@ mod chains {
     }
 
     /// A store chain whose id vector is re-read by a second subscript
-    /// (a CSE'd id feeding two accessor writes): no store-headed
-    /// window exists, so the shape runs as decoded.
+    /// (a CSE'd id feeding two accesses): no window is store-headed, and
+    /// the second chain has no `vec.ctor` head, so the shape runs as
+    /// decoded.
     #[test]
     fn multiply_read_id_takes_the_write_through_store_chain() {
         let code = vec![
@@ -925,9 +762,9 @@ mod chains {
         assert_chain_identical(&plan, &[]);
     }
 
-    /// A float op whose result feeds an adjacent store *and* a later
-    /// reader: no window is headed by a float op, so the shape runs as
-    /// decoded (`subf` keeps the load out of the `LoadBinFloat` path).
+    /// A load feeding a float op whose result feeds an adjacent store
+    /// *and* a later reader: no window holds a float op or a store, so
+    /// the shape runs as decoded.
     #[test]
     fn multiply_read_accumulator_takes_the_write_through_pair() {
         let code = vec![
@@ -951,8 +788,7 @@ mod chains {
                 rank: 1,
                 site: 0,
             },
-            // subf: not in the load-accumulate pair's op set, so the
-            // load stays; the result is read by both stores below.
+            // The result is read by both stores below.
             Instr::BinFloat {
                 op: FloatBin::Sub,
                 dst: 6,
@@ -967,7 +803,7 @@ mod chains {
                 rank: 1,
                 site: 1,
             },
-            // Second read of the accumulator: the kept write feeds it.
+            // Second read of the accumulator.
             Instr::VecCtor {
                 dst: 7,
                 comps: [2, 0, 0],

@@ -322,10 +322,8 @@ mod engine_differential {
     /// per flow and per mnemonic, exactly. The matcher's legality is a
     /// read count over `Instr::operands`: an operand dropped from that
     /// table (or a window that stops matching) moves a number here, in a
-    /// named test, instead of shifting a cycle count. The flow-specific
-    /// shapes are in the table: the un-CSE'd quad occurs in every flow's
-    /// builder-shaped kernels, the multiply-accumulate chain only becomes
-    /// adjacent in the SYCL-MLIR flow. That a window which occurs is also
+    /// named test, instead of shifting a cycle count. The one window is
+    /// the indexed accessor load. That a window which occurs is also
     /// *executed* is `every_window_in_a_compiled_kernel_executes`'s job.
     #[test]
     fn fusion_fires_on_benchsuite_kernels() {
@@ -333,34 +331,9 @@ mod engine_differential {
         // A change to a pass or to the matcher that moves these on
         // purpose pastes the rows `benchsuite fusion [...]` prints.
         let expect: [(FlowKind, &[(&str, u32)]); 3] = [
-            (
-                FlowKind::Dpcpp,
-                &[
-                    ("acc.load.idx", 68),
-                    ("acc.load.quad", 31),
-                    ("load.addf", 26),
-                    ("load.mulf", 7),
-                ],
-            ),
-            (
-                FlowKind::AdaptiveCpp,
-                &[
-                    ("acc.load.idx", 61),
-                    ("acc.load.quad", 31),
-                    ("load.addf", 26),
-                    ("load.mulf", 7),
-                ],
-            ),
-            (
-                FlowKind::SyclMlir,
-                &[
-                    ("acc.load.idx", 68),
-                    ("acc.load.quad", 31),
-                    ("load.addf", 12),
-                    ("load.fma", 4),
-                    ("load.mulf", 7),
-                ],
-            ),
+            (FlowKind::Dpcpp, &[("acc.load.idx", 68)]),
+            (FlowKind::AdaptiveCpp, &[("acc.load.idx", 61)]),
+            (FlowKind::SyclMlir, &[("acc.load.idx", 68)]),
         ];
         for ((kind, got), (expect_kind, want)) in per_flow.iter().zip(expect) {
             assert_eq!(*kind, expect_kind);
