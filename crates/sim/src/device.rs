@@ -366,7 +366,7 @@ impl Device {
     }
 
     /// Builder-style injected fault ([`FaultPlan`]) for testing the
-    /// failure paths: cancellation cascade, error ordering and
+    /// failure paths: error ordering, what a failure stops and
     /// post-failure device usability.
     pub fn fault(mut self, fault: FaultPlan) -> Device {
         self.limits.fault = Some(fault);
@@ -581,8 +581,7 @@ impl Device {
                 self.threads,
                 self.profile,
                 &self.limits,
-            )?
-            .into_result()?;
+            )?;
             if let Some(profile) = &out.profile {
                 let sums = &mut *self.profile_sums.borrow_mut();
                 for ((entry, counts), b) in plans.iter().zip(profile).zip(batch) {

@@ -40,9 +40,8 @@ pub enum LimitKind {
     /// ([`ExecLimits::deadline_ms`](crate::limits::ExecLimits::deadline_ms))
     /// passed.
     Deadline,
-    /// The launch was cancelled — via its
-    /// [`CancelToken`](crate::limits::CancelToken), or with-cause because
-    /// a DAG predecessor failed.
+    /// The launch was cancelled via its
+    /// [`CancelToken`](crate::limits::CancelToken).
     Cancelled,
 }
 
@@ -93,7 +92,7 @@ pub enum SimError {
     },
     /// Some work-items of a work-group wait at a barrier while the others
     /// have finished: the deadlock §V-C's uniformity analysis exists to
-    /// prevent. Like a [`SimError::Message`], it does not cascade.
+    /// prevent.
     DivergentBarrier {
         /// Work-items waiting at a barrier.
         waiting: usize,
@@ -104,8 +103,8 @@ pub enum SimError {
         /// The position, as in [`SimError::Message`].
         at: Option<(usize, usize)>,
     },
-    /// A [`FaultPlan`] fired ([`FaultPlan::error`]): a synthetic failure
-    /// that, like a limit trip, cancels the launch's DAG successors.
+    /// A [`FaultPlan`] fired ([`FaultPlan::error`]): a synthetic failure,
+    /// reported like any other.
     Injected {
         /// The fault that fired.
         fault: FaultPlan,
@@ -182,22 +181,6 @@ impl SimError {
                 "execution limit exceeded: {} (launch {launch}, work-group {group})",
                 kind.name()
             ),
-        }
-    }
-
-    /// Whether a launch failing with this error cancels its DAG
-    /// successors. Limit trips and injected faults cascade — their
-    /// successors retire as `Cancelled { cause }` without running.
-    /// Plain kernel errors (out-of-bounds access, divergent barrier,
-    /// type mismatch, ...) keep the pre-limits contract: successors
-    /// still execute, so the first-failure position stays identical
-    /// under the out-of-order and the serial schedule.
-    pub(crate) fn cascades(&self) -> bool {
-        match self {
-            SimError::LimitExceeded { .. } | SimError::Injected { .. } => true,
-            SimError::Message { .. }
-            | SimError::Fault { .. }
-            | SimError::DivergentBarrier { .. } => false,
         }
     }
 

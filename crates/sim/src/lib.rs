@@ -92,7 +92,10 @@
 //! tasks** run as first-class graph nodes ([`HostNode`], one logical
 //! work-group, hazard-tracked and metered like any launch). This is the
 //! one schedule of the plan engine; the tree-walk engine is the serial
-//! reference, running launches in submission order. A run's workers are
+//! reference, running launches in submission order. A run has one
+//! failure, the one the serial reference meets first: no work-group at
+//! or beyond its `(launch, group)` position starts once it is known, so
+//! no successor of the failing launch runs. A run's workers are
 //! scoped threads — the calling thread plus up to `threads − 1` spawned
 //! for the run and joined before it returns: a program is one graph run,
 //! so no pool of threads is kept between runs (ARCHITECTURE.md, "Pool
@@ -151,8 +154,8 @@ pub use limits::{CancelToken, ExecLimits, FaultPlan, FaultSite};
 pub use memory::{Buf, DataVec, Dtype, Elem, MemFault, MemId, MemoryPool};
 pub use plan::{decode_kernel, fuse_plan, profile_summary, DecodeError, KernelPlan};
 pub use pool::{
-    run_plan_graph_report, GraphReport, HostNode, HostView, LaunchDag, LaunchStatus, PlanExecCtx,
-    PlanLaunch, PlanPool, SharedPool, HOST_NODE_WEIGHT,
+    run_plan_graph_report, GraphReport, HostNode, HostView, LaunchDag, PlanExecCtx, PlanLaunch,
+    PlanPool, SharedPool, HOST_NODE_WEIGHT,
 };
 pub use value::{AccessorVal, MemRefVal, RtValue, Space};
 pub use verify::{verify_plan, PlanFacts, SiteProof, VerifyError};

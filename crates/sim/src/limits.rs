@@ -112,8 +112,8 @@ impl CancelToken {
 }
 
 /// A deterministic synthetic failure, injected at a chosen point of a
-/// chosen launch, for testing the cancellation cascade, error ordering
-/// and post-failure device usability.
+/// chosen launch, for testing error ordering, what a failure stops and
+/// post-failure device usability.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Index of the launch (within its graph) to fail.

@@ -7,7 +7,7 @@
 use super::arena::{PlanExecCtx, SharedPool};
 use super::dag::LaunchDag;
 use super::host::{HostNode, HostView};
-use super::protocol::{graph_workers, Failure, LaunchStatus, Scheduler};
+use super::protocol::{graph_workers, Failure, Scheduler};
 use crate::cost::{CostModel, ExecStats};
 use crate::device::{cooperative_rounds, NdRangeSpec};
 use crate::interp::SimError;
@@ -121,10 +121,9 @@ impl GraphState<'_, '_> {
     }
 
     /// Claim chunks of launch `li` until it is fully claimed, running
-    /// every claimed group that could still be reported through `run`. A
-    /// failing work-group is recorded with its `(launch, group)` position
-    /// and execution continues, of this launch below that group and of
-    /// every other launch untouched — the failure contract of
+    /// every claimed group below the run's failure bound through `run`. A
+    /// failing work-group is recorded with its `(launch, group)` position,
+    /// which tightens the bound — the failure contract of
     /// [`run_plan_graph_report`].
     fn run_chunks(
         &self,
@@ -139,9 +138,9 @@ impl GraphState<'_, '_> {
         };
         while let Some(chunk) = self.sched.claim(li) {
             // Claim-chunk boundary: the scheduler's cancellation point. A
-            // tripped deadline or cancel token fails this launch here
-            // (each running launch records its own trip at its own next
-            // boundary).
+            // tripped deadline or cancel token fails this launch here;
+            // the smallest position a trip is recorded at is the one
+            // reported.
             if let Some(kind) = tripped(self.limits.cancel.as_ref(), self.deadline) {
                 fail(chunk.start, SimError::limit(kind));
             }
@@ -248,44 +247,16 @@ fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
     rows
 }
 
-/// What [`run_plan_graph_report`] returns: the graceful-degradation view
-/// of a graph run, with per-launch terminal statuses instead of a single
-/// first error — failing launches don't take the whole graph down.
+/// What a clean [`run_plan_graph_report`] returns.
 #[derive(Debug)]
 pub struct GraphReport {
     /// One merged [`ExecStats`] per launch, cycles charged; zeroed for
-    /// launches that did not complete (partial counters would be
-    /// schedule-dependent).
+    /// host nodes (their fixed metering weight is an admission charge,
+    /// not a simulated instruction count).
     pub stats: Vec<ExecStats>,
-    /// Per-launch terminal state.
-    pub statuses: Vec<LaunchStatus>,
     /// Per-launch execution counts (`Some` iff profiling was requested),
     /// as [`PlanCtx::take_profile`] lays them out.
     pub profile: Option<Vec<Box<[u64]>>>,
-}
-
-impl GraphReport {
-    /// The lexicographically smallest `(launch, group)` failure, if any —
-    /// the error serial submission-order execution hits first.
-    pub fn first_failure(&self) -> Option<(usize, usize, &SimError)> {
-        self.statuses
-            .iter()
-            .enumerate()
-            .find_map(|(li, s)| match s {
-                LaunchStatus::Failed { group, error } => Some((li, *group, error)),
-                _ => None,
-            })
-    }
-
-    /// The first-failure contract of [`crate::Device::launch_graph`]: the
-    /// report of a run in which every launch completed, else
-    /// [`Self::first_failure`]'s error.
-    pub fn into_result(self) -> Result<GraphReport, SimError> {
-        match self.first_failure() {
-            Some((_, _, error)) => Err(error.clone()),
-            None => Ok(self),
-        }
-    }
 }
 
 /// Execute a whole **launch graph** on `threads` workers, out of order,
@@ -309,23 +280,23 @@ impl GraphReport {
 ///   every worker count, graph shape and interleaving. Hazard edges order
 ///   all conflicting buffer accesses (retire/claim counters carry the
 ///   necessary happens-before), so buffer contents are bit-identical too.
-/// * **Failures** are reported **per launch** instead of stopping at the
-///   first error: independent launches complete (bit-identically to a
-///   clean run), a failing launch reports the error of its smallest
-///   failing work-group — the one submission-order serial execution hits
-///   first, under every thread count and graph shape; groups beyond the
-///   best-known failure are skipped — and every transitive successor of
-///   a launch that tripped a limit is cancelled with its root cause.
-///   [`GraphReport::into_result`] folds the statuses into the
-///   first-failure `Result`.
+/// * **Failure.** A run has one: the error at the smallest failing
+///   `(launch, group)` position — the one submission-order serial
+///   execution hits first, under every thread count and graph shape.
+///   Every work-group at or beyond the best-known failure is skipped, so
+///   once it is known no successor of the failing launch starts, and no
+///   later launch either. Edges point forward, so every launch before
+///   the failing one ran to completion on the inputs the serial run
+///   gives it.
 ///
 /// # Errors
 ///
-/// `Err` is reserved for malformed input (bad geometry, malformed or
-/// cyclic graphs); kernel failures — device-memory faults among them,
-/// which arrive as [`MemFault`](crate::MemFault) values — and limit trips
-/// live in [`GraphReport::statuses`]. A panic on a worker is a bug in the
-/// simulator (or in a host closure) and is re-thrown as a panic.
+/// Malformed input (bad geometry, a malformed graph or one with a
+/// backward edge), and the run's failure: a kernel or host-node error
+/// (device-memory faults among them, which arrive as
+/// [`MemFault`](crate::MemFault) values), a limit trip or an injected
+/// fault. A panic on a worker is a bug in the simulator (or in a host
+/// closure) and is re-thrown as a panic.
 pub fn run_plan_graph_report(
     launches: &[PlanLaunch<'_>],
     dag: &LaunchDag,
@@ -349,8 +320,7 @@ pub fn run_plan_graph_report(
     // Launches that fail as a whole, before any of their groups runs: an
     // armed decode fault, then unknown-buffer arguments — the order the
     // serial reference checks them in, and the first recorded is the one
-    // reported. The fault cascades to the launch's successors, a bad
-    // argument does not.
+    // reported.
     let mut upfront = Vec::new();
     if let Some(f) = &limits.fault {
         if matches!(f.site, FaultSite::Decode) && f.launch < launches.len() {
@@ -430,7 +400,9 @@ pub fn run_plan_graph_report(
     // Re-throws the panic of a work-group (an invariant bug, a panicking
     // host closure) at the smallest recorded position; nothing a kernel
     // can do panics.
-    let statuses = state.sched.into_statuses();
+    if let Some(error) = state.sched.into_failure() {
+        return Err(error);
+    }
 
     let mut merged = vec![ExecStats::default(); launches.len()];
     // One accumulator per launch: a kernel's instruction slots when
@@ -449,35 +421,20 @@ pub fn run_plan_graph_report(
             }
         }
     }
-    let rows = merged
-        .iter_mut()
-        .zip(launches)
-        .zip(&geometry)
-        .zip(&statuses);
-    for (((m, launch), &(_, total)), status) in rows {
-        match (launch, status) {
-            (PlanLaunch::Kernel { nd, .. }, LaunchStatus::Completed) => {
-                m.work_groups = total as u64;
-                m.work_items = nd.work_items() as u64;
-                m.charge(cost);
-            }
-            // Partial counters of failing/cancelled launches would be
-            // schedule-dependent; report them as zeroed instead. Host
-            // nodes report zeroed rows regardless of outcome: their fixed
-            // metering weight is an admission charge, not a simulated
-            // instruction count.
-            _ => *m = ExecStats::default(),
+    for ((m, launch), &(_, total)) in merged.iter_mut().zip(launches).zip(&geometry) {
+        if let PlanLaunch::Kernel { nd, .. } = launch {
+            m.work_groups = total as u64;
+            m.work_items = nd.work_items() as u64;
+            m.charge(cost);
         }
     }
     Ok(GraphReport {
         stats: merged,
-        statuses,
         profile: profile.then_some(profiles),
     })
 }
 
-/// Unit-test shorthand: an unlimited, unprofiled graph run, its first
-/// failure as `Err`.
+/// Unit-test shorthand: an unlimited, unprofiled graph run.
 #[cfg(test)]
 pub(crate) fn run_graph(
     launches: &[PlanLaunch<'_>],
@@ -486,7 +443,7 @@ pub(crate) fn run_graph(
     threads: usize,
 ) -> Result<GraphReport, SimError> {
     let (cost, limits) = (CostModel::default(), ExecLimits::none());
-    run_plan_graph_report(launches, dag, pool_mem, &cost, threads, false, &limits)?.into_result()
+    run_plan_graph_report(launches, dag, pool_mem, &cost, threads, false, &limits)
 }
 
 /// [`run_graph`] of one kernel launch.

@@ -18,14 +18,15 @@
 //! * `host` — host tasks as graph nodes: [`HostNode`] closures over a
 //!   checked [`HostView`] of the device memory.
 //! * `protocol` — what the workers of a run agree on: per-launch
-//!   dependency counters, chunked claim cursors and failure slots, the
-//!   ready set, retire and the cancel cascade. It knows nothing of plans,
+//!   dependency counters and chunked claim cursors, the ready set,
+//!   retire, and the run's one failure bound. It knows nothing of plans,
 //!   memory, costs or values.
 //! * `driver` — what a launch is ([`PlanLaunch`]), the worker loop and
 //!   [`run_plan_graph_report`], the **out-of-order scheduler**'s one
 //!   entry point; its documentation states the determinism contract
 //!   (statistics, buffers and the reported failure are bit-identical for
-//!   any worker count, schedule and interleaving).
+//!   any worker count, schedule and interleaving) and the failure
+//!   contract (one failure per run, the serial reference's first).
 //!
 //! The workers of a run are **scoped threads**: the calling thread is
 //! worker 0, `threads - 1` more are spawned for the run, borrow its state
@@ -52,4 +53,3 @@ pub use dag::LaunchDag;
 pub(crate) use driver::{run_graph, run_one_launch};
 pub use driver::{run_plan_graph_report, GraphReport, PlanLaunch};
 pub use host::{HostNode, HostView, HOST_NODE_WEIGHT};
-pub use protocol::LaunchStatus;

@@ -3,7 +3,7 @@
 //!
 //! A worker drives it as `acquire` → `claim` → (per group: `skips`, run
 //! it, `record_failure`) → `complete`, which retires the launch on the
-//! final decrement and cascades through its successors. What a
+//! final decrement and publishes its successors. What a
 //! work-group *is* — a kernel plan over device memory, a host closure —
 //! is the driver's business: this file names no plan, memory, cost or
 //! value type, so the same protocol can be driven with fake work.
@@ -55,31 +55,8 @@ pub(super) enum Failure {
     Panic(Box<dyn std::any::Any + Send>),
 }
 
-/// Terminal state of one launch in a [`GraphReport`](super::GraphReport).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LaunchStatus {
-    /// The launch ran every work-group successfully.
-    Completed,
-    /// The launch failed: `error` at its smallest failing work-group.
-    Failed {
-        /// Linear index of the smallest failing work-group.
-        group: usize,
-        /// The failure, position-stamped for limit trips.
-        error: SimError,
-    },
-    /// The launch never ran: a (transitive) predecessor failed. `cause`
-    /// is the smallest root failing launch, deterministic under any
-    /// schedule.
-    Cancelled {
-        /// Index of the root failing launch this cancellation descends
-        /// from.
-        cause: usize,
-    },
-}
-
-/// Per-launch scheduling state: claim cursor, retire counter, the
-/// remaining-dependency counter driving the ready set, and the launch's
-/// failure.
+/// Per-launch scheduling state: claim cursor, retire counter and the
+/// remaining-dependency counter driving the ready set.
 struct Node {
     /// Critical-path length through the DAG from this launch (the
     /// ready set's priority key).
@@ -96,19 +73,6 @@ struct Node {
     /// Predecessors not yet retired; the worker that takes it to zero
     /// publishes the launch to the ready set.
     remaining_deps: AtomicUsize,
-    /// Smallest failing work-group of *this* launch (`u64::MAX` while
-    /// clean). Groups at or beyond it are skipped — pruning is per
-    /// launch, so independent launches run to completion even while
-    /// another launch is failing.
-    failed: AtomicU64,
-    /// The failure of the smallest failing work-group recorded so far
-    /// (the first recorded wins a tie); `failed` is its lock-free bound.
-    failure: Mutex<Option<(usize, Failure)>>,
-    /// Root-cause launch index when this launch was cancelled because a
-    /// (transitive) predecessor failed; `usize::MAX` while live.
-    /// `fetch_min` keeps the smallest cause, making the reported cause
-    /// deterministic under any retire order.
-    cancelled_by: AtomicUsize,
 }
 
 /// The shared scheduling state of one graph run. Lives on the launching
@@ -123,6 +87,13 @@ pub(super) struct Scheduler<'a> {
     wake: Condvar,
     /// Launches not yet retired; the run is over when this hits zero.
     launches_left: AtomicUsize,
+    /// The run's failure bound: the [`key`] of the smallest failing
+    /// work-group recorded so far (`u64::MAX` while clean). Every group
+    /// at or beyond it is skipped.
+    bound: AtomicU64,
+    /// The failure at the smallest key recorded so far (the first
+    /// recorded wins a tie); `bound` is its lock-free copy.
+    failure: Mutex<Option<(u64, Failure)>>,
     /// Set when a worker itself dies outside group execution (a scheduler
     /// bug): releases parked workers so every worker returns and is
     /// joined.
@@ -134,9 +105,9 @@ impl<'a> Scheduler<'a> {
     /// launches of the given `(groups, total)` geometry and `workers`
     /// workers, ready for them to start. `upfront` are the launches known
     /// to fail before any of their groups runs: each is recorded at its
-    /// work-group 0, in order, so every group is skipped, the launch
-    /// retires through normal claim accounting and the ordinary cascade
-    /// decides about its successors.
+    /// work-group 0, in order, so the smallest of them is the run's bound
+    /// before any worker starts — that launch and every later one skip
+    /// all their groups and retire through normal claim accounting.
     pub(super) fn new(
         dag: &'a LaunchDag,
         geometry: &[([i64; 3], usize)],
@@ -152,9 +123,6 @@ impl<'a> Scheduler<'a> {
                 next: AtomicUsize::new(0),
                 unfinished: AtomicUsize::new(total),
                 remaining_deps: AtomicUsize::new(preds),
-                failed: AtomicU64::new(u64::MAX),
-                failure: Mutex::new(None),
-                cancelled_by: AtomicUsize::new(usize::MAX),
             })
             .collect();
         // Empty launches never enter the ready set (no work-group could
@@ -172,6 +140,8 @@ impl<'a> Scheduler<'a> {
             ready: Mutex::new(ready),
             wake: Condvar::new(),
             poisoned: AtomicBool::new(false),
+            bound: AtomicU64::new(u64::MAX),
+            failure: Mutex::new(None),
         };
         for (li, error) in upfront {
             sched.record_failure(li, 0, Failure::Error(error));
@@ -188,35 +158,25 @@ impl<'a> Scheduler<'a> {
         sched
     }
 
-    /// Record a failing work-group, tightening the launch's skip bound.
-    /// Errors are stamped with their true `(launch, group)` position
-    /// here — executors construct them with placeholders. Only the
-    /// smallest failing group of a launch is kept: a failure beyond an
-    /// already-recorded smaller one is dropped (it could never be
-    /// reported), and of two at the same group the first stays.
+    /// Record a failing work-group, tightening the run's bound. Errors
+    /// are stamped with their true `(launch, group)` position here —
+    /// executors construct them with placeholders. Only the smallest
+    /// failing position is kept: a failure beyond an already-recorded
+    /// smaller one is dropped (serial execution would never reach it),
+    /// and of two at the same position the first stays.
     pub(super) fn record_failure(&self, li: usize, gi: usize, failure: Failure) {
-        let node = &self.nodes[li];
-        let prev = node.failed.fetch_min(gi as u64, Ordering::Relaxed);
-        if (gi as u64) > prev {
+        let key = key(li, gi);
+        if key > self.bound.fetch_min(key, Ordering::Relaxed) {
             return;
         }
         let failure = match failure {
             Failure::Error(e) => Failure::Error(e.at(li, gi)),
             p => p,
         };
-        let mut slot = node.failure.lock().unwrap();
-        if !matches!(&*slot, Some((g, _)) if *g <= gi) {
-            *slot = Some((gi, failure));
+        let mut slot = self.failure.lock().unwrap();
+        if !matches!(&*slot, Some((k, _)) if *k <= key) {
+            *slot = Some((key, failure));
         }
-    }
-
-    /// Whether launch `li`'s failure cancels its successors. Only limit
-    /// trips and injected faults cascade (see [`SimError::cascades`]).
-    /// Called at retire time, after every group of `li` is accounted
-    /// for, so the slot already holds the minimal failing group.
-    fn failure_cascades(&self, li: usize) -> bool {
-        let slot = self.nodes[li].failure.lock().unwrap();
-        matches!(&*slot, Some((_, Failure::Error(e))) if e.cascades())
     }
 
     /// Retire launch `li`: publish successors whose last dependency this
@@ -234,37 +194,14 @@ impl<'a> Scheduler<'a> {
         let mut retired = 0_usize;
         while let Some(u) = to_retire.pop() {
             retired += 1;
-            // A launch that retired in a failed (or itself cancelled)
-            // state cancels its successors, carrying the *root* failing
-            // launch as the cause.
-            let node = &self.nodes[u];
-            let cause = if node.cancelled_by.load(Ordering::Relaxed) != usize::MAX {
-                Some(node.cancelled_by.load(Ordering::Relaxed))
-            } else if node.failed.load(Ordering::Relaxed) != u64::MAX && self.failure_cascades(u) {
-                Some(u)
-            } else {
-                None
-            };
             for &s in &self.dag.succs[u] {
-                // The cancellation mark must precede the dependency
-                // decrement: the AcqRel RMW chain on `remaining_deps`
-                // guarantees whoever performs the *final* decrement
-                // observes every predecessor's mark, so a cancelled
-                // launch can never slip into the ready set.
-                if let Some(c) = cause {
-                    self.nodes[s].cancelled_by.fetch_min(c, Ordering::Relaxed);
-                }
                 // AcqRel: the retiring thread has (transitively) acquired
                 // all group-completion decrements of `u`, and a
                 // successor's first claim acquires this decrement —
                 // establishing happens-before from every write of a
                 // predecessor launch to every read of its successors.
                 if self.nodes[s].remaining_deps.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    if self.nodes[s].cancelled_by.load(Ordering::Relaxed) != usize::MAX
-                        || self.nodes[s].total == 0
-                    {
-                        // Cancelled launches never run: they cascade to
-                        // retirement directly (as do empty launches).
+                    if self.nodes[s].total == 0 {
                         to_retire.push(s);
                     } else {
                         newly_ready.push(s);
@@ -324,12 +261,12 @@ impl<'a> Scheduler<'a> {
         (start < node.total).then(|| start..(start + node.chunk).min(node.total))
     }
 
-    /// Whether group `gi` of launch `li` sits at or beyond the launch's
-    /// best-known failure, so running it could not change what is
-    /// reported. Groups below a launch's eventual minimum are never
-    /// skipped, so scheduling cannot reorder that minimum away.
+    /// Whether group `gi` of launch `li` sits at or beyond the run's
+    /// best-known failure, where serial execution would already have
+    /// stopped. Groups below the eventual minimum are never skipped, so
+    /// scheduling cannot reorder that minimum away.
     pub(super) fn skips(&self, li: usize, gi: usize) -> bool {
-        gi as u64 >= self.nodes[li].failed.load(Ordering::Relaxed)
+        key(li, gi) >= self.bound.load(Ordering::Relaxed)
     }
 
     /// Account for a claimed chunk of `groups` work-groups of launch `li`
@@ -360,24 +297,21 @@ impl<'a> Scheduler<'a> {
         self.wake.notify_all();
     }
 
-    /// The launches' terminal states, once every worker has been joined.
-    /// A launch whose smallest failing group *panicked* has none: the
-    /// first such payload — the smallest `(launch, group)` position — is
-    /// re-thrown here, on the launching thread.
-    pub(super) fn into_statuses(self) -> Vec<LaunchStatus> {
-        self.nodes
-            .into_iter()
-            .map(|node| {
-                let by = node.cancelled_by.into_inner();
-                if by != usize::MAX {
-                    return LaunchStatus::Cancelled { cause: by };
-                }
-                match node.failure.into_inner().unwrap() {
-                    None => LaunchStatus::Completed,
-                    Some((group, Failure::Error(error))) => LaunchStatus::Failed { group, error },
-                    Some((_, Failure::Panic(payload))) => resume_unwind(payload),
-                }
-            })
-            .collect()
+    /// The run's failure, once every worker has been joined: the error
+    /// at the smallest `(launch, group)` position, or — when that
+    /// position panicked (an invariant bug, a panicking host closure) —
+    /// its payload, re-thrown here on the launching thread.
+    pub(super) fn into_failure(self) -> Option<SimError> {
+        match self.failure.into_inner().unwrap()? {
+            (_, Failure::Error(error)) => Some(error),
+            (_, Failure::Panic(payload)) => resume_unwind(payload),
+        }
     }
+}
+
+/// The order serial submission meets work-groups in, as one integer:
+/// launch index in the high half, linear work-group index in the low one
+/// (`run_plan_graph_report` rejects graphs whose indices do not fit).
+fn key(li: usize, gi: usize) -> u64 {
+    ((li as u64) << 32) | gi as u64
 }

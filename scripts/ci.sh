@@ -198,6 +198,17 @@ if grep -rnE 'LoadBinFloat|LoadMulAddF|AccLoadQuad|try_quad|try_pair' crates src
   exit 1
 fi
 
+# One failure per graph run (ARCHITECTURE.md, "The out-of-order launch
+# scheduler"): a run reports the failure serial submission order meets
+# first and stops there. Per-launch statuses, the cancel cascade and the
+# DAG's Kahn walk (edges point forward, so a graph is acyclic by
+# construction) must not come back.
+step "one failure per graph run"
+if grep -rnE 'LaunchStatus|cancelled_by|failure_cascades|into_statuses|fn cascades|first_failure|kahn_levels|fn levels\b' crates src tests examples; then
+  echo "FAIL: per-launch failure outcomes or the Kahn walk are back; a graph run has one failure" >&2
+  exit 1
+fi
+
 # Runs the whole workspace, including the scheduler's hardening suites:
 # tests/scheduler_stress.rs (~200 randomized hazard DAGs across tree |
 # plan × threads 1 | 4, plus error-ordering pins),

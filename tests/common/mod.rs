@@ -30,8 +30,8 @@ pub fn run_launch(
     cost: &CostModel,
 ) -> Result<ExecStats, SimError> {
     let dag = LaunchDag::independent(1);
-    let report = run_plan_graph_report(&[launch], &dag, pool, cost, threads, false, limits)?;
-    Ok(report.into_result()?.stats.remove(0))
+    let mut report = run_plan_graph_report(&[launch], &dag, pool, cost, threads, false, limits)?;
+    Ok(report.stats.remove(0))
 }
 
 // ----------------------------------------------------------------------

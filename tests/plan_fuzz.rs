@@ -1275,8 +1275,7 @@ fn mid_chain_error_matches_unfused_and_bound_prunes_correctly() {
             false,
             &ExecLimits::none(),
         )
-        .and_then(|report| report.into_result())
-        .expect_err("both launches fail");
+        .expect_err("the run fails");
         let DataVec::F32(f) = pool.data(mf) else {
             panic!()
         };

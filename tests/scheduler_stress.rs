@@ -21,8 +21,13 @@
 //! of the all-pairs hazard relation it replaced (`tests/hazard_graph_diff.rs`
 //! holds the two to one transitive closure). The fault-injection shapes
 //! and a slice of the random population also run at the scheduler level
-//! under **both** DAGs: statuses, cancellation causes, failure positions
-//! and statistics must not tell them apart.
+//! under **both** DAGs: the outcome (statistics, or the one failure and
+//! its position) must not tell them apart.
+//!
+//! A run has one failure, and it stops where the serial reference stops:
+//! launches before the failing one complete, no successor of the failing
+//! launch runs, and whether a later independent launch ran is left
+//! unspecified (`failure_stops_every_successor_under_every_engine`).
 
 mod common;
 
@@ -30,6 +35,8 @@ use common::{reference_dependencies, Arg, GraphSpec, Sub, LEN, WG_SUM_LOCAL};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use sycl_mlir_repro::core::FlowKind;
 use sycl_mlir_repro::dialects::arith;
 use sycl_mlir_repro::frontend::{full_context, KernelModuleBuilder, KernelSig};
@@ -39,8 +46,8 @@ use sycl_mlir_repro::runtime::{
 };
 use sycl_mlir_repro::sim::{
     decode_kernel, run_plan_graph_report, AccessorVal, BatchLaunch, CostModel, DataVec, Device,
-    Engine, ExecLimits, ExecStats, FaultPlan, FaultSite, HostNode, HostView, KernelPlan, LaunchDag,
-    LaunchStatus, MemFault, MemId, MemoryPool, NdRangeSpec, PlanLaunch, RtValue, SimError,
+    Engine, ExecLimits, ExecStats, FaultPlan, FaultSite, GraphReport, HostNode, HostView,
+    KernelPlan, LaunchDag, MemFault, MemId, MemoryPool, NdRangeSpec, PlanLaunch, RtValue, SimError,
 };
 use sycl_mlir_repro::sycl::device as sdev;
 use sycl_mlir_repro::sycl::types::AccessMode;
@@ -613,14 +620,14 @@ fn reference_and_table_dags(q: &Queue) -> [(&'static str, LaunchDag); 2] {
 
 /// One graph-report run of the fault-injection shape: a `0 -> 1 -> 2`
 /// chain over buffer A plus an independent launch 3 over buffer B, under
-/// the given DAG over that shape. Returns the report and the final bits
-/// of both buffers.
+/// the given DAG over that shape. Returns the outcome and the final bits
+/// of buffer A.
 fn fault_shape_run(
     plan: &KernelPlan,
     dag: &LaunchDag,
     threads: usize,
     limits: &ExecLimits,
-) -> (sycl_mlir_repro::sim::GraphReport, Vec<u32>, Vec<u32>) {
+) -> (Result<GraphReport, SimError>, Vec<u32>) {
     let nd = NdRangeSpec::d1(LEN, 8);
     let mut pool = MemoryPool::new();
     let ma = pool.alloc(DataVec::F32((0..LEN).map(|i| i as f32).collect()));
@@ -641,27 +648,22 @@ fn fault_shape_run(
         threads,
         false,
         limits,
-    )
-    .expect("well-formed graph");
-    let bits = |mem| {
-        let DataVec::F32(f) = pool.data(mem) else {
-            panic!("f32 buffer")
-        };
-        f.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()
+    );
+    let DataVec::F32(a) = pool.data(ma) else {
+        panic!("f32 buffer")
     };
-    let (ba, bb) = (bits(ma), bits(mb));
-    (report, ba, bb)
+    (report, a.iter().map(|x| x.to_bits()).collect())
 }
 
-/// Injected faults — decode, claim-site, instruction-count — fail their
-/// launch with the pinned error at a deterministic work-group, cancel
-/// every transitive successor with the root cause, and leave independent
-/// launches bit-identical to a clean run, at every thread count — under
-/// the all-pairs DAG (which cancels launch 2 over its direct `0 -> 2`
-/// edge) and under the hazard table's (which reaches it only through the
-/// cancelled launch 1) alike.
+/// Injected faults — decode, claim-site, instruction-count — fail the
+/// run with the pinned error at a deterministic `(launch, work-group)`
+/// position, and no successor of the faulted launch writes, at every
+/// thread count — under the all-pairs DAG (with its direct `0 -> 2`
+/// edge) and under the hazard table's (which reaches launch 2 only
+/// through launch 1) alike. Whether the independent launch 3 ran is
+/// unspecified, so nothing is asserted about it.
 #[test]
-fn injected_fault_cancels_successors_and_spares_independents() {
+fn injected_fault_stops_its_successors() {
     let plan = decoded_scale_plan();
     let (a, b) = (BufferId(0), BufferId(1));
     let mut q = Queue::new();
@@ -674,17 +676,18 @@ fn injected_fault_cancels_successors_and_spares_independents() {
     let dags = reference_and_table_dags(&q);
     assert_eq!(dags[0].1.succs[0], vec![1, 2]);
     assert_eq!(dags[1].1.succs[0], vec![1]);
+    // Buffer A element `i` before any launch, and after one `scale_io`.
+    let initial = |i: usize| (i as f32).to_bits();
+    let once = |i: usize| (i as f32 * 0.5 + 3.0).to_bits();
     for threads in [1_usize, 4] {
-        // Every report of the sweep, per DAG: they must be the same list.
+        // Every outcome of the sweep, per DAG: they must be the same list.
         let mut seen = Vec::new();
         for (dag_name, dag) in &dags {
-            let mut reports = Vec::new();
-            let (clean, clean_a, clean_b) =
-                fault_shape_run(&plan, dag, threads, &ExecLimits::none());
-            assert!(
-                clean.statuses.iter().all(|s| *s == LaunchStatus::Completed),
-                "clean run must complete everywhere (threads={threads}, {dag_name})"
-            );
+            let (clean, _) = fault_shape_run(&plan, dag, threads, &ExecLimits::none());
+            let clean = clean.unwrap_or_else(|e| {
+                panic!("clean run must complete (threads={threads}, {dag_name}): {e}")
+            });
+            let mut outcomes = vec![Ok(clean.stats)];
             for site in [FaultSite::Decode, FaultSite::Claim(2), FaultSite::Instr(7)] {
                 let ctx = format!("threads={threads} {site:?} ({dag_name})");
                 let fault = FaultPlan { launch: 0, site };
@@ -692,63 +695,43 @@ fn injected_fault_cancels_successors_and_spares_independents() {
                     fault: Some(fault),
                     ..ExecLimits::none()
                 };
-                let (report, faulted_a, faulted_b) = fault_shape_run(&plan, dag, threads, &limits);
+                let (report, faulted_a) = fault_shape_run(&plan, dag, threads, &limits);
                 let want_group = match site {
                     FaultSite::Claim(g) => g as usize,
                     _ => 0,
                 };
-                match &report.statuses[0] {
-                    LaunchStatus::Failed { group, error } => {
-                        // The recorded error is the raw fault text stamped
-                        // with its `(launch, group)` position.
-                        assert_eq!(
-                            error.message(),
-                            format!(
-                                "{} (launch 0, work-group {want_group})",
-                                fault.error().message()
-                            ),
-                            "{ctx}: wrong error"
-                        );
-                        assert_eq!(*group, want_group, "{ctx}: wrong failing group");
-                    }
-                    other => panic!("{ctx}: launch 0 reported {other:?}"),
-                }
-                // Transitive successors are cancelled with the root cause
-                // and report zeroed statistics.
-                for li in [1, 2] {
-                    assert_eq!(
-                        report.statuses[li],
-                        LaunchStatus::Cancelled { cause: 0 },
-                        "{ctx}: launch {li} not cancelled"
-                    );
-                    assert_eq!(report.stats[li].work_groups, 0);
-                    assert_eq!(report.stats[li].work_items, 0);
-                }
-                // The independent launch completes bit-identically to the
-                // clean run: same statistics, same final buffer bits.
-                assert_eq!(report.statuses[3], LaunchStatus::Completed);
-                assert_eq!(
-                    report.stats[3], clean.stats[3],
-                    "{ctx}: independent launch stats diverge"
+                let error = report.expect_err(&ctx);
+                // The raw fault text stamped with its `(launch, group)`
+                // position.
+                assert!(
+                    matches!(error, SimError::Injected { at: Some((0, g)), .. } if g == want_group),
+                    "{ctx}: wrong failure {error:?}"
                 );
-                assert_eq!(faulted_b, clean_b, "{ctx}: independent buffer diverges");
-                // Buffer A saw at most the faulted launch's partial groups
-                // — never launch 1's or 2's writes. The decode fault runs
-                // no group at all, so A must be untouched; all clean-run
-                // values differ from the initial ones, so equality would
-                // be a leak.
-                if site == FaultSite::Decode {
-                    let initial: Vec<u32> = (0..LEN).map(|i| (i as f32).to_bits()).collect();
-                    assert_eq!(faulted_a, initial, "decode fault must run no group");
-                    assert_ne!(clean_a, initial);
+                assert_eq!(
+                    error.message(),
+                    format!(
+                        "{} (launch 0, work-group {want_group})",
+                        fault.error().message()
+                    ),
+                    "{ctx}: wrong error"
+                );
+                // Launches 1 and 2 never wrote: no element of A was
+                // scaled twice. The groups below the faulted one ran once,
+                // the faulted one not at all; a decode fault runs no group.
+                for (i, &bits) in faulted_a.iter().enumerate() {
+                    let group = i / 8;
+                    let want: &[u32] = if site == FaultSite::Decode || group == want_group {
+                        &[initial(i)]
+                    } else if group < want_group {
+                        &[once(i)]
+                    } else {
+                        &[initial(i), once(i)]
+                    };
+                    assert!(want.contains(&bits), "{ctx}: element {i} of A");
                 }
-                // The lexicographic first-failure bound.
-                let (fl, fg, _) = report.first_failure().expect("a failure is recorded");
-                assert_eq!((fl, fg), (0, want_group), "{ctx}");
-                reports.push((report.statuses, report.stats));
+                outcomes.push(Err(error.message()));
             }
-            reports.push((clean.statuses, clean.stats));
-            seen.push(reports);
+            seen.push(outcomes);
         }
         assert_eq!(
             seen[0], seen[1],
@@ -912,10 +895,11 @@ fn host_addinto_type_mismatch_is_a_structured_error() {
     }
 }
 
-/// An injected fault targeting a **host node** fails it at its single
-/// logical work-group with the pinned fault text and cascades the
-/// cancellation to every dependent launch — at every fault site and
-/// thread count, under the all-pairs DAG and the hazard table's alike.
+/// An injected fault targeting a **host node** fails the run at the
+/// node's single logical work-group with the pinned fault text, and
+/// nothing after it runs: the faulted closure does not, and neither does
+/// the dependent kernel — at every fault site and thread count, under
+/// the all-pairs DAG and the hazard table's alike.
 #[test]
 fn injected_fault_on_host_node_cascades_to_successors() {
     let plan = decoded_scale_plan();
@@ -959,6 +943,10 @@ fn injected_fault_on_host_node_cascades_to_successors() {
     let dags = reference_and_table_dags(&q);
     assert_eq!(dags[0].1.preds, vec![0, 1, 2]);
     assert_eq!(dags[1].1, LaunchDag::chain(3));
+    let a_now = |pool: &MemoryPool| match pool.data(ma) {
+        DataVec::F32(f) => f.clone(),
+        _ => panic!("f32 buffer"),
+    };
     for threads in [1_usize, 4] {
         for site in [FaultSite::Decode, FaultSite::Claim(0), FaultSite::Instr(7)] {
             let fault = FaultPlan { launch: 1, site };
@@ -969,7 +957,8 @@ fn injected_fault_on_host_node_cascades_to_successors() {
             let mut seen = Vec::new();
             for (dag_name, dag) in &dags {
                 let ctx = format!("threads={threads} {site:?} ({dag_name})");
-                let report = run_plan_graph_report(
+                let before = a_now(&pool);
+                let error = run_plan_graph_report(
                     &launches,
                     dag,
                     &mut pool,
@@ -978,31 +967,28 @@ fn injected_fault_on_host_node_cascades_to_successors() {
                     false,
                     &limits,
                 )
-                .expect("well-formed graph");
-                assert_eq!(report.statuses[0], LaunchStatus::Completed, "{ctx}");
-                match &report.statuses[1] {
-                    LaunchStatus::Failed { group, error } => {
-                        assert_eq!(*group, 0, "a host node has exactly one group");
-                        assert_eq!(
-                            error.message(),
-                            format!("{} (launch 1, work-group 0)", fault.error().message()),
-                            "{ctx}: wrong cause text"
-                        );
-                    }
-                    other => panic!("{ctx}: host reported {other:?}"),
-                }
-                assert_eq!(
-                    report.statuses[2],
-                    LaunchStatus::Cancelled { cause: 1 },
-                    "{ctx}: successor not cancelled"
+                .expect_err(&ctx);
+                assert!(
+                    matches!(
+                        error,
+                        SimError::Injected {
+                            at: Some((1, 0)),
+                            ..
+                        }
+                    ),
+                    "{ctx}: wrong failure {error:?}"
                 );
-                // The faulted host closure never ran and the cancelled
-                // kernel never wrote: buffer A holds exactly launch 0's
-                // output each round (the iterations stack one scale each).
-                assert_eq!(report.stats[1], ExecStats::default());
-                let (fl, fg, _) = report.first_failure().expect("a failure is recorded");
-                assert_eq!((fl, fg), (1, 0), "{ctx}");
-                seen.push((report.statuses, report.stats));
+                assert_eq!(
+                    error.message(),
+                    format!("{} (launch 1, work-group 0)", fault.error().message()),
+                    "{ctx}: wrong cause text"
+                );
+                // Launch 0 ran, the faulted closure did not and neither
+                // did the kernel after it: A holds exactly one more
+                // scale than before the run.
+                let scaled: Vec<f32> = before.iter().map(|x| x * 0.5 + 3.0).collect();
+                assert_eq!(a_now(&pool), scaled, "{ctx}");
+                seen.push(error.message());
             }
             assert_eq!(
                 seen[0], seen[1],
@@ -1014,8 +1000,8 @@ fn injected_fault_on_host_node_cascades_to_successors() {
 
 /// One graph-report run of a generated graph under a caller-chosen DAG —
 /// what `exec::run` does with `Queue::dep_graph`, with the edge set left
-/// open. Returns the per-launch statuses and statistics plus the final
-/// bits of every f32 buffer and USM allocation.
+/// open. Returns the outcome — the per-launch statistics, or the error
+/// text — plus the final bits of every f32 buffer and USM allocation.
 fn spec_graph_run(
     spec: &GraphSpec,
     q: &Queue,
@@ -1023,7 +1009,7 @@ fn spec_graph_run(
     dag: &LaunchDag,
     threads: usize,
     limits: &ExecLimits,
-) -> (Vec<LaunchStatus>, Vec<ExecStats>, Vec<Vec<u32>>) {
+) -> (Result<Vec<ExecStats>, String>, Vec<Vec<u32>>) {
     let mut pool = MemoryPool::new();
     let mut bufs: Vec<MemId> = spec
         .bufs
@@ -1096,7 +1082,7 @@ fn spec_graph_run(
             }
         })
         .collect();
-    let report = run_plan_graph_report(
+    let outcome = run_plan_graph_report(
         &launches,
         dag,
         &mut pool,
@@ -1105,7 +1091,8 @@ fn spec_graph_run(
         false,
         limits,
     )
-    .expect("well-formed graph");
+    .map(|report| report.stats)
+    .map_err(|e| e.message());
     let memory = bufs[..spec.bufs.len()]
         .iter()
         .chain(&usms)
@@ -1114,20 +1101,20 @@ fn spec_graph_run(
             _ => panic!("f32 buffer"),
         })
         .collect();
-    (report.statuses, report.stats, memory)
+    (outcome, memory)
 }
 
 /// The scheduler cannot tell the hazard table's sparse edge set from the
 /// all-pairs one: over the generated population — clean, with its own
 /// divergent kernels, and with a fault injected at a random launch — the
-/// per-launch statuses (every `Failed { group }` and every
-/// `Cancelled { cause }`) and statistics are equal at every thread
-/// count, and so is final memory whenever every launch completed (a
-/// failing launch's partial writes are schedule-dependent under either).
+/// outcome (every statistic of a clean run, the failure's text and
+/// position otherwise) is equal at every thread count, and so is final
+/// memory whenever the run is clean (after a failure, whether a later
+/// independent launch ran is schedule-dependent under either).
 #[test]
 fn random_graphs_schedule_identically_under_both_edge_sets() {
     let plans = decoded_templates();
-    let (mut sparser, mut cancelled) = (0, 0);
+    let (mut sparser, mut failed) = (0, 0);
     for case in 0..48_u64 {
         let seed = case * 65_537 + 7;
         let spec = GraphSpec::generate(seed);
@@ -1150,22 +1137,18 @@ fn random_graphs_schedule_identically_under_both_edge_sets() {
                 let [want, got] = [&dags[0].1, &dags[1].1]
                     .map(|dag| spec_graph_run(&spec, &q, &plans, dag, threads, &limits));
                 let ctx = format!("seed {seed}, threads={threads}, fault {fault:?}");
-                assert_eq!(want.0, got.0, "{ctx}: statuses diverge");
-                assert_eq!(want.1, got.1, "{ctx}: statistics diverge");
-                if got.0.iter().all(|s| *s == LaunchStatus::Completed) {
-                    assert_eq!(want.2, got.2, "{ctx}: memory diverges");
+                assert_eq!(want.0, got.0, "{ctx}: outcomes diverge");
+                if got.0.is_ok() {
+                    assert_eq!(want.1, got.1, "{ctx}: memory diverges");
+                } else {
+                    failed += 1;
                 }
-                cancelled += got
-                    .0
-                    .iter()
-                    .filter(|s| matches!(s, LaunchStatus::Cancelled { .. }))
-                    .count();
             }
         }
     }
-    // The population must actually tell the edge sets apart and cascade.
+    // The population must actually tell the edge sets apart and fail.
     assert!(sparser > 40, "only {sparser} graphs had a sparser edge set");
-    assert!(cancelled > 200, "only {cancelled} cancellations observed");
+    assert!(failed > 90, "only {failed} of 192 runs failed");
 }
 
 /// A clean host node in a graph runs its closure exactly once between
@@ -1205,11 +1188,7 @@ fn host_node_in_graph_runs_in_hazard_order() {
             false,
             &ExecLimits::none(),
         )
-        .expect("well-formed graph");
-        assert!(report
-            .statuses
-            .iter()
-            .all(|s| *s == LaunchStatus::Completed));
+        .expect("a clean run");
         // Host rows report zeroed statistics.
         assert_eq!(report.stats[1], ExecStats::default());
         assert_eq!(report.stats[1].work_groups, 0);
@@ -1228,19 +1207,19 @@ fn host_node_in_graph_runs_in_hazard_order() {
 }
 
 /// A host closure that reads past its buffer gets the fault as a value
-/// from `HostView` and fails its node with the kernels' out-of-bounds
-/// text, at every thread count and under the serial reference; like any
-/// plain kernel error it does not cascade, so the dependent launch still
-/// runs. A closure that panics is a bug, not a fault: the scheduler's
-/// `catch_unwind` only carries the payload to the launching thread, which
-/// re-throws it unclassified.
+/// from `HostView` and fails the run with the kernels' out-of-bounds
+/// text, at every thread count and under the serial reference; the
+/// dependent kernel does not run. A closure that panics is a bug, not a
+/// fault: the scheduler's `catch_unwind` only carries the payload to the
+/// launching thread, which re-throws it unclassified.
 #[test]
 fn host_view_fault_fails_the_node_and_a_host_panic_is_rethrown() {
     let plan = decoded_scale_plan();
     let nd = NdRangeSpec::d1(LEN, 8);
+    let two = || DataVec::F32(vec![2.0; LEN as usize]);
     let graph = |host: &HostNode, threads: usize| {
         let mut pool = MemoryPool::new();
-        let ma = pool.alloc(DataVec::F32(vec![2.0; LEN as usize]));
+        let ma = pool.alloc(two());
         assert_eq!(ma, MemId(0), "the closures below name buffer 0");
         let args_a = [accessor_over(ma)];
         let launches = [
@@ -1255,8 +1234,7 @@ fn host_view_fault_fails_the_node_and_a_host_panic_is_rethrown() {
             threads,
             false,
             &ExecLimits::none(),
-        )
-        .expect("well-formed graph");
+        );
         (report, pool.data(ma).clone())
     };
 
@@ -1270,33 +1248,30 @@ fn host_view_fault_fails_the_node_and_a_host_panic_is_rethrown() {
     );
     for threads in [1_usize, 4] {
         let (report, a) = graph(&overrun, threads);
-        let LaunchStatus::Failed { group: 0, error } = &report.statuses[0] else {
-            panic!("threads={threads}: {:?}", report.statuses[0]);
-        };
+        let error = report.expect_err("the closure reads past its buffer");
         assert_eq!(error.message(), text, "threads={threads}");
         assert!(!error.message().contains("injected fault"));
-        assert_eq!(report.statuses[1], LaunchStatus::Completed);
-        // 2 * 0.5 + 3: the successor ran.
-        assert_eq!(
-            a,
-            DataVec::F32(vec![4.0; LEN as usize]),
-            "threads={threads}"
-        );
+        // The successor did not run.
+        assert_eq!(a, two(), "threads={threads}");
     }
-    // The serial reference runs the closure on the calling thread.
-    let ctx = full_context();
-    let m = sycl_mlir_repro::ir::Module::new(&ctx);
+    // The serial reference runs the same two-node graph, the closure on
+    // the calling thread.
+    let m = build_module(&SyclRuntime::new(), &Queue::new());
+    let dev = m
+        .lookup_symbol(m.top(), sycl_mlir_repro::sycl::DEVICE_MODULE_SYM)
+        .expect("device module");
+    let scale_io = m.lookup_symbol(dev, "scale_io").expect("kernel symbol");
     let mut pool = MemoryPool::new();
-    pool.alloc(DataVec::F32(vec![2.0; LEN as usize]));
+    let ma = pool.alloc(two());
+    let batch = [
+        BatchLaunch::host_node(overrun),
+        BatchLaunch::kernel(scale_io, vec![accessor_over(ma)], nd),
+    ];
     let err = Device::with_engine(Engine::TreeWalk)
-        .launch_graph(
-            &m,
-            &[BatchLaunch::host_node(overrun)],
-            &LaunchDag::independent(1),
-            &mut pool,
-        )
+        .launch_graph(&m, &batch, &LaunchDag::chain(2), &mut pool)
         .unwrap_err();
     assert_eq!(err.message(), text);
+    assert_eq!(pool.data(ma), &two());
 
     let boom = HostNode::new(|_: &HostView<'_, '_>| panic!("boom"));
     for threads in [1_usize, 4] {
@@ -1312,8 +1287,9 @@ fn host_view_fault_fails_the_node_and_a_host_panic_is_rethrown() {
 
 /// A launch argument naming a buffer the pool does not hold is outside
 /// input: the launch fails with a `MemFault` at `(launch, 0)` — the same
-/// error under both engines — instead of panicking the host, and takes
-/// no other launch of its graph down.
+/// error under both engines — instead of panicking the host. It is known
+/// before any work-group runs, so under every engine the launches before
+/// it complete and none after it starts.
 #[test]
 fn unknown_buffer_argument_fails_its_launch_only() {
     let m = build_module(&SyclRuntime::new(), &Queue::new());
@@ -1349,28 +1325,22 @@ fn unknown_buffer_argument_fails_its_launch_only() {
             "unknown device buffer 9 (launch 1, work-group 0)",
             "`{name}`"
         );
-        // x * 0.5 + 3. The serial reference stops at the first failing
-        // launch; the graph scheduler still completes the independent one
-        // after it.
-        let after = if name == "tree-serial" { 4.0 } else { 5.0 };
-        assert_eq!(
-            pool.data(ma),
-            &DataVec::F32(vec![4.0; LEN as usize]),
-            "`{name}`"
-        );
-        assert_eq!(
-            pool.data(mb),
-            &DataVec::F32(vec![after; LEN as usize]),
-            "`{name}`"
-        );
+        // Launch 0 ran (2 * 0.5 + 3), launch 2 did not.
+        for mem in [ma, mb] {
+            assert_eq!(
+                pool.data(mem),
+                &DataVec::F32(vec![4.0; LEN as usize]),
+                "`{name}`"
+            );
+        }
     }
 }
 
 /// A buffer id a host closure names is outside input exactly like a
 /// launch argument: whichever `HostView` method meets the stranger —
 /// `len`, `dtype`, `load` or `store` — returns the fault, the node fails
-/// with it at `(launch, 0)` under both engines, and like any plain error
-/// it cancels nothing: the kernel that depends on the node still runs.
+/// with it at `(launch, 0)` under both engines, and the kernel that
+/// depends on the node does not run.
 #[test]
 fn unknown_buffer_in_a_host_closure_fails_its_node_only() {
     let m = build_module(&SyclRuntime::new(), &Queue::new());
@@ -1402,12 +1372,10 @@ fn unknown_buffer_in_a_host_closure_fails_its_node_only() {
                 "unknown device buffer 9 (launch 1, work-group 0)",
                 "`{method}` under `{name}`"
             );
-            // x * 0.5 + 3, once before the node; the serial reference
-            // stops there, the graph scheduler runs the dependent kernel.
-            let after = if name == "tree-serial" { 4.0 } else { 5.0 };
+            // x * 0.5 + 3, once before the node and not after it.
             assert_eq!(
                 pool.data(ma),
-                &DataVec::F32(vec![after; LEN as usize]),
+                &DataVec::F32(vec![4.0; LEN as usize]),
                 "`{method}` under `{name}`"
             );
         }
@@ -1462,5 +1430,108 @@ fn earlier_kernel_error_beats_later_injected_fault() {
     );
     for (name, got) in &results[1..] {
         assert_eq!(got, want, "`{name}` diverges from `{ref_name}`");
+    }
+}
+
+// ----------------------------------------------------------------------
+// One failure per run: where a failure stops the graph
+// ----------------------------------------------------------------------
+
+/// A failing launch 0, a counting host node that depends on it and a
+/// later independent counting node, for every plain failure kind, under
+/// the serial reference and the graph scheduler at 1 and 4 threads: no
+/// successor of the failing launch runs, so the dependent counter reads
+/// 0 everywhere — the serial reference's stopping point. When the
+/// failure is known before any work-group runs (an unknown-buffer
+/// argument, a decode fault) no later launch starts either, so the
+/// independent counter reads 0 too; otherwise whether it ran is
+/// unspecified.
+#[test]
+fn failure_stops_every_successor_under_every_engine() {
+    let m = build_module(&SyclRuntime::new(), &Queue::new());
+    let dev = m
+        .lookup_symbol(m.top(), sycl_mlir_repro::sycl::DEVICE_MODULE_SYM)
+        .expect("device module");
+    let kernel = |name| m.lookup_symbol(dev, name).expect("kernel symbol");
+    let nd = NdRangeSpec::d1(LEN, 8);
+    let overrun = HostNode::new(|view: &HostView<'_, '_>| {
+        view.load(MemId(0), view.len(MemId(0))? as i64)?;
+        Ok(())
+    });
+    let decode = FaultPlan {
+        launch: 0,
+        site: FaultSite::Decode,
+    };
+    // (kind, failing launch 0, armed fault, known before any group runs,
+    // the error's position)
+    let kinds = [
+        (
+            "host view fault",
+            BatchLaunch::host_node(overrun),
+            None,
+            false,
+            (0, 0),
+        ),
+        (
+            "unknown buffer argument",
+            BatchLaunch::kernel(kernel("scale_io"), vec![accessor_over(MemId(9))], nd),
+            None,
+            true,
+            (0, 0),
+        ),
+        (
+            "divergent barrier",
+            BatchLaunch::kernel(kernel("bad_late"), Vec::new(), nd),
+            None,
+            false,
+            (0, 2),
+        ),
+        (
+            "injected decode fault",
+            BatchLaunch::kernel(kernel("scale_io"), vec![accessor_over(MemId(0))], nd),
+            Some(decode),
+            true,
+            (0, 0),
+        ),
+    ];
+    let counter = |count: &Arc<AtomicUsize>| {
+        let count = count.clone();
+        BatchLaunch::host_node(HostNode::new(move |_: &HostView<'_, '_>| {
+            count.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        }))
+    };
+    for (kind, failing, fault, upfront, at) in kinds {
+        for (name, device) in configs() {
+            let device = match fault {
+                Some(f) => device.fault(f),
+                None => device,
+            };
+            let (successor, independent) = (Arc::default(), Arc::default());
+            let batch = [failing.clone(), counter(&successor), counter(&independent)];
+            let mut pool = MemoryPool::new();
+            pool.alloc(DataVec::F32(vec![2.0; LEN as usize]));
+            let err = device
+                .launch_graph(&m, &batch, &LaunchDag::from_edges(3, &[(0, 1)]), &mut pool)
+                .expect_err("launch 0 fails");
+            let ctx = format!("{kind} under `{name}`: {err}");
+            assert!(
+                err.message()
+                    .ends_with(&format!("(launch {}, work-group {})", at.0, at.1)),
+                "{ctx}"
+            );
+            assert_eq!(
+                successor.load(Ordering::Relaxed),
+                0,
+                "{ctx}: the successor ran"
+            );
+            if upfront {
+                assert_eq!(
+                    independent.load(Ordering::Relaxed),
+                    0,
+                    "{ctx}: a later launch ran"
+                );
+            }
+        }
     }
 }

@@ -102,7 +102,7 @@ fn no_worker_thread_outlives_its_graph_run() {
         .launch_graph(&m, &[kernel()], &LaunchDag::independent(1), &mut pool)
         .expect("the same device runs the next graph");
     assert_no_worker_threads("after the next run");
-    // Launch 2 of the panicking graph ran too: a panic is not a limit
-    // trip and cancels nothing.
-    assert_eq!(pool.data(ma), &DataVec::F32(vec![4.0; LEN as usize]));
+    // Launch 2 of the panicking graph did not run: a run stops at its
+    // failure, a re-thrown panic included.
+    assert_eq!(pool.data(ma), &DataVec::F32(vec![3.0; LEN as usize]));
 }
