@@ -121,6 +121,7 @@ fn main() {
     }
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
+    let host_functions = module.funcs_in(module.top()).len();
     let mut program = match compile_program(FlowKind::SyclMlir, module) {
         Ok(p) => p,
         Err(e) => {
@@ -170,6 +171,14 @@ fn main() {
         "hazard edges: {} over {} command groups",
         q.dependencies().len(),
         q.groups.len()
+    );
+    // One host function per distinct command group: every kernel here
+    // reads one of the BUFS buffers through the same geometry, so at most
+    // BUFS functions whatever the round count (host tasks emit none). A
+    // regression back to one function per submission reads F = G.
+    println!(
+        "host functions: {host_functions} for {} command groups",
+        q.groups.iter().filter(|cg| cg.host.is_none()).count()
     );
     println!("total measured cycles: {:.1}", report.measured_cycles());
     println!("repro_wall_time_seconds: {wall:.3}");

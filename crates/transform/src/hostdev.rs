@@ -2,8 +2,11 @@
 //!
 //! After raising, the host's `sycl.host.constructor` /
 //! `sycl.host.schedule_kernel` ops expose each kernel's *invocation
-//! context*. This pass analyses every launch site of every kernel in the
-//! joint module and propagates into the device code:
+//! context*. For every kernel in the joint module this pass analyses
+//! every distinct command group that launches the kernel (`hostgen` emits
+//! one host function per distinct command group, so a kernel submitted k
+//! times with one command group is one launch site) and propagates into
+//! the device code:
 //!
 //! * **Constant ND-range propagation** — constant global/local ranges land
 //!   as kernel attributes and the corresponding getter ops
@@ -490,5 +493,106 @@ impl Pass for DeadArgumentEliminationPass {
             }
         }
         Ok(changed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::raise::RaiseHostPass;
+    use sycl_mlir_dialects::arith::constant_int;
+    use sycl_mlir_dialects::func::{build_func, build_return};
+    use sycl_mlir_dialects::llvm;
+    use sycl_mlir_ir::Context;
+    use sycl_mlir_sycl::types::{accessor_type, item_type};
+
+    /// `sycl.arg_ranges` of the range-form kernel `K(accessor<f32, 1,
+    /// read_write>)` after raising and propagation, with `K` launched from
+    /// `cgfs` host functions that each construct a buffer of 32 elements
+    /// of their own, as `hostgen` emits them: a kernel submitted k times
+    /// with one command group is one function, with two buffers two.
+    fn arg_ranges_with(cgfs: usize) -> Attribute {
+        let c = Context::new();
+        sycl_mlir_dialects::register_all(&c);
+        sycl_mlir_sycl::register(&c);
+        let mut m = Module::new(&c);
+        let device = m.create_op(
+            c.op("builtin.module"),
+            &[],
+            &[],
+            vec![(
+                "sym_name".into(),
+                Attribute::Str(sycl_mlir_sycl::DEVICE_MODULE_SYM.into()),
+            )],
+        );
+        let region = m.add_region(device);
+        m.add_block(region, &[]);
+        let top_block = m.top_block();
+        m.append_op(top_block, device);
+        let acc = accessor_type(&c, c.f32_type(), 1, AccessMode::ReadWrite, Target::Global);
+        let (kernel, entry) = build_func(&mut m, device, "K", &[acc, item_type(&c, 1)], &[]);
+        sycl_mlir_sycl::device::mark_kernel(&mut m, kernel);
+        build_return(&mut Builder::at_end(&mut m, entry), &[]);
+
+        for i in 0..cgfs {
+            let top = m.top();
+            let (_, entry) = build_func(&mut m, top, &format!("cgf_{i}"), &[c.ptr_type()], &[]);
+            let cgh = m.block_arg(entry, 0);
+            let mut b = Builder::at_end(&mut m, entry);
+            let range = |b: &mut Builder<'_>| {
+                let r = llvm::alloca(b, "sycl::range");
+                let i64t = b.ctx().i64_type();
+                let n = constant_int(b, 32, i64t);
+                llvm::call(b, "sycl_range_ctor", &[r, n], &[]);
+                r
+            };
+            let grange = range(&mut b);
+            let brange = range(&mut b);
+            let host_data = llvm::alloca(&mut b, "host_data");
+            let buf = llvm::alloca(&mut b, "sycl::buffer");
+            llvm::call(
+                &mut b,
+                "sycl_buffer_ctor_f32_1",
+                &[buf, host_data, brange],
+                &[],
+            );
+            let acc = llvm::alloca(&mut b, "sycl::accessor");
+            llvm::call(
+                &mut b,
+                "sycl_accessor_ctor_f32_1_read_write",
+                &[acc, buf, cgh],
+                &[],
+            );
+            llvm::call(
+                &mut b,
+                "sycl_parallel_for_range_K",
+                &[cgh, grange, acc],
+                &[],
+            );
+            build_return(&mut b, &[]);
+        }
+        assert!(RaiseHostPass::default().run(&mut m).unwrap());
+        HostDeviceConstantPropagationPass::default()
+            .run(&mut m)
+            .unwrap();
+        m.attr(kernel, "sycl.arg_ranges")
+            .cloned()
+            .expect("annotated")
+    }
+
+    #[test]
+    fn one_command_group_pins_the_accessor_range() {
+        assert_eq!(
+            arg_ranges_with(1),
+            Attribute::Array(vec![Attribute::DenseI64(vec![32])])
+        );
+    }
+
+    #[test]
+    fn two_buffers_leave_the_accessor_range_unknown() {
+        assert_eq!(
+            arg_ranges_with(2),
+            Attribute::Array(vec![Attribute::Int(-1)])
+        );
     }
 }

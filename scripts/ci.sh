@@ -323,7 +323,10 @@ echo "all five workload families present in the sweep"
 # host node per three kernels); its tables must be bit-identical across
 # thread counts and between the two schedules. The `hazard edges:` line
 # is part of the table and is echoed below: a queue that went back to one
-# edge per direct hazard reads ~20 edges per command group, not ~1.
+# edge per direct hazard reads ~20 edges per command group, not ~1. So is
+# `host functions: F for G command groups`: the kernels read 8 buffers
+# through one geometry, so host IR with one function per distinct command
+# group has F <= 8 < G; one function per submission reads F = G.
 # ----------------------------------------------------------------------
 step "host-task graph smoke: repro_hostdag --quick (threads 1/4, engine=tree)"
 for cfg in "--threads=4" "--threads=1" "--engine=tree"; do
@@ -338,6 +341,13 @@ for cfg in "--threads=4" "--threads=1" "--engine=tree"; do
 done
 if ! grep '^hazard edges: ' "$tmp/hostdag-ref.tables"; then
   echo "FAIL: repro_hostdag prints no 'hazard edges:' line" >&2
+  exit 1
+fi
+hostfns=$(grep '^host functions: ' "$tmp/hostdag-ref.tables" || true)
+echo "$hostfns"
+if ! [[ "$hostfns" =~ ^host\ functions:\ ([0-9]+)\ for\ ([0-9]+)\ command\ groups$ ]] \
+  || ((BASH_REMATCH[1] > 8 || BASH_REMATCH[2] <= BASH_REMATCH[1])); then
+  echo "FAIL: repro_hostdag host IR is not one function per distinct command group (want F <= 8 < G)" >&2
   exit 1
 fi
 echo "host-task graph tables bit-identical across thread counts and engines"

@@ -7,9 +7,11 @@
 //! nothing else allocates while it counts. Before names were resolved once
 //! (one registered context per thread, structural CSE keys) the pass cost
 //! 165,357 + 76,952 = 242,309 allocations, 283 of every build being its
-//! fresh context. The build half repeats exactly; the compile half moves by
-//! a handful with the iteration order of a `RandomState` map in the
-//! pipeline, which is why the assertion is a ceiling and not an equality.
+//! fresh context; emitting one host function per distinct command group
+//! instead of one per submission took it from 165,389 to about 109,200.
+//! The build half repeats exactly; the compile half moves by a handful
+//! with the iteration order of a `RandomState` map in the pipeline, which
+//! is why the assertion is a ceiling and not an equality.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,7 +54,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Asserted ceiling for one pass; the measured count is about 5% below it.
-const BUDGET: u64 = 175_000;
+const BUDGET: u64 = 115_000;
 
 #[test]
 fn build_and_compile_stay_within_the_allocation_budget() {

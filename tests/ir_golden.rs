@@ -171,9 +171,9 @@ const GOLDEN: [(&str, u64, u64); 141] = [
     ("Covariance [DPC++]", 0xe2e4005b59f33d46, 0xbfd5a5d17514b23b),
     ("Covariance [AdaptiveCpp]", 0xe2e4005b59f33d46, 0xbfd5a5d17514b23b),
     ("Covariance [SYCL-MLIR]", 0xe2e4005b59f33d46, 0xb4a7c6e8d6f8627b),
-    ("FDTD2D [DPC++]", 0xd9bf10824881db8e, 0xed76a234b4f0e302),
-    ("FDTD2D [AdaptiveCpp]", 0xd9bf10824881db8e, 0xed76a234b4f0e302),
-    ("FDTD2D [SYCL-MLIR]", 0xd9bf10824881db8e, 0x475df33aeb172bdc),
+    ("FDTD2D [DPC++]", 0x25549e574a77d350, 0x09709b37758f4ead),
+    ("FDTD2D [AdaptiveCpp]", 0x25549e574a77d350, 0x09709b37758f4ead),
+    ("FDTD2D [SYCL-MLIR]", 0x25549e574a77d350, 0xeb61d265003bcb3b),
     ("GEMM [DPC++]", 0x7ecb765120ddd5fe, 0xfbf8d679e99896d3),
     ("GEMM [AdaptiveCpp]", 0x7ecb765120ddd5fe, 0xfbf8d679e99896d3),
     ("GEMM [SYCL-MLIR]", 0x7ecb765120ddd5fe, 0x20c884feb0e7d155),
@@ -195,15 +195,15 @@ const GOLDEN: [(&str, u64, u64); 141] = [
     ("3D Convolution [DPC++]", 0x73105faf617e04b6, 0xfcdb3291c8ee9852),
     ("3D Convolution [AdaptiveCpp]", 0x73105faf617e04b6, 0xfcdb3291c8ee9852),
     ("3D Convolution [SYCL-MLIR]", 0x73105faf617e04b6, 0x837f3e2d793db9ff),
-    ("1D HeatTransfer (buffer) [DPC++]", 0xbb87e8ca744c5e08, 0xa3cb0b2e94f07369),
-    ("1D HeatTransfer (buffer) [SYCL-MLIR]", 0xbb87e8ca744c5e08, 0x05e783cb47e7809f),
-    ("1D HeatTransfer (USM) [DPC++]", 0x6bd519c94f863bbb, 0x146c4622be1c20a9),
-    ("1D HeatTransfer (USM) [SYCL-MLIR]", 0x6bd519c94f863bbb, 0x47b8b9c949c08012),
-    ("iso2dfd [DPC++]", 0x8e1d550f4166d0cc, 0xdfce418f20981778),
-    ("iso2dfd [AdaptiveCpp]", 0x8e1d550f4166d0cc, 0xdfce418f20981778),
-    ("iso2dfd [SYCL-MLIR]", 0x8e1d550f4166d0cc, 0xe27acc8c8d418695),
-    ("jacobi [DPC++]", 0x1349d79ba8fc6a63, 0x42f1ae1cc42f516f),
-    ("jacobi [SYCL-MLIR]", 0x1349d79ba8fc6a63, 0xaae42bcd0810af1d),
+    ("1D HeatTransfer (buffer) [DPC++]", 0x20b08fd21ced3387, 0x9e6e755b83aadaec),
+    ("1D HeatTransfer (buffer) [SYCL-MLIR]", 0x20b08fd21ced3387, 0xa9b4cc76e26c2029),
+    ("1D HeatTransfer (USM) [DPC++]", 0x57098120095f4309, 0xb073031d75f2b0c9),
+    ("1D HeatTransfer (USM) [SYCL-MLIR]", 0x57098120095f4309, 0x3d931afcd4000214),
+    ("iso2dfd [DPC++]", 0xe2977bae03ebe2e7, 0x9ffb765b979c9be4),
+    ("iso2dfd [AdaptiveCpp]", 0xe2977bae03ebe2e7, 0x9ffb765b979c9be4),
+    ("iso2dfd [SYCL-MLIR]", 0xe2977bae03ebe2e7, 0x637201dc907ea568),
+    ("jacobi [DPC++]", 0x4826664af8a0274e, 0x868976ebc0ed8d48),
+    ("jacobi [SYCL-MLIR]", 0x4826664af8a0274e, 0xeb25520bcb3f21b0),
     ("TreeReduce (float32) [DPC++]", 0x2c741d281b233aef, 0xed30181d921a4e1e),
     ("TreeReduce (float32) [AdaptiveCpp]", 0x2c741d281b233aef, 0xed30181d921a4e1e),
     ("TreeReduce (float32) [SYCL-MLIR]", 0x2c741d281b233aef, 0xd4da3ca286844215),
