@@ -96,9 +96,9 @@ impl RunReport {
 /// wall time differs.
 ///
 /// Host tasks ([`crate::queue::HostOp`]) are first-class graph nodes
-/// ([`HostNode`]): hazard-tracked, metered at a fixed weight, cancellable
-/// and fault-injectable like any kernel launch — kernels with no hazard
-/// on a host task overlap it freely.
+/// ([`HostNode`]): hazard-tracked and metered at a fixed weight like any
+/// kernel launch — kernels with no hazard on a host task overlap it
+/// freely.
 ///
 /// # Errors
 ///

@@ -66,9 +66,8 @@ impl CgArg {
 /// ordered through the same hazard DAG as kernel launches. The executor
 /// runs it as a **first-class launch-graph node** (a
 /// [`sycl_mlir_sim::HostNode`]): one logical work-group on a scheduler worker,
-/// hazard-tracked, metered at a fixed weight, cancellable and
-/// fault-injectable like any kernel launch — so kernels with no hazard on
-/// the host task overlap it freely.
+/// hazard-tracked and metered at a fixed weight like any kernel launch —
+/// so kernels with no hazard on the host task overlap it freely.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum HostOp {
     /// Multiply every element of `buffer` by `factor`.

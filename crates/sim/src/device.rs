@@ -4,7 +4,7 @@
 
 use crate::cost::{CostModel, ExecStats};
 use crate::interp::{enclosing_module, ExecCtx, Stop, WorkItemState};
-use crate::limits::{CancelToken, ExecLimits, FaultPlan, FaultSite, OpMeter};
+use crate::limits::{ExecLimits, OpMeter};
 use crate::memory::MemoryPool;
 use crate::plan::{decode_kernel, fuse_plan, profile_summary, ItemQ, KernelPlan};
 use crate::pool::{run_plan_graph_report, HostNode, HostView, LaunchDag, PlanLaunch, SharedPool};
@@ -203,10 +203,9 @@ pub struct Device {
     /// Count executed plan instructions ([`Device::profile_report`]).
     pub profile: bool,
     /// Per-launch execution limits ([`ExecLimits`]): weighted-operation
-    /// budget, memory cap, wall-clock deadline, cancellation token and
-    /// injected fault. All off by default, in which case the executors
-    /// skip metering entirely. Independent of the plan cache — changing
-    /// limits never re-decodes a kernel.
+    /// budget, memory cap and wall-clock deadline. All off by default, in
+    /// which case the executors skip metering entirely. Independent of the
+    /// plan cache — changing limits never re-decodes a kernel.
     pub limits: ExecLimits,
     plan_cache: RefCell<HashMap<(u64, OpId), CachedPlan>>,
     cache_hits: Cell<u64>,
@@ -357,28 +356,6 @@ impl Device {
         self
     }
 
-    /// Builder-style cancellation token: flip the token from any thread
-    /// and in-flight launches stop at their next check boundary with
-    /// [`LimitKind::Cancelled`](crate::LimitKind::Cancelled).
-    pub fn cancel_token(mut self, token: CancelToken) -> Device {
-        self.limits.cancel = Some(token);
-        self
-    }
-
-    /// Builder-style injected fault ([`FaultPlan`]) for testing the
-    /// failure paths: error ordering, what a failure stops and
-    /// post-failure device usability.
-    pub fn fault(mut self, fault: FaultPlan) -> Device {
-        self.limits.fault = Some(fault);
-        self
-    }
-
-    /// Builder-style override of the whole limit set ([`ExecLimits`]).
-    pub fn limits(mut self, limits: ExecLimits) -> Device {
-        self.limits = limits;
-        self
-    }
-
     /// Aggregated decode-time verifier statistics so far
     /// ([`VerifyCounters`]).
     pub fn verify_counters(&self) -> VerifyCounters {
@@ -515,8 +492,9 @@ impl Device {
     /// [`run_plan_graph_report`]: launches
     /// start the moment their own predecessors retire, with work-groups
     /// claimed in per-worker chunks — no level barrier anywhere. A kernel
-    /// the decoder rejects fails the graph with its `plan decode error`,
-    /// stamped with the launch's index, before anything runs.
+    /// the decoder rejects fails at its own position, work-group 0 of its
+    /// launch, with its `plan decode error`: the launches before it
+    /// complete, an earlier failure wins, and no later launch starts.
     /// Under [`Engine::TreeWalk`]
     /// the launches run one at a time in slice order, which the caller
     /// must arrange to be a valid topological order of `dag` (the
@@ -541,31 +519,29 @@ impl Device {
     ) -> Result<Vec<ExecStats>, SimError> {
         if self.engine == Engine::Plan {
             // Decode first — the launches below borrow the plans this
-            // holds: `Some((plan, facts))` per kernel entry, `None` per
-            // host node. An undecodable kernel fails the whole graph,
-            // stamped with the offending launch index.
-            let plans: Vec<Option<PlanEntry>> = batch
+            // holds: the decode outcome per kernel entry, `None` per host
+            // node. A rejected kernel is a launch that fails up front.
+            let plans: Vec<Option<Result<PlanEntry, SimError>>> = batch
                 .iter()
-                .enumerate()
-                .map(|(li, b)| match b {
-                    BatchLaunch::Kernel { kernel, .. } => {
-                        let entry = self.cached_plan(m, *kernel);
-                        entry.map(Some).map_err(|e| e.at(li, 0))
-                    }
-                    BatchLaunch::Host(_) => Ok(None),
+                .map(|b| match b {
+                    BatchLaunch::Kernel { kernel, .. } => Some(self.cached_plan(m, *kernel)),
+                    BatchLaunch::Host(_) => None,
                 })
-                .collect::<Result<_, _>>()?;
+                .collect();
             let launches: Vec<PlanLaunch<'_>> = plans
                 .iter()
                 .zip(batch)
                 .map(|(entry, b)| match (b, entry) {
-                    (BatchLaunch::Kernel { args, nd, .. }, Some((plan, facts))) => {
+                    (BatchLaunch::Kernel { args, nd, .. }, Some(Ok((plan, facts)))) => {
                         PlanLaunch::Kernel {
                             plan,
                             args,
                             nd: *nd,
                             facts,
                         }
+                    }
+                    (BatchLaunch::Kernel { nd, .. }, Some(Err(error))) => {
+                        PlanLaunch::Rejected { nd: *nd, error }
                     }
                     (BatchLaunch::Host(node), _) => PlanLaunch::Host(node),
                     (BatchLaunch::Kernel { .. }, None) => {
@@ -585,7 +561,7 @@ impl Device {
             if let Some(profile) = &out.profile {
                 let sums = &mut *self.profile_sums.borrow_mut();
                 for ((entry, counts), b) in plans.iter().zip(profile).zip(batch) {
-                    if let (Some((plan, _)), BatchLaunch::Kernel { kernel, .. }) = (entry, b) {
+                    if let (Some(Ok((plan, _))), BatchLaunch::Kernel { kernel, .. }) = (entry, b) {
                         profile_summary(plan, counts, &mut sums.ops, &mut sums.pairs);
                         let (lanes, dispatches) = counts.split_at(plan.instr_count());
                         let name = m.symbol_name(*kernel).unwrap_or("?").to_string();
@@ -598,10 +574,8 @@ impl Device {
             return Ok(out.stats);
         }
         // The tree-walk engine runs the launches sequentially in slice
-        // order (identical results, no launch overlap). Limits and
-        // injected faults still apply, with
-        // the whole batch sharing one deadline and the fault targeting
-        // the same launch index as under the graph scheduler.
+        // order (identical results, no launch overlap). Limits still
+        // apply, with the whole batch sharing one deadline.
         let deadline = self.limits.deadline_instant();
         batch
             .iter()
@@ -619,7 +593,7 @@ impl Device {
                     li,
                 ),
                 BatchLaunch::Host(node) => {
-                    run_host_serial(node, pool, &self.limits, deadline, li).map_err(|e| e.at(li, 0))
+                    run_host_serial(node, pool, &self.limits, deadline).map_err(|e| e.at(li, 0))
                 }
             })
             .collect()
@@ -816,9 +790,9 @@ impl BatchLaunch {
 
 /// One tree-walk launch under execution limits: the serial twin of the
 /// plan scheduler's launch path. `launch` is the launch's index within its
-/// graph (0 for single launches) — injected faults target it and limit
-/// errors are stamped with it; `deadline` is the enclosing graph's
-/// absolute deadline, shared by every launch of a serial batch.
+/// graph (0 for single launches), which its errors are stamped with;
+/// `deadline` is the enclosing graph's absolute deadline, shared by every
+/// launch of a serial batch.
 #[allow(clippy::too_many_arguments)]
 fn launch_kernel_with(
     m: &Module,
@@ -832,35 +806,17 @@ fn launch_kernel_with(
     launch: usize,
 ) -> Result<ExecStats, SimError> {
     nd.validate()?;
-    // The tree walk has no decode stage; an injected decode fault fires
-    // before any work-group runs, like a plan decode would.
-    if let Some(FaultSite::Decode) = limits.fault_at(launch) {
-        return Err(FaultPlan {
-            launch,
-            site: FaultSite::Decode,
-        }
-        .error()
-        .at(launch, 0));
-    }
     pool.check_args(args)
         .map_err(|fault| SimError::from(fault).at(launch, 0))?;
-    let claim_fault = match limits.fault_at(launch) {
-        Some(FaultSite::Claim(n)) => n,
-        _ => u64::MAX,
-    };
     let groups = nd.groups();
     let mut ctx = ExecCtx::new(m, pool, cost, nd);
     if !limits.is_none() {
         let budget = limits.launch_budget();
-        ctx.limits = Some(Box::new(OpMeter::new(limits, budget, deadline, launch)));
+        ctx.limits = Some(Box::new(OpMeter::new(limits, budget, deadline)));
     }
 
     let total = (groups[0] * groups[1] * groups[2]) as usize;
     for gi in 0..total {
-        if gi as u64 == claim_fault {
-            let site = FaultSite::Claim(gi as u64);
-            return Err(FaultPlan { launch, site }.error().at(launch, gi));
-        }
         run_work_group(m, kernel, args, nd.group_at(gi), &mut ctx).map_err(|e| e.at(launch, gi))?;
         ctx.next_work_group();
     }
@@ -872,23 +828,17 @@ fn launch_kernel_with(
 }
 
 /// The tree-walk engine's twin of the graph scheduler's host-node
-/// execution: honour the decode and claim fault sites, admit the node
-/// through the limits ([`OpMeter::charge_host_node`]), then run the
-/// closure against a [`HostView`] of the pool. Errors are returned
-/// unstamped; the caller stamps the `(launch, group)` position.
+/// execution: admit the node through the limits
+/// ([`OpMeter::charge_host_node`]), then run the closure against a
+/// [`HostView`] of the pool. Errors are returned unstamped; the caller
+/// stamps the `(launch, group)` position.
 fn run_host_serial(
     node: &HostNode,
     pool: &mut MemoryPool,
     limits: &ExecLimits,
     deadline: Option<Instant>,
-    launch: usize,
 ) -> Result<ExecStats, SimError> {
-    // A host node spans one logical work-group, so only claim 0 can fire
-    // (matching the graph scheduler's claim accounting).
-    if let Some(site @ (FaultSite::Decode | FaultSite::Claim(0))) = limits.fault_at(launch) {
-        return Err(FaultPlan { launch, site }.error());
-    }
-    if let Some(meter) = OpMeter::for_launch(limits, limits.launch_budget(), deadline, launch) {
+    if let Some(meter) = OpMeter::for_launch(limits, limits.launch_budget(), deadline) {
         meter.charge_host_node(node.weight)?;
     }
     let shared = SharedPool::new(pool);

@@ -9,7 +9,6 @@
 
 use crate::cost::{Coalescer, CostModel, ExecStats};
 use crate::device::NdRangeSpec;
-use crate::limits::FaultPlan;
 use crate::memory::{MemFault, MemoryPool};
 use crate::plan::ItemQ;
 use crate::value::{MemRefVal, RtValue, Space, VecVal};
@@ -40,9 +39,6 @@ pub enum LimitKind {
     /// ([`ExecLimits::deadline_ms`](crate::limits::ExecLimits::deadline_ms))
     /// passed.
     Deadline,
-    /// The launch was cancelled via its
-    /// [`CancelToken`](crate::limits::CancelToken).
-    Cancelled,
 }
 
 impl LimitKind {
@@ -52,7 +48,6 @@ impl LimitKind {
             LimitKind::Ops => "op budget",
             LimitKind::Memory => "memory cap",
             LimitKind::Deadline => "deadline",
-            LimitKind::Cancelled => "cancelled",
         }
     }
 }
@@ -71,8 +66,7 @@ pub enum SimError {
         /// part of the bit-identical cross-engine error contract.
         at: Option<(usize, usize)>,
     },
-    /// A per-launch execution limit tripped (or the launch was
-    /// cancelled). Structured — not a panic — so callers can match on
+    /// A per-launch execution limit tripped. Structured — not a panic — so callers can match on
     /// the kind and position, and the device stays usable afterwards.
     LimitExceeded {
         /// Which limit tripped.
@@ -101,15 +95,6 @@ pub enum SimError {
         /// The work-group, by its coordinates.
         group: [i64; 3],
         /// The position, as in [`SimError::Message`].
-        at: Option<(usize, usize)>,
-    },
-    /// A [`FaultPlan`] fired ([`FaultPlan::error`]): a synthetic failure,
-    /// reported like any other.
-    Injected {
-        /// The fault that fired.
-        fault: FaultPlan,
-        /// The `(launch, work-group)` position, as in
-        /// [`SimError::Message`].
         at: Option<(usize, usize)>,
     },
 }
@@ -146,8 +131,7 @@ impl SimError {
             } => (*l, *g) = (launch, group),
             SimError::Message { at, .. }
             | SimError::Fault { at, .. }
-            | SimError::DivergentBarrier { at, .. }
-            | SimError::Injected { at, .. } => *at = Some((launch, group)),
+            | SimError::DivergentBarrier { at, .. } => *at = Some((launch, group)),
         }
         self
     }
@@ -172,7 +156,6 @@ impl SimError {
                 ),
                 at,
             ),
-            SimError::Injected { fault, at } => stamped(fault.to_string(), at),
             SimError::LimitExceeded {
                 kind,
                 launch,
@@ -184,14 +167,13 @@ impl SimError {
         }
     }
 
-    /// The limit kind, if this is a limit/cancellation error.
+    /// The limit kind, if this is a limit error.
     pub fn limit_kind(&self) -> Option<LimitKind> {
         match self {
             SimError::LimitExceeded { kind, .. } => Some(*kind),
             SimError::Message { .. }
             | SimError::Fault { .. }
-            | SimError::DivergentBarrier { .. }
-            | SimError::Injected { .. } => None,
+            | SimError::DivergentBarrier { .. } => None,
         }
     }
 }
@@ -267,7 +249,7 @@ impl<'a> ExecCtx<'a> {
         self.coalescer.reset();
         self.local_allocs.clear();
         if let Some(meter) = self.limits.as_deref_mut() {
-            meter.begin_group();
+            meter.settle();
         }
     }
 }

@@ -112,10 +112,12 @@
 //! evaluation's repeat protocol) skips the decode; any IR mutation — e.g.
 //! AdaptiveCpp JIT re-specialization — transparently re-decodes.
 //!
-//! A kernel the decoder does not understand fails its launch with a
-//! position-stamped `plan decode error`: the
-//! decoder and the tree walk cover the same ops, and a silent fallback
-//! would serialise the whole launch graph. The
+//! A kernel the decoder does not understand fails its launch up front —
+//! a `plan decode error` at work-group 0 of that launch, so the launches
+//! before it complete and an earlier failure wins, as under the serial
+//! reference: the decoder and the tree walk cover the same ops, and a
+//! silent fallback would serialise the whole launch graph. Every failure
+//! a run reports comes from a kernel, a host closure or a limit. The
 //! differential suite (`tests/differential.rs`) holds the two engines to
 //! bit-identical outputs, statistics and cycle counts over the entire
 //! benchsuite (sequentially and at `threads=4`); the repo benchmark
@@ -150,7 +152,7 @@ pub use device::{
     auto_threads, BatchLaunch, Device, Engine, NdRangeSpec, SimError, VerifyCounters,
 };
 pub use interp::LimitKind;
-pub use limits::{CancelToken, ExecLimits, FaultPlan, FaultSite};
+pub use limits::ExecLimits;
 pub use memory::{Buf, DataVec, Dtype, Elem, MemFault, MemId, MemoryPool};
 pub use plan::{decode_kernel, fuse_plan, profile_summary, DecodeError, KernelPlan};
 pub use pool::{

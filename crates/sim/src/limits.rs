@@ -1,11 +1,9 @@
-//! Per-launch execution safety limits, cooperative cancellation and
-//! deterministic fault injection.
+//! Per-launch execution safety limits.
 //!
 //! The safety model mirrors the one rhai documents for embedded
-//! interpreters — a hard operation budget, a wall-clock deadline, a memory
-//! cap and a cooperative cancel token — so the simulator can execute
-//! kernel programs it does not trust without letting them spin forever,
-//! exhaust the arena or wedge the scheduler.
+//! interpreters — a hard operation budget, a wall-clock deadline and a
+//! memory cap — so the simulator can execute kernel programs it does not
+//! trust without letting them spin forever or exhaust the arena.
 //!
 //! All limits are **off by default**, and a launch no limit applies to
 //! has no meter (`OpMeter::for_launch`): the plan executor tests for one
@@ -14,8 +12,8 @@
 //! drawn from a per-launch shared counter in amortized blocks
 //! (`OpMeter`): a worker reserves up to `OP_BLOCK` weighted operations
 //! at a time and settles the unspent remainder back when it leaves the
-//! launch, so the per-dispatch cost is one subtraction. Deadlines and
-//! cancellation are only polled at block and work-group boundaries.
+//! launch, so the per-dispatch cost is one subtraction. The deadline is
+//! only polled at block and work-group boundaries.
 //!
 //! A tripped limit surfaces as
 //! [`SimError::LimitExceeded`] — a
@@ -23,16 +21,16 @@
 //! `(launch, group)` position when it records the failure.
 
 use crate::interp::{LimitKind, SimError};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Per-launch execution limits and fault configuration.
+/// Per-launch execution limits.
 ///
 /// The default ([`ExecLimits::none`]) enforces nothing. Construct one via
 /// the [`Device`](crate::Device) builder knobs (`max_ops`, `mem_cap`,
-/// `deadline_ms`, `cancel_token`, `fault`); the first three are also
-/// rows of the knob table (`--max-ops`, `--mem-cap`, `--deadline-ms`).
+/// `deadline_ms`), which are also rows of the knob table (`--max-ops`,
+/// `--mem-cap`, `--deadline-ms`).
 #[derive(Clone, Debug, Default)]
 pub struct ExecLimits {
     /// Weighted-operation budget per launch. Superinstructions charge the
@@ -45,11 +43,6 @@ pub struct ExecLimits {
     /// Wall-clock deadline for a whole launch graph, in milliseconds,
     /// measured from submission.
     pub deadline_ms: Option<u64>,
-    /// Cooperative cancellation: flip the token from any thread and every
-    /// in-flight launch stops at its next check boundary.
-    pub cancel: Option<CancelToken>,
-    /// Deterministic fault injection for testing the failure paths.
-    pub fault: Option<FaultPlan>,
 }
 
 impl ExecLimits {
@@ -60,11 +53,7 @@ impl ExecLimits {
 
     /// Whether nothing is limited (the executor skips all metering).
     pub fn is_none(&self) -> bool {
-        self.max_ops.is_none()
-            && self.mem_cap.is_none()
-            && self.deadline_ms.is_none()
-            && self.cancel.is_none()
-            && self.fault.is_none()
+        self.max_ops.is_none() && self.mem_cap.is_none() && self.deadline_ms.is_none()
     }
 
     /// The absolute deadline for a graph submitted now.
@@ -73,108 +62,25 @@ impl ExecLimits {
             .map(|ms| Instant::now() + Duration::from_millis(ms))
     }
 
-    /// The fault site armed for `launch`, if any.
-    pub(crate) fn fault_at(&self, launch: usize) -> Option<FaultSite> {
-        match &self.fault {
-            Some(f) if f.launch == launch => Some(f.site),
-            _ => None,
-        }
-    }
-
     /// A launch's operation budget, full (`None` without `max_ops`).
     pub(crate) fn launch_budget(&self) -> Option<Arc<AtomicU64>> {
         self.max_ops.map(|ops| Arc::new(AtomicU64::new(ops)))
     }
 }
 
-/// A shared cancellation flag. Clone it, hand one side to another thread,
-/// and [`cancel`](CancelToken::cancel) stops every launch using it at the
-/// next check boundary with
-/// [`LimitKind::Cancelled`].
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
+/// `Err` with [`LimitKind::Deadline`] once the wall-clock deadline has
+/// passed. Polled by the meter at op-block boundaries and by the
+/// scheduler at claim-chunk boundaries.
+pub(crate) fn check_deadline(deadline: Option<Instant>) -> Result<(), SimError> {
+    match deadline {
+        Some(d) if Instant::now() >= d => Err(SimError::limit(LimitKind::Deadline)),
+        _ => Ok(()),
     }
-
-    /// Request cancellation (sticky; safe from any thread).
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A deterministic synthetic failure, injected at a chosen point of a
-/// chosen launch, for testing error ordering, what a failure stops and
-/// post-failure device usability.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// Index of the launch (within its graph) to fail.
-    pub launch: usize,
-    /// Where inside that launch the failure trips.
-    pub site: FaultSite,
-}
-
-/// Where a [`FaultPlan`] trips inside its launch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultSite {
-    /// Fail before the launch runs at all (as if its plan failed to
-    /// decode).
-    Decode,
-    /// Fail work-group `n` at the claim boundary, before it executes.
-    Claim(u64),
-    /// Fail each work-group once it has executed `n` weighted operations.
-    Instr(u64),
-}
-
-impl FaultPlan {
-    /// The deterministic error this fault produces — identical text under
-    /// both engines and every thread count.
-    pub fn error(&self) -> SimError {
-        SimError::Injected {
-            fault: *self,
-            at: None,
-        }
-    }
-}
-
-/// The fault as its error reads.
-impl std::fmt::Display for FaultPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let launch = self.launch;
-        match self.site {
-            FaultSite::Decode => write!(f, "injected fault: decode of launch {launch}"),
-            FaultSite::Claim(n) => write!(f, "injected fault: claim {n} of launch {launch}"),
-            FaultSite::Instr(n) => write!(f, "injected fault: instruction {n} of launch {launch}"),
-        }
-    }
-}
-
-/// The limit that has tripped by now, if either has: the cancel token, the
-/// wall-clock deadline. Polled by the meter at op-block boundaries and by
-/// the scheduler at claim-chunk boundaries.
-pub(crate) fn tripped(
-    cancel: Option<&CancelToken>,
-    deadline: Option<Instant>,
-) -> Option<LimitKind> {
-    if cancel.is_some_and(CancelToken::is_cancelled) {
-        return Some(LimitKind::Cancelled);
-    }
-    deadline
-        .is_some_and(|d| Instant::now() >= d)
-        .then_some(LimitKind::Deadline)
 }
 
 /// Ops reserved from the shared budget per refill. Large enough that the
-/// per-instruction cost is one subtraction, small enough that deadlines
-/// and cancellation are polled every fraction of a millisecond.
+/// per-instruction cost is one subtraction, small enough that the
+/// deadline is polled every fraction of a millisecond.
 pub(crate) const OP_BLOCK: u64 = 65_536;
 
 /// Reserve up to `want` units from a shared budget; returns what was
@@ -194,8 +100,7 @@ fn reserve(budget: &AtomicU64, want: u64) -> u64 {
 }
 
 /// Per-worker, per-launch metering state: amortized operation budgeting,
-/// deadline/cancellation polling, the per-worker memory cap, and the
-/// `Instr(n)` fault countdown.
+/// deadline polling and the per-worker memory cap.
 ///
 /// The hot path is [`charge`](OpMeter::charge): one compare and one
 /// subtraction against a prepaid block. Everything else happens in the
@@ -210,82 +115,55 @@ fn reserve(budget: &AtomicU64, want: u64) -> u64 {
 pub(crate) struct OpMeter {
     /// Prepaid weighted ops still executable before the next boundary.
     granted: u64,
-    /// Value of `granted` just after the last boundary (so the boundary
-    /// can compute how much was spent since).
-    last_grant: u64,
     /// The launch's shared operation budget (absent when `max_ops` is
-    /// off — boundaries then only poll deadline/cancellation).
+    /// off — boundaries then only poll the deadline).
     shared: Option<Arc<AtomicU64>>,
     /// Absolute wall-clock deadline for the enclosing graph.
     deadline: Option<Instant>,
-    /// Cooperative cancellation flag.
-    cancel: Option<CancelToken>,
-    /// `Instr(n)` fault threshold per work-group (`u64::MAX` = unarmed).
-    fault_n: u64,
-    /// Weighted ops left until the armed fault trips in this work-group.
-    fault_left: u64,
     /// Bytes of kernel-driven allocation left under the memory cap
     /// (`u64::MAX` = uncapped).
     mem_left: u64,
-    /// Launch index, for the injected-fault error text.
-    launch: usize,
 }
 
 impl OpMeter {
-    /// A meter for `launch` drawing from `budget` under `limits`.
+    /// A meter drawing from `budget` under `limits`.
     pub(crate) fn new(
         limits: &ExecLimits,
         budget: Option<Arc<AtomicU64>>,
         deadline: Option<Instant>,
-        launch: usize,
     ) -> OpMeter {
-        let fault_n = match limits.fault_at(launch) {
-            Some(FaultSite::Instr(n)) => n,
-            _ => u64::MAX,
-        };
         OpMeter {
             granted: 0,
-            last_grant: 0,
             shared: budget,
             deadline,
-            cancel: limits.cancel.clone(),
-            fault_n,
-            fault_left: fault_n,
             mem_left: limits.mem_cap.unwrap_or(u64::MAX),
-            launch,
         }
     }
 
-    /// The meter `launch` executes under, or `None` when nothing a meter
-    /// polls is on for it: no op budget, no deadline, no cancel token and
-    /// no `instr` fault. (Claim-site faults are the scheduler's, the plan
-    /// engine's memory cap its workers' pools'.)
+    /// The meter a launch executes under, or `None` when nothing a meter
+    /// polls is on: no op budget and no deadline. (The plan engine's
+    /// memory cap is its workers' pools'.)
     pub(crate) fn for_launch(
         limits: &ExecLimits,
         budget: Option<Arc<AtomicU64>>,
         deadline: Option<Instant>,
-        launch: usize,
     ) -> Option<OpMeter> {
-        let metered = limits.max_ops.is_some()
-            || limits.deadline_ms.is_some()
-            || limits.cancel.is_some()
-            || matches!(limits.fault_at(launch), Some(FaultSite::Instr(_)));
-        metered.then(|| OpMeter::new(limits, budget, deadline, launch))
+        let metered = limits.max_ops.is_some() || limits.deadline_ms.is_some();
+        metered.then(|| OpMeter::new(limits, budget, deadline))
     }
 
     /// Admit a host node through its launch's meter: a closure is opaque
-    /// to the instruction meter, so it pays a flat `weight` (op budget,
-    /// deadline/cancellation poll and the `instr` fault site all
-    /// honoured) before it runs, and the unspent remainder of the metered
-    /// block settles back so budgets stay exact.
+    /// to the instruction meter, so it pays a flat `weight` (op budget and
+    /// deadline poll honoured) before it runs, and the unspent remainder
+    /// of the metered block settles back so budgets stay exact.
     pub(crate) fn charge_host_node(mut self, weight: u64) -> Result<(), SimError> {
         let metered = self.charge(weight);
         self.settle();
         metered
     }
 
-    /// Pay for one instruction of weight `w`. `Err` when a limit (or the
-    /// armed fault) trips at the refill boundary.
+    /// Pay for one instruction of weight `w`. `Err` when a limit trips at
+    /// the refill boundary.
     #[inline]
     pub(crate) fn charge(&mut self, w: u64) -> Result<(), SimError> {
         if self.granted < w {
@@ -295,52 +173,26 @@ impl OpMeter {
         Ok(())
     }
 
-    /// Refill the prepaid block: settle fault accounting, poll
-    /// cancellation and the deadline, then reserve the next block from
-    /// the shared budget.
+    /// Refill the prepaid block: poll the deadline, then reserve the next
+    /// block from the shared budget.
     #[cold]
     fn boundary(&mut self, w: u64) -> Result<(), SimError> {
-        if self.fault_left != u64::MAX {
-            // `granted` never exceeds `fault_left` (the grant below is
-            // capped), so this cannot underflow.
-            self.fault_left -= self.last_grant - self.granted;
-            self.last_grant = self.granted;
-            if self.fault_left < w {
-                return Err(FaultPlan {
-                    launch: self.launch,
-                    site: FaultSite::Instr(self.fault_n),
-                }
-                .error());
-            }
-        }
-        if let Some(kind) = tripped(self.cancel.as_ref(), self.deadline) {
-            return Err(SimError::limit(kind));
-        }
+        check_deadline(self.deadline)?;
         let mut take = OP_BLOCK.max(w) - self.granted;
-        if self.fault_left != u64::MAX {
-            take = take.min(self.fault_left - self.granted);
-        }
         if let Some(b) = &self.shared {
             take = reserve(b, take);
         }
         self.granted += take;
-        self.last_grant = self.granted;
         if self.granted < w {
             return Err(SimError::limit(LimitKind::Ops));
         }
         Ok(())
     }
 
-    /// Start a new work-group: settle the unspent grant back to the
-    /// shared budget (so budgets stay exact under sequential execution)
-    /// and re-arm the per-group fault countdown. The next charge hits a
-    /// boundary, which also gives each work-group a deadline poll.
-    pub(crate) fn begin_group(&mut self) {
-        self.settle();
-        self.fault_left = self.fault_n;
-    }
-
-    /// Return any unspent grant to the shared budget.
+    /// Return any unspent grant to the shared budget (so budgets stay
+    /// exact under sequential execution). Called between work-groups, so
+    /// the next charge hits a boundary, which gives each work-group a
+    /// deadline poll.
     pub(crate) fn settle(&mut self) {
         if self.granted > 0 {
             if let Some(b) = &self.shared {
@@ -348,7 +200,6 @@ impl OpMeter {
             }
         }
         self.granted = 0;
-        self.last_grant = 0;
     }
 
     /// Pay for `bytes` of kernel-driven allocation growth.
@@ -372,7 +223,7 @@ mod tests {
             ..ExecLimits::none()
         };
         let budget = Arc::new(AtomicU64::new(10));
-        let mut m = OpMeter::new(&limits, Some(budget.clone()), None, 0);
+        let mut m = OpMeter::new(&limits, Some(budget.clone()), None);
         for _ in 0..10 {
             m.charge(1).unwrap();
         }
@@ -395,7 +246,7 @@ mod tests {
         };
         // Unfused shape: twelve weight-1 charges, then a trip.
         let budget = Arc::new(AtomicU64::new(12));
-        let mut m = OpMeter::new(&limits, Some(budget), None, 0);
+        let mut m = OpMeter::new(&limits, Some(budget), None);
         for _ in 0..12 {
             m.charge(1).unwrap();
         }
@@ -404,7 +255,7 @@ mod tests {
         // one 3-weight superinstruction, 11 total) still has room for
         // exactly one more unit op and trips on weight 2.
         let budget = Arc::new(AtomicU64::new(12));
-        let mut m = OpMeter::new(&limits, Some(budget), None, 0);
+        let mut m = OpMeter::new(&limits, Some(budget), None);
         for w in [2, 2, 3, 2, 2] {
             m.charge(w).unwrap();
         }
@@ -419,35 +270,10 @@ mod tests {
             ..ExecLimits::none()
         };
         let budget = Arc::new(AtomicU64::new(1000));
-        let mut m = OpMeter::new(&limits, Some(budget.clone()), None, 0);
+        let mut m = OpMeter::new(&limits, Some(budget.clone()), None);
         m.charge(3).unwrap();
-        m.begin_group();
+        m.settle();
         assert_eq!(budget.load(Ordering::Relaxed), 997);
-    }
-
-    #[test]
-    fn meter_trips_instr_fault_at_threshold() {
-        let limits = ExecLimits {
-            fault: Some(FaultPlan {
-                launch: 0,
-                site: FaultSite::Instr(5),
-            }),
-            ..ExecLimits::none()
-        };
-        let mut m = OpMeter::new(&limits, None, None, 0);
-        for _ in 0..5 {
-            m.charge(1).unwrap();
-        }
-        let err = m.charge(1).unwrap_err();
-        assert!(err
-            .message()
-            .contains("injected fault: instruction 5 of launch 0"));
-        // The next work-group re-arms and trips at the same point.
-        m.begin_group();
-        for _ in 0..5 {
-            m.charge(1).unwrap();
-        }
-        assert!(m.charge(1).is_err());
     }
 
     #[test]
@@ -456,26 +282,26 @@ mod tests {
             mem_cap: Some(64),
             ..ExecLimits::none()
         };
-        let mut m = OpMeter::new(&limits, None, None, 0);
+        let mut m = OpMeter::new(&limits, None, None);
         m.charge_mem(40).unwrap();
         m.charge_mem(24).unwrap();
         let err = m.charge_mem(1).unwrap_err();
         assert_eq!(err.limit_kind(), Some(LimitKind::Memory));
     }
 
+    /// The deadline is polled only at boundaries: a meter whose deadline
+    /// has already passed still charges inside its prepaid block, and
+    /// trips at the next work-group boundary.
     #[test]
-    fn cancel_token_trips_at_the_next_boundary() {
-        let token = CancelToken::new();
-        let limits = ExecLimits {
-            cancel: Some(token.clone()),
-            ..ExecLimits::none()
-        };
-        let mut m = OpMeter::new(&limits, None, None, 0);
+    fn passed_deadline_trips_at_the_next_boundary() {
+        let mut m = OpMeter::new(&ExecLimits::none(), None, None);
         m.charge(1).unwrap();
-        token.cancel();
+        // The deadline passes while the meter holds a prepaid block.
+        m.deadline = Some(Instant::now());
         // Within the prepaid block nothing trips; the group boundary does.
-        m.begin_group();
+        m.charge(1).unwrap();
+        m.settle();
         let err = m.charge(1).unwrap_err();
-        assert_eq!(err.limit_kind(), Some(LimitKind::Cancelled));
+        assert_eq!(err.limit_kind(), Some(LimitKind::Deadline));
     }
 }

@@ -130,11 +130,11 @@ impl PlanCtx {
 
     /// Reset work-group-shared state (call between work-groups). Also the
     /// meter's settle point: unspent op-budget grant returns to the
-    /// launch's shared budget and the fault countdown re-arms.
+    /// launch's shared budget.
     pub fn next_work_group(&mut self) {
         self.local_allocs.iter_mut().for_each(|s| *s = None);
         if let Some(m) = self.limits.as_deref_mut() {
-            m.begin_group();
+            m.settle();
         }
     }
 }

@@ -11,7 +11,7 @@ use super::protocol::{graph_workers, Failure, Scheduler};
 use crate::cost::{CostModel, ExecStats};
 use crate::device::{cooperative_rounds, NdRangeSpec};
 use crate::interp::SimError;
-use crate::limits::{tripped, ExecLimits, FaultPlan, FaultSite, OpMeter};
+use crate::limits::{check_deadline, ExecLimits, OpMeter};
 use crate::memory::MemoryPool;
 use crate::plan::{KernelPlan, PlanCtx, PlanWorkGroup};
 use crate::value::RtValue;
@@ -22,8 +22,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// One launch of a graph handed to [`run_plan_graph_report`]: a decoded
-/// kernel plan with its bound arguments and geometry, or a [`HostNode`]
-/// (a host task, which runs as a single logical work-group).
+/// kernel plan with its bound arguments and geometry, a kernel the plan
+/// decoder rejected, or a [`HostNode`] (a host task, which runs as a
+/// single logical work-group).
 pub enum PlanLaunch<'a> {
     /// A kernel launch.
     Kernel {
@@ -39,6 +40,15 @@ pub enum PlanLaunch<'a> {
         /// this launch's concrete geometry and arguments before workers
         /// start.
         facts: &'a PlanFacts,
+    },
+    /// A kernel launch the plan decoder rejected: it fails with `error`
+    /// at its work-group 0 before any of its groups runs, the way a
+    /// launch naming an unknown buffer does.
+    Rejected {
+        /// Launch geometry.
+        nd: NdRangeSpec,
+        /// The decoder's refusal.
+        error: &'a SimError,
     },
     /// A host-task node.
     Host(&'a HostNode),
@@ -117,7 +127,7 @@ impl GraphState<'_, '_> {
     /// limits call for one.
     fn meter(&self, li: usize) -> Option<OpMeter> {
         let budget = self.units[li].budget.clone();
-        OpMeter::for_launch(self.limits, budget, self.deadline, li)
+        OpMeter::for_launch(self.limits, budget, self.deadline)
     }
 
     /// Claim chunks of launch `li` until it is fully claimed, running
@@ -131,26 +141,15 @@ impl GraphState<'_, '_> {
         mut run: impl FnMut(usize) -> std::thread::Result<Result<(), SimError>>,
     ) {
         let fail = |gi, e| self.sched.record_failure(li, gi, Failure::Error(e));
-        // An injected fault fails the claim of this work-group.
-        let claim_fault = match self.limits.fault_at(li) {
-            Some(FaultSite::Claim(gi)) => Some(gi),
-            _ => None,
-        };
         while let Some(chunk) = self.sched.claim(li) {
-            // Claim-chunk boundary: the scheduler's cancellation point. A
-            // tripped deadline or cancel token fails this launch here;
-            // the smallest position a trip is recorded at is the one
-            // reported.
-            if let Some(kind) = tripped(self.limits.cancel.as_ref(), self.deadline) {
-                fail(chunk.start, SimError::limit(kind));
+            // Claim-chunk boundary: a passed deadline fails this launch
+            // here; the smallest position a trip is recorded at is the
+            // one reported.
+            if let Err(e) = check_deadline(self.deadline) {
+                fail(chunk.start, e);
             }
             for gi in chunk.clone() {
                 if self.sched.skips(li, gi) {
-                    continue;
-                }
-                if claim_fault == Some(gi as u64) {
-                    let site = FaultSite::Claim(gi as u64);
-                    fail(gi, FaultPlan { launch: li, site }.error());
                     continue;
                 }
                 match run(gi) {
@@ -203,10 +202,10 @@ fn run_host_node(node: &HostNode, st: &GraphState<'_, '_>, li: usize) -> Result<
 /// and its work-group state (see `run_group`) are reused across every
 /// launch it touches.
 ///
-/// With limits active, the wall-clock deadline and the cancel token are
-/// polled at every claim-chunk boundary (and, via the per-launch
-/// [`OpMeter`], at op-block boundaries inside long-running groups), so a
-/// wedged kernel is cut off without per-instruction overhead.
+/// With limits active, the wall-clock deadline is polled at every
+/// claim-chunk boundary (and, via the per-launch [`OpMeter`], at op-block
+/// boundaries inside long-running groups), so a wedged kernel is cut off
+/// without per-instruction overhead.
 fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
     let mut ctx = PlanExecCtx::new(st.shared, st.cost);
     if let Some(cap) = st.limits.mem_cap {
@@ -242,6 +241,11 @@ fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
             PlanLaunch::Host(node) => st.run_chunks(li, |_| {
                 catch_unwind(AssertUnwindSafe(|| run_host_node(node, st, li)))
             }),
+            // Its up-front failure bounds the run at its work-group 0, so
+            // every group it has is skipped.
+            PlanLaunch::Rejected { .. } => {
+                st.run_chunks(li, |_| unreachable!("rejected launch ran"))
+            }
         }
     }
     rows
@@ -294,9 +298,9 @@ pub struct GraphReport {
 /// Malformed input (bad geometry, a malformed graph or one with a
 /// backward edge), and the run's failure: a kernel or host-node error
 /// (device-memory faults among them, which arrive as
-/// [`MemFault`](crate::MemFault) values), a limit trip or an injected
-/// fault. A panic on a worker is a bug in the simulator (or in a host
-/// closure) and is re-thrown as a panic.
+/// [`MemFault`](crate::MemFault) values), a kernel the decoder rejected
+/// or a limit trip. A panic on a worker is a bug in the simulator (or in
+/// a host closure) and is re-thrown as a panic.
 pub fn run_plan_graph_report(
     launches: &[PlanLaunch<'_>],
     dag: &LaunchDag,
@@ -317,19 +321,12 @@ pub fn run_plan_graph_report(
     let mut geometry = Vec::with_capacity(launches.len());
     let mut total_groups = 0_usize;
     let mut units = Vec::with_capacity(launches.len());
-    // Launches that fail as a whole, before any of their groups runs: an
-    // armed decode fault, then unknown-buffer arguments — the order the
-    // serial reference checks them in, and the first recorded is the one
-    // reported.
+    // Launches that fail as a whole, before any of their groups runs: a
+    // rejected kernel, or one with an unknown-buffer argument.
     let mut upfront = Vec::new();
-    if let Some(f) = &limits.fault {
-        if matches!(f.site, FaultSite::Decode) && f.launch < launches.len() {
-            upfront.push((f.launch, f.error()));
-        }
-    }
     for (li, launch) in launches.iter().enumerate() {
         let nd = match launch {
-            PlanLaunch::Kernel { nd, .. } => *nd,
+            PlanLaunch::Kernel { nd, .. } | PlanLaunch::Rejected { nd, .. } => *nd,
             // A host task runs as one logical 1×1 work-group.
             PlanLaunch::Host(_) => NdRangeSpec::d1(1, 1),
         };
@@ -356,6 +353,10 @@ pub fn run_plan_graph_report(
                     Arc::default()
                 }
             },
+            PlanLaunch::Rejected { error, .. } => {
+                upfront.push((li, (*error).clone()));
+                Arc::default()
+            }
             PlanLaunch::Host(_) => Arc::default(),
         };
         units.push(GraphUnit {

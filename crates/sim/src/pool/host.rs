@@ -11,8 +11,7 @@ use std::sync::Arc;
 /// Fixed weighted-operation cost charged per host node through the
 /// launch's `OpMeter`: host closures are opaque to the instruction
 /// meter, so each one pays this flat weight against the op budget (and
-/// with it gets a deadline/cancellation poll and an honoured
-/// `instr` fault site) before its closure runs.
+/// with it gets a deadline poll) before its closure runs.
 pub const HOST_NODE_WEIGHT: u64 = 64;
 
 /// A host-side view of the device memory the scheduler shares with its
@@ -55,9 +54,10 @@ impl<'a, 'p> HostView<'a, 'p> {
 
 /// A host task as a first-class launch-graph node: a closure over a
 /// [`HostView`] that a scheduler worker runs as a single logical work-group.
-/// Host nodes are hazard-tracked, metered (a flat [`HostNode::weight`]
-/// against the op budget), cancellable and fault-injectable exactly like
-/// kernel launches, so one graph spans a whole program.
+/// Host nodes are hazard-tracked and metered (a flat [`HostNode::weight`]
+/// against the op budget) exactly like kernel launches, and fail like
+/// them — a [`MemFault`] from the view is the node's error — so one graph
+/// spans a whole program.
 #[derive(Clone)]
 pub struct HostNode {
     run: HostFn,

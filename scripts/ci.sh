@@ -80,8 +80,8 @@ cargo build --release
 
 # Device-memory faults are `MemFault` values (ARCHITECTURE.md, "Faults are
 # values"): no panic carries one, so nothing may classify panics by text —
-# nor errors: an injected fault is `SimError::Injected`, a memory fault
-# `SimError::Fault` and a limit trip `SimError::LimitExceeded`, told by
+# nor errors: a memory fault is `SimError::Fault` and a limit trip
+# `SimError::LimitExceeded`, told by
 # variant (`limit_kind()`), never flattened into a message — the limit
 # text is written in interp.rs and matched nowhere.
 step "no panic-transported memory faults, no error classified by its text under crates/"
@@ -206,6 +206,17 @@ fi
 step "one failure per graph run"
 if grep -rnE 'LaunchStatus|cancelled_by|failure_cascades|into_statuses|fn cascades|first_failure|kahn_levels|fn levels\b' crates src tests examples; then
   echo "FAIL: per-launch failure outcomes or the Kahn walk are back; a graph run has one failure" >&2
+  exit 1
+fi
+
+# Failures come from kernels (ARCHITECTURE.md, "Execution limits"): a
+# run's failure is an organic one — a memory fault, a divergent barrier, a
+# host-view fault, an unknown buffer, a rejected kernel or a tripped
+# limit. Synthetic fault injection and the cancel token that nothing
+# called must not come back to the production paths.
+step "no fault injection, no cancel token"
+if grep -rnE 'FaultPlan|FaultSite|CancelToken|SimError::Injected|LimitKind::Cancelled' crates src tests examples; then
+  echo "FAIL: fault injection or the cancel token is back; failures come from kernels" >&2
   exit 1
 fi
 

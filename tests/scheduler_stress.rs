@@ -19,10 +19,13 @@
 //!
 //! The queue's hazard table emits a sparse edge set with the reachability
 //! of the all-pairs hazard relation it replaced (`tests/hazard_graph_diff.rs`
-//! holds the two to one transitive closure). The fault-injection shapes
-//! and a slice of the random population also run at the scheduler level
-//! under **both** DAGs: the outcome (statistics, or the one failure and
-//! its position) must not tell them apart.
+//! holds the two to one transitive closure). The failure shapes — a
+//! kernel that faults before or after doing its work, a kernel the plan
+//! decoder rejects, a host closure that overruns its buffer — and a slice
+//! of the random population, with one of those failures at a random
+//! launch, also run at the scheduler level under **both** DAGs: the
+//! outcome (statistics, or the one failure and its position) must not
+//! tell them apart.
 //!
 //! A run has one failure, and it stops where the serial reference stops:
 //! launches before the failing one complete, no successor of the failing
@@ -46,8 +49,8 @@ use sycl_mlir_repro::runtime::{
 };
 use sycl_mlir_repro::sim::{
     decode_kernel, run_plan_graph_report, AccessorVal, BatchLaunch, CostModel, DataVec, Device,
-    Engine, ExecLimits, ExecStats, FaultPlan, FaultSite, GraphReport, HostNode, HostView,
-    KernelPlan, LaunchDag, MemFault, MemId, MemoryPool, NdRangeSpec, PlanLaunch, RtValue, SimError,
+    Engine, ExecLimits, ExecStats, GraphReport, HostNode, HostView, KernelPlan, LaunchDag,
+    MemFault, MemId, MemoryPool, NdRangeSpec, PlanLaunch, RtValue, SimError,
 };
 use sycl_mlir_repro::sycl::device as sdev;
 use sycl_mlir_repro::sycl::types::AccessMode;
@@ -341,51 +344,113 @@ fn generator_population_covers_the_interesting_shapes() {
 // Deterministic error-ordering pins
 // ----------------------------------------------------------------------
 
-/// Build a module with `scale_io`, the divergent `bad_late` and an
-/// out-of-bounds `oob` kernel, submit the given kernel names in order
-/// over one shared buffer, and return each configuration's failure text.
-/// A `fault` plan, when given, is injected into every configuration's
-/// device.
-fn run_error_graph(
-    kernels: &[&str],
-    fault: Option<FaultPlan>,
-) -> Vec<(String, Result<SimError, String>)> {
-    let build = || {
-        let ctx = full_context();
-        let mut kb = KernelModuleBuilder::new(&ctx);
-        let f32t = ctx.f32_type();
-        let sig =
-            KernelSig::new("scale_io", 1, true).accessor(f32t.clone(), 1, AccessMode::ReadWrite);
-        kb.add_kernel(&sig, |b, args, item| {
-            let gid = sdev::global_id(b, item, 0);
-            let v = sdev::load_via_id(b, args[0], &[gid]);
-            let f32t = b.ctx().f32_type();
-            let c = arith::constant_float(b, 0.5, f32t);
-            let t = arith::mulf(b, v, c);
-            sdev::store_via_id(b, t, args[0], &[gid]);
-        });
-        let sig = KernelSig::new("bad_late", 1, true);
-        kb.add_kernel(&sig, |b, _args, item| divergent_from(b, item, 2));
-        // oob: stores to gid + 1000 — an out-of-bounds panic in every
-        // work-group.
-        let sig = KernelSig::new("oob", 1, true).accessor(f32t, 1, AccessMode::Write);
-        kb.add_kernel(&sig, |b, args, item| {
-            let gid = sdev::global_id(b, item, 0);
-            let big = arith::constant_index(b, 1000);
-            let idx = arith::addi(b, gid, big);
-            let f32t = b.ctx().f32_type();
-            let v = arith::constant_float(b, 1.0, f32t);
-            sdev::store_via_id(b, v, args[0], &[idx]);
-        });
-        kb
-    };
+/// `scale_io`'s computation, `v * 0.5 + 3.0`, for the failing twins
+/// below.
+fn scaled(
+    b: &mut sycl_mlir_repro::ir::Builder<'_>,
+    v: sycl_mlir_repro::ir::ValueId,
+) -> sycl_mlir_repro::ir::ValueId {
+    let f32t = b.ctx().f32_type();
+    let c0 = arith::constant_float(b, 0.5, f32t.clone());
+    let c1 = arith::constant_float(b, 3.0, f32t);
+    let t = arith::mulf(b, v, c0);
+    arith::addf(b, t, c1)
+}
 
+/// `gid + (group / 2) * 1000`: the work-item's own element in
+/// work-groups 0 and 1, out of bounds from work-group 2 on (`LEN` 32,
+/// groups of 8; work-group 2's first item reaches index 1016).
+fn out_of_bounds_from_group_2(
+    b: &mut sycl_mlir_repro::ir::Builder<'_>,
+    item: sycl_mlir_repro::ir::ValueId,
+    gid: sycl_mlir_repro::ir::ValueId,
+) -> sycl_mlir_repro::ir::ValueId {
+    let group = sdev::group_id(b, item, 0);
+    let two = arith::constant_index(b, 2);
+    let far = arith::constant_index(b, 1000);
+    let half = arith::divsi(b, group, two);
+    let offset = arith::muli(b, half, far);
+    arith::addi(b, gid, offset)
+}
+
+/// The kernels of the error pins, each over at most one f32 accessor:
+/// * `scale_io` — `a[g] *= 0.5`;
+/// * `bad_late` — work-groups from 2 on hit a divergent barrier;
+/// * `oob` — stores to `gid + 1000`: out of bounds in every work-group;
+/// * `scale_oob_first` — `scale_io`'s twin (`a[g] = a[g] * 0.5 + 3`) whose
+///   work-groups from 2 on read out of bounds before they store;
+/// * `scale_oob_after` — that twin, then work-groups from 2 on store out
+///   of bounds: they fail after doing their work;
+/// * `opaque` — the twin behind an `llvm.alloca`, which the plan decoder
+///   rejects and the tree walk refuses when it reaches it.
+fn error_kernels() -> KernelModuleBuilder {
+    let ctx = full_context();
+    let mut kb = KernelModuleBuilder::new(&ctx);
+    let f32t = ctx.f32_type();
+    let sig = KernelSig::new("scale_io", 1, true).accessor(f32t.clone(), 1, AccessMode::ReadWrite);
+    kb.add_kernel(&sig, |b, args, item| {
+        let gid = sdev::global_id(b, item, 0);
+        let v = sdev::load_via_id(b, args[0], &[gid]);
+        let f32t = b.ctx().f32_type();
+        let c = arith::constant_float(b, 0.5, f32t);
+        let t = arith::mulf(b, v, c);
+        sdev::store_via_id(b, t, args[0], &[gid]);
+    });
+    let sig = KernelSig::new("bad_late", 1, true);
+    kb.add_kernel(&sig, |b, _args, item| divergent_from(b, item, 2));
+    let sig = KernelSig::new("oob", 1, true).accessor(f32t.clone(), 1, AccessMode::Write);
+    kb.add_kernel(&sig, |b, args, item| {
+        let gid = sdev::global_id(b, item, 0);
+        let big = arith::constant_index(b, 1000);
+        let idx = arith::addi(b, gid, big);
+        let f32t = b.ctx().f32_type();
+        let v = arith::constant_float(b, 1.0, f32t);
+        sdev::store_via_id(b, v, args[0], &[idx]);
+    });
+    let sig =
+        KernelSig::new("scale_oob_first", 1, true).accessor(f32t.clone(), 1, AccessMode::ReadWrite);
+    kb.add_kernel(&sig, |b, args, item| {
+        let gid = sdev::global_id(b, item, 0);
+        let at = out_of_bounds_from_group_2(b, item, gid);
+        let v = sdev::load_via_id(b, args[0], &[at]);
+        let s = scaled(b, v);
+        sdev::store_via_id(b, s, args[0], &[gid]);
+    });
+    let sig =
+        KernelSig::new("scale_oob_after", 1, true).accessor(f32t.clone(), 1, AccessMode::ReadWrite);
+    kb.add_kernel(&sig, |b, args, item| {
+        let gid = sdev::global_id(b, item, 0);
+        let v = sdev::load_via_id(b, args[0], &[gid]);
+        let s = scaled(b, v);
+        sdev::store_via_id(b, s, args[0], &[gid]);
+        let at = out_of_bounds_from_group_2(b, item, gid);
+        sdev::store_via_id(b, s, args[0], &[at]);
+    });
+    let sig = KernelSig::new("opaque", 1, true).accessor(f32t, 1, AccessMode::ReadWrite);
+    kb.add_kernel(&sig, |b, args, item| {
+        // `llvm.alloca` is registered (host-side lowering uses it) but
+        // foreign to both device engines.
+        sycl_mlir_repro::dialects::llvm::alloca(b, "opaque");
+        let gid = sdev::global_id(b, item, 0);
+        let v = sdev::load_via_id(b, args[0], &[gid]);
+        let s = scaled(b, v);
+        sdev::store_via_id(b, s, args[0], &[gid]);
+    });
+    kb
+}
+
+/// [`error_kernels`] as a module of its own, for launching them directly.
+fn error_module() -> sycl_mlir_repro::ir::Module {
+    let mut kb = error_kernels();
+    generate_host_ir(kb.module(), &SyclRuntime::new(), &Queue::new());
+    kb.finish()
+}
+
+/// Submit the given [`error_kernels`] in order over one shared buffer
+/// and return each configuration's failure text.
+fn run_error_graph(kernels: &[&str]) -> Vec<(String, Result<SimError, String>)> {
     let mut out = Vec::new();
     for (name, device) in configs() {
-        let device = match fault {
-            Some(f) => device.fault(f),
-            None => device,
-        };
         let mut rt = SyclRuntime::new();
         let buf = rt.buffer_f32(vec![1.0; LEN as usize], &[LEN]);
         let mut q = Queue::new();
@@ -397,7 +462,7 @@ fn run_error_graph(
                 h.parallel_for_nd(k, &[LEN], &[8]);
             });
         }
-        let mut kb = build();
+        let mut kb = error_kernels();
         generate_host_ir(kb.module(), &rt, &q);
         let module = kb.finish();
         let mut program = compile_program(FlowKind::SyclMlir, module).expect("compiles");
@@ -422,7 +487,7 @@ fn run_error_graph(
 /// diverges everywhere (including its group 0).
 #[test]
 fn divergent_barrier_position_is_mode_independent() {
-    let results = run_error_graph(&["scale_io", "bad_late", "scale_io", "bad_late"], None);
+    let results = run_error_graph(&["scale_io", "bad_late", "scale_io", "bad_late"]);
     let (ref_name, want) = &results[0];
     assert!(
         matches!(
@@ -445,7 +510,7 @@ fn divergent_barrier_position_is_mode_independent() {
 /// panic, under every engine.
 #[test]
 fn oob_error_position_is_mode_independent() {
-    let results = run_error_graph(&["scale_io", "oob", "bad_late"], None);
+    let results = run_error_graph(&["scale_io", "oob", "bad_late"]);
     let (ref_name, want) = &results[0];
     assert!(
         want.as_ref()
@@ -461,7 +526,7 @@ fn oob_error_position_is_mode_independent() {
 /// out-of-bounds panic in launch 3, under both schedules.
 #[test]
 fn earlier_divergence_beats_later_oob_panic() {
-    let results = run_error_graph(&["scale_io", "bad_late", "scale_io", "oob"], None);
+    let results = run_error_graph(&["scale_io", "bad_late", "scale_io", "oob"]);
     let (ref_name, want) = &results[0];
     assert!(
         matches!(
@@ -566,7 +631,7 @@ fn fuzzed_gather_oob_position_is_engine_independent() {
 }
 
 // ----------------------------------------------------------------------
-// Fault injection
+// Failing launches at the scheduler level
 // ----------------------------------------------------------------------
 
 /// The generated graphs' kernel templates, each decoded into a
@@ -607,6 +672,30 @@ fn accessor_over(mem: MemId) -> RtValue {
     })
 }
 
+/// The failing kernels' plans, decoded from [`error_module`], and the
+/// decoder's refusal of `opaque`.
+struct FailingPlans {
+    oob_first: KernelPlan,
+    oob_after: KernelPlan,
+    rejection: SimError,
+}
+
+fn failing_plans() -> FailingPlans {
+    let m = error_module();
+    let dev = m
+        .lookup_symbol(m.top(), sycl_mlir_repro::sycl::DEVICE_MODULE_SYM)
+        .expect("device module");
+    let decode = |name| decode_kernel(&m, m.lookup_symbol(dev, name).expect("kernel symbol"));
+    FailingPlans {
+        oob_first: decode("scale_oob_first").expect("the twin decodes"),
+        oob_after: decode("scale_oob_after").expect("the twin decodes"),
+        rejection: match decode("opaque") {
+            Ok(_) => panic!("the decoder must reject `llvm.alloca`"),
+            Err(e) => e.into(),
+        },
+    }
+}
+
 /// The all-pairs reference DAG and the hazard-table DAG of one queue, in
 /// that order. The deterministic shapes below run under both: the dense
 /// edge set and the sparse one must be the same schedule.
@@ -618,15 +707,16 @@ fn reference_and_table_dags(q: &Queue) -> [(&'static str, LaunchDag); 2] {
     ]
 }
 
-/// One graph-report run of the fault-injection shape: a `0 -> 1 -> 2`
-/// chain over buffer A plus an independent launch 3 over buffer B, under
-/// the given DAG over that shape. Returns the outcome and the final bits
-/// of buffer A.
+/// One graph-report run of the failure shape: a `0 -> 1 -> 2` chain over
+/// buffer A plus an independent launch 3 over buffer B, under the given
+/// DAG over that shape. Launch 0 runs `first` — or is a kernel the
+/// decoder rejected with that error — and the others run `plan`. Returns
+/// the outcome and the final bits of buffer A.
 fn fault_shape_run(
+    first: Result<&KernelPlan, &SimError>,
     plan: &KernelPlan,
     dag: &LaunchDag,
     threads: usize,
-    limits: &ExecLimits,
 ) -> (Result<GraphReport, SimError>, Vec<u32>) {
     let nd = NdRangeSpec::d1(LEN, 8);
     let mut pool = MemoryPool::new();
@@ -635,7 +725,10 @@ fn fault_shape_run(
     let args_a = [accessor_over(ma)];
     let args_b = [accessor_over(mb)];
     let launches = [
-        PlanLaunch::kernel(plan, &args_a, nd),
+        match first {
+            Ok(first) => PlanLaunch::kernel(first, &args_a, nd),
+            Err(error) => PlanLaunch::Rejected { nd, error },
+        },
         PlanLaunch::kernel(plan, &args_a, nd),
         PlanLaunch::kernel(plan, &args_a, nd),
         PlanLaunch::kernel(plan, &args_b, nd),
@@ -647,7 +740,7 @@ fn fault_shape_run(
         &CostModel::default(),
         threads,
         false,
-        limits,
+        &ExecLimits::none(),
     );
     let DataVec::F32(a) = pool.data(ma) else {
         panic!("f32 buffer")
@@ -655,16 +748,18 @@ fn fault_shape_run(
     (report, a.iter().map(|x| x.to_bits()).collect())
 }
 
-/// Injected faults — decode, claim-site, instruction-count — fail the
-/// run with the pinned error at a deterministic `(launch, work-group)`
-/// position, and no successor of the faulted launch writes, at every
-/// thread count — under the all-pairs DAG (with its direct `0 -> 2`
+/// A failing launch 0 — a kernel whose work-groups from 2 on fault
+/// before their work (`scale_oob_first`) or after it (`scale_oob_after`),
+/// or a kernel the decoder rejected — fails the run at a deterministic
+/// `(launch, work-group)` position, and no successor of it writes, at
+/// every thread count — under the all-pairs DAG (with its direct `0 -> 2`
 /// edge) and under the hazard table's (which reaches launch 2 only
 /// through launch 1) alike. Whether the independent launch 3 ran is
 /// unspecified, so nothing is asserted about it.
 #[test]
 fn injected_fault_stops_its_successors() {
     let plan = decoded_scale_plan();
+    let failing = failing_plans();
     let (a, b) = (BufferId(0), BufferId(1));
     let mut q = Queue::new();
     for buf in [a, a, a, b] {
@@ -679,53 +774,60 @@ fn injected_fault_stops_its_successors() {
     // Buffer A element `i` before any launch, and after one `scale_io`.
     let initial = |i: usize| (i as f32).to_bits();
     let once = |i: usize| (i as f32 * 0.5 + 3.0).to_bits();
+    let out_of_bounds = format!(
+        "device memory access out of bounds: index 1016 of buffer 0 (len {LEN}) \
+         (launch 0, work-group 2)"
+    );
+    // (kind, launch 0, the error, the failing work-group, whether the
+    // groups from it on may have stored)
+    let kinds = [
+        (
+            "fault before work",
+            Ok(&failing.oob_first),
+            out_of_bounds.clone(),
+            2,
+            false,
+        ),
+        (
+            "fault after work",
+            Ok(&failing.oob_after),
+            out_of_bounds,
+            2,
+            true,
+        ),
+        (
+            "rejected kernel",
+            Err(&failing.rejection),
+            format!("{} (launch 0, work-group 0)", failing.rejection.message()),
+            0,
+            false,
+        ),
+    ];
     for threads in [1_usize, 4] {
         // Every outcome of the sweep, per DAG: they must be the same list.
         let mut seen = Vec::new();
         for (dag_name, dag) in &dags {
-            let (clean, _) = fault_shape_run(&plan, dag, threads, &ExecLimits::none());
+            let (clean, _) = fault_shape_run(Ok(&plan), &plan, dag, threads);
             let clean = clean.unwrap_or_else(|e| {
                 panic!("clean run must complete (threads={threads}, {dag_name}): {e}")
             });
             let mut outcomes = vec![Ok(clean.stats)];
-            for site in [FaultSite::Decode, FaultSite::Claim(2), FaultSite::Instr(7)] {
-                let ctx = format!("threads={threads} {site:?} ({dag_name})");
-                let fault = FaultPlan { launch: 0, site };
-                let limits = ExecLimits {
-                    fault: Some(fault),
-                    ..ExecLimits::none()
-                };
-                let (report, faulted_a) = fault_shape_run(&plan, dag, threads, &limits);
-                let want_group = match site {
-                    FaultSite::Claim(g) => g as usize,
-                    _ => 0,
-                };
+            for (kind, first, text, failing_group, stored) in &kinds {
+                let ctx = format!("threads={threads} {kind} ({dag_name})");
+                let (report, faulted_a) = fault_shape_run(*first, &plan, dag, threads);
                 let error = report.expect_err(&ctx);
-                // The raw fault text stamped with its `(launch, group)`
-                // position.
-                assert!(
-                    matches!(error, SimError::Injected { at: Some((0, g)), .. } if g == want_group),
-                    "{ctx}: wrong failure {error:?}"
-                );
-                assert_eq!(
-                    error.message(),
-                    format!(
-                        "{} (launch 0, work-group {want_group})",
-                        fault.error().message()
-                    ),
-                    "{ctx}: wrong error"
-                );
+                assert_eq!(&error.message(), text, "{ctx}: wrong error");
                 // Launches 1 and 2 never wrote: no element of A was
-                // scaled twice. The groups below the faulted one ran once,
-                // the faulted one not at all; a decode fault runs no group.
+                // scaled twice. The groups below the failing one ran once;
+                // from it on, a group stored only if it fails after its
+                // work.
                 for (i, &bits) in faulted_a.iter().enumerate() {
-                    let group = i / 8;
-                    let want: &[u32] = if site == FaultSite::Decode || group == want_group {
-                        &[initial(i)]
-                    } else if group < want_group {
+                    let want: &[u32] = if i / 8 < *failing_group {
                         &[once(i)]
-                    } else {
+                    } else if *stored {
                         &[initial(i), once(i)]
+                    } else {
+                        &[initial(i)]
                     };
                     assert!(want.contains(&bits), "{ctx}: element {i} of A");
                 }
@@ -740,25 +842,21 @@ fn injected_fault_stops_its_successors() {
     }
 }
 
-/// An injected fault must surface as the same pinned error text under
-/// both schedules and every thread count — even when a later
-/// independent launch also fails (the lexicographic bound holds for
-/// faults too).
+/// A failure in the middle of a launch — `scale_oob_first`'s work-group 2
+/// reads out of bounds — surfaces as the same error text under both
+/// schedules and every thread count, even though the later `bad_late`
+/// launch fails too: the lexicographic bound holds mid-launch.
 #[test]
 fn injected_fault_position_is_mode_independent() {
-    let fault = FaultPlan {
-        launch: 1,
-        site: FaultSite::Claim(1),
-    };
-    let results = run_error_graph(&["scale_io", "scale_io", "bad_late"], Some(fault));
+    let results = run_error_graph(&["scale_io", "scale_oob_first", "bad_late"]);
     let (ref_name, want) = &results[0];
     assert_eq!(
         want.as_ref().map(SimError::to_string),
         Ok(format!(
-            "simulation error: {} (launch 1, work-group 1)",
-            fault.error().message()
+            "simulation error: device memory access out of bounds: index 1016 of buffer 0 \
+             (len {LEN}) (launch 1, work-group 2)"
         )),
-        "`{ref_name}` must report the pinned fault text"
+        "`{ref_name}` must report the twin's first out-of-bounds read"
     );
     for (name, got) in &results[1..] {
         assert_eq!(got, want, "`{name}` diverges from `{ref_name}`");
@@ -895,11 +993,11 @@ fn host_addinto_type_mismatch_is_a_structured_error() {
     }
 }
 
-/// An injected fault targeting a **host node** fails the run at the
-/// node's single logical work-group with the pinned fault text, and
-/// nothing after it runs: the faulted closure does not, and neither does
-/// the dependent kernel — at every fault site and thread count, under
-/// the all-pairs DAG and the hazard table's alike.
+/// A failing **host node** — its closure shifts buffer A, then reads past
+/// its end — fails the run at the node's single logical work-group with
+/// the out-of-bounds text, and nothing after it runs: the dependent
+/// kernel does not — at every thread count, under the all-pairs DAG and
+/// the hazard table's alike.
 #[test]
 fn injected_fault_on_host_node_cascades_to_successors() {
     let plan = decoded_scale_plan();
@@ -915,6 +1013,7 @@ fn injected_fault_on_host_node_cascades_to_successors() {
             };
             view.store(ma, i, RtValue::F32(x + 100.0))?;
         }
+        view.load(ma, n)?;
         Ok(())
     });
     // 0 (kernel) -> 1 (host) -> 2 (kernel), all over buffer A.
@@ -948,67 +1047,78 @@ fn injected_fault_on_host_node_cascades_to_successors() {
         _ => panic!("f32 buffer"),
     };
     for threads in [1_usize, 4] {
-        for site in [FaultSite::Decode, FaultSite::Claim(0), FaultSite::Instr(7)] {
-            let fault = FaultPlan { launch: 1, site };
-            let limits = ExecLimits {
-                fault: Some(fault),
-                ..ExecLimits::none()
-            };
-            let mut seen = Vec::new();
-            for (dag_name, dag) in &dags {
-                let ctx = format!("threads={threads} {site:?} ({dag_name})");
-                let before = a_now(&pool);
-                let error = run_plan_graph_report(
-                    &launches,
-                    dag,
-                    &mut pool,
-                    &CostModel::default(),
-                    threads,
-                    false,
-                    &limits,
-                )
-                .expect_err(&ctx);
-                assert!(
-                    matches!(
-                        error,
-                        SimError::Injected {
-                            at: Some((1, 0)),
-                            ..
-                        }
-                    ),
-                    "{ctx}: wrong failure {error:?}"
-                );
-                assert_eq!(
-                    error.message(),
-                    format!("{} (launch 1, work-group 0)", fault.error().message()),
-                    "{ctx}: wrong cause text"
-                );
-                // Launch 0 ran, the faulted closure did not and neither
-                // did the kernel after it: A holds exactly one more
-                // scale than before the run.
-                let scaled: Vec<f32> = before.iter().map(|x| x * 0.5 + 3.0).collect();
-                assert_eq!(a_now(&pool), scaled, "{ctx}");
-                seen.push(error.message());
-            }
-            assert_eq!(
-                seen[0], seen[1],
-                "threads={threads} {site:?}: the two edge sets schedule differently"
+        let mut seen = Vec::new();
+        for (dag_name, dag) in &dags {
+            let ctx = format!("threads={threads} ({dag_name})");
+            let before = a_now(&pool);
+            let error = run_plan_graph_report(
+                &launches,
+                dag,
+                &mut pool,
+                &CostModel::default(),
+                threads,
+                false,
+                &ExecLimits::none(),
+            )
+            .expect_err(&ctx);
+            assert!(
+                matches!(
+                    error,
+                    SimError::Fault {
+                        at: Some((1, 0)),
+                        ..
+                    }
+                ),
+                "{ctx}: wrong failure {error:?}"
             );
+            assert_eq!(
+                error.message(),
+                format!(
+                    "device memory access out of bounds: index {LEN} of buffer 0 (len {LEN}) \
+                     (launch 1, work-group 0)"
+                ),
+                "{ctx}: wrong cause text"
+            );
+            // Launch 0 ran, then the closure's shift, and the kernel after
+            // it did not: A holds one more scale and one shift.
+            let want: Vec<f32> = before.iter().map(|x| x * 0.5 + 3.0 + 100.0).collect();
+            assert_eq!(a_now(&pool), want, "{ctx}");
+            seen.push(error.message());
         }
+        assert_eq!(
+            seen[0], seen[1],
+            "threads={threads}: the two edge sets schedule differently"
+        );
     }
+}
+
+/// An organic failure a test puts in place of one launch of a generated
+/// graph, over a scratch buffer no other launch touches.
+#[derive(Clone, Copy, Debug)]
+enum Failing {
+    /// `scale_oob_first`: work-group 2 fails before its work.
+    BeforeWork,
+    /// `scale_oob_after`: work-group 2 fails after its work.
+    AfterWork,
+    /// The rejected `opaque` kernel: the launch fails up front.
+    Rejected,
+    /// A host closure that reads past the scratch buffer.
+    HostOverrun,
 }
 
 /// One graph-report run of a generated graph under a caller-chosen DAG —
 /// what `exec::run` does with `Queue::dep_graph`, with the edge set left
-/// open. Returns the outcome — the per-launch statistics, or the error
-/// text — plus the final bits of every f32 buffer and USM allocation.
+/// open — with the launch `failing` names replaced by that failure.
+/// Returns the outcome — the per-launch statistics, or the error text —
+/// plus the final bits of every f32 buffer and USM allocation.
 fn spec_graph_run(
     spec: &GraphSpec,
     q: &Queue,
     plans: &[(&'static str, KernelPlan)],
+    failing_plans: &FailingPlans,
     dag: &LaunchDag,
     threads: usize,
-    limits: &ExecLimits,
+    failing: Option<(usize, Failing)>,
 ) -> (Result<Vec<ExecStats>, String>, Vec<Vec<u32>>) {
     let mut pool = MemoryPool::new();
     let mut bufs: Vec<MemId> = spec
@@ -1022,6 +1132,12 @@ fn spec_graph_run(
         .iter()
         .map(|d| pool.alloc(DataVec::F32(d.clone())))
         .collect();
+    let scratch = pool.alloc(DataVec::F32(vec![1.0; LEN as usize]));
+    let scratch_args = [accessor_over(scratch)];
+    let overrun = HostNode::new(move |view: &HostView<'_, '_>| {
+        view.load(scratch, LEN)?;
+        Ok(())
+    });
 
     // Host tasks over f32 buffers, as closures over the device memory.
     let f32_at = |view: &HostView<'_, '_>, mem, i| match view.load(mem, i) {
@@ -1066,19 +1182,35 @@ fn spec_graph_run(
                 .collect()
         })
         .collect();
+    let nd = NdRangeSpec::d1(LEN, 8);
     let launches: Vec<PlanLaunch<'_>> = q
         .groups
         .iter()
         .zip(&hosts)
         .zip(&args)
-        .map(|((cg, host), args)| match host {
-            Some(node) => PlanLaunch::host(node),
-            None => {
-                let (_, plan) = plans
-                    .iter()
-                    .find(|(name, _)| *name == cg.kernel)
-                    .expect("a generated kernel name");
-                PlanLaunch::kernel(plan, args, cg.nd)
+        .enumerate()
+        .map(|(li, ((cg, host), args))| {
+            let failure = failing.and_then(|(at, kind)| (at == li).then_some(kind));
+            match (failure, host) {
+                (Some(Failing::BeforeWork), _) => {
+                    PlanLaunch::kernel(&failing_plans.oob_first, &scratch_args, nd)
+                }
+                (Some(Failing::AfterWork), _) => {
+                    PlanLaunch::kernel(&failing_plans.oob_after, &scratch_args, nd)
+                }
+                (Some(Failing::Rejected), _) => PlanLaunch::Rejected {
+                    nd,
+                    error: &failing_plans.rejection,
+                },
+                (Some(Failing::HostOverrun), _) => PlanLaunch::host(&overrun),
+                (None, Some(node)) => PlanLaunch::host(node),
+                (None, None) => {
+                    let (_, plan) = plans
+                        .iter()
+                        .find(|(name, _)| *name == cg.kernel)
+                        .expect("a generated kernel name");
+                    PlanLaunch::kernel(plan, args, cg.nd)
+                }
             }
         })
         .collect();
@@ -1089,7 +1221,7 @@ fn spec_graph_run(
         &CostModel::default(),
         threads,
         false,
-        limits,
+        &ExecLimits::none(),
     )
     .map(|report| report.stats)
     .map_err(|e| e.message());
@@ -1106,14 +1238,16 @@ fn spec_graph_run(
 
 /// The scheduler cannot tell the hazard table's sparse edge set from the
 /// all-pairs one: over the generated population — clean, with its own
-/// divergent kernels, and with a fault injected at a random launch — the
-/// outcome (every statistic of a clean run, the failure's text and
-/// position otherwise) is equal at every thread count, and so is final
+/// divergent kernels, and with a seeded [`Failing`] launch in place of a
+/// random one — the outcome (every statistic of a clean run, the
+/// failure's text and position otherwise) is equal at every thread
+/// count, and so is final
 /// memory whenever the run is clean (after a failure, whether a later
 /// independent launch ran is schedule-dependent under either).
 #[test]
 fn random_graphs_schedule_identically_under_both_edge_sets() {
     let plans = decoded_templates();
+    let failing_plans = failing_plans();
     let (mut sparser, mut failed) = (0, 0);
     for case in 0..48_u64 {
         let seed = case * 65_537 + 7;
@@ -1124,19 +1258,21 @@ fn random_graphs_schedule_identically_under_both_edge_sets() {
             sparser += 1;
         }
         let mut rng = TestRng::new(seed ^ 0xFA17);
-        let fault = FaultPlan {
-            launch: rng.below(q.groups.len()),
-            site: [FaultSite::Decode, FaultSite::Claim(0), FaultSite::Instr(7)][rng.below(3)],
-        };
-        for fault in [None, Some(fault)] {
-            let limits = ExecLimits {
-                fault,
-                ..ExecLimits::none()
-            };
+        let failure = (
+            rng.below(q.groups.len()),
+            [
+                Failing::BeforeWork,
+                Failing::AfterWork,
+                Failing::Rejected,
+                Failing::HostOverrun,
+            ][rng.below(4)],
+        );
+        for failing in [None, Some(failure)] {
             for threads in [1_usize, 4] {
-                let [want, got] = [&dags[0].1, &dags[1].1]
-                    .map(|dag| spec_graph_run(&spec, &q, &plans, dag, threads, &limits));
-                let ctx = format!("seed {seed}, threads={threads}, fault {fault:?}");
+                let [want, got] = [&dags[0].1, &dags[1].1].map(|dag| {
+                    spec_graph_run(&spec, &q, &plans, &failing_plans, dag, threads, failing)
+                });
+                let ctx = format!("seed {seed}, threads={threads}, failing {failing:?}");
                 assert_eq!(want.0, got.0, "{ctx}: outcomes diverge");
                 if got.0.is_ok() {
                     assert_eq!(want.1, got.1, "{ctx}: memory diverges");
@@ -1250,7 +1386,6 @@ fn host_view_fault_fails_the_node_and_a_host_panic_is_rethrown() {
         let (report, a) = graph(&overrun, threads);
         let error = report.expect_err("the closure reads past its buffer");
         assert_eq!(error.message(), text, "threads={threads}");
-        assert!(!error.message().contains("injected fault"));
         // The successor did not run.
         assert_eq!(a, two(), "threads={threads}");
     }
@@ -1382,50 +1517,23 @@ fn unknown_buffer_in_a_host_closure_fails_its_node_only() {
     }
 }
 
-/// Two up-front failures of one launch sit at the same position,
-/// `(launch, 0)`: the launch reports the one recorded first — the armed
-/// decode fault, which the serial reference also meets before it looks
-/// at the arguments — at every thread count.
+/// A kernel the plan decoder rejects fails at its own position, up
+/// front: the out-of-bounds access of the launch before it wins, under
+/// both schedules and every thread count — `(launch 1, work-group 0)`
+/// everywhere, though the serial reference has no decoder and the plan
+/// engine knows of the rejection before any work-group runs.
 #[test]
-fn decode_fault_beats_an_unknown_buffer_argument_of_the_same_launch() {
-    let m = build_module(&SyclRuntime::new(), &Queue::new());
-    let dev = m
-        .lookup_symbol(m.top(), sycl_mlir_repro::sycl::DEVICE_MODULE_SYM)
-        .expect("device module");
-    let scale_io = m.lookup_symbol(dev, "scale_io").expect("kernel symbol");
-    let fault = FaultPlan {
-        launch: 0,
-        site: FaultSite::Decode,
-    };
-    for (name, device) in configs() {
-        let mut pool = MemoryPool::new();
-        pool.alloc(DataVec::F32(vec![0.0; LEN as usize]));
-        let args = [accessor_over(MemId(9))];
-        let err = (device.fault(fault))
-            .launch(&m, scale_io, &args, NdRangeSpec::d1(LEN, 8), &mut pool)
-            .expect_err("both failures are armed");
-        assert_eq!(
-            err.message(),
-            "injected fault: decode of launch 0 (launch 0, work-group 0)",
-            "`{name}`"
-        );
-    }
-}
-
-/// A plain kernel error earlier in the queue beats a later injected
-/// fault, under both schedules: faults obey the same lexicographic
-/// first-failure contract as organic failures.
-#[test]
-fn earlier_kernel_error_beats_later_injected_fault() {
-    let fault = FaultPlan {
-        launch: 2,
-        site: FaultSite::Decode,
-    };
-    let results = run_error_graph(&["scale_io", "oob", "scale_io"], Some(fault));
+fn earlier_kernel_error_beats_a_later_rejected_kernel() {
+    let results = run_error_graph(&["scale_io", "oob", "opaque"]);
     let (ref_name, want) = &results[0];
     assert!(
-        want.as_ref()
-            .is_ok_and(|e| e.message().contains("out of bounds")),
+        want.as_ref().is_ok_and(|e| matches!(
+            e,
+            SimError::Fault {
+                at: Some((1, 0)),
+                ..
+            }
+        ) && e.message().contains("out of bounds")),
         "`{ref_name}` reported: {want:?}"
     );
     for (name, got) in &results[1..] {
@@ -1443,12 +1551,13 @@ fn earlier_kernel_error_beats_later_injected_fault() {
 /// successor of the failing launch runs, so the dependent counter reads
 /// 0 everywhere — the serial reference's stopping point. When the
 /// failure is known before any work-group runs (an unknown-buffer
-/// argument, a decode fault) no later launch starts either, so the
+/// argument, a kernel the decoder rejects) no later launch starts
+/// either, so the
 /// independent counter reads 0 too; otherwise whether it ran is
 /// unspecified.
 #[test]
 fn failure_stops_every_successor_under_every_engine() {
-    let m = build_module(&SyclRuntime::new(), &Queue::new());
+    let m = error_module();
     let dev = m
         .lookup_symbol(m.top(), sycl_mlir_repro::sycl::DEVICE_MODULE_SYM)
         .expect("device module");
@@ -1458,38 +1567,30 @@ fn failure_stops_every_successor_under_every_engine() {
         view.load(MemId(0), view.len(MemId(0))? as i64)?;
         Ok(())
     });
-    let decode = FaultPlan {
-        launch: 0,
-        site: FaultSite::Decode,
-    };
-    // (kind, failing launch 0, armed fault, known before any group runs,
-    // the error's position)
+    // (kind, failing launch 0, known before any group runs, the error's
+    // position)
     let kinds = [
         (
             "host view fault",
             BatchLaunch::host_node(overrun),
-            None,
             false,
             (0, 0),
         ),
         (
             "unknown buffer argument",
             BatchLaunch::kernel(kernel("scale_io"), vec![accessor_over(MemId(9))], nd),
-            None,
             true,
             (0, 0),
         ),
         (
             "divergent barrier",
             BatchLaunch::kernel(kernel("bad_late"), Vec::new(), nd),
-            None,
             false,
             (0, 2),
         ),
         (
-            "injected decode fault",
-            BatchLaunch::kernel(kernel("scale_io"), vec![accessor_over(MemId(0))], nd),
-            Some(decode),
+            "rejected kernel",
+            BatchLaunch::kernel(kernel("opaque"), vec![accessor_over(MemId(0))], nd),
             true,
             (0, 0),
         ),
@@ -1501,12 +1602,8 @@ fn failure_stops_every_successor_under_every_engine() {
             Ok(())
         }))
     };
-    for (kind, failing, fault, upfront, at) in kinds {
+    for (kind, failing, upfront, at) in kinds {
         for (name, device) in configs() {
-            let device = match fault {
-                Some(f) => device.fault(f),
-                None => device,
-            };
             let (successor, independent) = (Arc::default(), Arc::default());
             let batch = [failing.clone(), counter(&successor), counter(&independent)];
             let mut pool = MemoryPool::new();
