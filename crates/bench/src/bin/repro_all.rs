@@ -119,12 +119,10 @@ fn main() {
         // were verified, how much of the suite the static passes proved.
         let vc = device.verify_counters();
         println!(
-            "  \"verify_stats\": {{\"plans\": {}, \"sites_proven\": {}, \"sites_total\": {}, \"barriers_uniform\": {}, \"barriers_total\": {}, \"rejected\": {}, \"lint_findings\": {}, \"verify_us\": {}}},",
+            "  \"verify_stats\": {{\"plans\": {}, \"sites_proven\": {}, \"sites_total\": {}, \"rejected\": {}, \"lint_findings\": {}, \"verify_us\": {}}},",
             vc.plans,
             vc.sites_proven,
             vc.sites_total,
-            vc.barriers_uniform,
-            vc.barriers_total,
             vc.rejected,
             vc.lint_findings,
             vc.verify_ns / 1_000,

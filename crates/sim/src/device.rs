@@ -3,7 +3,7 @@
 //! cross-launch kernel-plan cache.
 
 use crate::cost::{CostModel, ExecStats};
-use crate::interp::{enclosing_module, ExecCtx, Stop, WorkItemState};
+use crate::interp::{ExecCtx, Stop, WorkItemState};
 use crate::limits::{ExecLimits, OpMeter};
 use crate::memory::MemoryPool;
 use crate::plan::{decode_kernel, fuse_plan, profile_summary, ItemQ, KernelPlan};
@@ -165,8 +165,7 @@ fn coordinate(linear: i64, n: [i64; 3], d: usize) -> i64 {
 
 /// One decoded-and-verified cache entry as handed to the launch paths:
 /// the fused plan plus the decode-time verifier's facts (site in-bounds
-/// proofs, barrier uniformity; [`PlanFacts::NONE`] when the verifier
-/// reported findings).
+/// proofs; [`PlanFacts::NONE`] when the verifier reported findings).
 type PlanEntry = (Arc<KernelPlan>, Arc<PlanFacts>);
 
 /// One cached kernel decode: the outcome — an entry, or the decode error
@@ -240,12 +239,6 @@ pub struct VerifyCounters {
     /// candidates; actual elision is decided per launch when the proof
     /// is instantiated against concrete geometry and buffer lengths).
     pub sites_proven: u64,
-    /// `sycl.group.barrier` ops seen across verified plans' source IR.
-    pub barriers_total: u64,
-    /// Barriers the IR uniformity analysis proved to sit in uniform
-    /// control flow (a reported fact; the group driver checks every
-    /// barrier round for divergence regardless).
-    pub barriers_uniform: u64,
     /// Total wall time spent in the verifier, in nanoseconds.
     pub verify_ns: u64,
     /// Kernels the plan decoder refused.
@@ -414,33 +407,23 @@ impl Device {
     }
 
     /// Run the decode-time static verifier over a freshly decoded
-    /// (pre-fusion) plan: the structural, type-consistency and
-    /// barrier-placement passes plus the interval abstract interpreter
-    /// ([`verify_plan`]), then the IR-level barrier-uniformity pass.
-    /// A plan with findings gets [`PlanFacts::NONE`] — so it runs with
-    /// every check in place — and its first finding is kept for the
-    /// profile report.
+    /// (pre-fusion) plan: the structural and type-consistency passes plus
+    /// the interval abstract interpreter ([`verify_plan`]). A plan with
+    /// findings gets [`PlanFacts::NONE`] — so it runs with every check in
+    /// place — and its first finding is kept for the profile report.
     fn verify_decoded(&self, m: &Module, kernel: OpId, plan: &KernelPlan) -> PlanFacts {
         let start = Instant::now();
-        match verify_plan(plan) {
-            Ok(mut facts) => {
-                let (total, uniform) = barrier_uniformity(m, kernel);
-                facts.barriers_total = total;
-                facts.barriers_uniform = uniform;
-                facts.verify_ns = start.elapsed().as_nanos() as u64;
-                let mut vs = self.verify_stats.borrow_mut();
-                vs.plans += 1;
+        let verdict = verify_plan(plan);
+        let mut vs = self.verify_stats.borrow_mut();
+        vs.plans += 1;
+        vs.verify_ns += start.elapsed().as_nanos() as u64;
+        match verdict {
+            Ok(facts) => {
                 vs.sites_total += facts.sites_total as u64;
                 vs.sites_proven += facts.sites_proven as u64;
-                vs.barriers_total += total as u64;
-                vs.barriers_uniform += uniform as u64;
-                vs.verify_ns += facts.verify_ns;
                 facts
             }
             Err(errs) => {
-                let mut vs = self.verify_stats.borrow_mut();
-                vs.plans += 1;
-                vs.verify_ns += start.elapsed().as_nanos() as u64;
                 vs.lint_findings += errs.len() as u64;
                 let name = m.symbol_name(kernel).unwrap_or("?");
                 let mut first = format!("{name}: {}", errs[0]);
@@ -651,10 +634,6 @@ impl Device {
                 "{:>10}/{:<5}  access sites proven in-bounds\n",
                 vs.sites_proven, vs.sites_total
             ));
-            out.push_str(&format!(
-                "{:>10}/{:<5}  barriers statically uniform\n",
-                vs.barriers_uniform, vs.barriers_total
-            ));
             out.push_str(&format!("{:>16}  verify time (us)\n", vs.verify_ns / 1_000));
             if vs.rejected > 0 {
                 out.push_str(&format!("{:>16}  plans undecodable\n", vs.rejected));
@@ -668,94 +647,6 @@ impl Device {
         }
         Some(out)
     }
-}
-
-/// Count the `sycl.group.barrier` ops of `kernel` and its transitive
-/// callees in the source IR, and how many of them the uniformity
-/// analysis ([`UniformityAnalysis`]) places in provably uniform control
-/// flow (reported in [`VerifyCounters`]; nothing at run time depends on
-/// it). Per-function
-/// analysis runs only for functions that actually contain barriers;
-/// anything unresolvable stays counted but unproven (conservative).
-fn barrier_uniformity(m: &Module, kernel: OpId) -> (u32, u32) {
-    use std::collections::HashMap;
-    use sycl_mlir_analysis::uniformity::UniformityAnalysis;
-
-    /// Every op nested under `f`'s regions, depth-first.
-    fn nested_ops(m: &Module, f: OpId) -> Vec<OpId> {
-        let mut out = Vec::new();
-        let mut stack: Vec<OpId> = Vec::new();
-        for &r in m.op_regions(f) {
-            for &b in m.region_blocks(r) {
-                stack.extend(m.block_ops(b).iter().copied());
-            }
-        }
-        while let Some(op) = stack.pop() {
-            out.push(op);
-            for &r in m.op_regions(op) {
-                for &b in m.region_blocks(r) {
-                    stack.extend(m.block_ops(b).iter().copied());
-                }
-            }
-        }
-        out
-    }
-
-    // Fixpoint over the call graph: `div[f]` is true when *some* path
-    // from the kernel reaches `f` through divergent control flow (a
-    // divergent call site, or a divergent caller) — barriers in such a
-    // function must stay unproven, whatever their local placement.
-    let mut analyses: HashMap<OpId, UniformityAnalysis> = HashMap::new();
-    let mut div: HashMap<OpId, bool> = HashMap::new();
-    div.insert(kernel, false);
-    let mut work = vec![kernel];
-    while let Some(f) = work.pop() {
-        let fdiv = div[&f];
-        for op in nested_ops(m, f) {
-            if &*m.op_name_str(op) != "func.call" {
-                continue;
-            }
-            let Some(callee) =
-                sycl_mlir_dialects::func::resolve_callee(m, op, enclosing_module(m, f))
-            else {
-                continue;
-            };
-            let ua = analyses
-                .entry(f)
-                .or_insert_with(|| UniformityAnalysis::compute(m, f));
-            let cdiv = fdiv || ua.is_divergent_at(m, op, f);
-            match div.get_mut(&callee) {
-                None => {
-                    div.insert(callee, cdiv);
-                    work.push(callee);
-                }
-                Some(prev) if cdiv && !*prev => {
-                    *prev = true;
-                    work.push(callee);
-                }
-                Some(_) => {}
-            }
-        }
-    }
-    let (mut total, mut uniform) = (0_u32, 0_u32);
-    for (&f, &fdiv) in &div {
-        let barriers: Vec<OpId> = nested_ops(m, f)
-            .into_iter()
-            .filter(|&op| &*m.op_name_str(op) == "sycl.group.barrier")
-            .collect();
-        total += barriers.len() as u32;
-        if barriers.is_empty() || fdiv {
-            continue;
-        }
-        let ua = analyses
-            .entry(f)
-            .or_insert_with(|| UniformityAnalysis::compute(m, f));
-        uniform += barriers
-            .iter()
-            .filter(|&&b| !ua.is_divergent_at(m, b, f))
-            .count() as u32;
-    }
-    (total, uniform)
 }
 
 /// One entry of a [`Device::launch_graph`] call: a kernel with its bound
@@ -849,11 +740,9 @@ fn run_host_serial(
 /// Drive a work-group's `items` work-items in co-operative rounds: `round`
 /// runs every live one to its next barrier or to completion and says how
 /// many wait at a barrier; mixing the two within a group is the
-/// divergent-barrier deadlock. The one round loop, shared by
-/// both engines (and every plan worker thread), whatever the verifier
-/// proved about the kernel's barriers — so the scheduling policy (and its
-/// error message) cannot drift, and a wrong "statically uniform" is this
-/// error rather than a silent mis-execution.
+/// divergent-barrier deadlock. The one round loop, shared by both engines
+/// (and every plan worker thread), and the one place a barrier is checked
+/// — so the scheduling policy (and its error message) cannot drift.
 pub(crate) fn cooperative_rounds(
     items: usize,
     group: [i64; 3],

@@ -9,6 +9,7 @@
 
 use crate::cost::{Coalescer, CostModel, ExecStats};
 use crate::device::NdRangeSpec;
+use crate::limits::{step_budget_exceeded, MAX_STEPS};
 use crate::memory::{MemFault, MemoryPool};
 use crate::plan::ItemQ;
 use crate::value::{MemRefVal, RtValue, Space, VecVal};
@@ -287,8 +288,6 @@ pub struct WorkItemState {
     steps: u64,
 }
 
-const MAX_STEPS: u64 = 500_000_000;
-
 impl WorkItemState {
     /// Prepare execution of `kernel`, as the work-item at local linear id
     /// `linear`, with `args` bound to all parameters except the trailing
@@ -370,7 +369,7 @@ impl WorkItemState {
         loop {
             self.steps += 1;
             if self.steps > MAX_STEPS {
-                return Err(err("work-item exceeded the step budget (runaway loop?)"));
+                return Err(step_budget_exceeded());
             }
             if let Some(meter) = ctx.limits.as_deref_mut() {
                 meter.charge(1)?;

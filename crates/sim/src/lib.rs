@@ -36,9 +36,8 @@
 //!   dimension operands pre-parsed, call targets pre-resolved, and
 //!   `scf.for`/`scf.if` lowered to explicit jump/loop instructions. The
 //!   **decode-time verifier** ([`verify_plan`]) then proves what it can
-//!   about the plan once — accessor sites in bounds, barriers in uniform
-//!   control flow — and a plan with findings runs with every check in
-//!   place. Last, the **peephole fusion pass** ([`fuse_plan`]) rewrites
+//!   about the plan once — which accessor sites stay in bounds — and a
+//!   plan with findings runs with every check in place. Last, the **peephole fusion pass** ([`fuse_plan`]) rewrites
 //!   every legal **indexed accessor load** `vec.ctor`+`acc.subscript`+`Load`
 //!   — the accessor read the paper's device optimizations act on — into
 //!   one superinstruction with identical semantics and statistics.

@@ -8,6 +8,7 @@ use super::slot::{put, Slot};
 use super::KernelPlan;
 use crate::device::NdRangeSpec;
 use crate::interp::{SimError, Stop};
+use crate::limits::{step_budget_exceeded, MAX_STEPS};
 use crate::memory::MemFault;
 use crate::pool::PlanExecCtx;
 use crate::value::{MemRefVal, RtValue, Space, VecVal};
@@ -208,8 +209,6 @@ fn note_fault(first: &mut Fault, at: (u32, u32), error: SimError) {
         *first = Some((at, error));
     }
 }
-
-const MAX_STEPS: u64 = 500_000_000;
 
 /// One work-group's resumable execution state over a [`KernelPlan`]: a
 /// register file per sub-group and the lane groups over them. A worker
@@ -727,7 +726,7 @@ fn run_impl(
         }
         *steps += 1;
         if *steps > MAX_STEPS {
-            fail!(err("work-item exceeded the step budget (runaway loop?)"));
+            fail!(step_budget_exceeded());
         }
         let instr = &code[pc];
         // Profiling and metering are a test per dispatch, not per lane.

@@ -4,15 +4,13 @@
 //! its result next to the plan: the verifier knows primitives only and
 //! rejects a plan that contains a superinstruction. Fusion keeps every
 //! memory-site id, so the proofs transfer to the fused plan by site.
-//! Three layers:
+//! Two layers:
 //!
 //! 1. **Structural verifier** — register def-before-use, per-slot type
-//!    consistency, jump targets on instruction boundaries, call arity,
-//!    site-id bounds, and no barrier inside a loop whose trip count
-//!    depends on a value the verifier cannot classify as launch-uniform.
-//!    Violations come back as structured [`VerifyError`]s (never a
-//!    panic), so malformed or untrusted programs are rejected before any
-//!    work-item executes.
+//!    consistency, jump targets on instruction boundaries, call arity
+//!    and site-id bounds. Violations come back as structured
+//!    [`VerifyError`]s (never a panic), so malformed or untrusted
+//!    programs are rejected before any work-item executes.
 //! 2. **Interval abstract interpreter** — symbolic intervals
 //!    ([`sycl_mlir_analysis::interval`]) over the index registers of the
 //!    kernel function: constants, nd-range ids bounded by the launch
@@ -22,12 +20,10 @@
 //!    time [`PlanFacts::instantiate`] resolves the symbols against the
 //!    actual geometry/arguments and produces the proven-safe bitset the
 //!    executors use to skip per-access bounds checks.
-//! 3. **Barrier uniformity** — an IR-level pass (driven from the device,
-//!    which still holds the module) fills [`PlanFacts::barriers_uniform`]
-//!    from [`sycl_mlir_analysis::uniformity`]. It is a reported fact
-//!    only: the group driver checks every barrier round for divergence,
-//!    so a wrong "uniform" here is a `divergent barrier` error, never a
-//!    silent mis-execution.
+//!
+//! Barriers are not the verifier's concern: the group driver checks
+//! every barrier round, so a barrier that work-items reach divergently
+//! is a `divergent barrier` error at run time.
 //!
 //! The contract of every fact is **may-elide, never may-change**: an
 //! unproven site keeps the exact runtime check (and error text and
@@ -39,7 +35,6 @@
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 use sycl_mlir_analysis::interval::{BinOp, Expr, Interval};
 
@@ -97,12 +92,6 @@ pub struct PlanFacts {
     pub sites_total: u32,
     /// Number of sites with a symbolic in-bounds proof.
     pub sites_proven: u32,
-    /// Total `sycl.group.barrier` sites found by the IR uniformity walk.
-    pub barriers_total: u32,
-    /// Barrier sites the uniformity analysis classified as uniform.
-    pub barriers_uniform: u32,
-    /// Wall-clock nanoseconds the verifier spent on this plan.
-    pub verify_ns: u64,
 }
 
 impl PlanFacts {
@@ -112,9 +101,6 @@ impl PlanFacts {
         proofs: Vec::new(),
         sites_total: 0,
         sites_proven: 0,
-        barriers_total: 0,
-        barriers_uniform: 0,
-        verify_ns: 0,
     };
 
     /// Resolve the symbolic proofs against one launch's actual geometry,
@@ -232,7 +218,6 @@ fn succs(pc: usize, instr: &Instr) -> Vec<usize> {
 /// `Err` carries every violation found, sorted by `(func, pc)` — the
 /// device counts them and runs the plan with every check in place.
 pub fn verify_plan(plan: &KernelPlan) -> Result<PlanFacts, Vec<VerifyError>> {
-    let t0 = Instant::now();
     let mut errs = Vec::new();
     fatal_pass(plan, &mut errs);
     if !errs.is_empty() {
@@ -242,11 +227,9 @@ pub fn verify_plan(plan: &KernelPlan) -> Result<PlanFacts, Vec<VerifyError>> {
         errs.dedup();
         return Err(errs);
     }
-    let barrier_funcs = transitive_barrier_funcs(plan);
     for (fi, func) in plan.funcs.iter().enumerate() {
         def_before_use_pass(fi as u32, func, &mut errs);
         type_class_pass(fi as u32, func, &mut errs);
-        barrier_loop_pass(fi as u32, func, &barrier_funcs, &mut errs);
     }
     if !errs.is_empty() {
         errs.sort();
@@ -259,9 +242,6 @@ pub fn verify_plan(plan: &KernelPlan) -> Result<PlanFacts, Vec<VerifyError>> {
         proofs,
         sites_total: plan.mem_sites,
         sites_proven,
-        barriers_total: 0,
-        barriers_uniform: 0,
-        verify_ns: t0.elapsed().as_nanos() as u64,
     })
 }
 
@@ -559,137 +539,7 @@ fn type_class_pass(fi: u32, func: &FuncPlan, errs: &mut Vec<VerifyError>) {
 }
 
 // ----------------------------------------------------------------------
-// Pass D: no barrier inside a data-dependent loop
-// ----------------------------------------------------------------------
-
-/// Per-function flag: does the function (transitively) contain a
-/// barrier?
-fn transitive_barrier_funcs(plan: &KernelPlan) -> Vec<bool> {
-    let mut has = plan
-        .funcs
-        .iter()
-        .map(|f| f.code.iter().any(|i| matches!(i, Instr::Barrier)))
-        .collect::<Vec<_>>();
-    loop {
-        let mut changed = false;
-        for fi in 0..plan.funcs.len() {
-            if has[fi] {
-                continue;
-            }
-            let calls_barrier = plan.funcs[fi].code.iter().any(|i| match i {
-                Instr::Call { func, .. } => has.get(*func as usize).copied().unwrap_or(false),
-                _ => false,
-            });
-            if calls_barrier {
-                has[fi] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            return has;
-        }
-    }
-}
-
-/// Registers whose value is launch-uniform and statically classifiable:
-/// constants, kernel arguments, range/extent queries, and arithmetic
-/// over those. Work-item ids, loaded values and call results are not.
-/// Greatest-fixpoint: start all-uniform, clear until stable.
-fn uniform_decodable_regs(func: &FuncPlan) -> Vec<bool> {
-    let n = func.reg_count as usize;
-    let mut dec = vec![true; n];
-    loop {
-        let mut changed = false;
-        for instr in &func.code {
-            let source_undecodable = match instr {
-                Instr::ItemQuery { q, .. } => {
-                    matches!(q, ItemQ::GlobalId | ItemQ::LocalId | ItemQ::GroupId)
-                }
-                Instr::GlobalLinearId { .. }
-                | Instr::LocalLinearId { .. }
-                | Instr::ItemSelf { .. }
-                | Instr::Load { .. }
-                | Instr::Call { .. }
-                | Instr::Alloca { .. }
-                | Instr::LocalAlloca { .. }
-                | Instr::ConstDense { .. } => true,
-                _ => false,
-            };
-            let mut undec = source_undecodable;
-            instr.reads(|r| undec |= !dec[r as usize]);
-            if undec {
-                instr.writes(|r| {
-                    if dec[r as usize] {
-                        dec[r as usize] = false;
-                        changed = true;
-                    }
-                });
-            }
-        }
-        if !changed {
-            return dec;
-        }
-    }
-}
-
-fn barrier_loop_pass(
-    fi: u32,
-    func: &FuncPlan,
-    barrier_funcs: &[bool],
-    errs: &mut Vec<VerifyError>,
-) {
-    let code = &func.code;
-    if !code.iter().any(|i| {
-        matches!(i, Instr::Barrier)
-            || matches!(i, Instr::Call { func, .. }
-                        if barrier_funcs.get(*func as usize).copied().unwrap_or(false))
-    }) {
-        return;
-    }
-    let dec = uniform_decodable_regs(func);
-    // The decoder emits properly nested structured loops, so a linear
-    // scan with an exit-pc stack recovers the loop forest.
-    let mut stack: Vec<(u32, bool)> = Vec::new();
-    for (pc, instr) in code.iter().enumerate() {
-        while stack.last().is_some_and(|&(exit, _)| exit as usize <= pc) {
-            stack.pop();
-        }
-        match instr {
-            Instr::ForEnter {
-                lb, ub, step, exit, ..
-            } if *exit as usize > pc => {
-                let trip_dec = dec[*lb as usize] && dec[*ub as usize] && dec[*step as usize];
-                stack.push((*exit, trip_dec));
-            }
-            Instr::Barrier if stack.iter().any(|&(_, d)| !d) => {
-                errs.push(VerifyError {
-                    func: fi,
-                    pc: pc as u32,
-                    message: "barrier inside a loop with a data-dependent trip count".into(),
-                });
-            }
-            Instr::Call { func: callee, .. }
-                if barrier_funcs
-                    .get(*callee as usize)
-                    .copied()
-                    .unwrap_or(false)
-                    && stack.iter().any(|&(_, d)| !d) =>
-            {
-                errs.push(VerifyError {
-                    func: fi,
-                    pc: pc as u32,
-                    message:
-                        "call to a barrier-containing function inside a loop with a data-dependent trip count"
-                            .into(),
-                });
-            }
-            _ => {}
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// Pass E: interval abstract interpretation (kernel function only)
+// Pass D: interval abstract interpretation (kernel function only)
 // ----------------------------------------------------------------------
 
 /// Abstract value of one register during the interval walk.
@@ -1261,57 +1111,6 @@ mod tests {
         let errs = verify_plan(&p).unwrap_err();
         assert!(
             errs.iter().any(|e| e.message.contains("expects 2 results")),
-            "{errs:?}"
-        );
-    }
-
-    /// Barrier under a loop bounded by the local range is fine; bounded
-    /// by a work-item id it is a structural violation.
-    #[test]
-    fn barrier_loop_trip_count_classification() {
-        let build = |ub_query: ItemQ| {
-            plan1(
-                vec![
-                    Instr::Const {
-                        dst: 0,
-                        val: Slot::Int(0),
-                    },
-                    Instr::Const {
-                        dst: 1,
-                        val: Slot::Int(1),
-                    },
-                    Instr::ItemQuery {
-                        dst: 2,
-                        q: ub_query,
-                        dim: DimSrc::Const(0),
-                    },
-                    Instr::ForEnter {
-                        lb: 0,
-                        ub: 2,
-                        step: 1,
-                        iv: 3,
-                        exit: 6,
-                    },
-                    Instr::Barrier,
-                    Instr::ForNext {
-                        iv: 3,
-                        step: 1,
-                        ub: 2,
-                        body: 4,
-                    },
-                    ret(),
-                ],
-                4,
-                vec![],
-                false,
-                0,
-            )
-        };
-        assert!(verify_plan(&build(ItemQ::LocalRange)).is_ok());
-        let errs = verify_plan(&build(ItemQ::GlobalId)).unwrap_err();
-        assert!(
-            errs.iter()
-                .any(|e| e.message.contains("data-dependent trip count")),
             "{errs:?}"
         );
     }

@@ -220,6 +220,18 @@ if grep -rnE 'FaultPlan|FaultSite|CancelToken|SimError::Injected|LimitKind::Canc
   exit 1
 fi
 
+# One barrier check (ARCHITECTURE.md, "Static verification and check
+# elision"): the round loop finds a barrier that work-items reach
+# divergently, at run time. The verifier's barrier-loop lint and the
+# device's re-run of the IR uniformity analysis, which only counted
+# barriers, must not come back; the analysis stays with the compiler
+# (crates/analysis, tests/uniformity.rs).
+step "one barrier check, the round loop"
+if grep -rnE 'barrier_uniformity|barrier_loop_pass|uniform_decodable_regs|transitive_barrier_funcs|barriers_uniform|barriers_total' crates src tests examples; then
+  echo "FAIL: decode-time barrier facts are back; the round loop checks every barrier" >&2
+  exit 1
+fi
+
 # Runs the whole workspace, including the scheduler's hardening suites:
 # tests/scheduler_stress.rs (~200 randomized hazard DAGs across tree |
 # plan × threads 1 | 4, plus error-ordering pins),
@@ -253,7 +265,7 @@ echo "quick sweep: $gauge (lane-instructions, dispatches, lanes/dispatch)"
 # these counts, not a second sweep, are what says the suite stayed clean.
 step "verify stats: the quick sweep's plans, proofs and findings, exactly"
 vstats=$(./target/release/repro_all --quick --json | sed -n 's/.*"verify_stats": {\(.*\), "verify_us": [0-9]*}.*/\1/p')
-expected='"plans": 174, "sites_proven": 642, "sites_total": 792, "barriers_uniform": 46, "barriers_total": 46, "rejected": 0, "lint_findings": 0'
+expected='"plans": 174, "sites_proven": 642, "sites_total": 792, "rejected": 0, "lint_findings": 0'
 if [[ "$vstats" != "$expected" ]]; then
   echo "FAIL: the quick sweep's verify_stats read '$vstats', expected '$expected'" >&2
   exit 1

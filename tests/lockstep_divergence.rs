@@ -135,8 +135,8 @@ fn sum_loop(
     b.module().op_result(op, 0)
 }
 
-/// The kernels of the suite that run to completion; `divergent` and
-/// `two_faults` fail. All are over `(input f32, idx i32, out f32)`.
+/// The kernels of the suite that run to completion; `divergent`,
+/// `barrier_loop` and `two_faults` fail. All are over `(input f32, idx i32, out f32)`.
 const COMPLETING: [&str; 5] = ["mod3_loop", "late_join", "trips", "lane0_store", "ladder"];
 
 /// The joint module: the suite's kernels for `geom`, and the host IR of
@@ -277,6 +277,18 @@ fn build_module(geom: Geom, rt: &SyclRuntime, q: &Queue) -> sycl_mlir_repro::ir:
         );
     });
 
+    // A barrier in a loop of `lid` trips: lane 0 never enters the loop
+    // and finishes while the others wait at the barrier.
+    kb.add_kernel(&sig("barrier_loop"), |b, _args, item| {
+        let (lid, _) = linear_ids(b, item, geom);
+        let g = sdev::get_group(b, item);
+        let (zero, one) = (arith::constant_index(b, 0), arith::constant_index(b, 1));
+        scf::build_for(b, zero, lid, one, &[], |b, _, _| {
+            sdev::group_barrier(b, g);
+            vec![]
+        });
+    });
+
     // Two lanes fail at different instructions, the higher lane at the
     // earlier one: lane 5 loads out of bounds first in lockstep order,
     // lane 2 divides by zero later — and is the first to fail in item
@@ -395,16 +407,27 @@ fn divergent_lanes_match_the_serial_reference() {
     }
 }
 
-/// The divergent barrier: the same message bytes, work-group 0's.
+/// A divergent barrier — the even lanes' under an `scf.if`, or every lane
+/// but 0 in a loop of `lid` trips — reads the same bytes under every
+/// configuration of a geometry: work-group 0's, with the same census.
 #[test]
 fn a_divergent_barrier_reads_the_same() {
-    for run in check("divergent") {
-        let e = run.expect_err("a divergent barrier");
-        assert!(
-            e.starts_with("simulation error: divergent barrier: ")
-                && e.ends_with("(launch 0, work-group 0)"),
-            "{e}"
-        );
+    for kernel in ["divergent", "barrier_loop"] {
+        let runs = check(kernel);
+        for (geom, runs) in GEOMS.iter().zip(runs.chunks(runs.len() / GEOMS.len())) {
+            let g = geom.group();
+            // The odd lanes finish past the `if`; lane 0 alone skips the loop.
+            let f = if kernel == "divergent" { g / 2 } else { 1 };
+            let expected = format!(
+                "simulation error: divergent barrier: {} work-items wait at a barrier \
+                 while {f} finished (work-group [0, 0, 0]) (launch 0, work-group 0)",
+                g - f
+            );
+            for run in runs {
+                let e = run.as_ref().expect_err("a divergent barrier");
+                assert_eq!(e, &expected, "{kernel}, {geom:?}");
+            }
+        }
     }
 }
 

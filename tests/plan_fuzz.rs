@@ -1515,7 +1515,7 @@ fn verifier_accepts_fuzz_population_and_elision_is_bit_identical() {
     for seed in 0..128_u64 {
         let seed = seed * 7919 + 13;
         let plan = Gen::new(seed).finish();
-        let mut facts = verify_plan(&plan)
+        let facts = verify_plan(&plan)
             .unwrap_or_else(|errs| panic!("fuzz seed {seed} must verify clean: {errs:?}"));
         let again = verify_plan(&plan).expect("deterministic");
         assert_eq!(
@@ -1525,11 +1525,6 @@ fn verifier_accepts_fuzz_population_and_elision_is_bit_identical() {
         );
         proven_total += u64::from(facts.sites_proven);
         sites_total += u64::from(facts.sites_total);
-        // The fuzz plans run standalone (no IR module), so the device
-        // layer never fills the barrier counts in. Mark the barriers
-        // unproven so the A/B below isolates the *bounds-check* elision.
-        facts.barriers_total = 1;
-        facts.barriers_uniform = 0;
         // Verification happens pre-fusion; fusion preserves site ids, so
         // the proofs transfer to the fused plan — exactly the product
         // pipeline's order.
@@ -1664,9 +1659,7 @@ fn oob_bait_is_never_elided_and_fails_identically() {
         5,
         1,
     );
-    let mut facts = verify_plan(&plan).expect("structurally legal");
-    facts.barriers_total = 1;
-    facts.barriers_uniform = 0;
+    let facts = verify_plan(&plan).expect("structurally legal");
     let (base, ..) = execute(&plan);
     let (fast, ..) = execute_with(&plan, &facts, &CostModel::default());
     let be = base.expect_err("store at 999 is out of bounds");

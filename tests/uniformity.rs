@@ -1,8 +1,12 @@
 //! The uniformity analysis (§V-C, Listing 2) against *real compiled
-//! kernels* — the benchsuite's reduction-family barrier ladders must come
-//! out statically uniform (the 46/46 the verifier reports), while an `scf.if`-guarded barrier under a work-item-id
-//! condition must be flagged divergent.
+//! kernels* — every barrier of the registered workloads must come out
+//! statically uniform under every flow, while an `scf.if`-guarded barrier
+//! under a work-item-id condition must be flagged divergent. The analysis
+//! is the compiler's (loop internalization asks it whether a barrier may
+//! be inserted); the simulator does not consult it, and finds a barrier
+//! that work-items reach divergently at run time.
 
+use sycl_mlir_bench::quick_size;
 use sycl_mlir_repro::analysis::uniformity::UniformityAnalysis;
 use sycl_mlir_repro::benchsuite::all_workloads;
 use sycl_mlir_repro::core::FlowKind;
@@ -26,55 +30,45 @@ fn barriers_in(m: &Module, func: OpId) -> Vec<OpId> {
     out
 }
 
-/// Every barrier of every reduction-family kernel — tree reduction,
-/// segmented scan, the work-group-local dot product — sits in uniform
-/// control flow: their ladders branch on *loop counters and constants*,
-/// never on work-item ids.
+/// Every barrier of every registered workload, under every flow at quick
+/// size, sits in uniform control flow: the reduction ladders branch on
+/// *loop counters and constants*, never on work-item ids. The analysis
+/// runs over the whole device module ([`UniformityAnalysis::compute_module`]),
+/// so a barrier in a callee counts, with its parameters joined over the
+/// call sites.
 #[test]
-fn reduction_family_barrier_ladders_are_uniform() {
-    let names = [
-        "TreeReduce (float32)",
-        "SegScan (float32)",
-        "DotProd (WG-local)",
-        "TreeReduce (dyn nd-range)",
-    ];
+fn every_workload_barrier_is_uniform_under_every_flow() {
     let mut barriers_seen = 0_usize;
-    for name in names {
-        let w = all_workloads()
-            .into_iter()
-            .find(|w| w.name == name)
-            .unwrap_or_else(|| panic!("{name} registered"));
-        let app = (w.build)(4096);
-        let program =
-            compile_program(FlowKind::SyclMlir, app.module).unwrap_or_else(|e| panic!("{e}"));
-        let m = &program.module;
-        let device_mod = m
-            .lookup_symbol(m.top(), DEVICE_MODULE_SYM)
-            .expect("device module");
-        for f in m.funcs_in(device_mod) {
-            if !sdev::is_kernel(m, f) {
-                continue;
-            }
-            let ua = UniformityAnalysis::compute(m, f);
-            for b in barriers_in(m, f) {
-                barriers_seen += 1;
-                assert!(
-                    !ua.is_divergent_at(m, b, f),
-                    "{name}: a reduction-ladder barrier was flagged divergent"
-                );
+    for w in all_workloads() {
+        for flow in FlowKind::all() {
+            let app = (w.build)(quick_size(&w));
+            let program = compile_program(flow, app.module)
+                .unwrap_or_else(|e| panic!("{} [{}]: {e}", w.name, flow.name()));
+            let m = &program.module;
+            let device_mod = m
+                .lookup_symbol(m.top(), DEVICE_MODULE_SYM)
+                .expect("device module");
+            let ua = UniformityAnalysis::compute_module(m, device_mod);
+            for f in m.funcs_in(device_mod) {
+                for b in barriers_in(m, f) {
+                    barriers_seen += 1;
+                    assert!(
+                        !ua.is_divergent_at(m, b, f),
+                        "{} [{}]: a barrier was flagged divergent",
+                        w.name,
+                        flow.name()
+                    );
+                }
             }
         }
     }
-    assert!(
-        barriers_seen >= 4,
-        "expected the reduction family to contain barrier ladders, saw {barriers_seen}"
-    );
+    assert_eq!(barriers_seen, 46, "barriers in the suite's device modules");
 }
 
 /// A barrier guarded by `scf.if (global_id == 0)` is the §V-C deadlock
 /// shape: only one work-item reaches it. The analysis must flag the
-/// barrier's position divergent — this is exactly what keeps the device
-/// layer from counting it statically uniform.
+/// barrier's position divergent — this is exactly what keeps loop
+/// internalization from inserting a barrier under such a guard.
 #[test]
 fn id_guarded_barrier_is_divergent() {
     let ctx = full_context();
