@@ -103,11 +103,6 @@ impl AliasAnalysis {
         }
     }
 
-    /// May the two values overlap in memory?
-    pub fn may_alias(&self, m: &Module, a: ValueId, b: ValueId) -> bool {
-        self.alias(m, a, b).may()
-    }
-
     /// Alias relation between two whole accessors / memref arguments.
     ///
     /// Uses the host-propagated [`ARG_BUFFER_IDS_ATTR`] when both values are

@@ -62,14 +62,6 @@ pub enum CoalescingClass {
     NonCoalesced,
 }
 
-impl CoalescingClass {
-    /// `true` if the hardware can service the access with (close to) one
-    /// transaction per sub-group.
-    pub fn is_coalesced(self) -> bool {
-        !matches!(self, CoalescingClass::NonCoalesced)
-    }
-}
-
 /// One analyzed memory access.
 #[derive(Clone, Debug)]
 pub struct AccessInfo {

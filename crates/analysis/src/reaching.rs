@@ -172,11 +172,6 @@ impl ReachingDefinitions {
         }
     }
 
-    /// The raw state before `op`.
-    pub fn state_before(&self, op: OpId) -> Option<&ReachState> {
-        self.before.get(&op)
-    }
-
     /// Classify the reaching definitions for a read of `(memref, indices)`
     /// performed by `at`.
     pub fn defs_for_read(

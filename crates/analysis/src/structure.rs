@@ -40,11 +40,6 @@ pub fn enclosing_loops(m: &Module, op: OpId, scope: OpId) -> Vec<OpId> {
     out
 }
 
-/// The innermost enclosing loop of `op` within `scope`, if any.
-pub fn enclosing_loop(m: &Module, op: OpId, scope: OpId) -> Option<OpId> {
-    enclosing_loops(m, op, scope).first().copied()
-}
-
 /// Conditions of all `BRANCH_LIKE` ancestors of `op` up to (exclusive)
 /// `scope` — the "dominating branch conditions" of §V-C.
 pub fn enclosing_branch_conditions(m: &Module, op: OpId, scope: OpId) -> Vec<ValueId> {

@@ -117,7 +117,7 @@ fn main() {
         // Schema-additive verifier accumulators (all zero when the
         // verifier is off or the tree-walk engine runs): how many plans
         // were verified, how much of the suite the static passes proved.
-        let vc = device.verify_counters();
+        let vc = device.report().verify;
         println!(
             "  \"verify_stats\": {{\"plans\": {}, \"sites_proven\": {}, \"sites_total\": {}, \"rejected\": {}, \"lint_findings\": {}, \"verify_us\": {}}},",
             vc.plans,
@@ -175,7 +175,8 @@ fn main() {
     // The `--profile` dump: per-opcode execution totals plus the hottest
     // dataflow-adjacent pairs — the ranked candidates for the next
     // fusion superinstruction.
-    if let Some(report) = device.profile_report() {
+    let report = device.report();
+    if !report.ops.is_empty() {
         println!("\n{report}");
     }
 

@@ -93,11 +93,6 @@ pub fn store(b: &mut Builder<'_>, value: ValueId, memref: ValueId, indices: &[Va
     b.build("affine.store", &operands, &[], vec![])
 }
 
-/// `true` if `op` is an `affine.for`.
-pub fn is_affine_for(m: &Module, op: OpId) -> bool {
-    m.op_is(op, "affine.for")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -142,14 +142,6 @@ pub mod loop_info {
         m.op_operand(op, 2)
     }
 
-    pub fn iter_inits(m: &Module, op: OpId) -> Vec<ValueId> {
-        m.op_operands(op)[3..].to_vec()
-    }
-
-    pub fn induction_var(m: &Module, op: OpId) -> ValueId {
-        m.block_arg(m.op_region_block(op, 0), 0)
-    }
-
     pub fn iter_args(m: &Module, op: OpId) -> Vec<ValueId> {
         m.block_args(m.op_region_block(op, 0))[1..].to_vec()
     }

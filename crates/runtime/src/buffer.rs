@@ -97,22 +97,10 @@ impl SyclRuntime {
         self.add_buffer(DataVec::F32(data), range, true)
     }
 
-    /// See [`SyclRuntime::buffer_const_f32`].
-    pub fn buffer_const_f64(&mut self, data: Vec<f64>, range: &[i64]) -> BufferId {
-        self.add_buffer(DataVec::F64(data), range, true)
-    }
-
     /// USM device allocation: the user manages transfers manually (§II-A).
     pub fn usm_alloc_f32(&mut self, data: Vec<f32>) -> UsmId {
         let id = UsmId(self.usm.len());
         self.usm.push(DataVec::F32(data));
-        id
-    }
-
-    /// See [`SyclRuntime::usm_alloc_f32`].
-    pub fn usm_alloc_f64(&mut self, data: Vec<f64>) -> UsmId {
-        let id = UsmId(self.usm.len());
-        self.usm.push(DataVec::F64(data));
         id
     }
 
@@ -153,14 +141,6 @@ impl SyclRuntime {
         match &self.usm[id.0] {
             DataVec::F32(v) => v,
             other => panic!("usm {id:?} is not f32: {other:?}"),
-        }
-    }
-
-    /// Read an `f64` USM allocation back (panics on a type mismatch).
-    pub fn usm_read_f64(&self, id: UsmId) -> &[f64] {
-        match &self.usm[id.0] {
-            DataVec::F64(v) => v,
-            other => panic!("usm {id:?} is not f64: {other:?}"),
         }
     }
 

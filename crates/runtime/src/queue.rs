@@ -161,12 +161,6 @@ impl Handler {
         self
     }
 
-    /// See [`Handler::scalar_i64`].
-    pub fn scalar_i32(&mut self, v: i32) -> &mut Handler {
-        self.args.push(CgArg::ScalarI32(v));
-        self
-    }
-
     /// Capture a scalar whose value only exists at run time.
     pub fn runtime_i64(&mut self, v: i64) -> &mut Handler {
         self.args.push(CgArg::RuntimeI64(v));

@@ -108,7 +108,7 @@ const KNOBS: [Knob; 6] = [
         values: "on | off",
         default: "off",
         effect: "count executed plan instructions and dump per-opcode totals plus the ranked\n\
-                 fusion candidates (Device::profile_report)",
+                 fusion candidates (Device::report)",
         set: |d, v| put(on_off(v), |on| d.profile = on),
         get: |d| show_on_off(d.profile),
     },

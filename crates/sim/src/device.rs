@@ -6,12 +6,13 @@ use crate::cost::{CostModel, ExecStats};
 use crate::interp::{ExecCtx, Stop, WorkItemState};
 use crate::limits::{ExecLimits, OpMeter};
 use crate::memory::MemoryPool;
-use crate::plan::{decode_kernel, fuse_plan, profile_summary, ItemQ, KernelPlan};
+use crate::plan::{decode_kernel, fuse_plan, ItemQ, KernelPlan};
 use crate::pool::{run_plan_graph_report, HostNode, HostView, LaunchDag, PlanLaunch, SharedPool};
+use crate::report::DeviceReport;
 use crate::value::RtValue;
 use crate::verify::{verify_plan, PlanFacts};
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use sycl_mlir_ir::{Module, OpId};
@@ -199,7 +200,7 @@ pub struct Device {
     pub engine: Engine,
     /// Worker threads for plan-engine launches (1 = sequential).
     pub threads: usize,
-    /// Count executed plan instructions ([`Device::profile_report`]).
+    /// Count executed plan instructions ([`Device::report`]).
     pub profile: bool,
     /// Per-launch execution limits ([`ExecLimits`]): weighted-operation
     /// budget, memory cap and wall-clock deadline. All off by default, in
@@ -207,45 +208,7 @@ pub struct Device {
     /// plan cache — changing limits never re-decodes a kernel.
     pub limits: ExecLimits,
     plan_cache: RefCell<HashMap<(u64, OpId), CachedPlan>>,
-    cache_hits: Cell<u64>,
-    cache_misses: Cell<u64>,
-    verify_stats: RefCell<VerifyCounters>,
-    /// The first finding of every plan the verifier flagged, as
-    /// `kernel: finding` ([`Device::profile_report`] lists them).
-    findings: RefCell<BTreeSet<String>>,
-    profile_sums: RefCell<ProfileSums>,
-}
-
-/// What `--profile` runs have counted so far ([`Device::profile_report`]).
-#[derive(Clone, Debug, Default)]
-struct ProfileSums {
-    ops: BTreeMap<&'static str, u64>,
-    pairs: BTreeMap<(&'static str, &'static str), u64>,
-    /// Per kernel name: lane-instructions executed, and the dispatches
-    /// that executed them.
-    kernels: BTreeMap<String, (u64, u64)>,
-}
-
-/// Aggregated decode-time verifier statistics of one device
-/// ([`Device::verify_counters`]): what the static-analysis passes proved
-/// across every plan verified so far, and what that cost.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VerifyCounters {
-    /// Plans the verifier ran over (once per decode, not per launch).
-    pub plans: u64,
-    /// Accessor/memref access sites seen across verified plans.
-    pub sites_total: u64,
-    /// Sites with a symbolic in-bounds proof (the unchecked-path
-    /// candidates; actual elision is decided per launch when the proof
-    /// is instantiated against concrete geometry and buffer lengths).
-    pub sites_proven: u64,
-    /// Total wall time spent in the verifier, in nanoseconds.
-    pub verify_ns: u64,
-    /// Kernels the plan decoder refused.
-    pub rejected: u64,
-    /// Individual verifier findings; a plan with findings runs with every
-    /// runtime check in place.
-    pub lint_findings: u64,
+    report: RefCell<DeviceReport>,
 }
 
 impl Default for Device {
@@ -266,11 +229,7 @@ impl Device {
             profile: false,
             limits: ExecLimits::none(),
             plan_cache: RefCell::new(HashMap::new()),
-            cache_hits: Cell::new(0),
-            cache_misses: Cell::new(0),
-            verify_stats: RefCell::new(VerifyCounters::default()),
-            findings: RefCell::default(),
-            profile_sums: RefCell::default(),
+            report: RefCell::default(),
         }
     }
 
@@ -349,18 +308,12 @@ impl Device {
         self
     }
 
-    /// Aggregated decode-time verifier statistics so far
-    /// ([`VerifyCounters`]).
-    pub fn verify_counters(&self) -> VerifyCounters {
-        *self.verify_stats.borrow()
-    }
-
-    /// `(hits, misses)` of the cross-launch plan cache so far. A hit means
-    /// a launch reused a previously cached decode outcome (including a
-    /// cached decode error or rejection); a miss means the decoder ran (first
-    /// launch, or the module mutated in between).
-    pub fn plan_cache_counters(&self) -> (u64, u64) {
-        (self.cache_hits.get(), self.cache_misses.get())
+    /// A snapshot of everything this device has counted so far
+    /// ([`DeviceReport`]): plan-cache hits and misses, the decode-time
+    /// verifier's totals and findings, and the `--profile` sums. Its
+    /// `Display` is the `--profile=on` dump.
+    pub fn report(&self) -> DeviceReport {
+        self.report.borrow().clone()
     }
 
     /// The decoded plan for `kernel` — plus the decode-time verifier's
@@ -375,14 +328,14 @@ impl Device {
         let epoch = m.mutation_epoch();
         if let Some(cached) = self.plan_cache.borrow().get(&key) {
             if cached.epoch == epoch {
-                self.cache_hits.set(self.cache_hits.get() + 1);
+                self.report.borrow_mut().cache_hits += 1;
                 return cached.outcome.clone();
             }
         }
         // Miss: decode, verify (pre-fusion — fusion preserves site ids,
         // so in-bounds proofs transfer to the fused plan unchanged),
         // then fuse.
-        self.cache_misses.set(self.cache_misses.get() + 1);
+        self.report.borrow_mut().cache_misses += 1;
         let outcome = match decode_kernel(m, kernel) {
             Ok(mut plan) => {
                 let facts = self.verify_decoded(m, kernel, &plan);
@@ -390,7 +343,7 @@ impl Device {
                 Ok((Arc::new(plan), Arc::new(facts)))
             }
             Err(undecodable) => {
-                self.verify_stats.borrow_mut().rejected += 1;
+                self.report.borrow_mut().verify.rejected += 1;
                 Err(SimError::from(undecodable))
             }
         };
@@ -410,11 +363,12 @@ impl Device {
     /// (pre-fusion) plan: the structural and type-consistency passes plus
     /// the interval abstract interpreter ([`verify_plan`]). A plan with
     /// findings gets [`PlanFacts::NONE`] — so it runs with every check in
-    /// place — and its first finding is kept for the profile report.
+    /// place — and its first finding is kept in the [`DeviceReport`].
     fn verify_decoded(&self, m: &Module, kernel: OpId, plan: &KernelPlan) -> PlanFacts {
         let start = Instant::now();
         let verdict = verify_plan(plan);
-        let mut vs = self.verify_stats.borrow_mut();
+        let report = &mut *self.report.borrow_mut();
+        let vs = &mut report.verify;
         vs.plans += 1;
         vs.verify_ns += start.elapsed().as_nanos() as u64;
         match verdict {
@@ -430,7 +384,7 @@ impl Device {
                 if errs.len() > 1 {
                     first.push_str(&format!(" (+{} more)", errs.len() - 1));
                 }
-                self.findings.borrow_mut().insert(first);
+                report.findings.insert(first);
                 PlanFacts::NONE
             }
         }
@@ -486,7 +440,7 @@ impl Device {
     /// sequential execution; only wall time differs.
     ///
     /// With [`Device::profile`] on, plan-engine runs additionally count
-    /// every executed instruction into [`Device::profile_report`].
+    /// every executed instruction into [`Device::report`].
     ///
     /// # Errors
     ///
@@ -542,15 +496,10 @@ impl Device {
                 &self.limits,
             )?;
             if let Some(profile) = &out.profile {
-                let sums = &mut *self.profile_sums.borrow_mut();
+                let report = &mut *self.report.borrow_mut();
                 for ((entry, counts), b) in plans.iter().zip(profile).zip(batch) {
                     if let (Some(Ok((plan, _))), BatchLaunch::Kernel { kernel, .. }) = (entry, b) {
-                        profile_summary(plan, counts, &mut sums.ops, &mut sums.pairs);
-                        let (lanes, dispatches) = counts.split_at(plan.instr_count());
-                        let name = m.symbol_name(*kernel).unwrap_or("?").to_string();
-                        let row = sums.kernels.entry(name).or_default();
-                        row.0 += lanes.iter().sum::<u64>();
-                        row.1 += dispatches[0];
+                        report.add_profile(m.symbol_name(*kernel).unwrap_or("?"), plan, counts);
                     }
                 }
             }
@@ -580,72 +529,6 @@ impl Device {
                 }
             })
             .collect()
-    }
-
-    /// Render the per-instruction execution counts accumulated by
-    /// `--profile` runs: total executions per opcode, then the hottest
-    /// dataflow-adjacent instruction pairs — the ranked candidates for
-    /// the next [`crate::plan::fuse_plan`] superinstruction. `None` until a profiled
-    /// plan-engine launch ran on this device.
-    pub fn profile_report(&self) -> Option<String> {
-        let ProfileSums {
-            ops,
-            pairs,
-            kernels,
-        } = &*self.profile_sums.borrow();
-        if ops.is_empty() {
-            return None;
-        }
-        let mut out = String::from("== instruction profile (plan engine) ==\n");
-        out.push_str(&format!("{:>16}  opcode\n", "executions"));
-        let mut rows: Vec<(&'static str, u64)> = ops.iter().map(|(&k, &v)| (k, v)).collect();
-        // Descending by count; the BTreeMap already fixed the tie order.
-        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-        for (name, count) in rows {
-            out.push_str(&format!("{count:>16}  {name}\n"));
-        }
-        if !pairs.is_empty() {
-            out.push_str("\n== hottest dataflow-adjacent pairs (fusion candidates) ==\n");
-            out.push_str(&format!("{:>16}  pair\n", "executions"));
-            let mut rows: Vec<((&'static str, &'static str), u64)> =
-                pairs.iter().map(|(&k, &v)| (k, v)).collect();
-            rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            for ((a, b), count) in rows.into_iter().take(16) {
-                out.push_str(&format!("{count:>16}  {a} -> {b}\n"));
-            }
-        }
-        // The lockstep gauge: how many dispatches executed the
-        // lane-instructions above, and so how well lanes stayed together.
-        out.push_str("\n== lockstep dispatch ==\n");
-        out.push_str("  lane-instructions        dispatches  lanes/dispatch  kernel\n");
-        let sweep = kernels.values().fold((0, 0), |s, k| (s.0 + k.0, s.1 + k.1));
-        let rows = kernels.iter().map(|(name, counts)| (name.as_str(), counts));
-        for (name, &(lanes, dispatches)) in std::iter::once(("(sweep)", &sweep)).chain(rows) {
-            let mean = lanes as f64 / dispatches.max(1) as f64;
-            out.push_str(&format!(
-                "{lanes:>19}{dispatches:>18}{mean:>16.2}  {name}\n"
-            ));
-        }
-        let vs = self.verify_counters();
-        if vs.plans > 0 || vs.rejected > 0 {
-            out.push_str("\n== static analysis ==\n");
-            out.push_str(&format!("{:>16}  plans verified\n", vs.plans));
-            out.push_str(&format!(
-                "{:>10}/{:<5}  access sites proven in-bounds\n",
-                vs.sites_proven, vs.sites_total
-            ));
-            out.push_str(&format!("{:>16}  verify time (us)\n", vs.verify_ns / 1_000));
-            if vs.rejected > 0 {
-                out.push_str(&format!("{:>16}  plans undecodable\n", vs.rejected));
-            }
-            if vs.lint_findings > 0 {
-                out.push_str(&format!("{:>16}  lint findings\n", vs.lint_findings));
-                for first in self.findings.borrow().iter() {
-                    out.push_str(&format!("{:>18}{first}\n", ""));
-                }
-            }
-        }
-        Some(out)
     }
 }
 
@@ -1031,37 +914,21 @@ mod tests {
         let ma = pool.alloc(DataVec::F32(vec![0.0; n as usize]));
         let device = Device::with_engine(Engine::Plan);
         let nd = NdRangeSpec::d1(n, 16);
-
-        device
-            .launch(&m, func, &[accessor(ma, n)], nd, &mut pool)
-            .unwrap();
-        assert_eq!(device.plan_cache_counters(), (0, 1), "first launch decodes");
-
-        device
-            .launch(&m, func, &[accessor(ma, n)], nd, &mut pool)
-            .unwrap();
-        assert_eq!(
-            device.plan_cache_counters(),
-            (1, 1),
-            "unmutated relaunch hits"
-        );
-
+        // One launch, then the cache's (hits, misses) so far.
+        let launch = |m: &Module, pool: &mut MemoryPool| {
+            device
+                .launch(m, func, &[accessor(ma, n)], nd, pool)
+                .unwrap();
+            let r = device.report();
+            (r.cache_hits, r.cache_misses)
+        };
+        assert_eq!(launch(&m, &mut pool), (0, 1), "first launch decodes");
+        assert_eq!(launch(&m, &mut pool), (1, 1), "unmutated relaunch hits");
         // Any IR mutation (here: an attribute edit, like JIT
         // re-specialization would make) invalidates the cached plan.
         m.set_attr(func, "specialized", sycl_mlir_ir::Attribute::Int(1));
-        device
-            .launch(&m, func, &[accessor(ma, n)], nd, &mut pool)
-            .unwrap();
-        assert_eq!(
-            device.plan_cache_counters(),
-            (1, 2),
-            "mutated relaunch re-decodes"
-        );
-
-        device
-            .launch(&m, func, &[accessor(ma, n)], nd, &mut pool)
-            .unwrap();
-        assert_eq!(device.plan_cache_counters(), (2, 2), "then hits again");
+        assert_eq!(launch(&m, &mut pool), (1, 2), "mutated relaunch re-decodes");
+        assert_eq!(launch(&m, &mut pool), (2, 2), "then hits again");
 
         let DataVec::F32(out) = pool.data(ma) else {
             panic!()

@@ -103,13 +103,14 @@
 //! private-alloca churn. A `--profile`
 //! mode (`SYCL_MLIR_SIM_PROFILE=on`) counts every executed instruction
 //! and ranks dataflow-adjacent pairs as fusion candidates
-//! ([`Device::profile_report`]).
+//! ([`Device::report`]).
 //!
 //! **Cross-launch plan cache:** a [`Device`] memoizes decoded plans keyed
 //! by `(module id, kernel)` and validated against the module's mutation
 //! epoch, so re-launching an unmutated kernel (the common case in the
 //! evaluation's repeat protocol) skips the decode; any IR mutation — e.g.
-//! AdaptiveCpp JIT re-specialization — transparently re-decodes.
+//! AdaptiveCpp JIT re-specialization — transparently re-decodes. Its hits
+//! and misses are fields of the one [`DeviceReport`] ([`Device::report`]).
 //!
 //! A kernel the decoder does not understand fails its launch up front —
 //! a `plan decode error` at work-group 0 of that launch, so the launches
@@ -142,21 +143,21 @@ pub mod limits;
 pub mod memory;
 pub mod plan;
 pub mod pool;
+pub mod report;
 pub mod value;
 pub mod verify;
 
 pub use config::{knob_table, ConfigError};
 pub use cost::{Coalescer, CostModel, ExecStats};
-pub use device::{
-    auto_threads, BatchLaunch, Device, Engine, NdRangeSpec, SimError, VerifyCounters,
-};
+pub use device::{auto_threads, BatchLaunch, Device, Engine, NdRangeSpec, SimError};
 pub use interp::LimitKind;
 pub use limits::ExecLimits;
 pub use memory::{Buf, DataVec, Dtype, Elem, MemFault, MemId, MemoryPool};
-pub use plan::{decode_kernel, fuse_plan, profile_summary, DecodeError, KernelPlan};
+pub use plan::{decode_kernel, fuse_plan, DecodeError, KernelPlan};
 pub use pool::{
     run_plan_graph_report, GraphReport, HostNode, HostView, LaunchDag, PlanExecCtx, PlanLaunch,
     PlanPool, SharedPool, HOST_NODE_WEIGHT,
 };
+pub use report::{DeviceReport, LaneSums, VerifyCounters};
 pub use value::{AccessorVal, MemRefVal, RtValue, Space};
 pub use verify::{verify_plan, PlanFacts, SiteProof, VerifyError};

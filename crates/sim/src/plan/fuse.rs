@@ -1,10 +1,8 @@
-//! Peephole fusion: the `ChainMatcher` pattern, the pass that applies it,
-//! and the `--profile` summary that ranks the next candidates.
+//! Peephole fusion: the `ChainMatcher` pattern and the pass that applies
+//! it.
 
 use super::instr::Instr;
 use super::slot::Reg;
-#[cfg(doc)]
-use super::PlanCtx;
 use super::{FuncPlan, KernelPlan};
 
 /// The reified fusion pass over one function: the dataflow facts a legal
@@ -146,52 +144,4 @@ fn fuse_func(f: &mut FuncPlan) -> u32 {
 /// `tests/plan_fuzz.rs` against the unfused plan.
 pub fn fuse_plan(plan: &mut KernelPlan) -> u32 {
     plan.funcs.iter_mut().map(fuse_func).sum()
-}
-
-/// Fold flat per-instruction execution counts (a profiled [`PlanCtx`]
-/// drained by [`PlanCtx::take_profile`], merged across workers) into the
-/// accumulators of the `--profile` dump:
-///
-/// * `ops` — total executions per opcode mnemonic;
-/// * `pairs` — executions of **dataflow-adjacent** instruction pairs:
-///   consecutive instructions where the second reads the first's result
-///   and is not a jump target — precisely the shape [`fuse_plan`]'s
-///   peephole pattern requires, so the hottest pairs here are the ranked
-///   candidates for the next superinstruction.
-pub fn profile_summary(
-    plan: &KernelPlan,
-    counts: &[u64],
-    ops: &mut std::collections::BTreeMap<&'static str, u64>,
-    pairs: &mut std::collections::BTreeMap<(&'static str, &'static str), u64>,
-) {
-    let mut off = 0_usize;
-    for f in &plan.funcs {
-        let mut is_target = vec![false; f.code.len() + 1];
-        for t in f.code.iter().filter_map(Instr::target) {
-            is_target[t as usize] = true;
-        }
-        for (i, instr) in f.code.iter().enumerate() {
-            let c = counts[off + i];
-            if c == 0 {
-                continue;
-            }
-            *ops.entry(instr.mnemonic()).or_insert(0) += c;
-            if i + 1 >= f.code.len() || is_target[i + 1] {
-                continue;
-            }
-            let next = &f.code[i + 1];
-            let c2 = counts[off + i + 1];
-            if c2 == 0 {
-                continue;
-            }
-            let mut adjacent = false;
-            instr.writes(|d| next.reads(|r| adjacent |= r == d));
-            if adjacent {
-                *pairs
-                    .entry((instr.mnemonic(), next.mnemonic()))
-                    .or_insert(0) += c.min(c2);
-            }
-        }
-        off += f.code.len();
-    }
 }

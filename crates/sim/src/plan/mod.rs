@@ -37,7 +37,7 @@
 //!
 //! The module is five files along its seams: `slot` (registers), `instr`
 //! (the instruction set and its one operand table), `decode`, `fuse`
-//! (the matcher and the profile summary) and `exec`.
+//! (the matcher) and `exec`.
 
 mod decode;
 mod exec;
@@ -50,7 +50,7 @@ mod tests;
 pub use decode::{decode_kernel, DecodeError};
 pub(crate) use exec::audit_requested;
 pub use exec::{audit_on_this_thread, PlanCtx, PlanWorkGroup};
-pub use fuse::{fuse_plan, profile_summary};
+pub use fuse::fuse_plan;
 pub use instr::{Class, CmpPred, DimSrc, FloatBin, Instr, IntBin, ItemQ, MathOp, Role};
 pub use slot::{Reg, Slot};
 

@@ -11,7 +11,7 @@
 //! * `BARRIER` on `sycl.group.barrier` is what makes divergence a legality
 //!   concern for loop internalization (§VI-C).
 
-use crate::types::{self, AccessorType};
+use crate::types;
 use sycl_mlir_ir::dialect::{traits, Effect, OpInfo};
 use sycl_mlir_ir::{Attribute, Builder, Context, Module, OpId, Type, ValueId};
 
@@ -247,11 +247,6 @@ pub fn get_group(b: &mut Builder<'_>, nd_item: ValueId) -> ValueId {
     b.build_value("sycl.nd_item.get_group", &[nd_item], group, vec![])
 }
 
-/// `accessor.get_range(dim)`.
-pub fn accessor_get_range(b: &mut Builder<'_>, acc: ValueId, dim: u32) -> ValueId {
-    query(b, "sycl.accessor.get_range", acc, dim)
-}
-
 /// Runtime identity of the memory behind an accessor (see
 /// `sycl.accessor.base`).
 pub fn accessor_base(b: &mut Builder<'_>, acc: ValueId) -> ValueId {
@@ -264,13 +259,6 @@ pub fn make_id(b: &mut Builder<'_>, indices: &[ValueId]) -> ValueId {
     let ctx = b.ctx();
     let ty = types::id_type(&ctx, indices.len() as u32);
     b.build_value("sycl.id.constructor", indices, ty, vec![])
-}
-
-/// Construct a `!sycl.range<n>` from `n` extents.
-pub fn make_range(b: &mut Builder<'_>, extents: &[ValueId]) -> ValueId {
-    let ctx = b.ctx();
-    let ty = types::range_type(&ctx, extents.len() as u32);
-    b.build_value("sycl.range.constructor", extents, ty, vec![])
 }
 
 /// `accessor[id]` — subscript an accessor, yielding a rank-1 dynamic memref
@@ -321,13 +309,6 @@ pub fn is_kernel(m: &Module, func_op: OpId) -> bool {
 /// Mark a function as a SYCL kernel entry point.
 pub fn mark_kernel(m: &mut Module, func_op: OpId) {
     m.set_attr(func_op, crate::KERNEL_ATTR, Attribute::Unit);
-}
-
-/// The accessor type of a kernel argument, if it is an accessor.
-pub fn arg_accessor_info(m: &Module, func_op: OpId, arg: usize) -> Option<AccessorType> {
-    let block = m.op_region_block(func_op, 0);
-    let v = m.block_arg(block, arg);
-    types::accessor_info(&m.value_type(v)).cloned()
 }
 
 #[cfg(test)]

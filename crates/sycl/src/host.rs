@@ -94,32 +94,6 @@ pub fn constructor(b: &mut Builder<'_>, dst: ValueId, args: &[ValueId], ty: Type
     )
 }
 
-/// Build a `sycl.host.schedule_kernel` for a `parallel_for(nd_range)`.
-/// `kernel_path` is the nested symbol, e.g. `["device", "gemm"]`.
-pub fn schedule_nd_range(
-    b: &mut Builder<'_>,
-    handler: ValueId,
-    global_range: ValueId,
-    local_range: ValueId,
-    args: &[ValueId],
-    kernel_path: &[&str],
-) -> OpId {
-    let mut operands = vec![handler, global_range, local_range];
-    operands.extend_from_slice(args);
-    b.build(
-        "sycl.host.schedule_kernel",
-        &operands,
-        &[],
-        vec![
-            (
-                "kernel".into(),
-                Attribute::SymbolRef(kernel_path.iter().map(|s| s.to_string()).collect()),
-            ),
-            ("form".into(), Attribute::Str(FORM_ND_RANGE.into())),
-        ],
-    )
-}
-
 /// Build a `sycl.host.schedule_kernel` for a `parallel_for(range)`.
 pub fn schedule_range(
     b: &mut Builder<'_>,

@@ -164,19 +164,6 @@ pub fn tag(m: &mut Module, op: OpId, label: &str) {
     m.set_attr(op, "tag", Attribute::Str(label.into()));
 }
 
-/// Find an op by its tag under `root`.
-pub fn find_tagged(m: &Module, root: OpId, label: &str) -> Option<OpId> {
-    let mut found = None;
-    m.walk(root, &mut |op| {
-        if m.attr(op, "tag").and_then(|a| a.as_str()) == Some(label) {
-            found = Some(op);
-            return sycl_mlir_ir::WalkControl::Interrupt;
-        }
-        sycl_mlir_ir::WalkControl::Advance
-    });
-    found
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

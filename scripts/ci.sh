@@ -53,9 +53,9 @@ summary() {
   # (tests/alloc_budget.rs; `cargo test -q` above ran it with its output
   # captured).
   cargo test -q --test alloc_budget -- --nocapture 2>/dev/null | grep '^alloc_budget:'
-  # The lockstep gauge (held exactly by the step below): what the quick
-  # sweep executes, and in how many dispatches.
-  echo "quick sweep: $(lockstep_gauge) (lane-instructions, dispatches, lanes/dispatch)"
+  # The lockstep gauge, as the gate step below measured it: what the
+  # quick sweep executes, and in how many dispatches.
+  echo "quick sweep: $gauge (lane-instructions, dispatches, lanes/dispatch)"
   # Register and instruction width of the plan engine (plan/slot.rs and
   # plan/instr.rs assert their bounds at compile time).
   cargo test -q -p sycl-mlir-sim --lib plan_sizes -- --nocapture 2>/dev/null | grep -o 'plan_sizes:.*'
@@ -229,6 +229,17 @@ fi
 step "one barrier check, the round loop"
 if grep -rnE 'barrier_uniformity|barrier_loop_pass|uniform_decodable_regs|transitive_barrier_funcs|barriers_uniform|barriers_total' crates src tests examples; then
   echo "FAIL: decode-time barrier facts are back; the round loop checks every barrier" >&2
+  exit 1
+fi
+
+# One device report (ARCHITECTURE.md, "Static verification and check
+# elision"): everything a Device counts is a field of the `DeviceReport`
+# that `Device::report()` returns, and its `Display` is the `--profile`
+# dump. The per-counter accessors and the string-typed report they
+# replaced must not come back beside it.
+step "one device report"
+if grep -rnE '\b(plan_cache_counters|verify_counters|profile_report|ProfileSums)\b' crates src tests examples; then
+  echo "FAIL: a per-counter accessor or the string-typed profile report is back; read Device::report()" >&2
   exit 1
 fi
 

@@ -360,19 +360,9 @@ mod engine_differential {
                     .unwrap_or_else(|e| panic!("{} [{}]: {e}", w.name, kind.name()));
             }
         }
-        // The opcode mix as `--profile=on` prints it: `<count>  <opcode>`
-        // rows between the section header and the first blank line.
-        let report = device.profile_report().expect("profiled launches ran");
-        let executions: BTreeMap<&str, u64> = report
-            .lines()
-            .skip(2)
-            .take_while(|l| !l.is_empty())
-            .map(|l| {
-                let mut cols = l.split_whitespace();
-                let n = cols.next().expect("count column").parse().expect("count");
-                (cols.next().expect("opcode column"), n)
-            })
-            .collect();
+        // The opcode mix: executions per opcode mnemonic.
+        let executions = device.report().ops;
+        assert!(!executions.is_empty(), "profiled launches ran");
         let total: u64 = executions.values().sum();
         println!("{total} dispatches over the quick suite");
         println!(
@@ -402,7 +392,7 @@ mod engine_differential {
             .expect("GEMM registered");
         let size = quick_size(&w);
         run_workload_on(&w, size, FlowKind::SyclMlir, &device).expect("first run");
-        let (_, misses_before) = device.plan_cache_counters();
+        let misses_before = device.report().cache_misses;
         assert!(
             misses_before > 0,
             "first run must decode at least one kernel"
@@ -411,7 +401,7 @@ mod engine_differential {
         // module id), so this exercises miss-then-hit bookkeeping rather
         // than cross-module collisions.
         run_workload_on(&w, size, FlowKind::SyclMlir, &device).expect("second run");
-        let (_, misses_after) = device.plan_cache_counters();
+        let misses_after = device.report().cache_misses;
         assert!(misses_after > misses_before, "a new module re-decodes");
 
         // Within one run, iterative workloads relaunch unmutated kernels:
@@ -423,10 +413,47 @@ mod engine_differential {
             .find(|w| w.name == "1D HeatTransfer (buffer)")
             .expect("heat transfer registered");
         run_workload_on(&w, quick_size(&w), FlowKind::SyclMlir, &device).expect("runs");
-        let (hits, misses) = device.plan_cache_counters();
+        let report = device.report();
+        let (hits, misses) = (report.cache_hits, report.cache_misses);
         assert!(
             hits >= 49,
             "iterative launches must reuse the decoded plan (hits={hits}, misses={misses})"
+        );
+    }
+
+    /// The profile counts are work counters, not timings: a dense, a
+    /// stencil, a reduction and a sparse workload, run on a profiled device
+    /// sequentially and on 4 worker threads, must leave equal reports —
+    /// opcode, pair and per-kernel lane/dispatch sums, cache traffic and
+    /// verifier totals — once the verifier's wall time is set aside.
+    #[test]
+    fn profile_counts_do_not_depend_on_the_thread_count() {
+        let names = ["GEMM", "Sobel7", "TreeReduce (float32)", "SpMV (CSR)"];
+        let workloads: Vec<_> = all_workloads()
+            .into_iter()
+            .filter(|w| names.contains(&w.name))
+            .collect();
+        assert_eq!(workloads.len(), names.len(), "all four registered");
+        let report_at = |threads: usize| {
+            let device = Device::with_engine(Engine::Plan)
+                .threads(threads)
+                .profile(true);
+            for w in &workloads {
+                for kind in FlowKind::all() {
+                    run_workload_on(w, quick_size(w), kind, &device)
+                        .unwrap_or_else(|e| panic!("{} [{}]: {e}", w.name, kind.name()));
+                }
+            }
+            let mut report = device.report();
+            report.verify.verify_ns = 0;
+            report
+        };
+        let seq = report_at(1);
+        assert!(!seq.kernels.is_empty(), "profiled launches ran");
+        assert_eq!(
+            seq,
+            report_at(4),
+            "profile counts moved with the thread count"
         );
     }
 
@@ -497,7 +524,7 @@ mod verify_differential {
                     .unwrap_or_else(|e| panic!("{} [{}]: {e}", w.name, kind.name()));
             }
         }
-        let vc = dev.verify_counters();
+        let vc = dev.report().verify;
         assert_eq!(
             (vc.rejected, vc.lint_findings),
             (0, 0),
@@ -589,7 +616,7 @@ mod verify_differential {
             let device = Device::with_engine(Engine::Plan).threads(threads);
             let plan_out = run_data_dependent_barrier_loop(&device).expect("the kernel runs");
             assert_eq!(plan_out, out, "plan engine on {threads} worker(s)");
-            let vc = device.verify_counters();
+            let vc = device.report().verify;
             assert_eq!(
                 (vc.plans, vc.rejected, vc.lint_findings),
                 (1, 0, 0),
