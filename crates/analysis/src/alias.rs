@@ -9,12 +9,13 @@
 //! * views of *different* accessors may alias by default — the SYCL spec
 //!   allows two accessors over the same or overlapping buffers (§VII-B) —
 //!   unless host analysis has annotated the kernel with distinct buffer
-//!   identities (`sycl.arg_buffer_ids`), the joint host/device refinement
+//!   identities ([`facts::BUFFER_IDS`]), the joint host/device refinement
 //!   the paper describes;
 //! * private allocations never alias accessor memory.
 
 use crate::equivalence::{values_equivalent, values_provably_different};
 use sycl_mlir_ir::{Module, OpId, ValueDef, ValueId};
+use sycl_mlir_sycl::facts;
 
 /// Three-valued alias verdict.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -29,11 +30,6 @@ impl AliasResult {
         !matches!(self, AliasResult::NoAlias)
     }
 }
-
-/// Attribute on kernel `func.func`s: per-argument buffer identity
-/// (`DenseI64`, `-1` for non-accessor args / unknown). Written by the
-/// host-device analysis (§VII-B), consumed here.
-pub const ARG_BUFFER_IDS_ATTR: &str = "sycl.arg_buffer_ids";
 
 /// The memory root of a memref-like value.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -105,7 +101,7 @@ impl AliasAnalysis {
 
     /// Alias relation between two whole accessors / memref arguments.
     ///
-    /// Uses the host-propagated [`ARG_BUFFER_IDS_ATTR`] when both values are
+    /// Uses the host-propagated [`facts::BUFFER_IDS`] when both values are
     /// kernel arguments: distinct buffers cannot alias; without host
     /// information two accessors must be assumed to possibly overlap
     /// (§VII-B's motivating example).
@@ -115,10 +111,7 @@ impl AliasAnalysis {
         }
         if let (Some((fa, ia)), Some((fb, ib))) = (arg_position(m, a), arg_position(m, b)) {
             if fa == fb {
-                if let Some(ids) = m
-                    .attr(fa, ARG_BUFFER_IDS_ATTR)
-                    .and_then(|x| x.as_dense_i64())
-                {
+                if let Some(ids) = facts::BUFFER_IDS.get(m, fa) {
                     let ba = ids.get(ia).copied().unwrap_or(-1);
                     let bb = ids.get(ib).copied().unwrap_or(-1);
                     if ba >= 0 && bb >= 0 && ba != bb {
@@ -238,7 +231,7 @@ mod tests {
     use sycl_mlir_dialects::arith::constant_index;
     use sycl_mlir_dialects::func::build_func;
     use sycl_mlir_dialects::memref;
-    use sycl_mlir_ir::{Attribute, Builder, Context, Module};
+    use sycl_mlir_ir::{Builder, Context, Module};
     use sycl_mlir_sycl::device::{make_id, subscript};
     use sycl_mlir_sycl::types::{accessor_type, AccessMode, Target};
 
@@ -315,11 +308,11 @@ mod tests {
         assert_eq!(aa.alias(&m, a, b_), AliasResult::MayAlias);
 
         // With host-propagated distinct buffer identities: no alias.
-        m.set_attr(func, ARG_BUFFER_IDS_ATTR, Attribute::DenseI64(vec![0, 1]));
+        facts::BUFFER_IDS.set(&mut m, func, vec![0, 1]);
         assert_eq!(aa.alias(&m, a, b_), AliasResult::NoAlias);
 
         // Same buffer id: still may alias (ranged accessors could overlap).
-        m.set_attr(func, ARG_BUFFER_IDS_ATTR, Attribute::DenseI64(vec![3, 3]));
+        facts::BUFFER_IDS.set(&mut m, func, vec![3, 3]);
         assert_eq!(aa.alias(&m, a, b_), AliasResult::MayAlias);
     }
 

@@ -1,6 +1,8 @@
 //! Compilation flows (Fig. 1 of the paper).
 
-use sycl_mlir_ir::{Attribute, Module, OpId, Pass, PassManager, PassStats};
+use sycl_mlir_ir::{Module, OpId, Pass, PassManager, PassStats};
+use sycl_mlir_sycl::facts;
+use sycl_mlir_transform::hostdev::fold_device_queries;
 use sycl_mlir_transform::{
     CanonicalizePass, CsePass, DeadArgumentEliminationPass, DetectReductionPass,
     HostDeviceConstantPropagationPass, LicmPass, LoopInternalizationPass, RaiseHostPass,
@@ -182,23 +184,13 @@ impl Flow {
         arg_buffer_ids: &[i64],
     ) -> Result<bool, String> {
         debug_assert_eq!(self.kind, FlowKind::AdaptiveCpp);
-        module.set_attr(
-            kernel,
-            sycl_mlir_sycl::KERNEL_GLOBAL_RANGE_ATTR,
-            Attribute::DenseI64(global.to_vec()),
-        );
-        module.set_attr(
-            kernel,
-            sycl_mlir_sycl::KERNEL_LOCAL_RANGE_ATTR,
-            Attribute::DenseI64(local.to_vec()),
-        );
-        module.set_attr(
-            kernel,
-            sycl_mlir_analysis::alias::ARG_BUFFER_IDS_ATTR,
-            Attribute::DenseI64(arg_buffer_ids.to_vec()),
-        );
-        // Fold the now-known queries, then run the JIT-level optimizations.
-        fold_range_queries(module, kernel);
+        facts::GLOBAL_RANGE.set(module, kernel, global.to_vec());
+        facts::LOCAL_RANGE.set(module, kernel, local.to_vec());
+        facts::BUFFER_IDS.set(module, kernel, arg_buffer_ids.to_vec());
+        // Fold the now-known queries (no accessor ranges are known, so
+        // `accessor.get_range` stays), then run the JIT-level
+        // optimizations.
+        fold_device_queries(module, kernel);
         let mut pm = PassManager::new();
         pm.add_pass(CanonicalizePass);
         pm.add_pass(CsePass);
@@ -211,59 +203,6 @@ impl Flow {
         pm.add_pass(CanonicalizePass);
         let stats = pm.run(module)?;
         Ok(stats.any_changed())
-    }
-}
-
-/// Fold `get_global_range`/`get_local_range`/`get_group_range` against the
-/// kernel's (JIT-known) range attributes.
-fn fold_range_queries(m: &mut Module, kernel: OpId) {
-    let global = m
-        .attr(kernel, sycl_mlir_sycl::KERNEL_GLOBAL_RANGE_ATTR)
-        .and_then(|a| a.as_dense_i64())
-        .map(|v| v.to_vec());
-    let local = m
-        .attr(kernel, sycl_mlir_sycl::KERNEL_LOCAL_RANGE_ATTR)
-        .and_then(|a| a.as_dense_i64())
-        .map(|v| v.to_vec());
-    let mut targets = Vec::new();
-    m.walk(kernel, &mut |op| {
-        let name = m.op_name_str(op);
-        let dim = m
-            .op_operands(op)
-            .get(1)
-            .and_then(|&d| sycl_mlir_dialects::arith::const_int_of(m, d))
-            .unwrap_or(-1) as usize;
-        let value = match &*name {
-            "sycl.nd_item.get_global_range" | "sycl.item.get_range" => {
-                global.as_ref().and_then(|g| g.get(dim).copied())
-            }
-            "sycl.nd_item.get_local_range" => local.as_ref().and_then(|l| l.get(dim).copied()),
-            "sycl.nd_item.get_group_range" => match (&global, &local) {
-                (Some(g), Some(l)) => g.get(dim).zip(l.get(dim)).map(|(&g, &l)| g / l),
-                _ => None,
-            },
-            _ => None,
-        };
-        if let Some(v) = value {
-            targets.push((op, v));
-        }
-        sycl_mlir_ir::WalkControl::Advance
-    });
-    for (op, value) in targets {
-        let block = m.op_parent_block(op).expect("attached");
-        let index = m.op_index_in_block(op);
-        let name = m.ctx().op("arith.constant");
-        let ty = m.value_type(m.op_result(op, 0));
-        let cst = m.create_op(
-            name,
-            &[],
-            &[ty],
-            vec![("value".into(), Attribute::Int(value))],
-        );
-        m.insert_op(block, index, cst);
-        let new_v = m.op_result(cst, 0);
-        m.replace_all_uses(m.op_result(op, 0), new_v);
-        m.erase_op(op);
     }
 }
 
@@ -318,6 +257,67 @@ mod tests {
                 "sycl-dae",
             ]
         );
+    }
+
+    /// AdaptiveCpp's launch-time JIT folds the range queries of the launch
+    /// it specialises for, and leaves `accessor.get_range`: the launch
+    /// tells it no accessor ranges.
+    #[test]
+    fn jit_specialize_folds_the_range_queries() {
+        use sycl_mlir_dialects::arith::{const_int_of, constant_int};
+        use sycl_mlir_dialects::func::{build_func, build_return};
+        use sycl_mlir_ir::Builder;
+        use sycl_mlir_sycl::types::{accessor_type, nd_item_type, AccessMode, Target};
+
+        let c = ctx();
+        let mut m = Module::new(&c);
+        let acc = accessor_type(&c, c.f32_type(), 2, AccessMode::Read, Target::Global);
+        let index = c.index_type();
+        let top = m.top();
+        let results = vec![index.clone(); 7];
+        let (kernel, entry) = build_func(&mut m, top, "k", &[acc, nd_item_type(&c, 2)], &results);
+        sycl_mlir_sycl::device::mark_kernel(&mut m, kernel);
+        let (acc, item) = (m.block_arg(entry, 0), m.block_arg(entry, 1));
+        let mut b = Builder::at_end(&mut m, entry);
+        let queries = [
+            ("sycl.nd_item.get_global_range", item, 0),
+            ("sycl.nd_item.get_global_range", item, 1),
+            ("sycl.nd_item.get_local_range", item, 0),
+            ("sycl.nd_item.get_local_range", item, 1),
+            ("sycl.nd_item.get_group_range", item, 0),
+            ("sycl.nd_item.get_group_range", item, 1),
+            ("sycl.accessor.get_range", acc, 1),
+        ];
+        let values: Vec<_> = queries
+            .iter()
+            .map(|&(name, obj, dim)| {
+                let i32t = b.ctx().i32_type();
+                let dim = constant_int(&mut b, dim, i32t);
+                b.build_value(name, &[obj, dim], index.clone(), vec![])
+            })
+            .collect();
+        build_return(&mut b, &values);
+
+        Flow::new(FlowKind::AdaptiveCpp)
+            .jit_specialize(&mut m, kernel, &[64, 48], &[16, 8], &[0, -1])
+            .unwrap();
+        let ret = *m.block_ops(entry).last().unwrap();
+        let returned = m.op_operands(ret);
+        let folded: Vec<_> = returned.iter().map(|&v| const_int_of(&m, v)).collect();
+        assert_eq!(
+            folded,
+            [
+                Some(64),
+                Some(48),
+                Some(16),
+                Some(8),
+                Some(4),
+                Some(6),
+                None
+            ]
+        );
+        let get_range = m.def_op(returned[6]).unwrap();
+        assert!(m.op_is(get_range, "sycl.accessor.get_range"));
     }
 
     #[test]

@@ -10,6 +10,7 @@ use sycl_mlir_sim::{
     AccessorVal, BatchLaunch, Device, Dtype, ExecStats, HostNode, HostView, MemId, MemoryPool,
     RtValue, SimError,
 };
+use sycl_mlir_sycl::facts;
 
 /// A compiled SYCL application (joint module + flow that produced it).
 pub struct Program {
@@ -184,11 +185,8 @@ pub fn run(
             launches.push(BatchLaunch::host_node(host_node_of(op, &buf_mems)));
             continue;
         };
-        let const_args: Vec<i64> = program
-            .module
-            .attr(kernel, "sycl.const_args")
-            .and_then(|a| a.as_dense_i64())
-            .map(|v| v.to_vec())
+        let const_args = facts::CONST_ARGS
+            .get(&program.module, kernel)
             .unwrap_or_default();
         let args = cg
             .args
@@ -206,7 +204,6 @@ pub fn run(
                     })
                 }
                 CgArg::ScalarI64(v) | CgArg::RuntimeI64(v) => RtValue::Int(*v),
-                CgArg::ScalarI32(v) => RtValue::Int(*v as i64),
                 CgArg::ScalarF64(v) | CgArg::RuntimeF64(v) => RtValue::F64(*v),
                 CgArg::ScalarF32(v) => RtValue::F32(*v),
                 CgArg::Usm { id, len } => RtValue::Accessor(AccessorVal {
@@ -238,12 +235,9 @@ pub fn run(
                 let kernel = *kernel;
                 // Launch overhead: DAE-marked arguments are not passed
                 // (§VII-B).
-                let dead = program
-                    .module
-                    .attr(kernel, sycl_mlir_sycl::KERNEL_DEAD_ARGS_ATTR)
-                    .and_then(|a| a.as_dense_i64())
-                    .map(|v| v.len())
-                    .unwrap_or(0);
+                let dead = facts::DEAD_ARGS
+                    .get(&program.module, kernel)
+                    .map_or(0, <[i64]>::len);
                 let passed = cg.args.len().saturating_sub(dead);
                 let launch_cycles =
                     device.cost.launch_base + device.cost.launch_per_arg * passed as f64;

@@ -54,7 +54,6 @@ enum ArgKey {
     I64(i64),
     F64(u64),
     F32(u32),
-    I32(i32),
     RuntimeI64,
     RuntimeF64,
     Usm,
@@ -80,7 +79,6 @@ impl<'a> CgKey<'a> {
                     CgArg::ScalarI64(v) => ArgKey::I64(v),
                     CgArg::ScalarF64(v) => ArgKey::F64(v.to_bits()),
                     CgArg::ScalarF32(v) => ArgKey::F32(v.to_bits()),
-                    CgArg::ScalarI32(v) => ArgKey::I32(v),
                     CgArg::RuntimeI64(_) => ArgKey::RuntimeI64,
                     CgArg::RuntimeF64(_) => ArgKey::RuntimeF64,
                     CgArg::Usm { .. } => ArgKey::Usm,
@@ -183,10 +181,6 @@ pub fn generate_host_ir(m: &mut Module, runtime: &SyclRuntime, queue: &Queue) {
                 }
                 CgArg::ScalarI64(v) => {
                     arg_values.push(arith::constant_int(&mut b, *v, i64t.clone()))
-                }
-                CgArg::ScalarI32(v) => {
-                    let i32t = b.ctx().i32_type();
-                    arg_values.push(arith::constant_int(&mut b, *v as i64, i32t));
                 }
                 CgArg::ScalarF64(v) => {
                     let f64t = b.ctx().f64_type();

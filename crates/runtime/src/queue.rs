@@ -36,8 +36,6 @@ pub enum CgArg {
     ScalarF64(f64),
     /// See [`CgArg::ScalarI64`].
     ScalarF32(f32),
-    /// See [`CgArg::ScalarI64`].
-    ScalarI32(i32),
     /// Scalar only known at run time (opaque to the compiler).
     RuntimeI64(i64),
     /// See [`CgArg::RuntimeI64`].

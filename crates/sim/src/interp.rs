@@ -9,7 +9,7 @@
 
 use crate::cost::{Coalescer, CostModel, ExecStats};
 use crate::device::NdRangeSpec;
-use crate::limits::{step_budget_exceeded, MAX_STEPS};
+use crate::limits::MAX_STEPS;
 use crate::memory::{MemFault, MemoryPool};
 use crate::plan::ItemQ;
 use crate::value::{MemRefVal, RtValue, Space, VecVal};
@@ -53,6 +53,39 @@ impl LimitKind {
     }
 }
 
+/// A failure the kernel's own arithmetic or control flow causes: each
+/// engine stops the work-item with the same fault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelFault {
+    /// `arith.divsi` by zero.
+    DivisionByZero,
+    /// `arith.remsi` by zero.
+    RemainderByZero,
+    /// An `scf.for` whose step is zero or negative.
+    NonPositiveLoopStep,
+    /// A work-item past the runaway-loop step budget.
+    StepBudgetExceeded,
+}
+
+impl std::fmt::Display for KernelFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            KernelFault::DivisionByZero => "division by zero",
+            KernelFault::RemainderByZero => "remainder by zero",
+            KernelFault::NonPositiveLoopStep => "non-positive loop step",
+            KernelFault::StepBudgetExceeded => "work-item exceeded the step budget (runaway loop?)",
+        })
+    }
+}
+
+impl From<KernelFault> for SimError {
+    // Faults are rare: keep them out of the executors' loops.
+    #[cold]
+    fn from(fault: KernelFault) -> SimError {
+        SimError::Kernel { fault, at: None }
+    }
+}
+
 /// A simulation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
@@ -76,6 +109,13 @@ pub enum SimError {
         launch: usize,
         /// Linear index of the tripping work-group within the launch.
         group: usize,
+    },
+    /// A fault of the kernel's own arithmetic or control flow.
+    Kernel {
+        /// Which fault.
+        fault: KernelFault,
+        /// The position, as in [`SimError::Message`].
+        at: Option<(usize, usize)>,
     },
     /// A faulting device-memory access (out of bounds, type-mismatched
     /// store, unknown buffer), as the access path reported it.
@@ -131,6 +171,7 @@ impl SimError {
                 ..
             } => (*l, *g) = (launch, group),
             SimError::Message { at, .. }
+            | SimError::Kernel { at, .. }
             | SimError::Fault { at, .. }
             | SimError::DivergentBarrier { at, .. } => *at = Some((launch, group)),
         }
@@ -145,6 +186,7 @@ impl SimError {
         };
         match self {
             SimError::Message { message, at } => stamped(message.clone(), at),
+            SimError::Kernel { fault, at } => stamped(fault.to_string(), at),
             SimError::Fault { fault, at } => stamped(fault.to_string(), at),
             SimError::DivergentBarrier {
                 waiting,
@@ -173,6 +215,7 @@ impl SimError {
         match self {
             SimError::LimitExceeded { kind, .. } => Some(*kind),
             SimError::Message { .. }
+            | SimError::Kernel { .. }
             | SimError::Fault { .. }
             | SimError::DivergentBarrier { .. } => None,
         }
@@ -369,7 +412,7 @@ impl WorkItemState {
         loop {
             self.steps += 1;
             if self.steps > MAX_STEPS {
-                return Err(step_budget_exceeded());
+                return Err(KernelFault::StepBudgetExceeded.into());
             }
             if let Some(meter) = ctx.limits.as_deref_mut() {
                 meter.charge(1)?;
@@ -474,7 +517,7 @@ impl WorkItemState {
                         .as_int()
                         .ok_or_else(|| err("bad step"))?;
                     if step <= 0 {
-                        return Err(err("non-positive loop step"));
+                        return Err(KernelFault::NonPositiveLoopStep.into());
                     }
                     ctx.stats.arith_ops += 1;
                     let inits: Vec<RtValue> = ctx.m.op_operands(op)[3..]
@@ -572,13 +615,13 @@ impl WorkItemState {
                     "arith.muli" => l.wrapping_mul(r),
                     "arith.divsi" => {
                         if r == 0 {
-                            return Err(err("division by zero"));
+                            return Err(KernelFault::DivisionByZero.into());
                         }
                         l.wrapping_div(r)
                     }
                     "arith.remsi" => {
                         if r == 0 {
-                            return Err(err("remainder by zero"));
+                            return Err(KernelFault::RemainderByZero.into());
                         }
                         l.wrapping_rem(r)
                     }

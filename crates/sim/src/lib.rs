@@ -150,7 +150,7 @@ pub mod verify;
 pub use config::{knob_table, ConfigError};
 pub use cost::{Coalescer, CostModel, ExecStats};
 pub use device::{auto_threads, BatchLaunch, Device, Engine, NdRangeSpec, SimError};
-pub use interp::LimitKind;
+pub use interp::{KernelFault, LimitKind};
 pub use limits::ExecLimits;
 pub use memory::{Buf, DataVec, Dtype, Elem, MemFault, MemId, MemoryPool};
 pub use plan::{decode_kernel, fuse_plan, DecodeError, KernelPlan};

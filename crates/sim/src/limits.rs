@@ -70,17 +70,12 @@ impl ExecLimits {
 
 /// The runaway-loop backstop, on whether or not any limit is set: a
 /// work-item that takes more than this many steps fails with
-/// [`step_budget_exceeded`]. Each engine counts steps in its own unit —
-/// the tree walk one per IR op of a work-item, the plan engine one per
-/// dispatch of a lane group — so the two need not trip it at the same
-/// point; `--max-ops` ([`ExecLimits::max_ops`]) is the limit they agree on.
+/// [`KernelFault::StepBudgetExceeded`](crate::KernelFault). Each engine
+/// counts steps in its own unit — the tree walk one per IR op of a
+/// work-item, the plan engine one per dispatch of a lane group — so the
+/// two need not trip it at the same point; `--max-ops`
+/// ([`ExecLimits::max_ops`]) is the limit they agree on.
 pub(crate) const MAX_STEPS: u64 = 500_000_000;
-
-/// The error of a work-item past [`MAX_STEPS`].
-#[cold]
-pub(crate) fn step_budget_exceeded() -> SimError {
-    SimError::msg("work-item exceeded the step budget (runaway loop?)")
-}
 
 /// `Err` with [`LimitKind::Deadline`] once the wall-clock deadline has
 /// passed. Polled by the meter at op-block boundaries and by the

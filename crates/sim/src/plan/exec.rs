@@ -7,8 +7,9 @@ use super::instr::{DimSrc, FloatBin, Instr, IntBin, MathOp};
 use super::slot::{put, Slot};
 use super::KernelPlan;
 use crate::device::NdRangeSpec;
+use crate::interp::KernelFault;
 use crate::interp::{SimError, Stop};
-use crate::limits::{step_budget_exceeded, MAX_STEPS};
+use crate::limits::MAX_STEPS;
 use crate::memory::MemFault;
 use crate::pool::PlanExecCtx;
 use crate::value::{MemRefVal, RtValue, Space, VecVal};
@@ -726,7 +727,7 @@ fn run_impl(
         }
         *steps += 1;
         if *steps > MAX_STEPS {
-            fail!(step_budget_exceeded());
+            fail!(KernelFault::StepBudgetExceeded.into());
         }
         let instr = &code[pc];
         // Profiling and metering are a test per dispatch, not per lane.
@@ -760,9 +761,9 @@ fn run_impl(
                     IntBin::Add => l.wrapping_add(r),
                     IntBin::Sub => l.wrapping_sub(r),
                     IntBin::Mul => l.wrapping_mul(r),
-                    IntBin::DivS if r == 0 => return Err(err("division by zero")),
+                    IntBin::DivS if r == 0 => return Err(KernelFault::DivisionByZero.into()),
                     IntBin::DivS => l.wrapping_div(r),
-                    IntBin::RemS if r == 0 => return Err(err("remainder by zero")),
+                    IntBin::RemS if r == 0 => return Err(KernelFault::RemainderByZero.into()),
                     IntBin::RemS => l.wrapping_rem(r),
                     IntBin::And => l & r,
                     IntBin::Or => l | r,
@@ -1007,7 +1008,7 @@ fn run_impl(
                     let ub = int!(ub, "bad ub");
                     let step = int!(step, "bad step");
                     if step <= 0 {
-                        return Err(err("non-positive loop step"));
+                        return Err(KernelFault::NonPositiveLoopStep.into());
                     }
                     reg!(iv).set(Slot::Int(lb));
                     lb >= ub

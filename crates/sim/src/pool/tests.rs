@@ -9,6 +9,7 @@ use crate::device::NdRangeSpec;
 use crate::memory::{DataVec, Dtype, MemFault, MemId, MemoryPool};
 use crate::plan::KernelPlan;
 use crate::value::RtValue;
+use crate::{KernelFault, SimError};
 
 /// One access through a worker's pool: resolve, then the `Buf`.
 fn load(pp: &mut PlanPool<'_, '_>, id: MemId, index: i64) -> Result<RtValue, MemFault> {
@@ -445,6 +446,14 @@ fn work_item_slots_are_isolated_across_a_failed_group() {
         assert_eq!(
             error.message(),
             "division by zero (launch 2, work-group 1)",
+            "threads={threads}"
+        );
+        assert_eq!(
+            error,
+            SimError::Kernel {
+                fault: KernelFault::DivisionByZero,
+                at: Some((2, 1)),
+            },
             "threads={threads}"
         );
         assert_eq!(pool.data(mb), &want_b_buf, "threads={threads}");

@@ -14,6 +14,11 @@
 //!   reaching-definition analysis (§V-B).
 //! * [`host`] — `sycl.host.constructor` and `sycl.host.schedule_kernel`,
 //!   the targets of the host raising pass (§VII-A, Listing 9).
+//! * [`facts`] — the launch facts host-device propagation (§VII-B) and
+//!   AdaptiveCpp's launch-time JIT (§IX) write onto a kernel: global and
+//!   local range, buffer ids, accessor ranges, constant-array and dead
+//!   arguments. It is the one owner of their attribute keys and shapes;
+//!   every pass, analysis and runtime reader goes through its getters.
 //!
 //! One deliberate deviation from the paper's listings: SYCL objects (`id`,
 //! `range`, …) are modelled as *SSA values* rather than in-memory objects
@@ -37,6 +42,7 @@
 //! ```
 
 pub mod device;
+pub mod facts;
 pub mod host;
 pub mod types;
 
@@ -64,19 +70,6 @@ pub fn register(ctx: &Context) {
 
 /// Attribute key marking a `func.func` as a SYCL kernel entry point.
 pub const KERNEL_ATTR: &str = "sycl.kernel";
-
-/// Attribute key on kernel functions: dense `[gx, gy, gz]` global range
-/// propagated from the host (§VII-B "constant ND-range propagation").
-pub const KERNEL_GLOBAL_RANGE_ATTR: &str = "sycl.global_range";
-
-/// Attribute key on kernel functions: dense `[lx, ly, lz]` work-group size
-/// propagated from the host.
-pub const KERNEL_LOCAL_RANGE_ATTR: &str = "sycl.local_range";
-
-/// Attribute key on kernel functions: dense list of argument indices the
-/// SYCL Dead Argument Elimination pass proved unused (§VII-B); the runtime
-/// skips passing them.
-pub const KERNEL_DEAD_ARGS_ATTR: &str = "sycl.dead_args";
 
 /// Symbol name of the nested device module inside a joint host/device
 /// module (Fig. 1's dashed path).

@@ -5,30 +5,36 @@
 //! context*. For every kernel in the joint module this pass analyses
 //! every distinct command group that launches the kernel (`hostgen` emits
 //! one host function per distinct command group, so a kernel submitted k
-//! times with one command group is one launch site) and propagates into
-//! the device code:
+//! times with one command group is one launch site) and writes what holds
+//! at every launch site onto the kernel as launch facts
+//! ([`sycl_mlir_sycl::facts`], the one owner of their encoding):
 //!
-//! * **Constant ND-range propagation** — constant global/local ranges land
-//!   as kernel attributes and the corresponding getter ops
-//!   (`sycl.nd_item.get_global_range`, …) fold to constants;
+//! * **Constant ND-range propagation** — constant global/local ranges;
 //! * **Scalar constant propagation** — kernel scalar arguments constant at
-//!   every launch site are materialized as constants in the kernel;
-//! * **Accessor member propagation** — constant accessor ranges fold
-//!   `sycl.accessor.get_range`, and *buffer identities* are attached so the
-//!   SYCL-aware alias analysis can separate accessors over distinct buffers
-//!   (the refinement §VII-B motivates with Listing 8);
+//!   every launch site are materialized as constants in the kernel (the
+//!   one propagated fact that is IR, not a launch fact);
+//! * **Accessor member propagation** — constant accessor ranges, and
+//!   *buffer identities* so the SYCL-aware alias analysis can separate
+//!   accessors over distinct buffers (the refinement §VII-B motivates with
+//!   Listing 8);
 //! * **Constant-array arguments** — read-only accessors over buffers whose
-//!   host data is a compile-time constant (the Sobel filter case of §VIII)
-//!   are marked `sycl.const_args`, letting the device treat their loads as
-//!   constant-memory accesses.
+//!   host data is a compile-time constant (the Sobel filter case of §VIII),
+//!   whose loads the device may then treat as constant-memory accesses.
+//!
+//! [`fold_device_queries`] then folds the range queries the facts pin
+//! down (`sycl.nd_item.get_global_range`, …, `sycl.accessor.get_range`) to
+//! constants. It is the one fold: AdaptiveCpp's launch-time JIT
+//! (`Flow::jit_specialize`) calls it too, after writing the ranges it
+//! learns at the first launch.
 //!
 //! [`DeadArgumentEliminationPass`] is the paper's *SYCL Dead Argument
 //! Elimination*: kernel arguments left unused after propagation are
-//! recorded so the runtime skips passing them, "making kernel launches more
-//! efficient on the host side".
+//! recorded as a launch fact so the runtime skips passing them, "making
+//! kernel launches more efficient on the host side".
 
 use std::collections::HashMap;
 use sycl_mlir_ir::{Attribute, Builder, Module, OpId, Pass, ValueId, WalkControl};
+use sycl_mlir_sycl::facts;
 use sycl_mlir_sycl::host::schedule_info;
 use sycl_mlir_sycl::types::{accessor_info, AccessMode, Target};
 
@@ -236,20 +242,12 @@ impl HostDeviceConstantPropagationPass {
             infos.iter().all(|i| f(i).as_ref() == Some(&v)).then_some(v)
         };
         if let Some(g) = all_equal(|i| &i.global_range) {
-            m.set_attr(
-                kernel,
-                sycl_mlir_sycl::KERNEL_GLOBAL_RANGE_ATTR,
-                Attribute::DenseI64(g),
-            );
+            facts::GLOBAL_RANGE.set(m, kernel, g);
             self.stats.nd_ranges_propagated += 1;
             changed = true;
         }
         if let Some(l) = all_equal(|i| &i.local_range) {
-            m.set_attr(
-                kernel,
-                sycl_mlir_sycl::KERNEL_LOCAL_RANGE_ATTR,
-                Attribute::DenseI64(l),
-            );
+            facts::LOCAL_RANGE.set(m, kernel, l);
             changed = true;
         }
 
@@ -290,11 +288,7 @@ impl HostDeviceConstantPropagationPass {
                         buffer_ids[i] = id;
                     }
                 }
-                m.set_attr(
-                    kernel,
-                    sycl_mlir_analysis::alias::ARG_BUFFER_IDS_ATTR,
-                    Attribute::DenseI64(buffer_ids),
-                );
+                facts::BUFFER_IDS.set(m, kernel, buffer_ids);
                 self.stats.kernels_annotated += 1;
                 changed = true;
             }
@@ -302,7 +296,7 @@ impl HostDeviceConstantPropagationPass {
 
         // Scalar constants, const arrays and accessor ranges.
         let mut const_args = Vec::new();
-        let mut arg_ranges: Vec<Attribute> = Vec::new();
+        let mut arg_ranges: Vec<Option<Vec<i64>>> = Vec::new();
         for i in 0..nargs {
             let fact = &first.args[i];
             let agree = infos.iter().all(|info| &info.args[i] == fact);
@@ -321,7 +315,7 @@ impl HostDeviceConstantPropagationPass {
                         self.stats.scalars_propagated += 1;
                         changed = true;
                     }
-                    arg_ranges.push(Attribute::Int(-1));
+                    arg_ranges.push(None);
                 }
                 ArgFact::Accessor {
                     range,
@@ -332,107 +326,87 @@ impl HostDeviceConstantPropagationPass {
                     if *const_data && *read_only && agree {
                         const_args.push(i as i64);
                     }
-                    match range {
-                        Some(r) if agree => arg_ranges.push(Attribute::DenseI64(r.clone())),
-                        _ => arg_ranges.push(Attribute::Int(-1)),
-                    }
+                    arg_ranges.push(range.clone().filter(|_| agree));
                 }
-                _ => arg_ranges.push(Attribute::Int(-1)),
+                _ => arg_ranges.push(None),
             }
         }
         if !const_args.is_empty() {
             self.stats.const_array_args += const_args.len();
-            m.set_attr(kernel, "sycl.const_args", Attribute::DenseI64(const_args));
+            facts::CONST_ARGS.set(m, kernel, const_args);
             changed = true;
         }
-        m.set_attr(kernel, "sycl.arg_ranges", Attribute::Array(arg_ranges));
+        facts::set_arg_ranges(m, kernel, arg_ranges);
 
         // --- Device-side folding of getters ---
-        changed |= self.fold_device_queries(m, kernel);
-        changed
+        let folded = fold_device_queries(m, kernel);
+        self.stats.getters_folded += folded;
+        changed | (folded > 0)
     }
+}
 
-    /// Replace `get_global_range` / `get_local_range` / `get_group_range` /
-    /// `accessor.get_range` with constants where the kernel attributes pin
-    /// them down.
-    fn fold_device_queries(&mut self, m: &mut Module, kernel: OpId) -> bool {
-        let global = m
-            .attr(kernel, sycl_mlir_sycl::KERNEL_GLOBAL_RANGE_ATTR)
-            .and_then(|a| a.as_dense_i64())
-            .map(|v| v.to_vec());
-        let local = m
-            .attr(kernel, sycl_mlir_sycl::KERNEL_LOCAL_RANGE_ATTR)
-            .and_then(|a| a.as_dense_i64())
-            .map(|v| v.to_vec());
-        let arg_ranges = m.attr(kernel, "sycl.arg_ranges").cloned();
-        let entry = m.op_region_block(kernel, 0);
-        let params = m.block_args(entry).to_vec();
+/// Replace `get_global_range` / `get_local_range` / `get_group_range` /
+/// `accessor.get_range` with constants where the kernel's launch facts
+/// pin them down; returns how many queries were folded. Host-device
+/// propagation calls it after writing the facts, and so does
+/// AdaptiveCpp's launch-time JIT, which knows the ranges but no accessor
+/// ranges.
+pub fn fold_device_queries(m: &mut Module, kernel: OpId) -> usize {
+    let entry = m.op_region_block(kernel, 0);
+    let params = m.block_args(entry);
+    let global = facts::GLOBAL_RANGE.get(m, kernel);
+    let local = facts::LOCAL_RANGE.get(m, kernel);
 
-        let mut targets: Vec<(OpId, i64)> = Vec::new();
-        m.walk(kernel, &mut |op| {
-            let name = m.op_name_str(op);
-            let dim = m
-                .op_operands(op)
-                .get(1)
-                .and_then(|&d| sycl_mlir_dialects::arith::const_int_of(m, d))
-                .unwrap_or(-1);
-            let value = match &*name {
-                "sycl.nd_item.get_global_range" | "sycl.item.get_range" => {
-                    global.as_ref().and_then(|g| g.get(dim as usize).copied())
-                }
-                "sycl.nd_item.get_local_range" => {
-                    local.as_ref().and_then(|l| l.get(dim as usize).copied())
-                }
-                "sycl.nd_item.get_group_range" => match (&global, &local) {
-                    (Some(g), Some(l)) => g
-                        .get(dim as usize)
-                        .zip(l.get(dim as usize))
-                        .map(|(&g, &l)| g / l),
-                    _ => None,
-                },
-                "sycl.accessor.get_range" => {
-                    let acc = m.op_operand(op, 0);
-                    params
-                        .iter()
-                        .position(|&p| p == acc)
-                        .and_then(|arg_idx| {
-                            arg_ranges
-                                .as_ref()
-                                .and_then(|a| a.as_array())
-                                .and_then(|ranges| ranges.get(arg_idx).cloned())
-                        })
-                        .and_then(|entry| match entry {
-                            Attribute::DenseI64(r) => r.get(dim as usize).copied(),
-                            _ => None,
-                        })
-                }
-                _ => None,
-            };
-            if let Some(v) = value {
-                targets.push((op, v));
+    let mut targets: Vec<(OpId, i64)> = Vec::new();
+    m.walk(kernel, &mut |op| {
+        let name = m.op_name_str(op);
+        let dim = m
+            .op_operands(op)
+            .get(1)
+            .and_then(|&d| sycl_mlir_dialects::arith::const_int_of(m, d))
+            .unwrap_or(-1) as usize;
+        let value = match &*name {
+            "sycl.nd_item.get_global_range" | "sycl.item.get_range" => {
+                global.and_then(|g| g.get(dim).copied())
             }
-            WalkControl::Advance
-        });
-        let changed = !targets.is_empty();
-        for (op, value) in targets {
-            let block = m.op_parent_block(op).expect("attached");
-            let index = m.op_index_in_block(op);
-            let name = m.ctx().op("arith.constant");
-            let ty = m.value_type(m.op_result(op, 0));
-            let cst = m.create_op(
-                name,
-                &[],
-                &[ty],
-                vec![("value".into(), Attribute::Int(value))],
-            );
-            m.insert_op(block, index, cst);
-            let new_v = m.op_result(cst, 0);
-            m.replace_all_uses(m.op_result(op, 0), new_v);
-            m.erase_op(op);
-            self.stats.getters_folded += 1;
+            "sycl.nd_item.get_local_range" => local.and_then(|l| l.get(dim).copied()),
+            "sycl.nd_item.get_group_range" => match (global, local) {
+                (Some(g), Some(l)) => g.get(dim).zip(l.get(dim)).map(|(&g, &l)| g / l),
+                _ => None,
+            },
+            "sycl.accessor.get_range" => {
+                let acc = m.op_operand(op, 0);
+                params
+                    .iter()
+                    .position(|&p| p == acc)
+                    .and_then(|arg| facts::arg_ranges(m, kernel)?.nth(arg)?)
+                    .and_then(|r| r.get(dim).copied())
+            }
+            _ => None,
+        };
+        if let Some(v) = value {
+            targets.push((op, v));
         }
-        changed
+        WalkControl::Advance
+    });
+    let folded = targets.len();
+    for (op, value) in targets {
+        let block = m.op_parent_block(op).expect("attached");
+        let index = m.op_index_in_block(op);
+        let name = m.ctx().op("arith.constant");
+        let ty = m.value_type(m.op_result(op, 0));
+        let cst = m.create_op(
+            name,
+            &[],
+            &[ty],
+            vec![("value".into(), Attribute::Int(value))],
+        );
+        m.insert_op(block, index, cst);
+        let new_v = m.op_result(cst, 0);
+        m.replace_all_uses(m.op_result(op, 0), new_v);
+        m.erase_op(op);
     }
+    folded
 }
 
 /// Do two arg facts refer to the same host buffer?
@@ -484,11 +458,7 @@ impl Pass for DeadArgumentEliminationPass {
             }
             if !dead.is_empty() {
                 self.dead_args_found += dead.len();
-                m.set_attr(
-                    kernel,
-                    sycl_mlir_sycl::KERNEL_DEAD_ARGS_ATTR,
-                    Attribute::DenseI64(dead),
-                );
+                facts::DEAD_ARGS.set(m, kernel, dead);
                 changed = true;
             }
         }
@@ -506,12 +476,12 @@ mod tests {
     use sycl_mlir_ir::Context;
     use sycl_mlir_sycl::types::{accessor_type, item_type};
 
-    /// `sycl.arg_ranges` of the range-form kernel `K(accessor<f32, 1,
+    /// The accessor ranges of the range-form kernel `K(accessor<f32, 1,
     /// read_write>)` after raising and propagation, with `K` launched from
     /// `cgfs` host functions that each construct a buffer of 32 elements
     /// of their own, as `hostgen` emits them: a kernel submitted k times
     /// with one command group is one function, with two buffers two.
-    fn arg_ranges_with(cgfs: usize) -> Attribute {
+    fn arg_ranges_with(cgfs: usize) -> Vec<Option<Vec<i64>>> {
         let c = Context::new();
         sycl_mlir_dialects::register_all(&c);
         sycl_mlir_sycl::register(&c);
@@ -575,24 +545,19 @@ mod tests {
         HostDeviceConstantPropagationPass::default()
             .run(&mut m)
             .unwrap();
-        m.attr(kernel, "sycl.arg_ranges")
-            .cloned()
+        facts::arg_ranges(&m, kernel)
             .expect("annotated")
+            .map(|r| r.map(<[i64]>::to_vec))
+            .collect()
     }
 
     #[test]
     fn one_command_group_pins_the_accessor_range() {
-        assert_eq!(
-            arg_ranges_with(1),
-            Attribute::Array(vec![Attribute::DenseI64(vec![32])])
-        );
+        assert_eq!(arg_ranges_with(1), [Some(vec![32])]);
     }
 
     #[test]
     fn two_buffers_leave_the_accessor_range_unknown() {
-        assert_eq!(
-            arg_ranges_with(2),
-            Attribute::Array(vec![Attribute::Int(-1)])
-        );
+        assert_eq!(arg_ranges_with(2), [None]);
     }
 }

@@ -20,7 +20,7 @@ use sycl_mlir_analysis::memaccess::{AccessInfo, AccessKind, DimKind, MemoryAcces
 use sycl_mlir_analysis::uniformity::UniformityAnalysis;
 use sycl_mlir_ir::dialect::traits;
 use sycl_mlir_ir::{Attribute, Builder, Module, OpId, Pass, ValueId, WalkControl};
-use sycl_mlir_sycl::device;
+use sycl_mlir_sycl::{device, facts};
 
 /// Statistics of one internalization run.
 #[derive(Debug, Default, Clone)]
@@ -90,17 +90,12 @@ impl LoopInternalizationPass {
     fn run_on_kernel(&mut self, m: &mut Module, func: OpId) -> bool {
         // Work-group size must be known and square (Listing 6 uses
         // `wg_size(M, M)`).
-        let Some(local) = m
-            .attr(func, sycl_mlir_sycl::KERNEL_LOCAL_RANGE_ATTR)
-            .and_then(|a| a.as_dense_i64())
-            .map(|v| v.to_vec())
-        else {
+        let Some(&[tile, tile_y]) = facts::LOCAL_RANGE.get(m, func) else {
             return false;
         };
-        if local.len() != 2 || local[0] != local[1] || local[0] < 2 {
+        if tile != tile_y || tile < 2 {
             return false;
         }
-        let tile = local[0];
 
         // The kernel's nd_item parameter (needed for local ids + barrier).
         let entry = m.op_region_block(func, 0);
@@ -506,7 +501,7 @@ mod tests {
     }
 
     /// Build the Listing 6 matmul kernel: C[i][j] += A[i][k] * B[k][j].
-    fn build_matmul(m: &mut Module, n: i64, wg: i64) -> OpId {
+    fn build_matmul(m: &mut Module, n: i64, wg: Option<i64>) -> OpId {
         let c = m.ctx().clone();
         let acc2r = accessor_type(&c, c.f32_type(), 2, AccessMode::Read, Target::Global);
         let acc2w = accessor_type(&c, c.f32_type(), 2, AccessMode::ReadWrite, Target::Global);
@@ -520,16 +515,10 @@ mod tests {
             &[],
         );
         mark_kernel(m, func);
-        m.set_attr(
-            func,
-            sycl_mlir_sycl::KERNEL_LOCAL_RANGE_ATTR,
-            Attribute::DenseI64(vec![wg, wg]),
-        );
-        m.set_attr(
-            func,
-            sycl_mlir_analysis::alias::ARG_BUFFER_IDS_ATTR,
-            Attribute::DenseI64(vec![0, 1, 2, -1]),
-        );
+        if let Some(wg) = wg {
+            facts::LOCAL_RANGE.set(m, func, vec![wg, wg]);
+        }
+        facts::BUFFER_IDS.set(m, func, vec![0, 1, 2, -1]);
         let a_acc = m.block_arg(entry, 0);
         let b_acc = m.block_arg(entry, 1);
         let c_acc = m.block_arg(entry, 2);
@@ -567,7 +556,7 @@ mod tests {
     fn matmul_is_internalized() {
         let c = ctx();
         let mut m = Module::new(&c);
-        build_matmul(&mut m, 64, 16);
+        build_matmul(&mut m, 64, Some(16));
         let mut pass = LoopInternalizationPass::default();
         let changed = pass.run(&mut m).unwrap();
         assert!(changed);
@@ -586,8 +575,7 @@ mod tests {
     fn unknown_wg_size_blocks_internalization() {
         let c = ctx();
         let mut m = Module::new(&c);
-        let func = build_matmul(&mut m, 64, 16);
-        m.remove_attr(func, sycl_mlir_sycl::KERNEL_LOCAL_RANGE_ATTR);
+        build_matmul(&mut m, 64, None);
         let mut pass = LoopInternalizationPass::default();
         let changed = pass.run(&mut m).unwrap();
         assert!(!changed);
@@ -605,11 +593,7 @@ mod tests {
         let top = m.top();
         let (func, entry) = build_func(&mut m, top, "gram", &[acc2.clone(), acc2, acc2w, nd2], &[]);
         mark_kernel(&mut m, func);
-        m.set_attr(
-            func,
-            sycl_mlir_sycl::KERNEL_LOCAL_RANGE_ATTR,
-            Attribute::DenseI64(vec![16, 16]),
-        );
+        facts::LOCAL_RANGE.set(&mut m, func, vec![16, 16]);
         let a_acc = m.block_arg(entry, 0);
         let b_acc = m.block_arg(entry, 1);
         let c_acc = m.block_arg(entry, 2);
@@ -664,7 +648,7 @@ mod tests {
     fn indivisible_trip_count_blocks_internalization() {
         let c = ctx();
         let mut m = Module::new(&c);
-        build_matmul(&mut m, 65, 16);
+        build_matmul(&mut m, 65, Some(16));
         let mut pass = LoopInternalizationPass::default();
         assert!(!pass.run(&mut m).unwrap());
     }

@@ -285,11 +285,7 @@ mod tests {
         );
         // Host analysis proved the two arrays live in distinct buffers —
         // the SYCL-aware AA precondition for the rewrite (§VI-B).
-        m.set_attr(
-            func,
-            sycl_mlir_analysis::alias::ARG_BUFFER_IDS_ATTR,
-            sycl_mlir_ir::Attribute::DenseI64(vec![0, 1, -1, -1]),
-        );
+        sycl_mlir_sycl::facts::BUFFER_IDS.set(&mut m, func, vec![0, 1, -1, -1]);
         let ptr = m.block_arg(entry, 0);
         let other = m.block_arg(entry, 1);
         let lb = m.block_arg(entry, 2);
@@ -397,11 +393,7 @@ mod tests {
             &[mem2, memd, c.index_type(), c.index_type()],
             &[],
         );
-        m.set_attr(
-            func,
-            sycl_mlir_analysis::alias::ARG_BUFFER_IDS_ATTR,
-            sycl_mlir_ir::Attribute::DenseI64(vec![0, 1, -1, -1]),
-        );
+        sycl_mlir_sycl::facts::BUFFER_IDS.set(&mut m, func, vec![0, 1, -1, -1]);
         let acc = m.block_arg(entry, 0);
         let other = m.block_arg(entry, 1);
         let lb = m.block_arg(entry, 2);

@@ -13,6 +13,7 @@
 
 use sycl_mlir_repro::core::{Flow, FlowKind};
 use sycl_mlir_repro::ir::{print_module, print_op};
+use sycl_mlir_repro::sycl::facts;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = sycl_mlir_repro::benchsuite::all_workloads()
@@ -52,13 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     assert!(
-        module.attr(kernel, "sycl.const_args").is_some(),
+        facts::CONST_ARGS.get(&module, kernel).is_some(),
         "filter marked constant"
     );
     assert!(
-        module
-            .attr(kernel, sycl_mlir_repro::sycl::KERNEL_GLOBAL_RANGE_ATTR)
-            .is_some(),
+        facts::GLOBAL_RANGE.get(&module, kernel).is_some(),
         "ND-range propagated"
     );
     println!("\nJoint analysis confirmed: constant filter + ND-range propagated to the device.");

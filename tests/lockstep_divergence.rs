@@ -16,7 +16,7 @@ use sycl_mlir_repro::ir::{Builder, ValueId};
 use sycl_mlir_repro::runtime::{
     compile_program, exec, hostgen::generate_host_ir, BufferId, Queue, SyclRuntime,
 };
-use sycl_mlir_repro::sim::{CostModel, Device, Engine, ExecStats};
+use sycl_mlir_repro::sim::{CostModel, Device, Engine, ExecStats, KernelFault, SimError};
 use sycl_mlir_repro::sycl::device as sdev;
 use sycl_mlir_repro::sycl::types::AccessMode;
 
@@ -328,7 +328,7 @@ fn runtime(geom: Geom) -> SyclRuntime {
 
 /// Everything one run shows: per kernel its statistics and launch/JIT
 /// cycles, the report's cycle total, the output buffer — or the error.
-type Observation = Result<(Vec<(String, ExecStats, u64, u64)>, u64, Vec<u32>), String>;
+type Observation = Result<(Vec<(String, ExecStats, u64, u64)>, u64, Vec<u32>), SimError>;
 
 fn observe(
     program: &mut sycl_mlir_repro::runtime::Program,
@@ -337,7 +337,7 @@ fn observe(
     device: &Device,
 ) -> Observation {
     let mut rt = runtime(geom);
-    let report = exec::run(program, &mut rt, q, device).map_err(|e| e.to_string())?;
+    let report = exec::run(program, &mut rt, q, device)?;
     let rows = report
         .kernel_runs
         .iter()
@@ -425,7 +425,7 @@ fn a_divergent_barrier_reads_the_same() {
             );
             for run in runs {
                 let e = run.as_ref().expect_err("a divergent barrier");
-                assert_eq!(e, &expected, "{kernel}, {geom:?}");
+                assert_eq!(e.to_string(), expected, "{kernel}, {geom:?}");
             }
         }
     }
@@ -437,8 +437,15 @@ fn the_lower_lanes_error_wins() {
     for run in check("two_faults") {
         let e = run.expect_err("a division by zero");
         assert_eq!(
-            e,
+            e.to_string(),
             "simulation error: division by zero (launch 0, work-group 0)"
+        );
+        assert_eq!(
+            e,
+            SimError::Kernel {
+                fault: KernelFault::DivisionByZero,
+                at: Some((0, 0)),
+            }
         );
     }
 }

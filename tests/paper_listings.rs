@@ -193,11 +193,7 @@ fn listing4_to_listing5_reduction() {
         &[mem1, memd, ctx.index_type(), ctx.index_type()],
         &[],
     );
-    m.set_attr(
-        f,
-        sycl_mlir_repro::analysis::alias::ARG_BUFFER_IDS_ATTR,
-        Attribute::DenseI64(vec![0, 1, -1, -1]),
-    );
+    sycl_mlir_repro::sycl::facts::BUFFER_IDS.set(&mut m, f, vec![0, 1, -1, -1]);
     let ptr = m.block_arg(entry, 0);
     let other = m.block_arg(entry, 1);
     let lb = m.block_arg(entry, 2);
