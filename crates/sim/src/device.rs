@@ -3,7 +3,7 @@
 //! cross-launch kernel-plan cache.
 
 use crate::cost::{CostModel, ExecStats};
-use crate::interp::{ExecCtx, Stop, WorkItemState};
+use crate::interp::{enclosing_module, ExecCtx, Stop, WorkItemState};
 use crate::limits::{ExecLimits, OpMeter};
 use crate::memory::MemoryPool;
 use crate::plan::{decode_kernel, fuse_plan, ItemQ, KernelPlan};
@@ -12,10 +12,10 @@ use crate::report::DeviceReport;
 use crate::value::RtValue;
 use crate::verify::{verify_plan, PlanFacts};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
-use sycl_mlir_ir::{Module, OpId};
+use sycl_mlir_ir::{Module, OpId, OpName, WalkControl};
 
 pub use crate::interp::SimError;
 
@@ -318,11 +318,11 @@ impl Device {
 
     /// The decoded plan for `kernel` — plus the decode-time verifier's
     /// facts ([`PlanFacts`]) — reused from the cache when the module's
-    /// mutation epoch still matches. `Err` when the kernel is not
-    /// plan-decodable (a `plan decode error`). Every outcome is cached —
-    /// an iterative workload with an undecodable kernel pays the decode
-    /// attempt once per epoch, not once per launch, and every relaunch
-    /// reports the identical error.
+    /// mutation epoch still matches. `Err` when the kernel is recursive
+    /// or not plan-decodable (a `plan decode error`). Every outcome is
+    /// cached — an iterative workload with an undecodable kernel pays the
+    /// decode attempt once per epoch, not once per launch, and every
+    /// relaunch reports the identical error.
     fn cached_plan(&self, m: &Module, kernel: OpId) -> Result<PlanEntry, SimError> {
         let key = (m.module_id(), kernel);
         let epoch = m.mutation_epoch();
@@ -336,15 +336,17 @@ impl Device {
         // so in-bounds proofs transfer to the fused plan unchanged),
         // then fuse.
         self.report.borrow_mut().cache_misses += 1;
-        let outcome = match decode_kernel(m, kernel) {
+        let decoded = refuse_recursion(m, kernel)
+            .and_then(|()| decode_kernel(m, kernel).map_err(SimError::from));
+        let outcome = match decoded {
             Ok(mut plan) => {
                 let facts = self.verify_decoded(m, kernel, &plan);
                 fuse_plan(&mut plan);
                 Ok((Arc::new(plan), Arc::new(facts)))
             }
-            Err(undecodable) => {
+            Err(refused) => {
                 self.report.borrow_mut().verify.rejected += 1;
-                Err(SimError::from(undecodable))
+                Err(refused)
             }
         };
         let mut cache = self.plan_cache.borrow_mut();
@@ -580,6 +582,7 @@ fn launch_kernel_with(
     launch: usize,
 ) -> Result<ExecStats, SimError> {
     nd.validate()?;
+    refuse_recursion(m, kernel).map_err(|e| e.at(launch, 0))?;
     pool.check_args(args)
         .map_err(|fault| SimError::from(fault).at(launch, 0))?;
     let groups = nd.groups();
@@ -599,6 +602,51 @@ fn launch_kernel_with(
     stats.work_items = nd.work_items() as u64;
     stats.charge(cost);
     Ok(stats)
+}
+
+/// Refuse `kernel` if a function its calls reach can reach itself: SYCL
+/// device code may not recurse. Both engines check before they run any
+/// group of a launch, so a recursive kernel fails at work-group 0 of its
+/// launch, with the same text, under either.
+fn refuse_recursion(m: &Module, kernel: OpId) -> Result<(), SimError> {
+    // Depth first over call edges: `path` is the chain of calls being
+    // walked, `done` the functions all of whose callees were.
+    fn visit(
+        m: &Module,
+        call: OpName,
+        f: OpId,
+        path: &mut Vec<OpId>,
+        done: &mut HashSet<OpId>,
+    ) -> Result<(), SimError> {
+        if done.contains(&f) {
+            return Ok(());
+        }
+        if path.contains(&f) {
+            return Err(SimError::msg(format!(
+                "recursive call of `{}`: SYCL device code may not recurse",
+                m.symbol_name(f).unwrap_or("?")
+            )));
+        }
+        let mut callees = Vec::new();
+        m.walk(f, &mut |op| {
+            if m.op_name(op) == call {
+                let scope = enclosing_module(m, op);
+                callees.extend(sycl_mlir_dialects::func::resolve_callee(m, op, scope));
+            }
+            WalkControl::Advance
+        });
+        path.push(f);
+        for callee in callees {
+            visit(m, call, callee, path, done)?;
+        }
+        path.pop();
+        done.insert(f);
+        Ok(())
+    }
+    match m.ctx().lookup_op("func.call") {
+        Some(call) => visit(m, call, kernel, &mut Vec::new(), &mut HashSet::new()),
+        None => Ok(()),
+    }
 }
 
 /// The tree-walk engine's twin of the graph scheduler's host-node

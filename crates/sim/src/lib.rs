@@ -29,12 +29,12 @@
 //!   opcodes. Simple, obviously faithful to the IR, and the behavioural
 //!   baseline every optimization is differentially tested against.
 //! * **Plan** ([`plan`]) — the fast path and the default. A **decode
-//!   stage** runs once per launch and lowers the kernel (plus transitively
-//!   called functions) into a [`KernelPlan`]: a flat `Vec` of integer-opcode
-//!   instructions with operands pre-resolved to dense per-function register
-//!   slots, constants pre-materialized, `cmpi`/`cmpf` predicates and
-//!   dimension operands pre-parsed, call targets pre-resolved, and
-//!   `scf.for`/`scf.if` lowered to explicit jump/loop instructions. The
+//!   stage** runs once per launch and lowers the kernel, with every call
+//!   inlined, into a [`KernelPlan`]: one flat `Vec` of integer-opcode
+//!   instructions with operands pre-resolved to dense register slots,
+//!   constants pre-materialized, `cmpi`/`cmpf` predicates and dimension
+//!   operands pre-parsed, and `scf.for`/`scf.if` lowered to explicit
+//!   jump/loop instructions. The
 //!   **decode-time verifier** ([`verify_plan`]) then proves what it can
 //!   about the plan once — which accessor sites stay in bounds — and a
 //!   plan with findings runs with every check in place. Last, the **peephole fusion pass** ([`fuse_plan`]) rewrites
@@ -46,15 +46,15 @@
 //! The bytecode loop (`plan::run_impl`, driven by
 //! [`plan::PlanWorkGroup::round`]) is the plan engine's only executor, and
 //! it runs a sub-group's work-items in **lockstep**: an instruction is
-//! dispatched once for all the lanes that share a frame stack and a `pc`.
+//! dispatched once for all the lanes that share a `pc`.
 //! Executed instruction semantics are written once, there
 //! (ARCHITECTURE.md, "One plan executor", records why) — the
 //! superinstruction's arm is composed of the same steps as its members'
 //! arms, never a restatement of them.
 //!
-//! **Register allocation** is per function: every SSA value (block argument
-//! or op result) receives a dense slot at decode time, and each call frame
-//! owns a contiguous window of its sub-group's flat file of 16-byte
+//! **Register allocation** is per plan: every SSA value (block argument
+//! or op result) of the kernel and its callees receives a dense slot at
+//! decode time, one row of its sub-group's flat file of 16-byte
 //! [`plan::Slot`]s, one entry per register and lane — loop back-edges and
 //! operand reads are array indexing, no hashing and no allocation.
 //!
@@ -62,8 +62,8 @@
 //! immutable, `Send + Sync` (compile-time asserted) and shared by
 //! reference across all work-items, all work-groups and — with
 //! [`Device::threads`] `> 1` — all worker threads of a launch. All mutable
-//! state lives outside the plan: each work-item owns its register file,
-//! frame stack and per-site visit counters (slots a worker re-binds from
+//! state lives outside the plan: each work-item owns its registers, its
+//! `pc` and its per-site visit counters (slots a worker re-binds from
 //! work-group to work-group and launch to launch, so the steady state
 //! allocates nothing per work-item). Its position is not state: both
 //! engines answer its item queries from the launch's [`NdRangeSpec`], its

@@ -1,9 +1,10 @@
-//! The decoder: lowers the structured IR of a kernel and its callees into
-//! a [`KernelPlan`], string-free once its `OpKindTable` is built.
+//! The decoder: lowers the structured IR of a kernel into one flat
+//! [`KernelPlan`], inlining every call, string-free once its
+//! `OpKindTable` is built.
 
 use super::instr::{CmpPred, DimSrc, FloatBin, Instr, IntBin, ItemQ, MathOp};
 use super::slot::{Reg, Slot};
-use super::{DenseConst, FuncPlan, KernelPlan};
+use super::{DenseConst, KernelPlan};
 use crate::interp::{enclosing_module, SimError};
 use crate::memory::DataVec;
 use std::collections::HashMap;
@@ -192,25 +193,70 @@ struct Decoder<'a> {
     m: &'a Module,
     kinds: OpKindTable,
     keys: sycl_mlir_ir::CommonKeys,
-    /// Decoded functions (index 0 = the kernel) and the queue of source
-    /// functions still to decode.
-    funcs: Vec<FuncPlan>,
-    func_ids: HashMap<OpId, u32>,
-    pending: Vec<OpId>,
-    dense_consts: Vec<DenseConst>,
-    dense_ids: HashMap<OpId, u32>,
-    mem_sites: u32,
-    local_sites: u32,
-}
-
-/// Per-function decode state: the value→register map and emitted code.
-struct FuncDecode {
+    /// The value→register map of the kernel and every callee. Every
+    /// inlined copy of a callee shares its registers: no call is
+    /// re-entered, since a recursive callee is refused.
     regs: HashMap<ValueId, Reg>,
     next_reg: Reg,
     code: Vec<Instr>,
+    /// The callees being inlined, innermost last.
+    inlining: Vec<OpId>,
+    dense_consts: Vec<DenseConst>,
+    dense_ids: HashMap<OpId, u32>,
+    /// Site ids by IR op: every inlined copy of an op shares its op's id,
+    /// as the tree walk's per-op visit counts and local allocations do.
+    mem_sites: HashMap<OpId, u32>,
+    local_sites: HashMap<OpId, u32>,
 }
 
-impl FuncDecode {
+/// Decode `kernel`, with every call inlined, into an immutable
+/// [`KernelPlan`].
+pub fn decode_kernel(m: &Module, kernel: OpId) -> Result<KernelPlan, DecodeError> {
+    let mut d = Decoder {
+        m,
+        kinds: OpKindTable::new(m),
+        keys: m.ctx().common_keys(),
+        regs: HashMap::new(),
+        next_reg: 0,
+        code: Vec::new(),
+        inlining: Vec::new(),
+        dense_consts: Vec::new(),
+        dense_ids: HashMap::new(),
+        mem_sites: HashMap::new(),
+        local_sites: HashMap::new(),
+    };
+    let entry = m.op_region_block(kernel, 0);
+    let params = d.regs_of(m.block_args(entry));
+    let has_item_param = m
+        .block_args(entry)
+        .last()
+        .map(|&p| sycl_mlir_sycl::types::is_item_like(&m.value_type(p)))
+        .unwrap_or(false);
+    for &op in m.block_ops(entry) {
+        let kind = d.kind(op)?;
+        d.decode_op(op, kind)?;
+    }
+    // A body that falls off the end without a terminator behaves like a
+    // return.
+    d.code.push(Instr::Return);
+    Ok(KernelPlan {
+        code: d.code,
+        reg_count: d.next_reg,
+        params,
+        has_item_param,
+        dense_consts: d.dense_consts,
+        mem_sites: d.mem_sites.len() as u32,
+        local_sites: d.local_sites.len() as u32,
+    })
+}
+
+/// The id of `op` in `sites`, numbered in order of first decode.
+fn site_of(sites: &mut HashMap<OpId, u32>, op: OpId) -> u32 {
+    let next = sites.len() as u32;
+    *sites.entry(op).or_insert(next)
+}
+
+impl<'a> Decoder<'a> {
     fn reg_of(&mut self, v: ValueId) -> Reg {
         *self.regs.entry(v).or_insert_with(|| {
             let r = self.next_reg;
@@ -228,110 +274,77 @@ impl FuncDecode {
     fn pc(&self) -> u32 {
         self.code.len() as u32
     }
-}
 
-/// Decode `kernel` (and its callees) into an immutable [`KernelPlan`].
-pub fn decode_kernel(m: &Module, kernel: OpId) -> Result<KernelPlan, DecodeError> {
-    let mut d = Decoder {
-        m,
-        kinds: OpKindTable::new(m),
-        keys: m.ctx().common_keys(),
-        funcs: Vec::new(),
-        func_ids: HashMap::new(),
-        pending: Vec::new(),
-        dense_consts: Vec::new(),
-        dense_ids: HashMap::new(),
-        mem_sites: 0,
-        local_sites: 0,
-    };
-    d.func_id(kernel);
-    while let Some(f) = d.pending.pop() {
-        let plan = d.decode_func(f)?;
-        let idx = d.func_ids[&f] as usize;
-        d.funcs[idx] = plan;
-    }
-    Ok(KernelPlan {
-        funcs: d.funcs,
-        dense_consts: d.dense_consts,
-        mem_sites: d.mem_sites,
-        local_sites: d.local_sites,
-    })
-}
-
-impl<'a> Decoder<'a> {
-    /// Plan-internal id for a source function, queueing it for decoding on
-    /// first reference.
-    fn func_id(&mut self, f: OpId) -> u32 {
-        if let Some(&id) = self.func_ids.get(&f) {
-            return id;
-        }
-        let id = self.funcs.len() as u32;
-        self.func_ids.insert(f, id);
-        // Placeholder; patched when the pending queue drains.
-        self.funcs.push(FuncPlan {
-            code: Vec::new(),
-            reg_count: 0,
-            params: Vec::new(),
-            has_item_param: false,
-        });
-        self.pending.push(f);
-        id
-    }
-
-    fn decode_func(&mut self, func: OpId) -> Result<FuncPlan, DecodeError> {
+    fn kind(&self, op: OpId) -> Result<OpKind, DecodeError> {
         let m = self.m;
-        let entry = m.op_region_block(func, 0);
-        let mut fd = FuncDecode {
-            regs: HashMap::new(),
-            next_reg: 0,
-            code: Vec::new(),
-        };
-        let params: Vec<Reg> = m.block_args(entry).iter().map(|&a| fd.reg_of(a)).collect();
-        let has_item_param = m
-            .block_args(entry)
-            .last()
-            .map(|&p| sycl_mlir_sycl::types::is_item_like(&m.value_type(p)))
-            .unwrap_or(false);
-        self.decode_block(&mut fd, entry)?;
-        // A body that falls off the end without a terminator behaves like a
-        // void return (mirrors the tree-walk frame pop).
-        fd.code.push(Instr::Return { vals: Box::new([]) });
-        Ok(FuncPlan {
-            code: fd.code,
-            reg_count: fd.next_reg,
-            params,
-            has_item_param,
-        })
+        self.kinds
+            .get(m.op_name(op))
+            .ok_or_else(|| dec_err(format!("op `{}` is not plan-decodable", m.op_name_str(op))))
     }
 
-    /// Decode every op of `block` into `fd.code`. Yields terminate decoding
-    /// of the block and are handled by the enclosing structure's decoder.
-    fn decode_block(
-        &mut self,
-        fd: &mut FuncDecode,
-        block: sycl_mlir_ir::BlockId,
-    ) -> Result<(), DecodeError> {
+    fn regs_of(&mut self, values: &[ValueId]) -> Vec<Reg> {
+        values.iter().map(|&v| self.reg_of(v)).collect()
+    }
+
+    /// Inline the callee of `call` at the call site: the arguments are
+    /// copied into the callee's parameters, its body runs, and its
+    /// returned values are copied into the call's results.
+    fn inline_call(&mut self, call: OpId) -> Result<(), DecodeError> {
         let m = self.m;
-        for &op in m.block_ops(block) {
-            let kind = self.kinds.get(m.op_name(op)).ok_or_else(|| {
-                dec_err(format!("op `{}` is not plan-decodable", m.op_name_str(op)))
-            })?;
-            self.decode_op(fd, op, kind)?;
+        let scope = enclosing_module(m, call);
+        let callee = sycl_mlir_dialects::func::resolve_callee(m, call, scope)
+            .ok_or_else(|| dec_err("unresolved call"))?;
+        if self.inlining.contains(&callee) {
+            return Err(dec_err("recursive call"));
         }
+        let entry = m.op_region_block(callee, 0);
+        let (params, args) = (
+            self.regs_of(m.block_args(entry)),
+            self.regs_of(m.op_operands(call)),
+        );
+        if args.len() != params.len() {
+            return Err(dec_err(format!(
+                "call passes {} arguments but the callee takes {}",
+                args.len(),
+                params.len()
+            )));
+        }
+        self.emit_parallel_copy(&params, &args);
+        self.inlining.push(callee);
+        let mut returned = Vec::new();
+        for &op in m.block_ops(entry) {
+            match self.kind(op)? {
+                OpKind::Return => {
+                    returned = self.regs_of(m.op_operands(op));
+                    break;
+                }
+                kind => self.decode_op(op, kind)?,
+            }
+        }
+        self.inlining.pop();
+        let results = self.regs_of(m.op_results(call));
+        if returned.len() != results.len() {
+            return Err(dec_err(format!(
+                "call expects {} results but the callee returns {}",
+                results.len(),
+                returned.len()
+            )));
+        }
+        self.emit_parallel_copy(&results, &returned);
         Ok(())
     }
 
-    fn operand_reg(&self, fd: &mut FuncDecode, op: OpId, index: usize) -> Reg {
-        fd.reg_of(self.m.op_operand(op, index))
+    fn operand_reg(&mut self, op: OpId, index: usize) -> Reg {
+        self.reg_of(self.m.op_operand(op, index))
     }
 
-    fn result_reg(&self, fd: &mut FuncDecode, op: OpId) -> Reg {
-        fd.reg_of(self.m.op_result(op, 0))
+    fn result_reg(&mut self, op: OpId) -> Reg {
+        self.reg_of(self.m.op_result(op, 0))
     }
 
     /// A dimension operand: folded to `DimSrc::Const` when it is a
     /// compile-time integer constant.
-    fn dim_src(&self, fd: &mut FuncDecode, op: OpId) -> DimSrc {
+    fn dim_src(&mut self, op: OpId) -> DimSrc {
         let v = self.m.op_operand(op, 1);
         if let Some(def) = self.m.def_op(v) {
             if self.kinds.get(self.m.op_name(def)) == Some(OpKind::Constant) {
@@ -342,15 +355,10 @@ impl<'a> Decoder<'a> {
                 }
             }
         }
-        DimSrc::Reg(fd.reg_of(v))
+        DimSrc::Reg(self.reg_of(v))
     }
 
-    fn index_regs(
-        &self,
-        fd: &mut FuncDecode,
-        op: OpId,
-        from: usize,
-    ) -> Result<([Reg; 3], u8), DecodeError> {
+    fn index_regs(&mut self, op: OpId, from: usize) -> Result<([Reg; 3], u8), DecodeError> {
         let operands = self.m.op_operands(op);
         let n = operands.len() - from;
         if n > 3 {
@@ -358,7 +366,7 @@ impl<'a> Decoder<'a> {
         }
         let mut idx = [0 as Reg; 3];
         for (i, &v) in operands[from..].iter().enumerate() {
-            idx[i] = fd.reg_of(v);
+            idx[i] = self.reg_of(v);
         }
         Ok((idx, n as u8))
     }
@@ -366,20 +374,20 @@ impl<'a> Decoder<'a> {
     /// Copy `srcs` into `dsts` with parallel-copy semantics: when a source
     /// register is also a destination (loop-carried swaps), route through
     /// fresh scratch registers.
-    fn emit_parallel_copy(&self, fd: &mut FuncDecode, dsts: &[Reg], srcs: &[Reg]) {
+    fn emit_parallel_copy(&mut self, dsts: &[Reg], srcs: &[Reg]) {
         let overlap = srcs.iter().any(|s| dsts.contains(s));
         if overlap {
-            let scratch: Vec<Reg> = srcs.iter().map(|_| fd.fresh()).collect();
+            let scratch: Vec<Reg> = srcs.iter().map(|_| self.fresh()).collect();
             for (&t, &s) in scratch.iter().zip(srcs) {
-                fd.code.push(Instr::Copy { dst: t, src: s });
+                self.code.push(Instr::Copy { dst: t, src: s });
             }
             for (&d, &t) in dsts.iter().zip(&scratch) {
-                fd.code.push(Instr::Copy { dst: d, src: t });
+                self.code.push(Instr::Copy { dst: d, src: t });
             }
         } else {
             for (&d, &s) in dsts.iter().zip(srcs) {
                 if d != s {
-                    fd.code.push(Instr::Copy { dst: d, src: s });
+                    self.code.push(Instr::Copy { dst: d, src: s });
                 }
             }
         }
@@ -387,28 +395,20 @@ impl<'a> Decoder<'a> {
 
     /// The yield operand registers of `block`'s terminator (which must be a
     /// yield for structured regions).
-    fn yield_regs(
-        &self,
-        fd: &mut FuncDecode,
-        block: sycl_mlir_ir::BlockId,
-    ) -> Result<Vec<Reg>, DecodeError> {
+    fn yield_regs(&mut self, block: sycl_mlir_ir::BlockId) -> Result<Vec<Reg>, DecodeError> {
         let m = self.m;
         let term = m
             .block_terminator(block)
             .ok_or_else(|| dec_err("structured region block has no terminator"))?;
         match self.kinds.get(m.op_name(term)) {
-            Some(OpKind::Yield) => Ok(m.op_operands(term).iter().map(|&v| fd.reg_of(v)).collect()),
+            Some(OpKind::Yield) => Ok(self.regs_of(m.op_operands(term))),
             _ => Err(dec_err("structured region does not end in a yield")),
         }
     }
 
     /// Decode the ops of a structured-region block, stopping before the
     /// trailing yield (the caller wires the yield's copies).
-    fn decode_region_body(
-        &mut self,
-        fd: &mut FuncDecode,
-        block: sycl_mlir_ir::BlockId,
-    ) -> Result<(), DecodeError> {
+    fn decode_region_body(&mut self, block: sycl_mlir_ir::BlockId) -> Result<(), DecodeError> {
         let m = self.m;
         let ops = m.block_ops(block);
         let Some((&term, body)) = ops.split_last() else {
@@ -418,20 +418,13 @@ impl<'a> Decoder<'a> {
             return Err(dec_err("structured region does not end in a yield"));
         }
         for &op in body {
-            let kind = self.kinds.get(m.op_name(op)).ok_or_else(|| {
-                dec_err(format!("op `{}` is not plan-decodable", m.op_name_str(op)))
-            })?;
-            self.decode_op(fd, op, kind)?;
+            let kind = self.kind(op)?;
+            self.decode_op(op, kind)?;
         }
         Ok(())
     }
 
-    fn decode_op(
-        &mut self,
-        fd: &mut FuncDecode,
-        op: OpId,
-        kind: OpKind,
-    ) -> Result<(), DecodeError> {
+    fn decode_op(&mut self, op: OpId, kind: OpKind) -> Result<(), DecodeError> {
         let m = self.m;
         match kind {
             OpKind::Constant => {
@@ -439,41 +432,41 @@ impl<'a> Decoder<'a> {
                     .attr_by_id(op, self.keys.value)
                     .ok_or_else(|| dec_err("constant without value"))?;
                 let ty = m.value_type(m.op_result(op, 0));
-                let dst = self.result_reg(fd, op);
+                let dst = self.result_reg(op);
                 match (attr, ty.kind()) {
-                    (Attribute::Int(x), _) => fd.code.push(Instr::Const {
+                    (Attribute::Int(x), _) => self.code.push(Instr::Const {
                         dst,
                         val: Slot::Int(*x),
                     }),
-                    (Attribute::Bool(b), _) => fd.code.push(Instr::Const {
+                    (Attribute::Bool(b), _) => self.code.push(Instr::Const {
                         dst,
                         val: Slot::Int(*b as i64),
                     }),
-                    (Attribute::Float(f), TypeKind::F32) => fd.code.push(Instr::Const {
+                    (Attribute::Float(f), TypeKind::F32) => self.code.push(Instr::Const {
                         dst,
                         val: Slot::F32(*f as f32),
                     }),
-                    (Attribute::Float(f), _) => fd.code.push(Instr::Const {
+                    (Attribute::Float(f), _) => self.code.push(Instr::Const {
                         dst,
                         val: Slot::F64(*f),
                     }),
                     (Attribute::DenseF64(_) | Attribute::DenseI64(_), TypeKind::MemRef { .. }) => {
                         let idx = self.dense_const_id(op, attr, &ty)?;
-                        fd.code.push(Instr::ConstDense { dst, idx });
+                        self.code.push(Instr::ConstDense { dst, idx });
                     }
                     _ => return Err(dec_err("unsupported constant kind")),
                 }
             }
             OpKind::IntBin(b) => {
-                let (l, r) = (self.operand_reg(fd, op, 0), self.operand_reg(fd, op, 1));
-                let dst = self.result_reg(fd, op);
-                fd.code.push(Instr::BinInt { op: b, dst, l, r });
+                let (l, r) = (self.operand_reg(op, 0), self.operand_reg(op, 1));
+                let dst = self.result_reg(op);
+                self.code.push(Instr::BinInt { op: b, dst, l, r });
             }
             OpKind::FloatBin(b) => {
-                let (l, r) = (self.operand_reg(fd, op, 0), self.operand_reg(fd, op, 1));
-                let dst = self.result_reg(fd, op);
+                let (l, r) = (self.operand_reg(op, 0), self.operand_reg(op, 1));
+                let dst = self.result_reg(op);
                 let f32_out = matches!(m.value_type(m.op_result(op, 0)).kind(), TypeKind::F32);
-                fd.code.push(Instr::BinFloat {
+                self.code.push(Instr::BinFloat {
                     op: b,
                     dst,
                     l,
@@ -482,63 +475,63 @@ impl<'a> Decoder<'a> {
                 });
             }
             OpKind::NegF => {
-                let x = self.operand_reg(fd, op, 0);
-                let dst = self.result_reg(fd, op);
-                fd.code.push(Instr::NegF { dst, x });
+                let x = self.operand_reg(op, 0);
+                let dst = self.result_reg(op);
+                self.code.push(Instr::NegF { dst, x });
             }
             OpKind::CmpI | OpKind::CmpF => {
                 let pred = CmpPred::of_attr(m.attr_by_id(op, self.keys.predicate));
-                let (l, r) = (self.operand_reg(fd, op, 0), self.operand_reg(fd, op, 1));
-                let dst = self.result_reg(fd, op);
-                fd.code.push(if kind == OpKind::CmpI {
+                let (l, r) = (self.operand_reg(op, 0), self.operand_reg(op, 1));
+                let dst = self.result_reg(op);
+                self.code.push(if kind == OpKind::CmpI {
                     Instr::CmpI { pred, dst, l, r }
                 } else {
                     Instr::CmpF { pred, dst, l, r }
                 });
             }
             OpKind::Select => {
-                let c = self.operand_reg(fd, op, 0);
-                let t = self.operand_reg(fd, op, 1);
-                let f = self.operand_reg(fd, op, 2);
-                let dst = self.result_reg(fd, op);
-                fd.code.push(Instr::Select { dst, c, t, f });
+                let c = self.operand_reg(op, 0);
+                let t = self.operand_reg(op, 1);
+                let f = self.operand_reg(op, 2);
+                let dst = self.result_reg(op);
+                self.code.push(Instr::Select { dst, c, t, f });
             }
             OpKind::CopyCast | OpKind::MemRefCast => {
-                let src = self.operand_reg(fd, op, 0);
-                let dst = self.result_reg(fd, op);
-                fd.code.push(Instr::Copy { dst, src });
+                let src = self.operand_reg(op, 0);
+                let dst = self.result_reg(op);
+                self.code.push(Instr::Copy { dst, src });
             }
             OpKind::SiToFp => {
-                let x = self.operand_reg(fd, op, 0);
-                let dst = self.result_reg(fd, op);
+                let x = self.operand_reg(op, 0);
+                let dst = self.result_reg(op);
                 let f32_out = matches!(m.value_type(m.op_result(op, 0)).kind(), TypeKind::F32);
-                fd.code.push(Instr::SiToFp { dst, x, f32_out });
+                self.code.push(Instr::SiToFp { dst, x, f32_out });
             }
             OpKind::FpToSi => {
-                let x = self.operand_reg(fd, op, 0);
-                let dst = self.result_reg(fd, op);
-                fd.code.push(Instr::FpToSi { dst, x });
+                let x = self.operand_reg(op, 0);
+                let dst = self.result_reg(op);
+                self.code.push(Instr::FpToSi { dst, x });
             }
             OpKind::TruncF => {
-                let x = self.operand_reg(fd, op, 0);
-                let dst = self.result_reg(fd, op);
-                fd.code.push(Instr::TruncF { dst, x });
+                let x = self.operand_reg(op, 0);
+                let dst = self.result_reg(op);
+                self.code.push(Instr::TruncF { dst, x });
             }
             OpKind::ExtF => {
-                let x = self.operand_reg(fd, op, 0);
-                let dst = self.result_reg(fd, op);
-                fd.code.push(Instr::ExtF { dst, x });
+                let x = self.operand_reg(op, 0);
+                let dst = self.result_reg(op);
+                self.code.push(Instr::ExtF { dst, x });
             }
             OpKind::Math(mop) => {
-                let x = self.operand_reg(fd, op, 0);
+                let x = self.operand_reg(op, 0);
                 let y = if matches!(mop, MathOp::Powf) {
-                    self.operand_reg(fd, op, 1)
+                    self.operand_reg(op, 1)
                 } else {
                     0
                 };
-                let dst = self.result_reg(fd, op);
+                let dst = self.result_reg(op);
                 let f32_out = matches!(m.value_type(m.op_result(op, 0)).kind(), TypeKind::F32);
-                fd.code.push(Instr::Math {
+                self.code.push(Instr::Math {
                     op: mop,
                     dst,
                     x,
@@ -563,11 +556,11 @@ impl<'a> Decoder<'a> {
                     }
                     shape[i] = s;
                 }
-                let dst = self.result_reg(fd, op);
+                let dst = self.result_reg(op);
                 let rank = shape_v.len() as u32;
                 let len = len.max(0) as usize;
                 if kind == OpKind::Alloca {
-                    fd.code.push(Instr::Alloca {
+                    self.code.push(Instr::Alloca {
                         dst,
                         elem,
                         shape,
@@ -575,9 +568,8 @@ impl<'a> Decoder<'a> {
                         len,
                     });
                 } else {
-                    let site = self.local_sites;
-                    self.local_sites += 1;
-                    fd.code.push(Instr::LocalAlloca {
+                    let site = site_of(&mut self.local_sites, op);
+                    self.code.push(Instr::LocalAlloca {
                         dst,
                         site,
                         elem,
@@ -588,12 +580,11 @@ impl<'a> Decoder<'a> {
                 }
             }
             OpKind::Load => {
-                let mem = self.operand_reg(fd, op, 0);
-                let (idx, rank) = self.index_regs(fd, op, 1)?;
-                let dst = self.result_reg(fd, op);
-                let site = self.mem_sites;
-                self.mem_sites += 1;
-                fd.code.push(Instr::Load {
+                let mem = self.operand_reg(op, 0);
+                let (idx, rank) = self.index_regs(op, 1)?;
+                let dst = self.result_reg(op);
+                let site = site_of(&mut self.mem_sites, op);
+                self.code.push(Instr::Load {
                     dst,
                     mem,
                     idx,
@@ -602,12 +593,11 @@ impl<'a> Decoder<'a> {
                 });
             }
             OpKind::Store => {
-                let val = self.operand_reg(fd, op, 0);
-                let mem = self.operand_reg(fd, op, 1);
-                let (idx, rank) = self.index_regs(fd, op, 2)?;
-                let site = self.mem_sites;
-                self.mem_sites += 1;
-                fd.code.push(Instr::Store {
+                let val = self.operand_reg(op, 0);
+                let mem = self.operand_reg(op, 1);
+                let (idx, rank) = self.index_regs(op, 2)?;
+                let site = site_of(&mut self.mem_sites, op);
+                self.code.push(Instr::Store {
                     val,
                     mem,
                     idx,
@@ -622,157 +612,142 @@ impl<'a> Decoder<'a> {
                 }
                 let mut comps = [0 as Reg; 3];
                 for (i, &v) in operands.iter().enumerate() {
-                    comps[i] = fd.reg_of(v);
+                    comps[i] = self.reg_of(v);
                 }
                 let rank = operands.len() as u8;
-                let dst = self.result_reg(fd, op);
-                fd.code.push(Instr::VecCtor { dst, comps, rank });
+                let dst = self.result_reg(op);
+                self.code.push(Instr::VecCtor { dst, comps, rank });
             }
             OpKind::NdRangeCtor => {
-                let g = self.operand_reg(fd, op, 0);
-                let l = self.operand_reg(fd, op, 1);
-                let dst = self.result_reg(fd, op);
-                fd.code.push(Instr::NdRangeCtor { dst, g, l });
+                let g = self.operand_reg(op, 0);
+                let l = self.operand_reg(op, 1);
+                let dst = self.result_reg(op);
+                self.code.push(Instr::NdRangeCtor { dst, g, l });
             }
             OpKind::VecGet => {
-                let v = self.operand_reg(fd, op, 0);
-                let dim = self.dim_src(fd, op);
-                let dst = self.result_reg(fd, op);
-                fd.code.push(Instr::VecGet { dst, v, dim });
+                let v = self.operand_reg(op, 0);
+                let dim = self.dim_src(op);
+                let dst = self.result_reg(op);
+                self.code.push(Instr::VecGet { dst, v, dim });
             }
             OpKind::RangeSize => {
-                let v = self.operand_reg(fd, op, 0);
-                let dst = self.result_reg(fd, op);
-                fd.code.push(Instr::RangeSize { dst, v });
+                let v = self.operand_reg(op, 0);
+                let dst = self.result_reg(op);
+                self.code.push(Instr::RangeSize { dst, v });
             }
             OpKind::Item(q) => {
-                let dim = self.dim_src(fd, op);
-                let dst = self.result_reg(fd, op);
-                fd.code.push(Instr::ItemQuery { dst, q, dim });
+                let dim = self.dim_src(op);
+                let dst = self.result_reg(op);
+                self.code.push(Instr::ItemQuery { dst, q, dim });
             }
             OpKind::GlobalLinearId => {
-                let dst = self.result_reg(fd, op);
-                fd.code.push(Instr::GlobalLinearId { dst });
+                let dst = self.result_reg(op);
+                self.code.push(Instr::GlobalLinearId { dst });
             }
             OpKind::LocalLinearId => {
-                let dst = self.result_reg(fd, op);
-                fd.code.push(Instr::LocalLinearId { dst });
+                let dst = self.result_reg(op);
+                self.code.push(Instr::LocalLinearId { dst });
             }
             OpKind::ItemSelf => {
-                let dst = self.result_reg(fd, op);
-                fd.code.push(Instr::ItemSelf { dst });
+                let dst = self.result_reg(op);
+                self.code.push(Instr::ItemSelf { dst });
             }
             OpKind::AccSubscript => {
-                let acc = self.operand_reg(fd, op, 0);
-                let id = self.operand_reg(fd, op, 1);
-                let dst = self.result_reg(fd, op);
-                fd.code.push(Instr::AccSubscript { dst, acc, id });
+                let acc = self.operand_reg(op, 0);
+                let id = self.operand_reg(op, 1);
+                let dst = self.result_reg(op);
+                self.code.push(Instr::AccSubscript { dst, acc, id });
             }
             OpKind::AccRange => {
-                let acc = self.operand_reg(fd, op, 0);
-                let dim = self.dim_src(fd, op);
-                let dst = self.result_reg(fd, op);
-                fd.code.push(Instr::AccRange { dst, acc, dim });
+                let acc = self.operand_reg(op, 0);
+                let dim = self.dim_src(op);
+                let dst = self.result_reg(op);
+                self.code.push(Instr::AccRange { dst, acc, dim });
             }
             OpKind::AccBase => {
-                let acc = self.operand_reg(fd, op, 0);
-                let dst = self.result_reg(fd, op);
-                fd.code.push(Instr::AccBase { dst, acc });
+                let acc = self.operand_reg(op, 0);
+                let dst = self.result_reg(op);
+                self.code.push(Instr::AccBase { dst, acc });
             }
             OpKind::Undef => {
-                let dst = self.result_reg(fd, op);
-                fd.code.push(Instr::Const {
+                let dst = self.result_reg(op);
+                self.code.push(Instr::Const {
                     dst,
                     val: Slot::Int(0),
                 });
             }
-            OpKind::Barrier => fd.code.push(Instr::Barrier),
+            OpKind::Barrier => self.code.push(Instr::Barrier),
             OpKind::If => {
-                let cond = self.operand_reg(fd, op, 0);
-                let results: Vec<Reg> = m.op_results(op).iter().map(|&r| fd.reg_of(r)).collect();
+                let cond = self.operand_reg(op, 0);
+                let results = self.regs_of(m.op_results(op));
                 if m.op_regions(op).len() < 2 {
                     return Err(dec_err("scf.if without else region"));
                 }
-                let branch_pc = fd.pc();
-                fd.code.push(Instr::BranchIfFalse { cond, target: 0 }); // patched
+                let branch_pc = self.pc();
+                self.code.push(Instr::BranchIfFalse { cond, target: 0 }); // patched
                 let then_blk = m.op_region_block(op, 0);
-                self.decode_region_body(fd, then_blk)?;
-                let then_yields = self.yield_regs(fd, then_blk)?;
-                self.emit_parallel_copy(fd, &results, &then_yields);
-                let jump_pc = fd.pc();
-                fd.code.push(Instr::Jump { target: 0 }); // patched
-                let else_start = fd.pc();
+                self.decode_region_body(then_blk)?;
+                let then_yields = self.yield_regs(then_blk)?;
+                self.emit_parallel_copy(&results, &then_yields);
+                let jump_pc = self.pc();
+                self.code.push(Instr::Jump { target: 0 }); // patched
+                let else_start = self.pc();
                 let else_blk = m.op_region_block(op, 1);
-                self.decode_region_body(fd, else_blk)?;
-                let else_yields = self.yield_regs(fd, else_blk)?;
-                self.emit_parallel_copy(fd, &results, &else_yields);
-                let end = fd.pc();
-                if let Instr::BranchIfFalse { target, .. } = &mut fd.code[branch_pc as usize] {
+                self.decode_region_body(else_blk)?;
+                let else_yields = self.yield_regs(else_blk)?;
+                self.emit_parallel_copy(&results, &else_yields);
+                let end = self.pc();
+                if let Instr::BranchIfFalse { target, .. } = &mut self.code[branch_pc as usize] {
                     *target = else_start;
                 }
-                if let Instr::Jump { target } = &mut fd.code[jump_pc as usize] {
+                if let Instr::Jump { target } = &mut self.code[jump_pc as usize] {
                     *target = end;
                 }
             }
             OpKind::For => {
-                let lb = self.operand_reg(fd, op, 0);
-                let ub = self.operand_reg(fd, op, 1);
-                let step = self.operand_reg(fd, op, 2);
-                let inits: Vec<Reg> = m.op_operands(op)[3..]
-                    .iter()
-                    .map(|&v| fd.reg_of(v))
-                    .collect();
+                let lb = self.operand_reg(op, 0);
+                let ub = self.operand_reg(op, 1);
+                let step = self.operand_reg(op, 2);
+                let inits = self.regs_of(&m.op_operands(op)[3..]);
                 let body_blk = m.op_region_block(op, 0);
                 let body_args = m.block_args(body_blk);
                 if body_args.len() != inits.len() + 1 {
                     return Err(dec_err("loop body arity mismatch"));
                 }
-                let iv = fd.reg_of(body_args[0]);
-                let carries: Vec<Reg> = body_args[1..].iter().map(|&a| fd.reg_of(a)).collect();
-                let results: Vec<Reg> = m.op_results(op).iter().map(|&r| fd.reg_of(r)).collect();
+                let iv = self.reg_of(body_args[0]);
+                let carries = self.regs_of(&body_args[1..]);
+                let results = self.regs_of(m.op_results(op));
                 // carries := inits (also the zero-trip result values).
-                self.emit_parallel_copy(fd, &carries, &inits);
-                let enter_pc = fd.pc();
-                fd.code.push(Instr::ForEnter {
+                self.emit_parallel_copy(&carries, &inits);
+                let enter_pc = self.pc();
+                self.code.push(Instr::ForEnter {
                     lb,
                     ub,
                     step,
                     iv,
                     exit: 0,
                 }); // patched
-                let body_pc = fd.pc();
-                self.decode_region_body(fd, body_blk)?;
-                let yields = self.yield_regs(fd, body_blk)?;
-                self.emit_parallel_copy(fd, &carries, &yields);
-                fd.code.push(Instr::ForNext {
+                let body_pc = self.pc();
+                self.decode_region_body(body_blk)?;
+                let yields = self.yield_regs(body_blk)?;
+                self.emit_parallel_copy(&carries, &yields);
+                self.code.push(Instr::ForNext {
                     iv,
                     step,
                     ub,
                     body: body_pc,
                 });
-                let exit = fd.pc();
-                if let Instr::ForEnter { exit: e, .. } = &mut fd.code[enter_pc as usize] {
+                let exit = self.pc();
+                if let Instr::ForEnter { exit: e, .. } = &mut self.code[enter_pc as usize] {
                     *e = exit;
                 }
-                self.emit_parallel_copy(fd, &results, &carries);
+                self.emit_parallel_copy(&results, &carries);
             }
-            OpKind::Call => {
-                let scope = enclosing_module(m, op);
-                let callee = sycl_mlir_dialects::func::resolve_callee(m, op, scope)
-                    .ok_or_else(|| dec_err("unresolved call"))?;
-                let func = self.func_id(callee);
-                let args: Box<[Reg]> = m.op_operands(op).iter().map(|&v| fd.reg_of(v)).collect();
-                let results: Box<[Reg]> = m.op_results(op).iter().map(|&r| fd.reg_of(r)).collect();
-                fd.code.push(Instr::Call {
-                    func,
-                    args,
-                    results,
-                });
-            }
-            OpKind::Return => {
-                let vals: Box<[Reg]> = m.op_operands(op).iter().map(|&v| fd.reg_of(v)).collect();
-                fd.code.push(Instr::Return { vals });
-            }
+            OpKind::Call => self.inline_call(op)?,
+            // An inlined callee's return is the last op `inline_call`
+            // decodes; one anywhere else is the kernel's.
+            OpKind::Return if self.inlining.is_empty() => self.code.push(Instr::Return),
+            OpKind::Return => return Err(dec_err("return nested in a region")),
             OpKind::Yield => {
                 // Yields are consumed by the enclosing If/For decoder; a
                 // yield here means malformed structure.

@@ -115,17 +115,16 @@ impl PlanCtx {
     /// instruction (drained with [`PlanCtx::take_profile`]).
     pub fn profiled(plan: &KernelPlan) -> PlanCtx {
         PlanCtx {
-            profile: Some(vec![0; plan.instr_count() + 1].into()),
+            profile: Some(vec![0; plan.code.len() + 1].into()),
             ..PlanCtx::new(plan)
         }
     }
 
     /// The execution counts accumulated so far, if this context was built
     /// with [`PlanCtx::profiled`]: how many lanes executed the instruction
-    /// at flat index `i` (functions concatenated in [`KernelPlan::funcs`]
-    /// order), then — one slot past [`KernelPlan::instr_count`] — how many
-    /// dispatches did it. Counts are plain sums, so per-worker buffers
-    /// merge by element-wise addition in any order.
+    /// at pc `i`, then — one slot past the last pc — how many dispatches
+    /// did it. Counts are plain sums, so per-worker buffers merge by
+    /// element-wise addition in any order.
     pub fn take_profile(&mut self) -> Option<Box<[u64]>> {
         self.profile.take()
     }
@@ -141,17 +140,9 @@ impl PlanCtx {
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
-struct PlanFrame {
-    func: u32,
-    pc: u32,
-    /// Base of this frame's registers in the sub-group's register file.
-    base: u32,
-}
-
 /// One sub-group's storage: every register and visit counter once per
-/// lane, and where its lanes are. Register `r` of the frame at `base` is,
-/// for lane `l` of a file `width` lanes wide, entry `(base + r) * width + l`.
+/// lane, and where its lanes are. Register `r` is, for lane `l` of a file
+/// `width` lanes wide, entry `r * width + l`.
 #[derive(Default)]
 struct LaneFile {
     /// Lanes per register: the cost model's sub-group size, clipped by
@@ -183,8 +174,8 @@ struct Row<'a> {
     at: usize,
 }
 
-/// A lane group: the work-items of one sub-group that share a frame stack
-/// and a `pc`, and so execute each instruction in one dispatch.
+/// A lane group: the work-items of one sub-group that share a `pc`, and so
+/// execute each instruction in one dispatch.
 #[derive(Default)]
 struct LaneGroup {
     /// The sub-group the lanes belong to — which [`LaneFile`] and which
@@ -192,7 +183,8 @@ struct LaneGroup {
     sub: u32,
     /// The lanes, ascending.
     lanes: Vec<u32>,
-    frames: Vec<PlanFrame>,
+    /// Where the lanes go on.
+    pc: u32,
     /// Dispatches so far (the runaway-loop guard).
     steps: u64,
     /// Stopped at a barrier (not finished, not emptied by a fault).
@@ -233,7 +225,7 @@ struct GroupPool {
 }
 
 /// An empty vector of a work-group's state with 2 KB of room. These are
-/// short — a group's lanes and frames, a file's visit counters — and the
+/// short — a group's lanes, a file's visit counters — and the
 /// allocator would keep their storage, once freed at the end of a graph
 /// run, in its per-thread cache: uncoalesced chunks in the middle of the
 /// heap the launching thread builds its next module in (`launch_dag`'s
@@ -249,7 +241,6 @@ fn spare(groups: &mut Vec<LaneGroup>, live: usize) -> &mut LaneGroup {
     if live == groups.len() {
         groups.push(LaneGroup {
             lanes: roomy(),
-            frames: roomy(),
             ..LaneGroup::default()
         });
     }
@@ -260,10 +251,10 @@ fn spare(groups: &mut Vec<LaneGroup>, live: usize) -> &mut LaneGroup {
 impl PlanWorkGroup {
     /// Rebind to work-group `group` of a launch of the plan's kernel over
     /// `nd`: `args` go to all parameters except the trailing item-like one,
-    /// which gets each lane's item, once per sub-group. Every register,
-    /// frame and visit counter is reset, so nothing of the previous
-    /// work-group (finished, suspended at a barrier or failed mid-callee)
-    /// survives. `subgroup_size` is the cost model's.
+    /// which gets each lane's item, once per sub-group. Every register and
+    /// visit counter is reset, so nothing of the previous work-group
+    /// (finished, suspended at a barrier or failed) survives.
+    /// `subgroup_size` is the cost model's.
     pub fn reset(
         &mut self,
         plan: &KernelPlan,
@@ -272,9 +263,8 @@ impl PlanWorkGroup {
         group: [i64; 3],
         subgroup_size: usize,
     ) -> Result<(), SimError> {
-        let kernel = &plan.funcs[0];
-        let params = &kernel.params;
-        let value_params = if kernel.has_item_param {
+        let params = &plan.params;
+        let value_params = if plan.has_item_param {
             &params[..params.len() - 1]
         } else {
             &params[..]
@@ -299,7 +289,7 @@ impl PlanWorkGroup {
             });
         }
         (self.pool.live, self.pool.fault) = (0, None);
-        let entries = kernel.reg_count as usize * width;
+        let entries = plan.reg_count as usize * width;
         for sub in 0..subs {
             let file = &mut self.files[sub];
             (file.width, file.nd, file.group) = (width, nd, group);
@@ -338,19 +328,13 @@ impl PlanWorkGroup {
                     };
                 }
             }
-            if kernel.has_item_param {
+            if plan.has_item_param {
                 let row = *params.last().expect("an item parameter") as usize * width;
                 file.regs[row..row + width].fill(Slot::Item);
             }
             let g = spare(&mut self.pool.groups, self.pool.live);
             g.lanes.extend(0..width.min(items - sub * width) as u32);
-            g.frames.clear();
-            g.frames.push(PlanFrame {
-                func: 0,
-                pc: 0,
-                base: 0,
-            });
-            (g.sub, g.steps) = (sub as u32, 0);
+            (g.sub, g.pc, g.steps) = (sub as u32, 0, 0);
             self.pool.live += 1;
         }
         Ok(())
@@ -358,9 +342,9 @@ impl PlanWorkGroup {
 
     /// One co-operative round: run every lane group until its next
     /// barrier or completion — the groups it splits off too — then merge
-    /// the groups that wait at one barrier with equal frame stacks.
-    /// Returns how many work-items wait at a barrier. `args` are the
-    /// launch's arguments, the ones [`Self::reset`] bound.
+    /// the groups that wait at one barrier. Returns how many work-items
+    /// wait at a barrier. `args` are the launch's arguments, the ones
+    /// [`Self::reset`] bound.
     ///
     /// A lane that faults leaves its group and takes the lanes after it
     /// in item order — the rest of its sub-group and every later one —
@@ -404,7 +388,7 @@ impl PlanWorkGroup {
             while other < self.pool.live {
                 let (head, rest) = self.pool.groups.split_at_mut(other);
                 let (into, g) = (&mut head[gi], &mut rest[0]);
-                if (g.sub, &g.frames) == (into.sub, &into.frames) {
+                if (g.sub, g.pc) == (into.sub, into.pc) {
                     into.lanes.extend_from_slice(&g.lanes);
                     into.lanes.sort_unstable();
                     into.steps = into.steps.max(g.steps);
@@ -455,23 +439,16 @@ fn run_impl(
     ctx: &mut PlanExecCtx<'_, '_>,
     pctx: &mut PlanCtx,
 ) -> Stop {
-    let (sub, lanes, frames, steps) = (g.sub, &mut g.lanes, &mut g.frames, &mut g.steps);
+    let (sub, lanes, resume, steps) = (g.sub, &mut g.lanes, &mut g.pc, &mut g.steps);
     let (groups, live, fault) = (&mut pool.groups, &mut pool.live, &mut pool.fault);
     let (vecs, memrefs, nd_ranges) = (&mut file.vecs, &mut file.memrefs, &mut file.nd_ranges);
     let (w, visits) = (file.width, &mut file.visits[..]);
     // The local linear id of the sub-group's lane 0.
     let (nd, group, first) = (file.nd, file.group, (sub as usize * w) as i64);
-    let reg_file = &mut file.regs;
     // The registers, as cells — an arm holds the rows of its operands side
-    // by side, whichever of them are one register; taken again where a
-    // call grows the file.
-    let mut cells = Cell::from_mut(&mut reg_file[..]).as_slice_of_cells();
-    // Local copies of the hot frame fields; flushed on calls/returns.
-    let mut frame = frames.len() - 1;
-    let mut func = frames[frame].func as usize;
-    let mut code: &[Instr] = &plan.funcs[func].code;
-    let mut base = frames[frame].base as usize;
-    let mut pc = frames[frame].pc as usize;
+    // by side, whichever of them are one register.
+    let cells = Cell::from_mut(&mut file.regs[..]).as_slice_of_cells();
+    let (code, mut pc) = (&plan.code[..], *resume as usize);
     // The lane a step body runs for.
     let mut lane: usize;
 
@@ -522,12 +499,12 @@ fn run_impl(
             return Stop::Finished;
         }};
     }
-    // The rows of the current frame's registers `$r`: a row's entry for
-    // the lane at hand is the lane's register.
+    // The rows of the registers `$r`: a row's entry for the lane at hand
+    // is the lane's register.
     macro_rules! rows {
         ($($r:expr),+) => {
             ($({
-                let at = (base + *$r as usize) * w;
+                let at = *$r as usize * w;
                 Row { cells: &cells[at..at + w], at }
             }),+)
         };
@@ -707,12 +684,10 @@ fn run_impl(
             } else if !other.lanes.is_empty() {
                 let mut jump = other.lanes.iter().peekable();
                 lanes.retain(|l| jump.next_if_eq(&l).is_none());
-                (other.sub, other.steps) = (sub, *steps);
-                other.frames.clone_from(frames);
-                other.frames[frame].pc = target;
+                (other.sub, other.pc, other.steps) = (sub, target, *steps);
                 if pctx.audit {
                     std::mem::swap(lanes, &mut other.lanes);
-                    other.frames[frame].pc = pc as u32;
+                    other.pc = pc as u32;
                     pc = target as usize;
                 }
                 *live += 1;
@@ -732,8 +707,7 @@ fn run_impl(
         let instr = &code[pc];
         // Profiling and metering are a test per dispatch, not per lane.
         if let Some(counts) = &mut pctx.profile {
-            let before: usize = plan.funcs[..func].iter().map(|f| f.code.len()).sum();
-            counts[before + pc] += n;
+            counts[pc] += n;
             *counts.last_mut().expect("the dispatch count") += 1;
         }
         if let Some(meter) = pctx.limits.as_deref_mut() {
@@ -985,7 +959,7 @@ fn run_impl(
             }),
             Instr::Barrier => {
                 ctx.stats.barriers += n;
-                frames[frame].pc = pc as u32;
+                *resume = pc as u32;
                 return Stop::Barrier;
             }
             Instr::Jump { target } => pc = *target as usize,
@@ -1028,42 +1002,6 @@ fn run_impl(
                     next.is_some()
                 });
             }
-            Instr::Call {
-                func: callee,
-                args: call_args,
-                results: _,
-            } => {
-                let callee_plan = &plan.funcs[*callee as usize];
-                let new_base = base + plan.funcs[func].reg_count as usize;
-                // The file only grows: another group of the sub-group may
-                // be suspended in a deeper frame.
-                let top = (new_base + callee_plan.reg_count as usize) * w;
-                if reg_file.len() < top {
-                    reg_file.resize(top, Slot::Unit);
-                }
-                cells = Cell::from_mut(&mut reg_file[..]).as_slice_of_cells();
-                for &l in lanes.iter() {
-                    let l = l as usize;
-                    for r in new_base..new_base + callee_plan.reg_count as usize {
-                        cells[r * w + l].set(Slot::Unit);
-                    }
-                    for (&p, &a) in callee_plan.params.iter().zip(call_args.iter()) {
-                        mov!((new_base + p as usize) * w + l, (base + a as usize) * w + l);
-                    }
-                }
-                // Flush the caller frame (pc already past the call).
-                frames[frame].pc = pc as u32;
-                frames.push(PlanFrame {
-                    func: *callee,
-                    pc: 0,
-                    base: new_base as u32,
-                });
-                frame += 1;
-                func = *callee as usize;
-                code = &plan.funcs[func].code;
-                base = new_base;
-                pc = 0;
-            }
             // The superinstruction: its members' steps in window order,
             // lane by lane, each member's result passed straight to the
             // next step.
@@ -1091,33 +1029,7 @@ fn run_impl(
                     reg!(dst).set(load_at!(view, idx, rank, at));
                 });
             }
-            Instr::Return { vals } => {
-                if frame == 0 {
-                    return Stop::Finished;
-                }
-                let callee_base = base;
-                frames.pop();
-                frame -= 1;
-                let caller = &frames[frame];
-                func = caller.func as usize;
-                code = &plan.funcs[func].code;
-                base = caller.base as usize;
-                pc = caller.pc as usize;
-                // The instruction before `pc` is the call.
-                let Instr::Call { results, .. } = &code[pc - 1] else {
-                    fail!(err("return without a pending call"));
-                };
-                for &l in lanes.iter() {
-                    let l = l as usize;
-                    for (i, &r) in results.iter().enumerate() {
-                        let to = (base + r as usize) * w + l;
-                        match vals.get(i) {
-                            Some(&v) => mov!(to, (callee_base + v as usize) * w + l),
-                            None => cells[to].set(Slot::Unit),
-                        }
-                    }
-                }
-            }
+            Instr::Return => return Stop::Finished,
         }
     }
 }
@@ -1146,23 +1058,20 @@ fn materialize_dense(
 
 #[cfg(test)]
 mod tests {
-    use super::super::FuncPlan;
     use super::*;
     use crate::memory::MemId;
 
     /// A worker's work-group state outlives launches: re-bound to a kernel
     /// with fewer registers it must show nothing of the aggregates the
-    /// previous kernel left in its banks, neither in the registers it
-    /// binds nor in those a later call frame adds — in any lane.
+    /// previous kernel left in its banks in the registers it binds — in
+    /// any lane.
     #[test]
     fn reset_for_a_smaller_kernel_sees_no_stale_aggregate() {
         let kernel = |reg_count, params| KernelPlan {
-            funcs: vec![FuncPlan {
-                code: vec![Instr::Return { vals: Box::new([]) }],
-                reg_count,
-                params,
-                has_item_param: false,
-            }],
+            code: vec![Instr::Return],
+            reg_count,
+            params,
+            has_item_param: false,
             dense_consts: Vec::new(),
             mem_sites: 0,
             local_sites: 0,
@@ -1206,9 +1115,7 @@ mod tests {
 
         wg.reset(&kernel(2, vec![1]), &[RtValue::Int(4)], nd, [0; 3], 16)
             .unwrap();
-        // What a `Call` does for the callee's frame.
-        wg.files[0].regs.resize(6 * 3, Slot::Unit);
-        let mut expect = [row(Slot::Unit); 6];
+        let mut expect = [row(Slot::Unit); 2];
         expect[1] = row(Slot::Int(4));
         assert_eq!(wg.files[0].regs, expect.concat());
     }

@@ -3,7 +3,7 @@
 
 use super::slot::{Reg, Slot};
 #[cfg(doc)]
-use super::{fuse_plan, FuncPlan, KernelPlan, PlanCtx};
+use super::{fuse_plan, KernelPlan, PlanCtx};
 use sycl_mlir_ir::{Attribute, Type};
 
 const _: () = assert!(std::mem::size_of::<Instr>() <= 64);
@@ -157,7 +157,7 @@ pub enum ItemQ {
 }
 
 /// One decoded instruction. Operands are register slots; `pc` targets are
-/// indices into the owning [`FuncPlan::code`].
+/// indices into the owning [`KernelPlan::code`].
 #[derive(Clone, Debug)]
 pub enum Instr {
     /// Pre-materialized scalar constant.
@@ -467,20 +467,8 @@ pub enum Instr {
         /// Pc of the first body instruction.
         body: u32,
     },
-    /// `func.call` into another plan function.
-    Call {
-        /// Callee plan-function index.
-        func: u32,
-        /// Argument registers, in callee parameter order.
-        args: Box<[Reg]>,
-        /// Registers receiving the callee’s results.
-        results: Box<[Reg]>,
-    },
-    /// `func.return`: pop the frame (kernel exit at frame 0).
-    Return {
-        /// Returned value registers.
-        vals: Box<[Reg]>,
-    },
+    /// The kernel's `func.return`: the work-item is done.
+    Return,
     /// Fused `VecCtor` + `AccSubscript` + `Load` chain ([`fuse_plan`]):
     /// the accessor addressing chain `a[id...]` of every accessor read —
     /// the `--profile` mode's top-ranked fusion candidate. Builds the id
@@ -581,8 +569,7 @@ impl Instr {
             Instr::BranchIfFalse { .. } => "br.false",
             Instr::ForEnter { .. } => "for.enter",
             Instr::ForNext { .. } => "for.next",
-            Instr::Call { .. } => "call",
-            Instr::Return { .. } => "return",
+            Instr::Return => "return",
             Instr::AccLoadIndexed { .. } => "acc.load.idx",
         }
     }
@@ -683,10 +670,10 @@ impl Instr {
     /// The one description of an instruction's register operands: `f` is
     /// called once per operand with its role, its register and the class
     /// the instruction demands of it (a read) or gives it (a write) —
-    /// `None` where any class passes through: moved, stored, passed,
-    /// returned and loaded values. Reads come before writes. The
-    /// superinstruction reports what its window reads from outside and
-    /// the one register it leaves written.
+    /// `None` where any class passes through: moved, stored and loaded
+    /// values. Reads come before writes. The superinstruction reports what
+    /// its window reads from outside and the one register it leaves
+    /// written.
     ///
     /// Read counts, write sets, def-before-use, register-range and
     /// type-class checks all derive from this table; an operand missing
@@ -750,7 +737,7 @@ impl Instr {
                 { f(Read, *acc, Some(Acc)); f(Read, *id, Some(Vec)); f(Write, *dst, Some(Mem)) }
             Instr::AccRange { dst, acc, dim: d } => { f(Read, *acc, Some(Acc)); dim(f, d); f(Write, *dst, Some(Int)) }
             Instr::AccBase { dst, acc } => { f(Read, *acc, Some(Acc)); f(Write, *dst, Some(Int)) }
-            Instr::Barrier | Instr::Jump { .. } => {}
+            Instr::Barrier | Instr::Jump { .. } | Instr::Return => {}
             Instr::BranchIfFalse { cond, .. } => f(Read, *cond, Some(Int)),
             Instr::ForEnter { lb, ub, step, iv, .. } => {
                 f(Read, *lb, Some(Int)); f(Read, *ub, Some(Int)); f(Read, *step, Some(Int));
@@ -760,9 +747,6 @@ impl Instr {
                 f(Read, *iv, Some(Int)); f(Read, *step, Some(Int)); f(Read, *ub, Some(Int));
                 f(Write, *iv, Some(Int))
             }
-            Instr::Call { args, results, .. } =>
-                { args.iter().for_each(|&r| f(Read, r, None)); results.iter().for_each(|&r| f(Write, r, None)) }
-            Instr::Return { vals } => vals.iter().for_each(|&r| f(Read, r, None)),
             // The window: what its members read from outside it, what it
             // leaves written.
             Instr::AccLoadIndexed { dst, acc, comps, comps_rank, idx, rank, .. } =>
@@ -841,8 +825,7 @@ mod tests {
             Instr::BranchIfFalse { cond: r(), target },
             Instr::ForEnter { lb: r(), ub: r(), step: r(), iv: r(), exit: target },
             Instr::ForNext { iv: r(), step: r(), ub: r(), body: target },
-            Instr::Call { func: 1, args: Box::new([r(), r()]), results: Box::new([r(), r()]) },
-            Instr::Return { vals: Box::new([r(), r()]) },
+            Instr::Return,
             Instr::AccLoadIndexed { dst: r(), acc: r(), comps: [r(), r(), r()], comps_rank: 3,
                 idx: [r(), r(), r()], rank, site },
         ]
@@ -850,7 +833,7 @@ mod tests {
 
     /// A variant added to [`Instr`] stops this from compiling: give it a
     /// sample above, an arm here, and count it.
-    const VARIANTS: usize = 37;
+    const VARIANTS: usize = 36;
     fn counted(i: &Instr) {
         use Instr::*;
         match i {
@@ -861,8 +844,8 @@ mod tests {
             NdRangeCtor { .. } | VecGet { .. } | RangeSize { .. } | ItemQuery { .. } => {}
             GlobalLinearId { .. } | LocalLinearId { .. } | ItemSelf { .. } => {}
             AccSubscript { .. } | AccRange { .. } | AccBase { .. } | Barrier | Jump { .. } => {}
-            BranchIfFalse { .. } | ForEnter { .. } | ForNext { .. } | Call { .. } => {}
-            Return { .. } | AccLoadIndexed { .. } => {}
+            BranchIfFalse { .. } | ForEnter { .. } | ForNext { .. } | Return => {}
+            AccLoadIndexed { .. } => {}
         }
     }
 

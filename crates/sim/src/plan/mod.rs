@@ -8,20 +8,21 @@
 //! allocations. A launch touching millions of dynamic ops pays those costs
 //! millions of times for structure that never changes.
 //!
-//! This module lowers the structured IR of a kernel (and its callees)
-//! **once per launch** into a [`KernelPlan`]:
+//! This module lowers the structured IR of a kernel **once per launch**
+//! into a [`KernelPlan`], one flat function:
 //!
 //! * every operation becomes an [`Instr`] — a plain Rust enum with an
 //!   integer opcode, no strings anywhere on the execution path;
-//! * every SSA value gets a dense **register slot**, assigned per function
-//!   at decode time; work-items execute against a flat file of 16-byte
-//!   [`Slot`]s instead of a `ValueId`-keyed environment;
-//! * constants are pre-materialized ([`Instr::Const`]), `cmpi`/`cmpf`
-//!   predicates and dimension operands are pre-parsed, and `func.call`
-//!   targets are pre-resolved to plan-internal function indices;
+//! * every SSA value gets a dense **register slot**, assigned at decode
+//!   time; work-items execute against a flat file of 16-byte [`Slot`]s
+//!   instead of a `ValueId`-keyed environment;
+//! * constants are pre-materialized ([`Instr::Const`]), and `cmpi`/`cmpf`
+//!   predicates and dimension operands are pre-parsed;
 //! * `scf.for`/`scf.if` structure is lowered to explicit jump and loop
 //!   instructions ([`Instr::ForEnter`]/[`Instr::ForNext`]/
-//!   [`Instr::BranchIfFalse`]), so loop back-edges are two integer ops.
+//!   [`Instr::BranchIfFalse`]), so loop back-edges are two integer ops;
+//! * every `func.call` is inlined at its call site — SYCL device code may
+//!   not recurse — so the executor keeps no call frames.
 //!
 //! The plan is immutable and shared by reference across all work-items and
 //! work-groups of the launch. Decoding is itself string-free on the hot
@@ -56,20 +57,6 @@ pub use slot::{Reg, Slot};
 
 use crate::memory::DataVec;
 
-/// One decoded function: flat code plus its register-file size.
-#[derive(Clone, Debug)]
-pub struct FuncPlan {
-    /// Flat instruction stream.
-    pub code: Vec<Instr>,
-    /// Size of the register file a frame of this function needs.
-    pub reg_count: u32,
-    /// Registers of the entry block's parameters (kernel arguments for the
-    /// entry function, call parameters otherwise).
-    pub params: Vec<Reg>,
-    /// Whether the trailing parameter is the SYCL item (kernels only).
-    pub has_item_param: bool,
-}
-
 /// A dense-constant template, cloned into the pool on first use.
 #[derive(Clone, Debug)]
 pub struct DenseConst {
@@ -81,8 +68,8 @@ pub struct DenseConst {
     pub rank: u32,
 }
 
-/// The immutable decode of one kernel launch: the kernel function at index
-/// 0 plus every transitively called function.
+/// The immutable decode of one kernel launch: the kernel with every call
+/// inlined.
 ///
 /// A plan is fully self-contained at run time (interned `Type` handles are
 /// `Arc`-backed) and is shared by reference across all work-items, all
@@ -90,15 +77,21 @@ pub struct DenseConst {
 /// as well as across launches through the device's plan cache.
 #[derive(Clone, Debug)]
 pub struct KernelPlan {
-    /// Decoded functions; index 0 is the kernel.
-    pub funcs: Vec<FuncPlan>,
+    /// Flat instruction stream.
+    pub code: Vec<Instr>,
+    /// Size of the register file a work-item needs.
+    pub reg_count: u32,
+    /// Registers of the kernel's parameters.
+    pub params: Vec<Reg>,
+    /// Whether the trailing parameter is the SYCL item.
+    pub has_item_param: bool,
     /// Dense-constant templates referenced by `Instr::ConstDense`.
     pub dense_consts: Vec<DenseConst>,
-    /// Number of memory-access sites (load/store instrs) across all
-    /// functions; sizes the per-work-item visit counters that feed the
-    /// coalescing tracker.
+    /// Number of memory-access sites: load and store ops of the IR, one
+    /// per op however often it is inlined. Sizes the per-work-item visit
+    /// counters that feed the coalescing tracker.
     pub mem_sites: u32,
-    /// Number of `sycl.local.alloca` sites across all functions.
+    /// Number of `sycl.local.alloca` ops.
     pub local_sites: u32,
 }
 
@@ -112,19 +105,10 @@ const _: () = {
     assert_send_sync::<KernelPlan>();
 };
 
-/// Aggregate decode statistics, exposed for tests and diagnostics.
 impl KernelPlan {
-    /// Total instruction count across all functions (tests/diagnostics).
-    pub fn instr_count(&self) -> usize {
-        self.funcs.iter().map(|f| f.code.len()).sum()
-    }
-
     /// The superinstructions [`fuse_plan`] put into the plan, in code
     /// order (tests/diagnostics count them by [`Instr::mnemonic`]).
     pub fn superinstructions(&self) -> impl Iterator<Item = &Instr> {
-        self.funcs
-            .iter()
-            .flat_map(|f| &f.code)
-            .filter(|i| i.op_weight() > 1)
+        self.code.iter().filter(|i| i.op_weight() > 1)
     }
 }

@@ -7,7 +7,7 @@ use crate::memory::Elem;
 #[cfg(doc)]
 use crate::value::RtValue;
 
-/// Dense register slot within one function frame.
+/// Dense register slot of a plan's register file.
 pub type Reg = u32;
 
 /// One register of the plan engine: a 16-byte tagged slot. Scalars live

@@ -313,12 +313,10 @@ mod chains {
     /// params (registers 0 and 1); registers from 2 up are free.
     fn plan_of(code: Vec<Instr>, reg_count: u32, mem_sites: u32) -> KernelPlan {
         KernelPlan {
-            funcs: vec![FuncPlan {
-                code,
-                reg_count,
-                params: vec![0, 1],
-                has_item_param: false,
-            }],
+            code,
+            reg_count,
+            params: vec![0, 1],
+            has_item_param: false,
             dense_consts: Vec::new(),
             mem_sites,
             local_sites: 0,
@@ -440,14 +438,12 @@ mod chains {
                 rank: 1,
                 site: 1,
             },
-            Instr::Return {
-                vals: Vec::new().into_boxed_slice(),
-            },
+            Instr::Return,
         ];
         let plan = plan_of(code, 11, 2);
         let fused = assert_chain_identical(&plan, &["acc.load.idx"]);
         // Only the 3-instruction load chain collapsed: 11 -> 9.
-        assert_eq!(fused.funcs[0].code.len(), 9);
+        assert_eq!(fused.code.len(), 9);
     }
 
     /// Near miss: an `acc.subscript` result read by *both* a load and a
@@ -503,9 +499,7 @@ mod chains {
                 rank: 1,
                 site: 1,
             },
-            Instr::Return {
-                vals: Vec::new().into_boxed_slice(),
-            },
+            Instr::Return,
         ];
         let plan = plan_of(code, 9, 2);
         assert_chain_identical(&plan, &[]);
@@ -581,9 +575,7 @@ mod chains {
                     rank: 1,
                     site: 1,
                 }, // pc 9
-                Instr::Return {
-                    vals: Vec::new().into_boxed_slice(),
-                },
+                Instr::Return,
             ];
             plan_of(code, 9, 2)
         };
@@ -634,9 +626,7 @@ mod chains {
                 rank: 1,
                 site: 0,
             },
-            Instr::Return {
-                vals: Vec::new().into_boxed_slice(),
-            },
+            Instr::Return,
         ];
         let plan = plan_of(code, 8, 1);
         assert_chain_identical(&plan, &[]);
@@ -687,9 +677,7 @@ mod chains {
                 rank: 1,
                 site: 1,
             },
-            Instr::Return {
-                vals: Vec::new().into_boxed_slice(),
-            },
+            Instr::Return,
         ];
         let plan = plan_of(code, 9, 2);
         assert_chain_identical(&plan, &[]);
@@ -754,9 +742,7 @@ mod chains {
                 rank: 1,
                 site: 2,
             },
-            Instr::Return {
-                vals: Vec::new().into_boxed_slice(),
-            },
+            Instr::Return,
         ];
         let plan = plan_of(code, 9, 3);
         assert_chain_identical(&plan, &[]);
@@ -821,9 +807,7 @@ mod chains {
                 rank: 1,
                 site: 2,
             },
-            Instr::Return {
-                vals: Vec::new().into_boxed_slice(),
-            },
+            Instr::Return,
         ];
         let plan = plan_of(code, 9, 3);
         assert_chain_identical(&plan, &[]);

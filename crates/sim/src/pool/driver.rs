@@ -165,8 +165,8 @@ impl GraphState<'_, '_> {
 
 /// Execute every work-item of one work-group to completion, honouring
 /// barriers co-operatively: rounds over the lane groups of `wg`, the
-/// worker's reusable work-group state (register files, lane lists and
-/// frame stacks survive across work-groups and launches, so the steady
+/// worker's reusable work-group state (register files and lane lists
+/// survive across work-groups and launches, so the steady
 /// state allocates nothing per work-group), re-bound to this group
 /// whatever state the previous group left it in.
 fn run_group(
@@ -410,7 +410,7 @@ pub fn run_plan_graph_report(
     // profiling, empty otherwise.
     let mut profiles: Vec<Box<[u64]>> = (launches.iter())
         .map(|l| match l {
-            PlanLaunch::Kernel { plan, .. } if profile => vec![0; plan.instr_count() + 1].into(),
+            PlanLaunch::Kernel { plan, .. } if profile => vec![0; plan.code.len() + 1].into(),
             _ => Box::default(),
         })
         .collect();

@@ -204,7 +204,7 @@ fn global_view(mem: MemId, n: i64) -> RtValue {
 
 /// A minimal bytecode plan: `f32buf[gid] = f32buf[gid] + k`.
 fn add_k_plan(k: f32) -> KernelPlan {
-    use crate::plan::{DimSrc, FloatBin, FuncPlan, Instr, ItemQ, Slot};
+    use crate::plan::{DimSrc, FloatBin, Instr, ItemQ, Slot};
     let code = vec![
         Instr::ItemQuery {
             dst: 1,
@@ -236,17 +236,13 @@ fn add_k_plan(k: f32) -> KernelPlan {
             rank: 1,
             site: 1,
         },
-        Instr::Return {
-            vals: Vec::new().into_boxed_slice(),
-        },
+        Instr::Return,
     ];
     KernelPlan {
-        funcs: vec![FuncPlan {
-            code,
-            reg_count: 5,
-            params: vec![0],
-            has_item_param: false,
-        }],
+        code,
+        reg_count: 5,
+        params: vec![0],
+        has_item_param: false,
         dense_consts: Vec::new(),
         mem_sites: 2,
         local_sites: 0,
@@ -300,14 +296,12 @@ fn empty_launch_in_a_chain_retires_eagerly() {
     assert!(out.stats.iter().all(|s| s.work_groups == 0));
 }
 
-/// `buf[gid] = callee(buf, gid); 100 / div[gid]`, where the callee
-/// loads `buf[gid]`, waits at a barrier and returns the value plus
-/// one: 8 kernel + 5 callee registers, 3 memory sites. A zero divisor
-/// fails its work-item after the barrier, while later siblings are
-/// still suspended inside the callee.
-fn callee_barrier_div_plan() -> KernelPlan {
-    use crate::plan::{DimSrc, FloatBin, FuncPlan, Instr, IntBin, ItemQ, Slot};
-    let kernel = vec![
+/// `x = buf[gid]`, a barrier, `buf[gid] = x + 1` and `100 / div[gid]`:
+/// 9 registers, 3 memory sites. A zero divisor fails its work-item after
+/// the barrier, while later siblings are still suspended at it.
+fn barrier_div_plan() -> KernelPlan {
+    use crate::plan::{DimSrc, FloatBin, Instr, IntBin, ItemQ, Slot};
+    let code = vec![
         Instr::ItemQuery {
             dst: 2,
             q: ItemQ::GlobalId,
@@ -320,71 +314,49 @@ fn callee_barrier_div_plan() -> KernelPlan {
             rank: 1,
             site: 0,
         },
-        Instr::Call {
-            func: 1,
-            args: vec![0, 2].into_boxed_slice(),
-            results: vec![4].into_boxed_slice(),
-        },
-        Instr::Const {
-            dst: 5,
-            val: Slot::Int(100),
-        },
-        Instr::BinInt {
-            op: IntBin::DivS,
-            dst: 6,
-            l: 5,
-            r: 3,
-        },
-        Instr::Store {
-            val: 4,
+        Instr::Load {
+            dst: 4,
             mem: 0,
             idx: [2, 0, 0],
             rank: 1,
             site: 1,
         },
-        Instr::Return {
-            vals: Vec::new().into_boxed_slice(),
-        },
-    ];
-    let callee = vec![
-        Instr::Load {
-            dst: 2,
-            mem: 0,
-            idx: [1, 0, 0],
-            rank: 1,
-            site: 2,
-        },
         Instr::Barrier,
         Instr::Const {
-            dst: 3,
+            dst: 5,
             val: Slot::F32(1.0),
         },
         Instr::BinFloat {
             op: FloatBin::Add,
-            dst: 4,
-            l: 2,
-            r: 3,
+            dst: 6,
+            l: 4,
+            r: 5,
             f32_out: true,
         },
-        Instr::Return {
-            vals: vec![4].into_boxed_slice(),
+        Instr::Const {
+            dst: 7,
+            val: Slot::Int(100),
         },
+        Instr::BinInt {
+            op: IntBin::DivS,
+            dst: 8,
+            l: 7,
+            r: 3,
+        },
+        Instr::Store {
+            val: 6,
+            mem: 0,
+            idx: [2, 0, 0],
+            rank: 1,
+            site: 2,
+        },
+        Instr::Return,
     ];
     KernelPlan {
-        funcs: vec![
-            FuncPlan {
-                code: kernel,
-                reg_count: 8,
-                params: vec![0, 1],
-                has_item_param: false,
-            },
-            FuncPlan {
-                code: callee,
-                reg_count: 5,
-                params: vec![0, 1],
-                has_item_param: false,
-            },
-        ],
+        code,
+        reg_count: 9,
+        params: vec![0, 1],
+        has_item_param: false,
         dense_consts: Vec::new(),
         mem_sites: 3,
         local_sites: 0,
@@ -394,8 +366,8 @@ fn callee_barrier_div_plan() -> KernelPlan {
 /// A worker's work-item slots carry nothing from one work-group to
 /// the next, whatever state the previous group left them in. Launch A,
 /// submitted last, fails in its middle group with one item finished,
-/// one failed mid-kernel and two suspended at a barrier inside a callee
-/// (two frames, a grown register file, uneven visit counters). The
+/// one failed mid-kernel and two suspended at a barrier (uneven visit
+/// counters). The
 /// earlier, independent launches B (fewer registers and sites, smaller
 /// group) and C (a larger group than either, so it re-binds the
 /// suspended slots and grows new ones) sit below the failure, so they
@@ -405,7 +377,7 @@ fn callee_barrier_div_plan() -> KernelPlan {
 /// position and text.
 #[test]
 fn work_item_slots_are_isolated_across_a_failed_group() {
-    let plan_a = callee_barrier_div_plan();
+    let plan_a = barrier_div_plan();
     let plan_b = add_k_plan(2.0);
     let plan_c = add_k_plan(3.0);
     let init = |n: i64| DataVec::F32((0..n).map(|i| i as f32 * 0.5).collect());

@@ -60,7 +60,7 @@ pub struct VerifyCounters {
     pub sites_proven: u64,
     /// Total wall time spent in the verifier, in nanoseconds.
     pub verify_ns: u64,
-    /// Kernels the plan decoder refused.
+    /// Kernels the plan engine refused: recursive or not decodable.
     pub rejected: u64,
     /// Individual verifier findings; a plan with findings runs with every
     /// runtime check in place.
@@ -71,42 +71,39 @@ impl DeviceReport {
     /// Fold one profiled launch of `plan`, kernel `kernel`, into the
     /// `--profile` sums. `counts` is laid out as
     /// [`PlanCtx::take_profile`](crate::plan::PlanCtx::take_profile) says:
-    /// lanes per instruction (functions concatenated), then dispatches.
+    /// lanes per instruction, then dispatches.
     pub(crate) fn add_profile(&mut self, kernel: &str, plan: &KernelPlan, counts: &[u64]) {
-        let (lanes, dispatches) = counts.split_at(plan.instr_count());
+        let code = &plan.code;
+        let (lanes, dispatches) = counts.split_at(code.len());
         let row = self.kernels.entry(kernel.to_string()).or_default();
         row.lanes += lanes.iter().sum::<u64>();
         row.dispatches += dispatches[0];
-        let mut off = 0_usize;
-        for f in &plan.funcs {
-            let mut is_target = vec![false; f.code.len() + 1];
-            for t in f.code.iter().filter_map(Instr::target) {
-                is_target[t as usize] = true;
+        let mut is_target = vec![false; code.len() + 1];
+        for t in code.iter().filter_map(Instr::target) {
+            is_target[t as usize] = true;
+        }
+        for (i, instr) in code.iter().enumerate() {
+            let c = lanes[i];
+            if c == 0 {
+                continue;
             }
-            for (i, instr) in f.code.iter().enumerate() {
-                let c = lanes[off + i];
-                if c == 0 {
-                    continue;
-                }
-                *self.ops.entry(instr.mnemonic()).or_insert(0) += c;
-                if i + 1 >= f.code.len() || is_target[i + 1] {
-                    continue;
-                }
-                let next = &f.code[i + 1];
-                let c2 = lanes[off + i + 1];
-                if c2 == 0 {
-                    continue;
-                }
-                let mut adjacent = false;
-                instr.writes(|d| next.reads(|r| adjacent |= r == d));
-                if adjacent {
-                    *self
-                        .pairs
-                        .entry((instr.mnemonic(), next.mnemonic()))
-                        .or_insert(0) += c.min(c2);
-                }
+            *self.ops.entry(instr.mnemonic()).or_insert(0) += c;
+            if i + 1 >= code.len() || is_target[i + 1] {
+                continue;
             }
-            off += f.code.len();
+            let next = &code[i + 1];
+            let c2 = lanes[i + 1];
+            if c2 == 0 {
+                continue;
+            }
+            let mut adjacent = false;
+            instr.writes(|d| next.reads(|r| adjacent |= r == d));
+            if adjacent {
+                *self
+                    .pairs
+                    .entry((instr.mnemonic(), next.mnemonic()))
+                    .or_insert(0) += c.min(c2);
+            }
         }
     }
 }

@@ -7,14 +7,14 @@
 //! Two layers:
 //!
 //! 1. **Structural verifier** — register def-before-use, per-slot type
-//!    consistency, jump targets on instruction boundaries, call arity
-//!    and site-id bounds. Violations come back as structured
-//!    [`VerifyError`]s (never a panic), so malformed or untrusted
-//!    programs are rejected before any work-item executes.
+//!    consistency, jump targets on instruction boundaries and site-id
+//!    bounds. Violations come back as structured [`VerifyError`]s (never
+//!    a panic), so malformed or untrusted programs are rejected before
+//!    any work-item executes.
 //! 2. **Interval abstract interpreter** — symbolic intervals
 //!    ([`sycl_mlir_analysis::interval`]) over the index registers of the
-//!    kernel function: constants, nd-range ids bounded by the launch
-//!    extent, kernel scalar arguments, and affine combinations thereof.
+//!    plan: constants, nd-range ids bounded by the launch extent, kernel
+//!    scalar arguments, and affine combinations thereof.
 //!    Accessor subscripts whose address interval is provably inside the
 //!    backing buffer are recorded as per-site [`SiteProof`]s; at launch
 //!    time [`PlanFacts::instantiate`] resolves the symbols against the
@@ -40,19 +40,17 @@ use sycl_mlir_analysis::interval::{BinOp, Expr, Interval};
 
 use crate::device::NdRangeSpec;
 use crate::memory::MemoryPool;
-use crate::plan::{Class, DimSrc, FuncPlan, Instr, IntBin, ItemQ, KernelPlan, Reg, Role, Slot};
+use crate::plan::{Class, DimSrc, Instr, IntBin, ItemQ, KernelPlan, Reg, Role, Slot};
 use crate::value::RtValue;
 
 // ----------------------------------------------------------------------
 // Errors and facts
 // ----------------------------------------------------------------------
 
-/// One structural violation, located by function index and pc.
+/// One structural violation, located by pc.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct VerifyError {
-    /// Index of the offending function in [`KernelPlan::funcs`].
-    pub func: u32,
-    /// Instruction index within the function.
+    /// Index of the offending instruction.
     pub pc: u32,
     /// Human-readable description of the violation.
     pub message: String,
@@ -60,7 +58,7 @@ pub struct VerifyError {
 
 impl fmt::Display for VerifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "func {} pc {}: {}", self.func, self.pc, self.message)
+        write!(f, "pc {}: {}", self.pc, self.message)
     }
 }
 
@@ -197,7 +195,7 @@ fn mem_site_of(instr: &Instr) -> Option<u32> {
 
 /// Whether execution can continue at `pc + 1` after this instruction.
 fn falls_through(instr: &Instr) -> bool {
-    !matches!(instr, Instr::Jump { .. } | Instr::Return { .. })
+    !matches!(instr, Instr::Jump { .. } | Instr::Return)
 }
 
 /// Control-flow successors of the instruction at `pc`.
@@ -214,9 +212,9 @@ fn succs(pc: usize, instr: &Instr) -> Vec<usize> {
 
 /// Verify a decoded plan — the decoder's output, before
 /// [`crate::plan::fuse_plan`]; a superinstruction is a structural
-/// finding. `Ok` carries the proven facts;
-/// `Err` carries every violation found, sorted by `(func, pc)` — the
-/// device counts them and runs the plan with every check in place.
+/// finding. `Ok` carries the proven facts; `Err` carries every violation
+/// found, sorted by pc — the device counts them and runs the plan with
+/// every check in place.
 pub fn verify_plan(plan: &KernelPlan) -> Result<PlanFacts, Vec<VerifyError>> {
     let mut errs = Vec::new();
     fatal_pass(plan, &mut errs);
@@ -227,10 +225,8 @@ pub fn verify_plan(plan: &KernelPlan) -> Result<PlanFacts, Vec<VerifyError>> {
         errs.dedup();
         return Err(errs);
     }
-    for (fi, func) in plan.funcs.iter().enumerate() {
-        def_before_use_pass(fi as u32, func, &mut errs);
-        type_class_pass(fi as u32, func, &mut errs);
-    }
+    def_before_use_pass(plan, &mut errs);
+    type_class_pass(plan, &mut errs);
     if !errs.is_empty() {
         errs.sort();
         errs.dedup();
@@ -280,142 +276,70 @@ fn const_dims(instr: &Instr) -> Vec<u8> {
 }
 
 fn fatal_pass(plan: &KernelPlan, errs: &mut Vec<VerifyError>) {
-    let err = |errs: &mut Vec<VerifyError>, fi: usize, pc: usize, m: String| {
+    let err = |errs: &mut Vec<VerifyError>, pc: usize, message: String| {
         errs.push(VerifyError {
-            func: fi as u32,
             pc: pc as u32,
-            message: m,
+            message,
         });
     };
-    // Distinct `Return` arities per function, for call-site checking.
-    let ret_lens: Vec<Vec<usize>> = plan
-        .funcs
-        .iter()
-        .map(|f| {
-            let mut lens: Vec<usize> = f
-                .code
-                .iter()
-                .filter_map(|i| match i {
-                    Instr::Return { vals } => Some(vals.len()),
-                    _ => None,
-                })
-                .collect();
-            lens.sort_unstable();
-            lens.dedup();
-            lens
-        })
-        .collect();
-    for (fi, func) in plan.funcs.iter().enumerate() {
-        let code = &func.code;
-        if code.is_empty() {
-            err(errs, fi, 0, "empty function body".into());
+    let code = &plan.code;
+    if code.is_empty() {
+        err(errs, 0, "empty plan".into());
+        return;
+    }
+    for &p in &plan.params {
+        if p >= plan.reg_count {
+            err(errs, 0, format!("parameter register r{p} out of range"));
+        }
+    }
+    for (pc, instr) in code.iter().enumerate() {
+        if instr.op_weight() > 1 {
+            let m = instr.mnemonic();
+            err(
+                errs,
+                pc,
+                format!("superinstruction `{m}`: plans are verified before fusion"),
+            );
             continue;
         }
-        for &p in &func.params {
-            if p >= func.reg_count {
-                err(errs, fi, 0, format!("parameter register r{p} out of range"));
+        let mut structurally_ok = true;
+        for r in rank_fields(instr) {
+            if r > 3 {
+                err(errs, pc, format!("rank {r} exceeds 3"));
+                structurally_ok = false;
             }
         }
-        for (pc, instr) in code.iter().enumerate() {
-            if instr.op_weight() > 1 {
-                let m = instr.mnemonic();
-                err(
-                    errs,
-                    fi,
-                    pc,
-                    format!("superinstruction `{m}`: plans are verified before fusion"),
-                );
-                continue;
+        for d in const_dims(instr) {
+            if d > 2 {
+                err(errs, pc, format!("constant dimension {d} out of range"));
             }
-            let mut structurally_ok = true;
-            for r in rank_fields(instr) {
-                if r > 3 {
-                    err(errs, fi, pc, format!("rank {r} exceeds 3"));
-                    structurally_ok = false;
+        }
+        if let Some(t) = instr.target().filter(|&t| t as usize >= code.len()) {
+            err(errs, pc, format!("pc target {t} out of bounds"));
+        }
+        if pc + 1 == code.len() && falls_through(instr) {
+            err(errs, pc, "control falls through the end of the plan".into());
+        }
+        if let Some(site) = mem_site_of(instr) {
+            if site >= plan.mem_sites {
+                err(errs, pc, format!("memory site {site} out of range"));
+            }
+        }
+        match instr {
+            Instr::LocalAlloca { site, .. } if *site >= plan.local_sites => {
+                err(errs, pc, format!("local-alloca site {site} out of range"));
+            }
+            Instr::ConstDense { idx, .. } if *idx as usize >= plan.dense_consts.len() => {
+                err(errs, pc, format!("dense-constant index {idx} out of range"));
+            }
+            _ => {}
+        }
+        if structurally_ok {
+            instr.operands(|_, r, _| {
+                if r >= plan.reg_count {
+                    err(errs, pc, format!("register r{r} out of range"));
                 }
-            }
-            for d in const_dims(instr) {
-                if d > 2 {
-                    err(errs, fi, pc, format!("constant dimension {d} out of range"));
-                }
-            }
-            if let Some(t) = instr.target().filter(|&t| t as usize >= code.len()) {
-                err(errs, fi, pc, format!("pc target {t} out of bounds"));
-            }
-            if pc + 1 == code.len() && falls_through(instr) {
-                err(
-                    errs,
-                    fi,
-                    pc,
-                    "control falls through the end of the function".into(),
-                );
-            }
-            if let Some(site) = mem_site_of(instr) {
-                if site >= plan.mem_sites {
-                    err(errs, fi, pc, format!("memory site {site} out of range"));
-                }
-            }
-            match instr {
-                Instr::LocalAlloca { site, .. } if *site >= plan.local_sites => {
-                    err(
-                        errs,
-                        fi,
-                        pc,
-                        format!("local-alloca site {site} out of range"),
-                    );
-                }
-                Instr::ConstDense { idx, .. } if *idx as usize >= plan.dense_consts.len() => {
-                    err(
-                        errs,
-                        fi,
-                        pc,
-                        format!("dense-constant index {idx} out of range"),
-                    );
-                }
-                Instr::Call {
-                    func: callee,
-                    args,
-                    results,
-                } => {
-                    if let Some(cf) = plan.funcs.get(*callee as usize) {
-                        let want = cf.params.len() - usize::from(cf.has_item_param);
-                        if args.len() != want {
-                            err(
-                                errs,
-                                fi,
-                                pc,
-                                format!(
-                                    "call passes {} arguments but callee {callee} takes {want}",
-                                    args.len()
-                                ),
-                            );
-                        }
-                        for &len in &ret_lens[*callee as usize] {
-                            if len != results.len() {
-                                err(
-                                    errs,
-                                    fi,
-                                    pc,
-                                    format!(
-                                        "call expects {} results but callee {callee} returns {len}",
-                                        results.len()
-                                    ),
-                                );
-                            }
-                        }
-                    } else {
-                        err(errs, fi, pc, format!("call target {callee} out of range"));
-                    }
-                }
-                _ => {}
-            }
-            if structurally_ok {
-                instr.operands(|_, r, _| {
-                    if r >= func.reg_count {
-                        err(errs, fi, pc, format!("register r{r} out of range"));
-                    }
-                });
-            }
+            });
         }
     }
 }
@@ -424,17 +348,17 @@ fn fatal_pass(plan: &KernelPlan, errs: &mut Vec<VerifyError>) {
 // Pass B: def-before-use (forward must-analysis)
 // ----------------------------------------------------------------------
 
-fn def_before_use_pass(fi: u32, func: &FuncPlan, errs: &mut Vec<VerifyError>) {
-    let n = func.reg_count as usize;
+fn def_before_use_pass(plan: &KernelPlan, errs: &mut Vec<VerifyError>) {
+    let n = plan.reg_count as usize;
     let words = n.div_ceil(64).max(1);
-    let code = &func.code;
+    let code = &plan.code;
     let get = |set: &[u64], r: Reg| set[(r >> 6) as usize] >> (r & 63) & 1 != 0;
     let set = |set: &mut [u64], r: Reg| set[(r >> 6) as usize] |= 1 << (r & 63);
     // `ins[pc]` = registers definitely defined on entry to `pc`;
     // `None` = not yet reached (top). Meet is intersection.
     let mut ins: Vec<Option<Vec<u64>>> = vec![None; code.len()];
     let mut entry = vec![0_u64; words];
-    for &p in &func.params {
+    for &p in &plan.params {
         set(&mut entry, p);
     }
     ins[0] = Some(entry);
@@ -469,7 +393,6 @@ fn def_before_use_pass(fi: u32, func: &FuncPlan, errs: &mut Vec<VerifyError>) {
             instr.reads(|r| {
                 if !get(inset, r) {
                     errs.push(VerifyError {
-                        func: fi,
                         pc: pc as u32,
                         message: format!("register r{r} read before definition"),
                     });
@@ -493,20 +416,20 @@ enum DefCls {
     Many,
 }
 
-fn type_class_pass(fi: u32, func: &FuncPlan, errs: &mut Vec<VerifyError>) {
-    let n = func.reg_count as usize;
+fn type_class_pass(plan: &KernelPlan, errs: &mut Vec<VerifyError>) {
+    let n = plan.reg_count as usize;
     let mut defs = vec![DefCls::Unset; n];
     // Kernel arguments are unknowable statically; the trailing item
     // parameter's class is fixed by the launch machinery.
-    let nparams = func.params.len() - usize::from(func.has_item_param);
-    for (k, &p) in func.params.iter().enumerate() {
+    let nparams = plan.params.len() - usize::from(plan.has_item_param);
+    for (k, &p) in plan.params.iter().enumerate() {
         defs[p as usize] = if k < nparams {
             DefCls::Many
         } else {
             DefCls::One(Class::Item)
         };
     }
-    for instr in &func.code {
+    for instr in &plan.code {
         instr.operands(|role, r, c| {
             if role == Role::Write {
                 let slot = &mut defs[r as usize];
@@ -518,14 +441,13 @@ fn type_class_pass(fi: u32, func: &FuncPlan, errs: &mut Vec<VerifyError>) {
             }
         });
     }
-    for (pc, instr) in func.code.iter().enumerate() {
+    for (pc, instr) in plan.code.iter().enumerate() {
         instr.operands(|role, r, need| {
             let (Role::Read, Some(need), DefCls::One(have)) = (role, need, defs[r as usize]) else {
                 return;
             };
             if have != need {
                 errs.push(VerifyError {
-                    func: fi,
                     pc: pc as u32,
                     message: format!(
                         "register r{r} holds {} but is used as {}",
@@ -539,7 +461,7 @@ fn type_class_pass(fi: u32, func: &FuncPlan, errs: &mut Vec<VerifyError>) {
 }
 
 // ----------------------------------------------------------------------
-// Pass D: interval abstract interpretation (kernel function only)
+// Pass D: interval abstract interpretation
 // ----------------------------------------------------------------------
 
 /// Abstract value of one register during the interval walk.
@@ -720,19 +642,13 @@ fn try_prove(
 
 fn interval_pass(plan: &KernelPlan) -> Vec<Option<SiteProof>> {
     let mut proofs: Vec<Option<SiteProof>> = vec![None; plan.mem_sites as usize];
-    let Some(func) = plan.funcs.first() else {
-        return proofs;
-    };
-    let code = &func.code;
+    let code = &plan.code;
     // A site proof must be the *only* instruction touching that site id;
-    // duplicated ids (hand-built or corrupted plans) stay unproven.
+    // shared ids (a callee inlined twice, or hand-built or corrupted
+    // plans) stay unproven.
     let mut claims = vec![0_u32; plan.mem_sites as usize];
-    for f in &plan.funcs {
-        for i in &f.code {
-            if let Some(s) = mem_site_of(i) {
-                claims[s as usize] += 1;
-            }
-        }
+    for s in code.iter().filter_map(mem_site_of) {
+        claims[s as usize] += 1;
     }
     // The walk is a single forward pass joining at forward edges; any
     // irreducible backward edge (other than the structured `ForNext`
@@ -749,10 +665,10 @@ fn interval_pass(plan: &KernelPlan) -> Vec<Option<SiteProof>> {
             return proofs;
         }
     }
-    let n = func.reg_count as usize;
+    let n = plan.reg_count as usize;
     let mut env = vec![AVal::Top; n];
-    let nparams = func.params.len() - usize::from(func.has_item_param);
-    for (k, &p) in func.params.iter().enumerate() {
+    let nparams = plan.params.len() - usize::from(plan.has_item_param);
+    for (k, &p) in plan.params.iter().enumerate() {
         env[p as usize] = if k < nparams {
             AVal::Arg(k as u32)
         } else {
@@ -974,12 +890,12 @@ fn interval_pass(plan: &KernelPlan) -> Vec<Option<SiteProof>> {
             Instr::BranchIfFalse { target, .. } => {
                 join_pending(&mut pending[*target as usize], e.clone());
             }
-            Instr::Return { .. } => {
+            Instr::Return => {
                 cur = None;
                 continue;
             }
             // No transfer function — barriers, nd-ranges, allocations,
-            // floats, casts, calls: every written register is unknown.
+            // floats, casts: every written register is unknown.
             _ => instr.writes(|r| e[r as usize] = AVal::Top),
         }
         cur = Some(e);
@@ -1001,12 +917,10 @@ mod tests {
         sites: u32,
     ) -> KernelPlan {
         KernelPlan {
-            funcs: vec![FuncPlan {
-                code,
-                reg_count,
-                params,
-                has_item_param: has_item,
-            }],
+            code,
+            reg_count,
+            params,
+            has_item_param: has_item,
             dense_consts: vec![],
             mem_sites: sites,
             local_sites: 0,
@@ -1014,7 +928,7 @@ mod tests {
     }
 
     fn ret() -> Instr {
-        Instr::Return { vals: Box::new([]) }
+        Instr::Return
     }
 
     #[test]
@@ -1071,46 +985,6 @@ mod tests {
         let errs = verify_plan(&p).unwrap_err();
         assert!(
             errs.iter().any(|e| e.message.contains("holds a float")),
-            "{errs:?}"
-        );
-    }
-
-    #[test]
-    fn rejects_call_arity_mismatch() {
-        let callee = FuncPlan {
-            code: vec![Instr::Return {
-                vals: Box::new([0]),
-            }],
-            reg_count: 1,
-            params: vec![0],
-            has_item_param: false,
-        };
-        let main = FuncPlan {
-            code: vec![
-                Instr::Const {
-                    dst: 0,
-                    val: Slot::Int(1),
-                },
-                Instr::Call {
-                    func: 1,
-                    args: Box::new([0]),
-                    results: Box::new([1, 2]),
-                },
-                ret(),
-            ],
-            reg_count: 3,
-            params: vec![],
-            has_item_param: false,
-        };
-        let p = KernelPlan {
-            funcs: vec![main, callee],
-            dense_consts: vec![],
-            mem_sites: 0,
-            local_sites: 0,
-        };
-        let errs = verify_plan(&p).unwrap_err();
-        assert!(
-            errs.iter().any(|e| e.message.contains("expects 2 results")),
             "{errs:?}"
         );
     }

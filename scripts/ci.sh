@@ -256,6 +256,16 @@ if grep -rnE 'sycl\.(global_range|local_range|arg_buffer_ids|arg_ranges|const_ar
   exit 1
 fi
 
+# One function per plan (ARCHITECTURE.md, "Plan bytecode format"): the
+# decoder inlines every device call, so the plan executor keeps no call
+# frames. The frame, the call instruction and the plan's function table
+# must not come back.
+step "one function per plan"
+if grep -rnE 'PlanFrame|Instr::Call\b|plan\.funcs\b' crates src tests examples; then
+  echo "FAIL: a call frame, Instr::Call or a plan function table is back; the decoder inlines calls" >&2
+  exit 1
+fi
+
 # Runs the whole workspace, including the scheduler's hardening suites:
 # tests/scheduler_stress.rs (~200 randomized hazard DAGs across tree |
 # plan × threads 1 | 4, plus error-ordering pins),

@@ -792,8 +792,8 @@ mod aggregate_moves {
     use sycl_mlir_repro::frontend::full_context;
     use sycl_mlir_repro::ir::{Builder, Module, OpId, Type, ValueId};
     use sycl_mlir_repro::sim::{
-        decode_kernel, AccessorVal, DataVec, Device, Engine, ExecStats, MemoryPool, NdRangeSpec,
-        RtValue, SimError,
+        decode_kernel, AccessorVal, BatchLaunch, DataVec, Device, Engine, ExecStats, LaunchDag,
+        MemoryPool, NdRangeSpec, RtValue, SimError,
     };
     use sycl_mlir_repro::sycl::device as sdev;
     use sycl_mlir_repro::sycl::types::{accessor_type, id_type, nd_item_type, AccessMode, Target};
@@ -845,10 +845,19 @@ mod aggregate_moves {
         m: &mut Module,
         body: impl FnOnce(&mut Builder<'_>, ValueId, ValueId, ValueId),
     ) -> OpId {
+        named_kernel(m, "k", body)
+    }
+
+    /// The kernel `name(a: accessor, b: accessor, nd_item<1>)`.
+    fn named_kernel(
+        m: &mut Module,
+        name: &str,
+        body: impl FnOnce(&mut Builder<'_>, ValueId, ValueId, ValueId),
+    ) -> OpId {
         let acc = f32_accessor(m);
         let item = nd_item_type(m.ctx(), 1);
         let top = m.top();
-        let (func, entry) = build_func(m, top, "k", &[acc.clone(), acc, item], &[]);
+        let (func, entry) = build_func(m, top, name, &[acc.clone(), acc, item], &[]);
         sdev::mark_kernel(m, func);
         let args = m.block_args(entry).to_vec();
         let mut b = Builder::at_end(m, entry);
@@ -1066,6 +1075,147 @@ mod aggregate_moves {
         for (g, out) in a.iter().take(16).enumerate() {
             assert_eq!(*out, (g + 1 + 2 * g + g) as f32 + 6.5);
         }
+    }
+
+    /// One callee loads `a[gid]`; the even lanes call it from one call
+    /// site and the odd lanes from another. Both inlined copies of the
+    /// load are the one IR op the tree walk numbers its instances by, so
+    /// the two halves of a sub-group coalesce into one segment: one
+    /// transaction per group for the load and one for the store. A site
+    /// per copy would count two for the load.
+    #[test]
+    fn inlined_copies_of_a_load_share_its_site() {
+        let ctx = full_context();
+        let mut m = Module::new(&ctx);
+        let (acc, index) = (f32_accessor(&m), ctx.index_type());
+        let results = [ctx.f32_type()];
+        helper(&mut m, "load_at", &[acc, index], &results, |b, args| {
+            vec![sdev::load_via_id(b, args[0], &[args[1]])]
+        });
+        let k = kernel(&mut m, |b, acc_a, acc_b, item| {
+            let gid = sdev::global_id(b, item, 0);
+            let lid = sdev::local_id(b, item, 0);
+            let (zero, two) = (arith::constant_index(b, 0), arith::constant_index(b, 2));
+            let parity = arith::remsi(b, lid, two);
+            let even = arith::cmpi(b, "eq", parity, zero);
+            let call = |b: &mut Builder<'_>| {
+                let call = build_call(b, "load_at", &[acc_a, gid], &results);
+                vec![b.module().op_result(call, 0)]
+            };
+            let split = scf::build_if(b, even, &results, call, call);
+            let loaded = b.module().op_result(split, 0);
+            sdev::store_via_id(b, loaded, acc_b, &[gid]);
+        });
+        let (stats, a, b) = launch_on_both_engines(&m, k).expect("runs");
+        assert_eq!(
+            stats.global_transactions,
+            4 + 4,
+            "a load and a store per group"
+        );
+        assert_eq!(b[..16], a[..16]);
+    }
+
+    /// SYCL device code may not recurse. A kernel whose calls reach a
+    /// self-recursive function, or a two-function cycle, is refused by
+    /// both engines before any of its groups runs, at work-group 0 of its
+    /// launch with one text; the launch before it completes.
+    #[test]
+    fn recursive_kernels_are_refused_before_they_run() {
+        let cases: [(&str, &[(&str, &str)]); 2] =
+            [("f", &[("f", "f")]), ("g", &[("g", "h"), ("h", "g")])];
+        for (named, calls) in cases {
+            let ctx = full_context();
+            let mut m = Module::new(&ctx);
+            let (acc, index) = (f32_accessor(&m), ctx.index_type());
+            for &(caller, callee) in calls {
+                helper(
+                    &mut m,
+                    caller,
+                    &[acc.clone(), index.clone()],
+                    &[],
+                    |b, args| {
+                        build_call(b, callee, args, &[]);
+                        vec![]
+                    },
+                );
+            }
+            // Launch 0 sets `a[gid]`; the recursive launch 1 would set
+            // `b[gid]` before its call.
+            let set = |b: &mut Builder<'_>, acc: ValueId, gid: ValueId| {
+                let seven = arith::constant_float(b, 7.0, b.ctx().f32_type());
+                sdev::store_via_id(b, seven, acc, &[gid]);
+            };
+            let setter = named_kernel(&mut m, "set", |b, acc_a, _, item| {
+                let gid = sdev::global_id(b, item, 0);
+                set(b, acc_a, gid);
+            });
+            let recursive = kernel(&mut m, |b, _, acc_b, item| {
+                let gid = sdev::global_id(b, item, 0);
+                set(b, acc_b, gid);
+                build_call(b, calls[0].0, &[acc_b, gid], &[]);
+            });
+            let want = format!(
+                "recursive call of `{named}`: SYCL device code may not recurse (launch 1, work-group 0)"
+            );
+            let devices = [
+                Device::with_engine(Engine::TreeWalk),
+                Device::with_engine(Engine::Plan).threads(1),
+                Device::with_engine(Engine::Plan).threads(4),
+            ];
+            for device in devices {
+                let mut pool = MemoryPool::new();
+                let (ma, mb) = (
+                    pool.alloc(DataVec::F32(vec![0.0; N as usize])),
+                    pool.alloc(DataVec::F32(vec![0.0; N as usize])),
+                );
+                let accessor = |mem| {
+                    RtValue::Accessor(AccessorVal {
+                        mem,
+                        range: [N, 1, 1],
+                        offset: [0, 0, 0],
+                        rank: 1,
+                        constant: false,
+                    })
+                };
+                let args = vec![accessor(ma), accessor(mb)];
+                let nd = NdRangeSpec::d1(16, 4);
+                let batch = [
+                    BatchLaunch::kernel(setter, args.clone(), nd),
+                    BatchLaunch::kernel(recursive, args, nd),
+                ];
+                let error = device
+                    .launch_graph(&m, &batch, &LaunchDag::independent(2), &mut pool)
+                    .expect_err("the recursive launch is refused");
+                let engine = (device.engine, device.threads);
+                assert_eq!(error.message(), want, "{engine:?}");
+                let set_a: Vec<f32> = (0..N).map(|i| if i < 16 { 7.0 } else { 0.0 }).collect();
+                assert_eq!(pool.data(ma), &DataVec::F32(set_a), "{engine:?}");
+                assert_eq!(
+                    pool.data(mb),
+                    &DataVec::F32(vec![0.0; N as usize]),
+                    "{engine:?}"
+                );
+            }
+        }
+    }
+
+    /// A call whose result count differs from what its callee returns is
+    /// refused by the decoder.
+    #[test]
+    fn call_result_count_mismatch_is_a_decode_error() {
+        let ctx = full_context();
+        let mut m = Module::new(&ctx);
+        let (acc, index) = (f32_accessor(&m), ctx.index_type());
+        helper(&mut m, "none", &[acc, index.clone()], &[], |_, _| vec![]);
+        let k = kernel(&mut m, |b, acc_a, _, item| {
+            let gid = sdev::global_id(b, item, 0);
+            build_call(b, "none", &[acc_a, gid], &[index]);
+        });
+        let error = decode_kernel(&m, k).expect_err("the call is refused");
+        assert_eq!(
+            error.to_string(),
+            "plan decode error: call expects 1 results but the callee returns 0"
+        );
     }
 
     /// Storing an aggregate is the type-mismatch fault, named by the

@@ -29,7 +29,7 @@ mod common;
 use common::run_launch;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use sycl_mlir_repro::sim::plan::{CmpPred, FloatBin, FuncPlan, Instr, IntBin, ItemQ, Slot};
+use sycl_mlir_repro::sim::plan::{CmpPred, FloatBin, Instr, IntBin, ItemQ, Slot};
 use sycl_mlir_repro::sim::{
     fuse_plan, AccessorVal, CostModel, DataVec, ExecLimits, ExecStats, KernelPlan, MemRefVal,
     MemoryPool, NdRangeSpec, PlanFacts, PlanLaunch, RtValue, SimError, Space,
@@ -37,11 +37,11 @@ use sycl_mlir_repro::sim::{
 
 const BUF_LEN: usize = 16;
 
-/// Builds one random legal function plan over three parameters: an `f32`
-/// memref in register 0, an `i64` memref in register 1 and an `f32`
-/// accessor in register 2 (the raw material of the indexed-access
-/// chains). Whole-register moves (`Copy`, `Select`) spread the memref and
-/// the accessor over further registers, and accesses go through any of
+/// Builds one random legal plan over three parameters: an `f32` memref
+/// in register 0, an `i64` memref in register 1 and an `f32` accessor in
+/// register 2 (the raw material of the indexed-access chains).
+/// Whole-register moves (`Copy`, `Select`) spread the memref and the
+/// accessor over further registers, and accesses go through any of
 /// them; the `direct` twin of a seed emits the same moves but accesses
 /// registers 0 and 2 only, so the two plans agree in everything exactly
 /// when a moved aggregate is the aggregate.
@@ -896,17 +896,13 @@ impl Gen {
             rank: 1,
             site: isite,
         });
-        self.code.push(Instr::Return {
-            vals: Vec::new().into_boxed_slice(),
-        });
+        self.code.push(Instr::Return);
 
         KernelPlan {
-            funcs: vec![FuncPlan {
-                code: self.code,
-                reg_count: self.next_reg,
-                params: vec![0, 1, 2],
-                has_item_param: false,
-            }],
+            code: self.code,
+            reg_count: self.next_reg,
+            params: vec![0, 1, 2],
+            has_item_param: false,
             dense_consts: Vec::new(),
             mem_sites: self.sites,
             local_sites: 0,
@@ -1158,17 +1154,13 @@ fn mid_chain_failing_plan(fail_from: i64) -> KernelPlan {
             rank: 1,
             site: 1,
         },
-        Instr::Return {
-            vals: Vec::new().into_boxed_slice(),
-        },
+        Instr::Return,
     ];
     KernelPlan {
-        funcs: vec![FuncPlan {
-            code,
-            reg_count: 17,
-            params: vec![0, 1, 2],
-            has_item_param: false,
-        }],
+        code,
+        reg_count: 17,
+        params: vec![0, 1, 2],
+        has_item_param: false,
         dense_consts: Vec::new(),
         mem_sites: 2,
         local_sites: 0,
@@ -1193,17 +1185,13 @@ fn div_zero_plan() -> KernelPlan {
             l: 3,
             r: 4,
         },
-        Instr::Return {
-            vals: Vec::new().into_boxed_slice(),
-        },
+        Instr::Return,
     ];
     KernelPlan {
-        funcs: vec![FuncPlan {
-            code,
-            reg_count: 6,
-            params: vec![0, 1, 2],
-            has_item_param: false,
-        }],
+        code,
+        reg_count: 6,
+        params: vec![0, 1, 2],
+        has_item_param: false,
         dense_consts: Vec::new(),
         mem_sites: 0,
         local_sites: 0,
@@ -1584,7 +1572,7 @@ fn verifier_rejects_fused_plans_at_the_fused_pcs() {
         }
         checked += 1;
         let errs = verify_plan(&fused).expect_err("a fused plan must not verify");
-        let fused_pcs: Vec<u32> = fused.funcs[0]
+        let fused_pcs: Vec<u32> = fused
             .code
             .iter()
             .enumerate()
@@ -1592,12 +1580,12 @@ fn verifier_rejects_fused_plans_at_the_fused_pcs() {
             .map(|(pc, _)| pc as u32)
             .collect();
         assert_eq!(
-            errs.iter().map(|e| (e.func, e.pc)).collect::<Vec<_>>(),
-            fused_pcs.iter().map(|&pc| (0, pc)).collect::<Vec<_>>(),
+            errs.iter().map(|e| e.pc).collect::<Vec<_>>(),
+            fused_pcs,
             "one finding per superinstruction, at its pc (seed {seed})"
         );
         for (e, &pc) in errs.iter().zip(&fused_pcs) {
-            let m = fused.funcs[0].code[pc as usize].mnemonic();
+            let m = fused.code[pc as usize].mnemonic();
             assert!(
                 e.message.contains(m) && e.message.contains("before fusion"),
                 "finding must name the superinstruction (seed {seed}): {e}"
@@ -1612,16 +1600,14 @@ fn verifier_rejects_fused_plans_at_the_fused_pcs() {
     assert!(checked > 100, "only {checked} seeds fused anything");
 }
 
-/// A minimal legal single-function plan around `body`, with the fuzz
-/// parameter convention (f32 memref r0, i64 memref r1, accessor r2).
+/// A minimal legal plan around `body`, with the fuzz parameter
+/// convention (f32 memref r0, i64 memref r1, accessor r2).
 fn bait_plan(body: Vec<Instr>, reg_count: u32, mem_sites: u32) -> KernelPlan {
     KernelPlan {
-        funcs: vec![FuncPlan {
-            code: body,
-            reg_count,
-            params: vec![0, 1, 2],
-            has_item_param: false,
-        }],
+        code: body,
+        reg_count,
+        params: vec![0, 1, 2],
+        has_item_param: false,
         dense_consts: Vec::new(),
         mem_sites,
         local_sites: 0,
@@ -1652,9 +1638,7 @@ fn oob_bait_is_never_elided_and_fails_identically() {
                 rank: 1,
                 site: 0,
             },
-            Instr::Return {
-                vals: Vec::new().into_boxed_slice(),
-            },
+            Instr::Return,
         ],
         5,
         1,
@@ -1692,9 +1676,7 @@ fn type_confusion_bait_is_rejected() {
                 r: 3,
                 f32_out: false,
             },
-            Instr::Return {
-                vals: Vec::new().into_boxed_slice(),
-            },
+            Instr::Return,
         ],
         5,
         0,
@@ -1737,9 +1719,7 @@ fn corrupted_jump_bait_is_rejected() {
                 r: 3,
                 f32_out: false,
             },
-            Instr::Return {
-                vals: Vec::new().into_boxed_slice(),
-            },
+            Instr::Return,
         ],
         5,
         0,
@@ -1753,16 +1733,7 @@ fn corrupted_jump_bait_is_rejected() {
 
     // Jump target outside the function entirely: a fatal structural
     // finding from the first pass.
-    let out_of_range = bait_plan(
-        vec![
-            Instr::Jump { target: 999 },
-            Instr::Return {
-                vals: Vec::new().into_boxed_slice(),
-            },
-        ],
-        3,
-        0,
-    );
+    let out_of_range = bait_plan(vec![Instr::Jump { target: 999 }, Instr::Return], 3, 0);
     let errs = verify_plan(&out_of_range).expect_err("wild jump must be rejected");
     assert!(
         errs.iter()
@@ -1788,7 +1759,7 @@ fn corrupted_fuzz_plans_reject_deterministically() {
         let seed = seed * 7919 + 13;
         let mut plan = Gen::new(seed).finish();
         let mut rng = TestRng::new(seed ^ 0x5eed);
-        let code = &mut plan.funcs[0].code;
+        let code = &mut plan.code;
         let len = code.len();
         // Corrupt the first branching instruction (if any) to a random
         // in-or-out-of-range pc; otherwise corrupt a register operand.
