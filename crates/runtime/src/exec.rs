@@ -4,11 +4,12 @@
 use crate::buffer::SyclRuntime;
 use crate::queue::{CgArg, HostOp, Queue};
 use std::collections::HashSet;
+use std::time::{Duration, Instant};
 use sycl_mlir_core::{CompileOutcome, Flow, FlowKind};
 use sycl_mlir_ir::{Module, OpId};
 use sycl_mlir_sim::{
-    AccessorVal, BatchLaunch, Device, Dtype, ExecStats, HostNode, HostView, MemId, MemoryPool,
-    RtValue, SimError,
+    AccessorVal, BatchLaunch, Device, Dtype, ExecStats, HostNode, HostView, Ledger, MemId,
+    MemoryPool, RtValue, SimError,
 };
 use sycl_mlir_sycl::facts;
 
@@ -20,6 +21,9 @@ pub struct Program {
     pub flow: Flow,
     /// Pipeline diagnostics recorded during compilation.
     pub outcome: CompileOutcome,
+    /// Where [`run`]'s launch path spends its time: `None` (the default)
+    /// times nothing; a [`Ledger`] put here is added to by every run.
+    pub ledger: Option<Ledger>,
     jit_done: HashSet<String>,
 }
 
@@ -35,6 +39,7 @@ pub fn compile_program(kind: FlowKind, mut module: Module) -> Result<Program, St
         module,
         flow,
         outcome,
+        ledger: None,
         jit_done: HashSet::new(),
     })
 }
@@ -112,12 +117,47 @@ impl RunReport {
 /// (launch index and submission index coincide in the whole-program
 /// graph); a wedged kernel program fails instead of hanging, and the
 /// device stays usable for the next run.
+///
+/// With a [`Program::ledger`], the run adds its launch path's phases and
+/// counts to it.
 pub fn run(
     program: &mut Program,
     runtime: &mut SyclRuntime,
     queue: &Queue,
     device: &Device,
 ) -> Result<RunReport, SimError> {
+    let mut ledger = program.ledger.take();
+    let started = ledger.is_some().then(Instant::now);
+    let report = run_ledgered(program, runtime, queue, device, ledger.as_mut());
+    if let (Some(ledger), Some(t)) = (ledger.as_mut(), started) {
+        ledger.total += t.elapsed();
+    }
+    program.ledger = ledger;
+    report
+}
+
+/// A span of the [`Ledger`] that [`run`] times itself.
+type Span = fn(&mut Ledger) -> &mut Duration;
+
+fn run_ledgered(
+    program: &mut Program,
+    runtime: &mut SyclRuntime,
+    queue: &Queue,
+    device: &Device,
+    mut ledger: Option<&mut Ledger>,
+) -> Result<RunReport, SimError> {
+    // The ledger's clock: a lap adds the time since the previous one to
+    // the span it names (the device times its own spans).
+    let mut last = ledger.is_some().then(Instant::now);
+    let mut lap = |ledger: &mut Option<&mut Ledger>, span: Option<Span>| {
+        if let (Some(ledger), Some(t)) = (ledger.as_deref_mut(), last.as_mut()) {
+            let now = Instant::now();
+            if let Some(span) = span {
+                *span(ledger) += now - *t;
+            }
+            *t = now;
+        }
+    };
     let mut pool = MemoryPool::new();
     let (buf_mems, usm_mems) = runtime.upload_to_device(&mut pool);
 
@@ -173,11 +213,13 @@ pub fn run(
         jit_cycles_of.push(jit_cycles);
     }
 
+    lap(&mut ledger, Some(|l| &mut l.bind));
     // One launch-graph node per command group. Kernel arguments are bound
     // now, after every JIT specialization above (they may have refreshed
     // the constant-argument attributes); host nodes carry none — their
     // closures captured the buffer ids.
     let dag = queue.dep_graph();
+    lap(&mut ledger, Some(|l| &mut l.dep_graph));
     let mut launches: Vec<BatchLaunch> = Vec::with_capacity(queue.groups.len());
     for (cg, kernel) in queue.groups.iter().zip(&kernels) {
         let Some(kernel) = *kernel else {
@@ -216,11 +258,23 @@ pub fn run(
             })
             .collect();
         launches.push(BatchLaunch::kernel(kernel, args, cg.nd));
+        if let Some(ledger) = ledger.as_deref_mut() {
+            ledger.counts.launches += 1;
+            ledger.counts.distinct_bindings += 1;
+        }
     }
+    lap(&mut ledger, Some(|l| &mut l.bind));
 
     // Errors come back stamped by the device with the launch's index in
     // this graph — which IS the submission index.
-    let stats = device.launch_graph(&program.module, &launches, &dag, &mut pool)?;
+    let stats = device.launch_graph_ledgered(
+        &program.module,
+        &launches,
+        &dag,
+        &mut pool,
+        ledger.as_deref_mut(),
+    )?;
+    lap(&mut ledger, None);
 
     // Report rows in submission order (the graph's node order), so
     // downstream sums (f64 cycle totals) are bit-identical under both
@@ -258,7 +312,9 @@ pub fn run(
         })
         .collect();
     let report = RunReport { kernel_runs };
+    lap(&mut ledger, Some(|l| &mut l.rows));
     runtime.download_from_device(&pool, &buf_mems, &usm_mems);
+    lap(&mut ledger, Some(|l| &mut l.readback));
     Ok(report)
 }
 

@@ -4,6 +4,7 @@
 
 use crate::cost::{CostModel, ExecStats};
 use crate::interp::{enclosing_module, ExecCtx, Stop, WorkItemState};
+use crate::ledger::Ledger;
 use crate::limits::{ExecLimits, OpMeter};
 use crate::memory::MemoryPool;
 use crate::plan::{decode_kernel, fuse_plan, ItemQ, KernelPlan};
@@ -456,10 +457,29 @@ impl Device {
         dag: &LaunchDag,
         pool: &mut MemoryPool,
     ) -> Result<Vec<ExecStats>, SimError> {
+        self.launch_graph_ledgered(m, batch, dag, pool, None)
+    }
+
+    /// [`Device::launch_graph`], adding the plan-engine run's plan
+    /// lookups, fact instantiations and graph-run times to `ledger` when
+    /// one is given ([`Ledger`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Device::launch_graph`].
+    pub fn launch_graph_ledgered(
+        &self,
+        m: &Module,
+        batch: &[BatchLaunch],
+        dag: &LaunchDag,
+        pool: &mut MemoryPool,
+        mut ledger: Option<&mut Ledger>,
+    ) -> Result<Vec<ExecStats>, SimError> {
         if self.engine == Engine::Plan {
             // Decode first — the launches below borrow the plans this
             // holds: the decode outcome per kernel entry, `None` per host
             // node. A rejected kernel is a launch that fails up front.
+            let looking_up = ledger.is_some().then(Instant::now);
             let plans: Vec<Option<Result<PlanEntry, SimError>>> = batch
                 .iter()
                 .map(|b| match b {
@@ -467,6 +487,10 @@ impl Device {
                     BatchLaunch::Host(_) => None,
                 })
                 .collect();
+            if let (Some(ledger), Some(t)) = (ledger.as_deref_mut(), looking_up) {
+                ledger.plan_lookup += t.elapsed();
+                ledger.counts.plans_looked_up += plans.iter().flatten().count() as u64;
+            }
             let launches: Vec<PlanLaunch<'_>> = plans
                 .iter()
                 .zip(batch)
@@ -496,6 +520,7 @@ impl Device {
                 self.threads,
                 self.profile,
                 &self.limits,
+                ledger,
             )?;
             if let Some(profile) = &out.profile {
                 let report = &mut *self.report.borrow_mut();

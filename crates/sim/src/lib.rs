@@ -139,6 +139,7 @@ pub mod config;
 pub mod cost;
 pub mod device;
 pub mod interp;
+pub mod ledger;
 pub mod limits;
 pub mod memory;
 pub mod plan;
@@ -151,6 +152,7 @@ pub use config::{knob_table, ConfigError};
 pub use cost::{Coalescer, CostModel, ExecStats};
 pub use device::{auto_threads, BatchLaunch, Device, Engine, NdRangeSpec, SimError};
 pub use interp::{KernelFault, LimitKind};
+pub use ledger::{Ledger, LedgerCounts, WorkerTimes};
 pub use limits::ExecLimits;
 pub use memory::{Buf, DataVec, Dtype, Elem, MemFault, MemId, MemoryPool};
 pub use plan::{decode_kernel, fuse_plan, DecodeError, KernelPlan};

@@ -11,6 +11,7 @@ use super::protocol::{graph_workers, Failure, Scheduler};
 use crate::cost::{CostModel, ExecStats};
 use crate::device::{cooperative_rounds, NdRangeSpec};
 use crate::interp::SimError;
+use crate::ledger::{Ledger, WorkerTimes};
 use crate::limits::{check_deadline, ExecLimits, OpMeter};
 use crate::memory::MemoryPool;
 use crate::plan::{KernelPlan, PlanCtx, PlanWorkGroup};
@@ -19,7 +20,7 @@ use crate::verify::PlanFacts;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One launch of a graph handed to [`run_plan_graph_report`]: a decoded
 /// kernel plan with its bound arguments and geometry, a kernel the plan
@@ -88,8 +89,15 @@ struct GraphUnit<'a> {
 
 /// One worker's outcome: for each kernel launch it ran groups of, the
 /// counters it accumulated there plus, when profiling, its flat
-/// instruction execution counts.
-type WorkerResult = Vec<(usize, ExecStats, Option<Box<[u64]>>)>;
+/// instruction execution counts; and, when the run is timed, where its
+/// time went (idle is filled in by the launcher).
+#[derive(Default)]
+struct WorkerResult {
+    rows: Vec<(usize, ExecStats, Option<Box<[u64]>>)>,
+    times: WorkerTimes,
+    /// Time inside host-node closures (part of `times.busy`).
+    host: Duration,
+}
 
 /// Everything a graph run shares with its workers. Lives on the
 /// launching thread's stack for the duration of
@@ -108,6 +116,8 @@ struct GraphState<'a, 'p> {
     /// The launching thread asked for an audit run (test-only; see
     /// [`crate::plan::audit_on_this_thread`]).
     audit: bool,
+    /// Workers time their phases for a [`Ledger`].
+    timed: bool,
 }
 
 impl GraphState<'_, '_> {
@@ -211,9 +221,19 @@ fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
     if let Some(cap) = st.limits.mem_cap {
         ctx.pool.set_mem_cap(cap);
     }
-    let mut rows = WorkerResult::new();
+    let mut out = WorkerResult::default();
     let mut wg = PlanWorkGroup::default();
-    while let Some(li) = st.sched.acquire() {
+    // Only a timed run reads the clock.
+    let now = || st.timed.then(Instant::now);
+    let since = |t: Option<Instant>| t.map_or(Duration::ZERO, |t| t.elapsed());
+    loop {
+        let waiting = now();
+        let Some(li) = st.sched.acquire() else {
+            out.times.claim_wait += since(waiting);
+            break;
+        };
+        out.times.claim_wait += since(waiting);
+        let working = now();
         let unit = &st.units[li];
         match *unit.launch {
             PlanLaunch::Kernel { plan, args, nd, .. } => {
@@ -236,19 +256,24 @@ fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
                     pctx.next_work_group();
                     r
                 });
-                rows.push((li, std::mem::take(&mut ctx.stats), pctx.take_profile()));
+                out.rows
+                    .push((li, std::mem::take(&mut ctx.stats), pctx.take_profile()));
             }
-            PlanLaunch::Host(node) => st.run_chunks(li, |_| {
-                catch_unwind(AssertUnwindSafe(|| run_host_node(node, st, li)))
-            }),
+            PlanLaunch::Host(node) => {
+                st.run_chunks(li, |_| {
+                    catch_unwind(AssertUnwindSafe(|| run_host_node(node, st, li)))
+                });
+                out.host += since(working);
+            }
             // Its up-front failure bounds the run at its work-group 0, so
             // every group it has is skipped.
             PlanLaunch::Rejected { .. } => {
                 st.run_chunks(li, |_| unreachable!("rejected launch ran"))
             }
         }
+        out.times.busy += since(working);
     }
-    rows
+    out
 }
 
 /// What a clean [`run_plan_graph_report`] returns.
@@ -301,6 +326,10 @@ pub struct GraphReport {
 /// [`MemFault`](crate::MemFault) values), a kernel the decoder rejected
 /// or a limit trip. A panic on a worker is a bug in the simulator (or in
 /// a host closure) and is re-thrown as a panic.
+///
+/// With a `ledger`, the run adds its fact instantiations, its wall time
+/// and each worker's busy, claim-wait and idle time to it.
+#[allow(clippy::too_many_arguments)]
 pub fn run_plan_graph_report(
     launches: &[PlanLaunch<'_>],
     dag: &LaunchDag,
@@ -309,6 +338,7 @@ pub fn run_plan_graph_report(
     threads: usize,
     profile: bool,
     limits: &ExecLimits,
+    mut ledger: Option<&mut Ledger>,
 ) -> Result<GraphReport, SimError> {
     dag.validate(launches.len())?;
     if launches.len() >= u32::MAX as usize {
@@ -324,6 +354,8 @@ pub fn run_plan_graph_report(
     // Launches that fail as a whole, before any of their groups runs: a
     // rejected kernel, or one with an unknown-buffer argument.
     let mut upfront = Vec::new();
+    let instantiating = ledger.is_some().then(Instant::now);
+    let mut instantiations = 0;
     for (li, launch) in launches.iter().enumerate() {
         let nd = match launch {
             PlanLaunch::Kernel { nd, .. } | PlanLaunch::Rejected { nd, .. } => *nd,
@@ -344,7 +376,10 @@ pub fn run_plan_graph_report(
                 // geometry, arguments and buffer lengths once, before any
                 // worker starts; the resulting bitset is shared read-only
                 // by every worker.
-                Ok(()) => facts.instantiate(args, &nd, pool_mem),
+                Ok(()) => {
+                    instantiations += 1;
+                    facts.instantiate(args, &nd, pool_mem)
+                }
                 // Arguments are outside input: a launch naming a buffer
                 // the pool does not hold fails as a whole, before any of
                 // its groups run.
@@ -365,6 +400,10 @@ pub fn run_plan_graph_report(
             budget: limits.launch_budget(),
         });
     }
+    if let (Some(ledger), Some(t)) = (ledger.as_deref_mut(), instantiating) {
+        ledger.instantiate += t.elapsed();
+        ledger.counts.instantiations += instantiations;
+    }
     let workers = graph_workers(threads, total_groups);
     let shared = SharedPool::new(pool_mem);
     let state = GraphState {
@@ -376,6 +415,7 @@ pub fn run_plan_graph_report(
         limits,
         deadline: limits.deadline_instant(),
         audit: crate::plan::audit_requested(),
+        timed: ledger.is_some(),
     };
 
     // The calling thread is always worker 0; the others live for this
@@ -383,6 +423,7 @@ pub fn run_plan_graph_report(
     // poisons the run, so every worker returns and every join below
     // completes — the join is what orders each worker's stores before
     // the epilogue.
+    let running = ledger.is_some().then(Instant::now);
     let results = std::thread::scope(|s| -> std::thread::Result<Vec<WorkerResult>> {
         let extra: Vec<_> = (1..workers)
             .map(|i| {
@@ -398,6 +439,18 @@ pub fn run_plan_graph_report(
     });
     // A worker's own panic is a scheduler bug: re-throw it here.
     let results = results.unwrap_or_else(|payload| resume_unwind(payload));
+    if let (Some(ledger), Some(running)) = (ledger, running) {
+        let wall = running.elapsed();
+        ledger.graph_run += wall;
+        let times: Vec<WorkerTimes> = (results.iter())
+            .map(|r| WorkerTimes {
+                idle: wall.saturating_sub(r.times.busy + r.times.claim_wait),
+                ..r.times
+            })
+            .collect();
+        ledger.add_workers(&times);
+        ledger.host_nodes += results.iter().map(|r| r.host).sum::<Duration>();
+    }
     // Re-throws the panic of a work-group (an invariant bug, a panicking
     // host closure) at the smallest recorded position; nothing a kernel
     // can do panics.
@@ -414,7 +467,7 @@ pub fn run_plan_graph_report(
             _ => Box::default(),
         })
         .collect();
-    for (li, stats, counts) in results.into_iter().flatten() {
+    for (li, stats, counts) in results.into_iter().flat_map(|r| r.rows) {
         merged[li].add(&stats);
         if let Some(counts) = counts {
             for (a, c) in profiles[li].iter_mut().zip(counts.iter()) {
@@ -444,7 +497,9 @@ pub(crate) fn run_graph(
     threads: usize,
 ) -> Result<GraphReport, SimError> {
     let (cost, limits) = (CostModel::default(), ExecLimits::none());
-    run_plan_graph_report(launches, dag, pool_mem, &cost, threads, false, &limits)
+    run_plan_graph_report(
+        launches, dag, pool_mem, &cost, threads, false, &limits, None,
+    )
 }
 
 /// [`run_graph`] of one kernel launch.

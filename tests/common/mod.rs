@@ -30,7 +30,8 @@ pub fn run_launch(
     cost: &CostModel,
 ) -> Result<ExecStats, SimError> {
     let dag = LaunchDag::independent(1);
-    let mut report = run_plan_graph_report(&[launch], &dag, pool, cost, threads, false, limits)?;
+    let mut report =
+        run_plan_graph_report(&[launch], &dag, pool, cost, threads, false, limits, None)?;
     Ok(report.stats.remove(0))
 }
 

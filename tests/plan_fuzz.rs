@@ -1262,6 +1262,7 @@ fn mid_chain_error_matches_unfused_and_bound_prunes_correctly() {
             threads,
             false,
             &ExecLimits::none(),
+            None,
         )
         .expect_err("the run fails");
         let DataVec::F32(f) = pool.data(mf) else {

@@ -741,6 +741,7 @@ fn fault_shape_run(
         threads,
         false,
         &ExecLimits::none(),
+        None,
     );
     let DataVec::F32(a) = pool.data(ma) else {
         panic!("f32 buffer")
@@ -1059,6 +1060,7 @@ fn injected_fault_on_host_node_cascades_to_successors() {
                 threads,
                 false,
                 &ExecLimits::none(),
+                None,
             )
             .expect_err(&ctx);
             assert!(
@@ -1222,6 +1224,7 @@ fn spec_graph_run(
         threads,
         false,
         &ExecLimits::none(),
+        None,
     )
     .map(|report| report.stats)
     .map_err(|e| e.message());
@@ -1323,6 +1326,7 @@ fn host_node_in_graph_runs_in_hazard_order() {
             threads,
             false,
             &ExecLimits::none(),
+            None,
         )
         .expect("a clean run");
         // Host rows report zeroed statistics.
@@ -1370,6 +1374,7 @@ fn host_view_fault_fails_the_node_and_a_host_panic_is_rethrown() {
             threads,
             false,
             &ExecLimits::none(),
+            None,
         );
         (report, pool.data(ma).clone())
     };
