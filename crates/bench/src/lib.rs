@@ -15,7 +15,14 @@
 
 use sycl_mlir_benchsuite::{geo_mean, run_workload_on, Category, RunResult, WorkloadSpec};
 use sycl_mlir_core::FlowKind;
+use sycl_mlir_dialects::{arith, scf};
+use sycl_mlir_frontend::{full_context, KernelModuleBuilder, KernelSig};
+use sycl_mlir_ir::Module;
+use sycl_mlir_runtime::hostgen::generate_host_ir;
+use sycl_mlir_runtime::{BufferId, HostOp, Queue, SyclRuntime};
 use sycl_mlir_sim::Device;
+use sycl_mlir_sycl::device as sdev;
+use sycl_mlir_sycl::types::AccessMode;
 
 /// One row of a speedup table.
 #[derive(Debug, Clone)]
@@ -189,6 +196,125 @@ pub fn device_from_args() -> Device {
             eprintln!("error: {e}");
             std::process::exit(2);
         })
+}
+
+/// Buffers the rounds of [`hostdag`] rotate over (the fan-out width of
+/// the DAG).
+pub const HOSTDAG_BUFS: usize = 8;
+
+/// The host-task-interleaved launch graph `repro_hostdag` runs, ready to
+/// compile: the joint module with its host IR, the buffers and the queue.
+pub struct HostDag {
+    pub module: Module,
+    pub rt: SyclRuntime,
+    pub q: Queue,
+    pub bufs: Vec<BufferId>,
+    /// Elements per buffer.
+    pub n: i64,
+    /// Rounds of one host task and three kernels.
+    pub rounds: usize,
+}
+
+/// A tiny deterministic xorshift so the graph is "random" but identical
+/// on every run and machine.
+struct XorShift(u64);
+
+impl XorShift {
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Build `repro_hostdag`'s graph: a randomized wide fan-out whose rounds
+/// interleave one host task with three independent kernels.
+pub fn hostdag(quick: bool) -> HostDag {
+    // Problem size: element count per buffer, inner-loop trip count of
+    // the kernel, and interleaved rounds — many rounds of modest kernels,
+    // so scheduling overhead per command group is what shows.
+    let (n, trips, rounds): (i64, i64, usize) = if quick { (256, 8, 40) } else { (512, 16, 300) };
+
+    let ctx = full_context();
+    let mut kb = KernelModuleBuilder::new(&ctx);
+    let f32t = ctx.f32_type();
+    // `churn`: an iterated multiply-add per element.
+    let sig = KernelSig::new("churn", 1, true).accessor(f32t, 1, AccessMode::ReadWrite);
+    kb.add_kernel(&sig, |b, args, item| {
+        let gid = sdev::global_id(b, item, 0);
+        let v = sdev::load_via_id(b, args[0], &[gid]);
+        let zero = arith::constant_index(b, 0);
+        let one = arith::constant_index(b, 1);
+        let end = arith::constant_index(b, trips);
+        let lp = scf::build_for(b, zero, end, one, &[v], |inner, _iv, iters| {
+            let f32t = inner.ctx().f32_type();
+            let c0 = arith::constant_float(inner, 1.0001, f32t.clone());
+            let c1 = arith::constant_float(inner, 0.001, f32t);
+            let t = arith::mulf(inner, iters[0], c0);
+            vec![arith::addf(inner, t, c1)]
+        });
+        let out = b.module().op_result(lp, 0);
+        sdev::store_via_id(b, out, args[0], &[gid]);
+    });
+
+    let mut rt = SyclRuntime::new();
+    let bufs: Vec<_> = (0..HOSTDAG_BUFS)
+        .map(|bi| {
+            rt.buffer_f32(
+                (0..n)
+                    .map(|i| 0.5 + (i + bi as i64) as f32 * 0.01)
+                    .collect(),
+                &[n],
+            )
+        })
+        .collect();
+
+    // Each round: one host task on a rotating buffer plus three kernels
+    // on *other* buffers — independent of the host task, so they overlap
+    // it.
+    let mut rng = XorShift(0x9E3779B97F4A7C15);
+    let mut q = Queue::new();
+    for r in 0..rounds {
+        let hb = r % HOSTDAG_BUFS;
+        let op = match rng.below(3) {
+            0 => HostOp::Scale {
+                buffer: bufs[hb],
+                factor: 1.25,
+            },
+            1 => HostOp::Shift {
+                buffer: bufs[hb],
+                delta: 0.125,
+            },
+            _ => HostOp::AddInto {
+                dst: bufs[hb],
+                src: bufs[(hb + 1) % HOSTDAG_BUFS],
+            },
+        };
+        q.submit(|h| h.host_task(op));
+        for k in 0..3 {
+            let kb_idx = (hb + 2 + k + rng.below(3)) % HOSTDAG_BUFS;
+            q.submit(|h| {
+                h.accessor(bufs[kb_idx], AccessMode::ReadWrite);
+                h.parallel_for_nd("churn", &[n], &[64]);
+            });
+        }
+    }
+    generate_host_ir(kb.module(), &rt, &q);
+    HostDag {
+        module: kb.finish(),
+        rt,
+        q,
+        bufs,
+        n,
+        rounds,
+    }
 }
 
 #[cfg(test)]

@@ -1,12 +1,16 @@
 //! Program compilation + execution: ties the compiler flows, the runtime
 //! state and the simulated device together.
 
+use crate::buffer::BufferId;
 use crate::buffer::SyclRuntime;
+use crate::hostgen::BindKey;
 use crate::queue::{CgArg, HostOp, Queue};
+use std::cell::Cell;
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use sycl_mlir_core::{CompileOutcome, Flow, FlowKind};
-use sycl_mlir_ir::{Module, OpId};
+use sycl_mlir_ir::{FxHashMap, Module, OpId};
 use sycl_mlir_sim::{
     AccessorVal, BatchLaunch, Device, Dtype, ExecStats, HostNode, HostView, Ledger, MemId,
     MemoryPool, RtValue, SimError,
@@ -168,6 +172,8 @@ fn run_ledgered(
     // in submission order guarantees the same command group seeds a
     // kernel's one-shot specialization however the scheduler reorders
     // execution (a kernel name can appear at several dependency levels).
+    // A name is looked up in the module once per run.
+    let mut resolved: FxHashMap<&str, OpId> = FxHashMap::default();
     let mut kernels: Vec<Option<OpId>> = Vec::with_capacity(queue.groups.len());
     let mut jit_cycles_of: Vec<f64> = Vec::with_capacity(queue.groups.len());
     for cg in &queue.groups {
@@ -176,12 +182,19 @@ fn run_ledgered(
             jit_cycles_of.push(0.0);
             continue;
         }
-        let kernel = resolve_kernel(&program.module, &cg.kernel).ok_or_else(|| {
-            SimError::msg(format!(
-                "kernel `{}` not found in the device module",
-                cg.kernel
-            ))
-        })?;
+        let kernel = match resolved.get(cg.kernel.as_str()) {
+            Some(&kernel) => kernel,
+            None => {
+                let kernel = resolve_kernel(&program.module, &cg.kernel).ok_or_else(|| {
+                    SimError::msg(format!(
+                        "kernel `{}` not found in the device module",
+                        cg.kernel
+                    ))
+                })?;
+                resolved.insert(&cg.kernel, kernel);
+                kernel
+            }
+        };
 
         // AdaptiveCpp: JIT-specialize on first launch with runtime
         // context.
@@ -212,14 +225,22 @@ fn run_ledgered(
         kernels.push(Some(kernel));
         jit_cycles_of.push(jit_cycles);
     }
-
+    // A kernel's launch facts, read once per run, after every JIT
+    // specialization above (they may have refreshed them).
+    let launch_facts: FxHashMap<OpId, LaunchFacts> = (resolved.values())
+        .map(|&k| (k, LaunchFacts::of(&program.module, k)))
+        .collect();
+    if audit_requested() {
+        audit_host_facts(&program.module, runtime, queue, &kernels)?;
+    }
     lap(&mut ledger, Some(|l| &mut l.bind));
-    // One launch-graph node per command group. Kernel arguments are bound
-    // now, after every JIT specialization above (they may have refreshed
-    // the constant-argument attributes); host nodes carry none — their
-    // closures captured the buffer ids.
     let dag = queue.dep_graph();
     lap(&mut ledger, Some(|l| &mut l.dep_graph));
+
+    // One launch-graph node per command group. Launches that bind equal
+    // arguments ([`BindKey`]) share one bound list; host nodes carry none
+    // — their closures captured the buffer ids.
+    let mut bound: FxHashMap<BindKey<'_>, Arc<[RtValue]>> = FxHashMap::default();
     let mut launches: Vec<BatchLaunch> = Vec::with_capacity(queue.groups.len());
     for (cg, kernel) in queue.groups.iter().zip(&kernels) {
         let Some(kernel) = *kernel else {
@@ -227,41 +248,19 @@ fn run_ledgered(
             launches.push(BatchLaunch::host_node(host_node_of(op, &buf_mems)));
             continue;
         };
-        let const_args = facts::CONST_ARGS
-            .get(&program.module, kernel)
-            .unwrap_or_default();
-        let args = cg
-            .args
-            .iter()
-            .enumerate()
-            .map(|(i, a)| match a {
-                CgArg::Acc { buffer, .. } => {
-                    let info = &runtime.buffers[buffer.0];
-                    RtValue::Accessor(AccessorVal {
-                        mem: buf_mems[buffer.0],
-                        range: info.range,
-                        offset: [0; 3],
-                        rank: info.rank,
-                        constant: const_args.contains(&(i as i64)),
-                    })
-                }
-                CgArg::ScalarI64(v) | CgArg::RuntimeI64(v) => RtValue::Int(*v),
-                CgArg::ScalarF64(v) | CgArg::RuntimeF64(v) => RtValue::F64(*v),
-                CgArg::ScalarF32(v) => RtValue::F32(*v),
-                CgArg::Usm { id, len } => RtValue::Accessor(AccessorVal {
-                    mem: usm_mems[id.0],
-                    range: [*len, 1, 1],
-                    offset: [0; 3],
-                    rank: 1,
-                    constant: false,
-                }),
-            })
-            .collect();
-        launches.push(BatchLaunch::kernel(kernel, args, cg.nd));
-        if let Some(ledger) = ledger.as_deref_mut() {
-            ledger.counts.launches += 1;
-            ledger.counts.distinct_bindings += 1;
-        }
+        let key = BindKey {
+            kernel,
+            args: &cg.args,
+        };
+        let args = bound.entry(key).or_insert_with(|| {
+            let const_args = &launch_facts[&kernel].const_args;
+            bind_args(&cg.args, const_args, runtime, &buf_mems, &usm_mems)
+        });
+        launches.push(BatchLaunch::kernel(kernel, args.clone(), cg.nd));
+    }
+    if let Some(ledger) = ledger.as_deref_mut() {
+        ledger.counts.launches += kernels.iter().flatten().count() as u64;
+        ledger.counts.distinct_bindings += bound.len() as u64;
     }
     lap(&mut ledger, Some(|l| &mut l.bind));
 
@@ -279,20 +278,13 @@ fn run_ledgered(
     // Report rows in submission order (the graph's node order), so
     // downstream sums (f64 cycle totals) are bit-identical under both
     // engines and every thread count.
-    let kernel_runs = queue
-        .groups
-        .iter()
-        .zip(&launches)
+    let kernel_runs = (queue.groups.iter().zip(&kernels))
         .zip(stats.into_iter().zip(jit_cycles_of))
-        .map(|((cg, launch), (stats, jit_cycles))| match launch {
-            BatchLaunch::Kernel { kernel, .. } => {
-                let kernel = *kernel;
+        .map(|((cg, kernel), (stats, jit_cycles))| match kernel {
+            Some(kernel) => {
                 // Launch overhead: DAE-marked arguments are not passed
                 // (§VII-B).
-                let dead = facts::DEAD_ARGS
-                    .get(&program.module, kernel)
-                    .map_or(0, <[i64]>::len);
-                let passed = cg.args.len().saturating_sub(dead);
+                let passed = cg.args.len().saturating_sub(launch_facts[kernel].dead);
                 let launch_cycles =
                     device.cost.launch_base + device.cost.launch_per_arg * passed as f64;
                 KernelRun {
@@ -303,7 +295,7 @@ fn run_ledgered(
                 }
             }
             // Host rows: zeroed stats and no launch overhead.
-            BatchLaunch::Host(_) => KernelRun {
+            None => KernelRun {
                 kernel: cg.kernel.clone(),
                 stats: ExecStats::default(),
                 launch_cycles: 0.0,
@@ -316,6 +308,183 @@ fn run_ledgered(
     runtime.download_from_device(&pool, &buf_mems, &usm_mems);
     lap(&mut ledger, Some(|l| &mut l.readback));
     Ok(report)
+}
+
+/// What binding and the launch cost read of a kernel's launch facts.
+struct LaunchFacts {
+    /// Arguments served from the constant cache.
+    const_args: Vec<i64>,
+    /// How many arguments dead-argument elimination removed.
+    dead: usize,
+}
+
+impl LaunchFacts {
+    fn of(m: &Module, kernel: OpId) -> LaunchFacts {
+        LaunchFacts {
+            const_args: facts::CONST_ARGS
+                .get(m, kernel)
+                .unwrap_or_default()
+                .to_vec(),
+            dead: facts::DEAD_ARGS.get(m, kernel).map_or(0, <[i64]>::len),
+        }
+    }
+}
+
+/// The device values of one launch's arguments.
+fn bind_args(
+    args: &[CgArg],
+    const_args: &[i64],
+    runtime: &SyclRuntime,
+    buf_mems: &[MemId],
+    usm_mems: &[MemId],
+) -> Arc<[RtValue]> {
+    (args.iter().enumerate())
+        .map(|(i, a)| match a {
+            CgArg::Acc { buffer, .. } => {
+                let info = &runtime.buffers[buffer.0];
+                RtValue::Accessor(AccessorVal {
+                    mem: buf_mems[buffer.0],
+                    range: info.range,
+                    offset: [0; 3],
+                    rank: info.rank,
+                    constant: const_args.contains(&(i as i64)),
+                })
+            }
+            CgArg::ScalarI64(v) | CgArg::RuntimeI64(v) => RtValue::Int(*v),
+            CgArg::ScalarF64(v) | CgArg::RuntimeF64(v) => RtValue::F64(*v),
+            CgArg::ScalarF32(v) => RtValue::F32(*v),
+            CgArg::Usm { id, len } => RtValue::Accessor(AccessorVal {
+                mem: usm_mems[id.0],
+                range: [*len, 1, 1],
+                offset: [0; 3],
+                rank: 1,
+                constant: false,
+            }),
+        })
+        .collect()
+}
+
+thread_local! {
+    /// Whether runs on this thread audit their host facts
+    /// ([`audit_facts_on_this_thread`]).
+    static AUDIT_FACTS: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Test-only, not a knob: [`run`]s on the calling thread from now on
+/// check every kernel launch against the launch facts its kernel carries
+/// ([`sycl_mlir_sycl::facts`]) before anything runs — not one launch per
+/// binding class, every one:
+///
+/// * its nd-range equals the propagated global and local ranges;
+/// * each accessor's range equals its propagated range, where one is
+///   known;
+/// * which of its accessors share a buffer is what the propagated buffer
+///   ids say;
+/// * no constant-array argument reads a buffer an earlier command group
+///   wrote, or writes it itself.
+///
+/// A fact that does not hold fails the run with a `host-fact audit:`
+/// error naming the launch.
+#[doc(hidden)]
+pub fn audit_facts_on_this_thread(on: bool) {
+    AUDIT_FACTS.set(on);
+}
+
+fn audit_requested() -> bool {
+    AUDIT_FACTS.get()
+}
+
+/// The audit [`audit_facts_on_this_thread`] switches on, over every kernel
+/// launch of `queue` (`kernels` as `run` resolved them).
+fn audit_host_facts(
+    m: &Module,
+    runtime: &SyclRuntime,
+    queue: &Queue,
+    kernels: &[Option<OpId>],
+) -> Result<(), SimError> {
+    // Buffers some command group before the current one may write.
+    let mut written: HashSet<BufferId> = HashSet::new();
+    for (li, (cg, kernel)) in queue.groups.iter().zip(kernels).enumerate() {
+        if let Some(kernel) = *kernel {
+            audit_launch(m, kernel, cg, runtime, &written).map_err(|why| {
+                SimError::msg(format!(
+                    "host-fact audit: launch {li} (`{}`): {why}",
+                    cg.kernel
+                ))
+            })?;
+        }
+        let writes = cg.args.iter().filter_map(CgArg::accessor);
+        written.extend(writes.filter(|(_, mode)| mode.can_write()).map(|(b, _)| b));
+    }
+    Ok(())
+}
+
+/// One launch against its kernel's facts; `Err` says which fact fails.
+fn audit_launch(
+    m: &Module,
+    kernel: OpId,
+    cg: &crate::queue::CommandGroup,
+    runtime: &SyclRuntime,
+    written: &HashSet<BufferId>,
+) -> Result<(), String> {
+    let rank = cg.nd.rank as usize;
+    let ranges = [
+        ("global", facts::GLOBAL_RANGE, &cg.nd.global[..rank]),
+        ("local", facts::LOCAL_RANGE, &cg.nd.local[..rank]),
+    ];
+    for (what, fact, actual) in ranges {
+        if let Some(fact) = fact.get(m, kernel).filter(|&f| f != actual) {
+            return Err(format!("{what} range {actual:?}, propagated {fact:?}"));
+        }
+    }
+    let buffer = |i: usize| cg.args.get(i).and_then(CgArg::accessor).map(|(b, _)| b);
+    let no_accessor =
+        |i: usize, what: &str| format!("argument {i} has a propagated {what} but is no accessor");
+    for (i, fact) in facts::arg_ranges(m, kernel)
+        .into_iter()
+        .flatten()
+        .enumerate()
+    {
+        let Some(fact) = fact else { continue };
+        let b = buffer(i).ok_or_else(|| no_accessor(i, "range"))?;
+        let info = &runtime.buffers[b.0];
+        let actual = &info.range[..info.rank as usize];
+        if actual != fact {
+            return Err(format!(
+                "argument {i} has range {actual:?}, propagated {fact:?}"
+            ));
+        }
+    }
+    let ids = facts::BUFFER_IDS.get(m, kernel).unwrap_or_default();
+    for (i, &id) in ids.iter().enumerate().filter(|(_, &id)| id >= 0) {
+        let b = buffer(i).ok_or_else(|| no_accessor(i, "buffer id"))?;
+        for (j, &other) in ids
+            .iter()
+            .enumerate()
+            .skip(i + 1)
+            .filter(|(_, &id)| id >= 0)
+        {
+            let c = buffer(j).ok_or_else(|| no_accessor(j, "buffer id"))?;
+            if (id == other) != (b == c) {
+                return Err(format!(
+                    "arguments {i} and {j} are buffers {} and {}, propagated ids {id} and {other}",
+                    b.0, c.0
+                ));
+            }
+        }
+    }
+    for &i in facts::CONST_ARGS.get(m, kernel).unwrap_or_default() {
+        let Some((b, mode)) = cg.args.get(i as usize).and_then(CgArg::accessor) else {
+            return Err(no_accessor(i as usize, "constant array"));
+        };
+        if mode.can_write() || written.contains(&b) {
+            return Err(format!(
+                "constant-array argument {i} reads buffer {}, which is written before it",
+                b.0
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Build the [`HostNode`] closure of a host task over the device-resident

@@ -11,11 +11,12 @@
 //! "too low-level for analysis"; the raising pass recovers the semantics
 //! from it.
 
-use crate::buffer::{BufferId, SyclRuntime};
+use crate::buffer::{BufferId, SyclRuntime, UsmId};
 use crate::queue::{CgArg, CommandGroup, Queue};
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use sycl_mlir_dialects::{arith, llvm};
-use sycl_mlir_ir::{Attribute, Builder, Module, ValueId};
+use sycl_mlir_ir::{Attribute, Builder, Module, OpId, ValueId};
 use sycl_mlir_sim::DataVec;
 use sycl_mlir_sycl::types::AccessMode;
 
@@ -84,6 +85,64 @@ impl<'a> CgKey<'a> {
                     CgArg::Usm { .. } => ArgKey::Usm,
                 })
                 .collect(),
+        }
+    }
+}
+
+/// What binding a kernel launch's arguments reads of its command group:
+/// two launches with equal keys bind equal argument lists, so
+/// [`crate::exec::run`] binds each distinct key once and shares the list.
+///
+/// It is finer than [`CgKey`] where binding reads a value the host IR
+/// does not print: a run-time scalar and a USM pointer bind by value (the
+/// scalar, the allocation and its length), while the host IR prints
+/// `llvm.undef` for each. It is coarser where binding reads nothing: the
+/// access mode and the nd-range are not part of an argument's value. A
+/// constant and a run-time scalar of equal value bind equally. Floats are
+/// compared by their bits, as in [`CgKey`].
+pub(crate) struct BindKey<'a> {
+    pub kernel: OpId,
+    pub args: &'a [CgArg],
+}
+
+/// One argument as it binds.
+#[derive(PartialEq, Eq, Hash)]
+enum BoundArg {
+    Buffer(BufferId),
+    Int(i64),
+    F64(u64),
+    F32(u32),
+    Usm(UsmId, i64),
+}
+
+impl BoundArg {
+    fn of(arg: &CgArg) -> BoundArg {
+        match *arg {
+            CgArg::Acc { buffer, .. } => BoundArg::Buffer(buffer),
+            CgArg::ScalarI64(v) | CgArg::RuntimeI64(v) => BoundArg::Int(v),
+            CgArg::ScalarF64(v) | CgArg::RuntimeF64(v) => BoundArg::F64(v.to_bits()),
+            CgArg::ScalarF32(v) => BoundArg::F32(v.to_bits()),
+            CgArg::Usm { id, len } => BoundArg::Usm(id, len),
+        }
+    }
+}
+
+impl PartialEq for BindKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.kernel == other.kernel
+            && self.args.len() == other.args.len()
+            && (self.args.iter().zip(other.args)).all(|(a, b)| BoundArg::of(a) == BoundArg::of(b))
+    }
+}
+
+impl Eq for BindKey<'_> {}
+
+impl Hash for BindKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.kernel.hash(state);
+        state.write_usize(self.args.len());
+        for arg in self.args {
+            BoundArg::of(arg).hash(state);
         }
     }
 }

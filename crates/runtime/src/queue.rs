@@ -14,7 +14,7 @@
 //! all the launch scheduler depends on.
 
 use crate::buffer::{BufferId, UsmId};
-use std::collections::HashMap;
+use sycl_mlir_ir::FxHashMap;
 use sycl_mlir_sim::{LaunchDag, NdRangeSpec};
 use sycl_mlir_sycl::types::AccessMode;
 
@@ -256,7 +256,8 @@ fn pick_work_group(global: &[i64; 3], rank: u32) -> [i64; 3] {
 
 /// What dependency tracking keys its hazard table by. Buffers and USM
 /// allocations are numbered independently, so each kind is a key space
-/// of its own.
+/// of its own. Both are the runtime's own dense indices, so the table
+/// hashes them with [`FxHashMap`]'s one multiply, not SipHash.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum Resource {
     Buffer(BufferId),
@@ -321,7 +322,7 @@ impl Queue {
     /// accessor requirement and one per USM argument — linear in the
     /// program, not quadratic in the queue.
     pub fn dependencies(&self) -> Vec<(usize, usize)> {
-        let mut table: HashMap<Resource, Hazard> = HashMap::new();
+        let mut table: FxHashMap<Resource, Hazard> = FxHashMap::default();
         let mut edges = Vec::new();
         // Scratch reused across groups: merged requirements `(resource,
         // writes)` — every requirement reads or writes, so "does not

@@ -16,7 +16,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
-use sycl_mlir_ir::{Module, OpId, OpName, WalkControl};
+use sycl_mlir_ir::{FxHashMap, Module, OpId, OpName, WalkControl};
 
 pub use crate::interp::SimError;
 
@@ -51,7 +51,7 @@ pub fn auto_threads() -> usize {
 }
 
 /// Launch geometry.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct NdRangeSpec {
     /// Global extent, padded with 1s to rank 3.
     pub global: [i64; 3],
@@ -479,22 +479,36 @@ impl Device {
             // Decode first — the launches below borrow the plans this
             // holds: the decode outcome per kernel entry, `None` per host
             // node. A rejected kernel is a launch that fails up front.
+            // Each distinct kernel is looked up (or decoded) once per graph;
+            // its later launches are served from `plans` and still count as
+            // the plan-cache hits they would have been.
             let looking_up = ledger.is_some().then(Instant::now);
-            let plans: Vec<Option<Result<PlanEntry, SimError>>> = batch
-                .iter()
+            let mut plans: Vec<Result<PlanEntry, SimError>> = Vec::new();
+            let mut plan_of: FxHashMap<OpId, usize> = FxHashMap::default();
+            let mut served = 0_u64;
+            let entries: Vec<Option<usize>> = (batch.iter())
                 .map(|b| match b {
-                    BatchLaunch::Kernel { kernel, .. } => Some(self.cached_plan(m, *kernel)),
+                    BatchLaunch::Kernel { kernel, .. } => Some(match plan_of.get(kernel) {
+                        Some(&entry) => {
+                            served += 1;
+                            entry
+                        }
+                        None => {
+                            plans.push(self.cached_plan(m, *kernel));
+                            plan_of.insert(*kernel, plans.len() - 1);
+                            plans.len() - 1
+                        }
+                    }),
                     BatchLaunch::Host(_) => None,
                 })
                 .collect();
+            self.report.borrow_mut().cache_hits += served;
             if let (Some(ledger), Some(t)) = (ledger.as_deref_mut(), looking_up) {
                 ledger.plan_lookup += t.elapsed();
-                ledger.counts.plans_looked_up += plans.iter().flatten().count() as u64;
+                ledger.counts.plans_looked_up += plans.len() as u64;
             }
-            let launches: Vec<PlanLaunch<'_>> = plans
-                .iter()
-                .zip(batch)
-                .map(|(entry, b)| match (b, entry) {
+            let launches: Vec<PlanLaunch<'_>> = (entries.iter().zip(batch))
+                .map(|(entry, b)| match (b, entry.map(|e| &plans[e])) {
                     (BatchLaunch::Kernel { args, nd, .. }, Some(Ok((plan, facts)))) => {
                         PlanLaunch::Kernel {
                             plan,
@@ -508,7 +522,7 @@ impl Device {
                     }
                     (BatchLaunch::Host(node), _) => PlanLaunch::Host(node),
                     (BatchLaunch::Kernel { .. }, None) => {
-                        unreachable!("every kernel entry was decoded above")
+                        unreachable!("every kernel entry was looked up above")
                     }
                 })
                 .collect();
@@ -524,7 +538,8 @@ impl Device {
             )?;
             if let Some(profile) = &out.profile {
                 let report = &mut *self.report.borrow_mut();
-                for ((entry, counts), b) in plans.iter().zip(profile).zip(batch) {
+                for ((entry, counts), b) in entries.iter().zip(profile).zip(batch) {
+                    let entry = entry.map(|e| &plans[e]);
                     if let (Some(Ok((plan, _))), BatchLaunch::Kernel { kernel, .. }) = (entry, b) {
                         report.add_profile(m.symbol_name(*kernel).unwrap_or("?"), plan, counts);
                     }
@@ -568,8 +583,9 @@ pub enum BatchLaunch {
     Kernel {
         /// The kernel function to launch.
         kernel: OpId,
-        /// Kernel arguments, excluding the trailing item parameter.
-        args: Vec<RtValue>,
+        /// Kernel arguments, excluding the trailing item parameter
+        /// (launches that bind equal arguments may share one list).
+        args: Arc<[RtValue]>,
         /// Launch geometry.
         nd: NdRangeSpec,
     },
@@ -579,8 +595,12 @@ pub enum BatchLaunch {
 
 impl BatchLaunch {
     /// A kernel launch entry.
-    pub fn kernel(kernel: OpId, args: Vec<RtValue>, nd: NdRangeSpec) -> BatchLaunch {
-        BatchLaunch::Kernel { kernel, args, nd }
+    pub fn kernel(kernel: OpId, args: impl Into<Arc<[RtValue]>>, nd: NdRangeSpec) -> BatchLaunch {
+        BatchLaunch::Kernel {
+            kernel,
+            args: args.into(),
+            nd,
+        }
     }
 
     /// A host-task entry: one logical 1×1 work-group running `node`.

@@ -43,7 +43,9 @@ pub(crate) fn audit_requested() -> bool {
 
 /// Per-worker mutable state of the plan engine, layered on the worker's
 /// [`PlanExecCtx`] (memory interface, cost model, stats, work-group
-/// tracker).
+/// tracker). A worker keeps one across its launches
+/// ([`PlanCtx::rebind`]).
+#[derive(Default)]
 pub struct PlanCtx {
     /// Materialized dense constants, shared across the worker's groups
     /// (mirrors the tree-walk `const_pool`; under parallel execution each
@@ -69,14 +71,22 @@ pub struct PlanCtx {
 impl PlanCtx {
     /// Per-worker state sized for `plan` (dense cache, local-alloca sites).
     pub fn new(plan: &KernelPlan) -> PlanCtx {
-        PlanCtx {
-            dense_cache: vec![None; plan.dense_consts.len()],
-            local_allocs: vec![None; plan.local_sites as usize],
-            profile: None,
-            limits: None,
-            proven: std::sync::Arc::from(Vec::new().into_boxed_slice()),
-            audit: false,
-        }
+        let mut pctx = PlanCtx::default();
+        pctx.rebind(plan, false);
+        pctx
+    }
+
+    /// Make this context what [`PlanCtx::new`] (or, with `profiled`,
+    /// [`PlanCtx::profiled`]) would build for `plan`, re-sizing it in
+    /// place: nothing proven, no meter. The audit flag stays.
+    pub(crate) fn rebind(&mut self, plan: &KernelPlan, profiled: bool) {
+        self.dense_cache.clear();
+        self.dense_cache.resize(plan.dense_consts.len(), None);
+        self.local_allocs.clear();
+        self.local_allocs.resize(plan.local_sites as usize, None);
+        self.profile = profiled.then(|| vec![0; plan.code.len() + 1].into());
+        self.limits = None;
+        self.proven = std::sync::Arc::default();
     }
 
     /// Attach the launch-instantiated proven-site bitset: the sites
@@ -114,10 +124,9 @@ impl PlanCtx {
     /// Like [`PlanCtx::new`], additionally counting every executed
     /// instruction (drained with [`PlanCtx::take_profile`]).
     pub fn profiled(plan: &KernelPlan) -> PlanCtx {
-        PlanCtx {
-            profile: Some(vec![0; plan.code.len() + 1].into()),
-            ..PlanCtx::new(plan)
-        }
+        let mut pctx = PlanCtx::default();
+        pctx.rebind(plan, true);
+        pctx
     }
 
     /// The execution counts accumulated so far, if this context was built

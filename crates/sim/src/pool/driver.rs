@@ -21,6 +21,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use sycl_mlir_ir::FxHashMap;
 
 /// One launch of a graph handed to [`run_plan_graph_report`]: a decoded
 /// kernel plan with its bound arguments and geometry, a kernel the plan
@@ -87,13 +88,21 @@ struct GraphUnit<'a> {
     budget: Option<Arc<AtomicU64>>,
 }
 
+/// A launch index, with one worker's counters there and, when profiling,
+/// its flat instruction execution counts.
+type LaunchRow = (usize, ExecStats, Option<Box<[u64]>>);
+
+/// What a proven-site bitset is instantiated from, by identity: the
+/// plan's facts, the bound argument list and the geometry.
+type FactsKey = (*const PlanFacts, *const RtValue, usize, NdRangeSpec);
+
 /// One worker's outcome: for each kernel launch it ran groups of, the
 /// counters it accumulated there plus, when profiling, its flat
 /// instruction execution counts; and, when the run is timed, where its
 /// time went (idle is filled in by the launcher).
 #[derive(Default)]
 struct WorkerResult {
-    rows: Vec<(usize, ExecStats, Option<Box<[u64]>>)>,
+    rows: Vec<LaunchRow>,
     times: WorkerTimes,
     /// Time inside host-node closures (part of `times.busy`).
     host: Duration,
@@ -144,12 +153,14 @@ impl GraphState<'_, '_> {
     /// every claimed group below the run's failure bound through `run`. A
     /// failing work-group is recorded with its `(launch, group)` position,
     /// which tightens the bound — the failure contract of
-    /// [`run_plan_graph_report`].
+    /// [`run_plan_graph_report`]. Returns the launch the scheduler handed
+    /// this worker when its last chunk retired `li`, if any.
     fn run_chunks(
         &self,
         li: usize,
         mut run: impl FnMut(usize) -> std::thread::Result<Result<(), SimError>>,
-    ) {
+    ) -> Option<usize> {
+        let mut handoff = None;
         let fail = |gi, e| self.sched.record_failure(li, gi, Failure::Error(e));
         while let Some(chunk) = self.sched.claim(li) {
             // Claim-chunk boundary: a passed deadline fails this launch
@@ -168,8 +179,11 @@ impl GraphState<'_, '_> {
                     Err(payload) => self.sched.record_failure(li, gi, Failure::Panic(payload)),
                 }
             }
-            self.sched.complete(li, chunk.len());
+            if let Some(next) = self.sched.complete(li, chunk.len()) {
+                handoff = Some(next);
+            }
         }
+        handoff
     }
 }
 
@@ -223,31 +237,34 @@ fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
     }
     let mut out = WorkerResult::default();
     let mut wg = PlanWorkGroup::default();
+    let mut pctx = PlanCtx::default();
+    pctx.audit = st.audit;
     // Only a timed run reads the clock.
     let now = || st.timed.then(Instant::now);
     let since = |t: Option<Instant>| t.map_or(Duration::ZERO, |t| t.elapsed());
+    // The launch the scheduler handed this worker, if any.
+    let mut next = None;
     loop {
-        let waiting = now();
-        let Some(li) = st.sched.acquire() else {
-            out.times.claim_wait += since(waiting);
-            break;
+        let li = match next {
+            Some(li) => li,
+            None => {
+                let waiting = now();
+                let acquired = st.sched.acquire();
+                out.times.claim_wait += since(waiting);
+                let Some(li) = acquired else { break };
+                li
+            }
         };
-        out.times.claim_wait += since(waiting);
         let working = now();
         let unit = &st.units[li];
-        match *unit.launch {
+        next = match *unit.launch {
             PlanLaunch::Kernel { plan, args, nd, .. } => {
-                let mut pctx = if st.profile {
-                    PlanCtx::profiled(plan)
-                } else {
-                    PlanCtx::new(plan)
-                };
-                pctx.audit = st.audit;
+                pctx.rebind(plan, st.profile);
                 pctx.set_proven(unit.proven.clone());
                 if let Some(meter) = st.meter(li) {
                     pctx.set_meter(meter);
                 }
-                st.run_chunks(li, |gi| {
+                let handoff = st.run_chunks(li, |gi| {
                     let group = nd.group_at(gi);
                     let r = catch_unwind(AssertUnwindSafe(|| {
                         run_group(plan, args, nd, group, &mut ctx, &mut pctx, &mut wg)
@@ -258,19 +275,21 @@ fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
                 });
                 out.rows
                     .push((li, std::mem::take(&mut ctx.stats), pctx.take_profile()));
+                handoff
             }
             PlanLaunch::Host(node) => {
-                st.run_chunks(li, |_| {
+                let handoff = st.run_chunks(li, |_| {
                     catch_unwind(AssertUnwindSafe(|| run_host_node(node, st, li)))
                 });
                 out.host += since(working);
+                handoff
             }
             // Its up-front failure bounds the run at its work-group 0, so
             // every group it has is skipped.
             PlanLaunch::Rejected { .. } => {
                 st.run_chunks(li, |_| unreachable!("rejected launch ran"))
             }
-        }
+        };
         out.times.busy += since(working);
     }
     out
@@ -355,7 +374,10 @@ pub fn run_plan_graph_report(
     // rejected kernel, or one with an unknown-buffer argument.
     let mut upfront = Vec::new();
     let instantiating = ledger.is_some().then(Instant::now);
-    let mut instantiations = 0;
+    // One bitset per distinct `(facts, arguments, geometry)`, by identity:
+    // launches that share a plan and a bound argument list (`exec::run`
+    // binds each distinct list once) and a geometry share the bitset.
+    let mut proven_for: FxHashMap<FactsKey, Arc<[u64]>> = FxHashMap::default();
     for (li, launch) in launches.iter().enumerate() {
         let nd = match launch {
             PlanLaunch::Kernel { nd, .. } | PlanLaunch::Rejected { nd, .. } => *nd,
@@ -377,8 +399,11 @@ pub fn run_plan_graph_report(
                 // worker starts; the resulting bitset is shared read-only
                 // by every worker.
                 Ok(()) => {
-                    instantiations += 1;
-                    facts.instantiate(args, &nd, pool_mem)
+                    let key = (*facts as *const PlanFacts, args.as_ptr(), args.len(), nd);
+                    let proven = proven_for.entry(key);
+                    proven
+                        .or_insert_with(|| facts.instantiate(args, &nd, pool_mem))
+                        .clone()
                 }
                 // Arguments are outside input: a launch naming a buffer
                 // the pool does not hold fails as a whole, before any of
@@ -402,7 +427,7 @@ pub fn run_plan_graph_report(
     }
     if let (Some(ledger), Some(t)) = (ledger.as_deref_mut(), instantiating) {
         ledger.instantiate += t.elapsed();
-        ledger.counts.instantiations += instantiations;
+        ledger.counts.instantiations += proven_for.len() as u64;
     }
     let workers = graph_workers(threads, total_groups);
     let shared = SharedPool::new(pool_mem);

@@ -15,7 +15,7 @@ use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// The scheduler's ready set: launches with all dependencies retired and
 /// (possibly) unclaimed work-groups, as a max-heap by `(critical path,
@@ -27,6 +27,17 @@ use std::sync::{Condvar, Mutex};
 /// schedule-independent. Exhausted entries are dropped lazily by
 /// `acquire`.
 type ReadySet = BinaryHeap<(u64, Reverse<usize>)>;
+
+/// What the `ready` mutex guards: the ready set, and how many workers are
+/// parked waiting for it to change.
+struct Ready {
+    set: ReadySet,
+    /// Workers inside `acquire`'s wait. Counted under the mutex on both
+    /// sides, so a retire that sees zero knows that no worker can miss
+    /// its change: every worker is either parked (and counted) or will
+    /// re-read the ready set under the mutex before it parks.
+    parked: usize,
+}
 
 /// Number of workers a graph run enlists: the thread-count knob clamped
 /// to the graph's total work-group count — never more workers than there
@@ -81,7 +92,7 @@ struct Node {
 pub(super) struct Scheduler<'a> {
     nodes: Vec<Node>,
     dag: &'a LaunchDag,
-    ready: Mutex<ReadySet>,
+    ready: Mutex<Ready>,
     /// Wakes workers parked in `acquire` (new ready launches, poisoning,
     /// or the last retire).
     wake: Condvar,
@@ -137,7 +148,10 @@ impl<'a> Scheduler<'a> {
             launches_left: AtomicUsize::new(nodes.len()),
             nodes,
             dag,
-            ready: Mutex::new(ready),
+            ready: Mutex::new(Ready {
+                set: ready,
+                parked: 0,
+            }),
             wake: Condvar::new(),
             poisoned: AtomicBool::new(false),
             bound: AtomicU64::new(u64::MAX),
@@ -150,9 +164,14 @@ impl<'a> Scheduler<'a> {
         // zero-group launch has no group whose completion could publish its
         // successors, so without this a chain through an empty launch would
         // never make progress (and an all-empty graph would deadlock).
+        // No worker runs yet to take a handoff: what one would get is
+        // published instead.
         for i in 0..sched.nodes.len() {
             if dag.preds[i] == 0 && sched.nodes[i].total == 0 {
-                sched.retire(i);
+                if let Some(s) = sched.retire(i) {
+                    let entry = (sched.nodes[s].cp, Reverse(s));
+                    sched.ready.lock().unwrap().set.push(entry);
+                }
             }
         }
         sched
@@ -180,19 +199,40 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Retire launch `li`: publish successors whose last dependency this
-    /// was, and wake parked workers when anything changed.
+    /// was, wake parked workers when anything changed, and return the
+    /// launch handed to the retiring worker, if any.
+    ///
+    /// **Handoff.** Of the newly ready successors that are one claim
+    /// chunk (`total <= chunk`), the best by the ready set's order is not
+    /// published but returned: the worker that retired its last
+    /// predecessor runs it next, with that predecessor's outputs still in
+    /// its cache. Nobody else can see it, so it is claimed by that worker
+    /// alone. A launch of several chunks is always published, so that
+    /// other workers can join it.
+    ///
+    /// **Wake rule.** The wake predicate (`launches_left`, the ready
+    /// set) changes while the `ready` mutex is held, and parked workers
+    /// are notified only when `Ready::parked` — read under that same
+    /// mutex — is non-zero: a worker in `acquire` is either still
+    /// scanning under the mutex (and re-reads the new state) or already
+    /// parked and counted (and receives the notification).
     ///
     /// A newly-ready successor with **zero work-groups** (an empty
     /// nd-range) has no group whose completion could ever retire it, so
     /// it retires eagerly right here instead of entering the ready set —
     /// the worklist cascades through chains of empty launches. Eager
     /// retirement happens only once the launch's own last predecessor
-    /// retired, so dependency ordering is preserved through it.
-    fn retire(&self, li: usize) {
-        let mut to_retire = vec![li];
-        let mut newly_ready = Vec::new();
+    /// retired, so dependency ordering is preserved through it. Only that
+    /// worklist allocates; the common path allocates nothing.
+    fn retire(&self, li: usize) -> Option<usize> {
+        let mut handoff: Option<(u64, Reverse<usize>)> = None;
+        let mut cascade = Vec::new();
         let mut retired = 0_usize;
-        while let Some(u) = to_retire.pop() {
+        // Taken at the first publication, or at the end.
+        let mut ready = None;
+        let mut published = false;
+        let mut u = li;
+        loop {
             retired += 1;
             for &s in &self.dag.succs[u] {
                 // AcqRel: the retiring thread has (transitively) acquired
@@ -200,38 +240,52 @@ impl<'a> Scheduler<'a> {
                 // successor's first claim acquires this decrement —
                 // establishing happens-before from every write of a
                 // predecessor launch to every read of its successors.
-                if self.nodes[s].remaining_deps.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    if self.nodes[s].total == 0 {
-                        to_retire.push(s);
-                    } else {
-                        newly_ready.push(s);
+                if self.nodes[s].remaining_deps.fetch_sub(1, Ordering::AcqRel) != 1 {
+                    continue;
+                }
+                let node = &self.nodes[s];
+                if node.total == 0 {
+                    cascade.push(s);
+                    continue;
+                }
+                let mut entry = (node.cp, Reverse(s));
+                if node.total <= node.chunk {
+                    match &mut handoff {
+                        None => {
+                            handoff = Some(entry);
+                            continue;
+                        }
+                        // The better one is kept; the other is published.
+                        Some(best) if entry > *best => std::mem::swap(best, &mut entry),
+                        Some(_) => {}
                     }
                 }
+                let q: &mut MutexGuard<'_, Ready> =
+                    ready.get_or_insert_with(|| self.ready.lock().unwrap());
+                q.set.push(entry);
+                published = true;
+            }
+            match cascade.pop() {
+                Some(next) => u = next,
+                None => break,
             }
         }
-        // The wake predicate (`launches_left`, ready-queue contents) must
-        // change while the `ready` mutex is held: a worker in `acquire`
-        // is either still scanning under the mutex (and re-reads the new
-        // state) or already parked in `wait` (and receives the
-        // notification). Decrementing or notifying outside the lock
-        // loses the wakeup when the worker sits between its predicate
-        // check and the park.
-        let mut q = self.ready.lock().unwrap();
+        let q = ready.unwrap_or_else(|| self.ready.lock().unwrap());
         let left = self.launches_left.fetch_sub(retired, Ordering::AcqRel) - retired;
-        let publish = !newly_ready.is_empty();
-        for s in newly_ready {
-            q.push((self.nodes[s].cp, Reverse(s)));
-        }
+        let wake = q.parked > 0 && (left == 0 || published);
         drop(q);
-        if left == 0 || publish {
+        if wake {
             self.wake.notify_all();
         }
+        handoff.map(|(_, Reverse(s))| s)
     }
 
     /// Block until some ready launch has unclaimed work-groups and return
     /// it, or return `None` when every launch has retired (or a worker
     /// poisoned the run). Exhausted-but-unretired launches are removed
-    /// from the ready set; their in-flight chunks retire them.
+    /// from the ready set; their in-flight chunks retire them. A worker
+    /// that parks counts itself in `Ready::parked` for as long as it
+    /// waits, under the mutex — the count `retire`'s wake rule reads.
     pub(super) fn acquire(&self) -> Option<usize> {
         let mut q = self.ready.lock().unwrap();
         loop {
@@ -241,14 +295,16 @@ impl<'a> Scheduler<'a> {
             if self.launches_left.load(Ordering::Acquire) == 0 {
                 return None;
             }
-            while let Some(&(_, Reverse(li))) = q.peek() {
+            while let Some(&(_, Reverse(li))) = q.set.peek() {
                 if self.nodes[li].next.load(Ordering::Relaxed) >= self.nodes[li].total {
-                    q.pop();
+                    q.set.pop();
                 } else {
                     return Some(li);
                 }
             }
+            q.parked += 1;
             q = self.wake.wait(q).unwrap();
+            q.parked -= 1;
         }
     }
 
@@ -270,17 +326,17 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Account for a claimed chunk of `groups` work-groups of launch `li`
-    /// (run, failed or skipped); the last one retires the launch.
-    pub(super) fn complete(&self, li: usize, groups: usize) {
+    /// (run, failed or skipped); the last one retires the launch, and
+    /// what the retire hands off (see `retire`) is this worker's to run
+    /// next.
+    pub(super) fn complete(&self, li: usize, groups: usize) -> Option<usize> {
         // Release: every store this worker made for these groups
         // happens-before the retire that publishes the successors.
         let before = self.nodes[li]
             .unfinished
             .fetch_sub(groups, Ordering::AcqRel);
         debug_assert!(before >= groups, "over-retired launch {li}");
-        if before == groups {
-            self.retire(li);
-        }
+        (before == groups).then(|| self.retire(li)).flatten()
     }
 
     /// Release every worker: one of them died outside group execution (a

@@ -544,3 +544,42 @@ fn malformed_graphs_are_rejected() {
     // Well-formed.
     assert!(LaunchDag::chain(4).validate(4).is_ok());
 }
+
+/// Retiring a launch hands its best newly ready single-chunk successor
+/// to the retiring worker and publishes the rest: a launch of several
+/// claim chunks is never handed off, so other workers can join it.
+#[test]
+fn only_a_single_chunk_successor_is_handed_off() {
+    use super::protocol::Scheduler;
+    // 0 -> {1, 2, 3}, 3 -> 4. Launch 1 has 64 groups: eight chunks of
+    // eight for one worker, and the longest critical path. Launches 2 and
+    // 3 are one group each; 3 leads to 4, so it ranks above 2.
+    let dag = LaunchDag::from_edges(5, &[(0, 1), (0, 2), (0, 3), (3, 4)]);
+    let one = ([1, 1, 1], 1);
+    let geometry = [one, ([64, 1, 1], 64), one, one, one];
+    let sched = Scheduler::new(&dag, &geometry, 1, Vec::new());
+    assert_eq!(sched.acquire(), Some(0));
+    let chunk = sched.claim(0).expect("launch 0 has one group");
+    assert_eq!(sched.complete(0, chunk.len()), Some(3), "3 is handed off");
+    // The multi-chunk launch was published, and leads the ready set.
+    assert_eq!(sched.acquire(), Some(1));
+    let mut handed = None;
+    while let Some(chunk) = sched.claim(1) {
+        assert!(chunk.len() < 64, "claimed in chunks");
+        handed = handed.or(sched.complete(1, chunk.len()));
+    }
+    assert_eq!(handed, None, "launch 1 has no successor");
+    // 2 was published, 3 never was: the worker runs it because it was
+    // handed to it, and its retire hands on 4.
+    assert_eq!(sched.acquire(), Some(2));
+    let chunk = sched.claim(3).expect("launch 3 is unclaimed");
+    assert_eq!(sched.complete(3, chunk.len()), Some(4));
+
+    // A lone successor of several chunks is published, not handed off.
+    let dag = LaunchDag::chain(2);
+    let sched = Scheduler::new(&dag, &[one, ([64, 1, 1], 64)], 1, Vec::new());
+    assert_eq!(sched.acquire(), Some(0));
+    let chunk = sched.claim(0).expect("launch 0 has one group");
+    assert_eq!(sched.complete(0, chunk.len()), None);
+    assert_eq!(sched.acquire(), Some(1));
+}

@@ -279,6 +279,15 @@ impl HostDeviceConstantPropagationPass {
                 let mut next = 0_i64;
                 let mut assigned: HashMap<OpId, i64> = HashMap::new();
                 for (i, fact) in first.args.iter().enumerate() {
+                    // An id says "this buffer, at every launch": an
+                    // argument that is a USM pointer or opaque at some
+                    // launch site may alias anything there, so it gets
+                    // none.
+                    let accessor_everywhere =
+                        (infos.iter()).all(|info| matches!(info.args[i], ArgFact::Accessor { .. }));
+                    if !accessor_everywhere {
+                        continue;
+                    }
                     if let ArgFact::Accessor { buffer_ctor, .. } = fact {
                         let id = *assigned.entry(*buffer_ctor).or_insert_with(|| {
                             let id = next;

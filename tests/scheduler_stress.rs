@@ -43,6 +43,7 @@ use std::sync::Arc;
 use sycl_mlir_repro::core::FlowKind;
 use sycl_mlir_repro::dialects::arith;
 use sycl_mlir_repro::frontend::{full_context, KernelModuleBuilder, KernelSig};
+use sycl_mlir_repro::runtime::exec::audit_facts_on_this_thread;
 use sycl_mlir_repro::runtime::{
     compile_program, hostgen::generate_host_ir, BufferId, CgArg, HostOp, Program, Queue,
     SyclRuntime, UsmId,
@@ -274,6 +275,13 @@ fn check_graph(seed: u64) {
             }
         }
     }
+    // The host-propagated launch facts hold at every launch: a run under
+    // the host-fact audit observes what the reference did.
+    audit_facts_on_this_thread(true);
+    let audited = observe(&spec, &mut program, &q, &Device::with_engine(Engine::Plan));
+    audit_facts_on_this_thread(false);
+    let (_, want) = reference.expect("one config at least");
+    assert_eq!(want, audited, "seed {seed}: the host-fact audit fails");
 }
 
 proptest! {
