@@ -44,7 +44,7 @@ pub(crate) fn audit_requested() -> bool {
 /// Per-worker mutable state of the plan engine, layered on the worker's
 /// [`PlanExecCtx`] (memory interface, cost model, stats, work-group
 /// tracker). A worker keeps one across its launches
-/// ([`PlanCtx::rebind`]).
+/// (`PlanCtx::rebind`).
 #[derive(Default)]
 pub struct PlanCtx {
     /// Materialized dense constants, shared across the worker's groups
