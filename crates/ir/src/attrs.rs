@@ -177,19 +177,38 @@ impl Attribute {
     }
 }
 
+/// Write `x` so that the parser reads it back as the same `f64`, bit for
+/// bit. A finite value prints as the shortest decimal that round-trips,
+/// always with a point or an exponent (`1.0`, `0.1`, `-0.0`, `1e30`,
+/// `5e-324`), so it never reads back as an integer. NaN and ±inf have no
+/// decimal form: they print as their bit pattern in hexadecimal, as MLIR
+/// prints them (`0x7FF0000000000000` is +inf), which keeps a NaN's sign
+/// and payload.
+fn write_f64(f: &mut fmt::Formatter<'_>, x: f64) -> fmt::Result {
+    if x.is_finite() {
+        write!(f, "{x:?}")
+    } else {
+        write!(f, "0x{:016X}", x.to_bits())
+    }
+}
+
+/// Read one float as [`Attribute`]'s `Display` writes it: a decimal, or a
+/// `0x` bit pattern.
+pub(crate) fn parse_f64(text: &str) -> Result<f64, String> {
+    let parsed = match text.strip_prefix("0x") {
+        Some(bits) => u64::from_str_radix(bits, 16).ok().map(f64::from_bits),
+        None => text.parse::<f64>().ok(),
+    };
+    parsed.ok_or_else(|| format!("bad float `{text}`"))
+}
+
 impl fmt::Display for Attribute {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Attribute::Unit => write!(f, "unit"),
             Attribute::Bool(b) => write!(f, "{b}"),
             Attribute::Int(v) => write!(f, "{v}"),
-            Attribute::Float(v) => {
-                if v.fract() == 0.0 && v.is_finite() && v.abs() < 1e15 {
-                    write!(f, "{v:.1}")
-                } else {
-                    write!(f, "{v}")
-                }
-            }
+            Attribute::Float(v) => write_f64(f, *v),
             Attribute::Str(s) => write!(f, "{s:?}"),
             Attribute::Type(t) => write!(f, "{t}"),
             Attribute::Array(items) => {
@@ -218,11 +237,7 @@ impl fmt::Display for Attribute {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
-                    if x.fract() == 0.0 && x.is_finite() && x.abs() < 1e15 {
-                        write!(f, "{x:.1}")?;
-                    } else {
-                        write!(f, "{x}")?;
-                    }
+                    write_f64(f, *x)?;
                 }
                 write!(f, ">")
             }

@@ -6,7 +6,7 @@
 //! (see [`Context::register_type_parser`]).
 
 use crate::affine::{AffineExpr, AffineMap};
-use crate::attrs::Attribute;
+use crate::attrs::{parse_f64, Attribute};
 use crate::context::Context;
 use crate::module::{BlockId, Module, ValueId};
 use crate::types::Type;
@@ -249,6 +249,17 @@ impl<'a> Parser<'a> {
     fn read_number(&mut self) -> Result<Attribute, ParseError> {
         self.skip_ws();
         let start = self.pos;
+        if self.src[self.pos..].starts_with(b"0x") {
+            // A float's bit pattern (NaN, ±inf).
+            self.pos += 2;
+            while self.peek().is_some_and(|b| b.is_ascii_hexdigit()) {
+                self.pos += 1;
+            }
+            let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
+            return parse_f64(&text)
+                .map(Attribute::Float)
+                .map_err(|e| self.err(e));
+        }
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
@@ -278,9 +289,9 @@ impl<'a> Parser<'a> {
             return Err(self.err("expected number"));
         }
         if is_float {
-            text.parse::<f64>()
+            parse_f64(&text)
                 .map(Attribute::Float)
-                .map_err(|e| self.err(format!("bad float `{text}`: {e}")))
+                .map_err(|e| self.err(e))
         } else {
             text.parse::<i64>()
                 .map(Attribute::Int)
@@ -494,7 +505,11 @@ impl<'a> Parser<'a> {
                     Ok(Attribute::DenseI64(vals))
                 } else if self.try_keyword("densef64") {
                     let body = self.read_balanced_angles()?;
-                    let vals = parse_num_list::<f64>(&body).map_err(|e| self.err(e))?;
+                    let vals = (body.split(',').map(str::trim))
+                        .filter(|s| !s.is_empty())
+                        .map(parse_f64)
+                        .collect::<Result<_, _>>()
+                        .map_err(|e| self.err(e))?;
                     Ok(Attribute::DenseF64(vals))
                 } else if self.try_keyword("affine_map") {
                     let body = self.read_balanced_angles()?;

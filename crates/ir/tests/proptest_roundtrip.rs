@@ -17,11 +17,32 @@ fn test_ctx() -> Context {
     ctx
 }
 
+/// Floats over the whole range: small exact values, every bit pattern,
+/// and by name ±0, the smallest subnormal, magnitudes whose decimal form
+/// has no point (1e15, 2^63, 1e30), NaN and ±inf.
+fn float_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (-1000..1000i64).prop_map(|v| v as f64 / 8.0),
+        any::<u64>().prop_map(f64::from_bits),
+        Just(0.0),
+        Just(-0.0),
+        Just(5e-324),
+        Just(1e15),
+        Just(9_223_372_036_854_775_808.0),
+        Just(1e30),
+        Just(-1e30),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+    ]
+}
+
 /// Attributes whose `Display` form round-trips exactly.
 fn attr_strategy() -> impl Strategy<Value = Attribute> {
     let leaf = prop_oneof![
         any::<i64>().prop_map(Attribute::Int),
-        (-1000..1000i64).prop_map(|v| Attribute::Float(v as f64 / 8.0)),
+        float_strategy().prop_map(Attribute::Float),
+        proptest::collection::vec(float_strategy(), 0..4).prop_map(Attribute::DenseF64),
         any::<bool>().prop_map(Attribute::Bool),
         "[a-z][a-z0-9_]{0,8}".prop_map(Attribute::Str),
         Just(Attribute::Unit),
@@ -53,6 +74,32 @@ proptest! {
         let reparsed = parse_module(&ctx, &printed)
             .unwrap_or_else(|e| panic!("reparse failed: {e}\n{printed}"));
         prop_assert_eq!(print_module(&reparsed), printed);
+    }
+
+    /// A float attribute reads back as the same `f64`, bit for bit, and
+    /// as a float, never an integer.
+    #[test]
+    fn float_roundtrip_is_bit_exact(x in float_strategy()) {
+        let ctx = test_ctx();
+        let mut m = Module::new(&ctx);
+        let block = m.top_block();
+        let mut b = Builder::at_end(&mut m, block);
+        let attrs = vec![
+            ("f".to_string(), Attribute::Float(x)),
+            ("d".to_string(), Attribute::DenseF64(vec![x, -x])),
+        ];
+        let op = b.build("t.op", &[], &[], attrs);
+        let printed = print_module(&m);
+        let reparsed = parse_module(&ctx, &printed)
+            .unwrap_or_else(|e| panic!("reparse failed: {e}\n{printed}"));
+        let op2 = reparsed.block_ops(reparsed.top_block())[0];
+        let bits = |a: Option<&Attribute>| match a {
+            Some(Attribute::Float(v)) => vec![v.to_bits()],
+            Some(Attribute::DenseF64(v)) => v.iter().map(|v| v.to_bits()).collect(),
+            other => panic!("not a float: {other:?}"),
+        };
+        prop_assert_eq!(bits(reparsed.attr(op2, "f")), bits(m.attr(op, "f")));
+        prop_assert_eq!(bits(reparsed.attr(op2, "d")), bits(m.attr(op, "d")));
     }
 
     /// Interned types are pointer-equal iff structurally equal.

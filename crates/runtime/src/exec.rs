@@ -493,42 +493,45 @@ fn audit_launch(
 /// before the truncating store), so the result is deterministic and
 /// independent of the schedule position granted by the hazard DAG. A
 /// type-mismatched `AddInto` reports a structured [`SimError`] with
-/// pinned text instead of panicking a worker.
+/// pinned text instead of panicking a worker. Each run of the closure
+/// resolves its buffers once, not once per element.
 fn host_node_of(op: HostOp, buf_mems: &[MemId]) -> HostNode {
     let apply = |mem: MemId, f: Box<dyn Fn(f64) -> f64 + Send + Sync>| {
         HostNode::new(move |view: &HostView<'_, '_>| {
-            let n = view.len(mem)? as i64;
-            match view.dtype(mem)? {
+            let buf = view.buf(mem)?;
+            let load = |i| buf.load(i).map(RtValue::from);
+            let n = buf.len() as i64;
+            match buf.dtype() {
                 Dtype::F32 => {
                     for i in 0..n {
-                        let RtValue::F32(x) = view.load(mem, i)? else {
+                        let RtValue::F32(x) = load(i)? else {
                             unreachable!("f32 buffer loads f32")
                         };
-                        view.store(mem, i, RtValue::F32(f(x as f64) as f32))?;
+                        buf.store(i, RtValue::F32(f(x as f64) as f32))?;
                     }
                 }
                 Dtype::F64 => {
                     for i in 0..n {
-                        let RtValue::F64(x) = view.load(mem, i)? else {
+                        let RtValue::F64(x) = load(i)? else {
                             unreachable!("f64 buffer loads f64")
                         };
-                        view.store(mem, i, RtValue::F64(f(x)))?;
+                        buf.store(i, RtValue::F64(f(x)))?;
                     }
                 }
                 Dtype::I32 => {
                     for i in 0..n {
-                        let RtValue::Int(x) = view.load(mem, i)? else {
+                        let RtValue::Int(x) = load(i)? else {
                             unreachable!("i32 buffer loads int")
                         };
-                        view.store(mem, i, RtValue::Int(f(x as f64) as i32 as i64))?;
+                        buf.store(i, RtValue::Int(f(x as f64) as i32 as i64))?;
                     }
                 }
                 Dtype::I64 => {
                     for i in 0..n {
-                        let RtValue::Int(x) = view.load(mem, i)? else {
+                        let RtValue::Int(x) = load(i)? else {
                             unreachable!("i64 buffer loads int")
                         };
-                        view.store(mem, i, RtValue::Int(f(x as f64) as i64))?;
+                        buf.store(i, RtValue::Int(f(x as f64) as i64))?;
                     }
                 }
             }
@@ -543,28 +546,24 @@ fn host_node_of(op: HostOp, buf_mems: &[MemId]) -> HostNode {
         HostOp::AddInto { dst, src } => {
             let (dst, src) = (buf_mems[dst.0], buf_mems[src.0]);
             HostNode::new(move |view: &HostView<'_, '_>| {
-                let (dd, sd) = (view.dtype(dst)?, view.dtype(src)?);
-                if dd != sd {
+                let (dst, src) = (view.buf(dst)?, view.buf(src)?);
+                if dst.dtype() != src.dtype() {
                     return Err(SimError::msg(format!(
                         "host AddInto over mismatched element types {} -> {}",
-                        sd.name(),
-                        dd.name()
+                        src.dtype().name(),
+                        dst.dtype().name()
                     )));
                 }
                 // The legacy zip clamps to the shorter buffer.
-                let n = view.len(dst)?.min(view.len(src)?) as i64;
+                let n = dst.len().min(src.len()) as i64;
                 for i in 0..n {
-                    match (view.load(dst, i)?, view.load(src, i)?) {
-                        (RtValue::F32(d), RtValue::F32(s)) => {
-                            view.store(dst, i, RtValue::F32(d + s))?
-                        }
-                        (RtValue::F64(d), RtValue::F64(s)) => {
-                            view.store(dst, i, RtValue::F64(d + s))?
-                        }
+                    match (dst.load(i)?.into(), src.load(i)?.into()) {
+                        (RtValue::F32(d), RtValue::F32(s)) => dst.store(i, RtValue::F32(d + s))?,
+                        (RtValue::F64(d), RtValue::F64(s)) => dst.store(i, RtValue::F64(d + s))?,
                         // i32 sums stay in range in i64 and the store
                         // truncates — exactly i32 wrapping addition.
                         (RtValue::Int(d), RtValue::Int(s)) => {
-                            view.store(dst, i, RtValue::Int(d.wrapping_add(s)))?
+                            dst.store(i, RtValue::Int(d.wrapping_add(s)))?
                         }
                         _ => unreachable!("element types checked equal above"),
                     }

@@ -380,8 +380,14 @@ impl<'a> Buf<'a> {
 
     /// Number of elements.
     #[inline]
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Whether the buffer has no elements.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// The storage class of the elements.

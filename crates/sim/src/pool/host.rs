@@ -4,8 +4,7 @@
 
 use super::arena::SharedPool;
 use crate::interp::SimError;
-use crate::memory::{Dtype, MemFault, MemId};
-use crate::value::RtValue;
+use crate::memory::{Buf, MemFault, MemId};
 use std::sync::Arc;
 
 /// Fixed weighted-operation cost charged per host node through the
@@ -15,9 +14,9 @@ use std::sync::Arc;
 pub const HOST_NODE_WEIGHT: u64 = 64;
 
 /// A host-side view of the device memory the scheduler shares with its
-/// workers: bounds-checked, typed element access to every buffer, with
-/// the same coercions and [`MemFault`]s as kernel accesses (`?` turns one
-/// into the closure's [`SimError`]). Host-task
+/// workers: each buffer as a [`Buf`], whose bounds-checked, typed element
+/// access has the same coercions and [`MemFault`]s as kernel accesses
+/// (`?` turns one into the closure's [`SimError`]). Host-task
 /// closures ([`HostNode`]) receive one of these instead of raw buffer
 /// references, so host work obeys the same hazard ordering — and the
 /// same happens-before edges — as kernel launches.
@@ -31,24 +30,11 @@ impl<'a, 'p> HostView<'a, 'p> {
         HostView { shared }
     }
 
-    /// Number of elements of buffer `id`.
-    pub fn len(&self, id: MemId) -> Result<usize, MemFault> {
-        Ok(self.shared.resolve(id)?.len())
-    }
-
-    /// Load one element ([`crate::memory::Buf::load`]).
-    pub fn load(&self, id: MemId, index: i64) -> Result<RtValue, MemFault> {
-        Ok(self.shared.resolve(id)?.load(index)?.into())
-    }
-
-    /// Store one element ([`crate::memory::Buf::store`]).
-    pub fn store(&self, id: MemId, index: i64, value: RtValue) -> Result<(), MemFault> {
-        self.shared.resolve(id)?.store(index, value)
-    }
-
-    /// Element type of buffer `id`.
-    pub fn dtype(&self, id: MemId) -> Result<Dtype, MemFault> {
-        Ok(self.shared.resolve(id)?.dtype())
+    /// Buffer `id`, for bounds-checked, typed element access
+    /// ([`Buf::load`], [`Buf::store`]): a closure resolves each buffer
+    /// once, not once per element.
+    pub fn buf(&self, id: MemId) -> Result<Buf<'p>, MemFault> {
+        self.shared.resolve(id)
     }
 }
 

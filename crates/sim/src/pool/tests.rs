@@ -121,13 +121,11 @@ fn shared_pool_bounds_checked() {
         })
     };
     let view = HostView::new(&shared);
-    assert_eq!(view.load(f, 5), oob(Some(f), 5));
-    assert_eq!(
-        view.store(f, -1, RtValue::F32(1.0)),
-        oob(Some(f), -1).map(drop)
-    );
+    let buf = view.buf(f).unwrap();
+    assert_eq!(buf.load(5).map(RtValue::from), oob(Some(f), 5));
+    assert_eq!(buf.store(-1, RtValue::F32(1.0)), oob(Some(f), -1).map(drop));
     let id = MemId(3);
-    assert_eq!(view.load(id, 0), Err(MemFault::UnknownBuffer { id }));
+    assert_eq!(view.buf(id).err(), Some(MemFault::UnknownBuffer { id }));
     // A worker's arenas are checked alike; an alloca has no id to name.
     let mut pp = PlanPool::new(&shared);
     let a = pp.alloc_zeroed(&ctx.f32_type(), 2).unwrap();

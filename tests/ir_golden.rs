@@ -90,12 +90,12 @@ fn shared_context_is_order_independent() {
 /// `(program [flow], as built, as compiled)`.
 #[rustfmt::skip]
 const GOLDEN: [(&str, u64, u64); 141] = [
-    ("KMeans (float32) [DPC++]", 0xc55f6a1562e608a5, 0x76cb0cce312a61da),
-    ("KMeans (float32) [AdaptiveCpp]", 0xc55f6a1562e608a5, 0x76cb0cce312a61da),
-    ("KMeans (float32) [SYCL-MLIR]", 0xc55f6a1562e608a5, 0x679fd98f2c8ee24c),
-    ("KMeans (float64) [DPC++]", 0xd35b4aa42421792d, 0x8d00871aca3e08d2),
-    ("KMeans (float64) [AdaptiveCpp]", 0xd35b4aa42421792d, 0x8d00871aca3e08d2),
-    ("KMeans (float64) [SYCL-MLIR]", 0xd35b4aa42421792d, 0xea85942af945a4a8),
+    ("KMeans (float32) [DPC++]", 0x2a293b701eb271a3, 0x45d488216d821b1e),
+    ("KMeans (float32) [AdaptiveCpp]", 0x2a293b701eb271a3, 0x45d488216d821b1e),
+    ("KMeans (float32) [SYCL-MLIR]", 0x2a293b701eb271a3, 0x33336503cc6d93c8),
+    ("KMeans (float64) [DPC++]", 0xd241e68df21d0b01, 0x8dd0fa6ff90c0ed4),
+    ("KMeans (float64) [AdaptiveCpp]", 0xd241e68df21d0b01, 0x8dd0fa6ff90c0ed4),
+    ("KMeans (float64) [SYCL-MLIR]", 0xd241e68df21d0b01, 0xfc6f991f0a9015aa),
     ("LinReg (float32) [DPC++]", 0xabe25e4e04f3b039, 0x49fae01a7eb1efea),
     ("LinReg (float32) [AdaptiveCpp]", 0xabe25e4e04f3b039, 0x49fae01a7eb1efea),
     ("LinReg (float32) [SYCL-MLIR]", 0xabe25e4e04f3b039, 0xe8c1be5623a752d4),
