@@ -47,25 +47,16 @@ pub enum Attribute {
     AffineMap(AffineMap),
 }
 
-/// What identifies a float constant: its bit pattern, every NaN taken as
-/// one.
-fn float_identity(v: f64) -> u64 {
-    if v.is_nan() {
-        f64::NAN.to_bits()
-    } else {
-        v.to_bits()
-    }
-}
-
 impl Attribute {
     /// `true` if both attributes denote the same constant: the same variant
-    /// with the same payload, floats by bit pattern with all NaNs alike. It
-    /// is the equivalence of the printed form, hence what CSE may merge:
-    /// `0.0` and `-0.0` differ, `Int(1)` and `Bool(true)` differ, a NaN is
-    /// itself. (`==` is the numeric comparison: it equates the two zeros
-    /// and no NaN with anything.)
+    /// with the same payload, floats by bit pattern. It is the equivalence
+    /// of the printed form, hence what CSE may merge: `0.0` and `-0.0`
+    /// differ, `Int(1)` and `Bool(true)` differ, a NaN is itself and no
+    /// other NaN (the printed form keeps its sign and payload). (`==` is
+    /// the numeric comparison: it equates the two zeros and no NaN with
+    /// anything.)
     pub fn same_constant(&self, other: &Attribute) -> bool {
-        let same_float = |a: &f64, b: &f64| float_identity(*a) == float_identity(*b);
+        let same_float = |a: &f64, b: &f64| a.to_bits() == b.to_bits();
         match (self, other) {
             (Attribute::Float(a), Attribute::Float(b)) => same_float(a, b),
             (Attribute::DenseF64(a), Attribute::DenseF64(b)) => {
@@ -86,7 +77,7 @@ impl Attribute {
             Attribute::Unit => {}
             Attribute::Bool(b) => b.hash(state),
             Attribute::Int(v) => v.hash(state),
-            Attribute::Float(v) => float_identity(*v).hash(state),
+            Attribute::Float(v) => v.to_bits().hash(state),
             Attribute::Str(s) => s.hash(state),
             Attribute::Type(t) => t.hash(state),
             Attribute::Array(items) => {
@@ -99,7 +90,7 @@ impl Attribute {
             Attribute::DenseF64(v) => {
                 v.len().hash(state);
                 for x in v {
-                    float_identity(*x).hash(state);
+                    x.to_bits().hash(state);
                 }
             }
             Attribute::SymbolRef(path) => path.hash(state),

@@ -236,15 +236,24 @@ mod tests {
         // Merged.
         assert_eq!(constants_left((float(0.0), &f64t), (float(0.0), &f64t)), 1);
         assert_eq!(
-            constants_left((float(f64::NAN), &f64t), (float(nan_payload), &f64t)),
+            constants_left((float(nan_payload), &f64t), (float(nan_payload), &f64t)),
             1
         );
         assert_eq!(constants_left((dense(3.0), &f64t), (dense(3.0), &f64t)), 1);
         assert_eq!(
-            constants_left((dense(f64::NAN), &f64t), (dense(nan_payload), &f64t)),
+            constants_left((dense(f64::NAN), &f64t), (dense(f64::NAN), &f64t)),
             1
         );
-        // Kept apart.
+        // Kept apart. A NaN prints as its bit pattern, so two NaNs that
+        // differ in payload print, and stay, apart.
+        assert_eq!(
+            constants_left((float(f64::NAN), &f64t), (float(nan_payload), &f64t)),
+            2
+        );
+        assert_eq!(
+            constants_left((dense(f64::NAN), &f64t), (dense(nan_payload), &f64t)),
+            2
+        );
         assert_eq!(constants_left((float(0.0), &f64t), (float(-0.0), &f64t)), 2);
         assert_eq!(
             constants_left((Attribute::Int(1), &i32t), (Attribute::Int(1), &index)),

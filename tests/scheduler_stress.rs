@@ -1015,14 +1015,15 @@ fn injected_fault_on_host_node_cascades_to_successors() {
     let ma = pool.alloc(DataVec::F32((0..LEN).map(|i| i as f32).collect()));
     let args_a = [accessor_over(ma)];
     let host = HostNode::new(move |view: &HostView<'_, '_>| {
-        let n = view.len(ma)? as i64;
+        let a = view.buf(ma)?;
+        let n = a.len() as i64;
         for i in 0..n {
-            let RtValue::F32(x) = view.load(ma, i)? else {
+            let RtValue::F32(x) = a.load(i)?.into() else {
                 panic!("f32 buffer")
             };
-            view.store(ma, i, RtValue::F32(x + 100.0))?;
+            a.store(i, RtValue::F32(x + 100.0))?;
         }
-        view.load(ma, n)?;
+        a.load(n)?;
         Ok(())
     });
     // 0 (kernel) -> 1 (host) -> 2 (kernel), all over buffer A.
@@ -1145,14 +1146,16 @@ fn spec_graph_run(
     let scratch = pool.alloc(DataVec::F32(vec![1.0; LEN as usize]));
     let scratch_args = [accessor_over(scratch)];
     let overrun = HostNode::new(move |view: &HostView<'_, '_>| {
-        view.load(scratch, LEN)?;
+        view.buf(scratch)?.load(LEN)?;
         Ok(())
     });
 
     // Host tasks over f32 buffers, as closures over the device memory.
-    let f32_at = |view: &HostView<'_, '_>, mem, i| match view.load(mem, i) {
-        Ok(RtValue::F32(x)) => x,
-        other => panic!("f32 buffer loaded {other:?}"),
+    let f32_at = |view: &HostView<'_, '_>, mem, i| -> Result<f32, MemFault> {
+        match view.buf(mem)?.load(i)?.into() {
+            RtValue::F32(x) => Ok(x),
+            other => panic!("f32 buffer loaded {other:?}"),
+        }
     };
     let hosts: Vec<Option<HostNode>> = q
         .groups
@@ -1170,9 +1173,10 @@ fn spec_graph_run(
             };
             let k = k as f32;
             Some(HostNode::new(move |view: &HostView<'_, '_>| {
-                for i in 0..view.len(dst)? as i64 {
-                    let x = f(f32_at(view, dst, i), f32_at(view, src, i), k);
-                    view.store(dst, i, RtValue::F32(x))?;
+                let out = view.buf(dst)?;
+                for i in 0..out.len() as i64 {
+                    let x = f(f32_at(view, dst, i)?, f32_at(view, src, i)?, k);
+                    out.store(i, RtValue::F32(x))?;
                 }
                 Ok(())
             }))
@@ -1311,12 +1315,12 @@ fn host_node_in_graph_runs_in_hazard_order() {
         let ma = pool.alloc(DataVec::F32((0..LEN).map(|i| i as f32).collect()));
         let args_a = [accessor_over(ma)];
         let host = HostNode::new(move |view: &HostView<'_, '_>| {
-            let n = view.len(ma)? as i64;
-            for i in 0..n {
-                let RtValue::F32(x) = view.load(ma, i)? else {
+            let a = view.buf(ma)?;
+            for i in 0..a.len() as i64 {
+                let RtValue::F32(x) = a.load(i)?.into() else {
                     panic!("f32 buffer")
                 };
-                view.store(ma, i, RtValue::F32(x + 100.0))?;
+                a.store(i, RtValue::F32(x + 100.0))?;
             }
             Ok(())
         });
@@ -1388,7 +1392,8 @@ fn host_view_fault_fails_the_node_and_a_host_panic_is_rethrown() {
     };
 
     let overrun = HostNode::new(|view: &HostView<'_, '_>| {
-        view.load(MemId(0), view.len(MemId(0))? as i64)?;
+        let a = view.buf(MemId(0))?;
+        a.load(a.len() as i64)?;
         Ok(())
     });
     let text = format!(
@@ -1485,10 +1490,10 @@ fn unknown_buffer_argument_fails_its_launch_only() {
 }
 
 /// A buffer id a host closure names is outside input exactly like a
-/// launch argument: whichever `HostView` method meets the stranger —
-/// `len`, `dtype`, `load` or `store` — returns the fault, the node fails
-/// with it at `(launch, 0)` under both engines, and the kernel that
-/// depends on the node does not run.
+/// launch argument: `HostView::buf`, the view's one way to a buffer,
+/// returns the fault when it meets the stranger, the node fails with it
+/// at `(launch, 0)` under both engines, and the kernel that depends on
+/// the node does not run.
 #[test]
 fn unknown_buffer_in_a_host_closure_fails_its_node_only() {
     let m = build_module(&SyclRuntime::new(), &Queue::new());
@@ -1499,12 +1504,7 @@ fn unknown_buffer_in_a_host_closure_fails_its_node_only() {
     let nd = NdRangeSpec::d1(LEN, 8);
     const STRANGER: MemId = MemId(9);
     type Probe = fn(&HostView<'_, '_>) -> Result<(), MemFault>;
-    let probes: [(&str, Probe); 4] = [
-        ("len", |v| v.len(STRANGER).map(drop)),
-        ("dtype", |v| v.dtype(STRANGER).map(drop)),
-        ("load", |v| v.load(STRANGER, 0).map(drop)),
-        ("store", |v| v.store(STRANGER, 0, RtValue::F32(1.0))),
-    ];
+    let probes: [(&str, Probe); 1] = [("buf", |v| v.buf(STRANGER).map(drop))];
     for (method, probe) in probes {
         let host = HostNode::new(move |v| Ok(probe(v)?));
         for (name, device) in configs() {
@@ -1577,7 +1577,8 @@ fn failure_stops_every_successor_under_every_engine() {
     let kernel = |name| m.lookup_symbol(dev, name).expect("kernel symbol");
     let nd = NdRangeSpec::d1(LEN, 8);
     let overrun = HostNode::new(|view: &HostView<'_, '_>| {
-        view.load(MemId(0), view.len(MemId(0))? as i64)?;
+        let a = view.buf(MemId(0))?;
+        a.load(a.len() as i64)?;
         Ok(())
     });
     // (kind, failing launch 0, known before any group runs, the error's
