@@ -1,5 +1,17 @@
 //! Program compilation + execution: ties the compiler flows, the runtime
 //! state and the simulated device together.
+//!
+//! [`run`] works per distinct command group, not per submission: it
+//! resolves each kernel name and reads its launch facts once per run,
+//! and binds each distinct `(kernel, argument values)` once into an
+//! argument list its launches share (the class key is
+//! [`crate::hostgen`]'s `BindKey`, finer than the host IR's command-group
+//! key because run-time scalars and USM pointers bind by value). The
+//! device then looks each kernel up once per graph and instantiates its
+//! proofs once per binding. A [`Ledger`] on the [`Program`] times each
+//! phase of that path and counts the work exactly; the test-only
+//! [`audit_facts_on_this_thread`] checks every launch against the facts
+//! its kernel carries.
 
 use crate::buffer::BufferId;
 use crate::buffer::SyclRuntime;

@@ -69,16 +69,10 @@ pub struct PlanCtx {
 }
 
 impl PlanCtx {
-    /// Per-worker state sized for `plan` (dense cache, local-alloca sites).
-    pub fn new(plan: &KernelPlan) -> PlanCtx {
-        let mut pctx = PlanCtx::default();
-        pctx.rebind(plan, false);
-        pctx
-    }
-
-    /// Make this context what [`PlanCtx::new`] (or, with `profiled`,
-    /// [`PlanCtx::profiled`]) would build for `plan`, re-sizing it in
-    /// place: nothing proven, no meter. The audit flag stays.
+    /// Size this context for a launch of `plan` (dense cache,
+    /// local-alloca sites), re-using its storage: nothing proven, no
+    /// meter, and — with `profiled` — every executed instruction counted
+    /// (drained with [`PlanCtx::take_profile`]). The audit flag stays.
     pub(crate) fn rebind(&mut self, plan: &KernelPlan, profiled: bool) {
         self.dense_cache.clear();
         self.dense_cache.resize(plan.dense_consts.len(), None);
@@ -121,16 +115,8 @@ impl PlanCtx {
         self.limits = Some(Box::new(meter));
     }
 
-    /// Like [`PlanCtx::new`], additionally counting every executed
-    /// instruction (drained with [`PlanCtx::take_profile`]).
-    pub fn profiled(plan: &KernelPlan) -> PlanCtx {
-        let mut pctx = PlanCtx::default();
-        pctx.rebind(plan, true);
-        pctx
-    }
-
-    /// The execution counts accumulated so far, if this context was built
-    /// with [`PlanCtx::profiled`]: how many lanes executed the instruction
+    /// The execution counts accumulated so far, if this context was
+    /// bound `profiled`: how many lanes executed the instruction
     /// at pc `i`, then — one slot past the last pc — how many dispatches
     /// did it. Counts are plain sums, so per-worker buffers merge by
     /// element-wise addition in any order.

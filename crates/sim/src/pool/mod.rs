@@ -19,11 +19,15 @@
 //!   checked [`HostView`] of the device memory.
 //! * `protocol` — what the workers of a run agree on: per-launch
 //!   dependency counters and chunked claim cursors, the ready set,
-//!   retire, and the run's one failure bound. It knows nothing of plans,
-//!   memory, costs or values.
-//! * `driver` — what a launch is ([`PlanLaunch`]), the worker loop and
+//!   retire, and the run's one failure bound. Retire hands the best
+//!   newly ready single-chunk successor to the retiring worker (the
+//!   handoff rule) and wakes workers only when one is parked (the wake
+//!   rule). It knows nothing of plans, memory, costs or values.
+//! * `driver` — what a launch is ([`PlanLaunch`]), the worker loop (one
+//!   `PlanCtx` and one `PlanWorkGroup` per worker for the whole run) and
 //!   [`run_plan_graph_report`], the **out-of-order scheduler**'s one
-//!   entry point; its documentation states the determinism contract
+//!   entry point, which instantiates each distinct binding's proofs
+//!   once; its documentation states the determinism contract
 //!   (statistics, buffers and the reported failure are bit-identical for
 //!   any worker count, schedule and interleaving) and the failure
 //!   contract (one failure per run, the serial reference's first).

@@ -3,7 +3,11 @@
 //!
 //! A worker drives it as `acquire` → `claim` → (per group: `skips`, run
 //! it, `record_failure`) → `complete`, which retires the launch on the
-//! final decrement and publishes its successors. What a
+//! final decrement and publishes its successors — except the best
+//! single-chunk one, which `complete` hands back to the worker to run
+//! next instead of `acquire`'s pick (the handoff rule). Parked workers
+//! are counted under the ready-set mutex, and a retire notifies only
+//! when that count is non-zero (the wake rule). What a
 //! work-group *is* — a kernel plan over device memory, a host closure —
 //! is the driver's business: this file names no plan, memory, cost or
 //! value type, so the same protocol can be driven with fake work.

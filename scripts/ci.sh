@@ -34,8 +34,8 @@ trap 'rm -rf "$tmp"' EXIT
 
 # The last thing the gate prints: the simulator's line count (ROADMAP aim
 # 2: "lines removed is a reported metric"; every file under crates/sim/src,
-# `plan/` and `pool/` included), the allocation and plan-size
-# gauges, how long the gate took and how many tests `cargo test` passed —
+# `plan/` and `pool/` included), the allocation, plan-size and
+# launch-ledger gauges, how long the gate took and how many tests `cargo test` passed —
 # the numbers a PR that adds or removes code or configurations is expected
 # to report before/after.
 miri_leg=skipped
@@ -59,6 +59,10 @@ summary() {
   # Register and instruction width of the plan engine (plan/slot.rs and
   # plan/instr.rs assert their bounds at compile time).
   cargo test -q -p sycl-mlir-sim --lib plan_sizes -- --nocapture 2>/dev/null | grep -o 'plan_sizes:.*'
+  # The launch path's exact work counts (tests/launch_path.rs, which pins
+  # them): launches, distinct bindings, plans looked up and proof
+  # instantiations, for the quick sweep and for repro_hostdag's graph.
+  cargo test -q --test launch_path launch_ledger -- --nocapture 2>/dev/null | grep -o 'launch_ledger:.*'
   passed=$(awk '/^test result:/ { n += $4 } END { print n + 0 }' "$tmp/test.log")
   echo "ci.sh wall time: $(( $(date +%s) - ci_start )) s; cargo test: $passed passed"
 }
