@@ -46,7 +46,8 @@ pub struct Ledger {
     pub counts: LedgerCounts,
     /// All of `exec::run`, upload to readback.
     pub total: Duration,
-    /// Resolving kernel names, AdaptiveCpp's JIT and binding arguments.
+    /// Uploading the buffers, resolving kernel names, AdaptiveCpp's JIT
+    /// (and, under audit, the host-fact audit) and binding arguments.
     pub bind: Duration,
     /// Building the hazard DAG (`Queue::dep_graph`).
     pub dep_graph: Duration,
