@@ -524,7 +524,7 @@ mod tests {
             b.build("llvm.store", &[v, v], &[], vec![]); // operand types unchecked here
         }
         let top = m.top();
-        apply_patterns_greedily(&mut m, top, &[]);
+        apply_patterns_greedily(&mut m, top);
         // The add must be gone; a constant 42 must feed the store.
         let ops: Vec<String> = m
             .block_ops(m.top_block())
@@ -554,7 +554,7 @@ mod tests {
             b.build("llvm.store", &[sum, sum], &[], vec![]);
         }
         let top = m.top();
-        apply_patterns_greedily(&mut m, top, &[]);
+        apply_patterns_greedily(&mut m, top);
         let store = *m.block_ops(m.top_block()).last().unwrap();
         assert_eq!(m.op_operand(store, 0), x);
     }
@@ -578,7 +578,7 @@ mod tests {
             b.build("llvm.store", &[sel, sel], &[], vec![]);
         }
         let top = m.top();
-        apply_patterns_greedily(&mut m, top, &[]);
+        apply_patterns_greedily(&mut m, top);
         let store = *m.block_ops(m.top_block()).last().unwrap();
         assert_eq!(const_int_of(&m, m.op_operand(store, 0)), Some(100));
     }

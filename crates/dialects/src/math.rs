@@ -143,7 +143,7 @@ mod tests {
             let r = sqrt(&mut b, nine);
             b.build("llvm.store", &[r, r], &[], vec![]);
         }
-        apply_patterns_greedily(&mut m, root, &[]);
+        apply_patterns_greedily(&mut m, root);
         let store = *m.block_ops(m.top_block()).last().unwrap();
         assert_eq!(const_float_of(&m, m.op_operand(store, 0)), Some(3.0));
     }

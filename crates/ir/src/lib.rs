@@ -16,8 +16,10 @@
 //!   about ops from any dialect.
 //! * **Textual printer and parser** that round-trip the IR, mirroring MLIR's
 //!   generic operation syntax.
-//! * **Pass manager and greedy pattern-rewrite driver** underpinning the
-//!   analyses and transformations of §V–§VII.
+//! * **Pass manager and greedy rewrite driver** — op folders plus dead-code
+//!   elimination to a fixed point, §II-B's pattern rewriting as
+//!   canonicalization uses it — underpinning the analyses and
+//!   transformations of §V–§VII.
 //!
 //! The design intentionally favours a single *structured* control-flow world:
 //! every region holds exactly one block and control flow is expressed through
@@ -54,7 +56,7 @@ pub use fxhash::{FxHashMap, FxHasher};
 pub use module::{BlockId, Module, OpId, RegionId, Use, ValueDef, ValueId, WalkControl};
 pub use parser::{parse_module, ParseError};
 pub use pass::{Pass, PassManager, PassStats};
-pub use pattern::{apply_patterns_greedily, RewritePattern};
+pub use pattern::apply_patterns_greedily;
 pub use printer::{print_module, print_op};
 pub use types::{DialectTypeImpl, Type, TypeKind};
 pub use verifier::{verify, VerifyError};

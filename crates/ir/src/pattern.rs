@@ -1,47 +1,21 @@
-//! Greedy pattern rewriting and folding.
+//! Greedy folding and dead-code elimination.
 //!
-//! [`apply_patterns_greedily`] repeatedly applies rewrite patterns, op
-//! folders and dead-code elimination until a fixed point is reached — the
-//! same driver MLIR's canonicalization uses, and the mechanism behind the
-//! "gradual lowering through pattern rewriting" process described in §II-B
-//! of the paper.
+//! [`apply_patterns_greedily`] folds ops through the folders registered
+//! with their [`crate::dialect::OpInfo`] and erases dead pure ops until a
+//! fixed point is reached — the greedy driver MLIR's canonicalization
+//! uses, the mechanism behind the "gradual lowering through pattern
+//! rewriting" process described in §II-B of the paper. Here an op's
+//! folder is its only rewrite rule: no pass of this reproduction needs a
+//! rewrite pattern beyond one, so the driver takes no pattern set.
 
-use crate::dialect::{traits, FoldOut, OpName};
+use crate::dialect::{traits, FoldOut};
 use crate::module::{Module, OpId, WalkControl};
-
-/// A rewrite rule rooted at a single operation.
-pub trait RewritePattern {
-    /// Diagnostic name.
-    fn name(&self) -> &'static str {
-        "pattern"
-    }
-
-    /// If set, only ops with this full name are offered to the pattern.
-    fn root_name(&self) -> Option<&'static str> {
-        None
-    }
-
-    /// Attempt the rewrite rooted at `op`; return `true` if IR was changed.
-    /// On `true`, `op` may have been erased.
-    fn match_and_rewrite(&self, m: &mut Module, op: OpId) -> bool;
-}
 
 const MAX_ROUNDS: usize = 64;
 
-/// Apply `patterns` plus registered folders and trivial dead-code
-/// elimination greedily under `root` until fixpoint. Returns whether
-/// anything changed.
-pub fn apply_patterns_greedily(
-    m: &mut Module,
-    root: OpId,
-    patterns: &[Box<dyn RewritePattern>],
-) -> bool {
-    // Each pattern's root, resolved once: `Some(None)` is a root name no op
-    // can carry, because nobody registered it.
-    let roots: Vec<Option<Option<OpName>>> = patterns
-        .iter()
-        .map(|p| p.root_name().map(|name| m.ctx().lookup_op(name)))
-        .collect();
+/// Apply the registered folders and trivial dead-code elimination
+/// greedily under `root` until fixpoint. Returns whether anything changed.
+pub fn apply_patterns_greedily(m: &mut Module, root: OpId) -> bool {
     let mut changed_any = false;
     for _round in 0..MAX_ROUNDS {
         let mut changed = false;
@@ -68,23 +42,10 @@ pub fn apply_patterns_greedily(
             }
         }
 
-        // Folding + patterns (top-down).
+        // Folding (top-down).
         for &op in &ops {
-            if m.op_is_erased(op) {
-                continue;
-            }
-            if try_fold(m, op) {
+            if !m.op_is_erased(op) && try_fold(m, op) {
                 changed = true;
-                continue;
-            }
-            for (p, root) in patterns.iter().zip(&roots) {
-                if root.is_some_and(|root| root != Some(m.op_name(op))) {
-                    continue;
-                }
-                if p.match_and_rewrite(m, op) {
-                    changed = true;
-                    break;
-                }
             }
         }
 
@@ -143,58 +104,12 @@ mod tests {
     use crate::dialect::{traits, OpInfo};
     use crate::{Attribute, Builder, Context, Module};
 
-    /// A pattern that renames `t.a` ops into `t.b`.
-    struct AtoB;
-
-    impl RewritePattern for AtoB {
-        fn name(&self) -> &'static str {
-            "a-to-b"
-        }
-
-        fn root_name(&self) -> Option<&'static str> {
-            Some("t.a")
-        }
-
-        fn match_and_rewrite(&self, m: &mut Module, op: OpId) -> bool {
-            let mut b = Builder::before(m, op);
-            let i32t = b.ctx().i32_type();
-            let new = b.build_value("t.b", &[], i32t, vec![]);
-            m.replace_op(op, &[new]);
-            true
-        }
-    }
-
     fn setup() -> (Context, Module) {
         let ctx = Context::new();
-        ctx.register_op(OpInfo::new("t.a").with_traits(traits::PURE));
         ctx.register_op(OpInfo::new("t.b").with_traits(traits::PURE));
         ctx.register_op(OpInfo::new("t.use"));
         let m = Module::new(&ctx);
         (ctx, m)
-    }
-
-    #[test]
-    fn pattern_rewrites_to_fixpoint() {
-        let (ctx, mut m) = setup();
-        let block = m.top_block();
-        let v = {
-            let mut b = Builder::at_end(&mut m, block);
-            let i32t = ctx.i32_type();
-            b.build_value("t.a", &[], i32t, vec![])
-        };
-        {
-            let mut b = Builder::at_end(&mut m, block);
-            b.build("t.use", &[v], &[], vec![]);
-        }
-        let top = m.top();
-        let changed = apply_patterns_greedily(&mut m, top, &[Box::new(AtoB)]);
-        assert!(changed);
-        let names: Vec<String> = m
-            .block_ops(m.top_block())
-            .iter()
-            .map(|&o| m.op_name_str(o).to_string())
-            .collect();
-        assert_eq!(names, vec!["t.b", "t.use"]);
     }
 
     #[test]
@@ -207,7 +122,7 @@ mod tests {
             let _unused = b.build_value("t.b", &[], i32t, vec![]);
         }
         let top = m.top();
-        let changed = apply_patterns_greedily(&mut m, top, &[]);
+        let changed = apply_patterns_greedily(&mut m, top);
         assert!(changed);
         assert!(m.block_ops(m.top_block()).is_empty());
     }
@@ -246,7 +161,7 @@ mod tests {
             b.build("t.use", &[v], &[], vec![]);
         }
         let top = m.top();
-        assert!(apply_patterns_greedily(&mut m, top, &[]));
+        assert!(apply_patterns_greedily(&mut m, top));
         let ops = m.block_ops(m.top_block()).to_vec();
         assert_eq!(ops.len(), 2);
         assert!(m.op_is(ops[0], "t.const"));

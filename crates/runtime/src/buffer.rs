@@ -172,11 +172,11 @@ impl SyclRuntime {
     ) {
         for (b, &mem) in self.buffers.iter_mut().zip(buf_ids) {
             self.bytes_to_host += (b.data.len() * b.data.elem_bytes()) as u64;
-            b.data = pool.data(mem).clone();
+            b.data = pool.read(mem);
         }
         for (u, &mem) in self.usm.iter_mut().zip(usm_ids) {
             self.bytes_to_host += (u.len() * u.elem_bytes()) as u64;
-            *u = pool.data(mem).clone();
+            *u = pool.read(mem);
         }
     }
 }

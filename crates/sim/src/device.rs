@@ -840,7 +840,7 @@ mod tests {
                 &mut pool,
             )
             .unwrap();
-        let DataVec::F32(out) = pool.data(ma) else {
+        let DataVec::F32(out) = pool.read(ma) else {
             panic!()
         };
         assert_eq!(out[0], 10.0);
@@ -922,11 +922,11 @@ mod tests {
                 &mut pool,
             )
             .unwrap();
-        let DataVec::I64(out_data) = pool.data(mo) else {
+        let DataVec::I64(out_data) = pool.read(mo) else {
             panic!()
         };
         // Each group sums 0..15 = 120.
-        assert_eq!(out_data, &vec![120; 4]);
+        assert_eq!(out_data, vec![120; 4]);
         assert_eq!(stats.barriers, 4 * 16); // every work-item hits it once
         assert!(stats.local_accesses > 0);
     }
@@ -1023,7 +1023,7 @@ mod tests {
         assert_eq!(launch(&m, &mut pool), (1, 2), "mutated relaunch re-decodes");
         assert_eq!(launch(&m, &mut pool), (2, 2), "then hits again");
 
-        let DataVec::F32(out) = pool.data(ma) else {
+        let DataVec::F32(out) = pool.read(ma) else {
             panic!()
         };
         assert_eq!(out[0], 4.0, "all four launches executed");
@@ -1062,10 +1062,10 @@ mod tests {
             let stats = device
                 .launch(&m, func, &[accessor(ma, n), accessor(mb, n)], nd, &mut pool)
                 .unwrap();
-            let DataVec::F32(out) = pool.data(ma) else {
+            let DataVec::F32(out) = pool.read(ma) else {
                 panic!()
             };
-            (stats, out.clone())
+            (stats, out)
         };
         let (seq_stats, seq_out) = run(1);
         for threads in [2, 4, 8] {
@@ -1143,13 +1143,13 @@ mod tests {
                     })
                     .collect()
             };
-            let DataVec::F32(a) = pool.data(ma) else {
+            let DataVec::F32(a) = pool.read(ma) else {
                 panic!()
             };
-            let DataVec::F32(b) = pool.data(mb) else {
+            let DataVec::F32(b) = pool.read(mb) else {
                 panic!()
             };
-            (stats, a.clone(), b.clone())
+            (stats, a, b)
         };
         let (ref_stats, ref_a, ref_b) = run(1, false);
         assert_eq!(ref_a[5], 15.0);
@@ -1206,10 +1206,10 @@ mod tests {
                 BatchLaunch::kernel(offset, vec![accessor(ma, n)], nd),
             ];
             let stats = device.launch_graph(&m, &batch, &dag, &mut pool).unwrap();
-            let DataVec::F32(a) = pool.data(ma) else {
+            let DataVec::F32(a) = pool.read(ma) else {
                 panic!()
             };
-            (stats, a.clone())
+            (stats, a)
         };
         let (ref_stats, ref_a) = run(1);
         assert_eq!(ref_a[5], 5.0 * 3.0 + 3.0);
@@ -1271,10 +1271,10 @@ mod tests {
             assert_eq!(stats.work_groups, 0);
             assert_eq!(stats.work_items, 0);
             assert_eq!(stats.global_accesses, 0);
-            let DataVec::F32(a) = pool.data(ma) else {
+            let DataVec::F32(a) = pool.read(ma) else {
                 panic!()
             };
-            assert_eq!(a, &vec![1.0_f32; n as usize], "no-op left the buffer alone");
+            assert_eq!(a, vec![1.0_f32; n as usize], "no-op left the buffer alone");
         }
 
         // scale -> (empty) -> offset over one buffer: the chain must
@@ -1293,7 +1293,7 @@ mod tests {
             let stats = device.launch_graph(&m, &batch, &dag, &mut pool).unwrap();
             assert_eq!(stats.len(), 3, "threads={threads}");
             assert_eq!(stats[1].work_groups, 0, "threads={threads}");
-            let DataVec::F32(a) = pool.data(ma) else {
+            let DataVec::F32(a) = pool.read(ma) else {
                 panic!()
             };
             assert_eq!(a[5], 5.0 * 3.0 + 3.0, "threads={threads}");

@@ -1103,7 +1103,7 @@ impl WorkItemState {
             &mut self.visits[op.0 as usize],
             mr,
             addr,
-            ctx.pool.data(mr.mem).elem_bytes(),
+            ctx.pool.buf(mr.mem).dtype().bytes(),
         );
     }
 }

@@ -1,10 +1,12 @@
 //! Device memory: typed buffers addressed by [`MemId`], and [`Buf`], the
-//! one place an element is bounds-checked, read or written by pointer.
+//! one place a kernel or host-task access is bounds-checked, read or
+//! written.
 
 use crate::interp::SimError;
 use crate::value::RtValue;
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::ops::Deref;
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::{AtomicU32, AtomicU64};
 
 /// Handle to one allocation in a [`MemoryPool`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -53,16 +55,6 @@ impl Dtype {
             Dtype::F64 => "f64",
             Dtype::I32 => "i32",
             Dtype::I64 => "i64",
-        }
-    }
-
-    /// Zero-filled storage for `len` elements of this class.
-    pub(crate) fn zeroed(self, len: usize) -> DataVec {
-        match self {
-            Dtype::F32 => DataVec::F32(vec![0.0; len]),
-            Dtype::F64 => DataVec::F64(vec![0.0; len]),
-            Dtype::I32 => DataVec::I32(vec![0; len]),
-            Dtype::I64 => DataVec::I64(vec![0; len]),
         }
     }
 }
@@ -147,7 +139,9 @@ pub(crate) fn check_index(
     Ok(index as usize)
 }
 
-/// Typed storage of one allocation.
+/// Typed elements of one allocation on the host side: what a device
+/// buffer is copied in from ([`MemoryPool::alloc`]) and read back as
+/// ([`MemoryPool::read`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum DataVec {
     /// 32-bit floats.
@@ -192,46 +186,105 @@ impl DataVec {
     pub fn elem_bytes(&self) -> usize {
         self.dtype().bytes()
     }
+}
 
-    /// The element at position `i < len` as a runtime value.
+/// The device storage of one allocation: the bits of each element in a
+/// relaxed atomic of its width, so that every access — the tree walk's,
+/// a plan worker's, a host task's — goes through a shared reference. A
+/// simulated kernel that races with itself across work-groups reads
+/// torn-by-element but well-defined values, like on the GPU. The atomics
+/// are this module's alone: other code holds a `Storage` and reaches its
+/// elements through a [`Buf`].
+#[derive(Debug)]
+pub(crate) struct Storage(Words<Box<[AtomicU32]>, Box<[AtomicU64]>>);
+
+/// The elements of a [`Storage`], borrowed.
+type Elems<'a> = Words<&'a [AtomicU32], &'a [AtomicU64]>;
+
+/// A buffer's elements by storage class: 32-bit words `W` for f32 and
+/// i32, 64-bit words `D` for f64 and i64.
+#[derive(Clone, Copy, Debug)]
+enum Words<W, D> {
+    F32(W),
+    F64(D),
+    I32(W),
+    I64(D),
+}
+
+impl<W: Deref<Target = [AtomicU32]>, D: Deref<Target = [AtomicU64]>> Words<W, D> {
     #[inline]
-    pub fn get(&self, i: usize) -> RtValue {
+    fn len(&self) -> usize {
         match self {
-            DataVec::F32(v) => RtValue::F32(v[i]),
-            DataVec::F64(v) => RtValue::F64(v[i]),
-            DataVec::I32(v) => RtValue::Int(v[i] as i64),
-            DataVec::I64(v) => RtValue::Int(v[i]),
+            Words::F32(s) | Words::I32(s) => s.len(),
+            Words::F64(s) | Words::I64(s) => s.len(),
         }
     }
 
-    /// Write `value` at position `i < len`, coercing between float widths
-    /// and truncating integers; an int/float mismatch is a
-    /// [`MemFault::TypeMismatch`] naming `buffer` (`None` = kernel-private).
     #[inline]
-    pub fn set(&mut self, buffer: Option<MemId>, i: usize, value: RtValue) -> Result<(), MemFault> {
-        match (&mut *self, value) {
-            (DataVec::F32(v), RtValue::F32(x)) => v[i] = x,
-            (DataVec::F32(v), RtValue::F64(x)) => v[i] = x as f32,
-            (DataVec::F64(v), RtValue::F64(x)) => v[i] = x,
-            (DataVec::F64(v), RtValue::F32(x)) => v[i] = x as f64,
-            (DataVec::I32(v), RtValue::Int(x)) => v[i] = x as i32,
-            (DataVec::I64(v), RtValue::Int(x)) => v[i] = x,
-            (slot, v) => {
-                return Err(MemFault::TypeMismatch {
-                    buffer,
-                    dtype: slot.dtype(),
-                    value: v.kind(),
-                })
-            }
+    fn dtype(&self) -> Dtype {
+        match self {
+            Words::F32(_) => Dtype::F32,
+            Words::F64(_) => Dtype::F64,
+            Words::I32(_) => Dtype::I32,
+            Words::I64(_) => Dtype::I64,
         }
-        Ok(())
+    }
+}
+
+impl From<DataVec> for Storage {
+    /// The elements of `data`, converted in place (each word keeps its
+    /// width, so the allocation is reused).
+    fn from(data: DataVec) -> Storage {
+        Storage(match data {
+            DataVec::F32(v) => Words::F32(v.into_iter().map(|x| x.to_bits().into()).collect()),
+            DataVec::F64(v) => Words::F64(v.into_iter().map(|x| x.to_bits().into()).collect()),
+            DataVec::I32(v) => Words::I32(v.into_iter().map(|x| (x as u32).into()).collect()),
+            DataVec::I64(v) => Words::I64(v.into_iter().map(|x| (x as u64).into()).collect()),
+        })
+    }
+}
+
+impl Storage {
+    /// `len` zero elements of class `dtype`.
+    pub(crate) fn zeroed(dtype: Dtype, len: usize) -> Storage {
+        let w32 = || (0..len).map(|_| AtomicU32::new(0)).collect();
+        let w64 = || (0..len).map(|_| AtomicU64::new(0)).collect();
+        Storage(match dtype {
+            Dtype::F32 => Words::F32(w32()),
+            Dtype::F64 => Words::F64(w64()),
+            Dtype::I32 => Words::I32(w32()),
+            Dtype::I64 => Words::I64(w64()),
+        })
+    }
+
+    /// Set every element to zero, in place.
+    pub(crate) fn zero(&mut self) {
+        match &mut self.0 {
+            Words::F32(v) | Words::I32(v) => v.iter_mut().for_each(|a| *a.get_mut() = 0),
+            Words::F64(v) | Words::I64(v) => v.iter_mut().for_each(|a| *a.get_mut() = 0),
+        }
+    }
+
+    #[inline]
+    fn elems(&self) -> Elems<'_> {
+        match &self.0 {
+            Words::F32(v) => Words::F32(v),
+            Words::F64(v) => Words::F64(v),
+            Words::I32(v) => Words::I32(v),
+            Words::I64(v) => Words::I64(v),
+        }
+    }
+
+    /// The storage class and number of the elements.
+    pub(crate) fn shape(&self) -> (Dtype, usize) {
+        (self.0.dtype(), self.0.len())
     }
 }
 
 /// All device allocations of one simulation.
 #[derive(Default, Debug)]
 pub struct MemoryPool {
-    buffers: Vec<DataVec>,
+    buffers: Vec<Storage>,
 }
 
 impl MemoryPool {
@@ -240,47 +293,79 @@ impl MemoryPool {
         MemoryPool::default()
     }
 
-    /// Allocate and take ownership of `data`.
+    /// Allocate device storage holding the elements of `data`.
     pub fn alloc(&mut self, data: DataVec) -> MemId {
-        let id = MemId(self.buffers.len() as u32);
-        self.buffers.push(data);
-        id
+        self.push(Storage::from(data))
     }
 
     /// Allocate zero-filled storage for `len` elements of the MLIR type
     /// `elem` (f32/f64/i32/i64/index/i1).
     pub fn alloc_zeroed(&mut self, elem: &sycl_mlir_ir::Type, len: usize) -> MemId {
-        self.alloc(Dtype::of(elem).zeroed(len))
+        self.push(Storage::zeroed(Dtype::of(elem), len))
     }
 
-    /// Mutable access to every buffer, in [`MemId`] order. Used by the
-    /// parallel launch path to build its shared buffer views.
-    pub(crate) fn buffers_mut(&mut self) -> &mut [DataVec] {
-        &mut self.buffers
+    fn push(&mut self, storage: Storage) -> MemId {
+        let id = MemId(self.buffers.len() as u32);
+        self.buffers.push(storage);
+        id
     }
 
-    /// Borrow one allocation's storage.
-    pub fn data(&self, id: MemId) -> &DataVec {
-        &self.buffers[id.0 as usize]
+    /// A copy of allocation `id`'s elements.
+    pub fn read(&self, id: MemId) -> DataVec {
+        match self.buffers[id.0 as usize].elems() {
+            Words::F32(s) => {
+                DataVec::F32(s.iter().map(|a| f32::from_bits(a.load(Relaxed))).collect())
+            }
+            Words::F64(s) => {
+                DataVec::F64(s.iter().map(|a| f64::from_bits(a.load(Relaxed))).collect())
+            }
+            Words::I32(s) => DataVec::I32(s.iter().map(|a| a.load(Relaxed) as i32).collect()),
+            Words::I64(s) => DataVec::I64(s.iter().map(|a| a.load(Relaxed) as i64).collect()),
+        }
     }
 
-    /// Mutably borrow one allocation's storage.
-    pub fn data_mut(&mut self, id: MemId) -> &mut DataVec {
-        &mut self.buffers[id.0 as usize]
+    /// Allocation `id` as a launch-shared [`Buf`].
+    pub(crate) fn buf(&self, id: MemId) -> Buf<'_> {
+        Buf::of(&self.buffers[id.0 as usize], Some(id), true)
     }
 
     /// Load the element at `index` of allocation `id`.
     pub fn load(&self, id: MemId, index: i64) -> Result<RtValue, MemFault> {
         let buf = self.buffers.get(id.0 as usize);
-        let buf = buf.ok_or(MemFault::UnknownBuffer { id })?;
-        Ok(buf.get(check_index(Some(id), index, buf.len())?))
+        let elems = buf.ok_or(MemFault::UnknownBuffer { id })?.elems();
+        let i = check_index(Some(id), index, elems.len())?;
+        Ok(match elems {
+            Words::F32(s) => RtValue::F32(f32::from_bits(s[i].load(Relaxed))),
+            Words::F64(s) => RtValue::F64(f64::from_bits(s[i].load(Relaxed))),
+            Words::I32(s) => RtValue::Int(s[i].load(Relaxed) as i32 as i64),
+            Words::I64(s) => RtValue::Int(s[i].load(Relaxed) as i64),
+        })
     }
 
-    /// Store `value` at `index` of allocation `id`.
+    /// Store `value` at `index` of allocation `id`, coercing between float
+    /// widths and truncating integers; an int/float mismatch is a
+    /// [`MemFault::TypeMismatch`] (bounds are checked first).
     pub fn store(&mut self, id: MemId, index: i64, value: RtValue) -> Result<(), MemFault> {
         let buf = self.buffers.get_mut(id.0 as usize);
-        let buf = buf.ok_or(MemFault::UnknownBuffer { id })?;
-        buf.set(Some(id), check_index(Some(id), index, buf.len())?, value)
+        let storage = buf.ok_or(MemFault::UnknownBuffer { id })?;
+        let (dtype, len) = storage.shape();
+        let i = check_index(Some(id), index, len)?;
+        match (&mut storage.0, value) {
+            (Words::F32(v), RtValue::F32(x)) => *v[i].get_mut() = x.to_bits(),
+            (Words::F32(v), RtValue::F64(x)) => *v[i].get_mut() = (x as f32).to_bits(),
+            (Words::F64(v), RtValue::F64(x)) => *v[i].get_mut() = x.to_bits(),
+            (Words::F64(v), RtValue::F32(x)) => *v[i].get_mut() = (x as f64).to_bits(),
+            (Words::I32(v), RtValue::Int(x)) => *v[i].get_mut() = x as i32 as u32,
+            (Words::I64(v), RtValue::Int(x)) => *v[i].get_mut() = x as u64,
+            (_, v) => {
+                return Err(MemFault::TypeMismatch {
+                    buffer: Some(id),
+                    dtype,
+                    value: v.kind(),
+                })
+            }
+        }
+        Ok(())
     }
 
     /// Check that every accessor and memref among the launch arguments
@@ -334,189 +419,116 @@ impl From<Elem> for RtValue {
     }
 }
 
-/// One device buffer as an access sees it: base pointer, length, storage
-/// class and the name its faults carry. The pools of [`crate::pool`] only
+/// One device buffer as an access sees it: its elements, storage class
+/// and the name its faults carry. The pools of [`crate::pool`] only
 /// *resolve* a [`MemId`] to one of these, once per access; the bounds
-/// check, the typed read and the typed write by pointer are here and
-/// nowhere else. (The `Vec`-backed [`MemoryPool::load`] / `store` share
-/// no code with it: they are the tree walk's independent reference.)
-///
-/// `'a` is the borrow of the storage the pointer was taken from, so no
-/// safe `DataVec` API is reachable while a `Buf` exists. Elements are
-/// accessed as **relaxed atomics** (free on mainstream targets): a
-/// simulated kernel that races with itself across work-groups reads
-/// torn-by-element but well-defined values, like on the GPU, instead of
-/// being undefined behaviour in the host process.
+/// check, the typed read and the typed write of a kernel or host-task
+/// access are here and nowhere else. (The tree walk's
+/// [`MemoryPool::load`] / `store` share no code with it: they are its
+/// independent reference.)
 #[derive(Clone, Copy, Debug)]
 pub struct Buf<'a> {
-    /// First element; the pointee type is `dtype`'s.
-    ptr: *mut u8,
-    len: usize,
-    dtype: Dtype,
+    elems: Elems<'a>,
     /// A launch-shared buffer — the only kind a site proof speaks about.
     shared: bool,
     name: Option<MemId>,
-    _storage: PhantomData<&'a mut DataVec>,
 }
 
 impl<'a> Buf<'a> {
-    /// The access view of `data`, named `name` in faults (`None` = a
+    /// The access view of `storage`, named `name` in faults (`None` = a
     /// kernel-private buffer); `shared` unless it is a worker's arena.
-    pub(crate) fn of(data: &'a mut DataVec, name: Option<MemId>, shared: bool) -> Buf<'a> {
+    pub(crate) fn of(storage: &'a Storage, name: Option<MemId>, shared: bool) -> Buf<'a> {
         Buf {
-            len: data.len(),
-            dtype: data.dtype(),
-            ptr: match data {
-                DataVec::F32(v) => v.as_mut_ptr().cast(),
-                DataVec::F64(v) => v.as_mut_ptr().cast(),
-                DataVec::I32(v) => v.as_mut_ptr().cast(),
-                DataVec::I64(v) => v.as_mut_ptr().cast(),
-            },
+            elems: storage.elems(),
             shared,
             name,
-            _storage: PhantomData,
         }
     }
 
     /// Number of elements.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.elems.len()
     }
 
     /// Whether the buffer has no elements.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The storage class of the elements.
     #[inline]
     pub fn dtype(&self) -> Dtype {
-        self.dtype
+        self.elems.dtype()
     }
 
-    /// Load the element at `index` (typed like [`DataVec::get`]).
+    /// Load the element at `index`.
     #[inline]
     pub fn load(self, index: i64) -> Result<Elem, MemFault> {
-        // SAFETY: not `proven` — the index is compared.
-        unsafe { self.load_at(false, index) }
+        self.load_at(false, index)
     }
 
-    /// Store `value` at `index` (like [`DataVec::set`]; bounds before type).
+    /// Store `value` at `index`, coerced like [`MemoryPool::store`]
+    /// (bounds before type).
     #[inline]
     pub fn store(self, index: i64, value: RtValue) -> Result<(), MemFault> {
-        // SAFETY: not `proven` — the index is compared.
-        unsafe { self.store_at(false, index, value) }
+        self.store_at(false, index, value)
     }
 
-    /// [`Self::load`] at an access site whose bounds check may be elided.
-    ///
-    /// # Safety
-    ///
-    /// The one statement of the proven-site argument: `proven` may be
-    /// `true` only if [`crate::verify::PlanFacts::instantiate`] evaluated
-    /// the access site's symbolic address bounds against this launch's
-    /// geometry, arguments and buffer lengths and found them in range —
-    /// then, for a launch-shared buffer, `index` is within `len` without
-    /// comparing (debug builds compare anyway). Arena buffers are never
-    /// accessor-backed, so no proof covers them and they are always
-    /// compared.
+    /// [`Self::load`] at an access site whose bounds check may be elided:
+    /// `proven` is set only where [`crate::verify::PlanFacts::instantiate`]
+    /// found the site's symbolic address bounds in range for this launch's
+    /// geometry, arguments and buffer lengths. It changes what an
+    /// out-of-range index does on a launch-shared buffer — a panic in place
+    /// of the typed [`MemFault`], so a wrong proof cannot go unnoticed —
+    /// and nothing else. Arena buffers are never accessor-backed, so no
+    /// proof covers them and they always fault.
     #[inline]
-    pub(crate) unsafe fn load_at(self, proven: bool, index: i64) -> Result<Elem, MemFault> {
+    pub(crate) fn load_at(self, proven: bool, index: i64) -> Result<Elem, MemFault> {
         let i = self.position(proven, index)?;
-        // SAFETY: `i < self.len`: compared by `position`, or bounded by
-        // the instantiated site proof (the caller's contract); `ptr`
-        // points to `len` elements of `dtype`'s type that outlive `'a`,
-        // and every access while a `Buf` exists is one of these atomics.
-        Ok(unsafe {
-            match self.dtype {
-                Dtype::F32 => Elem::F32(f32::from_bits(load32(self.ptr.cast(), i))),
-                Dtype::F64 => Elem::F64(f64::from_bits(load64(self.ptr.cast(), i))),
-                Dtype::I32 => Elem::Int(load32(self.ptr.cast(), i) as i32 as i64),
-                Dtype::I64 => Elem::Int(load64(self.ptr.cast(), i) as i64),
-            }
+        Ok(match self.elems {
+            Words::F32(s) => Elem::F32(f32::from_bits(s[i].load(Relaxed))),
+            Words::F64(s) => Elem::F64(f64::from_bits(s[i].load(Relaxed))),
+            Words::I32(s) => Elem::Int(s[i].load(Relaxed) as i32 as i64),
+            Words::I64(s) => Elem::Int(s[i].load(Relaxed) as i64),
         })
     }
 
-    /// [`Self::store`] at an access site whose bounds check may be
-    /// elided (the type check never is: the verifier does not prove
-    /// element types).
-    ///
-    /// # Safety
-    ///
-    /// As for [`Self::load_at`].
+    /// [`Self::store`] at an access site whose bounds check may be elided,
+    /// as for [`Self::load_at`] (the type check never is: the verifier
+    /// does not prove element types).
     #[inline]
-    pub(crate) unsafe fn store_at(
-        self,
-        proven: bool,
-        index: i64,
-        value: RtValue,
-    ) -> Result<(), MemFault> {
-        let (i, p) = (self.position(proven, index)?, self.ptr);
-        // SAFETY: as in `load_at`.
-        unsafe {
-            match (self.dtype, value) {
-                (Dtype::F32, RtValue::F32(x)) => store32(p.cast(), i, x.to_bits()),
-                (Dtype::F32, RtValue::F64(x)) => store32(p.cast(), i, (x as f32).to_bits()),
-                (Dtype::F64, RtValue::F64(x)) => store64(p.cast(), i, x.to_bits()),
-                (Dtype::F64, RtValue::F32(x)) => store64(p.cast(), i, (x as f64).to_bits()),
-                (Dtype::I32, RtValue::Int(x)) => store32(p.cast(), i, x as i32 as u32),
-                (Dtype::I64, RtValue::Int(x)) => store64(p.cast(), i, x as u64),
-                (dtype, v) => {
-                    return Err(MemFault::TypeMismatch {
-                        buffer: self.name,
-                        dtype,
-                        value: v.kind(),
-                    })
-                }
+    pub(crate) fn store_at(self, proven: bool, index: i64, value: RtValue) -> Result<(), MemFault> {
+        let i = self.position(proven, index)?;
+        match (self.elems, value) {
+            (Words::F32(s), RtValue::F32(x)) => s[i].store(x.to_bits(), Relaxed),
+            (Words::F32(s), RtValue::F64(x)) => s[i].store((x as f32).to_bits(), Relaxed),
+            (Words::F64(s), RtValue::F64(x)) => s[i].store(x.to_bits(), Relaxed),
+            (Words::F64(s), RtValue::F32(x)) => s[i].store((x as f64).to_bits(), Relaxed),
+            (Words::I32(s), RtValue::Int(x)) => s[i].store(x as i32 as u32, Relaxed),
+            (Words::I64(s), RtValue::Int(x)) => s[i].store(x as u64, Relaxed),
+            (elems, v) => {
+                return Err(MemFault::TypeMismatch {
+                    buffer: self.name,
+                    dtype: elems.dtype(),
+                    value: v.kind(),
+                })
             }
         }
         Ok(())
     }
 
     /// `index` as an element position: the bounds check of every access,
-    /// skipped only for a launch-shared buffer at a `proven` site.
+    /// left to the slice index only for a launch-shared buffer at a
+    /// `proven` site.
     #[inline]
     fn position(&self, proven: bool, index: i64) -> Result<usize, MemFault> {
         if proven && self.shared {
-            debug_assert!(
-                check_index(self.name, index, self.len).is_ok(),
-                "proven-safe access out of bounds: index {index} of {self:?}"
-            );
             return Ok(index as usize);
         }
-        check_index(self.name, index, self.len)
+        check_index(self.name, index, self.len())
     }
-}
-
-/// Relaxed atomic element load through a raw pointer.
-///
-/// # Safety
-///
-/// `p.add(i)` must be in bounds of a live, properly aligned allocation
-/// with no concurrent non-atomic access.
-#[inline]
-unsafe fn load32(p: *mut u32, i: usize) -> u32 {
-    unsafe { AtomicU32::from_ptr(p.add(i)).load(Ordering::Relaxed) }
-}
-
-/// See [`load32`].
-#[inline]
-unsafe fn load64(p: *mut u64, i: usize) -> u64 {
-    unsafe { AtomicU64::from_ptr(p.add(i)).load(Ordering::Relaxed) }
-}
-
-/// See [`load32`].
-#[inline]
-unsafe fn store32(p: *mut u32, i: usize, v: u32) {
-    unsafe { AtomicU32::from_ptr(p.add(i)).store(v, Ordering::Relaxed) }
-}
-
-/// See [`load32`].
-#[inline]
-unsafe fn store64(p: *mut u64, i: usize, v: u64) {
-    unsafe { AtomicU64::from_ptr(p.add(i)).store(v, Ordering::Relaxed) }
 }
 
 #[cfg(test)]
@@ -539,8 +551,8 @@ mod tests {
         assert_eq!(pool.load(d, 2), Ok(RtValue::F64(2.5)));
         assert_eq!(pool.load(i, 3), Ok(RtValue::Int(-7)));
         assert_eq!(pool.load(l, 0), Ok(RtValue::Int(1 << 40)));
-        assert_eq!(pool.data(f).elem_bytes(), 4);
-        assert_eq!(pool.data(l).elem_bytes(), 8);
+        assert_eq!(pool.read(f).elem_bytes(), 4);
+        assert_eq!(pool.read(l).elem_bytes(), 8);
     }
 
     #[test]
@@ -559,7 +571,8 @@ mod tests {
         assert_eq!(pool.load(id, 0), Err(MemFault::UnknownBuffer { id }));
     }
 
-    /// The `Vec`-backed pool and the three kinds of `Buf` — a launch-shared
+    /// The tree walk's `MemoryPool::load` / `store` and the three kinds of
+    /// `Buf` — a launch-shared
     /// buffer, a worker's dense constant and its scratch alloca — report
     /// every access alike: equal values in range, equal faults — and
     /// fault text — at `len`, `-1` and `i64::MAX`, for every storage
@@ -567,20 +580,20 @@ mod tests {
     #[test]
     fn vec_and_pointer_storage_fault_alike() {
         let ctx = sycl_mlir_ir::Context::new();
+        // Three equal elements, what they read as, their MLIR type, and a
+        // value a store coerces and one it refuses.
         let (float, int) = (RtValue::F32(2.5), RtValue::Int(9));
+        let (f, d, i) = (RtValue::F32(1.5), RtValue::F64(1.5), RtValue::Int(7));
+        let (f32t, f64t) = (ctx.f32_type(), ctx.f64_type());
+        let (i32t, i64t) = (ctx.i32_type(), ctx.i64_type());
         let protos = [
-            (DataVec::F32(vec![1.5; 3]), ctx.f32_type(), float, int),
-            (DataVec::F64(vec![1.5; 3]), ctx.f64_type(), float, int),
-            (DataVec::I32(vec![7; 3]), ctx.i32_type(), int, float),
-            (
-                DataVec::I64(vec![7; 3]),
-                ctx.i64_type(),
-                int,
-                RtValue::F64(1.0),
-            ),
+            (DataVec::F32(vec![1.5; 3]), f, f32t, float, int),
+            (DataVec::F64(vec![1.5; 3]), d, f64t, float, int),
+            (DataVec::I32(vec![7; 3]), i, i32t, int, float),
+            (DataVec::I64(vec![7; 3]), i, i64t, int, RtValue::F64(1.0)),
         ];
         let id = MemId(1);
-        for (proto, elem, good, bad) in protos {
+        for (proto, element, elem, good, bad) in protos {
             let fresh = || {
                 let mut pool = MemoryPool::new();
                 pool.alloc(DataVec::I32(Vec::new()));
@@ -588,22 +601,22 @@ mod tests {
                 pool
             };
             for index in [1, 3, -1, i64::MAX] {
-                let (mut vec_backed, mut viewed) = (fresh(), fresh());
-                let loaded = vec_backed.load(id, index);
-                let stored = vec_backed.store(id, index, good);
-                let refused = vec_backed.store(id, index, bad);
-                let after = vec_backed.load(id, index);
+                let (mut reference, viewed) = (fresh(), fresh());
+                let loaded = reference.load(id, index);
+                let stored = reference.store(id, index, good);
+                let refused = reference.store(id, index, bad);
+                let after = reference.load(id, index);
 
                 // The same four accesses through each kind of `Buf`, the
                 // arenas filled like `proto` first.
-                let shared = SharedPool::new(&mut viewed);
+                let shared = SharedPool::new(&viewed);
                 let mut worker = PlanPool::new(&shared);
                 worker.alloc(DataVec::I32(Vec::new())).unwrap();
                 let constant = worker.alloc(proto.clone()).unwrap();
                 let alloca = worker.alloc_zeroed(&elem, proto.len()).unwrap();
                 for i in 0..proto.len() {
                     let buf = worker.resolve(alloca).unwrap();
-                    buf.store(i as i64, proto.get(i)).unwrap();
+                    buf.store(i as i64, element).unwrap();
                 }
                 for (mem, name) in [(id, Some(id)), (constant, Some(id)), (alloca, None)] {
                     // What the kind's faults call the buffer, and their text.
@@ -634,7 +647,7 @@ mod tests {
                 }
 
                 let (fault, text) = if index == 1 {
-                    assert_eq!((loaded, stored), (Ok(proto.get(1)), Ok(())));
+                    assert_eq!((loaded, stored), (Ok(element), Ok(())));
                     assert_ne!(after, loaded, "the store landed");
                     let (dtype, value) = (proto.dtype(), bad.kind());
                     let buffer = Some(id);

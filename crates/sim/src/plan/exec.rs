@@ -653,10 +653,7 @@ fn run_impl(
         ($mr:expr, $idx:expr, $rank:expr, $at:ident) => {{
             let mr: MemRefVal = $mr;
             let (buf, addr) = access!(mr, $idx, $rank, $at);
-            // SAFETY: the proven bits are the ones the scheduler (the one
-            // caller of `PlanCtx::set_proven`) got from
-            // `PlanFacts::instantiate` for this launch.
-            let loaded = unsafe { buf.load_at($at.1, addr) };
+            let loaded = buf.load_at($at.1, addr);
             Slot::from(loaded.map_err(|f| pctx.fault_at($at.2, f))?)
         }};
     }
@@ -902,8 +899,8 @@ fn run_impl(
                     };
                     let mr = payload!(MemRef in memrefs, mem, "store to non-memref");
                     let (buf, addr) = access!(mr, idx, rank, at);
-                    // SAFETY: as in `load_at!`.
-                    unsafe { buf.store_at(at.1, addr, v) }.map_err(|f| pctx.fault_at(at.2, f))?;
+                    buf.store_at(at.1, addr, v)
+                        .map_err(|f| pctx.fault_at(at.2, f))?;
                 });
             }
             Instr::VecCtor { dst, comps, rank } => {

@@ -123,7 +123,7 @@ mod fusion {
         let stats = crate::pool::run_one_launch(plan, &args, nd, &mut pool, threads)
             .expect("plan launch runs");
         let bufs = (0..pool.len())
-            .map(|i| pool.data(MemId(i as u32)).clone())
+            .map(|i| pool.read(MemId(i as u32)))
             .collect();
         (stats, bufs)
     }
@@ -348,10 +348,10 @@ mod chains {
         let nd = NdRangeSpec::d1(N, 4);
         let stats =
             crate::pool::run_one_launch(plan, &args, nd, &mut pool, threads).expect("plan runs");
-        let DataVec::F32(a) = pool.data(MemId(0)) else {
+        let DataVec::F32(a) = pool.read(MemId(0)) else {
             panic!()
         };
-        let DataVec::F32(b) = pool.data(MemId(1)) else {
+        let DataVec::F32(b) = pool.read(MemId(1)) else {
             panic!()
         };
         (stats, a.clone(), b.clone())

@@ -5,7 +5,7 @@
 
 use crate::cost::{Coalescer, CostModel, ExecStats};
 use crate::interp::{LimitKind, SimError};
-use crate::memory::{Buf, DataVec, Dtype, MemFault, MemId, MemoryPool};
+use crate::memory::{Buf, DataVec, Dtype, MemFault, MemId, MemoryPool, Storage};
 
 /// Tag bit distinguishing worker-arena allocations from launch-shared
 /// buffers in a [`MemId`].
@@ -19,31 +19,28 @@ pub(super) const CONST_BIT: u32 = 1 << 30;
 /// existed in the [`MemoryPool`] when the launch started: one [`Buf`] per
 /// buffer, which is where element accesses are checked and made.
 ///
-/// Construction borrows the pool mutably for the whole launch, so no other
-/// code can observe or resize the buffers while workers hold raw pointers
-/// into them.
+/// The pool stays borrowed for the whole launch, so no buffer is added
+/// or dropped while workers hold views of it.
 pub struct SharedPool<'p> {
     bufs: Vec<Buf<'p>>,
 }
 
-// SAFETY: the `Buf`s' raw pointers reference buffers exclusively borrowed
-// for the lifetime `'p`; the view never grows or shrinks them, and every
-// element access through a `Buf` is atomic (no mixed atomic/non-atomic
-// access while the view is alive, since the borrow keeps all safe
-// `MemoryPool` APIs unreachable).
-unsafe impl Send for SharedPool<'_> {}
-unsafe impl Sync for SharedPool<'_> {}
+/// [`SharedPool`] is `Send + Sync` by construction — every element is an
+/// atomic — and must stay so: every worker of a graph run shares one. This
+/// assertion fails to compile if a non-thread-safe handle (a raw pointer,
+/// a `Cell`) ever sneaks back into [`Buf`].
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<SharedPool<'static>>();
+};
 
 impl<'p> SharedPool<'p> {
     /// Snapshot every buffer of `pool` into a shareable view.
-    pub fn new(pool: &'p mut MemoryPool) -> SharedPool<'p> {
-        let bufs = pool
-            .buffers_mut()
-            .iter_mut()
-            .enumerate()
-            .map(|(i, data)| Buf::of(data, Some(MemId(i as u32)), true))
-            .collect();
-        SharedPool { bufs }
+    pub fn new(pool: &'p MemoryPool) -> SharedPool<'p> {
+        let ids = (0..pool.len() as u32).map(MemId);
+        SharedPool {
+            bufs: ids.map(|id| pool.buf(id)).collect(),
+        }
     }
 
     /// Buffer `id`, for one access.
@@ -69,7 +66,7 @@ impl<'p> SharedPool<'p> {
 /// not storable values: no allocation can outlive its work-group.
 #[derive(Default)]
 pub(super) struct ScratchArena {
-    bufs: Vec<DataVec>,
+    bufs: Vec<Storage>,
     cursor: usize,
 }
 
@@ -81,12 +78,10 @@ impl ScratchArena {
     /// (or a reshaping replacement) counts.
     fn growth_of(&self, elem: &sycl_mlir_ir::Type, len: usize) -> u64 {
         let dt = Dtype::of(elem);
-        if let Some(buf) = self.bufs.get(self.cursor) {
-            if buf.len() == len && buf.dtype() == dt {
-                return 0;
-            }
+        match self.bufs.get(self.cursor) {
+            Some(buf) if buf.shape() == (dt, len) => 0,
+            _ => (len as u64).saturating_mul(dt.bytes() as u64),
         }
-        (len as u64).saturating_mul(dt.bytes() as u64)
     }
 
     /// Arena-local index of zero-filled storage for `len` elements of
@@ -95,19 +90,10 @@ impl ScratchArena {
         let dt = Dtype::of(elem);
         let idx = self.cursor;
         self.cursor += 1;
-        if let Some(buf) = self.bufs.get_mut(idx) {
-            if buf.len() == len && buf.dtype() == dt {
-                match buf {
-                    DataVec::F32(v) => v.fill(0.0),
-                    DataVec::F64(v) => v.fill(0.0),
-                    DataVec::I32(v) => v.fill(0),
-                    DataVec::I64(v) => v.fill(0),
-                }
-            } else {
-                *buf = dt.zeroed(len);
-            }
-        } else {
-            self.bufs.push(dt.zeroed(len));
+        match self.bufs.get_mut(idx) {
+            Some(buf) if buf.shape() == (dt, len) => buf.zero(),
+            Some(buf) => *buf = Storage::zeroed(dt, len),
+            None => self.bufs.push(Storage::zeroed(dt, len)),
         }
         idx as u32
     }
@@ -128,7 +114,7 @@ impl ScratchArena {
 /// values), so the split is invisible to kernels.
 pub struct PlanPool<'a, 'p> {
     shared: &'a SharedPool<'p>,
-    consts: MemoryPool,
+    consts: Vec<Storage>,
     pub(super) scratch: ScratchArena,
     /// Bytes of arena *growth* this worker may still allocate
     /// (`u64::MAX` = uncapped). Steady-state scratch recycling is free;
@@ -142,7 +128,7 @@ impl<'a, 'p> PlanPool<'a, 'p> {
     pub fn new(shared: &'a SharedPool<'p>) -> PlanPool<'a, 'p> {
         PlanPool {
             shared,
-            consts: MemoryPool::new(),
+            consts: Vec::new(),
             scratch: ScratchArena::default(),
             mem_left: u64::MAX,
         }
@@ -164,8 +150,9 @@ impl<'a, 'p> PlanPool<'a, 'p> {
             }
             self.mem_left -= bytes;
         }
-        let id = self.consts.alloc(data);
-        Ok(MemId(id.0 | ARENA_BIT | CONST_BIT))
+        let idx = self.consts.len() as u32;
+        self.consts.push(Storage::from(data));
+        Ok(MemId(idx | ARENA_BIT | CONST_BIT))
     }
 
     /// Allocate zero-filled scratch storage for `len` elements of `elem`
@@ -192,15 +179,15 @@ impl<'a, 'p> PlanPool<'a, 'p> {
     /// faults give it (dense constants: their index in the worker's
     /// constant pool; allocas: none).
     #[inline]
-    pub fn resolve(&mut self, id: MemId) -> Result<Buf<'_>, MemFault> {
+    pub fn resolve(&self, id: MemId) -> Result<Buf<'_>, MemFault> {
         let idx = id.0 & !(ARENA_BIT | CONST_BIT);
         if id.0 & ARENA_BIT == 0 {
             self.shared.resolve(id)
         } else if id.0 & CONST_BIT != 0 {
             let name = Some(MemId(idx));
-            Ok(Buf::of(self.consts.data_mut(MemId(idx)), name, false))
+            Ok(Buf::of(&self.consts[idx as usize], name, false))
         } else {
-            Ok(Buf::of(&mut self.scratch.bufs[idx as usize], None, false))
+            Ok(Buf::of(&self.scratch.bufs[idx as usize], None, false))
         }
     }
 }

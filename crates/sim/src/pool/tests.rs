@@ -46,7 +46,7 @@ fn shared_pool_roundtrip_and_arena_routing() {
     let f = pool.alloc(DataVec::F32(vec![0.0; 4]));
     let l = pool.alloc(DataVec::I64(vec![0; 2]));
     {
-        let shared = SharedPool::new(&mut pool);
+        let shared = SharedPool::new(&pool);
         let mut pp = PlanPool::new(&shared);
         store(&mut pp, f, 1, RtValue::F32(1.5)).unwrap();
         store(&mut pp, l, 0, RtValue::Int(-3)).unwrap();
@@ -71,8 +71,8 @@ fn shared_pool_roundtrip_and_arena_routing() {
 fn scratch_arena_recycles_buffers_across_work_groups() {
     let ctx = sycl_mlir_ir::Context::new();
     let f32t = ctx.f32_type();
-    let mut pool = MemoryPool::new();
-    let shared = SharedPool::new(&mut pool);
+    let pool = MemoryPool::new();
+    let shared = SharedPool::new(&pool);
     let mut pp = PlanPool::new(&shared);
 
     // A dense-constant allocation persists across group boundaries…
@@ -112,7 +112,7 @@ fn shared_pool_bounds_checked() {
     let ctx = sycl_mlir_ir::Context::new();
     let mut pool = MemoryPool::new();
     let f = pool.alloc(DataVec::F32(vec![0.0; 2]));
-    let shared = SharedPool::new(&mut pool);
+    let shared = SharedPool::new(&pool);
     let oob = |buffer, index| {
         Err(MemFault::OutOfBounds {
             buffer,
@@ -137,17 +137,16 @@ fn shared_pool_bounds_checked() {
         value,
     };
     assert_eq!(store(&mut pp, a, 0, RtValue::Int(1)), Err(mismatch));
-    // A proven site skips the check for shared buffers only.
-    // SAFETY: index 1 of the two-element `f` is in range, as a site
-    // proof would have it; the arena buffer is compared regardless.
-    unsafe {
-        let at = |pp: &mut PlanPool<'_, '_>, id, i| {
-            let buf = pp.resolve(id).unwrap();
-            buf.load_at(true, i).map(RtValue::from)
-        };
-        assert_eq!(at(&mut pp, a, 2), oob(None, 2));
-        assert_eq!(at(&mut pp, f, 1), Ok(RtValue::F32(0.0)));
-    }
+    // A proven site leaves the check to the slice index, for shared
+    // buffers only: the arena buffer still faults, a shared one panics.
+    let at = |id, i| pp.resolve(id).unwrap().load_at(true, i).map(RtValue::from);
+    assert_eq!(at(a, 2), oob(None, 2));
+    assert_eq!(at(f, 1), Ok(RtValue::F32(0.0)));
+    let wrong_proof = std::panic::catch_unwind(|| at(f, 2));
+    assert!(
+        wrong_proof.is_err(),
+        "a wrong proof panics, it does not read"
+    );
 }
 
 /// The claim chunk is sized from the **clamped** worker count
@@ -273,11 +272,11 @@ fn empty_launch_in_a_chain_retires_eagerly() {
         assert_eq!(out.stats[1].work_groups, 0, "empty launch ran no groups");
         assert_eq!(out.stats[1].work_items, 0);
         assert_eq!(out.stats[1].global_accesses, 0);
-        let DataVec::F32(f) = pool.data(mf) else {
+        let DataVec::F32(f) = pool.read(mf) else {
             panic!()
         };
         // A then C: 0 + 1 + 10, for every element.
-        assert_eq!(f, &vec![11.0_f32; n as usize], "threads={threads}");
+        assert_eq!(f, vec![11.0_f32; n as usize], "threads={threads}");
     }
 
     // An all-empty graph (including chained empties) terminates.
@@ -390,7 +389,7 @@ fn work_item_slots_are_isolated_across_a_failed_group() {
         let mem = pool.alloc(init(nd.global[0]));
         let args = [global_view(mem, nd.global[0])];
         run_one_launch(plan, &args, nd, &mut pool, 1).expect("a clean launch completes");
-        pool.data(mem).clone()
+        pool.read(mem)
     };
     let want_b_buf = alone(&plan_b, nd_b);
     let want_c_buf = alone(&plan_c, nd_c);
@@ -426,11 +425,11 @@ fn work_item_slots_are_isolated_across_a_failed_group() {
             },
             "threads={threads}"
         );
-        assert_eq!(pool.data(mb), &want_b_buf, "threads={threads}");
-        assert_eq!(pool.data(mc), &want_c_buf, "threads={threads}");
+        assert_eq!(pool.read(mb), want_b_buf, "threads={threads}");
+        assert_eq!(pool.read(mc), want_c_buf, "threads={threads}");
         // A's first group completed; in the failing group only the
         // item ahead of the division by zero stored.
-        let DataVec::F32(a) = pool.data(ma) else {
+        let DataVec::F32(a) = pool.read(ma) else {
             panic!()
         };
         assert_eq!(a[..6], [1.0, 1.5, 2.0, 2.5, 3.0, 2.5], "threads={threads}");

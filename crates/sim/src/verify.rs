@@ -139,7 +139,7 @@ impl PlanFacts {
             if acc.rank != p.acc_rank {
                 continue;
             }
-            let len = pool.data(acc.mem).len() as i128;
+            let len = pool.buf(acc.mem).len() as i128;
             let (Some(lo), Some(hi)) = (p.lo.eval(&resolve), p.hi.eval(&resolve)) else {
                 continue;
             };

@@ -16,7 +16,7 @@ impl Pass for CanonicalizePass {
 
     fn run(&mut self, m: &mut Module) -> Result<bool, String> {
         let top = m.top();
-        Ok(apply_patterns_greedily(m, top, &[]))
+        Ok(apply_patterns_greedily(m, top))
     }
 }
 

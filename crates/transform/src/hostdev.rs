@@ -73,6 +73,18 @@ enum ArgFact {
     Opaque,
 }
 
+impl ArgFact {
+    /// Whether two launch sites say the same of an argument: constants
+    /// agree when they print alike ([`Attribute::same_constant`], CSE's
+    /// equivalence), so `0.0` and `-0.0` do not.
+    fn same_as(&self, other: &ArgFact) -> bool {
+        match (self, other) {
+            (ArgFact::ConstScalar(a), ArgFact::ConstScalar(b)) => a.same_constant(b),
+            _ => self == other,
+        }
+    }
+}
+
 /// One launch site of a kernel.
 #[derive(Clone, Debug)]
 struct LaunchInfo {
@@ -308,7 +320,7 @@ impl HostDeviceConstantPropagationPass {
         let mut arg_ranges: Vec<Option<Vec<i64>>> = Vec::new();
         for i in 0..nargs {
             let fact = &first.args[i];
-            let agree = infos.iter().all(|info| &info.args[i] == fact);
+            let agree = infos.iter().all(|info| info.args[i].same_as(fact));
             match fact {
                 ArgFact::ConstScalar(attr) if agree => {
                     if i < params.len() && m.value_has_uses(params[i]) {

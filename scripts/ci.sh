@@ -40,12 +40,13 @@ trap 'rm -rf "$tmp"' EXIT
 # to report before/after.
 miri_leg=skipped
 tsan_leg=skipped
+forbid_unsafe="not checked"
 summary() {
   find crates/sim/src -name '*.rs' | sort | xargs wc -l
-  # `unsafe {` blocks of the simulator, next to its size: the pointer core
-  # (memory.rs `Buf` and the executor's proven-site accesses through it)
-  # is small enough to count — 11 since the worker pool went.
-  echo "unsafe blocks under crates/sim/src: $(grep -rhoE 'unsafe \{' crates/sim/src | wc -l)"
+  # Whether the compiler forbids `unsafe` everywhere, as the step below
+  # checked (the simulator had 11 `unsafe` blocks before its memory core
+  # became atomic slices).
+  echo "unsafe code: $forbid_unsafe"
   # The nightly-only legs skip when their toolchain is missing (and under
   # --fast): say which of them this run actually held.
   echo "miri: $miri_leg; tsan: $tsan_leg"
@@ -135,14 +136,39 @@ if for f in crates/sim/src/plan/*.rs; do non_test "$f"; done | grep -n 'Vec<RtVa
   exit 1
 fi
 
-# One access step (ARCHITECTURE.md): an element of device memory is read
-# or written by pointer in `memory::Buf` and nowhere else — the pools only
-# resolve a `MemId` to a `Buf` — and both engines count transactions
-# through `cost::Coalescer`. The layers and the second tracker it replaced
-# must not come back beside it.
-step "one typed read and one typed write by pointer; one coalescing tracker"
-if grep -rnE '\b(load32|load64|store32|store64)\(' crates/sim/src | grep -v '^crates/sim/src/memory.rs:'; then
-  echo "FAIL: an element is accessed by pointer outside memory.rs; resolve a Buf and use it" >&2
+# No `unsafe` (ARCHITECTURE.md, "Pool and arena design"): every member
+# crate under crates/ inherits the workspace's `unsafe_code = "forbid"`
+# lint, and the facade's library forbids it itself — its package holds the
+# one `unsafe` of the repo, tests/alloc_budget.rs's counting allocator
+# (`GlobalAlloc` is an unsafe trait). The compiler then refuses any other.
+step "unsafe code forbidden in every crate"
+for manifest in $(find crates -name Cargo.toml | sort); do
+  if ! awk '/^\[lints\]$/ { in_lints = 1; next } /^\[/ { in_lints = 0 } in_lints && /^workspace = true$/ { found = 1 } END { exit !found }' "$manifest"; then
+    echo "FAIL: $manifest does not inherit the workspace lints ([lints] workspace = true)" >&2
+    exit 1
+  fi
+done
+if ! grep -qx 'unsafe_code = "forbid"' Cargo.toml || ! grep -qx '#!\[forbid(unsafe_code)\]' src/lib.rs; then
+  echo "FAIL: the workspace lint or src/lib.rs no longer forbids unsafe_code" >&2
+  exit 1
+fi
+if grep -rlw 'unsafe' examples tests | grep -vx 'tests/alloc_budget.rs'; then
+  echo "FAIL: unsafe code under examples/ or tests/ outside tests/alloc_budget.rs" >&2
+  exit 1
+fi
+forbid_unsafe="forbidden in all $(find crates -name Cargo.toml | wc -l) member crates and src/lib.rs"
+echo "unsafe code: $forbid_unsafe"
+
+# One access step (ARCHITECTURE.md): device memory is slices of
+# `AtomicU32` / `AtomicU64` elements that `memory.rs` alone holds, reads
+# and writes — a kernel or host-task access through `memory::Buf`, the
+# tree walk through `MemoryPool::load` / `store`; the pools only resolve a
+# `MemId` to a `Buf` — and both engines count transactions through
+# `cost::Coalescer`. The layers and the second tracker it replaced must
+# not come back beside it.
+step "atomic element access only in memory.rs; one coalescing tracker"
+if grep -rnE '\[AtomicU(32|64)\]' crates/sim/src | grep -v '^crates/sim/src/memory.rs:'; then
+  echo "FAIL: device memory's elements are reached outside memory.rs; resolve a Buf and use it" >&2
   exit 1
 fi
 if grep -rnE 'fn elem_bytes\(&self, id|macro_rules! pool_(load|store)|IntMixHasher' crates/sim/src; then

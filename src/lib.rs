@@ -4,6 +4,11 @@
 //! README for the architecture overview and the `examples/` directory for
 //! runnable walkthroughs of the public API.
 
+// The workspace lint forbids `unsafe` in every crate under crates/; this
+// package does not inherit it (a test's counting allocator implements the
+// unsafe `GlobalAlloc` trait), so its library forbids it here.
+#![forbid(unsafe_code)]
+
 pub use sycl_mlir_analysis as analysis;
 pub use sycl_mlir_benchsuite as benchsuite;
 pub use sycl_mlir_core as core;

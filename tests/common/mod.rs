@@ -4,7 +4,8 @@
 //! random command-group generator both draw their queues from. For
 //! `tests/plan_fuzz.rs`: the single-launch form of the scheduler's one
 //! entry point. For `tests/cse_diff.rs`: the string-keyed CSE the
-//! structural expression table replaced.
+//! structural expression table replaced. For it and `tests/ir_golden.rs`:
+//! the textual round trip every printed module must make.
 
 // Each including test crate uses its own subset.
 #![allow(dead_code)]
@@ -12,7 +13,9 @@
 use proptest::test_runner::TestRng;
 use std::collections::HashMap;
 use std::rc::Rc;
-use sycl_mlir_repro::ir::{traits, Module, OpId, Type, ValueId};
+use sycl_mlir_repro::ir::{
+    parse_module, print_module, traits, Context, Module, OpId, Type, ValueId,
+};
 use sycl_mlir_repro::runtime::{BufferId, CgArg, CommandGroup, HostOp, Queue, SyclRuntime, UsmId};
 use sycl_mlir_repro::sim::{
     run_plan_graph_report, CostModel, ExecLimits, ExecStats, LaunchDag, MemoryPool, PlanLaunch,
@@ -461,4 +464,14 @@ impl GraphSpec {
         }
         q
     }
+}
+
+/// Assert that the printed module `text` parses back (in `ctx`) into a
+/// module that prints as `text` again; `what` names it in the failure.
+pub fn assert_round_trips(ctx: &Context, text: &str, what: &str) {
+    let reparsed = parse_module(ctx, text).unwrap_or_else(|e| panic!("{what}: {e}\n{text}"));
+    assert!(
+        print_module(&reparsed) == text,
+        "{what}: the printed IR does not read back as itself"
+    );
 }

@@ -6,7 +6,8 @@
 //! `common::reference_cse`, and on every registered program under every
 //! flow the two must leave byte-identical IR after every pass of the flow's
 //! compile-time pipeline — CSE runs at a different point of each, on
-//! different IR.
+//! different IR. Every one of those stages must also read back as itself
+//! (`parse_module` of its printed form prints the same text).
 
 mod common;
 
@@ -56,6 +57,8 @@ fn every_pipeline_stage_of_every_program_and_flow_agrees() {
             assert_eq!(new_stages, stages(&reference_stats), "{label}");
             for (n, r) in new.dumps.iter().zip(&reference.dumps) {
                 assert!(n == r, "{label}: IR differs after `{}`", n.0);
+                let what = format!("{label} after `{}`", n.0);
+                common::assert_round_trips(with_new.ctx(), &n.1, &what);
             }
             let cse_changed = |(name, changed): &&(String, bool)| name == "cse" && *changed;
             merged += new_stages.iter().filter(cse_changed).count();

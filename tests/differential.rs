@@ -887,7 +887,7 @@ mod aggregate_moves {
             let RtValue::Accessor(a) = arg else {
                 unreachable!()
             };
-            let DataVec::F32(v) = pool.data(a.mem) else {
+            let DataVec::F32(v) = pool.read(a.mem) else {
                 unreachable!()
             };
             v.clone()
@@ -1189,10 +1189,10 @@ mod aggregate_moves {
                 let engine = (device.engine, device.threads);
                 assert_eq!(error.message(), want, "{engine:?}");
                 let set_a: Vec<f32> = (0..N).map(|i| if i < 16 { 7.0 } else { 0.0 }).collect();
-                assert_eq!(pool.data(ma), &DataVec::F32(set_a), "{engine:?}");
+                assert_eq!(pool.read(ma), DataVec::F32(set_a), "{engine:?}");
                 assert_eq!(
-                    pool.data(mb),
-                    &DataVec::F32(vec![0.0; N as usize]),
+                    pool.read(mb),
+                    DataVec::F32(vec![0.0; N as usize]),
                     "{engine:?}"
                 );
             }

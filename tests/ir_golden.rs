@@ -9,14 +9,19 @@
 //! character of IR. A PR that changes IR on purpose replaces the rows the
 //! failure message prints.
 //!
+//! Every module hashed here must also read back as itself: `parse_module`
+//! of its printed form prints the same text.
+//!
 //! Also here: the one property a context shared by every module of a thread
 //! must have — what was interned before a program is built must not show in
 //! its IR.
 
+mod common;
+
 use sycl_mlir_bench::quick_size;
 use sycl_mlir_repro::benchsuite::{all_workloads, WorkloadSpec};
 use sycl_mlir_repro::core::{Flow, FlowKind};
-use sycl_mlir_repro::ir::print_module;
+use sycl_mlir_repro::ir::{print_module, Module};
 
 fn fnv1a64(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -24,14 +29,21 @@ fn fnv1a64(text: &str) -> u64 {
     })
 }
 
-/// Hashes of the printed module as built and as compiled.
+/// Hashes of the printed module as built and as compiled, each printed
+/// form checked to read back as itself.
 fn hashes(w: &WorkloadSpec, kind: FlowKind) -> (u64, u64) {
+    let what = format!("{} [{}]", w.name, kind.name());
     let mut app = (w.build)(quick_size(w));
-    let built = fnv1a64(&print_module(&app.module));
+    let hash = |m: &Module, stage: &str| {
+        let text = print_module(m);
+        common::assert_round_trips(m.ctx(), &text, &format!("{what} {stage}"));
+        fnv1a64(&text)
+    };
+    let built = hash(&app.module, "as built");
     Flow::new(kind)
         .compile(&mut app.module)
-        .unwrap_or_else(|e| panic!("{} [{}]: {e}", w.name, kind.name()));
-    (built, fnv1a64(&print_module(&app.module)))
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    (built, hash(&app.module, "as compiled"))
 }
 
 /// One row per pair the benchmark compiles, in its order; built and

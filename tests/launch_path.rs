@@ -244,6 +244,49 @@ fn every_bound_field_tells_launches_apart() {
     }
 }
 
+/// Launch sites agree on a scalar only where its constants print alike:
+/// `out[g] = 1.0 / s`, submitted with `s = 0.0` and then `s = -0.0`,
+/// writes `+inf` and then `-inf` under every flow. (Host-device
+/// propagation once compared the sites' constants with `==`, which
+/// equates the two zeros, and gave both launches the first one's `0.0`.)
+#[test]
+fn zero_and_negative_zero_scalars_are_two_constants() {
+    let outcome = |kind: FlowKind| {
+        let ctx = full_context();
+        let mut kb = KernelModuleBuilder::new(&ctx);
+        let f64t = ctx.f64_type();
+        let sig = KernelSig::new("recip", 1, true)
+            .accessor(f64t.clone(), 1, AccessMode::Write)
+            .scalar(f64t);
+        kb.add_kernel(&sig, |b, args, item| {
+            let gid = sdev::global_id(b, item, 0);
+            let one = arith::constant_float(b, 1.0, b.ctx().f64_type());
+            let r = arith::divf(b, one, args[1]);
+            sdev::store_via_id(b, r, args[0], &[gid]);
+        });
+        let mut rt = SyclRuntime::new();
+        let outs = [0.0, -0.0].map(|s| (rt.buffer_f64(vec![0.0; N as usize], &[N]), s));
+        let mut q = Queue::new();
+        for (out, s) in outs {
+            q.submit(|h: &mut Handler| {
+                h.accessor(out, AccessMode::Write).scalar_f64(s);
+                h.parallel_for_nd("recip", &[N], &[16]);
+            });
+        }
+        generate_host_ir(kb.module(), &rt, &q);
+        let mut program = compile_program(kind, kb.finish()).expect("compiles");
+        let device = Device::with_engine(Engine::Plan);
+        run(&mut program, &mut rt, &q, &device).expect("runs");
+        outs.map(|(out, _)| (rt.read_f64(out).iter().map(|x| x.to_bits())).collect::<Vec<_>>())
+    };
+    let dpcpp = outcome(FlowKind::Dpcpp);
+    let want = [f64::INFINITY, f64::NEG_INFINITY].map(|x| vec![x.to_bits(); N as usize]);
+    assert_eq!(dpcpp, want, "DPC++");
+    for kind in [FlowKind::AdaptiveCpp, FlowKind::SyclMlir] {
+        assert_eq!(outcome(kind), dpcpp, "{} differs from DPC++", kind.name());
+    }
+}
+
 /// A graph of long chains — every kernel on one of two buffers, a host
 /// task among them — with two failing launches: the run reports the
 /// first failure in submission order, the serial reference's, at every

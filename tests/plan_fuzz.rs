@@ -956,13 +956,13 @@ fn execute_with(plan: &KernelPlan, facts: &PlanFacts, cost: &CostModel) -> Execu
         facts,
     };
     let result = run_launch(launch, &mut pool, 1, &ExecLimits::none(), cost);
-    let DataVec::F32(f) = pool.data(mf) else {
+    let DataVec::F32(f) = pool.read(mf) else {
         panic!()
     };
-    let DataVec::I64(i) = pool.data(mi) else {
+    let DataVec::I64(i) = pool.read(mi) else {
         panic!()
     };
-    let DataVec::F32(a) = pool.data(ma) else {
+    let DataVec::F32(a) = pool.read(ma) else {
         panic!()
     };
     (result, f.clone(), i.clone(), a.clone())
@@ -1265,7 +1265,7 @@ fn mid_chain_error_matches_unfused_and_bound_prunes_correctly() {
             None,
         )
         .expect_err("the run fails");
-        let DataVec::F32(f) = pool.data(mf) else {
+        let DataVec::F32(f) = pool.read(mf) else {
             panic!()
         };
         (err.message(), f.clone())

@@ -751,7 +751,7 @@ fn fault_shape_run(
         &ExecLimits::none(),
         None,
     );
-    let DataVec::F32(a) = pool.data(ma) else {
+    let DataVec::F32(a) = pool.read(ma) else {
         panic!("f32 buffer")
     };
     (report, a.iter().map(|x| x.to_bits()).collect())
@@ -1052,8 +1052,8 @@ fn injected_fault_on_host_node_cascades_to_successors() {
     let dags = reference_and_table_dags(&q);
     assert_eq!(dags[0].1.preds, vec![0, 1, 2]);
     assert_eq!(dags[1].1, LaunchDag::chain(3));
-    let a_now = |pool: &MemoryPool| match pool.data(ma) {
-        DataVec::F32(f) => f.clone(),
+    let a_now = |pool: &MemoryPool| match pool.read(ma) {
+        DataVec::F32(f) => f,
         _ => panic!("f32 buffer"),
     };
     for threads in [1_usize, 4] {
@@ -1243,7 +1243,7 @@ fn spec_graph_run(
     let memory = bufs[..spec.bufs.len()]
         .iter()
         .chain(&usms)
-        .map(|&mem| match pool.data(mem) {
+        .map(|&mem| match pool.read(mem) {
             DataVec::F32(f) => f.iter().map(|x| x.to_bits()).collect(),
             _ => panic!("f32 buffer"),
         })
@@ -1344,7 +1344,7 @@ fn host_node_in_graph_runs_in_hazard_order() {
         // Host rows report zeroed statistics.
         assert_eq!(report.stats[1], ExecStats::default());
         assert_eq!(report.stats[1].work_groups, 0);
-        let DataVec::F32(f) = pool.data(ma) else {
+        let DataVec::F32(f) = pool.read(ma) else {
             panic!("f32 buffer")
         };
         // Element 0: ((0 * 0.5 + 3) + 100) * 0.5 + 3 = 54.5 — the
@@ -1388,7 +1388,7 @@ fn host_view_fault_fails_the_node_and_a_host_panic_is_rethrown() {
             &ExecLimits::none(),
             None,
         );
-        (report, pool.data(ma).clone())
+        (report, pool.read(ma))
     };
 
     let overrun = HostNode::new(|view: &HostView<'_, '_>| {
@@ -1424,7 +1424,7 @@ fn host_view_fault_fails_the_node_and_a_host_panic_is_rethrown() {
         .launch_graph(&m, &batch, &LaunchDag::chain(2), &mut pool)
         .unwrap_err();
     assert_eq!(err.message(), text);
-    assert_eq!(pool.data(ma), &two());
+    assert_eq!(pool.read(ma), two());
 
     let boom = HostNode::new(|_: &HostView<'_, '_>| panic!("boom"));
     for threads in [1_usize, 4] {
@@ -1481,8 +1481,8 @@ fn unknown_buffer_argument_fails_its_launch_only() {
         // Launch 0 ran (2 * 0.5 + 3), launch 2 did not.
         for mem in [ma, mb] {
             assert_eq!(
-                pool.data(mem),
-                &DataVec::F32(vec![4.0; LEN as usize]),
+                pool.read(mem),
+                DataVec::F32(vec![4.0; LEN as usize]),
                 "`{name}`"
             );
         }
@@ -1522,8 +1522,8 @@ fn unknown_buffer_in_a_host_closure_fails_its_node_only() {
             );
             // x * 0.5 + 3, once before the node and not after it.
             assert_eq!(
-                pool.data(ma),
-                &DataVec::F32(vec![4.0; LEN as usize]),
+                pool.read(ma),
+                DataVec::F32(vec![4.0; LEN as usize]),
                 "`{method}` under `{name}`"
             );
         }

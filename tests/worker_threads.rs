@@ -104,5 +104,5 @@ fn no_worker_thread_outlives_its_graph_run() {
     assert_no_worker_threads("after the next run");
     // Launch 2 of the panicking graph did not run: a run stops at its
     // failure, a re-thrown panic included.
-    assert_eq!(pool.data(ma), &DataVec::F32(vec![3.0; LEN as usize]));
+    assert_eq!(pool.read(ma), DataVec::F32(vec![3.0; LEN as usize]));
 }
