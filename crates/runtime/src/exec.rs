@@ -22,12 +22,13 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use sycl_mlir_core::{CompileOutcome, Flow, FlowKind};
-use sycl_mlir_ir::{FxHashMap, Module, OpId};
+use sycl_mlir_ir::{Attribute, FxHashMap, Module, OpId, TypeKind, WalkControl};
 use sycl_mlir_sim::{
-    AccessorVal, BatchLaunch, Device, Dtype, ExecStats, HostNode, HostView, Ledger, MemId,
-    MemoryPool, RtValue, SimError,
+    AccessorVal, BatchLaunch, Device, Dtype, ExecStats, HostNode, Ledger, MemId, MemoryPool,
+    RtValue, SharedPool, SimError,
 };
 use sycl_mlir_sycl::facts;
+use sycl_mlir_sycl::host::schedule_info;
 
 /// A compiled SYCL application (joint module + flow that produced it).
 pub struct Program {
@@ -380,6 +381,9 @@ thread_local! {
     /// Whether runs on this thread audit their host facts
     /// ([`audit_facts_on_this_thread`]).
     static AUDIT_FACTS: Cell<bool> = const { Cell::new(false) };
+    /// How many facts the audit checked on this thread since the last
+    /// [`audit_facts_on_this_thread`] call.
+    static AUDITED_FACTS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Test-only, not a knob: [`run`]s on the calling thread from now on
@@ -393,13 +397,27 @@ thread_local! {
 /// * which of its accessors share a buffer is what the propagated buffer
 ///   ids say;
 /// * no constant-array argument reads a buffer an earlier command group
-///   wrote, or writes it itself.
+///   wrote, or writes it itself;
+/// * each scalar constant host-device propagation folded into the kernel
+///   is the launch's scalar, compared as printed forms are
+///   ([`Attribute::same_constant`]). Folding leaves no trace in the
+///   kernel but a dead argument, so the audit takes as folded every dead
+///   argument that each launch site in the host IR passes as a constant,
+///   and holds every launch to the first site's constant: a dead
+///   argument that no launch ever needed but that sites pass different
+///   constants is reported too;
+/// * the kernel's plan reads no register of a dead argument (the runtime
+///   does not pass those).
 ///
 /// A fact that does not hold fails the run with a `host-fact audit:`
-/// error naming the launch.
+/// error naming the launch. Returns how many facts — one per launch per
+/// range, known accessor range, buffer id, constant array, folded scalar
+/// and dead argument — the audit checked on this thread since the
+/// previous call.
 #[doc(hidden)]
-pub fn audit_facts_on_this_thread(on: bool) {
+pub fn audit_facts_on_this_thread(on: bool) -> u64 {
     AUDIT_FACTS.set(on);
+    AUDITED_FACTS.replace(0)
 }
 
 fn audit_requested() -> bool {
@@ -414,16 +432,25 @@ fn audit_host_facts(
     queue: &Queue,
     kernels: &[Option<OpId>],
 ) -> Result<(), SimError> {
+    let folded = folded_scalars(m);
+    // Per kernel: the argument registers its plan reads, decoded once.
+    let mut read: FxHashMap<OpId, Option<Vec<bool>>> = FxHashMap::default();
     // Buffers some command group before the current one may write.
     let mut written: HashSet<BufferId> = HashSet::new();
     for (li, (cg, kernel)) in queue.groups.iter().zip(kernels).enumerate() {
         if let Some(kernel) = *kernel {
-            audit_launch(m, kernel, cg, runtime, &written).map_err(|why| {
+            let read = read.entry(kernel).or_insert_with(|| args_read(m, kernel));
+            let facts = Facts {
+                folded: folded.get(&kernel).map_or(&[], Vec::as_slice),
+                args_read: read.as_deref(),
+            };
+            let checked = audit_launch(m, kernel, cg, runtime, &written, facts).map_err(|why| {
                 SimError::msg(format!(
                     "host-fact audit: launch {li} (`{}`): {why}",
                     cg.kernel
                 ))
             })?;
+            AUDITED_FACTS.set(AUDITED_FACTS.get() + checked);
         }
         let writes = cg.args.iter().filter_map(CgArg::accessor);
         written.extend(writes.filter(|(_, mode)| mode.can_write()).map(|(b, _)| b));
@@ -431,22 +458,96 @@ fn audit_host_facts(
     Ok(())
 }
 
-/// One launch against its kernel's facts; `Err` says which fact fails.
+/// Per kernel, the scalar constants host-device propagation folded into
+/// it, by argument: `Some(c)` where the kernel reads the argument no
+/// more (it is dead) and every launch site in the host IR passes a
+/// constant, the first of which is `c`.
+fn folded_scalars(m: &Module) -> FxHashMap<OpId, Vec<Option<Attribute>>> {
+    let mut sites: FxHashMap<OpId, Vec<Option<Attribute>>> = FxHashMap::default();
+    let Some(schedule) = m.ctx().lookup_op("sycl.host.schedule_kernel") else {
+        return sites;
+    };
+    for func in m.funcs_in(m.top()) {
+        m.walk(func, &mut |op| {
+            let kernel = (m.op_name(op) == schedule)
+                .then(|| schedule_info::resolve_kernel(m, op))
+                .flatten();
+            if let Some(kernel) = kernel {
+                let args = schedule_info::kernel_args(m, op);
+                let consts = args.iter().map(|&v| {
+                    let scalar = !matches!(m.value_type(v).kind(), TypeKind::Ptr);
+                    scalar
+                        .then(|| sycl_mlir_dialects::arith::const_of(m, v))
+                        .flatten()
+                });
+                let first = sites
+                    .entry(kernel)
+                    .or_insert_with(|| consts.clone().collect());
+                for (c, site) in first.iter_mut().zip(consts) {
+                    if site.is_none() {
+                        *c = None;
+                    }
+                }
+                // Propagation gives up on a kernel whose sites disagree
+                // on the argument count.
+                if first.len() != args.len() {
+                    first.fill(None);
+                }
+            }
+            WalkControl::Advance
+        });
+    }
+    for (&kernel, consts) in sites.iter_mut() {
+        let dead = facts::DEAD_ARGS.get(m, kernel).unwrap_or_default();
+        for (i, c) in consts.iter_mut().enumerate() {
+            if !dead.contains(&(i as i64)) {
+                *c = None;
+            }
+        }
+    }
+    sites
+}
+
+/// Which parameters of `kernel` its plan reads, by index; `None` when the
+/// kernel does not decode (its launch fails with the decoder's error).
+fn args_read(m: &Module, kernel: OpId) -> Option<Vec<bool>> {
+    let plan = sycl_mlir_sim::decode_kernel(m, kernel).ok()?;
+    let mut read = vec![false; plan.reg_count as usize];
+    for instr in &plan.code {
+        instr.reads(|r| read[r as usize] = true);
+    }
+    Some(plan.params.iter().map(|&p| read[p as usize]).collect())
+}
+
+/// What the audit of a launch knows of its kernel beyond the facts the
+/// kernel carries: [`folded_scalars`], and [`args_read`].
+struct Facts<'a> {
+    folded: &'a [Option<Attribute>],
+    args_read: Option<&'a [bool]>,
+}
+
+/// One launch against its kernel's facts: how many it checked, or which
+/// fails.
 fn audit_launch(
     m: &Module,
     kernel: OpId,
     cg: &crate::queue::CommandGroup,
     runtime: &SyclRuntime,
     written: &HashSet<BufferId>,
-) -> Result<(), String> {
+    known: Facts<'_>,
+) -> Result<u64, String> {
+    let mut checked = 0;
     let rank = cg.nd.rank as usize;
     let ranges = [
         ("global", facts::GLOBAL_RANGE, &cg.nd.global[..rank]),
         ("local", facts::LOCAL_RANGE, &cg.nd.local[..rank]),
     ];
     for (what, fact, actual) in ranges {
-        if let Some(fact) = fact.get(m, kernel).filter(|&f| f != actual) {
-            return Err(format!("{what} range {actual:?}, propagated {fact:?}"));
+        if let Some(fact) = fact.get(m, kernel) {
+            checked += 1;
+            if fact != actual {
+                return Err(format!("{what} range {actual:?}, propagated {fact:?}"));
+            }
         }
     }
     let buffer = |i: usize| cg.args.get(i).and_then(CgArg::accessor).map(|(b, _)| b);
@@ -458,6 +559,7 @@ fn audit_launch(
         .enumerate()
     {
         let Some(fact) = fact else { continue };
+        checked += 1;
         let b = buffer(i).ok_or_else(|| no_accessor(i, "range"))?;
         let info = &runtime.buffers[b.0];
         let actual = &info.range[..info.rank as usize];
@@ -469,6 +571,7 @@ fn audit_launch(
     }
     let ids = facts::BUFFER_IDS.get(m, kernel).unwrap_or_default();
     for (i, &id) in ids.iter().enumerate().filter(|(_, &id)| id >= 0) {
+        checked += 1;
         let b = buffer(i).ok_or_else(|| no_accessor(i, "buffer id"))?;
         for (j, &other) in ids
             .iter()
@@ -486,6 +589,7 @@ fn audit_launch(
         }
     }
     for &i in facts::CONST_ARGS.get(m, kernel).unwrap_or_default() {
+        checked += 1;
         let Some((b, mode)) = cg.args.get(i as usize).and_then(CgArg::accessor) else {
             return Err(no_accessor(i as usize, "constant array"));
         };
@@ -496,7 +600,37 @@ fn audit_launch(
             ));
         }
     }
-    Ok(())
+    for (i, folded) in known.folded.iter().enumerate() {
+        let Some(folded) = folded else { continue };
+        checked += 1;
+        let actual = match cg.args.get(i) {
+            Some(CgArg::ScalarI64(v) | CgArg::RuntimeI64(v)) => Attribute::Int(*v),
+            Some(CgArg::ScalarF64(v) | CgArg::RuntimeF64(v)) => Attribute::Float(*v),
+            Some(CgArg::ScalarF32(v)) => Attribute::Float(*v as f64),
+            _ => {
+                return Err(format!(
+                    "argument {i} has a folded constant but is no scalar"
+                ))
+            }
+        };
+        if !actual.same_constant(folded) {
+            return Err(format!(
+                "scalar argument {i} is {actual}, propagated {folded}"
+            ));
+        }
+    }
+    let dead = facts::DEAD_ARGS.get(m, kernel).unwrap_or_default();
+    if let Some(read) = known.args_read {
+        for &i in dead {
+            checked += 1;
+            match read.get(i as usize) {
+                Some(false) => {}
+                Some(true) => return Err(format!("the plan reads dead argument {i}")),
+                None => return Err(format!("dead argument {i} is no parameter")),
+            }
+        }
+    }
+    Ok(checked)
 }
 
 /// Build the [`HostNode`] closure of a host task over the device-resident
@@ -509,8 +643,8 @@ fn audit_launch(
 /// resolves its buffers once, not once per element.
 fn host_node_of(op: HostOp, buf_mems: &[MemId]) -> HostNode {
     let apply = |mem: MemId, f: Box<dyn Fn(f64) -> f64 + Send + Sync>| {
-        HostNode::new(move |view: &HostView<'_, '_>| {
-            let buf = view.buf(mem)?;
+        HostNode::new(move |pool: &SharedPool<'_>| {
+            let buf = pool.resolve(mem)?;
             let load = |i| buf.load(i).map(RtValue::from);
             let n = buf.len() as i64;
             match buf.dtype() {
@@ -557,8 +691,8 @@ fn host_node_of(op: HostOp, buf_mems: &[MemId]) -> HostNode {
         HostOp::Shift { buffer, delta } => apply(buf_mems[buffer.0], Box::new(move |x| x + delta)),
         HostOp::AddInto { dst, src } => {
             let (dst, src) = (buf_mems[dst.0], buf_mems[src.0]);
-            HostNode::new(move |view: &HostView<'_, '_>| {
-                let (dst, src) = (view.buf(dst)?, view.buf(src)?);
+            HostNode::new(move |pool: &SharedPool<'_>| {
+                let (dst, src) = (pool.resolve(dst)?, pool.resolve(src)?);
                 if dst.dtype() != src.dtype() {
                     return Err(SimError::msg(format!(
                         "host AddInto over mismatched element types {} -> {}",

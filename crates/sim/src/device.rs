@@ -8,7 +8,7 @@ use crate::ledger::Ledger;
 use crate::limits::{ExecLimits, OpMeter};
 use crate::memory::MemoryPool;
 use crate::plan::{decode_kernel, fuse_plan, ItemQ, KernelPlan};
-use crate::pool::{run_plan_graph_report, HostNode, HostView, LaunchDag, PlanLaunch, SharedPool};
+use crate::pool::{run_plan_graph_report, HostNode, LaunchDag, PlanLaunch, SharedPool};
 use crate::report::DeviceReport;
 use crate::value::RtValue;
 use crate::verify::{verify_plan, PlanFacts};
@@ -283,7 +283,9 @@ impl Device {
 
     /// Builder-style weighted-operation budget: a launch fails with
     /// [`LimitKind::Ops`](crate::LimitKind::Ops) once it has executed
-    /// this many weighted operations. Superinstructions charge the
+    /// this many weighted operations: ops under the tree walk,
+    /// instructions under the plan engine, which executes none for a
+    /// constant, a cast or a loop result. Superinstructions charge the
     /// weight of the instructions they replace, so the budget counts
     /// the same whether a window was fused or not.
     pub fn max_ops(mut self, ops: u64) -> Device {
@@ -697,7 +699,7 @@ fn refuse_recursion(m: &Module, kernel: OpId) -> Result<(), SimError> {
 /// The tree-walk engine's twin of the graph scheduler's host-node
 /// execution: admit the node through the limits
 /// ([`OpMeter::charge_host_node`]), then run the closure against a
-/// [`HostView`] of the pool. Errors are returned unstamped; the caller
+/// [`SharedPool`] of the pool. Errors are returned unstamped; the caller
 /// stamps the `(launch, group)` position.
 fn run_host_serial(
     node: &HostNode,
@@ -709,7 +711,7 @@ fn run_host_serial(
         meter.charge_host_node(node.weight)?;
     }
     let shared = SharedPool::new(pool);
-    node.run(&HostView::new(&shared))?;
+    node.run(&shared)?;
     Ok(ExecStats::default())
 }
 

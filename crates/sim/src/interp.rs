@@ -1064,17 +1064,8 @@ impl WorkItemState {
         let elem = ty
             .memref_elem()
             .ok_or_else(|| err("dense constant must be memref"))?;
-        let data = match (attr, elem.kind()) {
-            (sycl_mlir_ir::Attribute::DenseF64(v), TypeKind::F32) => {
-                crate::memory::DataVec::F32(v.iter().map(|&x| x as f32).collect())
-            }
-            (sycl_mlir_ir::Attribute::DenseF64(v), _) => crate::memory::DataVec::F64(v.clone()),
-            (sycl_mlir_ir::Attribute::DenseI64(v), TypeKind::Int(w)) if *w <= 32 => {
-                crate::memory::DataVec::I32(v.iter().map(|&x| x as i32).collect())
-            }
-            (sycl_mlir_ir::Attribute::DenseI64(v), _) => crate::memory::DataVec::I64(v.clone()),
-            _ => return Err(err("unsupported dense constant")),
-        };
+        let data = crate::memory::DataVec::of_dense(attr, &elem)
+            .ok_or_else(|| err("unsupported dense constant"))?;
         if let Some(meter) = ctx.limits.as_deref_mut() {
             meter.charge_mem((data.len() * data.elem_bytes()) as u64)?;
         }

@@ -157,8 +157,8 @@ pub use limits::ExecLimits;
 pub use memory::{Buf, DataVec, Dtype, Elem, MemFault, MemId, MemoryPool};
 pub use plan::{decode_kernel, fuse_plan, DecodeError, KernelPlan};
 pub use pool::{
-    run_plan_graph_report, GraphReport, HostNode, HostView, LaunchDag, PlanExecCtx, PlanLaunch,
-    PlanPool, SharedPool, HOST_NODE_WEIGHT,
+    run_plan_graph_report, GraphReport, HostNode, LaunchDag, PlanExecCtx, PlanLaunch, PlanPool,
+    SharedPool, HOST_NODE_WEIGHT,
 };
 pub use report::{DeviceReport, LaneSums, VerifyCounters};
 pub use value::{AccessorVal, MemRefVal, RtValue, Space};

@@ -117,9 +117,13 @@ fn reserve(budget: &AtomicU64, want: u64) -> u64 {
 ///
 /// Both engines drive the same meter: the tree walk charges 1 per
 /// executed op, the plan engine `Instr::op_weight` per executed
-/// instruction. A superinstruction's weight is the sum of its fused
-/// members', so a budget trips at the same weighted-op count, hence the
-/// same work-group, fused or not
+/// instruction. The two counts differ: a scalar constant, a cast and a
+/// loop result are registers of the plan, not instructions, so the plan
+/// engine charges nothing for them, while its loop and branch
+/// instructions and parallel copies have no op of their own. A
+/// superinstruction's weight is the sum of its fused members', so a
+/// budget trips at the same weighted-op count, hence the same
+/// work-group, fused or not
 /// (`tests/plan_fuzz.rs::op_budget_trips_are_fuse_invariant`).
 pub(crate) struct OpMeter {
     /// Prepaid weighted ops still executable before the next boundary.

@@ -155,6 +155,22 @@ pub enum DataVec {
 }
 
 impl DataVec {
+    /// The elements of dense constant `attr` stored as `elem`s — the
+    /// storage class [`Dtype::of`] gives `elem`, so both engines
+    /// materialize the variant they would allocate for it. `None` when
+    /// the attribute is not dense or its kind (float or integer) is not
+    /// the element type's.
+    pub fn of_dense(attr: &sycl_mlir_ir::Attribute, elem: &sycl_mlir_ir::Type) -> Option<DataVec> {
+        use sycl_mlir_ir::Attribute::{DenseF64, DenseI64};
+        Some(match (attr, Dtype::of(elem)) {
+            (DenseF64(v), Dtype::F32) => DataVec::F32(v.iter().map(|&x| x as f32).collect()),
+            (DenseF64(v), Dtype::F64) => DataVec::F64(v.clone()),
+            (DenseI64(v), Dtype::I32) => DataVec::I32(v.iter().map(|&x| x as i32).collect()),
+            (DenseI64(v), Dtype::I64) => DataVec::I64(v.clone()),
+            _ => return None,
+        })
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         match self {

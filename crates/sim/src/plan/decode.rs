@@ -8,7 +8,9 @@ use super::{DenseConst, KernelPlan};
 use crate::interp::{enclosing_module, SimError};
 use crate::memory::DataVec;
 use std::collections::HashMap;
-use sycl_mlir_ir::{Attribute, Module, OpId, OpName, Type, TypeKind, ValueId};
+use sycl_mlir_ir::{
+    Attribute, BlockId, Module, OpId, OpName, Type, TypeKind, ValueId, WalkControl,
+};
 
 /// Why a kernel could not be decoded (its launch fails with this).
 #[derive(Debug, Clone)]
@@ -77,6 +79,29 @@ enum OpKind {
     Call,
     Return,
     Yield,
+}
+
+impl OpKind {
+    /// Whether the op's instruction reads every operand, for every lane,
+    /// before it writes its result — so the result may land in a register
+    /// one of its operands is read from.
+    fn reads_then_writes(self) -> bool {
+        use OpKind::*;
+        matches!(
+            self,
+            IntBin(_)
+                | FloatBin(_)
+                | NegF
+                | CmpI
+                | CmpF
+                | SiToFp
+                | FpToSi
+                | TruncF
+                | ExtF
+                | Math(_)
+                | Load
+        )
+    }
 }
 
 /// Maps interned [`OpName`] ids to decoder opcodes. Built once per decode
@@ -199,6 +224,7 @@ struct Decoder<'a> {
     regs: HashMap<ValueId, Reg>,
     next_reg: Reg,
     code: Vec<Instr>,
+    consts: Vec<(Reg, Slot)>,
     /// The callees being inlined, innermost last.
     inlining: Vec<OpId>,
     dense_consts: Vec<DenseConst>,
@@ -219,6 +245,7 @@ pub fn decode_kernel(m: &Module, kernel: OpId) -> Result<KernelPlan, DecodeError
         regs: HashMap::new(),
         next_reg: 0,
         code: Vec::new(),
+        consts: Vec::new(),
         inlining: Vec::new(),
         dense_consts: Vec::new(),
         dense_ids: HashMap::new(),
@@ -244,6 +271,7 @@ pub fn decode_kernel(m: &Module, kernel: OpId) -> Result<KernelPlan, DecodeError
         reg_count: d.next_reg,
         params,
         has_item_param,
+        consts: d.consts,
         dense_consts: d.dense_consts,
         mem_sites: d.mem_sites.len() as u32,
         local_sites: d.local_sites.len() as u32,
@@ -263,6 +291,27 @@ impl<'a> Decoder<'a> {
             self.next_reg += 1;
             r
         })
+    }
+
+    /// Make `v` one value with register `r`: `v` takes `r`, or, where it
+    /// was named before (an inlined callee decoded again names its values
+    /// the same way), gets a copy of it.
+    fn share(&mut self, v: ValueId, r: Reg) {
+        let have = *self.regs.entry(v).or_insert(r);
+        if have != r {
+            self.code.push(Instr::Copy { dst: have, src: r });
+        }
+    }
+
+    /// Bind the scalar constant `val` to the result of `op`, once however
+    /// often `op` is inlined: a register of [`KernelPlan::consts`], which
+    /// no instruction writes.
+    fn bind_const(&mut self, op: OpId, val: Slot) {
+        let v = self.m.op_result(op, 0);
+        if !self.regs.contains_key(&v) {
+            let r = self.reg_of(v);
+            self.consts.push((r, val));
+        }
     }
 
     fn fresh(&mut self) -> Reg {
@@ -371,31 +420,89 @@ impl<'a> Decoder<'a> {
         Ok((idx, n as u8))
     }
 
-    /// Copy `srcs` into `dsts` with parallel-copy semantics: when a source
-    /// register is also a destination (loop-carried swaps), route through
+    /// Copy `srcs` into `dsts` with parallel-copy semantics. A pair whose
+    /// source is its destination is no copy; when a remaining source is
+    /// also a remaining destination (loop-carried swaps), route through
     /// fresh scratch registers.
     fn emit_parallel_copy(&mut self, dsts: &[Reg], srcs: &[Reg]) {
-        let overlap = srcs.iter().any(|s| dsts.contains(s));
-        if overlap {
+        let (dsts, srcs): (Vec<Reg>, Vec<Reg>) =
+            dsts.iter().zip(srcs).filter(|(d, s)| d != s).unzip();
+        if srcs.iter().any(|s| dsts.contains(s)) {
             let scratch: Vec<Reg> = srcs.iter().map(|_| self.fresh()).collect();
-            for (&t, &s) in scratch.iter().zip(srcs) {
+            for (&t, &s) in scratch.iter().zip(&srcs) {
                 self.code.push(Instr::Copy { dst: t, src: s });
             }
             for (&d, &t) in dsts.iter().zip(&scratch) {
                 self.code.push(Instr::Copy { dst: d, src: t });
             }
         } else {
-            for (&d, &s) in dsts.iter().zip(srcs) {
-                if d != s {
-                    self.code.push(Instr::Copy { dst: d, src: s });
-                }
+            for (&d, &s) in dsts.iter().zip(&srcs) {
+                self.code.push(Instr::Copy { dst: d, src: s });
             }
         }
     }
 
+    /// The values loop body `body` yields that can be computed straight
+    /// into their carry's register, with the carry's index: a value
+    /// yielded once, computed at the body's top level by an op that reads
+    /// its operands before it writes ([`OpKind::reads_then_writes`]),
+    /// where nothing after that op — the other yields included — reads
+    /// the carry or a cast of it (a cast shares its operand's register).
+    fn in_place_yields(&self, body: BlockId, carries: &[ValueId]) -> Vec<(usize, ValueId)> {
+        let m = self.m;
+        let Some((&term, ops)) = m.block_ops(body).split_last() else {
+            return Vec::new();
+        };
+        if self.kinds.get(m.op_name(term)) != Some(OpKind::Yield) {
+            return Vec::new();
+        }
+        let yielded = m.op_operands(term);
+        let is_cast = |op: OpId| {
+            matches!(
+                self.kinds.get(m.op_name(op)),
+                Some(OpKind::CopyCast | OpKind::MemRefCast)
+            )
+        };
+        let mut out = Vec::new();
+        for (k, (&y, &carry)) in yielded.iter().zip(carries).enumerate() {
+            let Some(def) = m.def_op(y) else { continue };
+            let Some(at) = ops.iter().position(|&op| op == def) else {
+                continue;
+            };
+            let computed = self.kinds.get(m.op_name(def));
+            if !computed.is_some_and(OpKind::reads_then_writes)
+                || yielded.iter().filter(|&&v| v == y).count() != 1
+            {
+                continue;
+            }
+            // The carry and its casts, in program order.
+            let mut names = vec![carry];
+            for &op in ops {
+                m.walk(op, &mut |o| {
+                    if is_cast(o) && names.contains(&m.op_operand(o, 0)) {
+                        names.push(m.op_result(o, 0));
+                    }
+                    WalkControl::Advance
+                });
+            }
+            let mut read_after =
+                (yielded.iter().enumerate()).any(|(j, v)| j != k && names.contains(v));
+            for &op in &ops[at + 1..] {
+                m.walk(op, &mut |o| {
+                    read_after |= m.op_operands(o).iter().any(|v| names.contains(v));
+                    WalkControl::Advance
+                });
+            }
+            if !read_after {
+                out.push((k, y));
+            }
+        }
+        out
+    }
+
     /// The yield operand registers of `block`'s terminator (which must be a
     /// yield for structured regions).
-    fn yield_regs(&mut self, block: sycl_mlir_ir::BlockId) -> Result<Vec<Reg>, DecodeError> {
+    fn yield_regs(&mut self, block: BlockId) -> Result<Vec<Reg>, DecodeError> {
         let m = self.m;
         let term = m
             .block_terminator(block)
@@ -408,7 +515,7 @@ impl<'a> Decoder<'a> {
 
     /// Decode the ops of a structured-region block, stopping before the
     /// trailing yield (the caller wires the yield's copies).
-    fn decode_region_body(&mut self, block: sycl_mlir_ir::BlockId) -> Result<(), DecodeError> {
+    fn decode_region_body(&mut self, block: BlockId) -> Result<(), DecodeError> {
         let m = self.m;
         let ops = m.block_ops(block);
         let Some((&term, body)) = ops.split_last() else {
@@ -432,26 +539,16 @@ impl<'a> Decoder<'a> {
                     .attr_by_id(op, self.keys.value)
                     .ok_or_else(|| dec_err("constant without value"))?;
                 let ty = m.value_type(m.op_result(op, 0));
-                let dst = self.result_reg(op);
                 match (attr, ty.kind()) {
-                    (Attribute::Int(x), _) => self.code.push(Instr::Const {
-                        dst,
-                        val: Slot::Int(*x),
-                    }),
-                    (Attribute::Bool(b), _) => self.code.push(Instr::Const {
-                        dst,
-                        val: Slot::Int(*b as i64),
-                    }),
-                    (Attribute::Float(f), TypeKind::F32) => self.code.push(Instr::Const {
-                        dst,
-                        val: Slot::F32(*f as f32),
-                    }),
-                    (Attribute::Float(f), _) => self.code.push(Instr::Const {
-                        dst,
-                        val: Slot::F64(*f),
-                    }),
+                    (Attribute::Int(x), _) => self.bind_const(op, Slot::Int(*x)),
+                    (Attribute::Bool(b), _) => self.bind_const(op, Slot::Int(*b as i64)),
+                    (Attribute::Float(f), TypeKind::F32) => {
+                        self.bind_const(op, Slot::F32(*f as f32))
+                    }
+                    (Attribute::Float(f), _) => self.bind_const(op, Slot::F64(*f)),
                     (Attribute::DenseF64(_) | Attribute::DenseI64(_), TypeKind::MemRef { .. }) => {
                         let idx = self.dense_const_id(op, attr, &ty)?;
+                        let dst = self.result_reg(op);
                         self.code.push(Instr::ConstDense { dst, idx });
                     }
                     _ => return Err(dec_err("unsupported constant kind")),
@@ -496,10 +593,10 @@ impl<'a> Decoder<'a> {
                 let dst = self.result_reg(op);
                 self.code.push(Instr::Select { dst, c, t, f });
             }
+            // A cast is its operand, value for value.
             OpKind::CopyCast | OpKind::MemRefCast => {
                 let src = self.operand_reg(op, 0);
-                let dst = self.result_reg(op);
-                self.code.push(Instr::Copy { dst, src });
+                self.share(m.op_result(op, 0), src);
             }
             OpKind::SiToFp => {
                 let x = self.operand_reg(op, 0);
@@ -669,13 +766,7 @@ impl<'a> Decoder<'a> {
                 let dst = self.result_reg(op);
                 self.code.push(Instr::AccBase { dst, acc });
             }
-            OpKind::Undef => {
-                let dst = self.result_reg(op);
-                self.code.push(Instr::Const {
-                    dst,
-                    val: Slot::Int(0),
-                });
-            }
+            OpKind::Undef => self.bind_const(op, Slot::Int(0)),
             OpKind::Barrier => self.code.push(Instr::Barrier),
             OpKind::If => {
                 let cond = self.operand_reg(op, 0);
@@ -716,7 +807,11 @@ impl<'a> Decoder<'a> {
                 }
                 let iv = self.reg_of(body_args[0]);
                 let carries = self.regs_of(&body_args[1..]);
-                let results = self.regs_of(m.op_results(op));
+                for (k, y) in self.in_place_yields(body_blk, &body_args[1..]) {
+                    if self.regs.get(&y).is_none_or(|&r| r == carries[k]) {
+                        self.regs.insert(y, carries[k]);
+                    }
+                }
                 // carries := inits (also the zero-trip result values).
                 self.emit_parallel_copy(&carries, &inits);
                 let enter_pc = self.pc();
@@ -741,7 +836,10 @@ impl<'a> Decoder<'a> {
                 if let Instr::ForEnter { exit: e, .. } = &mut self.code[enter_pc as usize] {
                     *e = exit;
                 }
-                self.emit_parallel_copy(&results, &carries);
+                // The loop's results are its carries on exit.
+                for (&result, &carry) in m.op_results(op).iter().zip(&carries) {
+                    self.share(result, carry);
+                }
             }
             OpKind::Call => self.inline_call(op)?,
             // An inlined callee's return is the last op `inline_call`
@@ -769,17 +867,8 @@ impl<'a> Decoder<'a> {
         let elem = ty
             .memref_elem()
             .ok_or_else(|| dec_err("dense constant must be memref"))?;
-        let data = match (attr, elem.kind()) {
-            (Attribute::DenseF64(v), TypeKind::F32) => {
-                DataVec::F32(v.iter().map(|&x| x as f32).collect())
-            }
-            (Attribute::DenseF64(v), _) => DataVec::F64(v.clone()),
-            (Attribute::DenseI64(v), TypeKind::Int(w)) if *w <= 32 => {
-                DataVec::I32(v.iter().map(|&x| x as i32).collect())
-            }
-            (Attribute::DenseI64(v), _) => DataVec::I64(v.clone()),
-            _ => return Err(dec_err("unsupported dense constant")),
-        };
+        let data =
+            DataVec::of_dense(attr, &elem).ok_or_else(|| dec_err("unsupported dense constant"))?;
         let shape_v = ty.memref_shape().unwrap();
         if shape_v.len() > 3 {
             return Err(dec_err("dense constant rank > 3"));

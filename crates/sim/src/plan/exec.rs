@@ -70,9 +70,10 @@ pub struct PlanCtx {
 
 impl PlanCtx {
     /// Size this context for a launch of `plan` (dense cache,
-    /// local-alloca sites), re-using its storage: nothing proven, no
-    /// meter, and — with `profiled` — every executed instruction counted
-    /// (drained with [`PlanCtx::take_profile`]). The audit flag stays.
+    /// local-alloca sites), re-using its storage: no meter, and — with
+    /// `profiled` — every executed instruction counted (drained with
+    /// [`PlanCtx::take_profile`]). The audit flag and the proven-site
+    /// bitset stay; [`Self::set_proven`] gives the launch its own.
     pub(crate) fn rebind(&mut self, plan: &KernelPlan, profiled: bool) {
         self.dense_cache.clear();
         self.dense_cache.resize(plan.dense_consts.len(), None);
@@ -80,14 +81,17 @@ impl PlanCtx {
         self.local_allocs.resize(plan.local_sites as usize, None);
         self.profile = profiled.then(|| vec![0; plan.code.len() + 1].into());
         self.limits = None;
-        self.proven = std::sync::Arc::default();
     }
 
     /// Attach the launch-instantiated proven-site bitset: the sites
     /// whose bounds check [`crate::memory::Buf`] skips — so it must come
     /// from [`crate::verify::PlanFacts::instantiate`] for this launch.
-    pub(crate) fn set_proven(&mut self, proven: std::sync::Arc<[u64]>) {
-        self.proven = proven;
+    /// Launches that share a bitset share the one `Arc`, so this takes a
+    /// reference only when it is another one.
+    pub(crate) fn set_proven(&mut self, proven: &std::sync::Arc<[u64]>) {
+        if !std::sync::Arc::ptr_eq(&self.proven, proven) {
+            self.proven = proven.clone();
+        }
     }
 
     /// Whether memory site `site` was proven in-bounds for this launch.
@@ -207,6 +211,21 @@ fn note_fault(first: &mut Fault, at: (u32, u32), error: SimError) {
 pub struct PlanWorkGroup {
     files: Vec<LaneFile>,
     pool: GroupPool,
+    /// The launch the files hold bound, if a verified plan's launch was
+    /// bound last ([`Self::reset_verified`]).
+    bound: Option<Binding>,
+}
+
+/// A bound launch, by identity: the plan, the argument list (address and
+/// length), the sub-group width and the sub-group count. A worker's state
+/// lives within one graph run, whose plans and argument lists outlive it,
+/// so an address names one plan or list throughout.
+type Binding = (*const KernelPlan, *const RtValue, usize, usize, usize);
+
+/// The sub-group width and count of a work-group of `items` work-items.
+fn sub_groups(items: usize, subgroup_size: usize) -> (usize, usize) {
+    let width = subgroup_size.min(items);
+    (width, items.div_ceil(width))
 }
 
 /// A work-group's lane groups, and the first fault of the round.
@@ -245,11 +264,12 @@ fn spare(groups: &mut Vec<LaneGroup>, live: usize) -> &mut LaneGroup {
 
 impl PlanWorkGroup {
     /// Rebind to work-group `group` of a launch of the plan's kernel over
-    /// `nd`: `args` go to all parameters except the trailing item-like one,
-    /// which gets each lane's item, once per sub-group. Every register and
-    /// visit counter is reset, so nothing of the previous work-group
-    /// (finished, suspended at a barrier or failed) survives.
-    /// `subgroup_size` is the cost model's.
+    /// `nd`, from scratch: bind the launch — clear the register files and
+    /// write the parameters and the plan's bound constants into every
+    /// lane — then enter the group. Every register and visit counter is
+    /// reset, so nothing of the previous work-group (finished, suspended
+    /// at a barrier or failed) survives. `subgroup_size` is the cost
+    /// model's.
     pub fn reset(
         &mut self,
         plan: &KernelPlan,
@@ -257,6 +277,49 @@ impl PlanWorkGroup {
         nd: NdRangeSpec,
         group: [i64; 3],
         subgroup_size: usize,
+    ) -> Result<(), SimError> {
+        self.bound = None;
+        let (width, subs) = sub_groups(nd.group_size(), subgroup_size);
+        self.bind(plan, args, width, subs)?;
+        self.enter(nd, group, width, subs);
+        Ok(())
+    }
+
+    /// [`Self::reset`] for a plan the verifier accepted
+    /// ([`crate::verify::PlanFacts::verified`]): the launch is bound only
+    /// when the files hold another. What a work-group leaves in its
+    /// registers no later one reads: every register a work-item reads it
+    /// has written first, or the launch bound and nothing writes.
+    pub(crate) fn reset_verified(
+        &mut self,
+        plan: &KernelPlan,
+        args: &[RtValue],
+        nd: NdRangeSpec,
+        group: [i64; 3],
+        subgroup_size: usize,
+    ) -> Result<(), SimError> {
+        let (width, subs) = sub_groups(nd.group_size(), subgroup_size);
+        let launch = (plan as *const _, args.as_ptr(), args.len(), width, subs);
+        if self.bound != Some(launch) {
+            self.bound = None;
+            self.bind(plan, args, width, subs)?;
+            self.bound = Some(launch);
+        }
+        self.enter(nd, group, width, subs);
+        Ok(())
+    }
+
+    /// Bind a launch to the first `subs` register files, `width` lanes
+    /// each: clear them, then write into every lane what the launch fixes
+    /// and no instruction writes — `args` to all parameters except the
+    /// trailing item-like one, which gets each lane's item, and the plan's
+    /// bound constants.
+    fn bind(
+        &mut self,
+        plan: &KernelPlan,
+        args: &[RtValue],
+        width: usize,
+        subs: usize,
     ) -> Result<(), SimError> {
         let params = &plan.params;
         let value_params = if plan.has_item_param {
@@ -271,9 +334,6 @@ impl PlanWorkGroup {
                 args.len()
             )));
         }
-        let items = nd.group_size();
-        let width = subgroup_size.min(items);
-        let subs = items.div_ceil(width);
         if self.files.capacity() == 0 {
             (self.files, self.pool.groups) = (roomy(), roomy());
         }
@@ -283,11 +343,9 @@ impl PlanWorkGroup {
                 ..LaneFile::default()
             });
         }
-        (self.pool.live, self.pool.fault) = (0, None);
         let entries = plan.reg_count as usize * width;
-        for sub in 0..subs {
-            let file = &mut self.files[sub];
-            (file.width, file.nd, file.group) = (width, nd, group);
+        for file in &mut self.files[..subs] {
+            file.width = width;
             file.regs.clear();
             file.regs.resize(entries, Slot::Unit);
             // One allocation per bank, made next to the registers': banks
@@ -327,12 +385,28 @@ impl PlanWorkGroup {
                 let row = *params.last().expect("an item parameter") as usize * width;
                 file.regs[row..row + width].fill(Slot::Item);
             }
+            for &(r, val) in &plan.consts {
+                let row = r as usize * width;
+                file.regs[row..row + width].fill(val);
+            }
+        }
+        Ok(())
+    }
+
+    /// Enter work-group `group` of the launch over `nd` the files hold
+    /// bound: its position, zeroed visit counters, and one lane group per
+    /// sub-group, all its lanes at pc 0.
+    fn enter(&mut self, nd: NdRangeSpec, group: [i64; 3], width: usize, subs: usize) {
+        let items = nd.group_size();
+        (self.pool.live, self.pool.fault) = (0, None);
+        for (sub, file) in self.files[..subs].iter_mut().enumerate() {
+            (file.nd, file.group) = (nd, group);
+            file.visits.fill(0);
             let g = spare(&mut self.pool.groups, self.pool.live);
             g.lanes.extend(0..width.min(items - sub * width) as u32);
             (g.sub, g.pc, g.steps) = (sub as u32, 0, 0);
             self.pool.live += 1;
         }
-        Ok(())
     }
 
     /// One co-operative round: run every lane group until its next
@@ -1064,6 +1138,7 @@ mod tests {
             reg_count,
             params,
             has_item_param: false,
+            consts: Vec::new(),
             dense_consts: Vec::new(),
             mem_sites: 0,
             local_sites: 0,

@@ -160,7 +160,10 @@ pub enum ItemQ {
 /// indices into the owning [`KernelPlan::code`].
 #[derive(Clone, Debug)]
 pub enum Instr {
-    /// Pre-materialized scalar constant.
+    /// A scalar constant written where the instruction runs. The decoder
+    /// emits none — it binds constants once per launch
+    /// ([`KernelPlan::consts`]) — but
+    /// hand-built and generated bytecode writes constants under branches.
     Const {
         /// Destination register.
         dst: Reg,
@@ -175,7 +178,8 @@ pub enum Instr {
         /// Index into [`KernelPlan::dense_consts`].
         idx: u32,
     },
-    /// Register-to-register move (casts that are value-preserving here).
+    /// Register-to-register move: a parallel copy into loop carries, an
+    /// `scf.if`'s results or an inlined callee's parameters and results.
     Copy {
         /// Destination register.
         dst: Reg,
@@ -657,7 +661,7 @@ impl Class {
     }
 
     /// The class of a constant, which holds a scalar.
-    fn of_const(val: &Slot) -> Option<Class> {
+    pub(crate) fn of_const(val: &Slot) -> Option<Class> {
         match val {
             Slot::Int(_) => Some(Class::Int),
             Slot::F32(_) | Slot::F64(_) => Some(Class::Float),

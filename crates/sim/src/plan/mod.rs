@@ -15,8 +15,12 @@
 //!   integer opcode, no strings anywhere on the execution path;
 //! * every SSA value gets a dense **register slot**, assigned at decode
 //!   time; work-items execute against a flat file of 16-byte [`Slot`]s
-//!   instead of a `ValueId`-keyed environment;
-//! * constants are pre-materialized ([`Instr::Const`]), and `cmpi`/`cmpf`
+//!   instead of a `ValueId`-keyed environment. Values that are one value
+//!   share a slot and cost no instruction: a cast takes its operand's
+//!   register, an `scf.for` result its carry's, and a yielded value its
+//!   carry's where nothing reads the carry after the value is computed;
+//! * scalar constants are registers bound once per launch
+//!   ([`KernelPlan::consts`]), not instructions, and `cmpi`/`cmpf`
 //!   predicates and dimension operands are pre-parsed;
 //! * `scf.for`/`scf.if` structure is lowered to explicit jump and loop
 //!   instructions ([`Instr::ForEnter`]/[`Instr::ForNext`]/
@@ -85,6 +89,10 @@ pub struct KernelPlan {
     pub params: Vec<Reg>,
     /// Whether the trailing parameter is the SYCL item.
     pub has_item_param: bool,
+    /// Scalar constants (`arith.constant`, `llvm.undef`) and their
+    /// registers: bound with the parameters, once per launch, and — as
+    /// the verifier checks — written by no instruction.
+    pub consts: Vec<(Reg, Slot)>,
     /// Dense-constant templates referenced by `Instr::ConstDense`.
     pub dense_consts: Vec<DenseConst>,
     /// Number of memory-access sites: load and store ops of the IR, one

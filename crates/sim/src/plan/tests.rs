@@ -92,8 +92,9 @@ mod fusion {
     /// `acc[gid]` in the post-CSE shape the compiled flows read with: the
     /// zero index `zero` is materialized once up front, so `vec.ctor`,
     /// `acc.subscript` and the load are adjacent — the indexed accessor
-    /// load. (`sdev::load_via_id` interposes a fresh zero constant between
-    /// the subscript and the load, which no window spans.)
+    /// load. (`sdev::load_via_id` builds a fresh zero constant between the
+    /// subscript and the load; a constant is a bound register, not an
+    /// instruction, so that read is the same window.)
     fn read(
         b: &mut Builder<'_>,
         acc: sycl_mlir_ir::ValueId,
@@ -268,8 +269,9 @@ mod fusion {
     }
 
     /// Near miss: a `muli` whose product is read twice must keep its
-    /// register, and the builder's un-CSE'd read (`sdev::load_via_id`:
-    /// a fresh `Const` between the subscript and the load) is no window.
+    /// register, and only the builder's un-CSE'd read (`sdev::load_via_id`:
+    /// its fresh zero constant is a bound register, not an instruction
+    /// between the subscript and the load) is a window.
     /// `out[(9i+1) % 64] = a[i]`: an odd multiplier makes the store index
     /// a permutation of the 64 items, and the output accessor is never
     /// read — race-free at any worker count.
@@ -290,15 +292,13 @@ mod fusion {
             let v = sdev::load_via_id(b, accs[0], &[gid]);
             sdev::store_via_id(b, v, accs[1], &[wrapped]);
         });
-        assert_fused_identical(&m, func, 2, &[]);
+        assert_fused_identical(&m, func, 2, &["acc.load.idx"]);
     }
 }
 
-/// Bytecode-level chain-fusion tests: the accessor chains only become
-/// *adjacent* after CSE (the builder interposes the zero constant of
-/// `load_via_id`), so these tests construct the post-CSE instruction
-/// shapes directly — exactly what the compiled benchsuite kernels
-/// contain (held by `fusion_fires_on_benchsuite_kernels` in
+/// Bytecode-level chain-fusion tests: these construct the decoded
+/// instruction shapes directly — exactly what the compiled benchsuite
+/// kernels contain (held by `fusion_fires_on_benchsuite_kernels` in
 /// `tests/differential.rs`).
 mod chains {
     use super::super::*;
@@ -317,6 +317,7 @@ mod chains {
             reg_count,
             params: vec![0, 1],
             has_item_param: false,
+            consts: Vec::new(),
             dense_consts: Vec::new(),
             mem_sites,
             local_sites: 0,

@@ -6,7 +6,7 @@
 
 use super::arena::{PlanExecCtx, SharedPool};
 use super::dag::LaunchDag;
-use super::host::{HostNode, HostView};
+use super::host::HostNode;
 use super::protocol::{graph_workers, Failure, Scheduler};
 use crate::cost::{CostModel, ExecStats};
 use crate::device::{cooperative_rounds, NdRangeSpec};
@@ -192,28 +192,37 @@ impl GraphState<'_, '_> {
 /// worker's reusable work-group state (register files and lane lists
 /// survive across work-groups and launches, so the steady
 /// state allocates nothing per work-group), re-bound to this group
-/// whatever state the previous group left it in.
+/// whatever state the previous group left it in — the launch's
+/// registers once per launch where the plan is `verified`
+/// ([`PlanFacts::verified`]), else for every group.
+#[allow(clippy::too_many_arguments)]
 fn run_group(
     plan: &KernelPlan,
     args: &[RtValue],
     nd: NdRangeSpec,
     group: [i64; 3],
+    verified: bool,
     ctx: &mut PlanExecCtx<'_, '_>,
     pctx: &mut PlanCtx,
     wg: &mut PlanWorkGroup,
 ) -> Result<(), SimError> {
-    wg.reset(plan, args, nd, group, ctx.cost.subgroup_size)?;
+    let subgroup_size = ctx.cost.subgroup_size;
+    if verified {
+        wg.reset_verified(plan, args, nd, group, subgroup_size)?;
+    } else {
+        wg.reset(plan, args, nd, group, subgroup_size)?;
+    }
     cooperative_rounds(nd.group_size(), group, || wg.round(plan, args, ctx, pctx))
 }
 
 /// Execute the single logical work-group of a host node: admit it
 /// through the run's limits ([`OpMeter::charge_host_node`]), then run the
-/// closure against a [`HostView`] of the shared device memory.
+/// closure against the shared device memory.
 fn run_host_node(node: &HostNode, st: &GraphState<'_, '_>, li: usize) -> Result<(), SimError> {
     if let Some(meter) = st.meter(li) {
         meter.charge_host_node(node.weight)?;
     }
-    node.run(&HostView::new(st.shared))
+    node.run(st.shared)
 }
 
 /// Claim-and-run loop of one worker thread over the launch graph.
@@ -258,16 +267,24 @@ fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
         let working = now();
         let unit = &st.units[li];
         next = match *unit.launch {
-            PlanLaunch::Kernel { plan, args, nd, .. } => {
+            PlanLaunch::Kernel {
+                plan,
+                args,
+                nd,
+                facts,
+            } => {
                 pctx.rebind(plan, st.profile);
-                pctx.set_proven(unit.proven.clone());
+                pctx.set_proven(&unit.proven);
                 if let Some(meter) = st.meter(li) {
                     pctx.set_meter(meter);
                 }
                 let handoff = st.run_chunks(li, |gi| {
                     let group = nd.group_at(gi);
                     let r = catch_unwind(AssertUnwindSafe(|| {
-                        run_group(plan, args, nd, group, &mut ctx, &mut pctx, &mut wg)
+                        let verified = facts.verified;
+                        run_group(
+                            plan, args, nd, group, verified, &mut ctx, &mut pctx, &mut wg,
+                        )
                     }));
                     ctx.next_work_group();
                     pctx.next_work_group();

@@ -15,8 +15,8 @@
 //!   arenas (dense constants, recycled alloca scratch).
 //! * `dag` — [`LaunchDag`], the hazard DAG ordering the launches of a
 //!   run, and the critical-path lengths the ready set drains by.
-//! * `host` — host tasks as graph nodes: [`HostNode`] closures over a
-//!   checked [`HostView`] of the device memory.
+//! * `host` — host tasks as graph nodes: [`HostNode`] closures over the
+//!   [`SharedPool`] of the device memory.
 //! * `protocol` — what the workers of a run agree on: per-launch
 //!   dependency counters and chunked claim cursors, the ready set,
 //!   retire, and the run's one failure bound. Retire hands the best
@@ -56,4 +56,4 @@ pub use dag::LaunchDag;
 #[cfg(test)]
 pub(crate) use driver::{run_graph, run_one_launch};
 pub use driver::{run_plan_graph_report, GraphReport, PlanLaunch};
-pub use host::{HostNode, HostView, HOST_NODE_WEIGHT};
+pub use host::{HostNode, HOST_NODE_WEIGHT};

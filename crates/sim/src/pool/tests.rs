@@ -120,12 +120,14 @@ fn shared_pool_bounds_checked() {
             len: 2,
         })
     };
-    let view = HostView::new(&shared);
-    let buf = view.buf(f).unwrap();
+    let buf = shared.resolve(f).unwrap();
     assert_eq!(buf.load(5).map(RtValue::from), oob(Some(f), 5));
     assert_eq!(buf.store(-1, RtValue::F32(1.0)), oob(Some(f), -1).map(drop));
     let id = MemId(3);
-    assert_eq!(view.buf(id).err(), Some(MemFault::UnknownBuffer { id }));
+    assert_eq!(
+        shared.resolve(id).err(),
+        Some(MemFault::UnknownBuffer { id })
+    );
     // A worker's arenas are checked alike; an alloca has no id to name.
     let mut pp = PlanPool::new(&shared);
     let a = pp.alloc_zeroed(&ctx.f32_type(), 2).unwrap();
@@ -240,6 +242,7 @@ fn add_k_plan(k: f32) -> KernelPlan {
         reg_count: 5,
         params: vec![0],
         has_item_param: false,
+        consts: Vec::new(),
         dense_consts: Vec::new(),
         mem_sites: 2,
         local_sites: 0,
@@ -354,6 +357,7 @@ fn barrier_div_plan() -> KernelPlan {
         reg_count: 9,
         params: vec![0, 1],
         has_item_param: false,
+        consts: Vec::new(),
         dense_consts: Vec::new(),
         mem_sites: 3,
         local_sites: 0,

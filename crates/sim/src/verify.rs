@@ -33,6 +33,7 @@
 //! run keeps every proven check, `plan::audit_on_this_thread`). A plan
 //! with findings is not rejected: it runs with every check in place.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -83,6 +84,12 @@ pub struct SiteProof {
 /// device's plan cache and shared (via `Arc`) with every launch.
 #[derive(Clone, Debug)]
 pub struct PlanFacts {
+    /// The verifier accepted the plan: every register a work-item reads
+    /// it has written before, or is a parameter or bound constant, and no
+    /// instruction writes one of those. So a worker binds a launch's
+    /// registers once, not once per work-group: nothing a work-group
+    /// leaves in the register file is read by the next.
+    pub verified: bool,
     /// Per-site in-bounds proofs, indexed by memory-site id
     /// (`len == mem_sites`); `None` means unproven — keep the check.
     pub proofs: Vec<Option<SiteProof>>,
@@ -96,6 +103,7 @@ impl PlanFacts {
     /// Nothing proven: every site keeps its runtime check. The facts of a
     /// plan the verifier reported findings on.
     pub const NONE: PlanFacts = PlanFacts {
+        verified: false,
         proofs: Vec::new(),
         sites_total: 0,
         sites_proven: 0,
@@ -235,6 +243,7 @@ pub fn verify_plan(plan: &KernelPlan) -> Result<PlanFacts, Vec<VerifyError>> {
     let proofs = interval_pass(plan);
     let sites_proven = proofs.iter().filter(|p| p.is_some()).count() as u32;
     Ok(PlanFacts {
+        verified: true,
         proofs,
         sites_total: plan.mem_sites,
         sites_proven,
@@ -292,6 +301,20 @@ fn fatal_pass(plan: &KernelPlan, errs: &mut Vec<VerifyError>) {
             err(errs, 0, format!("parameter register r{p} out of range"));
         }
     }
+    for &(r, _) in &plan.consts {
+        if r >= plan.reg_count {
+            err(
+                errs,
+                0,
+                format!("bound-constant register r{r} out of range"),
+            );
+        }
+    }
+    // What a launch binds once for all its work-groups: no instruction
+    // may write it.
+    let bound: HashMap<Reg, &str> = (plan.consts.iter().map(|&(r, _)| (r, "bound-constant")))
+        .chain(plan.params.iter().map(|&p| (p, "parameter")))
+        .collect();
     for (pc, instr) in code.iter().enumerate() {
         if instr.op_weight() > 1 {
             let m = instr.mnemonic();
@@ -335,9 +358,11 @@ fn fatal_pass(plan: &KernelPlan, errs: &mut Vec<VerifyError>) {
             _ => {}
         }
         if structurally_ok {
-            instr.operands(|_, r, _| {
+            instr.operands(|role, r, _| {
                 if r >= plan.reg_count {
                     err(errs, pc, format!("register r{r} out of range"));
+                } else if let Some(what) = bound.get(&r).filter(|_| role == Role::Write) {
+                    err(errs, pc, format!("writes {what} register r{r}"));
                 }
             });
         }
@@ -360,6 +385,9 @@ fn def_before_use_pass(plan: &KernelPlan, errs: &mut Vec<VerifyError>) {
     let mut entry = vec![0_u64; words];
     for &p in &plan.params {
         set(&mut entry, p);
+    }
+    for &(r, _) in &plan.consts {
+        set(&mut entry, r);
     }
     ins[0] = Some(entry);
     let mut work = vec![0_usize];
@@ -428,6 +456,9 @@ fn type_class_pass(plan: &KernelPlan, errs: &mut Vec<VerifyError>) {
         } else {
             DefCls::One(Class::Item)
         };
+    }
+    for (r, val) in &plan.consts {
+        defs[*r as usize] = Class::of_const(val).map_or(DefCls::Many, DefCls::One);
     }
     for instr in &plan.code {
         instr.operands(|role, r, c| {
@@ -673,6 +704,12 @@ fn interval_pass(plan: &KernelPlan) -> Vec<Option<SiteProof>> {
             AVal::Arg(k as u32)
         } else {
             AVal::Item
+        };
+    }
+    for (r, val) in &plan.consts {
+        env[*r as usize] = match val {
+            Slot::Int(v) => AVal::Int(Interval::konst(*v)),
+            _ => AVal::Top,
         };
     }
     let mut pending: Vec<Option<Vec<AVal>>> = vec![None; code.len()];
@@ -921,6 +958,7 @@ mod tests {
             reg_count,
             params,
             has_item_param: has_item,
+            consts: vec![],
             dense_consts: vec![],
             mem_sites: sites,
             local_sites: 0,

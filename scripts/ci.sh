@@ -313,11 +313,13 @@ cargo test -q --no-fail-fast 2>&1 | tee "$tmp/test.log"
 # The lockstep gauge: the quick sweep's lane-instructions must not move
 # with how they are dispatched (they are the per-opcode totals of the
 # profile), and the dispatch count says whether lanes stayed together —
-# both are exact, so a change to either is a change to explain.
+# both are exact, so a change to either is a change to explain. (It read
+# 36828204 2550862 14.44 while constants, casts and in-place loop carries
+# still executed as instructions.)
 step "lockstep gauge: quick-sweep lane-instructions and dispatches, exactly"
 gauge=$(lockstep_gauge)
-if [[ "$gauge" != "36828204 2550862 14.44" ]]; then
-  echo "FAIL: the quick sweep's lockstep gauge reads '$gauge', expected '36828204 2550862 14.44'" >&2
+if [[ "$gauge" != "31156048 2154044 14.46" ]]; then
+  echo "FAIL: the quick sweep's lockstep gauge reads '$gauge', expected '31156048 2154044 14.46'" >&2
   exit 1
 fi
 echo "quick sweep: $gauge (lane-instructions, dispatches, lanes/dispatch)"

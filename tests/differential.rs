@@ -303,6 +303,13 @@ mod engine_differential {
                 for f in m.funcs_in(device_mod) {
                     if sycl_mlir_repro::sycl::device::is_kernel(m, f) {
                         if let Ok(mut plan) = decode_kernel(m, f) {
+                            // Constants are bound registers, not code.
+                            assert!(
+                                plan.code.iter().all(|i| i.mnemonic() != "const"),
+                                "{} [{}]: a decoded plan holds a `const`",
+                                w.name,
+                                kind.name()
+                            );
                             fuse_plan(&mut plan);
                             for i in plan.superinstructions() {
                                 *c.entry(i.mnemonic()).or_insert(0) += 1;
@@ -331,9 +338,9 @@ mod engine_differential {
         // A change to a pass or to the matcher that moves these on
         // purpose pastes the rows `benchsuite fusion [...]` prints.
         let expect: [(FlowKind, &[(&str, u32)]); 3] = [
-            (FlowKind::Dpcpp, &[("acc.load.idx", 68)]),
-            (FlowKind::AdaptiveCpp, &[("acc.load.idx", 61)]),
-            (FlowKind::SyclMlir, &[("acc.load.idx", 68)]),
+            (FlowKind::Dpcpp, &[("acc.load.idx", 73)]),
+            (FlowKind::AdaptiveCpp, &[("acc.load.idx", 66)]),
+            (FlowKind::SyclMlir, &[("acc.load.idx", 73)]),
         ];
         for ((kind, got), (expect_kind, want)) in per_flow.iter().zip(expect) {
             assert_eq!(*kind, expect_kind);

@@ -27,9 +27,10 @@ const N: i64 = 64;
 
 /// `mix` and `mix_again` (one body, two names) over
 /// `(y: read-write, x: read, a: f32, r: f64, k: i64, u: USM)`:
-/// `y[g] += a * x[g] + (f32)(i64)(4 r) + (f32) k + u[g]; u[g] += 1`.
+/// `y[g] += a * x[g] + 1 / a + (f32)(i64)(4 r) + (f32) k + u[g]; u[g] += 1`.
 /// Every argument reaches the result, so a launch bound with another
-/// launch's arguments shows up in the buffers.
+/// launch's arguments shows up in the buffers — `a`'s sign too, through
+/// `1 / a`, where `a` is a zero.
 fn module(rt: &SyclRuntime, q: &Queue, host_ir_of: Option<&Queue>) -> sycl_mlir_repro::ir::Module {
     let ctx = full_context();
     let mut kb = KernelModuleBuilder::new(&ctx);
@@ -48,6 +49,8 @@ fn module(rt: &SyclRuntime, q: &Queue, host_ir_of: Option<&Queue>) -> sycl_mlir_
             let y = sdev::load_via_id(b, args[0], &[gid]);
             let x = sdev::load_via_id(b, args[1], &[gid]);
             let ax = arith::mulf(b, args[2], x);
+            let one = arith::constant_float(b, 1.0, f32t.clone());
+            let inv = arith::divf(b, one, args[2]);
             let four = arith::constant_float(b, 4.0, f64t);
             let r4 = arith::mulf(b, args[3], four);
             let r4 = arith::fptosi(b, r4, i64t);
@@ -55,7 +58,7 @@ fn module(rt: &SyclRuntime, q: &Queue, host_ir_of: Option<&Queue>) -> sycl_mlir_
             let k = arith::sitofp(b, args[4], f32t.clone());
             let u = sdev::load_via_id(b, args[5], &[gid]);
             let mut sum = arith::addf(b, y, ax);
-            for term in [r4, k, u] {
+            for term in [inv, r4, k, u] {
                 sum = arith::addf(b, sum, term);
             }
             sdev::store_via_id(b, sum, args[0], &[gid]);
@@ -156,9 +159,10 @@ fn engines() -> [(&'static str, Device); 3] {
 /// Two submissions of one command group share one binding; a second
 /// submission that differs in any field a binding reads gets its own —
 /// and either way the plan engine at 1 and 4 workers leaves the buffers
-/// and statistics the serial reference leaves. Mirrors hostgen's
-/// `every_emitted_field_tells_command_groups_apart`, for the finer
-/// binding key.
+/// and statistics the serial reference leaves, and every flow leaves the
+/// buffers DPC++ leaves (which propagates nothing from the host).
+/// Mirrors hostgen's `every_emitted_field_tells_command_groups_apart`,
+/// for the finer binding key.
 #[test]
 fn every_bound_field_tells_launches_apart() {
     let nan = |bits: u32| f32::from_bits(bits);
@@ -221,6 +225,7 @@ fn every_bound_field_tells_launches_apart() {
         second.submit(&d, &mut q);
         // A third launch on the first's buffers reads what both wrote.
         first.submit(&d, &mut q);
+        let mut dpcpp = None;
         for kind in FlowKind::all() {
             let mut reference = None;
             for (name, device) in engines() {
@@ -239,6 +244,11 @@ fn every_bound_field_tells_launches_apart() {
                     None => reference = Some(got),
                     Some(want) => assert!(want == &got, "{ctx}: differs from the serial reference"),
                 }
+            }
+            let (_, mem) = reference.expect("the serial reference ran");
+            match &dpcpp {
+                None => dpcpp = Some(mem),
+                Some(want) => assert!(want == &mem, "{what}, {}: differs from DPC++", kind.name()),
             }
         }
     }
@@ -419,21 +429,22 @@ fn an_argument_that_is_sometimes_usm_gets_no_buffer_id() {
     outcome.expect("the audit holds");
 }
 
-/// Run `app`-like inputs under the audit with a ledger; the counts.
+/// Run `app`-like inputs under the audit with a ledger; the counts, and
+/// how many facts the audit checked.
 fn audited_counts(
     kind: FlowKind,
     module: sycl_mlir_repro::ir::Module,
     rt: &mut SyclRuntime,
     q: &Queue,
     what: &str,
-) -> LedgerCounts {
+) -> (LedgerCounts, u64) {
     let mut program = compile_program(kind, module).unwrap_or_else(|e| panic!("{what}: {e}"));
     program.ledger = Some(Ledger::default());
     audit_facts_on_this_thread(true);
     let outcome = run(&mut program, rt, q, &Device::with_engine(Engine::Plan));
-    audit_facts_on_this_thread(false);
+    let facts = audit_facts_on_this_thread(false);
     outcome.unwrap_or_else(|e| panic!("{what}: {e}"));
-    program.ledger.expect("kept").counts
+    (program.ledger.expect("kept").counts, facts)
 }
 
 fn add(sum: &mut LedgerCounts, c: LedgerCounts) {
@@ -444,21 +455,25 @@ fn add(sum: &mut LedgerCounts, c: LedgerCounts) {
 }
 
 /// The host-fact audit holds at every launch of every workload under
-/// every flow (quick sizes) and of `repro_hostdag`'s graph; and the
-/// launch ledger's exact counts over the quick sweep (the workloads
-/// `repro_all --quick` runs) and over that graph are pinned. The printed
-/// `launch_ledger:` line is the CI gauge (`scripts/ci.sh`'s summary).
+/// every flow (quick sizes) and of `repro_hostdag`'s graph; the facts it
+/// checks per flow over the suite, and the launch ledger's exact counts
+/// over the quick sweep (the workloads `repro_all --quick` runs) and over
+/// that graph, are pinned. The printed `launch_ledger:` line is the CI
+/// gauge (`scripts/ci.sh`'s summary).
 #[test]
 fn launch_ledger_counts_under_the_host_fact_audit() {
     let mut sweep = LedgerCounts::default();
+    let mut facts = [0_u64; 3];
     for w in all_workloads() {
-        for kind in FlowKind::all() {
+        for (kind, facts) in FlowKind::all().into_iter().zip(&mut facts) {
             if kind == FlowKind::AdaptiveCpp && w.acpp_fails {
                 continue;
             }
             let mut app = (w.build)(quick_size(&w));
             let what = format!("{} [{}]", w.name, kind.name());
-            let counts = audited_counts(kind, app.module, &mut app.runtime, &app.queue, &what);
+            let (counts, checked) =
+                audited_counts(kind, app.module, &mut app.runtime, &app.queue, &what);
+            *facts += checked;
             if w.in_figure {
                 add(&mut sweep, counts);
             }
@@ -467,8 +482,13 @@ fn launch_ledger_counts_under_the_host_fact_audit() {
     let HostDag {
         module, mut rt, q, ..
     } = hostdag(true);
-    let graph = audited_counts(FlowKind::SyclMlir, module, &mut rt, &q, "hostdag");
+    let (graph, graph_facts) = audited_counts(FlowKind::SyclMlir, module, &mut rt, &q, "hostdag");
     println!("launch_ledger: quick sweep: {sweep}; hostdag --quick: {graph}");
+    let flows = FlowKind::all().map(|k| k.name());
+    println!(
+        "host_facts: audited over the suite: {} {}, {} {}, {} {}; hostdag --quick: {graph_facts}",
+        flows[0], facts[0], flows[1], facts[1], flows[2], facts[2]
+    );
     let pinned = |launches, distinct_bindings, plans_looked_up, instantiations| LedgerCounts {
         launches,
         distinct_bindings,
@@ -477,4 +497,9 @@ fn launch_ledger_counts_under_the_host_fact_audit() {
     };
     assert_eq!(sweep, pinned(505, 201, 174, 201), "quick sweep");
     assert_eq!(graph, pinned(120, 8, 1, 8), "hostdag");
+    assert_eq!(
+        (facts, graph_facts),
+        ([0, 459, 894], 360),
+        "host facts audited"
+    );
 }

@@ -903,6 +903,7 @@ impl Gen {
             reg_count: self.next_reg,
             params: vec![0, 1, 2],
             has_item_param: false,
+            consts: Vec::new(),
             dense_consts: Vec::new(),
             mem_sites: self.sites,
             local_sites: 0,
@@ -1161,6 +1162,7 @@ fn mid_chain_failing_plan(fail_from: i64) -> KernelPlan {
         reg_count: 17,
         params: vec![0, 1, 2],
         has_item_param: false,
+        consts: Vec::new(),
         dense_consts: Vec::new(),
         mem_sites: 2,
         local_sites: 0,
@@ -1192,6 +1194,7 @@ fn div_zero_plan() -> KernelPlan {
         reg_count: 6,
         params: vec![0, 1, 2],
         has_item_param: false,
+        consts: Vec::new(),
         dense_consts: Vec::new(),
         mem_sites: 0,
         local_sites: 0,
@@ -1609,6 +1612,7 @@ fn bait_plan(body: Vec<Instr>, reg_count: u32, mem_sites: u32) -> KernelPlan {
         reg_count,
         params: vec![0, 1, 2],
         has_item_param: false,
+        consts: Vec::new(),
         dense_consts: Vec::new(),
         mem_sites,
         local_sites: 0,

@@ -50,8 +50,8 @@ use sycl_mlir_repro::runtime::{
 };
 use sycl_mlir_repro::sim::{
     decode_kernel, run_plan_graph_report, AccessorVal, BatchLaunch, CostModel, DataVec, Device,
-    Engine, ExecLimits, ExecStats, GraphReport, HostNode, HostView, KernelPlan, LaunchDag,
-    MemFault, MemId, MemoryPool, NdRangeSpec, PlanLaunch, RtValue, SimError,
+    Engine, ExecLimits, ExecStats, GraphReport, HostNode, KernelPlan, LaunchDag, MemFault, MemId,
+    MemoryPool, NdRangeSpec, PlanLaunch, RtValue, SharedPool, SimError,
 };
 use sycl_mlir_repro::sycl::device as sdev;
 use sycl_mlir_repro::sycl::types::AccessMode;
@@ -1014,8 +1014,8 @@ fn injected_fault_on_host_node_cascades_to_successors() {
     let mut pool = MemoryPool::new();
     let ma = pool.alloc(DataVec::F32((0..LEN).map(|i| i as f32).collect()));
     let args_a = [accessor_over(ma)];
-    let host = HostNode::new(move |view: &HostView<'_, '_>| {
-        let a = view.buf(ma)?;
+    let host = HostNode::new(move |shared: &SharedPool<'_>| {
+        let a = shared.resolve(ma)?;
         let n = a.len() as i64;
         for i in 0..n {
             let RtValue::F32(x) = a.load(i)?.into() else {
@@ -1145,14 +1145,14 @@ fn spec_graph_run(
         .collect();
     let scratch = pool.alloc(DataVec::F32(vec![1.0; LEN as usize]));
     let scratch_args = [accessor_over(scratch)];
-    let overrun = HostNode::new(move |view: &HostView<'_, '_>| {
-        view.buf(scratch)?.load(LEN)?;
+    let overrun = HostNode::new(move |shared: &SharedPool<'_>| {
+        shared.resolve(scratch)?.load(LEN)?;
         Ok(())
     });
 
     // Host tasks over f32 buffers, as closures over the device memory.
-    let f32_at = |view: &HostView<'_, '_>, mem, i| -> Result<f32, MemFault> {
-        match view.buf(mem)?.load(i)?.into() {
+    let f32_at = |shared: &SharedPool<'_>, mem, i| -> Result<f32, MemFault> {
+        match shared.resolve(mem)?.load(i)?.into() {
             RtValue::F32(x) => Ok(x),
             other => panic!("f32 buffer loaded {other:?}"),
         }
@@ -1172,10 +1172,10 @@ fn spec_graph_run(
                 HostOp::AddInto { dst, src } => (bufs[dst.0], bufs[src.0], 0.0, |x, y, _| x + y),
             };
             let k = k as f32;
-            Some(HostNode::new(move |view: &HostView<'_, '_>| {
-                let out = view.buf(dst)?;
+            Some(HostNode::new(move |shared: &SharedPool<'_>| {
+                let out = shared.resolve(dst)?;
                 for i in 0..out.len() as i64 {
-                    let x = f(f32_at(view, dst, i)?, f32_at(view, src, i)?, k);
+                    let x = f(f32_at(shared, dst, i)?, f32_at(shared, src, i)?, k);
                     out.store(i, RtValue::F32(x))?;
                 }
                 Ok(())
@@ -1314,8 +1314,8 @@ fn host_node_in_graph_runs_in_hazard_order() {
         let mut pool = MemoryPool::new();
         let ma = pool.alloc(DataVec::F32((0..LEN).map(|i| i as f32).collect()));
         let args_a = [accessor_over(ma)];
-        let host = HostNode::new(move |view: &HostView<'_, '_>| {
-            let a = view.buf(ma)?;
+        let host = HostNode::new(move |shared: &SharedPool<'_>| {
+            let a = shared.resolve(ma)?;
             for i in 0..a.len() as i64 {
                 let RtValue::F32(x) = a.load(i)?.into() else {
                     panic!("f32 buffer")
@@ -1359,7 +1359,7 @@ fn host_node_in_graph_runs_in_hazard_order() {
 }
 
 /// A host closure that reads past its buffer gets the fault as a value
-/// from `HostView` and fails the run with the kernels' out-of-bounds
+/// from its `Buf` and fails the run with the kernels' out-of-bounds
 /// text, at every thread count and under the serial reference; the
 /// dependent kernel does not run. A closure that panics is a bug, not a
 /// fault: the scheduler's `catch_unwind` only carries the payload to the
@@ -1391,8 +1391,8 @@ fn host_view_fault_fails_the_node_and_a_host_panic_is_rethrown() {
         (report, pool.read(ma))
     };
 
-    let overrun = HostNode::new(|view: &HostView<'_, '_>| {
-        let a = view.buf(MemId(0))?;
+    let overrun = HostNode::new(|shared: &SharedPool<'_>| {
+        let a = shared.resolve(MemId(0))?;
         a.load(a.len() as i64)?;
         Ok(())
     });
@@ -1426,7 +1426,7 @@ fn host_view_fault_fails_the_node_and_a_host_panic_is_rethrown() {
     assert_eq!(err.message(), text);
     assert_eq!(pool.read(ma), two());
 
-    let boom = HostNode::new(|_: &HostView<'_, '_>| panic!("boom"));
+    let boom = HostNode::new(|_: &SharedPool<'_>| panic!("boom"));
     for threads in [1_usize, 4] {
         let payload = catch_unwind(AssertUnwindSafe(|| graph(&boom, threads)))
             .expect_err("a panicking closure panics the launcher");
@@ -1490,8 +1490,8 @@ fn unknown_buffer_argument_fails_its_launch_only() {
 }
 
 /// A buffer id a host closure names is outside input exactly like a
-/// launch argument: `HostView::buf`, the view's one way to a buffer,
-/// returns the fault when it meets the stranger, the node fails with it
+/// launch argument: `SharedPool::resolve`, a closure's one way to a
+/// buffer, returns the fault when it meets the stranger, the node fails with it
 /// at `(launch, 0)` under both engines, and the kernel that depends on
 /// the node does not run.
 #[test]
@@ -1503,8 +1503,8 @@ fn unknown_buffer_in_a_host_closure_fails_its_node_only() {
     let scale_io = m.lookup_symbol(dev, "scale_io").expect("kernel symbol");
     let nd = NdRangeSpec::d1(LEN, 8);
     const STRANGER: MemId = MemId(9);
-    type Probe = fn(&HostView<'_, '_>) -> Result<(), MemFault>;
-    let probes: [(&str, Probe); 1] = [("buf", |v| v.buf(STRANGER).map(drop))];
+    type Probe = fn(&SharedPool<'_>) -> Result<(), MemFault>;
+    let probes: [(&str, Probe); 1] = [("resolve", |v| v.resolve(STRANGER).map(drop))];
     for (method, probe) in probes {
         let host = HostNode::new(move |v| Ok(probe(v)?));
         for (name, device) in configs() {
@@ -1576,8 +1576,8 @@ fn failure_stops_every_successor_under_every_engine() {
         .expect("device module");
     let kernel = |name| m.lookup_symbol(dev, name).expect("kernel symbol");
     let nd = NdRangeSpec::d1(LEN, 8);
-    let overrun = HostNode::new(|view: &HostView<'_, '_>| {
-        let a = view.buf(MemId(0))?;
+    let overrun = HostNode::new(|shared: &SharedPool<'_>| {
+        let a = shared.resolve(MemId(0))?;
         a.load(a.len() as i64)?;
         Ok(())
     });
@@ -1611,7 +1611,7 @@ fn failure_stops_every_successor_under_every_engine() {
     ];
     let counter = |count: &Arc<AtomicUsize>| {
         let count = count.clone();
-        BatchLaunch::host_node(HostNode::new(move |_: &HostView<'_, '_>| {
+        BatchLaunch::host_node(HostNode::new(move |_: &SharedPool<'_>| {
             count.fetch_add(1, Ordering::Relaxed);
             Ok(())
         }))

@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 use sycl_mlir_repro::dialects::arith;
 use sycl_mlir_repro::frontend::{full_context, KernelModuleBuilder, KernelSig};
 use sycl_mlir_repro::sim::{
-    AccessorVal, BatchLaunch, DataVec, Device, Engine, HostNode, HostView, LaunchDag, MemoryPool,
-    NdRangeSpec, RtValue,
+    AccessorVal, BatchLaunch, DataVec, Device, Engine, HostNode, LaunchDag, MemoryPool,
+    NdRangeSpec, RtValue, SharedPool,
 };
 use sycl_mlir_repro::sycl::device as sdev;
 use sycl_mlir_repro::sycl::types::AccessMode;
@@ -89,7 +89,7 @@ fn no_worker_thread_outlives_its_graph_run() {
         .expect("a clean run");
     assert_no_worker_threads("after a clean run");
 
-    let boom = HostNode::new(|_: &HostView<'_, '_>| panic!("boom"));
+    let boom = HostNode::new(|_: &SharedPool<'_>| panic!("boom"));
     let batch = [kernel(), BatchLaunch::host_node(boom), kernel()];
     let payload = catch_unwind(AssertUnwindSafe(|| {
         device.launch_graph(&m, &batch, &LaunchDag::chain(3), &mut pool)
