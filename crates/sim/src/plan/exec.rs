@@ -783,7 +783,6 @@ fn run_impl(
         }
         pc += 1;
         match instr {
-            Instr::Const { dst, val } => alu!(dst(; val) => val),
             Instr::ConstDense { dst, idx } => {
                 let dst = rows!(dst);
                 each_lane!({

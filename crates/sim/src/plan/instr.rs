@@ -160,16 +160,6 @@ pub enum ItemQ {
 /// indices into the owning [`KernelPlan::code`].
 #[derive(Clone, Debug)]
 pub enum Instr {
-    /// A scalar constant written where the instruction runs. The decoder
-    /// emits none — it binds constants once per launch
-    /// ([`KernelPlan::consts`]) — but
-    /// hand-built and generated bytecode writes constants under branches.
-    Const {
-        /// Destination register.
-        dst: Reg,
-        /// The constant value (the decoder emits `Int`/`F32`/`F64`).
-        val: Slot,
-    },
     /// Dense-data constant memref, materialized once per launch into the
     /// pool and cached in the worker state ([`PlanCtx`]) under `idx`.
     ConstDense {
@@ -504,7 +494,6 @@ impl Instr {
     /// execution-count dump to aggregate counts per opcode.
     pub fn mnemonic(&self) -> &'static str {
         match self {
-            Instr::Const { .. } => "const",
             Instr::ConstDense { .. } => "const.dense",
             Instr::Copy { .. } => "copy",
             Instr::BinInt { op, .. } => match op {
@@ -702,7 +691,6 @@ impl Instr {
             }
         }
         match self {
-            Instr::Const { dst, val } => f(Write, *dst, Class::of_const(val)),
             Instr::ConstDense { dst, .. } | Instr::Alloca { dst, .. } | Instr::LocalAlloca { dst, .. } =>
                 f(Write, *dst, Some(Mem)),
             Instr::Copy { dst, src } => { f(Read, *src, None); f(Write, *dst, None) }
@@ -793,7 +781,6 @@ mod tests {
         let (op, pred) = (FloatBin::Add, CmpPred::Slt);
         let (rank, site, target) = (3, 7, 9);
         vec![
-            Instr::Const { dst: r(), val: Slot::Int(5) },
             Instr::ConstDense { dst: r(), idx: 1 },
             Instr::Copy { dst: r(), src: r() },
             Instr::BinInt { op: IntBin::Add, dst: r(), l: r(), r: r() },
@@ -837,11 +824,11 @@ mod tests {
 
     /// A variant added to [`Instr`] stops this from compiling: give it a
     /// sample above, an arm here, and count it.
-    const VARIANTS: usize = 36;
+    const VARIANTS: usize = 35;
     fn counted(i: &Instr) {
         use Instr::*;
         match i {
-            Const { .. } | ConstDense { .. } | Copy { .. } | BinInt { .. } | BinFloat { .. } => {}
+            ConstDense { .. } | Copy { .. } | BinInt { .. } | BinFloat { .. } => {}
             NegF { .. } | CmpI { .. } | CmpF { .. } | Select { .. } | SiToFp { .. } => {}
             FpToSi { .. } | TruncF { .. } | ExtF { .. } | Math { .. } | Alloca { .. } => {}
             LocalAlloca { .. } | Load { .. } | Store { .. } | VecCtor { .. } => {}

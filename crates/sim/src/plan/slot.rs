@@ -16,9 +16,10 @@ pub type Reg = u32;
 /// index, an accessor in the launch's arguments; an item has none — so a
 /// slot means something only in the register file it
 /// was written to, and code outside this crate can build the scalar
-/// variants only (what an [`Instr::Const`] may hold). The tag stays
-/// although the verifier proves every register's class: rejected plans
-/// still run, and every type error keeps its text and position.
+/// variants only (what a [`KernelPlan::consts`](super::KernelPlan::consts)
+/// entry may hold). The tag stays although the verifier proves every
+/// register's class: rejected plans still run, and every type error keeps
+/// its text and position.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Slot {
     /// Integers of any width, `index`, and `i1`.

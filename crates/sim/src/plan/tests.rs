@@ -150,7 +150,7 @@ mod fusion {
 
     /// `a[i] += b[i]`: both accessor reads fuse as `acc.load.idx`; the
     /// `addf` that accumulates them and the builder's un-CSE'd write
-    /// (`vec.ctor` + `acc.subscript` + `Const` + `Store`) have no window
+    /// (`vec.ctor` + `acc.subscript` + `Store`) have no window
     /// and run as decoded.
     #[test]
     fn load_accumulate_fuses_and_executes_identically() {
@@ -311,13 +311,20 @@ mod chains {
 
     /// One decoded-shaped plan over `[accessor f32, memref f32]`
     /// params (registers 0 and 1); registers from 2 up are free.
-    fn plan_of(code: Vec<Instr>, reg_count: u32, mem_sites: u32) -> KernelPlan {
+    /// A plan over the accessor and memref parameters (`r0`, `r1`) and the
+    /// bound constants `consts`.
+    fn plan_of(
+        code: Vec<Instr>,
+        consts: Vec<(Reg, Slot)>,
+        reg_count: u32,
+        mem_sites: u32,
+    ) -> KernelPlan {
         KernelPlan {
             code,
             reg_count,
             params: vec![0, 1],
             has_item_param: false,
-            consts: Vec::new(),
+            consts,
             dense_consts: Vec::new(),
             mem_sites,
             local_sites: 0,
@@ -381,19 +388,11 @@ mod chains {
     #[test]
     fn accessor_load_and_store_chains_fuse_and_execute_identically() {
         let code = vec![
-            // r2 = gid, r3 = 0, r4 = 1.0f
+            // r2 = gid (r3 = 0 and r4 = 1.0f are bound)
             Instr::ItemQuery {
                 dst: 2,
                 q: ItemQ::GlobalId,
                 dim: DimSrc::Const(0),
-            },
-            Instr::Const {
-                dst: 3,
-                val: Slot::Int(0),
-            },
-            Instr::Const {
-                dst: 4,
-                val: Slot::F32(1.0),
             },
             // Load chain: id, view, load.
             Instr::VecCtor {
@@ -441,10 +440,11 @@ mod chains {
             },
             Instr::Return,
         ];
-        let plan = plan_of(code, 11, 2);
+        let consts = vec![(3, Slot::Int(0)), (4, Slot::F32(1.0))];
+        let plan = plan_of(code, consts, 11, 2);
         let fused = assert_chain_identical(&plan, &["acc.load.idx"]);
-        // Only the 3-instruction load chain collapsed: 11 -> 9.
-        assert_eq!(fused.code.len(), 9);
+        // Only the 3-instruction load chain collapsed: 9 -> 7.
+        assert_eq!(fused.code.len(), 7);
     }
 
     /// Near miss: an `acc.subscript` result read by *both* a load and a
@@ -458,14 +458,6 @@ mod chains {
                 dst: 2,
                 q: ItemQ::GlobalId,
                 dim: DimSrc::Const(0),
-            },
-            Instr::Const {
-                dst: 3,
-                val: Slot::Int(0),
-            },
-            Instr::Const {
-                dst: 4,
-                val: Slot::F32(1.0),
             },
             Instr::VecCtor {
                 dst: 5,
@@ -502,7 +494,8 @@ mod chains {
             },
             Instr::Return,
         ];
-        let plan = plan_of(code, 9, 2);
+        let consts = vec![(3, Slot::Int(0)), (4, Slot::F32(1.0))];
+        let plan = plan_of(code, consts, 9, 2);
         assert_chain_identical(&plan, &[]);
     }
 
@@ -515,7 +508,7 @@ mod chains {
         // Shared suffix: id = vec.ctor gid; view = acc[id]; v = load;
         // store v -> b[gid]. The guard skips a filler instruction.
         let build = |branch_to_head: bool| -> KernelPlan {
-            let chain_head = 6_u32;
+            let chain_head = 5_u32;
             let target = if branch_to_head {
                 chain_head
             } else {
@@ -530,55 +523,51 @@ mod chains {
                     q: ItemQ::GlobalId,
                     dim: DimSrc::Const(0),
                 },
-                Instr::Const {
-                    dst: 3,
-                    val: Slot::Int(0),
-                },
                 Instr::VecCtor {
                     dst: 6,
                     comps: [2, 0, 0],
                     rank: 1,
-                }, // pc 2: pre-initialize the id register
+                }, // pc 1: pre-initialize the id register
                 Instr::CmpI {
                     pred: CmpPred::Eq,
                     dst: 4,
                     l: 2,
                     r: 3,
-                }, // pc 3
-                Instr::BranchIfFalse { cond: 4, target }, // pc 4
+                }, // pc 2
+                Instr::BranchIfFalse { cond: 4, target }, // pc 3
                 Instr::BinInt {
                     op: IntBin::Add,
                     dst: 5,
                     l: 2,
                     r: 3,
-                }, // pc 5: filler, skipped when gid != 0
+                }, // pc 4: filler, skipped when gid != 0
                 Instr::VecCtor {
                     dst: 6,
                     comps: [2, 0, 0],
                     rank: 1,
-                }, // pc 6: chain head
+                }, // pc 5: chain head
                 Instr::AccSubscript {
                     dst: 7,
                     acc: 0,
                     id: 6,
-                }, // pc 7
+                }, // pc 6
                 Instr::Load {
                     dst: 8,
                     mem: 7,
                     idx: [3, 0, 0],
                     rank: 1,
                     site: 0,
-                }, // pc 8
+                }, // pc 7
                 Instr::Store {
                     val: 8,
                     mem: 1,
                     idx: [2, 0, 0],
                     rank: 1,
                     site: 1,
-                }, // pc 9
+                }, // pc 8
                 Instr::Return,
             ];
-            plan_of(code, 9, 2)
+            plan_of(code, vec![(3, Slot::Int(0))], 9, 2)
         };
 
         // Branching to the head: the chain fuses (the whole window
@@ -592,8 +581,8 @@ mod chains {
     }
 
     /// The un-CSE'd DPC++-flow store shape: `vec.ctor`, `acc.subscript`,
-    /// `Const 0`, `Store`. No window is store-headed, so the shape runs
-    /// as decoded.
+    /// a zero copied in, `Store`. No window is store-headed, so the shape
+    /// runs as decoded.
     #[test]
     fn un_csed_store_quad_fuses() {
         let code = vec![
@@ -601,10 +590,6 @@ mod chains {
                 dst: 2,
                 q: ItemQ::GlobalId,
                 dim: DimSrc::Const(0),
-            },
-            Instr::Const {
-                dst: 4,
-                val: Slot::F32(2.5),
             },
             Instr::VecCtor {
                 dst: 5,
@@ -616,10 +601,7 @@ mod chains {
                 acc: 0,
                 id: 5,
             },
-            Instr::Const {
-                dst: 7,
-                val: Slot::Int(0),
-            },
+            Instr::Copy { dst: 7, src: 3 },
             Instr::Store {
                 val: 4,
                 mem: 6,
@@ -629,12 +611,12 @@ mod chains {
             },
             Instr::Return,
         ];
-        let plan = plan_of(code, 8, 1);
+        let plan = plan_of(code, vec![(3, Slot::Int(0)), (4, Slot::F32(2.5))], 8, 1);
         assert_chain_identical(&plan, &[]);
     }
 
-    /// Near miss: a constant between the subscript and the load (here an
-    /// unrelated one: the load indexes with r3, not r7) breaks the
+    /// Near miss: an instruction between the subscript and the load (here
+    /// an unrelated copy: the load indexes with r3, not r7) breaks the
     /// adjacency of the indexed load, so nothing fuses.
     #[test]
     fn unrelated_const_blocks_the_quad() {
@@ -643,10 +625,6 @@ mod chains {
                 dst: 2,
                 q: ItemQ::GlobalId,
                 dim: DimSrc::Const(0),
-            },
-            Instr::Const {
-                dst: 3,
-                val: Slot::Int(0),
             },
             Instr::VecCtor {
                 dst: 5,
@@ -658,11 +636,8 @@ mod chains {
                 acc: 0,
                 id: 5,
             },
-            // Unrelated constant: the load indexes with r3, not r7.
-            Instr::Const {
-                dst: 7,
-                val: Slot::Int(1),
-            },
+            // Unrelated copy: the load indexes with r3, not r7.
+            Instr::Copy { dst: 7, src: 4 },
             Instr::Load {
                 dst: 8,
                 mem: 6,
@@ -680,7 +655,7 @@ mod chains {
             },
             Instr::Return,
         ];
-        let plan = plan_of(code, 9, 2);
+        let plan = plan_of(code, vec![(3, Slot::Int(0)), (4, Slot::Int(1))], 9, 2);
         assert_chain_identical(&plan, &[]);
     }
 
@@ -695,14 +670,6 @@ mod chains {
                 dst: 2,
                 q: ItemQ::GlobalId,
                 dim: DimSrc::Const(0),
-            },
-            Instr::Const {
-                dst: 3,
-                val: Slot::Int(0),
-            },
-            Instr::Const {
-                dst: 4,
-                val: Slot::F32(1.5),
             },
             // First store chain: adjacent, id multiply-read.
             Instr::VecCtor {
@@ -745,7 +712,8 @@ mod chains {
             },
             Instr::Return,
         ];
-        let plan = plan_of(code, 9, 3);
+        let consts = vec![(3, Slot::Int(0)), (4, Slot::F32(1.5))];
+        let plan = plan_of(code, consts, 9, 3);
         assert_chain_identical(&plan, &[]);
     }
 
@@ -759,14 +727,6 @@ mod chains {
                 dst: 2,
                 q: ItemQ::GlobalId,
                 dim: DimSrc::Const(0),
-            },
-            Instr::Const {
-                dst: 3,
-                val: Slot::Int(0),
-            },
-            Instr::Const {
-                dst: 4,
-                val: Slot::F32(0.25),
             },
             Instr::Load {
                 dst: 5,
@@ -810,7 +770,8 @@ mod chains {
             },
             Instr::Return,
         ];
-        let plan = plan_of(code, 9, 3);
+        let consts = vec![(3, Slot::Int(0)), (4, Slot::F32(0.25))];
+        let plan = plan_of(code, consts, 9, 3);
         assert_chain_identical(&plan, &[]);
     }
 }

@@ -210,10 +210,6 @@ fn add_k_plan(k: f32) -> KernelPlan {
             q: ItemQ::GlobalId,
             dim: DimSrc::Const(0),
         },
-        Instr::Const {
-            dst: 2,
-            val: Slot::F32(k),
-        },
         Instr::Load {
             dst: 3,
             mem: 0,
@@ -242,7 +238,7 @@ fn add_k_plan(k: f32) -> KernelPlan {
         reg_count: 5,
         params: vec![0],
         has_item_param: false,
-        consts: Vec::new(),
+        consts: vec![(2, Slot::F32(k))],
         dense_consts: Vec::new(),
         mem_sites: 2,
         local_sites: 0,
@@ -322,20 +318,12 @@ fn barrier_div_plan() -> KernelPlan {
             site: 1,
         },
         Instr::Barrier,
-        Instr::Const {
-            dst: 5,
-            val: Slot::F32(1.0),
-        },
         Instr::BinFloat {
             op: FloatBin::Add,
             dst: 6,
             l: 4,
             r: 5,
             f32_out: true,
-        },
-        Instr::Const {
-            dst: 7,
-            val: Slot::Int(100),
         },
         Instr::BinInt {
             op: IntBin::DivS,
@@ -357,7 +345,7 @@ fn barrier_div_plan() -> KernelPlan {
         reg_count: 9,
         params: vec![0, 1],
         has_item_param: false,
-        consts: Vec::new(),
+        consts: vec![(5, Slot::F32(1.0)), (7, Slot::Int(100))],
         dense_consts: Vec::new(),
         mem_sites: 3,
         local_sites: 0,

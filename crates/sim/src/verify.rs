@@ -723,12 +723,6 @@ fn interval_pass(plan: &KernelPlan) -> Vec<Option<SiteProof>> {
         }
         let Some(mut e) = cur.take() else { continue };
         match instr {
-            Instr::Const { dst, val } => {
-                e[*dst as usize] = match val {
-                    Slot::Int(v) => AVal::Int(Interval::konst(*v)),
-                    _ => AVal::Top,
-                };
-            }
             Instr::Copy { dst, src } => e[*dst as usize] = e[*src as usize].clone(),
             Instr::BinInt { op, dst, l, r } => {
                 let (li, ri) = (int_of(&e[*l as usize]), int_of(&e[*r as usize]));
@@ -1006,25 +1000,74 @@ mod tests {
 
     #[test]
     fn rejects_type_confused_register() {
-        let p = plan1(
-            vec![
-                Instr::Const {
-                    dst: 0,
-                    val: Slot::F64(1.0),
-                },
-                Instr::BranchIfFalse { cond: 0, target: 2 },
-                ret(),
-            ],
-            1,
-            vec![],
-            false,
-            0,
-        );
+        let p = KernelPlan {
+            consts: vec![(0, Slot::F64(1.0))],
+            ..plan1(
+                vec![Instr::BranchIfFalse { cond: 0, target: 1 }, ret()],
+                1,
+                vec![],
+                false,
+                0,
+            )
+        };
         let errs = verify_plan(&p).unwrap_err();
         assert!(
             errs.iter().any(|e| e.message.contains("holds a float")),
             "{errs:?}"
         );
+    }
+
+    /// A launch binds its parameters and constants once for all its
+    /// work-groups: an instruction that writes one, whatever it writes,
+    /// and a constant outside the register file are refused.
+    #[test]
+    fn rejects_writes_to_bound_registers() {
+        let bound = |code: Vec<Instr>, consts: Vec<(Reg, Slot)>| KernelPlan {
+            consts,
+            ..plan1(code, 3, vec![0], false, 0)
+        };
+        let int = Slot::Int;
+        let cases = [
+            (
+                bound(
+                    vec![Instr::Copy { dst: 0, src: 1 }, ret()],
+                    vec![(1, int(2))],
+                ),
+                "writes parameter register r0",
+            ),
+            (
+                bound(
+                    vec![
+                        Instr::BinInt {
+                            op: IntBin::Add,
+                            dst: 1,
+                            l: 1,
+                            r: 1,
+                        },
+                        ret(),
+                    ],
+                    vec![(1, int(2))],
+                ),
+                "writes bound-constant register r1",
+            ),
+            (
+                bound(
+                    vec![Instr::Copy { dst: 2, src: 1 }, ret()],
+                    vec![(1, int(2)), (7, int(0))],
+                ),
+                "bound-constant register r7 out of range",
+            ),
+        ];
+        for (plan, want) in cases {
+            let errs = verify_plan(&plan).unwrap_err();
+            assert!(errs.iter().any(|e| e.message == want), "{want}: {errs:?}");
+        }
+        // The same reads with the writes going elsewhere pass.
+        let fine = bound(
+            vec![Instr::Copy { dst: 2, src: 1 }, ret()],
+            vec![(1, int(2))],
+        );
+        assert!(verify_plan(&fine).is_ok());
     }
 
     /// `a[gid]` with a matching launch is proven; an over-long global
@@ -1048,10 +1091,6 @@ mod tests {
                     acc: 0,
                     id: 3,
                 },
-                Instr::Const {
-                    dst: 5,
-                    val: Slot::Int(0),
-                },
                 Instr::Load {
                     dst: 6,
                     mem: 4,
@@ -1066,6 +1105,10 @@ mod tests {
             true,
             1,
         );
+        let p = KernelPlan {
+            consts: vec![(5, Slot::Int(0))],
+            ..p
+        };
         let facts = verify_plan(&p).unwrap();
         assert_eq!(facts.sites_proven, 1);
         let mut pool = MemoryPool::new();
@@ -1088,57 +1131,44 @@ mod tests {
     #[test]
     fn loop_bound_wrap_guard() {
         let build = |step: i64| {
-            plan1(
-                vec![
-                    Instr::Const {
-                        dst: 3,
-                        val: Slot::Int(0),
-                    },
-                    Instr::Const {
-                        dst: 4,
-                        val: Slot::Int(step),
-                    },
-                    Instr::ForEnter {
-                        lb: 3,
-                        ub: 1,
-                        step: 4,
-                        iv: 5,
-                        exit: 8,
-                    },
-                    Instr::VecCtor {
-                        dst: 6,
-                        comps: [5, 0, 0],
-                        rank: 1,
-                    },
-                    Instr::AccSubscript {
-                        dst: 7,
-                        acc: 0,
-                        id: 6,
-                    },
-                    Instr::Const {
-                        dst: 8,
-                        val: Slot::Int(0),
-                    },
-                    Instr::Load {
-                        dst: 9,
-                        mem: 7,
-                        idx: [8, 0, 0],
-                        rank: 1,
-                        site: 0,
-                    },
-                    Instr::ForNext {
-                        iv: 5,
-                        step: 4,
-                        ub: 1,
-                        body: 3,
-                    },
-                    ret(),
-                ],
-                10,
-                vec![0, 1, 2],
-                true,
-                1,
-            )
+            let consts = vec![(3, Slot::Int(0)), (4, Slot::Int(step)), (8, Slot::Int(0))];
+            let code = vec![
+                Instr::ForEnter {
+                    lb: 3,
+                    ub: 1,
+                    step: 4,
+                    iv: 5,
+                    exit: 5,
+                },
+                Instr::VecCtor {
+                    dst: 6,
+                    comps: [5, 0, 0],
+                    rank: 1,
+                },
+                Instr::AccSubscript {
+                    dst: 7,
+                    acc: 0,
+                    id: 6,
+                },
+                Instr::Load {
+                    dst: 9,
+                    mem: 7,
+                    idx: [8, 0, 0],
+                    rank: 1,
+                    site: 0,
+                },
+                Instr::ForNext {
+                    iv: 5,
+                    step: 4,
+                    ub: 1,
+                    body: 1,
+                },
+                ret(),
+            ];
+            KernelPlan {
+                consts,
+                ..plan1(code, 10, vec![0, 1, 2], true, 1)
+            }
         };
         let facts1 = verify_plan(&build(1)).unwrap();
         assert_eq!(facts1.sites_proven, 1, "step-1 loop should be proven");
@@ -1168,17 +1198,14 @@ mod tests {
     /// an 8-element accessor regardless of the launch size.
     #[test]
     fn proves_masked_and_mod_indexing() {
-        let build = |op: IntBin, k: i64| {
-            plan1(
+        let build = |op: IntBin, k: i64| KernelPlan {
+            consts: vec![(3, Slot::Int(k)), (7, Slot::Int(0))],
+            ..plan1(
                 vec![
                     Instr::ItemQuery {
                         dst: 2,
                         q: ItemQ::GlobalId,
                         dim: DimSrc::Const(0),
-                    },
-                    Instr::Const {
-                        dst: 3,
-                        val: Slot::Int(k),
                     },
                     Instr::BinInt {
                         op,
@@ -1195,10 +1222,6 @@ mod tests {
                         dst: 6,
                         acc: 0,
                         id: 5,
-                    },
-                    Instr::Const {
-                        dst: 7,
-                        val: Slot::Int(0),
                     },
                     Instr::Store {
                         val: 7,

@@ -13,7 +13,7 @@
 //! chain, with and without a second read of its view — and of every
 //! window that was retired because it did not pay: `Load`+`addf`/`mulf`,
 //! the `Load`+`mulf`+`addf` multiply-accumulate chain, the un-CSE'd
-//! 4-instruction accessor read (the `Const 0` re-materialized between
+//! 4-instruction accessor read (a zero copied in between
 //! the subscript and the access), indirect-index chains whose subscript
 //! is *loaded* out of a buffer, `muli`+`addi`, `cmpi`+branch,
 //! accumulate+`Store`, the store-side accessor chains and the
@@ -66,6 +66,8 @@ struct Gen {
     race_free: bool,
     next_reg: u32,
     sites: u32,
+    /// The plan's bound constants ([`KernelPlan::consts`]).
+    consts: Vec<(u32, Slot)>,
 }
 
 impl Gen {
@@ -82,6 +84,7 @@ impl Gen {
             // 0 = f32 memref param, 1 = i64 memref param, 2 = accessor.
             next_reg: 3,
             sites: 0,
+            consts: Vec::new(),
         }
     }
 
@@ -151,6 +154,33 @@ impl Gen {
         r
     }
 
+    /// A bound constant: a register the launch writes `val` into and no
+    /// instruction writes.
+    fn bound(&mut self, val: Slot) -> u32 {
+        let r = self.fresh();
+        self.consts.push((r, val));
+        r
+    }
+
+    /// A register written `val` where the instruction that writes it
+    /// runs — under a branch, in a loop: a copy of a bound constant.
+    fn copied(&mut self, val: Slot) -> u32 {
+        let src = self.bound(val);
+        let dst = self.fresh();
+        self.code.push(Instr::Copy { dst, src });
+        dst
+    }
+
+    /// A register holding `val`, [`Self::bound`] or [`Self::copied`] by
+    /// a draw.
+    fn konst(&mut self, val: Slot) -> u32 {
+        if self.rng.below(2) == 0 {
+            self.bound(val)
+        } else {
+            self.copied(val)
+        }
+    }
+
     fn pick_int(&mut self) -> u32 {
         let i = self.rng.below(self.ints.len());
         self.ints[i]
@@ -170,16 +200,12 @@ impl Gen {
     /// An integer register holding `src & 15` — in-bounds by masking —
     /// or, in the race-free population, `src & 7`: the read-only half.
     fn mask_reg(&mut self, src: u32) -> u32 {
-        let mask = self.fresh();
         let bits = if self.race_free {
             7
         } else {
             BUF_LEN as i64 - 1
         };
-        self.code.push(Instr::Const {
-            dst: mask,
-            val: Slot::Int(bits),
-        });
+        let mask = self.konst(Slot::Int(bits));
         let dst = self.fresh();
         self.code.push(Instr::BinInt {
             op: IntBin::And,
@@ -202,16 +228,14 @@ impl Gen {
         if !self.race_free {
             return self.masked_index();
         }
-        let (gid, half, dst) = (self.fresh(), self.fresh(), self.fresh());
+        let gid = self.fresh();
         self.code.push(Instr::ItemQuery {
             dst: gid,
             q: ItemQ::GlobalId,
             dim: sycl_mlir_repro::sim::plan::DimSrc::Const(0),
         });
-        self.code.push(Instr::Const {
-            dst: half,
-            val: Slot::Int(BUF_LEN as i64 / 2),
-        });
+        let half = self.konst(Slot::Int(BUF_LEN as i64 / 2));
+        let dst = self.fresh();
         self.code.push(Instr::BinInt {
             op: IntBin::Add,
             dst,
@@ -262,23 +286,18 @@ impl Gen {
     fn simple(&mut self) {
         match self.rng.below(10) {
             0 => {
-                let dst = self.fresh();
                 let val = self.rng.in_range(-3, 6) as i64;
-                self.code.push(Instr::Const {
-                    dst,
-                    val: Slot::Int(val),
-                });
+                let dst = self.konst(Slot::Int(val));
                 self.ints.push(dst);
             }
             1 => {
-                let dst = self.fresh();
                 let v = self.rng.in_range(-4, 5) as f64 * 0.5;
                 let val = if self.rng.below(2) == 0 {
                     Slot::F32(v as f32)
                 } else {
                     Slot::F64(v)
                 };
-                self.code.push(Instr::Const { dst, val });
+                let dst = self.konst(val);
                 self.floats.push(dst);
             }
             2 => {
@@ -419,11 +438,7 @@ impl Gen {
     /// the chain so the three members stay adjacent.
     fn acc_chain(&mut self) {
         let idx = self.store_index();
-        let zero = self.fresh();
-        self.code.push(Instr::Const {
-            dst: zero,
-            val: Slot::Int(0),
-        });
+        let zero = self.konst(Slot::Int(0));
         let id = self.fresh();
         self.code.push(Instr::VecCtor {
             dst: id,
@@ -473,7 +488,7 @@ impl Gen {
     }
 
     /// Emit the un-CSE'd DPC++ accessor chain — `vec.ctor`,
-    /// `acc.subscript`, then a *freshly materialized* `Const 0` and the
+    /// `acc.subscript`, then a *freshly copied-in* zero and the
     /// `Load`/`Store` (the retired 4-instruction window's bait):
     /// unoptimized DPC++ re-materializes the inner zero index between the
     /// subscript and the access instead of hoisting it, so no window
@@ -483,12 +498,7 @@ impl Gen {
         // An earlier zero the access can index with instead of the
         // chain's own constant, keeping the access in bounds.
         let early_zero = if self.rng.below(4) == 0 {
-            let r = self.fresh();
-            self.code.push(Instr::Const {
-                dst: r,
-                val: Slot::Int(0),
-            });
-            Some(r)
+            Some(self.konst(Slot::Int(0)))
         } else {
             None
         };
@@ -501,11 +511,7 @@ impl Gen {
         let view = self.fresh();
         let acc = self.acc();
         self.code.push(Instr::AccSubscript { dst: view, acc, id });
-        let zero = self.fresh();
-        self.code.push(Instr::Const {
-            dst: zero,
-            val: Slot::Int(0),
-        });
+        let zero = self.copied(Slot::Int(0));
         let access_idx = early_zero.unwrap_or(zero);
         if self.rng.below(2) == 0 {
             let dst = self.fresh();
@@ -561,11 +567,7 @@ impl Gen {
         let view = self.fresh();
         let acc = self.acc();
         self.code.push(Instr::AccSubscript { dst: view, acc, id });
-        let zero = self.fresh();
-        self.code.push(Instr::Const {
-            dst: zero,
-            val: Slot::Int(0),
-        });
+        let zero = self.konst(Slot::Int(0));
         // The gathered index is any slot of the lower half: in the
         // race-free population, one to read only.
         if self.rng.below(2) == 0 || self.race_free {
@@ -598,11 +600,7 @@ impl Gen {
     /// runs as decoded.
     fn view_accum(&mut self) {
         let idx = self.store_index();
-        let zero = self.fresh();
-        self.code.push(Instr::Const {
-            dst: zero,
-            val: Slot::Int(0),
-        });
+        let zero = self.konst(Slot::Int(0));
         let id = self.fresh();
         self.code.push(Instr::VecCtor {
             dst: id,
@@ -793,19 +791,10 @@ impl Gen {
 
     /// Emit a constant-bound counted loop around a short body.
     fn for_loop(&mut self) {
-        let (lb, ub, step) = (self.fresh(), self.fresh(), self.fresh());
-        self.code.push(Instr::Const {
-            dst: lb,
-            val: Slot::Int(0),
-        });
-        self.code.push(Instr::Const {
-            dst: ub,
-            val: Slot::Int(self.rng.in_range(1, 4) as i64),
-        });
-        self.code.push(Instr::Const {
-            dst: step,
-            val: Slot::Int(1),
-        });
+        let lb = self.konst(Slot::Int(0));
+        let trips = self.rng.in_range(1, 4) as i64;
+        let ub = self.konst(Slot::Int(trips));
+        let step = self.konst(Slot::Int(1));
         let iv = self.fresh();
         let enter_at = self.code.len();
         self.code.push(Instr::ForEnter {
@@ -833,22 +822,8 @@ impl Gen {
 
     fn finish(mut self) -> KernelPlan {
         // Seed the pools so every picker has material.
-        let seed_int = self.fresh();
-        self.code.insert(
-            0,
-            Instr::Const {
-                dst: seed_int,
-                val: Slot::Int(3),
-            },
-        );
-        let seed_float = self.fresh();
-        self.code.insert(
-            1,
-            Instr::Const {
-                dst: seed_float,
-                val: Slot::F32(1.5),
-            },
-        );
+        let seed_int = self.bound(Slot::Int(3));
+        let seed_float = self.bound(Slot::F32(1.5));
         self.ints.push(seed_int);
         self.floats.push(seed_float);
 
@@ -903,7 +878,7 @@ impl Gen {
             reg_count: self.next_reg,
             params: vec![0, 1, 2],
             has_item_param: false,
-            consts: Vec::new(),
+            consts: self.consts,
             dense_consts: Vec::new(),
             mem_sites: self.sites,
             local_sites: 0,
@@ -1072,7 +1047,8 @@ fn random_bytecode_exercises_fusion_broadly() {
 fn mid_chain_failing_plan(fail_from: i64) -> KernelPlan {
     let dim0 = sycl_mlir_repro::sim::plan::DimSrc::Const(0);
     let code = vec![
-        // r3 = global id, r4 = group id, r5 = 0, r6 = 16, r7 = bound.
+        // r3 = global id, r4 = group id; bound: r5 = 0, r6 = 16,
+        // r7 = fail_from, r8 = 15.
         Instr::ItemQuery {
             dst: 3,
             q: ItemQ::GlobalId,
@@ -1083,23 +1059,7 @@ fn mid_chain_failing_plan(fail_from: i64) -> KernelPlan {
             q: ItemQ::GroupId,
             dim: dim0,
         },
-        Instr::Const {
-            dst: 5,
-            val: Slot::Int(0),
-        },
-        Instr::Const {
-            dst: 6,
-            val: Slot::Int(BUF_LEN as i64),
-        },
-        Instr::Const {
-            dst: 7,
-            val: Slot::Int(fail_from),
-        },
         // Marker: f32buf[gid & 15] = gid as f32.
-        Instr::Const {
-            dst: 8,
-            val: Slot::Int(BUF_LEN as i64 - 1),
-        },
         Instr::BinInt {
             op: IntBin::And,
             dst: 9,
@@ -1162,7 +1122,12 @@ fn mid_chain_failing_plan(fail_from: i64) -> KernelPlan {
         reg_count: 17,
         params: vec![0, 1, 2],
         has_item_param: false,
-        consts: Vec::new(),
+        consts: vec![
+            (5, Slot::Int(0)),
+            (6, Slot::Int(BUF_LEN as i64)),
+            (7, Slot::Int(fail_from)),
+            (8, Slot::Int(BUF_LEN as i64 - 1)),
+        ],
         dense_consts: Vec::new(),
         mem_sites: 2,
         local_sites: 0,
@@ -1173,14 +1138,6 @@ fn mid_chain_failing_plan(fail_from: i64) -> KernelPlan {
 /// so the *reported* error identifies which launch the scheduler picked.
 fn div_zero_plan() -> KernelPlan {
     let code = vec![
-        Instr::Const {
-            dst: 3,
-            val: Slot::Int(1),
-        },
-        Instr::Const {
-            dst: 4,
-            val: Slot::Int(0),
-        },
         Instr::BinInt {
             op: IntBin::DivS,
             dst: 5,
@@ -1194,7 +1151,7 @@ fn div_zero_plan() -> KernelPlan {
         reg_count: 6,
         params: vec![0, 1, 2],
         has_item_param: false,
-        consts: Vec::new(),
+        consts: vec![(3, Slot::Int(1)), (4, Slot::Int(0))],
         dense_consts: Vec::new(),
         mem_sites: 0,
         local_sites: 0,
@@ -1562,7 +1519,7 @@ fn verifier_accepts_fuzz_population_and_elision_is_bit_identical() {
 /// so — one finding per superinstruction, at that superinstruction's pc,
 /// the same on every call — rather than analyse code it has no transfer
 /// functions for. Held for every seed of the population that fuses
-/// anything (115 of 128 do; the count is asserted so the loop cannot go
+/// anything (116 of 128 do; the count is asserted so the loop cannot go
 /// vacuous).
 #[test]
 fn verifier_rejects_fused_plans_at_the_fused_pcs() {
@@ -1604,15 +1561,21 @@ fn verifier_rejects_fused_plans_at_the_fused_pcs() {
     assert!(checked > 100, "only {checked} seeds fused anything");
 }
 
-/// A minimal legal plan around `body`, with the fuzz parameter
-/// convention (f32 memref r0, i64 memref r1, accessor r2).
-fn bait_plan(body: Vec<Instr>, reg_count: u32, mem_sites: u32) -> KernelPlan {
+/// A minimal legal plan around `body` and the bound constants `consts`,
+/// with the fuzz parameter convention (f32 memref r0, i64 memref r1,
+/// accessor r2).
+fn bait_plan(
+    body: Vec<Instr>,
+    consts: Vec<(u32, Slot)>,
+    reg_count: u32,
+    mem_sites: u32,
+) -> KernelPlan {
     KernelPlan {
         code: body,
         reg_count,
         params: vec![0, 1, 2],
         has_item_param: false,
-        consts: Vec::new(),
+        consts,
         dense_consts: Vec::new(),
         mem_sites,
         local_sites: 0,
@@ -1628,14 +1591,6 @@ fn oob_bait_is_never_elided_and_fails_identically() {
     use sycl_mlir_repro::sim::verify_plan;
     let plan = bait_plan(
         vec![
-            Instr::Const {
-                dst: 3,
-                val: Slot::Int(999),
-            },
-            Instr::Const {
-                dst: 4,
-                val: Slot::F32(1.0),
-            },
             Instr::Store {
                 val: 4,
                 mem: 0,
@@ -1645,6 +1600,7 @@ fn oob_bait_is_never_elided_and_fails_identically() {
             },
             Instr::Return,
         ],
+        vec![(3, Slot::Int(999)), (4, Slot::F32(1.0))],
         5,
         1,
     );
@@ -1670,10 +1626,6 @@ fn type_confusion_bait_is_rejected() {
     use sycl_mlir_repro::sim::verify_plan;
     let plan = bait_plan(
         vec![
-            Instr::Const {
-                dst: 3,
-                val: Slot::Int(7),
-            },
             Instr::BinFloat {
                 op: FloatBin::Add,
                 dst: 4,
@@ -1683,6 +1635,7 @@ fn type_confusion_bait_is_rejected() {
             },
             Instr::Return,
         ],
+        vec![(3, Slot::Int(7))],
         5,
         0,
     );
@@ -1694,11 +1647,11 @@ fn type_confusion_bait_is_rejected() {
     );
     assert!(
         errs.iter().any(|e| {
-            e.pc == 1
+            e.pc == 0
                 && e.message
                     .contains("holds an integer but is used as a float")
         }),
-        "expected the type-class finding at pc 1, got: {errs:?}"
+        "expected the type-class finding at pc 0, got: {errs:?}"
     );
 }
 
@@ -1713,10 +1666,7 @@ fn corrupted_jump_bait_is_rejected() {
     let skip_def = bait_plan(
         vec![
             Instr::Jump { target: 2 },
-            Instr::Const {
-                dst: 3,
-                val: Slot::F32(2.0),
-            },
+            Instr::Copy { dst: 3, src: 5 },
             Instr::BinFloat {
                 op: FloatBin::Mul,
                 dst: 4,
@@ -1726,7 +1676,8 @@ fn corrupted_jump_bait_is_rejected() {
             },
             Instr::Return,
         ],
-        5,
+        vec![(5, Slot::F32(2.0))],
+        6,
         0,
     );
     let errs = verify_plan(&skip_def).expect_err("jump past a def must be rejected");
@@ -1738,7 +1689,12 @@ fn corrupted_jump_bait_is_rejected() {
 
     // Jump target outside the function entirely: a fatal structural
     // finding from the first pass.
-    let out_of_range = bait_plan(vec![Instr::Jump { target: 999 }, Instr::Return], 3, 0);
+    let out_of_range = bait_plan(
+        vec![Instr::Jump { target: 999 }, Instr::Return],
+        vec![],
+        3,
+        0,
+    );
     let errs = verify_plan(&out_of_range).expect_err("wild jump must be rejected");
     assert!(
         errs.iter()
