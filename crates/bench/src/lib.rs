@@ -13,7 +13,7 @@
 //! protocol collapses to a single measured run per configuration (JIT costs
 //! still land on the AdaptiveCpp "warm-up" and are excluded, like §VIII).
 
-use sycl_mlir_benchsuite::{geo_mean, run_workload_on, Category, RunResult, WorkloadSpec};
+use sycl_mlir_benchsuite::{geo_mean, run_workload_on, Category, WorkloadSpec};
 use sycl_mlir_core::FlowKind;
 use sycl_mlir_dialects::{arith, scf};
 use sycl_mlir_frontend::{full_context, KernelModuleBuilder, KernelSig};
@@ -72,16 +72,9 @@ pub fn run_row(w: &WorkloadSpec, quick: bool, device: &Device) -> Row {
     let mut valid = [false; 3];
     for (i, kind) in FlowKind::all().into_iter().enumerate() {
         match run_workload_on(w, size, kind, device) {
-            Ok((
-                RunResult {
-                    cycles: c,
-                    valid: v,
-                    ..
-                },
-                _,
-            )) => {
-                cycles[i] = c;
-                valid[i] = v;
+            Ok((r, _)) => {
+                cycles[i] = r.cycles;
+                valid[i] = r.valid();
             }
             Err(e) => {
                 // A tripped execution limit (--max-ops / --mem-cap /

@@ -16,7 +16,7 @@ fn main() {
                         w.name,
                         kind.name(),
                         r.cycles,
-                        r.valid,
+                        r.valid(),
                         t.elapsed()
                     );
                     if std::env::var("NOTES").is_ok() {

@@ -13,7 +13,11 @@
 //!
 //! Each workload builds a complete application: device kernels through the
 //! frontend, recorded command groups, generated host IR, input data
-//! (seeded), and a host-side reference validation. Problem sizes are scaled
+//! (seeded), and a host-side reference validation. Building computes no
+//! reference: the validator keeps a copy of the seeded inputs and computes
+//! the reference from them when it is called, so a caller that only
+//! compiles pays nothing for it, and a run that writes a buffer in place
+//! cannot change what it is checked against. Problem sizes are scaled
 //! from the paper's (the simulator interprets IR; EXPERIMENTS.md documents
 //! the scaling) — the *shape* of each kernel is preserved exactly.
 
@@ -42,7 +46,10 @@ pub enum Category {
 }
 
 /// Host-side validation callback of a workload: checks the runtime's
-/// final buffer/USM contents against a reference computation.
+/// final buffer/USM contents against a reference computation, which it
+/// performs on each call from the inputs the workload generated — never
+/// from the runtime's buffers, which the run may have overwritten. The
+/// error names the first element that differs.
 pub type ValidateFn = Box<dyn Fn(&SyclRuntime) -> Result<(), String>>;
 
 /// A complete runnable application.
@@ -89,9 +96,17 @@ pub struct RunResult {
     pub cycles: f64,
     /// Cycles including one-time JIT costs (the warm-up run).
     pub cold_cycles: f64,
-    pub valid: bool,
+    /// What the workload's [`ValidateFn`] returned.
+    pub validation: Result<(), String>,
     pub stats: ExecStats,
     pub compile_notes: Vec<String>,
+}
+
+impl RunResult {
+    /// Whether the run's results passed validation.
+    pub fn valid(&self) -> bool {
+        self.validation.is_ok()
+    }
 }
 
 /// Why a workload produced no [`RunResult`]: its pipeline failed to
@@ -144,8 +159,8 @@ impl std::error::Error for WorkloadError {}
 /// # Errors
 ///
 /// Returns compilation or simulation errors; a *validation* failure is
-/// reported through [`RunResult::valid`] (that is data, not an error — the
-/// paper plots it as a missing bar).
+/// reported through [`RunResult::validation`] (that is data, not an error —
+/// the paper plots it as a missing bar).
 pub fn run_workload(
     spec: &WorkloadSpec,
     size: i64,
@@ -171,7 +186,7 @@ pub fn run_workload_on(
             RunResult {
                 cycles: f64::NAN,
                 cold_cycles: f64::NAN,
-                valid: false,
+                validation: Err("validation failed (per §VIII)".into()),
                 stats: ExecStats::default(),
                 compile_notes: vec!["validation failed (per §VIII)".into()],
             },
@@ -187,11 +202,10 @@ pub fn run_workload_on(
         .map_err(|e| failed(WorkloadFailure::Compile(e)))?;
     let report = sycl_mlir_runtime::exec::run(&mut program, &mut app.runtime, &app.queue, device)
         .map_err(|e| failed(WorkloadFailure::Sim(e)))?;
-    let valid = (app.validate)(&app.runtime).is_ok();
     let result = RunResult {
         cycles: report.measured_cycles(),
         cold_cycles: report.cold_cycles(),
-        valid,
+        validation: (app.validate)(&app.runtime),
         stats: report.total_stats(),
         compile_notes: program.outcome.notes.clone(),
     };

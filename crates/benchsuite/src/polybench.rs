@@ -9,7 +9,7 @@ use crate::util::*;
 use crate::{App, Category, ValidateFn, WorkloadSpec};
 use sycl_mlir_dialects::{affine, arith, scf};
 use sycl_mlir_frontend::{full_context, KernelModuleBuilder, KernelSig};
-use sycl_mlir_runtime::{hostgen::generate_host_ir, BufferId, Queue, SyclRuntime};
+use sycl_mlir_runtime::{hostgen::generate_host_ir, Queue, SyclRuntime};
 use sycl_mlir_sycl::device as sdev;
 use sycl_mlir_sycl::types::AccessMode;
 
@@ -111,8 +111,10 @@ fn gemm(n: i64) -> App {
 
     let mut rng_ = rng(31);
     let mut rt = SyclRuntime::new();
-    let a = rt.buffer_f32(rand_f32(&mut rng_, (n * n) as usize), &[n, n]);
-    let b = rt.buffer_f32(rand_f32(&mut rng_, (n * n) as usize), &[n, n]);
+    let av = rand_f32(&mut rng_, (n * n) as usize);
+    let a = rt.buffer_f32(av.clone(), &[n, n]);
+    let bv = rand_f32(&mut rng_, (n * n) as usize);
+    let b = rt.buffer_f32(bv.clone(), &[n, n]);
     let c = rt.buffer_f32(vec![0.0; (n * n) as usize], &[n, n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -124,8 +126,10 @@ fn gemm(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let want = host_matmul_seq(rt.read_f32(a), rt.read_f32(b), n as usize);
-    let validate: ValidateFn = Box::new(move |rt| check_f32("gemm", rt.read_f32(c), &want, 1e-3));
+    let validate: ValidateFn = Box::new(move |rt| {
+        let want = host_matmul_seq(&av, &bv, n as usize);
+        check_f32("gemm", rt.read_f32(c), &want, 1e-3)
+    });
     App {
         module,
         runtime: rt,
@@ -146,13 +150,13 @@ fn mm_chain(n: i64, chains: usize) -> App {
     let mut rng_ = rng(32 + chains as u64);
     let mut rt = SyclRuntime::new();
     let len = (n * n) as usize;
-    let a = rt.buffer_f32(rand_f32(&mut rng_, len), &[n, n]);
-    let b = rt.buffer_f32(rand_f32(&mut rng_, len), &[n, n]);
-    let mut inputs: Vec<BufferId> = Vec::new();
-    let mut outs: Vec<BufferId> = Vec::new();
+    let av = rand_f32(&mut rng_, len);
+    let a = rt.buffer_f32(av.clone(), &[n, n]);
+    // The right-hand factors, in chain order.
+    let mut factors = vec![rand_f32(&mut rng_, len)];
+    let mut rhs = rt.buffer_f32(factors[0].clone(), &[n, n]);
     let mut q = Queue::new();
     let mut lhs = a;
-    let mut rhs = b;
     for step in 0..chains {
         let out = rt.buffer_f32(vec![0.0; len], &[n, n]);
         q.submit(|h| {
@@ -161,28 +165,24 @@ fn mm_chain(n: i64, chains: usize) -> App {
                 .accessor(out, AccessMode::ReadWrite);
             h.parallel_for_nd("mm", &[n, n], &[WG, WG]);
         });
-        outs.push(out);
-        inputs.push(rhs);
         // Next multiplication: previous result times a fresh matrix.
         lhs = out;
         if step + 1 < chains {
-            rhs = rt.buffer_f32(rand_f32(&mut rng_, len), &[n, n]);
+            factors.push(rand_f32(&mut rng_, len));
+            rhs = rt.buffer_f32(factors[step + 1].clone(), &[n, n]);
         }
     }
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    // Host reference for the whole chain.
-    let mut cur = rt.read_f32(a).to_vec();
-    let mut refs: Vec<Vec<f32>> = Vec::new();
-    for &inp in &inputs {
-        cur = host_matmul_seq(&cur, rt.read_f32(inp), n as usize);
-        refs.push(cur.clone());
-    }
-    let last = *outs.last().unwrap();
-    let want = refs.last().unwrap().clone();
-    let validate: ValidateFn =
-        Box::new(move |rt| check_f32("mm-chain", rt.read_f32(last), &want, 5e-2));
+    let last = lhs;
+    let validate: ValidateFn = Box::new(move |rt| {
+        // Host reference for the whole chain.
+        let want = factors
+            .iter()
+            .fold(av.clone(), |cur, m| host_matmul_seq(&cur, m, n as usize));
+        check_f32("mm-chain", rt.read_f32(last), &want, 5e-2)
+    });
     App {
         module,
         runtime: rt,
@@ -245,12 +245,10 @@ fn syrk_like(n: i64, two: bool) -> App {
     let mut rng_ = rng(if two { 34 } else { 33 });
     let mut rt = SyclRuntime::new();
     let len = (n * n) as usize;
-    let a = rt.buffer_f32(rand_f32(&mut rng_, len), &[n, n]);
-    let b = if two {
-        Some(rt.buffer_f32(rand_f32(&mut rng_, len), &[n, n]))
-    } else {
-        None
-    };
+    let av = rand_f32(&mut rng_, len);
+    let a = rt.buffer_f32(av.clone(), &[n, n]);
+    let bv = two.then(|| rand_f32(&mut rng_, len));
+    let b = bv.as_ref().map(|bv| rt.buffer_f32(bv.clone(), &[n, n]));
     let c = rt.buffer_f32(vec![0.0; len], &[n, n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -264,28 +262,28 @@ fn syrk_like(n: i64, two: bool) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let av = rt.read_f32(a).to_vec();
-    let bv = b.map(|b| rt.read_f32(b).to_vec());
-    let nn = n as usize;
-    let want: Vec<f32> = (0..nn)
-        .flat_map(|i| {
-            let av = &av;
-            let bv = &bv;
-            (0..nn).map(move |j| {
-                let mut acc = 0.0_f32;
-                for k in 0..nn {
-                    acc += match bv {
-                        Some(bv) => {
-                            av[i * nn + k] * bv[j * nn + k] + bv[i * nn + k] * av[j * nn + k]
-                        }
-                        None => av[i * nn + k] * av[j * nn + k],
-                    };
-                }
-                acc
+    let validate: ValidateFn = Box::new(move |rt| {
+        let nn = n as usize;
+        let want: Vec<f32> = (0..nn)
+            .flat_map(|i| {
+                let av = &av;
+                let bv = &bv;
+                (0..nn).map(move |j| {
+                    let mut acc = 0.0_f32;
+                    for k in 0..nn {
+                        acc += match bv {
+                            Some(bv) => {
+                                av[i * nn + k] * bv[j * nn + k] + bv[i * nn + k] * av[j * nn + k]
+                            }
+                            None => av[i * nn + k] * av[j * nn + k],
+                        };
+                    }
+                    acc
+                })
             })
-        })
-        .collect();
-    let validate: ValidateFn = Box::new(move |rt| check_f32("syrk", rt.read_f32(c), &want, 1e-3));
+            .collect();
+        check_f32("syrk", rt.read_f32(c), &want, 1e-3)
+    });
     App {
         module,
         runtime: rt,
@@ -363,8 +361,10 @@ fn atax(n: i64) -> App {
     let mut rng_ = rng(35);
     let mut rt = SyclRuntime::new();
     let len = (n * n) as usize;
-    let a = rt.buffer_f32(rand_f32(&mut rng_, len), &[n, n]);
-    let x = rt.buffer_f32(rand_f32(&mut rng_, n as usize), &[n]);
+    let av = rand_f32(&mut rng_, len);
+    let a = rt.buffer_f32(av.clone(), &[n, n]);
+    let xv = rand_f32(&mut rng_, n as usize);
+    let x = rt.buffer_f32(xv.clone(), &[n]);
     let tmp = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let y = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let mut q = Queue::new();
@@ -383,9 +383,11 @@ fn atax(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let tmp_ref = host_matvec(rt.read_f32(a), rt.read_f32(x), n as usize, false);
-    let want = host_matvec(rt.read_f32(a), &tmp_ref, n as usize, true);
-    let validate: ValidateFn = Box::new(move |rt| check_f32("atax", rt.read_f32(y), &want, 1e-2));
+    let validate: ValidateFn = Box::new(move |rt| {
+        let tmp_ref = host_matvec(&av, &xv, n as usize, false);
+        let want = host_matvec(&av, &tmp_ref, n as usize, true);
+        check_f32("atax", rt.read_f32(y), &want, 1e-2)
+    });
     App {
         module,
         runtime: rt,
@@ -403,9 +405,12 @@ fn bicg(n: i64) -> App {
     let mut rng_ = rng(36);
     let mut rt = SyclRuntime::new();
     let len = (n * n) as usize;
-    let a = rt.buffer_f32(rand_f32(&mut rng_, len), &[n, n]);
-    let p = rt.buffer_f32(rand_f32(&mut rng_, n as usize), &[n]);
-    let r = rt.buffer_f32(rand_f32(&mut rng_, n as usize), &[n]);
+    let av = rand_f32(&mut rng_, len);
+    let a = rt.buffer_f32(av.clone(), &[n, n]);
+    let pv = rand_f32(&mut rng_, n as usize);
+    let p = rt.buffer_f32(pv.clone(), &[n]);
+    let rv = rand_f32(&mut rng_, n as usize);
+    let r = rt.buffer_f32(rv.clone(), &[n]);
     let qv = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let s = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let mut q = Queue::new();
@@ -424,10 +429,10 @@ fn bicg(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let want_q = host_matvec(rt.read_f32(a), rt.read_f32(p), n as usize, false);
-    let want_s = host_matvec(rt.read_f32(a), rt.read_f32(r), n as usize, true);
     let validate: ValidateFn = Box::new(move |rt| {
+        let want_q = host_matvec(&av, &pv, n as usize, false);
         check_f32("bicg.q", rt.read_f32(qv), &want_q, 1e-2)?;
+        let want_s = host_matvec(&av, &rv, n as usize, true);
         check_f32("bicg.s", rt.read_f32(s), &want_s, 1e-2)
     });
     App {
@@ -447,9 +452,12 @@ fn mvt(n: i64) -> App {
     let mut rng_ = rng(37);
     let mut rt = SyclRuntime::new();
     let len = (n * n) as usize;
-    let a = rt.buffer_f32(rand_f32(&mut rng_, len), &[n, n]);
-    let y1 = rt.buffer_f32(rand_f32(&mut rng_, n as usize), &[n]);
-    let y2 = rt.buffer_f32(rand_f32(&mut rng_, n as usize), &[n]);
+    let av = rand_f32(&mut rng_, len);
+    let a = rt.buffer_f32(av.clone(), &[n, n]);
+    let y1v = rand_f32(&mut rng_, n as usize);
+    let y1 = rt.buffer_f32(y1v.clone(), &[n]);
+    let y2v = rand_f32(&mut rng_, n as usize);
+    let y2 = rt.buffer_f32(y2v.clone(), &[n]);
     let x1 = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let x2 = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let mut q = Queue::new();
@@ -468,10 +476,10 @@ fn mvt(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let want1 = host_matvec(rt.read_f32(a), rt.read_f32(y1), n as usize, false);
-    let want2 = host_matvec(rt.read_f32(a), rt.read_f32(y2), n as usize, true);
     let validate: ValidateFn = Box::new(move |rt| {
+        let want1 = host_matvec(&av, &y1v, n as usize, false);
         check_f32("mvt.x1", rt.read_f32(x1), &want1, 1e-2)?;
+        let want2 = host_matvec(&av, &y2v, n as usize, true);
         check_f32("mvt.x2", rt.read_f32(x2), &want2, 1e-2)
     });
     App {
@@ -522,9 +530,12 @@ fn gesummv(n: i64) -> App {
     let mut rng_ = rng(38);
     let mut rt = SyclRuntime::new();
     let len = (n * n) as usize;
-    let a = rt.buffer_f32(rand_f32(&mut rng_, len), &[n, n]);
-    let b = rt.buffer_f32(rand_f32(&mut rng_, len), &[n, n]);
-    let x = rt.buffer_f32(rand_f32(&mut rng_, n as usize), &[n]);
+    let av = rand_f32(&mut rng_, len);
+    let a = rt.buffer_f32(av.clone(), &[n, n]);
+    let bv = rand_f32(&mut rng_, len);
+    let b = rt.buffer_f32(bv.clone(), &[n, n]);
+    let xv = rand_f32(&mut rng_, n as usize);
+    let x = rt.buffer_f32(xv.clone(), &[n]);
     let y = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -539,19 +550,17 @@ fn gesummv(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let av = rt.read_f32(a).to_vec();
-    let bv = rt.read_f32(b).to_vec();
-    let xv = rt.read_f32(x).to_vec();
-    let nn = n as usize;
-    let want: Vec<f32> = (0..nn)
-        .map(|i| {
-            let s1: f32 = (0..nn).map(|j| av[i * nn + j] * xv[j]).sum();
-            let s2: f32 = (0..nn).map(|j| bv[i * nn + j] * xv[j]).sum();
-            alpha * s1 + beta * s2
-        })
-        .collect();
-    let validate: ValidateFn =
-        Box::new(move |rt| check_f32("gesummv", rt.read_f32(y), &want, 1e-2));
+    let validate: ValidateFn = Box::new(move |rt| {
+        let nn = n as usize;
+        let want: Vec<f32> = (0..nn)
+            .map(|i| {
+                let s1: f32 = (0..nn).map(|j| av[i * nn + j] * xv[j]).sum();
+                let s2: f32 = (0..nn).map(|j| bv[i * nn + j] * xv[j]).sum();
+                alpha * s1 + beta * s2
+            })
+            .collect();
+        check_f32("gesummv", rt.read_f32(y), &want, 1e-2)
+    });
     App {
         module,
         runtime: rt,
@@ -696,7 +705,8 @@ fn correlation(n: i64) -> App {
     let mut rng_ = rng(39);
     let mut rt = SyclRuntime::new();
     let len = (n * n) as usize;
-    let data = rt.buffer_f32(rand_f32(&mut rng_, len), &[n, n]);
+    let d0 = rand_f32(&mut rng_, len);
+    let data = rt.buffer_f32(d0.clone(), &[n, n]);
     let mean = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let sum = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let sumsq = rt.buffer_f32(vec![0.0; n as usize], &[n]);
@@ -732,34 +742,34 @@ fn correlation(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    // Host reference of the same pipeline.
-    let nn = n as usize;
-    let d0 = rt.read_f32(data).to_vec();
-    let mut mean_ref = vec![0.0_f32; nn];
-    for j in 0..nn {
-        for i in 0..nn {
-            mean_ref[j] += d0[i * nn + j];
-        }
-        mean_ref[j] /= nn as f32;
-    }
-    let mut centered = d0.clone();
-    for i in 0..nn {
+    let validate: ValidateFn = Box::new(move |rt| {
+        // Host reference of the same pipeline.
+        let nn = n as usize;
+        let mut mean_ref = vec![0.0_f32; nn];
         for j in 0..nn {
-            centered[i * nn + j] -= mean_ref[j];
-        }
-    }
-    let mut corr_ref = vec![0.0_f32; nn * nn];
-    for i in 0..nn {
-        for j in i..nn {
-            let mut acc = 0.0_f32;
-            for k in 0..nn {
-                acc += centered[k * nn + i] * centered[k * nn + j];
+            for i in 0..nn {
+                mean_ref[j] += d0[i * nn + j];
             }
-            corr_ref[j * nn + i] = acc;
+            mean_ref[j] /= nn as f32;
         }
-    }
-    let validate: ValidateFn =
-        Box::new(move |rt| check_f32("correlation", rt.read_f32(corr), &corr_ref, 5e-2));
+        let mut centered = d0.clone();
+        for i in 0..nn {
+            for j in 0..nn {
+                centered[i * nn + j] -= mean_ref[j];
+            }
+        }
+        let mut corr_ref = vec![0.0_f32; nn * nn];
+        for i in 0..nn {
+            for j in i..nn {
+                let mut acc = 0.0_f32;
+                for k in 0..nn {
+                    acc += centered[k * nn + i] * centered[k * nn + j];
+                }
+                corr_ref[j * nn + i] = acc;
+            }
+        }
+        check_f32("correlation", rt.read_f32(corr), &corr_ref, 5e-2)
+    });
     App {
         module,
         runtime: rt,
@@ -780,7 +790,8 @@ fn covariance(n: i64) -> App {
     let mut rng_ = rng(40);
     let mut rt = SyclRuntime::new();
     let len = (n * n) as usize;
-    let data = rt.buffer_f32(rand_f32(&mut rng_, len), &[n, n]);
+    let d0 = rand_f32(&mut rng_, len);
+    let data = rt.buffer_f32(d0.clone(), &[n, n]);
     let mean = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let sumsq = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let cov = rt.buffer_f32(vec![0.0; len], &[n, n]);
@@ -805,20 +816,20 @@ fn covariance(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let nn = n as usize;
-    let d0 = rt.read_f32(data).to_vec();
-    let mut cov_ref = vec![0.0_f32; nn * nn];
-    for i in 0..nn {
-        for j in i..nn {
-            let mut acc = 0.0_f32;
-            for k in 0..nn {
-                acc += d0[k * nn + i] * d0[k * nn + j];
+    let validate: ValidateFn = Box::new(move |rt| {
+        let nn = n as usize;
+        let mut cov_ref = vec![0.0_f32; nn * nn];
+        for i in 0..nn {
+            for j in i..nn {
+                let mut acc = 0.0_f32;
+                for k in 0..nn {
+                    acc += d0[k * nn + i] * d0[k * nn + j];
+                }
+                cov_ref[j * nn + i] = acc;
             }
-            cov_ref[j * nn + i] = acc;
         }
-    }
-    let validate: ValidateFn =
-        Box::new(move |rt| check_f32("covariance", rt.read_f32(cov), &cov_ref, 5e-2));
+        check_f32("covariance", rt.read_f32(cov), &cov_ref, 5e-2)
+    });
     App {
         module,
         runtime: rt,
@@ -882,9 +893,13 @@ fn gramschmidt(n: i64) -> App {
     let mut rng_ = rng(41);
     let mut rt = SyclRuntime::new();
     let len = (n * n) as usize;
-    let qbuf = rt.buffer_f32(rand_f32(&mut rng_, len), &[n, n]);
-    let rbuf = rt.buffer_f32(rand_f32(&mut rng_, len), &[n, n]);
-    let abuf = rt.buffer_f32(rand_f32(&mut rng_, len), &[n, n]);
+    let qv = rand_f32(&mut rng_, len);
+    let qbuf = rt.buffer_f32(qv.clone(), &[n, n]);
+    let rv = rand_f32(&mut rng_, len);
+    let rbuf = rt.buffer_f32(rv.clone(), &[n, n]);
+    // `abuf` is updated in place: the reference starts from this copy.
+    let a0 = rand_f32(&mut rng_, len);
+    let abuf = rt.buffer_f32(a0.clone(), &[n, n]);
     let mut q = Queue::new();
     for k in 0..STEPS {
         q.submit(|h| {
@@ -898,26 +913,25 @@ fn gramschmidt(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let nn = n as usize;
-    let qv = rt.read_f32(qbuf).to_vec();
-    let rv = rt.read_f32(rbuf).to_vec();
-    let mut want = rt.read_f32(abuf).to_vec();
-    for k in 0..STEPS as usize {
-        let prev = want.clone();
-        for i in 0..nn {
-            for j in 0..nn {
-                if j > k {
-                    let mut proj = 0.0_f32;
-                    for l in 0..nn {
-                        proj += qv[i * nn + l] * rv[l * nn + j];
+    let validate: ValidateFn = Box::new(move |rt| {
+        let nn = n as usize;
+        let mut want = a0.clone();
+        for k in 0..STEPS as usize {
+            let prev = want.clone();
+            for i in 0..nn {
+                for j in 0..nn {
+                    if j > k {
+                        let mut proj = 0.0_f32;
+                        for l in 0..nn {
+                            proj += qv[i * nn + l] * rv[l * nn + j];
+                        }
+                        want[i * nn + j] = prev[i * nn + j] - proj;
                     }
-                    want[i * nn + j] = prev[i * nn + j] - proj;
                 }
             }
         }
-    }
-    let validate: ValidateFn =
-        Box::new(move |rt| check_f32("gramschmidt", rt.read_f32(abuf), &want, 5e-2));
+        check_f32("gramschmidt", rt.read_f32(abuf), &want, 5e-2)
+    });
     App {
         module,
         runtime: rt,
@@ -981,7 +995,8 @@ fn conv2d(n: i64) -> App {
     let mut rng_ = rng(42);
     let mut rt = SyclRuntime::new();
     let len = (n * n) as usize;
-    let input = rt.buffer_f32(rand_f32(&mut rng_, len), &[n, n]);
+    let inp = rand_f32(&mut rng_, len);
+    let input = rt.buffer_f32(inp.clone(), &[n, n]);
     let output = rt.buffer_f32(vec![0.0; len], &[n, n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -992,22 +1007,22 @@ fn conv2d(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let nn = n as usize;
-    let inp = rt.read_f32(input).to_vec();
-    let mut want = vec![0.0_f32; len];
-    for i in 1..nn - 1 {
-        for j in 1..nn - 1 {
-            let mut acc = 0.0_f32;
-            for (t, &w) in C.iter().enumerate() {
-                let di = t / 3;
-                let dj = t % 3;
-                acc += inp[(i + di - 1) * nn + (j + dj - 1)] * w as f32;
+    let validate: ValidateFn = Box::new(move |rt| {
+        let nn = n as usize;
+        let mut want = vec![0.0_f32; len];
+        for i in 1..nn - 1 {
+            for j in 1..nn - 1 {
+                let mut acc = 0.0_f32;
+                for (t, &w) in C.iter().enumerate() {
+                    let di = t / 3;
+                    let dj = t % 3;
+                    acc += inp[(i + di - 1) * nn + (j + dj - 1)] * w as f32;
+                }
+                want[i * nn + j] = acc;
             }
-            want[i * nn + j] = acc;
         }
-    }
-    let validate: ValidateFn =
-        Box::new(move |rt| check_f32("conv2d", rt.read_f32(output), &want, 1e-3));
+        check_f32("conv2d", rt.read_f32(output), &want, 1e-3)
+    });
     App {
         module,
         runtime: rt,
@@ -1091,8 +1106,11 @@ fn fdtd2d(n: i64) -> App {
     let mut rng_ = rng(43);
     let mut rt = SyclRuntime::new();
     let len = (n * n) as usize;
-    let ey = rt.buffer_f32(rand_f32(&mut rng_, len), &[n, n]);
-    let hz = rt.buffer_f32(rand_f32(&mut rng_, len), &[n, n]);
+    // Both fields are updated in place: the reference starts from copies.
+    let ey0 = rand_f32(&mut rng_, len);
+    let ey = rt.buffer_f32(ey0.clone(), &[n, n]);
+    let hz0 = rand_f32(&mut rng_, len);
+    let hz = rt.buffer_f32(hz0.clone(), &[n, n]);
     let mut q = Queue::new();
     for _t in 0..TMAX {
         q.submit(|h| {
@@ -1109,22 +1127,22 @@ fn fdtd2d(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let nn = n as usize;
-    let mut ey_ref = rt.read_f32(ey).to_vec();
-    let mut hz_ref = rt.read_f32(hz).to_vec();
-    for _t in 0..TMAX {
-        for i in 1..nn {
-            for j in 0..nn {
-                ey_ref[i * nn + j] -= 0.5 * (hz_ref[i * nn + j] - hz_ref[(i - 1) * nn + j]);
-            }
-        }
-        for i in 0..nn - 1 {
-            for j in 0..nn {
-                hz_ref[i * nn + j] -= 0.7 * (ey_ref[(i + 1) * nn + j] - ey_ref[i * nn + j]);
-            }
-        }
-    }
     let validate: ValidateFn = Box::new(move |rt| {
+        let nn = n as usize;
+        let mut ey_ref = ey0.clone();
+        let mut hz_ref = hz0.clone();
+        for _t in 0..TMAX {
+            for i in 1..nn {
+                for j in 0..nn {
+                    ey_ref[i * nn + j] -= 0.5 * (hz_ref[i * nn + j] - hz_ref[(i - 1) * nn + j]);
+                }
+            }
+            for i in 0..nn - 1 {
+                for j in 0..nn {
+                    hz_ref[i * nn + j] -= 0.7 * (ey_ref[(i + 1) * nn + j] - ey_ref[i * nn + j]);
+                }
+            }
+        }
         check_f32("fdtd.ey", rt.read_f32(ey), &ey_ref, 1e-2)?;
         check_f32("fdtd.hz", rt.read_f32(hz), &hz_ref, 1e-2)
     });
@@ -1185,7 +1203,8 @@ fn conv3d(n: i64) -> App {
     let mut rng_ = rng(44);
     let mut rt = SyclRuntime::new();
     let len = (n * n * n) as usize;
-    let input = rt.buffer_f32(rand_f32(&mut rng_, len), &[n, n, n]);
+    let inp = rand_f32(&mut rng_, len);
+    let input = rt.buffer_f32(inp.clone(), &[n, n, n]);
     let output = rt.buffer_f32(vec![0.0; len], &[n, n, n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -1196,19 +1215,20 @@ fn conv3d(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let nn = n as usize;
-    let inp = rt.read_f32(input).to_vec();
-    let mut want = vec![0.0_f32; len];
-    for i in 1..nn - 1 {
-        for j in 1..nn - 1 {
-            for k in 1..nn - 1 {
-                let at = |a: usize, b2: usize, c: usize| inp[(a * nn + b2) * nn + c];
-                want[(i * nn + j) * nn + k] = at(i - 1, j, k) + at(i + 1, j, k) - 2.0 * at(i, j, k);
+    let validate: ValidateFn = Box::new(move |rt| {
+        let nn = n as usize;
+        let at = |a: usize, b2: usize, c: usize| inp[(a * nn + b2) * nn + c];
+        let mut want = vec![0.0_f32; len];
+        for i in 1..nn - 1 {
+            for j in 1..nn - 1 {
+                for k in 1..nn - 1 {
+                    want[(i * nn + j) * nn + k] =
+                        at(i - 1, j, k) + at(i + 1, j, k) - 2.0 * at(i, j, k);
+                }
             }
         }
-    }
-    let validate: ValidateFn =
-        Box::new(move |rt| check_f32("conv3d", rt.read_f32(output), &want, 1e-3));
+        check_f32("conv3d", rt.read_f32(output), &want, 1e-3)
+    });
     App {
         module,
         runtime: rt,

@@ -119,7 +119,8 @@ fn tree_reduce(n: i64) -> App {
 
     let mut rng_ = rng(61);
     let mut rt = SyclRuntime::new();
-    let input = rt.buffer_f32(rand_f32(&mut rng_, n as usize), &[n]);
+    let data = rand_f32(&mut rng_, n as usize);
+    let input = rt.buffer_f32(data.clone(), &[n]);
     let partial = rt.buffer_f32(vec![0.0; groups as usize], &[groups]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -130,12 +131,12 @@ fn tree_reduce(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let data = rt.read_f32(input).to_vec();
-    let want: Vec<f32> = (0..groups as usize)
-        .map(|g| data[g * WG as usize..(g + 1) * WG as usize].iter().sum())
-        .collect();
-    let validate: ValidateFn =
-        Box::new(move |rt| check_f32("tree_reduce", rt.read_f32(partial), &want, 1e-4));
+    let validate: ValidateFn = Box::new(move |rt| {
+        let want: Vec<f32> = (0..groups as usize)
+            .map(|g| data[g * WG as usize..(g + 1) * WG as usize].iter().sum())
+            .collect();
+        check_f32("tree_reduce", rt.read_f32(partial), &want, 1e-4)
+    });
     App {
         module,
         runtime: rt,
@@ -181,7 +182,8 @@ fn seg_scan(n: i64) -> App {
 
     let mut rng_ = rng(62);
     let mut rt = SyclRuntime::new();
-    let input = rt.buffer_f32(rand_f32(&mut rng_, n as usize), &[n]);
+    let data = rand_f32(&mut rng_, n as usize);
+    let input = rt.buffer_f32(data.clone(), &[n]);
     let out = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -192,17 +194,17 @@ fn seg_scan(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let data = rt.read_f32(input).to_vec();
-    let mut want = vec![0.0_f32; n as usize];
-    for seg in 0..(n / WG) as usize {
-        let mut acc = 0.0_f32;
-        for k in 0..WG as usize {
-            acc += data[seg * WG as usize + k];
-            want[seg * WG as usize + k] = acc;
+    let validate: ValidateFn = Box::new(move |rt| {
+        let mut want = vec![0.0_f32; n as usize];
+        for seg in 0..(n / WG) as usize {
+            let mut acc = 0.0_f32;
+            for k in 0..WG as usize {
+                acc += data[seg * WG as usize + k];
+                want[seg * WG as usize + k] = acc;
+            }
         }
-    }
-    let validate: ValidateFn =
-        Box::new(move |rt| check_f32("seg_scan", rt.read_f32(out), &want, 1e-4));
+        check_f32("seg_scan", rt.read_f32(out), &want, 1e-4)
+    });
     App {
         module,
         runtime: rt,
@@ -264,8 +266,10 @@ fn dot_wg(n: i64) -> App {
 
     let mut rng_ = rng(63);
     let mut rt = SyclRuntime::new();
-    let a = rt.buffer_f32(rand_f32(&mut rng_, n as usize), &[n]);
-    let x = rt.buffer_f32(rand_f32(&mut rng_, n as usize), &[n]);
+    let av = rand_f32(&mut rng_, n as usize);
+    let a = rt.buffer_f32(av.clone(), &[n]);
+    let xv = rand_f32(&mut rng_, n as usize);
+    let x = rt.buffer_f32(xv.clone(), &[n]);
     let partial = rt.buffer_f32(vec![0.0; groups as usize], &[groups]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -277,17 +281,16 @@ fn dot_wg(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let av = rt.read_f32(a).to_vec();
-    let xv = rt.read_f32(x).to_vec();
-    let want: Vec<f32> = (0..groups as usize)
-        .map(|g| {
-            (0..WG as usize)
-                .map(|k| av[g * WG as usize + k] * xv[g * WG as usize + k])
-                .sum()
-        })
-        .collect();
-    let validate: ValidateFn =
-        Box::new(move |rt| check_f32("dot_wg", rt.read_f32(partial), &want, 1e-4));
+    let validate: ValidateFn = Box::new(move |rt| {
+        let want: Vec<f32> = (0..groups as usize)
+            .map(|g| {
+                (0..WG as usize)
+                    .map(|k| av[g * WG as usize + k] * xv[g * WG as usize + k])
+                    .sum()
+            })
+            .collect();
+        check_f32("dot_wg", rt.read_f32(partial), &want, 1e-4)
+    });
     App {
         module,
         runtime: rt,
@@ -360,7 +363,8 @@ fn tree_reduce_dyn(n: i64) -> App {
 
     let mut rng_ = rng(64);
     let mut rt = SyclRuntime::new();
-    let input = rt.buffer_f32(rand_f32(&mut rng_, n as usize), &[n]);
+    let data = rand_f32(&mut rng_, n as usize);
+    let input = rt.buffer_f32(data.clone(), &[n]);
     let plen = groups + tail;
     let partial = rt.buffer_f32(vec![0.0; plen as usize], &[plen]);
     let mut q = Queue::new();
@@ -383,13 +387,13 @@ fn tree_reduce_dyn(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let data = rt.read_f32(input).to_vec();
-    let mut want: Vec<f32> = (0..groups as usize)
-        .map(|g| data[g * WG as usize..(g + 1) * WG as usize].iter().sum())
-        .collect();
-    want.extend_from_slice(&data[bulk as usize..]);
-    let validate: ValidateFn =
-        Box::new(move |rt| check_f32("tree_reduce_dyn", rt.read_f32(partial), &want, 1e-4));
+    let validate: ValidateFn = Box::new(move |rt| {
+        let mut want: Vec<f32> = (0..groups as usize)
+            .map(|g| data[g * WG as usize..(g + 1) * WG as usize].iter().sum())
+            .collect();
+        want.extend_from_slice(&data[bulk as usize..]);
+        check_f32("tree_reduce_dyn", rt.read_f32(partial), &want, 1e-4)
+    });
     App {
         module,
         runtime: rt,

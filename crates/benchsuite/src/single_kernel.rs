@@ -104,19 +104,41 @@ fn mul(b: &mut Builder<'_>, dt: Dtype, l: ValueId, r: ValueId) -> ValueId {
     }
 }
 
-/// Allocate runtime buffers of the right dtype; returns the buffer plus a
-/// retrieval closure handled per-workload.
+/// A seeded input of a workload's dtype, kept on the host for the
+/// reference that `validate` computes.
+enum HostData {
+    F32(Vec<f32>),
+    F64(Vec<f64>),
+    I32(Vec<i32>),
+    I64(Vec<i64>),
+}
+
+/// Allocate a runtime buffer of seeded data of the right dtype; returns
+/// the buffer plus a copy of its initial contents.
 fn buffer_rand(
     rt: &mut SyclRuntime,
     dt: Dtype,
     rng: &mut rand::rngs::StdRng,
     n: i64,
-) -> sycl_mlir_runtime::BufferId {
+) -> (sycl_mlir_runtime::BufferId, HostData) {
+    let len = n as usize;
     match dt {
-        Dtype::F32 => rt.buffer_f32(rand_f32(rng, n as usize), &[n]),
-        Dtype::F64 => rt.buffer_f64(rand_f64(rng, n as usize), &[n]),
-        Dtype::I32 => rt.buffer_i32(rand_i32(rng, n as usize), &[n]),
-        Dtype::I64 => rt.buffer_i64(rand_i64(rng, n as usize), &[n]),
+        Dtype::F32 => {
+            let v = rand_f32(rng, len);
+            (rt.buffer_f32(v.clone(), &[n]), HostData::F32(v))
+        }
+        Dtype::F64 => {
+            let v = rand_f64(rng, len);
+            (rt.buffer_f64(v.clone(), &[n]), HostData::F64(v))
+        }
+        Dtype::I32 => {
+            let v = rand_i32(rng, len);
+            (rt.buffer_i32(v.clone(), &[n]), HostData::I32(v))
+        }
+        Dtype::I64 => {
+            let v = rand_i64(rng, len);
+            (rt.buffer_i64(v.clone(), &[n]), HostData::I64(v))
+        }
     }
 }
 
@@ -151,8 +173,8 @@ fn vecadd(dt: Dtype, n: i64) -> App {
 
     let mut rng = rng(11);
     let mut rt = SyclRuntime::new();
-    let a = buffer_rand(&mut rt, dt, &mut rng, n);
-    let b_ = buffer_rand(&mut rt, dt, &mut rng, n);
+    let (a, av) = buffer_rand(&mut rt, dt, &mut rng, n);
+    let (b_, bv) = buffer_rand(&mut rt, dt, &mut rng, n);
     let c = buffer_zero(&mut rt, dt, n);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -164,43 +186,24 @@ fn vecadd(dt: Dtype, n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let validate: ValidateFn = match dt {
-        Dtype::F32 => {
-            let want: Vec<f32> = rt
-                .read_f32(a)
-                .iter()
-                .zip(rt.read_f32(b_))
-                .map(|(x, y)| x + y)
-                .collect();
-            Box::new(move |rt| check_f32("vecadd", rt.read_f32(c), &want, 1e-5))
-        }
-        Dtype::F64 => {
-            let want: Vec<f64> = rt
-                .read_f64(a)
-                .iter()
-                .zip(rt.read_f64(b_))
-                .map(|(x, y)| x + y)
-                .collect();
-            Box::new(move |rt| check_f64("vecadd", rt.read_f64(c), &want, 1e-12))
-        }
-        Dtype::I32 => {
-            let want: Vec<i32> = rt
-                .read_i32(a)
-                .iter()
-                .zip(rt.read_i32(b_))
-                .map(|(x, y)| x + y)
-                .collect();
-            Box::new(move |rt| check_exact("vecadd", rt.read_i32(c), &want))
-        }
-        Dtype::I64 => {
-            let want: Vec<i64> = rt
-                .read_i64(a)
-                .iter()
-                .zip(rt.read_i64(b_))
-                .map(|(x, y)| x + y)
-                .collect();
-            Box::new(move |rt| check_exact("vecadd", rt.read_i64(c), &want))
-        }
+    let validate: ValidateFn = match (av, bv) {
+        (HostData::F32(av), HostData::F32(bv)) => Box::new(move |rt| {
+            let want: Vec<f32> = av.iter().zip(&bv).map(|(x, y)| x + y).collect();
+            check_f32("vecadd", rt.read_f32(c), &want, 1e-5)
+        }),
+        (HostData::F64(av), HostData::F64(bv)) => Box::new(move |rt| {
+            let want: Vec<f64> = av.iter().zip(&bv).map(|(x, y)| x + y).collect();
+            check_f64("vecadd", rt.read_f64(c), &want, 1e-12)
+        }),
+        (HostData::I32(av), HostData::I32(bv)) => Box::new(move |rt| {
+            let want: Vec<i32> = av.iter().zip(&bv).map(|(x, y)| x + y).collect();
+            check_exact("vecadd", rt.read_i32(c), &want)
+        }),
+        (HostData::I64(av), HostData::I64(bv)) => Box::new(move |rt| {
+            let want: Vec<i64> = av.iter().zip(&bv).map(|(x, y)| x + y).collect();
+            check_exact("vecadd", rt.read_i64(c), &want)
+        }),
+        _ => unreachable!("both inputs are of the workload's dtype"),
     };
     App {
         module,
@@ -232,8 +235,8 @@ fn scalprod(dt: Dtype, n: i64) -> App {
 
     let mut rng = rng(12);
     let mut rt = SyclRuntime::new();
-    let a = buffer_rand(&mut rt, dt, &mut rng, n);
-    let b_ = buffer_rand(&mut rt, dt, &mut rng, n);
+    let (a, av) = buffer_rand(&mut rt, dt, &mut rng, n);
+    let (b_, bv) = buffer_rand(&mut rt, dt, &mut rng, n);
     let c = buffer_zero(&mut rt, dt, n);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -245,69 +248,43 @@ fn scalprod(dt: Dtype, n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let validate: ValidateFn = match dt {
-        Dtype::F32 => {
-            let want: f64 = rt
-                .read_f32(a)
-                .iter()
-                .zip(rt.read_f32(b_))
-                .map(|(x, y)| (x * y) as f64)
-                .sum();
-            Box::new(move |rt| {
-                let got: f64 = rt.read_f32(c).iter().map(|&v| v as f64).sum();
-                if (got - want).abs() > 1e-2 * want.abs().max(1.0) {
-                    return Err(format!("scalprod: got {got}, want {want}"));
-                }
-                Ok(())
-            })
-        }
-        Dtype::F64 => {
-            let want: f64 = rt
-                .read_f64(a)
-                .iter()
-                .zip(rt.read_f64(b_))
-                .map(|(x, y)| x * y)
-                .sum();
-            Box::new(move |rt| {
-                let got: f64 = rt.read_f64(c).iter().sum();
-                if (got - want).abs() > 1e-9 * want.abs().max(1.0) {
-                    return Err(format!("scalprod: got {got}, want {want}"));
-                }
-                Ok(())
-            })
-        }
-        Dtype::I32 => {
-            let want: i64 = rt
-                .read_i32(a)
-                .iter()
-                .zip(rt.read_i32(b_))
+    let validate: ValidateFn = match (av, bv) {
+        (HostData::F32(av), HostData::F32(bv)) => Box::new(move |rt| {
+            let want: f64 = av.iter().zip(&bv).map(|(x, y)| (x * y) as f64).sum();
+            let got: f64 = rt.read_f32(c).iter().map(|&v| v as f64).sum();
+            if (got - want).abs() > 1e-2 * want.abs().max(1.0) {
+                return Err(format!("scalprod: got {got}, want {want}"));
+            }
+            Ok(())
+        }),
+        (HostData::F64(av), HostData::F64(bv)) => Box::new(move |rt| {
+            let want: f64 = av.iter().zip(&bv).map(|(x, y)| x * y).sum();
+            let got: f64 = rt.read_f64(c).iter().sum();
+            if (got - want).abs() > 1e-9 * want.abs().max(1.0) {
+                return Err(format!("scalprod: got {got}, want {want}"));
+            }
+            Ok(())
+        }),
+        (HostData::I32(av), HostData::I32(bv)) => Box::new(move |rt| {
+            let want: i64 = (av.iter().zip(&bv))
                 .map(|(x, y)| (*x as i64) * (*y as i64))
                 .sum();
-            Box::new(move |rt| {
-                // The device multiplies in i32 (wrapping), like the C++.
-                let got: i64 = rt.read_i32(c).iter().map(|&v| v as i64).sum();
-                let expect: i64 = want;
-                if got != expect {
-                    return Err(format!("scalprod: got {got}, want {expect}"));
-                }
-                Ok(())
-            })
-        }
-        Dtype::I64 => {
-            let want: i64 = rt
-                .read_i64(a)
-                .iter()
-                .zip(rt.read_i64(b_))
-                .map(|(x, y)| x * y)
-                .sum();
-            Box::new(move |rt| {
-                let got: i64 = rt.read_i64(c).iter().sum();
-                if got != want {
-                    return Err(format!("scalprod: got {got}, want {want}"));
-                }
-                Ok(())
-            })
-        }
+            // The device multiplies in i32 (wrapping), like the C++.
+            let got: i64 = rt.read_i32(c).iter().map(|&v| v as i64).sum();
+            if got != want {
+                return Err(format!("scalprod: got {got}, want {want}"));
+            }
+            Ok(())
+        }),
+        (HostData::I64(av), HostData::I64(bv)) => Box::new(move |rt| {
+            let want: i64 = av.iter().zip(&bv).map(|(x, y)| x * y).sum();
+            let got: i64 = rt.read_i64(c).iter().sum();
+            if got != want {
+                return Err(format!("scalprod: got {got}, want {want}"));
+            }
+            Ok(())
+        }),
+        _ => unreachable!("both inputs are of the workload's dtype"),
     };
     App {
         module,
@@ -345,8 +322,8 @@ fn linreg(dt: Dtype, n: i64) -> App {
 
     let mut rng = rng(13);
     let mut rt = SyclRuntime::new();
-    let x = buffer_rand(&mut rt, dt, &mut rng, n);
-    let y = buffer_rand(&mut rt, dt, &mut rng, n);
+    let (x, xv) = buffer_rand(&mut rt, dt, &mut rng, n);
+    let (y, yv) = buffer_rand(&mut rt, dt, &mut rng, n);
     let e = buffer_zero(&mut rt, dt, n);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -366,31 +343,26 @@ fn linreg(dt: Dtype, n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let validate: ValidateFn = match dt {
-        Dtype::F32 => {
-            let want: Vec<f32> = rt
-                .read_f32(x)
-                .iter()
-                .zip(rt.read_f32(y))
+    let validate: ValidateFn = match (xv, yv) {
+        (HostData::F32(xv), HostData::F32(yv)) => Box::new(move |rt| {
+            let want: Vec<f32> = (xv.iter().zip(&yv))
                 .map(|(x, y)| {
                     let e = alpha as f32 * x + beta as f32 - y;
                     e * e
                 })
                 .collect();
-            Box::new(move |rt| check_f32("linreg", rt.read_f32(e), &want, 1e-4))
-        }
-        _ => {
-            let want: Vec<f64> = rt
-                .read_f64(x)
-                .iter()
-                .zip(rt.read_f64(y))
+            check_f32("linreg", rt.read_f32(e), &want, 1e-4)
+        }),
+        (HostData::F64(xv), HostData::F64(yv)) => Box::new(move |rt| {
+            let want: Vec<f64> = (xv.iter().zip(&yv))
                 .map(|(x, y)| {
                     let err = alpha * x + beta - y;
                     err * err
                 })
                 .collect();
-            Box::new(move |rt| check_f64("linreg", rt.read_f64(e), &want, 1e-10))
-        }
+            check_f64("linreg", rt.read_f64(e), &want, 1e-10)
+        }),
+        _ => unreachable!("LinReg is registered for floating-point dtypes"),
     };
     App {
         module,
@@ -425,8 +397,8 @@ fn linreg_coeff(dt: Dtype, n: i64) -> App {
 
     let mut rng = rng(14);
     let mut rt = SyclRuntime::new();
-    let x = buffer_rand(&mut rt, dt, &mut rng, n);
-    let y = buffer_rand(&mut rt, dt, &mut rng, n);
+    let (x, xv) = buffer_rand(&mut rt, dt, &mut rng, n);
+    let (y, yv) = buffer_rand(&mut rt, dt, &mut rng, n);
     let xy = buffer_zero(&mut rt, dt, n);
     let xx = buffer_zero(&mut rt, dt, n);
     let mut q = Queue::new();
@@ -440,33 +412,20 @@ fn linreg_coeff(dt: Dtype, n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let validate: ValidateFn = match dt {
-        Dtype::F32 => {
-            let wxy: Vec<f32> = rt
-                .read_f32(x)
-                .iter()
-                .zip(rt.read_f32(y))
-                .map(|(a, b)| a * b)
-                .collect();
-            let wxx: Vec<f32> = rt.read_f32(x).iter().map(|a| a * a).collect();
-            Box::new(move |rt| {
-                check_f32("xy", rt.read_f32(xy), &wxy, 1e-5)?;
-                check_f32("xx", rt.read_f32(xx), &wxx, 1e-5)
-            })
-        }
-        _ => {
-            let wxy: Vec<f64> = rt
-                .read_f64(x)
-                .iter()
-                .zip(rt.read_f64(y))
-                .map(|(a, b)| a * b)
-                .collect();
-            let wxx: Vec<f64> = rt.read_f64(x).iter().map(|a| a * a).collect();
-            Box::new(move |rt| {
-                check_f64("xy", rt.read_f64(xy), &wxy, 1e-12)?;
-                check_f64("xx", rt.read_f64(xx), &wxx, 1e-12)
-            })
-        }
+    let validate: ValidateFn = match (xv, yv) {
+        (HostData::F32(xv), HostData::F32(yv)) => Box::new(move |rt| {
+            let wxy: Vec<f32> = xv.iter().zip(&yv).map(|(a, b)| a * b).collect();
+            check_f32("xy", rt.read_f32(xy), &wxy, 1e-5)?;
+            let wxx: Vec<f32> = xv.iter().map(|a| a * a).collect();
+            check_f32("xx", rt.read_f32(xx), &wxx, 1e-5)
+        }),
+        (HostData::F64(xv), HostData::F64(yv)) => Box::new(move |rt| {
+            let wxy: Vec<f64> = xv.iter().zip(&yv).map(|(a, b)| a * b).collect();
+            check_f64("xy", rt.read_f64(xy), &wxy, 1e-12)?;
+            let wxx: Vec<f64> = xv.iter().map(|a| a * a).collect();
+            check_f64("xx", rt.read_f64(xx), &wxx, 1e-12)
+        }),
+        _ => unreachable!("LinReg Coeff. is registered for floating-point dtypes"),
     };
     App {
         module,
@@ -517,22 +476,11 @@ fn kmeans(dt: Dtype, n: i64) -> App {
 
     let mut rng = rng(15);
     let mut rt = SyclRuntime::new();
-    let (px, py, cx, cy, out) = match dt {
-        Dtype::F32 => (
-            rt.buffer_f32(rand_f32(&mut rng, n as usize), &[n]),
-            rt.buffer_f32(rand_f32(&mut rng, n as usize), &[n]),
-            rt.buffer_f32(rand_f32(&mut rng, K as usize), &[K]),
-            rt.buffer_f32(rand_f32(&mut rng, K as usize), &[K]),
-            rt.buffer_f32(vec![0.0; n as usize], &[n]),
-        ),
-        _ => (
-            rt.buffer_f64(rand_f64(&mut rng, n as usize), &[n]),
-            rt.buffer_f64(rand_f64(&mut rng, n as usize), &[n]),
-            rt.buffer_f64(rand_f64(&mut rng, K as usize), &[K]),
-            rt.buffer_f64(rand_f64(&mut rng, K as usize), &[K]),
-            rt.buffer_f64(vec![0.0; n as usize], &[n]),
-        ),
-    };
+    let (px, pxv) = buffer_rand(&mut rt, dt, &mut rng, n);
+    let (py, pyv) = buffer_rand(&mut rt, dt, &mut rng, n);
+    let (cx, cxv) = buffer_rand(&mut rt, dt, &mut rng, K);
+    let (cy, cyv) = buffer_rand(&mut rt, dt, &mut rng, K);
+    let out = buffer_zero(&mut rt, dt, n);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(px, AccessMode::Read)
@@ -545,43 +493,40 @@ fn kmeans(dt: Dtype, n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let validate: ValidateFn = match dt {
-        Dtype::F32 => {
-            let pxv = rt.read_f32(px).to_vec();
-            let pyv = rt.read_f32(py).to_vec();
-            let cxv = rt.read_f32(cx).to_vec();
-            let cyv = rt.read_f32(cy).to_vec();
-            let want: Vec<f32> = (0..n as usize)
-                .map(|i| {
-                    (0..K as usize)
-                        .map(|k| {
-                            let dx = pxv[i] - cxv[k];
-                            let dy = pyv[i] - cyv[k];
-                            dx * dx + dy * dy
-                        })
-                        .fold(1e30_f32, f32::min)
-                })
-                .collect();
-            Box::new(move |rt| check_f32("kmeans", rt.read_f32(out), &want, 1e-4))
+    let validate: ValidateFn = match (pxv, pyv, cxv, cyv) {
+        (HostData::F32(pxv), HostData::F32(pyv), HostData::F32(cxv), HostData::F32(cyv)) => {
+            Box::new(move |rt| {
+                let want: Vec<f32> = (0..n as usize)
+                    .map(|i| {
+                        (0..K as usize)
+                            .map(|k| {
+                                let dx = pxv[i] - cxv[k];
+                                let dy = pyv[i] - cyv[k];
+                                dx * dx + dy * dy
+                            })
+                            .fold(1e30_f32, f32::min)
+                    })
+                    .collect();
+                check_f32("kmeans", rt.read_f32(out), &want, 1e-4)
+            })
         }
-        _ => {
-            let pxv = rt.read_f64(px).to_vec();
-            let pyv = rt.read_f64(py).to_vec();
-            let cxv = rt.read_f64(cx).to_vec();
-            let cyv = rt.read_f64(cy).to_vec();
-            let want: Vec<f64> = (0..n as usize)
-                .map(|i| {
-                    (0..K as usize)
-                        .map(|k| {
-                            let dx = pxv[i] - cxv[k];
-                            let dy = pyv[i] - cyv[k];
-                            dx * dx + dy * dy
-                        })
-                        .fold(1e30_f64, f64::min)
-                })
-                .collect();
-            Box::new(move |rt| check_f64("kmeans", rt.read_f64(out), &want, 1e-10))
+        (HostData::F64(pxv), HostData::F64(pyv), HostData::F64(cxv), HostData::F64(cyv)) => {
+            Box::new(move |rt| {
+                let want: Vec<f64> = (0..n as usize)
+                    .map(|i| {
+                        (0..K as usize)
+                            .map(|k| {
+                                let dx = pxv[i] - cxv[k];
+                                let dy = pyv[i] - cyv[k];
+                                dx * dx + dy * dy
+                            })
+                            .fold(1e30_f64, f64::min)
+                    })
+                    .collect();
+                check_f64("kmeans", rt.read_f64(out), &want, 1e-10)
+            })
         }
+        _ => unreachable!("KMeans is registered for floating-point dtypes"),
     };
     App {
         module,
@@ -639,7 +584,8 @@ fn moldyn(n: i64) -> App {
 
     let mut rng_ = rng(16);
     let mut rt = SyclRuntime::new();
-    let pos = rt.buffer_f32(rand_f32(&mut rng_, n as usize), &[n]);
+    let posv = rand_f32(&mut rng_, n as usize);
+    let pos = rt.buffer_f32(posv.clone(), &[n]);
     let neigh_data: Vec<i32> = {
         use rand::Rng;
         (0..(n * NEIGHBORS) as usize)
@@ -658,20 +604,20 @@ fn moldyn(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let posv = rt.read_f32(pos).to_vec();
-    let want: Vec<f32> = (0..n as usize)
-        .map(|i| {
-            (0..NEIGHBORS as usize)
-                .map(|k| {
-                    let j = neigh_data[i * NEIGHBORS as usize + k] as usize;
-                    let dx = posv[j] - posv[i];
-                    (dx * dx + 0.01).sqrt()
-                })
-                .sum()
-        })
-        .collect();
-    let validate: ValidateFn =
-        Box::new(move |rt| check_f32("moldyn", rt.read_f32(force), &want, 1e-3));
+    let validate: ValidateFn = Box::new(move |rt| {
+        let want: Vec<f32> = (0..n as usize)
+            .map(|i| {
+                (0..NEIGHBORS as usize)
+                    .map(|k| {
+                        let j = neigh_data[i * NEIGHBORS as usize + k] as usize;
+                        let dx = posv[j] - posv[i];
+                        (dx * dx + 0.01).sqrt()
+                    })
+                    .sum()
+            })
+            .collect();
+        check_f32("moldyn", rt.read_f32(force), &want, 1e-3)
+    });
     App {
         module,
         runtime: rt,
@@ -720,30 +666,22 @@ fn nbody(dt: Dtype, n: i64) -> App {
 
     let mut rng_ = rng(17);
     let mut rt = SyclRuntime::new();
-    let (x, mass, acc) = match dt {
-        Dtype::F32 => (
-            rt.buffer_f32(rand_f32(&mut rng_, n as usize), &[n]),
-            rt.buffer_f32(
-                rand_f32(&mut rng_, n as usize)
-                    .iter()
-                    .map(|v| v.abs() + 0.1)
-                    .collect(),
-                &[n],
-            ),
-            rt.buffer_f32(vec![0.0; n as usize], &[n]),
-        ),
-        _ => (
-            rt.buffer_f64(rand_f64(&mut rng_, n as usize), &[n]),
-            rt.buffer_f64(
-                rand_f64(&mut rng_, n as usize)
-                    .iter()
-                    .map(|v| v.abs() + 0.1)
-                    .collect(),
-                &[n],
-            ),
-            rt.buffer_f64(vec![0.0; n as usize], &[n]),
-        ),
+    let (x, xv) = buffer_rand(&mut rt, dt, &mut rng_, n);
+    let (mass, mv) = match dt {
+        Dtype::F32 => {
+            let mv: Vec<f32> = (rand_f32(&mut rng_, n as usize).iter())
+                .map(|v| v.abs() + 0.1)
+                .collect();
+            (rt.buffer_f32(mv.clone(), &[n]), HostData::F32(mv))
+        }
+        _ => {
+            let mv: Vec<f64> = (rand_f64(&mut rng_, n as usize).iter())
+                .map(|v| v.abs() + 0.1)
+                .collect();
+            (rt.buffer_f64(mv.clone(), &[n]), HostData::F64(mv))
+        }
     };
+    let acc = buffer_zero(&mut rt, dt, n);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(x, AccessMode::Read)
@@ -754,10 +692,8 @@ fn nbody(dt: Dtype, n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let validate: ValidateFn = match dt {
-        Dtype::F32 => {
-            let xv = rt.read_f32(x).to_vec();
-            let mv = rt.read_f32(mass).to_vec();
+    let validate: ValidateFn = match (xv, mv) {
+        (HostData::F32(xv), HostData::F32(mv)) => Box::new(move |rt| {
             let want: Vec<f32> = (0..n as usize)
                 .map(|i| {
                     (0..n as usize)
@@ -770,11 +706,9 @@ fn nbody(dt: Dtype, n: i64) -> App {
                         .sum()
                 })
                 .collect();
-            Box::new(move |rt| check_f32("nbody", rt.read_f32(acc), &want, 1e-2))
-        }
-        _ => {
-            let xv = rt.read_f64(x).to_vec();
-            let mv = rt.read_f64(mass).to_vec();
+            check_f32("nbody", rt.read_f32(acc), &want, 1e-2)
+        }),
+        (HostData::F64(xv), HostData::F64(mv)) => Box::new(move |rt| {
             let want: Vec<f64> = (0..n as usize)
                 .map(|i| {
                     (0..n as usize)
@@ -787,8 +721,9 @@ fn nbody(dt: Dtype, n: i64) -> App {
                         .sum()
                 })
                 .collect();
-            Box::new(move |rt| check_f64("nbody", rt.read_f64(acc), &want, 1e-9))
-        }
+            check_f64("nbody", rt.read_f64(acc), &want, 1e-9)
+        }),
+        _ => unreachable!("NBody is registered for floating-point dtypes"),
     };
     App {
         module,
@@ -870,7 +805,8 @@ fn sobel(taps: i64, n: i64) -> App {
 
     let mut rng_ = rng(18 + taps as u64);
     let mut rt = SyclRuntime::new();
-    let image = rt.buffer_f32(rand_f32(&mut rng_, (n * n) as usize), &[n, n]);
+    let img = rand_f32(&mut rng_, (n * n) as usize);
+    let image = rt.buffer_f32(img.clone(), &[n, n]);
     // The filter is a `const float[]` in the host source: candidate for
     // constant propagation (§VII-B / §VIII "Sobel filter declared as a
     // constant array").
@@ -889,33 +825,33 @@ fn sobel(taps: i64, n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let img = rt.read_f32(image).to_vec();
-    let want: Vec<f32> = (0..n as usize)
-        .flat_map(|i| {
-            let img = &img;
-            let filter_data = &filter_data;
-            (0..n as usize).map(move |j| {
-                let interior = i >= r as usize
-                    && i < (n - r) as usize
-                    && j >= r as usize
-                    && j < (n - r) as usize;
-                if !interior {
-                    return 0.0;
-                }
-                let mut acc = 0.0_f32;
-                for fi in 0..taps as usize {
-                    for fj in 0..taps as usize {
-                        let oi = i + fi - r as usize;
-                        let oj = j + fj - r as usize;
-                        acc += img[oi * n as usize + oj] * filter_data[fi * taps as usize + fj];
+    let validate: ValidateFn = Box::new(move |rt| {
+        let want: Vec<f32> = (0..n as usize)
+            .flat_map(|i| {
+                let img = &img;
+                let filter_data = &filter_data;
+                (0..n as usize).map(move |j| {
+                    let interior = i >= r as usize
+                        && i < (n - r) as usize
+                        && j >= r as usize
+                        && j < (n - r) as usize;
+                    if !interior {
+                        return 0.0;
                     }
-                }
-                acc
+                    let mut acc = 0.0_f32;
+                    for fi in 0..taps as usize {
+                        for fj in 0..taps as usize {
+                            let oi = i + fi - r as usize;
+                            let oj = j + fj - r as usize;
+                            acc += img[oi * n as usize + oj] * filter_data[fi * taps as usize + fj];
+                        }
+                    }
+                    acc
+                })
             })
-        })
-        .collect();
-    let validate: ValidateFn =
-        Box::new(move |rt| check_f32("sobel", rt.read_f32(out), &want, 1e-3));
+            .collect();
+        check_f32("sobel", rt.read_f32(out), &want, 1e-3)
+    });
     App {
         module,
         runtime: rt,

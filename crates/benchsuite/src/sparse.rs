@@ -100,8 +100,10 @@ fn spmv_csr(n: i64) -> App {
     let mut rt = SyclRuntime::new();
     let row_ptr = rt.buffer_i32(row_ptr_data.clone(), &[n + 1]);
     let col = rt.buffer_i32(col_data.clone(), &[nnz]);
-    let vals = rt.buffer_f32(rand_f32(&mut rng_, nnz as usize), &[nnz]);
-    let x = rt.buffer_f32(rand_f32(&mut rng_, n as usize), &[n]);
+    let vv = rand_f32(&mut rng_, nnz as usize);
+    let vals = rt.buffer_f32(vv.clone(), &[nnz]);
+    let xv = rand_f32(&mut rng_, n as usize);
+    let x = rt.buffer_f32(xv.clone(), &[n]);
     let y = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -115,16 +117,16 @@ fn spmv_csr(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let vv = rt.read_f32(vals).to_vec();
-    let xv = rt.read_f32(x).to_vec();
-    let want: Vec<f32> = (0..n as usize)
-        .map(|r| {
-            (row_ptr_data[r] as usize..row_ptr_data[r + 1] as usize)
-                .map(|j| vv[j] * xv[col_data[j] as usize])
-                .sum()
-        })
-        .collect();
-    let validate: ValidateFn = Box::new(move |rt| check_f32("spmv", rt.read_f32(y), &want, 1e-4));
+    let validate: ValidateFn = Box::new(move |rt| {
+        let want: Vec<f32> = (0..n as usize)
+            .map(|r| {
+                (row_ptr_data[r] as usize..row_ptr_data[r + 1] as usize)
+                    .map(|j| vv[j] * xv[col_data[j] as usize])
+                    .sum()
+            })
+            .collect();
+        check_f32("spmv", rt.read_f32(y), &want, 1e-4)
+    });
     App {
         module,
         runtime: rt,
@@ -158,7 +160,8 @@ fn gather(n: i64) -> App {
     let idx_data: Vec<i32> = (0..n).map(|_| rng_.gen_range(0..n as i32)).collect();
     let mut rt = SyclRuntime::new();
     let idx = rt.buffer_i32(idx_data.clone(), &[n]);
-    let src = rt.buffer_f32(rand_f32(&mut rng_, n as usize), &[n]);
+    let sv = rand_f32(&mut rng_, n as usize);
+    let src = rt.buffer_f32(sv.clone(), &[n]);
     let out = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -170,10 +173,10 @@ fn gather(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let sv = rt.read_f32(src).to_vec();
-    let want: Vec<f32> = idx_data.iter().map(|&j| sv[j as usize]).collect();
-    let validate: ValidateFn =
-        Box::new(move |rt| check_f32("gather", rt.read_f32(out), &want, 0.0));
+    let validate: ValidateFn = Box::new(move |rt| {
+        let want: Vec<f32> = idx_data.iter().map(|&j| sv[j as usize]).collect();
+        check_f32("gather", rt.read_f32(out), &want, 0.0)
+    });
     App {
         module,
         runtime: rt,
@@ -212,7 +215,8 @@ fn scatter(n: i64) -> App {
     }
     let mut rt = SyclRuntime::new();
     let perm = rt.buffer_i32(perm_data.clone(), &[n]);
-    let src = rt.buffer_f32(rand_f32(&mut rng_, n as usize), &[n]);
+    let sv = rand_f32(&mut rng_, n as usize);
+    let src = rt.buffer_f32(sv.clone(), &[n]);
     let out = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -224,13 +228,13 @@ fn scatter(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let sv = rt.read_f32(src).to_vec();
-    let mut want = vec![0.0_f32; n as usize];
-    for (i, &p) in perm_data.iter().enumerate() {
-        want[p as usize] = sv[i];
-    }
-    let validate: ValidateFn =
-        Box::new(move |rt| check_f32("scatter", rt.read_f32(out), &want, 0.0));
+    let validate: ValidateFn = Box::new(move |rt| {
+        let mut want = vec![0.0_f32; n as usize];
+        for (i, &p) in perm_data.iter().enumerate() {
+            want[p as usize] = sv[i];
+        }
+        check_f32("scatter", rt.read_f32(out), &want, 0.0)
+    });
     App {
         module,
         runtime: rt,
@@ -291,13 +295,14 @@ fn histogram(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let mut want = vec![0_i32; (items * BINS) as usize];
-    for (i, &v) in input_data.iter().enumerate() {
-        let item = i / SEG as usize;
-        want[item * BINS as usize + (v % BINS as i32) as usize] += 1;
-    }
-    let validate: ValidateFn =
-        Box::new(move |rt| check_exact("histogram", rt.read_i32(hist), &want));
+    let validate: ValidateFn = Box::new(move |rt| {
+        let mut want = vec![0_i32; (items * BINS) as usize];
+        for (i, &v) in input_data.iter().enumerate() {
+            let item = i / SEG as usize;
+            want[item * BINS as usize + (v % BINS as i32) as usize] += 1;
+        }
+        check_exact("histogram", rt.read_i32(hist), &want)
+    });
     App {
         module,
         runtime: rt,
@@ -348,7 +353,8 @@ fn gather_dyn(n: i64) -> App {
     let idx_data: Vec<i32> = (0..n).map(|_| rng_.gen_range(0..n as i32)).collect();
     let mut rt = SyclRuntime::new();
     let idx = rt.buffer_i32(idx_data.clone(), &[n]);
-    let src = rt.buffer_f32(rand_f32(&mut rng_, n as usize), &[n]);
+    let sv = rand_f32(&mut rng_, n as usize);
+    let src = rt.buffer_f32(sv.clone(), &[n]);
     let out = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let mut q = Queue::new();
     if bulk > 0 {
@@ -369,10 +375,10 @@ fn gather_dyn(n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let sv = rt.read_f32(src).to_vec();
-    let want: Vec<f32> = idx_data.iter().map(|&j| sv[j as usize]).collect();
-    let validate: ValidateFn =
-        Box::new(move |rt| check_f32("gather_dyn", rt.read_f32(out), &want, 0.0));
+    let validate: ValidateFn = Box::new(move |rt| {
+        let want: Vec<f32> = idx_data.iter().map(|&j| sv[j as usize]).collect();
+        check_f32("gather_dyn", rt.read_f32(out), &want, 0.0)
+    });
     App {
         module,
         runtime: rt,

@@ -268,15 +268,16 @@ mod fusion {
         assert_fused_identical(&m, func, 2, &["acc.load.idx", "acc.load.idx"]);
     }
 
-    /// Near miss: a `muli` whose product is read twice must keep its
-    /// register, and only the builder's un-CSE'd read (`sdev::load_via_id`:
-    /// its fresh zero constant is a bound register, not an instruction
-    /// between the subscript and the load) is a window.
+    /// The builder's un-CSE'd accessor read (`sdev::load_via_id`: its
+    /// fresh zero constant is a bound register, not an instruction between
+    /// the subscript and the load) fuses into the one window, and the
+    /// store's index arithmetic — a `muli` product read three times —
+    /// runs as decoded beside it.
     /// `out[(9i+1) % 64] = a[i]`: an odd multiplier makes the store index
     /// a permutation of the 64 items, and the output accessor is never
     /// read — race-free at any worker count.
     #[test]
-    fn multiply_used_product_does_not_fuse() {
+    fn uncsed_accessor_read_fuses() {
         let c = ctx();
         let mut m = Module::new(&c);
         let func = build_kernel(&mut m, 2, |b, accs, item| {

@@ -35,7 +35,8 @@ trap 'rm -rf "$tmp"' EXIT
 # The last thing the gate prints: the simulator's line count (ROADMAP aim
 # 2: "lines removed is a reported metric"; every file under crates/sim/src,
 # `plan/` and `pool/` included), the allocation, plan-size and
-# launch-ledger gauges, how long the gate took and how many tests `cargo test` passed —
+# launch-ledger gauges, `run_impl`'s size and placement, how long the gate
+# took and how many tests `cargo test` passed —
 # the numbers a PR that adds or removes code or configurations is expected
 # to report before/after.
 miri_leg=skipped
@@ -64,6 +65,14 @@ summary() {
   # them): launches, distinct bindings, plans looked up and proof
   # instantiations, for the quick sweep and for repro_hostdag's graph.
   cargo test -q --test launch_path launch_ledger -- --nocapture 2>/dev/null | grep -o 'launch_ledger:.*'
+  # Placement control: the execution workloads move 6-10% with where the
+  # linker puts the instruction loop, so a timing gap under 10% is read
+  # beside this line from both builds (size in bytes, address mod 64).
+  nm -S -C target/release/repro_all | while read -r addr size _ name; do
+    if [[ "$name" == "sycl_mlir_sim::plan::exec::run_impl" ]]; then
+      echo "run_impl: $((16#$size)) bytes, address mod 64 = $((16#$addr % 64))"
+    fi
+  done
   passed=$(awk '/^test result:/ { n += $4 } END { print n + 0 }' "$tmp/test.log")
   echo "ci.sh wall time: $(( $(date +%s) - ci_start )) s; cargo test: $passed passed"
 }

@@ -9,6 +9,8 @@
 //! 165,357 + 76,952 = 242,309 allocations, 283 of every build being its
 //! fresh context; emitting one host function per distinct command group
 //! instead of one per submission took it from 165,389 to about 109,200.
+//! Building computes no host reference since each validator computes its
+//! own when called: build 78,625 → 78,189, compile 30,257, total 108,446.
 //! The build half repeats exactly; the compile half moves by a handful
 //! with the iteration order of a `RandomState` map in the pipeline, which
 //! is why the assertion is a ceiling and not an equality.
@@ -54,7 +56,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Asserted ceiling for one pass; the measured count is about 5% below it.
-const BUDGET: u64 = 115_000;
+const BUDGET: u64 = 114_000;
 
 #[test]
 fn build_and_compile_stay_within_the_allocation_budget() {

@@ -109,7 +109,7 @@ mod engine_differential {
                 let plan = run_workload_on(&w, size, kind, &plan_dev);
                 match (tree, plan) {
                     (Ok((tres, trt)), Ok((pres, prt))) => {
-                        assert_eq!(tres.valid, pres.valid, "validation differs: {label}");
+                        assert_eq!(tres.valid(), pres.valid(), "validation differs: {label}");
                         assert_eq!(tres.stats, pres.stats, "stats differ: {label}");
                         assert!(
                             cycles_eq(tres.cycles, pres.cycles),
@@ -156,7 +156,7 @@ mod engine_differential {
                 let par = run_workload_on(&w, size, kind, &par_dev);
                 match (seq, par) {
                     (Ok((sres, srt)), Ok((pres, prt))) => {
-                        assert_eq!(sres.valid, pres.valid, "validation differs: {label}");
+                        assert_eq!(sres.valid(), pres.valid(), "validation differs: {label}");
                         assert_eq!(sres.stats, pres.stats, "stats differ: {label}");
                         assert!(
                             cycles_eq(sres.cycles, pres.cycles),
@@ -207,7 +207,7 @@ mod engine_differential {
                 audit_on_this_thread(false);
                 match (normal, audited) {
                     (Ok((nres, nrt)), Ok((ares, art))) => {
-                        assert_eq!(nres.valid, ares.valid, "validation differs: {label}");
+                        assert_eq!(nres.valid(), ares.valid(), "validation differs: {label}");
                         assert_eq!(nres.stats, ares.stats, "stats differ: {label}");
                         assert!(
                             cycles_eq(nres.cycles, ares.cycles),
@@ -250,7 +250,7 @@ mod engine_differential {
                 let optimized = run_workload_on(&w, size, kind, &opt_dev);
                 match (reference, optimized) {
                     (Ok((rres, rrt)), Ok((ores, ort))) => {
-                        assert_eq!(rres.valid, ores.valid, "validation differs: {label}");
+                        assert_eq!(rres.valid(), ores.valid(), "validation differs: {label}");
                         assert_eq!(rres.stats, ores.stats, "stats differ: {label}");
                         assert!(
                             cycles_eq(rres.cycles, ores.cycles),
@@ -687,7 +687,7 @@ mod verify_differential {
             .expect("GEMM registered");
         let (res, _) = run_workload_on(&w, quick_size(&w), FlowKind::SyclMlir, &device)
             .expect("device must stay usable after a decode failure");
-        assert!(res.valid, "post-failure run must still validate");
+        assert!(res.valid(), "post-failure run must still validate");
 
         // The serial reference has no decoder; it reaches the op and
         // refuses it at run time.

@@ -2,6 +2,7 @@
 //! the optimizations may only change performance, never results. (The
 //! paper's own validation methodology, §VIII.)
 
+use sycl_mlir_bench::quick_size;
 use sycl_mlir_repro::benchsuite::{all_workloads, run_workload, Category};
 use sycl_mlir_repro::core::FlowKind;
 
@@ -32,13 +33,15 @@ fn check_category(category: Category) {
                 .unwrap_or_else(|e| panic!("{} [{}]: {e}", w.name, kind.name()));
             if kind == FlowKind::AdaptiveCpp && w.acpp_fails {
                 assert!(
-                    !r.valid,
+                    !r.valid(),
                     "{} should mirror the paper's ACpp failure",
                     w.name
                 );
                 continue;
             }
-            assert!(r.valid, "{} [{}] failed validation", w.name, kind.name());
+            if let Err(e) = &r.validation {
+                panic!("{} [{}] failed validation: {e}", w.name, kind.name());
+            }
             assert!(r.cycles.is_finite() && r.cycles > 0.0);
         }
     }
@@ -69,6 +72,25 @@ fn sparse_validates_under_all_flows() {
     check_category(Category::Sparse);
 }
 
+/// Validation is never vacuous: every registered program's validator
+/// rejects the application as built, before any kernel ran. A reference
+/// that compared a buffer with itself, or was computed from the buffer it
+/// checks, would pass here.
+#[test]
+fn every_validator_rejects_the_unrun_application() {
+    let mut programs = 0;
+    for w in all_workloads() {
+        let app = (w.build)(quick_size(&w));
+        assert!(
+            (app.validate)(&app.runtime).is_err(),
+            "{}: validates before any kernel ran",
+            w.name
+        );
+        programs += 1;
+    }
+    assert_eq!(programs, 48, "registered programs");
+}
+
 /// The headline direction of Fig. 3: SYCL-MLIR beats DPC++ decisively on
 /// the internalization + reduction workloads and never loses elsewhere by
 /// more than noise.
@@ -82,7 +104,7 @@ fn fig3_shape_holds_at_small_scale() {
             .unwrap();
         let base = run_workload(&w, w.scaled_size.min(48), FlowKind::Dpcpp).unwrap();
         let sm = run_workload(&w, w.scaled_size.min(48), FlowKind::SyclMlir).unwrap();
-        assert!(base.valid && sm.valid);
+        assert!(base.valid() && sm.valid());
         let speedup = base.cycles / sm.cycles;
         assert!(
             speedup > 1.2,
@@ -115,7 +137,7 @@ fn sobel7_constant_filter_pays_off() {
         .unwrap();
     let base = run_workload(&w, 32, FlowKind::Dpcpp).unwrap();
     let sm = run_workload(&w, 32, FlowKind::SyclMlir).unwrap();
-    assert!(base.valid && sm.valid);
+    assert!(base.valid() && sm.valid());
     assert!(
         sm.stats.constant_accesses > 0,
         "filter loads must hit the constant cache under SYCL-MLIR"

@@ -6,8 +6,10 @@
 //! These tests hold that sharing to the serial reference: every field a
 //! binding reads splits the class, a chain-heavy failing graph fails as
 //! the serial reference does, the host-propagated launch facts hold at
-//! every launch (the host-fact audit), and the launch ledger's exact
-//! counts over the quick sweep and the host-task graph are pinned.
+//! every launch (the host-fact audit) — over the suite, over
+//! `repro_hostdag`'s graph and over the repo benchmark's `launch_dag`
+//! graph — and the launch ledger's exact counts over the quick sweep and
+//! the host-task graph are pinned.
 
 use sycl_mlir_bench::{hostdag, quick_size, HostDag};
 use sycl_mlir_repro::benchsuite::all_workloads;
@@ -22,6 +24,12 @@ use sycl_mlir_repro::runtime::{
 use sycl_mlir_repro::sim::{Device, Engine, ExecStats, Ledger, LedgerCounts, SimError};
 use sycl_mlir_repro::sycl::device as sdev;
 use sycl_mlir_repro::sycl::types::AccessMode;
+
+/// The repo benchmark's `launch_dag` application, read from its source
+/// (the benchmark is a package of its own, outside the workspace).
+#[allow(dead_code)]
+#[path = "../benchmark/src/launch_dag.rs"]
+mod launch_dag;
 
 const N: i64 = 64;
 
@@ -427,6 +435,29 @@ fn an_argument_that_is_sometimes_usm_gets_no_buffer_id() {
     );
     audit_facts_on_this_thread(false);
     outcome.expect("the audit holds");
+}
+
+/// The host-fact audit over the repo benchmark's `launch_dag` graph (600
+/// host tasks, 1,800 one-group kernels): seeds 1 and 4 under SYCL-MLIR,
+/// on 1 and 2 workers. Every launch's three facts hold — its global and
+/// local range and its accessor's buffer id — the count is pinned, and
+/// every run then validates against the graph's host reference.
+#[test]
+fn the_host_fact_audit_holds_over_launch_dag() {
+    for seed in [1, 4] {
+        for threads in [1, 2] {
+            let what = format!("launch_dag seed {seed}, {threads} workers");
+            let mut app = launch_dag::build(seed);
+            let mut program = compile_program(FlowKind::SyclMlir, app.module).expect("compiles");
+            let device = Device::with_engine(Engine::Plan).threads(threads);
+            audit_facts_on_this_thread(true);
+            let outcome = run(&mut program, &mut app.runtime, &app.queue, &device);
+            let facts = audit_facts_on_this_thread(false);
+            outcome.unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(facts, 5_400, "{what}: host facts audited");
+            (app.validate)(&app.runtime).unwrap_or_else(|e| panic!("{what}: {e}"));
+        }
+    }
 }
 
 /// Run `app`-like inputs under the audit with a ledger; the counts, and
