@@ -2,37 +2,42 @@
 //!
 //! Reimplementations of every benchmark in the paper's evaluation:
 //!
-//! * [`polybench`] — the 14 Fig. 3 workloads (plus 3D Convolution, which
+//! * `polybench` — the 14 Fig. 3 workloads (plus 3D Convolution, which
 //!   §VIII sizes but does not plot);
-//! * [`single_kernel`] — the 20 Fig. 2 workload variants;
-//! * [`stencil`] — the four oneAPI-samples stencil workloads;
-//! * [`reduction`] — tree reduction, segmented scan and a work-group-local
+//! * `single_kernel` — the 20 Fig. 2 workload variants;
+//! * `stencil` — the four oneAPI-samples stencil workloads;
+//! * `reduction` — tree reduction, segmented scan and a work-group-local
 //!   dot product (collective access patterns, §VIII);
-//! * [`sparse`] — CSR SpMV, gather/scatter and a segmented histogram
+//! * `sparse` — CSR SpMV, gather/scatter and a segmented histogram
 //!   (indirect-index access patterns).
 //!
-//! Each workload builds a complete application: device kernels through the
-//! frontend, recorded command groups, generated host IR, input data
-//! (seeded), and a host-side reference validation. Building computes no
-//! reference: the validator keeps a copy of the seeded inputs and computes
-//! the reference from them when it is called, so a caller that only
-//! compiles pays nothing for it, and a run that writes a buffer in place
-//! cannot change what it is checked against. Problem sizes are scaled
+//! [`all_workloads`] lists them all. Each workload builds a complete
+//! application: device kernels through the frontend, recorded command
+//! groups, generated host IR, seeded input data, and a host-side reference
+//! validation. Building generates no input data and computes no reference:
+//! each seeded input is a recipe on the runtime
+//! ([`SyclRuntime::buffer_seeded`]) that a run executes when it uploads the
+//! buffer, and the validator computes its reference when it is called,
+//! from the inputs' initial elements that `SyclRuntime::initial_*`
+//! generates again. So a caller that only compiles pays for neither, no
+//! copy of an input is held beside the buffer, and a run that writes a
+//! buffer in place cannot change what it is checked against. Only inputs
+//! that are not drawn from a generator are given eagerly: the `const`
+//! Sobel filters, which host IR generation bakes into the IR, SpMV's
+//! row pointers and the zero-filled outputs. Problem sizes are scaled
 //! from the paper's (the simulator interprets IR; EXPERIMENTS.md documents
 //! the scaling) — the *shape* of each kernel is preserved exactly.
 
-pub mod polybench;
-pub mod reduction;
-pub mod single_kernel;
-pub mod sparse;
-pub mod stencil;
+mod polybench;
+mod reduction;
+mod single_kernel;
+mod sparse;
+mod stencil;
 
 use sycl_mlir_core::FlowKind;
 use sycl_mlir_ir::Module;
 use sycl_mlir_runtime::{Queue, SyclRuntime};
 use sycl_mlir_sim::{Device, ExecStats, SimError};
-
-pub use sycl_mlir_sim::Engine;
 
 /// Evaluation category (§VIII, plus this reproduction's extension
 /// families: reduction/scan and sparse indirect-index).
@@ -47,9 +52,10 @@ pub enum Category {
 
 /// Host-side validation callback of a workload: checks the runtime's
 /// final buffer/USM contents against a reference computation, which it
-/// performs on each call from the inputs the workload generated — never
-/// from the runtime's buffers, which the run may have overwritten. The
-/// error names the first element that differs.
+/// performs on each call from the seeded inputs' initial elements as
+/// `rt.initial_*` generates them again — never from the runtime's
+/// buffers, which the run may have overwritten, nor from a copy kept
+/// aside. The error names the first element that differs.
 pub type ValidateFn = Box<dyn Fn(&SyclRuntime) -> Result<(), String>>;
 
 /// A complete runnable application.
@@ -232,25 +238,68 @@ pub fn geo_mean(values: &[f64]) -> f64 {
 pub(crate) mod util {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use sycl_mlir_runtime::{BufferId, SyclRuntime};
+    use sycl_mlir_sim::{DataVec, Dtype};
 
     pub fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
+    }
+
+    /// A seeded input buffer of `dtype` over `range`: `gen` makes its
+    /// elements from `rng`'s stream as it stands here, whenever the
+    /// runtime needs them ([`SyclRuntime::buffer_seeded`]). `rng` skips the
+    /// `draws` values `gen` takes, so the next input draws what it would
+    /// if this one had been generated now.
+    pub fn seeded(
+        rt: &mut SyclRuntime,
+        rng: &mut StdRng,
+        dtype: Dtype,
+        range: &[i64],
+        draws: usize,
+        gen: impl Fn(&mut StdRng) -> DataVec + Send + Sync + 'static,
+    ) -> BufferId {
+        let from = rng.clone();
+        rng.skip(draws as u64);
+        rt.buffer_seeded(dtype, range, move || gen(&mut from.clone()))
+    }
+
+    /// A seeded input of uniform values, one draw each: floats in
+    /// [-1, 1), integers in [-100, 100).
+    pub fn seeded_rand(
+        rt: &mut SyclRuntime,
+        rng: &mut StdRng,
+        dtype: Dtype,
+        range: &[i64],
+    ) -> BufferId {
+        let n = range.iter().product::<i64>() as usize;
+        seeded(rt, rng, dtype, range, n, move |r| rand(r, dtype, n))
+    }
+
+    /// `n` uniform values of `dtype`, as [`seeded_rand`] draws them.
+    pub fn rand(rng: &mut StdRng, dtype: Dtype, n: usize) -> DataVec {
+        match dtype {
+            Dtype::F32 => DataVec::F32(rand_f32(rng, n)),
+            Dtype::F64 => DataVec::F64((0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()),
+            Dtype::I32 => DataVec::I32((0..n).map(|_| rng.gen_range(-100..100)).collect()),
+            Dtype::I64 => DataVec::I64((0..n).map(|_| rng.gen_range(-100..100)).collect()),
+        }
     }
 
     pub fn rand_f32(rng: &mut StdRng, n: usize) -> Vec<f32> {
         (0..n).map(|_| rng.gen_range(-1.0_f32..1.0)).collect()
     }
 
-    pub fn rand_f64(rng: &mut StdRng, n: usize) -> Vec<f64> {
-        (0..n).map(|_| rng.gen_range(-1.0_f64..1.0)).collect()
-    }
-
-    pub fn rand_i32(rng: &mut StdRng, n: usize) -> Vec<i32> {
-        (0..n).map(|_| rng.gen_range(-100_i32..100)).collect()
-    }
-
-    pub fn rand_i64(rng: &mut StdRng, n: usize) -> Vec<i64> {
-        (0..n).map(|_| rng.gen_range(-100_i64..100)).collect()
+    /// A seeded input of `len` `i32` indices in `0..bound`, one draw each.
+    pub fn seeded_indices(
+        rt: &mut SyclRuntime,
+        rng: &mut StdRng,
+        len: i64,
+        bound: i64,
+    ) -> BufferId {
+        let (n, bound) = (len as usize, bound as i32);
+        seeded(rt, rng, Dtype::I32, &[len], n, move |r| {
+            DataVec::I32((0..n).map(|_| r.gen_range(0..bound)).collect())
+        })
     }
 
     pub fn check_f32(name: &str, got: &[f32], want: &[f32], tol: f32) -> Result<(), String> {

@@ -10,6 +10,7 @@ use crate::{App, Category, ValidateFn, WorkloadSpec};
 use sycl_mlir_dialects::{affine, arith, scf};
 use sycl_mlir_frontend::{full_context, KernelModuleBuilder, KernelSig};
 use sycl_mlir_runtime::{hostgen::generate_host_ir, Queue, SyclRuntime};
+use sycl_mlir_sim::Dtype::F32;
 use sycl_mlir_sycl::device as sdev;
 use sycl_mlir_sycl::types::AccessMode;
 
@@ -111,10 +112,8 @@ fn gemm(n: i64) -> App {
 
     let mut rng_ = rng(31);
     let mut rt = SyclRuntime::new();
-    let av = rand_f32(&mut rng_, (n * n) as usize);
-    let a = rt.buffer_f32(av.clone(), &[n, n]);
-    let bv = rand_f32(&mut rng_, (n * n) as usize);
-    let b = rt.buffer_f32(bv.clone(), &[n, n]);
+    let a = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
+    let b = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
     let c = rt.buffer_f32(vec![0.0; (n * n) as usize], &[n, n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -127,7 +126,7 @@ fn gemm(n: i64) -> App {
     let module = kb.finish();
 
     let validate: ValidateFn = Box::new(move |rt| {
-        let want = host_matmul_seq(&av, &bv, n as usize);
+        let want = host_matmul_seq(&rt.initial_f32(a), &rt.initial_f32(b), n as usize);
         check_f32("gemm", rt.read_f32(c), &want, 1e-3)
     });
     App {
@@ -150,11 +149,10 @@ fn mm_chain(n: i64, chains: usize) -> App {
     let mut rng_ = rng(32 + chains as u64);
     let mut rt = SyclRuntime::new();
     let len = (n * n) as usize;
-    let av = rand_f32(&mut rng_, len);
-    let a = rt.buffer_f32(av.clone(), &[n, n]);
+    let a = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
     // The right-hand factors, in chain order.
-    let mut factors = vec![rand_f32(&mut rng_, len)];
-    let mut rhs = rt.buffer_f32(factors[0].clone(), &[n, n]);
+    let mut factors = vec![seeded_rand(&mut rt, &mut rng_, F32, &[n, n])];
+    let mut rhs = factors[0];
     let mut q = Queue::new();
     let mut lhs = a;
     for step in 0..chains {
@@ -168,8 +166,8 @@ fn mm_chain(n: i64, chains: usize) -> App {
         // Next multiplication: previous result times a fresh matrix.
         lhs = out;
         if step + 1 < chains {
-            factors.push(rand_f32(&mut rng_, len));
-            rhs = rt.buffer_f32(factors[step + 1].clone(), &[n, n]);
+            rhs = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
+            factors.push(rhs);
         }
     }
     generate_host_ir(kb.module(), &rt, &q);
@@ -178,9 +176,9 @@ fn mm_chain(n: i64, chains: usize) -> App {
     let last = lhs;
     let validate: ValidateFn = Box::new(move |rt| {
         // Host reference for the whole chain.
-        let want = factors
-            .iter()
-            .fold(av.clone(), |cur, m| host_matmul_seq(&cur, m, n as usize));
+        let want = (factors.iter()).fold(rt.initial_f32(a), |cur, &m| {
+            host_matmul_seq(&cur, &rt.initial_f32(m), n as usize)
+        });
         check_f32("mm-chain", rt.read_f32(last), &want, 5e-2)
     });
     App {
@@ -245,10 +243,8 @@ fn syrk_like(n: i64, two: bool) -> App {
     let mut rng_ = rng(if two { 34 } else { 33 });
     let mut rt = SyclRuntime::new();
     let len = (n * n) as usize;
-    let av = rand_f32(&mut rng_, len);
-    let a = rt.buffer_f32(av.clone(), &[n, n]);
-    let bv = two.then(|| rand_f32(&mut rng_, len));
-    let b = bv.as_ref().map(|bv| rt.buffer_f32(bv.clone(), &[n, n]));
+    let a = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
+    let b = two.then(|| seeded_rand(&mut rt, &mut rng_, F32, &[n, n]));
     let c = rt.buffer_f32(vec![0.0; len], &[n, n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -264,6 +260,8 @@ fn syrk_like(n: i64, two: bool) -> App {
 
     let validate: ValidateFn = Box::new(move |rt| {
         let nn = n as usize;
+        let av = rt.initial_f32(a);
+        let bv = b.map(|b| rt.initial_f32(b));
         let want: Vec<f32> = (0..nn)
             .flat_map(|i| {
                 let av = &av;
@@ -360,11 +358,8 @@ fn atax(n: i64) -> App {
 
     let mut rng_ = rng(35);
     let mut rt = SyclRuntime::new();
-    let len = (n * n) as usize;
-    let av = rand_f32(&mut rng_, len);
-    let a = rt.buffer_f32(av.clone(), &[n, n]);
-    let xv = rand_f32(&mut rng_, n as usize);
-    let x = rt.buffer_f32(xv.clone(), &[n]);
+    let a = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
+    let x = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
     let tmp = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let y = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let mut q = Queue::new();
@@ -384,7 +379,8 @@ fn atax(n: i64) -> App {
     let module = kb.finish();
 
     let validate: ValidateFn = Box::new(move |rt| {
-        let tmp_ref = host_matvec(&av, &xv, n as usize, false);
+        let av = rt.initial_f32(a);
+        let tmp_ref = host_matvec(&av, &rt.initial_f32(x), n as usize, false);
         let want = host_matvec(&av, &tmp_ref, n as usize, true);
         check_f32("atax", rt.read_f32(y), &want, 1e-2)
     });
@@ -404,13 +400,9 @@ fn bicg(n: i64) -> App {
 
     let mut rng_ = rng(36);
     let mut rt = SyclRuntime::new();
-    let len = (n * n) as usize;
-    let av = rand_f32(&mut rng_, len);
-    let a = rt.buffer_f32(av.clone(), &[n, n]);
-    let pv = rand_f32(&mut rng_, n as usize);
-    let p = rt.buffer_f32(pv.clone(), &[n]);
-    let rv = rand_f32(&mut rng_, n as usize);
-    let r = rt.buffer_f32(rv.clone(), &[n]);
+    let a = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
+    let p = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
+    let r = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
     let qv = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let s = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let mut q = Queue::new();
@@ -430,9 +422,10 @@ fn bicg(n: i64) -> App {
     let module = kb.finish();
 
     let validate: ValidateFn = Box::new(move |rt| {
-        let want_q = host_matvec(&av, &pv, n as usize, false);
+        let av = rt.initial_f32(a);
+        let want_q = host_matvec(&av, &rt.initial_f32(p), n as usize, false);
         check_f32("bicg.q", rt.read_f32(qv), &want_q, 1e-2)?;
-        let want_s = host_matvec(&av, &rv, n as usize, true);
+        let want_s = host_matvec(&av, &rt.initial_f32(r), n as usize, true);
         check_f32("bicg.s", rt.read_f32(s), &want_s, 1e-2)
     });
     App {
@@ -451,13 +444,9 @@ fn mvt(n: i64) -> App {
 
     let mut rng_ = rng(37);
     let mut rt = SyclRuntime::new();
-    let len = (n * n) as usize;
-    let av = rand_f32(&mut rng_, len);
-    let a = rt.buffer_f32(av.clone(), &[n, n]);
-    let y1v = rand_f32(&mut rng_, n as usize);
-    let y1 = rt.buffer_f32(y1v.clone(), &[n]);
-    let y2v = rand_f32(&mut rng_, n as usize);
-    let y2 = rt.buffer_f32(y2v.clone(), &[n]);
+    let a = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
+    let y1 = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
+    let y2 = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
     let x1 = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let x2 = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let mut q = Queue::new();
@@ -477,9 +466,10 @@ fn mvt(n: i64) -> App {
     let module = kb.finish();
 
     let validate: ValidateFn = Box::new(move |rt| {
-        let want1 = host_matvec(&av, &y1v, n as usize, false);
+        let av = rt.initial_f32(a);
+        let want1 = host_matvec(&av, &rt.initial_f32(y1), n as usize, false);
         check_f32("mvt.x1", rt.read_f32(x1), &want1, 1e-2)?;
-        let want2 = host_matvec(&av, &y2v, n as usize, true);
+        let want2 = host_matvec(&av, &rt.initial_f32(y2), n as usize, true);
         check_f32("mvt.x2", rt.read_f32(x2), &want2, 1e-2)
     });
     App {
@@ -529,13 +519,9 @@ fn gesummv(n: i64) -> App {
 
     let mut rng_ = rng(38);
     let mut rt = SyclRuntime::new();
-    let len = (n * n) as usize;
-    let av = rand_f32(&mut rng_, len);
-    let a = rt.buffer_f32(av.clone(), &[n, n]);
-    let bv = rand_f32(&mut rng_, len);
-    let b = rt.buffer_f32(bv.clone(), &[n, n]);
-    let xv = rand_f32(&mut rng_, n as usize);
-    let x = rt.buffer_f32(xv.clone(), &[n]);
+    let a = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
+    let b = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
+    let x = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
     let y = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -552,6 +538,7 @@ fn gesummv(n: i64) -> App {
 
     let validate: ValidateFn = Box::new(move |rt| {
         let nn = n as usize;
+        let (av, bv, xv) = (rt.initial_f32(a), rt.initial_f32(b), rt.initial_f32(x));
         let want: Vec<f32> = (0..nn)
             .map(|i| {
                 let s1: f32 = (0..nn).map(|j| av[i * nn + j] * xv[j]).sum();
@@ -705,8 +692,7 @@ fn correlation(n: i64) -> App {
     let mut rng_ = rng(39);
     let mut rt = SyclRuntime::new();
     let len = (n * n) as usize;
-    let d0 = rand_f32(&mut rng_, len);
-    let data = rt.buffer_f32(d0.clone(), &[n, n]);
+    let data = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
     let mean = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let sum = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let sumsq = rt.buffer_f32(vec![0.0; n as usize], &[n]);
@@ -745,6 +731,7 @@ fn correlation(n: i64) -> App {
     let validate: ValidateFn = Box::new(move |rt| {
         // Host reference of the same pipeline.
         let nn = n as usize;
+        let d0 = rt.initial_f32(data);
         let mut mean_ref = vec![0.0_f32; nn];
         for j in 0..nn {
             for i in 0..nn {
@@ -752,7 +739,7 @@ fn correlation(n: i64) -> App {
             }
             mean_ref[j] /= nn as f32;
         }
-        let mut centered = d0.clone();
+        let mut centered = d0;
         for i in 0..nn {
             for j in 0..nn {
                 centered[i * nn + j] -= mean_ref[j];
@@ -790,8 +777,7 @@ fn covariance(n: i64) -> App {
     let mut rng_ = rng(40);
     let mut rt = SyclRuntime::new();
     let len = (n * n) as usize;
-    let d0 = rand_f32(&mut rng_, len);
-    let data = rt.buffer_f32(d0.clone(), &[n, n]);
+    let data = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
     let mean = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let sumsq = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let cov = rt.buffer_f32(vec![0.0; len], &[n, n]);
@@ -818,6 +804,7 @@ fn covariance(n: i64) -> App {
 
     let validate: ValidateFn = Box::new(move |rt| {
         let nn = n as usize;
+        let d0 = rt.initial_f32(data);
         let mut cov_ref = vec![0.0_f32; nn * nn];
         for i in 0..nn {
             for j in i..nn {
@@ -892,14 +879,11 @@ fn gramschmidt(n: i64) -> App {
 
     let mut rng_ = rng(41);
     let mut rt = SyclRuntime::new();
-    let len = (n * n) as usize;
-    let qv = rand_f32(&mut rng_, len);
-    let qbuf = rt.buffer_f32(qv.clone(), &[n, n]);
-    let rv = rand_f32(&mut rng_, len);
-    let rbuf = rt.buffer_f32(rv.clone(), &[n, n]);
-    // `abuf` is updated in place: the reference starts from this copy.
-    let a0 = rand_f32(&mut rng_, len);
-    let abuf = rt.buffer_f32(a0.clone(), &[n, n]);
+    let qbuf = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
+    let rbuf = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
+    // `abuf` is updated in place: the reference starts from its initial
+    // elements, generated again.
+    let abuf = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
     let mut q = Queue::new();
     for k in 0..STEPS {
         q.submit(|h| {
@@ -915,7 +899,8 @@ fn gramschmidt(n: i64) -> App {
 
     let validate: ValidateFn = Box::new(move |rt| {
         let nn = n as usize;
-        let mut want = a0.clone();
+        let (qv, rv) = (rt.initial_f32(qbuf), rt.initial_f32(rbuf));
+        let mut want = rt.initial_f32(abuf);
         for k in 0..STEPS as usize {
             let prev = want.clone();
             for i in 0..nn {
@@ -995,8 +980,7 @@ fn conv2d(n: i64) -> App {
     let mut rng_ = rng(42);
     let mut rt = SyclRuntime::new();
     let len = (n * n) as usize;
-    let inp = rand_f32(&mut rng_, len);
-    let input = rt.buffer_f32(inp.clone(), &[n, n]);
+    let input = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
     let output = rt.buffer_f32(vec![0.0; len], &[n, n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -1009,6 +993,7 @@ fn conv2d(n: i64) -> App {
 
     let validate: ValidateFn = Box::new(move |rt| {
         let nn = n as usize;
+        let inp = rt.initial_f32(input);
         let mut want = vec![0.0_f32; len];
         for i in 1..nn - 1 {
             for j in 1..nn - 1 {
@@ -1105,12 +1090,10 @@ fn fdtd2d(n: i64) -> App {
 
     let mut rng_ = rng(43);
     let mut rt = SyclRuntime::new();
-    let len = (n * n) as usize;
-    // Both fields are updated in place: the reference starts from copies.
-    let ey0 = rand_f32(&mut rng_, len);
-    let ey = rt.buffer_f32(ey0.clone(), &[n, n]);
-    let hz0 = rand_f32(&mut rng_, len);
-    let hz = rt.buffer_f32(hz0.clone(), &[n, n]);
+    // Both fields are updated in place: the reference starts from their
+    // initial elements, generated again.
+    let ey = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
+    let hz = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
     let mut q = Queue::new();
     for _t in 0..TMAX {
         q.submit(|h| {
@@ -1129,8 +1112,8 @@ fn fdtd2d(n: i64) -> App {
 
     let validate: ValidateFn = Box::new(move |rt| {
         let nn = n as usize;
-        let mut ey_ref = ey0.clone();
-        let mut hz_ref = hz0.clone();
+        let mut ey_ref = rt.initial_f32(ey);
+        let mut hz_ref = rt.initial_f32(hz);
         for _t in 0..TMAX {
             for i in 1..nn {
                 for j in 0..nn {
@@ -1203,8 +1186,7 @@ fn conv3d(n: i64) -> App {
     let mut rng_ = rng(44);
     let mut rt = SyclRuntime::new();
     let len = (n * n * n) as usize;
-    let inp = rand_f32(&mut rng_, len);
-    let input = rt.buffer_f32(inp.clone(), &[n, n, n]);
+    let input = seeded_rand(&mut rt, &mut rng_, F32, &[n, n, n]);
     let output = rt.buffer_f32(vec![0.0; len], &[n, n, n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -1217,6 +1199,7 @@ fn conv3d(n: i64) -> App {
 
     let validate: ValidateFn = Box::new(move |rt| {
         let nn = n as usize;
+        let inp = rt.initial_f32(input);
         let at = |a: usize, b2: usize, c: usize| inp[(a * nn + b2) * nn + c];
         let mut want = vec![0.0_f32; len];
         for i in 1..nn - 1 {

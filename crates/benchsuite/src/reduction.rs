@@ -12,6 +12,7 @@ use crate::{App, Category, ValidateFn, WorkloadSpec};
 use sycl_mlir_dialects::{arith, memref, scf};
 use sycl_mlir_frontend::{full_context, KernelModuleBuilder, KernelSig};
 use sycl_mlir_runtime::{hostgen::generate_host_ir, Queue, SyclRuntime};
+use sycl_mlir_sim::Dtype::F32;
 use sycl_mlir_sycl::device as sdev;
 use sycl_mlir_sycl::types::AccessMode;
 
@@ -119,8 +120,7 @@ fn tree_reduce(n: i64) -> App {
 
     let mut rng_ = rng(61);
     let mut rt = SyclRuntime::new();
-    let data = rand_f32(&mut rng_, n as usize);
-    let input = rt.buffer_f32(data.clone(), &[n]);
+    let input = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
     let partial = rt.buffer_f32(vec![0.0; groups as usize], &[groups]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -132,6 +132,7 @@ fn tree_reduce(n: i64) -> App {
     let module = kb.finish();
 
     let validate: ValidateFn = Box::new(move |rt| {
+        let data = rt.initial_f32(input);
         let want: Vec<f32> = (0..groups as usize)
             .map(|g| data[g * WG as usize..(g + 1) * WG as usize].iter().sum())
             .collect();
@@ -182,8 +183,7 @@ fn seg_scan(n: i64) -> App {
 
     let mut rng_ = rng(62);
     let mut rt = SyclRuntime::new();
-    let data = rand_f32(&mut rng_, n as usize);
-    let input = rt.buffer_f32(data.clone(), &[n]);
+    let input = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
     let out = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -195,6 +195,7 @@ fn seg_scan(n: i64) -> App {
     let module = kb.finish();
 
     let validate: ValidateFn = Box::new(move |rt| {
+        let data = rt.initial_f32(input);
         let mut want = vec![0.0_f32; n as usize];
         for seg in 0..(n / WG) as usize {
             let mut acc = 0.0_f32;
@@ -266,10 +267,8 @@ fn dot_wg(n: i64) -> App {
 
     let mut rng_ = rng(63);
     let mut rt = SyclRuntime::new();
-    let av = rand_f32(&mut rng_, n as usize);
-    let a = rt.buffer_f32(av.clone(), &[n]);
-    let xv = rand_f32(&mut rng_, n as usize);
-    let x = rt.buffer_f32(xv.clone(), &[n]);
+    let a = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
+    let x = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
     let partial = rt.buffer_f32(vec![0.0; groups as usize], &[groups]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -282,6 +281,7 @@ fn dot_wg(n: i64) -> App {
     let module = kb.finish();
 
     let validate: ValidateFn = Box::new(move |rt| {
+        let (av, xv) = (rt.initial_f32(a), rt.initial_f32(x));
         let want: Vec<f32> = (0..groups as usize)
             .map(|g| {
                 (0..WG as usize)
@@ -363,8 +363,7 @@ fn tree_reduce_dyn(n: i64) -> App {
 
     let mut rng_ = rng(64);
     let mut rt = SyclRuntime::new();
-    let data = rand_f32(&mut rng_, n as usize);
-    let input = rt.buffer_f32(data.clone(), &[n]);
+    let input = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
     let plen = groups + tail;
     let partial = rt.buffer_f32(vec![0.0; plen as usize], &[plen]);
     let mut q = Queue::new();
@@ -388,6 +387,7 @@ fn tree_reduce_dyn(n: i64) -> App {
     let module = kb.finish();
 
     let validate: ValidateFn = Box::new(move |rt| {
+        let data = rt.initial_f32(input);
         let mut want: Vec<f32> = (0..groups as usize)
             .map(|g| data[g * WG as usize..(g + 1) * WG as usize].iter().sum())
             .collect();

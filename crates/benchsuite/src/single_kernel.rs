@@ -8,31 +8,22 @@ use sycl_mlir_dialects::{arith, math, scf};
 use sycl_mlir_frontend::{full_context, KernelModuleBuilder, KernelSig};
 use sycl_mlir_ir::{Builder, Type, ValueId};
 use sycl_mlir_runtime::{hostgen::generate_host_ir, Queue, SyclRuntime};
+use sycl_mlir_sim::{DataVec, Dtype};
 use sycl_mlir_sycl::device as sdev;
 use sycl_mlir_sycl::types::AccessMode;
 
-/// Scalar data type of a workload variant.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Dtype {
-    F32,
-    F64,
-    I32,
-    I64,
+/// The MLIR element type of a workload variant's data type.
+fn elem_ty(dt: Dtype, ctx: &sycl_mlir_ir::Context) -> Type {
+    match dt {
+        Dtype::F32 => ctx.f32_type(),
+        Dtype::F64 => ctx.f64_type(),
+        Dtype::I32 => ctx.i32_type(),
+        Dtype::I64 => ctx.i64_type(),
+    }
 }
 
-impl Dtype {
-    fn ty(self, ctx: &sycl_mlir_ir::Context) -> Type {
-        match self {
-            Dtype::F32 => ctx.f32_type(),
-            Dtype::F64 => ctx.f64_type(),
-            Dtype::I32 => ctx.i32_type(),
-            Dtype::I64 => ctx.i64_type(),
-        }
-    }
-
-    fn is_float(self) -> bool {
-        matches!(self, Dtype::F32 | Dtype::F64)
-    }
+fn is_float(dt: Dtype) -> bool {
+    matches!(dt, Dtype::F32 | Dtype::F64)
 }
 
 /// All Fig. 2 workloads in figure order.
@@ -89,7 +80,7 @@ pub fn workloads() -> Vec<WorkloadSpec> {
 }
 
 fn add(b: &mut Builder<'_>, dt: Dtype, l: ValueId, r: ValueId) -> ValueId {
-    if dt.is_float() {
+    if is_float(dt) {
         arith::addf(b, l, r)
     } else {
         arith::addi(b, l, r)
@@ -97,48 +88,10 @@ fn add(b: &mut Builder<'_>, dt: Dtype, l: ValueId, r: ValueId) -> ValueId {
 }
 
 fn mul(b: &mut Builder<'_>, dt: Dtype, l: ValueId, r: ValueId) -> ValueId {
-    if dt.is_float() {
+    if is_float(dt) {
         arith::mulf(b, l, r)
     } else {
         arith::muli(b, l, r)
-    }
-}
-
-/// A seeded input of a workload's dtype, kept on the host for the
-/// reference that `validate` computes.
-enum HostData {
-    F32(Vec<f32>),
-    F64(Vec<f64>),
-    I32(Vec<i32>),
-    I64(Vec<i64>),
-}
-
-/// Allocate a runtime buffer of seeded data of the right dtype; returns
-/// the buffer plus a copy of its initial contents.
-fn buffer_rand(
-    rt: &mut SyclRuntime,
-    dt: Dtype,
-    rng: &mut rand::rngs::StdRng,
-    n: i64,
-) -> (sycl_mlir_runtime::BufferId, HostData) {
-    let len = n as usize;
-    match dt {
-        Dtype::F32 => {
-            let v = rand_f32(rng, len);
-            (rt.buffer_f32(v.clone(), &[n]), HostData::F32(v))
-        }
-        Dtype::F64 => {
-            let v = rand_f64(rng, len);
-            (rt.buffer_f64(v.clone(), &[n]), HostData::F64(v))
-        }
-        Dtype::I32 => {
-            let v = rand_i32(rng, len);
-            (rt.buffer_i32(v.clone(), &[n]), HostData::I32(v))
-        }
-        Dtype::I64 => {
-            let v = rand_i64(rng, len);
-            (rt.buffer_i64(v.clone(), &[n]), HostData::I64(v))
-        }
     }
 }
 
@@ -158,7 +111,7 @@ fn buffer_zero(rt: &mut SyclRuntime, dt: Dtype, n: i64) -> sycl_mlir_runtime::Bu
 fn vecadd(dt: Dtype, n: i64) -> App {
     let ctx = full_context();
     let mut kb = KernelModuleBuilder::new(&ctx);
-    let elem = dt.ty(&ctx);
+    let elem = elem_ty(dt, &ctx);
     let sig = KernelSig::new("vecadd", 1, false)
         .accessor(elem.clone(), 1, AccessMode::Read)
         .accessor(elem.clone(), 1, AccessMode::Read)
@@ -173,8 +126,8 @@ fn vecadd(dt: Dtype, n: i64) -> App {
 
     let mut rng = rng(11);
     let mut rt = SyclRuntime::new();
-    let (a, av) = buffer_rand(&mut rt, dt, &mut rng, n);
-    let (b_, bv) = buffer_rand(&mut rt, dt, &mut rng, n);
+    let a = seeded_rand(&mut rt, &mut rng, dt, &[n]);
+    let b_ = seeded_rand(&mut rt, &mut rng, dt, &[n]);
     let c = buffer_zero(&mut rt, dt, n);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -186,24 +139,27 @@ fn vecadd(dt: Dtype, n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let validate: ValidateFn = match (av, bv) {
-        (HostData::F32(av), HostData::F32(bv)) => Box::new(move |rt| {
+    let validate: ValidateFn = match dt {
+        Dtype::F32 => Box::new(move |rt| {
+            let (av, bv) = (rt.initial_f32(a), rt.initial_f32(b_));
             let want: Vec<f32> = av.iter().zip(&bv).map(|(x, y)| x + y).collect();
             check_f32("vecadd", rt.read_f32(c), &want, 1e-5)
         }),
-        (HostData::F64(av), HostData::F64(bv)) => Box::new(move |rt| {
+        Dtype::F64 => Box::new(move |rt| {
+            let (av, bv) = (rt.initial_f64(a), rt.initial_f64(b_));
             let want: Vec<f64> = av.iter().zip(&bv).map(|(x, y)| x + y).collect();
             check_f64("vecadd", rt.read_f64(c), &want, 1e-12)
         }),
-        (HostData::I32(av), HostData::I32(bv)) => Box::new(move |rt| {
+        Dtype::I32 => Box::new(move |rt| {
+            let (av, bv) = (rt.initial_i32(a), rt.initial_i32(b_));
             let want: Vec<i32> = av.iter().zip(&bv).map(|(x, y)| x + y).collect();
             check_exact("vecadd", rt.read_i32(c), &want)
         }),
-        (HostData::I64(av), HostData::I64(bv)) => Box::new(move |rt| {
+        Dtype::I64 => Box::new(move |rt| {
+            let (av, bv) = (rt.initial_i64(a), rt.initial_i64(b_));
             let want: Vec<i64> = av.iter().zip(&bv).map(|(x, y)| x + y).collect();
             check_exact("vecadd", rt.read_i64(c), &want)
         }),
-        _ => unreachable!("both inputs are of the workload's dtype"),
     };
     App {
         module,
@@ -220,7 +176,7 @@ fn vecadd(dt: Dtype, n: i64) -> App {
 fn scalprod(dt: Dtype, n: i64) -> App {
     let ctx = full_context();
     let mut kb = KernelModuleBuilder::new(&ctx);
-    let elem = dt.ty(&ctx);
+    let elem = elem_ty(dt, &ctx);
     let sig = KernelSig::new("scalprod", 1, false)
         .accessor(elem.clone(), 1, AccessMode::Read)
         .accessor(elem.clone(), 1, AccessMode::Read)
@@ -235,8 +191,8 @@ fn scalprod(dt: Dtype, n: i64) -> App {
 
     let mut rng = rng(12);
     let mut rt = SyclRuntime::new();
-    let (a, av) = buffer_rand(&mut rt, dt, &mut rng, n);
-    let (b_, bv) = buffer_rand(&mut rt, dt, &mut rng, n);
+    let a = seeded_rand(&mut rt, &mut rng, dt, &[n]);
+    let b_ = seeded_rand(&mut rt, &mut rng, dt, &[n]);
     let c = buffer_zero(&mut rt, dt, n);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -248,8 +204,9 @@ fn scalprod(dt: Dtype, n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let validate: ValidateFn = match (av, bv) {
-        (HostData::F32(av), HostData::F32(bv)) => Box::new(move |rt| {
+    let validate: ValidateFn = match dt {
+        Dtype::F32 => Box::new(move |rt| {
+            let (av, bv) = (rt.initial_f32(a), rt.initial_f32(b_));
             let want: f64 = av.iter().zip(&bv).map(|(x, y)| (x * y) as f64).sum();
             let got: f64 = rt.read_f32(c).iter().map(|&v| v as f64).sum();
             if (got - want).abs() > 1e-2 * want.abs().max(1.0) {
@@ -257,7 +214,8 @@ fn scalprod(dt: Dtype, n: i64) -> App {
             }
             Ok(())
         }),
-        (HostData::F64(av), HostData::F64(bv)) => Box::new(move |rt| {
+        Dtype::F64 => Box::new(move |rt| {
+            let (av, bv) = (rt.initial_f64(a), rt.initial_f64(b_));
             let want: f64 = av.iter().zip(&bv).map(|(x, y)| x * y).sum();
             let got: f64 = rt.read_f64(c).iter().sum();
             if (got - want).abs() > 1e-9 * want.abs().max(1.0) {
@@ -265,7 +223,8 @@ fn scalprod(dt: Dtype, n: i64) -> App {
             }
             Ok(())
         }),
-        (HostData::I32(av), HostData::I32(bv)) => Box::new(move |rt| {
+        Dtype::I32 => Box::new(move |rt| {
+            let (av, bv) = (rt.initial_i32(a), rt.initial_i32(b_));
             let want: i64 = (av.iter().zip(&bv))
                 .map(|(x, y)| (*x as i64) * (*y as i64))
                 .sum();
@@ -276,7 +235,8 @@ fn scalprod(dt: Dtype, n: i64) -> App {
             }
             Ok(())
         }),
-        (HostData::I64(av), HostData::I64(bv)) => Box::new(move |rt| {
+        Dtype::I64 => Box::new(move |rt| {
+            let (av, bv) = (rt.initial_i64(a), rt.initial_i64(b_));
             let want: i64 = av.iter().zip(&bv).map(|(x, y)| x * y).sum();
             let got: i64 = rt.read_i64(c).iter().sum();
             if got != want {
@@ -284,7 +244,6 @@ fn scalprod(dt: Dtype, n: i64) -> App {
             }
             Ok(())
         }),
-        _ => unreachable!("both inputs are of the workload's dtype"),
     };
     App {
         module,
@@ -302,7 +261,7 @@ fn linreg(dt: Dtype, n: i64) -> App {
     let (alpha, beta) = (1.5_f64, -0.5_f64);
     let ctx = full_context();
     let mut kb = KernelModuleBuilder::new(&ctx);
-    let elem = dt.ty(&ctx);
+    let elem = elem_ty(dt, &ctx);
     let sig = KernelSig::new("linreg", 1, false)
         .accessor(elem.clone(), 1, AccessMode::Read)
         .accessor(elem.clone(), 1, AccessMode::Read)
@@ -322,8 +281,8 @@ fn linreg(dt: Dtype, n: i64) -> App {
 
     let mut rng = rng(13);
     let mut rt = SyclRuntime::new();
-    let (x, xv) = buffer_rand(&mut rt, dt, &mut rng, n);
-    let (y, yv) = buffer_rand(&mut rt, dt, &mut rng, n);
+    let x = seeded_rand(&mut rt, &mut rng, dt, &[n]);
+    let y = seeded_rand(&mut rt, &mut rng, dt, &[n]);
     let e = buffer_zero(&mut rt, dt, n);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -343,8 +302,9 @@ fn linreg(dt: Dtype, n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let validate: ValidateFn = match (xv, yv) {
-        (HostData::F32(xv), HostData::F32(yv)) => Box::new(move |rt| {
+    let validate: ValidateFn = match dt {
+        Dtype::F32 => Box::new(move |rt| {
+            let (xv, yv) = (rt.initial_f32(x), rt.initial_f32(y));
             let want: Vec<f32> = (xv.iter().zip(&yv))
                 .map(|(x, y)| {
                     let e = alpha as f32 * x + beta as f32 - y;
@@ -353,7 +313,8 @@ fn linreg(dt: Dtype, n: i64) -> App {
                 .collect();
             check_f32("linreg", rt.read_f32(e), &want, 1e-4)
         }),
-        (HostData::F64(xv), HostData::F64(yv)) => Box::new(move |rt| {
+        _ => Box::new(move |rt| {
+            let (xv, yv) = (rt.initial_f64(x), rt.initial_f64(y));
             let want: Vec<f64> = (xv.iter().zip(&yv))
                 .map(|(x, y)| {
                     let err = alpha * x + beta - y;
@@ -362,7 +323,6 @@ fn linreg(dt: Dtype, n: i64) -> App {
                 .collect();
             check_f64("linreg", rt.read_f64(e), &want, 1e-10)
         }),
-        _ => unreachable!("LinReg is registered for floating-point dtypes"),
     };
     App {
         module,
@@ -379,7 +339,7 @@ fn linreg(dt: Dtype, n: i64) -> App {
 fn linreg_coeff(dt: Dtype, n: i64) -> App {
     let ctx = full_context();
     let mut kb = KernelModuleBuilder::new(&ctx);
-    let elem = dt.ty(&ctx);
+    let elem = elem_ty(dt, &ctx);
     let sig = KernelSig::new("linreg_coeff", 1, false)
         .accessor(elem.clone(), 1, AccessMode::Read)
         .accessor(elem.clone(), 1, AccessMode::Read)
@@ -397,8 +357,8 @@ fn linreg_coeff(dt: Dtype, n: i64) -> App {
 
     let mut rng = rng(14);
     let mut rt = SyclRuntime::new();
-    let (x, xv) = buffer_rand(&mut rt, dt, &mut rng, n);
-    let (y, yv) = buffer_rand(&mut rt, dt, &mut rng, n);
+    let x = seeded_rand(&mut rt, &mut rng, dt, &[n]);
+    let y = seeded_rand(&mut rt, &mut rng, dt, &[n]);
     let xy = buffer_zero(&mut rt, dt, n);
     let xx = buffer_zero(&mut rt, dt, n);
     let mut q = Queue::new();
@@ -412,20 +372,21 @@ fn linreg_coeff(dt: Dtype, n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let validate: ValidateFn = match (xv, yv) {
-        (HostData::F32(xv), HostData::F32(yv)) => Box::new(move |rt| {
+    let validate: ValidateFn = match dt {
+        Dtype::F32 => Box::new(move |rt| {
+            let (xv, yv) = (rt.initial_f32(x), rt.initial_f32(y));
             let wxy: Vec<f32> = xv.iter().zip(&yv).map(|(a, b)| a * b).collect();
             check_f32("xy", rt.read_f32(xy), &wxy, 1e-5)?;
             let wxx: Vec<f32> = xv.iter().map(|a| a * a).collect();
             check_f32("xx", rt.read_f32(xx), &wxx, 1e-5)
         }),
-        (HostData::F64(xv), HostData::F64(yv)) => Box::new(move |rt| {
+        _ => Box::new(move |rt| {
+            let (xv, yv) = (rt.initial_f64(x), rt.initial_f64(y));
             let wxy: Vec<f64> = xv.iter().zip(&yv).map(|(a, b)| a * b).collect();
             check_f64("xy", rt.read_f64(xy), &wxy, 1e-12)?;
             let wxx: Vec<f64> = xv.iter().map(|a| a * a).collect();
             check_f64("xx", rt.read_f64(xx), &wxx, 1e-12)
         }),
-        _ => unreachable!("LinReg Coeff. is registered for floating-point dtypes"),
     };
     App {
         module,
@@ -443,7 +404,7 @@ fn kmeans(dt: Dtype, n: i64) -> App {
     const K: i64 = 4;
     let ctx = full_context();
     let mut kb = KernelModuleBuilder::new(&ctx);
-    let elem = dt.ty(&ctx);
+    let elem = elem_ty(dt, &ctx);
     let sig = KernelSig::new("kmeans", 1, false)
         .accessor(elem.clone(), 1, AccessMode::Read) // px
         .accessor(elem.clone(), 1, AccessMode::Read) // py
@@ -476,10 +437,10 @@ fn kmeans(dt: Dtype, n: i64) -> App {
 
     let mut rng = rng(15);
     let mut rt = SyclRuntime::new();
-    let (px, pxv) = buffer_rand(&mut rt, dt, &mut rng, n);
-    let (py, pyv) = buffer_rand(&mut rt, dt, &mut rng, n);
-    let (cx, cxv) = buffer_rand(&mut rt, dt, &mut rng, K);
-    let (cy, cyv) = buffer_rand(&mut rt, dt, &mut rng, K);
+    let px = seeded_rand(&mut rt, &mut rng, dt, &[n]);
+    let py = seeded_rand(&mut rt, &mut rng, dt, &[n]);
+    let cx = seeded_rand(&mut rt, &mut rng, dt, &[K]);
+    let cy = seeded_rand(&mut rt, &mut rng, dt, &[K]);
     let out = buffer_zero(&mut rt, dt, n);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -493,40 +454,39 @@ fn kmeans(dt: Dtype, n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let validate: ValidateFn = match (pxv, pyv, cxv, cyv) {
-        (HostData::F32(pxv), HostData::F32(pyv), HostData::F32(cxv), HostData::F32(cyv)) => {
-            Box::new(move |rt| {
-                let want: Vec<f32> = (0..n as usize)
-                    .map(|i| {
-                        (0..K as usize)
-                            .map(|k| {
-                                let dx = pxv[i] - cxv[k];
-                                let dy = pyv[i] - cyv[k];
-                                dx * dx + dy * dy
-                            })
-                            .fold(1e30_f32, f32::min)
-                    })
-                    .collect();
-                check_f32("kmeans", rt.read_f32(out), &want, 1e-4)
-            })
-        }
-        (HostData::F64(pxv), HostData::F64(pyv), HostData::F64(cxv), HostData::F64(cyv)) => {
-            Box::new(move |rt| {
-                let want: Vec<f64> = (0..n as usize)
-                    .map(|i| {
-                        (0..K as usize)
-                            .map(|k| {
-                                let dx = pxv[i] - cxv[k];
-                                let dy = pyv[i] - cyv[k];
-                                dx * dx + dy * dy
-                            })
-                            .fold(1e30_f64, f64::min)
-                    })
-                    .collect();
-                check_f64("kmeans", rt.read_f64(out), &want, 1e-10)
-            })
-        }
-        _ => unreachable!("KMeans is registered for floating-point dtypes"),
+    let validate: ValidateFn = match dt {
+        Dtype::F32 => Box::new(move |rt| {
+            let (pxv, pyv) = (rt.initial_f32(px), rt.initial_f32(py));
+            let (cxv, cyv) = (rt.initial_f32(cx), rt.initial_f32(cy));
+            let want: Vec<f32> = (0..n as usize)
+                .map(|i| {
+                    (0..K as usize)
+                        .map(|k| {
+                            let dx = pxv[i] - cxv[k];
+                            let dy = pyv[i] - cyv[k];
+                            dx * dx + dy * dy
+                        })
+                        .fold(1e30_f32, f32::min)
+                })
+                .collect();
+            check_f32("kmeans", rt.read_f32(out), &want, 1e-4)
+        }),
+        _ => Box::new(move |rt| {
+            let (pxv, pyv) = (rt.initial_f64(px), rt.initial_f64(py));
+            let (cxv, cyv) = (rt.initial_f64(cx), rt.initial_f64(cy));
+            let want: Vec<f64> = (0..n as usize)
+                .map(|i| {
+                    (0..K as usize)
+                        .map(|k| {
+                            let dx = pxv[i] - cxv[k];
+                            let dy = pyv[i] - cyv[k];
+                            dx * dx + dy * dy
+                        })
+                        .fold(1e30_f64, f64::min)
+                })
+                .collect();
+            check_f64("kmeans", rt.read_f64(out), &want, 1e-10)
+        }),
     };
     App {
         module,
@@ -584,15 +544,8 @@ fn moldyn(n: i64) -> App {
 
     let mut rng_ = rng(16);
     let mut rt = SyclRuntime::new();
-    let posv = rand_f32(&mut rng_, n as usize);
-    let pos = rt.buffer_f32(posv.clone(), &[n]);
-    let neigh_data: Vec<i32> = {
-        use rand::Rng;
-        (0..(n * NEIGHBORS) as usize)
-            .map(|_| rng_.gen_range(0..n as i32))
-            .collect()
-    };
-    let neigh = rt.buffer_i32(neigh_data.clone(), &[n * NEIGHBORS]);
+    let pos = seeded_rand(&mut rt, &mut rng_, Dtype::F32, &[n]);
+    let neigh = seeded_indices(&mut rt, &mut rng_, n * NEIGHBORS, n);
     let force = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -605,6 +558,7 @@ fn moldyn(n: i64) -> App {
     let module = kb.finish();
 
     let validate: ValidateFn = Box::new(move |rt| {
+        let (posv, neigh_data) = (rt.initial_f32(pos), rt.initial_i32(neigh));
         let want: Vec<f32> = (0..n as usize)
             .map(|i| {
                 (0..NEIGHBORS as usize)
@@ -633,7 +587,7 @@ fn moldyn(n: i64) -> App {
 fn nbody(dt: Dtype, n: i64) -> App {
     let ctx = full_context();
     let mut kb = KernelModuleBuilder::new(&ctx);
-    let elem = dt.ty(&ctx);
+    let elem = elem_ty(dt, &ctx);
     let sig = KernelSig::new("nbody", 1, false)
         .accessor(elem.clone(), 1, AccessMode::Read) // x
         .accessor(elem.clone(), 1, AccessMode::Read) // mass
@@ -666,21 +620,16 @@ fn nbody(dt: Dtype, n: i64) -> App {
 
     let mut rng_ = rng(17);
     let mut rt = SyclRuntime::new();
-    let (x, xv) = buffer_rand(&mut rt, dt, &mut rng_, n);
-    let (mass, mv) = match dt {
-        Dtype::F32 => {
-            let mv: Vec<f32> = (rand_f32(&mut rng_, n as usize).iter())
-                .map(|v| v.abs() + 0.1)
-                .collect();
-            (rt.buffer_f32(mv.clone(), &[n]), HostData::F32(mv))
+    let x = seeded_rand(&mut rt, &mut rng_, dt, &[n]);
+    // Masses are positive: |u| + 0.1 of a uniform draw.
+    let len = n as usize;
+    let mass = seeded(&mut rt, &mut rng_, dt, &[n], len, move |r| {
+        match rand(r, dt, len) {
+            DataVec::F32(v) => DataVec::F32(v.iter().map(|v| v.abs() + 0.1).collect()),
+            DataVec::F64(v) => DataVec::F64(v.iter().map(|v| v.abs() + 0.1).collect()),
+            _ => unreachable!("NBody is registered for floating-point dtypes"),
         }
-        _ => {
-            let mv: Vec<f64> = (rand_f64(&mut rng_, n as usize).iter())
-                .map(|v| v.abs() + 0.1)
-                .collect();
-            (rt.buffer_f64(mv.clone(), &[n]), HostData::F64(mv))
-        }
-    };
+    });
     let acc = buffer_zero(&mut rt, dt, n);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -692,8 +641,9 @@ fn nbody(dt: Dtype, n: i64) -> App {
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    let validate: ValidateFn = match (xv, mv) {
-        (HostData::F32(xv), HostData::F32(mv)) => Box::new(move |rt| {
+    let validate: ValidateFn = match dt {
+        Dtype::F32 => Box::new(move |rt| {
+            let (xv, mv) = (rt.initial_f32(x), rt.initial_f32(mass));
             let want: Vec<f32> = (0..n as usize)
                 .map(|i| {
                     (0..n as usize)
@@ -708,7 +658,8 @@ fn nbody(dt: Dtype, n: i64) -> App {
                 .collect();
             check_f32("nbody", rt.read_f32(acc), &want, 1e-2)
         }),
-        (HostData::F64(xv), HostData::F64(mv)) => Box::new(move |rt| {
+        _ => Box::new(move |rt| {
+            let (xv, mv) = (rt.initial_f64(x), rt.initial_f64(mass));
             let want: Vec<f64> = (0..n as usize)
                 .map(|i| {
                     (0..n as usize)
@@ -723,7 +674,6 @@ fn nbody(dt: Dtype, n: i64) -> App {
                 .collect();
             check_f64("nbody", rt.read_f64(acc), &want, 1e-9)
         }),
-        _ => unreachable!("NBody is registered for floating-point dtypes"),
     };
     App {
         module,
@@ -805,15 +755,12 @@ fn sobel(taps: i64, n: i64) -> App {
 
     let mut rng_ = rng(18 + taps as u64);
     let mut rt = SyclRuntime::new();
-    let img = rand_f32(&mut rng_, (n * n) as usize);
-    let image = rt.buffer_f32(img.clone(), &[n, n]);
+    let image = seeded_rand(&mut rt, &mut rng_, Dtype::F32, &[n, n]);
     // The filter is a `const float[]` in the host source: candidate for
     // constant propagation (§VII-B / §VIII "Sobel filter declared as a
-    // constant array").
-    let filter_data: Vec<f32> = (0..(taps * taps))
-        .map(|k| ((k % 3) as f32 - 1.0) * 0.25)
-        .collect();
-    let filter = rt.buffer_const_f32(filter_data.clone(), &[taps, taps]);
+    // constant array"), so it is given, not seeded — host IR generation
+    // bakes it into the IR.
+    let filter = rt.buffer_const_f32(sobel_filter(taps), &[taps, taps]);
     let out = rt.buffer_f32(vec![0.0; (n * n) as usize], &[n, n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -826,6 +773,7 @@ fn sobel(taps: i64, n: i64) -> App {
     let module = kb.finish();
 
     let validate: ValidateFn = Box::new(move |rt| {
+        let (img, filter_data) = (rt.initial_f32(image), sobel_filter(taps));
         let want: Vec<f32> = (0..n as usize)
             .flat_map(|i| {
                 let img = &img;
@@ -858,4 +806,11 @@ fn sobel(taps: i64, n: i64) -> App {
         queue: q,
         validate,
     }
+}
+
+/// The `taps`×`taps` Sobel filter, row-major.
+fn sobel_filter(taps: i64) -> Vec<f32> {
+    (0..(taps * taps))
+        .map(|k| ((k % 3) as f32 - 1.0) * 0.25)
+        .collect()
 }

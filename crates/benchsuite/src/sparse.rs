@@ -12,6 +12,7 @@ use rand::Rng;
 use sycl_mlir_dialects::{arith, scf};
 use sycl_mlir_frontend::{full_context, KernelModuleBuilder, KernelSig};
 use sycl_mlir_runtime::{hostgen::generate_host_ir, Queue, SyclRuntime};
+use sycl_mlir_sim::{DataVec, Dtype};
 use sycl_mlir_sycl::device as sdev;
 use sycl_mlir_sycl::types::AccessMode;
 
@@ -95,15 +96,14 @@ fn spmv_csr(n: i64) -> App {
 
     let mut rng_ = rng(71);
     let nnz = n * NNZ_PER_ROW;
+    // Row `r` holds entries `r * NNZ_PER_ROW ..` — structure, not a
+    // seeded input.
     let row_ptr_data: Vec<i32> = (0..=n).map(|r| (r * NNZ_PER_ROW) as i32).collect();
-    let col_data: Vec<i32> = (0..nnz).map(|_| rng_.gen_range(0..n as i32)).collect();
     let mut rt = SyclRuntime::new();
-    let row_ptr = rt.buffer_i32(row_ptr_data.clone(), &[n + 1]);
-    let col = rt.buffer_i32(col_data.clone(), &[nnz]);
-    let vv = rand_f32(&mut rng_, nnz as usize);
-    let vals = rt.buffer_f32(vv.clone(), &[nnz]);
-    let xv = rand_f32(&mut rng_, n as usize);
-    let x = rt.buffer_f32(xv.clone(), &[n]);
+    let row_ptr = rt.buffer_i32(row_ptr_data, &[n + 1]);
+    let col = seeded_indices(&mut rt, &mut rng_, nnz, n);
+    let vals = seeded_rand(&mut rt, &mut rng_, Dtype::F32, &[nnz]);
+    let x = seeded_rand(&mut rt, &mut rng_, Dtype::F32, &[n]);
     let y = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -118,9 +118,12 @@ fn spmv_csr(n: i64) -> App {
     let module = kb.finish();
 
     let validate: ValidateFn = Box::new(move |rt| {
+        let col_data = rt.initial_i32(col);
+        let (vv, xv) = (rt.initial_f32(vals), rt.initial_f32(x));
+        let per_row = NNZ_PER_ROW as usize;
         let want: Vec<f32> = (0..n as usize)
             .map(|r| {
-                (row_ptr_data[r] as usize..row_ptr_data[r + 1] as usize)
+                (r * per_row..(r + 1) * per_row)
                     .map(|j| vv[j] * xv[col_data[j] as usize])
                     .sum()
             })
@@ -157,11 +160,9 @@ fn gather(n: i64) -> App {
     });
 
     let mut rng_ = rng(72);
-    let idx_data: Vec<i32> = (0..n).map(|_| rng_.gen_range(0..n as i32)).collect();
     let mut rt = SyclRuntime::new();
-    let idx = rt.buffer_i32(idx_data.clone(), &[n]);
-    let sv = rand_f32(&mut rng_, n as usize);
-    let src = rt.buffer_f32(sv.clone(), &[n]);
+    let idx = seeded_indices(&mut rt, &mut rng_, n, n);
+    let src = seeded_rand(&mut rt, &mut rng_, Dtype::F32, &[n]);
     let out = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -174,7 +175,10 @@ fn gather(n: i64) -> App {
     let module = kb.finish();
 
     let validate: ValidateFn = Box::new(move |rt| {
-        let want: Vec<f32> = idx_data.iter().map(|&j| sv[j as usize]).collect();
+        let sv = rt.initial_f32(src);
+        let want: Vec<f32> = (rt.initial_i32(idx).iter())
+            .map(|&j| sv[j as usize])
+            .collect();
         check_f32("gather", rt.read_f32(out), &want, 0.0)
     });
     App {
@@ -207,16 +211,25 @@ fn scatter(n: i64) -> App {
     });
 
     let mut rng_ = rng(73);
-    let mut perm_data: Vec<i32> = (0..n as i32).collect();
-    // Fisher-Yates with the seeded rng (the rand build here has no `seq`).
-    for i in (1..perm_data.len()).rev() {
-        let j = rng_.gen_range(0..i + 1);
-        perm_data.swap(i, j);
-    }
     let mut rt = SyclRuntime::new();
-    let perm = rt.buffer_i32(perm_data.clone(), &[n]);
-    let sv = rand_f32(&mut rng_, n as usize);
-    let src = rt.buffer_f32(sv.clone(), &[n]);
+    // Fisher-Yates with the seeded rng (the rand build here has no `seq`):
+    // one draw for each element but the first.
+    let perm = seeded(
+        &mut rt,
+        &mut rng_,
+        Dtype::I32,
+        &[n],
+        n as usize - 1,
+        move |r| {
+            let mut perm_data: Vec<i32> = (0..n as i32).collect();
+            for i in (1..perm_data.len()).rev() {
+                let j = r.gen_range(0..i + 1);
+                perm_data.swap(i, j);
+            }
+            DataVec::I32(perm_data)
+        },
+    );
+    let src = seeded_rand(&mut rt, &mut rng_, Dtype::F32, &[n]);
     let out = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -229,8 +242,9 @@ fn scatter(n: i64) -> App {
     let module = kb.finish();
 
     let validate: ValidateFn = Box::new(move |rt| {
+        let sv = rt.initial_f32(src);
         let mut want = vec![0.0_f32; n as usize];
-        for (i, &p) in perm_data.iter().enumerate() {
+        for (i, &p) in rt.initial_i32(perm).iter().enumerate() {
             want[p as usize] = sv[i];
         }
         check_f32("scatter", rt.read_f32(out), &want, 0.0)
@@ -282,9 +296,8 @@ fn histogram(n: i64) -> App {
     });
 
     let mut rng_ = rng(74);
-    let input_data: Vec<i32> = (0..len).map(|_| rng_.gen_range(0..64)).collect();
     let mut rt = SyclRuntime::new();
-    let input = rt.buffer_i32(input_data.clone(), &[len]);
+    let input = seeded_indices(&mut rt, &mut rng_, len, 64);
     let hist = rt.buffer_i32(vec![0; (items * BINS) as usize], &[items * BINS]);
     let mut q = Queue::new();
     q.submit(|h| {
@@ -297,7 +310,7 @@ fn histogram(n: i64) -> App {
 
     let validate: ValidateFn = Box::new(move |rt| {
         let mut want = vec![0_i32; (items * BINS) as usize];
-        for (i, &v) in input_data.iter().enumerate() {
+        for (i, &v) in rt.initial_i32(input).iter().enumerate() {
             let item = i / SEG as usize;
             want[item * BINS as usize + (v % BINS as i32) as usize] += 1;
         }
@@ -350,11 +363,9 @@ fn gather_dyn(n: i64) -> App {
     });
 
     let mut rng_ = rng(75);
-    let idx_data: Vec<i32> = (0..n).map(|_| rng_.gen_range(0..n as i32)).collect();
     let mut rt = SyclRuntime::new();
-    let idx = rt.buffer_i32(idx_data.clone(), &[n]);
-    let sv = rand_f32(&mut rng_, n as usize);
-    let src = rt.buffer_f32(sv.clone(), &[n]);
+    let idx = seeded_indices(&mut rt, &mut rng_, n, n);
+    let src = seeded_rand(&mut rt, &mut rng_, Dtype::F32, &[n]);
     let out = rt.buffer_f32(vec![0.0; n as usize], &[n]);
     let mut q = Queue::new();
     if bulk > 0 {
@@ -376,7 +387,10 @@ fn gather_dyn(n: i64) -> App {
     let module = kb.finish();
 
     let validate: ValidateFn = Box::new(move |rt| {
-        let want: Vec<f32> = idx_data.iter().map(|&j| sv[j as usize]).collect();
+        let sv = rt.initial_f32(src);
+        let want: Vec<f32> = (rt.initial_i32(idx).iter())
+            .map(|&j| sv[j as usize])
+            .collect();
         check_f32("gather_dyn", rt.read_f32(out), &want, 0.0)
     });
     App {

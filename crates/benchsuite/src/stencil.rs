@@ -8,7 +8,8 @@ use crate::util::*;
 use crate::{App, Category, ValidateFn, WorkloadSpec};
 use sycl_mlir_dialects::{arith, scf};
 use sycl_mlir_frontend::{full_context, KernelModuleBuilder, KernelSig};
-use sycl_mlir_runtime::{hostgen::generate_host_ir, Queue, SyclRuntime};
+use sycl_mlir_runtime::{hostgen::generate_host_ir, Alloc, Queue, SyclRuntime};
+use sycl_mlir_sim::{DataVec, Dtype::F32};
 use sycl_mlir_sycl::device as sdev;
 use sycl_mlir_sycl::types::AccessMode;
 
@@ -107,11 +108,15 @@ fn heat_transfer(n: i64, usm: bool) -> App {
 
     let mut rng_ = rng(51);
     let mut rt = SyclRuntime::new();
-    let init = rand_f32(&mut rng_, n as usize);
     let mut q = Queue::new();
-    if usm {
+    // The result lives in allocation 0 after an even number of steps.
+    let (init, last): (Alloc, Alloc) = if usm {
         // USM: user-managed pointers, opaque to host analysis (§II-A).
-        let a = rt.usm_alloc_f32(init.clone());
+        let len = n as usize;
+        let from = rng_.clone();
+        let a = rt.usm_seeded(F32, len, move || {
+            DataVec::F32(rand_f32(&mut from.clone(), len))
+        });
         let b = rt.usm_alloc_f32(vec![0.0; n as usize]);
         for step in 0..STEPS {
             let (src, dst) = if step % 2 == 0 { (a, b) } else { (b, a) };
@@ -120,8 +125,9 @@ fn heat_transfer(n: i64, usm: bool) -> App {
                 h.parallel_for("heat_step", &[n]);
             });
         }
+        (a.into(), [a, b][(STEPS % 2) as usize].into())
     } else {
-        let a = rt.buffer_f32(init.clone(), &[n]);
+        let a = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
         let b = rt.buffer_f32(vec![0.0; n as usize], &[n]);
         for step in 0..STEPS {
             let (src, dst) = if step % 2 == 0 { (a, b) } else { (b, a) };
@@ -131,15 +137,14 @@ fn heat_transfer(n: i64, usm: bool) -> App {
                 h.parallel_for("heat_step", &[n]);
             });
         }
-    }
+        (a.into(), [a, b][(STEPS % 2) as usize].into())
+    };
     generate_host_ir(kb.module(), &rt, &q);
     let module = kb.finish();
 
-    // After an even number of steps the result lives in buffer/usm 0.
-    let last = (STEPS % 2) as usize;
     let validate: ValidateFn = Box::new(move |rt| {
         // Host reference.
-        let mut cur = init.clone();
+        let mut cur = rt.initial_f32(init);
         for _ in 0..STEPS {
             let mut next = cur.clone();
             for i in 1..(n - 1) as usize {
@@ -147,12 +152,8 @@ fn heat_transfer(n: i64, usm: bool) -> App {
             }
             cur = next;
         }
-        let (name, got) = if usm {
-            ("heat-usm", rt.usm_read_f32(usm_id(last)))
-        } else {
-            ("heat-buffer", rt.read_f32(buf_id(last)))
-        };
-        check_f32(name, got, &cur, 1e-3)
+        let name = if usm { "heat-usm" } else { "heat-buffer" };
+        check_f32(name, rt.read_f32(last), &cur, 1e-3)
     });
     App {
         module,
@@ -160,14 +161,6 @@ fn heat_transfer(n: i64, usm: bool) -> App {
         queue: q,
         validate,
     }
-}
-
-fn usm_id(i: usize) -> sycl_mlir_runtime::UsmId {
-    sycl_mlir_runtime::UsmId(i)
-}
-
-fn buf_id(i: usize) -> sycl_mlir_runtime::BufferId {
-    sycl_mlir_runtime::BufferId(i)
 }
 
 /// iso2dfd: second-order wave propagation in an isotropic medium.
@@ -235,15 +228,12 @@ fn iso2dfd(n: i64) -> App {
     let mut rt = SyclRuntime::new();
     let len = (n * n) as usize;
     // Both wavefields are updated in place: the reference starts from
-    // copies.
-    let av = rand_f32(&mut rng_, len);
-    let a = rt.buffer_f32(av.clone(), &[n, n]);
-    let bv = rand_f32(&mut rng_, len);
-    let b = rt.buffer_f32(bv.clone(), &[n, n]);
-    let velv: Vec<f32> = (rand_f32(&mut rng_, len).iter())
-        .map(|v| v.abs() * 0.1)
-        .collect();
-    let vel = rt.buffer_f32(velv.clone(), &[n, n]);
+    // their initial elements, generated again.
+    let a = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
+    let b = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
+    let vel = seeded(&mut rt, &mut rng_, F32, &[n, n], len, move |r| {
+        DataVec::F32(rand_f32(r, len).iter().map(|v| v.abs() * 0.1).collect())
+    });
     let mut q = Queue::new();
     for step in 0..ITERS {
         let (cur, prev) = if step % 2 == 0 { (a, b) } else { (b, a) };
@@ -263,8 +253,9 @@ fn iso2dfd(n: i64) -> App {
     let validate: ValidateFn = Box::new(move |rt| {
         // Host reference.
         let nn = n as usize;
-        let mut cur = av.clone();
-        let mut prev = bv.clone();
+        let velv = rt.initial_f32(vel);
+        let mut cur = rt.initial_f32(a);
+        let mut prev = rt.initial_f32(b);
         for _ in 0..ITERS {
             let mut next = prev.clone();
             for i in 1..nn - 1 {
@@ -334,13 +325,14 @@ fn jacobi(n: i64) -> App {
     let mut rt = SyclRuntime::new();
     let nn = n as usize;
     // Diagonally dominant A.
-    let mut a_data = rand_f32(&mut rng_, nn * nn);
-    for i in 0..nn {
-        a_data[i * nn + i] = n as f32 + 1.0;
-    }
-    let b_data = rand_f32(&mut rng_, nn);
-    let a = rt.buffer_f32(a_data.clone(), &[n, n]);
-    let bb = rt.buffer_f32(b_data.clone(), &[n]);
+    let a = seeded(&mut rt, &mut rng_, F32, &[n, n], nn * nn, move |r| {
+        let mut a_data = rand_f32(r, nn * nn);
+        for i in 0..nn {
+            a_data[i * nn + i] = nn as f32 + 1.0;
+        }
+        DataVec::F32(a_data)
+    });
+    let bb = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
     let x0 = rt.buffer_f32(vec![0.0; nn], &[n]);
     let x1 = rt.buffer_f32(vec![0.0; nn], &[n]);
     let mut q = Queue::new();
@@ -363,6 +355,7 @@ fn jacobi(n: i64) -> App {
     let final_buf = if ITERS % 2 == 0 { x0 } else { x1 };
     let validate: ValidateFn = Box::new(move |rt| {
         // Host reference.
+        let (a_data, b_data) = (rt.initial_f32(a), rt.initial_f32(bb));
         let mut x = vec![0.0_f32; nn];
         for _ in 0..ITERS {
             let mut xn = vec![0.0_f32; nn];

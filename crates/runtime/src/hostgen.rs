@@ -20,15 +20,6 @@ use sycl_mlir_ir::{Attribute, Builder, Module, OpId, ValueId};
 use sycl_mlir_sim::DataVec;
 use sycl_mlir_sycl::types::AccessMode;
 
-fn elem_name(d: &DataVec) -> &'static str {
-    match d {
-        DataVec::F32(_) => "f32",
-        DataVec::F64(_) => "f64",
-        DataVec::I32(_) => "i32",
-        DataVec::I64(_) => "i64",
-    }
-}
-
 fn mode_name(mode: AccessMode) -> &'static str {
     mode.as_str()
 }
@@ -208,12 +199,12 @@ pub fn generate_host_ir(m: &mut Module, runtime: &SyclRuntime, queue: &Queue) {
                         let host_data = llvm::alloca(&mut b, "host_data");
                         let buf = llvm::alloca(&mut b, "sycl::buffer");
                         let callee =
-                            format!("sycl_buffer_ctor_{}_{}", elem_name(&info.data), info.rank);
+                            format!("sycl_buffer_ctor_{}_{}", info.dtype().name(), info.rank);
                         let call = llvm::call(&mut b, &callee, &[buf, host_data, brange], &[]);
-                        if info.const_init {
+                        if let Some(data) = info.const_data() {
                             // The frontend sees a `const` initializer: bake
                             // it into the IR (the Sobel filter path).
-                            let attr = match &info.data {
+                            let attr = match data {
                                 DataVec::F32(v) => {
                                     Attribute::DenseF64(v.iter().map(|&x| x as f64).collect())
                                 }
@@ -231,8 +222,8 @@ pub fn generate_host_ir(m: &mut Module, runtime: &SyclRuntime, queue: &Queue) {
                     let acc = llvm::alloca(&mut b, "sycl::accessor");
                     let callee = format!(
                         "sycl_accessor_ctor_{}_{}_{}",
-                        elem_name(&runtime.buffers[buffer.0].data),
-                        runtime.buffers[buffer.0].rank,
+                        info.dtype().name(),
+                        info.rank,
                         mode_name(*mode)
                     );
                     llvm::call(&mut b, &callee, &[acc, buf_ptr, cgh], &[]);

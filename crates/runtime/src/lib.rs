@@ -5,7 +5,8 @@
 //! shared runtime:
 //!
 //! * [`buffer`] — buffers (the buffer/accessor model of §II-A) and USM
-//!   allocations, with host↔device transfer bookkeeping;
+//!   allocations, with host↔device transfer bookkeeping; a seeded input
+//!   is a recipe that a run executes when it uploads the allocation;
 //! * [`queue`] — queues, command groups and the dependency-tracking
 //!   scheduler (RAW/WAR/WAW edges between command groups over buffers);
 //! * [`hostgen`] — emits the low-level `llvm`-dialect host IR a
@@ -23,6 +24,6 @@ pub mod exec;
 pub mod hostgen;
 pub mod queue;
 
-pub use buffer::{BufferId, SyclRuntime, UsmId};
-pub use exec::{compile_program, KernelRun, Program, RunReport};
+pub use buffer::{Alloc, BufferId, SyclRuntime, UsmId};
+pub use exec::{compile_program, Program, RunReport};
 pub use queue::{CgArg, CommandGroup, Handler, HostOp, Queue};

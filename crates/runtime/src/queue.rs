@@ -96,7 +96,7 @@ impl HostOp {
     /// The accessor requirements implied by the operation — recorded on
     /// the command group so dependency tracking sees host tasks exactly
     /// like kernel submissions.
-    pub fn requirements(&self) -> Vec<(BufferId, AccessMode)> {
+    pub(crate) fn requirements(&self) -> Vec<(BufferId, AccessMode)> {
         match *self {
             HostOp::Scale { buffer, .. } | HostOp::Shift { buffer, .. } => {
                 vec![(buffer, AccessMode::ReadWrite)]
@@ -118,7 +118,7 @@ pub struct CommandGroup {
     /// Launch geometry.
     pub nd: NdRangeSpec,
     /// `parallel_for(nd_range)` vs `parallel_for(range)`.
-    pub nd_form: bool,
+    pub(crate) nd_form: bool,
     /// Arguments in kernel-parameter order.
     pub args: Vec<CgArg>,
     /// The host operation, when this group is a host task instead of a

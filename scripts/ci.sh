@@ -34,9 +34,9 @@ trap 'rm -rf "$tmp"' EXIT
 
 # The last thing the gate prints: the simulator's line count (ROADMAP aim
 # 2: "lines removed is a reported metric"; every file under crates/sim/src,
-# `plan/` and `pool/` included), the allocation, plan-size and
-# launch-ledger gauges, `run_impl`'s size and placement, how long the gate
-# took and how many tests `cargo test` passed —
+# `plan/` and `pool/` included), the allocation, plan-size, launch-ledger
+# and seeded-input gauges, `run_impl`'s size and placement, how long the
+# gate took and how many tests `cargo test` passed —
 # the numbers a PR that adds or removes code or configurations is expected
 # to report before/after.
 miri_leg=skipped
@@ -65,6 +65,10 @@ summary() {
   # them): launches, distinct bindings, plans looked up and proof
   # instantiations, for the quick sweep and for repro_hostdag's graph.
   cargo test -q --test launch_path launch_ledger -- --nocapture 2>/dev/null | grep -o 'launch_ledger:.*'
+  # Bytes the seeded inputs' recipes generate (tests/seeded_inputs.rs,
+  # which pins them): none while the compile_only pass builds and compiles,
+  # each seeded input once when one run of each program uploads it.
+  cargo test -q --test seeded_inputs generated -- --nocapture 2>/dev/null | grep -o 'seeded_inputs:.*'
   # Placement control: the execution workloads move 6-10% with where the
   # linker puts the instruction loop, so a timing gap under 10% is read
   # beside this line from both builds (size in bytes, address mod 64).

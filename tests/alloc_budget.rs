@@ -11,6 +11,9 @@
 //! instead of one per submission took it from 165,389 to about 109,200.
 //! Building computes no host reference since each validator computes its
 //! own when called: build 78,625 → 78,189, compile 30,257, total 108,446.
+//! Generating seeded inputs when a run uploads them — a builder hands the
+//! runtime one boxed recipe per input instead of a drawn `Vec` and its
+//! copy — took build to 77,887 (compile 30,257, total 108,144).
 //! The build half repeats exactly; the compile half moves by a handful
 //! with the iteration order of a `RandomState` map in the pipeline, which
 //! is why the assertion is a ceiling and not an equality.
@@ -56,7 +59,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Asserted ceiling for one pass; the measured count is about 5% below it.
-const BUDGET: u64 = 114_000;
+const BUDGET: u64 = 113_500;
 
 #[test]
 fn build_and_compile_stay_within_the_allocation_budget() {

@@ -85,12 +85,23 @@ mod engine_differential {
     use sycl_mlir_bench::quick_size;
     use sycl_mlir_repro::benchsuite::{all_workloads, run_workload_on};
     use sycl_mlir_repro::core::FlowKind;
+    use sycl_mlir_repro::runtime::SyclRuntime;
     use sycl_mlir_repro::sim::{decode_kernel, Device, Engine};
 
     /// Bitwise-comparable view of an `f64` that may be the NaN "missing
     /// bar" marker.
     fn cycles_eq(a: f64, b: f64) -> bool {
         a == b || (a.is_nan() && b.is_nan())
+    }
+
+    /// Both runs left every buffer and USM allocation with the same
+    /// elements.
+    fn assert_same_contents(a: &SyclRuntime, b: &SyclRuntime, label: &str) {
+        let count = |rt: &SyclRuntime| rt.allocs().count();
+        assert_eq!(count(a), count(b), "allocation count differs: {label}");
+        for (x, y) in a.allocs().zip(b.allocs()) {
+            assert_eq!(a.read(x), b.read(y), "{x:?} contents differ: {label}");
+        }
     }
 
     /// Every workload, under every compilation flow, must produce identical
@@ -117,15 +128,7 @@ mod engine_differential {
                             tres.cycles,
                             pres.cycles
                         );
-                        assert_eq!(
-                            trt.buffers.len(),
-                            prt.buffers.len(),
-                            "buffer count differs: {label}"
-                        );
-                        for (i, (tb, pb)) in trt.buffers.iter().zip(&prt.buffers).enumerate() {
-                            assert_eq!(tb.data, pb.data, "buffer {i} contents differ: {label}");
-                        }
-                        assert_eq!(trt.usm, prt.usm, "usm contents differ: {label}");
+                        assert_same_contents(&trt, &prt, &label);
                     }
                     (Err(te), Err(pe)) => {
                         assert_eq!(te, pe, "engines fail differently: {label}")
@@ -164,10 +167,7 @@ mod engine_differential {
                             sres.cycles,
                             pres.cycles
                         );
-                        for (i, (sb, pb)) in srt.buffers.iter().zip(&prt.buffers).enumerate() {
-                            assert_eq!(sb.data, pb.data, "buffer {i} contents differ: {label}");
-                        }
-                        assert_eq!(srt.usm, prt.usm, "usm contents differ: {label}");
+                        assert_same_contents(&srt, &prt, &label);
                     }
                     // Both failing is equivalence enough: the pool only
                     // guarantees the sequential engine's exact error when a
@@ -215,10 +215,7 @@ mod engine_differential {
                             nres.cycles,
                             ares.cycles
                         );
-                        for (i, (nb, ab)) in nrt.buffers.iter().zip(&art.buffers).enumerate() {
-                            assert_eq!(nb.data, ab.data, "buffer {i} contents differ: {label}");
-                        }
-                        assert_eq!(nrt.usm, art.usm, "usm contents differ: {label}");
+                        assert_same_contents(&nrt, &art, &label);
                     }
                     (Err(ne), Err(ae)) => assert_eq!(ne, ae, "failures differ: {label}"),
                     (n, a) => panic!(
@@ -258,10 +255,7 @@ mod engine_differential {
                             rres.cycles,
                             ores.cycles
                         );
-                        for (i, (rb, ob)) in rrt.buffers.iter().zip(&ort.buffers).enumerate() {
-                            assert_eq!(rb.data, ob.data, "buffer {i} contents differ: {label}");
-                        }
-                        assert_eq!(rrt.usm, ort.usm, "usm contents differ: {label}");
+                        assert_same_contents(&rrt, &ort, &label);
                     }
                     // Both failing is equivalence enough (see the threads
                     // sweep above for why exact error identity is only

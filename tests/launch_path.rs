@@ -150,7 +150,7 @@ fn outcome(kind: FlowKind, q: &Queue, device: &Device) -> (Outcome, LedgerCounts
         .collect();
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let mut mem: Vec<Vec<u32>> = d.bufs.iter().map(|&b| bits(d.rt.read_f32(b))).collect();
-    mem.extend(d.usms.iter().map(|&u| bits(d.rt.usm_read_f32(u))));
+    mem.extend(d.usms.iter().map(|&u| bits(d.rt.read_f32(u))));
     let counts = program.ledger.expect("kept").counts;
     ((rows, mem), counts)
 }

@@ -229,12 +229,7 @@ fn observe(spec: &GraphSpec, program: &mut Program, q: &Queue, device: &Device) 
         })
         .collect();
     let usms = (0..spec.usms.len())
-        .map(|u| {
-            rt.usm_read_f32(UsmId(u))
-                .iter()
-                .map(|x| x.to_bits())
-                .collect()
-        })
+        .map(|u| rt.read_f32(UsmId(u)).iter().map(|x| x.to_bits()).collect())
         .collect();
     Ok((rows, cycles, bufs, usms))
 }
