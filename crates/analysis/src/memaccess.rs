@@ -311,8 +311,8 @@ fn kernel_rank_of(m: &Module, root: OpId) -> Option<u32> {
     let entry = m.op_region_block(func, 0);
     m.block_args(entry).iter().rev().find_map(|&a| {
         let ty = m.value_type(a);
-        if sycl_mlir_sycl::types::is_item_like(&ty) {
-            sycl_mlir_sycl::types::sycl_dim(&ty)
+        if sycl_mlir_sycl::types::is_item_like(ty) {
+            sycl_mlir_sycl::types::sycl_dim(ty)
         } else {
             None
         }

@@ -114,7 +114,7 @@ fn gemm(n: i64) -> App {
     let mut rt = SyclRuntime::new();
     let a = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
     let b = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
-    let c = rt.buffer_f32(vec![0.0; (n * n) as usize], &[n, n]);
+    let c = rt.buffer_zeroed(F32, &[n, n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(a, AccessMode::Read)
@@ -148,7 +148,6 @@ fn mm_chain(n: i64, chains: usize) -> App {
 
     let mut rng_ = rng(32 + chains as u64);
     let mut rt = SyclRuntime::new();
-    let len = (n * n) as usize;
     let a = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
     // The right-hand factors, in chain order.
     let mut factors = vec![seeded_rand(&mut rt, &mut rng_, F32, &[n, n])];
@@ -156,7 +155,7 @@ fn mm_chain(n: i64, chains: usize) -> App {
     let mut q = Queue::new();
     let mut lhs = a;
     for step in 0..chains {
-        let out = rt.buffer_f32(vec![0.0; len], &[n, n]);
+        let out = rt.buffer_zeroed(F32, &[n, n]);
         q.submit(|h| {
             h.accessor(lhs, AccessMode::Read)
                 .accessor(rhs, AccessMode::Read)
@@ -242,10 +241,9 @@ fn syrk_like(n: i64, two: bool) -> App {
 
     let mut rng_ = rng(if two { 34 } else { 33 });
     let mut rt = SyclRuntime::new();
-    let len = (n * n) as usize;
     let a = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
     let b = two.then(|| seeded_rand(&mut rt, &mut rng_, F32, &[n, n]));
-    let c = rt.buffer_f32(vec![0.0; len], &[n, n]);
+    let c = rt.buffer_zeroed(F32, &[n, n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(a, AccessMode::Read);
@@ -360,8 +358,8 @@ fn atax(n: i64) -> App {
     let mut rt = SyclRuntime::new();
     let a = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
     let x = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
-    let tmp = rt.buffer_f32(vec![0.0; n as usize], &[n]);
-    let y = rt.buffer_f32(vec![0.0; n as usize], &[n]);
+    let tmp = rt.buffer_zeroed(F32, &[n]);
+    let y = rt.buffer_zeroed(F32, &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(a, AccessMode::Read)
@@ -403,8 +401,8 @@ fn bicg(n: i64) -> App {
     let a = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
     let p = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
     let r = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
-    let qv = rt.buffer_f32(vec![0.0; n as usize], &[n]);
-    let s = rt.buffer_f32(vec![0.0; n as usize], &[n]);
+    let qv = rt.buffer_zeroed(F32, &[n]);
+    let s = rt.buffer_zeroed(F32, &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(a, AccessMode::Read)
@@ -447,8 +445,8 @@ fn mvt(n: i64) -> App {
     let a = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
     let y1 = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
     let y2 = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
-    let x1 = rt.buffer_f32(vec![0.0; n as usize], &[n]);
-    let x2 = rt.buffer_f32(vec![0.0; n as usize], &[n]);
+    let x1 = rt.buffer_zeroed(F32, &[n]);
+    let x2 = rt.buffer_zeroed(F32, &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(a, AccessMode::Read)
@@ -522,7 +520,7 @@ fn gesummv(n: i64) -> App {
     let a = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
     let b = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
     let x = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
-    let y = rt.buffer_f32(vec![0.0; n as usize], &[n]);
+    let y = rt.buffer_zeroed(F32, &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(a, AccessMode::Read)
@@ -691,13 +689,12 @@ fn correlation(n: i64) -> App {
 
     let mut rng_ = rng(39);
     let mut rt = SyclRuntime::new();
-    let len = (n * n) as usize;
     let data = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
-    let mean = rt.buffer_f32(vec![0.0; n as usize], &[n]);
-    let sum = rt.buffer_f32(vec![0.0; n as usize], &[n]);
-    let sumsq = rt.buffer_f32(vec![0.0; n as usize], &[n]);
-    let corr = rt.buffer_f32(vec![0.0; len], &[n, n]);
-    let var = rt.buffer_f32(vec![0.0; n as usize], &[n]);
+    let mean = rt.buffer_zeroed(F32, &[n]);
+    let sum = rt.buffer_zeroed(F32, &[n]);
+    let sumsq = rt.buffer_zeroed(F32, &[n]);
+    let corr = rt.buffer_zeroed(F32, &[n, n]);
+    let var = rt.buffer_zeroed(F32, &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(data, AccessMode::Read)
@@ -776,12 +773,11 @@ fn covariance(n: i64) -> App {
 
     let mut rng_ = rng(40);
     let mut rt = SyclRuntime::new();
-    let len = (n * n) as usize;
     let data = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
-    let mean = rt.buffer_f32(vec![0.0; n as usize], &[n]);
-    let sumsq = rt.buffer_f32(vec![0.0; n as usize], &[n]);
-    let cov = rt.buffer_f32(vec![0.0; len], &[n, n]);
-    let var = rt.buffer_f32(vec![0.0; n as usize], &[n]);
+    let mean = rt.buffer_zeroed(F32, &[n]);
+    let sumsq = rt.buffer_zeroed(F32, &[n]);
+    let cov = rt.buffer_zeroed(F32, &[n, n]);
+    let var = rt.buffer_zeroed(F32, &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(data, AccessMode::Read)
@@ -981,7 +977,7 @@ fn conv2d(n: i64) -> App {
     let mut rt = SyclRuntime::new();
     let len = (n * n) as usize;
     let input = seeded_rand(&mut rt, &mut rng_, F32, &[n, n]);
-    let output = rt.buffer_f32(vec![0.0; len], &[n, n]);
+    let output = rt.buffer_zeroed(F32, &[n, n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(input, AccessMode::Read)
@@ -1187,7 +1183,7 @@ fn conv3d(n: i64) -> App {
     let mut rt = SyclRuntime::new();
     let len = (n * n * n) as usize;
     let input = seeded_rand(&mut rt, &mut rng_, F32, &[n, n, n]);
-    let output = rt.buffer_f32(vec![0.0; len], &[n, n, n]);
+    let output = rt.buffer_zeroed(F32, &[n, n, n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(input, AccessMode::Read)

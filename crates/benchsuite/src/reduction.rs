@@ -121,7 +121,7 @@ fn tree_reduce(n: i64) -> App {
     let mut rng_ = rng(61);
     let mut rt = SyclRuntime::new();
     let input = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
-    let partial = rt.buffer_f32(vec![0.0; groups as usize], &[groups]);
+    let partial = rt.buffer_zeroed(F32, &[groups]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(input, AccessMode::Read)
@@ -184,7 +184,7 @@ fn seg_scan(n: i64) -> App {
     let mut rng_ = rng(62);
     let mut rt = SyclRuntime::new();
     let input = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
-    let out = rt.buffer_f32(vec![0.0; n as usize], &[n]);
+    let out = rt.buffer_zeroed(F32, &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(input, AccessMode::Read)
@@ -269,7 +269,7 @@ fn dot_wg(n: i64) -> App {
     let mut rt = SyclRuntime::new();
     let a = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
     let x = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
-    let partial = rt.buffer_f32(vec![0.0; groups as usize], &[groups]);
+    let partial = rt.buffer_zeroed(F32, &[groups]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(a, AccessMode::Read)
@@ -365,7 +365,7 @@ fn tree_reduce_dyn(n: i64) -> App {
     let mut rt = SyclRuntime::new();
     let input = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
     let plen = groups + tail;
-    let partial = rt.buffer_f32(vec![0.0; plen as usize], &[plen]);
+    let partial = rt.buffer_zeroed(F32, &[plen]);
     let mut q = Queue::new();
     if bulk > 0 {
         q.submit(|h| {

@@ -95,15 +95,6 @@ fn mul(b: &mut Builder<'_>, dt: Dtype, l: ValueId, r: ValueId) -> ValueId {
     }
 }
 
-fn buffer_zero(rt: &mut SyclRuntime, dt: Dtype, n: i64) -> sycl_mlir_runtime::BufferId {
-    match dt {
-        Dtype::F32 => rt.buffer_f32(vec![0.0; n as usize], &[n]),
-        Dtype::F64 => rt.buffer_f64(vec![0.0; n as usize], &[n]),
-        Dtype::I32 => rt.buffer_i32(vec![0; n as usize], &[n]),
-        Dtype::I64 => rt.buffer_i64(vec![0; n as usize], &[n]),
-    }
-}
-
 // ----------------------------------------------------------------------
 // VecAdd: c[i] = a[i] + b[i]
 // ----------------------------------------------------------------------
@@ -128,7 +119,7 @@ fn vecadd(dt: Dtype, n: i64) -> App {
     let mut rt = SyclRuntime::new();
     let a = seeded_rand(&mut rt, &mut rng, dt, &[n]);
     let b_ = seeded_rand(&mut rt, &mut rng, dt, &[n]);
-    let c = buffer_zero(&mut rt, dt, n);
+    let c = rt.buffer_zeroed(dt, &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(a, AccessMode::Read)
@@ -193,7 +184,7 @@ fn scalprod(dt: Dtype, n: i64) -> App {
     let mut rt = SyclRuntime::new();
     let a = seeded_rand(&mut rt, &mut rng, dt, &[n]);
     let b_ = seeded_rand(&mut rt, &mut rng, dt, &[n]);
-    let c = buffer_zero(&mut rt, dt, n);
+    let c = rt.buffer_zeroed(dt, &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(a, AccessMode::Read)
@@ -283,7 +274,7 @@ fn linreg(dt: Dtype, n: i64) -> App {
     let mut rt = SyclRuntime::new();
     let x = seeded_rand(&mut rt, &mut rng, dt, &[n]);
     let y = seeded_rand(&mut rt, &mut rng, dt, &[n]);
-    let e = buffer_zero(&mut rt, dt, n);
+    let e = rt.buffer_zeroed(dt, &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(x, AccessMode::Read)
@@ -359,8 +350,8 @@ fn linreg_coeff(dt: Dtype, n: i64) -> App {
     let mut rt = SyclRuntime::new();
     let x = seeded_rand(&mut rt, &mut rng, dt, &[n]);
     let y = seeded_rand(&mut rt, &mut rng, dt, &[n]);
-    let xy = buffer_zero(&mut rt, dt, n);
-    let xx = buffer_zero(&mut rt, dt, n);
+    let xy = rt.buffer_zeroed(dt, &[n]);
+    let xx = rt.buffer_zeroed(dt, &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(x, AccessMode::Read)
@@ -418,7 +409,7 @@ fn kmeans(dt: Dtype, n: i64) -> App {
         let zero = arith::constant_index(b, 0);
         let k = arith::constant_index(b, K);
         let one = arith::constant_index(b, 1);
-        let elem_ty = b.module().value_type(px);
+        let elem_ty = b.module().value_type(px).clone();
         let big = arith::constant_float(b, 1e30, elem_ty);
         let loop_op = scf::build_for(b, zero, k, one, &[big], |inner, kv, iters| {
             let cx = sdev::load_via_id(inner, args[2], &[kv]);
@@ -441,7 +432,7 @@ fn kmeans(dt: Dtype, n: i64) -> App {
     let py = seeded_rand(&mut rt, &mut rng, dt, &[n]);
     let cx = seeded_rand(&mut rt, &mut rng, dt, &[K]);
     let cy = seeded_rand(&mut rt, &mut rng, dt, &[K]);
-    let out = buffer_zero(&mut rt, dt, n);
+    let out = rt.buffer_zeroed(dt, &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(px, AccessMode::Read)
@@ -546,7 +537,7 @@ fn moldyn(n: i64) -> App {
     let mut rt = SyclRuntime::new();
     let pos = seeded_rand(&mut rt, &mut rng_, Dtype::F32, &[n]);
     let neigh = seeded_indices(&mut rt, &mut rng_, n * NEIGHBORS, n);
-    let force = rt.buffer_f32(vec![0.0; n as usize], &[n]);
+    let force = rt.buffer_zeroed(Dtype::F32, &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(pos, AccessMode::Read)
@@ -598,7 +589,7 @@ fn nbody(dt: Dtype, n: i64) -> App {
         let zero = arith::constant_index(b, 0);
         let count = sdev::item_get_range(b, item, 0);
         let one = arith::constant_index(b, 1);
-        let elem_ty = b.module().value_type(xi);
+        let elem_ty = b.module().value_type(xi).clone();
         let zero_f = arith::constant_float(b, 0.0, elem_ty.clone());
         let soft = arith::constant_float(b, 0.001, elem_ty);
         let loop_op = scf::build_for(b, zero, count, one, &[zero_f], |inner, j, iters| {
@@ -630,7 +621,7 @@ fn nbody(dt: Dtype, n: i64) -> App {
             _ => unreachable!("NBody is registered for floating-point dtypes"),
         }
     });
-    let acc = buffer_zero(&mut rt, dt, n);
+    let acc = rt.buffer_zeroed(dt, &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(x, AccessMode::Read)
@@ -761,7 +752,7 @@ fn sobel(taps: i64, n: i64) -> App {
     // constant array"), so it is given, not seeded — host IR generation
     // bakes it into the IR.
     let filter = rt.buffer_const_f32(sobel_filter(taps), &[taps, taps]);
-    let out = rt.buffer_f32(vec![0.0; (n * n) as usize], &[n, n]);
+    let out = rt.buffer_zeroed(Dtype::F32, &[n, n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(image, AccessMode::Read)

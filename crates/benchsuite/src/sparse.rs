@@ -104,7 +104,7 @@ fn spmv_csr(n: i64) -> App {
     let col = seeded_indices(&mut rt, &mut rng_, nnz, n);
     let vals = seeded_rand(&mut rt, &mut rng_, Dtype::F32, &[nnz]);
     let x = seeded_rand(&mut rt, &mut rng_, Dtype::F32, &[n]);
-    let y = rt.buffer_f32(vec![0.0; n as usize], &[n]);
+    let y = rt.buffer_zeroed(Dtype::F32, &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(row_ptr, AccessMode::Read)
@@ -163,7 +163,7 @@ fn gather(n: i64) -> App {
     let mut rt = SyclRuntime::new();
     let idx = seeded_indices(&mut rt, &mut rng_, n, n);
     let src = seeded_rand(&mut rt, &mut rng_, Dtype::F32, &[n]);
-    let out = rt.buffer_f32(vec![0.0; n as usize], &[n]);
+    let out = rt.buffer_zeroed(Dtype::F32, &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(idx, AccessMode::Read)
@@ -230,7 +230,7 @@ fn scatter(n: i64) -> App {
         },
     );
     let src = seeded_rand(&mut rt, &mut rng_, Dtype::F32, &[n]);
-    let out = rt.buffer_f32(vec![0.0; n as usize], &[n]);
+    let out = rt.buffer_zeroed(Dtype::F32, &[n]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(perm, AccessMode::Read)
@@ -298,7 +298,7 @@ fn histogram(n: i64) -> App {
     let mut rng_ = rng(74);
     let mut rt = SyclRuntime::new();
     let input = seeded_indices(&mut rt, &mut rng_, len, 64);
-    let hist = rt.buffer_i32(vec![0; (items * BINS) as usize], &[items * BINS]);
+    let hist = rt.buffer_zeroed(Dtype::I32, &[items * BINS]);
     let mut q = Queue::new();
     q.submit(|h| {
         h.accessor(input, AccessMode::Read)
@@ -366,7 +366,7 @@ fn gather_dyn(n: i64) -> App {
     let mut rt = SyclRuntime::new();
     let idx = seeded_indices(&mut rt, &mut rng_, n, n);
     let src = seeded_rand(&mut rt, &mut rng_, Dtype::F32, &[n]);
-    let out = rt.buffer_f32(vec![0.0; n as usize], &[n]);
+    let out = rt.buffer_zeroed(Dtype::F32, &[n]);
     let mut q = Queue::new();
     if bulk > 0 {
         q.submit(|h| {

@@ -117,7 +117,7 @@ fn heat_transfer(n: i64, usm: bool) -> App {
         let a = rt.usm_seeded(F32, len, move || {
             DataVec::F32(rand_f32(&mut from.clone(), len))
         });
-        let b = rt.usm_alloc_f32(vec![0.0; n as usize]);
+        let b = rt.usm_zeroed(F32, n as usize);
         for step in 0..STEPS {
             let (src, dst) = if step % 2 == 0 { (a, b) } else { (b, a) };
             q.submit(|h| {
@@ -128,7 +128,7 @@ fn heat_transfer(n: i64, usm: bool) -> App {
         (a.into(), [a, b][(STEPS % 2) as usize].into())
     } else {
         let a = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
-        let b = rt.buffer_f32(vec![0.0; n as usize], &[n]);
+        let b = rt.buffer_zeroed(F32, &[n]);
         for step in 0..STEPS {
             let (src, dst) = if step % 2 == 0 { (a, b) } else { (b, a) };
             q.submit(|h| {
@@ -333,8 +333,8 @@ fn jacobi(n: i64) -> App {
         DataVec::F32(a_data)
     });
     let bb = seeded_rand(&mut rt, &mut rng_, F32, &[n]);
-    let x0 = rt.buffer_f32(vec![0.0; nn], &[n]);
-    let x1 = rt.buffer_f32(vec![0.0; nn], &[n]);
+    let x0 = rt.buffer_zeroed(F32, &[n]);
+    let x1 = rt.buffer_zeroed(F32, &[n]);
     let mut q = Queue::new();
     for step in 0..ITERS {
         let (xin, xout) = if step % 2 == 0 { (x0, x1) } else { (x1, x0) };

@@ -80,6 +80,7 @@ pub fn load(b: &mut Builder<'_>, memref: ValueId, indices: &[ValueId]) -> ValueI
         .module()
         .value_type(memref)
         .memref_elem()
+        .cloned()
         .expect("affine.load on non-memref value");
     let mut operands = vec![memref];
     operands.extend_from_slice(indices);

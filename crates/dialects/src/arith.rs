@@ -122,7 +122,7 @@ impl Dialect for ArithDialect {
                 name,
                 &[],
                 std::slice::from_ref(ty),
-                vec![("value".into(), attr.clone())],
+                vec![("value", attr.clone())],
             );
             m.insert_op(block, index, op);
             Some(m.op_result(op, 0))
@@ -346,7 +346,7 @@ pub fn constant_int(b: &mut Builder<'_>, value: i64, ty: Type) -> ValueId {
         "arith.constant",
         &[],
         ty,
-        vec![("value".into(), Attribute::Int(value))],
+        vec![("value", Attribute::Int(value))],
     )
 }
 
@@ -362,12 +362,12 @@ pub fn constant_float(b: &mut Builder<'_>, value: f64, ty: Type) -> ValueId {
         "arith.constant",
         &[],
         ty,
-        vec![("value".into(), Attribute::Float(value))],
+        vec![("value", Attribute::Float(value))],
     )
 }
 
 fn binary(b: &mut Builder<'_>, name: &str, lhs: ValueId, rhs: ValueId) -> ValueId {
-    let ty = b.module().value_type(lhs);
+    let ty = b.module().value_type(lhs).clone();
     b.build_value(name, &[lhs, rhs], ty, vec![])
 }
 
@@ -424,7 +424,7 @@ pub fn maxf(b: &mut Builder<'_>, l: ValueId, r: ValueId) -> ValueId {
 }
 
 pub fn negf(b: &mut Builder<'_>, v: ValueId) -> ValueId {
-    let ty = b.module().value_type(v);
+    let ty = b.module().value_type(v).clone();
     b.build_value("arith.negf", &[v], ty, vec![])
 }
 
@@ -435,7 +435,7 @@ pub fn cmpi(b: &mut Builder<'_>, pred: &str, l: ValueId, r: ValueId) -> ValueId 
         "arith.cmpi",
         &[l, r],
         i1,
-        vec![("predicate".into(), Attribute::Str(pred.into()))],
+        vec![("predicate", Attribute::Str(pred.into()))],
     )
 }
 
@@ -446,12 +446,12 @@ pub fn cmpf(b: &mut Builder<'_>, pred: &str, l: ValueId, r: ValueId) -> ValueId 
         "arith.cmpf",
         &[l, r],
         i1,
-        vec![("predicate".into(), Attribute::Str(pred.into()))],
+        vec![("predicate", Attribute::Str(pred.into()))],
     )
 }
 
 pub fn select(b: &mut Builder<'_>, cond: ValueId, t: ValueId, f: ValueId) -> ValueId {
-    let ty = b.module().value_type(t);
+    let ty = b.module().value_type(t).clone();
     b.build_value("arith.select", &[cond, t, f], ty, vec![])
 }
 

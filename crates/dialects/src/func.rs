@@ -50,7 +50,7 @@ fn verify_func(m: &Module, op: OpId) -> Result<(), String> {
         ));
     }
     for (i, (&a, t)) in args.iter().zip(inputs).enumerate() {
-        if &m.value_type(a) != t {
+        if m.value_type(a) != t {
             return Err(format!(
                 "entry argument #{i} has type {} but the function type lists {t}",
                 m.value_type(a)
@@ -81,7 +81,7 @@ fn verify_return(m: &Module, op: OpId) -> Result<(), String> {
         ));
     }
     for (i, (&v, t)) in operands.iter().zip(results).enumerate() {
-        if &m.value_type(v) != t {
+        if m.value_type(v) != t {
             return Err(format!(
                 "returned value #{i} has type {} but the function returns {t}",
                 m.value_type(v)
@@ -114,8 +114,8 @@ pub fn build_func(
         &[],
         &[],
         vec![
-            ("sym_name".into(), Attribute::Str(name.into())),
-            ("function_type".into(), Attribute::Type(fty)),
+            ("sym_name", Attribute::Str(name.into())),
+            ("function_type", Attribute::Type(fty)),
         ],
     );
     let region = m.add_region(op);
@@ -136,7 +136,7 @@ pub fn build_call(b: &mut Builder<'_>, callee: &str, args: &[ValueId], results: 
         "func.call",
         args,
         results,
-        vec![("callee".into(), Attribute::symbol(callee))],
+        vec![("callee", Attribute::symbol(callee))],
     )
 }
 

@@ -94,7 +94,7 @@ pub fn alloca(b: &mut Builder<'_>, object: &str) -> ValueId {
         "llvm.alloca",
         &[],
         ptr,
-        vec![("object".into(), Attribute::Str(object.into()))],
+        vec![("object", Attribute::Str(object.into()))],
     )
 }
 
@@ -104,7 +104,7 @@ pub fn call(b: &mut Builder<'_>, callee: &str, args: &[ValueId], results: &[Type
         "llvm.call",
         args,
         results,
-        vec![("callee".into(), Attribute::symbol(callee))],
+        vec![("callee", Attribute::symbol(callee))],
     )
 }
 

@@ -86,7 +86,7 @@ fn fold_powf(m: &Module, op: OpId) -> Option<Vec<FoldOut>> {
 }
 
 fn unary(b: &mut Builder<'_>, name: &str, v: ValueId) -> ValueId {
-    let ty = b.module().value_type(v);
+    let ty = b.module().value_type(v).clone();
     b.build_value(name, &[v], ty, vec![])
 }
 
@@ -119,7 +119,7 @@ pub fn floor(b: &mut Builder<'_>, v: ValueId) -> ValueId {
 }
 
 pub fn powf(b: &mut Builder<'_>, x: ValueId, y: ValueId) -> ValueId {
-    let ty = b.module().value_type(x);
+    let ty = b.module().value_type(x).clone();
     b.build_value("math.powf", &[x, y], ty, vec![])
 }
 

@@ -75,7 +75,7 @@ fn verify_load(m: &Module, op: OpId) -> Result<(), String> {
         return Err("expects (memref, indices...) -> value".into());
     }
     let mem_ty = m.value_type(operands[0]);
-    check_indices(m, &mem_ty, &operands[1..])?;
+    check_indices(m, mem_ty, &operands[1..])?;
     let elem = mem_ty
         .memref_elem()
         .ok_or("first operand must be a memref")?;
@@ -94,7 +94,7 @@ fn verify_store(m: &Module, op: OpId) -> Result<(), String> {
         return Err("expects (value, memref, indices...) -> ()".into());
     }
     let mem_ty = m.value_type(operands[1]);
-    check_indices(m, &mem_ty, &operands[2..])?;
+    check_indices(m, mem_ty, &operands[2..])?;
     let elem = mem_ty
         .memref_elem()
         .ok_or("second operand must be a memref")?;
@@ -131,6 +131,7 @@ pub fn load(b: &mut Builder<'_>, memref: ValueId, indices: &[ValueId]) -> ValueI
         .module()
         .value_type(memref)
         .memref_elem()
+        .cloned()
         .expect("memref.load on non-memref value");
     let mut operands = vec![memref];
     operands.extend_from_slice(indices);

@@ -169,7 +169,10 @@ pub fn build_loop(
     inits: &[ValueId],
     body: impl FnOnce(&mut Builder<'_>, ValueId, &[ValueId]) -> Vec<ValueId>,
 ) -> OpId {
-    let result_types: Vec<Type> = inits.iter().map(|&v| b.module().value_type(v)).collect();
+    let result_types: Vec<Type> = inits
+        .iter()
+        .map(|&v| b.module().value_type(v).clone())
+        .collect();
     let mut operands = vec![lb, ub, step];
     operands.extend_from_slice(inits);
     let op = b.build(op_name, &operands, &result_types, vec![]);

@@ -74,7 +74,7 @@ impl KernelModuleBuilder {
             &[],
             &[],
             vec![(
-                "sym_name".into(),
+                "sym_name",
                 Attribute::Str(sycl_mlir_sycl::DEVICE_MODULE_SYM.into()),
             )],
         );

@@ -62,8 +62,10 @@ impl<'m> Builder<'m> {
         self.module
     }
 
-    pub fn ctx(&self) -> Context {
-        self.module.ctx().clone()
+    /// The module's context, borrowed: a caller that interns types while it
+    /// builds clones it once, not once per op.
+    pub fn ctx(&self) -> &Context {
+        self.module.ctx()
     }
 
     pub fn block(&self) -> BlockId {
@@ -80,7 +82,7 @@ impl<'m> Builder<'m> {
         name: OpName,
         operands: &[ValueId],
         result_types: &[Type],
-        attrs: Vec<(String, Attribute)>,
+        attrs: Vec<(&str, Attribute)>,
     ) -> OpId {
         let op = self.module.create_op(name, operands, result_types, attrs);
         self.module.insert_op(self.block, self.index, op);
@@ -98,7 +100,7 @@ impl<'m> Builder<'m> {
         name: &str,
         operands: &[ValueId],
         result_types: &[Type],
-        attrs: Vec<(String, Attribute)>,
+        attrs: Vec<(&str, Attribute)>,
     ) -> OpId {
         let name = self.module.ctx().op(name);
         self.build_named(name, operands, result_types, attrs)
@@ -114,7 +116,7 @@ impl<'m> Builder<'m> {
         name: &str,
         operands: &[ValueId],
         result_type: Type,
-        attrs: Vec<(String, Attribute)>,
+        attrs: Vec<(&str, Attribute)>,
     ) -> ValueId {
         let op = self.build(name, operands, &[result_type], attrs);
         self.module.op_result(op, 0)

@@ -39,6 +39,7 @@ pub mod builder;
 pub mod context;
 pub mod dialect;
 pub mod fxhash;
+mod inline_vec;
 pub mod module;
 pub mod parser;
 pub mod pass;

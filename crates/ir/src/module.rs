@@ -13,6 +13,7 @@
 use crate::attrs::{AttrKey, Attribute};
 use crate::context::Context;
 use crate::dialect::{OpInfo, OpName};
+use crate::inline_vec::{InlineVec, Slot};
 use crate::types::Type;
 use std::collections::HashMap;
 
@@ -57,10 +58,30 @@ pub enum WalkControl {
     Interrupt,
 }
 
+/// An op's operands: inline up to six, which covers nearly every op.
+type Operands = InlineVec<ValueId, 6>;
+/// A value's uses: inline up to three.
+type Uses = InlineVec<Use, 3>;
+
+// Either list is as large as the `Vec` it replaces plus its tag.
+const _: () = assert!(std::mem::size_of::<Operands>() == 32);
+const _: () = assert!(std::mem::size_of::<Uses>() == 32);
+
+impl Slot for ValueId {
+    const FILLER: ValueId = ValueId(u32::MAX);
+}
+
+impl Slot for Use {
+    const FILLER: Use = Use {
+        op: OpId(u32::MAX),
+        index: u32::MAX,
+    };
+}
+
 struct OpData {
     name: OpName,
-    operands: Vec<ValueId>,
-    results: Vec<ValueId>,
+    operands: Operands,
+    results: ValueRange,
     attrs: Vec<(AttrKey, Attribute)>,
     regions: Vec<RegionId>,
     parent: Option<BlockId>,
@@ -68,7 +89,7 @@ struct OpData {
 }
 
 struct BlockData {
-    args: Vec<ValueId>,
+    args: ValueRange,
     ops: Vec<OpId>,
     region: RegionId,
     erased: bool,
@@ -80,10 +101,25 @@ struct RegionData {
     erased: bool,
 }
 
+/// Values created together — an op's results, a block's arguments — have
+/// consecutive ids, so their list is a range of [`Module::value_ids`]
+/// rather than a `Vec` of its own.
+#[derive(Clone, Copy)]
+struct ValueRange {
+    start: u32,
+    len: u32,
+}
+
+impl ValueRange {
+    fn get(self, ids: &[ValueId]) -> &[ValueId] {
+        &ids[self.start as usize..(self.start + self.len) as usize]
+    }
+}
+
 struct ValueData {
     ty: Type,
     def: ValueDef,
-    uses: Vec<Use>,
+    uses: Uses,
     erased: bool,
 }
 
@@ -116,6 +152,8 @@ pub struct Module {
     blocks: Vec<BlockData>,
     regions: Vec<RegionData>,
     values: Vec<ValueData>,
+    /// `value_ids[i] == ValueId(i)`: the storage behind every [`ValueRange`].
+    value_ids: Vec<ValueId>,
     top: OpId,
     id: u64,
     epoch: u64,
@@ -140,6 +178,7 @@ impl Module {
             blocks: Vec::new(),
             regions: Vec::new(),
             values: Vec::new(),
+            value_ids: Vec::new(),
             top: OpId(0),
             id: NEXT_MODULE_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             epoch: 0,
@@ -194,16 +233,20 @@ impl Module {
 
     /// Create a detached operation. Attach it with [`Module::append_op`] or
     /// [`Module::insert_op`].
+    ///
+    /// Attribute keys are borrowed names, interned here: an op's attributes
+    /// cost the one `Vec` the op keeps, never a `String` per key. Result
+    /// types are cloned once, into the values that keep them.
     pub fn create_op(
         &mut self,
         name: OpName,
         operands: &[ValueId],
         result_types: &[Type],
-        attrs: Vec<(String, Attribute)>,
+        attrs: Vec<(&str, Attribute)>,
     ) -> OpId {
         let interned = attrs
             .into_iter()
-            .map(|(k, v)| (self.ctx.attr_key(&k), v))
+            .map(|(k, v)| (self.ctx.attr_key(k), v))
             .collect();
         self.create_op_interned(name, operands, result_types, interned)
     }
@@ -219,23 +262,10 @@ impl Module {
     ) -> OpId {
         self.bump_epoch();
         let op = OpId(self.ops.len() as u32);
-        let mut results = Vec::with_capacity(result_types.len());
-        for (i, ty) in result_types.iter().enumerate() {
-            let v = ValueId(self.values.len() as u32);
-            self.values.push(ValueData {
-                ty: ty.clone(),
-                def: ValueDef::OpResult {
-                    op,
-                    index: i as u32,
-                },
-                uses: Vec::new(),
-                erased: false,
-            });
-            results.push(v);
-        }
+        let results = self.new_values(result_types, |index| ValueDef::OpResult { op, index });
         self.ops.push(OpData {
             name,
-            operands: operands.to_vec(),
+            operands: Operands::from_slice(operands),
             results,
             attrs,
             regions: Vec::new(),
@@ -249,6 +279,25 @@ impl Module {
             });
         }
         op
+    }
+
+    /// One new value per type, defined as `def(index)` says: consecutive
+    /// ids.
+    fn new_values(&mut self, types: &[Type], def: impl Fn(u32) -> ValueDef) -> ValueRange {
+        let start = self.values.len() as u32;
+        for (i, ty) in types.iter().enumerate() {
+            self.value_ids.push(ValueId(self.values.len() as u32));
+            self.values.push(ValueData {
+                ty: ty.clone(),
+                def: def(i as u32),
+                uses: Uses::default(),
+                erased: false,
+            });
+        }
+        ValueRange {
+            start,
+            len: types.len() as u32,
+        }
     }
 
     /// Add an (empty) region to an operation.
@@ -268,20 +317,7 @@ impl Module {
     pub fn add_block(&mut self, region: RegionId, arg_types: &[Type]) -> BlockId {
         self.bump_epoch();
         let block = BlockId(self.blocks.len() as u32);
-        let mut args = Vec::with_capacity(arg_types.len());
-        for (i, ty) in arg_types.iter().enumerate() {
-            let v = ValueId(self.values.len() as u32);
-            self.values.push(ValueData {
-                ty: ty.clone(),
-                def: ValueDef::BlockArg {
-                    block,
-                    index: i as u32,
-                },
-                uses: Vec::new(),
-                erased: false,
-            });
-            args.push(v);
-        }
+        let args = self.new_values(arg_types, |index| ValueDef::BlockArg { block, index });
         self.blocks.push(BlockData {
             args,
             ops: Vec::new(),
@@ -381,7 +417,7 @@ impl Module {
     }
 
     pub fn op_results(&self, op: OpId) -> &[ValueId] {
-        &self.ops[op.0 as usize].results
+        self.ops[op.0 as usize].results.get(&self.value_ids)
     }
 
     /// The `index`-th result value.
@@ -390,7 +426,7 @@ impl Module {
     ///
     /// Panics if the op has fewer results.
     pub fn op_result(&self, op: OpId, index: usize) -> ValueId {
-        self.ops[op.0 as usize].results[index]
+        self.op_results(op)[index]
     }
 
     /// The op's attributes under their interned keys; resolve names with
@@ -477,11 +513,11 @@ impl Module {
     }
 
     pub fn block_args(&self, block: BlockId) -> &[ValueId] {
-        &self.blocks[block.0 as usize].args
+        self.blocks[block.0 as usize].args.get(&self.value_ids)
     }
 
     pub fn block_arg(&self, block: BlockId, index: usize) -> ValueId {
-        self.blocks[block.0 as usize].args[index]
+        self.block_args(block)[index]
     }
 
     pub fn block_region(&self, block: BlockId) -> RegionId {
@@ -517,8 +553,11 @@ impl Module {
             .expect("op not found in its parent block")
     }
 
-    pub fn value_type(&self, v: ValueId) -> Type {
-        self.values[v.0 as usize].ty.clone()
+    /// The type of `v`, borrowed from the module. [`Type`] is an `Arc`, so
+    /// a clone costs two atomic refcount operations: clone only a type that
+    /// is kept past the next mutation of the module.
+    pub fn value_type(&self, v: ValueId) -> &Type {
+        &self.values[v.0 as usize].ty
     }
 
     pub fn value_def(&self, v: ValueId) -> ValueDef {
@@ -613,7 +652,7 @@ impl Module {
         // Reindex the remaining uses of all shifted operands.
         for i in index..self.ops[op.0 as usize].operands.len() {
             let v = self.ops[op.0 as usize].operands[i];
-            for u in &mut self.values[v.0 as usize].uses {
+            for u in self.values[v.0 as usize].uses.iter_mut() {
                 if u.op == op && u.index == (i + 1) as u32 {
                     u.index = i as u32;
                     break;
@@ -629,10 +668,10 @@ impl Module {
         }
         self.bump_epoch();
         let uses = std::mem::take(&mut self.values[old.0 as usize].uses);
-        for u in &uses {
+        for &u in uses.iter() {
             self.ops[u.op.0 as usize].operands[u.index as usize] = new;
+            self.values[new.0 as usize].uses.push(u);
         }
-        self.values[new.0 as usize].uses.extend(uses);
     }
 
     /// Erase an attached or detached op, recursively erasing nested regions.
@@ -657,7 +696,8 @@ impl Module {
                     self.ops[inner.0 as usize].parent = None;
                     self.erase_op_inner(inner);
                 }
-                for &arg in &self.blocks[block.0 as usize].args.clone() {
+                let args = self.blocks[block.0 as usize].args;
+                for &arg in args.get(&self.value_ids) {
                     assert!(
                         self.values[arg.0 as usize].uses.is_empty(),
                         "erasing block with used arguments"
@@ -669,14 +709,14 @@ impl Module {
             self.regions[region.0 as usize].erased = true;
         }
         // Drop this op's operand uses.
-        let operands = self.ops[op.0 as usize].operands.clone();
-        for (i, v) in operands.into_iter().enumerate() {
+        for (i, v) in self.ops[op.0 as usize].operands.iter().enumerate() {
             let uses = &mut self.values[v.0 as usize].uses;
             if let Some(pos) = uses.iter().position(|u| u.op == op && u.index == i as u32) {
                 uses.remove(pos);
             }
         }
-        for &r in &self.ops[op.0 as usize].results.clone() {
+        let results = self.ops[op.0 as usize].results;
+        for &r in results.get(&self.value_ids) {
             assert!(
                 self.values[r.0 as usize].uses.is_empty(),
                 "erasing op `{}` whose result is still used",
@@ -690,14 +730,14 @@ impl Module {
     /// Replace an op with existing values: all uses of each result are
     /// rewritten to the corresponding value, then the op is erased.
     pub fn replace_op(&mut self, op: OpId, replacements: &[ValueId]) {
-        let results = self.ops[op.0 as usize].results.clone();
+        let results = self.ops[op.0 as usize].results;
         assert_eq!(
-            results.len(),
+            results.len as usize,
             replacements.len(),
             "replacement arity mismatch"
         );
-        for (r, n) in results.iter().zip(replacements) {
-            self.replace_all_uses(*r, *n);
+        for (i, &n) in replacements.iter().enumerate() {
+            self.replace_all_uses(self.value_ids[results.start as usize + i], n);
         }
         self.erase_op(op);
     }
@@ -716,33 +756,29 @@ impl Module {
             .iter()
             .map(|v| *mapping.get(v).unwrap_or(v))
             .collect();
-        let result_types: Vec<Type> = self.ops[op.0 as usize]
-            .results
+        let result_types: Vec<Type> = self
+            .op_results(op)
             .iter()
             .map(|&r| self.values[r.0 as usize].ty.clone())
             .collect();
         let attrs = self.ops[op.0 as usize].attrs.clone();
         let new_op = self.create_op_interned(name, &operands, &result_types, attrs);
         for i in 0..result_types.len() {
-            let old_r = self.ops[op.0 as usize].results[i];
-            let new_r = self.ops[new_op.0 as usize].results[i];
-            mapping.insert(old_r, new_r);
+            mapping.insert(self.op_result(op, i), self.op_result(new_op, i));
         }
         let regions = self.ops[op.0 as usize].regions.clone();
         for region in regions {
             let new_region = self.add_region(new_op);
             let blocks = self.regions[region.0 as usize].blocks.clone();
             for block in blocks {
-                let arg_types: Vec<Type> = self.blocks[block.0 as usize]
-                    .args
+                let arg_types: Vec<Type> = self
+                    .block_args(block)
                     .iter()
                     .map(|&a| self.values[a.0 as usize].ty.clone())
                     .collect();
                 let new_block = self.add_block(new_region, &arg_types);
                 for i in 0..arg_types.len() {
-                    let old_a = self.blocks[block.0 as usize].args[i];
-                    let new_a = self.blocks[new_block.0 as usize].args[i];
-                    mapping.insert(old_a, new_a);
+                    mapping.insert(self.block_arg(block, i), self.block_arg(new_block, i));
                 }
                 let inner_ops = self.blocks[block.0 as usize].ops.clone();
                 for inner in inner_ops {

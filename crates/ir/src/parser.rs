@@ -6,7 +6,7 @@
 //! (see [`Context::register_type_parser`]).
 
 use crate::affine::{AffineExpr, AffineMap};
-use crate::attrs::{parse_f64, Attribute};
+use crate::attrs::{parse_f64, AttrKey, Attribute};
 use crate::context::Context;
 use crate::module::{BlockId, Module, ValueId};
 use crate::types::Type;
@@ -66,7 +66,7 @@ pub fn parse_module(ctx: &Context, src: &str) -> Result<Module, ParseError> {
     if p.try_keyword("attributes") {
         let attrs = p.parse_attr_dict()?;
         for (k, v) in attrs {
-            m.set_attr(m.top(), &k, v);
+            m.set_attr_by_id(m.top(), k, v);
         }
     }
     p.expect(b'{')?;
@@ -445,13 +445,14 @@ impl<'a> Parser<'a> {
     // Attributes
     // ------------------------------------------------------------------
 
-    fn parse_attr_dict(&mut self) -> Result<Vec<(String, Attribute)>, ParseError> {
+    fn parse_attr_dict(&mut self) -> Result<Vec<(AttrKey, Attribute)>, ParseError> {
         self.expect(b'{')?;
         let mut out = Vec::new();
         self.skip_ws();
         if self.peek() != Some(b'}') {
             loop {
                 let key = self.read_ident()?;
+                let key = self.ctx.attr_key(&key);
                 self.expect(b'=')?;
                 let value = self.parse_attr_value()?;
                 out.push((key, value));
@@ -593,9 +594,9 @@ impl<'a> Parser<'a> {
         self.expect(b'>')?;
         let results = self.parse_type_list()?;
         let mut attrs = vec![
-            ("sym_name".to_string(), Attribute::Str(sym)),
+            (self.ctx.attr_key("sym_name"), Attribute::Str(sym)),
             (
-                "function_type".to_string(),
+                self.ctx.attr_key("function_type"),
                 Attribute::Type(self.ctx.function_type(&arg_types, &results)),
             ),
         ];
@@ -606,7 +607,7 @@ impl<'a> Parser<'a> {
             .ctx
             .lookup_op("func.func")
             .ok_or_else(|| self.err("`func.func` is not registered; register the func dialect"))?;
-        let op = m.create_op(name, &[], &[], attrs);
+        let op = m.create_op_interned(name, &[], &[], attrs);
         let region = m.add_region(op);
         let body = m.add_block(region, &arg_types);
         for (i, n) in arg_names.into_iter().enumerate() {
@@ -622,13 +623,16 @@ impl<'a> Parser<'a> {
         let mut attrs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'@') {
-            attrs.push(("sym_name".to_string(), Attribute::Str(self.read_symbol()?)));
+            attrs.push((
+                self.ctx.attr_key("sym_name"),
+                Attribute::Str(self.read_symbol()?),
+            ));
         }
         if self.try_keyword("attributes") {
             attrs.extend(self.parse_attr_dict()?);
         }
         let name = self.ctx.op("builtin.module");
-        let op = m.create_op(name, &[], &[], attrs);
+        let op = m.create_op_interned(name, &[], &[], attrs);
         let region = m.add_region(op);
         let body = m.add_block(region, &[]);
         m.append_op(block, op);
@@ -680,7 +684,7 @@ impl<'a> Parser<'a> {
             )));
         }
         for (i, (&v, t)) in operands.iter().zip(&operand_types).enumerate() {
-            if &m.value_type(v) != t {
+            if m.value_type(v) != t {
                 return Err(self.err(format!(
                     "`{name}`: operand #{i} has type {} but {} was written",
                     m.value_type(v),
@@ -695,7 +699,7 @@ impl<'a> Parser<'a> {
                 result_types.len()
             )));
         }
-        let op = m.create_op(op_name, &operands, &result_types, attrs);
+        let op = m.create_op_interned(op_name, &operands, &result_types, attrs);
         for (i, n) in result_names.into_iter().enumerate() {
             let v = m.op_result(op, i);
             self.define_value(n, v)?;

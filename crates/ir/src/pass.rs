@@ -7,7 +7,7 @@
 
 use crate::module::Module;
 use crate::printer::print_module;
-use crate::verifier::verify;
+use crate::verifier::verify_counting;
 use std::time::{Duration, Instant};
 
 /// A module-level transformation.
@@ -57,6 +57,9 @@ pub struct PassStats {
     /// Passes that left the module exactly as it was last verified, so the
     /// verifier did not run again.
     pub verifies_skipped: u32,
+    /// Ops the verifier visited, summed over its runs: the verifier's work,
+    /// as a count that does not move with machine load.
+    pub verify_ops: u64,
 }
 
 impl PassStats {
@@ -162,9 +165,10 @@ impl<'p> PassManager<'p> {
                 stats.verifies_skipped += 1;
             } else {
                 let start = Instant::now();
-                let verdict = verify(module);
+                let (verdict, visited) = verify_counting(module);
                 stats.verify_time += start.elapsed();
                 stats.verifies_run += 1;
+                stats.verify_ops += visited;
                 verdict.map_err(|e| format!("IR invalid after pass `{}`:\n{e}", pass.name()))?;
                 verified_at = state;
             }
@@ -320,6 +324,8 @@ mod tests {
         let stats = pm.run(&mut m).unwrap();
         assert!(!stats.any_changed());
         assert_eq!((stats.verifies_run, stats.verifies_skipped), (2, 2));
+        // The root and the probe, then the root, the probe and the mark.
+        assert_eq!(stats.verify_ops, 2 + 3);
         assert_eq!(VERIFIES_SEEN.with(|n| n.get()), 2);
     }
 

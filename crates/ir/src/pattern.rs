@@ -83,7 +83,7 @@ pub fn try_fold(m: &mut Module, op: OpId) -> bool {
                 replacements.push(v);
             }
             FoldOut::Attr(attr) => {
-                let ty = m.value_type(m.op_result(op, i));
+                let ty = m.value_type(m.op_result(op, i)).clone();
                 let Some(materialize) = m.ctx().constant_materializer() else {
                     return false;
                 };
@@ -144,7 +144,7 @@ mod tests {
                 name,
                 &[],
                 std::slice::from_ref(ty),
-                vec![("value".into(), attr.clone())],
+                vec![("value", attr.clone())],
             );
             m.insert_op(block, index, op);
             Some(m.op_result(op, 0))

@@ -238,12 +238,7 @@ mod tests {
         let block = m.top_block();
         let mut b = Builder::at_end(&mut m, block);
         let i32t = b.ctx().i32_type();
-        let v = b.build_value(
-            "test.make",
-            &[],
-            i32t,
-            vec![("k".into(), Attribute::Int(3))],
-        );
+        let v = b.build_value("test.make", &[], i32t, vec![("k", Attribute::Int(3))]);
         b.build("test.use", &[v], &[], vec![]);
         let text = super::print_module(&m);
         assert!(

@@ -69,9 +69,9 @@ impl Type {
     }
 
     /// Element type of a memref.
-    pub fn memref_elem(&self) -> Option<Type> {
+    pub fn memref_elem(&self) -> Option<&Type> {
         match &*self.0 {
-            TypeKind::MemRef { elem, .. } => Some(elem.clone()),
+            TypeKind::MemRef { elem, .. } => Some(elem),
             _ => None,
         }
     }
@@ -276,7 +276,7 @@ mod tests {
         let ctx = Context::new();
         let m = ctx.memref_type(ctx.f32_type(), &[2, 3]);
         assert!(m.is_memref());
-        assert_eq!(m.memref_elem().unwrap(), ctx.f32_type());
+        assert_eq!(m.memref_elem().unwrap(), &ctx.f32_type());
         assert_eq!(m.memref_shape().unwrap(), &[2, 3]);
         assert!(ctx.i32_type().is_int_or_index());
         assert!(ctx.index_type().is_int_or_index());

@@ -16,10 +16,15 @@
 //! operand that is *not* in scope — already a violation, or an erased value —
 //! takes the structural route over parent links (`value_dominates`,
 //! [`Module::value_defined_outside`]), which scans blocks.
+//!
+//! The table is kept per thread between runs and reused, so a run
+//! allocates only for a module with more values than any this thread
+//! verified before.
 
 use crate::dialect::traits;
 use crate::module::{Module, OpId, ValueDef};
 use crate::{OpName, ValueId};
+use std::cell::Cell;
 use std::fmt;
 
 /// A verification failure, with one message per violation found.
@@ -50,22 +55,63 @@ impl std::error::Error for VerifyError {}
 ///
 /// Returns a [`VerifyError`] listing every violated invariant.
 pub fn verify(m: &Module) -> Result<(), VerifyError> {
+    verify_counting(m).0
+}
+
+/// [`verify`], plus the number of ops the walk visited (the root included):
+/// the pass manager's [`crate::PassStats::verify_ops`].
+pub(crate) fn verify_counting(m: &Module) -> (Result<(), VerifyError>, u64) {
+    // The scope table is *taken* for the walk, not borrowed across it: a
+    // verify hook may call `verify` again, and that inner walk then takes
+    // (and returns) a table of its own.
+    let mut scope = SCOPE.try_with(Cell::take).unwrap_or_default();
+    if scope.visible.len() < m.value_capacity() {
+        scope.visible.resize(m.value_capacity(), 0);
+    }
     let mut walk = Walk {
         m,
         module_name: m.ctx().op("builtin.module"),
-        visible: vec![0; m.value_capacity()],
-        defs: Vec::new(),
-        frames: Vec::new(),
+        scope,
         messages: Vec::new(),
+        visited: 0,
     };
     walk.op(m.top());
-    if walk.messages.is_empty() {
+    let Walk {
+        scope,
+        messages,
+        visited,
+        ..
+    } = walk;
+    // Every block clears what it defined on exit, so the table goes back
+    // all zeros, ready for a module of any size on this thread.
+    debug_assert!(scope.defs.is_empty() && scope.frames.is_empty());
+    let _ = SCOPE.try_with(|s| s.set(scope));
+    let verdict = if messages.is_empty() {
         Ok(())
     } else {
-        Err(VerifyError {
-            messages: walk.messages,
-        })
-    }
+        Err(VerifyError { messages })
+    };
+    (verdict, visited)
+}
+
+/// The walk's working tables, kept per thread between runs so that a run
+/// allocates only when a module outgrows every one verified before it.
+/// Between runs `visible` is all zeros and the two stacks are empty.
+#[derive(Default)]
+struct Scope {
+    /// Per value: `0` when not in scope at the op being visited, else `1 +`
+    /// the number of isolated ops enclosing the definition — which are the
+    /// first that many entries of `frames`, the walk being inside the
+    /// definition's block for as long as the value is in scope.
+    visible: Vec<u32>,
+    /// The values in scope, in the order they entered; a block truncates it
+    /// back to its entry length on exit.
+    defs: Vec<ValueId>,
+    frames: Vec<Frame>,
+}
+
+thread_local! {
+    static SCOPE: Cell<Scope> = Cell::default();
 }
 
 /// An `ISOLATED_FROM_ABOVE` op whose regions the walk is inside.
@@ -80,21 +126,16 @@ struct Frame {
 struct Walk<'m> {
     m: &'m Module,
     module_name: OpName,
-    /// Per value: `0` when not in scope at the op being visited, else `1 +`
-    /// the number of isolated ops enclosing the definition — which are the
-    /// first that many entries of `frames`, the walk being inside the
-    /// definition's block for as long as the value is in scope.
-    visible: Vec<u32>,
-    /// The values in scope, in the order they entered; a block truncates it
-    /// back to its entry length on exit.
-    defs: Vec<ValueId>,
-    frames: Vec<Frame>,
+    scope: Scope,
     messages: Vec<String>,
+    /// Ops visited so far.
+    visited: u64,
 }
 
 impl Walk<'_> {
     fn op(&mut self, op: OpId) {
         let m = self.m;
+        self.visited += 1;
         let (op_traits, hook) = m
             .ctx()
             .with_op_info(m.op_name(op), |info| (info.traits, info.verify));
@@ -143,11 +184,11 @@ impl Walk<'_> {
 
         // Operand validity, dominance and captures.
         for (i, &v) in m.op_operands(op).iter().enumerate() {
-            let depth = self.visible[v.0 as usize] as usize;
+            let depth = self.scope.visible[v.0 as usize] as usize;
             if depth != 0 {
                 // In scope, hence dominated; captured by exactly the
                 // isolated ops entered since its definition.
-                for frame in &mut self.frames[depth - 1..] {
+                for frame in &mut self.scope.frames[depth - 1..] {
                     frame.captures.push(capture_message(m, op, frame.op, i));
                 }
                 continue;
@@ -161,7 +202,7 @@ impl Walk<'_> {
                     "`{name}`: operand #{i} is not dominated by its definition"
                 ));
             }
-            for frame in &mut self.frames {
+            for frame in &mut self.scope.frames {
                 if m.value_defined_outside(v, frame.op) {
                     frame.captures.push(capture_message(m, op, frame.op, i));
                 }
@@ -170,7 +211,7 @@ impl Walk<'_> {
 
         let isolated = op_traits & traits::ISOLATED_FROM_ABOVE != 0;
         if isolated {
-            self.frames.push(Frame {
+            self.scope.frames.push(Frame {
                 op,
                 insert_at: self.messages.len(),
                 captures: Vec::new(),
@@ -178,7 +219,7 @@ impl Walk<'_> {
         }
         for &region in m.op_regions(op) {
             for &block in m.region_blocks(region) {
-                let entry = self.defs.len();
+                let entry = self.scope.defs.len();
                 for &arg in m.block_args(block) {
                     self.define(arg);
                 }
@@ -188,13 +229,13 @@ impl Walk<'_> {
                         self.define(result);
                     }
                 }
-                for v in self.defs.drain(entry..) {
-                    self.visible[v.0 as usize] = 0;
+                for v in self.scope.defs.drain(entry..) {
+                    self.scope.visible[v.0 as usize] = 0;
                 }
             }
         }
         if isolated {
-            let frame = self.frames.pop().expect("pushed above");
+            let frame = self.scope.frames.pop().expect("pushed above");
             self.messages
                 .splice(frame.insert_at..frame.insert_at, frame.captures);
         }
@@ -204,8 +245,8 @@ impl Walk<'_> {
     /// never is: a use of one takes the structural path, which reports it.
     fn define(&mut self, v: ValueId) {
         if !self.m.value_is_erased(v) {
-            self.visible[v.0 as usize] = self.frames.len() as u32 + 1;
-            self.defs.push(v);
+            self.scope.visible[v.0 as usize] = self.scope.frames.len() as u32 + 1;
+            self.scope.defs.push(v);
         }
     }
 }
@@ -260,6 +301,7 @@ fn value_dominates(m: &Module, v: ValueId, op: OpId) -> bool {
 mod tests {
     use super::*;
     use crate::dialect::{traits, OpInfo};
+    use crate::module::BlockId;
     use crate::{Builder, Context, Module};
 
     fn ctx_with(names: &[(&str, u32)]) -> Context {
@@ -357,6 +399,149 @@ mod tests {
         assert!(
             err.to_string().contains("captures a value from above"),
             "{err}"
+        );
+    }
+
+    thread_local! {
+        /// Set while [`reenter`] runs its inner walk, so that walk's own
+        /// visit of the hook does not recurse again.
+        static REENTERED: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// A verify hook that verifies its whole module again, once, and
+    /// reports what that inner walk found.
+    fn reenter(m: &Module, _op: OpId) -> Result<(), String> {
+        if REENTERED.with(|r| r.replace(true)) {
+            return Ok(());
+        }
+        let inner = verify(m);
+        REENTERED.with(|r| r.set(false));
+        inner.map_err(|e| format!("re-entrant verify: {}", e.messages.join("; ")))
+    }
+
+    /// Append a `t.make` with `operands` and one `i32` result to `block`.
+    fn make(m: &mut Module, block: BlockId, operands: &[ValueId]) -> ValueId {
+        let (name, i32t) = (m.ctx().op("t.make"), m.ctx().i32_type());
+        let op = m.create_op(name, operands, &[i32t], vec![]);
+        m.append_op(block, op);
+        m.op_result(op, 0)
+    }
+
+    /// Append a `name` op with one region of one block with `args` `i32`
+    /// arguments to `block`.
+    fn region_op(m: &mut Module, block: BlockId, name: &str, args: usize) -> BlockId {
+        let op = m.create_op(m.ctx().op(name), &[], &[], vec![]);
+        m.append_op(block, op);
+        let region = m.add_region(op);
+        let types = vec![m.ctx().i32_type(); args];
+        m.add_block(region, &types)
+    }
+
+    fn terminate(m: &mut Module, block: BlockId, operands: &[ValueId]) {
+        let op = m.create_op(m.ctx().op("t.ret"), operands, &[], vec![]);
+        m.append_op(block, op);
+    }
+
+    /// What the reuse test verifies in turn, built alike on every thread: a
+    /// large valid module; a small broken one; a valid one whose value ids
+    /// overlap the broken one's; one whose hook verifies it re-entrantly.
+    fn reuse_corpus() -> Vec<Module> {
+        let ctx = ctx_with(&[
+            ("t.make", 0),
+            ("t.ret", traits::TERMINATOR),
+            ("t.wrap", 0),
+            ("t.iso", traits::ISOLATED_FROM_ABOVE),
+        ]);
+        ctx.register_op(OpInfo::new("t.reenter").with_verify(reenter));
+
+        let mut large = Module::new(&ctx);
+        let top = large.top_block();
+        let mut outer = make(&mut large, top, &[]);
+        for k in 0..200 {
+            let name = if k % 4 == 0 { "t.iso" } else { "t.wrap" };
+            let body = region_op(&mut large, top, name, 1);
+            let mut v = large.block_arg(body, 0);
+            for _ in 0..50 {
+                v = make(&mut large, body, &[v]);
+            }
+            terminate(&mut large, body, &[v]);
+            outer = make(&mut large, top, &[outer]);
+        }
+
+        let mut broken = Module::new(&ctx);
+        let top = broken.top_block();
+        // An erased operand.
+        let gone = make(&mut broken, top, &[]);
+        let gone_op = broken.def_op(gone).expect("an op result");
+        broken.erase_op(gone_op);
+        make(&mut broken, top, &[gone]);
+        // A capture.
+        let above = make(&mut broken, top, &[]);
+        let iso = region_op(&mut broken, top, "t.iso", 0);
+        make(&mut broken, iso, &[above]);
+        terminate(&mut broken, iso, &[]);
+        // A misplaced terminator.
+        let wrap = region_op(&mut broken, top, "t.wrap", 0);
+        terminate(&mut broken, wrap, &[]);
+        make(&mut broken, wrap, &[]);
+
+        let mut valid = Module::new(&ctx);
+        let top = valid.top_block();
+        let a = make(&mut valid, top, &[]);
+        let body = region_op(&mut valid, top, "t.wrap", 1);
+        let arg = valid.block_arg(body, 0);
+        let b = make(&mut valid, body, &[a, arg]);
+        terminate(&mut valid, body, &[b]);
+        make(&mut valid, top, &[a]);
+
+        let mut reentrant = Module::new(&ctx);
+        let top = reentrant.top_block();
+        let probe = reentrant.create_op(ctx.op("t.reenter"), &[], &[], vec![]);
+        reentrant.append_op(top, probe);
+        let body = region_op(&mut reentrant, top, "t.wrap", 1);
+        let inner = make(&mut reentrant, body, &[]);
+        terminate(&mut reentrant, body, &[]);
+        // A use of a value whose block has ended.
+        make(&mut reentrant, top, &[inner]);
+
+        vec![large, broken, valid, reentrant]
+    }
+
+    /// The verifier keeps its scope table per thread between runs. Each
+    /// verdict of a sequence on one thread must equal the verdict of a
+    /// fresh thread that verifies that module alone: a table left dirty by
+    /// an earlier module (a value still marked in scope) would hide the
+    /// erased operand, the capture or the dominance violation.
+    #[test]
+    fn reusing_the_scope_table_changes_no_verdict() {
+        let in_turn: Vec<_> = reuse_corpus().iter().map(verify).collect();
+        for (i, verdict) in in_turn.iter().enumerate() {
+            let fresh = std::thread::spawn(move || verify(&reuse_corpus()[i]))
+                .join()
+                .expect("verify does not panic");
+            assert_eq!(verdict, &fresh, "module #{i}");
+        }
+        let messages = |i: usize| in_turn[i].clone().unwrap_err().messages;
+        assert!(in_turn[0].is_ok() && in_turn[2].is_ok());
+        assert_eq!(
+            messages(1),
+            [
+                // An erased definition is under no op, so the root module
+                // reports it as a capture too.
+                "`t.make` inside isolated `builtin.module`: operand #0 captures a value from above",
+                "`t.make`: operand #0 refers to an erased value",
+                "`t.make` inside isolated `t.iso`: operand #0 captures a value from above",
+                "`t.ret` inside `t.wrap`: terminator is not the last operation of its block",
+                "`t.wrap`: region #0 does not end with a terminator (ends with `t.make`)",
+            ]
+        );
+        let dominance = "`t.make`: operand #0 is not dominated by its definition";
+        assert_eq!(
+            messages(3),
+            [
+                format!("`t.reenter`: re-entrant verify: {dominance}").as_str(),
+                dominance
+            ]
         );
     }
 }

@@ -64,11 +64,8 @@ proptest! {
         let mut m = Module::new(&ctx);
         let block = m.top_block();
         let mut b = Builder::at_end(&mut m, block);
-        let named: Vec<(String, Attribute)> = attrs
-            .into_iter()
-            .enumerate()
-            .map(|(i, a)| (format!("k{i}"), a))
-            .collect();
+        let keys: Vec<String> = (0..attrs.len()).map(|i| format!("k{i}")).collect();
+        let named = keys.iter().map(String::as_str).zip(attrs).collect();
         b.build("t.op", &[], &[], named);
         let printed = print_module(&m);
         let reparsed = parse_module(&ctx, &printed)
@@ -85,8 +82,8 @@ proptest! {
         let block = m.top_block();
         let mut b = Builder::at_end(&mut m, block);
         let attrs = vec![
-            ("f".to_string(), Attribute::Float(x)),
-            ("d".to_string(), Attribute::DenseF64(vec![x, -x])),
+            ("f", Attribute::Float(x)),
+            ("d", Attribute::DenseF64(vec![x, -x])),
         ];
         let op = b.build("t.op", &[], &[], attrs);
         let printed = print_module(&m);

@@ -1,12 +1,14 @@
 //! Buffers, USM allocations and the runtime's host-side state.
 //!
-//! An allocation is either given its elements or is a *seeded input*: a
-//! recipe — a closure that generates the elements — plus the element type
-//! and extent, which is all that host IR generation reads. A recipe runs
-//! when a run uploads the allocation or the host first reads it, and again
-//! for every `initial_*` call, so building or compiling an application
-//! generates none of its inputs ([`SyclRuntime::bytes_generated`] counts
-//! what the recipes made).
+//! An allocation is given its elements, is a *seeded input* — a recipe, a
+//! closure that generates the elements — or is *zero-filled*; the last two
+//! carry just the element type and extent, which is all that host IR
+//! generation reads. A recipe runs when a run uploads the allocation or
+//! the host first reads it, and again for every `initial_*` call; a
+//! zero-filled allocation is zeroed in device memory at upload and made on
+//! the host only when the host reads it. So building or compiling an
+//! application makes none of its data ([`SyclRuntime::bytes_generated`]
+//! counts what the recipes made).
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
@@ -44,14 +46,22 @@ impl From<UsmId> for Alloc {
 /// What generates a seeded input's elements; the same ones on every call.
 type Recipe = Box<dyn Fn() -> DataVec + Send + Sync>;
 
+/// Where an allocation's initial elements come from.
+enum Init {
+    /// Given with the allocation.
+    Given,
+    /// A seeded input's recipe.
+    Seeded(Recipe),
+    /// All zeros.
+    Zeroed,
+}
+
 /// The host side of one buffer or USM allocation.
 struct HostData {
-    /// The elements, once given, generated for a host read, or read back
-    /// from the device.
+    /// The elements, once given, made for a host read, or read back from
+    /// the device.
     elems: OnceLock<DataVec>,
-    /// How a seeded input's elements are generated; `None` for an
-    /// allocation given its elements.
-    recipe: Option<Recipe>,
+    init: Init,
     dtype: Dtype,
     len: usize,
 }
@@ -62,14 +72,14 @@ impl HostData {
             dtype: data.dtype(),
             len: data.len(),
             elems: OnceLock::from(data),
-            recipe: None,
+            init: Init::Given,
         }
     }
 
-    fn seeded(dtype: Dtype, len: usize, recipe: Recipe) -> HostData {
+    fn lazy(dtype: Dtype, len: usize, init: Init) -> HostData {
         HostData {
             elems: OnceLock::new(),
-            recipe: Some(recipe),
+            init,
             dtype,
             len,
         }
@@ -80,9 +90,12 @@ impl HostData {
     }
 
     /// A fresh run of the recipe, its bytes added to `generated`; `None`
-    /// for an allocation given its elements.
+    /// for an allocation that is not a seeded input.
     fn generate(&self, generated: &AtomicU64) -> Option<DataVec> {
-        let data = (self.recipe.as_ref()?)();
+        let Init::Seeded(recipe) = &self.init else {
+            return None;
+        };
+        let data = recipe();
         assert!(
             data.dtype() == self.dtype && data.len() == self.len,
             "a recipe for {} {} elements generated {} {}",
@@ -95,20 +108,33 @@ impl HostData {
         Some(data)
     }
 
-    /// The elements of a seeded input nothing has generated yet.
+    /// The initial elements of an allocation the host holds none of.
     fn fresh(&self, generated: &AtomicU64) -> DataVec {
-        (self.generate(generated)).expect("an allocation without elements has a recipe")
+        match self.init {
+            Init::Zeroed => match self.dtype {
+                Dtype::F32 => DataVec::F32(vec![0.0; self.len]),
+                Dtype::F64 => DataVec::F64(vec![0.0; self.len]),
+                Dtype::I32 => DataVec::I32(vec![0; self.len]),
+                Dtype::I64 => DataVec::I64(vec![0; self.len]),
+            },
+            _ => (self.generate(generated)).expect("an allocation without elements has a recipe"),
+        }
     }
 
-    /// The elements, generated on first need.
+    /// The elements, made on first need.
     fn get(&self, generated: &AtomicU64) -> &DataVec {
         self.elems.get_or_init(|| self.fresh(generated))
     }
 
-    /// The elements for device memory: a copy of the host's, or — for a
-    /// seeded input the host has not needed — generated for it alone.
-    fn upload(&self, generated: &AtomicU64) -> DataVec {
-        (self.elems.get().cloned()).unwrap_or_else(|| self.fresh(generated))
+    /// The allocation in device memory: a copy of the host's elements, or
+    /// — when the host holds none — zeroed there, or generated for it
+    /// alone.
+    fn upload(&self, pool: &mut MemoryPool, generated: &AtomicU64) -> MemId {
+        match (self.elems.get(), &self.init) {
+            (Some(elems), _) => pool.alloc(elems.clone()),
+            (None, Init::Zeroed) => pool.alloc_zeroed(self.dtype, self.len),
+            (None, _) => pool.alloc(self.fresh(generated)),
+        }
     }
 }
 
@@ -140,12 +166,14 @@ impl BufferData {
 /// The runtime's host-side state: buffers, USM allocations and transfer
 /// counters.
 ///
-/// An allocation is given its elements (`buffer_f32`, `usm_alloc_f32`, …)
-/// or is a seeded input (`buffer_seeded`, `usm_seeded`) whose recipe runs
+/// An allocation is given its elements (`buffer_f32`, `usm_alloc_f32`, …),
+/// is a seeded input (`buffer_seeded`, `usm_seeded`) whose recipe runs
 /// when a run uploads it — moving the elements into device memory, with
-/// no host copy kept — or when the host first reads it. A run leaves its
-/// results in every allocation's host copy; `initial_*` generates a seeded
-/// input's initial elements again, whatever a run has written since.
+/// no host copy kept — or when the host first reads it, or is zero-filled
+/// (`buffer_zeroed`, `usm_zeroed`): zeroed in device memory at upload, its
+/// zeros made on the host only for a host read. A run leaves its results
+/// in every allocation's host copy; `initial_*` generates a seeded input's
+/// initial elements again, whatever a run has written since.
 #[derive(Default)]
 pub struct SyclRuntime {
     /// All buffers, indexed by [`BufferId`].
@@ -229,8 +257,16 @@ impl SyclRuntime {
         recipe: impl Fn() -> DataVec + Send + Sync + 'static,
     ) -> BufferId {
         let len = range.iter().product::<i64>() as usize;
-        let host = HostData::seeded(dtype, len, Box::new(recipe));
+        let host = HostData::lazy(dtype, len, Init::Seeded(Box::new(recipe)));
         self.add_buffer(host, range, false)
+    }
+
+    /// A zero-filled buffer of `dtype` elements — an output, most often:
+    /// zeroed in device memory when a run uploads it, its zeros made on
+    /// the host only if the host reads it first.
+    pub fn buffer_zeroed(&mut self, dtype: Dtype, range: &[i64]) -> BufferId {
+        let len = range.iter().product::<i64>() as usize;
+        self.add_buffer(HostData::lazy(dtype, len, Init::Zeroed), range, false)
     }
 
     /// USM device allocation: the user manages transfers manually (§II-A).
@@ -246,7 +282,13 @@ impl SyclRuntime {
         len: usize,
         recipe: impl Fn() -> DataVec + Send + Sync + 'static,
     ) -> UsmId {
-        self.add_usm(HostData::seeded(dtype, len, Box::new(recipe)))
+        self.add_usm(HostData::lazy(dtype, len, Init::Seeded(Box::new(recipe))))
+    }
+
+    /// A zero-filled USM allocation of `len` `dtype` elements, as for
+    /// [`SyclRuntime::buffer_zeroed`].
+    pub fn usm_zeroed(&mut self, dtype: Dtype, len: usize) -> UsmId {
+        self.add_usm(HostData::lazy(dtype, len, Init::Zeroed))
     }
 
     fn add_usm(&mut self, host: HostData) -> UsmId {
@@ -313,7 +355,7 @@ impl SyclRuntime {
 
     /// A seeded input's initial elements, generated afresh by its recipe —
     /// whatever a run has since written; `None` for an allocation given
-    /// its elements.
+    /// its elements or zero-filled.
     pub fn initial(&self, id: impl Into<Alloc>) -> Option<DataVec> {
         self.host(id.into()).generate(&self.generated)
     }
@@ -367,7 +409,7 @@ impl SyclRuntime {
     pub(crate) fn upload_to_device(&mut self, pool: &mut MemoryPool) -> (Vec<MemId>, Vec<MemId>) {
         let mut upload = |host: &HostData| {
             self.bytes_to_device += host.bytes();
-            pool.alloc(host.upload(&self.generated))
+            host.upload(pool, &self.generated)
         };
         let buf_ids = self.buffers.iter().map(|b| upload(&b.host)).collect();
         let usm_ids = self.usm.iter().map(&mut upload).collect();
@@ -472,6 +514,37 @@ mod tests {
             24,
             "the upload copies what the read made"
         );
+    }
+
+    /// A zero-filled allocation is zeroed in device memory at upload and
+    /// made on the host only when the host reads it; it generates nothing
+    /// and is no seeded input.
+    #[test]
+    fn a_zeroed_allocation_makes_its_zeros_where_they_are_needed() {
+        let mut rt = SyclRuntime::new();
+        let b = rt.buffer_zeroed(Dtype::F32, &[2, 2]);
+        let u = rt.usm_zeroed(Dtype::I64, 3);
+        assert_eq!(
+            (rt.buffers[b.0].rank, rt.buffers[b.0].range),
+            (2, [2, 2, 1])
+        );
+        let mut pool = MemoryPool::new();
+        let (bufs, usms) = rt.upload_to_device(&mut pool);
+        assert_eq!(rt.bytes_to_device, 16 + 24);
+        assert!(rt.buffers[b.0].host.elems.get().is_none(), "no host zeros");
+        assert_eq!(pool.read(bufs[b.0]), DataVec::F32(vec![0.0; 4]));
+        assert_eq!(pool.read(usms[u.0]), DataVec::I64(vec![0; 3]));
+        pool.store(bufs[b.0], 1, sycl_mlir_sim::RtValue::F32(2.5))
+            .unwrap();
+        rt.download_from_device(&pool, &bufs, &usms);
+        assert_eq!(rt.read_f32(b), &[0.0, 2.5, 0.0, 0.0]);
+        assert_eq!(rt.read_i64(u), &[0, 0, 0]);
+        assert_eq!(rt.initial(b), None, "zero-filled, not seeded");
+        assert_eq!(rt.bytes_generated(), 0);
+
+        let mut rt = SyclRuntime::new();
+        let b = rt.buffer_zeroed(Dtype::I32, &[2]);
+        assert_eq!(rt.read_i32(b), &[0, 0], "made for a host read");
     }
 
     #[test]

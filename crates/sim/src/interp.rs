@@ -357,7 +357,7 @@ impl WorkItemState {
         };
         let has_item = params
             .last()
-            .map(|&p| sycl_mlir_sycl::types::is_item_like(&m.value_type(p)))
+            .map(|&p| sycl_mlir_sycl::types::is_item_like(m.value_type(p)))
             .unwrap_or(false);
         let value_params = if has_item {
             &params[..params.len() - 1]
@@ -798,7 +798,7 @@ impl WorkItemState {
             }
             "memref.alloca" => {
                 let ty = m.value_type(m.op_result(op, 0));
-                let (mem, shape, rank) = self.alloc_for(ctx, &ty)?;
+                let (mem, shape, rank) = self.alloc_for(ctx, ty)?;
                 self.bind(
                     m.op_result(op, 0),
                     RtValue::MemRef(MemRefVal {
@@ -816,7 +816,7 @@ impl WorkItemState {
                     *existing
                 } else {
                     let ty = m.value_type(m.op_result(op, 0));
-                    let (mem, shape, rank) = self.alloc_for(ctx, &ty)?;
+                    let (mem, shape, rank) = self.alloc_for(ctx, ty)?;
                     let mr = MemRefVal {
                         mem,
                         offset: 0,
@@ -1040,10 +1040,12 @@ impl WorkItemState {
             .ok_or_else(|| err("alloca of non-memref"))?;
         let len: i64 = shape_v.iter().product();
         if let Some(meter) = ctx.limits.as_deref_mut() {
-            let bytes = crate::memory::Dtype::of(&elem).bytes() as u64 * len.max(0) as u64;
+            let bytes = crate::memory::Dtype::of(elem).bytes() as u64 * len.max(0) as u64;
             meter.charge_mem(bytes)?;
         }
-        let mem = ctx.pool.alloc_zeroed(&elem, len.max(0) as usize);
+        let mem = ctx
+            .pool
+            .alloc_zeroed(crate::memory::Dtype::of(elem), len.max(0) as usize);
         let mut shape = [1_i64; 3];
         for (i, &s) in shape_v.iter().enumerate() {
             shape[i] = s;
@@ -1064,7 +1066,7 @@ impl WorkItemState {
         let elem = ty
             .memref_elem()
             .ok_or_else(|| err("dense constant must be memref"))?;
-        let data = crate::memory::DataVec::of_dense(attr, &elem)
+        let data = crate::memory::DataVec::of_dense(attr, elem)
             .ok_or_else(|| err("unsupported dense constant"))?;
         if let Some(meter) = ctx.limits.as_deref_mut() {
             meter.charge_mem((data.len() * data.elem_bytes()) as u64)?;

@@ -314,10 +314,10 @@ impl MemoryPool {
         self.push(Storage::from(data))
     }
 
-    /// Allocate zero-filled storage for `len` elements of the MLIR type
-    /// `elem` (f32/f64/i32/i64/index/i1).
-    pub fn alloc_zeroed(&mut self, elem: &sycl_mlir_ir::Type, len: usize) -> MemId {
-        self.push(Storage::zeroed(Dtype::of(elem), len))
+    /// Allocate zero-filled storage for `len` elements of class `dtype`
+    /// ([`Dtype::of`] names the class of an MLIR element type).
+    pub fn alloc_zeroed(&mut self, dtype: Dtype, len: usize) -> MemId {
+        self.push(Storage::zeroed(dtype, len))
     }
 
     fn push(&mut self, storage: Storage) -> MemId {

@@ -257,7 +257,7 @@ pub fn decode_kernel(m: &Module, kernel: OpId) -> Result<KernelPlan, DecodeError
     let has_item_param = m
         .block_args(entry)
         .last()
-        .map(|&p| sycl_mlir_sycl::types::is_item_like(&m.value_type(p)))
+        .map(|&p| sycl_mlir_sycl::types::is_item_like(m.value_type(p)))
         .unwrap_or(false);
     for &op in m.block_ops(entry) {
         let kind = d.kind(op)?;
@@ -547,7 +547,7 @@ impl<'a> Decoder<'a> {
                     }
                     (Attribute::Float(f), _) => self.bind_const(op, Slot::F64(*f)),
                     (Attribute::DenseF64(_) | Attribute::DenseI64(_), TypeKind::MemRef { .. }) => {
-                        let idx = self.dense_const_id(op, attr, &ty)?;
+                        let idx = self.dense_const_id(op, attr, ty)?;
                         let dst = self.result_reg(op);
                         self.code.push(Instr::ConstDense { dst, idx });
                     }
@@ -640,10 +640,10 @@ impl<'a> Decoder<'a> {
                 let ty = m.value_type(m.op_result(op, 0));
                 let shape_v = ty
                     .memref_shape()
-                    .ok_or_else(|| dec_err("alloca of non-memref"))?
-                    .to_vec();
+                    .ok_or_else(|| dec_err("alloca of non-memref"))?;
                 let elem = ty
                     .memref_elem()
+                    .cloned()
                     .ok_or_else(|| dec_err("alloca of non-memref"))?;
                 let len: i64 = shape_v.iter().product();
                 let mut shape = [1_i64; 3];
@@ -868,7 +868,7 @@ impl<'a> Decoder<'a> {
             .memref_elem()
             .ok_or_else(|| dec_err("dense constant must be memref"))?;
         let data =
-            DataVec::of_dense(attr, &elem).ok_or_else(|| dec_err("unsupported dense constant"))?;
+            DataVec::of_dense(attr, elem).ok_or_else(|| dec_err("unsupported dense constant"))?;
         let shape_v = ty.memref_shape().unwrap();
         if shape_v.len() > 3 {
             return Err(dec_err("dense constant rank > 3"));

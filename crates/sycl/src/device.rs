@@ -108,9 +108,8 @@ fn verify_constructor(m: &Module, op: OpId) -> Result<(), String> {
         return Err("must produce one result".into());
     }
     let ty = m.value_type(m.op_result(op, 0));
-    let dim = types::sycl_dim(&ty).ok_or("result must be a SYCL type")?;
-    let name = m.op_name_str(op);
-    if &*name == "sycl.nd_range.constructor" {
+    let dim = types::sycl_dim(ty).ok_or("result must be a SYCL type")?;
+    if m.op_is(op, "sycl.nd_range.constructor") {
         if m.op_operands(op).len() != 2 {
             return Err("nd_range takes (global range, local range)".into());
         }
@@ -137,7 +136,7 @@ fn verify_query(m: &Module, op: OpId) -> Result<(), String> {
         return Err("expects the queried SYCL object as first operand".into());
     }
     let ty = m.value_type(operands[0]);
-    if types::sycl_dim(&ty).is_none() {
+    if types::sycl_dim(ty).is_none() {
         return Err(format!("first operand must be a SYCL object, got {ty}"));
     }
     if m.op_results(op).len() != 1 {
@@ -152,7 +151,7 @@ fn verify_subscript(m: &Module, op: OpId) -> Result<(), String> {
         return Err("expects (accessor, id) -> memref".into());
     }
     let acc_ty = m.value_type(operands[0]);
-    let acc = types::accessor_info(&acc_ty).ok_or("first operand must be an accessor")?;
+    let acc = types::accessor_info(acc_ty).ok_or("first operand must be an accessor")?;
     let id_ty = m.value_type(operands[1]);
     let id = id_ty
         .dialect_type::<types::IdType>()
@@ -165,7 +164,7 @@ fn verify_subscript(m: &Module, op: OpId) -> Result<(), String> {
     }
     let res = m.value_type(m.op_result(op, 0));
     match res.memref_elem() {
-        Some(e) if e == acc.elem => Ok(()),
+        Some(e) if *e == acc.elem => Ok(()),
         _ => Err(format!("result must be memref of {}, got {res}", acc.elem)),
     }
 }
@@ -192,7 +191,7 @@ fn dim_const(b: &mut Builder<'_>, dim: u32) -> ValueId {
         "arith.constant",
         &[],
         i32t,
-        vec![("value".into(), Attribute::Int(dim as i64))],
+        vec![("value", Attribute::Int(dim as i64))],
     )
 }
 
@@ -241,9 +240,9 @@ pub fn local_range(b: &mut Builder<'_>, nd_item: ValueId, dim: u32) -> ValueId {
 /// `nd_item.get_group()` — group handle for barriers.
 pub fn get_group(b: &mut Builder<'_>, nd_item: ValueId) -> ValueId {
     let ty = b.module().value_type(nd_item);
-    let dim = types::sycl_dim(&ty).expect("nd_item operand");
+    let dim = types::sycl_dim(ty).expect("nd_item operand");
     let ctx = b.ctx();
-    let group = types::group_type(&ctx, dim);
+    let group = types::group_type(ctx, dim);
     b.build_value("sycl.nd_item.get_group", &[nd_item], group, vec![])
 }
 
@@ -257,7 +256,7 @@ pub fn accessor_base(b: &mut Builder<'_>, acc: ValueId) -> ValueId {
 /// Construct a `!sycl.id<n>` from `n` indices.
 pub fn make_id(b: &mut Builder<'_>, indices: &[ValueId]) -> ValueId {
     let ctx = b.ctx();
-    let ty = types::id_type(&ctx, indices.len() as u32);
+    let ty = types::id_type(ctx, indices.len() as u32);
     b.build_value("sycl.id.constructor", indices, ty, vec![])
 }
 
@@ -265,7 +264,7 @@ pub fn make_id(b: &mut Builder<'_>, indices: &[ValueId]) -> ValueId {
 /// view positioned at the id (Listing 3 of the paper).
 pub fn subscript(b: &mut Builder<'_>, acc: ValueId, id: ValueId) -> ValueId {
     let acc_ty = b.module().value_type(acc);
-    let elem = types::accessor_info(&acc_ty)
+    let elem = types::accessor_info(acc_ty)
         .expect("accessor operand")
         .elem
         .clone();

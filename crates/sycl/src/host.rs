@@ -90,7 +90,7 @@ pub fn constructor(b: &mut Builder<'_>, dst: ValueId, args: &[ValueId], ty: Type
         "sycl.host.constructor",
         &operands,
         &[],
-        vec![("type".into(), Attribute::Type(ty))],
+        vec![("type", Attribute::Type(ty))],
     )
 }
 
@@ -110,10 +110,10 @@ pub fn schedule_range(
         &[],
         vec![
             (
-                "kernel".into(),
+                "kernel",
                 Attribute::SymbolRef(kernel_path.iter().map(|s| s.to_string()).collect()),
             ),
-            ("form".into(), Attribute::Str(FORM_RANGE.into())),
+            ("form", Attribute::Str(FORM_RANGE.into())),
         ],
     )
 }
@@ -192,8 +192,8 @@ mod tests {
             let mut b = Builder::at_end(&mut m, entry);
             let i64t = b.ctx().i64_type();
             let f32t = b.ctx().f32_type();
-            let range_ty = range_type(&b.ctx(), 1);
-            let buffer_ty = buffer_type(&b.ctx(), f32t, 1);
+            let range_ty = range_type(b.ctx(), 1);
+            let buffer_ty = buffer_type(b.ctx(), f32t, 1);
             let range = llvm::alloca(&mut b, "sycl::range");
             let size = sycl_mlir_dialects::arith::constant_int(&mut b, 1024, i64t);
             constructor(&mut b, range, &[size], range_ty);

@@ -222,7 +222,7 @@ mod tests {
             let block = m.top_block();
             let mut b = Builder::at_end(&mut m, block);
             let values = [first, second].map(|(value, ty)| {
-                b.build_value("t.const", &[], ty.clone(), vec![("value".into(), value)])
+                b.build_value("t.const", &[], ty.clone(), vec![("value", value)])
             });
             b.build("t.use", &values, &[], vec![]);
             CsePass.run(&mut m).unwrap();

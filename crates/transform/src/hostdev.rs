@@ -325,13 +325,9 @@ impl HostDeviceConstantPropagationPass {
                 ArgFact::ConstScalar(attr) if agree => {
                     if i < params.len() && m.value_has_uses(params[i]) {
                         let mut b = Builder::at(m, entry, 0);
-                        let ty = b.module().value_type(params[i]);
-                        let cst = b.build_value(
-                            "arith.constant",
-                            &[],
-                            ty,
-                            vec![("value".into(), attr.clone())],
-                        );
+                        let ty = b.module().value_type(params[i]).clone();
+                        let cst =
+                            b.build_value("arith.constant", &[], ty, vec![("value", attr.clone())]);
                         b.module().replace_all_uses(params[i], cst);
                         self.stats.scalars_propagated += 1;
                         changed = true;
@@ -415,13 +411,8 @@ pub fn fold_device_queries(m: &mut Module, kernel: OpId) -> usize {
         let block = m.op_parent_block(op).expect("attached");
         let index = m.op_index_in_block(op);
         let name = m.ctx().op("arith.constant");
-        let ty = m.value_type(m.op_result(op, 0));
-        let cst = m.create_op(
-            name,
-            &[],
-            &[ty],
-            vec![("value".into(), Attribute::Int(value))],
-        );
+        let ty = m.value_type(m.op_result(op, 0)).clone();
+        let cst = m.create_op(name, &[], &[ty], vec![("value", Attribute::Int(value))]);
         m.insert_op(block, index, cst);
         let new_v = m.op_result(cst, 0);
         m.replace_all_uses(m.op_result(op, 0), new_v);
@@ -470,7 +461,7 @@ impl Pass for DeadArgumentEliminationPass {
             let mut dead = Vec::new();
             for (i, &p) in params.iter().enumerate() {
                 let ty = m.value_type(p);
-                if sycl_mlir_sycl::types::is_item_like(&ty) {
+                if sycl_mlir_sycl::types::is_item_like(ty) {
                     continue;
                 }
                 if !m.value_has_uses(p) {
@@ -512,7 +503,7 @@ mod tests {
             &[],
             &[],
             vec![(
-                "sym_name".into(),
+                "sym_name",
                 Attribute::Str(sycl_mlir_sycl::DEVICE_MODULE_SYM.into()),
             )],
         );

@@ -179,7 +179,7 @@ impl LoopInternalizationPass {
             }
             // Base must be a rank-2 global accessor.
             let base_ty = m.value_type(a.base);
-            let Some(acc) = sycl_mlir_sycl::types::accessor_info(&base_ty) else {
+            let Some(acc) = sycl_mlir_sycl::types::accessor_info(base_ty) else {
                 continue;
             };
             if acc.dim != 2 || acc.target != sycl_mlir_sycl::types::Target::Local {
@@ -321,7 +321,10 @@ fn internalize(
     let old_iv = old_args[0];
     let old_yield = m.block_terminator(old_body).expect("terminator");
     let old_yield_operands = m.op_operands(old_yield).to_vec();
-    let result_types: Vec<_> = old_results.iter().map(|&r| m.value_type(r)).collect();
+    let result_types: Vec<_> = old_results
+        .iter()
+        .map(|&r| m.value_type(r).clone())
+        .collect();
 
     // Prologue before the loop: local ids, group handle, tiles.
     let (lx, ly, g0, g1, group, tiles, m_step) = {
@@ -333,7 +336,7 @@ fn internalize(
         let group = device::get_group(&mut b, item);
         let mut tiles = Vec::new();
         for c in &candidates {
-            let elem = sycl_mlir_sycl::types::accessor_info(&b.module().value_type(c.base))
+            let elem = sycl_mlir_sycl::types::accessor_info(b.module().value_type(c.base))
                 .expect("accessor base")
                 .elem
                 .clone();

@@ -271,7 +271,7 @@ fn licm_on_loop(m: &mut Module, loop_op: OpId, versioning: bool, stats: &mut Lic
     let result_types: Vec<_> = m
         .op_results(loop_op)
         .iter()
-        .map(|&r| m.value_type(r))
+        .map(|&r| m.value_type(r).clone())
         .collect();
 
     // Clone the unoptimized loop for the else branch when runtime alias
@@ -359,7 +359,7 @@ fn versionable_pair(m: &Module, a: ValueId, b: ValueId) -> Option<(ValueId, Valu
 }
 
 fn accessor_of(m: &Module, v: ValueId) -> Option<ValueId> {
-    if sycl_mlir_sycl::types::accessor_info(&m.value_type(v)).is_some() {
+    if sycl_mlir_sycl::types::accessor_info(m.value_type(v)).is_some() {
         return Some(v);
     }
     let d = m.def_op(v)?;

@@ -162,13 +162,13 @@ impl RaiseHostPass {
         let operands = m.op_operands(call).to_vec();
         let attrs = vec![
             (
-                "kernel".into(),
+                "kernel",
                 Attribute::SymbolRef(vec![
                     sycl_mlir_sycl::DEVICE_MODULE_SYM.to_string(),
                     kernel.to_string(),
                 ]),
             ),
-            ("form".into(), Attribute::Str(form.into())),
+            ("form", Attribute::Str(form.into())),
         ];
         let name = m.ctx().op("sycl.host.schedule_kernel");
         let block = m.op_parent_block(call).expect("attached call");

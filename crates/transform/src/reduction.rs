@@ -171,7 +171,7 @@ fn find_candidate(m: &Module, loop_op: OpId) -> Option<Candidate> {
 fn rewrite(m: &mut Module, loop_op: OpId, cand: Candidate) {
     let (lmem, lidx) = read_target(m, cand.load).expect("load target");
     let stored_value = m.op_operand(cand.store, 0);
-    let elem_ty = m.value_type(m.op_result(cand.load, 0));
+    let elem_ty = m.value_type(m.op_result(cand.load, 0)).clone();
     let load_name = m.op_name_str(cand.load).to_string();
     let store_name = m.op_name_str(cand.store).to_string();
 
@@ -194,13 +194,16 @@ fn rewrite(m: &mut Module, loop_op: OpId, cand: Candidate) {
 
     let mut new_operands = old_operands.clone();
     new_operands.push(init);
-    let mut new_result_types: Vec<_> = old_results.iter().map(|&r| m.value_type(r)).collect();
+    let mut new_result_types: Vec<_> = old_results
+        .iter()
+        .map(|&r| m.value_type(r).clone())
+        .collect();
     new_result_types.push(elem_ty.clone());
     let loop_name = m.op_name(loop_op);
     let attrs = m.op_attrs(loop_op).to_vec();
     let new_loop = m.create_op_interned(loop_name, &new_operands, &new_result_types, attrs);
     let region = m.add_region(new_loop);
-    let mut arg_types: Vec<_> = old_args.iter().map(|&a| m.value_type(a)).collect();
+    let mut arg_types: Vec<_> = old_args.iter().map(|&a| m.value_type(a).clone()).collect();
     arg_types.push(elem_ty);
     let new_body = m.add_block(region, &arg_types);
 

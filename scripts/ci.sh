@@ -69,6 +69,9 @@ summary() {
   # which pins them): none while the compile_only pass builds and compiles,
   # each seeded input once when one run of each program uploads it.
   cargo test -q --test seeded_inputs generated -- --nocapture 2>/dev/null | grep -o 'seeded_inputs:.*'
+  # The between-pass verifier's work over the suite (tests/ir_verifier_diff.rs,
+  # which pins it): verifier runs, skips and ops visited.
+  cargo test -q --test ir_verifier_diff verify_counters -- --nocapture 2>/dev/null | grep -o 'verify_counters:.*'
   # Placement control: the execution workloads move 6-10% with where the
   # linker puts the instruction loop, so a timing gap under 10% is read
   # beside this line from both builds (size in bytes, address mod 64).

@@ -14,6 +14,11 @@
 //! Generating seeded inputs when a run uploads them — a builder hands the
 //! runtime one boxed recipe per input instead of a drawn `Vec` and its
 //! copy — took build to 77,887 (compile 30,257, total 108,144).
+//! Borrowing in the IR core — attribute keys interned from borrowed
+//! names, results and block arguments as ranges of one id table, operands
+//! and uses inline, the verifier's scope table reused per thread — and
+//! building zero-filled outputs without their zeros took build to 44,933
+//! and compile to 19,879 (total 64,812).
 //! The build half repeats exactly; the compile half moves by a handful
 //! with the iteration order of a `RandomState` map in the pipeline, which
 //! is why the assertion is a ceiling and not an equality.
@@ -59,7 +64,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Asserted ceiling for one pass; the measured count is about 5% below it.
-const BUDGET: u64 = 113_500;
+const BUDGET: u64 = 68_000;
 
 #[test]
 fn build_and_compile_stay_within_the_allocation_budget() {

@@ -119,7 +119,11 @@ fn cse_key(m: &Module, op: OpId) -> CseKey {
             .iter()
             .map(|(k, v)| (k.0, format!("{v}")))
             .collect(),
-        result_types: m.op_results(op).iter().map(|&r| m.value_type(r)).collect(),
+        result_types: m
+            .op_results(op)
+            .iter()
+            .map(|&r| m.value_type(r).clone())
+            .collect(),
     }
 }
 

@@ -239,10 +239,12 @@ fn every_pipeline_stage_module_of_every_program_and_flow_agrees() {
 
 /// The pipeline's verify counters over the whole suite: deterministic work
 /// counts. `verifies_run` moves only when a pass starts or stops touching
-/// some program's module; the sum is the number of pass runs.
+/// some program's module; the sum is the number of pass runs. `verify_ops`
+/// is the ops those runs visited: it moves only with the IR the passes
+/// leave, never with how fast the verifier is.
 #[test]
 fn verify_counters_over_the_suite_are_pinned() {
-    let (mut run, mut skipped, mut passes) = (0, 0, 0);
+    let (mut run, mut skipped, mut passes, mut ops) = (0, 0, 0, 0);
     for w in all_workloads() {
         for kind in FlowKind::all() {
             let app = (w.build)(quick_size(&w));
@@ -251,16 +253,22 @@ fn verify_counters_over_the_suite_are_pinned() {
             run += stats.verifies_run;
             skipped += stats.verifies_skipped;
             passes += stats.per_pass.len() as u32;
+            ops += stats.verify_ops;
             assert!(stats.verify_time > Duration::ZERO);
         }
     }
     assert_eq!(all_workloads().len(), 48);
     assert_eq!(passes, 48 * (3 + 3 + 10));
     assert_eq!((run, skipped), (VERIFIES_RUN, VERIFIES_SKIPPED));
+    println!("verify_counters: verifies run {run}, skipped {skipped}, ops visited {ops}");
+    assert_eq!(ops, VERIFY_OPS);
 }
 
 const VERIFIES_RUN: u32 = 411;
 const VERIFIES_SKIPPED: u32 = 357;
+/// Measured before the verifier kept its scope table per thread, by a
+/// counter of the walk's visits: the reuse left every visit in place.
+const VERIFY_OPS: u64 = 35_548;
 
 // ----------------------------------------------------------------------
 // Broken modules.
