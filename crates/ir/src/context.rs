@@ -122,12 +122,6 @@ impl Context {
         k
     }
 
-    /// Look up an already-interned attribute key without interning it. An
-    /// absent key means no op in any module of this context carries it.
-    pub fn lookup_attr_key(&self, name: &str) -> Option<AttrKey> {
-        self.inner.attr_keys.borrow().get(name).copied()
-    }
-
     /// The textual name of an interned attribute key.
     pub fn attr_key_str(&self, key: AttrKey) -> Arc<str> {
         self.inner.attr_key_names.borrow()[key.0 as usize].clone()
@@ -325,7 +319,7 @@ mod tests {
         let keys = ctx.common_keys();
         let ids = [keys.value, keys.predicate, keys.callee, keys.sym_name];
         for (id, name) in ids.into_iter().zip(COMMON_KEY_NAMES) {
-            assert_eq!(ctx.lookup_attr_key(name), Some(id));
+            assert_eq!(ctx.attr_key(name), id);
             assert_eq!(&*ctx.attr_key_str(id), name);
         }
     }

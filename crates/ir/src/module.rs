@@ -478,15 +478,6 @@ impl Module {
         }
     }
 
-    pub fn remove_attr(&mut self, op: OpId, key: &str) -> Option<Attribute> {
-        let key = self.ctx.lookup_attr_key(key)?;
-        let attrs = &mut self.ops[op.0 as usize].attrs;
-        let pos = attrs.iter().position(|(k, _)| *k == key)?;
-        let removed = attrs.remove(pos).1;
-        self.bump_epoch();
-        Some(removed)
-    }
-
     pub fn op_regions(&self, op: OpId) -> &[RegionId] {
         &self.ops[op.0 as usize].regions
     }

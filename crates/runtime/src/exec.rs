@@ -22,13 +22,12 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use sycl_mlir_core::{CompileOutcome, Flow, FlowKind};
-use sycl_mlir_ir::{Attribute, FxHashMap, Module, OpId, TypeKind, WalkControl};
+use sycl_mlir_ir::{Attribute, FxHashMap, Module, OpId};
 use sycl_mlir_sim::{
     AccessorVal, BatchLaunch, Device, Dtype, ExecStats, HostNode, Ledger, MemId, MemoryPool,
     RtValue, SharedPool, SimError,
 };
 use sycl_mlir_sycl::facts;
-use sycl_mlir_sycl::host::schedule_info;
 
 /// A compiled SYCL application (joint module + flow that produced it).
 pub struct Program {
@@ -400,12 +399,7 @@ thread_local! {
 ///   wrote, or writes it itself;
 /// * each scalar constant host-device propagation folded into the kernel
 ///   is the launch's scalar, compared as printed forms are
-///   ([`Attribute::same_constant`]). Folding leaves no trace in the
-///   kernel but a dead argument, so the audit takes as folded every dead
-///   argument that each launch site in the host IR passes as a constant,
-///   and holds every launch to the first site's constant: a dead
-///   argument that no launch ever needed but that sites pass different
-///   constants is reported too;
+///   ([`Attribute::same_constant`]);
 /// * the kernel's plan reads no register of a dead argument (the runtime
 ///   does not pass those).
 ///
@@ -432,7 +426,6 @@ fn audit_host_facts(
     queue: &Queue,
     kernels: &[Option<OpId>],
 ) -> Result<(), SimError> {
-    let folded = folded_scalars(m);
     // Per kernel: the argument registers its plan reads, decoded once.
     let mut read: FxHashMap<OpId, Option<Vec<bool>>> = FxHashMap::default();
     // Buffers some command group before the current one may write.
@@ -440,72 +433,19 @@ fn audit_host_facts(
     for (li, (cg, kernel)) in queue.groups.iter().zip(kernels).enumerate() {
         if let Some(kernel) = *kernel {
             let read = read.entry(kernel).or_insert_with(|| args_read(m, kernel));
-            let facts = Facts {
-                folded: folded.get(&kernel).map_or(&[], Vec::as_slice),
-                args_read: read.as_deref(),
-            };
-            let checked = audit_launch(m, kernel, cg, runtime, &written, facts).map_err(|why| {
-                SimError::msg(format!(
-                    "host-fact audit: launch {li} (`{}`): {why}",
-                    cg.kernel
-                ))
-            })?;
+            let checked =
+                audit_launch(m, kernel, cg, runtime, &written, read.as_deref()).map_err(|why| {
+                    SimError::msg(format!(
+                        "host-fact audit: launch {li} (`{}`): {why}",
+                        cg.kernel
+                    ))
+                })?;
             AUDITED_FACTS.set(AUDITED_FACTS.get() + checked);
         }
         let writes = cg.args.iter().filter_map(CgArg::accessor);
         written.extend(writes.filter(|(_, mode)| mode.can_write()).map(|(b, _)| b));
     }
     Ok(())
-}
-
-/// Per kernel, the scalar constants host-device propagation folded into
-/// it, by argument: `Some(c)` where the kernel reads the argument no
-/// more (it is dead) and every launch site in the host IR passes a
-/// constant, the first of which is `c`.
-fn folded_scalars(m: &Module) -> FxHashMap<OpId, Vec<Option<Attribute>>> {
-    let mut sites: FxHashMap<OpId, Vec<Option<Attribute>>> = FxHashMap::default();
-    let Some(schedule) = m.ctx().lookup_op("sycl.host.schedule_kernel") else {
-        return sites;
-    };
-    for func in m.funcs_in(m.top()) {
-        m.walk(func, &mut |op| {
-            let kernel = (m.op_name(op) == schedule)
-                .then(|| schedule_info::resolve_kernel(m, op))
-                .flatten();
-            if let Some(kernel) = kernel {
-                let args = schedule_info::kernel_args(m, op);
-                let consts = args.iter().map(|&v| {
-                    let scalar = !matches!(m.value_type(v).kind(), TypeKind::Ptr);
-                    scalar
-                        .then(|| sycl_mlir_dialects::arith::const_of(m, v))
-                        .flatten()
-                });
-                let first = sites
-                    .entry(kernel)
-                    .or_insert_with(|| consts.clone().collect());
-                for (c, site) in first.iter_mut().zip(consts) {
-                    if site.is_none() {
-                        *c = None;
-                    }
-                }
-                // Propagation gives up on a kernel whose sites disagree
-                // on the argument count.
-                if first.len() != args.len() {
-                    first.fill(None);
-                }
-            }
-            WalkControl::Advance
-        });
-    }
-    for (&kernel, consts) in sites.iter_mut() {
-        let dead = facts::DEAD_ARGS.get(m, kernel).unwrap_or_default();
-        for (i, c) in consts.iter_mut().enumerate() {
-            if !dead.contains(&(i as i64)) {
-                *c = None;
-            }
-        }
-    }
-    sites
 }
 
 /// Which parameters of `kernel` its plan reads, by index; `None` when the
@@ -519,22 +459,15 @@ fn args_read(m: &Module, kernel: OpId) -> Option<Vec<bool>> {
     Some(plan.params.iter().map(|&p| read[p as usize]).collect())
 }
 
-/// What the audit of a launch knows of its kernel beyond the facts the
-/// kernel carries: [`folded_scalars`], and [`args_read`].
-struct Facts<'a> {
-    folded: &'a [Option<Attribute>],
-    args_read: Option<&'a [bool]>,
-}
-
-/// One launch against its kernel's facts: how many it checked, or which
-/// fails.
+/// One launch against its kernel's facts and the parameters its plan
+/// reads ([`args_read`]): how many it checked, or which fails.
 fn audit_launch(
     m: &Module,
     kernel: OpId,
     cg: &crate::queue::CommandGroup,
     runtime: &SyclRuntime,
     written: &HashSet<BufferId>,
-    known: Facts<'_>,
+    args_read: Option<&[bool]>,
 ) -> Result<u64, String> {
     let mut checked = 0;
     let rank = cg.nd.rank as usize;
@@ -600,7 +533,11 @@ fn audit_launch(
             ));
         }
     }
-    for (i, folded) in known.folded.iter().enumerate() {
+    for (i, folded) in facts::folded_args(m, kernel)
+        .into_iter()
+        .flatten()
+        .enumerate()
+    {
         let Some(folded) = folded else { continue };
         checked += 1;
         let actual = match cg.args.get(i) {
@@ -620,7 +557,7 @@ fn audit_launch(
         }
     }
     let dead = facts::DEAD_ARGS.get(m, kernel).unwrap_or_default();
-    if let Some(read) = known.args_read {
+    if let Some(read) = args_read {
         for &i in dead {
             checked += 1;
             match read.get(i as usize) {

@@ -14,10 +14,12 @@
 //! | accessor ranges | `sycl.arg_ranges` | array, one per argument: dense extents or `-1` |
 //! | constant-array arguments | `sycl.const_args` | dense argument indices |
 //! | dead arguments | `sycl.dead_args` | dense argument indices |
+//! | folded scalars | `sycl.folded_args` | array, one per argument: the folded constant or `unit` |
 //!
 //! The five dense facts are [`DenseFact`] constants with a `get` and a
-//! `set`; the accessor ranges have [`arg_ranges`] and [`set_arg_ranges`].
-//! Getters borrow from the module; setters replace the fact.
+//! `set`; the accessor ranges have [`arg_ranges`] and [`set_arg_ranges`],
+//! the folded scalars [`folded_args`] and [`set_folded_args`]. Getters
+//! borrow from the module; setters replace the fact.
 
 use sycl_mlir_ir::{Attribute, Module, OpId};
 
@@ -74,6 +76,29 @@ pub fn set_arg_ranges(m: &mut Module, kernel: OpId, ranges: Vec<Option<Vec<i64>>
     m.set_attr(kernel, ARG_RANGES, Attribute::Array(ranges));
 }
 
+const FOLDED_ARGS: &str = "sycl.folded_args";
+
+/// Per-argument scalar constant that host-device propagation folded into
+/// the kernel (§VII-B), one entry per argument: `None` where nothing was
+/// folded. A launch must pass each folded argument as its constant.
+pub fn folded_args(
+    m: &Module,
+    kernel: OpId,
+) -> Option<impl Iterator<Item = Option<&Attribute>> + '_> {
+    let folded = m.attr(kernel, FOLDED_ARGS)?.as_array()?;
+    Some(folded.iter().map(|c| (c != &Attribute::Unit).then_some(c)))
+}
+
+/// Write the per-argument folded constants, `None` where nothing was
+/// folded.
+pub fn set_folded_args(m: &mut Module, kernel: OpId, folded: Vec<Option<Attribute>>) {
+    let folded = folded
+        .into_iter()
+        .map(|c| c.unwrap_or(Attribute::Unit))
+        .collect();
+    m.set_attr(kernel, FOLDED_ARGS, Attribute::Array(folded));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,5 +151,17 @@ mod tests {
         assert_eq!(print_module(&typed), print_module(&raw));
         let read: Vec<_> = arg_ranges(&typed, kernel).unwrap().collect();
         assert_eq!(read, [Some(&[32, 8][..]), None]);
+
+        let (raw, _) = with_kernel(|m, k| {
+            let folded = vec![Attribute::Unit, Attribute::Float(-0.0)];
+            m.set_attr(k, "sycl.folded_args", Attribute::Array(folded));
+        });
+        let (typed, kernel) = with_kernel(|m, k| {
+            assert!(folded_args(m, k).is_none());
+            set_folded_args(m, k, vec![None, Some(Attribute::Float(-0.0))]);
+        });
+        assert_eq!(print_module(&typed), print_module(&raw));
+        let read: Vec<_> = folded_args(&typed, kernel).unwrap().collect();
+        assert_eq!(read, [None, Some(&Attribute::Float(-0.0))]);
     }
 }

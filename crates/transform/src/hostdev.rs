@@ -11,8 +11,9 @@
 //!
 //! * **Constant ND-range propagation** — constant global/local ranges;
 //! * **Scalar constant propagation** — kernel scalar arguments constant at
-//!   every launch site are materialized as constants in the kernel (the
-//!   one propagated fact that is IR, not a launch fact);
+//!   every launch site are materialized as constants in the kernel, and
+//!   each folded argument's constant is recorded as a launch fact, which
+//!   the runtime's host-fact audit holds every launch to;
 //! * **Accessor member propagation** — constant accessor ranges, and
 //!   *buffer identities* so the SYCL-aware alias analysis can separate
 //!   accessors over distinct buffers (the refinement §VII-B motivates with
@@ -316,6 +317,7 @@ impl HostDeviceConstantPropagationPass {
         }
 
         // Scalar constants, const arrays and accessor ranges.
+        let mut scalars: Vec<Option<Attribute>> = vec![None; nargs];
         let mut const_args = Vec::new();
         let mut arg_ranges: Vec<Option<Vec<i64>>> = Vec::new();
         for i in 0..nargs {
@@ -329,6 +331,7 @@ impl HostDeviceConstantPropagationPass {
                         let cst =
                             b.build_value("arith.constant", &[], ty, vec![("value", attr.clone())]);
                         b.module().replace_all_uses(params[i], cst);
+                        scalars[i] = Some(attr.clone());
                         self.stats.scalars_propagated += 1;
                         changed = true;
                     }
@@ -354,6 +357,11 @@ impl HostDeviceConstantPropagationPass {
             changed = true;
         }
         facts::set_arg_ranges(m, kernel, arg_ranges);
+        // A folded parameter has no uses left, so a second run folds
+        // nothing and keeps what the first one recorded.
+        if scalars.iter().any(Option::is_some) {
+            facts::set_folded_args(m, kernel, scalars);
+        }
 
         // --- Device-side folding of getters ---
         let folded = fold_device_queries(m, kernel);
@@ -482,18 +490,19 @@ impl Pass for DeadArgumentEliminationPass {
 mod tests {
     use super::*;
     use crate::raise::RaiseHostPass;
-    use sycl_mlir_dialects::arith::constant_int;
+    use sycl_mlir_dialects::arith::{addi, constant_int};
     use sycl_mlir_dialects::func::{build_func, build_return};
     use sycl_mlir_dialects::llvm;
     use sycl_mlir_ir::Context;
     use sycl_mlir_sycl::types::{accessor_type, item_type};
 
-    /// The accessor ranges of the range-form kernel `K(accessor<f32, 1,
-    /// read_write>)` after raising and propagation, with `K` launched from
-    /// `cgfs` host functions that each construct a buffer of 32 elements
-    /// of their own, as `hostgen` emits them: a kernel submitted k times
-    /// with one command group is one function, with two buffers two.
-    fn arg_ranges_with(cgfs: usize) -> Vec<Option<Vec<i64>>> {
+    /// The range-form kernel `K(accessor<f32, 1, read_write>, i64)`, which
+    /// reads its scalar, after raising and propagation, with `K` launched
+    /// from `cgfs` host functions that each construct a buffer of 32
+    /// elements of their own and pass the scalar as 7, as `hostgen` emits
+    /// them: a kernel submitted k times with one command group is one
+    /// function, with two buffers two.
+    fn propagated(cgfs: usize) -> (Module, OpId) {
         let c = Context::new();
         sycl_mlir_dialects::register_all(&c);
         sycl_mlir_sycl::register(&c);
@@ -512,9 +521,13 @@ mod tests {
         let top_block = m.top_block();
         m.append_op(top_block, device);
         let acc = accessor_type(&c, c.f32_type(), 1, AccessMode::ReadWrite, Target::Global);
-        let (kernel, entry) = build_func(&mut m, device, "K", &[acc, item_type(&c, 1)], &[]);
+        let params = [acc, c.i64_type(), item_type(&c, 1)];
+        let (kernel, entry) = build_func(&mut m, device, "K", &params, &[]);
         sycl_mlir_sycl::device::mark_kernel(&mut m, kernel);
-        build_return(&mut Builder::at_end(&mut m, entry), &[]);
+        let scalar = m.block_arg(entry, 1);
+        let mut b = Builder::at_end(&mut m, entry);
+        addi(&mut b, scalar, scalar);
+        build_return(&mut b, &[]);
 
         for i in 0..cgfs {
             let top = m.top();
@@ -545,10 +558,12 @@ mod tests {
                 &[acc, buf, cgh],
                 &[],
             );
+            let i64t = b.ctx().i64_type();
+            let seven = constant_int(&mut b, 7, i64t);
             llvm::call(
                 &mut b,
                 "sycl_parallel_for_range_K",
-                &[cgh, grange, acc],
+                &[cgh, grange, acc, seven],
                 &[],
             );
             build_return(&mut b, &[]);
@@ -557,6 +572,12 @@ mod tests {
         HostDeviceConstantPropagationPass::default()
             .run(&mut m)
             .unwrap();
+        (m, kernel)
+    }
+
+    /// The accessor ranges of [`propagated`]'s kernel.
+    fn arg_ranges_with(cgfs: usize) -> Vec<Option<Vec<i64>>> {
+        let (m, kernel) = propagated(cgfs);
         facts::arg_ranges(&m, kernel)
             .expect("annotated")
             .map(|r| r.map(<[i64]>::to_vec))
@@ -565,11 +586,29 @@ mod tests {
 
     #[test]
     fn one_command_group_pins_the_accessor_range() {
-        assert_eq!(arg_ranges_with(1), [Some(vec![32])]);
+        assert_eq!(arg_ranges_with(1), [Some(vec![32]), None]);
     }
 
     #[test]
     fn two_buffers_leave_the_accessor_range_unknown() {
-        assert_eq!(arg_ranges_with(2), [None]);
+        assert_eq!(arg_ranges_with(2), [None, None]);
+    }
+
+    /// Propagation records the scalar it folds; a second run, which finds
+    /// the parameter unused, keeps the record.
+    #[test]
+    fn a_second_run_keeps_the_folded_scalar() {
+        let (mut m, kernel) = propagated(1);
+        let folded = |m: &Module| -> Vec<Option<Attribute>> {
+            (facts::folded_args(m, kernel).expect("recorded"))
+                .map(Option::<&Attribute>::cloned)
+                .collect()
+        };
+        let first = folded(&m);
+        assert_eq!(first, [None, Some(Attribute::Int(7))]);
+        HostDeviceConstantPropagationPass::default()
+            .run(&mut m)
+            .unwrap();
+        assert_eq!(folded(&m), first);
     }
 }

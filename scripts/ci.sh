@@ -289,16 +289,23 @@ if grep -rnE '\b(plan_cache_counters|verify_counters|profile_report|ProfileSums)
   exit 1
 fi
 
-# One home for launch facts (ARCHITECTURE.md, "Launch facts"): the six
+# One home for launch facts (ARCHITECTURE.md, "Launch facts"): the seven
 # facts host-device propagation and the AdaptiveCpp JIT write onto a
 # kernel are keyed and shaped in crates/sycl/src/facts.rs alone, and the
 # range queries they pin down are folded by hostdev::fold_device_queries
 # alone. Their keys, the old key constants and the JIT's second fold must
-# not come back elsewhere.
+# not come back elsewhere. Host-device propagation is the one reader of a
+# launch site in the host IR: what it proved is a fact, so nothing else
+# re-derives it from `sycl.host.schedule_kernel` ops.
 step "one home for launch facts"
-if grep -rnE 'sycl\.(global_range|local_range|arg_buffer_ids|arg_ranges|const_args|dead_args)|KERNEL_(GLOBAL_RANGE|LOCAL_RANGE|DEAD_ARGS)_ATTR|ARG_BUFFER_IDS_ATTR|fold_range_queries' crates src tests examples \
+if grep -rnE 'sycl\.(global_range|local_range|arg_buffer_ids|arg_ranges|const_args|dead_args|folded_args)|KERNEL_(GLOBAL_RANGE|LOCAL_RANGE|DEAD_ARGS)_ATTR|ARG_BUFFER_IDS_ATTR|fold_range_queries' crates src tests examples \
   | grep -v '^crates/sycl/src/facts.rs:'; then
   echo "FAIL: a launch-fact key or a second range-query fold outside crates/sycl/src/facts.rs; go through sycl::facts" >&2
+  exit 1
+fi
+if grep -rn 'schedule_info' crates src tests examples \
+  | grep -vE '^(crates/sycl/|crates/transform/src/hostdev\.rs:)'; then
+  echo "FAIL: schedule_info outside crates/sycl/ and hostdev.rs; read the launch facts host-device propagation recorded instead" >&2
   exit 1
 fi
 

@@ -110,10 +110,10 @@ const GOLDEN: [(&str, u64, u64); 141] = [
     ("KMeans (float64) [SYCL-MLIR]", 0xd241e68df21d0b01, 0xfc6f991f0a9015aa),
     ("LinReg (float32) [DPC++]", 0xabe25e4e04f3b039, 0x49fae01a7eb1efea),
     ("LinReg (float32) [AdaptiveCpp]", 0xabe25e4e04f3b039, 0x49fae01a7eb1efea),
-    ("LinReg (float32) [SYCL-MLIR]", 0xabe25e4e04f3b039, 0xe8c1be5623a752d4),
+    ("LinReg (float32) [SYCL-MLIR]", 0xabe25e4e04f3b039, 0x9091157b9dd79fc6),
     ("LinReg (float64) [DPC++]", 0x506045932544a6b8, 0x841120e2d993d98b),
     ("LinReg (float64) [AdaptiveCpp]", 0x506045932544a6b8, 0x841120e2d993d98b),
-    ("LinReg (float64) [SYCL-MLIR]", 0x506045932544a6b8, 0x37fb01f17e911bb5),
+    ("LinReg (float64) [SYCL-MLIR]", 0x506045932544a6b8, 0xdeee21f1396a41ab),
     ("LinReg Coeff. (float32) [DPC++]", 0xc39a65aaccac0a01, 0x563045339cfcb90e),
     ("LinReg Coeff. (float32) [AdaptiveCpp]", 0xc39a65aaccac0a01, 0x563045339cfcb90e),
     ("LinReg Coeff. (float32) [SYCL-MLIR]", 0xc39a65aaccac0a01, 0x517ad18b5c85a572),
@@ -191,7 +191,7 @@ const GOLDEN: [(&str, u64, u64); 141] = [
     ("GEMM [SYCL-MLIR]", 0x7ecb765120ddd5fe, 0x20c884feb0e7d155),
     ("GESUMMV [DPC++]", 0x4194e20bac8dea08, 0x873e72becfda485c),
     ("GESUMMV [AdaptiveCpp]", 0x4194e20bac8dea08, 0x873e72becfda485c),
-    ("GESUMMV [SYCL-MLIR]", 0x4194e20bac8dea08, 0xcbd7378f8befd4d4),
+    ("GESUMMV [SYCL-MLIR]", 0x4194e20bac8dea08, 0x5e01ff92a44929cc),
     ("Gramschmidt [DPC++]", 0x83b19996c3bd5dc0, 0x1dc044182f4e60e6),
     ("Gramschmidt [AdaptiveCpp]", 0x83b19996c3bd5dc0, 0x1dc044182f4e60e6),
     ("Gramschmidt [SYCL-MLIR]", 0x83b19996c3bd5dc0, 0x343e00daf730510c),
@@ -227,7 +227,7 @@ const GOLDEN: [(&str, u64, u64); 141] = [
     ("DotProd (WG-local) [SYCL-MLIR]", 0x4c280acc8f6d4075, 0x34ac3dd8acd4715b),
     ("TreeReduce (dyn nd-range) [DPC++]", 0x6a56b50cd5808e61, 0xae2a1757eb295658),
     ("TreeReduce (dyn nd-range) [AdaptiveCpp]", 0x6a56b50cd5808e61, 0xae2a1757eb295658),
-    ("TreeReduce (dyn nd-range) [SYCL-MLIR]", 0x6a56b50cd5808e61, 0x3dc5469ceb222e64),
+    ("TreeReduce (dyn nd-range) [SYCL-MLIR]", 0x6a56b50cd5808e61, 0x0ba83e940ce6dbfd),
     ("SpMV (CSR) [DPC++]", 0x1c30d51f9a02be40, 0xf40d4c4d4d5ead90),
     ("SpMV (CSR) [AdaptiveCpp]", 0x1c30d51f9a02be40, 0xf40d4c4d4d5ead90),
     ("SpMV (CSR) [SYCL-MLIR]", 0x1c30d51f9a02be40, 0x905e6137a2b9fe71),
@@ -242,5 +242,5 @@ const GOLDEN: [(&str, u64, u64); 141] = [
     ("Histogram (segmented) [SYCL-MLIR]", 0xd65856835a2023f6, 0x5202015882362dd6),
     ("Gather (dyn nd-range) [DPC++]", 0x225a059efd9a2cad, 0x1efdf0e121f75d54),
     ("Gather (dyn nd-range) [AdaptiveCpp]", 0x225a059efd9a2cad, 0x1efdf0e121f75d54),
-    ("Gather (dyn nd-range) [SYCL-MLIR]", 0x225a059efd9a2cad, 0x35c5e183005a517c),
+    ("Gather (dyn nd-range) [SYCL-MLIR]", 0x225a059efd9a2cad, 0x2af1d7075c624bd0),
 ];

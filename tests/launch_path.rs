@@ -367,43 +367,94 @@ fn a_chain_heavy_failing_graph_fails_as_the_serial_reference() {
 }
 
 /// Host IR that missed a launch — what hostgen emits if its command-group
-/// key left the buffer out: the second submission below would look like
-/// the first and get no function — lets host-device propagation pin a
-/// buffer partition the second launch does not have. The audit catches
-/// it; with the host IR of every distinct command group it passes.
+/// key left out a field: the second submission below would look like the
+/// first and get no function — lets host-device propagation pin a fact
+/// the second launch breaks: a buffer partition (`x` aliases `y` there)
+/// or a folded scalar (`a` is 2.5 there, folded as the first launch's
+/// 1.5). The audit catches each; with the host IR of every distinct
+/// command group it passes.
 #[test]
 fn the_audit_catches_host_ir_that_missed_a_launch() {
-    let d = data();
-    let mut q = Queue::new();
-    BASE.submit(&d, &mut q);
-    // `x` aliases `y`.
-    Mix { x: 0, ..BASE }.submit(&d, &mut q);
-    let mut first_only = Queue::new();
-    BASE.submit(&d, &mut first_only);
-    for (host_ir, audited) in [(&q, true), (&first_only, false)] {
-        let mut rt = data().rt;
-        let module = module(&d.rt, &q, Some(host_ir));
-        let mut program = compile_program(FlowKind::SyclMlir, module).expect("compiles");
-        audit_facts_on_this_thread(true);
-        let outcome = run(
-            &mut program,
-            &mut rt,
-            &q,
-            &Device::with_engine(Engine::Plan),
-        );
-        audit_facts_on_this_thread(false);
-        match outcome {
-            Ok(_) => assert!(audited, "the audit missed the unsound partition"),
-            Err(e) => {
-                assert!(!audited, "{e}");
-                assert_eq!(
-                    e.message(),
-                    "host-fact audit: launch 1 (`mix`): arguments 0 and 1 are buffers 0 and 0, \
-                     propagated ids 0 and 1"
-                );
+    let cases = [
+        (
+            Mix { x: 0, ..BASE },
+            "host-fact audit: launch 1 (`mix`): arguments 0 and 1 are buffers 0 and 0, \
+             propagated ids 0 and 1",
+        ),
+        (
+            Mix { a: 2.5, ..BASE },
+            "host-fact audit: launch 1 (`mix`): scalar argument 2 is 2.5, propagated 1.5",
+        ),
+    ];
+    for (second, message) in cases {
+        let d = data();
+        let mut q = Queue::new();
+        BASE.submit(&d, &mut q);
+        second.submit(&d, &mut q);
+        let mut first_only = Queue::new();
+        BASE.submit(&d, &mut first_only);
+        for (host_ir, audited) in [(&q, true), (&first_only, false)] {
+            let mut rt = data().rt;
+            let module = module(&d.rt, &q, Some(host_ir));
+            let mut program = compile_program(FlowKind::SyclMlir, module).expect("compiles");
+            audit_facts_on_this_thread(true);
+            let outcome = run(
+                &mut program,
+                &mut rt,
+                &q,
+                &Device::with_engine(Engine::Plan),
+            );
+            audit_facts_on_this_thread(false);
+            match outcome {
+                Ok(_) => assert!(audited, "the audit missed the unsound fact: {message}"),
+                Err(e) => {
+                    assert!(!audited, "{e}");
+                    assert_eq!(e.message(), message);
+                }
             }
         }
     }
+}
+
+/// A scalar the kernel never reads is folded into nothing, whatever the
+/// launch sites pass: two command groups that pass it as 3 and 5 run
+/// under the audit. (The audit once took every dead argument that each
+/// site passes as a constant as folded, held both launches to the first
+/// site's 3, and failed this correct run.)
+#[test]
+fn an_unread_scalar_that_sites_pass_apart_is_not_folded() {
+    let ctx = full_context();
+    let mut kb = KernelModuleBuilder::new(&ctx);
+    let f32t = ctx.f32_type();
+    let sig = KernelSig::new("unread", 1, true)
+        .accessor(f32t.clone(), 1, AccessMode::Write)
+        .scalar(ctx.i64_type());
+    kb.add_kernel(&sig, |b, args, item| {
+        let gid = sdev::global_id(b, item, 0);
+        let one = arith::constant_float(b, 1.0, b.ctx().f32_type());
+        sdev::store_via_id(b, one, args[0], &[gid]);
+    });
+    let mut rt = SyclRuntime::new();
+    let out = rt.buffer_f32(vec![0.0; N as usize], &[N]);
+    let mut q = Queue::new();
+    for s in [3, 5] {
+        q.submit(|h: &mut Handler| {
+            h.accessor(out, AccessMode::Write).scalar_i64(s);
+            h.parallel_for_nd("unread", &[N], &[16]);
+        });
+    }
+    generate_host_ir(kb.module(), &rt, &q);
+    let mut program = compile_program(FlowKind::SyclMlir, kb.finish()).expect("compiles");
+    audit_facts_on_this_thread(true);
+    let outcome = run(
+        &mut program,
+        &mut rt,
+        &q,
+        &Device::with_engine(Engine::Plan),
+    );
+    audit_facts_on_this_thread(false);
+    outcome.expect("the audit holds");
+    assert_eq!(rt.read_f32(out), vec![1.0; N as usize]);
 }
 
 /// An argument that is a buffer at one launch site and a USM pointer at
