@@ -48,7 +48,7 @@ impl Dialect for ArithDialect {
             ctx.register_op(
                 OpInfo::new(name)
                     .with_traits(traits::PURE)
-                    .with_verify(verify_same_type_binary)
+                    .with_verify(verify_same_type_binary::<false>)
                     .with_fold(fold_int_binary),
             );
         }
@@ -63,7 +63,7 @@ impl Dialect for ArithDialect {
             ctx.register_op(
                 OpInfo::new(name)
                     .with_traits(traits::PURE)
-                    .with_verify(verify_same_type_binary)
+                    .with_verify(verify_same_type_binary::<true>)
                     .with_fold(fold_float_binary),
             );
         }
@@ -75,13 +75,13 @@ impl Dialect for ArithDialect {
         ctx.register_op(
             OpInfo::new("arith.cmpi")
                 .with_traits(traits::PURE)
-                .with_verify(verify_cmp)
+                .with_verify(verify_cmp::<false>)
                 .with_fold(fold_cmpi),
         );
         ctx.register_op(
             OpInfo::new("arith.cmpf")
                 .with_traits(traits::PURE)
-                .with_verify(verify_cmp)
+                .with_verify(verify_cmp::<true>)
                 .with_fold(fold_cmpf),
         );
         ctx.register_op(
@@ -151,25 +151,40 @@ fn verify_constant(m: &Module, op: OpId) -> Result<(), String> {
     }
 }
 
-fn verify_same_type_binary(m: &Module, op: OpId) -> Result<(), String> {
+/// The one type of an `arith` op's two operands: integers or `index`
+/// for the integer family (`addi` … `maxsi`, `cmpi`), floats for the
+/// `FLOAT` family (`addf` … `maxf`, `cmpf`), as in MLIR's `arith` dialect.
+fn operand_type<const FLOAT: bool>(m: &Module, op: OpId) -> Result<&Type, String> {
     if m.op_operands(op).len() != 2 || m.op_results(op).len() != 1 {
         return Err("expects two operands and one result".into());
     }
     let l = m.value_type(m.op_operand(op, 0));
     let r = m.value_type(m.op_operand(op, 1));
+    if l != r {
+        return Err(format!("operand types must match, got ({l}, {r})"));
+    }
+    let (ok, class) = if FLOAT {
+        (l.is_float(), "float")
+    } else {
+        (l.is_int_or_index(), "integer or index")
+    };
+    if !ok {
+        return Err(format!("operands must be {class}, got {l}"));
+    }
+    Ok(l)
+}
+
+fn verify_same_type_binary<const FLOAT: bool>(m: &Module, op: OpId) -> Result<(), String> {
+    let l = operand_type::<FLOAT>(m, op)?;
     let res = m.value_type(m.op_result(op, 0));
-    if l != r || l != res {
-        return Err(format!(
-            "operand/result types must match, got ({l}, {r}) -> {res}"
-        ));
+    if l != res {
+        return Err(format!("operand/result types must match, got {l} -> {res}"));
     }
     Ok(())
 }
 
-fn verify_cmp(m: &Module, op: OpId) -> Result<(), String> {
-    if m.op_operands(op).len() != 2 || m.op_results(op).len() != 1 {
-        return Err("expects two operands and one result".into());
-    }
+fn verify_cmp<const FLOAT: bool>(m: &Module, op: OpId) -> Result<(), String> {
+    operand_type::<FLOAT>(m, op)?;
     let res = m.value_type(m.op_result(op, 0));
     if res.int_width() != Some(1) {
         return Err(format!("result must be i1, got {res}"));
@@ -491,6 +506,52 @@ mod tests {
         constant_float(&mut b, 1.5, f32t);
         constant_index(&mut b, 7);
         assert!(verify(&m).is_ok());
+    }
+
+    /// Integer ops and `cmpi` read integers or `index`, float ops and
+    /// `cmpf` floats: `arith.addi` over `f32` does not verify.
+    #[test]
+    fn ops_verify_their_operand_class() {
+        let verdict = |name: &str, float: bool| {
+            let (ctx, mut m) = setup();
+            let block = m.top_block();
+            let mut b = Builder::at_end(&mut m, block);
+            let ty = if float {
+                ctx.f32_type()
+            } else {
+                ctx.index_type()
+            };
+            let (l, r) = if float {
+                let l = constant_float(&mut b, 1.0, ty.clone());
+                (l, constant_float(&mut b, 2.0, ty.clone()))
+            } else {
+                (constant_index(&mut b, 1), constant_index(&mut b, 2))
+            };
+            let (result, attrs) = if name.starts_with("arith.cmp") {
+                (
+                    ctx.i1_type(),
+                    vec![("predicate", Attribute::Str("eq".into()))],
+                )
+            } else {
+                (ty, vec![])
+            };
+            b.build(name, &[l, r], &[result], attrs);
+            verify(&m).map_err(|e| e.to_string())
+        };
+        for (name, class) in [
+            ("arith.addi", "integer or index"),
+            ("arith.cmpi", "integer or index"),
+            ("arith.mulf", "float"),
+            ("arith.cmpf", "float"),
+        ] {
+            let float = class == "float";
+            assert_eq!(verdict(name, float), Ok(()), "{name}");
+            let err = verdict(name, !float).expect_err(name);
+            assert!(
+                err.contains(&format!("operands must be {class}")),
+                "{name}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -7,11 +7,11 @@ use crate::interp::{enclosing_module, ExecCtx, Stop, WorkItemState};
 use crate::ledger::Ledger;
 use crate::limits::{ExecLimits, OpMeter};
 use crate::memory::MemoryPool;
-use crate::plan::{decode_kernel, fuse_plan, ItemQ, KernelPlan};
+use crate::plan::{decode_kernel, ItemQ, KernelPlan};
 use crate::pool::{run_plan_graph_report, HostNode, LaunchDag, PlanLaunch, SharedPool};
 use crate::report::DeviceReport;
 use crate::value::RtValue;
-use crate::verify::{verify_plan, PlanFacts};
+use crate::verify::{verify_and_fuse, PlanFacts};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -28,8 +28,9 @@ pub enum Engine {
     TreeWalk,
     /// The pre-decoded [`KernelPlan`] register-file executor (decodes once
     /// per launch, then shares the immutable plan across all work-items).
-    /// A kernel the decoder does not understand fails its launch with a
-    /// `plan decode error`; there is no fallback to the tree walk.
+    /// A kernel the decoder does not understand, or whose plan the
+    /// verifier faults, fails its launch with a `plan decode error` or a
+    /// `plan verify error`; there is no fallback to the tree walk.
     Plan,
 }
 
@@ -167,7 +168,7 @@ fn coordinate(linear: i64, n: [i64; 3], d: usize) -> i64 {
 
 /// One decoded-and-verified cache entry as handed to the launch paths:
 /// the fused plan plus the decode-time verifier's facts (site in-bounds
-/// proofs; [`PlanFacts::NONE`] when the verifier reported findings).
+/// proofs).
 type PlanEntry = (Arc<KernelPlan>, Arc<PlanFacts>);
 
 /// One cached kernel decode: the outcome — an entry, or the decode error
@@ -313,7 +314,7 @@ impl Device {
 
     /// A snapshot of everything this device has counted so far
     /// ([`DeviceReport`]): plan-cache hits and misses, the decode-time
-    /// verifier's totals and findings, and the `--profile` sums. Its
+    /// verifier's totals, and the `--profile` sums. Its
     /// `Display` is the `--profile=on` dump.
     pub fn report(&self) -> DeviceReport {
         self.report.borrow().clone()
@@ -321,8 +322,9 @@ impl Device {
 
     /// The decoded plan for `kernel` — plus the decode-time verifier's
     /// facts ([`PlanFacts`]) — reused from the cache when the module's
-    /// mutation epoch still matches. `Err` when the kernel is recursive
-    /// or not plan-decodable (a `plan decode error`). Every outcome is
+    /// mutation epoch still matches. `Err` when the kernel is recursive,
+    /// not plan-decodable (a `plan decode error`) or faulted by the
+    /// verifier (a `plan verify error`). Every outcome is
     /// cached — an iterative workload with an undecodable kernel pays the
     /// decode attempt once per epoch, not once per launch, and every
     /// relaunch reports the identical error.
@@ -341,17 +343,10 @@ impl Device {
         self.report.borrow_mut().cache_misses += 1;
         let decoded = refuse_recursion(m, kernel)
             .and_then(|()| decode_kernel(m, kernel).map_err(SimError::from));
-        let outcome = match decoded {
-            Ok(mut plan) => {
-                let facts = self.verify_decoded(m, kernel, &plan);
-                fuse_plan(&mut plan);
-                Ok((Arc::new(plan), Arc::new(facts)))
-            }
-            Err(refused) => {
-                self.report.borrow_mut().verify.rejected += 1;
-                Err(refused)
-            }
-        };
+        let outcome = decoded.and_then(|plan| self.verify_decoded(m, kernel, plan));
+        if outcome.is_err() {
+            self.report.borrow_mut().verify.rejected += 1;
+        }
         let mut cache = self.plan_cache.borrow_mut();
         if cache.len() >= PLAN_CACHE_CAP {
             cache.clear();
@@ -365,32 +360,35 @@ impl Device {
     }
 
     /// Run the decode-time static verifier over a freshly decoded
-    /// (pre-fusion) plan: the structural and type-consistency passes plus
-    /// the interval abstract interpreter ([`verify_plan`]). A plan with
-    /// findings gets [`PlanFacts::NONE`] — so it runs with every check in
-    /// place — and its first finding is kept in the [`DeviceReport`].
-    fn verify_decoded(&self, m: &Module, kernel: OpId, plan: &KernelPlan) -> PlanFacts {
+    /// (pre-fusion) plan — the structural and type-consistency passes
+    /// plus the interval abstract interpreter — then fuse it
+    /// ([`verify_and_fuse`]). A plan with findings is refused with the
+    /// first: `plan verify error: <kernel>: pc P: … (+N more)`.
+    fn verify_decoded(
+        &self,
+        m: &Module,
+        kernel: OpId,
+        plan: KernelPlan,
+    ) -> Result<PlanEntry, SimError> {
         let start = Instant::now();
-        let verdict = verify_plan(plan);
-        let report = &mut *self.report.borrow_mut();
-        let vs = &mut report.verify;
+        let verdict = verify_and_fuse(plan);
+        let vs = &mut self.report.borrow_mut().verify;
         vs.plans += 1;
         vs.verify_ns += start.elapsed().as_nanos() as u64;
         match verdict {
-            Ok(facts) => {
+            Ok((facts, plan)) => {
                 vs.sites_total += facts.sites_total as u64;
                 vs.sites_proven += facts.sites_proven as u64;
-                facts
+                Ok((Arc::new(plan), Arc::new(facts)))
             }
             Err(errs) => {
                 vs.lint_findings += errs.len() as u64;
                 let name = m.symbol_name(kernel).unwrap_or("?");
-                let mut first = format!("{name}: {}", errs[0]);
+                let mut first = format!("plan verify error: {name}: {}", errs[0]);
                 if errs.len() > 1 {
                     first.push_str(&format!(" (+{} more)", errs.len() - 1));
                 }
-                report.findings.insert(first);
-                PlanFacts::NONE
+                Err(SimError::msg(first))
             }
         }
     }
@@ -434,9 +432,10 @@ impl Device {
     /// [`run_plan_graph_report`]: launches
     /// start the moment their own predecessors retire, with work-groups
     /// claimed in per-worker chunks — no level barrier anywhere. A kernel
-    /// the decoder rejects fails at its own position, work-group 0 of its
-    /// launch, with its `plan decode error`: the launches before it
-    /// complete, an earlier failure wins, and no later launch starts.
+    /// the decoder or the verifier refuses fails at its own position,
+    /// work-group 0 of its launch, with its `plan decode error` or `plan
+    /// verify error`: the launches before it complete, an earlier failure
+    /// wins, and no later launch starts.
     /// Under [`Engine::TreeWalk`]
     /// the launches run one at a time in slice order, which the caller
     /// must arrange to be a valid topological order of `dag` (the
@@ -512,12 +511,7 @@ impl Device {
             let launches: Vec<PlanLaunch<'_>> = (entries.iter().zip(batch))
                 .map(|(entry, b)| match (b, entry.map(|e| &plans[e])) {
                     (BatchLaunch::Kernel { args, nd, .. }, Some(Ok((plan, facts)))) => {
-                        PlanLaunch::Kernel {
-                            plan,
-                            args,
-                            nd: *nd,
-                            facts,
-                        }
+                        PlanLaunch::kernel(plan, facts, args, *nd)
                     }
                     (BatchLaunch::Kernel { nd, .. }, Some(Err(error))) => {
                         PlanLaunch::Rejected { nd: *nd, error }
@@ -789,6 +783,34 @@ mod tests {
             rank: 1,
             constant: false,
         })
+    }
+
+    /// A module of two kernels over one `f32` accessor: `scale`
+    /// (`a[gid] *= 3`) and `offset` (`a[gid] += 3`).
+    fn scale_and_offset() -> (Module, OpId, OpId) {
+        let c = ctx();
+        let mut m = Module::new(&c);
+        let acc = accessor_type(&c, c.f32_type(), 1, AccessMode::ReadWrite, Target::Global);
+        let (params, top) = ([acc, nd_item_type(&c, 1)], m.top());
+        let [scale, offset] = [("scale", true), ("offset", false)].map(|(name, mul)| {
+            let (func, entry) = build_func(&mut m, top, name, &params, &[]);
+            sdev::mark_kernel(&mut m, func);
+            let (a, item) = (m.block_arg(entry, 0), m.block_arg(entry, 1));
+            let mut b = Builder::at_end(&mut m, entry);
+            let gid = sdev::global_id(&mut b, item, 0);
+            let v = sdev::load_via_id(&mut b, a, &[gid]);
+            let f32t = b.ctx().f32_type();
+            let k = arith::constant_float(&mut b, 3.0, f32t);
+            let out = if mul {
+                arith::mulf(&mut b, v, k)
+            } else {
+                arith::addf(&mut b, v, k)
+            };
+            sdev::store_via_id(&mut b, out, a, &[gid]);
+            build_return(&mut b, &[]);
+            func
+        });
+        (m, scale, offset)
     }
 
     /// The work-item at local linear id 3 of work-group `[1, 2]` of an
@@ -1090,34 +1112,8 @@ mod tests {
     /// for every worker count.
     #[test]
     fn batched_launches_match_sequential() {
-        let c = ctx();
-        let mut m = Module::new(&c);
-        let acc = accessor_type(&c, c.f32_type(), 1, AccessMode::ReadWrite, Target::Global);
-        let nd1 = nd_item_type(&c, 1);
-        let top = m.top();
         // Two kernels writing disjoint buffers: scale and offset.
-        let build = |m: &mut Module, name: &str, mul: bool| -> OpId {
-            let (func, entry) = build_func(m, m.top(), name, &[acc.clone(), nd1.clone()], &[]);
-            sdev::mark_kernel(m, func);
-            let a = m.block_arg(entry, 0);
-            let item = m.block_arg(entry, 1);
-            let mut b = Builder::at_end(m, entry);
-            let gid = sdev::global_id(&mut b, item, 0);
-            let v = sdev::load_via_id(&mut b, a, &[gid]);
-            let f32t = b.ctx().f32_type();
-            let k = arith::constant_float(&mut b, 3.0, f32t);
-            let out = if mul {
-                arith::mulf(&mut b, v, k)
-            } else {
-                arith::addf(&mut b, v, k)
-            };
-            sdev::store_via_id(&mut b, out, a, &[gid]);
-            build_return(&mut b, &[]);
-            func
-        };
-        let _ = top;
-        let scale = build(&mut m, "scale", true);
-        let offset = build(&mut m, "offset", false);
+        let (m, scale, offset) = scale_and_offset();
 
         let n = 128_i64;
         let nd = NdRangeSpec::d1(n, 16);
@@ -1170,31 +1166,7 @@ mod tests {
     #[test]
     fn launch_graph_orders_hazard_edges() {
         use crate::pool::LaunchDag;
-        let c = ctx();
-        let mut m = Module::new(&c);
-        let acc = accessor_type(&c, c.f32_type(), 1, AccessMode::ReadWrite, Target::Global);
-        let nd1 = nd_item_type(&c, 1);
-        let build = |m: &mut Module, name: &str, mul: bool| -> OpId {
-            let (func, entry) = build_func(m, m.top(), name, &[acc.clone(), nd1.clone()], &[]);
-            sdev::mark_kernel(m, func);
-            let a = m.block_arg(entry, 0);
-            let item = m.block_arg(entry, 1);
-            let mut b = Builder::at_end(m, entry);
-            let gid = sdev::global_id(&mut b, item, 0);
-            let v = sdev::load_via_id(&mut b, a, &[gid]);
-            let f32t = b.ctx().f32_type();
-            let k = arith::constant_float(&mut b, 3.0, f32t);
-            let out = if mul {
-                arith::mulf(&mut b, v, k)
-            } else {
-                arith::addf(&mut b, v, k)
-            };
-            sdev::store_via_id(&mut b, out, a, &[gid]);
-            build_return(&mut b, &[]);
-            func
-        };
-        let scale = build(&mut m, "scale", true);
-        let offset = build(&mut m, "offset", false);
+        let (m, scale, offset) = scale_and_offset();
 
         let n = 256_i64;
         let nd = NdRangeSpec::d1(n, 4); // many small groups: chunked claiming
@@ -1229,31 +1201,7 @@ mod tests {
     #[test]
     fn empty_launches_are_noops_and_do_not_stall_chains() {
         use crate::pool::LaunchDag;
-        let c = ctx();
-        let mut m = Module::new(&c);
-        let acc = accessor_type(&c, c.f32_type(), 1, AccessMode::ReadWrite, Target::Global);
-        let nd1 = nd_item_type(&c, 1);
-        let build = |m: &mut Module, name: &str, mul: bool| -> OpId {
-            let (func, entry) = build_func(m, m.top(), name, &[acc.clone(), nd1.clone()], &[]);
-            sdev::mark_kernel(m, func);
-            let a = m.block_arg(entry, 0);
-            let item = m.block_arg(entry, 1);
-            let mut b = Builder::at_end(m, entry);
-            let gid = sdev::global_id(&mut b, item, 0);
-            let v = sdev::load_via_id(&mut b, a, &[gid]);
-            let f32t = b.ctx().f32_type();
-            let k = arith::constant_float(&mut b, 3.0, f32t);
-            let out = if mul {
-                arith::mulf(&mut b, v, k)
-            } else {
-                arith::addf(&mut b, v, k)
-            };
-            sdev::store_via_id(&mut b, out, a, &[gid]);
-            build_return(&mut b, &[]);
-            func
-        };
-        let scale = build(&mut m, "scale", true);
-        let offset = build(&mut m, "offset", false);
+        let (m, scale, offset) = scale_and_offset();
         let n = 64_i64;
 
         // A single empty launch is a no-op on both engines.
@@ -1300,6 +1248,67 @@ mod tests {
             };
             assert_eq!(a[5], 5.0 * 3.0 + 3.0, "threads={threads}");
         }
+    }
+
+    /// A kernel whose `arith.addi` reads two `f32` constants decodes, but
+    /// the verifier's type-class pass faults its plan, so the plan engine
+    /// refuses its launches as it refuses an undecodable kernel's: in the
+    /// chain [clean, faulted, clean] launch 0 completes, launch 1 fails at
+    /// its work-group 0 with the verifier's first finding, and launch 2
+    /// never starts. The tree walk meets the op at run time, in launch 1's
+    /// work-group 0, with its own text.
+    #[test]
+    fn a_plan_the_verifier_faults_is_refused_at_its_launch() {
+        use crate::pool::LaunchDag;
+        let (mut m, scale, _) = scale_and_offset();
+        let (top, item) = (m.top(), nd_item_type(m.ctx(), 1));
+        let (faulted, entry) = build_func(&mut m, top, "int_on_f32", &[item], &[]);
+        sdev::mark_kernel(&mut m, faulted);
+        let mut b = Builder::at_end(&mut m, entry);
+        let f32t = b.ctx().f32_type();
+        let l = arith::constant_float(&mut b, 1.0, f32t.clone());
+        let r = arith::constant_float(&mut b, 2.0, f32t.clone());
+        b.build_value("arith.addi", &[l, r], f32t, vec![]);
+        build_return(&mut b, &[]);
+
+        let n = 16_i64;
+        let run = |device: Device| {
+            let mut pool = MemoryPool::new();
+            let ma = pool.alloc(DataVec::F32(vec![1.0; n as usize]));
+            let mb = pool.alloc(DataVec::F32(vec![1.0; n as usize]));
+            let nd = NdRangeSpec::d1(n, 4);
+            let batch = vec![
+                BatchLaunch::kernel(scale, vec![accessor(ma, n)], nd),
+                BatchLaunch::kernel(faulted, vec![], nd),
+                BatchLaunch::kernel(scale, vec![accessor(mb, n)], nd),
+            ];
+            let error = device
+                .launch_graph(&m, &batch, &LaunchDag::chain(3), &mut pool)
+                .expect_err("launch 1 fails");
+            let scaled = [ma, mb].map(|mem| pool.read(mem) == DataVec::F32(vec![3.0; n as usize]));
+            assert_eq!(
+                scaled,
+                [true, false],
+                "launch 0 completes, launch 2 never starts"
+            );
+            (error.message(), device.report().verify)
+        };
+        for threads in [1, 4] {
+            let (message, verify) = run(Device::with_engine(Engine::Plan).threads(threads));
+            assert_eq!(
+                message,
+                "plan verify error: int_on_f32: pc 0: register r1 holds a float but is used as \
+                 an integer (+1 more) (launch 1, work-group 0)",
+                "threads={threads}"
+            );
+            assert_eq!(
+                (verify.plans, verify.rejected, verify.lint_findings),
+                (2, 1, 2),
+                "threads={threads}"
+            );
+        }
+        let (message, _) = run(Device::with_engine(Engine::TreeWalk));
+        assert_eq!(message, "int op on non-int (launch 1, work-group 0)");
     }
 
     /// With failing work-groups in several launches, the error of the

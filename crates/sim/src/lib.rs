@@ -37,7 +37,8 @@
 //!   jump/loop instructions. The
 //!   **decode-time verifier** ([`verify_plan`]) then proves what it can
 //!   about the plan once — which accessor sites stay in bounds — and a
-//!   plan with findings runs with every check in place. Last, the **peephole fusion pass** ([`fuse_plan`]) rewrites
+//!   plan with findings is refused, as an undecodable kernel is. Last,
+//!   the **peephole fusion pass** ([`fuse_plan`]) rewrites
 //!   every legal **indexed accessor load** `vec.ctor`+`acc.subscript`+`Load`
 //!   — the accessor read the paper's device optimizations act on — into
 //!   one superinstruction with identical semantics and statistics.
@@ -112,11 +113,12 @@
 //! AdaptiveCpp JIT re-specialization — transparently re-decodes. Its hits
 //! and misses are fields of the one [`DeviceReport`] ([`Device::report`]).
 //!
-//! A kernel the decoder does not understand fails its launch up front —
-//! a `plan decode error` at work-group 0 of that launch, so the launches
-//! before it complete and an earlier failure wins, as under the serial
-//! reference: the decoder and the tree walk cover the same ops, and a
-//! silent fallback would serialise the whole launch graph. Every failure
+//! A kernel the decoder does not understand, or whose plan the verifier
+//! faults, fails its launch up front — a `plan decode error` or a `plan
+//! verify error` at work-group 0 of that launch, so the launches before it
+//! complete and an earlier failure wins, as under the serial reference:
+//! the decoder and the tree walk cover the same ops, and a silent
+//! fallback would serialise the whole launch graph. Every failure
 //! a run reports comes from a kernel, a host closure or a limit. The
 //! differential suite (`tests/differential.rs`) holds the two engines to
 //! bit-identical outputs, statistics and cycle counts over the entire
@@ -162,4 +164,4 @@ pub use pool::{
 };
 pub use report::{DeviceReport, LaneSums, VerifyCounters};
 pub use value::{AccessorVal, MemRefVal, RtValue, Space};
-pub use verify::{verify_plan, PlanFacts, SiteProof, VerifyError};
+pub use verify::{verify_and_fuse, verify_plan, PlanFacts, SiteProof, VerifyError};

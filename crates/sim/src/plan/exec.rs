@@ -205,14 +205,14 @@ fn note_fault(first: &mut Fault, at: (u32, u32), error: SimError) {
 /// One work-group's resumable execution state over a [`KernelPlan`]: a
 /// register file per sub-group and the lane groups over them. A worker
 /// keeps one across work-groups and launches and re-binds it
-/// ([`Self::reset`]), so the steady state allocates nothing per
+/// (`reset`), so the steady state allocates nothing per
 /// work-group, split, merge or round.
 #[derive(Default)]
 pub struct PlanWorkGroup {
     files: Vec<LaneFile>,
     pool: GroupPool,
-    /// The launch the files hold bound, if a verified plan's launch was
-    /// bound last ([`Self::reset_verified`]).
+    /// The launch the files hold bound, if its binding completed
+    /// ([`Self::reset`]).
     bound: Option<Binding>,
 }
 
@@ -264,33 +264,15 @@ fn spare(groups: &mut Vec<LaneGroup>, live: usize) -> &mut LaneGroup {
 
 impl PlanWorkGroup {
     /// Rebind to work-group `group` of a launch of the plan's kernel over
-    /// `nd`, from scratch: bind the launch — clear the register files and
-    /// write the parameters and the plan's bound constants into every
-    /// lane — then enter the group. Every register and visit counter is
-    /// reset, so nothing of the previous work-group (finished, suspended
-    /// at a barrier or failed) survives. `subgroup_size` is the cost
-    /// model's.
-    pub fn reset(
-        &mut self,
-        plan: &KernelPlan,
-        args: &[RtValue],
-        nd: NdRangeSpec,
-        group: [i64; 3],
-        subgroup_size: usize,
-    ) -> Result<(), SimError> {
-        self.bound = None;
-        let (width, subs) = sub_groups(nd.group_size(), subgroup_size);
-        self.bind(plan, args, width, subs)?;
-        self.enter(nd, group, width, subs);
-        Ok(())
-    }
-
-    /// [`Self::reset`] for a plan the verifier accepted
-    /// ([`crate::verify::PlanFacts::verified`]): the launch is bound only
-    /// when the files hold another. What a work-group leaves in its
-    /// registers no later one reads: every register a work-item reads it
-    /// has written first, or the launch bound and nothing writes.
-    pub(crate) fn reset_verified(
+    /// `nd`: bind the launch — clear the register files and write the
+    /// parameters and the plan's bound constants into every lane — when
+    /// the files hold another, then enter the group. `plan` is verified
+    /// ([`crate::verify::PlanFacts`]), so what a work-group (finished,
+    /// suspended at a barrier or failed) leaves in its registers no later
+    /// one reads: every register a work-item reads it has written first,
+    /// or the launch bound and nothing writes. `subgroup_size` is the
+    /// cost model's.
+    pub(crate) fn reset(
         &mut self,
         plan: &KernelPlan,
         args: &[RtValue],
@@ -413,7 +395,7 @@ impl PlanWorkGroup {
     /// barrier or completion — the groups it splits off too — then merge
     /// the groups that wait at one barrier. Returns how many work-items
     /// wait at a barrier. `args` are the launch's arguments, the ones
-    /// [`Self::reset`] bound.
+    /// `reset` bound.
     ///
     /// A lane that faults leaves its group and takes the lanes after it
     /// in item order — the rest of its sub-group and every later one —

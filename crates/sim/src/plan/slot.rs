@@ -17,9 +17,10 @@ pub type Reg = u32;
 /// slot means something only in the register file it
 /// was written to, and code outside this crate can build the scalar
 /// variants only (what a [`KernelPlan::consts`](super::KernelPlan::consts)
-/// entry may hold). The tag stays although the verifier proves every
-/// register's class: rejected plans still run, and every type error keeps
-/// its text and position.
+/// entry may hold). The tag stays although every plan that runs is
+/// verified: the verifier proves no class for a value parameter, so a
+/// launch argument of the wrong class reaches the executor, and its type
+/// error keeps its text and position.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Slot {
     /// Integers of any width, `index`, and `i1`.

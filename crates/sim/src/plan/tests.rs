@@ -40,6 +40,7 @@ mod fusion {
     use crate::cost::ExecStats;
     use crate::memory::{DataVec, MemId, MemoryPool};
     use crate::value::{AccessorVal, RtValue};
+    use crate::verify::{verify_plan, PlanFacts};
     use crate::NdRangeSpec;
     use sycl_mlir_dialects::affine;
     use sycl_mlir_dialects::arith::{self, constant_index};
@@ -109,6 +110,7 @@ mod fusion {
     /// Execute `plan` on fresh data and return (stats, all buffers).
     fn run_plan(
         plan: &KernelPlan,
+        facts: &PlanFacts,
         n_accs: usize,
         n: i64,
         nd: NdRangeSpec,
@@ -121,7 +123,7 @@ mod fusion {
             let mem = pool.alloc(DataVec::F32(data));
             args.push(accessor(mem, n));
         }
-        let stats = crate::pool::run_one_launch(plan, &args, nd, &mut pool, threads)
+        let stats = crate::pool::run_one_launch(plan, facts, &args, nd, &mut pool, threads)
             .expect("plan launch runs");
         let bufs = (0..pool.len())
             .map(|i| pool.read(MemId(i as u32)))
@@ -136,13 +138,14 @@ mod fusion {
         let n = 64_i64;
         let nd = NdRangeSpec::d1(n, 16);
         let unfused = decode_kernel(m, func).expect("decodes");
+        let facts = verify_plan(&unfused).expect("verifies");
         let mut fused = decode_kernel(m, func).expect("decodes");
         let total = fuse_plan(&mut fused);
         assert_eq!(super::windows(&fused), expect, "windows formed");
         assert_eq!(total as usize, expect.len(), "total fusion count");
-        let (ref_stats, ref_bufs) = run_plan(&unfused, n_accs, n, nd, 1);
+        let (ref_stats, ref_bufs) = run_plan(&unfused, &facts, n_accs, n, nd, 1);
         for threads in [1_usize, 4] {
-            let (stats, bufs) = run_plan(&fused, n_accs, n, nd, threads);
+            let (stats, bufs) = run_plan(&fused, &facts, n_accs, n, nd, threads);
             assert_eq!(ref_stats, stats, "stats differ at threads={threads}");
             assert_eq!(ref_bufs, bufs, "buffers differ at threads={threads}");
         }
@@ -306,6 +309,7 @@ mod chains {
     use crate::cost::ExecStats;
     use crate::memory::{DataVec, MemId, MemoryPool};
     use crate::value::{AccessorVal, MemRefVal, RtValue, Space};
+    use crate::verify::{verify_and_fuse, PlanFacts};
     use crate::NdRangeSpec;
 
     const N: i64 = 16;
@@ -334,7 +338,11 @@ mod chains {
 
     /// Execute `plan` on fresh buffers; returns stats plus both
     /// final buffer images.
-    fn run(plan: &KernelPlan, threads: usize) -> (ExecStats, Vec<f32>, Vec<f32>) {
+    fn run(
+        plan: &KernelPlan,
+        facts: &PlanFacts,
+        threads: usize,
+    ) -> (ExecStats, Vec<f32>, Vec<f32>) {
         let mut pool = MemoryPool::new();
         let ma = pool.alloc(DataVec::F32((0..N).map(|i| i as f32 * 0.5).collect()));
         let mb = pool.alloc(DataVec::F32((0..N).map(|i| 1.0 + i as f32).collect()));
@@ -355,8 +363,8 @@ mod chains {
             }),
         ];
         let nd = NdRangeSpec::d1(N, 4);
-        let stats =
-            crate::pool::run_one_launch(plan, &args, nd, &mut pool, threads).expect("plan runs");
+        let stats = crate::pool::run_one_launch(plan, facts, &args, nd, &mut pool, threads)
+            .expect("plan runs");
         let DataVec::F32(a) = pool.read(MemId(0)) else {
             panic!()
         };
@@ -369,12 +377,11 @@ mod chains {
     /// Fuse a clone, assert exactly which windows formed, and hold
     /// fused execution bit-identical to unfused at 1 and 4 workers.
     fn assert_chain_identical(plan: &KernelPlan, expect: &[&str]) -> KernelPlan {
-        let mut fused = plan.clone();
-        fuse_plan(&mut fused);
+        let (facts, fused) = verify_and_fuse(plan.clone()).expect("verifies");
         assert_eq!(super::windows(&fused), expect, "windows formed");
-        let (ref_stats, ref_a, ref_b) = run(plan, 1);
+        let (ref_stats, ref_a, ref_b) = run(plan, &facts, 1);
         for threads in [1_usize, 4] {
-            let (stats, a, b) = run(&fused, threads);
+            let (stats, a, b) = run(&fused, &facts, threads);
             assert_eq!(ref_stats, stats, "stats differ at threads={threads}");
             assert_eq!(ref_a, a, "accessor buffer differs at threads={threads}");
             assert_eq!(ref_b, b, "memref buffer differs at threads={threads}");

@@ -24,9 +24,9 @@ use std::time::{Duration, Instant};
 use sycl_mlir_ir::FxHashMap;
 
 /// One launch of a graph handed to [`run_plan_graph_report`]: a decoded
-/// kernel plan with its bound arguments and geometry, a kernel the plan
-/// decoder rejected, or a [`HostNode`] (a host task, which runs as a
-/// single logical work-group).
+/// and verified kernel plan with its bound arguments and geometry, a
+/// kernel the plan decoder or verifier refused, or a [`HostNode`] (a host
+/// task, which runs as a single logical work-group).
 pub enum PlanLaunch<'a> {
     /// A kernel launch.
     Kernel {
@@ -36,20 +36,21 @@ pub enum PlanLaunch<'a> {
         args: &'a [RtValue],
         /// Launch geometry.
         nd: NdRangeSpec,
-        /// Static-analysis facts of `plan` from the decode-time verifier
-        /// (the default proves nothing, so every site keeps its check;
-        /// execution is bit-identical either way). Instantiated against
-        /// this launch's concrete geometry and arguments before workers
-        /// start.
+        /// What the decode-time verifier proved of `plan` (of its unfused
+        /// decode, whose sites fusion keeps): that its registers are
+        /// bound once per launch, and which sites stay in bounds. They
+        /// must be `plan`'s own facts ([`crate::verify_and_fuse`]);
+        /// nothing checks that they are. Instantiated against this
+        /// launch's concrete geometry and arguments before workers start.
         facts: &'a PlanFacts,
     },
-    /// A kernel launch the plan decoder rejected: it fails with `error`
-    /// at its work-group 0 before any of its groups runs, the way a
-    /// launch naming an unknown buffer does.
+    /// A kernel launch the plan decoder or verifier refused: it fails
+    /// with `error` at its work-group 0 before any of its groups runs,
+    /// the way a launch naming an unknown buffer does.
     Rejected {
         /// Launch geometry.
         nd: NdRangeSpec,
-        /// The decoder's refusal.
+        /// The decoder's or the verifier's refusal.
         error: &'a SimError,
     },
     /// A host-task node.
@@ -57,14 +58,19 @@ pub enum PlanLaunch<'a> {
 }
 
 impl<'a> PlanLaunch<'a> {
-    /// A kernel launch of `plan` over `nd`, with nothing proven about it.
-    pub fn kernel(plan: &'a KernelPlan, args: &'a [RtValue], nd: NdRangeSpec) -> PlanLaunch<'a> {
-        static NOTHING_PROVEN: PlanFacts = PlanFacts::NONE;
+    /// A kernel launch of `plan`, with the verifier's `facts` of it,
+    /// over `nd`.
+    pub fn kernel(
+        plan: &'a KernelPlan,
+        facts: &'a PlanFacts,
+        args: &'a [RtValue],
+        nd: NdRangeSpec,
+    ) -> PlanLaunch<'a> {
         PlanLaunch::Kernel {
             plan,
             args,
             nd,
-            facts: &NOTHING_PROVEN,
+            facts,
         }
     }
 
@@ -191,27 +197,19 @@ impl GraphState<'_, '_> {
 /// barriers co-operatively: rounds over the lane groups of `wg`, the
 /// worker's reusable work-group state (register files and lane lists
 /// survive across work-groups and launches, so the steady
-/// state allocates nothing per work-group), re-bound to this group
-/// whatever state the previous group left it in — the launch's
-/// registers once per launch where the plan is `verified`
-/// ([`PlanFacts::verified`]), else for every group.
-#[allow(clippy::too_many_arguments)]
+/// state allocates nothing per work-group), entered at this group
+/// whatever state the previous group left it in, with the launch's
+/// registers bound once per launch ([`PlanWorkGroup::reset`]).
 fn run_group(
     plan: &KernelPlan,
     args: &[RtValue],
     nd: NdRangeSpec,
     group: [i64; 3],
-    verified: bool,
     ctx: &mut PlanExecCtx<'_, '_>,
     pctx: &mut PlanCtx,
     wg: &mut PlanWorkGroup,
 ) -> Result<(), SimError> {
-    let subgroup_size = ctx.cost.subgroup_size;
-    if verified {
-        wg.reset_verified(plan, args, nd, group, subgroup_size)?;
-    } else {
-        wg.reset(plan, args, nd, group, subgroup_size)?;
-    }
+    wg.reset(plan, args, nd, group, ctx.cost.subgroup_size)?;
     cooperative_rounds(nd.group_size(), group, || wg.round(plan, args, ctx, pctx))
 }
 
@@ -267,12 +265,7 @@ fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
         let working = now();
         let unit = &st.units[li];
         next = match *unit.launch {
-            PlanLaunch::Kernel {
-                plan,
-                args,
-                nd,
-                facts,
-            } => {
+            PlanLaunch::Kernel { plan, args, nd, .. } => {
                 pctx.rebind(plan, st.profile);
                 pctx.set_proven(&unit.proven);
                 if let Some(meter) = st.meter(li) {
@@ -281,10 +274,7 @@ fn graph_worker(st: &GraphState<'_, '_>) -> WorkerResult {
                 let handoff = st.run_chunks(li, |gi| {
                     let group = nd.group_at(gi);
                     let r = catch_unwind(AssertUnwindSafe(|| {
-                        let verified = facts.verified;
-                        run_group(
-                            plan, args, nd, group, verified, &mut ctx, &mut pctx, &mut wg,
-                        )
+                        run_group(plan, args, nd, group, &mut ctx, &mut pctx, &mut wg)
                     }));
                     ctx.next_work_group();
                     pctx.next_work_group();
@@ -359,9 +349,9 @@ pub struct GraphReport {
 /// Malformed input (bad geometry, a malformed graph or one with a
 /// backward edge), and the run's failure: a kernel or host-node error
 /// (device-memory faults among them, which arrive as
-/// [`MemFault`](crate::MemFault) values), a kernel the decoder rejected
-/// or a limit trip. A panic on a worker is a bug in the simulator (or in
-/// a host closure) and is re-thrown as a panic.
+/// [`MemFault`](crate::MemFault) values), a kernel the decoder or the
+/// verifier refused, or a limit trip. A panic on a worker is a bug in the
+/// simulator (or in a host closure) and is re-thrown as a panic.
 ///
 /// With a `ledger`, the run adds its fact instantiations, its wall time
 /// and each worker's busy, claim-wait and idle time to it.
@@ -388,7 +378,7 @@ pub fn run_plan_graph_report(
     let mut total_groups = 0_usize;
     let mut units = Vec::with_capacity(launches.len());
     // Launches that fail as a whole, before any of their groups runs: a
-    // rejected kernel, or one with an unknown-buffer argument.
+    // refused kernel, or one with an unknown-buffer argument.
     let mut upfront = Vec::new();
     let instantiating = ledger.is_some().then(Instant::now);
     // One bitset per distinct `(facts, arguments, geometry)`, by identity:
@@ -548,13 +538,14 @@ pub(crate) fn run_graph(
 #[cfg(test)]
 pub(crate) fn run_one_launch(
     plan: &KernelPlan,
+    facts: &PlanFacts,
     args: &[RtValue],
     nd: NdRangeSpec,
     pool_mem: &mut MemoryPool,
     threads: usize,
 ) -> Result<ExecStats, SimError> {
     let (launches, dag) = (
-        [PlanLaunch::kernel(plan, args, nd)],
+        [PlanLaunch::kernel(plan, facts, args, nd)],
         LaunchDag::independent(1),
     );
     Ok(run_graph(&launches, &dag, pool_mem, threads)?

@@ -9,6 +9,7 @@ use crate::device::NdRangeSpec;
 use crate::memory::{DataVec, Dtype, MemFault, MemId, MemoryPool};
 use crate::plan::KernelPlan;
 use crate::value::RtValue;
+use crate::verify::{verify_and_fuse, PlanFacts};
 use crate::{KernelFault, SimError};
 
 /// One access through a worker's pool: resolve, then the `Buf`.
@@ -251,18 +252,18 @@ fn add_k_plan(k: f32) -> KernelPlan {
 /// terminates instead of deadlocking.
 #[test]
 fn empty_launch_in_a_chain_retires_eagerly() {
-    let plan_a = add_k_plan(1.0);
-    let plan_c = add_k_plan(10.0);
+    let (facts_a, plan_a) = verify_and_fuse(add_k_plan(1.0)).unwrap();
+    let (facts_c, plan_c) = verify_and_fuse(add_k_plan(10.0)).unwrap();
     let n = 16_i64;
     for threads in [1_usize, 4] {
         let mut pool = MemoryPool::new();
         let mf = pool.alloc(DataVec::F32(vec![0.0; n as usize]));
         let args = [global_view(mf, n)];
         let launches = [
-            PlanLaunch::kernel(&plan_a, &args, NdRangeSpec::d1(n, 4)),
+            PlanLaunch::kernel(&plan_a, &facts_a, &args, NdRangeSpec::d1(n, 4)),
             // The empty middle launch: zero global range.
-            PlanLaunch::kernel(&plan_a, &args, NdRangeSpec::d1(0, 4)),
-            PlanLaunch::kernel(&plan_c, &args, NdRangeSpec::d1(n, 4)),
+            PlanLaunch::kernel(&plan_a, &facts_a, &args, NdRangeSpec::d1(0, 4)),
+            PlanLaunch::kernel(&plan_c, &facts_c, &args, NdRangeSpec::d1(n, 4)),
         ];
         let dag = LaunchDag::chain(3);
         let out = run_graph(&launches, &dag, &mut pool, threads)
@@ -283,8 +284,8 @@ fn empty_launch_in_a_chain_retires_eagerly() {
     let mf = pool.alloc(DataVec::F32(vec![0.0; n as usize]));
     let args = [global_view(mf, n)];
     let empties = [
-        PlanLaunch::kernel(&plan_a, &args, NdRangeSpec::d1(0, 4)),
-        PlanLaunch::kernel(&plan_a, &args, NdRangeSpec::d1(0, 4)),
+        PlanLaunch::kernel(&plan_a, &facts_a, &args, NdRangeSpec::d1(0, 4)),
+        PlanLaunch::kernel(&plan_a, &facts_a, &args, NdRangeSpec::d1(0, 4)),
     ];
     let out =
         run_graph(&empties, &LaunchDag::chain(2), &mut pool, 4).expect("all-empty graph completes");
@@ -366,9 +367,9 @@ fn barrier_div_plan() -> KernelPlan {
 /// position and text.
 #[test]
 fn work_item_slots_are_isolated_across_a_failed_group() {
-    let plan_a = barrier_div_plan();
-    let plan_b = add_k_plan(2.0);
-    let plan_c = add_k_plan(3.0);
+    let (facts_a, plan_a) = verify_and_fuse(barrier_div_plan()).unwrap();
+    let (facts_b, plan_b) = verify_and_fuse(add_k_plan(2.0)).unwrap();
+    let (facts_c, plan_c) = verify_and_fuse(add_k_plan(3.0)).unwrap();
     let init = |n: i64| DataVec::F32((0..n).map(|i| i as f32 * 0.5).collect());
     let (nd_a, nd_b, nd_c) = (
         NdRangeSpec::d1(12, 4),
@@ -376,15 +377,15 @@ fn work_item_slots_are_isolated_across_a_failed_group() {
         NdRangeSpec::d1(8, 8),
     );
     // One launch alone, on fresh slots and a fresh pool.
-    let alone = |plan: &KernelPlan, nd: NdRangeSpec| {
+    let alone = |plan: &KernelPlan, facts: &PlanFacts, nd: NdRangeSpec| {
         let mut pool = MemoryPool::new();
         let mem = pool.alloc(init(nd.global[0]));
         let args = [global_view(mem, nd.global[0])];
-        run_one_launch(plan, &args, nd, &mut pool, 1).expect("a clean launch completes");
+        run_one_launch(plan, facts, &args, nd, &mut pool, 1).expect("a clean launch completes");
         pool.read(mem)
     };
-    let want_b_buf = alone(&plan_b, nd_b);
-    let want_c_buf = alone(&plan_c, nd_c);
+    let want_b_buf = alone(&plan_b, &facts_b, nd_b);
+    let want_c_buf = alone(&plan_c, &facts_c, nd_c);
 
     for threads in [1_usize, 4] {
         let mut pool = MemoryPool::new();
@@ -398,9 +399,9 @@ fn work_item_slots_are_isolated_across_a_failed_group() {
         let args_b = [global_view(mb, 4)];
         let args_c = [global_view(mc, 8)];
         let launches = [
-            PlanLaunch::kernel(&plan_b, &args_b, nd_b),
-            PlanLaunch::kernel(&plan_c, &args_c, nd_c),
-            PlanLaunch::kernel(&plan_a, &args_a, nd_a),
+            PlanLaunch::kernel(&plan_b, &facts_b, &args_b, nd_b),
+            PlanLaunch::kernel(&plan_c, &facts_c, &args_c, nd_c),
+            PlanLaunch::kernel(&plan_a, &facts_a, &args_a, nd_a),
         ];
         let error = run_graph(&launches, &LaunchDag::independent(3), &mut pool, threads)
             .expect_err("launch A fails");

@@ -1,12 +1,12 @@
 //! The device report: everything a [`Device`](crate::Device) counts, as
-//! one plain value — plan-cache traffic, the decode-time verifier's totals
-//! and first findings, and the `--profile` execution sums. Its `Display`
+//! one plain value — plan-cache traffic, the decode-time verifier's
+//! totals, and the `--profile` execution sums. Its `Display`
 //! is the `--profile=on` dump; a caller that wants a number reads a field.
 //! This module is the only reader of the flat count layout of
 //! [`PlanCtx::take_profile`](crate::plan::PlanCtx::take_profile).
 
 use crate::plan::{Instr, KernelPlan};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A snapshot of what one device has counted so far.
@@ -20,9 +20,6 @@ pub struct DeviceReport {
     pub cache_misses: u64,
     /// The decode-time verifier's totals.
     pub verify: VerifyCounters,
-    /// The first finding of every plan the verifier flagged, as
-    /// `kernel: finding` (with `(+N more)` when it had several).
-    pub findings: BTreeSet<String>,
     /// `--profile` runs: lane-instructions executed per opcode mnemonic.
     pub ops: BTreeMap<&'static str, u64>,
     /// `--profile` runs: executions of dataflow-adjacent instruction pairs
@@ -58,12 +55,14 @@ pub struct VerifyCounters {
     /// candidates; actual elision is decided per launch when the proof
     /// is instantiated against concrete geometry and buffer lengths).
     pub sites_proven: u64,
-    /// Total wall time spent in the verifier, in nanoseconds.
+    /// Total wall time spent in the verifier and the fusion that
+    /// follows it, in nanoseconds.
     pub verify_ns: u64,
-    /// Kernels the plan engine refused: recursive or not decodable.
+    /// Kernels the plan engine refused: recursive, not decodable, or
+    /// faulted by the verifier.
     pub rejected: u64,
-    /// Individual verifier findings; a plan with findings runs with every
-    /// runtime check in place.
+    /// Individual verifier findings, over the plans refused for them;
+    /// their launches fail with the first (`plan verify error`).
     pub lint_findings: u64,
 }
 
@@ -111,7 +110,7 @@ impl DeviceReport {
 impl fmt::Display for DeviceReport {
     /// The `--profile=on` dump: executions per opcode, the hottest
     /// dataflow-adjacent pairs, the lockstep gauge per kernel and for the
-    /// sweep, then the verifier's totals and findings. Empty until a
+    /// sweep, then the verifier's totals. Empty until a
     /// profiled plan-engine launch ran.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.ops.is_empty() {
@@ -151,13 +150,10 @@ impl fmt::Display for DeviceReport {
             writeln!(f, "{proven:>10}/{total:<5}  access sites proven in-bounds")?;
             writeln!(f, "{:>16}  verify time (us)", vs.verify_ns / 1_000)?;
             if vs.rejected > 0 {
-                writeln!(f, "{:>16}  plans undecodable", vs.rejected)?;
+                writeln!(f, "{:>16}  plans refused", vs.rejected)?;
             }
             if vs.lint_findings > 0 {
                 writeln!(f, "{:>16}  lint findings", vs.lint_findings)?;
-                for first in &self.findings {
-                    writeln!(f, "{:>18}{first}", "")?;
-                }
             }
         }
         Ok(())

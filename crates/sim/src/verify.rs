@@ -31,7 +31,9 @@
 //! one the check could never fire on — so outputs, statistics and errors
 //! are bit-identical whether a check was elided or not (a test-only audit
 //! run keeps every proven check, `plan::audit_on_this_thread`). A plan
-//! with findings is not rejected: it runs with every check in place.
+//! with findings never runs: the device refuses its launches, as it
+//! refuses a kernel the decoder cannot read, so every plan that runs has
+//! been verified and binds its registers once per launch.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -41,7 +43,7 @@ use sycl_mlir_analysis::interval::{BinOp, Expr, Interval};
 
 use crate::device::NdRangeSpec;
 use crate::memory::MemoryPool;
-use crate::plan::{Class, DimSrc, Instr, IntBin, ItemQ, KernelPlan, Reg, Role, Slot};
+use crate::plan::{fuse_plan, Class, DimSrc, Instr, IntBin, ItemQ, KernelPlan, Reg, Role, Slot};
 use crate::value::RtValue;
 
 // ----------------------------------------------------------------------
@@ -80,16 +82,20 @@ pub struct SiteProof {
     pub hi: Expr,
 }
 
-/// Everything the verifier proved about one decoded plan. Cached in the
-/// device's plan cache and shared (via `Arc`) with every launch.
+/// Everything the verifier proved about one decoded plan, which it
+/// accepted: every register a work-item reads it has written before, or
+/// is a parameter or bound constant, and no instruction writes one of
+/// those. So a worker binds a launch's registers once, not once per
+/// work-group: nothing a work-group leaves in the register file is read
+/// by the next. Only [`verify_plan`] makes one, and a kernel launch
+/// needs one: the facts of that plan (or of its unfused decode), which
+/// the type cannot check — a plan launched with another plan's facts
+/// may skip a check that could fire and read registers it never bound.
+/// Cached in the device's plan cache and shared (via `Arc`) with every
+/// launch.
 #[derive(Clone, Debug)]
+#[non_exhaustive]
 pub struct PlanFacts {
-    /// The verifier accepted the plan: every register a work-item reads
-    /// it has written before, or is a parameter or bound constant, and no
-    /// instruction writes one of those. So a worker binds a launch's
-    /// registers once, not once per work-group: nothing a work-group
-    /// leaves in the register file is read by the next.
-    pub verified: bool,
     /// Per-site in-bounds proofs, indexed by memory-site id
     /// (`len == mem_sites`); `None` means unproven — keep the check.
     pub proofs: Vec<Option<SiteProof>>,
@@ -100,20 +106,10 @@ pub struct PlanFacts {
 }
 
 impl PlanFacts {
-    /// Nothing proven: every site keeps its runtime check. The facts of a
-    /// plan the verifier reported findings on.
-    pub const NONE: PlanFacts = PlanFacts {
-        verified: false,
-        proofs: Vec::new(),
-        sites_total: 0,
-        sites_proven: 0,
-    };
-
     /// Resolve the symbolic proofs against one launch's actual geometry,
     /// arguments and memory pool, producing the proven-safe bitset
     /// (bit = site id). Returns an empty slice when nothing could be
-    /// proven for this launch — the one spelling of "check everything",
-    /// which is also what [`PlanFacts::NONE`] instantiates to.
+    /// proven for this launch — the one spelling of "check everything".
     pub fn instantiate(&self, args: &[RtValue], nd: &NdRangeSpec, pool: &MemoryPool) -> Arc<[u64]> {
         if self.sites_proven == 0 {
             return Arc::from(Vec::new());
@@ -221,8 +217,8 @@ fn succs(pc: usize, instr: &Instr) -> Vec<usize> {
 /// Verify a decoded plan — the decoder's output, before
 /// [`crate::plan::fuse_plan`]; a superinstruction is a structural
 /// finding. `Ok` carries the proven facts; `Err` carries every violation
-/// found, sorted by pc — the device counts them and runs the plan with
-/// every check in place.
+/// found, sorted by pc — the device counts them and refuses the plan's
+/// launches with the first.
 pub fn verify_plan(plan: &KernelPlan) -> Result<PlanFacts, Vec<VerifyError>> {
     let mut errs = Vec::new();
     fatal_pass(plan, &mut errs);
@@ -243,11 +239,21 @@ pub fn verify_plan(plan: &KernelPlan) -> Result<PlanFacts, Vec<VerifyError>> {
     let proofs = interval_pass(plan);
     let sites_proven = proofs.iter().filter(|p| p.is_some()).count() as u32;
     Ok(PlanFacts {
-        verified: true,
         proofs,
         sites_total: plan.mem_sites,
         sites_proven,
     })
+}
+
+/// A decoded plan made ready to launch: verified ([`verify_plan`]), then
+/// fused ([`fuse_plan`]), which keeps its site ids, so the proofs cover
+/// the fused plan unchanged (and hold for a clone of the unfused one).
+/// The one order a [`Device`](crate::Device) and every direct launch of
+/// bytecode prepare a plan in.
+pub fn verify_and_fuse(mut plan: KernelPlan) -> Result<(PlanFacts, KernelPlan), Vec<VerifyError>> {
+    let facts = verify_plan(&plan)?;
+    fuse_plan(&mut plan);
+    Ok((facts, plan))
 }
 
 // ----------------------------------------------------------------------

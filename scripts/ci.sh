@@ -38,12 +38,16 @@ trap 'rm -rf "$tmp"' EXIT
 # and seeded-input gauges, `run_impl`'s size and placement, how long the
 # gate took and how many tests `cargo test` passed —
 # the numbers a PR that adds or removes code or configurations is expected
-# to report before/after.
+# to report before/after. The simulator's total is held to a gauge
+# (ROADMAP item 11): the summary fails when `crates/sim/src` grows past it.
+sim_gauge=12500
 miri_leg=skipped
 tsan_leg=skipped
 forbid_unsafe="not checked"
 summary() {
   find crates/sim/src -name '*.rs' | sort | xargs wc -l
+  sim_lines=$(find crates/sim/src -name '*.rs' -exec cat {} + | wc -l)
+  echo "crates/sim/src: $sim_lines lines, gauge $sim_gauge"
   # Whether the compiler forbids `unsafe` everywhere, as the step below
   # checked (the simulator had 11 `unsafe` blocks before its memory core
   # became atomic slices).
@@ -82,6 +86,10 @@ summary() {
   done
   passed=$(awk '/^test result:/ { n += $4 } END { print n + 0 }' "$tmp/test.log")
   echo "ci.sh wall time: $(( $(date +%s) - ci_start )) s; cargo test: $passed passed"
+  if (( sim_lines > sim_gauge )); then
+    echo "FAIL: crates/sim/src is $sim_lines lines, over its gauge of $sim_gauge (ROADMAP item 11)" >&2
+    exit 1
+  fi
 }
 
 # The `(sweep)` row of `--profile=on`'s lockstep section, for the quick
@@ -282,9 +290,11 @@ fi
 # elision"): everything a Device counts is a field of the `DeviceReport`
 # that `Device::report()` returns, and its `Display` is the `--profile`
 # dump. The per-counter accessors and the string-typed report they
-# replaced must not come back beside it.
+# replaced must not come back beside it. (The accessors are matched as
+# calls or definitions: `verify_counters` also names the IR verifier's
+# between-pass counters, which `tests/ir_verifier_diff.rs` pins.)
 step "one device report"
-if grep -rnE '\b(plan_cache_counters|verify_counters|profile_report|ProfileSums)\b' crates src tests examples; then
+if grep -rnE '\b(plan_cache_counters|verify_counters|profile_report)\(|\bProfileSums\b' crates src tests examples; then
   echo "FAIL: a per-counter accessor or the string-typed profile report is back; read Device::report()" >&2
   exit 1
 fi
@@ -306,6 +316,18 @@ fi
 if grep -rn 'schedule_info' crates src tests examples \
   | grep -vE '^(crates/sycl/|crates/transform/src/hostdev\.rs:)'; then
   echo "FAIL: schedule_info outside crates/sycl/ and hostdev.rs; read the launch facts host-device propagation recorded instead" >&2
+  exit 1
+fi
+
+# One verdict per plan (ARCHITECTURE.md, "Static verification and check
+# elision"): a plan the verifier faults is refused at launch, like one the
+# decoder cannot read, so every plan that runs is verified and binds its
+# registers once per launch. Facts that prove nothing, a verified flag
+# and the per-work-group bind beside the once-per-launch one must not
+# come back.
+step "one verdict per plan"
+if grep -rnE 'PlanFacts::NONE|NOTHING_PROVEN|reset_verified|\bverified: bool|\.verified\b' crates src tests examples; then
+  echo "FAIL: a second launch path for plans with findings is back; the verifier's verdict refuses them" >&2
   exit 1
 fi
 
@@ -348,10 +370,11 @@ fi
 echo "quick sweep: $gauge (lane-instructions, dispatches, lanes/dispatch)"
 
 # The verifier's counts over the quick sweep, exactly: every kernel the
-# paper's figures run is fully provable — no finding, nothing refused —
-# and what the interval pass proves does not drift. Every plan is
-# verified (a plan with findings runs with every check in place), so
-# these counts, not a second sweep, are what says the suite stayed clean.
+# paper's figures run verifies clean — no finding, nothing refused — and
+# what the interval pass proves does not drift. A plan with findings
+# would be refused at launch and fail its program's run, so `rejected`
+# and `lint_findings` stay 0 while the tables print; the proven-site
+# counts are what these numbers hold beyond that.
 step "verify stats: the quick sweep's plans, proofs and findings, exactly"
 vstats=$(./target/release/repro_all --quick --json | sed -n 's/.*"verify_stats": {\(.*\), "verify_us": [0-9]*}.*/\1/p')
 expected='"plans": 174, "sites_proven": 642, "sites_total": 792, "rejected": 0, "lint_findings": 0'

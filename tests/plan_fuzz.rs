@@ -29,10 +29,12 @@ mod common;
 use common::run_launch;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
+use sycl_mlir_repro::sim::plan::audit_on_this_thread;
 use sycl_mlir_repro::sim::plan::{CmpPred, FloatBin, Instr, IntBin, ItemQ, Slot};
 use sycl_mlir_repro::sim::{
-    fuse_plan, AccessorVal, CostModel, DataVec, ExecLimits, ExecStats, KernelPlan, MemRefVal,
-    MemoryPool, NdRangeSpec, PlanFacts, PlanLaunch, RtValue, SimError, Space,
+    fuse_plan, verify_and_fuse, verify_plan, AccessorVal, CostModel, DataVec, ExecLimits,
+    ExecStats, KernelPlan, MemRefVal, MemoryPool, NdRangeSpec, PlanFacts, PlanLaunch, RtValue,
+    SimError, Space,
 };
 
 const BUF_LEN: usize = 16;
@@ -925,12 +927,7 @@ fn execute_with(plan: &KernelPlan, facts: &PlanFacts, cost: &CostModel) -> Execu
             constant: false,
         }),
     ];
-    let launch = PlanLaunch::Kernel {
-        plan,
-        args: &args,
-        nd: NdRangeSpec::d1(8, 4),
-        facts,
-    };
+    let launch = PlanLaunch::kernel(plan, facts, &args, NdRangeSpec::d1(8, 4));
     let result = run_launch(launch, &mut pool, 1, &ExecLimits::none(), cost);
     let DataVec::F32(f) = pool.read(mf) else {
         panic!()
@@ -944,9 +941,17 @@ fn execute_with(plan: &KernelPlan, facts: &PlanFacts, cost: &CostModel) -> Execu
     (result, f.clone(), i.clone(), a.clone())
 }
 
-/// [`execute_with`] nothing proven, under the default cost model.
-fn execute(plan: &KernelPlan) -> Executed {
-    execute_with(plan, &PlanFacts::NONE, &CostModel::default())
+/// [`execute_with`] under the default cost model.
+fn execute(plan: &KernelPlan, facts: &PlanFacts) -> Executed {
+    execute_with(plan, facts, &CostModel::default())
+}
+
+/// `facts` with nothing to elide: they instantiate to the empty bitset
+/// for every launch, so a run under them keeps every site's check, in
+/// the normal order — the fully checked baseline.
+fn checked(mut facts: PlanFacts) -> PlanFacts {
+    facts.sites_proven = 0;
+    facts
 }
 
 /// Mnemonics of the windows fusion formed in `plan`, in code order.
@@ -963,10 +968,10 @@ fn check_seed(seed: u64) -> Vec<&'static str> {
         windows(&plan).is_empty(),
         "the generated plan holds superinstructions (seed {seed})"
     );
-    let mut fused = plan.clone();
-    fuse_plan(&mut fused);
-    let (base, base_f, base_i, base_a) = execute(&plan);
-    let (opt, opt_f, opt_i, opt_a) = execute(&fused);
+    let (facts, fused) = verify_and_fuse(plan.clone()).expect("verifies");
+    let all = checked(facts);
+    let (base, base_f, base_i, base_a) = execute(&plan, &all);
+    let (opt, opt_f, opt_i, opt_a) = execute(&fused, &all);
     match (&base, &opt) {
         (Ok(b), Ok(o)) => assert_eq!(b, o, "stats diverge (seed {seed})"),
         (Err(b), Err(o)) => assert_eq!(b.message(), o.message(), "errors diverge (seed {seed})"),
@@ -988,7 +993,9 @@ fn check_seed(seed: u64) -> Vec<&'static str> {
         "accessor buffer diverges (seed {seed})"
     );
     // Accessing a moved memref or accessor is accessing the parameter.
-    let (direct, direct_f, direct_i, direct_a) = execute(&Gen::direct(seed).finish());
+    let direct = Gen::direct(seed).finish();
+    let facts = verify_plan(&direct).expect("verifies");
+    let (direct, direct_f, direct_i, direct_a) = execute(&direct, &checked(facts));
     assert_eq!(
         base.as_ref().map_err(SimError::message),
         direct.as_ref().map_err(SimError::message),
@@ -1169,16 +1176,14 @@ fn mid_chain_error_matches_unfused_and_bound_prunes_correctly() {
     use sycl_mlir_repro::sim::{run_plan_graph_report, LaunchDag};
 
     let unfused_a = mid_chain_failing_plan(3);
-    let mut fused_a = unfused_a.clone();
-    fuse_plan(&mut fused_a);
+    let (facts_a, fused_a) = verify_and_fuse(unfused_a.clone()).expect("verifies");
     assert_eq!(
         windows(&fused_a),
         ["acc.load.idx"],
         "the failing window must fuse"
     );
     let unfused_b = div_zero_plan();
-    let mut fused_b = unfused_b.clone();
-    fuse_plan(&mut fused_b);
+    let (facts_b, fused_b) = verify_and_fuse(unfused_b.clone()).expect("verifies");
 
     let nd = NdRangeSpec::d1(32, 4); // 8 groups per launch
     let run = |a: &KernelPlan, b: &KernelPlan, threads: usize| {
@@ -1211,8 +1216,8 @@ fn mid_chain_error_matches_unfused_and_bound_prunes_correctly() {
             acc,
         ];
         let launches = [
-            PlanLaunch::kernel(a, &args, nd),
-            PlanLaunch::kernel(b, &args, nd),
+            PlanLaunch::kernel(a, &facts_a, &args, nd),
+            PlanLaunch::kernel(b, &facts_b, &args, nd),
         ];
         let err = run_plan_graph_report(
             &launches,
@@ -1293,16 +1298,15 @@ fn order_free_view(run: &Executed) -> (Result<ExecStats, String>, Vec<u32>, &[i6
 /// order, so the lockstep executor must agree with serial item order on
 /// it — and a sub-group size of 1 *is* serial item order: one lane per
 /// dispatch, sub-groups in item order. Every race-free plan, as decoded
-/// and fused, runs at sub-group sizes 1 and 16, and at 16 under the audit
-/// (sub-groups and split halves in the opposite order, proven sites
-/// checked, with the verifier's facts attached): the error text always,
+/// and fused, runs fully checked at sub-group sizes 1 and 16, and at 16
+/// under the audit (sub-groups and split halves in the opposite order,
+/// proven sites checked, with the verifier's facts attached): the error
+/// text always,
 /// and the memory and every counter but `global_transactions` of a run
 /// that completed, must be equal. (What a *failed* work-group leaves in
 /// memory is defined per sub-group, not per item, so it is not compared.)
 #[test]
 fn lockstep_matches_item_order_on_race_free_bytecode() {
-    use sycl_mlir_repro::sim::plan::audit_on_this_thread;
-    use sycl_mlir_repro::sim::verify_plan;
     let cost = |subgroup_size| CostModel {
         subgroup_size,
         ..CostModel::default()
@@ -1311,13 +1315,11 @@ fn lockstep_matches_item_order_on_race_free_bytecode() {
     for seed in 0..128_u64 {
         let seed = seed * 7919 + 13;
         let plan = Gen::race_free(seed).finish();
-        let facts = verify_plan(&plan)
-            .unwrap_or_else(|errs| panic!("race-free seed {seed} must verify clean: {errs:?}"));
-        let mut fused = plan.clone();
-        fuse_plan(&mut fused);
+        let (facts, fused) = verify_and_fuse(plan.clone()).expect("verifies");
+        let all = checked(facts.clone());
         for p in [&plan, &fused] {
-            let serial = execute_with(p, &PlanFacts::NONE, &cost(1));
-            let lockstep = execute_with(p, &PlanFacts::NONE, &cost(16));
+            let serial = execute_with(p, &all, &cost(1));
+            let lockstep = execute_with(p, &all, &cost(16));
             audit_on_this_thread(true);
             let audited = execute_with(p, &facts, &cost(16));
             audit_on_this_thread(false);
@@ -1360,7 +1362,11 @@ fn lockstep_matches_item_order_on_race_free_bytecode() {
 // ----------------------------------------------------------------------
 
 /// Execute `plan` alone (threads = 1, serial claim order) under `limits`.
-fn execute_limited(plan: &KernelPlan, limits: &ExecLimits) -> Result<ExecStats, SimError> {
+fn execute_limited(
+    plan: &KernelPlan,
+    facts: &PlanFacts,
+    limits: &ExecLimits,
+) -> Result<ExecStats, SimError> {
     let mut pool = MemoryPool::new();
     let mf = pool.alloc(DataVec::F32(vec![-1.0; BUF_LEN]));
     let mi = pool.alloc(DataVec::I64(vec![7; BUF_LEN]));
@@ -1388,7 +1394,7 @@ fn execute_limited(plan: &KernelPlan, limits: &ExecLimits) -> Result<ExecStats, 
             constant: false,
         }),
     ];
-    let launch = PlanLaunch::kernel(plan, &args, NdRangeSpec::d1(32, 4));
+    let launch = PlanLaunch::kernel(plan, facts, &args, NdRangeSpec::d1(32, 4));
     run_launch(launch, &mut pool, 1, limits, &CostModel::default())
 }
 
@@ -1404,8 +1410,7 @@ fn op_budget_trips_are_fuse_invariant() {
 
     // No group fails: every work-item runs the fused window in bounds.
     let plan = mid_chain_failing_plan(1 << 40);
-    let mut fused = plan.clone();
-    fuse_plan(&mut fused);
+    let (facts, fused) = verify_and_fuse(plan.clone()).expect("verifies");
     assert_eq!(windows(&fused), ["acc.load.idx"], "the template must fuse");
 
     let (mut trips, mut completions) = (0_u32, 0_u32);
@@ -1414,8 +1419,8 @@ fn op_budget_trips_are_fuse_invariant() {
             max_ops: Some(budget),
             ..ExecLimits::none()
         };
-        let fused_run = execute_limited(&fused, &limits);
-        match execute_limited(&plan, &limits) {
+        let fused_run = execute_limited(&fused, &facts, &limits);
+        match execute_limited(&plan, &facts, &limits) {
             Ok(stats) => {
                 completions += 1;
                 assert_eq!(
@@ -1453,8 +1458,10 @@ fn op_budget_trips_are_fuse_invariant() {
 
 /// Every fuzz seed **verifies clean** (the generator emits structurally
 /// legal bytecode), the verifier is deterministic on it, and running
-/// the fused plan with the proven-site facts attached is bit-identical
-/// to the fully-checked run — across the whole 128-seed population.
+/// each plan, unfused and fused, with the proven-site facts attached is
+/// bit-identical to the fully-checked run — across the whole 128-seed
+/// population. Under the audit (every proven site checked) no run fails
+/// with a `proof audit:` error: no elided check could have fired.
 /// The interval pass must also prove a substantial share of the masked
 /// (`& 15`) accessor subscripts, or the fast path is dead code.
 #[test]
@@ -1464,8 +1471,7 @@ fn verifier_accepts_fuzz_population_and_elision_is_bit_identical() {
     for seed in 0..128_u64 {
         let seed = seed * 7919 + 13;
         let plan = Gen::new(seed).finish();
-        let facts = verify_plan(&plan)
-            .unwrap_or_else(|errs| panic!("fuzz seed {seed} must verify clean: {errs:?}"));
+        let (facts, fused) = verify_and_fuse(plan.clone()).expect("verifies");
         let again = verify_plan(&plan).expect("deterministic");
         assert_eq!(
             (facts.sites_total, facts.sites_proven),
@@ -1477,11 +1483,10 @@ fn verifier_accepts_fuzz_population_and_elision_is_bit_identical() {
         // Verification happens pre-fusion; fusion preserves site ids, so
         // the proofs transfer to the fused plan — exactly the product
         // pipeline's order.
-        let mut fused = plan.clone();
-        fuse_plan(&mut fused);
+        let all = checked(facts.clone());
         for p in [&plan, &fused] {
-            let (base, bf, bi, ba) = execute(p);
-            let (fast, ff, fi, fa) = execute_with(p, &facts, &CostModel::default());
+            let (base, bf, bi, ba) = execute(p, &all);
+            let (fast, ff, fi, fa) = execute(p, &facts);
             match (&base, &fast) {
                 (Ok(b), Ok(f)) => assert_eq!(b, f, "stats diverge under elision (seed {seed})"),
                 (Err(b), Err(f)) => assert_eq!(
@@ -1504,6 +1509,15 @@ fn verifier_accepts_fuzz_population_and_elision_is_bit_identical() {
                 fa.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 "accessor buffer diverges under elision (seed {seed})"
             );
+            audit_on_this_thread(true);
+            let audited = execute(p, &facts).0;
+            audit_on_this_thread(false);
+            if let Err(e) = audited {
+                assert!(
+                    !e.message().starts_with("proof audit"),
+                    "a proven site's check fired (seed {seed}): {e}"
+                );
+            }
         }
     }
     // The fuzz population gathers through *loaded* indices on purpose
@@ -1605,8 +1619,8 @@ fn oob_bait_is_never_elided_and_fails_identically() {
         1,
     );
     let facts = verify_plan(&plan).expect("structurally legal");
-    let (base, ..) = execute(&plan);
-    let (fast, ..) = execute_with(&plan, &facts, &CostModel::default());
+    let (base, ..) = execute(&plan, &checked(facts.clone()));
+    let (fast, ..) = execute(&plan, &facts);
     let be = base.expect_err("store at 999 is out of bounds");
     let fe = fast.expect_err("store at 999 is out of bounds");
     assert_eq!(be, fe, "facts must not change the OOB failure");

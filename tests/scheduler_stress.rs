@@ -49,9 +49,9 @@ use sycl_mlir_repro::runtime::{
     SyclRuntime, UsmId,
 };
 use sycl_mlir_repro::sim::{
-    decode_kernel, run_plan_graph_report, AccessorVal, BatchLaunch, CostModel, DataVec, Device,
-    Engine, ExecLimits, ExecStats, GraphReport, HostNode, KernelPlan, LaunchDag, MemFault, MemId,
-    MemoryPool, NdRangeSpec, PlanLaunch, RtValue, SharedPool, SimError,
+    decode_kernel, run_plan_graph_report, verify_and_fuse, AccessorVal, BatchLaunch, CostModel,
+    DataVec, Device, Engine, ExecLimits, ExecStats, GraphReport, HostNode, KernelPlan, LaunchDag,
+    MemFault, MemId, MemoryPool, NdRangeSpec, PlanFacts, PlanLaunch, RtValue, SharedPool, SimError,
 };
 use sycl_mlir_repro::sycl::device as sdev;
 use sycl_mlir_repro::sycl::types::AccessMode;
@@ -637,9 +637,14 @@ fn fuzzed_gather_oob_position_is_engine_independent() {
 // Failing launches at the scheduler level
 // ----------------------------------------------------------------------
 
+/// A decoded plan made ready to launch ([`verify_and_fuse`]): the
+/// verifier's facts and the fused plan.
+type Ready = (PlanFacts, KernelPlan);
+
 /// The generated graphs' kernel templates, each decoded into a
-/// standalone plan (the templates do not depend on the graph).
-fn decoded_templates() -> Vec<(&'static str, KernelPlan)> {
+/// standalone plan (the templates do not depend on the graph) and made
+/// ready to launch.
+fn decoded_templates() -> Vec<(&'static str, Ready)> {
     let m = build_module(&SyclRuntime::new(), &Queue::new());
     let dev = m
         .lookup_symbol(m.top(), sycl_mlir_repro::sycl::DEVICE_MODULE_SYM)
@@ -648,14 +653,15 @@ fn decoded_templates() -> Vec<(&'static str, KernelPlan)> {
         .into_iter()
         .map(|name| {
             let op = m.lookup_symbol(dev, name).expect("kernel symbol");
-            (name, decode_kernel(&m, op).expect("template decodes"))
+            let plan = decode_kernel(&m, op).expect("template decodes");
+            (name, verify_and_fuse(plan).expect("template verifies"))
         })
         .collect()
 }
 
 /// The `scale_io` template's plan, for the direct graph-report tests
 /// below.
-fn decoded_scale_plan() -> KernelPlan {
+fn decoded_scale_plan() -> Ready {
     let (_, plan) = decoded_templates()
         .into_iter()
         .find(|(name, _)| *name == "scale_io")
@@ -675,11 +681,11 @@ fn accessor_over(mem: MemId) -> RtValue {
     })
 }
 
-/// The failing kernels' plans, decoded from [`error_module`], and the
-/// decoder's refusal of `opaque`.
+/// The failing kernels' plans, decoded from [`error_module`] and made
+/// ready to launch, and the decoder's refusal of `opaque`.
 struct FailingPlans {
-    oob_first: KernelPlan,
-    oob_after: KernelPlan,
+    oob_first: Ready,
+    oob_after: Ready,
     rejection: SimError,
 }
 
@@ -690,8 +696,10 @@ fn failing_plans() -> FailingPlans {
         .expect("device module");
     let decode = |name| decode_kernel(&m, m.lookup_symbol(dev, name).expect("kernel symbol"));
     FailingPlans {
-        oob_first: decode("scale_oob_first").expect("the twin decodes"),
-        oob_after: decode("scale_oob_after").expect("the twin decodes"),
+        oob_first: verify_and_fuse(decode("scale_oob_first").expect("the twin decodes"))
+            .expect("the twin verifies"),
+        oob_after: verify_and_fuse(decode("scale_oob_after").expect("the twin decodes"))
+            .expect("the twin verifies"),
         rejection: match decode("opaque") {
             Ok(_) => panic!("the decoder must reject `llvm.alloca`"),
             Err(e) => e.into(),
@@ -716,8 +724,8 @@ fn reference_and_table_dags(q: &Queue) -> [(&'static str, LaunchDag); 2] {
 /// decoder rejected with that error — and the others run `plan`. Returns
 /// the outcome and the final bits of buffer A.
 fn fault_shape_run(
-    first: Result<&KernelPlan, &SimError>,
-    plan: &KernelPlan,
+    first: Result<&Ready, &SimError>,
+    (facts, plan): &Ready,
     dag: &LaunchDag,
     threads: usize,
 ) -> (Result<GraphReport, SimError>, Vec<u32>) {
@@ -729,12 +737,12 @@ fn fault_shape_run(
     let args_b = [accessor_over(mb)];
     let launches = [
         match first {
-            Ok(first) => PlanLaunch::kernel(first, &args_a, nd),
+            Ok((facts, first)) => PlanLaunch::kernel(first, facts, &args_a, nd),
             Err(error) => PlanLaunch::Rejected { nd, error },
         },
-        PlanLaunch::kernel(plan, &args_a, nd),
-        PlanLaunch::kernel(plan, &args_a, nd),
-        PlanLaunch::kernel(plan, &args_b, nd),
+        PlanLaunch::kernel(plan, facts, &args_a, nd),
+        PlanLaunch::kernel(plan, facts, &args_a, nd),
+        PlanLaunch::kernel(plan, facts, &args_b, nd),
     ];
     let report = run_plan_graph_report(
         &launches,
@@ -1004,7 +1012,7 @@ fn host_addinto_type_mismatch_is_a_structured_error() {
 /// the hazard table's alike.
 #[test]
 fn injected_fault_on_host_node_cascades_to_successors() {
-    let plan = decoded_scale_plan();
+    let (facts, plan) = decoded_scale_plan();
     let nd = NdRangeSpec::d1(LEN, 8);
     let mut pool = MemoryPool::new();
     let ma = pool.alloc(DataVec::F32((0..LEN).map(|i| i as f32).collect()));
@@ -1023,9 +1031,9 @@ fn injected_fault_on_host_node_cascades_to_successors() {
     });
     // 0 (kernel) -> 1 (host) -> 2 (kernel), all over buffer A.
     let launches = [
-        PlanLaunch::kernel(&plan, &args_a, nd),
+        PlanLaunch::kernel(&plan, &facts, &args_a, nd),
         PlanLaunch::host(&host),
-        PlanLaunch::kernel(&plan, &args_a, nd),
+        PlanLaunch::kernel(&plan, &facts, &args_a, nd),
     ];
     // The same shape as a queue, for its two edge sets: the all-pairs
     // DAG adds the direct `0 -> 2` hazard.
@@ -1120,7 +1128,7 @@ enum Failing {
 fn spec_graph_run(
     spec: &GraphSpec,
     q: &Queue,
-    plans: &[(&'static str, KernelPlan)],
+    plans: &[(&'static str, Ready)],
     failing_plans: &FailingPlans,
     dag: &LaunchDag,
     threads: usize,
@@ -1202,10 +1210,12 @@ fn spec_graph_run(
             let failure = failing.and_then(|(at, kind)| (at == li).then_some(kind));
             match (failure, host) {
                 (Some(Failing::BeforeWork), _) => {
-                    PlanLaunch::kernel(&failing_plans.oob_first, &scratch_args, nd)
+                    let (facts, plan) = &failing_plans.oob_first;
+                    PlanLaunch::kernel(plan, facts, &scratch_args, nd)
                 }
                 (Some(Failing::AfterWork), _) => {
-                    PlanLaunch::kernel(&failing_plans.oob_after, &scratch_args, nd)
+                    let (facts, plan) = &failing_plans.oob_after;
+                    PlanLaunch::kernel(plan, facts, &scratch_args, nd)
                 }
                 (Some(Failing::Rejected), _) => PlanLaunch::Rejected {
                     nd,
@@ -1214,11 +1224,11 @@ fn spec_graph_run(
                 (Some(Failing::HostOverrun), _) => PlanLaunch::host(&overrun),
                 (None, Some(node)) => PlanLaunch::host(node),
                 (None, None) => {
-                    let (_, plan) = plans
+                    let (_, (facts, plan)) = plans
                         .iter()
                         .find(|(name, _)| *name == cg.kernel)
                         .expect("a generated kernel name");
-                    PlanLaunch::kernel(plan, args, cg.nd)
+                    PlanLaunch::kernel(plan, facts, args, cg.nd)
                 }
             }
         })
@@ -1302,7 +1312,7 @@ fn random_graphs_schedule_identically_under_both_edge_sets() {
 /// statistics, and the result is bit-identical at both thread counts.
 #[test]
 fn host_node_in_graph_runs_in_hazard_order() {
-    let plan = decoded_scale_plan();
+    let (facts, plan) = decoded_scale_plan();
     let nd = NdRangeSpec::d1(LEN, 8);
     let mut want: Option<Vec<u32>> = None;
     for threads in [1_usize, 4] {
@@ -1320,9 +1330,9 @@ fn host_node_in_graph_runs_in_hazard_order() {
             Ok(())
         });
         let launches = [
-            PlanLaunch::kernel(&plan, &args_a, nd),
+            PlanLaunch::kernel(&plan, &facts, &args_a, nd),
             PlanLaunch::host(&host),
-            PlanLaunch::kernel(&plan, &args_a, nd),
+            PlanLaunch::kernel(&plan, &facts, &args_a, nd),
         ];
         let dag = LaunchDag::from_edges(3, &[(0, 1), (1, 2)]);
         let report = run_plan_graph_report(
@@ -1361,7 +1371,7 @@ fn host_node_in_graph_runs_in_hazard_order() {
 /// launching thread, which re-throws it unclassified.
 #[test]
 fn host_view_fault_fails_the_node_and_a_host_panic_is_rethrown() {
-    let plan = decoded_scale_plan();
+    let (facts, plan) = decoded_scale_plan();
     let nd = NdRangeSpec::d1(LEN, 8);
     let two = || DataVec::F32(vec![2.0; LEN as usize]);
     let graph = |host: &HostNode, threads: usize| {
@@ -1371,7 +1381,7 @@ fn host_view_fault_fails_the_node_and_a_host_panic_is_rethrown() {
         let args_a = [accessor_over(ma)];
         let launches = [
             PlanLaunch::host(host),
-            PlanLaunch::kernel(&plan, &args_a, nd),
+            PlanLaunch::kernel(&plan, &facts, &args_a, nd),
         ];
         let report = run_plan_graph_report(
             &launches,
