@@ -114,8 +114,16 @@ impl Dialect for ArithDialect {
                 .with_traits(traits::PURE)
                 .with_fold(fold_fptosi),
         );
-        ctx.register_op(OpInfo::new("arith.truncf").with_traits(traits::PURE));
-        ctx.register_op(OpInfo::new("arith.extf").with_traits(traits::PURE));
+        ctx.register_op(
+            OpInfo::new("arith.truncf")
+                .with_traits(traits::PURE)
+                .with_verify(verify_float_cast::<true>),
+        );
+        ctx.register_op(
+            OpInfo::new("arith.extf")
+                .with_traits(traits::PURE)
+                .with_verify(verify_float_cast::<false>),
+        );
         ctx.register_constant_materializer(|m, block, index, attr, ty| {
             let name = m.ctx().lookup_op("arith.constant")?;
             let op = m.create_op(
@@ -196,6 +204,28 @@ fn verify_cmp<const FLOAT: bool>(m: &Module, op: OpId) -> Result<(), String> {
     match pred {
         "eq" | "ne" | "slt" | "sle" | "sgt" | "sge" => Ok(()),
         other => Err(format!("unknown predicate `{other}`")),
+    }
+}
+
+/// `arith.truncf` (`NARROW`) and `arith.extf`: a float operand and a
+/// float result, which `truncf` does not widen and `extf` does not
+/// narrow.
+fn verify_float_cast<const NARROW: bool>(m: &Module, op: OpId) -> Result<(), String> {
+    if m.op_operands(op).len() != 1 || m.op_results(op).len() != 1 {
+        return Err("expects one operand and one result".into());
+    }
+    let from = m.value_type(m.op_operand(op, 0));
+    let to = m.value_type(m.op_result(op, 0));
+    if !from.is_float() || !to.is_float() {
+        return Err(format!(
+            "operand and result must be float, got {from} -> {to}"
+        ));
+    }
+    let wide = |t: &Type| matches!(t.kind(), TypeKind::F64);
+    match (NARROW, wide(from), wide(to)) {
+        (true, false, true) => Err(format!("truncf must not widen {from} to {to}")),
+        (false, true, false) => Err(format!("extf must not narrow {from} to {to}")),
+        _ => Ok(()),
     }
 }
 
@@ -509,7 +539,9 @@ mod tests {
     }
 
     /// Integer ops and `cmpi` read integers or `index`, float ops and
-    /// `cmpf` floats: `arith.addi` over `f32` does not verify.
+    /// `cmpf` floats: `arith.addi` over `f32` does not verify. `truncf`
+    /// and `extf` take a float to a float, `truncf` not widening it and
+    /// `extf` not narrowing it.
     #[test]
     fn ops_verify_their_operand_class() {
         let verdict = |name: &str, float: bool| {
@@ -551,6 +583,57 @@ mod tests {
                 err.contains(&format!("operands must be {class}")),
                 "{name}: {err}"
             );
+        }
+        let cast = |name: &str, from: &str, to: &str| {
+            let (ctx, mut m) = setup();
+            let block = m.top_block();
+            let mut b = Builder::at_end(&mut m, block);
+            let ty = |t: &str| match t {
+                "f32" => ctx.f32_type(),
+                "f64" => ctx.f64_type(),
+                _ => ctx.index_type(),
+            };
+            let x = match ty(from) {
+                t if t.is_float() => constant_float(&mut b, 1.0, t),
+                _ => constant_index(&mut b, 1),
+            };
+            b.build(name, &[x], &[ty(to)], vec![]);
+            verify(&m).map_err(|e| e.to_string())
+        };
+        for (name, from, to, refused) in [
+            ("arith.truncf", "f64", "f32", None),
+            ("arith.truncf", "f32", "f32", None),
+            (
+                "arith.truncf",
+                "f32",
+                "f64",
+                Some("truncf must not widen f32 to f64"),
+            ),
+            (
+                "arith.truncf",
+                "index",
+                "f32",
+                Some("must be float, got index -> f32"),
+            ),
+            ("arith.extf", "f32", "f64", None),
+            (
+                "arith.extf",
+                "f64",
+                "f32",
+                Some("extf must not narrow f64 to f32"),
+            ),
+            (
+                "arith.extf",
+                "f32",
+                "index",
+                Some("must be float, got f32 -> index"),
+            ),
+        ] {
+            match (cast(name, from, to), refused) {
+                (Ok(()), None) => {}
+                (Err(err), Some(why)) => assert!(err.contains(why), "{name}: {err}"),
+                (verdict, _) => panic!("{name} {from} -> {to}: {verdict:?}"),
+            }
         }
     }
 

@@ -456,7 +456,7 @@ fn args_read(m: &Module, kernel: OpId) -> Option<Vec<bool>> {
     for instr in &plan.code {
         instr.reads(|r| read[r as usize] = true);
     }
-    Some(plan.params.iter().map(|&p| read[p as usize]).collect())
+    Some(plan.params.iter().map(|&(p, _)| read[p as usize]).collect())
 }
 
 /// One launch against its kernel's facts and the parameters its plan

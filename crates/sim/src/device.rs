@@ -624,8 +624,9 @@ fn launch_kernel_with(
 ) -> Result<ExecStats, SimError> {
     nd.validate()?;
     refuse_recursion(m, kernel).map_err(|e| e.at(launch, 0))?;
-    pool.check_args(args)
-        .map_err(|fault| SimError::from(fault).at(launch, 0))?;
+    let params = crate::plan::signature(m, kernel).0;
+    pool.check_args(params.into_iter(), args)
+        .map_err(|e| e.at(launch, 0))?;
     let groups = nd.groups();
     let mut ctx = ExecCtx::new(m, pool, cost, nd);
     if !limits.is_none() {
@@ -747,7 +748,7 @@ fn run_work_group(
     ctx.group = group;
     let mut items: Vec<WorkItemState> = (0..ctx.nd.group_size() as i64)
         .map(|linear| WorkItemState::new(m, kernel, args, linear))
-        .collect::<Result<_, _>>()?;
+        .collect();
     cooperative_rounds(items.len(), group, || {
         let mut barriers = 0;
         for wi in items.iter_mut() {
@@ -760,30 +761,14 @@ fn run_work_group(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{accessor, ctx};
     use crate::memory::DataVec;
     use crate::value::AccessorVal;
     use sycl_mlir_dialects::arith::{self, constant_index};
     use sycl_mlir_dialects::func::{build_func, build_return};
-    use sycl_mlir_ir::{Builder, Context, Module};
+    use sycl_mlir_ir::{Builder, Module};
     use sycl_mlir_sycl::device as sdev;
     use sycl_mlir_sycl::types::{accessor_type, nd_item_type, AccessMode, Target};
-
-    fn ctx() -> Context {
-        let c = Context::new();
-        sycl_mlir_dialects::register_all(&c);
-        sycl_mlir_sycl::register(&c);
-        c
-    }
-
-    fn accessor(mem: crate::memory::MemId, len: i64) -> RtValue {
-        RtValue::Accessor(AccessorVal {
-            mem,
-            range: [len, 1, 1],
-            offset: [0, 0, 0],
-            rank: 1,
-            constant: false,
-        })
-    }
 
     /// A module of two kernels over one `f32` accessor: `scale`
     /// (`a[gid] *= 3`) and `offset` (`a[gid] += 3`).

@@ -11,10 +11,10 @@ use crate::cost::{Coalescer, CostModel, ExecStats};
 use crate::device::NdRangeSpec;
 use crate::limits::MAX_STEPS;
 use crate::memory::{MemFault, MemoryPool};
-use crate::plan::ItemQ;
+use crate::plan::{ItemQ, Ty};
 use crate::value::{MemRefVal, RtValue, Space, VecVal};
 use std::collections::HashMap;
-use sycl_mlir_ir::{CommonKeys, Module, OpId, TypeKind, ValueId};
+use sycl_mlir_ir::{Attribute, BlockId, CommonKeys, Module, OpId, TypeKind, ValueId};
 
 /// Why a work-item stopped running.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -86,6 +86,54 @@ impl From<KernelFault> for SimError {
     }
 }
 
+/// A launch whose arguments do not fit its kernel's parameters
+/// ([`crate::plan::signature`]): both engines refuse it before any of its
+/// work-groups runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArgFault {
+    /// Not one argument per parameter, the item parameter aside.
+    Count {
+        /// Parameters that take an argument.
+        expected: usize,
+        /// Arguments given.
+        given: usize,
+    },
+    /// An argument of another class than its parameter's.
+    Class {
+        /// The argument's position.
+        index: usize,
+        /// The parameter's class.
+        expected: Ty,
+        /// The argument's (`None`: the unit value).
+        given: Option<Ty>,
+    },
+}
+
+impl std::fmt::Display for ArgFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgFault::Count { expected, given } => {
+                write!(f, "kernel expects {expected} arguments, got {given}")
+            }
+            ArgFault::Class {
+                index,
+                expected,
+                given,
+            } => {
+                let takes = expected.name();
+                let got = given.map_or("a value of no class".into(), Ty::name);
+                write!(f, "argument {index}: the kernel takes {takes}, given {got}")
+            }
+        }
+    }
+}
+
+impl From<ArgFault> for SimError {
+    fn from(fault: ArgFault) -> SimError {
+        SimError::Argument { fault, at: None }
+    }
+}
+
 /// A simulation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
@@ -122,6 +170,13 @@ pub enum SimError {
     Fault {
         /// What went wrong, and on which buffer.
         fault: MemFault,
+        /// The position, as in [`SimError::Message`].
+        at: Option<(usize, usize)>,
+    },
+    /// Launch arguments that do not fit the kernel's parameters.
+    Argument {
+        /// Which argument, and how it does not fit.
+        fault: ArgFault,
         /// The position, as in [`SimError::Message`].
         at: Option<(usize, usize)>,
     },
@@ -173,6 +228,7 @@ impl SimError {
             SimError::Message { at, .. }
             | SimError::Kernel { at, .. }
             | SimError::Fault { at, .. }
+            | SimError::Argument { at, .. }
             | SimError::DivergentBarrier { at, .. } => *at = Some((launch, group)),
         }
         self
@@ -188,6 +244,7 @@ impl SimError {
             SimError::Message { message, at } => stamped(message.clone(), at),
             SimError::Kernel { fault, at } => stamped(fault.to_string(), at),
             SimError::Fault { fault, at } => stamped(fault.to_string(), at),
+            SimError::Argument { fault, at } => stamped(fault.to_string(), at),
             SimError::DivergentBarrier {
                 waiting,
                 finished,
@@ -214,10 +271,7 @@ impl SimError {
     pub fn limit_kind(&self) -> Option<LimitKind> {
         match self {
             SimError::LimitExceeded { kind, .. } => Some(*kind),
-            SimError::Message { .. }
-            | SimError::Kernel { .. }
-            | SimError::Fault { .. }
-            | SimError::DivergentBarrier { .. } => None,
+            _ => None,
         }
     }
 }
@@ -300,7 +354,7 @@ impl<'a> ExecCtx<'a> {
 
 enum Frame {
     Block {
-        block: sycl_mlir_ir::BlockId,
+        block: BlockId,
         idx: usize,
     },
     If {
@@ -333,51 +387,28 @@ pub struct WorkItemState {
 
 impl WorkItemState {
     /// Prepare execution of `kernel`, as the work-item at local linear id
-    /// `linear`, with `args` bound to all parameters except the trailing
-    /// item-like one, which gets the item.
-    pub fn new(
-        m: &Module,
-        kernel: OpId,
-        args: &[RtValue],
-        linear: i64,
-    ) -> Result<WorkItemState, SimError> {
+    /// `linear`, with `args` — checked against the kernel's parameters
+    /// (`MemoryPool::check_args`) — bound to all parameters except the
+    /// trailing item, which gets the item.
+    pub fn new(m: &Module, kernel: OpId, args: &[RtValue], linear: i64) -> WorkItemState {
         let entry = m.op_region_block(kernel, 0);
-        let params = m.block_args(entry).to_vec();
         let mut s = WorkItemState {
             env: vec![RtValue::Unit; m.value_capacity()],
             bound: vec![false; m.value_capacity()],
-            frames: vec![Frame::Block {
-                block: entry,
-                idx: 0,
-            }],
+            frames: Vec::new(),
             visits: vec![0; m.op_capacity()],
             linear,
             finished: false,
             steps: 0,
         };
-        let has_item = params
-            .last()
-            .map(|&p| sycl_mlir_sycl::types::is_item_like(m.value_type(p)))
-            .unwrap_or(false);
-        let value_params = if has_item {
-            &params[..params.len() - 1]
-        } else {
-            &params[..]
-        };
-        if value_params.len() != args.len() {
-            return Err(err(format!(
-                "kernel expects {} arguments, got {}",
-                value_params.len(),
-                args.len()
-            )));
+        // The launch checked the arguments against the parameters: a
+        // parameter left over is the item.
+        let params = m.block_args(entry);
+        if let Some(&item) = params.get(args.len()) {
+            s.bind(item, RtValue::Item);
         }
-        for (&p, &a) in value_params.iter().zip(args) {
-            s.bind(p, a);
-        }
-        if has_item {
-            s.bind(*params.last().unwrap(), RtValue::Item);
-        }
-        Ok(s)
+        s.enter(entry, params, args);
+        s
     }
 
     fn bind(&mut self, v: ValueId, val: RtValue) {
@@ -394,8 +425,47 @@ impl WorkItemState {
         Ok(self.env[v.0 as usize])
     }
 
+    /// Operand `i` of `op` as `get` reads it; `what` is the error when it
+    /// holds a value of another class.
+    fn operand<T>(
+        &self,
+        m: &Module,
+        op: OpId,
+        i: usize,
+        get: fn(RtValue) -> Option<T>,
+        what: &str,
+    ) -> Result<T, SimError> {
+        get(self.val(m.op_operand(op, i))?).ok_or_else(|| err(what))
+    }
+
+    /// The index operands of `op` from operand `from` on.
+    fn indices(&self, m: &Module, op: OpId, from: usize) -> Result<Vec<i64>, SimError> {
+        let index = |&v: &ValueId| self.val(v)?.as_int().ok_or_else(|| err("non-int index"));
+        m.op_operands(op)[from..].iter().map(index).collect()
+    }
+
     fn vals(&self, m: &Module, op: OpId) -> Result<Vec<RtValue>, SimError> {
         m.op_operands(op).iter().map(|&v| self.val(v)).collect()
+    }
+
+    /// Bind `params` to `vals` and run `block` next.
+    fn enter(&mut self, block: BlockId, params: &[ValueId], vals: &[RtValue]) {
+        for (&p, &v) in params.iter().zip(vals) {
+            self.bind(p, v);
+        }
+        self.frames.push(Frame::Block { block, idx: 0 });
+    }
+
+    /// Run the body of `loop_op` next, for induction value `iv` and
+    /// carried values `carried`.
+    fn enter_loop(&mut self, m: &Module, loop_op: OpId, iv: i64, carried: &[RtValue]) {
+        let body = m.op_region_block(loop_op, 0);
+        let (&iv_arg, carries) = m
+            .block_args(body)
+            .split_first()
+            .expect("an induction variable");
+        self.bind(iv_arg, RtValue::Int(iv));
+        self.enter(body, carries, carried);
     }
 
     fn assign_results(&mut self, m: &Module, op: OpId, vals: &[RtValue]) {
@@ -458,45 +528,24 @@ impl WorkItemState {
                 "scf.yield" | "affine.yield" => {
                     let vals = self.vals(ctx.m, op)?;
                     self.frames.pop(); // the finished block
-                    match self.frames.last().map(|f| match f {
-                        Frame::If { op } => (0, *op, 0, 0, 0),
-                        Frame::Loop { op, iv, ub, step } => (1, *op, *iv, *ub, *step),
-                        _ => (2, OpId(0), 0, 0, 0),
-                    }) {
-                        Some((0, if_op, ..)) => {
-                            self.frames.pop();
-                            self.assign_results(ctx.m, if_op, &vals);
-                        }
-                        Some((1, loop_op, iv, ub, step)) => {
+                    match self.frames.pop() {
+                        Some(Frame::If { op: if_op }) => self.assign_results(ctx.m, if_op, &vals),
+                        Some(Frame::Loop { op, iv, ub, step }) => {
                             // Past `i64::MAX` is past `ub`: overflow ends the loop.
-                            if let Some(next) = iv.checked_add(step).filter(|&n| n < ub) {
-                                if let Some(Frame::Loop { iv, .. }) = self.frames.last_mut() {
-                                    *iv = next;
+                            match iv.checked_add(step).filter(|&n| n < ub) {
+                                Some(iv) => {
+                                    self.frames.push(Frame::Loop { op, iv, ub, step });
+                                    self.enter_loop(ctx.m, op, iv, &vals);
                                 }
-                                let m = ctx.m;
-                                let body = m.op_region_block(loop_op, 0);
-                                let args = m.block_args(body);
-                                self.bind(args[0], RtValue::Int(next));
-                                for (i, &a) in args[1..].iter().enumerate() {
-                                    self.bind(a, vals[i]);
-                                }
-                                self.frames.push(Frame::Block {
-                                    block: body,
-                                    idx: 0,
-                                });
-                            } else {
-                                self.frames.pop();
-                                self.assign_results(ctx.m, loop_op, &vals);
+                                None => self.assign_results(ctx.m, op, &vals),
                             }
                         }
                         _ => return Err(err("yield outside of an if/loop")),
                     }
                 }
                 "scf.if" => {
-                    let cond = self
-                        .val(ctx.m.op_operand(op, 0))?
-                        .as_bool()
-                        .ok_or_else(|| err("non-boolean if condition"))?;
+                    let cond =
+                        self.operand(ctx.m, op, 0, RtValue::as_bool, "non-boolean if condition")?;
                     ctx.stats.arith_ops += 1;
                     let region = if cond { 0 } else { 1 };
                     let blk = ctx.m.op_region_block(op, region);
@@ -504,18 +553,9 @@ impl WorkItemState {
                     self.frames.push(Frame::Block { block: blk, idx: 0 });
                 }
                 "scf.for" | "affine.for" => {
-                    let lb = self
-                        .val(ctx.m.op_operand(op, 0))?
-                        .as_int()
-                        .ok_or_else(|| err("bad lb"))?;
-                    let ub = self
-                        .val(ctx.m.op_operand(op, 1))?
-                        .as_int()
-                        .ok_or_else(|| err("bad ub"))?;
-                    let step = self
-                        .val(ctx.m.op_operand(op, 2))?
-                        .as_int()
-                        .ok_or_else(|| err("bad step"))?;
+                    let lb = self.operand(ctx.m, op, 0, RtValue::as_int, "bad lb")?;
+                    let ub = self.operand(ctx.m, op, 1, RtValue::as_int, "bad ub")?;
+                    let step = self.operand(ctx.m, op, 2, RtValue::as_int, "bad step")?;
                     if step <= 0 {
                         return Err(KernelFault::NonPositiveLoopStep.into());
                     }
@@ -527,23 +567,13 @@ impl WorkItemState {
                     if lb >= ub {
                         self.assign_results(ctx.m, op, &inits);
                     } else {
-                        let m = ctx.m;
-                        let body = m.op_region_block(op, 0);
-                        let args = m.block_args(body);
-                        self.bind(args[0], RtValue::Int(lb));
-                        for (i, &a) in args[1..].iter().enumerate() {
-                            self.bind(a, inits[i]);
-                        }
                         self.frames.push(Frame::Loop {
                             op,
                             iv: lb,
                             ub,
                             step,
                         });
-                        self.frames.push(Frame::Block {
-                            block: body,
-                            idx: 0,
-                        });
+                        self.enter_loop(ctx.m, op, lb, &inits);
                     }
                 }
                 "func.call" => {
@@ -551,16 +581,9 @@ impl WorkItemState {
                     let callee = sycl_mlir_dialects::func::resolve_callee(ctx.m, op, scope)
                         .ok_or_else(|| err("unresolved call"))?;
                     let args = self.vals(ctx.m, op)?;
-                    let m = ctx.m;
-                    let entry = m.op_region_block(callee, 0);
-                    for (i, &p) in m.block_args(entry).iter().enumerate() {
-                        self.bind(p, args[i]);
-                    }
                     self.frames.push(Frame::Call { op });
-                    self.frames.push(Frame::Block {
-                        block: entry,
-                        idx: 0,
-                    });
+                    let entry = ctx.m.op_region_block(callee, 0);
+                    self.enter(entry, ctx.m.block_args(entry), &args);
                 }
                 "sycl.group.barrier" => {
                     ctx.stats.barriers += 1;
@@ -571,44 +594,31 @@ impl WorkItemState {
         }
     }
 
-    /// Execute a non-control-flow op.
+    /// Execute a non-control-flow op: bind its result, if it has one.
     fn exec_simple(&mut self, ctx: &mut ExecCtx<'_>, op: OpId, name: &str) -> Result<(), SimError> {
         let m = ctx.m;
-        match name {
+        let result = match name {
             "arith.constant" => {
                 let attr = m
                     .attr_by_id(op, ctx.keys.value)
                     .ok_or_else(|| err("constant without value"))?
                     .clone();
-                let ty = m.value_type(m.op_result(op, 0));
-                let v = match (&attr, ty.kind()) {
-                    (sycl_mlir_ir::Attribute::Int(x), _) => RtValue::Int(*x),
-                    (sycl_mlir_ir::Attribute::Bool(b), _) => RtValue::Int(*b as i64),
-                    (sycl_mlir_ir::Attribute::Float(f), TypeKind::F32) => RtValue::F32(*f as f32),
-                    (sycl_mlir_ir::Attribute::Float(f), _) => RtValue::F64(*f),
-                    (
-                        sycl_mlir_ir::Attribute::DenseF64(_) | sycl_mlir_ir::Attribute::DenseI64(_),
-                        TypeKind::MemRef { .. },
-                    ) => {
-                        let mr = self.materialize_dense(ctx, op, &attr)?;
-                        RtValue::MemRef(mr)
+                match (&attr, m.value_type(m.op_result(op, 0)).kind()) {
+                    (Attribute::Int(x), _) => RtValue::Int(*x),
+                    (Attribute::Bool(b), _) => RtValue::Int(*b as i64),
+                    (Attribute::Float(f), TypeKind::F32) => RtValue::F32(*f as f32),
+                    (Attribute::Float(f), _) => RtValue::F64(*f),
+                    (Attribute::DenseF64(_) | Attribute::DenseI64(_), TypeKind::MemRef { .. }) => {
+                        RtValue::MemRef(self.materialize_dense(ctx, op, &attr)?)
                     }
                     _ => return Err(err("unsupported constant kind")),
-                };
-                self.bind(m.op_result(op, 0), v);
-                Ok(())
+                }
             }
             "arith.addi" | "arith.subi" | "arith.muli" | "arith.divsi" | "arith.remsi"
             | "arith.andi" | "arith.ori" | "arith.xori" | "arith.minsi" | "arith.maxsi" => {
                 ctx.stats.arith_ops += 1;
-                let l = self
-                    .val(m.op_operand(op, 0))?
-                    .as_int()
-                    .ok_or_else(|| err("int op on non-int"))?;
-                let r = self
-                    .val(m.op_operand(op, 1))?
-                    .as_int()
-                    .ok_or_else(|| err("int op on non-int"))?;
+                let l = self.operand(m, op, 0, RtValue::as_int, "int op on non-int")?;
+                let r = self.operand(m, op, 1, RtValue::as_int, "int op on non-int")?;
                 let out = match name {
                     "arith.addi" => l.wrapping_add(r),
                     "arith.subi" => l.wrapping_sub(r),
@@ -631,8 +641,7 @@ impl WorkItemState {
                     "arith.minsi" => l.min(r),
                     _ => l.max(r),
                 };
-                self.bind(m.op_result(op, 0), RtValue::Int(out));
-                Ok(())
+                RtValue::Int(out)
             }
             "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" | "arith.minf"
             | "arith.maxf" => {
@@ -649,230 +658,103 @@ impl WorkItemState {
                     "arith.minf" => l.min(r),
                     _ => l.max(r),
                 };
-                let res = match lv {
+                match lv {
                     RtValue::F32(_) => RtValue::F32(out as f32),
                     _ => RtValue::F64(out),
-                };
-                self.bind(m.op_result(op, 0), res);
-                Ok(())
+                }
             }
             "arith.negf" => {
                 ctx.stats.arith_ops += 1;
-                let v = self.val(m.op_operand(op, 0))?;
-                let res = match v {
+                match self.val(m.op_operand(op, 0))? {
                     RtValue::F32(x) => RtValue::F32(-x),
                     RtValue::F64(x) => RtValue::F64(-x),
                     _ => return Err(err("negf on non-float")),
-                };
-                self.bind(m.op_result(op, 0), res);
-                Ok(())
+                }
             }
-            "arith.cmpi" => {
+            "arith.cmpi" | "arith.cmpf" => {
                 ctx.stats.arith_ops += 1;
-                let l = self
-                    .val(m.op_operand(op, 0))?
-                    .as_int()
-                    .ok_or_else(|| err("cmpi on non-int"))?;
-                let r = self
-                    .val(m.op_operand(op, 1))?
-                    .as_int()
-                    .ok_or_else(|| err("cmpi on non-int"))?;
                 let pred = m
                     .attr_by_id(op, ctx.keys.predicate)
-                    .and_then(|a| a.as_str())
-                    .unwrap_or("eq");
-                let out = match pred {
-                    "eq" => l == r,
-                    "ne" => l != r,
-                    "slt" => l < r,
-                    "sle" => l <= r,
-                    "sgt" => l > r,
-                    _ => l >= r,
+                    .and_then(|a| a.as_str());
+                let out = if name == "arith.cmpi" {
+                    let what = "cmpi on non-int";
+                    let l = self.operand(m, op, 0, RtValue::as_int, what)?;
+                    compare(pred, l, self.operand(m, op, 1, RtValue::as_int, what)?)
+                } else {
+                    let what = "cmpf on non-float";
+                    let l = self.operand(m, op, 0, RtValue::as_f64, what)?;
+                    compare(pred, l, self.operand(m, op, 1, RtValue::as_f64, what)?)
                 };
-                self.bind(m.op_result(op, 0), RtValue::Int(out as i64));
-                Ok(())
-            }
-            "arith.cmpf" => {
-                ctx.stats.arith_ops += 1;
-                let l = self
-                    .val(m.op_operand(op, 0))?
-                    .as_f64()
-                    .ok_or_else(|| err("cmpf on non-float"))?;
-                let r = self
-                    .val(m.op_operand(op, 1))?
-                    .as_f64()
-                    .ok_or_else(|| err("cmpf on non-float"))?;
-                let pred = m
-                    .attr_by_id(op, ctx.keys.predicate)
-                    .and_then(|a| a.as_str())
-                    .unwrap_or("eq");
-                let out = match pred {
-                    "eq" => l == r,
-                    "ne" => l != r,
-                    "slt" => l < r,
-                    "sle" => l <= r,
-                    "sgt" => l > r,
-                    _ => l >= r,
-                };
-                self.bind(m.op_result(op, 0), RtValue::Int(out as i64));
-                Ok(())
+                RtValue::Int(out as i64)
             }
             "arith.select" => {
                 ctx.stats.arith_ops += 1;
-                let c = self
-                    .val(m.op_operand(op, 0))?
-                    .as_bool()
-                    .ok_or_else(|| err("select cond"))?;
-                let v = if c {
+                let c = self.operand(m, op, 0, RtValue::as_bool, "select cond")?;
+                if c {
                     self.val(m.op_operand(op, 1))?
                 } else {
                     self.val(m.op_operand(op, 2))?
-                };
-                self.bind(m.op_result(op, 0), v);
-                Ok(())
+                }
             }
-            "arith.index_cast" | "arith.extsi" | "arith.trunci" => {
-                let v = self.val(m.op_operand(op, 0))?;
-                self.bind(m.op_result(op, 0), v);
-                Ok(())
-            }
+            "arith.index_cast" | "arith.extsi" | "arith.trunci" => self.val(m.op_operand(op, 0))?,
             "arith.sitofp" => {
                 ctx.stats.arith_ops += 1;
-                let v = self
-                    .val(m.op_operand(op, 0))?
-                    .as_int()
-                    .ok_or_else(|| err("sitofp"))?;
-                let ty = m.value_type(m.op_result(op, 0));
-                let res = match ty.kind() {
+                let v = self.operand(m, op, 0, RtValue::as_int, "sitofp")?;
+                match m.value_type(m.op_result(op, 0)).kind() {
                     TypeKind::F32 => RtValue::F32(v as f32),
                     _ => RtValue::F64(v as f64),
-                };
-                self.bind(m.op_result(op, 0), res);
-                Ok(())
+                }
             }
             "arith.fptosi" => {
                 ctx.stats.arith_ops += 1;
-                let v = self
-                    .val(m.op_operand(op, 0))?
-                    .as_f64()
-                    .ok_or_else(|| err("fptosi"))?;
-                self.bind(m.op_result(op, 0), RtValue::Int(v as i64));
-                Ok(())
+                RtValue::Int(self.operand(m, op, 0, RtValue::as_f64, "fptosi")? as i64)
             }
             "arith.truncf" => {
-                let v = self
-                    .val(m.op_operand(op, 0))?
-                    .as_f64()
-                    .ok_or_else(|| err("truncf"))?;
-                self.bind(m.op_result(op, 0), RtValue::F32(v as f32));
-                Ok(())
+                RtValue::F32(self.operand(m, op, 0, RtValue::as_f64, "truncf")? as f32)
             }
-            "arith.extf" => {
-                let v = self
-                    .val(m.op_operand(op, 0))?
-                    .as_f64()
-                    .ok_or_else(|| err("extf"))?;
-                self.bind(m.op_result(op, 0), RtValue::F64(v));
-                Ok(())
-            }
+            "arith.extf" => RtValue::F64(self.operand(m, op, 0, RtValue::as_f64, "extf")?),
             _ if name.starts_with("math.") => {
                 ctx.stats.arith_ops += 4; // transcendental ops are pricier
                 let xv = self.val(m.op_operand(op, 0))?;
                 let x = xv.as_f64().ok_or_else(|| err("math on non-float"))?;
                 let out = if name == "math.powf" {
-                    let y = self
-                        .val(m.op_operand(op, 1))?
-                        .as_f64()
-                        .ok_or_else(|| err("powf"))?;
+                    let y = self.operand(m, op, 1, RtValue::as_f64, "powf")?;
                     x.powf(y)
                 } else {
                     sycl_mlir_dialects::math::eval_unary(name, x)
                         .ok_or_else(|| err(format!("unknown math op {name}")))?
                 };
-                let res = match xv {
+                match xv {
                     RtValue::F32(_) => RtValue::F32(out as f32),
                     _ => RtValue::F64(out),
-                };
-                self.bind(m.op_result(op, 0), res);
-                Ok(())
+                }
             }
-            "memref.alloca" => {
-                let ty = m.value_type(m.op_result(op, 0));
-                let (mem, shape, rank) = self.alloc_for(ctx, ty)?;
-                self.bind(
-                    m.op_result(op, 0),
-                    RtValue::MemRef(MemRefVal {
-                        mem,
-                        offset: 0,
-                        shape,
-                        rank,
-                        space: Space::Private,
-                    }),
-                );
-                Ok(())
-            }
-            "sycl.local.alloca" => {
-                let mr = if let Some(existing) = ctx.local_allocs.get(&op) {
-                    *existing
-                } else {
-                    let ty = m.value_type(m.op_result(op, 0));
-                    let (mem, shape, rank) = self.alloc_for(ctx, ty)?;
-                    let mr = MemRefVal {
-                        mem,
-                        offset: 0,
-                        shape,
-                        rank,
-                        space: Space::Local,
-                    };
-                    ctx.local_allocs.insert(op, mr);
-                    mr
-                };
-                self.bind(m.op_result(op, 0), RtValue::MemRef(mr));
-                Ok(())
-            }
+            "memref.alloca" => RtValue::MemRef(self.alloc_for(ctx, op, Space::Private)?),
+            "sycl.local.alloca" => RtValue::MemRef(match ctx.local_allocs.get(&op) {
+                Some(&existing) => existing,
+                None => {
+                    let mr = self.alloc_for(ctx, op, Space::Local)?;
+                    *ctx.local_allocs.entry(op).or_insert(mr)
+                }
+            }),
             "memref.load" | "affine.load" => {
-                let mr = self
-                    .val(m.op_operand(op, 0))?
-                    .as_memref()
-                    .ok_or_else(|| err("load from non-memref"))?;
-                let idx: Vec<i64> = m.op_operands(op)[1..]
-                    .iter()
-                    .map(|&v| {
-                        self.val(v)
-                            .and_then(|x| x.as_int().ok_or_else(|| err("non-int index")))
-                    })
-                    .collect::<Result<_, _>>()?;
+                let mr = self.operand(m, op, 0, RtValue::as_memref, "load from non-memref")?;
+                let idx = self.indices(m, op, 1)?;
                 let addr = mr.linearize(&idx);
                 self.mem_event(ctx, op, &mr, addr);
-                let v = ctx.pool.load(mr.mem, addr)?;
-                self.bind(m.op_result(op, 0), v);
-                Ok(())
+                ctx.pool.load(mr.mem, addr)?
             }
             "memref.store" | "affine.store" => {
                 let v = self.val(m.op_operand(op, 0))?;
-                let mr = self
-                    .val(m.op_operand(op, 1))?
-                    .as_memref()
-                    .ok_or_else(|| err("store to non-memref"))?;
-                let idx: Vec<i64> = m.op_operands(op)[2..]
-                    .iter()
-                    .map(|&x| {
-                        self.val(x)
-                            .and_then(|y| y.as_int().ok_or_else(|| err("non-int index")))
-                    })
-                    .collect::<Result<_, _>>()?;
+                let mr = self.operand(m, op, 1, RtValue::as_memref, "store to non-memref")?;
+                let idx = self.indices(m, op, 2)?;
                 let addr = mr.linearize(&idx);
                 self.mem_event(ctx, op, &mr, addr);
                 ctx.pool.store(mr.mem, addr, v)?;
-                Ok(())
+                return Ok(());
             }
             "memref.cast" => {
-                let mr = self
-                    .val(m.op_operand(op, 0))?
-                    .as_memref()
-                    .ok_or_else(|| err("cast of non-memref"))?;
-                self.bind(m.op_result(op, 0), RtValue::MemRef(mr));
-                Ok(())
+                RtValue::MemRef(self.operand(m, op, 0, RtValue::as_memref, "cast of non-memref")?)
             }
             "sycl.id.constructor" | "sycl.range.constructor" => {
                 ctx.stats.arith_ops += 1;
@@ -881,156 +763,117 @@ impl WorkItemState {
                     data[i] = self.val(v)?.as_int().ok_or_else(|| err("id component"))?;
                 }
                 let rank = m.op_operands(op).len() as u32;
-                self.bind(m.op_result(op, 0), RtValue::Vec(VecVal { data, rank }));
-                Ok(())
+                RtValue::Vec(VecVal { data, rank })
             }
             "sycl.nd_range.constructor" => {
-                let g = self
-                    .val(m.op_operand(op, 0))?
-                    .as_vec()
-                    .ok_or_else(|| err("nd_range global"))?;
-                let l = self
-                    .val(m.op_operand(op, 1))?
-                    .as_vec()
-                    .ok_or_else(|| err("nd_range local"))?;
-                self.bind(m.op_result(op, 0), RtValue::NdRange(g, l));
-                Ok(())
+                let g = self.operand(m, op, 0, RtValue::as_vec, "nd_range global")?;
+                let l = self.operand(m, op, 1, RtValue::as_vec, "nd_range local")?;
+                RtValue::NdRange(g, l)
             }
             "sycl.id.get" | "sycl.range.get" => {
                 ctx.stats.arith_ops += 1;
-                let v = self
-                    .val(m.op_operand(op, 0))?
-                    .as_vec()
-                    .ok_or_else(|| err("id.get"))?;
+                let v = self.operand(m, op, 0, RtValue::as_vec, "id.get")?;
                 let d = self.dim_operand(m, op)?;
-                self.bind(m.op_result(op, 0), RtValue::Int(v.data[d]));
-                Ok(())
+                RtValue::Int(v.data[d])
             }
             "sycl.range.size" => {
                 ctx.stats.arith_ops += 1;
-                let v = self
-                    .val(m.op_operand(op, 0))?
-                    .as_vec()
-                    .ok_or_else(|| err("range.size"))?;
-                let size: i64 = v.data[..v.rank as usize].iter().product();
-                self.bind(m.op_result(op, 0), RtValue::Int(size));
-                Ok(())
+                let v = self.operand(m, op, 0, RtValue::as_vec, "range.size")?;
+                RtValue::Int(v.data[..v.rank as usize].iter().product())
             }
             "sycl.item.get_id" | "sycl.nd_item.get_global_id" => {
-                self.bind_item_query(ctx, op, ItemQ::GlobalId)
+                self.item_query(ctx, op, ItemQ::GlobalId)?
             }
-            "sycl.nd_item.get_local_id" => self.bind_item_query(ctx, op, ItemQ::LocalId),
+            "sycl.nd_item.get_local_id" => self.item_query(ctx, op, ItemQ::LocalId)?,
             "sycl.nd_item.get_group_id" | "sycl.group.get_id" => {
-                self.bind_item_query(ctx, op, ItemQ::GroupId)
+                self.item_query(ctx, op, ItemQ::GroupId)?
             }
             "sycl.item.get_range" | "sycl.nd_item.get_global_range" => {
-                self.bind_item_query(ctx, op, ItemQ::GlobalRange)
+                self.item_query(ctx, op, ItemQ::GlobalRange)?
             }
             "sycl.nd_item.get_local_range" | "sycl.group.get_local_range" => {
-                self.bind_item_query(ctx, op, ItemQ::LocalRange)
+                self.item_query(ctx, op, ItemQ::LocalRange)?
             }
-            "sycl.nd_item.get_group_range" => self.bind_item_query(ctx, op, ItemQ::GroupRange),
+            "sycl.nd_item.get_group_range" => self.item_query(ctx, op, ItemQ::GroupRange)?,
             "sycl.item.get_linear_id" | "sycl.nd_item.get_global_linear_id" => {
                 ctx.stats.arith_ops += 1;
-                let id = ctx.nd.global_linear_id(ctx.group, self.linear);
-                self.bind(m.op_result(op, 0), RtValue::Int(id));
-                Ok(())
+                RtValue::Int(ctx.nd.global_linear_id(ctx.group, self.linear))
             }
             "sycl.nd_item.get_local_linear_id" => {
                 ctx.stats.arith_ops += 1;
-                self.bind(m.op_result(op, 0), RtValue::Int(self.linear));
-                Ok(())
+                RtValue::Int(self.linear)
             }
-            "sycl.nd_item.get_group" => {
-                self.bind(m.op_result(op, 0), RtValue::Item);
-                Ok(())
-            }
+            "sycl.nd_item.get_group" => RtValue::Item,
             "sycl.accessor.subscript" => {
                 ctx.stats.arith_ops += 1;
-                let acc = self
-                    .val(m.op_operand(op, 0))?
-                    .as_accessor()
-                    .ok_or_else(|| err("subscript of non-accessor"))?;
-                let id = self
-                    .val(m.op_operand(op, 1))?
-                    .as_vec()
-                    .ok_or_else(|| err("subscript id"))?;
+                let acc =
+                    self.operand(m, op, 0, RtValue::as_accessor, "subscript of non-accessor")?;
+                let id = self.operand(m, op, 1, RtValue::as_vec, "subscript id")?;
                 let offset = acc.linearize(&id.data[..id.rank as usize]);
                 let space = if acc.constant {
                     Space::Constant
                 } else {
                     Space::Global
                 };
-                self.bind(
-                    m.op_result(op, 0),
-                    RtValue::MemRef(MemRefVal {
-                        mem: acc.mem,
-                        offset,
-                        shape: [-1, 1, 1],
-                        rank: 1,
-                        space,
-                    }),
-                );
-                Ok(())
+                RtValue::MemRef(MemRefVal {
+                    mem: acc.mem,
+                    offset,
+                    shape: [-1, 1, 1],
+                    rank: 1,
+                    space,
+                })
             }
             "sycl.accessor.get_range" => {
                 ctx.stats.arith_ops += 1;
-                let acc = self
-                    .val(m.op_operand(op, 0))?
-                    .as_accessor()
-                    .ok_or_else(|| err("get_range"))?;
+                let acc = self.operand(m, op, 0, RtValue::as_accessor, "get_range")?;
                 let d = self.dim_operand(m, op)?;
-                self.bind(m.op_result(op, 0), RtValue::Int(acc.range[d]));
-                Ok(())
+                RtValue::Int(acc.range[d])
             }
             "sycl.accessor.base" => {
                 ctx.stats.arith_ops += 1;
-                let acc = self
-                    .val(m.op_operand(op, 0))?
-                    .as_accessor()
-                    .ok_or_else(|| err("accessor.base"))?;
-                let base = ((acc.mem.0 as i64) << 32) | acc.linearize(&[0, 0, 0]);
-                self.bind(m.op_result(op, 0), RtValue::Int(base));
-                Ok(())
+                let acc = self.operand(m, op, 0, RtValue::as_accessor, "accessor.base")?;
+                RtValue::Int(((acc.mem.0 as i64) << 32) | acc.linearize(&[0, 0, 0]))
             }
-            "llvm.undef" => {
-                self.bind(m.op_result(op, 0), RtValue::Int(0));
-                Ok(())
-            }
-            other => Err(err(format!("op `{other}` is not executable on the device"))),
-        }
-    }
-
-    /// Bind `op`'s result to the answer to `q` along its dimension operand.
-    fn bind_item_query(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        op: OpId,
-        q: ItemQ,
-    ) -> Result<(), SimError> {
-        ctx.stats.arith_ops += 1;
-        let d = self.dim_operand(ctx.m, op)?;
-        let v = ctx.nd.item_query(ctx.group, self.linear, q, d);
-        self.bind(ctx.m.op_result(op, 0), RtValue::Int(v));
+            "llvm.undef" => match m.value_type(m.op_result(op, 0)).kind() {
+                TypeKind::F32 => RtValue::F32(0.0),
+                TypeKind::F64 => RtValue::F64(0.0),
+                _ => RtValue::Int(0),
+            },
+            other => return Err(err(format!("op `{other}` is not executable on the device"))),
+        };
+        self.bind(m.op_result(op, 0), result);
         Ok(())
     }
 
+    /// The answer to `q` along `op`'s dimension operand.
+    fn item_query(&self, ctx: &mut ExecCtx<'_>, op: OpId, q: ItemQ) -> Result<RtValue, SimError> {
+        ctx.stats.arith_ops += 1;
+        let d = self.dim_operand(ctx.m, op)?;
+        Ok(RtValue::Int(ctx.nd.item_query(
+            ctx.group,
+            self.linear,
+            q,
+            d,
+        )))
+    }
+
     fn dim_operand(&self, m: &Module, op: OpId) -> Result<usize, SimError> {
-        let d = self
-            .val(m.op_operand(op, 1))?
-            .as_int()
-            .ok_or_else(|| err("non-constant dimension operand"))?;
+        let d = self.operand(m, op, 1, RtValue::as_int, "non-constant dimension operand")?;
         if !(0..3).contains(&d) {
             return Err(err(format!("dimension {d} out of range")));
         }
         Ok(d as usize)
     }
 
+    /// A fresh zeroed allocation of the memref type of `op`'s result, in
+    /// `space`.
     fn alloc_for(
         &mut self,
         ctx: &mut ExecCtx<'_>,
-        ty: &sycl_mlir_ir::Type,
-    ) -> Result<(crate::memory::MemId, [i64; 3], u32), SimError> {
+        op: OpId,
+        space: Space,
+    ) -> Result<MemRefVal, SimError> {
+        let ty = ctx.m.value_type(ctx.m.op_result(op, 0));
         let shape_v = ty
             .memref_shape()
             .ok_or_else(|| err("alloca of non-memref"))?
@@ -1047,10 +890,15 @@ impl WorkItemState {
             .pool
             .alloc_zeroed(crate::memory::Dtype::of(elem), len.max(0) as usize);
         let mut shape = [1_i64; 3];
-        for (i, &s) in shape_v.iter().enumerate() {
-            shape[i] = s;
-        }
-        Ok((mem, shape, shape_v.len() as u32))
+        shape[..shape_v.len()].copy_from_slice(&shape_v);
+        let rank = shape_v.len() as u32;
+        Ok(MemRefVal {
+            mem,
+            offset: 0,
+            shape,
+            rank,
+            space,
+        })
     }
 
     fn materialize_dense(
@@ -1074,9 +922,7 @@ impl WorkItemState {
         let mem = ctx.pool.alloc(data);
         let shape_v = ty.memref_shape().unwrap();
         let mut shape = [1_i64; 3];
-        for (i, &s) in shape_v.iter().enumerate() {
-            shape[i] = s;
-        }
+        shape[..shape_v.len()].copy_from_slice(shape_v);
         let mr = MemRefVal {
             mem,
             offset: 0,
@@ -1098,6 +944,19 @@ impl WorkItemState {
             addr,
             ctx.pool.buf(mr.mem).dtype().bytes(),
         );
+    }
+}
+
+/// Whether `l pred r` holds, `pred` as `arith.cmpi` / `arith.cmpf`
+/// spell it: a missing predicate is `eq`, an unknown one `sge`.
+fn compare<T: PartialOrd>(pred: Option<&str>, l: T, r: T) -> bool {
+    match pred.unwrap_or("eq") {
+        "eq" => l == r,
+        "ne" => l != r,
+        "slt" => l < r,
+        "sle" => l <= r,
+        "sgt" => l > r,
+        _ => l >= r,
     }
 }
 

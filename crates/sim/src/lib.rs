@@ -153,7 +153,7 @@ pub mod verify;
 pub use config::{knob_table, ConfigError};
 pub use cost::{Coalescer, CostModel, ExecStats};
 pub use device::{auto_threads, BatchLaunch, Device, Engine, NdRangeSpec, SimError};
-pub use interp::{KernelFault, LimitKind};
+pub use interp::{ArgFault, KernelFault, LimitKind};
 pub use ledger::{Ledger, LedgerCounts, WorkerTimes};
 pub use limits::ExecLimits;
 pub use memory::{Buf, DataVec, Dtype, Elem, MemFault, MemId, MemoryPool};
@@ -165,3 +165,31 @@ pub use pool::{
 pub use report::{DeviceReport, LaneSums, VerifyCounters};
 pub use value::{AccessorVal, MemRefVal, RtValue, Space};
 pub use verify::{verify_and_fuse, verify_plan, PlanFacts, SiteProof, VerifyError};
+
+/// What the crate's unit tests build their kernels and launches from.
+#[cfg(test)]
+mod fixtures {
+    use crate::memory::MemId;
+    use crate::value::{AccessorVal, RtValue};
+    use sycl_mlir_ir::Context;
+
+    /// A context with every dialect the simulator runs registered.
+    pub(crate) fn ctx() -> Context {
+        let c = Context::new();
+        sycl_mlir_dialects::register_all(&c);
+        sycl_mlir_sycl::register(&c);
+        c
+    }
+
+    /// The launch argument of a rank-1 accessor over the first `len`
+    /// elements of buffer `mem`.
+    pub(crate) fn accessor(mem: MemId, len: i64) -> RtValue {
+        RtValue::Accessor(AccessorVal {
+            mem,
+            range: [len, 1, 1],
+            offset: [0, 0, 0],
+            rank: 1,
+            constant: false,
+        })
+    }
+}

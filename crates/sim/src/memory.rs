@@ -2,8 +2,9 @@
 //! one place a kernel or host-task access is bounds-checked, read or
 //! written.
 
-use crate::interp::SimError;
-use crate::value::RtValue;
+use crate::interp::{ArgFault, SimError};
+use crate::plan::{Class, Ty};
+use crate::value::{AccessorVal, MemRefVal, RtValue};
 use std::ops::Deref;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::atomic::{AtomicU32, AtomicU64};
@@ -384,19 +385,41 @@ impl MemoryPool {
         Ok(())
     }
 
-    /// Check that every accessor and memref among the launch arguments
-    /// `args` names a buffer of this pool — the one place outside ids
-    /// enter a launch, so accesses inside it resolve their buffer
-    /// unconditionally.
-    pub(crate) fn check_args(&self, args: &[RtValue]) -> Result<(), MemFault> {
-        for arg in args {
-            let id = match arg {
-                RtValue::Accessor(a) => a.mem,
-                RtValue::MemRef(m) => m.mem,
-                _ => continue,
+    /// Check the launch arguments `args` against the classes of the
+    /// parameters they fill, `params` ([`crate::plan::signature`]): one
+    /// argument per parameter, each of its parameter's class, and an
+    /// accessor's or memref's buffer one of this pool whose elements are
+    /// of the parameter's element class. The one place outside values
+    /// enter a launch, so inside it every register holds the class the
+    /// verifier proved and every access resolves its buffer.
+    pub(crate) fn check_args(
+        &self,
+        params: impl ExactSizeIterator<Item = Option<Ty>>,
+        args: &[RtValue],
+    ) -> Result<(), SimError> {
+        let (expected, given) = (params.len(), args.len());
+        if expected != given {
+            return Err(ArgFault::Count { expected, given }.into());
+        }
+        for (index, (param, arg)) in params.zip(args).enumerate() {
+            let elem = match *arg {
+                RtValue::Accessor(AccessorVal { mem: id, .. })
+                | RtValue::MemRef(MemRefVal { mem: id, .. }) => {
+                    let buf = self.buffers.get(id.0 as usize);
+                    Some(Class::of_dtype(
+                        buf.ok_or(MemFault::UnknownBuffer { id })?.shape().0,
+                    ))
+                }
+                _ => None,
             };
-            if id.0 as usize >= self.buffers.len() {
-                return Err(MemFault::UnknownBuffer { id });
+            let given = arg.class().map(|class| Ty { class, elem });
+            if let Some(expected) = param.filter(|_| given != param) {
+                return Err(ArgFault::Class {
+                    index,
+                    expected,
+                    given,
+                }
+                .into());
             }
         }
         Ok(())

@@ -2,7 +2,7 @@
 //! [`KernelPlan`], inlining every call, string-free once its
 //! `OpKindTable` is built.
 
-use super::instr::{CmpPred, DimSrc, FloatBin, Instr, IntBin, ItemQ, MathOp};
+use super::instr::{signature, CmpPred, DimSrc, FloatBin, Instr, IntBin, ItemQ, MathOp};
 use super::slot::{Reg, Slot};
 use super::{DenseConst, KernelPlan};
 use crate::interp::{enclosing_module, SimError};
@@ -253,12 +253,10 @@ pub fn decode_kernel(m: &Module, kernel: OpId) -> Result<KernelPlan, DecodeError
         local_sites: HashMap::new(),
     };
     let entry = m.op_region_block(kernel, 0);
-    let params = d.regs_of(m.block_args(entry));
-    let has_item_param = m
-        .block_args(entry)
-        .last()
-        .map(|&p| sycl_mlir_sycl::types::is_item_like(m.value_type(p)))
-        .unwrap_or(false);
+    let regs = d.regs_of(m.block_args(entry));
+    let (classes, has_item) = signature(m, kernel);
+    let item = has_item.then(|| regs[classes.len()]);
+    let params = regs.into_iter().zip(classes).collect();
     for &op in m.block_ops(entry) {
         let kind = d.kind(op)?;
         d.decode_op(op, kind)?;
@@ -270,7 +268,7 @@ pub fn decode_kernel(m: &Module, kernel: OpId) -> Result<KernelPlan, DecodeError
         code: d.code,
         reg_count: d.next_reg,
         params,
-        has_item_param,
+        item,
         consts: d.consts,
         dense_consts: d.dense_consts,
         mem_sites: d.mem_sites.len() as u32,
@@ -571,11 +569,6 @@ impl<'a> Decoder<'a> {
                     f32_out,
                 });
             }
-            OpKind::NegF => {
-                let x = self.operand_reg(op, 0);
-                let dst = self.result_reg(op);
-                self.code.push(Instr::NegF { dst, x });
-            }
             OpKind::CmpI | OpKind::CmpF => {
                 let pred = CmpPred::of_attr(m.attr_by_id(op, self.keys.predicate));
                 let (l, r) = (self.operand_reg(op, 0), self.operand_reg(op, 1));
@@ -587,10 +580,8 @@ impl<'a> Decoder<'a> {
                 });
             }
             OpKind::Select => {
-                let c = self.operand_reg(op, 0);
-                let t = self.operand_reg(op, 1);
-                let f = self.operand_reg(op, 2);
-                let dst = self.result_reg(op);
+                let (c, t) = (self.operand_reg(op, 0), self.operand_reg(op, 1));
+                let (f, dst) = (self.operand_reg(op, 2), self.result_reg(op));
                 self.code.push(Instr::Select { dst, c, t, f });
             }
             // A cast is its operand, value for value.
@@ -599,25 +590,18 @@ impl<'a> Decoder<'a> {
                 self.share(m.op_result(op, 0), src);
             }
             OpKind::SiToFp => {
-                let x = self.operand_reg(op, 0);
-                let dst = self.result_reg(op);
+                let (x, dst) = (self.operand_reg(op, 0), self.result_reg(op));
                 let f32_out = matches!(m.value_type(m.op_result(op, 0)).kind(), TypeKind::F32);
                 self.code.push(Instr::SiToFp { dst, x, f32_out });
             }
-            OpKind::FpToSi => {
-                let x = self.operand_reg(op, 0);
-                let dst = self.result_reg(op);
-                self.code.push(Instr::FpToSi { dst, x });
-            }
-            OpKind::TruncF => {
-                let x = self.operand_reg(op, 0);
-                let dst = self.result_reg(op);
-                self.code.push(Instr::TruncF { dst, x });
-            }
-            OpKind::ExtF => {
-                let x = self.operand_reg(op, 0);
-                let dst = self.result_reg(op);
-                self.code.push(Instr::ExtF { dst, x });
+            OpKind::NegF | OpKind::FpToSi | OpKind::TruncF | OpKind::ExtF => {
+                let (x, dst) = (self.operand_reg(op, 0), self.result_reg(op));
+                self.code.push(match kind {
+                    OpKind::NegF => Instr::NegF { dst, x },
+                    OpKind::FpToSi => Instr::FpToSi { dst, x },
+                    OpKind::TruncF => Instr::TruncF { dst, x },
+                    _ => Instr::ExtF { dst, x },
+                });
             }
             OpKind::Math(mop) => {
                 let x = self.operand_reg(op, 0);
@@ -640,19 +624,17 @@ impl<'a> Decoder<'a> {
                 let ty = m.value_type(m.op_result(op, 0));
                 let shape_v = ty
                     .memref_shape()
-                    .ok_or_else(|| dec_err("alloca of non-memref"))?;
+                    .ok_or_else(|| dec_err("alloca of a type that is not a memref"))?;
                 let elem = ty
                     .memref_elem()
                     .cloned()
-                    .ok_or_else(|| dec_err("alloca of non-memref"))?;
+                    .ok_or_else(|| dec_err("alloca of a type that is not a memref"))?;
                 let len: i64 = shape_v.iter().product();
-                let mut shape = [1_i64; 3];
-                for (i, &s) in shape_v.iter().enumerate() {
-                    if i >= 3 {
-                        return Err(dec_err("alloca rank > 3"));
-                    }
-                    shape[i] = s;
+                if shape_v.len() > 3 {
+                    return Err(dec_err("alloca rank > 3"));
                 }
+                let mut shape = [1_i64; 3];
+                shape[..shape_v.len()].copy_from_slice(shape_v);
                 let dst = self.result_reg(op);
                 let rank = shape_v.len() as u32;
                 let len = len.max(0) as usize;
@@ -716,57 +698,52 @@ impl<'a> Decoder<'a> {
                 self.code.push(Instr::VecCtor { dst, comps, rank });
             }
             OpKind::NdRangeCtor => {
-                let g = self.operand_reg(op, 0);
-                let l = self.operand_reg(op, 1);
+                let (g, l) = (self.operand_reg(op, 0), self.operand_reg(op, 1));
                 let dst = self.result_reg(op);
                 self.code.push(Instr::NdRangeCtor { dst, g, l });
             }
             OpKind::VecGet => {
-                let v = self.operand_reg(op, 0);
-                let dim = self.dim_src(op);
+                let (v, dim) = (self.operand_reg(op, 0), self.dim_src(op));
                 let dst = self.result_reg(op);
                 self.code.push(Instr::VecGet { dst, v, dim });
             }
-            OpKind::RangeSize => {
-                let v = self.operand_reg(op, 0);
-                let dst = self.result_reg(op);
-                self.code.push(Instr::RangeSize { dst, v });
+            OpKind::RangeSize | OpKind::AccBase => {
+                let (x, dst) = (self.operand_reg(op, 0), self.result_reg(op));
+                self.code.push(match kind {
+                    OpKind::RangeSize => Instr::RangeSize { dst, v: x },
+                    _ => Instr::AccBase { dst, acc: x },
+                });
             }
             OpKind::Item(q) => {
-                let dim = self.dim_src(op);
-                let dst = self.result_reg(op);
+                let (dim, dst) = (self.dim_src(op), self.result_reg(op));
                 self.code.push(Instr::ItemQuery { dst, q, dim });
             }
-            OpKind::GlobalLinearId => {
+            OpKind::GlobalLinearId | OpKind::LocalLinearId | OpKind::ItemSelf => {
                 let dst = self.result_reg(op);
-                self.code.push(Instr::GlobalLinearId { dst });
-            }
-            OpKind::LocalLinearId => {
-                let dst = self.result_reg(op);
-                self.code.push(Instr::LocalLinearId { dst });
-            }
-            OpKind::ItemSelf => {
-                let dst = self.result_reg(op);
-                self.code.push(Instr::ItemSelf { dst });
+                self.code.push(match kind {
+                    OpKind::GlobalLinearId => Instr::GlobalLinearId { dst },
+                    OpKind::LocalLinearId => Instr::LocalLinearId { dst },
+                    _ => Instr::ItemSelf { dst },
+                });
             }
             OpKind::AccSubscript => {
-                let acc = self.operand_reg(op, 0);
-                let id = self.operand_reg(op, 1);
+                let (acc, id) = (self.operand_reg(op, 0), self.operand_reg(op, 1));
                 let dst = self.result_reg(op);
                 self.code.push(Instr::AccSubscript { dst, acc, id });
             }
             OpKind::AccRange => {
-                let acc = self.operand_reg(op, 0);
-                let dim = self.dim_src(op);
+                let (acc, dim) = (self.operand_reg(op, 0), self.dim_src(op));
                 let dst = self.result_reg(op);
                 self.code.push(Instr::AccRange { dst, acc, dim });
             }
-            OpKind::AccBase => {
-                let acc = self.operand_reg(op, 0);
-                let dst = self.result_reg(op);
-                self.code.push(Instr::AccBase { dst, acc });
+            OpKind::Undef => {
+                let zero = match m.value_type(m.op_result(op, 0)).kind() {
+                    TypeKind::F32 => Slot::F32(0.0),
+                    TypeKind::F64 => Slot::F64(0.0),
+                    _ => Slot::Int(0),
+                };
+                self.bind_const(op, zero)
             }
-            OpKind::Undef => self.bind_const(op, Slot::Int(0)),
             OpKind::Barrier => self.code.push(Instr::Barrier),
             OpKind::If => {
                 let cond = self.operand_reg(op, 0);
@@ -874,9 +851,7 @@ impl<'a> Decoder<'a> {
             return Err(dec_err("dense constant rank > 3"));
         }
         let mut shape = [1_i64; 3];
-        for (i, &s) in shape_v.iter().enumerate() {
-            shape[i] = s;
-        }
+        shape[..shape_v.len()].copy_from_slice(shape_v);
         let idx = self.dense_consts.len() as u32;
         self.dense_consts.push(DenseConst {
             data,

@@ -7,17 +7,12 @@ use super::instr::{DimSrc, FloatBin, Instr, IntBin, MathOp};
 use super::slot::{put, Slot};
 use super::KernelPlan;
 use crate::device::NdRangeSpec;
-use crate::interp::KernelFault;
-use crate::interp::{SimError, Stop};
+use crate::interp::{KernelFault, SimError, Stop};
 use crate::limits::MAX_STEPS;
 use crate::memory::MemFault;
 use crate::pool::PlanExecCtx;
 use crate::value::{MemRefVal, RtValue, Space, VecVal};
 use std::cell::Cell;
-
-fn err(msg: impl Into<String>) -> SimError {
-    SimError::msg(msg)
-}
 
 thread_local! {
     /// Whether graph runs launched from this thread run under audit
@@ -106,7 +101,7 @@ impl PlanCtx {
     #[cold]
     fn fault_at(&self, site: u32, fault: MemFault) -> SimError {
         if self.audit && self.site_proven(site) {
-            return err(format!(
+            return SimError::msg(format!(
                 "proof audit: site {site} is proven in bounds, but: {fault}"
             ));
         }
@@ -279,43 +274,23 @@ impl PlanWorkGroup {
         nd: NdRangeSpec,
         group: [i64; 3],
         subgroup_size: usize,
-    ) -> Result<(), SimError> {
+    ) {
         let (width, subs) = sub_groups(nd.group_size(), subgroup_size);
         let launch = (plan as *const _, args.as_ptr(), args.len(), width, subs);
         if self.bound != Some(launch) {
-            self.bound = None;
-            self.bind(plan, args, width, subs)?;
+            self.bind(plan, args, width, subs);
             self.bound = Some(launch);
         }
         self.enter(nd, group, width, subs);
-        Ok(())
     }
 
     /// Bind a launch to the first `subs` register files, `width` lanes
     /// each: clear them, then write into every lane what the launch fixes
-    /// and no instruction writes — `args` to all parameters except the
-    /// trailing item-like one, which gets each lane's item, and the plan's
+    /// and no instruction writes — `args`, which the launch checked
+    /// against the parameters' classes (`MemoryPool::check_args`), to the
+    /// parameters, each lane's item to the item parameter, and the plan's
     /// bound constants.
-    fn bind(
-        &mut self,
-        plan: &KernelPlan,
-        args: &[RtValue],
-        width: usize,
-        subs: usize,
-    ) -> Result<(), SimError> {
-        let params = &plan.params;
-        let value_params = if plan.has_item_param {
-            &params[..params.len() - 1]
-        } else {
-            &params[..]
-        };
-        if value_params.len() != args.len() {
-            return Err(err(format!(
-                "kernel expects {} arguments, got {}",
-                value_params.len(),
-                args.len()
-            )));
-        }
+    fn bind(&mut self, plan: &KernelPlan, args: &[RtValue], width: usize, subs: usize) {
         if self.files.capacity() == 0 {
             (self.files, self.pool.groups) = (roomy(), roomy());
         }
@@ -337,7 +312,7 @@ impl PlanWorkGroup {
                 .reserve(entries.saturating_sub(file.memrefs.len()));
             file.visits.clear();
             file.visits.resize(plan.mem_sites as usize * width, 0);
-            for (i, (&p, a)) in value_params.iter().zip(args).enumerate() {
+            for (i, (&(p, _), a)) in plan.params.iter().zip(args).enumerate() {
                 for at in p as usize * width..(p as usize + 1) * width {
                     file.regs[at] = match *a {
                         RtValue::Vec(v) => {
@@ -355,7 +330,6 @@ impl PlanWorkGroup {
                         RtValue::Accessor(_) => Slot::Accessor(i as u32),
                         // A kernel sees one item, its own.
                         RtValue::Item => Slot::Item,
-                        RtValue::Ptr(v) => Slot::Ptr(v),
                         RtValue::Unit => Slot::Unit,
                         RtValue::Int(v) => Slot::Int(v),
                         RtValue::F32(v) => Slot::F32(v),
@@ -363,16 +337,12 @@ impl PlanWorkGroup {
                     };
                 }
             }
-            if plan.has_item_param {
-                let row = *params.last().expect("an item parameter") as usize * width;
-                file.regs[row..row + width].fill(Slot::Item);
-            }
-            for &(r, val) in &plan.consts {
+            let bound = plan.consts.iter().copied();
+            for (r, val) in plan.item.map(|r| (r, Slot::Item)).into_iter().chain(bound) {
                 let row = r as usize * width;
                 file.regs[row..row + width].fill(val);
             }
         }
-        Ok(())
     }
 
     /// Enter work-group `group` of the launch over `nd` the files hold
@@ -565,36 +535,39 @@ fn run_impl(
             $row.cells[lane]
         };
     }
+    // An operand of the class the verifier proved its register holds:
+    // a verified plan launched on checked arguments finds no other there
+    // (`Slot::mistyped`).
     macro_rules! int {
-        ($row:expr, $what:expr) => {
-            reg!($row).get().as_int().ok_or_else(|| err($what))?
+        ($row:expr) => {
+            reg!($row).get().int()
         };
     }
     // The first `$n` of the rows `$rows` as integers, in order, then 0s:
     // constant subscripts, so the three stay in registers.
     macro_rules! ints {
-        ($rows:expr, $n:expr, $what:expr) => {{
+        ($rows:expr, $n:expr) => {{
             let n = $n as usize;
             assert!(n <= 3, "at most 3 dimensions");
             [
-                if n > 0 { int!($rows[0], $what) } else { 0 },
-                if n > 1 { int!($rows[1], $what) } else { 0 },
-                if n > 2 { int!($rows[2], $what) } else { 0 },
+                if n > 0 { int!($rows[0]) } else { 0 },
+                if n > 1 { int!($rows[1]) } else { 0 },
+                if n > 2 { int!($rows[2]) } else { 0 },
             ]
         }};
     }
     macro_rules! flt {
-        ($row:expr, $what:expr) => {
-            reg!($row).get().as_f64().ok_or_else(|| err($what))?
+        ($row:expr) => {
+            reg!($row).get().float()
         };
     }
     // An aggregate operand or result: the tag in the slot, the payload
     // in the tag's bank (for an accessor, in the launch's arguments).
     macro_rules! payload {
-        ($tag:ident in $bank:ident, $row:expr, $what:expr) => {
+        ($tag:ident in $bank:ident, $row:expr) => {
             match reg!($row).get() {
                 Slot::$tag => $bank[$row.at + lane],
-                _ => return Err(err($what)),
+                _ => Slot::mistyped(),
             }
         };
     }
@@ -606,12 +579,12 @@ fn run_impl(
         }};
     }
     macro_rules! accessor_of {
-        ($row:expr, $what:expr) => {
+        ($row:expr) => {
             match reg!($row).get() {
-                Slot::Accessor(i) => args[i as usize].as_accessor(),
-                _ => None,
+                // Bound from an accessor argument, by its index.
+                Slot::Accessor(i) => args[i as usize].as_accessor().expect("an accessor"),
+                _ => Slot::mistyped(),
             }
-            .ok_or_else(|| err($what))?
         };
     }
     macro_rules! dim {
@@ -619,9 +592,9 @@ fn run_impl(
             match $dim {
                 DimSrc::Const(d) => d as usize,
                 DimSrc::Reg(r) => {
-                    let d = int!(rows!(&r), "non-constant dimension operand");
+                    let d = int!(rows!(&r));
                     if !(0..3).contains(&d) {
-                        return Err(err(format!("dimension {d} out of range")));
+                        return Err(SimError::msg(format!("dimension {d} out of range")));
                     }
                     d as usize
                 }
@@ -656,14 +629,14 @@ fn run_impl(
     macro_rules! vec_ctor {
         ($comps:expr, $rank:expr) => {{
             VecVal {
-                data: ints!($comps, $rank, "id component"),
+                data: ints!($comps, $rank),
                 rank: $rank as u32,
             }
         }};
     }
     macro_rules! subscript_by {
         ($acc:expr, $id:expr) => {{
-            let a = accessor_of!($acc, "subscript of non-accessor");
+            let a = accessor_of!($acc);
             let id: VecVal = $id;
             MemRefVal {
                 mem: a.mem,
@@ -696,7 +669,7 @@ fn run_impl(
     // out-of-bounds fault and position.
     macro_rules! access {
         ($mr:expr, $idx:expr, $rank:expr, $at:ident) => {{
-            let indices = ints!($idx, $rank, "non-int index");
+            let indices = ints!($idx, $rank);
             let addr = $mr.linearize(&indices[..$rank as usize]);
             let buf = ctx.pool.resolve($mr.mem)?;
             let bytes = buf.dtype().bytes();
@@ -776,8 +749,8 @@ fn run_impl(
                 each_lane!({ mov!(dst.at + lane, src.at + lane) });
             }
             Instr::BinInt { op, dst, l, r } => alu!(1; dst(l, r; op) => {
-                let l = int!(l, "int op on non-int");
-                let r = int!(r, "int op on non-int");
+                let l = int!(l);
+                let r = int!(r);
                 Slot::Int(match op {
                     IntBin::Add => l.wrapping_add(r),
                     IntBin::Sub => l.wrapping_sub(r),
@@ -800,8 +773,8 @@ fn run_impl(
                 r,
                 f32_out,
             } => alu!(1; dst(l, r; op, f32_out) => {
-                let l = flt!(l, "float op on non-float");
-                let r = flt!(r, "float op on non-float");
+                let l = flt!(l);
+                let r = flt!(r);
                 let out = match op {
                     FloatBin::Add => l + r,
                     FloatBin::Sub => l - r,
@@ -815,33 +788,33 @@ fn run_impl(
             Instr::NegF { dst, x } => alu!(1; dst(x) => match reg!(x).get() {
                 Slot::F32(v) => Slot::F32(-v),
                 Slot::F64(v) => Slot::F64(-v),
-                _ => return Err(err("negf on non-float")),
+                _ => Slot::mistyped(),
             }),
             Instr::CmpI { pred, dst, l, r } => alu!(1; dst(l, r; pred) => {
-                let l = int!(l, "cmpi on non-int");
-                let r = int!(r, "cmpi on non-int");
+                let l = int!(l);
+                let r = int!(r);
                 Slot::Int(pred.eval_int(l, r) as i64)
             }),
             Instr::CmpF { pred, dst, l, r } => alu!(1; dst(l, r; pred) => {
-                let l = flt!(l, "cmpf on non-float");
-                let r = flt!(r, "cmpf on non-float");
+                let l = flt!(l);
+                let r = flt!(r);
                 Slot::Int(pred.eval_float(l, r) as i64)
             }),
             Instr::Select { dst, c, t, f } => {
                 ctx.stats.arith_ops += n;
                 let (dst, c, t, f) = rows!(dst, c, t, f);
                 each_lane!({
-                    let src = if int!(c, "select cond") != 0 { t } else { f };
+                    let src = if int!(c) != 0 { t } else { f };
                     mov!(dst.at + lane, src.at + lane);
                 });
             }
             Instr::SiToFp { dst, x, f32_out } => alu!(1; dst(x; f32_out) => {
-                let v = int!(x, "sitofp");
+                let v = int!(x);
                 if f32_out { Slot::F32(v as f32) } else { Slot::F64(v as f64) }
             }),
-            Instr::FpToSi { dst, x } => alu!(1; dst(x) => Slot::Int(flt!(x, "fptosi") as i64)),
-            Instr::TruncF { dst, x } => alu!(dst(x) => Slot::F32(flt!(x, "truncf") as f32)),
-            Instr::ExtF { dst, x } => alu!(dst(x) => Slot::F64(flt!(x, "extf"))),
+            Instr::FpToSi { dst, x } => alu!(1; dst(x) => Slot::Int(flt!(x) as i64)),
+            Instr::TruncF { dst, x } => alu!(dst(x) => Slot::F32(flt!(x) as f32)),
+            Instr::ExtF { dst, x } => alu!(dst(x) => Slot::F64(flt!(x))),
             Instr::Math {
                 op,
                 dst,
@@ -849,7 +822,7 @@ fn run_impl(
                 y,
                 f32_out,
             } => alu!(4; dst(x, y; op, f32_out) => { // transcendental ops are pricier
-                let xv = flt!(x, "math on non-float");
+                let xv = flt!(x);
                 let out = match op {
                     MathOp::Sqrt => xv.sqrt(),
                     MathOp::Exp => xv.exp(),
@@ -859,7 +832,7 @@ fn run_impl(
                     MathOp::Cos => xv.cos(),
                     MathOp::Floor => xv.floor(),
                     MathOp::Rsqrt => 1.0 / xv.sqrt(),
-                    MathOp::Powf => xv.powf(flt!(y, "powf")),
+                    MathOp::Powf => xv.powf(flt!(y)),
                 };
                 if f32_out { Slot::F32(out as f32) } else { Slot::F64(out) }
             }),
@@ -921,7 +894,7 @@ fn run_impl(
                 site!(at, *site);
                 let (rank, idx, (dst, mem)) = (*rank, idx.map(|r| rows!(&r)), rows!(dst, mem));
                 each_lane!({
-                    let mr = payload!(MemRef in memrefs, mem, "load from non-memref");
+                    let mr = payload!(MemRef in memrefs, mem);
                     reg!(dst).set(load_at!(mr, idx, rank, at));
                 });
             }
@@ -935,24 +908,15 @@ fn run_impl(
                 site!(at, *site);
                 let (rank, idx, (val, mem)) = (*rank, idx.map(|r| rows!(&r)), rows!(val, mem));
                 each_lane!({
-                    // What device memory is handed, which faults on anything
-                    // but a scalar by its kind.
+                    // A scalar of the view's element class, as the verifier
+                    // proved.
                     let v = match reg!(val).get() {
                         Slot::Int(v) => RtValue::Int(v),
                         Slot::F32(v) => RtValue::F32(v),
                         Slot::F64(v) => RtValue::F64(v),
-                        Slot::Ptr(v) => RtValue::Ptr(v),
-                        Slot::Unit => RtValue::Unit,
-                        Slot::Vec => RtValue::Vec(vecs[val.at + lane]),
-                        Slot::MemRef => RtValue::MemRef(memrefs[val.at + lane]),
-                        Slot::NdRange => {
-                            let (g, l) = nd_ranges[val.at + lane];
-                            RtValue::NdRange(g, l)
-                        }
-                        Slot::Accessor(i) => args[i as usize],
-                        Slot::Item => RtValue::Item,
+                        _ => Slot::mistyped(),
                     };
-                    let mr = payload!(MemRef in memrefs, mem, "store to non-memref");
+                    let mr = payload!(MemRef in memrefs, mem);
                     let (buf, addr) = access!(mr, idx, rank, at);
                     buf.store_at(at.1, addr, v)
                         .map_err(|f| pctx.fault_at(at.2, f))?;
@@ -966,17 +930,17 @@ fn run_impl(
             Instr::NdRangeCtor { dst, g, l } => {
                 let (dst, g, l) = rows!(dst, g, l);
                 each_lane!({
-                    let g = payload!(Vec in vecs, g, "nd_range global");
-                    let l = payload!(Vec in vecs, l, "nd_range local");
+                    let g = payload!(Vec in vecs, g);
+                    let l = payload!(Vec in vecs, l);
                     put!(NdRange in nd_ranges, dst, (g, l));
                 });
             }
             Instr::VecGet { dst, v, dim } => alu!(1; dst(v; dim) => {
-                let v = payload!(Vec in vecs, v, "id.get");
+                let v = payload!(Vec in vecs, v);
                 Slot::Int(v.data[dim!(dim)])
             }),
             Instr::RangeSize { dst, v } => alu!(1; dst(v) => {
-                let v = payload!(Vec in vecs, v, "range.size");
+                let v = payload!(Vec in vecs, v);
                 Slot::Int(v.data[..v.rank as usize].iter().product())
             }),
             Instr::ItemQuery { dst, q, dim } => alu!(1; dst(; q, dim) => {
@@ -992,16 +956,16 @@ fn run_impl(
                 ctx.stats.arith_ops += n;
                 let (dst, acc, id) = rows!(dst, acc, id);
                 each_lane!({
-                    let view = subscript_by!(acc, payload!(Vec in vecs, id, "subscript id"));
+                    let view = subscript_by!(acc, payload!(Vec in vecs, id));
                     put!(MemRef in memrefs, dst, view);
                 });
             }
             Instr::AccRange { dst, acc, dim } => alu!(1; dst(acc; dim) => {
-                let acc = accessor_of!(acc, "get_range");
+                let acc = accessor_of!(acc);
                 Slot::Int(acc.range[dim!(dim)])
             }),
             Instr::AccBase { dst, acc } => alu!(1; dst(acc) => {
-                let acc = accessor_of!(acc, "accessor.base");
+                let acc = accessor_of!(acc);
                 Slot::Int(((acc.mem.0 as i64) << 32) | acc.linearize(&[0, 0, 0]))
             }),
             Instr::Barrier => {
@@ -1013,7 +977,7 @@ fn run_impl(
             Instr::BranchIfFalse { cond, target } => {
                 ctx.stats.arith_ops += n;
                 let cond = rows!(cond);
-                branch!(*target, { int!(cond, "non-boolean if condition") == 0 });
+                branch!(*target, { int!(cond) == 0 });
             }
             Instr::ForEnter {
                 lb,
@@ -1025,9 +989,9 @@ fn run_impl(
                 ctx.stats.arith_ops += n;
                 let (lb, ub, step, iv) = rows!(lb, ub, step, iv);
                 branch!(*exit, {
-                    let lb = int!(lb, "bad lb");
-                    let ub = int!(ub, "bad ub");
-                    let step = int!(step, "bad step");
+                    let lb = int!(lb);
+                    let ub = int!(ub);
+                    let step = int!(step);
                     if step <= 0 {
                         return Err(KernelFault::NonPositiveLoopStep.into());
                     }
@@ -1038,9 +1002,9 @@ fn run_impl(
             Instr::ForNext { iv, step, ub, body } => {
                 let (iv, step, ub) = rows!(iv, step, ub);
                 branch!(*body, {
-                    let cur = int!(iv, "bad iv");
-                    let step = int!(step, "bad step");
-                    let ub = int!(ub, "bad ub");
+                    let cur = int!(iv);
+                    let step = int!(step);
+                    let ub = int!(ub);
                     // Past `i64::MAX` is past `ub`: overflow ends the loop.
                     let next = cur.checked_add(step).filter(|&next| next < ub);
                     if let Some(next) = next {
@@ -1114,11 +1078,11 @@ mod tests {
     /// any lane.
     #[test]
     fn reset_for_a_smaller_kernel_sees_no_stale_aggregate() {
-        let kernel = |reg_count, params| KernelPlan {
+        let kernel = |reg_count, params: Vec<u32>| KernelPlan {
             code: vec![Instr::Return],
             reg_count,
-            params,
-            has_item_param: false,
+            params: params.into_iter().map(|p| (p, None)).collect(),
+            item: None,
             consts: Vec::new(),
             dense_consts: Vec::new(),
             mem_sites: 0,
@@ -1142,8 +1106,7 @@ mod tests {
             RtValue::NdRange(id, id),
         ];
         let mut wg = PlanWorkGroup::default();
-        wg.reset(&kernel(6, vec![1, 3, 5]), &big, nd, [0; 3], 16)
-            .unwrap();
+        wg.reset(&kernel(6, vec![1, 3, 5]), &big, nd, [0; 3], 16);
         let row = |s| [s; 3];
         let expect = [
             row(Slot::Unit),
@@ -1161,8 +1124,7 @@ mod tests {
         );
         assert_eq!(f.nd_ranges[15..18], [(id, id); 3]);
 
-        wg.reset(&kernel(2, vec![1]), &[RtValue::Int(4)], nd, [0; 3], 16)
-            .unwrap();
+        wg.reset(&kernel(2, vec![1]), &[RtValue::Int(4)], nd, [0; 3], 16);
         let mut expect = [row(Slot::Unit); 2];
         expect[1] = row(Slot::Int(4));
         assert_eq!(wg.files[0].regs, expect.concat());

@@ -1,10 +1,12 @@
-//! The instruction set: [`Instr`], its selectors, and the one table of
-//! which registers an instruction reads and writes, and of which class.
+//! The instruction set: [`Instr`], its selectors, the one table of
+//! which registers an instruction reads and writes, and of which class,
+//! and the classes a kernel's signature gives its parameters.
 
 use super::slot::{Reg, Slot};
 #[cfg(doc)]
 use super::{fuse_plan, KernelPlan, PlanCtx};
-use sycl_mlir_ir::{Attribute, Type};
+use crate::memory::Dtype;
+use sycl_mlir_ir::{Attribute, Module, OpId, Type, TypeKind};
 
 const _: () = assert!(std::mem::size_of::<Instr>() <= 64);
 
@@ -657,92 +659,182 @@ impl Class {
             _ => None,
         }
     }
+
+    /// The class of what device memory of `dtype` loads.
+    pub(crate) fn of_dtype(dtype: Dtype) -> Class {
+        match dtype {
+            Dtype::F32 | Dtype::F64 => Class::Float,
+            Dtype::I32 | Dtype::I64 => Class::Int,
+        }
+    }
+}
+
+/// A value's class and, for a memref view or an accessor, its elements'
+/// class (`Int` or `Float`, as device memory stores them): what a kernel
+/// parameter takes, what a launch argument is, and what the verifier
+/// knows a register holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Ty {
+    /// The value's class.
+    pub class: Class,
+    /// Its elements' class, for a memref view or an accessor.
+    pub elem: Option<Class>,
+}
+
+impl From<Class> for Ty {
+    fn from(class: Class) -> Ty {
+        Ty { class, elem: None }
+    }
+}
+
+impl Ty {
+    /// A memref view or an accessor (`class`) whose elements are `elem`s.
+    pub fn of(class: Class, elem: Class) -> Ty {
+        let elem = Some(elem);
+        Ty { class, elem }
+    }
+
+    /// The class of a value of IR type `t`, if it has one.
+    fn of_type(t: &Type) -> Option<Ty> {
+        use sycl_mlir_sycl::types::{accessor_info, is_item_like, IdType, NdRangeType, RangeType};
+        let view = |class, elem: &Type| Some(Ty::of(class, Class::of_dtype(Dtype::of(elem))));
+        let class = match t.kind() {
+            TypeKind::Int(_) | TypeKind::Index => Class::Int,
+            TypeKind::F32 | TypeKind::F64 => Class::Float,
+            TypeKind::MemRef { elem, .. } => return view(Class::Mem, elem),
+            _ if is_item_like(t) => Class::Item,
+            _ if t.dialect_type::<NdRangeType>().is_some() => Class::Nd,
+            _ if t.dialect_type::<IdType>().is_some() => Class::Vec,
+            _ if t.dialect_type::<RangeType>().is_some() => Class::Vec,
+            _ => return view(Class::Acc, &accessor_info(t)?.elem),
+        };
+        Some(class.into())
+    }
+
+    /// The class with its article, as findings and launch faults spell
+    /// it: `a memref of floats`.
+    pub(crate) fn name(self) -> String {
+        match self.elem {
+            None => self.class.name().to_string(),
+            Some(Class::Int) => format!("{} of integers", self.class.name()),
+            Some(_) => format!("{} of floats", self.class.name()),
+        }
+    }
+}
+
+/// The parameters of `kernel` that launch arguments fill, by class
+/// (`None` where a parameter's type has none: any argument fills it),
+/// and whether a trailing item parameter follows them, which each
+/// work-item fills with its own item. Both engines bind a launch by it.
+pub fn signature(m: &Module, kernel: OpId) -> (Vec<Option<Ty>>, bool) {
+    let entry = m.op_region_block(kernel, 0);
+    let args = m.block_args(entry).iter();
+    let mut params: Vec<_> = args.map(|&p| Ty::of_type(m.value_type(p))).collect();
+    let item = params.last() == Some(&Some(Class::Item.into()));
+    params.truncate(params.len() - usize::from(item));
+    (params, item)
+}
+
+/// What [`Instr::operands`] says of an operand's class: what a read
+/// demands of its register, what a write gives its own.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Want {
+    /// Any class passes (a moved value's source).
+    Any,
+    /// Exactly this class.
+    Is(Class),
+    /// The class register `r` holds, elements included: a moved value.
+    As(Reg),
+    /// The element class of the view or accessor in register `r`: a
+    /// loaded or stored value.
+    ElemOf(Reg),
 }
 
 impl Instr {
     /// The one description of an instruction's register operands: `f` is
     /// called once per operand with its role, its register and the class
-    /// the instruction demands of it (a read) or gives it (a write) —
-    /// `None` where any class passes through: moved, stored and loaded
-    /// values. Reads come before writes. The superinstruction reports what
-    /// its window reads from outside and the one register it leaves
-    /// written.
+    /// the instruction demands of it (a read) or gives it (a write) — for
+    /// a moved, selected, loaded or stored value, another register's class
+    /// or its elements' ([`Want`]). Reads come before writes. The
+    /// superinstruction reports what its window reads from outside and
+    /// the one register it leaves written.
     ///
     /// Read counts, write sets, def-before-use, register-range and
     /// type-class checks all derive from this table; an operand missing
     /// here is missing everywhere.
-    pub fn operands(&self, mut f: impl FnMut(Role, Reg, Option<Class>)) {
+    pub fn operands(&self, mut f: impl FnMut(Role, Reg, Want)) {
         self.operand_table(&mut f)
     }
 
     /// [`Instr::operands`], compiled once rather than per closure.
     #[rustfmt::skip] // a table: one row per variant, reads then writes
-    fn operand_table(&self, f: &mut dyn FnMut(Role, Reg, Option<Class>)) {
+    fn operand_table(&self, f: &mut dyn FnMut(Role, Reg, Want)) {
         use Class::{Acc, Float, Int, Item, Mem, Nd, Vec};
         use Role::{Read, Write};
-        type F<'a> = &'a mut dyn FnMut(Role, Reg, Option<Class>);
+        use Want::{Any, As, ElemOf, Is};
+        type F<'a> = &'a mut dyn FnMut(Role, Reg, Want);
         // The first `n` of an index or component array, integers all.
         fn ints(f: F<'_>, regs: &[Reg; 3], n: u8) {
-            regs[..n as usize].iter().for_each(|&r| f(Read, r, Some(Int)));
+            regs[..n as usize].iter().for_each(|&r| f(Read, r, Is(Int)));
         }
         fn dim(f: F<'_>, d: &DimSrc) {
             if let DimSrc::Reg(r) = d {
-                f(Read, *r, Some(Int));
+                f(Read, *r, Is(Int));
             }
         }
         match self {
             Instr::ConstDense { dst, .. } | Instr::Alloca { dst, .. } | Instr::LocalAlloca { dst, .. } =>
-                f(Write, *dst, Some(Mem)),
-            Instr::Copy { dst, src } => { f(Read, *src, None); f(Write, *dst, None) }
+                f(Write, *dst, Is(Mem)),
+            Instr::Copy { dst, src } => { f(Read, *src, Any); f(Write, *dst, As(*src)) }
             Instr::BinInt { dst, l, r, .. } | Instr::CmpI { dst, l, r, .. } =>
-                { f(Read, *l, Some(Int)); f(Read, *r, Some(Int)); f(Write, *dst, Some(Int)) }
+                { f(Read, *l, Is(Int)); f(Read, *r, Is(Int)); f(Write, *dst, Is(Int)) }
             Instr::BinFloat { dst, l, r, .. } =>
-                { f(Read, *l, Some(Float)); f(Read, *r, Some(Float)); f(Write, *dst, Some(Float)) }
+                { f(Read, *l, Is(Float)); f(Read, *r, Is(Float)); f(Write, *dst, Is(Float)) }
             Instr::CmpF { dst, l, r, .. } =>
-                { f(Read, *l, Some(Float)); f(Read, *r, Some(Float)); f(Write, *dst, Some(Int)) }
+                { f(Read, *l, Is(Float)); f(Read, *r, Is(Float)); f(Write, *dst, Is(Int)) }
             Instr::NegF { dst, x } | Instr::TruncF { dst, x } | Instr::ExtF { dst, x } =>
-                { f(Read, *x, Some(Float)); f(Write, *dst, Some(Float)) }
+                { f(Read, *x, Is(Float)); f(Write, *dst, Is(Float)) }
             Instr::Select { dst, c, t, f: e } =>
-                { f(Read, *c, Some(Int)); f(Read, *t, None); f(Read, *e, None); f(Write, *dst, None) }
-            Instr::SiToFp { dst, x, .. } => { f(Read, *x, Some(Int)); f(Write, *dst, Some(Float)) }
-            Instr::FpToSi { dst, x } => { f(Read, *x, Some(Float)); f(Write, *dst, Some(Int)) }
+                { f(Read, *c, Is(Int)); f(Read, *t, As(*e)); f(Read, *e, Any); f(Write, *dst, As(*t)) }
+            Instr::SiToFp { dst, x, .. } => { f(Read, *x, Is(Int)); f(Write, *dst, Is(Float)) }
+            Instr::FpToSi { dst, x } => { f(Read, *x, Is(Float)); f(Write, *dst, Is(Int)) }
             Instr::Math { op, dst, x, y, .. } => {
-                f(Read, *x, Some(Float));
+                f(Read, *x, Is(Float));
                 if matches!(op, MathOp::Powf) {
-                    f(Read, *y, Some(Float));
+                    f(Read, *y, Is(Float));
                 }
-                f(Write, *dst, Some(Float))
+                f(Write, *dst, Is(Float))
             }
             Instr::Load { dst, mem, idx, rank, .. } =>
-                { f(Read, *mem, Some(Mem)); ints(f, idx, *rank); f(Write, *dst, None) }
+                { f(Read, *mem, Is(Mem)); ints(f, idx, *rank); f(Write, *dst, ElemOf(*mem)) }
             Instr::Store { val, mem, idx, rank, .. } =>
-                { f(Read, *val, None); f(Read, *mem, Some(Mem)); ints(f, idx, *rank) }
-            Instr::VecCtor { dst, comps, rank } => { ints(f, comps, *rank); f(Write, *dst, Some(Vec)) }
+                { f(Read, *val, ElemOf(*mem)); f(Read, *mem, Is(Mem)); ints(f, idx, *rank) }
+            Instr::VecCtor { dst, comps, rank } => { ints(f, comps, *rank); f(Write, *dst, Is(Vec)) }
             Instr::NdRangeCtor { dst, g, l } =>
-                { f(Read, *g, Some(Vec)); f(Read, *l, Some(Vec)); f(Write, *dst, Some(Nd)) }
-            Instr::VecGet { dst, v, dim: d } => { f(Read, *v, Some(Vec)); dim(f, d); f(Write, *dst, Some(Int)) }
-            Instr::RangeSize { dst, v } => { f(Read, *v, Some(Vec)); f(Write, *dst, Some(Int)) }
-            Instr::ItemQuery { dst, dim: d, .. } => { dim(f, d); f(Write, *dst, Some(Int)) }
-            Instr::GlobalLinearId { dst } | Instr::LocalLinearId { dst } => f(Write, *dst, Some(Int)),
-            Instr::ItemSelf { dst } => f(Write, *dst, Some(Item)),
+                { f(Read, *g, Is(Vec)); f(Read, *l, Is(Vec)); f(Write, *dst, Is(Nd)) }
+            Instr::VecGet { dst, v, dim: d } => { f(Read, *v, Is(Vec)); dim(f, d); f(Write, *dst, Is(Int)) }
+            Instr::RangeSize { dst, v } => { f(Read, *v, Is(Vec)); f(Write, *dst, Is(Int)) }
+            Instr::ItemQuery { dst, dim: d, .. } => { dim(f, d); f(Write, *dst, Is(Int)) }
+            Instr::GlobalLinearId { dst } | Instr::LocalLinearId { dst } => f(Write, *dst, Is(Int)),
+            Instr::ItemSelf { dst } => f(Write, *dst, Is(Item)),
             Instr::AccSubscript { dst, acc, id } =>
-                { f(Read, *acc, Some(Acc)); f(Read, *id, Some(Vec)); f(Write, *dst, Some(Mem)) }
-            Instr::AccRange { dst, acc, dim: d } => { f(Read, *acc, Some(Acc)); dim(f, d); f(Write, *dst, Some(Int)) }
-            Instr::AccBase { dst, acc } => { f(Read, *acc, Some(Acc)); f(Write, *dst, Some(Int)) }
+                { f(Read, *acc, Is(Acc)); f(Read, *id, Is(Vec)); f(Write, *dst, Is(Mem)) }
+            Instr::AccRange { dst, acc, dim: d } => { f(Read, *acc, Is(Acc)); dim(f, d); f(Write, *dst, Is(Int)) }
+            Instr::AccBase { dst, acc } => { f(Read, *acc, Is(Acc)); f(Write, *dst, Is(Int)) }
             Instr::Barrier | Instr::Jump { .. } | Instr::Return => {}
-            Instr::BranchIfFalse { cond, .. } => f(Read, *cond, Some(Int)),
+            Instr::BranchIfFalse { cond, .. } => f(Read, *cond, Is(Int)),
             Instr::ForEnter { lb, ub, step, iv, .. } => {
-                f(Read, *lb, Some(Int)); f(Read, *ub, Some(Int)); f(Read, *step, Some(Int));
-                f(Write, *iv, Some(Int))
+                f(Read, *lb, Is(Int)); f(Read, *ub, Is(Int)); f(Read, *step, Is(Int));
+                f(Write, *iv, Is(Int))
             }
             Instr::ForNext { iv, step, ub, .. } => {
-                f(Read, *iv, Some(Int)); f(Read, *step, Some(Int)); f(Read, *ub, Some(Int));
-                f(Write, *iv, Some(Int))
+                f(Read, *iv, Is(Int)); f(Read, *step, Is(Int)); f(Read, *ub, Is(Int));
+                f(Write, *iv, Is(Int))
             }
             // The window: what its members read from outside it, what it
             // leaves written.
             Instr::AccLoadIndexed { dst, acc, comps, comps_rank, idx, rank, .. } =>
-                { ints(f, comps, *comps_rank); f(Read, *acc, Some(Acc)); ints(f, idx, *rank); f(Write, *dst, None) }
+                { ints(f, comps, *comps_rank); f(Read, *acc, Is(Acc)); ints(f, idx, *rank); f(Write, *dst, ElemOf(*acc)) }
         }
     }
 

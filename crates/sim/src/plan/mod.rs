@@ -56,7 +56,8 @@ pub use decode::{decode_kernel, DecodeError};
 pub(crate) use exec::audit_requested;
 pub use exec::{audit_on_this_thread, PlanCtx, PlanWorkGroup};
 pub use fuse::fuse_plan;
-pub use instr::{Class, CmpPred, DimSrc, FloatBin, Instr, IntBin, ItemQ, MathOp, Role};
+pub use instr::{signature, Class, CmpPred, DimSrc, FloatBin, Instr, IntBin, ItemQ, MathOp, Role};
+pub use instr::{Ty, Want};
 pub use slot::{Reg, Slot};
 
 use crate::memory::DataVec;
@@ -85,10 +86,11 @@ pub struct KernelPlan {
     pub code: Vec<Instr>,
     /// Size of the register file a work-item needs.
     pub reg_count: u32,
-    /// Registers of the kernel's parameters.
-    pub params: Vec<Reg>,
-    /// Whether the trailing parameter is the SYCL item.
-    pub has_item_param: bool,
+    /// Registers of the parameters that launch arguments fill, with
+    /// their classes ([`signature`]).
+    pub params: Vec<(Reg, Option<Ty>)>,
+    /// Register of the trailing item parameter, if the kernel has one.
+    pub item: Option<Reg>,
     /// Scalar constants (`arith.constant`, `llvm.undef`) and their
     /// registers: bound with the parameters, once per launch, and — as
     /// the verifier checks — written by no instruction.
@@ -114,6 +116,11 @@ const _: () = {
 };
 
 impl KernelPlan {
+    /// The registers of every parameter, the item's included.
+    pub(crate) fn param_regs(&self) -> impl Iterator<Item = Reg> + '_ {
+        self.params.iter().map(|p| p.0).chain(self.item)
+    }
+
     /// The superinstructions [`fuse_plan`] put into the plan, in code
     /// order (tests/diagnostics count them by [`Instr::mnemonic`]).
     pub fn superinstructions(&self) -> impl Iterator<Item = &Instr> {

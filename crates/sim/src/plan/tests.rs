@@ -38,33 +38,16 @@ fn plan_sizes() {
 mod fusion {
     use super::super::*;
     use crate::cost::ExecStats;
+    use crate::fixtures::{accessor, ctx};
     use crate::memory::{DataVec, MemId, MemoryPool};
-    use crate::value::{AccessorVal, RtValue};
     use crate::verify::{verify_plan, PlanFacts};
     use crate::NdRangeSpec;
     use sycl_mlir_dialects::affine;
     use sycl_mlir_dialects::arith::{self, constant_index};
     use sycl_mlir_dialects::func::{build_func, build_return};
-    use sycl_mlir_ir::{Builder, Context, Module, OpId};
+    use sycl_mlir_ir::{Builder, Module, OpId};
     use sycl_mlir_sycl::device as sdev;
     use sycl_mlir_sycl::types::{accessor_type, nd_item_type, AccessMode, Target};
-
-    fn ctx() -> Context {
-        let c = Context::new();
-        sycl_mlir_dialects::register_all(&c);
-        sycl_mlir_sycl::register(&c);
-        c
-    }
-
-    fn accessor(mem: MemId, len: i64) -> RtValue {
-        RtValue::Accessor(AccessorVal {
-            mem,
-            range: [len, 1, 1],
-            offset: [0, 0, 0],
-            rank: 1,
-            constant: false,
-        })
-    }
 
     /// Build a 1-d kernel with `n_accs` f32 accessors and an nd_item.
     fn build_kernel(
@@ -308,7 +291,7 @@ mod chains {
     use super::super::*;
     use crate::cost::ExecStats;
     use crate::memory::{DataVec, MemId, MemoryPool};
-    use crate::value::{AccessorVal, MemRefVal, RtValue, Space};
+    use crate::value::{MemRefVal, RtValue, Space};
     use crate::verify::{verify_and_fuse, PlanFacts};
     use crate::NdRangeSpec;
 
@@ -327,8 +310,11 @@ mod chains {
         KernelPlan {
             code,
             reg_count,
-            params: vec![0, 1],
-            has_item_param: false,
+            params: vec![
+                (0, Some(Ty::of(Class::Acc, Class::Float))),
+                (1, Some(Ty::of(Class::Mem, Class::Float))),
+            ],
+            item: None,
             consts,
             dense_consts: Vec::new(),
             mem_sites,
@@ -347,13 +333,7 @@ mod chains {
         let ma = pool.alloc(DataVec::F32((0..N).map(|i| i as f32 * 0.5).collect()));
         let mb = pool.alloc(DataVec::F32((0..N).map(|i| 1.0 + i as f32).collect()));
         let args = [
-            RtValue::Accessor(AccessorVal {
-                mem: ma,
-                range: [N, 1, 1],
-                offset: [0, 0, 0],
-                rank: 1,
-                constant: false,
-            }),
+            crate::fixtures::accessor(ma, N),
             RtValue::MemRef(MemRefVal {
                 mem: mb,
                 offset: 0,

@@ -209,7 +209,7 @@ fn run_group(
     pctx: &mut PlanCtx,
     wg: &mut PlanWorkGroup,
 ) -> Result<(), SimError> {
-    wg.reset(plan, args, nd, group, ctx.cost.subgroup_size)?;
+    wg.reset(plan, args, nd, group, ctx.cost.subgroup_size);
     cooperative_rounds(nd.group_size(), group, || wg.round(plan, args, ctx, pctx))
 }
 
@@ -400,7 +400,9 @@ pub fn run_plan_graph_report(
         total_groups += total;
         geometry.push((groups, total));
         let proven = match launch {
-            PlanLaunch::Kernel { args, facts, .. } => match pool_mem.check_args(args) {
+            PlanLaunch::Kernel {
+                plan, args, facts, ..
+            } => match pool_mem.check_args(plan.params.iter().map(|p| p.1), args) {
                 // Bind the launch's static facts to its concrete
                 // geometry, arguments and buffer lengths once, before any
                 // worker starts; the resulting bitset is shared read-only
@@ -412,11 +414,12 @@ pub fn run_plan_graph_report(
                         .or_insert_with(|| facts.instantiate(args, &nd, pool_mem))
                         .clone()
                 }
-                // Arguments are outside input: a launch naming a buffer
-                // the pool does not hold fails as a whole, before any of
-                // its groups run.
-                Err(fault) => {
-                    upfront.push((li, fault.into()));
+                // Arguments are outside input: a launch whose arguments
+                // do not fit its kernel's parameters, or name a buffer the
+                // pool does not hold, fails as a whole, before any of its
+                // groups run.
+                Err(error) => {
+                    upfront.push((li, error));
                     Arc::default()
                 }
             },

@@ -7,7 +7,7 @@ use super::protocol::{claim_chunk, graph_workers};
 use super::*;
 use crate::device::NdRangeSpec;
 use crate::memory::{DataVec, Dtype, MemFault, MemId, MemoryPool};
-use crate::plan::KernelPlan;
+use crate::plan::{Class, KernelPlan, Ty};
 use crate::value::RtValue;
 use crate::verify::{verify_and_fuse, PlanFacts};
 use crate::{KernelFault, SimError};
@@ -237,8 +237,8 @@ fn add_k_plan(k: f32) -> KernelPlan {
     KernelPlan {
         code,
         reg_count: 5,
-        params: vec![0],
-        has_item_param: false,
+        params: vec![(0, Some(Ty::of(Class::Mem, Class::Float)))],
+        item: None,
         consts: vec![(2, Slot::F32(k))],
         dense_consts: Vec::new(),
         mem_sites: 2,
@@ -344,8 +344,11 @@ fn barrier_div_plan() -> KernelPlan {
     KernelPlan {
         code,
         reg_count: 9,
-        params: vec![0, 1],
-        has_item_param: false,
+        params: vec![
+            (0, Some(Ty::of(Class::Mem, Class::Float))),
+            (1, Some(Ty::of(Class::Mem, Class::Int))),
+        ],
+        item: None,
         consts: vec![(5, Slot::F32(1.0)), (7, Slot::Int(100))],
         dense_consts: Vec::new(),
         mem_sites: 3,

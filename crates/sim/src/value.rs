@@ -1,6 +1,7 @@
 //! Runtime values flowing through the interpreter.
 
 use crate::memory::MemId;
+use crate::plan::Class;
 
 /// Memory space of a memref view; drives the cost model.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -118,8 +119,6 @@ pub enum RtValue {
     /// handle. A kernel sees one item, its own, and its queries are
     /// answered from the launch geometry ([`crate::NdRangeSpec::item_query`]).
     Item,
-    /// Opaque host pointer (host code is not executed by this simulator).
-    Ptr(u64),
     /// The value of ops with no results.
     Unit,
 }
@@ -136,9 +135,22 @@ impl RtValue {
             RtValue::MemRef(_) => "memref",
             RtValue::Accessor(_) => "accessor",
             RtValue::Item => "item",
-            RtValue::Ptr(_) => "ptr",
             RtValue::Unit => "unit",
         }
+    }
+
+    /// The value's class, if it has one (the unit value has none).
+    pub(crate) fn class(self) -> Option<Class> {
+        Some(match self {
+            RtValue::Int(_) => Class::Int,
+            RtValue::F32(_) | RtValue::F64(_) => Class::Float,
+            RtValue::Vec(_) => Class::Vec,
+            RtValue::NdRange(..) => Class::Nd,
+            RtValue::MemRef(_) => Class::Mem,
+            RtValue::Accessor(_) => Class::Acc,
+            RtValue::Item => Class::Item,
+            RtValue::Unit => return None,
+        })
     }
 
     /// The integer payload, if this is an `Int`.

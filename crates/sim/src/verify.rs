@@ -42,8 +42,9 @@ use std::sync::Arc;
 use sycl_mlir_analysis::interval::{BinOp, Expr, Interval};
 
 use crate::device::NdRangeSpec;
-use crate::memory::MemoryPool;
+use crate::memory::{Dtype, MemoryPool};
 use crate::plan::{fuse_plan, Class, DimSrc, Instr, IntBin, ItemQ, KernelPlan, Reg, Role, Slot};
+use crate::plan::{Ty, Want};
 use crate::value::RtValue;
 
 // ----------------------------------------------------------------------
@@ -115,6 +116,8 @@ impl PlanFacts {
             return Arc::from(Vec::new());
         }
         let groups = nd.groups();
+        // The accessor of an accessor symbol's payload.
+        let acc = |payload: usize| args.get(payload >> 2)?.as_accessor();
         let resolve = |s: u32| -> Option<i64> {
             let payload = (s & PAYLOAD_MASK) as usize;
             match s >> TAG_SHIFT {
@@ -122,14 +125,8 @@ impl PlanFacts {
                 TAG_LOCAL_EXT => nd.local.get(payload).copied(),
                 TAG_GROUP_EXT => groups.get(payload).copied(),
                 TAG_INT_ARG => args.get(payload)?.as_int(),
-                TAG_ACC_RANGE => match args.get(payload >> 2)? {
-                    RtValue::Accessor(a) => a.range.get(payload & 3).copied(),
-                    _ => None,
-                },
-                TAG_ACC_OFFSET => match args.get(payload >> 2)? {
-                    RtValue::Accessor(a) => a.offset.get(payload & 3).copied(),
-                    _ => None,
-                },
+                TAG_ACC_RANGE => acc(payload)?.range.get(payload & 3).copied(),
+                TAG_ACC_OFFSET => acc(payload)?.offset.get(payload & 3).copied(),
                 _ => None,
             }
         };
@@ -260,34 +257,31 @@ pub fn verify_and_fuse(mut plan: KernelPlan) -> Result<(PlanFacts, KernelPlan), 
 // Pass A: fatal structural checks
 // ----------------------------------------------------------------------
 
-/// Rank payloads an instruction carries; any value above 3 would panic
-/// the operand walkers themselves, so these are checked first.
-fn rank_fields(instr: &Instr) -> Vec<u32> {
+/// The rank payload an instruction carries, if any; a value above 3
+/// would panic the operand walkers themselves, so it is checked first.
+fn rank_field(instr: &Instr) -> Option<u32> {
     match instr {
-        Instr::Alloca { rank, .. } | Instr::LocalAlloca { rank, .. } => vec![*rank],
+        Instr::Alloca { rank, .. } | Instr::LocalAlloca { rank, .. } => Some(*rank),
         Instr::Load { rank, .. } | Instr::Store { rank, .. } | Instr::VecCtor { rank, .. } => {
-            vec![*rank as u32]
+            Some(*rank as u32)
         }
-        _ => vec![],
+        _ => None,
     }
 }
 
-/// Constant dimension operands (`DimSrc::Const`) of an instruction; the
-/// runtime indexes item fields with them unchecked.
-fn const_dims(instr: &Instr) -> Vec<u8> {
-    let mut out = Vec::new();
-    let mut push = |d: &DimSrc| {
-        if let DimSrc::Const(c) = d {
-            out.push(*c);
-        }
-    };
+/// The constant dimension operand (`DimSrc::Const`) of an instruction,
+/// if any; the runtime indexes item fields with it unchecked.
+fn const_dim_of(instr: &Instr) -> Option<u8> {
     match instr {
         Instr::VecGet { dim, .. } | Instr::ItemQuery { dim, .. } | Instr::AccRange { dim, .. } => {
-            push(dim)
+            if let DimSrc::Const(c) = dim {
+                Some(*c)
+            } else {
+                None
+            }
         }
-        _ => {}
+        _ => None,
     }
-    out
 }
 
 fn fatal_pass(plan: &KernelPlan, errs: &mut Vec<VerifyError>) {
@@ -302,7 +296,7 @@ fn fatal_pass(plan: &KernelPlan, errs: &mut Vec<VerifyError>) {
         err(errs, 0, "empty plan".into());
         return;
     }
-    for &p in &plan.params {
+    for p in plan.param_regs() {
         if p >= plan.reg_count {
             err(errs, 0, format!("parameter register r{p} out of range"));
         }
@@ -319,7 +313,7 @@ fn fatal_pass(plan: &KernelPlan, errs: &mut Vec<VerifyError>) {
     // What a launch binds once for all its work-groups: no instruction
     // may write it.
     let bound: HashMap<Reg, &str> = (plan.consts.iter().map(|&(r, _)| (r, "bound-constant")))
-        .chain(plan.params.iter().map(|&p| (p, "parameter")))
+        .chain(plan.param_regs().map(|p| (p, "parameter")))
         .collect();
     for (pc, instr) in code.iter().enumerate() {
         if instr.op_weight() > 1 {
@@ -331,17 +325,12 @@ fn fatal_pass(plan: &KernelPlan, errs: &mut Vec<VerifyError>) {
             );
             continue;
         }
-        let mut structurally_ok = true;
-        for r in rank_fields(instr) {
-            if r > 3 {
-                err(errs, pc, format!("rank {r} exceeds 3"));
-                structurally_ok = false;
-            }
+        let bad_rank = rank_field(instr).filter(|&r| r > 3);
+        if let Some(r) = bad_rank {
+            err(errs, pc, format!("rank {r} exceeds 3"));
         }
-        for d in const_dims(instr) {
-            if d > 2 {
-                err(errs, pc, format!("constant dimension {d} out of range"));
-            }
+        if let Some(d) = const_dim_of(instr).filter(|&d| d > 2) {
+            err(errs, pc, format!("constant dimension {d} out of range"));
         }
         if let Some(t) = instr.target().filter(|&t| t as usize >= code.len()) {
             err(errs, pc, format!("pc target {t} out of bounds"));
@@ -363,7 +352,7 @@ fn fatal_pass(plan: &KernelPlan, errs: &mut Vec<VerifyError>) {
             }
             _ => {}
         }
-        if structurally_ok {
+        if bad_rank.is_none() {
             instr.operands(|role, r, _| {
                 if r >= plan.reg_count {
                     err(errs, pc, format!("register r{r} out of range"));
@@ -389,7 +378,7 @@ fn def_before_use_pass(plan: &KernelPlan, errs: &mut Vec<VerifyError>) {
     // `None` = not yet reached (top). Meet is intersection.
     let mut ins: Vec<Option<Vec<u64>>> = vec![None; code.len()];
     let mut entry = vec![0_u64; words];
-    for &p in &plan.params {
+    for p in plan.param_regs() {
         set(&mut entry, p);
     }
     for &(r, _) in &plan.consts {
@@ -440,57 +429,113 @@ fn def_before_use_pass(plan: &KernelPlan, errs: &mut Vec<VerifyError>) {
 // Pass C: per-slot type consistency (flow-insensitive)
 // ----------------------------------------------------------------------
 
-/// What the slot is known to hold: nothing yet, exactly one concrete
-/// class, or several/unknowable (suppresses checking — zero false
-/// positives by construction).
+/// What the slot is known to hold: nothing yet, exactly one class, or
+/// several or unknowable — which no class-constrained read accepts.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum DefCls {
     Unset,
-    One(Class),
+    One(Ty),
     Many,
+}
+
+impl DefCls {
+    /// What a register may hold that `self` and `other` write.
+    fn join(self, other: DefCls) -> DefCls {
+        match (self, other) {
+            (DefCls::Unset, d) | (d, DefCls::Unset) => d,
+            (a, b) if a == b => a,
+            _ => DefCls::Many,
+        }
+    }
+
+    /// The class of the elements of the view or accessor `self` holds.
+    fn elems(self) -> DefCls {
+        match self {
+            DefCls::One(t) => t.elem.map_or(DefCls::Many, |e| DefCls::One(e.into())),
+            d => d,
+        }
+    }
+}
+
+/// What the write `want` of `instr` gives its register, by what the
+/// registers hold so far; a view takes its element class from what it
+/// views.
+fn given(plan: &KernelPlan, instr: &Instr, want: Want, defs: &[DefCls]) -> DefCls {
+    let view = |elem: Class| DefCls::One(Ty::of(Class::Mem, elem));
+    match (instr, want) {
+        (Instr::AccSubscript { acc, .. }, _) => match defs[*acc as usize].elems() {
+            DefCls::One(e) => view(e.class),
+            d => d,
+        },
+        (Instr::Alloca { elem, .. } | Instr::LocalAlloca { elem, .. }, _) => {
+            view(Class::of_dtype(Dtype::of(elem)))
+        }
+        (Instr::ConstDense { idx, .. }, _) => view(Class::of_dtype(
+            plan.dense_consts[*idx as usize].data.dtype(),
+        )),
+        (_, Want::Is(c)) => DefCls::One(c.into()),
+        (_, Want::As(r)) => defs[r as usize],
+        (_, Want::ElemOf(r)) => defs[r as usize].elems(),
+        (_, Want::Any) => DefCls::Many,
+    }
 }
 
 fn type_class_pass(plan: &KernelPlan, errs: &mut Vec<VerifyError>) {
     let n = plan.reg_count as usize;
     let mut defs = vec![DefCls::Unset; n];
-    // Kernel arguments are unknowable statically; the trailing item
-    // parameter's class is fixed by the launch machinery.
-    let nparams = plan.params.len() - usize::from(plan.has_item_param);
-    for (k, &p) in plan.params.iter().enumerate() {
-        defs[p as usize] = if k < nparams {
-            DefCls::Many
-        } else {
-            DefCls::One(Class::Item)
-        };
+    // The signature's classes: a parameter whose type has none holds
+    // whatever its argument is.
+    let item = plan.item.map(|r| (r, Some(Class::Item.into())));
+    for (p, ty) in plan.params.iter().copied().chain(item) {
+        defs[p as usize] = ty.map_or(DefCls::Many, DefCls::One);
     }
     for (r, val) in &plan.consts {
-        defs[*r as usize] = Class::of_const(val).map_or(DefCls::Many, DefCls::One);
+        let class = Class::of_const(val);
+        defs[*r as usize] = class.map_or(DefCls::Many, |c| DefCls::One(c.into()));
     }
-    for instr in &plan.code {
-        instr.operands(|role, r, c| {
-            if role == Role::Write {
-                let slot = &mut defs[r as usize];
-                *slot = match (*slot, c) {
-                    (DefCls::Unset, Some(c)) => DefCls::One(c),
-                    (DefCls::One(prev), Some(c)) if prev == c => DefCls::One(c),
-                    _ => DefCls::Many,
-                };
-            }
-        });
+    // A write may take the class of a register written further down (a
+    // loop carry's copy): join until nothing changes.
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for instr in &plan.code {
+            instr.operands(|role, r, want| {
+                if role == Role::Write {
+                    let next = defs[r as usize].join(given(plan, instr, want, &defs));
+                    changed |= next != defs[r as usize];
+                    defs[r as usize] = next;
+                }
+            });
+        }
     }
     for (pc, instr) in plan.code.iter().enumerate() {
-        instr.operands(|role, r, need| {
-            let (Role::Read, Some(need), DefCls::One(have)) = (role, need, defs[r as usize]) else {
-                return;
+        instr.operands(|role, r, want| {
+            let need = match (role, want) {
+                (Role::Write, _) | (_, Want::Any) => return,
+                (_, Want::Is(c)) => DefCls::One(c.into()),
+                (_, Want::As(s)) => defs[s as usize],
+                (_, Want::ElemOf(s)) => defs[s as usize].elems(),
             };
-            if have != need {
+            let have = defs[r as usize];
+            let fits = match (have, need) {
+                // Read before any write: the def-before-use pass's finding.
+                (DefCls::Unset, _) | (_, DefCls::Unset) => true,
+                // `Is` demands a class, whatever a view's elements.
+                (DefCls::One(h), DefCls::One(c)) => {
+                    h.class == c.class && (h.elem == c.elem || matches!(want, Want::Is(_)))
+                }
+                _ => false,
+            };
+            let name = |d| match d {
+                DefCls::One(t) => Ty::name(t),
+                _ => "a value of no single class".into(),
+            };
+            if !fits {
+                let (have, need) = (name(have), name(need));
+                let message = format!("register r{r} holds {have} but is used as {need}");
                 errs.push(VerifyError {
                     pc: pc as u32,
-                    message: format!(
-                        "register r{r} holds {} but is used as {}",
-                        have.name(),
-                        need.name()
-                    ),
+                    message,
                 });
             }
         });
@@ -508,9 +553,9 @@ enum AVal {
     Top,
     /// Integer in a symbolic interval.
     Int(Interval),
-    /// Kernel argument `k`, class still unknown (an integer argument
-    /// concretizes to the `TAG_INT_ARG` symbol on demand; an accessor
-    /// argument feeds `AccSubscript`).
+    /// Kernel argument `k` (an integer argument concretizes to the
+    /// `TAG_INT_ARG` symbol on demand; an accessor argument feeds
+    /// `AccSubscript`).
     Arg(u32),
     /// Id/range vector with per-component intervals.
     Vec([Option<Interval>; 3], u8),
@@ -704,13 +749,11 @@ fn interval_pass(plan: &KernelPlan) -> Vec<Option<SiteProof>> {
     }
     let n = plan.reg_count as usize;
     let mut env = vec![AVal::Top; n];
-    let nparams = plan.params.len() - usize::from(plan.has_item_param);
-    for (k, &p) in plan.params.iter().enumerate() {
-        env[p as usize] = if k < nparams {
-            AVal::Arg(k as u32)
-        } else {
-            AVal::Item
-        };
+    for (k, &(p, _)) in plan.params.iter().enumerate() {
+        env[p as usize] = AVal::Arg(k as u32);
+    }
+    if let Some(item) = plan.item {
+        env[item as usize] = AVal::Item;
     }
     for (r, val) in &plan.consts {
         env[*r as usize] = match val {
@@ -943,21 +986,21 @@ fn interval_pass(plan: &KernelPlan) -> Vec<Option<SiteProof>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::accessor;
     use crate::memory::{DataVec, MemoryPool};
-    use crate::value::AccessorVal;
 
     fn plan1(
         code: Vec<Instr>,
         reg_count: u32,
-        params: Vec<Reg>,
-        has_item: bool,
+        params: Vec<(Reg, Option<Ty>)>,
+        item: Option<Reg>,
         sites: u32,
     ) -> KernelPlan {
         KernelPlan {
             code,
             reg_count,
             params,
-            has_item_param: has_item,
+            item,
             consts: vec![],
             dense_consts: vec![],
             mem_sites: sites,
@@ -971,7 +1014,7 @@ mod tests {
 
     #[test]
     fn rejects_out_of_bounds_jump() {
-        let p = plan1(vec![Instr::Jump { target: 9 }, ret()], 1, vec![], false, 0);
+        let p = plan1(vec![Instr::Jump { target: 9 }, ret()], 1, vec![], None, 0);
         let errs = verify_plan(&p).unwrap_err();
         assert!(
             errs.iter().any(|e| e.message.contains("pc target 9")),
@@ -993,7 +1036,7 @@ mod tests {
             ],
             3,
             vec![],
-            false,
+            None,
             0,
         );
         let errs = verify_plan(&p).unwrap_err();
@@ -1012,7 +1055,7 @@ mod tests {
                 vec![Instr::BranchIfFalse { cond: 0, target: 1 }, ret()],
                 1,
                 vec![],
-                false,
+                None,
                 0,
             )
         };
@@ -1023,6 +1066,30 @@ mod tests {
         );
     }
 
+    /// A register that one instruction writes as an integer and another
+    /// as a float, and a value loaded from an `i64` view, each read by
+    /// `addf`: both are refused.
+    #[rustfmt::skip] // two plans, an instruction a line
+    #[test]
+    fn rejects_reads_of_a_register_of_another_or_no_single_class() {
+        let addf = |x| Instr::BinFloat { op: crate::plan::FloatBin::Add, dst: 3, l: x, r: x, f32_out: true };
+        let two_writes = plan1(vec![
+            Instr::SiToFp { dst: 2, x: 1, f32_out: true },
+            Instr::BinInt { op: IntBin::Add, dst: 2, l: 1, r: 1 },
+            addf(2), ret(),
+        ], 4, vec![], None, 0);
+        let i64_view = Some(Ty::of(Class::Mem, Class::Int));
+        let loaded = plan1(vec![
+            Instr::Load { dst: 2, mem: 0, idx: [1, 0, 0], rank: 1, site: 0 },
+            addf(2), ret(),
+        ], 4, vec![(0, i64_view)], None, 1);
+        for (plan, pc, holds) in [(two_writes, 2, "a value of no single class"), (loaded, 1, "an integer")] {
+            let plan = KernelPlan { consts: vec![(1, Slot::Int(0))], ..plan };
+            let errs: Vec<_> = verify_plan(&plan).unwrap_err().iter().map(|e| e.to_string()).collect();
+            assert_eq!(errs, [format!("pc {pc}: register r2 holds {holds} but is used as a float")]);
+        }
+    }
+
     /// A launch binds its parameters and constants once for all its
     /// work-groups: an instruction that writes one, whatever it writes,
     /// and a constant outside the register file are refused.
@@ -1030,7 +1097,7 @@ mod tests {
     fn rejects_writes_to_bound_registers() {
         let bound = |code: Vec<Instr>, consts: Vec<(Reg, Slot)>| KernelPlan {
             consts,
-            ..plan1(code, 3, vec![0], false, 0)
+            ..plan1(code, 3, vec![(0, Some(Class::Int.into()))], None, 0)
         };
         let int = Slot::Int;
         let cases = [
@@ -1107,8 +1174,8 @@ mod tests {
                 ret(),
             ],
             7,
-            vec![0, 1],
-            true,
+            vec![(0, Some(Ty::of(Class::Acc, Class::Float)))],
+            Some(1),
             1,
         );
         let p = KernelPlan {
@@ -1118,14 +1185,7 @@ mod tests {
         let facts = verify_plan(&p).unwrap();
         assert_eq!(facts.sites_proven, 1);
         let mut pool = MemoryPool::new();
-        let mem = pool.alloc(DataVec::F32(vec![0.0; 8]));
-        let acc = RtValue::Accessor(AccessorVal {
-            mem,
-            range: [8, 1, 1],
-            offset: [0, 0, 0],
-            rank: 1,
-            constant: false,
-        });
+        let acc = accessor(pool.alloc(DataVec::F32(vec![0.0; 8])), 8);
         let fits = facts.instantiate(&[acc], &NdRangeSpec::d1(8, 4), &pool);
         assert_eq!(fits.first().copied(), Some(1), "site 0 should be proven");
         let too_big = facts.instantiate(&[acc], &NdRangeSpec::d1(16, 4), &pool);
@@ -1136,6 +1196,10 @@ mod tests {
     /// step 1, unproven with step 2 (symbolic ub could wrap `iv + step`).
     #[test]
     fn loop_bound_wrap_guard() {
+        let params = vec![
+            (0, Some(Ty::of(Class::Acc, Class::Float))),
+            (1, Some(Class::Int.into())),
+        ];
         let build = |step: i64| {
             let consts = vec![(3, Slot::Int(0)), (4, Slot::Int(step)), (8, Slot::Int(0))];
             let code = vec![
@@ -1173,7 +1237,7 @@ mod tests {
             ];
             KernelPlan {
                 consts,
-                ..plan1(code, 10, vec![0, 1, 2], true, 1)
+                ..plan1(code, 10, params.clone(), Some(2), 1)
             }
         };
         let facts1 = verify_plan(&build(1)).unwrap();
@@ -1185,14 +1249,7 @@ mod tests {
         );
 
         let mut pool = MemoryPool::new();
-        let mem = pool.alloc(DataVec::F64(vec![0.0; 8]));
-        let acc = RtValue::Accessor(AccessorVal {
-            mem,
-            range: [8, 1, 1],
-            offset: [0, 0, 0],
-            rank: 1,
-            constant: false,
-        });
+        let acc = accessor(pool.alloc(DataVec::F64(vec![0.0; 8])), 8);
         let nd = NdRangeSpec::d1(4, 4);
         let ok = facts1.instantiate(&[acc, RtValue::Int(8)], &nd, &pool);
         assert_eq!(ok.first().copied(), Some(1));
@@ -1239,20 +1296,13 @@ mod tests {
                     ret(),
                 ],
                 8,
-                vec![0, 1],
-                true,
+                vec![(0, Some(Ty::of(Class::Acc, Class::Int)))],
+                Some(1),
                 1,
             )
         };
         let mut pool = MemoryPool::new();
-        let mem = pool.alloc(DataVec::I64(vec![0; 8]));
-        let acc = RtValue::Accessor(AccessorVal {
-            mem,
-            range: [8, 1, 1],
-            offset: [0, 0, 0],
-            rank: 1,
-            constant: false,
-        });
+        let acc = accessor(pool.alloc(DataVec::I64(vec![0; 8])), 8);
         let nd = NdRangeSpec::d1(4096, 64);
         for (op, k) in [(IntBin::And, 7), (IntBin::RemS, 8)] {
             let facts = verify_plan(&build(op, k)).unwrap();

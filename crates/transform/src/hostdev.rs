@@ -493,16 +493,19 @@ mod tests {
     use sycl_mlir_dialects::arith::{addi, constant_int};
     use sycl_mlir_dialects::func::{build_func, build_return};
     use sycl_mlir_dialects::llvm;
-    use sycl_mlir_ir::Context;
+    use sycl_mlir_ir::{Context, Type};
     use sycl_mlir_sycl::types::{accessor_type, item_type};
 
-    /// The range-form kernel `K(accessor<f32, 1, read_write>, i64)`, which
-    /// reads its scalar, after raising and propagation, with `K` launched
-    /// from `cgfs` host functions that each construct a buffer of 32
-    /// elements of their own and pass the scalar as 7, as `hostgen` emits
-    /// them: a kernel submitted k times with one command group is one
-    /// function, with two buffers two.
-    fn propagated(cgfs: usize) -> (Module, OpId) {
+    /// The range-form kernel `K(params.., item<1>)`, its body built by
+    /// `body` over its parameters, after raising and propagation, with `K`
+    /// launched from `cgfs` host functions `cgf_i(cgh)`, each built by
+    /// `cgf`, as `hostgen` emits them.
+    fn propagated_with(
+        params: impl FnOnce(&Context) -> Vec<Type>,
+        body: impl FnOnce(&mut Builder<'_>, &[ValueId]),
+        cgfs: usize,
+        cgf: impl Fn(&mut Builder<'_>, ValueId),
+    ) -> (Module, OpId) {
         let c = Context::new();
         sycl_mlir_dialects::register_all(&c);
         sycl_mlir_sycl::register(&c);
@@ -520,13 +523,12 @@ mod tests {
         m.add_block(region, &[]);
         let top_block = m.top_block();
         m.append_op(top_block, device);
-        let acc = accessor_type(&c, c.f32_type(), 1, AccessMode::ReadWrite, Target::Global);
-        let params = [acc, c.i64_type(), item_type(&c, 1)];
+        let params = [params(&c), vec![item_type(&c, 1)]].concat();
         let (kernel, entry) = build_func(&mut m, device, "K", &params, &[]);
         sycl_mlir_sycl::device::mark_kernel(&mut m, kernel);
-        let scalar = m.block_arg(entry, 1);
+        let args = m.block_args(entry).to_vec();
         let mut b = Builder::at_end(&mut m, entry);
-        addi(&mut b, scalar, scalar);
+        body(&mut b, &args);
         build_return(&mut b, &[]);
 
         for i in 0..cgfs {
@@ -534,38 +536,7 @@ mod tests {
             let (_, entry) = build_func(&mut m, top, &format!("cgf_{i}"), &[c.ptr_type()], &[]);
             let cgh = m.block_arg(entry, 0);
             let mut b = Builder::at_end(&mut m, entry);
-            let range = |b: &mut Builder<'_>| {
-                let r = llvm::alloca(b, "sycl::range");
-                let i64t = b.ctx().i64_type();
-                let n = constant_int(b, 32, i64t);
-                llvm::call(b, "sycl_range_ctor", &[r, n], &[]);
-                r
-            };
-            let grange = range(&mut b);
-            let brange = range(&mut b);
-            let host_data = llvm::alloca(&mut b, "host_data");
-            let buf = llvm::alloca(&mut b, "sycl::buffer");
-            llvm::call(
-                &mut b,
-                "sycl_buffer_ctor_f32_1",
-                &[buf, host_data, brange],
-                &[],
-            );
-            let acc = llvm::alloca(&mut b, "sycl::accessor");
-            llvm::call(
-                &mut b,
-                "sycl_accessor_ctor_f32_1_read_write",
-                &[acc, buf, cgh],
-                &[],
-            );
-            let i64t = b.ctx().i64_type();
-            let seven = constant_int(&mut b, 7, i64t);
-            llvm::call(
-                &mut b,
-                "sycl_parallel_for_range_K",
-                &[cgh, grange, acc, seven],
-                &[],
-            );
+            cgf(&mut b, cgh);
             build_return(&mut b, &[]);
         }
         assert!(RaiseHostPass::default().run(&mut m).unwrap());
@@ -573,6 +544,63 @@ mod tests {
             .run(&mut m)
             .unwrap();
         (m, kernel)
+    }
+
+    /// A `sycl::range` of 32.
+    fn range(b: &mut Builder<'_>) -> ValueId {
+        let r = llvm::alloca(b, "sycl::range");
+        let i64t = b.ctx().i64_type();
+        let n = constant_int(b, 32, i64t);
+        llvm::call(b, "sycl_range_ctor", &[r, n], &[]);
+        r
+    }
+
+    /// A buffer of 32 `f32`s, with the initial data `init` if any.
+    fn buffer(b: &mut Builder<'_>, init: Option<Attribute>) -> ValueId {
+        let brange = range(b);
+        let host_data = llvm::alloca(b, "host_data");
+        let buf = llvm::alloca(b, "sycl::buffer");
+        let ctor = "sycl_buffer_ctor_f32_1";
+        let call = llvm::call(b, ctor, &[buf, host_data, brange], &[]);
+        if let Some(data) = init {
+            b.module().set_attr(call, "init_data", data);
+        }
+        buf
+    }
+
+    /// An accessor over `buf` in `mode`.
+    fn accessor(b: &mut Builder<'_>, buf: ValueId, cgh: ValueId, mode: &str) -> ValueId {
+        let acc = llvm::alloca(b, "sycl::accessor");
+        let ctor = format!("sycl_accessor_ctor_f32_1_{mode}");
+        llvm::call(b, &ctor, &[acc, buf, cgh], &[]);
+        acc
+    }
+
+    /// The kernel `K(accessor<f32, 1, read_write>, i64)`, which reads its
+    /// scalar, launched from `cgfs` host functions that each construct a
+    /// buffer of 32 elements of their own and pass the scalar as 7: a
+    /// kernel submitted k times with one command group is one function,
+    /// with two buffers two.
+    fn propagated(cgfs: usize) -> (Module, OpId) {
+        propagated_with(
+            |c| {
+                let acc = accessor_type(c, c.f32_type(), 1, AccessMode::ReadWrite, Target::Global);
+                vec![acc, c.i64_type()]
+            },
+            |b, args| {
+                addi(b, args[1], args[1]);
+            },
+            cgfs,
+            |b, cgh| {
+                let grange = range(b);
+                let buf = buffer(b, None);
+                let acc = accessor(b, buf, cgh, "read_write");
+                let i64t = b.ctx().i64_type();
+                let seven = constant_int(b, 7, i64t);
+                let launch = "sycl_parallel_for_range_K";
+                llvm::call(b, launch, &[cgh, grange, acc, seven], &[]);
+            },
+        )
     }
 
     /// The accessor ranges of [`propagated`]'s kernel.
@@ -610,5 +638,34 @@ mod tests {
             .run(&mut m)
             .unwrap();
         assert_eq!(folded(&m), first);
+    }
+
+    /// A buffer with initial data that one accessor reads is constant to
+    /// the kernel only while no other accessor over it can write it: with
+    /// a second accessor that reads, both are constant arrays; with a
+    /// second that writes, neither is.
+    #[test]
+    fn a_buffer_another_accessor_writes_is_not_constant() {
+        let const_args = |second: &str| {
+            let f32_acc =
+                |c: &Context, mode| accessor_type(c, c.f32_type(), 1, mode, Target::Global);
+            let second_mode = AccessMode::parse(second).unwrap();
+            let (m, kernel) = propagated_with(
+                |c| vec![f32_acc(c, AccessMode::Read), f32_acc(c, second_mode)],
+                |_, _| {},
+                1,
+                |b, cgh| {
+                    let grange = range(b);
+                    let buf = buffer(b, Some(Attribute::DenseF64(vec![1.5; 32])));
+                    let reader = accessor(b, buf, cgh, "read");
+                    let other = accessor(b, buf, cgh, second);
+                    let launch = "sycl_parallel_for_range_K";
+                    llvm::call(b, launch, &[cgh, grange, reader, other], &[]);
+                },
+            );
+            facts::CONST_ARGS.get(&m, kernel).map(<[i64]>::to_vec)
+        };
+        assert_eq!(const_args("read"), Some(vec![0, 1]));
+        assert_eq!(const_args("write"), None);
     }
 }

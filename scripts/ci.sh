@@ -286,6 +286,24 @@ if grep -rnE 'barrier_uniformity|barrier_loop_pass|uniform_decodable_regs|transi
   exit 1
 fi
 
+# One type check per launch (ARCHITECTURE.md, "Faults are values"):
+# `MemoryPool::check_args` checks a launch's arguments against its
+# kernel's parameter classes, for both engines, before any work-group
+# runs, and the verifier proves the class of every register a plan
+# instruction reads. A second argument-count check, or a run-time type
+# error in the plan executor, must not come back.
+step "one type check per launch"
+expects=$(grep -rn 'kernel expects' crates/sim/src | wc -l)
+if [ "$expects" -gt 1 ]; then
+  grep -rn 'kernel expects' crates/sim/src
+  echo "FAIL: 'kernel expects' occurs $expects times under crates/sim/src; check_args is the one argument check" >&2
+  exit 1
+fi
+if grep -rnE 'on non-int|on non-float|non-memref|non-accessor' crates/sim/src/plan/; then
+  echo "FAIL: a register type error is back in the plan engine; the verifier proves every read's class" >&2
+  exit 1
+fi
+
 # One device report (ARCHITECTURE.md, "Static verification and check
 # elision"): everything a Device counts is a field of the `DeviceReport`
 # that `Device::report()` returns, and its `Display` is the `--profile`

@@ -753,20 +753,24 @@ mod fault_differential {
         run(&mut program, &mut rt, &q, device).map(drop)
     }
 
+    /// The `f32` store never reaches the `i32` buffer: an accessor over it
+    /// does not fit the kernel's `accessor<f32>` parameter, so both
+    /// engines refuse the second launch before any of its work-groups
+    /// runs, with the same typed fault.
     #[test]
     fn type_mismatched_store_is_engine_and_thread_independent() {
         let tree = run_f32_stores_into_i32_buffer(&Device::with_engine(Engine::TreeWalk))
-            .expect_err("an f32 store into an i32 buffer fails");
-        // One line, no heap address, no buffer contents: the value kind,
-        // the buffer and its element type.
+            .expect_err("an accessor over an i32 buffer is refused");
         assert_eq!(
             tree.message(),
-            "type-mismatched store of f32 into buffer 1 (i32) (launch 1, work-group 2)"
+            "argument 0: the kernel takes an accessor of floats, given an accessor of \
+             integers (launch 1, work-group 0)"
         );
+        assert!(matches!(tree, SimError::Argument { .. }), "{tree:?}");
         for threads in [1, 4] {
             let plan =
                 run_f32_stores_into_i32_buffer(&Device::with_engine(Engine::Plan).threads(threads))
-                    .expect_err("an f32 store into an i32 buffer fails");
+                    .expect_err("an accessor over an i32 buffer is refused");
             assert_eq!(plan, tree, "threads={threads}");
         }
     }
@@ -1212,19 +1216,34 @@ mod aggregate_moves {
         );
     }
 
-    /// Storing an aggregate is the type-mismatch fault, named by the
-    /// value's kind, at the first work-group.
+    /// Storing an aggregate is the tree walk's type-mismatch fault, named
+    /// by the value's kind, at the first work-group. The plan engine's
+    /// verifier refuses the store of a register that does not hold the
+    /// view's element class, so the launch fails there with the
+    /// verifier's finding, which names the register's class.
     #[test]
     fn type_mismatched_store_of_an_aggregate() {
         // Picks the stored value out of `[id, view, accessor, item]`.
         type Pick = fn(&mut Builder<'_>, [ValueId; 4]) -> ValueId;
-        let cases: [(&str, Pick); 4] = [
-            ("vec", |_, v| v[0]),
-            ("memref", |_, v| v[1]),
-            ("accessor", |_, v| v[2]),
-            ("item", |b, v| sdev::get_group(b, v[3])),
+        let cases: [(&str, &str, Pick); 4] = [
+            ("vec", "3: register r5 holds an id/range vector", |_, v| {
+                v[0]
+            }),
+            (
+                "memref",
+                "3: register r6 holds a memref of floats",
+                |_, v| v[1],
+            ),
+            (
+                "accessor",
+                "3: register r0 holds an accessor of floats",
+                |_, v| v[2],
+            ),
+            ("item", "4: register r7 holds an item", |b, v| {
+                sdev::get_group(b, v[3])
+            }),
         ];
-        for (kind, pick) in cases {
+        for (kind, finding, pick) in cases {
             let ctx = full_context();
             let mut m = Module::new(&ctx);
             let k = kernel(&mut m, |b, acc_a, _, item| {
@@ -1235,7 +1254,21 @@ mod aggregate_moves {
                 let zero = arith::constant_index(b, 0);
                 memref::store(b, value, view, &[zero]);
             });
-            let fault = launch_on_both_engines(&m, k).expect_err("the store faults");
+            decode_kernel(&m, k).expect("the plan engine decodes this kernel");
+            for threads in [1, 4] {
+                let device = Device::with_engine(Engine::Plan).threads(threads);
+                let refused = launch(&m, k, &device).expect_err("the plan is refused");
+                assert_eq!(
+                    refused.message(),
+                    format!(
+                        "plan verify error: k: pc {finding} but is used as a float (launch 0, \
+                         work-group 0)"
+                    ),
+                    "threads={threads}"
+                );
+            }
+            let tree = launch(&m, k, &Device::with_engine(Engine::TreeWalk));
+            let fault = tree.expect_err("the store faults");
             assert_eq!(
                 fault.message(),
                 format!(

@@ -30,7 +30,7 @@ use common::run_launch;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use sycl_mlir_repro::sim::plan::audit_on_this_thread;
-use sycl_mlir_repro::sim::plan::{CmpPred, FloatBin, Instr, IntBin, ItemQ, Slot};
+use sycl_mlir_repro::sim::plan::{Class, CmpPred, FloatBin, Instr, IntBin, ItemQ, Slot, Ty};
 use sycl_mlir_repro::sim::{
     fuse_plan, verify_and_fuse, verify_plan, AccessorVal, CostModel, DataVec, ExecLimits,
     ExecStats, KernelPlan, MemRefVal, MemoryPool, NdRangeSpec, PlanFacts, PlanLaunch, RtValue,
@@ -38,6 +38,21 @@ use sycl_mlir_repro::sim::{
 };
 
 const BUF_LEN: usize = 16;
+
+/// The parameters of every plan here: an `f32` memref in register 0, an
+/// `i64` memref in register 1 and an `f32` accessor in register 2.
+fn fuzz_params() -> Vec<(u32, Option<Ty>)> {
+    let (mem, acc) = (Class::Mem, Class::Acc);
+    [
+        Ty::of(mem, Class::Float),
+        Ty::of(mem, Class::Int),
+        Ty::of(acc, Class::Float),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(r, ty)| (r as u32, Some(ty)))
+    .collect()
+}
 
 /// Builds one random legal plan over three parameters: an `f32` memref
 /// in register 0, an `i64` memref in register 1 and an `f32` accessor in
@@ -878,8 +893,8 @@ impl Gen {
         KernelPlan {
             code: self.code,
             reg_count: self.next_reg,
-            params: vec![0, 1, 2],
-            has_item_param: false,
+            params: fuzz_params(),
+            item: None,
             consts: self.consts,
             dense_consts: Vec::new(),
             mem_sites: self.sites,
@@ -1127,8 +1142,8 @@ fn mid_chain_failing_plan(fail_from: i64) -> KernelPlan {
     KernelPlan {
         code,
         reg_count: 17,
-        params: vec![0, 1, 2],
-        has_item_param: false,
+        params: fuzz_params(),
+        item: None,
         consts: vec![
             (5, Slot::Int(0)),
             (6, Slot::Int(BUF_LEN as i64)),
@@ -1156,8 +1171,8 @@ fn div_zero_plan() -> KernelPlan {
     KernelPlan {
         code,
         reg_count: 6,
-        params: vec![0, 1, 2],
-        has_item_param: false,
+        params: fuzz_params(),
+        item: None,
         consts: vec![(3, Slot::Int(1)), (4, Slot::Int(0))],
         dense_consts: Vec::new(),
         mem_sites: 0,
@@ -1587,8 +1602,8 @@ fn bait_plan(
     KernelPlan {
         code: body,
         reg_count,
-        params: vec![0, 1, 2],
-        has_item_param: false,
+        params: fuzz_params(),
+        item: None,
         consts,
         dense_consts: Vec::new(),
         mem_sites,
