@@ -11,8 +11,8 @@
 //! fields, it is what `scripts/ci.sh`'s fidelity gate holds to the
 //! checked-in `scripts/bench-baseline.json`.
 
-use sycl_mlir_bench::{print_table, quick_flag, run_category_on, run_row};
-use sycl_mlir_benchsuite::{geo_mean, Category};
+use sycl_mlir_bench::{geo_means, print_table, quick_flag, run_category_on, run_row};
+use sycl_mlir_benchsuite::Category;
 
 /// Stable lowercase tag for a category in the `--json` summary.
 fn category_tag(c: Category) -> &'static str {
@@ -70,21 +70,13 @@ fn main() {
                 entries.push((category, row, wall_ms));
             }
         }
-        let mut sm = Vec::new();
-        let mut acpp = Vec::new();
-        for (category, r, _) in &entries {
-            if !matches!(category, Category::SingleKernel | Category::Polybench) {
-                continue; // geo-means cover SYCL-Bench (Fig. 2 + Fig. 3)
-            }
-            let s = r.speedup(2);
-            let a = r.speedup(1);
-            if s.is_finite() {
-                sm.push(s);
-            }
-            if a.is_finite() {
-                acpp.push(a);
-            }
-        }
+        // The geo-means cover SYCL-Bench (Fig. 2 + Fig. 3).
+        let (sm, acpp) = geo_means(
+            entries
+                .iter()
+                .filter(|(c, ..)| matches!(c, Category::SingleKernel | Category::Polybench))
+                .map(|(_, r, _)| r),
+        );
         let workloads: Vec<String> = entries
             .iter()
             .map(|(category, r, wall_ms)| {
@@ -130,8 +122,8 @@ fn main() {
         println!("  \"workloads\": [");
         println!("{}", workloads.join(",\n"));
         println!("  ],");
-        println!("  \"geo_mean_sycl_mlir\": {},", json_f64(geo_mean(&sm)));
-        println!("  \"geo_mean_adaptivecpp\": {},", json_f64(geo_mean(&acpp)));
+        println!("  \"geo_mean_sycl_mlir\": {},", json_f64(sm));
+        println!("  \"geo_mean_adaptivecpp\": {},", json_f64(acpp));
         println!("  \"wall_time_seconds\": {:.3}", t0.elapsed().as_secs_f64());
         println!("}}");
         return;
@@ -149,27 +141,18 @@ fn main() {
     print_table("Reduction/scan workloads (extension)", &reduction);
     print_table("Sparse indirect-index workloads (extension)", &sparse);
 
-    // Overall SYCL-Bench geo-means (Fig. 2 + Fig. 3 categories).
-    let mut sm = Vec::new();
-    let mut acpp = Vec::new();
-    for r in fig2.iter().chain(&fig3) {
-        let s = r.speedup(2);
-        let a = r.speedup(1);
-        if s.is_finite() {
-            sm.push(s);
-        }
-        if a.is_finite() {
-            acpp.push(a);
-        }
-    }
+    // Overall SYCL-Bench geo-means (Fig. 2 + Fig. 3 categories), beside
+    // the paper's from the pins file.
+    let (sm, acpp) = geo_means(fig2.iter().chain(&fig3));
+    let paper = sycl_mlir_bench::pins();
     println!("\n== Overall (SYCL-Bench: Fig. 2 + Fig. 3) ==");
     println!(
-        "SYCL-MLIR geo.-mean over DPC++:  {:.2}x   (paper: 1.18x)",
-        geo_mean(&sm)
+        "SYCL-MLIR geo.-mean over DPC++:  {sm:.2}x   (paper: {:.2}x)",
+        paper.sycl_mlir.paper
     );
     println!(
-        "AdaptiveCpp geo.-mean over DPC++: {:.2}x   (paper: 1.13x)",
-        geo_mean(&acpp)
+        "AdaptiveCpp geo.-mean over DPC++: {acpp:.2}x   (paper: {:.2}x)",
+        paper.adaptivecpp.paper
     );
 
     // The `--profile` dump: per-opcode execution totals plus the hottest

@@ -13,6 +13,7 @@
 //! protocol collapses to a single measured run per configuration (JIT costs
 //! still land on the AdaptiveCpp "warm-up" and are excluded, like §VIII).
 
+use std::cmp::Ordering;
 use sycl_mlir_benchsuite::{geo_mean, run_workload_on, Category, WorkloadSpec};
 use sycl_mlir_core::FlowKind;
 use sycl_mlir_dialects::{arith, scf};
@@ -110,6 +111,21 @@ pub fn quick_size(w: &WorkloadSpec) -> i64 {
     }
 }
 
+/// Geo-means of `(SYCL-MLIR, AdaptiveCpp)` speed-ups over DPC++ across
+/// `rows`; missing bars are left out.
+pub fn geo_means<'r>(rows: impl IntoIterator<Item = &'r Row>) -> (f64, f64) {
+    let (mut sm, mut acpp) = (Vec::new(), Vec::new());
+    for r in rows {
+        for (flow, out) in [(2, &mut sm), (1, &mut acpp)] {
+            let s = r.speedup(flow);
+            if s.is_finite() {
+                out.push(s);
+            }
+        }
+    }
+    (geo_mean(&sm), geo_mean(&acpp))
+}
+
 /// Print a speedup table in the paper's format (speedup over DPC++,
 /// higher is better; `--` marks a failed validation / missing bar).
 pub fn print_table(title: &str, rows: &[Row]) {
@@ -118,32 +134,129 @@ pub fn print_table(title: &str, rows: &[Row]) {
         "{:<28} {:>12} {:>12}",
         "benchmark", "AdaptiveCpp", "SYCL-MLIR"
     );
-    let mut acpp = Vec::new();
-    let mut sm = Vec::new();
+    let fmt = |v: f64| {
+        if v.is_nan() {
+            "--".to_string()
+        } else {
+            format!("{v:.2}x")
+        }
+    };
     for r in rows {
-        let a = r.speedup(1);
-        let s = r.speedup(2);
-        let fmt = |v: f64| {
-            if v.is_nan() {
-                "--".to_string()
-            } else {
-                format!("{v:.2}x")
-            }
-        };
-        println!("{:<28} {:>12} {:>12}", r.name, fmt(a), fmt(s));
-        if a.is_finite() {
-            acpp.push(a);
-        }
-        if s.is_finite() {
-            sm.push(s);
-        }
+        println!(
+            "{:<28} {:>12} {:>12}",
+            r.name,
+            fmt(r.speedup(1)),
+            fmt(r.speedup(2))
+        );
     }
+    let (sm, acpp) = geo_means(rows);
     println!(
         "{:<28} {:>12} {:>12}",
         "geo.-mean",
-        format!("{:.2}x", geo_mean(&acpp)),
-        format!("{:.2}x", geo_mean(&sm))
+        format!("{acpp:.2}x"),
+        format!("{sm:.2}x")
     );
+}
+
+/// A geo-mean over SYCL-Bench (Fig. 2 + Fig. 3) as the paper reports it
+/// and as this reproduction's quick sweep pins it.
+#[derive(Debug, Clone, Copy)]
+pub struct GeoMeanPin {
+    pub paper: f64,
+    pub reproduced: f64,
+}
+
+/// The fidelity pins of `data/paper_pins.txt`: §VIII's headline
+/// geo-means beside the reproduced ones, the direction of every
+/// SYCL-MLIR speed-up of the quick sweep, and the workloads whose
+/// AdaptiveCpp failure is injected. See the file for its format.
+#[derive(Debug, Clone)]
+pub struct Pins {
+    pub sycl_mlir: GeoMeanPin,
+    pub adaptivecpp: GeoMeanPin,
+    /// How far a reproduced geo-mean may move from its pin.
+    pub tolerance: f64,
+    /// Workload name → [`speedup_sign`] of its SYCL-MLIR speed-up.
+    pub signs: Vec<(String, Ordering)>,
+    /// Workloads whose AdaptiveCpp bar is missing by injection.
+    pub acpp_injected: Vec<String>,
+}
+
+/// Speed-ups within this of 1.0 count as "no gain" (the tables print
+/// them as `1.00x`).
+pub const NO_GAIN_BAND: f64 = 0.005;
+
+/// A speed-up's direction: `Greater` for a gain, `Less` for a loss,
+/// `Equal` within [`NO_GAIN_BAND`] of 1.0.
+pub fn speedup_sign(speedup: f64) -> Ordering {
+    if speedup > 1.0 + NO_GAIN_BAND {
+        Ordering::Greater
+    } else if speedup < 1.0 - NO_GAIN_BAND {
+        Ordering::Less
+    } else {
+        Ordering::Equal
+    }
+}
+
+/// The pins, parsed from the data file compiled into this crate.
+///
+/// # Panics
+///
+/// Panics if the file is malformed; `tests/paper_pins.rs` parses it.
+pub fn pins() -> Pins {
+    fn malformed<T>(n: usize, line: &str) -> T {
+        panic!("data/paper_pins.txt:{}: malformed line `{line}`", n + 1)
+    }
+    let (mut geo, mut tolerance) = (Vec::new(), None);
+    let (mut signs, mut acpp_injected) = (Vec::new(), Vec::new());
+    for (n, line) in include_str!("../data/paper_pins.txt").lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let Some((kind, rest)) = line.split_once(' ') else {
+            return malformed(n, line);
+        };
+        let number = |text: Option<&str>| -> f64 {
+            text.and_then(|t| t.parse().ok())
+                .unwrap_or_else(|| malformed(n, line))
+        };
+        match (kind, rest.split_once(' ')) {
+            ("geo-mean", Some((flow, values))) => {
+                let (paper, reproduced) =
+                    values.split_once(' ').unwrap_or_else(|| malformed(n, line));
+                let pin = GeoMeanPin {
+                    paper: number(paper.strip_prefix("paper=")),
+                    reproduced: number(reproduced.strip_prefix("reproduced=")),
+                };
+                geo.push((flow.to_string(), pin));
+            }
+            ("tolerance", None) => tolerance = Some(number(Some(rest))),
+            ("speed-up", Some((sign, name))) => {
+                let sign = match sign {
+                    "+" => Ordering::Greater,
+                    "-" => Ordering::Less,
+                    "=" => Ordering::Equal,
+                    _ => malformed(n, line),
+                };
+                signs.push((name.to_string(), sign));
+            }
+            ("acpp-injected", _) => acpp_injected.push(rest.to_string()),
+            _ => malformed(n, line),
+        }
+    }
+    let geo_pin = |flow: &str| {
+        let pin = geo.iter().find(|(f, _)| f == flow);
+        pin.unwrap_or_else(|| panic!("data/paper_pins.txt: no `geo-mean {flow}` line"))
+            .1
+    };
+    Pins {
+        sycl_mlir: geo_pin("sycl_mlir"),
+        adaptivecpp: geo_pin("adaptivecpp"),
+        tolerance: tolerance.expect("data/paper_pins.txt: no `tolerance` line"),
+        signs,
+        acpp_injected,
+    }
 }
 
 /// Parse the shared `--quick` flag.

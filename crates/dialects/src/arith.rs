@@ -130,7 +130,7 @@ impl Dialect for ArithDialect {
                 name,
                 &[],
                 std::slice::from_ref(ty),
-                vec![("value", attr.clone())],
+                [("value", attr.clone())],
             );
             m.insert_op(block, index, op);
             Some(m.op_result(op, 0))
@@ -391,7 +391,7 @@ pub fn constant_int(b: &mut Builder<'_>, value: i64, ty: Type) -> ValueId {
         "arith.constant",
         &[],
         ty,
-        vec![("value", Attribute::Int(value))],
+        [("value", Attribute::Int(value))],
     )
 }
 
@@ -407,7 +407,7 @@ pub fn constant_float(b: &mut Builder<'_>, value: f64, ty: Type) -> ValueId {
         "arith.constant",
         &[],
         ty,
-        vec![("value", Attribute::Float(value))],
+        [("value", Attribute::Float(value))],
     )
 }
 
@@ -480,7 +480,7 @@ pub fn cmpi(b: &mut Builder<'_>, pred: &str, l: ValueId, r: ValueId) -> ValueId 
         "arith.cmpi",
         &[l, r],
         i1,
-        vec![("predicate", Attribute::Str(pred.into()))],
+        [("predicate", b.ctx().str_attr(pred))],
     )
 }
 
@@ -491,7 +491,7 @@ pub fn cmpf(b: &mut Builder<'_>, pred: &str, l: ValueId, r: ValueId) -> ValueId 
         "arith.cmpf",
         &[l, r],
         i1,
-        vec![("predicate", Attribute::Str(pred.into()))],
+        [("predicate", b.ctx().str_attr(pred))],
     )
 }
 
@@ -560,10 +560,7 @@ mod tests {
                 (constant_index(&mut b, 1), constant_index(&mut b, 2))
             };
             let (result, attrs) = if name.starts_with("arith.cmp") {
-                (
-                    ctx.i1_type(),
-                    vec![("predicate", Attribute::Str("eq".into()))],
-                )
+                (ctx.i1_type(), vec![("predicate", ctx.str_attr("eq"))])
             } else {
                 (ty, vec![])
             };

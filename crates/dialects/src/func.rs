@@ -113,8 +113,8 @@ pub fn build_func(
         op_name,
         &[],
         &[],
-        vec![
-            ("sym_name", Attribute::Str(name.into())),
+        [
+            ("sym_name", m.ctx().str_attr(name)),
             ("function_type", Attribute::Type(fty)),
         ],
     );
@@ -136,15 +136,14 @@ pub fn build_call(b: &mut Builder<'_>, callee: &str, args: &[ValueId], results: 
         "func.call",
         args,
         results,
-        vec![("callee", Attribute::symbol(callee))],
+        [("callee", b.ctx().symbol_attr(&[callee]))],
     )
 }
 
 /// Resolve a `func.call`'s callee within `scope` (usually the enclosing
 /// module op).
 pub fn resolve_callee(m: &Module, call: OpId, scope: OpId) -> Option<OpId> {
-    let path = m.attr(call, "callee")?.as_symbol_ref()?.to_vec();
-    m.lookup_symbol_path(scope, &path)
+    m.lookup_symbol_path(scope, m.attr(call, "callee")?.as_symbol_ref()?)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! operations.
 
 use sycl_mlir_ir::dialect::{traits, Effect, OpInfo};
-use sycl_mlir_ir::{Attribute, Builder, Context, Dialect, Module, OpId, Type, ValueId};
+use sycl_mlir_ir::{Builder, Context, Dialect, Module, OpId, Type, ValueId};
 
 /// Dialect registration handle.
 pub struct LlvmDialect;
@@ -94,7 +94,7 @@ pub fn alloca(b: &mut Builder<'_>, object: &str) -> ValueId {
         "llvm.alloca",
         &[],
         ptr,
-        vec![("object", Attribute::Str(object.into()))],
+        [("object", b.ctx().str_attr(object))],
     )
 }
 
@@ -104,13 +104,20 @@ pub fn call(b: &mut Builder<'_>, callee: &str, args: &[ValueId], results: &[Type
         "llvm.call",
         args,
         results,
-        vec![("callee", Attribute::symbol(callee))],
+        [("callee", b.ctx().symbol_attr(&[callee]))],
     )
 }
 
-/// The callee symbol of an `llvm.call`.
-pub fn callee_name(m: &Module, op: OpId) -> Option<String> {
-    m.attr(op, "callee")?.as_symbol_ref().map(|p| p.join("::"))
+/// The callee of an `llvm.call`, borrowed from its interned symbol. Calls
+/// name flat symbols (`@sycl_range_ctor`); a nested path is no callee.
+pub fn callee_name(m: &Module, op: OpId) -> Option<&str> {
+    match m
+        .attr_by_id(op, m.ctx().common_keys().callee)?
+        .as_symbol_ref()?
+    {
+        [name] => Some(name),
+        _ => None,
+    }
 }
 
 pub fn load(b: &mut Builder<'_>, ptr: ValueId, ty: Type) -> ValueId {
@@ -148,10 +155,7 @@ mod tests {
         assert!(verify(&m).is_ok(), "{:?}", verify(&m));
         // The whole point of raising: this is opaque to analyses.
         assert_eq!(memory_effects(&m, call_op), None);
-        assert_eq!(
-            callee_name(&m, call_op).as_deref(),
-            Some("sycl_buffer_ctor")
-        );
+        assert_eq!(callee_name(&m, call_op), Some("sycl_buffer_ctor"));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`KernelSig`] — declarative kernel signatures (accessors, scalars,
 //!   trailing `item`/`nd_item`).
 
-use sycl_mlir_ir::{Attribute, Builder, Context, Module, OpId, Type, ValueId};
+use sycl_mlir_ir::{Builder, Context, Module, OpId, Type, ValueId};
 use sycl_mlir_sycl::types::{self, AccessMode, Target};
 
 /// One kernel parameter in a [`KernelSig`].
@@ -73,10 +73,7 @@ impl KernelModuleBuilder {
             name,
             &[],
             &[],
-            vec![(
-                "sym_name",
-                Attribute::Str(sycl_mlir_sycl::DEVICE_MODULE_SYM.into()),
-            )],
+            [("sym_name", ctx.str_attr(sycl_mlir_sycl::DEVICE_MODULE_SYM))],
         );
         let region = module.add_region(device);
         module.add_block(region, &[]);
@@ -198,9 +195,7 @@ mod tests {
         let m = kb.finish();
         verify(&m).unwrap();
         // The kernel lives under @device and is resolvable by path.
-        let found = m
-            .lookup_symbol_path(m.top(), &["device".into(), "vadd".into()])
-            .unwrap();
+        let found = m.lookup_symbol_path(m.top(), &["device", "vadd"]).unwrap();
         assert_eq!(found, func);
         assert!(sycl_mlir_sycl::device::is_kernel(&m, func));
     }

@@ -1,14 +1,23 @@
 //! Attributes: compile-time constant data attached to operations.
 //!
-//! Unlike types, attributes are stored by value on operations (they are small
-//! and rarely shared), matching how this reproduction uses them: constants,
-//! symbol names, dense data for host-propagated arrays, and affine maps from
-//! the memory access analysis.
+//! An operation holds its attributes by value, but the names among them
+//! are shared: a [`Attribute::Str`] or [`Attribute::SymbolRef`] built
+//! through [`crate::Context::str_attr`] / [`crate::Context::symbol_attr`]
+//! (or read by the parser) holds a payload interned in the context, so the
+//! thousands of `llvm.alloca` object names, `llvm.call` callees and
+//! comparison predicates a module carries are reference counts on one
+//! string each. Equality, hashing and the printed form are those of the
+//! text, not of the pointer: an attribute built without the context
+//! compares equal to an interned one with the same text. The other kinds —
+//! constants, types (themselves interned), dense data for host-propagated
+//! arrays and affine maps from the memory access analysis — are plain
+//! values.
 
 use crate::affine::AffineMap;
 use crate::types::Type;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Interned attribute key; index into the context's key table.
 ///
@@ -31,8 +40,8 @@ pub enum Attribute {
     Int(i64),
     /// Floating-point constant (stored as `f64`; `f32` constants round-trip).
     Float(f64),
-    /// String.
-    Str(String),
+    /// String; interned when built through [`crate::Context::str_attr`].
+    Str(Arc<str>),
     /// A type as payload (e.g. `function_type` on `func.func`).
     Type(Type),
     /// Heterogeneous array.
@@ -41,8 +50,9 @@ pub enum Attribute {
     DenseI64(Vec<i64>),
     /// Dense floating-point data (e.g. a host-propagated filter array).
     DenseF64(Vec<f64>),
-    /// Possibly-nested symbol reference, e.g. `@device::@kernel`.
-    SymbolRef(Vec<String>),
+    /// Possibly-nested symbol reference, e.g. `@device::@kernel`; interned
+    /// when built through [`crate::Context::symbol_attr`].
+    SymbolRef(Arc<[Arc<str>]>),
     /// An affine map (used by analysis results and tiling metadata).
     AffineMap(AffineMap),
 }
@@ -98,11 +108,6 @@ impl Attribute {
         }
     }
 
-    /// Convenience constructor for a single-level symbol reference.
-    pub fn symbol(name: impl Into<String>) -> Attribute {
-        Attribute::SymbolRef(vec![name.into()])
-    }
-
     pub fn as_int(&self) -> Option<i64> {
         match self {
             Attribute::Int(v) => Some(*v),
@@ -153,7 +158,7 @@ impl Attribute {
         }
     }
 
-    pub fn as_symbol_ref(&self) -> Option<&[String]> {
+    pub fn as_symbol_ref(&self) -> Option<&[Arc<str>]> {
         match self {
             Attribute::SymbolRef(path) => Some(path),
             _ => None,
@@ -258,7 +263,7 @@ mod tests {
         assert_eq!(Attribute::Bool(true).to_string(), "true");
         assert_eq!(Attribute::Str("hi".into()).to_string(), "\"hi\"");
         assert_eq!(
-            Attribute::SymbolRef(vec!["device".into(), "k".into()]).to_string(),
+            Attribute::SymbolRef(vec!["device".into(), "k".into()].into()).to_string(),
             "@device::@k"
         );
         assert_eq!(
@@ -298,7 +303,7 @@ mod tests {
             Attribute::DenseF64(vec![1.0, 2.5]),
             Attribute::DenseF64(vec![f64::NAN]),
             Attribute::DenseF64(vec![nan_payload]),
-            Attribute::symbol("k"),
+            ctx.symbol_attr(&["k"]),
             Attribute::AffineMap(AffineMap::new(1, vec![crate::AffineExpr::Dim(0)])),
         ];
         let hash = |a: &Attribute| {

@@ -77,12 +77,14 @@ impl<'m> Builder<'m> {
     }
 
     /// Create an op by registered [`OpName`] and insert it at the cursor.
-    pub fn build_named(
+    /// `attrs` is any list of `(name, value)` pairs — an array needs no
+    /// allocation of its own.
+    pub fn build_named<'a>(
         &mut self,
         name: OpName,
         operands: &[ValueId],
         result_types: &[Type],
-        attrs: Vec<(&str, Attribute)>,
+        attrs: impl IntoIterator<Item = (&'a str, Attribute)>,
     ) -> OpId {
         let op = self.module.create_op(name, operands, result_types, attrs);
         self.module.insert_op(self.block, self.index, op);
@@ -95,12 +97,12 @@ impl<'m> Builder<'m> {
     /// # Panics
     ///
     /// Panics if the op name is not registered.
-    pub fn build(
+    pub fn build<'a>(
         &mut self,
         name: &str,
         operands: &[ValueId],
         result_types: &[Type],
-        attrs: Vec<(&str, Attribute)>,
+        attrs: impl IntoIterator<Item = (&'a str, Attribute)>,
     ) -> OpId {
         let name = self.module.ctx().op(name);
         self.build_named(name, operands, result_types, attrs)
@@ -111,12 +113,12 @@ impl<'m> Builder<'m> {
     /// # Panics
     ///
     /// Panics if the op does not produce exactly one result.
-    pub fn build_value(
+    pub fn build_value<'a>(
         &mut self,
         name: &str,
         operands: &[ValueId],
         result_type: Type,
-        attrs: Vec<(&str, Attribute)>,
+        attrs: impl IntoIterator<Item = (&'a str, Attribute)>,
     ) -> ValueId {
         let op = self.build(name, operands, &[result_type], attrs);
         self.module.op_result(op, 0)

@@ -10,7 +10,7 @@
 //! Anything keyed by data from outside the process keeps the standard
 //! library's default hasher.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// See the [module documentation](self).
@@ -63,6 +63,9 @@ impl Hasher for FxHasher {
 
 /// A `HashMap` hashed by [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// A `HashSet` hashed by [`FxHasher`].
+pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

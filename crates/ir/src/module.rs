@@ -235,19 +235,19 @@ impl Module {
     /// [`Module::insert_op`].
     ///
     /// Attribute keys are borrowed names, interned here: an op's attributes
-    /// cost the one `Vec` the op keeps, never a `String` per key. Result
-    /// types are cloned once, into the values that keep them.
-    pub fn create_op(
+    /// cost the one `Vec` the op keeps, allocated at its exact length, never
+    /// a `String` per key. Result types are cloned once, into the values
+    /// that keep them.
+    pub fn create_op<'a>(
         &mut self,
         name: OpName,
         operands: &[ValueId],
         result_types: &[Type],
-        attrs: Vec<(&str, Attribute)>,
+        attrs: impl IntoIterator<Item = (&'a str, Attribute)>,
     ) -> OpId {
-        let interned = attrs
-            .into_iter()
-            .map(|(k, v)| (self.ctx.attr_key(k), v))
-            .collect();
+        let attrs = attrs.into_iter();
+        let mut interned = Vec::with_capacity(attrs.size_hint().0);
+        interned.extend(attrs.map(|(k, v)| (self.ctx.attr_key(k), v)));
         self.create_op_interned(name, operands, result_types, interned)
     }
 
@@ -866,10 +866,10 @@ impl Module {
 
     /// Resolve a possibly nested symbol path (e.g. `["device", "kernel"]`)
     /// starting at `scope`.
-    pub fn lookup_symbol_path(&self, scope: OpId, path: &[String]) -> Option<OpId> {
+    pub fn lookup_symbol_path(&self, scope: OpId, path: &[impl AsRef<str>]) -> Option<OpId> {
         let mut cur = scope;
         for part in path {
-            cur = self.lookup_symbol(cur, part)?;
+            cur = self.lookup_symbol(cur, part.as_ref())?;
         }
         Some(cur)
     }

@@ -60,7 +60,7 @@ pub fn parse_module(ctx: &Context, src: &str) -> Result<Module, ParseError> {
     p.skip_ws();
     if p.peek() == Some(b'@') {
         let name = p.read_symbol()?;
-        m.set_attr(m.top(), "sym_name", Attribute::Str(name));
+        m.set_attr(m.top(), "sym_name", ctx.str_attr(&name));
     }
     p.skip_ws();
     if p.try_keyword("attributes") {
@@ -468,7 +468,10 @@ impl<'a> Parser<'a> {
     fn parse_attr_value(&mut self) -> Result<Attribute, ParseError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'"') => Ok(Attribute::Str(self.read_string()?)),
+            Some(b'"') => {
+                let text = self.read_string()?;
+                Ok(self.ctx.str_attr(&text))
+            }
             Some(b'[') => {
                 self.pos += 1;
                 let mut items = Vec::new();
@@ -490,7 +493,8 @@ impl<'a> Parser<'a> {
                     self.pos += 2;
                     path.push(self.read_symbol()?);
                 }
-                Ok(Attribute::SymbolRef(path))
+                let path: Vec<&str> = path.iter().map(String::as_str).collect();
+                Ok(self.ctx.symbol_attr(&path))
             }
             Some(b'-') | Some(b'0'..=b'9') => self.read_number(),
             _ => {
@@ -594,7 +598,7 @@ impl<'a> Parser<'a> {
         self.expect(b'>')?;
         let results = self.parse_type_list()?;
         let mut attrs = vec![
-            (self.ctx.attr_key("sym_name"), Attribute::Str(sym)),
+            (self.ctx.attr_key("sym_name"), self.ctx.str_attr(&sym)),
             (
                 self.ctx.attr_key("function_type"),
                 Attribute::Type(self.ctx.function_type(&arg_types, &results)),
@@ -623,10 +627,8 @@ impl<'a> Parser<'a> {
         let mut attrs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'@') {
-            attrs.push((
-                self.ctx.attr_key("sym_name"),
-                Attribute::Str(self.read_symbol()?),
-            ));
+            let sym = self.read_symbol()?;
+            attrs.push((self.ctx.attr_key("sym_name"), self.ctx.str_attr(&sym)));
         }
         if self.try_keyword("attributes") {
             attrs.extend(self.parse_attr_dict()?);
@@ -948,9 +950,7 @@ mod tests {
         assert_eq!(print_module(&m), src);
         let dev = m.lookup_symbol(m.top(), "device").unwrap();
         assert!(m.lookup_symbol(dev, "k").is_some());
-        assert!(m
-            .lookup_symbol_path(m.top(), &["device".into(), "k".into()])
-            .is_some());
+        assert!(m.lookup_symbol_path(m.top(), &["device", "k"]).is_some());
     }
 
     #[test]

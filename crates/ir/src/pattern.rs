@@ -144,7 +144,7 @@ mod tests {
                 name,
                 &[],
                 std::slice::from_ref(ty),
-                vec![("value", attr.clone())],
+                [("value", attr.clone())],
             );
             m.insert_op(block, index, op);
             Some(m.op_result(op, 0))

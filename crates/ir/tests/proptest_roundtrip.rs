@@ -44,10 +44,11 @@ fn attr_strategy() -> impl Strategy<Value = Attribute> {
         float_strategy().prop_map(Attribute::Float),
         proptest::collection::vec(float_strategy(), 0..4).prop_map(Attribute::DenseF64),
         any::<bool>().prop_map(Attribute::Bool),
-        "[a-z][a-z0-9_]{0,8}".prop_map(Attribute::Str),
+        "[a-z][a-z0-9_]{0,8}".prop_map(|s| Attribute::Str(s.into())),
         Just(Attribute::Unit),
         proptest::collection::vec(any::<i64>(), 0..6).prop_map(Attribute::DenseI64),
-        proptest::collection::vec("[a-z][a-z0-9_]{0,5}", 1..3).prop_map(Attribute::SymbolRef),
+        proptest::collection::vec("[a-z][a-z0-9_]{0,5}", 1..3)
+            .prop_map(|path| Attribute::SymbolRef(path.into_iter().map(Into::into).collect())),
     ];
     leaf.prop_recursive(2, 8, 4, |inner| {
         proptest::collection::vec(inner, 0..4).prop_map(Attribute::Array)
@@ -65,7 +66,7 @@ proptest! {
         let block = m.top_block();
         let mut b = Builder::at_end(&mut m, block);
         let keys: Vec<String> = (0..attrs.len()).map(|i| format!("k{i}")).collect();
-        let named = keys.iter().map(String::as_str).zip(attrs).collect();
+        let named: Vec<_> = keys.iter().map(String::as_str).zip(attrs).collect();
         b.build("t.op", &[], &[], named);
         let printed = print_module(&m);
         let reparsed = parse_module(&ctx, &printed)

@@ -14,6 +14,7 @@
 use crate::buffer::{BufferId, SyclRuntime, UsmId};
 use crate::queue::{CgArg, CommandGroup, Queue};
 use std::collections::{HashMap, HashSet};
+use std::fmt::{self, Write};
 use std::hash::{Hash, Hasher};
 use sycl_mlir_dialects::{arith, llvm};
 use sycl_mlir_ir::{Attribute, Builder, Module, OpId, ValueId};
@@ -22,6 +23,16 @@ use sycl_mlir_sycl::types::AccessMode;
 
 fn mode_name(mode: AccessMode) -> &'static str {
     mode.as_str()
+}
+
+/// Refill `buf` with `args` and borrow the result. Every function and
+/// callee name of the host IR is formatted into one reused buffer; the
+/// builders intern it, so a name already in the context costs nothing.
+fn name_in<'b>(buf: &'b mut String, args: fmt::Arguments<'_>) -> &'b str {
+    buf.clear();
+    buf.write_fmt(args)
+        .expect("formatting into a String cannot fail");
+    buf
 }
 
 /// Exactly what the emitter reads of a command group: two submissions
@@ -147,42 +158,47 @@ impl Hash for BindKey<'_> {
 /// opaque.
 pub fn generate_host_ir(m: &mut Module, runtime: &SyclRuntime, queue: &Queue) {
     let mut emitted = HashSet::new();
+    // Reused by every function: the name being formatted, a call's
+    // operands, and the command group's buffers and kernel arguments.
+    let mut name = String::new();
+    let mut operands: Vec<ValueId> = Vec::new();
+    let mut buffer_ptrs: HashMap<BufferId, ValueId> = HashMap::new();
+    let mut arg_values: Vec<ValueId> = Vec::new();
     for (i, cg) in queue.groups.iter().enumerate() {
         if cg.host.is_some() || !emitted.insert(CgKey::of(cg)) {
             continue;
         }
         let ptr = m.ctx().ptr_type();
         let top = m.top();
-        let (_func, entry) =
-            sycl_mlir_dialects::func::build_func(m, top, &format!("cgf_{i}"), &[ptr], &[]);
+        let func_name = name_in(&mut name, format_args!("cgf_{i}"));
+        let (_func, entry) = sycl_mlir_dialects::func::build_func(m, top, func_name, &[ptr], &[]);
         let cgh = m.block_arg(entry, 0);
         let mut b = Builder::at_end(m, entry);
         let i64t = b.ctx().i64_type();
 
-        // ND-range objects.
-        let grange = llvm::alloca(&mut b, "sycl::range");
-        let mut gargs = vec![grange];
-        for d in 0..cg.nd.rank as usize {
-            gargs.push(arith::constant_int(&mut b, cg.nd.global[d], i64t.clone()));
-        }
-        llvm::call(&mut b, "sycl_range_ctor", &gargs, &[]);
-        let lrange = if cg.nd_form {
-            let lrange = llvm::alloca(&mut b, "sycl::range");
-            let mut largs = vec![lrange];
-            for d in 0..cg.nd.rank as usize {
-                largs.push(arith::constant_int(&mut b, cg.nd.local[d], i64t.clone()));
+        // ND-range objects: a `sycl::range` slot constructed from one
+        // constant per dimension.
+        let range = |b: &mut Builder<'_>, operands: &mut Vec<ValueId>, extents: &[i64]| {
+            let slot = llvm::alloca(b, "sycl::range");
+            operands.clear();
+            operands.push(slot);
+            for &extent in extents {
+                operands.push(arith::constant_int(b, extent, i64t.clone()));
             }
-            llvm::call(&mut b, "sycl_range_ctor", &largs, &[]);
-            Some(lrange)
-        } else {
-            None
+            llvm::call(b, "sycl_range_ctor", operands, &[]);
+            slot
         };
+        let rank = cg.nd.rank as usize;
+        let grange = range(&mut b, &mut operands, &cg.nd.global[..rank]);
+        let lrange = cg
+            .nd_form
+            .then(|| range(&mut b, &mut operands, &cg.nd.local[..rank]));
 
         // Buffers are constructed once per CGF even when several accessors
         // share them (that sharing is exactly what the host analysis uses
         // for buffer identities).
-        let mut buffer_ptrs: HashMap<BufferId, ValueId> = HashMap::new();
-        let mut arg_values: Vec<ValueId> = Vec::new();
+        buffer_ptrs.clear();
+        arg_values.clear();
         for arg in &cg.args {
             match arg {
                 CgArg::Acc { buffer, mode } => {
@@ -190,17 +206,15 @@ pub fn generate_host_ir(m: &mut Module, runtime: &SyclRuntime, queue: &Queue) {
                     let buf_ptr = if let Some(&p) = buffer_ptrs.get(buffer) {
                         p
                     } else {
-                        let brange = llvm::alloca(&mut b, "sycl::range");
-                        let mut bargs = vec![brange];
-                        for d in 0..info.rank as usize {
-                            bargs.push(arith::constant_int(&mut b, info.range[d], i64t.clone()));
-                        }
-                        llvm::call(&mut b, "sycl_range_ctor", &bargs, &[]);
+                        let extents = &info.range[..info.rank as usize];
+                        let brange = range(&mut b, &mut operands, extents);
                         let host_data = llvm::alloca(&mut b, "host_data");
                         let buf = llvm::alloca(&mut b, "sycl::buffer");
-                        let callee =
-                            format!("sycl_buffer_ctor_{}_{}", info.dtype().name(), info.rank);
-                        let call = llvm::call(&mut b, &callee, &[buf, host_data, brange], &[]);
+                        let callee = name_in(
+                            &mut name,
+                            format_args!("sycl_buffer_ctor_{}_{}", info.dtype().name(), info.rank),
+                        );
+                        let call = llvm::call(&mut b, callee, &[buf, host_data, brange], &[]);
                         if let Some(data) = info.const_data() {
                             // The frontend sees a `const` initializer: bake
                             // it into the IR (the Sobel filter path).
@@ -220,13 +234,16 @@ pub fn generate_host_ir(m: &mut Module, runtime: &SyclRuntime, queue: &Queue) {
                         buf
                     };
                     let acc = llvm::alloca(&mut b, "sycl::accessor");
-                    let callee = format!(
-                        "sycl_accessor_ctor_{}_{}_{}",
-                        info.dtype().name(),
-                        info.rank,
-                        mode_name(*mode)
+                    let callee = name_in(
+                        &mut name,
+                        format_args!(
+                            "sycl_accessor_ctor_{}_{}_{}",
+                            info.dtype().name(),
+                            info.rank,
+                            mode_name(*mode)
+                        ),
                     );
-                    llvm::call(&mut b, &callee, &[acc, buf_ptr, cgh], &[]);
+                    llvm::call(&mut b, callee, &[acc, buf_ptr, cgh], &[]);
                     arg_values.push(acc);
                 }
                 CgArg::ScalarI64(v) => {
@@ -258,19 +275,16 @@ pub fn generate_host_ir(m: &mut Module, runtime: &SyclRuntime, queue: &Queue) {
             }
         }
 
-        let (callee, mut call_args) = if cg.nd_form {
-            (
-                format!("sycl_parallel_for_nd_{}", cg.kernel),
-                vec![cgh, grange, lrange.expect("nd form has local range")],
-            )
-        } else {
-            (
-                format!("sycl_parallel_for_range_{}", cg.kernel),
-                vec![cgh, grange],
-            )
-        };
-        call_args.extend(arg_values);
-        llvm::call(&mut b, &callee, &call_args, &[]);
+        operands.clear();
+        operands.extend([cgh, grange]);
+        operands.extend(lrange);
+        operands.extend_from_slice(&arg_values);
+        let form = if cg.nd_form { "nd" } else { "range" };
+        let callee = name_in(
+            &mut name,
+            format_args!("sycl_parallel_for_{form}_{}", cg.kernel),
+        );
+        llvm::call(&mut b, callee, &operands, &[]);
         sycl_mlir_dialects::func::build_return(&mut b, &[]);
     }
 }

@@ -191,7 +191,7 @@ fn dim_const(b: &mut Builder<'_>, dim: u32) -> ValueId {
         "arith.constant",
         &[],
         i32t,
-        vec![("value", Attribute::Int(dim as i64))],
+        [("value", Attribute::Int(dim as i64))],
     )
 }
 

@@ -90,7 +90,7 @@ pub fn constructor(b: &mut Builder<'_>, dst: ValueId, args: &[ValueId], ty: Type
         "sycl.host.constructor",
         &operands,
         &[],
-        vec![("type", Attribute::Type(ty))],
+        [("type", Attribute::Type(ty))],
     )
 }
 
@@ -108,12 +108,9 @@ pub fn schedule_range(
         "sycl.host.schedule_kernel",
         &operands,
         &[],
-        vec![
-            (
-                "kernel",
-                Attribute::SymbolRef(kernel_path.iter().map(|s| s.to_string()).collect()),
-            ),
-            ("form", Attribute::Str(FORM_RANGE.into())),
+        [
+            ("kernel", b.ctx().symbol_attr(kernel_path)),
+            ("form", b.ctx().str_attr(FORM_RANGE)),
         ],
     )
 }
@@ -121,13 +118,14 @@ pub fn schedule_range(
 /// Accessors for a `sycl.host.schedule_kernel` op.
 pub mod schedule_info {
     use super::*;
+    use std::sync::Arc;
 
-    pub fn kernel_path(m: &Module, op: OpId) -> Option<Vec<String>> {
-        Some(m.attr(op, "kernel")?.as_symbol_ref()?.to_vec())
+    pub fn kernel_path(m: &Module, op: OpId) -> Option<&[Arc<str>]> {
+        m.attr(op, "kernel")?.as_symbol_ref()
     }
 
-    pub fn form(m: &Module, op: OpId) -> Option<String> {
-        Some(m.attr(op, "form")?.as_str()?.to_string())
+    pub fn form(m: &Module, op: OpId) -> Option<&str> {
+        m.attr(op, "form")?.as_str()
     }
 
     pub fn handler(m: &Module, op: OpId) -> ValueId {
@@ -139,7 +137,7 @@ pub mod schedule_info {
     }
 
     pub fn local_range(m: &Module, op: OpId) -> Option<ValueId> {
-        if form(m, op).as_deref() == Some(FORM_ND_RANGE) {
+        if form(m, op) == Some(FORM_ND_RANGE) {
             Some(m.op_operand(op, 2))
         } else {
             None
@@ -148,7 +146,7 @@ pub mod schedule_info {
 
     /// The kernel arguments (everything after handler + range operands).
     pub fn kernel_args(m: &Module, op: OpId) -> Vec<ValueId> {
-        let skip = if form(m, op).as_deref() == Some(FORM_ND_RANGE) {
+        let skip = if form(m, op) == Some(FORM_ND_RANGE) {
             3
         } else {
             2
@@ -158,8 +156,7 @@ pub mod schedule_info {
 
     /// Resolve the scheduled kernel function inside the joint module.
     pub fn resolve_kernel(m: &Module, op: OpId) -> Option<OpId> {
-        let path = kernel_path(m, op)?;
-        m.lookup_symbol_path(m.top(), &path)
+        m.lookup_symbol_path(m.top(), kernel_path(m, op)?)
     }
 }
 
@@ -204,14 +201,12 @@ mod tests {
             op
         };
         assert!(verify(&m).is_ok(), "{:?}", verify(&m));
+        let path = schedule_info::kernel_path(&m, schedule).unwrap();
         assert_eq!(
-            schedule_info::kernel_path(&m, schedule),
-            Some(vec!["device".to_string(), "K".to_string()])
+            path.iter().map(|p| &**p).collect::<Vec<_>>(),
+            ["device", "K"]
         );
-        assert_eq!(
-            schedule_info::form(&m, schedule).as_deref(),
-            Some(FORM_RANGE)
-        );
+        assert_eq!(schedule_info::form(&m, schedule), Some(FORM_RANGE));
         assert_eq!(schedule_info::kernel_args(&m, schedule).len(), 1);
         assert!(schedule_info::local_range(&m, schedule).is_none());
     }

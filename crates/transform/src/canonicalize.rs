@@ -3,7 +3,7 @@
 
 use std::hash::{Hash, Hasher};
 use sycl_mlir_ir::dialect::traits;
-use sycl_mlir_ir::{apply_patterns_greedily, Attribute, FxHashMap, FxHasher, Module, OpId, Pass};
+use sycl_mlir_ir::{apply_patterns_greedily, FxHashMap, FxHasher, Module, OpId, Pass};
 
 /// Folding + dead-code elimination to a fixed point.
 #[derive(Default)]
@@ -39,8 +39,9 @@ fn expression_hash(m: &Module, op: OpId) -> u64 {
 
 /// `true` if `a` and `b` compute the same values: same name, operands and
 /// result types (interned, so compared by identity) and the same attributes
-/// in the same order, constants compared as [`Attribute::same_constant`]
-/// does — `0.0` is not `-0.0`, `1 : i32` is not `1 : index`.
+/// in the same order, constants compared as
+/// [`sycl_mlir_ir::Attribute::same_constant`] does — `0.0` is not `-0.0`,
+/// `1 : i32` is not `1 : index`.
 fn same_expression(m: &Module, a: OpId, b: OpId) -> bool {
     let (attrs_a, attrs_b) = (m.op_attrs(a), m.op_attrs(b));
     let (results_a, results_b) = (m.op_results(a), m.op_results(b));
@@ -128,29 +129,33 @@ impl Pass for CsePass {
     }
 }
 
+/// CSE over the regions of `op`, walking each block's live op list by
+/// index: merging an op erases it, which removes it from the list, so the
+/// next op moves into its index. Nothing is copied; the lists a nested
+/// walk edits are its own blocks', never the one being walked.
 fn cse_region_op(m: &mut Module, op: OpId, scope: &mut CseScope, changed: &mut bool) {
-    let regions = m.op_regions(op).to_vec();
-    for region in regions {
-        let blocks = m.region_blocks(region).to_vec();
-        for block in blocks {
+    for r in 0..m.op_regions(op).len() {
+        let region = m.op_regions(op)[r];
+        for b in 0..m.region_blocks(region).len() {
+            let block = m.region_blocks(region)[b];
             let entry = scope.bound.len();
-            let ops = m.block_ops(block).to_vec();
-            for inner in ops {
-                if m.op_is_erased(inner) {
-                    continue;
-                }
+            let mut index = 0;
+            while let Some(&inner) = m.block_ops(block).get(index) {
                 let pure = m.op_has_trait(inner, traits::PURE | traits::CONSTANT_LIKE);
                 if pure && m.op_regions(inner).is_empty() && !m.op_results(inner).is_empty() {
                     let hash = expression_hash(m, inner);
                     if let Some(existing) = scope.lookup(m, hash, inner) {
-                        let replacements = m.op_results(existing).to_vec();
-                        m.replace_op(inner, &replacements);
+                        for i in 0..m.op_results(inner).len() {
+                            m.replace_all_uses(m.op_result(inner, i), m.op_result(existing, i));
+                        }
+                        m.erase_op(inner);
                         *changed = true;
                         continue;
                     }
                     scope.bind(hash, inner);
                 }
                 cse_region_op(m, inner, scope, changed);
+                index += 1;
             }
             // Nested scopes see outer bindings but cannot leak theirs out.
             scope.truncate(entry);
@@ -161,7 +166,8 @@ fn cse_region_op(m: &mut Module, op: OpId, scope: &mut CseScope, changed: &mut b
 /// Tag helper shared by tests and examples: label an op so it can be found
 /// again after transformation.
 pub fn tag(m: &mut Module, op: OpId, label: &str) {
-    m.set_attr(op, "tag", Attribute::Str(label.into()));
+    let label = m.ctx().str_attr(label);
+    m.set_attr(op, "tag", label);
 }
 
 #[cfg(test)]
@@ -170,7 +176,7 @@ mod tests {
     use sycl_mlir_dialects::arith::{addi, constant_index};
     use sycl_mlir_dialects::func::{build_func, build_return};
     use sycl_mlir_dialects::scf::build_for;
-    use sycl_mlir_ir::{Builder, Context, Module, OpInfo, PassManager, Type};
+    use sycl_mlir_ir::{Attribute, Builder, Context, Module, OpInfo, PassManager, Type};
 
     fn ctx() -> Context {
         let c = Context::new();

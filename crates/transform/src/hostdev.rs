@@ -329,7 +329,7 @@ impl HostDeviceConstantPropagationPass {
                         let mut b = Builder::at(m, entry, 0);
                         let ty = b.module().value_type(params[i]).clone();
                         let cst =
-                            b.build_value("arith.constant", &[], ty, vec![("value", attr.clone())]);
+                            b.build_value("arith.constant", &[], ty, [("value", attr.clone())]);
                         b.module().replace_all_uses(params[i], cst);
                         scalars[i] = Some(attr.clone());
                         self.stats.scalars_propagated += 1;
@@ -420,7 +420,7 @@ pub fn fold_device_queries(m: &mut Module, kernel: OpId) -> usize {
         let index = m.op_index_in_block(op);
         let name = m.ctx().op("arith.constant");
         let ty = m.value_type(m.op_result(op, 0)).clone();
-        let cst = m.create_op(name, &[], &[ty], vec![("value", Attribute::Int(value))]);
+        let cst = m.create_op(name, &[], &[ty], [("value", Attribute::Int(value))]);
         m.insert_op(block, index, cst);
         let new_v = m.op_result(cst, 0);
         m.replace_all_uses(m.op_result(op, 0), new_v);
@@ -514,10 +514,7 @@ mod tests {
             c.op("builtin.module"),
             &[],
             &[],
-            vec![(
-                "sym_name",
-                Attribute::Str(sycl_mlir_sycl::DEVICE_MODULE_SYM.into()),
-            )],
+            [("sym_name", c.str_attr(sycl_mlir_sycl::DEVICE_MODULE_SYM))],
         );
         let region = m.add_region(device);
         m.add_block(region, &[]);

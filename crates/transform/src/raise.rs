@@ -75,70 +75,81 @@ impl Pass for RaiseHostPass {
             let Some(callee) = sycl_mlir_dialects::llvm::callee_name(m, call) else {
                 continue;
             };
-            match self.raise_call(m, call, &callee) {
-                Some(()) => changed = true,
-                None => {
-                    if callee.starts_with("sycl_") {
-                        self.stats.unmatched_sycl_calls += 1;
-                    }
-                }
+            let raised = recognize(m, call, callee);
+            if raised.is_none() && callee.starts_with("sycl_") {
+                self.stats.unmatched_sycl_calls += 1;
             }
+            match raised {
+                Some(Raised::Constructor(ty)) => self.replace_with_constructor(m, call, ty),
+                Some(Raised::Schedule { kernel, form }) => {
+                    self.replace_with_schedule(m, call, kernel, form)
+                }
+                None => continue,
+            }
+            changed = true;
         }
         Ok(changed)
     }
 }
 
-impl RaiseHostPass {
-    fn raise_call(&mut self, m: &mut Module, call: OpId, callee: &str) -> Option<()> {
-        if callee == "sycl_range_ctor" || callee == "sycl_id_ctor" {
-            let rank = (m.op_operands(call).len() - 1) as u32;
-            let ctx = m.ctx().clone();
-            let ty = if callee == "sycl_range_ctor" {
-                types::range_type(&ctx, rank)
-            } else {
-                types::id_type(&ctx, rank)
-            };
-            self.replace_with_constructor(m, call, ty);
-            return Some(());
-        }
-        if let Some(rest) = callee.strip_prefix("sycl_buffer_ctor_") {
-            let (elem, rank) = parse_elem_rank(m, rest)?;
-            let ctx = m.ctx().clone();
-            let ty = types::buffer_type(&ctx, elem, rank);
-            self.replace_with_constructor(m, call, ty);
-            return Some(());
-        }
-        if let Some(rest) = callee.strip_prefix("sycl_local_accessor_ctor_") {
-            let (elem, rank) = parse_elem_rank(m, rest)?;
-            let ctx = m.ctx().clone();
-            let ty = types::accessor_type(&ctx, elem, rank, AccessMode::ReadWrite, Target::Local);
-            self.replace_with_constructor(m, call, ty);
-            return Some(());
-        }
-        if let Some(rest) = callee.strip_prefix("sycl_accessor_ctor_") {
-            let mut parts = rest.splitn(3, '_');
-            let elem_s = parts.next()?;
-            let rank_s = parts.next()?;
-            let mode_s = parts.next()?;
-            let elem = parse_elem(m, elem_s)?;
-            let rank: u32 = rank_s.parse().ok()?;
-            let mode = AccessMode::parse(mode_s)?;
-            let ctx = m.ctx().clone();
-            let ty = types::accessor_type(&ctx, elem, rank, mode, Target::Global);
-            self.replace_with_constructor(m, call, ty);
-            return Some(());
-        }
-        if let Some(kernel) = callee.strip_prefix("sycl_parallel_for_nd_") {
-            self.replace_with_schedule(m, call, kernel, sycl_mlir_sycl::host::FORM_ND_RANGE);
-            return Some(());
-        }
-        if let Some(kernel) = callee.strip_prefix("sycl_parallel_for_range_") {
-            self.replace_with_schedule(m, call, kernel, sycl_mlir_sycl::host::FORM_RANGE);
-            return Some(());
-        }
-        None
-    }
+/// What a recognized runtime call is raised to.
+enum Raised {
+    /// A `sycl.host.constructor` of this SYCL type.
+    Constructor(Type),
+    /// A `sycl.host.schedule_kernel` of the `kernel` symbol in `form`.
+    Schedule {
+        kernel: Attribute,
+        form: &'static str,
+    },
+}
 
+/// Match `callee`, the name `call` calls, against the runtime entry
+/// points. Reads the module only, so the name stays borrowed from the
+/// call's interned symbol.
+fn recognize(m: &Module, call: OpId, callee: &str) -> Option<Raised> {
+    let ctx = m.ctx();
+    if callee == "sycl_range_ctor" || callee == "sycl_id_ctor" {
+        let rank = (m.op_operands(call).len() - 1) as u32;
+        return Some(Raised::Constructor(if callee == "sycl_range_ctor" {
+            types::range_type(ctx, rank)
+        } else {
+            types::id_type(ctx, rank)
+        }));
+    }
+    if let Some(rest) = callee.strip_prefix("sycl_buffer_ctor_") {
+        let (elem, rank) = parse_elem_rank(m, rest)?;
+        return Some(Raised::Constructor(types::buffer_type(ctx, elem, rank)));
+    }
+    if let Some(rest) = callee.strip_prefix("sycl_local_accessor_ctor_") {
+        let (elem, rank) = parse_elem_rank(m, rest)?;
+        let ty = types::accessor_type(ctx, elem, rank, AccessMode::ReadWrite, Target::Local);
+        return Some(Raised::Constructor(ty));
+    }
+    if let Some(rest) = callee.strip_prefix("sycl_accessor_ctor_") {
+        let mut parts = rest.splitn(3, '_');
+        let elem_s = parts.next()?;
+        let rank_s = parts.next()?;
+        let mode_s = parts.next()?;
+        let elem = parse_elem(m, elem_s)?;
+        let rank: u32 = rank_s.parse().ok()?;
+        let mode = AccessMode::parse(mode_s)?;
+        let ty = types::accessor_type(ctx, elem, rank, mode, Target::Global);
+        return Some(Raised::Constructor(ty));
+    }
+    let schedule = |kernel: &str, form| {
+        let kernel = ctx.symbol_attr(&[sycl_mlir_sycl::DEVICE_MODULE_SYM, kernel]);
+        Some(Raised::Schedule { kernel, form })
+    };
+    if let Some(kernel) = callee.strip_prefix("sycl_parallel_for_nd_") {
+        return schedule(kernel, sycl_mlir_sycl::host::FORM_ND_RANGE);
+    }
+    if let Some(kernel) = callee.strip_prefix("sycl_parallel_for_range_") {
+        return schedule(kernel, sycl_mlir_sycl::host::FORM_RANGE);
+    }
+    None
+}
+
+impl RaiseHostPass {
     fn replace_with_constructor(&mut self, m: &mut Module, call: OpId, ty: Type) {
         let operands = m.op_operands(call).to_vec();
         let callee_key = m.ctx().common_keys().callee;
@@ -158,18 +169,15 @@ impl RaiseHostPass {
         self.stats.constructors_raised += 1;
     }
 
-    fn replace_with_schedule(&mut self, m: &mut Module, call: OpId, kernel: &str, form: &str) {
+    fn replace_with_schedule(
+        &mut self,
+        m: &mut Module,
+        call: OpId,
+        kernel: Attribute,
+        form: &'static str,
+    ) {
         let operands = m.op_operands(call).to_vec();
-        let attrs = vec![
-            (
-                "kernel",
-                Attribute::SymbolRef(vec![
-                    sycl_mlir_sycl::DEVICE_MODULE_SYM.to_string(),
-                    kernel.to_string(),
-                ]),
-            ),
-            ("form", Attribute::Str(form.into())),
-        ];
+        let attrs = [("kernel", kernel), ("form", m.ctx().str_attr(form))];
         let name = m.ctx().op("sycl.host.schedule_kernel");
         let block = m.op_parent_block(call).expect("attached call");
         let index = m.op_index_in_block(call);

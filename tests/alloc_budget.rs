@@ -19,6 +19,11 @@
 //! and uses inline, the verifier's scope table reused per thread — and
 //! building zero-filled outputs without their zeros took build to 44,933
 //! and compile to 19,879 (total 64,812).
+//! Interning string and symbol attributes in the context, building an
+//! op's attribute list once at its exact length (from an array where the
+//! builder passes one), finding an existing type by its borrowed parts
+//! and walking CSE over the live op lists took build to 23,478 and
+//! compile to 12,146 (total 35,624).
 //! The build half repeats exactly; the compile half moves by a handful
 //! with the iteration order of a `RandomState` map in the pipeline, which
 //! is why the assertion is a ceiling and not an equality.
@@ -64,7 +69,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Asserted ceiling for one pass; the measured count is about 5% below it.
-const BUDGET: u64 = 68_000;
+const BUDGET: u64 = 37_400;
 
 #[test]
 fn build_and_compile_stay_within_the_allocation_budget() {

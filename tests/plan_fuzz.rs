@@ -1796,3 +1796,274 @@ fn corrupted_fuzz_plans_reject_deterministically() {
         "expected corruption to trip the verifier broadly, got {rejected}/128"
     );
 }
+
+// ----------------------------------------------------------------------
+// Accesses at the buffer's edge: a population an unsound proof fails.
+// The random population above stays in bounds by masking, so no run of
+// it can tell a sound in-bounds proof from one that elides a check that
+// fires. Here every plan's accessor access is proven symbolically by the
+// verifier, and its extreme work-item lands exactly at −1, at the
+// buffer's length, or `k` past it: the instantiated proof must fail for
+// this launch and keep the check, or the elided run differs from the
+// checked one.
+// ----------------------------------------------------------------------
+
+/// Where the family's extreme work-item accesses the accessor's buffer
+/// of `len` elements.
+#[derive(Clone, Copy, Debug)]
+enum Edge {
+    /// Work-item 0 reads or writes element −1.
+    BelowZero,
+    /// The last work-item accesses element `len`.
+    AtLen,
+    /// The last work-item accesses element `len + k` (and the one
+    /// before it element `len - 1`).
+    PastLen(i64),
+}
+
+/// How the family's access is guarded.
+#[derive(Clone, Copy, Debug)]
+enum Guard {
+    /// No branch: the extreme work-item faults.
+    None,
+    /// A guard that excludes exactly the faulting work-item (`gid > 0`,
+    /// `gid < n - 1`): nothing faults.
+    Exact,
+    /// The same guard off by one (`gid >= 0`, `gid <= n - 1`): the
+    /// extreme work-item gets through and faults.
+    OffByOne,
+}
+
+/// Work-items of every family launch, in work-groups of 4.
+const EDGE_ITEMS: i64 = 8;
+
+/// One family member: work-item `gid` accesses accessor element
+/// `offset + gid * m + (c - offset)` through a `vec.ctor` +
+/// `acc.subscript` view (the accessor's offset is a launch symbol of the
+/// proof), under `guard`. A load is made observable by storing what it
+/// read to the `f32` memref at `gid`; a store writes `1.5`.
+fn edge_plan(edge: Edge, guard: Guard, store: bool, offset: i64, len: i64) -> KernelPlan {
+    let last = EDGE_ITEMS - 1;
+    let (m, c) = match edge {
+        Edge::BelowZero => (1, -1),
+        Edge::AtLen => (1, len - last),
+        Edge::PastLen(k) => (k + 1, len + k - last * (k + 1)),
+    };
+    assert!(
+        c + m >= 0 && c + (last - 1) * m < len,
+        "only the extreme item faults"
+    );
+    let (gid, mul, idx, cond, id, view, loaded) = (3, 4, 5, 6, 7, 8, 9);
+    let (m_reg, c_reg, zero, bound, val) = (10, 11, 12, 13, 14);
+    let mut code = vec![
+        Instr::ItemQuery {
+            dst: gid,
+            q: ItemQ::GlobalId,
+            dim: sycl_mlir_repro::sim::plan::DimSrc::Const(0),
+        },
+        Instr::BinInt {
+            op: IntBin::Mul,
+            dst: mul,
+            l: gid,
+            r: m_reg,
+        },
+        Instr::BinInt {
+            op: IntBin::Add,
+            dst: idx,
+            l: mul,
+            r: c_reg,
+        },
+    ];
+    let (below, exact) = (
+        matches!(edge, Edge::BelowZero),
+        matches!(guard, Guard::Exact),
+    );
+    let (pred, bound_val) = match (below, exact) {
+        (true, true) => (CmpPred::Sgt, 0),
+        (true, false) => (CmpPred::Sge, 0),
+        (false, true) => (CmpPred::Slt, last),
+        (false, false) => (CmpPred::Sle, last),
+    };
+    let branch_at = code.len() + 1;
+    if !matches!(guard, Guard::None) {
+        code.push(Instr::CmpI {
+            pred,
+            dst: cond,
+            l: gid,
+            r: bound,
+        });
+        code.push(Instr::BranchIfFalse {
+            cond,
+            target: u32::MAX, // patched below
+        });
+    }
+    code.push(Instr::VecCtor {
+        dst: id,
+        comps: [idx, 0, 0],
+        rank: 1,
+    });
+    code.push(Instr::AccSubscript {
+        dst: view,
+        acc: 2,
+        id,
+    });
+    if store {
+        code.push(Instr::Store {
+            val,
+            mem: view,
+            idx: [zero, 0, 0],
+            rank: 1,
+            site: 0,
+        });
+    } else {
+        code.push(Instr::Load {
+            dst: loaded,
+            mem: view,
+            idx: [zero, 0, 0],
+            rank: 1,
+            site: 0,
+        });
+        code.push(Instr::Store {
+            val: loaded,
+            mem: 0,
+            idx: [gid, 0, 0],
+            rank: 1,
+            site: 1,
+        });
+    }
+    let after = code.len() as u32;
+    if let Some(Instr::BranchIfFalse { target, .. }) = code.get_mut(branch_at) {
+        *target = after;
+    }
+    code.push(Instr::Return);
+    KernelPlan {
+        code,
+        reg_count: 15,
+        params: fuzz_params(),
+        item: None,
+        consts: vec![
+            (m_reg, Slot::Int(m)),
+            (c_reg, Slot::Int(c - offset)),
+            (zero, Slot::Int(0)),
+            (bound, Slot::Int(bound_val)),
+            (val, Slot::F32(1.5)),
+        ],
+        dense_consts: Vec::new(),
+        mem_sites: if store { 1 } else { 2 },
+        local_sites: 0,
+    }
+}
+
+/// Run an [`edge_plan`] whose accessor views a buffer of `len` elements
+/// from `offset` on; the memrefs are [`execute_with`]'s.
+fn execute_edge(plan: &KernelPlan, facts: &PlanFacts, offset: i64, len: i64) -> Executed {
+    let mut pool = MemoryPool::new();
+    let mf = pool.alloc(DataVec::F32(vec![-1.0; BUF_LEN]));
+    let mi = pool.alloc(DataVec::I64(vec![0; BUF_LEN]));
+    let ma = pool.alloc(DataVec::F32(
+        (0..len).map(|i| i as f32 * 0.5 - 2.0).collect(),
+    ));
+    let memref = |mem| {
+        RtValue::MemRef(MemRefVal {
+            mem,
+            offset: 0,
+            shape: [BUF_LEN as i64, 1, 1],
+            rank: 1,
+            space: Space::Global,
+        })
+    };
+    let args = [
+        memref(mf),
+        memref(mi),
+        RtValue::Accessor(AccessorVal {
+            mem: ma,
+            range: [len - offset, 1, 1],
+            offset: [offset, 0, 0],
+            rank: 1,
+            constant: false,
+        }),
+    ];
+    let nd = NdRangeSpec::d1(EDGE_ITEMS, 4);
+    let launch = PlanLaunch::kernel(plan, facts, &args, nd);
+    let cost = CostModel::default();
+    let result = run_launch(launch, &mut pool, 1, &ExecLimits::none(), &cost);
+    let DataVec::F32(f) = pool.read(mf) else {
+        panic!()
+    };
+    let DataVec::I64(i) = pool.read(mi) else {
+        panic!()
+    };
+    let DataVec::F32(a) = pool.read(ma) else {
+        panic!()
+    };
+    (result, f.clone(), i.clone(), a.clone())
+}
+
+/// Every family member, unfused and fused, runs identically with the
+/// verifier's facts, fully checked, and under the proof audit (every
+/// proven site checked, sub-groups in the opposite order): the same
+/// outcome, the same error text and position, and the same three buffers
+/// bit for bit. The checked run fails exactly when the access is
+/// unguarded or guarded off by one, at the element the edge names, so
+/// the population cannot go vacuous; and the verifier proves every
+/// family access symbolically, so it is the launch-time instantiation
+/// that must refuse to elide.
+#[test]
+fn edge_accesses_fail_identically_with_and_without_proofs() {
+    let edges = [
+        Edge::BelowZero,
+        Edge::AtLen,
+        Edge::PastLen(1),
+        Edge::PastLen(2),
+        Edge::PastLen(3),
+    ];
+    let mut runs = 0;
+    for edge in edges {
+        for guard in [Guard::None, Guard::Exact, Guard::OffByOne] {
+            for store in [false, true] {
+                for (offset, len) in [(0, 25), (3, 40)] {
+                    let case = format!("{edge:?}, {guard:?}, store {store}, offset {offset}");
+                    let plan = edge_plan(edge, guard, store, offset, len);
+                    let (facts, fused) = verify_and_fuse(plan.clone()).expect("verifies");
+                    assert!(
+                        facts.proofs[0].is_some(),
+                        "the accessor access must carry a symbolic proof ({case})"
+                    );
+                    let target = match edge {
+                        Edge::BelowZero => -1,
+                        Edge::AtLen => len,
+                        Edge::PastLen(k) => len + k,
+                    };
+                    for p in [&plan, &fused] {
+                        let base = execute_edge(p, &checked(facts.clone()), offset, len);
+                        let fast = execute_edge(p, &facts, offset, len);
+                        audit_on_this_thread(true);
+                        let audited = execute_edge(p, &facts, offset, len);
+                        audit_on_this_thread(false);
+                        match (&base.0, matches!(guard, Guard::Exact)) {
+                            (Ok(_), true) => {}
+                            (Err(e), false) => assert!(
+                                e.message().contains(&format!("index {target} of buffer")),
+                                "expected a fault at element {target} ({case}): {e}"
+                            ),
+                            (outcome, _) => {
+                                panic!("unexpected checked outcome ({case}): {outcome:?}")
+                            }
+                        }
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        for (name, run) in [("elided", &fast), ("audited", &audited)] {
+                            assert_eq!(base.0, run.0, "{name} outcome differs ({case})");
+                            assert_eq!(
+                                (bits(&base.1), &base.2, bits(&base.3)),
+                                (bits(&run.1), &run.2, bits(&run.3)),
+                                "{name} buffers differ ({case})"
+                            );
+                        }
+                        runs += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(runs, 5 * 3 * 2 * 2 * 2);
+}
