@@ -2,16 +2,16 @@
 //! uniformity analysis (§V-C: "the analysis works inter-procedurally by
 //! using the call graph").
 
-use std::collections::HashMap;
+use sycl_mlir_ir::{FxHashMap, FxHashSet};
 use sycl_mlir_ir::{Module, OpId, WalkControl};
 
 /// Call graph for the functions directly inside one module op.
 #[derive(Debug, Default)]
 pub struct CallGraph {
     /// caller func -> call ops within it
-    pub calls_in: HashMap<OpId, Vec<OpId>>,
+    pub calls_in: FxHashMap<OpId, Vec<OpId>>,
     /// callee func -> (caller func, call op)
-    pub callers_of: HashMap<OpId, Vec<(OpId, OpId)>>,
+    pub callers_of: FxHashMap<OpId, Vec<(OpId, OpId)>>,
     /// All functions in the scope, in program order.
     pub funcs: Vec<OpId>,
 }
@@ -45,9 +45,9 @@ impl CallGraph {
     /// cycles broken arbitrarily).
     pub fn bottom_up(&self) -> Vec<OpId> {
         let mut order = Vec::new();
-        let mut visited = std::collections::HashSet::new();
+        let mut visited = FxHashSet::default();
         // Count outgoing edges via callers_of inversion.
-        let mut callees: HashMap<OpId, Vec<OpId>> = HashMap::new();
+        let mut callees: FxHashMap<OpId, Vec<OpId>> = FxHashMap::default();
         for (&callee, callers) in &self.callers_of {
             for &(caller, _) in callers {
                 callees.entry(caller).or_default().push(callee);
@@ -55,8 +55,8 @@ impl CallGraph {
         }
         fn visit(
             f: OpId,
-            callees: &HashMap<OpId, Vec<OpId>>,
-            visited: &mut std::collections::HashSet<OpId>,
+            callees: &FxHashMap<OpId, Vec<OpId>>,
+            visited: &mut FxHashSet<OpId>,
             order: &mut Vec<OpId>,
         ) {
             if !visited.insert(f) {

@@ -16,8 +16,8 @@
 //! (e.g. un-raised `llvm.call`s) poison the state with an `unknown` marker.
 
 use crate::alias::{AliasAnalysis, AliasResult};
-use std::collections::HashMap;
 use sycl_mlir_ir::dialect::{memory_effects, traits, EffectKind};
+use sycl_mlir_ir::FxHashMap;
 use sycl_mlir_ir::{Module, OpId, ValueId};
 
 /// Classification of a reaching definition relative to a specific read.
@@ -85,7 +85,7 @@ impl ReachingDefs {
 
 /// Reaching definitions for one function body.
 pub struct ReachingDefinitions {
-    before: HashMap<OpId, ReachState>,
+    before: FxHashMap<OpId, ReachState>,
     aa: AliasAnalysis,
 }
 
@@ -93,7 +93,7 @@ impl ReachingDefinitions {
     /// Run the analysis over a function (or any single-region op).
     pub fn compute(m: &Module, func: OpId) -> ReachingDefinitions {
         let mut analysis = ReachingDefinitions {
-            before: HashMap::new(),
+            before: FxHashMap::default(),
             aa: AliasAnalysis::new(),
         };
         let mut state = ReachState::default();

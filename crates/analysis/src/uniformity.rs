@@ -15,8 +15,8 @@
 use crate::callgraph::CallGraph;
 use crate::reaching::{read_target, ReachingDefinitions};
 use crate::structure::enclosing_branch_conditions;
-use std::collections::HashMap;
 use sycl_mlir_ir::dialect::{memory_effects, traits, EffectKind};
+use sycl_mlir_ir::FxHashMap;
 use sycl_mlir_ir::{Module, OpId, ValueId, WalkControl};
 
 /// The three-point uniformity lattice.
@@ -39,7 +39,7 @@ impl Uniformity {
 
 /// Computed uniformity for every SSA value in scope.
 pub struct UniformityAnalysis {
-    map: HashMap<ValueId, Uniformity>,
+    map: FxHashMap<ValueId, Uniformity>,
 }
 
 const MAX_ROUNDS: usize = 8;
@@ -60,7 +60,7 @@ impl UniformityAnalysis {
         params: &[Uniformity],
     ) -> UniformityAnalysis {
         let mut a = UniformityAnalysis {
-            map: HashMap::new(),
+            map: FxHashMap::default(),
         };
         a.run_function(m, func, params);
         a
@@ -72,9 +72,9 @@ impl UniformityAnalysis {
     pub fn compute_module(m: &Module, scope: OpId) -> UniformityAnalysis {
         let cg = CallGraph::build(m, scope);
         let mut a = UniformityAnalysis {
-            map: HashMap::new(),
+            map: FxHashMap::default(),
         };
-        let mut params: HashMap<OpId, Vec<Uniformity>> = HashMap::new();
+        let mut params: FxHashMap<OpId, Vec<Uniformity>> = FxHashMap::default();
         for &f in &cg.funcs {
             params.insert(f, default_params(m, f));
         }

@@ -62,10 +62,11 @@ fn stage<P: Pass + Default + 'static>() -> Box<dyn Pass> {
     Box::<P>::default()
 }
 
-/// DPC++ and AdaptiveCpp compile the device code with no SYCL semantics:
-/// LICM hoists only what is free of memory effects, like any LLVM
-/// pipeline.
+/// DPC++ and AdaptiveCpp compile the device code in isolation and with no
+/// SYCL semantics: the host code goes to another compiler, and LICM
+/// hoists only what is free of memory effects, like any LLVM pipeline.
 const GENERIC_STAGES: &[StageDef] = &[
+    ("isolate-device", "", stage::<IsolateDevicePass>),
     ("canonicalize", "", stage::<CanonicalizePass>),
     ("cse", "", stage::<CsePass>),
     ("licm", " (conservative)", || Box::new(LicmPass::new(false))),
@@ -89,6 +90,37 @@ const SYCL_MLIR_STAGES: &[StageDef] = &[
     ("cse", "", stage::<CsePass>),
     ("sycl-dae", "", stage::<DeadArgumentEliminationPass>),
 ];
+
+/// The first stage of a separate-compilation flow: the device compiler
+/// sees the `@device` module alone, so every op beside it — the host
+/// functions — leaves the joint module. A module without a `@device`
+/// module is all device code and stays as it is. Nothing after
+/// compilation reads host IR: the runtime resolves kernels in `@device`.
+#[derive(Default)]
+struct IsolateDevicePass;
+
+impl Pass for IsolateDevicePass {
+    fn name(&self) -> &'static str {
+        "isolate-device"
+    }
+
+    fn run(&mut self, m: &mut Module) -> Result<bool, String> {
+        let Some(device) = m.lookup_symbol(m.top(), sycl_mlir_sycl::DEVICE_MODULE_SYM) else {
+            return Ok(false);
+        };
+        let host: Vec<OpId> = m
+            .block_ops(m.top_block())
+            .iter()
+            .copied()
+            .filter(|&op| op != device)
+            .collect();
+        let changed = !host.is_empty();
+        for op in host {
+            m.erase_op(op);
+        }
+        Ok(changed)
+    }
+}
 
 impl FlowKind {
     /// The flow's compile-time pipeline, in order: what [`Flow::compile`]
@@ -318,6 +350,47 @@ mod tests {
         );
         let get_range = m.def_op(returned[6]).unwrap();
         assert!(m.op_is(get_range, "sycl.accessor.get_range"));
+    }
+
+    /// DPC++ and AdaptiveCpp compile `@device` alone: the host function
+    /// beside it is gone after their first stage, and SYCL-MLIR keeps it.
+    #[test]
+    fn separate_compilation_drops_the_host_code() {
+        use sycl_mlir_dialects::func::{build_func, build_return};
+        use sycl_mlir_ir::Builder;
+
+        for kind in FlowKind::all() {
+            let c = ctx();
+            let mut m = Module::new(&c);
+            let top = m.top();
+            let device = m.create_op(
+                c.op("builtin.module"),
+                &[],
+                &[],
+                [("sym_name", c.str_attr(sycl_mlir_sycl::DEVICE_MODULE_SYM))],
+            );
+            let region = m.add_region(device);
+            m.add_block(region, &[]);
+            let top_block = m.top_block();
+            m.append_op(top_block, device);
+            let (_, entry) = build_func(&mut m, top, "cgf_0", &[], &[]);
+            build_return(&mut Builder::at_end(&mut m, entry), &[]);
+
+            Flow::new(kind).compile(&mut m).unwrap();
+            let names: Vec<_> = m
+                .block_ops(top_block)
+                .iter()
+                .map(|&op| m.op_name_str(op))
+                .collect();
+            let host_kept = kind == FlowKind::SyclMlir;
+            assert_eq!(
+                names.len(),
+                1 + host_kept as usize,
+                "{}: {names:?}",
+                kind.name()
+            );
+            assert_eq!(m.block_ops(top_block)[0], device);
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! detection §VI-B, loop internalization §VI-C) are allowed to reason about.
 
 use sycl_mlir_ir::dialect::{traits, Effect, OpInfo};
-use sycl_mlir_ir::{Builder, Context, Dialect, Module, OpId, ValueId};
+use sycl_mlir_ir::{Builder, Context, Dialect, OpId, ValueId};
 
 /// Dialect registration handle.
 pub struct AffineDialect;
@@ -20,46 +20,25 @@ impl Dialect for AffineDialect {
         ctx.register_op(
             OpInfo::new("affine.for")
                 .with_traits(traits::LOOP_LIKE | traits::RECURSIVE_EFFECTS)
+                .with_signature(crate::scf::LOOP)
                 .with_verify(crate::scf::verify_loop_shape),
         );
-        ctx.register_op(OpInfo::new("affine.yield").with_traits(traits::TERMINATOR));
+        ctx.register_op(
+            OpInfo::new("affine.yield")
+                .with_traits(traits::TERMINATOR)
+                .with_signature(crate::scf::YIELD),
+        );
         ctx.register_op(
             OpInfo::new("affine.load")
-                .with_verify(verify_affine_load)
+                .with_signature(crate::memref::LOAD)
                 .with_effects(|m, op| vec![Effect::read(m.op_operand(op, 0))]),
         );
         ctx.register_op(
             OpInfo::new("affine.store")
-                .with_verify(verify_affine_store)
+                .with_signature(crate::memref::STORE)
                 .with_effects(|m, op| vec![Effect::write(m.op_operand(op, 1))]),
         );
     }
-}
-
-fn verify_affine_load(m: &Module, op: OpId) -> Result<(), String> {
-    let operands = m.op_operands(op);
-    if operands.is_empty() || m.op_results(op).len() != 1 {
-        return Err("expects (memref, indices...) -> value".into());
-    }
-    let ty = m.value_type(operands[0]);
-    let elem = ty.memref_elem().ok_or("first operand must be a memref")?;
-    if m.value_type(m.op_result(op, 0)) != elem {
-        return Err("result type must match the memref element type".into());
-    }
-    Ok(())
-}
-
-fn verify_affine_store(m: &Module, op: OpId) -> Result<(), String> {
-    let operands = m.op_operands(op);
-    if operands.len() < 2 || !m.op_results(op).is_empty() {
-        return Err("expects (value, memref, indices...) -> ()".into());
-    }
-    let ty = m.value_type(operands[1]);
-    let elem = ty.memref_elem().ok_or("second operand must be a memref")?;
-    if m.value_type(operands[0]) != elem {
-        return Err("stored type must match the memref element type".into());
-    }
-    Ok(())
 }
 
 /// Build an `affine.for`; see [`crate::scf::build_loop`] for the contract.

@@ -5,7 +5,7 @@
 //! dialect registers the context-wide *constant materializer* used by the
 //! greedy folding driver.
 
-use sycl_mlir_ir::dialect::{traits, FoldOut, OpInfo};
+use sycl_mlir_ir::dialect::{traits, Constraint::*, FoldFn, FoldOut, OpInfo, Signature};
 use sycl_mlir_ir::{Attribute, Builder, Context, Dialect, Module, OpId, Type, TypeKind, ValueId};
 
 /// Dialect registration handle.
@@ -22,108 +22,80 @@ pub mod predicate {
     pub const SGE: &str = "sge";
 }
 
+/// `(x, x) -> x` over integers or `index`.
+const INT_BINARY: Signature = Signature::new(&[IntOrIndex, Same(0)], &[Same(0)]);
+/// `(x, x) -> x` over floats.
+const FLOAT_BINARY: Signature = Signature::new(&[Float, Same(0)], &[Same(0)]);
+/// `x -> x` over floats; `math`'s unary functions too.
+pub(crate) const FLOAT_UNARY: Signature = Signature::new(&[Float], &[Same(0)]);
+/// `(i1, x, x) -> x`.
+const SELECT: Signature = Signature::new(&[I1, Any, Same(1)], &[Same(1)]);
+const SITOFP: Signature = Signature::new(&[IntOrIndex], &[Float]);
+const FPTOSI: Signature = Signature::new(&[Float], &[IntOrIndex]);
+/// A cast between integer widths or to and from `index`.
+const INT_CAST: Signature = Signature::new(&[IntOrIndex], &[IntOrIndex]);
+/// `truncf` / `extf`: the direction is the hook's.
+const FLOAT_CAST: Signature = Signature::new(&[Float], &[Float]);
+
 impl Dialect for ArithDialect {
     fn name(&self) -> &'static str {
         "arith"
     }
 
     fn register(&self, ctx: &Context) {
+        let pure = |name: &str, sig: Signature| {
+            OpInfo::new(name)
+                .with_traits(traits::PURE)
+                .with_signature(sig)
+        };
+        let folded: [(&str, Signature, FoldFn); 23] = [
+            ("arith.addi", INT_BINARY, fold_int_binary),
+            ("arith.subi", INT_BINARY, fold_int_binary),
+            ("arith.muli", INT_BINARY, fold_int_binary),
+            ("arith.divsi", INT_BINARY, fold_int_binary),
+            ("arith.remsi", INT_BINARY, fold_int_binary),
+            ("arith.andi", INT_BINARY, fold_int_binary),
+            ("arith.ori", INT_BINARY, fold_int_binary),
+            ("arith.xori", INT_BINARY, fold_int_binary),
+            ("arith.minsi", INT_BINARY, fold_int_binary),
+            ("arith.maxsi", INT_BINARY, fold_int_binary),
+            ("arith.addf", FLOAT_BINARY, fold_float_binary),
+            ("arith.subf", FLOAT_BINARY, fold_float_binary),
+            ("arith.mulf", FLOAT_BINARY, fold_float_binary),
+            ("arith.divf", FLOAT_BINARY, fold_float_binary),
+            ("arith.minf", FLOAT_BINARY, fold_float_binary),
+            ("arith.maxf", FLOAT_BINARY, fold_float_binary),
+            ("arith.negf", FLOAT_UNARY, fold_negf),
+            ("arith.select", SELECT, fold_select),
+            ("arith.index_cast", INT_CAST, fold_cast_int),
+            ("arith.trunci", INT_CAST, fold_cast_int),
+            ("arith.extsi", INT_CAST, fold_cast_int),
+            ("arith.sitofp", SITOFP, fold_sitofp),
+            ("arith.fptosi", FPTOSI, fold_fptosi),
+        ];
+        for (name, sig, fold) in folded {
+            ctx.register_op(pure(name, sig).with_fold(fold));
+        }
         ctx.register_op(
             OpInfo::new("arith.constant")
                 .with_traits(traits::CONSTANT_LIKE | traits::PURE)
+                .with_signature(Signature::new(&[], &[Any]))
                 .with_verify(verify_constant),
         );
-        for name in [
-            "arith.addi",
-            "arith.subi",
-            "arith.muli",
-            "arith.divsi",
-            "arith.remsi",
-            "arith.andi",
-            "arith.ori",
-            "arith.xori",
-            "arith.minsi",
-            "arith.maxsi",
+        let cmpi = Signature::new(&[IntOrIndex, Same(0)], &[I1]);
+        let cmpf = Signature::new(&[Float, Same(0)], &[I1]);
+        for (name, sig, fold) in [
+            ("arith.cmpi", cmpi, fold_cmp::<false> as FoldFn),
+            ("arith.cmpf", cmpf, fold_cmp::<true>),
         ] {
             ctx.register_op(
-                OpInfo::new(name)
-                    .with_traits(traits::PURE)
-                    .with_verify(verify_same_type_binary::<false>)
-                    .with_fold(fold_int_binary),
+                pure(name, sig)
+                    .with_verify(verify_predicate)
+                    .with_fold(fold),
             );
         }
-        for name in [
-            "arith.addf",
-            "arith.subf",
-            "arith.mulf",
-            "arith.divf",
-            "arith.minf",
-            "arith.maxf",
-        ] {
-            ctx.register_op(
-                OpInfo::new(name)
-                    .with_traits(traits::PURE)
-                    .with_verify(verify_same_type_binary::<true>)
-                    .with_fold(fold_float_binary),
-            );
-        }
-        ctx.register_op(
-            OpInfo::new("arith.negf")
-                .with_traits(traits::PURE)
-                .with_fold(fold_negf),
-        );
-        ctx.register_op(
-            OpInfo::new("arith.cmpi")
-                .with_traits(traits::PURE)
-                .with_verify(verify_cmp::<false>)
-                .with_fold(fold_cmpi),
-        );
-        ctx.register_op(
-            OpInfo::new("arith.cmpf")
-                .with_traits(traits::PURE)
-                .with_verify(verify_cmp::<true>)
-                .with_fold(fold_cmpf),
-        );
-        ctx.register_op(
-            OpInfo::new("arith.select")
-                .with_traits(traits::PURE)
-                .with_fold(fold_select),
-        );
-        ctx.register_op(
-            OpInfo::new("arith.index_cast")
-                .with_traits(traits::PURE)
-                .with_fold(fold_cast_int),
-        );
-        ctx.register_op(
-            OpInfo::new("arith.trunci")
-                .with_traits(traits::PURE)
-                .with_fold(fold_cast_int),
-        );
-        ctx.register_op(
-            OpInfo::new("arith.extsi")
-                .with_traits(traits::PURE)
-                .with_fold(fold_cast_int),
-        );
-        ctx.register_op(
-            OpInfo::new("arith.sitofp")
-                .with_traits(traits::PURE)
-                .with_fold(fold_sitofp),
-        );
-        ctx.register_op(
-            OpInfo::new("arith.fptosi")
-                .with_traits(traits::PURE)
-                .with_fold(fold_fptosi),
-        );
-        ctx.register_op(
-            OpInfo::new("arith.truncf")
-                .with_traits(traits::PURE)
-                .with_verify(verify_float_cast::<true>),
-        );
-        ctx.register_op(
-            OpInfo::new("arith.extf")
-                .with_traits(traits::PURE)
-                .with_verify(verify_float_cast::<false>),
-        );
+        ctx.register_op(pure("arith.truncf", FLOAT_CAST).with_verify(verify_float_cast::<true>));
+        ctx.register_op(pure("arith.extf", FLOAT_CAST).with_verify(verify_float_cast::<false>));
         ctx.register_constant_materializer(|m, block, index, attr, ty| {
             let name = m.ctx().lookup_op("arith.constant")?;
             let op = m.create_op(
@@ -142,11 +114,11 @@ impl Dialect for ArithDialect {
 // Verifiers
 // ----------------------------------------------------------------------
 
+/// The `value` attribute fits the result type.
 fn verify_constant(m: &Module, op: OpId) -> Result<(), String> {
-    let value = m.attr(op, "value").ok_or("missing `value` attribute")?;
-    if m.op_results(op).len() != 1 {
-        return Err("must produce exactly one result".into());
-    }
+    let value = m
+        .attr_by_id(op, m.ctx().common_keys().value)
+        .ok_or("missing `value` attribute")?;
     let ty = m.value_type(m.op_result(op, 0));
     match (value, ty.kind()) {
         (Attribute::Int(_), TypeKind::Int(_) | TypeKind::Index) => Ok(()),
@@ -159,68 +131,23 @@ fn verify_constant(m: &Module, op: OpId) -> Result<(), String> {
     }
 }
 
-/// The one type of an `arith` op's two operands: integers or `index`
-/// for the integer family (`addi` … `maxsi`, `cmpi`), floats for the
-/// `FLOAT` family (`addf` … `maxf`, `cmpf`), as in MLIR's `arith` dialect.
-fn operand_type<const FLOAT: bool>(m: &Module, op: OpId) -> Result<&Type, String> {
-    if m.op_operands(op).len() != 2 || m.op_results(op).len() != 1 {
-        return Err("expects two operands and one result".into());
-    }
-    let l = m.value_type(m.op_operand(op, 0));
-    let r = m.value_type(m.op_operand(op, 1));
-    if l != r {
-        return Err(format!("operand types must match, got ({l}, {r})"));
-    }
-    let (ok, class) = if FLOAT {
-        (l.is_float(), "float")
-    } else {
-        (l.is_int_or_index(), "integer or index")
-    };
-    if !ok {
-        return Err(format!("operands must be {class}, got {l}"));
-    }
-    Ok(l)
-}
-
-fn verify_same_type_binary<const FLOAT: bool>(m: &Module, op: OpId) -> Result<(), String> {
-    let l = operand_type::<FLOAT>(m, op)?;
-    let res = m.value_type(m.op_result(op, 0));
-    if l != res {
-        return Err(format!("operand/result types must match, got {l} -> {res}"));
-    }
-    Ok(())
-}
-
-fn verify_cmp<const FLOAT: bool>(m: &Module, op: OpId) -> Result<(), String> {
-    operand_type::<FLOAT>(m, op)?;
-    let res = m.value_type(m.op_result(op, 0));
-    if res.int_width() != Some(1) {
-        return Err(format!("result must be i1, got {res}"));
-    }
+/// `cmpi` / `cmpf` name one of the [`predicate`]s.
+fn verify_predicate(m: &Module, op: OpId) -> Result<(), String> {
     let pred = m
-        .attr(op, "predicate")
+        .attr_by_id(op, m.ctx().common_keys().predicate)
         .and_then(|a| a.as_str())
         .ok_or("missing `predicate`")?;
-    match pred {
-        "eq" | "ne" | "slt" | "sle" | "sgt" | "sge" => Ok(()),
-        other => Err(format!("unknown predicate `{other}`")),
+    match eval_predicate(pred, 0, 0) {
+        Some(_) => Ok(()),
+        None => Err(format!("unknown predicate `{pred}`")),
     }
 }
 
-/// `arith.truncf` (`NARROW`) and `arith.extf`: a float operand and a
-/// float result, which `truncf` does not widen and `extf` does not
-/// narrow.
+/// `arith.truncf` (`NARROW`) does not widen its float and `arith.extf`
+/// does not narrow it.
 fn verify_float_cast<const NARROW: bool>(m: &Module, op: OpId) -> Result<(), String> {
-    if m.op_operands(op).len() != 1 || m.op_results(op).len() != 1 {
-        return Err("expects one operand and one result".into());
-    }
     let from = m.value_type(m.op_operand(op, 0));
     let to = m.value_type(m.op_result(op, 0));
-    if !from.is_float() || !to.is_float() {
-        return Err(format!(
-            "operand and result must be float, got {from} -> {to}"
-        ));
-    }
     let wide = |t: &Type| matches!(t.kind(), TypeKind::F64);
     match (NARROW, wide(from), wide(to)) {
         (true, false, true) => Err(format!("truncf must not widen {from} to {to}")),
@@ -319,40 +246,31 @@ fn fold_negf(m: &Module, op: OpId) -> Option<Vec<FoldOut>> {
     Some(vec![FoldOut::Attr(Attribute::Float(-v))])
 }
 
-fn eval_int_predicate(pred: &str, l: i64, r: i64) -> Option<bool> {
+/// `l <pred> r`, or `None` for a name that is no [`predicate`].
+fn eval_predicate<T: PartialOrd>(pred: &str, l: T, r: T) -> Option<bool> {
     Some(match pred {
-        "eq" => l == r,
-        "ne" => l != r,
-        "slt" => l < r,
-        "sle" => l <= r,
-        "sgt" => l > r,
-        "sge" => l >= r,
+        predicate::EQ => l == r,
+        predicate::NE => l != r,
+        predicate::SLT => l < r,
+        predicate::SLE => l <= r,
+        predicate::SGT => l > r,
+        predicate::SGE => l >= r,
         _ => return None,
     })
 }
 
-fn fold_cmpi(m: &Module, op: OpId) -> Option<Vec<FoldOut>> {
-    let l = const_int_of(m, m.op_operand(op, 0))?;
-    let r = const_int_of(m, m.op_operand(op, 1))?;
-    let pred = m.attr(op, "predicate")?.as_str()?.to_string();
-    let out = eval_int_predicate(&pred, l, r)?;
-    Some(vec![FoldOut::Attr(Attribute::Bool(out))])
-}
-
-fn fold_cmpf(m: &Module, op: OpId) -> Option<Vec<FoldOut>> {
-    let l = const_float_of(m, m.op_operand(op, 0))?;
-    let r = const_float_of(m, m.op_operand(op, 1))?;
-    let pred = m.attr(op, "predicate")?.as_str()?.to_string();
-    let out = match pred.as_str() {
-        "eq" => l == r,
-        "ne" => l != r,
-        "slt" => l < r,
-        "sle" => l <= r,
-        "sgt" => l > r,
-        "sge" => l >= r,
-        _ => return None,
+/// `cmpi` (`FLOAT` false) or `cmpf` of two constants.
+fn fold_cmp<const FLOAT: bool>(m: &Module, op: OpId) -> Option<Vec<FoldOut>> {
+    let pred = m
+        .attr_by_id(op, m.ctx().common_keys().predicate)?
+        .as_str()?;
+    let (l, r) = (m.op_operand(op, 0), m.op_operand(op, 1));
+    let out = if FLOAT {
+        eval_predicate(pred, const_float_of(m, l)?, const_float_of(m, r)?)
+    } else {
+        eval_predicate(pred, const_int_of(m, l)?, const_int_of(m, r)?)
     };
-    Some(vec![FoldOut::Attr(Attribute::Bool(out))])
+    Some(vec![FoldOut::Attr(Attribute::Bool(out?))])
 }
 
 fn fold_select(m: &Module, op: OpId) -> Option<Vec<FoldOut>> {
@@ -577,7 +495,7 @@ mod tests {
             assert_eq!(verdict(name, float), Ok(()), "{name}");
             let err = verdict(name, !float).expect_err(name);
             assert!(
-                err.contains(&format!("operands must be {class}")),
+                err.contains(&format!("operand #0 must be {class}, got ")),
                 "{name}: {err}"
             );
         }
@@ -610,7 +528,7 @@ mod tests {
                 "arith.truncf",
                 "index",
                 "f32",
-                Some("must be float, got index -> f32"),
+                Some("`arith.truncf`: operand #0 must be float, got index"),
             ),
             ("arith.extf", "f32", "f64", None),
             (
@@ -623,7 +541,7 @@ mod tests {
                 "arith.extf",
                 "f32",
                 "index",
-                Some("must be float, got f32 -> index"),
+                Some("`arith.extf`: result #0 must be float, got index"),
             ),
         ] {
             match (cast(name, from, to), refused) {
@@ -645,7 +563,11 @@ mod tests {
         let c = constant_int(&mut b, 2, i64t.clone());
         b.build("arith.addi", &[a, c], &[i64t], vec![]);
         let err = verify(&m).unwrap_err();
-        assert!(err.to_string().contains("types must match"), "{err}");
+        assert!(
+            err.to_string()
+                .contains("`arith.addi`: operand #1 must be i32 like operand #0, got i64"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -662,7 +584,8 @@ mod tests {
         };
         {
             let mut b = Builder::at_end(&mut m, block);
-            b.build("llvm.store", &[v, v], &[], vec![]); // operand types unchecked here
+            let sink = crate::llvm::alloca(&mut b, "sink");
+            crate::llvm::store(&mut b, v, sink);
         }
         let top = m.top();
         apply_patterns_greedily(&mut m, top);
@@ -692,7 +615,8 @@ mod tests {
         };
         {
             let mut b = Builder::at_end(&mut m, block);
-            b.build("llvm.store", &[sum, sum], &[], vec![]);
+            let sink = crate::llvm::alloca(&mut b, "sink");
+            crate::llvm::store(&mut b, sum, sink);
         }
         let top = m.top();
         apply_patterns_greedily(&mut m, top);
@@ -716,7 +640,8 @@ mod tests {
         };
         {
             let mut b = Builder::at_end(&mut m, block);
-            b.build("llvm.store", &[sel, sel], &[], vec![]);
+            let sink = crate::llvm::alloca(&mut b, "sink");
+            crate::llvm::store(&mut b, sel, sink);
         }
         let top = m.top();
         apply_patterns_greedily(&mut m, top);

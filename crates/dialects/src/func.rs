@@ -1,10 +1,14 @@
 //! The `func` dialect: `func.func`, `func.return`, `func.call`.
 
-use sycl_mlir_ir::dialect::{traits, OpInfo};
+use sycl_mlir_ir::dialect::{traits, Constraint::*, OpInfo, Signature};
 use sycl_mlir_ir::{Attribute, Builder, Context, Dialect, Module, OpId, Type, ValueId};
 
 /// Dialect registration handle.
 pub struct FuncDialect;
+
+/// A call's arguments and results, whatever the callee: `func.call` and
+/// `llvm.call`.
+pub(crate) const CALL: Signature = Signature::new(&[], &[]).variadic(Any).variadic_results(Any);
 
 impl Dialect for FuncDialect {
     fn name(&self) -> &'static str {
@@ -15,22 +19,32 @@ impl Dialect for FuncDialect {
         ctx.register_op(
             OpInfo::new("func.func")
                 .with_traits(traits::ISOLATED_FROM_ABOVE | traits::SYMBOL)
+                .with_signature(Signature::new(&[], &[]))
                 .with_verify(verify_func),
         );
         ctx.register_op(
             OpInfo::new("func.return")
                 .with_traits(traits::TERMINATOR)
+                .with_signature(Signature::new(&[], &[]).variadic(Any))
                 .with_verify(verify_return),
         );
-        ctx.register_op(OpInfo::new("func.call").with_verify(verify_call));
+        ctx.register_op(
+            OpInfo::new("func.call")
+                .with_signature(CALL)
+                .with_verify(verify_callee),
+        );
     }
 }
 
+/// The `function_type` of a `func.func`, if it has one.
+fn function_type(m: &Module, func: OpId) -> Option<&Type> {
+    m.attr_by_id(func, m.ctx().common_keys().function_type)?
+        .as_type()
+}
+
+/// A named function's entry block takes what its `function_type` lists.
 fn verify_func(m: &Module, op: OpId) -> Result<(), String> {
-    let fty = m
-        .attr(op, "function_type")
-        .and_then(|a| a.as_type())
-        .ok_or("missing `function_type` attribute")?;
+    let fty = function_type(m, op).ok_or("missing `function_type` attribute")?;
     let (inputs, _) = fty
         .function_signature()
         .ok_or("`function_type` must be a function type")?;
@@ -60,6 +74,7 @@ fn verify_func(m: &Module, op: OpId) -> Result<(), String> {
     Ok(())
 }
 
+/// A return gives back what its function's type lists.
 fn verify_return(m: &Module, op: OpId) -> Result<(), String> {
     let Some(func) = m.op_parent_op(op) else {
         return Ok(());
@@ -67,10 +82,7 @@ fn verify_return(m: &Module, op: OpId) -> Result<(), String> {
     if !m.op_is(func, "func.func") {
         return Err("must be nested directly in a `func.func`".into());
     }
-    let fty = m
-        .attr(func, "function_type")
-        .and_then(|a| a.as_type())
-        .ok_or("enclosing function missing `function_type`")?;
+    let fty = function_type(m, func).ok_or("enclosing function missing `function_type`")?;
     let (_, results) = fty.function_signature().ok_or("bad function type")?;
     let operands = m.op_operands(op);
     if operands.len() != results.len() {
@@ -91,8 +103,9 @@ fn verify_return(m: &Module, op: OpId) -> Result<(), String> {
     Ok(())
 }
 
-fn verify_call(m: &Module, op: OpId) -> Result<(), String> {
-    m.attr(op, "callee")
+/// A call names its callee: `func.call` and `llvm.call`.
+pub(crate) fn verify_callee(m: &Module, op: OpId) -> Result<(), String> {
+    m.attr_by_id(op, m.ctx().common_keys().callee)
         .and_then(|a| a.as_symbol_ref())
         .map(|_| ())
         .ok_or_else(|| "missing `callee` symbol attribute".into())

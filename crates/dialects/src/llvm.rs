@@ -7,7 +7,7 @@
 //! (§VII-A) pattern-matches those calls and rewrites them into `sycl.host.*`
 //! operations.
 
-use sycl_mlir_ir::dialect::{traits, Effect, OpInfo};
+use sycl_mlir_ir::dialect::{traits, Constraint::*, Effect, OpInfo, Signature};
 use sycl_mlir_ir::{Builder, Context, Dialect, Module, OpId, Type, ValueId};
 
 /// Dialect registration handle.
@@ -21,69 +21,37 @@ impl Dialect for LlvmDialect {
     fn register(&self, ctx: &Context) {
         // Calls have unknown effects by default — exactly why raw host IR is
         // "too low-level for analysis" (§VII-A) until raised.
-        ctx.register_op(OpInfo::new("llvm.call").with_verify(verify_call));
+        ctx.register_op(
+            OpInfo::new("llvm.call")
+                .with_signature(crate::func::CALL)
+                .with_verify(crate::func::verify_callee),
+        );
         ctx.register_op(
             OpInfo::new("llvm.alloca")
-                .with_verify(verify_alloca)
+                .with_signature(Signature::new(&[], &[Ptr]))
                 .with_effects(|m, op| vec![Effect::alloc(m.op_result(op, 0))]),
         );
         ctx.register_op(
             OpInfo::new("llvm.load")
-                .with_verify(verify_load)
+                .with_signature(Signature::new(&[Ptr], &[Any]))
                 .with_effects(|m, op| vec![Effect::read(m.op_operand(op, 0))]),
         );
         ctx.register_op(
             OpInfo::new("llvm.store")
-                .with_verify(verify_store)
+                .with_signature(Signature::new(&[Any, Ptr], &[]))
                 .with_effects(|m, op| vec![Effect::write(m.op_operand(op, 1))]),
         );
         ctx.register_op(
             OpInfo::new("llvm.gep")
                 .with_traits(traits::PURE)
-                .with_verify(verify_gep),
+                .with_signature(Signature::new(&[Ptr], &[Ptr]).variadic(IntOrIndex)),
         );
-        ctx.register_op(OpInfo::new("llvm.undef").with_traits(traits::PURE));
+        ctx.register_op(
+            OpInfo::new("llvm.undef")
+                .with_traits(traits::PURE)
+                .with_signature(Signature::new(&[], &[Any])),
+        );
     }
-}
-
-fn verify_call(m: &Module, op: OpId) -> Result<(), String> {
-    m.attr(op, "callee")
-        .and_then(|a| a.as_symbol_ref())
-        .map(|_| ())
-        .ok_or_else(|| "missing `callee` symbol attribute".into())
-}
-
-fn verify_alloca(m: &Module, op: OpId) -> Result<(), String> {
-    if m.op_results(op).len() != 1
-        || !matches!(
-            m.value_type(m.op_result(op, 0)).kind(),
-            sycl_mlir_ir::TypeKind::Ptr
-        )
-    {
-        return Err("must produce a single `ptr` result".into());
-    }
-    Ok(())
-}
-
-fn verify_load(m: &Module, op: OpId) -> Result<(), String> {
-    if m.op_operands(op).len() != 1 || m.op_results(op).len() != 1 {
-        return Err("expects (ptr) -> value".into());
-    }
-    Ok(())
-}
-
-fn verify_store(m: &Module, op: OpId) -> Result<(), String> {
-    if m.op_operands(op).len() != 2 || !m.op_results(op).is_empty() {
-        return Err("expects (value, ptr) -> ()".into());
-    }
-    Ok(())
-}
-
-fn verify_gep(m: &Module, op: OpId) -> Result<(), String> {
-    if m.op_operands(op).is_empty() || m.op_results(op).len() != 1 {
-        return Err("expects (ptr, indices...) -> ptr".into());
-    }
-    Ok(())
 }
 
 /// Stack slot for a host object; `object` names the C++ type for

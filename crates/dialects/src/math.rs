@@ -3,7 +3,7 @@
 //! derived from statistics workloads, …). All ops are pure and fold on
 //! constant input.
 
-use sycl_mlir_ir::dialect::{traits, FoldOut, OpInfo};
+use sycl_mlir_ir::dialect::{traits, Constraint::*, FoldOut, OpInfo, Signature};
 use sycl_mlir_ir::{Attribute, Builder, Context, Dialect, Module, OpId, ValueId};
 
 /// Dialect registration handle.
@@ -30,30 +30,17 @@ impl Dialect for MathDialect {
             ctx.register_op(
                 OpInfo::new(name)
                     .with_traits(traits::PURE)
-                    .with_verify(verify_unary)
+                    .with_signature(crate::arith::FLOAT_UNARY)
                     .with_fold(fold_unary),
             );
         }
         ctx.register_op(
             OpInfo::new("math.powf")
                 .with_traits(traits::PURE)
+                .with_signature(Signature::new(&[Float, Same(0)], &[Same(0)]))
                 .with_fold(fold_powf),
         );
     }
-}
-
-fn verify_unary(m: &Module, op: OpId) -> Result<(), String> {
-    if m.op_operands(op).len() != 1 || m.op_results(op).len() != 1 {
-        return Err("expects one operand and one result".into());
-    }
-    let in_ty = m.value_type(m.op_operand(op, 0));
-    let out_ty = m.value_type(m.op_result(op, 0));
-    if !in_ty.is_float() || in_ty != out_ty {
-        return Err(format!(
-            "expects matching float types, got {in_ty} -> {out_ty}"
-        ));
-    }
-    Ok(())
 }
 
 /// Evaluate a `math` unary op on a concrete `f64`; shared with the
@@ -141,7 +128,8 @@ mod tests {
             let f64t = b.ctx().f64_type();
             let nine = constant_float(&mut b, 9.0, f64t);
             let r = sqrt(&mut b, nine);
-            b.build("llvm.store", &[r, r], &[], vec![]);
+            let sink = crate::llvm::alloca(&mut b, "sink");
+            crate::llvm::store(&mut b, r, sink);
         }
         apply_patterns_greedily(&mut m, root);
         let store = *m.block_ops(m.top_block()).last().unwrap();

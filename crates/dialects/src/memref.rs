@@ -2,7 +2,7 @@
 //! memory effects — the effect interface is what the reaching-definition
 //! analysis (§V-B) and LICM (§VI-A) consume.
 
-use sycl_mlir_ir::dialect::{traits, Effect, OpInfo};
+use sycl_mlir_ir::dialect::{traits, Constraint::*, Effect, OpInfo, Signature};
 use sycl_mlir_ir::{Builder, Context, Dialect, Module, OpId, Type, ValueId};
 
 /// Dialect registration handle.
@@ -16,107 +16,56 @@ impl Dialect for MemRefDialect {
     fn register(&self, ctx: &Context) {
         ctx.register_op(
             OpInfo::new("memref.alloca")
-                .with_verify(verify_alloca)
+                .with_signature(Signature::new(&[], &[MemRef]))
+                .with_verify(verify_static_shape)
                 .with_effects(|m, op| vec![Effect::alloc(m.op_result(op, 0))]),
         );
         ctx.register_op(
             OpInfo::new("memref.load")
-                .with_verify(verify_load)
+                .with_signature(LOAD)
                 .with_effects(|m, op| vec![Effect::read(m.op_operand(op, 0))]),
         );
         ctx.register_op(
             OpInfo::new("memref.store")
-                .with_verify(verify_store)
+                .with_signature(STORE)
                 .with_effects(|m, op| vec![Effect::write(m.op_operand(op, 1))]),
         );
         ctx.register_op(
             OpInfo::new("memref.cast")
                 .with_traits(traits::PURE)
+                .with_signature(Signature::new(&[MemRef], &[MemRef]))
                 .with_verify(verify_cast),
         );
     }
 }
 
-fn verify_alloca(m: &Module, op: OpId) -> Result<(), String> {
-    if m.op_results(op).len() != 1 {
-        return Err("must produce one memref result".into());
-    }
+/// `(memref, indices...) -> element`, for `memref.load` and `affine.load`.
+pub(crate) const LOAD: Signature = Signature::new(&[MemRef], &[ElemOf(0)]).variadic(IndicesOf(0));
+
+/// `(element, memref, indices...)`, for `memref.store` and `affine.store`.
+pub(crate) const STORE: Signature =
+    Signature::new(&[ElemOf(1), MemRef], &[]).variadic(IndicesOf(1));
+
+/// A static shape for `memref.alloca` and `sycl.local.alloca`.
+pub fn verify_static_shape(m: &Module, op: OpId) -> Result<(), String> {
     let ty = m.value_type(m.op_result(op, 0));
-    let shape = ty.memref_shape().ok_or("result must be a memref")?;
-    if shape.iter().any(|&d| d < 0) {
-        return Err("alloca requires a static shape".into());
-    }
-    Ok(())
-}
-
-fn check_indices(m: &Module, memref_ty: &Type, indices: &[ValueId]) -> Result<(), String> {
-    let shape = memref_ty
+    if ty
         .memref_shape()
-        .ok_or("expected a memref operand")?;
-    if indices.len() != shape.len() {
-        return Err(format!(
-            "{} indices supplied for a rank-{} memref",
-            indices.len(),
-            shape.len()
-        ));
-    }
-    for (i, &idx) in indices.iter().enumerate() {
-        let t = m.value_type(idx);
-        if !t.is_int_or_index() {
-            return Err(format!("index #{i} must be an integer/index, got {t}"));
-        }
+        .is_some_and(|shape| shape.iter().any(|&d| d < 0))
+    {
+        return Err(format!("allocation requires a static shape, got {ty}"));
     }
     Ok(())
 }
 
-fn verify_load(m: &Module, op: OpId) -> Result<(), String> {
-    let operands = m.op_operands(op);
-    if operands.is_empty() || m.op_results(op).len() != 1 {
-        return Err("expects (memref, indices...) -> value".into());
-    }
-    let mem_ty = m.value_type(operands[0]);
-    check_indices(m, mem_ty, &operands[1..])?;
-    let elem = mem_ty
-        .memref_elem()
-        .ok_or("first operand must be a memref")?;
-    let res = m.value_type(m.op_result(op, 0));
-    if elem != res {
-        return Err(format!(
-            "result type {res} does not match element type {elem}"
-        ));
-    }
-    Ok(())
-}
-
-fn verify_store(m: &Module, op: OpId) -> Result<(), String> {
-    let operands = m.op_operands(op);
-    if operands.len() < 2 || !m.op_results(op).is_empty() {
-        return Err("expects (value, memref, indices...) -> ()".into());
-    }
-    let mem_ty = m.value_type(operands[1]);
-    check_indices(m, mem_ty, &operands[2..])?;
-    let elem = mem_ty
-        .memref_elem()
-        .ok_or("second operand must be a memref")?;
-    let val = m.value_type(operands[0]);
-    if elem != val {
-        return Err(format!(
-            "stored type {val} does not match element type {elem}"
-        ));
-    }
-    Ok(())
-}
-
+/// A cast keeps the element type.
 fn verify_cast(m: &Module, op: OpId) -> Result<(), String> {
-    if m.op_operands(op).len() != 1 || m.op_results(op).len() != 1 {
-        return Err("expects one operand and one result".into());
-    }
     let src = m.value_type(m.op_operand(op, 0));
     let dst = m.value_type(m.op_result(op, 0));
-    match (src.memref_elem(), dst.memref_elem()) {
-        (Some(a), Some(b)) if a == b => Ok(()),
-        _ => Err(format!("cannot cast {src} to {dst}")),
+    if src.memref_elem() != dst.memref_elem() {
+        return Err(format!("cannot cast {src} to {dst}"));
     }
+    Ok(())
 }
 
 /// Allocate a static-shaped memref in private (work-item) memory.
@@ -198,7 +147,11 @@ mod tests {
             b.build("memref.load", &operands, &[f32t], vec![]);
         }
         let err = verify(&m).unwrap_err();
-        assert!(err.to_string().contains("indices supplied"), "{err}");
+        assert!(
+            err.to_string()
+                .contains("`memref.load`: rank-2 memref operand #0 takes 2 indices, got 1"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The `scf` dialect: structured control flow (`scf.for`, `scf.if`,
 //! `scf.yield`) with closure-based region builders.
 
-use sycl_mlir_ir::dialect::{traits, OpInfo};
+use sycl_mlir_ir::dialect::{traits, Constraint::*, OpInfo, Signature};
 use sycl_mlir_ir::{Builder, Context, Dialect, Module, OpId, Type, ValueId};
 
 /// Dialect registration handle.
@@ -16,112 +16,106 @@ impl Dialect for ScfDialect {
         ctx.register_op(
             OpInfo::new("scf.for")
                 .with_traits(traits::LOOP_LIKE | traits::RECURSIVE_EFFECTS)
-                .with_verify(verify_for),
+                .with_signature(LOOP)
+                .with_verify(verify_loop_shape),
         );
         ctx.register_op(
             OpInfo::new("scf.if")
                 .with_traits(traits::BRANCH_LIKE | traits::RECURSIVE_EFFECTS)
+                .with_signature(Signature::new(&[I1], &[]).variadic_results(Any))
                 .with_verify(verify_if),
         );
-        ctx.register_op(OpInfo::new("scf.yield").with_traits(traits::TERMINATOR));
+        ctx.register_op(
+            OpInfo::new("scf.yield")
+                .with_traits(traits::TERMINATOR)
+                .with_signature(YIELD),
+        );
     }
 }
 
-/// Shared structural checks for `scf.for` / `affine.for`, which have the same
-/// shape: `(lb, ub, step, inits...)`, one region whose block takes
-/// `(iv, iters...)`, and results matching the `inits`.
+/// `scf.for` / `affine.for`: `(lb, ub, step, inits...)` -> one per init.
+pub(crate) const LOOP: Signature = Signature::new(&[IntOrIndex, IntOrIndex, IntOrIndex], &[])
+    .variadic(Any)
+    .variadic_results(Any);
+
+/// `scf.yield` / `affine.yield`, which the parent's hook checks.
+pub(crate) const YIELD: Signature = Signature::new(&[], &[]).variadic(Any);
+
+/// `scf.for` / `affine.for`: one region taking `(iv, iters...)`, iters,
+/// inits and results of one type each, and a yield of those types.
 pub(crate) fn verify_loop_shape(m: &Module, op: OpId) -> Result<(), String> {
-    let operands = m.op_operands(op);
-    if operands.len() < 3 {
-        return Err("expects at least (lb, ub, step)".into());
-    }
-    for (i, &v) in operands[..3].iter().enumerate() {
-        if !m.value_type(v).is_int_or_index() {
-            return Err(format!(
-                "bound #{i} must be integer/index, got {}",
-                m.value_type(v)
-            ));
-        }
-    }
-    let num_iters = operands.len() - 3;
-    if m.op_results(op).len() != num_iters {
+    let inits = &m.op_operands(op)[3..];
+    let results = m.op_results(op);
+    if results.len() != inits.len() {
         return Err(format!(
             "{} iter_args but {} results",
-            num_iters,
-            m.op_results(op).len()
+            inits.len(),
+            results.len()
         ));
     }
     if m.op_regions(op).len() != 1 {
         return Err("expects exactly one region".into());
     }
-    let block = m.op_region_block(op, 0);
-    let args = m.block_args(block);
-    if args.len() != 1 + num_iters {
+    let args = m.block_args(m.op_region_block(op, 0));
+    if args.len() != 1 + inits.len() {
         return Err(format!(
             "body block takes {} arguments, expected {} (iv + iter_args)",
             args.len(),
-            1 + num_iters
+            1 + inits.len()
         ));
     }
     if !m.value_type(args[0]).is_int_or_index() {
         return Err("induction variable must be integer/index".into());
     }
-    for i in 0..num_iters {
-        let iter_ty = m.value_type(args[1 + i]);
-        let init_ty = m.value_type(operands[3 + i]);
-        let res_ty = m.value_type(m.op_result(op, i));
+    for (i, ((&iter, &init), &res)) in args[1..].iter().zip(inits).zip(results).enumerate() {
+        let [iter_ty, init_ty, res_ty] = [iter, init, res].map(|v| m.value_type(v));
         if iter_ty != init_ty || iter_ty != res_ty {
             return Err(format!(
                 "iter_arg #{i}: init {init_ty}, carried {iter_ty}, result {res_ty} must all match"
             ));
         }
     }
-    // Yield must match iter types.
-    if let Some(term) = m.block_terminator(block) {
-        let yielded = m.op_operands(term);
-        if yielded.len() != num_iters {
+    verify_yield(m, op, 0)
+}
+
+/// Region `region` of `op` yields one value of each result's type.
+fn verify_yield(m: &Module, op: OpId, region: usize) -> Result<(), String> {
+    let block = m.op_region_block(op, region);
+    let Some(term) = m
+        .block_terminator(block)
+        .filter(|&t| m.op_has_trait(t, traits::TERMINATOR))
+    else {
+        return Ok(()); // the structural walk reports the missing terminator
+    };
+    let (yielded, results) = (m.op_operands(term), m.op_results(op));
+    if yielded.len() != results.len() {
+        return Err(format!(
+            "region #{region} yields {} values but the op has {} results",
+            yielded.len(),
+            results.len()
+        ));
+    }
+    for (i, (&y, &r)) in yielded.iter().zip(results).enumerate() {
+        let (got, want) = (m.value_type(y), m.value_type(r));
+        if got != want {
             return Err(format!(
-                "loop yields {} values but has {} iter_args",
-                yielded.len(),
-                num_iters
+                "region #{region} yields {got} as value #{i}, but result #{i} is {want}"
             ));
         }
     }
     Ok(())
 }
 
-fn verify_for(m: &Module, op: OpId) -> Result<(), String> {
-    verify_loop_shape(m, op)
-}
-
+/// A `then` and an `else` region without arguments, each yielding.
 fn verify_if(m: &Module, op: OpId) -> Result<(), String> {
-    let operands = m.op_operands(op);
-    if operands.len() != 1 {
-        return Err("expects exactly one condition operand".into());
-    }
-    if m.value_type(operands[0]).int_width() != Some(1) {
-        return Err(format!(
-            "condition must be i1, got {}",
-            m.value_type(operands[0])
-        ));
-    }
     if m.op_regions(op).len() != 2 {
         return Err("expects a `then` and an `else` region".into());
     }
     for ri in 0..2 {
-        let block = m.op_region_block(op, ri);
-        if !m.block_args(block).is_empty() {
+        if !m.block_args(m.op_region_block(op, ri)).is_empty() {
             return Err("if regions take no arguments".into());
         }
-        if let Some(term) = m.block_terminator(block) {
-            if m.op_operands(term).len() != m.op_results(op).len() {
-                return Err(format!(
-                    "region #{ri} yields {} values but the op has {} results",
-                    m.op_operands(term).len(),
-                    m.op_results(op).len()
-                ));
-            }
-        }
+        verify_yield(m, op, ri)?;
     }
     Ok(())
 }
@@ -319,7 +313,11 @@ mod tests {
             b.build("scf.for", &[zero], &[], vec![]);
         }
         let err = verify(&m).unwrap_err();
-        assert!(err.to_string().contains("at least (lb, ub, step)"), "{err}");
+        assert!(
+            err.to_string()
+                .contains("`scf.for`: expects at least 3 operands, got 1"),
+            "{err}"
+        );
     }
 
     #[test]

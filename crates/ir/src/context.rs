@@ -146,7 +146,16 @@ fn dialect_hash(imp: &dyn DialectTypeImpl) -> u64 {
 
 /// The names behind [`CommonKeys`], in the order [`Context::new`] interns
 /// them.
-const COMMON_KEY_NAMES: [&str; 4] = ["value", "predicate", "callee", "sym_name"];
+const COMMON_KEY_NAMES: [&str; 8] = [
+    "value",
+    "predicate",
+    "callee",
+    "sym_name",
+    "function_type",
+    "type",
+    "kernel",
+    "form",
+];
 
 /// Pre-interned keys for the attributes every hot path touches. Obtained
 /// from [`Context::common_keys`]; stable for the lifetime of the context.
@@ -160,6 +169,14 @@ pub struct CommonKeys {
     pub callee: AttrKey,
     /// `"sym_name"` — symbol declarations.
     pub sym_name: AttrKey,
+    /// `"function_type"` — a `func.func`'s signature.
+    pub function_type: AttrKey,
+    /// `"type"` — the object a `sycl.host.constructor` builds.
+    pub ty: AttrKey,
+    /// `"kernel"` — the kernel a `sycl.host.schedule_kernel` launches.
+    pub kernel: AttrKey,
+    /// `"form"` — a kernel launch's range or nd-range form.
+    pub form: AttrKey,
 }
 
 /// Shared, cheaply clonable compilation context.
@@ -262,7 +279,7 @@ impl Context {
     }
 
     /// Pre-interned ids of the most frequently accessed attribute keys:
-    /// constants, because every context interns these four before anything
+    /// constants, because every context interns these before anything
     /// else.
     pub fn common_keys(&self) -> CommonKeys {
         CommonKeys {
@@ -270,6 +287,10 @@ impl Context {
             predicate: AttrKey(1),
             callee: AttrKey(2),
             sym_name: AttrKey(3),
+            function_type: AttrKey(4),
+            ty: AttrKey(5),
+            kernel: AttrKey(6),
+            form: AttrKey(7),
         }
     }
 
@@ -441,6 +462,13 @@ impl Context {
         f(&self.inner.op_infos.borrow()[name.0 as usize])
     }
 
+    /// Every registered operation, in registration order.
+    pub fn registered_ops(&self) -> Vec<OpName> {
+        (0..self.inner.op_infos.borrow().len() as u32)
+            .map(OpName)
+            .collect()
+    }
+
     /// Full textual name for an op.
     pub fn op_name_str(&self, name: OpName) -> Arc<str> {
         self.with_op_info(name, |info| info.name.clone())
@@ -502,7 +530,16 @@ mod tests {
     fn common_keys_are_the_first_interned() {
         let ctx = Context::new();
         let keys = ctx.common_keys();
-        let ids = [keys.value, keys.predicate, keys.callee, keys.sym_name];
+        let ids = [
+            keys.value,
+            keys.predicate,
+            keys.callee,
+            keys.sym_name,
+            keys.function_type,
+            keys.ty,
+            keys.kernel,
+            keys.form,
+        ];
         for (id, name) in ids.into_iter().zip(COMMON_KEY_NAMES) {
             assert_eq!(ctx.attr_key(name), id);
             assert_eq!(&*ctx.attr_key_str(id), name);

@@ -10,10 +10,16 @@
 //! * a **memory-effect interface** ([`OpInfo::effects`]) — the generic
 //!   interface §V-B uses so the reaching-definition analysis can reason about
 //!   operations from any dialect;
-//! * an optional **verifier** and **folder**.
+//! * a declared **signature** ([`OpInfo::signature`]) — what each operand
+//!   and result must be, as MLIR's declarative op definitions state it; the
+//!   verifier checks every op against its row
+//!   ([`crate::verifier::check_signature`]);
+//! * an optional **verifier** hook for what a row cannot say, and a
+//!   **folder**.
 
 use crate::attrs::Attribute;
 use crate::module::{Module, OpId, ValueId};
+use crate::types::Type;
 use std::sync::Arc;
 
 /// Interned operation name; index into the context's registry.
@@ -114,6 +120,66 @@ pub enum FoldOut {
     Attr(Attribute),
 }
 
+/// What one operand or result of an op must be.
+#[derive(Clone, Copy)]
+pub enum Constraint {
+    Any,
+    /// An integer of any width, or `index`.
+    IntOrIndex,
+    Index,
+    I1,
+    /// `f32` or `f64`.
+    Float,
+    MemRef,
+    /// The `llvm` dialect's opaque pointer.
+    Ptr,
+    /// The type of operand *i*.
+    Same(usize),
+    /// The element type of memref operand *i*.
+    ElemOf(usize),
+    /// As many `index` operands as the rank of memref operand *i*; only
+    /// ever a variadic tail.
+    IndicesOf(usize),
+    /// A type the predicate accepts, described by the text (`"a
+    /// !sycl.accessor"`): how a dialect names its own types.
+    Is(fn(&Type) -> bool, &'static str),
+}
+
+/// An op's declared operands and results: a fixed row of constraints for
+/// each, and optionally one constraint that every further operand (or
+/// result) meets — without one, the op has exactly the row.
+#[derive(Clone, Copy)]
+pub struct Signature {
+    pub operands: &'static [Constraint],
+    pub variadic: Option<Constraint>,
+    pub results: &'static [Constraint],
+    pub variadic_results: Option<Constraint>,
+}
+
+impl Signature {
+    /// Exactly `operands` and exactly `results`.
+    pub const fn new(operands: &'static [Constraint], results: &'static [Constraint]) -> Signature {
+        Signature {
+            operands,
+            variadic: None,
+            results,
+            variadic_results: None,
+        }
+    }
+
+    /// Any number of further operands, each meeting `tail`.
+    pub const fn variadic(mut self, tail: Constraint) -> Signature {
+        self.variadic = Some(tail);
+        self
+    }
+
+    /// Any number of further results, each meeting `tail`.
+    pub const fn variadic_results(mut self, tail: Constraint) -> Signature {
+        self.variadic_results = Some(tail);
+        self
+    }
+}
+
 /// Per-op verifier callback.
 pub type VerifyFn = fn(&Module, OpId) -> Result<(), String>;
 /// Memory-effect interface callback.
@@ -128,6 +194,7 @@ pub struct OpInfo {
     pub name: Arc<str>,
     pub dialect: Arc<str>,
     pub traits: u32,
+    pub signature: Option<Signature>,
     pub verify: Option<VerifyFn>,
     pub effects: Option<EffectsFn>,
     pub fold: Option<FoldFn>,
@@ -142,6 +209,7 @@ impl OpInfo {
             name: Arc::from(name),
             dialect: Arc::from(dialect),
             traits: 0,
+            signature: None,
             verify: None,
             effects: None,
             fold: None,
@@ -150,6 +218,11 @@ impl OpInfo {
 
     pub fn with_traits(mut self, t: u32) -> OpInfo {
         self.traits |= t;
+        self
+    }
+
+    pub fn with_signature(mut self, sig: Signature) -> OpInfo {
+        self.signature = Some(sig);
         self
     }
 

@@ -2,13 +2,15 @@
 //!
 //! [`FxHasher`] is one rotate-xor-multiply per eight bytes instead of
 //! SipHash's rounds. It keys the [`crate::Context`] interning tables — op
-//! names, attribute keys, dialect namespaces, type descriptions — and the
-//! CSE pass's expression table. Those keys are a few dozen bytes each and
-//! are written by this compiler's own dialects and passes, or read by the
-//! textual parser from IR the user chose to compile: there is no adversary
-//! to defend the tables against, and every built op pays for a probe.
-//! Anything keyed by data from outside the process keeps the standard
-//! library's default hasher.
+//! names, attribute keys, dialect namespaces, type descriptions — the CSE
+//! pass's expression table, and the id-keyed maps of the analyses and
+//! passes, which it makes repeat exactly from run to run (a `RandomState`
+//! map's order and growth do not). Those keys are written by this
+//! compiler's own dialects and passes, or read by the textual parser from
+//! IR the user chose to compile: there is no adversary to defend the
+//! tables against, and every built op pays for a probe. Anything keyed by
+//! data from outside the process keeps the standard library's default
+//! hasher.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -10,10 +10,11 @@
 //! * **Operations, regions, blocks and SSA values** stored in arena form in a
 //!   [`module::Module`], with incrementally-maintained use lists.
 //! * **A dialect registry** ([`dialect`]) where each operation carries traits
-//!   (purity, terminator-ness, sources of non-uniformity, …), a verifier, a
-//!   folder, and a *memory-effect interface* — the exact mechanism §V of the
-//!   paper uses to let the reaching-definition and uniformity analyses reason
-//!   about ops from any dialect.
+//!   (purity, terminator-ness, sources of non-uniformity, …), a declared
+//!   signature, a verifier hook, a folder, and a *memory-effect interface*
+//!   — the exact mechanism §V of the paper uses to let the
+//!   reaching-definition and uniformity analyses reason about ops from any
+//!   dialect.
 //! * **Textual printer and parser** that round-trip the IR, mirroring MLIR's
 //!   generic operation syntax.
 //! * **Pass manager and greedy rewrite driver** — op folders plus dead-code
@@ -53,11 +54,11 @@ pub use attrs::{AttrKey, Attribute};
 pub use builder::Builder;
 pub use context::{CommonKeys, Context};
 pub use dialect::{traits, Dialect, Effect, EffectKind, FoldOut, OpInfo, OpName};
-pub use fxhash::{FxHashMap, FxHasher};
+pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use module::{BlockId, Module, OpId, RegionId, Use, ValueDef, ValueId, WalkControl};
 pub use parser::{parse_module, ParseError};
 pub use pass::{Pass, PassManager, PassStats};
 pub use pattern::apply_patterns_greedily;
 pub use printer::{print_module, print_op};
 pub use types::{DialectTypeImpl, Type, TypeKind};
-pub use verifier::{verify, VerifyError};
+pub use verifier::{check_signature, verify, VerifyError};

@@ -13,9 +13,9 @@
 use crate::attrs::{AttrKey, Attribute};
 use crate::context::Context;
 use crate::dialect::{OpInfo, OpName};
+use crate::fxhash::FxHashMap;
 use crate::inline_vec::{InlineVec, Slot};
 use crate::types::Type;
-use std::collections::HashMap;
 
 /// Identifies an operation within a [`Module`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -128,7 +128,9 @@ struct ValueData {
 pub(crate) fn register_builtin(ctx: &Context) {
     use crate::dialect::traits;
     ctx.register_op(
-        OpInfo::new("builtin.module").with_traits(traits::ISOLATED_FROM_ABOVE | traits::SYMBOL),
+        OpInfo::new("builtin.module")
+            .with_traits(traits::ISOLATED_FROM_ABOVE | traits::SYMBOL)
+            .with_signature(crate::dialect::Signature::new(&[], &[])),
     );
 }
 
@@ -740,7 +742,7 @@ impl Module {
     /// Deep-clone `op` (with nested regions) as a new *detached* op.
     /// Operands are remapped through `mapping` (falling back to the original
     /// value); `mapping` is extended with result and block-arg equivalences.
-    pub fn clone_op(&mut self, op: OpId, mapping: &mut HashMap<ValueId, ValueId>) -> OpId {
+    pub fn clone_op(&mut self, op: OpId, mapping: &mut FxHashMap<ValueId, ValueId>) -> OpId {
         let name = self.ops[op.0 as usize].name;
         let operands: Vec<ValueId> = self.ops[op.0 as usize]
             .operands
@@ -1013,7 +1015,7 @@ mod tests {
         let top = m.top_block();
         m.append_op(top, outer);
 
-        let mut mapping = HashMap::new();
+        let mut mapping = FxHashMap::default();
         let cloned = m.clone_op(outer, &mut mapping);
         m.append_op(top, cloned);
         let cloned_block = m.op_region_block(cloned, 0);

@@ -2,7 +2,9 @@
 //!
 //! Checks, for every operation in a module:
 //!
-//! * per-op invariants registered via [`crate::OpInfo::verify`];
+//! * its declared [`Signature`] ([`check_signature`]), then the per-op
+//!   invariants of [`crate::OpInfo::verify`], a hook that runs only on an
+//!   op that meets its signature and so never counts operands again;
 //! * terminator placement — only the last op of a block may carry the
 //!   `TERMINATOR` trait, and every region of a non-module op must end in one;
 //! * SSA dominance (within the structured single-block-region discipline);
@@ -21,9 +23,9 @@
 //! allocates only for a module with more values than any this thread
 //! verified before.
 
-use crate::dialect::traits;
+use crate::dialect::{traits, Constraint, Signature};
 use crate::module::{Module, OpId, ValueDef};
-use crate::{OpName, ValueId};
+use crate::{OpName, Type, TypeKind, ValueId};
 use std::cell::Cell;
 use std::fmt;
 
@@ -136,14 +138,13 @@ impl Walk<'_> {
     fn op(&mut self, op: OpId) {
         let m = self.m;
         self.visited += 1;
-        let (op_traits, hook) = m
-            .ctx()
-            .with_op_info(m.op_name(op), |info| (info.traits, info.verify));
-
-        if let Some(f) = hook {
-            if let Err(e) = f(m, op) {
-                self.messages.push(format!("`{}`: {e}", m.op_name_str(op)));
-            }
+        let (op_traits, declared, hook) = m.ctx().with_op_info(m.op_name(op), |info| {
+            let sig = info.signature.as_ref();
+            let declared = sig.map_or(Ok(()), |sig| check_signature(m, op, sig));
+            (info.traits, declared, info.verify)
+        });
+        if let Err(e) = declared.and_then(|()| hook.map_or(Ok(()), |f| f(m, op))) {
+            self.messages.push(format!("`{}`: {e}", m.op_name_str(op)));
         }
 
         // Terminator placement inside each region of this op.
@@ -249,6 +250,114 @@ impl Walk<'_> {
             self.scope.defs.push(v);
         }
     }
+}
+
+/// Check `op` against its declared signature: the operand and result
+/// counts, then every operand and every result in order against its
+/// constraint. The first violation is the answer, as `operand #i must be
+/// <what>, got <type>` (or `result #i …`); a relational constraint whose
+/// referenced operand is no memref (`ElemOf`, `IndicesOf`) is a violation
+/// of that operand, in the same words.
+///
+/// # Errors
+///
+/// Returns the message of the first violation.
+pub fn check_signature(m: &Module, op: OpId, sig: &Signature) -> Result<(), String> {
+    let (operands, results) = (m.op_operands(op), m.op_results(op));
+    match sig.variadic {
+        Some(Constraint::IndicesOf(i)) if i < operands.len() => {
+            let t = m.value_type(operands[i]);
+            let rank = t.memref_shape().map(<[i64]>::len);
+            let rank = rank.ok_or_else(|| format!("operand #{i} must be a memref, got {t}"))?;
+            let given = operands.len().saturating_sub(sig.operands.len());
+            if given != rank {
+                return Err(format!(
+                    "rank-{rank} memref operand #{i} takes {rank} indices, got {given}"
+                ));
+            }
+        }
+        _ => arity("operand", operands.len(), sig.operands, sig.variadic)?,
+    }
+    arity("result", results.len(), sig.results, sig.variadic_results)?;
+    let rows = [
+        ("operand", operands, sig.operands, sig.variadic),
+        ("result", results, sig.results, sig.variadic_results),
+    ];
+    for (role, values, row, tail) in rows {
+        for (k, &v) in values.iter().enumerate() {
+            let c = row.get(k).copied().or(tail).expect("counted above");
+            let t = m.value_type(v);
+            if !meets(m, operands, c, t) {
+                return Err(violation(m, operands, (role, k), c, t));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `true` if `t` meets `c` among `operands`.
+fn meets(m: &Module, operands: &[ValueId], c: Constraint, t: &Type) -> bool {
+    match c {
+        Constraint::Any => true,
+        Constraint::IntOrIndex => t.is_int_or_index(),
+        Constraint::Index | Constraint::IndicesOf(_) => t.is_index(),
+        Constraint::I1 => t.int_width() == Some(1),
+        Constraint::Float => t.is_float(),
+        Constraint::MemRef => t.is_memref(),
+        Constraint::Ptr => matches!(t.kind(), TypeKind::Ptr),
+        Constraint::Same(i) => t == m.value_type(operands[i]),
+        Constraint::ElemOf(i) => m.value_type(operands[i]).memref_elem() == Some(t),
+        Constraint::Is(accepts, _) => accepts(t),
+    }
+}
+
+/// The message for a `t` at `(role, k)` that does not meet `c`.
+#[cold]
+fn violation(
+    m: &Module,
+    operands: &[ValueId],
+    (role, k): (&str, usize),
+    c: Constraint,
+    t: &Type,
+) -> String {
+    let what = match c {
+        Constraint::Same(i) => format!("{} like operand #{i}", m.value_type(operands[i])),
+        Constraint::ElemOf(i) => match m.value_type(operands[i]) {
+            of if of.is_memref() => format!(
+                "{}, the element type of operand #{i}",
+                of.memref_elem().expect("a memref")
+            ),
+            of => return format!("operand #{i} must be a memref, got {of}"),
+        },
+        Constraint::Any => "any type".into(),
+        Constraint::IntOrIndex => "integer or index".into(),
+        Constraint::Index | Constraint::IndicesOf(_) => "index".into(),
+        Constraint::I1 => "i1".into(),
+        Constraint::Float => "float".into(),
+        Constraint::MemRef => "a memref".into(),
+        Constraint::Ptr => "ptr".into(),
+        Constraint::Is(_, what) => what.into(),
+    };
+    format!("{role} #{k} must be {what}, got {t}")
+}
+
+/// `found` operands (or results) against a row, which a variadic tail
+/// lets grow.
+fn arity(
+    role: &str,
+    found: usize,
+    row: &[Constraint],
+    tail: Option<Constraint>,
+) -> Result<(), String> {
+    let (declared, variadic) = (row.len(), tail.is_some());
+    if found == declared || (variadic && found > declared) {
+        return Ok(());
+    }
+    let at_least = if variadic { "at least " } else { "" };
+    let plural = if declared == 1 { "" } else { "s" };
+    Err(format!(
+        "expects {at_least}{declared} {role}{plural}, got {found}"
+    ))
 }
 
 fn capture_message(m: &Module, user: OpId, isolated: OpId, operand: usize) -> String {

@@ -13,11 +13,10 @@
 
 use crate::buffer::{BufferId, SyclRuntime, UsmId};
 use crate::queue::{CgArg, CommandGroup, Queue};
-use std::collections::{HashMap, HashSet};
 use std::fmt::{self, Write};
 use std::hash::{Hash, Hasher};
 use sycl_mlir_dialects::{arith, llvm};
-use sycl_mlir_ir::{Attribute, Builder, Module, OpId, ValueId};
+use sycl_mlir_ir::{Attribute, Builder, FxHashMap, FxHashSet, Module, OpId, ValueId};
 use sycl_mlir_sim::DataVec;
 use sycl_mlir_sycl::types::AccessMode;
 
@@ -157,12 +156,12 @@ impl Hash for BindKey<'_> {
 /// which is exactly why the paper's host analyses must treat them as
 /// opaque.
 pub fn generate_host_ir(m: &mut Module, runtime: &SyclRuntime, queue: &Queue) {
-    let mut emitted = HashSet::new();
+    let mut emitted = FxHashSet::default();
     // Reused by every function: the name being formatted, a call's
     // operands, and the command group's buffers and kernel arguments.
     let mut name = String::new();
     let mut operands: Vec<ValueId> = Vec::new();
-    let mut buffer_ptrs: HashMap<BufferId, ValueId> = HashMap::new();
+    let mut buffer_ptrs: FxHashMap<BufferId, ValueId> = FxHashMap::default();
     let mut arg_values: Vec<ValueId> = Vec::new();
     for (i, cg) in queue.groups.iter().enumerate() {
         if cg.host.is_some() || !emitted.insert(CgKey::of(cg)) {

@@ -12,150 +12,127 @@
 //!   concern for loop internalization (§VI-C).
 
 use crate::types;
-use sycl_mlir_ir::dialect::{traits, Effect, OpInfo};
-use sycl_mlir_ir::{Attribute, Builder, Context, Module, OpId, Type, ValueId};
+use sycl_mlir_ir::dialect::{traits, Constraint, Constraint::*, Effect, OpInfo, Signature};
+use sycl_mlir_ir::{Attribute, Builder, Context, DialectTypeImpl, Module, OpId, Type, ValueId};
+
+/// `true` for a `T`: the predicate of a [`Constraint::Is`].
+fn is<T: DialectTypeImpl>(t: &Type) -> bool {
+    t.dialect_type::<T>().is_some()
+}
+
+/// Any dimension-parameterised SYCL object.
+const OBJECT: Constraint = Is(|t| types::sycl_dim(t).is_some(), "a SYCL object");
+const ACCESSOR: Constraint = Is(is::<types::AccessorType>, "a !sycl.accessor");
+const ID: Constraint = Is(is::<types::IdType>, "a !sycl.id");
+const RANGE: Constraint = Is(is::<types::RangeType>, "a !sycl.range");
+const ND_RANGE: Constraint = Is(is::<types::NdRangeType>, "a !sycl.nd_range");
+const ITEM: Constraint = Is(types::is_item_like, "a !sycl.item or !sycl.nd_item");
+const GROUP: Constraint = Is(is::<types::GroupType>, "a !sycl.group");
+
+/// `(object, dimension) -> index`.
+const DIM_QUERY: Signature = Signature::new(&[OBJECT, IntOrIndex], &[Index]);
+/// `(object) -> index`: linear ids and sizes.
+const LINEAR_QUERY: Signature = Signature::new(&[OBJECT], &[Index]);
 
 pub(crate) fn register_ops(ctx: &Context) {
-    // Object constructors (pure value producers).
-    for name in [
-        "sycl.id.constructor",
-        "sycl.range.constructor",
-        "sycl.nd_range.constructor",
+    let op = |name: &str, traits: u32, sig: Signature| {
+        OpInfo::new(name).with_traits(traits).with_signature(sig)
+    };
+    let (pure, divergent) = (traits::PURE, traits::PURE | traits::NON_UNIFORM_SOURCE);
+    for (name, traits, sig) in [
+        (
+            "sycl.nd_range.constructor",
+            pure,
+            Signature::new(&[RANGE, RANGE], &[ND_RANGE]),
+        ),
+        // Uniform queries.
+        ("sycl.id.get", pure, DIM_QUERY),
+        ("sycl.range.get", pure, DIM_QUERY),
+        ("sycl.range.size", pure, LINEAR_QUERY),
+        ("sycl.item.get_range", pure, DIM_QUERY),
+        ("sycl.nd_item.get_global_range", pure, DIM_QUERY),
+        ("sycl.nd_item.get_local_range", pure, DIM_QUERY),
+        ("sycl.nd_item.get_group_id", pure, DIM_QUERY),
+        ("sycl.nd_item.get_group_range", pure, DIM_QUERY),
+        ("sycl.group.get_id", pure, DIM_QUERY),
+        ("sycl.group.get_local_range", pure, DIM_QUERY),
+        ("sycl.accessor.get_range", pure, DIM_QUERY),
+        // Non-uniform queries: the sources of divergence (§V-C).
+        ("sycl.item.get_id", divergent, DIM_QUERY),
+        ("sycl.nd_item.get_global_id", divergent, DIM_QUERY),
+        ("sycl.nd_item.get_local_id", divergent, DIM_QUERY),
+        ("sycl.item.get_linear_id", divergent, LINEAR_QUERY),
+        ("sycl.nd_item.get_global_linear_id", divergent, LINEAR_QUERY),
+        ("sycl.nd_item.get_local_linear_id", divergent, LINEAR_QUERY),
+        // get_group produces a (uniform) group handle.
+        (
+            "sycl.nd_item.get_group",
+            pure,
+            Signature::new(&[ITEM], &[GROUP]),
+        ),
+        // Identity of the memory behind an accessor (buffer id + byte
+        // offset, as an index). Used by LICM's runtime no-alias loop
+        // versioning (§VI-A): `base(a) != base(b)` proves disjointness of
+        // non-ranged accessors at run time.
+        (
+            "sycl.accessor.base",
+            pure,
+            Signature::new(&[ACCESSOR], &[Index]),
+        ),
     ] {
-        ctx.register_op(
-            OpInfo::new(name)
-                .with_traits(traits::PURE)
-                .with_verify(verify_constructor),
-        );
+        ctx.register_op(op(name, traits, sig));
     }
 
-    // Uniform queries.
-    for name in [
-        "sycl.id.get",
-        "sycl.range.get",
-        "sycl.range.size",
-        "sycl.item.get_range",
-        "sycl.nd_item.get_global_range",
-        "sycl.nd_item.get_local_range",
-        "sycl.nd_item.get_group_id",
-        "sycl.nd_item.get_group_range",
-        "sycl.group.get_id",
-        "sycl.group.get_local_range",
-        "sycl.accessor.get_range",
-    ] {
-        ctx.register_op(
-            OpInfo::new(name)
-                .with_traits(traits::PURE)
-                .with_verify(verify_query),
-        );
+    // Object constructors: an id or a range from one index per dimension.
+    for name in ["sycl.id.constructor", "sycl.range.constructor"] {
+        let sig = Signature::new(&[], &[OBJECT]).variadic(IntOrIndex);
+        ctx.register_op(op(name, pure, sig).with_verify(verify_constructor));
     }
-
-    // Non-uniform queries: the sources of divergence (§V-C).
-    for name in [
-        "sycl.item.get_id",
-        "sycl.item.get_linear_id",
-        "sycl.nd_item.get_global_id",
-        "sycl.nd_item.get_local_id",
-        "sycl.nd_item.get_global_linear_id",
-        "sycl.nd_item.get_local_linear_id",
-    ] {
-        ctx.register_op(
-            OpInfo::new(name)
-                .with_traits(traits::PURE | traits::NON_UNIFORM_SOURCE)
-                .with_verify(verify_query),
-        );
-    }
-
-    // get_group produces a (uniform) group handle.
-    ctx.register_op(OpInfo::new("sycl.nd_item.get_group").with_traits(traits::PURE));
 
     // Accessor subscript: pure view computation; the memory effect lives on
     // the load/store that consumes the resulting memref.
-    ctx.register_op(
-        OpInfo::new("sycl.accessor.subscript")
-            .with_traits(traits::PURE)
-            .with_verify(verify_subscript),
-    );
-
-    // Identity of the memory behind an accessor (buffer id + byte offset,
-    // as an index). Used by LICM's runtime no-alias loop versioning
-    // (§VI-A): `base(a) != base(b)` proves disjointness of non-ranged
-    // accessors at run time.
-    ctx.register_op(
-        OpInfo::new("sycl.accessor.base")
-            .with_traits(traits::PURE)
-            .with_verify(verify_query),
-    );
+    let sig = Signature::new(&[ACCESSOR, ID], &[MemRef]);
+    ctx.register_op(op("sycl.accessor.subscript", pure, sig).with_verify(verify_subscript));
 
     // Work-group local memory allocation (inserted by loop internalization).
     ctx.register_op(
-        OpInfo::new("sycl.local.alloca")
-            .with_verify(verify_local_alloca)
+        op("sycl.local.alloca", 0, Signature::new(&[], &[MemRef]))
+            .with_verify(sycl_mlir_dialects::memref::verify_static_shape)
             .with_effects(|m, op| vec![Effect::alloc(m.op_result(op, 0))]),
     );
 
     // Work-group barrier: synchronizes; must not be hoisted or duplicated,
     // so it reads and writes unknown memory.
     ctx.register_op(
-        OpInfo::new("sycl.group.barrier")
-            .with_traits(traits::BARRIER)
-            .with_effects(|_m, _op| vec![Effect::read_unknown(), Effect::write_unknown()]),
+        op(
+            "sycl.group.barrier",
+            traits::BARRIER,
+            Signature::new(&[GROUP], &[]),
+        )
+        .with_effects(|_m, _op| vec![Effect::read_unknown(), Effect::write_unknown()]),
     );
 }
 
+/// An n-dimensional id or range takes n indices.
 fn verify_constructor(m: &Module, op: OpId) -> Result<(), String> {
-    if m.op_results(op).len() != 1 {
-        return Err("must produce one result".into());
-    }
-    let ty = m.value_type(m.op_result(op, 0));
-    let dim = types::sycl_dim(ty).ok_or("result must be a SYCL type")?;
-    if m.op_is(op, "sycl.nd_range.constructor") {
-        if m.op_operands(op).len() != 2 {
-            return Err("nd_range takes (global range, local range)".into());
-        }
-        return Ok(());
-    }
-    if m.op_operands(op).len() != dim as usize {
+    let dim = types::sycl_dim(m.value_type(m.op_result(op, 0))).expect("a SYCL object");
+    let operands = m.op_operands(op).len();
+    if operands != dim as usize {
         return Err(format!(
-            "{}-dimensional value constructed from {} operands",
-            dim,
-            m.op_operands(op).len()
+            "{dim}-dimensional value constructed from {operands} operands"
         ));
     }
-    for (i, &v) in m.op_operands(op).iter().enumerate() {
-        if !m.value_type(v).is_int_or_index() {
-            return Err(format!("operand #{i} must be integer/index"));
-        }
-    }
     Ok(())
 }
 
-fn verify_query(m: &Module, op: OpId) -> Result<(), String> {
-    let operands = m.op_operands(op);
-    if operands.is_empty() {
-        return Err("expects the queried SYCL object as first operand".into());
-    }
-    let ty = m.value_type(operands[0]);
-    if types::sycl_dim(ty).is_none() {
-        return Err(format!("first operand must be a SYCL object, got {ty}"));
-    }
-    if m.op_results(op).len() != 1 {
-        return Err("must produce one result".into());
-    }
-    Ok(())
-}
-
+/// An accessor takes an id of its own dimension and gives a view of its
+/// elements.
 fn verify_subscript(m: &Module, op: OpId) -> Result<(), String> {
-    let operands = m.op_operands(op);
-    if operands.len() != 2 || m.op_results(op).len() != 1 {
-        return Err("expects (accessor, id) -> memref".into());
-    }
-    let acc_ty = m.value_type(operands[0]);
-    let acc = types::accessor_info(acc_ty).ok_or("first operand must be an accessor")?;
-    let id_ty = m.value_type(operands[1]);
-    let id = id_ty
+    let acc = types::accessor_info(m.value_type(m.op_operand(op, 0))).expect("an accessor");
+    let id = m
+        .value_type(m.op_operand(op, 1))
         .dialect_type::<types::IdType>()
-        .ok_or("second operand must be a !sycl.id")?;
+        .expect("an id");
     if id.dim != acc.dim {
         return Err(format!(
             "id dimensionality {} does not match accessor {}",
@@ -167,18 +144,6 @@ fn verify_subscript(m: &Module, op: OpId) -> Result<(), String> {
         Some(e) if *e == acc.elem => Ok(()),
         _ => Err(format!("result must be memref of {}, got {res}", acc.elem)),
     }
-}
-
-fn verify_local_alloca(m: &Module, op: OpId) -> Result<(), String> {
-    if m.op_results(op).len() != 1 {
-        return Err("must produce one memref result".into());
-    }
-    let ty = m.value_type(m.op_result(op, 0));
-    let shape = ty.memref_shape().ok_or("result must be a memref")?;
-    if shape.iter().any(|&d| d < 0) {
-        return Err("local memory requires a static shape".into());
-    }
-    Ok(())
 }
 
 // ----------------------------------------------------------------------

@@ -10,7 +10,7 @@
 //!   {kernel = @device::@K}` — the kernel submission with its invocation
 //!   context.
 
-use sycl_mlir_ir::dialect::{Effect, OpInfo};
+use sycl_mlir_ir::dialect::{Constraint::*, Effect, OpInfo, Signature};
 use sycl_mlir_ir::{Attribute, Builder, Context, Module, OpId, Type, ValueId};
 
 /// Value of the `form` attribute on `sycl.host.schedule_kernel` for a
@@ -23,6 +23,7 @@ pub const FORM_ND_RANGE: &str = "nd_range";
 pub(crate) fn register_ops(ctx: &Context) {
     ctx.register_op(
         OpInfo::new("sycl.host.constructor")
+            .with_signature(Signature::new(&[Ptr], &[]).variadic(Any))
             .with_verify(verify_constructor)
             .with_effects(|m, op| {
                 let mut effects = vec![Effect::write(m.op_operand(op, 0))];
@@ -34,6 +35,7 @@ pub(crate) fn register_ops(ctx: &Context) {
     );
     ctx.register_op(
         OpInfo::new("sycl.host.schedule_kernel")
+            .with_signature(Signature::new(&[Ptr, Ptr], &[]).variadic(Any))
             .with_verify(verify_schedule)
             .with_effects(|m, op| {
                 // Reads every operand; writes unknown memory (the device).
@@ -45,40 +47,35 @@ pub(crate) fn register_ops(ctx: &Context) {
     );
 }
 
+/// A constructor names the SYCL type it builds.
 fn verify_constructor(m: &Module, op: OpId) -> Result<(), String> {
-    if m.op_operands(op).is_empty() {
-        return Err("expects the destination pointer as first operand".into());
-    }
-    m.attr(op, "type")
+    m.attr_by_id(op, m.ctx().common_keys().ty)
         .and_then(|a| a.as_type())
         .map(|_| ())
         .ok_or_else(|| "missing `type` attribute naming the constructed SYCL type".into())
 }
 
+/// A launch names its kernel and its form, and an nd-range launch passes
+/// its local range after the global one.
 fn verify_schedule(m: &Module, op: OpId) -> Result<(), String> {
+    let keys = m.ctx().common_keys();
     let path = m
-        .attr(op, "kernel")
+        .attr_by_id(op, keys.kernel)
         .and_then(|a| a.as_symbol_ref())
         .ok_or("missing `kernel` symbol attribute")?;
     if path.is_empty() {
         return Err("empty kernel symbol".into());
     }
     let form = m
-        .attr(op, "form")
+        .attr_by_id(op, keys.form)
         .and_then(|a| a.as_str())
         .ok_or("missing `form` attribute")?;
-    let min_operands = match form {
-        FORM_RANGE => 2,    // handler, global range
-        FORM_ND_RANGE => 3, // handler, global range, local range
-        other => return Err(format!("unknown form `{other}`")),
-    };
-    if m.op_operands(op).len() < min_operands {
-        return Err(format!(
-            "form `{form}` requires at least {min_operands} operands, got {}",
-            m.op_operands(op).len()
-        ));
+    match form {
+        FORM_RANGE => Ok(()),
+        FORM_ND_RANGE if m.op_operands(op).len() > 2 => Ok(()),
+        FORM_ND_RANGE => Err("form `nd_range` takes a local range after the global one".into()),
+        other => Err(format!("unknown form `{other}`")),
     }
-    Ok(())
 }
 
 /// Build a `sycl.host.constructor` writing an object of SYCL type `ty` to

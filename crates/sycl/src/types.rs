@@ -250,31 +250,17 @@ pub fn accessor_info(ty: &Type) -> Option<&AccessorType> {
 /// Dimensionality of any dim-parameterised SYCL type (`id`, `range`, `item`,
 /// `nd_item`, `nd_range`, `group`, `accessor`, `buffer`).
 pub fn sycl_dim(ty: &Type) -> Option<u32> {
-    if let Some(t) = ty.dialect_type::<IdType>() {
-        return Some(t.dim);
+    fn dim<T: DialectTypeImpl>(ty: &Type, of: fn(&T) -> u32) -> Option<u32> {
+        ty.dialect_type::<T>().map(of)
     }
-    if let Some(t) = ty.dialect_type::<RangeType>() {
-        return Some(t.dim);
-    }
-    if let Some(t) = ty.dialect_type::<ItemType>() {
-        return Some(t.dim);
-    }
-    if let Some(t) = ty.dialect_type::<NdItemType>() {
-        return Some(t.dim);
-    }
-    if let Some(t) = ty.dialect_type::<NdRangeType>() {
-        return Some(t.dim);
-    }
-    if let Some(t) = ty.dialect_type::<GroupType>() {
-        return Some(t.dim);
-    }
-    if let Some(t) = ty.dialect_type::<AccessorType>() {
-        return Some(t.dim);
-    }
-    if let Some(t) = ty.dialect_type::<BufferType>() {
-        return Some(t.dim);
-    }
-    None
+    dim(ty, |t: &IdType| t.dim)
+        .or_else(|| dim(ty, |t: &RangeType| t.dim))
+        .or_else(|| dim(ty, |t: &ItemType| t.dim))
+        .or_else(|| dim(ty, |t: &NdItemType| t.dim))
+        .or_else(|| dim(ty, |t: &NdRangeType| t.dim))
+        .or_else(|| dim(ty, |t: &GroupType| t.dim))
+        .or_else(|| dim(ty, |t: &AccessorType| t.dim))
+        .or_else(|| dim(ty, |t: &BufferType| t.dim))
 }
 
 /// `true` if the type is `!sycl.item<n>` or `!sycl.nd_item<n>` — the types a

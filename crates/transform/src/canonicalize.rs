@@ -70,11 +70,14 @@ struct Bound {
 /// The expressions available at the op being visited, scoped by dominance:
 /// a block sees what the blocks around it bound, and what it binds itself
 /// is dropped again when it ends. A hash table chained through `bound`, so
-/// binding or probing an expression allocates nothing.
+/// binding or probing an expression allocates nothing. A hash whose last
+/// expression is dropped keeps its slot, empty: an expression hash takes
+/// result types by address, and a table that deleted keys would grow at
+/// points that move with the heap's layout from run to run.
 #[derive(Default)]
 struct CseScope {
     /// Expression hash → the innermost entry of `bound` with that hash.
-    heads: FxHashMap<u64, u32>,
+    heads: FxHashMap<u64, Option<u32>>,
     /// Every available expression, in binding order.
     bound: Vec<Bound>,
 }
@@ -83,7 +86,7 @@ impl CseScope {
     /// The available op computing the same expression as `op`, whose hash
     /// is `hash`.
     fn lookup(&self, m: &Module, hash: u64, op: OpId) -> Option<OpId> {
-        let mut at = self.heads.get(&hash).copied();
+        let mut at = self.heads.get(&hash).copied().flatten();
         while let Some(i) = at {
             let bound = &self.bound[i as usize];
             if same_expression(m, bound.op, op) {
@@ -95,7 +98,8 @@ impl CseScope {
     }
 
     fn bind(&mut self, hash: u64, op: OpId) {
-        let shadowed = self.heads.insert(hash, self.bound.len() as u32);
+        let shadowed = self.heads.insert(hash, Some(self.bound.len() as u32));
+        let shadowed = shadowed.flatten();
         self.bound.push(Bound { hash, op, shadowed });
     }
 
@@ -103,10 +107,7 @@ impl CseScope {
     fn truncate(&mut self, len: usize) {
         while self.bound.len() > len {
             let last = self.bound.pop().expect("longer than `len`");
-            match last.shadowed {
-                Some(i) => self.heads.insert(last.hash, i),
-                None => self.heads.remove(&last.hash),
-            };
+            self.heads.insert(last.hash, last.shadowed);
         }
     }
 }
@@ -175,6 +176,7 @@ mod tests {
     use super::*;
     use sycl_mlir_dialects::arith::{addi, constant_index};
     use sycl_mlir_dialects::func::{build_func, build_return};
+    use sycl_mlir_dialects::llvm;
     use sycl_mlir_dialects::scf::build_for;
     use sycl_mlir_ir::{Attribute, Builder, Context, Module, OpInfo, PassManager, Type};
 
@@ -190,8 +192,8 @@ mod tests {
         let c = ctx();
         let mut m = Module::new(&c);
         let top = m.top();
-        let (_f, entry) = build_func(&mut m, top, "f", &[c.index_type()], &[]);
-        let x = m.block_arg(entry, 0);
+        let (_f, entry) = build_func(&mut m, top, "f", &[c.index_type(), c.ptr_type()], &[]);
+        let (x, sink) = (m.block_arg(entry, 0), m.block_arg(entry, 1));
         {
             let mut b = Builder::at_end(&mut m, entry);
             let one_a = constant_index(&mut b, 1);
@@ -199,8 +201,8 @@ mod tests {
             let s1 = addi(&mut b, x, one_a);
             let s2 = addi(&mut b, x, one_b);
             // Keep both alive.
-            b.build("llvm.store", &[s1, s1], &[], vec![]);
-            b.build("llvm.store", &[s2, s2], &[], vec![]);
+            llvm::store(&mut b, s1, sink);
+            llvm::store(&mut b, s2, sink);
             build_return(&mut b, &[]);
         }
         let mut pm = PassManager::new();
@@ -278,7 +280,8 @@ mod tests {
         let c = ctx();
         let mut m = Module::new(&c);
         let top = m.top();
-        let (_f, entry) = build_func(&mut m, top, "f", &[], &[]);
+        let (_f, entry) = build_func(&mut m, top, "f", &[c.ptr_type()], &[]);
+        let sink = m.block_arg(entry, 0);
         {
             let mut b = Builder::at_end(&mut m, entry);
             let lb = constant_index(&mut b, 0);
@@ -289,7 +292,7 @@ mod tests {
             for _ in 0..2 {
                 build_for(&mut b, lb, ub, step, &[], |inner, iv, _| {
                     let s = addi(inner, iv, iv);
-                    inner.build("llvm.store", &[s, s], &[], vec![]);
+                    llvm::store(inner, s, sink);
                     vec![]
                 });
             }

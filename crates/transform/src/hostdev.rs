@@ -33,8 +33,7 @@
 //! recorded as a launch fact so the runtime skips passing them, "making
 //! kernel launches more efficient on the host side".
 
-use std::collections::HashMap;
-use sycl_mlir_ir::{Attribute, Builder, Module, OpId, Pass, ValueId, WalkControl};
+use sycl_mlir_ir::{Attribute, Builder, FxHashMap, Module, OpId, Pass, ValueId, WalkControl};
 use sycl_mlir_sycl::facts;
 use sycl_mlir_sycl::host::schedule_info;
 use sycl_mlir_sycl::types::{accessor_info, AccessMode, Target};
@@ -111,7 +110,7 @@ impl Pass for HostDeviceConstantPropagationPass {
 
     fn run(&mut self, m: &mut Module) -> Result<bool, String> {
         // Gather launches per kernel.
-        let mut launches: HashMap<OpId, Vec<LaunchInfo>> = HashMap::new();
+        let mut launches: FxHashMap<OpId, Vec<LaunchInfo>> = FxHashMap::default();
         let Some(schedule_kernel) = m.ctx().lookup_op("sycl.host.schedule_kernel") else {
             return Ok(false);
         };
@@ -290,7 +289,7 @@ impl HostDeviceConstantPropagationPass {
             });
             if pattern_consistent {
                 let mut next = 0_i64;
-                let mut assigned: HashMap<OpId, i64> = HashMap::new();
+                let mut assigned: FxHashMap<OpId, i64> = FxHashMap::default();
                 for (i, fact) in first.args.iter().enumerate() {
                     // An id says "this buffer, at every launch": an
                     // argument that is a USM pointer or opaque at some

@@ -15,11 +15,10 @@
 //!   the host by the joint analysis (§VII-B) — square, and divide the loop
 //!   trip count.
 
-use std::collections::HashMap;
 use sycl_mlir_analysis::memaccess::{AccessInfo, AccessKind, DimKind, MemoryAccessAnalysis};
 use sycl_mlir_analysis::uniformity::UniformityAnalysis;
 use sycl_mlir_ir::dialect::traits;
-use sycl_mlir_ir::{Attribute, Builder, Module, OpId, Pass, ValueId, WalkControl};
+use sycl_mlir_ir::{Attribute, Builder, FxHashMap, Module, OpId, Pass, ValueId, WalkControl};
 use sycl_mlir_sycl::{device, facts};
 
 /// Statistics of one internalization run.
@@ -276,7 +275,7 @@ fn materialize_row(
     b: &mut Builder<'_>,
     info: &AccessInfo,
     row: usize,
-    subst: &HashMap<usize, ValueId>,
+    subst: &FxHashMap<usize, ValueId>,
 ) -> ValueId {
     let mut acc: Option<ValueId> = None;
     for (j, &coeff) in info.matrix[row].iter().enumerate() {
@@ -390,7 +389,7 @@ fn internalize(
                 .iter()
                 .position(|d| matches!(d, DimKind::GlobalId(ax) if *ax == c.thread_axis))
                 .expect("thread dim");
-            let mut subst = HashMap::new();
+            let mut subst = FxHashMap::default();
             subst.insert(k_col, k_sub);
             subst.insert(gid_col, gid_sub);
             let sub0 = materialize_row(&mut b, &c.info, 0, &subst);
@@ -427,7 +426,7 @@ fn internalize(
     let kk = m.block_arg(inner_body, 0);
 
     // Clone the original body into the inner loop.
-    let mut mapping: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut mapping: FxHashMap<ValueId, ValueId> = FxHashMap::default();
     // old iv -> t + kk
     {
         let mut b = Builder::at_end(m, inner_body);

@@ -15,11 +15,10 @@
 //!   `sycl.accessor.base(a) != sycl.accessor.base(b)` and the unoptimized
 //!   loop is kept in the else branch.
 
-use std::collections::{HashMap, HashSet};
 use sycl_mlir_analysis::alias::{AliasAnalysis, AliasResult};
 use sycl_mlir_analysis::reaching::access_target;
 use sycl_mlir_ir::dialect::{is_memory_effect_free, memory_effects, traits, EffectKind};
-use sycl_mlir_ir::{Builder, Module, OpId, Pass, ValueId, WalkControl};
+use sycl_mlir_ir::{Builder, FxHashMap, FxHashSet, Module, OpId, Pass, ValueId, WalkControl};
 
 /// Statistics of one LICM run.
 #[derive(Debug, Default, Clone)]
@@ -148,14 +147,14 @@ fn licm_on_loop(m: &mut Module, loop_op: OpId, versioning: bool, stats: &mut Lic
         WalkControl::Advance
     });
 
-    let mut hoisted: HashSet<OpId> = HashSet::new();
+    let mut hoisted: FxHashSet<OpId> = FxHashSet::default();
     let mut pure_hoists: Vec<OpId> = Vec::new();
     let mut load_hoists: Vec<OpId> = Vec::new();
     let mut store_sinks: Vec<OpId> = Vec::new();
     // Accessor pairs that need a runtime disjointness check.
     let mut version_pairs: Vec<(ValueId, ValueId)> = Vec::new();
 
-    let operand_ok = |m: &Module, hoisted: &HashSet<OpId>, v: ValueId| {
+    let operand_ok = |m: &Module, hoisted: &FxHashSet<OpId>, v: ValueId| {
         m.value_defined_outside(v, loop_op)
             || m.def_op(v).map(|d| hoisted.contains(&d)).unwrap_or(false)
     };
@@ -279,7 +278,7 @@ fn licm_on_loop(m: &mut Module, loop_op: OpId, versioning: bool, stats: &mut Lic
     let else_clone = if version_pairs.is_empty() {
         None
     } else {
-        let mut mapping = HashMap::new();
+        let mut mapping = FxHashMap::default();
         Some(m.clone_op(loop_op, &mut mapping))
     };
 
@@ -407,8 +406,8 @@ mod tests {
         let c = ctx();
         let mut m = Module::new(&c);
         let top = m.top();
-        let (func, entry) = build_func(&mut m, top, "f", &[c.index_type()], &[]);
-        let x = m.block_arg(entry, 0);
+        let (func, entry) = build_func(&mut m, top, "f", &[c.index_type(), c.ptr_type()], &[]);
+        let (x, sink) = (m.block_arg(entry, 0), m.block_arg(entry, 1));
         {
             let mut b = Builder::at_end(&mut m, entry);
             let zero = constant_index(&mut b, 0);
@@ -417,7 +416,7 @@ mod tests {
             build_affine_for(&mut b, zero, n, one, &[], |inner, iv, _| {
                 let inv = arith::addi(inner, x, x); // invariant
                 let var = arith::addi(inner, inv, iv); // variant
-                inner.build("llvm.store", &[var, var], &[], vec![]);
+                sycl_mlir_dialects::llvm::store(inner, var, sink);
                 vec![]
             });
             build_return(&mut b, &[]);

@@ -6,11 +6,10 @@
 //! Legality rests on the SYCL-aware alias analysis: nothing else in the
 //! loop may touch the reduced location.
 
-use std::collections::HashMap;
 use sycl_mlir_analysis::alias::{AliasAnalysis, AliasResult};
 use sycl_mlir_analysis::reaching::{access_target, read_target};
 use sycl_mlir_ir::dialect::{memory_effects, traits, EffectKind};
-use sycl_mlir_ir::{Builder, Module, OpId, Pass, ValueId, WalkControl};
+use sycl_mlir_ir::{Builder, FxHashMap, Module, OpId, Pass, ValueId, WalkControl};
 
 /// The reduction-detection pass.
 #[derive(Default)]
@@ -207,7 +206,7 @@ fn rewrite(m: &mut Module, loop_op: OpId, cand: Candidate) {
     arg_types.push(elem_ty);
     let new_body = m.add_block(region, &arg_types);
 
-    let mut mapping: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut mapping: FxHashMap<ValueId, ValueId> = FxHashMap::default();
     for (i, &old_arg) in old_args.iter().enumerate() {
         mapping.insert(old_arg, m.block_arg(new_body, i));
     }
