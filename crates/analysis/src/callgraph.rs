@@ -32,7 +32,7 @@ impl CallGraph {
                 WalkControl::Advance
             });
             for &call in &calls {
-                if let Some(callee) = sycl_mlir_dialects::func::resolve_callee(m, call, scope) {
+                if let Some(callee) = sycl_mlir_dialects::func::callee(m, call) {
                     cg.callers_of.entry(callee).or_default().push((func, call));
                 }
             }

@@ -26,7 +26,8 @@ impl Dialect for AffineDialect {
         ctx.register_op(
             OpInfo::new("affine.yield")
                 .with_traits(traits::TERMINATOR)
-                .with_signature(crate::scf::YIELD),
+                .with_signature(crate::scf::YIELD)
+                .with_verify(|m, op| crate::scf::yield_in(m, op, &["affine.for"])),
         );
         ctx.register_op(
             OpInfo::new("affine.load")

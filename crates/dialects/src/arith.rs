@@ -121,6 +121,9 @@ fn verify_constant(m: &Module, op: OpId) -> Result<(), String> {
         .ok_or("missing `value` attribute")?;
     let ty = m.value_type(m.op_result(op, 0));
     match (value, ty.kind()) {
+        (Attribute::Int(v), TypeKind::Int(_)) if !fits(*v, ty) => {
+            Err(format!("value {v} is out of range for {ty}"))
+        }
         (Attribute::Int(_), TypeKind::Int(_) | TypeKind::Index) => Ok(()),
         (Attribute::Bool(_), TypeKind::Int(1)) => Ok(()),
         (Attribute::Float(_), TypeKind::F32 | TypeKind::F64) => Ok(()),
@@ -129,6 +132,23 @@ fn verify_constant(m: &Module, op: OpId) -> Result<(), String> {
             "value attribute {value} incompatible with result type {ty}"
         )),
     }
+}
+
+/// Whether `v` is an `iN` value in the signed or the unsigned `N`-bit
+/// range; `index` and `i64` hold every value.
+fn fits(v: i64, ty: &Type) -> bool {
+    match ty.int_width() {
+        Some(w @ 1..=63) => (-(1_i64 << (w - 1))..1_i64 << w).contains(&v),
+        _ => true,
+    }
+}
+
+/// `v` as the folded integer result of `op`, unless it is out of the
+/// result type's range: the engines keep integers as `i64` and do not
+/// wrap, so such an op stays unfolded.
+fn fold_int(m: &Module, op: OpId, v: i64) -> Option<Vec<FoldOut>> {
+    let fit = fits(v, m.value_type(m.op_result(op, 0)));
+    fit.then(|| vec![FoldOut::Attr(Attribute::Int(v))])
 }
 
 /// `cmpi` / `cmpf` name one of the [`predicate`]s.
@@ -222,7 +242,7 @@ fn fold_int_binary(m: &Module, op: OpId) -> Option<Vec<FoldOut>> {
         "arith.maxsi" => l.max(r),
         _ => return None,
     };
-    Some(vec![FoldOut::Attr(Attribute::Int(out))])
+    fold_int(m, op, out)
 }
 
 fn fold_float_binary(m: &Module, op: OpId) -> Option<Vec<FoldOut>> {
@@ -285,8 +305,7 @@ fn fold_select(m: &Module, op: OpId) -> Option<Vec<FoldOut>> {
 }
 
 fn fold_cast_int(m: &Module, op: OpId) -> Option<Vec<FoldOut>> {
-    let v = const_int_of(m, m.op_operand(op, 0))?;
-    Some(vec![FoldOut::Attr(Attribute::Int(v))])
+    fold_int(m, op, const_int_of(m, m.op_operand(op, 0))?)
 }
 
 fn fold_sitofp(m: &Module, op: OpId) -> Option<Vec<FoldOut>> {
@@ -295,8 +314,7 @@ fn fold_sitofp(m: &Module, op: OpId) -> Option<Vec<FoldOut>> {
 }
 
 fn fold_fptosi(m: &Module, op: OpId) -> Option<Vec<FoldOut>> {
-    let v = const_float_of(m, m.op_operand(op, 0))?;
-    Some(vec![FoldOut::Attr(Attribute::Int(v as i64))])
+    fold_int(m, op, const_float_of(m, m.op_operand(op, 0))? as i64)
 }
 
 // ----------------------------------------------------------------------
@@ -599,6 +617,48 @@ mod tests {
         let store = *m.block_ops(m.top_block()).last().unwrap();
         let operand = m.op_operand(store, 0);
         assert_eq!(const_int_of(&m, operand), Some(42));
+    }
+
+    /// `trunci` of a constant folds only when the constant fits the
+    /// narrower type: the engines keep integers as `i64`, so `trunci 300 :
+    /// i32 to i8` computes 300, and a folded `arith.constant 300 : i8`
+    /// would not verify. A constant verifies in the signed or the unsigned
+    /// range of its width.
+    #[test]
+    fn trunci_folds_only_what_fits() {
+        let folded = |value: i64| {
+            let (ctx, mut m) = setup();
+            let block = m.top_block();
+            let mut b = Builder::at_end(&mut m, block);
+            let wide = constant_int(&mut b, value, ctx.i32_type());
+            let narrow = b.build_value("arith.trunci", &[wide], ctx.int_type(8), vec![]);
+            let sink = crate::llvm::alloca(&mut b, "sink");
+            crate::llvm::store(&mut b, narrow, sink);
+            let top = m.top();
+            apply_patterns_greedily(&mut m, top);
+            assert!(verify(&m).is_ok(), "{value}: {:?}", verify(&m));
+            let store = *m.block_ops(m.top_block()).last().unwrap();
+            const_int_of(&m, m.op_operand(store, 0))
+        };
+        assert_eq!(folded(100), Some(100));
+        assert_eq!(folded(-128), Some(-128));
+        assert_eq!(folded(255), Some(255));
+        assert_eq!(folded(300), None, "300 does not fit i8");
+        assert_eq!(folded(-129), None, "-129 does not fit i8");
+
+        let verdict = |value: i64| {
+            let (ctx, mut m) = setup();
+            let block = m.top_block();
+            let mut b = Builder::at_end(&mut m, block);
+            constant_int(&mut b, value, ctx.int_type(8));
+            verify(&m).map_err(|e| e.messages.join("; "))
+        };
+        assert!(verdict(-128).is_ok() && verdict(255).is_ok());
+        assert_eq!(
+            verdict(300),
+            Err("`arith.constant`: value 300 is out of range for i8".to_string())
+        );
+        assert!(verdict(-129).is_err());
     }
 
     #[test]

@@ -31,7 +31,7 @@ impl Dialect for FuncDialect {
         ctx.register_op(
             OpInfo::new("func.call")
                 .with_signature(CALL)
-                .with_verify(verify_callee),
+                .with_verify(verify_call),
         );
     }
 }
@@ -111,6 +111,47 @@ pub(crate) fn verify_callee(m: &Module, op: OpId) -> Result<(), String> {
         .ok_or_else(|| "missing `callee` symbol attribute".into())
 }
 
+/// A `func.call` names a `func.func` of its module whose `function_type`
+/// takes the call's operands and gives its results, type for type.
+fn verify_call(m: &Module, op: OpId) -> Result<(), String> {
+    verify_callee(m, op)?;
+    let func = callee(m, op).ok_or("`callee` names no `func.func` in scope")?;
+    let name = m.symbol_name(func).unwrap_or("?");
+    let fty = function_type(m, func).and_then(Type::function_signature);
+    let (inputs, results) = fty.ok_or_else(|| format!("`@{name}` has no function type"))?;
+    let rows = [
+        ("operand", m.op_operands(op), inputs),
+        ("result", m.op_results(op), results),
+    ];
+    for (role, values, types) in rows {
+        if values.len() != types.len() {
+            return Err(format!(
+                "has {} {role}s but `@{name}` has {}",
+                values.len(),
+                types.len()
+            ));
+        }
+        for (i, (&v, t)) in values.iter().zip(types).enumerate() {
+            if m.value_type(v) != t {
+                let got = m.value_type(v);
+                return Err(format!("{role} #{i} is {got} but `@{name}` has {t}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The `func.func` a `func.call` names, looked up from the module that
+/// encloses the call.
+pub fn callee(m: &Module, call: OpId) -> Option<OpId> {
+    let scope = std::iter::successors(m.op_parent_op(call), |&op| m.op_parent_op(op))
+        .find(|&op| m.op_is(op, "builtin.module"))
+        .unwrap_or(m.top());
+    let path = m.attr_by_id(call, m.ctx().common_keys().callee)?;
+    let func = m.lookup_symbol_path(scope, path.as_symbol_ref()?)?;
+    m.op_is(func, "func.func").then_some(func)
+}
+
 /// Create a `func.func` named `name` inside `parent_module`'s block and
 /// return `(func op, entry block)`.
 pub fn build_func(
@@ -151,12 +192,6 @@ pub fn build_call(b: &mut Builder<'_>, callee: &str, args: &[ValueId], results: 
         results,
         [("callee", b.ctx().symbol_attr(&[callee]))],
     )
-}
-
-/// Resolve a `func.call`'s callee within `scope` (usually the enclosing
-/// module op).
-pub fn resolve_callee(m: &Module, call: OpId, scope: OpId) -> Option<OpId> {
-    m.lookup_symbol_path(scope, m.attr(call, "callee")?.as_symbol_ref()?)
 }
 
 #[cfg(test)]
@@ -224,6 +259,6 @@ mod tests {
             build_return(&mut b, &[]);
             call
         };
-        assert_eq!(resolve_callee(&m, call, m.top()), Some(callee));
+        assert_eq!(super::callee(&m, call), Some(callee));
     }
 }

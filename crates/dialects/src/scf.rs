@@ -28,7 +28,8 @@ impl Dialect for ScfDialect {
         ctx.register_op(
             OpInfo::new("scf.yield")
                 .with_traits(traits::TERMINATOR)
-                .with_signature(YIELD),
+                .with_signature(YIELD)
+                .with_verify(|m, op| yield_in(m, op, &["scf.for", "scf.if"])),
         );
     }
 }
@@ -40,6 +41,17 @@ pub(crate) const LOOP: Signature = Signature::new(&[IntOrIndex, IntOrIndex, IntO
 
 /// `scf.yield` / `affine.yield`, which the parent's hook checks.
 pub(crate) const YIELD: Signature = Signature::new(&[], &[]).variadic(Any);
+
+/// A yield ends a region of the op that consumes it, one of `parents`.
+pub(crate) fn yield_in(m: &Module, op: OpId, parents: &[&str]) -> Result<(), String> {
+    match m.op_parent_op(op) {
+        Some(p) if !parents.iter().any(|&name| m.op_is(p, name)) => Err(format!(
+            "must be nested directly in `{}`",
+            parents.join("` or `")
+        )),
+        _ => Ok(()),
+    }
+}
 
 /// `scf.for` / `affine.for`: one region taking `(iv, iters...)`, iters,
 /// inits and results of one type each, and a yield of those types.

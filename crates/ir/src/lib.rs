@@ -61,4 +61,4 @@ pub use pass::{Pass, PassManager, PassStats};
 pub use pattern::apply_patterns_greedily;
 pub use printer::{print_module, print_op};
 pub use types::{DialectTypeImpl, Type, TypeKind};
-pub use verifier::{check_signature, verify, VerifyError};
+pub use verifier::{check_signature, verify, verify_op, VerifyError};

@@ -165,7 +165,7 @@ impl<'p> PassManager<'p> {
                 stats.verifies_skipped += 1;
             } else {
                 let start = Instant::now();
-                let (verdict, visited) = verify_counting(module);
+                let (verdict, visited) = verify_counting(module, module.top());
                 stats.verify_time += start.elapsed();
                 stats.verifies_run += 1;
                 stats.verify_ops += visited;

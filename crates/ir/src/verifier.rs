@@ -4,7 +4,8 @@
 //!
 //! * its declared [`Signature`] ([`check_signature`]), then the per-op
 //!   invariants of [`crate::OpInfo::verify`], a hook that runs only on an
-//!   op that meets its signature and so never counts operands again;
+//!   op that meets its signature and whose every region is one block, and
+//!   so never counts operands or opens a missing block;
 //! * terminator placement — only the last op of a block may carry the
 //!   `TERMINATOR` trait, and every region of a non-module op must end in one;
 //! * SSA dominance (within the structured single-block-region discipline);
@@ -57,12 +58,23 @@ impl std::error::Error for VerifyError {}
 ///
 /// Returns a [`VerifyError`] listing every violated invariant.
 pub fn verify(m: &Module) -> Result<(), VerifyError> {
-    verify_counting(m).0
+    verify_counting(m, m.top()).0
 }
 
-/// [`verify`], plus the number of ops the walk visited (the root included):
-/// the pass manager's [`crate::PassStats::verify_ops`].
-pub(crate) fn verify_counting(m: &Module) -> (Result<(), VerifyError>, u64) {
+/// [`verify`] of `root` and everything nested in it: the same walk, begun
+/// at one op (a function) instead of the module, so it reports what
+/// [`verify`] reports of those ops, less the captures of ops around `root`.
+///
+/// # Errors
+///
+/// Returns a [`VerifyError`] listing every violated invariant.
+pub fn verify_op(m: &Module, root: OpId) -> Result<(), VerifyError> {
+    verify_counting(m, root).0
+}
+
+/// [`verify_op`], plus the number of ops the walk visited (the root
+/// included): the pass manager's [`crate::PassStats::verify_ops`].
+pub(crate) fn verify_counting(m: &Module, root: OpId) -> (Result<(), VerifyError>, u64) {
     // The scope table is *taken* for the walk, not borrowed across it: a
     // verify hook may call `verify` again, and that inner walk then takes
     // (and returns) a table of its own.
@@ -77,7 +89,7 @@ pub(crate) fn verify_counting(m: &Module) -> (Result<(), VerifyError>, u64) {
         messages: Vec::new(),
         visited: 0,
     };
-    walk.op(m.top());
+    walk.op(root);
     let Walk {
         scope,
         messages,
@@ -143,13 +155,21 @@ impl Walk<'_> {
             let declared = sig.map_or(Ok(()), |sig| check_signature(m, op, sig));
             (info.traits, declared, info.verify)
         });
-        if let Err(e) = declared.and_then(|()| hook.map_or(Ok(()), |f| f(m, op))) {
+        // The hook runs only on a sound op: one that meets its signature
+        // and whose every region is one block, which a hook may then open.
+        let regions = m.op_regions(op);
+        let one_block_each = regions.iter().all(|&r| m.region_blocks(r).len() == 1);
+        let checked = declared.and_then(|()| match hook {
+            Some(f) if one_block_each => f(m, op),
+            _ => Ok(()),
+        });
+        if let Err(e) = checked {
             self.messages.push(format!("`{}`: {e}", m.op_name_str(op)));
         }
 
         // Terminator placement inside each region of this op.
         let is_module_like = m.op_name(op) == self.module_name;
-        for (ri, &region) in m.op_regions(op).iter().enumerate() {
+        for (ri, &region) in regions.iter().enumerate() {
             let blocks = m.region_blocks(region);
             if blocks.len() != 1 {
                 self.messages.push(format!(

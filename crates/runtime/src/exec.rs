@@ -449,7 +449,8 @@ fn audit_host_facts(
 }
 
 /// Which parameters of `kernel` its plan reads, by index; `None` when the
-/// kernel does not decode (its launch fails with the decoder's error).
+/// kernel is not admitted or does not decode (its launch fails with that
+/// refusal).
 fn args_read(m: &Module, kernel: OpId) -> Option<Vec<bool>> {
     let plan = sycl_mlir_sim::decode_kernel(m, kernel).ok()?;
     let mut read = vec![false; plan.reg_count as usize];

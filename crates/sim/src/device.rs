@@ -3,7 +3,7 @@
 //! cross-launch kernel-plan cache.
 
 use crate::cost::{CostModel, ExecStats};
-use crate::interp::{enclosing_module, ExecCtx, Stop, WorkItemState};
+use crate::interp::{ExecCtx, Stop, WorkItemState};
 use crate::ledger::Ledger;
 use crate::limits::{ExecLimits, OpMeter};
 use crate::memory::MemoryPool;
@@ -14,9 +14,10 @@ use crate::value::RtValue;
 use crate::verify::{verify_and_fuse, PlanFacts};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::fmt::Display;
 use std::sync::Arc;
 use std::time::Instant;
-use sycl_mlir_ir::{FxHashMap, Module, OpId, OpName, WalkControl};
+use sycl_mlir_ir::{verify_op, FxHashMap, Module, OpId, OpName, WalkControl};
 
 pub use crate::interp::SimError;
 
@@ -28,9 +29,10 @@ pub enum Engine {
     TreeWalk,
     /// The pre-decoded [`KernelPlan`] register-file executor (decodes once
     /// per launch, then shares the immutable plan across all work-items).
-    /// A kernel the decoder does not understand, or whose plan the
-    /// verifier faults, fails its launch with a `plan decode error` or a
-    /// `plan verify error`; there is no fallback to the tree walk.
+    /// An admitted kernel the decoder has no instruction for, or whose
+    /// plan the verifier faults, fails its launch with a `plan decode
+    /// error` or a `plan verify error`; there is no fallback to the tree
+    /// walk.
     Plan,
 }
 
@@ -322,9 +324,10 @@ impl Device {
 
     /// The decoded plan for `kernel` — plus the decode-time verifier's
     /// facts ([`PlanFacts`]) — reused from the cache when the module's
-    /// mutation epoch still matches. `Err` when the kernel is recursive,
-    /// not plan-decodable (a `plan decode error`) or faulted by the
-    /// verifier (a `plan verify error`). Every outcome is
+    /// mutation epoch still matches. `Err` when admission refuses the
+    /// kernel (`IR verify error`, `recursive call of …`), when it is not
+    /// plan-decodable (a `plan decode error`) or when the plan verifier
+    /// faults it (a `plan verify error`). Every outcome is
     /// cached — an iterative workload with an undecodable kernel pays the
     /// decode attempt once per epoch, not once per launch, and every
     /// relaunch reports the identical error.
@@ -341,9 +344,8 @@ impl Device {
         // so in-bounds proofs transfer to the fused plan unchanged),
         // then fuse.
         self.report.borrow_mut().cache_misses += 1;
-        let decoded = refuse_recursion(m, kernel)
-            .and_then(|()| decode_kernel(m, kernel).map_err(SimError::from));
-        let outcome = decoded.and_then(|plan| self.verify_decoded(m, kernel, plan));
+        let outcome =
+            decode_kernel(m, kernel).and_then(|plan| self.verify_decoded(m, kernel, plan));
         if outcome.is_err() {
             self.report.borrow_mut().verify.rejected += 1;
         }
@@ -384,11 +386,7 @@ impl Device {
             Err(errs) => {
                 vs.lint_findings += errs.len() as u64;
                 let name = m.symbol_name(kernel).unwrap_or("?");
-                let mut first = format!("plan verify error: {name}: {}", errs[0]);
-                if errs.len() > 1 {
-                    first.push_str(&format!(" (+{} more)", errs.len() - 1));
-                }
-                Err(SimError::msg(first))
+                Err(refusal("plan verify error", name, &errs))
             }
         }
     }
@@ -432,10 +430,11 @@ impl Device {
     /// [`run_plan_graph_report`]: launches
     /// start the moment their own predecessors retire, with work-groups
     /// claimed in per-worker chunks — no level barrier anywhere. A kernel
-    /// the decoder or the verifier refuses fails at its own position,
-    /// work-group 0 of its launch, with its `plan decode error` or `plan
-    /// verify error`: the launches before it complete, an earlier failure
-    /// wins, and no later launch starts.
+    /// that admission, the decoder or the plan verifier refuses fails at
+    /// its own position, work-group 0 of its launch, with its refusal: the
+    /// launches before it complete, an earlier failure wins, and no later
+    /// launch starts. The tree walk admits each kernel the same way, with
+    /// the same text.
     /// Under [`Engine::TreeWalk`]
     /// the launches run one at a time in slice order, which the caller
     /// must arrange to be a valid topological order of `dag` (the
@@ -623,7 +622,7 @@ fn launch_kernel_with(
     launch: usize,
 ) -> Result<ExecStats, SimError> {
     nd.validate()?;
-    refuse_recursion(m, kernel).map_err(|e| e.at(launch, 0))?;
+    admit(m, kernel).map_err(|e| e.at(launch, 0))?;
     let params = crate::plan::signature(m, kernel).0;
     pool.check_args(params.into_iter(), args)
         .map_err(|e| e.at(launch, 0))?;
@@ -646,16 +645,19 @@ fn launch_kernel_with(
     Ok(stats)
 }
 
-/// Refuse `kernel` if a function its calls reach can reach itself: SYCL
-/// device code may not recurse. Both engines check before they run any
-/// group of a launch, so a recursive kernel fails at work-group 0 of its
-/// launch, with the same text, under either.
-fn refuse_recursion(m: &Module, kernel: OpId) -> Result<(), SimError> {
+/// Admit `kernel` to run: every function its calls reach must pass the IR
+/// verifier ([`verify_op`]), and none may reach itself, since SYCL device
+/// code may not recurse. Both engines admit a kernel before they run any
+/// group of a launch — the plan engine inside [`decode_kernel`], whose
+/// outcome the plan cache keeps — so a refused kernel fails at work-group
+/// 0 of its launch, with the same text, under either; and the decoder
+/// reads only IR the verifier holds well formed.
+pub(crate) fn admit(m: &Module, kernel: OpId) -> Result<(), SimError> {
     // Depth first over call edges: `path` is the chain of calls being
     // walked, `done` the functions all of whose callees were.
     fn visit(
         m: &Module,
-        call: OpName,
+        call: Option<OpName>,
         f: OpId,
         path: &mut Vec<OpId>,
         done: &mut HashSet<OpId>,
@@ -663,17 +665,17 @@ fn refuse_recursion(m: &Module, kernel: OpId) -> Result<(), SimError> {
         if done.contains(&f) {
             return Ok(());
         }
+        let name = m.symbol_name(f).unwrap_or("?");
         if path.contains(&f) {
             return Err(SimError::msg(format!(
-                "recursive call of `{}`: SYCL device code may not recurse",
-                m.symbol_name(f).unwrap_or("?")
+                "recursive call of `{name}`: SYCL device code may not recurse"
             )));
         }
+        verify_op(m, f).map_err(|e| refusal("IR verify error", name, &e.messages))?;
         let mut callees = Vec::new();
         m.walk(f, &mut |op| {
-            if m.op_name(op) == call {
-                let scope = enclosing_module(m, op);
-                callees.extend(sycl_mlir_dialects::func::resolve_callee(m, op, scope));
+            if Some(m.op_name(op)) == call {
+                callees.extend(sycl_mlir_dialects::func::callee(m, op));
             }
             WalkControl::Advance
         });
@@ -685,10 +687,18 @@ fn refuse_recursion(m: &Module, kernel: OpId) -> Result<(), SimError> {
         done.insert(f);
         Ok(())
     }
-    match m.ctx().lookup_op("func.call") {
-        Some(call) => visit(m, call, kernel, &mut Vec::new(), &mut HashSet::new()),
-        None => Ok(()),
+    let call = m.ctx().lookup_op("func.call");
+    visit(m, call, kernel, &mut Vec::new(), &mut HashSet::new())
+}
+
+/// A kernel refused before any of its groups runs, with the first of its
+/// `findings`: `<what>: <kernel>: <first> (+N more)`.
+pub(crate) fn refusal(what: &str, kernel: &str, findings: &[impl Display]) -> SimError {
+    let mut text = format!("{what}: {kernel}: {}", findings[0]);
+    if findings.len() > 1 {
+        text.push_str(&format!(" (+{} more)", findings.len() - 1));
     }
+    SimError::msg(text)
 }
 
 /// The tree-walk engine's twin of the graph scheduler's host-node
@@ -883,7 +893,7 @@ mod tests {
             let lid = sdev::local_id(&mut b, item, 0);
             let gid = sdev::group_id(&mut b, item, 0);
             let tile = sdev::local_alloca(&mut b, i64t.clone(), &[16]);
-            let lid_i64 = lid; // index == int in the interpreter
+            let lid_i64 = arith::index_cast(&mut b, lid, i64t);
             sycl_mlir_dialects::memref::store(&mut b, lid_i64, tile, &[lid]);
             let g = sdev::get_group(&mut b, item);
             sdev::group_barrier(&mut b, g);
@@ -897,7 +907,7 @@ mod tests {
                     let z = constant_index(inner, 0);
                     let n = constant_index(inner, 16);
                     let one = constant_index(inner, 1);
-                    let init = arith::constant_int(inner, 0, inner.ctx().index_type());
+                    let init = arith::constant_int(inner, 0, inner.ctx().i64_type());
                     let sum_loop = sycl_mlir_dialects::scf::build_for(
                         inner,
                         z,
@@ -918,7 +928,6 @@ mod tests {
             );
             build_return(&mut b, &[]);
         }
-        // The tile uses index type; element type for store is index -> i64 pool.
         let mut pool = MemoryPool::new();
         let mo = pool.alloc(DataVec::I64(vec![0; 4]));
         let device = Device::new();
@@ -1235,13 +1244,13 @@ mod tests {
         }
     }
 
-    /// A kernel whose `arith.addi` reads two `f32` constants decodes, but
-    /// the verifier's type-class pass faults its plan, so the plan engine
-    /// refuses its launches as it refuses an undecodable kernel's: in the
-    /// chain [clean, faulted, clean] launch 0 completes, launch 1 fails at
-    /// its work-group 0 with the verifier's first finding, and launch 2
-    /// never starts. The tree walk meets the op at run time, in launch 1's
-    /// work-group 0, with its own text.
+    /// A kernel whose `arith.addi` reads two `f32` constants breaks the
+    /// op's declared signature, so admission refuses it under both engines
+    /// before the decoder or the plan verifier sees it: in the chain
+    /// [clean, faulted, clean] launch 0 completes, launch 1 fails at its
+    /// work-group 0 with the IR verifier's first message, and launch 2
+    /// never starts. The plan verifier's own refusal of a plan is held at
+    /// the pool (`pool::tests::a_plan_the_verifier_faults_fails_its_launch`).
     #[test]
     fn a_plan_the_verifier_faults_is_refused_at_its_launch() {
         use crate::pool::LaunchDag;
@@ -1278,22 +1287,19 @@ mod tests {
             );
             (error.message(), device.report().verify)
         };
+        let want = "IR verify error: int_on_f32: `arith.addi`: operand #0 must be integer or \
+                    index, got f32 (launch 1, work-group 0)";
         for threads in [1, 4] {
             let (message, verify) = run(Device::with_engine(Engine::Plan).threads(threads));
-            assert_eq!(
-                message,
-                "plan verify error: int_on_f32: pc 0: register r1 holds a float but is used as \
-                 an integer (+1 more) (launch 1, work-group 0)",
-                "threads={threads}"
-            );
+            assert_eq!(message, want, "threads={threads}");
             assert_eq!(
                 (verify.plans, verify.rejected, verify.lint_findings),
-                (2, 1, 2),
+                (1, 1, 0),
                 "threads={threads}"
             );
         }
         let (message, _) = run(Device::with_engine(Engine::TreeWalk));
-        assert_eq!(message, "int op on non-int (launch 1, work-group 0)");
+        assert_eq!(message, want);
     }
 
     /// With failing work-groups in several launches, the error of the

@@ -577,8 +577,7 @@ impl WorkItemState {
                     }
                 }
                 "func.call" => {
-                    let scope = enclosing_module(ctx.m, op);
-                    let callee = sycl_mlir_dialects::func::resolve_callee(ctx.m, op, scope)
+                    let callee = sycl_mlir_dialects::func::callee(ctx.m, op)
                         .ok_or_else(|| err("unresolved call"))?;
                     let args = self.vals(ctx.m, op)?;
                     self.frames.push(Frame::Call { op });
@@ -958,15 +957,4 @@ fn compare<T: PartialOrd>(pred: Option<&str>, l: T, r: T) -> bool {
         "sgt" => l > r,
         _ => l >= r,
     }
-}
-
-pub(crate) fn enclosing_module(m: &Module, op: OpId) -> OpId {
-    let mut cur = op;
-    while let Some(p) = m.op_parent_op(cur) {
-        if m.op_is(p, "builtin.module") {
-            return p;
-        }
-        cur = p;
-    }
-    m.top()
 }

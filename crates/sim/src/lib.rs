@@ -113,12 +113,16 @@
 //! AdaptiveCpp JIT re-specialization — transparently re-decodes. Its hits
 //! and misses are fields of the one [`DeviceReport`] ([`Device::report`]).
 //!
-//! A kernel the decoder does not understand, or whose plan the verifier
-//! faults, fails its launch up front — a `plan decode error` or a `plan
-//! verify error` at work-group 0 of that launch, so the launches before it
-//! complete and an earlier failure wins, as under the serial reference:
-//! the decoder and the tree walk cover the same ops, and a silent
-//! fallback would serialise the whole launch graph. Every failure
+//! Both engines admit a kernel before any of its groups runs: every
+//! function it reaches must pass the IR verifier, and none may recurse. A
+//! kernel refused there fails at work-group 0 of its launch with one text
+//! under either engine (`IR verify error: <fn>: …`). Under the plan engine
+//! a kernel the decoder has no instruction for, or whose plan the plan
+//! verifier faults, fails the same way — a `plan decode error` or a `plan
+//! verify error` — so the launches before it complete and an earlier
+//! failure wins, as under the serial reference: the decoder and the tree
+//! walk cover the same ops, and a silent fallback would serialise the
+//! whole launch graph. Every failure
 //! a run reports comes from a kernel, a host closure or a limit. The
 //! differential suite (`tests/differential.rs`) holds the two engines to
 //! bit-identical outputs, statistics and cycle counts over the entire
@@ -157,7 +161,7 @@ pub use interp::{ArgFault, KernelFault, LimitKind};
 pub use ledger::{Ledger, LedgerCounts, WorkerTimes};
 pub use limits::ExecLimits;
 pub use memory::{Buf, DataVec, Dtype, Elem, MemFault, MemId, MemoryPool};
-pub use plan::{decode_kernel, fuse_plan, DecodeError, KernelPlan};
+pub use plan::{decode_kernel, fuse_plan, KernelPlan};
 pub use pool::{
     run_plan_graph_report, GraphReport, HostNode, LaunchDag, PlanExecCtx, PlanLaunch, PlanPool,
     SharedPool, HOST_NODE_WEIGHT,

@@ -1,43 +1,27 @@
 //! The decoder: lowers the structured IR of a kernel into one flat
 //! [`KernelPlan`], inlining every call, string-free once its
-//! `OpKindTable` is built.
+//! `OpKindTable` is built. It reads only admitted IR (`device::admit`):
+//! what the IR verifier holds — calls that resolve and match their
+//! callee, regions of one block that end in the right terminator,
+//! constants of their type — it does not check again. It refuses only
+//! what the simulator does not run: an op it has no instruction for, a
+//! rank above 3, a dense constant of an unsupported element type.
 
 use super::instr::{signature, CmpPred, DimSrc, FloatBin, Instr, IntBin, ItemQ, MathOp};
 use super::slot::{Reg, Slot};
 use super::{DenseConst, KernelPlan};
-use crate::interp::{enclosing_module, SimError};
+use crate::device::admit;
+use crate::interp::SimError;
 use crate::memory::DataVec;
 use std::collections::HashMap;
 use sycl_mlir_ir::{
     Attribute, BlockId, Module, OpId, OpName, Type, TypeKind, ValueId, WalkControl,
 };
 
-/// Why a kernel could not be decoded (its launch fails with this).
-#[derive(Debug, Clone)]
-pub struct DecodeError {
-    /// Human-readable description of the failure.
-    pub message: String,
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "plan decode error: {}", self.message)
-    }
-}
-
-fn dec_err(msg: impl Into<String>) -> DecodeError {
-    DecodeError {
-        message: msg.into(),
-    }
-}
-
-/// A decode failure as a structured simulator error (`"plan decode
-/// error: …"`, position `None` until the launch layer stamps its
-/// submission index).
-impl From<DecodeError> for SimError {
-    fn from(e: DecodeError) -> SimError {
-        SimError::msg(e.to_string())
-    }
+/// An admitted kernel the simulator cannot run: `"plan decode error: …"`,
+/// position `None` until the launch layer stamps its submission index.
+fn dec_err(what: impl std::fmt::Display) -> SimError {
+    SimError::msg(format!("plan decode error: {what}"))
 }
 
 /// Decoder-level opcode of a source operation.
@@ -220,13 +204,11 @@ struct Decoder<'a> {
     keys: sycl_mlir_ir::CommonKeys,
     /// The value→register map of the kernel and every callee. Every
     /// inlined copy of a callee shares its registers: no call is
-    /// re-entered, since a recursive callee is refused.
+    /// re-entered, since admission refuses a recursive kernel.
     regs: HashMap<ValueId, Reg>,
     next_reg: Reg,
     code: Vec<Instr>,
     consts: Vec<(Reg, Slot)>,
-    /// The callees being inlined, innermost last.
-    inlining: Vec<OpId>,
     dense_consts: Vec<DenseConst>,
     dense_ids: HashMap<OpId, u32>,
     /// Site ids by IR op: every inlined copy of an op shares its op's id,
@@ -235,9 +217,15 @@ struct Decoder<'a> {
     local_sites: HashMap<OpId, u32>,
 }
 
-/// Decode `kernel`, with every call inlined, into an immutable
-/// [`KernelPlan`].
-pub fn decode_kernel(m: &Module, kernel: OpId) -> Result<KernelPlan, DecodeError> {
+/// Admit `kernel` (`device::admit`) and decode it, with every call
+/// inlined, into an immutable [`KernelPlan`].
+///
+/// # Errors
+///
+/// Admission's refusal (`IR verify error: …`, `recursive call of …`), or a
+/// `plan decode error` for what the simulator does not run.
+pub fn decode_kernel(m: &Module, kernel: OpId) -> Result<KernelPlan, SimError> {
+    admit(m, kernel)?;
     let mut d = Decoder {
         m,
         kinds: OpKindTable::new(m),
@@ -246,7 +234,6 @@ pub fn decode_kernel(m: &Module, kernel: OpId) -> Result<KernelPlan, DecodeError
         next_reg: 0,
         code: Vec::new(),
         consts: Vec::new(),
-        inlining: Vec::new(),
         dense_consts: Vec::new(),
         dense_ids: HashMap::new(),
         mem_sites: HashMap::new(),
@@ -261,8 +248,7 @@ pub fn decode_kernel(m: &Module, kernel: OpId) -> Result<KernelPlan, DecodeError
         let kind = d.kind(op)?;
         d.decode_op(op, kind)?;
     }
-    // A body that falls off the end without a terminator behaves like a
-    // return.
+    // The plan ends in a return after the body's own.
     d.code.push(Instr::Return);
     Ok(KernelPlan {
         code: d.code,
@@ -322,7 +308,7 @@ impl<'a> Decoder<'a> {
         self.code.len() as u32
     }
 
-    fn kind(&self, op: OpId) -> Result<OpKind, DecodeError> {
+    fn kind(&self, op: OpId) -> Result<OpKind, SimError> {
         let m = self.m;
         self.kinds
             .get(m.op_name(op))
@@ -334,49 +320,26 @@ impl<'a> Decoder<'a> {
     }
 
     /// Inline the callee of `call` at the call site: the arguments are
-    /// copied into the callee's parameters, its body runs, and its
-    /// returned values are copied into the call's results.
-    fn inline_call(&mut self, call: OpId) -> Result<(), DecodeError> {
+    /// copied into the callee's parameters, its body runs, and the values
+    /// its closing return gives back are copied into the call's results.
+    fn inline_call(&mut self, call: OpId) -> Result<(), SimError> {
         let m = self.m;
-        let scope = enclosing_module(m, call);
-        let callee = sycl_mlir_dialects::func::resolve_callee(m, call, scope)
-            .ok_or_else(|| dec_err("unresolved call"))?;
-        if self.inlining.contains(&callee) {
-            return Err(dec_err("recursive call"));
-        }
+        let callee = sycl_mlir_dialects::func::callee(m, call).expect("admitted: calls resolve");
         let entry = m.op_region_block(callee, 0);
         let (params, args) = (
             self.regs_of(m.block_args(entry)),
             self.regs_of(m.op_operands(call)),
         );
-        if args.len() != params.len() {
-            return Err(dec_err(format!(
-                "call passes {} arguments but the callee takes {}",
-                args.len(),
-                params.len()
-            )));
-        }
         self.emit_parallel_copy(&params, &args);
-        self.inlining.push(callee);
-        let mut returned = Vec::new();
-        for &op in m.block_ops(entry) {
-            match self.kind(op)? {
-                OpKind::Return => {
-                    returned = self.regs_of(m.op_operands(op));
-                    break;
-                }
-                kind => self.decode_op(op, kind)?,
-            }
+        let (&ret, body) = m.block_ops(entry).split_last().expect("admitted: a return");
+        for &op in body {
+            let kind = self.kind(op)?;
+            self.decode_op(op, kind)?;
         }
-        self.inlining.pop();
-        let results = self.regs_of(m.op_results(call));
-        if returned.len() != results.len() {
-            return Err(dec_err(format!(
-                "call expects {} results but the callee returns {}",
-                results.len(),
-                returned.len()
-            )));
-        }
+        let (results, returned) = (
+            self.regs_of(m.op_results(call)),
+            self.regs_of(m.op_operands(ret)),
+        );
         self.emit_parallel_copy(&results, &returned);
         Ok(())
     }
@@ -405,7 +368,7 @@ impl<'a> Decoder<'a> {
         DimSrc::Reg(self.reg_of(v))
     }
 
-    fn index_regs(&mut self, op: OpId, from: usize) -> Result<([Reg; 3], u8), DecodeError> {
+    fn index_regs(&mut self, op: OpId, from: usize) -> Result<([Reg; 3], u8), SimError> {
         let operands = self.m.op_operands(op);
         let n = operands.len() - from;
         if n > 3 {
@@ -498,44 +461,26 @@ impl<'a> Decoder<'a> {
         out
     }
 
-    /// The yield operand registers of `block`'s terminator (which must be a
-    /// yield for structured regions).
-    fn yield_regs(&mut self, block: BlockId) -> Result<Vec<Reg>, DecodeError> {
+    /// Decode the ops of a structured-region block up to its yield, and
+    /// return the registers the yield gives back (the caller wires the
+    /// copies).
+    fn decode_region_body(&mut self, block: BlockId) -> Result<Vec<Reg>, SimError> {
         let m = self.m;
-        let term = m
-            .block_terminator(block)
-            .ok_or_else(|| dec_err("structured region block has no terminator"))?;
-        match self.kinds.get(m.op_name(term)) {
-            Some(OpKind::Yield) => Ok(self.regs_of(m.op_operands(term))),
-            _ => Err(dec_err("structured region does not end in a yield")),
-        }
-    }
-
-    /// Decode the ops of a structured-region block, stopping before the
-    /// trailing yield (the caller wires the yield's copies).
-    fn decode_region_body(&mut self, block: BlockId) -> Result<(), DecodeError> {
-        let m = self.m;
-        let ops = m.block_ops(block);
-        let Some((&term, body)) = ops.split_last() else {
-            return Err(dec_err("empty structured region block"));
-        };
-        if self.kinds.get(m.op_name(term)) != Some(OpKind::Yield) {
-            return Err(dec_err("structured region does not end in a yield"));
-        }
+        let (&term, body) = m.block_ops(block).split_last().expect("admitted: a yield");
         for &op in body {
             let kind = self.kind(op)?;
             self.decode_op(op, kind)?;
         }
-        Ok(())
+        Ok(self.regs_of(m.op_operands(term)))
     }
 
-    fn decode_op(&mut self, op: OpId, kind: OpKind) -> Result<(), DecodeError> {
+    fn decode_op(&mut self, op: OpId, kind: OpKind) -> Result<(), SimError> {
         let m = self.m;
         match kind {
             OpKind::Constant => {
                 let attr = m
                     .attr_by_id(op, self.keys.value)
-                    .ok_or_else(|| dec_err("constant without value"))?;
+                    .expect("admitted: a value");
                 let ty = m.value_type(m.op_result(op, 0));
                 match (attr, ty.kind()) {
                     (Attribute::Int(x), _) => self.bind_const(op, Slot::Int(*x)),
@@ -544,12 +489,11 @@ impl<'a> Decoder<'a> {
                         self.bind_const(op, Slot::F32(*f as f32))
                     }
                     (Attribute::Float(f), _) => self.bind_const(op, Slot::F64(*f)),
-                    (Attribute::DenseF64(_) | Attribute::DenseI64(_), TypeKind::MemRef { .. }) => {
+                    _ => {
                         let idx = self.dense_const_id(op, attr, ty)?;
                         let dst = self.result_reg(op);
                         self.code.push(Instr::ConstDense { dst, idx });
                     }
-                    _ => return Err(dec_err("unsupported constant kind")),
                 }
             }
             OpKind::IntBin(b) => {
@@ -570,7 +514,10 @@ impl<'a> Decoder<'a> {
                 });
             }
             OpKind::CmpI | OpKind::CmpF => {
-                let pred = CmpPred::of_attr(m.attr_by_id(op, self.keys.predicate));
+                let pred = m
+                    .attr_by_id(op, self.keys.predicate)
+                    .and_then(CmpPred::of_attr);
+                let pred = pred.expect("admitted: a known predicate");
                 let (l, r) = (self.operand_reg(op, 0), self.operand_reg(op, 1));
                 let dst = self.result_reg(op);
                 self.code.push(if kind == OpKind::CmpI {
@@ -622,13 +569,8 @@ impl<'a> Decoder<'a> {
             }
             OpKind::Alloca | OpKind::LocalAlloca => {
                 let ty = m.value_type(m.op_result(op, 0));
-                let shape_v = ty
-                    .memref_shape()
-                    .ok_or_else(|| dec_err("alloca of a type that is not a memref"))?;
-                let elem = ty
-                    .memref_elem()
-                    .cloned()
-                    .ok_or_else(|| dec_err("alloca of a type that is not a memref"))?;
+                let shape_v = ty.memref_shape().expect("admitted: a memref");
+                let elem = ty.memref_elem().cloned().expect("admitted: a memref");
                 let len: i64 = shape_v.iter().product();
                 if shape_v.len() > 3 {
                     return Err(dec_err("alloca rank > 3"));
@@ -748,21 +690,14 @@ impl<'a> Decoder<'a> {
             OpKind::If => {
                 let cond = self.operand_reg(op, 0);
                 let results = self.regs_of(m.op_results(op));
-                if m.op_regions(op).len() < 2 {
-                    return Err(dec_err("scf.if without else region"));
-                }
                 let branch_pc = self.pc();
                 self.code.push(Instr::BranchIfFalse { cond, target: 0 }); // patched
-                let then_blk = m.op_region_block(op, 0);
-                self.decode_region_body(then_blk)?;
-                let then_yields = self.yield_regs(then_blk)?;
+                let then_yields = self.decode_region_body(m.op_region_block(op, 0))?;
                 self.emit_parallel_copy(&results, &then_yields);
                 let jump_pc = self.pc();
                 self.code.push(Instr::Jump { target: 0 }); // patched
                 let else_start = self.pc();
-                let else_blk = m.op_region_block(op, 1);
-                self.decode_region_body(else_blk)?;
-                let else_yields = self.yield_regs(else_blk)?;
+                let else_yields = self.decode_region_body(m.op_region_block(op, 1))?;
                 self.emit_parallel_copy(&results, &else_yields);
                 let end = self.pc();
                 if let Instr::BranchIfFalse { target, .. } = &mut self.code[branch_pc as usize] {
@@ -779,9 +714,6 @@ impl<'a> Decoder<'a> {
                 let inits = self.regs_of(&m.op_operands(op)[3..]);
                 let body_blk = m.op_region_block(op, 0);
                 let body_args = m.block_args(body_blk);
-                if body_args.len() != inits.len() + 1 {
-                    return Err(dec_err("loop body arity mismatch"));
-                }
                 let iv = self.reg_of(body_args[0]);
                 let carries = self.regs_of(&body_args[1..]);
                 for (k, y) in self.in_place_yields(body_blk, &body_args[1..]) {
@@ -800,8 +732,7 @@ impl<'a> Decoder<'a> {
                     exit: 0,
                 }); // patched
                 let body_pc = self.pc();
-                self.decode_region_body(body_blk)?;
-                let yields = self.yield_regs(body_blk)?;
+                let yields = self.decode_region_body(body_blk)?;
                 self.emit_parallel_copy(&carries, &yields);
                 self.code.push(Instr::ForNext {
                     iv,
@@ -819,31 +750,20 @@ impl<'a> Decoder<'a> {
                 }
             }
             OpKind::Call => self.inline_call(op)?,
-            // An inlined callee's return is the last op `inline_call`
-            // decodes; one anywhere else is the kernel's.
-            OpKind::Return if self.inlining.is_empty() => self.code.push(Instr::Return),
-            OpKind::Return => return Err(dec_err("return nested in a region")),
-            OpKind::Yield => {
-                // Yields are consumed by the enclosing If/For decoder; a
-                // yield here means malformed structure.
-                return Err(dec_err("yield outside of an if/loop"));
-            }
+            // Admitted IR returns only from a function's entry block, and
+            // an inlined callee's return is `inline_call`'s to read: this
+            // one is the kernel's.
+            OpKind::Return => self.code.push(Instr::Return),
+            OpKind::Yield => unreachable!("admitted: a yield ends the region its op decodes"),
         }
         Ok(())
     }
 
-    fn dense_const_id(
-        &mut self,
-        op: OpId,
-        attr: &Attribute,
-        ty: &Type,
-    ) -> Result<u32, DecodeError> {
+    fn dense_const_id(&mut self, op: OpId, attr: &Attribute, ty: &Type) -> Result<u32, SimError> {
         if let Some(&idx) = self.dense_ids.get(&op) {
             return Ok(idx);
         }
-        let elem = ty
-            .memref_elem()
-            .ok_or_else(|| dec_err("dense constant must be memref"))?;
+        let elem = ty.memref_elem().expect("admitted: a memref");
         let data =
             DataVec::of_dense(attr, elem).ok_or_else(|| dec_err("unsupported dense constant"))?;
         let shape_v = ty.memref_shape().unwrap();

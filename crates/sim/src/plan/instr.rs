@@ -52,8 +52,8 @@ pub enum FloatBin {
     Max,
 }
 
-/// Pre-parsed `arith.cmpi`/`arith.cmpf` predicate. Mirrors the tree-walk
-/// interpreter: a missing attribute means `Eq`, an unknown spelling `Sge`.
+/// Pre-parsed `arith.cmpi`/`arith.cmpf` predicate: one of the six names
+/// the IR verifier admits, which the decoder reads without a fallback.
 #[derive(Clone, Copy, Debug)]
 pub enum CmpPred {
     /// Equal.
@@ -71,15 +71,17 @@ pub enum CmpPred {
 }
 
 impl CmpPred {
-    pub(super) fn of_attr(attr: Option<&Attribute>) -> CmpPred {
-        match attr.and_then(|a| a.as_str()).unwrap_or("eq") {
+    /// The predicate `attr` names; `None` for any other attribute.
+    pub(super) fn of_attr(attr: &Attribute) -> Option<CmpPred> {
+        Some(match attr.as_str()? {
             "eq" => CmpPred::Eq,
             "ne" => CmpPred::Ne,
             "slt" => CmpPred::Slt,
             "sle" => CmpPred::Sle,
             "sgt" => CmpPred::Sgt,
-            _ => CmpPred::Sge,
-        }
+            "sge" => CmpPred::Sge,
+            _ => return None,
+        })
     }
 
     #[inline]

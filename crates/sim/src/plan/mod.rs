@@ -21,7 +21,8 @@
 //!   carry's where nothing reads the carry after the value is computed;
 //! * scalar constants are registers bound once per launch
 //!   ([`KernelPlan::consts`]), not instructions, and `cmpi`/`cmpf`
-//!   predicates and dimension operands are pre-parsed;
+//!   predicates ([`CmpPred`], with no fallback for a name the verifier
+//!   would refuse) and dimension operands are pre-parsed;
 //! * `scf.for`/`scf.if` structure is lowered to explicit jump and loop
 //!   instructions ([`Instr::ForEnter`]/[`Instr::ForNext`]/
 //!   [`Instr::BranchIfFalse`]), so loop back-edges are two integer ops;
@@ -34,8 +35,15 @@
 //! ids to opcodes once per decode, and attribute keys are resolved
 //! through the pre-interned [`sycl_mlir_ir::CommonKeys`].
 //!
-//! Any op the decoder does not understand aborts the decode with
-//! [`DecodeError`], which fails the launch: the decoder's op table and the
+//! [`decode_kernel`] first admits the kernel: every function it reaches
+//! passes the IR verifier and none recurses, the check the tree walk makes
+//! too (`device::admit`). So the decoder trusts what the verifier owns —
+//! that calls resolve and match their callee, that every region is one
+//! block ending in the yield or return its op expects, that constants fit
+//! their type and predicates are known — and refuses only what the
+//! simulator does not run: an op it has no instruction for, a rank above
+//! 3, or a dense constant of an unsupported element type, each a `plan
+//! decode error` that fails the launch. The decoder's op table and the
 //! tree-walk interpreter's cover the same ops, and the interpreter stays
 //! behaviourally authoritative (the differential suite in
 //! `tests/differential.rs` holds the two engines bit-identical).
@@ -52,7 +60,7 @@ mod slot;
 #[cfg(test)]
 mod tests;
 
-pub use decode::{decode_kernel, DecodeError};
+pub use decode::decode_kernel;
 pub(crate) use exec::audit_requested;
 pub use exec::{audit_on_this_thread, PlanCtx, PlanWorkGroup};
 pub use fuse::fuse_plan;

@@ -9,19 +9,16 @@ fn windows(plan: &KernelPlan) -> Vec<&'static str> {
     plan.superinstructions().map(Instr::mnemonic).collect()
 }
 
+/// The decoder parses the six predicates the IR verifier admits and
+/// nothing else: a kernel with a missing or unknown predicate is refused
+/// at admission under both engines, so no default stands in for it.
 #[test]
 fn cmp_pred_parsing_matches_tree_walk_defaults() {
-    assert!(matches!(CmpPred::of_attr(None), CmpPred::Eq));
-    assert!(matches!(
-        CmpPred::of_attr(Some(&Attribute::Str("slt".into()))),
-        CmpPred::Slt
-    ));
-    // Unknown spellings fall through to sge, like the interpreter's
-    // final match arm.
-    assert!(matches!(
-        CmpPred::of_attr(Some(&Attribute::Str("ult".into()))),
-        CmpPred::Sge
-    ));
+    let of = |name: &str| CmpPred::of_attr(&Attribute::Str(name.into()));
+    assert!(matches!(of("slt"), Some(CmpPred::Slt)));
+    assert!(matches!(of("sge"), Some(CmpPred::Sge)));
+    assert!(of("ult").is_none() && of("").is_none());
+    assert!(CmpPred::of_attr(&Attribute::Int(0)).is_none());
 }
 
 /// What `scripts/ci.sh` echoes next to the line count: the two sizes

@@ -293,6 +293,51 @@ fn empty_launch_in_a_chain_retires_eagerly() {
     assert!(out.stats.iter().all(|s| s.work_groups == 0));
 }
 
+/// A plan the plan verifier faults — the backstop behind admission, for
+/// bytecode the IR verifier never sees — is a launch the device refuses
+/// with the verifier's first finding: in the chain [clean, refused, clean]
+/// launch 0 completes, launch 1 fails at its work-group 0 and launch 2
+/// never starts, under one worker and four.
+#[test]
+fn a_plan_the_verifier_faults_fails_its_launch() {
+    use crate::plan::{Instr, IntBin};
+    let mut faulted = add_k_plan(1.0);
+    faulted.code[2] = Instr::BinInt {
+        op: IntBin::Add,
+        dst: 4,
+        l: 3,
+        r: 2,
+    };
+    let findings = verify_and_fuse(faulted).expect_err("an integer add of floats");
+    let refused = crate::device::refusal("plan verify error", "int_on_f32", &findings);
+    let (facts, plan) = verify_and_fuse(add_k_plan(2.0)).unwrap();
+    let (n, nd) = (16_i64, NdRangeSpec::d1(16, 4));
+    for threads in [1_usize, 4] {
+        let mut pool = MemoryPool::new();
+        let ma = pool.alloc(DataVec::F32(vec![1.0; n as usize]));
+        let mb = pool.alloc(DataVec::F32(vec![1.0; n as usize]));
+        let (args_a, args_b) = ([global_view(ma, n)], [global_view(mb, n)]);
+        let launches = [
+            PlanLaunch::kernel(&plan, &facts, &args_a, nd),
+            PlanLaunch::Rejected {
+                nd,
+                error: &refused,
+            },
+            PlanLaunch::kernel(&plan, &facts, &args_b, nd),
+        ];
+        let error = run_graph(&launches, &LaunchDag::chain(3), &mut pool, threads)
+            .expect_err("launch 1 is refused");
+        assert_eq!(
+            error.message(),
+            "plan verify error: int_on_f32: pc 2: register r2 holds a float but is used as an \
+             integer (+2 more) (launch 1, work-group 0)",
+            "threads={threads}"
+        );
+        assert_eq!(pool.read(ma), DataVec::F32(vec![3.0; n as usize]));
+        assert_eq!(pool.read(mb), DataVec::F32(vec![1.0; n as usize]));
+    }
+}
+
 /// `x = buf[gid]`, a barrier, `buf[gid] = x + 1` and `100 / div[gid]`:
 /// 9 registers, 3 memory sites. A zero divisor fails its work-item after
 /// the barrier, while later siblings are still suspended at it.

@@ -129,6 +129,15 @@ if grep -rnE 'fn (for_each_read|for_each_write|def_classes|use_classes|dst_reg)\
   exit 1
 fi
 
+# One verdict on kernel IR (ARCHITECTURE.md): both engines admit a kernel
+# through the IR verifier, and the plan decoder trusts what it admitted. The
+# decoder's own restatements of the verifier's rules must not come back.
+step "one verdict on kernel IR"
+if grep -rnE 'without else region|loop body arity mismatch|does not end in a yield|unresolved call|return nested in a region' crates/sim/src/plan/; then
+  echo "FAIL: the plan decoder restates a rule the IR verifier owns; admission checks it" >&2
+  exit 1
+fi
+
 # Names are resolved once (ARCHITECTURE.md): CSE compares expressions in the
 # module, it formats nothing; and the one registered context of a thread is
 # `full_context()`'s — library code that registers the dialects into a

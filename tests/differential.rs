@@ -1198,7 +1198,8 @@ mod aggregate_moves {
     }
 
     /// A call whose result count differs from what its callee returns is
-    /// refused by the decoder.
+    /// refused when the decoder admits the kernel, with the IR verifier's
+    /// message.
     #[test]
     fn call_result_count_mismatch_is_a_decode_error() {
         let ctx = full_context();
@@ -1211,39 +1212,27 @@ mod aggregate_moves {
         });
         let error = decode_kernel(&m, k).expect_err("the call is refused");
         assert_eq!(
-            error.to_string(),
-            "plan decode error: call expects 1 results but the callee returns 0"
+            error.message(),
+            "IR verify error: k: `func.call`: has 1 results but `@none` has 0"
         );
     }
 
-    /// Storing an aggregate is the tree walk's type-mismatch fault, named
-    /// by the value's kind, at the first work-group. The plan engine's
-    /// verifier refuses the store of a register that does not hold the
-    /// view's element class, so the launch fails there with the
-    /// verifier's finding, which names the register's class.
+    /// Storing an aggregate into a view of floats breaks `memref.store`'s
+    /// declared signature, so both engines refuse the kernel at admission,
+    /// at its launch's first work-group, with the IR verifier's message,
+    /// which names the stored value's type.
     #[test]
     fn type_mismatched_store_of_an_aggregate() {
         // Picks the stored value out of `[id, view, accessor, item]`.
         type Pick = fn(&mut Builder<'_>, [ValueId; 4]) -> ValueId;
-        let cases: [(&str, &str, Pick); 4] = [
-            ("vec", "3: register r5 holds an id/range vector", |_, v| {
-                v[0]
-            }),
-            (
-                "memref",
-                "3: register r6 holds a memref of floats",
-                |_, v| v[1],
-            ),
-            (
-                "accessor",
-                "3: register r0 holds an accessor of floats",
-                |_, v| v[2],
-            ),
-            ("item", "4: register r7 holds an item", |b, v| {
-                sdev::get_group(b, v[3])
-            }),
+        let cases: [(&str, Pick); 4] = [
+            ("!sycl.id<1>", |_, v| v[0]),
+            ("memref<?xf32>", |_, v| v[1]),
+            ("!sycl.accessor<f32, 1, read_write, global>", |_, v| v[2]),
+            ("!sycl.group<1>", |b, v| sdev::get_group(b, v[3])),
         ];
-        for (kind, finding, pick) in cases {
+        let mut wrong = Vec::new();
+        for (stored, pick) in cases {
             let ctx = full_context();
             let mut m = Module::new(&ctx);
             let k = kernel(&mut m, |b, acc_a, _, item| {
@@ -1254,27 +1243,358 @@ mod aggregate_moves {
                 let zero = arith::constant_index(b, 0);
                 memref::store(b, value, view, &[zero]);
             });
-            decode_kernel(&m, k).expect("the plan engine decodes this kernel");
-            for threads in [1, 4] {
-                let device = Device::with_engine(Engine::Plan).threads(threads);
-                let refused = launch(&m, k, &device).expect_err("the plan is refused");
+            let want = format!(
+                "IR verify error: k: `memref.store`: operand #0 must be f32, the element type of \
+                 operand #1, got {stored} (launch 0, work-group 0)"
+            );
+            for device in [
+                Device::with_engine(Engine::TreeWalk),
+                Device::with_engine(Engine::Plan).threads(1),
+                Device::with_engine(Engine::Plan).threads(4),
+            ] {
+                let refused = launch(&m, k, &device).expect_err("the kernel is refused");
+                if refused.message() != want {
+                    wrong.push(refused.message());
+                }
+            }
+        }
+        assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+    }
+}
+
+/// One verdict on kernel IR: a malformed kernel is refused at admission,
+/// before any of its groups runs, with the IR verifier's first message —
+/// the same text under the tree walk and under the plan engine at one and
+/// four workers. One kernel per shape the plan decoder once refused on
+/// its own, plus a loop whose region has no block.
+mod admission {
+    use sycl_mlir_repro::dialects::arith;
+    use sycl_mlir_repro::dialects::func::{build_call, build_func, build_return};
+    use sycl_mlir_repro::frontend::full_context;
+    use sycl_mlir_repro::ir::{Attribute, Builder, Module, OpId, Type, ValueId};
+    use sycl_mlir_repro::sim::{
+        AccessorVal, BatchLaunch, DataVec, Device, Engine, LaunchDag, MemoryPool, NdRangeSpec,
+        RtValue,
+    };
+    use sycl_mlir_repro::sycl::device as sdev;
+    use sycl_mlir_repro::sycl::types::{accessor_type, nd_item_type, AccessMode, Target};
+
+    const N: i64 = 16;
+
+    /// `name(a: accessor<f32>, nd_item<1>)`: `body`, then a return.
+    fn kernel(m: &mut Module, name: &str, body: impl FnOnce(&mut Builder<'_>, ValueId, ValueId)) {
+        let c = m.ctx();
+        let acc = accessor_type(c, c.f32_type(), 1, AccessMode::ReadWrite, Target::Global);
+        let item = nd_item_type(c, 1);
+        let top = m.top();
+        let (func, entry) = build_func(m, top, name, &[acc, item], &[]);
+        sdev::mark_kernel(m, func);
+        let args = m.block_args(entry).to_vec();
+        let mut b = Builder::at_end(m, entry);
+        body(&mut b, args[0], args[1]);
+        build_return(&mut b, &[]);
+    }
+
+    /// A function `name(inputs) -> ()` next to the kernels: `body`, then
+    /// a return.
+    fn helper(m: &mut Module, name: &str, inputs: &[Type], body: impl FnOnce(&mut Builder<'_>)) {
+        let top = m.top();
+        let (_, entry) = build_func(m, top, name, inputs, &[]);
+        let mut b = Builder::at_end(m, entry);
+        body(&mut b);
+        build_return(&mut b, &[]);
+    }
+
+    /// Give `op` a region of one block taking `args`, filled by `fill`.
+    fn region(b: &mut Builder<'_>, op: OpId, args: &[Type], fill: impl FnOnce(&mut Builder<'_>)) {
+        let m = b.module();
+        let region = m.add_region(op);
+        let block = m.add_block(region, args);
+        fill(&mut Builder::at_end(m, block));
+    }
+
+    fn yield_(b: &mut Builder<'_>) {
+        b.build("scf.yield", &[], &[], vec![]);
+    }
+
+    fn truth(b: &mut Builder<'_>) -> ValueId {
+        let i1 = b.ctx().i1_type();
+        arith::constant_int(b, 1, i1)
+    }
+
+    /// `scf.if true` with its `then` and `else` regions.
+    fn if_(b: &mut Builder<'_>, then: fn(&mut Builder<'_>), other: fn(&mut Builder<'_>)) {
+        let cond = truth(b);
+        let op = b.build("scf.if", &[cond], &[], vec![]);
+        region(b, op, &[], then);
+        region(b, op, &[], other);
+    }
+
+    /// `scf.for 0 to 1 step 1` over `inits`, with no region yet.
+    fn for_(b: &mut Builder<'_>, inits: &[ValueId]) -> OpId {
+        let [lo, hi] = [0, 1].map(|v| arith::constant_index(b, v));
+        let mut operands = vec![lo, hi, hi];
+        operands.extend_from_slice(inits);
+        let results = vec![b.ctx().index_type(); inits.len()];
+        b.build("scf.for", &operands, &results, vec![])
+    }
+
+    fn constant(b: &mut Builder<'_>, ty: Type, value: Option<Attribute>) {
+        let attrs: Vec<_> = value.into_iter().map(|v| ("value", v)).collect();
+        b.build_value("arith.constant", &[], ty, attrs);
+    }
+
+    /// `a[gid] *= 3`: the clean launch on either side of the refused one.
+    fn scale(b: &mut Builder<'_>, acc: ValueId, item: ValueId) {
+        let gid = sdev::global_id(b, item, 0);
+        let v = sdev::load_via_id(b, acc, &[gid]);
+        let f32t = b.ctx().f32_type();
+        let three = arith::constant_float(b, 3.0, f32t);
+        let v = arith::mulf(b, v, three);
+        sdev::store_via_id(b, v, acc, &[gid]);
+    }
+
+    type Case = (&'static str, fn(&mut Module), &'static str);
+
+    /// The kernel `bad` of each case, and the IR verifier's message that
+    /// refuses it.
+    const CASES: [Case; 17] = [
+        (
+            "unresolved call",
+            |m| {
+                kernel(m, "bad", |b, _, _| {
+                    build_call(b, "missing", &[], &[]);
+                })
+            },
+            "bad: `func.call`: `callee` names no `func.func` in scope",
+        ),
+        (
+            "call argument count",
+            |m| {
+                let index = m.ctx().index_type();
+                helper(m, "two", &[index.clone(), index], |_| {});
+                kernel(m, "bad", |b, _, item| {
+                    let gid = sdev::global_id(b, item, 0);
+                    build_call(b, "two", &[gid], &[]);
+                });
+            },
+            "bad: `func.call`: has 1 operands but `@two` has 2",
+        ),
+        (
+            "call result count",
+            |m| {
+                helper(m, "none", &[], |_| {});
+                kernel(m, "bad", |b, _, _| {
+                    let index = b.ctx().index_type();
+                    build_call(b, "none", &[], &[index]);
+                });
+            },
+            "bad: `func.call`: has 1 results but `@none` has 0",
+        ),
+        (
+            "no terminator",
+            |m| {
+                kernel(m, "bad", |b, _, _| {
+                    if_(
+                        b,
+                        |b| {
+                            arith::constant_index(b, 0);
+                        },
+                        yield_,
+                    )
+                })
+            },
+            "bad: `scf.if`: region #0 does not end with a terminator (ends with `arith.constant`)",
+        ),
+        (
+            "empty block",
+            |m| kernel(m, "bad", |b, _, _| if_(b, yield_, |_| {})),
+            "bad: `scf.if`: region #1 has an empty block",
+        ),
+        (
+            "a loop body that does not end in a yield",
+            |m| {
+                kernel(m, "bad", |b, _, _| {
+                    let op = for_(b, &[]);
+                    let index = b.ctx().index_type();
+                    region(b, op, &[index], |b| {
+                        build_return(b, &[]);
+                    });
+                })
+            },
+            "bad: `func.return`: must be nested directly in a `func.func`",
+        ),
+        (
+            "a branch that does not end in a yield",
+            |m| {
+                kernel(m, "bad", |b, _, _| {
+                    if_(b, yield_, |b| {
+                        build_return(b, &[]);
+                    })
+                })
+            },
+            "bad: `func.return`: must be nested directly in a `func.func`",
+        ),
+        (
+            "constant without value",
+            |m| {
+                kernel(m, "bad", |b, _, _| {
+                    let i32t = b.ctx().i32_type();
+                    constant(b, i32t, None)
+                })
+            },
+            "bad: `arith.constant`: missing `value` attribute",
+        ),
+        (
+            "unsupported constant kind",
+            |m| {
+                kernel(m, "bad", |b, _, _| {
+                    let (text, i32t) = (b.ctx().str_attr("seven"), b.ctx().i32_type());
+                    constant(b, i32t, Some(text))
+                })
+            },
+            "bad: `arith.constant`: value attribute \"seven\" incompatible with result type i32",
+        ),
+        (
+            "alloca of a non-memref",
+            |m| {
+                kernel(m, "bad", |b, _, _| {
+                    let f32t = b.ctx().f32_type();
+                    b.build_value("memref.alloca", &[], f32t, vec![]);
+                })
+            },
+            "bad: `memref.alloca`: result #0 must be a memref, got f32",
+        ),
+        (
+            "local alloca of a non-memref",
+            |m| {
+                kernel(m, "bad", |b, _, _| {
+                    let f32t = b.ctx().f32_type();
+                    b.build_value("sycl.local.alloca", &[], f32t, vec![]);
+                })
+            },
+            "bad: `sycl.local.alloca`: result #0 must be a memref, got f32",
+        ),
+        (
+            "if without else",
+            |m| {
+                kernel(m, "bad", |b, _, _| {
+                    let cond = truth(b);
+                    let op = b.build("scf.if", &[cond], &[], vec![]);
+                    region(b, op, &[], yield_);
+                })
+            },
+            "bad: `scf.if`: expects a `then` and an `else` region",
+        ),
+        (
+            "loop body arity",
+            |m| {
+                kernel(m, "bad", |b, _, _| {
+                    let init = arith::constant_index(b, 0);
+                    let op = for_(b, &[init]);
+                    let index = b.ctx().index_type();
+                    region(b, op, &[index], move |b| {
+                        b.build("scf.yield", &[init], &[], vec![]);
+                    });
+                })
+            },
+            "bad: `scf.for`: body block takes 1 arguments, expected 2 (iv + iter_args)",
+        ),
+        (
+            "return nested in a region of a callee",
+            |m| {
+                helper(m, "early", &[], |b| {
+                    if_(
+                        b,
+                        |b| {
+                            build_return(b, &[]);
+                            yield_(b);
+                        },
+                        yield_,
+                    )
+                });
+                kernel(m, "bad", |b, _, _| {
+                    build_call(b, "early", &[], &[]);
+                });
+            },
+            "early: `func.return` inside `scf.if`: terminator is not the last operation of its block \
+             (+1 more)",
+        ),
+        (
+            "yield outside an if or loop",
+            |m| kernel(m, "bad", |b, _, _| yield_(b)),
+            "bad: `scf.yield` inside `func.func`: terminator is not the last operation of its block \
+             (+1 more)",
+        ),
+        (
+            "dense constant that is not a memref",
+            |m| {
+                kernel(m, "bad", |b, _, _| {
+                    let f32t = b.ctx().f32_type();
+                    constant(b, f32t, Some(Attribute::DenseF64(vec![1.0])))
+                })
+            },
+            "bad: `arith.constant`: value attribute densef64<1.0> incompatible with result type f32",
+        ),
+        (
+            "loop region without a block",
+            |m| {
+                kernel(m, "bad", |b, _, _| {
+                    let op = for_(b, &[]);
+                    b.module().add_region(op);
+                })
+            },
+            "bad: `scf.for`: region #0 must contain exactly one block (structured IR), found 0",
+        ),
+    ];
+
+    #[test]
+    fn a_malformed_kernel_is_refused_at_admission_with_one_text() {
+        let mut wrong = Vec::new();
+        for (what, build, refusal) in CASES {
+            let mut m = Module::new(&full_context());
+            kernel(&mut m, "scale", scale);
+            build(&mut m);
+            let [scale_k, bad] = ["scale", "bad"].map(|k| m.lookup_symbol(m.top(), k).unwrap());
+            let want = format!("IR verify error: {refusal} (launch 1, work-group 0)");
+            for device in [
+                Device::with_engine(Engine::TreeWalk),
+                Device::with_engine(Engine::Plan).threads(1),
+                Device::with_engine(Engine::Plan).threads(4),
+            ] {
+                let mut pool = MemoryPool::new();
+                let [ma, mb] = [0; 2].map(|_| pool.alloc(DataVec::F32(vec![1.0; N as usize])));
+                let view = |mem| {
+                    vec![RtValue::Accessor(AccessorVal {
+                        mem,
+                        range: [N, 1, 1],
+                        offset: [0, 0, 0],
+                        rank: 1,
+                        constant: false,
+                    })]
+                };
+                let nd = NdRangeSpec::d1(N, 4);
+                let batch = [
+                    BatchLaunch::kernel(scale_k, view(ma), nd),
+                    BatchLaunch::kernel(bad, view(ma), nd),
+                    BatchLaunch::kernel(scale_k, view(mb), nd),
+                ];
+                let engine = (device.engine, device.threads);
+                let error = device
+                    .launch_graph(&m, &batch, &LaunchDag::chain(3), &mut pool)
+                    .expect_err(what);
+                if error.message() != want {
+                    wrong.push(format!("{what} {engine:?}: {}", error.message()));
+                }
+                let scaled =
+                    [ma, mb].map(|mem| pool.read(mem) == DataVec::F32(vec![3.0; N as usize]));
                 assert_eq!(
-                    refused.message(),
-                    format!(
-                        "plan verify error: k: pc {finding} but is used as a float (launch 0, \
-                         work-group 0)"
-                    ),
-                    "threads={threads}"
+                    scaled,
+                    [true, false],
+                    "{what} {engine:?}: launch 0 completes, launch 2 never starts"
                 );
             }
-            let tree = launch(&m, k, &Device::with_engine(Engine::TreeWalk));
-            let fault = tree.expect_err("the store faults");
-            assert_eq!(
-                fault.message(),
-                format!(
-                    "type-mismatched store of {kind} into buffer 0 (f32) (launch 0, work-group 0)"
-                )
-            );
         }
+        assert!(wrong.is_empty(), "{}", wrong.join("\n"));
     }
 }

@@ -700,10 +700,7 @@ fn failing_plans() -> FailingPlans {
             .expect("the twin verifies"),
         oob_after: verify_and_fuse(decode("scale_oob_after").expect("the twin decodes"))
             .expect("the twin verifies"),
-        rejection: match decode("opaque") {
-            Ok(_) => panic!("the decoder must reject `llvm.alloca`"),
-            Err(e) => e.into(),
-        },
+        rejection: decode("opaque").expect_err("the decoder must reject `llvm.alloca`"),
     }
 }
 
